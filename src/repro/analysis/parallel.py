@@ -28,27 +28,12 @@ Notes for users:
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from ..errors import AnalysisError
 
-__all__ = [
-    "map_seeds",
-    "map_verdicts",
-    "shutdown_verdict_pool",
-    "verdict_processes_default",
-]
+__all__ = ["map_seeds", "shutdown_verdict_pool"]
 
 T = TypeVar("T")
 
@@ -87,108 +72,12 @@ def map_seeds(
         return list(pool.map(fn, seeds, chunksize=chunksize))
 
 
-# ---------------------------------------------------------------------- #
-# Parallel verdict recomputation (incremental admission engine)
-# ---------------------------------------------------------------------- #
-#
-# Dirty-set Cal_U calls are independent given the prepared structures
-# (streams, channels, blockers, HP sets) — the same embarrassing
-# parallelism as seeds, but *latency*-sensitive: the engine recomputes a
-# handful to a few dozen verdicts per admission, so pool startup cost
-# must be paid once per process, not once per request. Hence a
-# persistent module-level executor, created lazily on first use and torn
-# down at interpreter exit (concurrent.futures installs its own atexit
-# join) or explicitly via shutdown_verdict_pool().
-
-_verdict_pool: Optional[ProcessPoolExecutor] = None
-_pool_broken = False
-
-
-def verdict_processes_default() -> Optional[int]:
-    """Resolve ``REPRO_ANALYSIS_PROCS`` to a worker count or ``None``.
-
-    Unset/empty means ``os.cpu_count()``; ``0`` (the escape hatch) or
-    any value below 2 disables process-parallel verdicts entirely
-    (returns ``None`` — a single worker would only add IPC cost).
-    """
-    raw = os.environ.get("REPRO_ANALYSIS_PROCS", "").strip()
-    if raw == "":
-        n = os.cpu_count() or 1
-    else:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"REPRO_ANALYSIS_PROCS must be an integer, got {raw!r}"
-            ) from None
-    return n if n >= 2 else None
-
-
-def _ensure_pool(processes: int) -> ProcessPoolExecutor:
-    global _verdict_pool
-    if _verdict_pool is None:
-        _verdict_pool = ProcessPoolExecutor(max_workers=processes)
-    return _verdict_pool
-
-
 def shutdown_verdict_pool() -> None:
-    """Shut the persistent verdict pool down (idempotent)."""
-    global _verdict_pool, _pool_broken
-    if _verdict_pool is not None:
-        _verdict_pool.shutdown(wait=True, cancel_futures=True)
-        _verdict_pool = None
-    _pool_broken = False
+    """Do nothing: the per-admit verdict pool is gone (verdicts are
+    computed in-process, see DESIGN.md section 10).
 
-
-def _cal_u_batch(analyzer, ids: Tuple[int, ...]):
-    """Worker: compute verdicts for a batch of ids on one analyzer."""
-    return [(j, analyzer.cal_u(j)) for j in ids]
-
-
-def map_verdicts(
-    analyzer,
-    ids: Iterable[int],
-    *,
-    processes: int,
-) -> Dict[int, object]:
-    """Compute ``analyzer.cal_u(j)`` for every id, across processes.
-
-    ``analyzer`` is a prepared
-    :class:`~repro.core.feasibility.FeasibilityAnalyzer` (picklable —
-    streams, channels, blockers, HP sets and routing all are). Ids are
-    split round-robin over the workers in sorted order and the results
-    merged into an id-keyed dict, so the caller's deterministic
-    sorted-id iteration sees bit-identical verdicts regardless of
-    completion order. ``Cal_U`` is a pure function of the shipped
-    structures, so process boundaries cannot perturb results.
-
-    Any pool failure (fork unavailable, broken worker, pickling error)
-    falls back to the serial path — parallelism is strictly a wall-clock
-    knob, never a correctness dependency. After the first failure the
-    pool is marked broken and subsequent calls go serial directly.
+    Kept only because ``benchmarks/spine/run.py`` and
+    ``benchmarks/spine/workloads.py`` import it and a PR that claims a
+    gain may not edit the benchmark; the next ``benchmark`` PR drops
+    those imports and this shim with them.
     """
-    global _pool_broken
-    ids = sorted(ids)
-    procs = min(int(processes), len(ids))
-    if procs >= 2 and not _pool_broken:
-        try:
-            pool = _ensure_pool(int(processes))
-            chunks = [tuple(ids[i::procs]) for i in range(procs)]
-            futures = [
-                pool.submit(_cal_u_batch, analyzer, chunk)
-                for chunk in chunks
-            ]
-            out: Dict[int, object] = {}
-            for future in futures:
-                for j, verdict in future.result():
-                    out[j] = verdict
-            return out
-        except Exception as exc:  # pragma: no cover - host-dependent
-            _pool_broken = True
-            warnings.warn(
-                f"verdict pool failed ({exc!r}); falling back to serial "
-                "recomputation",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return {j: analyzer.cal_u(j) for j in ids}

@@ -49,7 +49,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -185,17 +184,18 @@ class TimingDiagram:
         # Index 0 of each mask is unused: slots are 1-based as in the paper.
         self.allocated = np.zeros((n, dtime + 1), dtype=bool)
         self.waiting = np.zeros((n, dtime + 1), dtype=bool)
-        #: busy-from-above prefix per row: busy_above[i] = OR of allocations
-        #: of rows 0..i-1. Row n (== result row) is the union of all.
-        self._busy_above: Optional[np.ndarray] = None
         #: Lazily-built per-stream instance records (see _InstanceView).
         self.instances: Mapping[int, List[InstanceAllocation]] = (
             _InstanceView(self)
         )
         self._records: Dict[int, List[InstanceAllocation]] = {}
         self._requests: Dict[int, np.ndarray] = {}
+        #: Skipped instance indices per row; a row has an entry iff it
+        #: has been filled.
         self._row_skip: Dict[int, Tuple[int, ...]] = {}
-        self._filled: Set[int] = set()
+        #: Requests mask *before* slot erasure, for rows that had slots
+        #: erased (see inspected_slots).
+        self._pre_erasure: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # Row access
@@ -260,6 +260,21 @@ class TimingDiagram:
             self._requests[row] = mask
         return mask
 
+    def inspected_slots(self, row: int) -> np.ndarray:
+        """Return the mask of slots the row's scan looked at.
+
+        Inside a window the scan reads the busy-from-above mask only
+        while demand is still unmet, and every slot it reads ends up
+        ALLOCATED or WAITING — so the row's masks are a function of
+        busy-from-above at exactly these slots, which is what lets
+        :func:`refill_rows` skip rows. Without erasure this *is* the
+        requests mask; an erased slot was still looked at (whether it
+        was busy decided where its window got satisfied), so rows with
+        erased slots keep the mask from before the erasure. Read-only.
+        """
+        mask = self._pre_erasure.get(row)
+        return self.row_requests(row) if mask is None else mask
+
     def _records_for(self, stream_id: int) -> List[InstanceAllocation]:
         """Build (or return cached) instance records for one stream row.
 
@@ -272,7 +287,7 @@ class TimingDiagram:
             return records
         row = self.row_of(stream_id)
         records = []
-        if row in self._filled:
+        if row in self._row_skip:
             stream = self.row_streams[row]
             starts, _ = window_arrays(stream.period, self.dtime)
             skip = self._row_skip.get(row, ())
@@ -457,14 +472,6 @@ def _fill_row(
     dtime = diagram.dtime
 
     alloc, wait, starts = fill_masks(busy, period, length, dtime)
-    if erased:
-        # Only slots inside the horizon can be erased; the common case
-        # (no erasures) never reaches here, and an all-out-of-range set
-        # must not pay the fancy-index either.
-        idx = [t for t in erased if 1 <= t <= dtime]
-        if idx:
-            alloc[idx] = False
-            wait[idx] = False
     skip_sorted = tuple(sorted(skip))
     for index in skip_sorted:
         if 0 <= index < len(starts):
@@ -472,13 +479,24 @@ def _fill_row(
             hi = min(starts[index] + period, dtime)
             alloc[lo : hi + 1] = False
             wait[lo : hi + 1] = False
+    diagram._pre_erasure.pop(row, None)
+    if erased:
+        # Only slots inside the horizon can be erased; the common case
+        # (no erasures) never reaches here, and an all-out-of-range set
+        # must not pay the fancy-index either.
+        idx = [t for t in erased if 1 <= t <= dtime]
+        if idx:
+            # After the removed windows were blanked (never looked at),
+            # before the erasure (looked at): see inspected_slots.
+            diagram._pre_erasure[row] = alloc | wait
+            alloc[idx] = False
+            wait[idx] = False
 
     diagram.allocated[row] = alloc
     diagram.waiting[row] = wait
     # Records and the requests mask are derived from the masks just
     # rewritten — drop the stale caches; _records_for rebuilds on demand.
     diagram._row_skip[row] = skip_sorted
-    diagram._filled.add(row)
     diagram._records.pop(sid, None)
     diagram._requests.pop(row, None)
 
@@ -490,27 +508,64 @@ def refill_rows(
     erased_slots: Optional[Mapping[int, AbstractSet[int]]] = None,
     start_row: int = 0,
 ) -> None:
-    """Recompute rows ``start_row..`` of a diagram in place.
+    """Bring rows ``start_row..`` of a diagram up to date in place.
 
-    Rows above ``start_row`` are untouched — their allocations fully
-    determine the busy mask the lower rows see, which is what makes the
-    incremental update of ``Modify_Diagram`` sound: releasing instances of
-    the stream at ``start_row`` can only change rows at or below it.
+    ``removed`` / ``erased_slots`` may differ from what a row was last
+    filled with only for the stream at ``start_row`` (``Modify_Diagram``
+    releases one stream's demand at a time); rows above it are
+    untouched — their allocations fully determine the busy mask the
+    lower rows see.
+
+    Only the rows the change can reach are refilled. A row's masks are a
+    function of the busy-from-above mask at the slots its scan inspected
+    (:meth:`TimingDiagram.inspected_slots`): an unsatisfied window
+    inspects every slot it has, a satisfied one stops looking, a removed
+    one never looks. So the loop carries ``changed``, the slots where
+    busy-from-above differs from the previous fill, down from
+    ``start_row``: a row whose inspected slots miss it keeps its masks,
+    and because its allocation lies inside its inspected slots, hands
+    ``changed`` on as it is; a row that is hit is refilled and replaces
+    ``changed`` by the slots where what the next row sees moved. Once
+    nothing differs, every row below is up to date.
+
+    Rows are first filled top to bottom, so below a filled row every row
+    is filled. A ``start_row`` never filled before has no previous fill
+    to differ from: it and every row below are simply filled, which is
+    the from-scratch fill of ``generate_init_diagram``.
     """
     if not 0 <= start_row <= diagram.num_rows:
         raise AnalysisError(f"start_row {start_row} out of range")
+    erased_slots = erased_slots or {}
+    allocated = diagram.allocated
     if start_row == 0:
         busy = np.zeros(diagram.dtime + 1, dtype=bool)
     else:
-        busy = diagram.allocated[:start_row].any(axis=0)
-    erased_slots = erased_slots or {}
+        busy = allocated[:start_row].any(axis=0)
+    changed = (
+        np.zeros(diagram.dtime + 1, dtype=bool)
+        if start_row in diagram._row_skip else None
+    )
+    differs = False
     for row in range(start_row, diagram.num_rows):
-        stream = diagram.row_streams[row]
+        if changed is not None:
+            if row != start_row:
+                if not differs:
+                    break
+                if not (changed & diagram.inspected_slots(row)).any():
+                    np.logical_or(busy, allocated[row], out=busy)
+                    continue
+            # What the next row saw before: (busy xor changed) | old row.
+            np.logical_xor(busy, changed, out=changed)
+            np.logical_or(changed, allocated[row], out=changed)
+        sid = diagram.row_streams[row].stream_id
         _fill_row(
             diagram, row, busy,
-            removed.get(stream.stream_id, frozenset()),
-            erased_slots.get(stream.stream_id),
+            removed.get(sid, frozenset()),
+            erased_slots.get(sid),
         )
         # `busy` is a private accumulator here (fresh zeros or a fresh
         # .any() reduction), so the OR can run in place.
-        np.logical_or(busy, diagram.allocated[row], out=busy)
+        np.logical_or(busy, allocated[row], out=busy)
+        if changed is not None:
+            np.logical_xor(changed, busy, out=changed)
+            differs = bool(changed.any())

@@ -53,21 +53,17 @@ by a traversal that expands dirty nodes edge-by-edge but absorbs every
 clean neighbour's (unchanged, already closed) reach set wholesale — a
 clean stream can never reach a dirty one, or it would reach a removed id.
 
-Dirty-set ``Cal_U`` runs that miss the memo are independent, so when the
-dirty frontier is large enough they fan out over a persistent
-:class:`~concurrent.futures.ProcessPoolExecutor`
-(:func:`~repro.analysis.parallel.map_verdicts`) and merge in sorted-id
-order — bit-identical to the serial path.
+Dirty-set ``Cal_U`` runs that miss the memo are computed in-process, in
+sorted-id order: copying a prepared analyzer to another process costs
+more than the handful of verdicts a dirty frontier holds (measured in
+DESIGN.md section 10).
 
 Escape hatches (all default-on paths have default-off twins for CI's
 equivalence legs and the perf baselines):
 
 * ``REPRO_INCREMENTAL=0`` — force the full analyzer on every op;
 * ``REPRO_INCREMENTAL_HP=0`` — keep closure invalidation but rebuild each
-  dirty HP set by graph traversal instead of from the reach deltas;
-* ``REPRO_ANALYSIS_PROCS=0`` — never use the verdict process pool
-  (unset = ``os.cpu_count()`` workers; parallelism only engages when the
-  dirty frontier reaches ``REPRO_ANALYSIS_THRESHOLD``, default 8).
+  dirty HP set by graph traversal instead of from the reach deltas.
 
 **Closure-scoped guarantees (finding F-7).** A stream's bound is only a
 guarantee while its transitive HP closure is itself admitted (the bound
@@ -84,7 +80,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..analysis.parallel import map_verdicts, verdict_processes_default
 from ..core import backends as _backends
 from ..core.admission import AdmissionDecision
 from ..core.feasibility import (
@@ -118,24 +113,6 @@ def hp_incremental_enabled_default() -> bool:
     return os.environ.get("REPRO_INCREMENTAL_HP", "1") != "0"
 
 
-def parallel_threshold_default() -> int:
-    """Minimum dirty-frontier size before the verdict pool engages.
-
-    ``REPRO_ANALYSIS_THRESHOLD`` (default 8): below it, per-task IPC
-    (pickling the prepared analyzer to the workers) costs more than the
-    ``Cal_U`` runs it saves.
-    """
-    raw = os.environ.get("REPRO_ANALYSIS_THRESHOLD", "").strip()
-    if not raw:
-        return 8
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise AnalysisError(
-            f"REPRO_ANALYSIS_THRESHOLD must be an integer, got {raw!r}"
-        ) from None
-
-
 @dataclass
 class EngineStats:
     """Cache-effectiveness counters, exposed through the ``stats`` op."""
@@ -163,8 +140,7 @@ class EngineStats:
     dirty_total: int = 0
     #: Per-phase wall-clock breakdown of the admission hot path. Note
     #: ``verdict_seconds`` covers the whole verdict phase and therefore
-    #: *includes* ``diagram_seconds`` (the diagram build inside ``Cal_U``);
-    #: diagram time spent inside pool workers is not visible here.
+    #: *includes* ``diagram_seconds`` (the diagram build inside ``Cal_U``).
     route_seconds: float = 0.0
     hp_seconds: float = 0.0
     diagram_seconds: float = 0.0
@@ -264,10 +240,6 @@ class IncrementalAdmissionEngine:
         Whether dirty HP sets come from the maintained reach closures
         (delta path) or a fresh graph traversal. ``None`` reads
         ``REPRO_INCREMENTAL_HP`` (unset/``1`` = delta path).
-    processes:
-        Worker count for parallel verdict recomputation; ``None`` reads
-        ``REPRO_ANALYSIS_PROCS`` (unset = ``os.cpu_count()``, ``0`` or
-        ``1`` = serial).
     """
 
     def __init__(
@@ -280,7 +252,6 @@ class IncrementalAdmissionEngine:
         analysis: Optional[str] = None,
         incremental: Optional[bool] = None,
         incremental_hp: Optional[bool] = None,
-        processes: Optional[int] = None,
     ):
         self.routing = routing
         self.latency_model = latency_model or NoLoadLatency()
@@ -296,11 +267,6 @@ class IncrementalAdmissionEngine:
             self.incremental_hp = hp_incremental_enabled_default()
         else:
             self.incremental_hp = bool(incremental_hp)
-        if processes is None:
-            self._pool_processes = verdict_processes_default()
-        else:
-            self._pool_processes = processes if processes >= 2 else None
-        self._parallel_threshold = parallel_threshold_default()
         self.stats = EngineStats()
 
         self._admitted = StreamSet()   # streams as requested (raw latency)
@@ -796,9 +762,7 @@ class IncrementalAdmissionEngine:
             for j in pending:
                 by_backend.setdefault(self._analysis[j], []).append(j)
             computed: Dict[int, StreamVerdict] = {}
-            procs = self._pool_processes
             for name in sorted(by_backend):
-                group = by_backend[name]
                 analyzer = _backends.get(name).analyzer_from_prepared(
                     self._resolved,
                     self._channels,
@@ -810,13 +774,8 @@ class IncrementalAdmissionEngine:
                     residency_margin=self.residency_margin,
                 )
                 analyzer.timing_sink = stats
-                if (procs is not None
-                        and len(group) >= self._parallel_threshold):
-                    computed.update(
-                        map_verdicts(analyzer, group, processes=procs)
-                    )
-                else:
-                    computed.update({j: analyzer.cal_u(j) for j in group})
+                for j in by_backend[name]:
+                    computed[j] = analyzer.cal_u(j)
             for j in pending:
                 v = computed[j]
                 self._verdicts[j] = v

@@ -1,12 +1,13 @@
 """The PR 6 admission fast path: every shortcut must be invisible.
 
 Four optimisation layers ride the admission path — shared route tables,
-reach-delta HP maintenance, process-pool verdict recomputation and the
-adaptive-horizon diagram kernel — and each has an escape hatch. These
-tests pin the only contract any of them is allowed to have: the observed
+reach-delta HP maintenance, the dependency-sparse row refill of
+``Modify_Diagram`` and the adaptive-horizon diagram kernel. These tests
+pin the only contract any of them is allowed to have: the observed
 decisions and report specs are byte-identical with every combination of
-knobs, including after a chaos ``cache_storm``, and the fill kernels
-agree bit for bit with the paper's literal scan.
+knobs, including after a chaos ``cache_storm``; a sparsely refilled
+diagram equals one generated from scratch; and the fill kernels agree
+bit for bit with the paper's literal scan.
 """
 
 import hashlib
@@ -16,8 +17,9 @@ import random
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.parallel import shutdown_verdict_pool
+from repro.core import timing_diagram
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.kernel import (
     active_kernel,
@@ -26,7 +28,13 @@ from repro.core.kernel import (
     select_kernel,
     window_arrays,
 )
+from repro.core.modify import modify_diagram
 from repro.core.streams import MessageStream
+from repro.core.timing_diagram import (
+    TimingDiagram,
+    generate_init_diagram,
+    refill_rows,
+)
 from repro.io import report_to_spec
 from repro.service.engine import IncrementalAdmissionEngine
 from repro.topology.mesh import Mesh2D
@@ -98,20 +106,190 @@ def fresh_engine(**kwargs):
     )
 
 
-class TestParallelVerdictsIdentity:
-    def test_pool_and_serial_reports_share_one_sha(self, monkeypatch):
-        """200+ fuzzed ops: a 2-process pool forced onto every refresh
-        (threshold 1) must reproduce the serial engine byte for byte."""
-        monkeypatch.setenv("REPRO_ANALYSIS_THRESHOLD", "1")
-        trace = fuzz_trace(seed=7)
-        assert len(trace) >= 200
-        try:
-            parallel = replay_digest(fresh_engine(processes=2), trace)
-        finally:
-            shutdown_verdict_pool()
-        monkeypatch.delenv("REPRO_ANALYSIS_THRESHOLD")
-        serial = replay_digest(fresh_engine(processes=0), trace)
-        assert parallel == serial
+def row(sid, priority, period, length):
+    return MessageStream(sid, 0, 1, priority=priority, period=period,
+                         length=length, deadline=period)
+
+
+@st.composite
+def refill_cases(draw):
+    """Rows (priority ties included), a horizon, a granularity, optional
+    ``initial_removed`` seeds and a sequence of *growing* exclusions,
+    each step touching one stream."""
+    n = draw(st.integers(1, 12))
+    dtime = draw(st.integers(4, 200))
+    rows = sorted(
+        (row(i, draw(st.integers(1, 4)), draw(st.integers(2, 60)),
+             draw(st.integers(1, 6))) for i in range(n)),
+        key=lambda s: (-s.priority, s.stream_id),
+    )
+    slot = draw(st.booleans())
+    # Instance indices / slots may lie outside the diagram: both are
+    # legal no-ops for the fill and must be for the refill.
+    top = dtime + 3 if slot else dtime // 2 + 2
+    batch = st.sets(st.integers(0, top), min_size=1, max_size=6)
+    seeds = {} if slot else draw(st.dictionaries(
+        st.integers(0, n - 1), batch, max_size=3))
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), batch), min_size=1, max_size=8))
+    return tuple(rows), dtime, slot, seeds, steps
+
+
+def assert_same_diagram(got, want, latencies):
+    np.testing.assert_array_equal(got.to_grid(), want.to_grid())
+    for r in range(got.num_rows):
+        np.testing.assert_array_equal(
+            got.row_requests(r), want.row_requests(r))
+    for latency in latencies:
+        assert got.upper_bound(latency) == want.upper_bound(latency)
+
+
+@pytest.fixture()
+def filled_rows(monkeypatch):
+    """Row indices ``_fill_row`` is called for, in call order."""
+    calls = []
+    fill = timing_diagram._fill_row
+
+    def counting(diagram, row, *args):
+        calls.append(row)
+        fill(diagram, row, *args)
+
+    monkeypatch.setattr(timing_diagram, "_fill_row", counting)
+    return calls
+
+
+class TestSparseRefill:
+    """``refill_rows`` touches only the rows a release can reach and
+    still leaves exactly the diagram a from-scratch fill would."""
+
+    @given(case=refill_cases())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_growing_exclusions_match_from_scratch(self, case):
+        rows, dtime, slot, seeds, steps = case
+        excl = {sid: set(idxs) for sid, idxs in seeds.items()}
+        key = "erased_slots" if slot else "removed"
+        diagram = generate_init_diagram(99, rows, dtime, **{key: excl})
+        latencies = (1, 2, dtime // 2 + 1, dtime)
+        for sid, idxs in steps:
+            # Reading before the refill warms the per-row request
+            # caches the refill has to invalidate (and only those).
+            for r in range(diagram.num_rows):
+                diagram.row_requests(r)
+            excl.setdefault(sid, set()).update(idxs)
+            refill_rows(
+                diagram, {} if slot else excl,
+                erased_slots=excl if slot else None,
+                start_row=diagram.row_of(sid),
+            )
+            assert_same_diagram(
+                diagram,
+                generate_init_diagram(99, rows, dtime, **{key: excl}),
+                latencies,
+            )
+
+    @given(streams=stream_sets(max_streams=8),
+           fixpoint=st.booleans(), seeded=st.booleans())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_modify_result_is_its_own_from_scratch_diagram(
+            self, streams, fixpoint, seeded):
+        """Through ``modify_diagram`` (single pass and ``fixpoint=True``,
+        with and without the ``tighter`` backend's ``initial_removed``
+        seeds): the diagram it hands back equals a fresh fill with the
+        exclusions it reports."""
+        an = FeasibilityAnalyzer(streams, XY)
+        for s in an.streams:
+            hp = an.hp_sets[s.stream_id]
+            seeds = {e.stream_id: {0} for e in hp} if seeded else None
+            diagram, removed = modify_diagram(
+                s, hp, an.streams, an.blockers, s.deadline,
+                fixpoint=fixpoint, initial_removed=seeds,
+            )
+            assert_same_diagram(
+                diagram,
+                generate_init_diagram(
+                    s.stream_id, diagram.row_streams, s.deadline,
+                    removed=removed),
+                (1, s.length, s.deadline),
+            )
+
+    def test_release_that_frees_nothing_below_stops_at_once(
+            self, filled_rows):
+        # Row 1's only window is fully covered by row 0: it waits on
+        # every slot and allocates none, so removing it changes nothing
+        # any lower row can see.
+        rows = (row(0, 3, 4, 4), row(1, 2, 4, 2), row(2, 1, 4, 1),
+                row(3, 1, 4, 1))
+        diagram = generate_init_diagram(9, rows, 4)
+        assert filled_rows == [0, 1, 2, 3]
+        assert not diagram.allocated[1].any() and diagram.waiting[1].any()
+        del filled_rows[:]
+        refill_rows(diagram, {1: {0}}, start_row=1)
+        assert filled_rows == [1]
+        assert_same_diagram(
+            diagram, generate_init_diagram(9, rows, 4, removed={1: {0}}),
+            (1,))
+
+    def test_change_passes_through_rows_it_misses(self, filled_rows):
+        # Releasing row 0's second instance frees slots 11-12. Rows 1
+        # and 2 were satisfied before slot 11 and never looked there;
+        # row 3 is still hungry at slot 11 and is the only one refilled.
+        rows = (row(0, 4, 10, 2), row(1, 3, 40, 1), row(2, 2, 40, 3),
+                row(3, 1, 40, 30))
+        diagram = generate_init_diagram(9, rows, 40)
+        del filled_rows[:]
+        refill_rows(diagram, {0: {1}}, start_row=0)
+        assert filled_rows == [0, 3]
+        assert diagram.allocated[3, 11] and diagram.allocated[3, 12]
+        assert_same_diagram(
+            diagram, generate_init_diagram(9, rows, 40, removed={0: {1}}),
+            (1, 5))
+
+    def test_erased_slot_still_counts_as_inspected(self, filled_rows):
+        # Slot granularity. Row 1 waited on slot 1 and that slot is
+        # erased from it, so its masks no longer show it; but its scan
+        # did look there, and once row 0 gives slot 1 up, row 1 counts
+        # a free slot earlier and no longer needs slot 4.
+        rows = (row(0, 2, 10, 2), row(1, 1, 10, 2))
+        diagram = generate_init_diagram(9, rows, 10, erased_slots={1: {1}})
+        assert diagram.allocated[1, 4]
+        del filled_rows[:]
+        erased = {0: {1}, 1: {1}}
+        refill_rows(diagram, {}, erased_slots=erased, start_row=0)
+        assert filled_rows == [0, 1]
+        assert not diagram.allocated[1, 4]
+        assert_same_diagram(
+            diagram,
+            generate_init_diagram(9, rows, 10, erased_slots=erased),
+            (1, 2))
+
+    def test_never_filled_rows_above_filled_ones(self, filled_rows):
+        # Only reachable by building a diagram by hand: rows 1-2 were
+        # filled under a blank row 0. Filling row 0 for the first time
+        # leaves nothing to compare with, so everything below follows.
+        rows = (row(0, 3, 7, 2), row(1, 2, 9, 3), row(2, 1, 30, 5))
+        diagram = TimingDiagram(9, rows, 30)
+        refill_rows(diagram, {}, start_row=1)
+        del filled_rows[:]
+        refill_rows(diagram, {}, start_row=0)
+        assert filled_rows == [0, 1, 2]
+        assert_same_diagram(
+            diagram, generate_init_diagram(9, rows, 30), (1, 4))
+
+    def test_release_can_reach_the_last_row(self, filled_rows):
+        # Each row allocates right behind the one above, so the two
+        # freed slots shift every allocation, down to the last row.
+        rows = tuple(row(i, 5 - i, 12, 2) for i in range(5))
+        diagram = generate_init_diagram(9, rows, 12)
+        last_before = diagram.allocated[4].copy()
+        del filled_rows[:]
+        refill_rows(diagram, {0: {0}}, start_row=0)
+        assert filled_rows == [0, 1, 2, 3, 4]
+        assert (diagram.allocated[4] != last_before).any()
+        assert_same_diagram(
+            diagram, generate_init_diagram(9, rows, 12, removed={0: {0}}),
+            (1, 2))
 
 
 class TestKnobByteIdentity:
@@ -121,7 +299,6 @@ class TestKnobByteIdentity:
         for kwargs in (
             {"incremental_hp": False},   # REPRO_INCREMENTAL_HP=0
             {"incremental": False},      # full reanalysis per op
-            {"processes": 0},            # REPRO_ANALYSIS_PROCS=0
         ):
             assert replay_digest(fresh_engine(**kwargs), trace) == baseline
 
@@ -200,7 +377,9 @@ class TestAdaptiveHorizon:
 class TestPhaseTimings:
     def test_stats_break_down_the_admission_path(self):
         trace = fuzz_trace(seed=5, ops=80)
-        engine = fresh_engine()
+        # The delta path's own counters: pin it on, whatever the
+        # REPRO_INCREMENTAL* legs of CI set as the default.
+        engine = fresh_engine(incremental=True, incremental_hp=True)
         for op, payload in trace:
             if op == "admit":
                 engine.try_admit(payload)

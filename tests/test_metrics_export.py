@@ -245,7 +245,9 @@ class TestBrokerPrometheus:
         assert "repro_engine_dirty_frontier_total" in families
 
     def test_json_stats_include_dirty_frontier(self):
-        server = BrokerServer(MESH)
+        # A dirty frontier only exists on the incremental path; pin it
+        # on so CI's REPRO_INCREMENTAL=0 leg does not decide the answer.
+        server = BrokerServer(MESH, incremental=True)
         server.handle_request({"op": "admit", "streams": [spec()]})
         engine = server.handle_request({"op": "stats"})["engine"]
         assert engine["dirty_last"] >= 1
