@@ -444,6 +444,12 @@ class GatewayServer:
                     "Journal records shipped into the warm standby.",
                     tenant=tenant, shard=str(shard),
                 ).value = float(sb.ops_applied)
+                reg.gauge(
+                    "repro_fleet_standby_stale_streams",
+                    "Replica streams whose verdict awaits a settle: what "
+                    "a promotion of this standby would recompute.",
+                    tenant=tenant, shard=str(shard),
+                ).set(sb.host.engine.stale)
         if self.fleet.supervisor is not None:
             for wp in self.fleet.supervisor.workers:
                 worker = str(wp.index)

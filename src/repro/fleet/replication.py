@@ -6,7 +6,10 @@ analysis has no hidden state, so replaying snapshot + journal rebuilds
 the engine bit-identically. Replication is therefore *shipping the
 journal*: a :class:`ShardStandby` bootstraps from the primary's
 snapshot, then tails the journal file by byte offset and applies new
-records to a warm in-memory engine.
+records to a warm in-memory engine. Applying is structure maintenance
+only (``EngineHost.apply_journal_op`` marks, it does not re-decide what
+the primary already decided): nobody reads a replica's verdicts until
+promotion, so that is when they are computed.
 
 The tailer never writes to the primary's files (recovery's torn-tail
 truncate-repair is the primary's job; a standby racing it mid-append
@@ -112,9 +115,10 @@ class ShardStandby:
     """Warm replica of one shard: snapshot bootstrap + journal tail.
 
     The replica engine runs without persistence of its own — its state
-    dir *is* the primary's, read-only. ``catch_up()`` is cheap enough to
-    call on every poll tick; promotion calls it one final time before
-    the fingerprint comparison.
+    dir *is* the primary's, read-only. ``catch_up()`` computes no
+    verdicts, so it is cheap enough to call on every poll tick;
+    promotion calls it one final time before the fingerprint
+    comparison, which settles the replica.
     """
 
     def __init__(
@@ -127,7 +131,6 @@ class ShardStandby:
         self.state_dir = Path(state_dir)
         self.topology_spec = dict(topology_spec)
         self.incremental = incremental
-        self.host = EngineHost(self.topology_spec, incremental=incremental)
         self.tailer = JournalTailer(self.state_dir / "journal.jsonl")
         self.ops_applied = 0
         self.reloads = 0

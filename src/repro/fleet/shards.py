@@ -746,15 +746,19 @@ class TenantFleet:
         # All-or-nothing across shards: on a mid-sequence journal
         # failure, compensate the shards that already committed by
         # re-admitting the captured specs, so the client's error means
-        # "nothing was released" on every shard.
+        # "nothing was released" on every shard. Only what *earlier*
+        # shards released is ever re-admitted, so the last shard's specs
+        # (the only shard, for most releases) are not fetched.
         done: List[Tuple[int, Dict[str, List[dict]]]] = []
-        for shard in sorted(groups):
+        order = sorted(groups)
+        for shard in order:
             host = self.hosts[shard]
             saved: Dict[str, List[dict]] = {}
-            for entry in host.shard_dump(groups[shard])["streams"]:
-                saved.setdefault(
-                    entry["analysis"], []
-                ).append(entry["stream"])
+            if shard != order[-1]:
+                for entry in host.shard_dump(groups[shard])["streams"]:
+                    saved.setdefault(
+                        entry["analysis"], []
+                    ).append(entry["stream"])
             sub: Dict[str, Any] = {"op": "release", "ids": groups[shard]}
             if rid is not None:
                 sub["rid"] = rid

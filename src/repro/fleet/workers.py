@@ -896,9 +896,8 @@ class WorkerShard:
             payload["ids"] = [int(i) for i in ids]
         dump = self._rpc(payload)
         return {
-            "streams": dump["streams"],
-            "next_id": dump["next_id"],
-            "applied": dump["applied"],
+            key: dump[key]
+            for key in ("streams", "next_id", "applied") if key in dump
         }
 
     def fingerprint_sha(self) -> str:

@@ -43,6 +43,24 @@ inputs listed above. When the dirty frontier covers the whole set the
 engine falls back to a plain full :class:`FeasibilityAnalyzer` run (and
 adopts its structures as the new caches).
 
+**Settle rule (replay applies, reads settle).** The rule above says
+*which* verdicts an op invalidates, not *when* they must be recomputed.
+The structural mutators :meth:`~IncrementalAdmissionEngine.adopt` and
+:meth:`~IncrementalAdmissionEngine.retire` maintain every index and
+reach closure eagerly but only *mark* the dirty ids in a stale set;
+``_settle()`` recomputes the marked HP sets and verdicts in one go. It
+runs whenever someone reads a verdict (``verdict``, ``closure``,
+``current_report``) and on entry to ``try_admit`` and ``apply_routing``
+(a trial and the eviction fixpoint both decide on fresh verdicts), so
+no caller ever observes a stale answer. This is sound because ``Cal_U``
+is pure: a verdict depends on the final closure, not on the order or
+the moment the ops that shaped it were applied, and marks compose — an
+id no op marked since its last computation has an unchanged closure.
+The live mutators decide at once (``try_admit`` computes its trial,
+``release`` is ``retire`` + ``_settle``); the deferred pair exists for
+consumers of the journal — restart recovery and the warm standbys —
+whose every record the primary's engine already decided.
+
 **Reach-set maintenance.** ``_reach[j]`` is the transitive closure of the
 blocked-by relation from ``j`` (``j`` excluded) — exactly the member ids
 of ``HP_j``. On attach of ``k`` every new edge is incident to ``k``, so
@@ -286,6 +304,11 @@ class IncrementalAdmissionEngine:
         self._verdict_memo: Dict[tuple, StreamVerdict] = {}
         #: Per-stream bound-backend name (every admitted id has an entry).
         self._analysis: Dict[int, str] = {}
+        #: Ids touched by ``adopt``/``retire`` since the last settle: the
+        #: admitted ids whose cached HP set and verdict are out of date
+        #: (full mode, which has no dirty frontier, only asks whether it
+        #: is empty).
+        self._stale: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Public surface
@@ -347,6 +370,12 @@ class IncrementalAdmissionEngine:
         self._reach.clear()
         self._verdict_memo.clear()
         self._full_rebuild()
+        self._stale.clear()
+
+    @property
+    def stale(self) -> int:
+        """How many streams await a settle (0 between live ops)."""
+        return len(self._stale)
 
     def closure(self, stream_id: int) -> Tuple[int, ...]:
         """Return the transitive HP closure the stream's guarantee is
@@ -354,12 +383,14 @@ class IncrementalAdmissionEngine:
         stream's bound conditions on, ascending."""
         if stream_id not in self._admitted:
             raise StreamError(f"no admitted stream with id {stream_id}")
+        self._settle()
         return self._hp_sets[stream_id].ids()
 
     def verdict(self, stream_id: int) -> StreamVerdict:
-        """Return the cached verdict of one admitted stream."""
+        """Return the verdict of one admitted stream (settling first)."""
         if stream_id not in self._admitted:
             raise StreamError(f"no admitted stream with id {stream_id}")
+        self._settle()
         return self._verdicts[stream_id]
 
     def analysis_of(self, stream_id: int) -> str:
@@ -370,10 +401,12 @@ class IncrementalAdmissionEngine:
         return self._analysis[stream_id]
 
     def current_report(self) -> FeasibilityReport:
-        """Report over the admitted set, from cache (no recomputation).
+        """Report over the admitted set, from cache (nothing is
+        recomputed unless a replayed op left verdicts stale).
 
         An empty admitted set is vacuously feasible.
         """
+        self._settle()
         if len(self._resolved) == 0:
             return FeasibilityReport.trivial()
         return self._report_from_cache()
@@ -395,6 +428,98 @@ class IncrementalAdmissionEngine:
         anything is touched and remembered per stream, so later ops
         re-vet each stream under its own backend.
         """
+        requests, backend_name = self._validated_batch(requests, analysis)
+        self._settle()
+        self.stats.ops += 1
+        if not self.incremental:
+            decision = self._full_admit(requests, backend_name)
+        else:
+            decision = self._incremental_admit(requests, backend_name)
+        if decision.admitted:
+            self.stats.admits += 1
+        else:
+            self.stats.rejects += 1
+        return decision
+
+    def adopt(
+        self,
+        requests: MessageStream | Iterable[MessageStream],
+        *,
+        analysis: Optional[str] = None,
+    ) -> None:
+        """Add streams an engine already admitted, without deciding.
+
+        The replay half of :meth:`try_admit`: same validation, same
+        structure maintenance, but the verdicts the batch invalidates
+        are only marked stale — the next reader settles them. For
+        journal and snapshot records, which were written only after the
+        primary's engine accepted them.
+        """
+        requests, backend_name = self._validated_batch(requests, analysis)
+        self.stats.ops += 1
+        self.stats.admits += 1
+        dirty = {r.stream_id for r in requests}
+        for r in requests:
+            self._analysis[r.stream_id] = backend_name
+            dirty |= self._attach(r, structures_only=not self.incremental)
+        if self.incremental:
+            self.stats.note_dirty(len(dirty))
+        self._stale |= dirty
+
+    def release(self, stream_ids: int | Iterable[int]) -> None:
+        """Remove streams from the admitted set, updating only the
+        verdicts whose HP closure reached a removed stream.
+
+        Validated up front: unknown ids raise :class:`StreamError` naming
+        them and nothing is removed.
+        """
+        self.retire(stream_ids)
+        self._settle()
+
+    def retire(self, stream_ids: int | Iterable[int]) -> None:
+        """Remove streams without recomputing: :meth:`release` minus its
+        settle (the replay half, like :meth:`adopt`). The verdicts that
+        reached a removed stream are marked stale."""
+        if isinstance(stream_ids, int):
+            stream_ids = (stream_ids,)
+        ids = tuple(dict.fromkeys(stream_ids))
+        if not ids:
+            return
+        unknown = sorted(sid for sid in ids if sid not in self._admitted)
+        if unknown:
+            raise StreamError(
+                f"cannot release stream id(s) {unknown}: not admitted"
+            )
+        self.stats.ops += 1
+        self.stats.releases += 1
+        if not self.incremental:
+            for sid in ids:
+                self._admitted.remove(sid)
+                self._analysis.pop(sid, None)
+            self._stale.update(ids)
+            return
+        # Dirty set on the OLD graph: whoever could reach a removed id.
+        dirty = self._reverse_reachable(ids) - set(ids)
+        self.stats.note_dirty(len(dirty))
+        for sid in ids:
+            self._detach(sid)
+        if not dirty:
+            # Nothing reached the removed ids: every verdict stands.
+            self.stats.verdicts_reused += len(self._verdicts)
+            return
+        if self.incremental_hp:
+            t0 = time.perf_counter()
+            self._recompute_reach(dirty)
+            self.stats.hp_seconds += time.perf_counter() - t0
+        self._stale |= dirty
+
+    def _validated_batch(
+        self,
+        requests: MessageStream | Iterable[MessageStream],
+        analysis: Optional[str],
+    ) -> Tuple[Tuple[MessageStream, ...], str]:
+        """What :meth:`try_admit` and :meth:`adopt` check before touching
+        anything; also raises the fresh-id mark past the batch's ids."""
         if analysis is None:
             backend_name = self.default_analysis
         else:
@@ -414,57 +539,26 @@ class IncrementalAdmissionEngine:
         top = max(ids)
         if top >= self._next_id:
             self._next_id = top + 1
+        # A pair the failed links disconnect raises RoutingError here,
+        # not halfway through attaching the batch.
+        for r in requests:
+            self._route(r.src, r.dst)
+        return requests, backend_name
 
-        self.stats.ops += 1
-        if not self.incremental:
-            decision = self._full_admit(requests, backend_name)
-        else:
-            decision = self._incremental_admit(requests, backend_name)
-        if decision.admitted:
-            self.stats.admits += 1
-        else:
-            self.stats.rejects += 1
-        return decision
-
-    def release(self, stream_ids: int | Iterable[int]) -> None:
-        """Remove streams from the admitted set, updating only the
-        verdicts whose HP closure reached a removed stream.
-
-        Validated up front: unknown ids raise :class:`StreamError` naming
-        them and nothing is removed.
-        """
-        if isinstance(stream_ids, int):
-            stream_ids = (stream_ids,)
-        ids = tuple(dict.fromkeys(stream_ids))
-        if not ids:
+    def _settle(self) -> None:
+        """Recompute every stale HP set and verdict (the flush point of
+        ``adopt``/``retire``; free when nothing is stale)."""
+        stale = self._stale
+        if not stale:
             return
-        unknown = sorted(sid for sid in ids if sid not in self._admitted)
-        if unknown:
-            raise StreamError(
-                f"cannot release stream id(s) {unknown}: not admitted"
-            )
-        self.stats.ops += 1
-        self.stats.releases += 1
         if not self.incremental:
-            for sid in ids:
-                self._admitted.remove(sid)
-                self._analysis.pop(sid, None)
             self._full_rebuild()
-            return
-        # Dirty set on the OLD graph: whoever could reach a removed id.
-        dirty = self._reverse_reachable(ids) - set(ids)
-        self.stats.note_dirty(len(dirty))
-        for sid in ids:
-            self._detach(sid)
-        if dirty and len(dirty) >= len(self._admitted):
+        elif len(stale) >= len(self._admitted):
             self._full_rebuild()
             self.stats.full_fallbacks += 1
-            return
-        if self.incremental_hp:
-            t0 = time.perf_counter()
-            self._recompute_reach(dirty)
-            self.stats.hp_seconds += time.perf_counter() - t0
-        self._refresh(dirty)
+        else:
+            self._refresh(stale)
+        stale.clear()
 
     def apply_routing(self, new_routing: RoutingAlgorithm) -> RoutingDelta:
         """Swap the routing function and re-admit the affected closure.
@@ -488,6 +582,7 @@ class IncrementalAdmissionEngine:
         ``evicted_streams`` (order-insensitive: subsets of a feasible
         set are feasible).
         """
+        self._settle()
         self.stats.ops += 1
         self.stats.reroutes += 1
         new_table = shared_route_table(new_routing)
@@ -932,6 +1027,7 @@ class IncrementalAdmissionEngine:
         self._hp_sets.pop(sid, None)
         self._verdicts.pop(sid, None)
         self._analysis.pop(sid, None)
+        self._stale.discard(sid)
 
     def _reverse_reachable(self, seeds: Iterable[int]) -> Set[int]:
         """Ids that can reach any seed via blocked-by edges (seeds incl.)."""

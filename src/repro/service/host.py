@@ -18,7 +18,11 @@ composes:
   (:mod:`repro.service.persistence`), factored into
   :meth:`load_snapshot` / :meth:`apply_journal_op` so a warm standby can
   replay the same records the recovery path does
-  (:mod:`repro.fleet.replication`);
+  (:mod:`repro.fleet.replication`). Replay *applies* records through the
+  engine's ``adopt`` / ``retire`` and decides nothing — the primary
+  decided each one before journaling it; verdicts are settled by the
+  first reader, and recovery checks the settled report before it
+  compacts (see "Settle rule" in :mod:`repro.service.engine`);
 * :meth:`fingerprint` — the SHA-256 identity over everything recovery
   promises to preserve, shared by the chaos campaign and the fleet's
   failover assertions.
@@ -171,8 +175,21 @@ class EngineHost:
             self.load_snapshot(rec.snapshot)
         for op in rec.ops:
             self.apply_journal_op(op)
+        # Replay only marked; this is where the recovered set is decided
+        # — before compaction may rewrite the disk from a bad state.
+        self._check_replayed()
         if rec.snapshot or rec.ops or rec.torn_tail:
             self.compact()
+
+    def _check_replayed(self) -> None:
+        """Settle, and refuse a replayed state the engine would not have
+        admitted: the disk and the engine disagree, which is fatal."""
+        report = self.engine.current_report()
+        if not report.success:
+            raise ReproError(
+                "journal replay failed: previously admitted stream(s) "
+                f"{list(report.infeasible_ids())} now infeasible"
+            )
 
     def load_snapshot(self, entries: List[dict]) -> None:
         """Replay snapshot stream entries into an empty engine.
@@ -193,10 +210,14 @@ class EngineHost:
     def apply_journal_op(self, op: Dict[str, Any]) -> None:
         """Apply one committed journal record to the engine.
 
-        Shared by restart recovery and the journal-shipping standby: the
+        Shared by restart recovery and the journal-shipping standby. The
         record was only ever written after the primary's engine accepted
-        it, so replay must succeed — a failure means the disk state and
-        the engine disagree, which recovery treats as fatal.
+        it, so replay applies it without deciding again (``adopt`` /
+        ``retire`` mark, the next reader settles). Whether disk and
+        engine agree is checked where the answer exists: at the end of
+        :meth:`_recover`, at a standby's promotion, and before a link op,
+        whose eviction fixpoint would otherwise drop a stream the
+        journal wrongly admitted instead of reporting it.
         """
         rid = op.get("rid")
         if op.get("op") == "admit":
@@ -206,11 +227,13 @@ class EngineHost:
             self._record_applied(rid, {"admitted": True, "ids": ids})
         elif op.get("op") == "release":
             ids = [int(i) for i in op["ids"]]
-            self.engine.release(ids)
+            self.engine.retire(ids)
             self._record_applied(rid, {"released": ids})
         elif op.get("op") in ("fail_link", "restore_link"):
             # Reroute-and-readmit is deterministic, so replay re-derives
-            # the same evictions the primary computed and acknowledged.
+            # the same evictions the primary computed and acknowledged
+            # (from fresh verdicts: the swap settles first).
+            self._check_replayed()
             link = normalize_link(*op["link"])
             if op["op"] == "fail_link":
                 delta = self._swap_routing(self.failed_links | {link})
@@ -308,7 +331,7 @@ class EngineHost:
         }
 
     def engine_stats(self) -> Dict[str, Any]:
-        return self.engine.stats.to_dict()
+        return {**self.engine.stats.to_dict(), "stale": self.engine.stale}
 
     def drop_rid(self, rid: str) -> None:
         """Forget a recorded mutation outcome (release compensation)."""
@@ -319,9 +342,12 @@ class EngineHost:
 
         ``ids`` restricts the dump to those streams; ids not (or no
         longer) admitted are silently skipped, so callers probing after
-        a partial failure see exactly what the shard still holds.
+        a partial failure see exactly what the shard still holds. Only
+        a full dump carries the rid table (``applied``): fleet recovery
+        is its one reader, and it dumps everything.
         """
-        if ids is None:
+        full = ids is None
+        if full:
             ids = sorted(self.engine.admitted.ids())
         streams = []
         for sid in ids:
@@ -332,11 +358,12 @@ class EngineHost:
                 "stream": stream_to_spec(self.engine.admitted[sid]),
                 "analysis": self.engine.analysis_of(sid),
             })
-        return {
-            "streams": streams,
-            "next_id": self.engine.next_id,
-            "applied": {rid: dict(out) for rid, out in self._applied.items()},
-        }
+        dump = {"streams": streams, "next_id": self.engine.next_id}
+        if full:
+            dump["applied"] = {
+                rid: dict(out) for rid, out in self._applied.items()
+            }
+        return dump
 
     def detach(self) -> None:
         """Stop serving and release the journal (single-writer handoff).
@@ -376,13 +403,11 @@ class EngineHost:
                 raise ProtocolError(
                     f"invalid stream entry (id {sid}): {exc}"
                 ) from None
-        decision = self.engine.try_admit(streams, analysis=analysis)
-        if replay and not decision.admitted:  # pragma: no cover - defensive
-            raise ReproError(
-                "journal replay failed: previously admitted batch "
-                f"{[s.stream_id for s in streams]} now rejected"
-            )
-        return [s.stream_id for s in streams], decision
+        ids = [s.stream_id for s in streams]
+        if replay:
+            self.engine.adopt(streams, analysis=analysis)
+            return ids, None
+        return ids, self.engine.try_admit(streams, analysis=analysis)
 
     # ------------------------------------------------------------------ #
     # Op dispatch (synchronous; also the unit-test surface)
@@ -487,7 +512,7 @@ class EngineHost:
                 return {"prometheus": self.prometheus_text()}
             return {
                 "service": self.metrics.to_dict(),
-                "engine": self.engine.stats.to_dict(),
+                "engine": self.engine_stats(),
                 "admitted": len(self.engine.admitted),
                 "degraded": self.degraded,
             }
@@ -814,6 +839,11 @@ class EngineHost:
             "repro_engine_admitted_streams",
             "Streams currently admitted by the engine.",
         ).set(len(self.engine.admitted))
+        reg.gauge(
+            "repro_engine_stale_streams",
+            "Admitted streams whose verdict awaits a settle (replayed, "
+            "not yet read).",
+        ).set(self.engine.stale)
         for field, help_text in (
             ("ops", "Engine operations (admit + release calls)."),
             ("admits", "Accepted admission batches."),

@@ -18,9 +18,11 @@ The broker's durable state is the admitted stream set. It is stored as:
     carry the client's ``rid`` when the request had one.
 
 Recovery replays the snapshot as one admit batch and then the journal in
-order, through the normal engine — the analysis is deterministic, so a
-set that was admitted before restarts admits again bit-identically. After
-a successful recovery the broker compacts, so the journal stays short.
+order, through the normal engine's structural mutators — the records
+are applied, not decided again, and the analysis is deterministic, so
+the verdicts settled afterwards are bit-identical to the ones the set
+was admitted under. After a successful recovery (the settled report is
+feasible) the broker compacts, so the journal stays short.
 
 Crash tolerance
 ---------------

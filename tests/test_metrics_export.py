@@ -10,6 +10,9 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ReproError
+from repro.fleet.gateway import GatewayServer
+from repro.fleet.replication import StandbyPool
+from repro.fleet.shards import Fleet, TenantSpec
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS_US,
     Counter,
@@ -237,6 +240,10 @@ class TestBrokerPrometheus:
             ["repro_engine_admitted_streams 1"]
         assert engine["repro_engine_admits_total"] == \
             ["repro_engine_admits_total 1"]
+        # A primary decides every op at once: nothing is ever pending.
+        assert engine["repro_engine_stale_streams"] == \
+            ["repro_engine_stale_streams 0"]
+        assert server.handle_request({"op": "stats"})["engine"]["stale"] == 0
         for gauge in ("repro_engine_cache_hit_rate",
                       "repro_engine_dirty_frontier_last",
                       "repro_engine_dirty_frontier_max"):
@@ -299,6 +306,44 @@ class TestBrokerPrometheus:
         assert headers["Content-Type"].startswith("text/plain")
         check_exposition(text)
         assert "repro_engine_admitted_streams 1" in text
+
+
+class TestStaleGauges:
+    """Deferred verdict work is visible: a primary always scrapes 0, a
+    warm standby scrapes what its promotion would have to settle."""
+
+    def test_standby_gauge_counts_unsettled_streams(self, tmp_path):
+        fleet = Fleet([TenantSpec("acme", "secret", MESH)], shards=1,
+                      state_dir=tmp_path)
+        pool = StandbyPool(fleet)
+        gateway = GatewayServer(fleet, standbys=pool)
+        for src in (0, 6, 12):
+            response = fleet.handle_request(
+                "acme", {"op": "admit", "streams": [spec(src=src,
+                                                         dst=src + 3)]}
+            )
+            assert response["ok"] and response["admitted"]
+        assert pool.catch_up() == 3
+
+        def scrape():
+            return check_exposition(
+                fleet.prometheus_text(gateway._gateway_metrics)
+            )
+
+        labels = '{shard="0",tenant="acme"}'
+        families = scrape()
+        assert families["repro_fleet_standby_ops_applied_total"][
+            "samples"] == [f"repro_fleet_standby_ops_applied_total{labels} 3"]
+        assert families["repro_fleet_standby_stale_streams"][
+            "samples"] == [f"repro_fleet_standby_stale_streams{labels} 3"]
+        assert families["repro_fleet_standby_stale_streams"][
+            "type"] == "gauge"
+        # Reading the replica settles it; the primary never deferred.
+        pool.standbys[("acme", 0)].fingerprint()
+        assert scrape()["repro_fleet_standby_stale_streams"][
+            "samples"] == [f"repro_fleet_standby_stale_streams{labels} 0"]
+        assert fleet.tenants["acme"].hosts[0].engine_stats()["stale"] == 0
+        fleet.close()
 
 
 class TestAssertStatsCoversGauges:

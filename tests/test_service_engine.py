@@ -161,6 +161,101 @@ class TestEngineBasics:
         assert 0.0 <= stats["cache_hit_rate"] <= 1.0
 
 
+class TestAdoptRetire:
+    """The structural mutators: same validation and structures as
+    ``try_admit`` / ``release``, verdicts only when someone reads."""
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_reads_settle_to_the_live_answer(self, setup, incremental):
+        mesh, routing = setup
+        rng = random.Random(11)
+        live = IncrementalAdmissionEngine(routing, incremental=incremental)
+        lazy = IncrementalAdmissionEngine(routing, incremental=incremental)
+        held = []
+        for step in range(150):
+            if held and rng.random() < 0.4:
+                sid = held.pop(rng.randrange(len(held)))
+                live.release(sid)
+                lazy.retire(sid)
+            else:
+                stream = rand_stream(rng, live.fresh_id())
+                if not live.try_admit(stream).admitted:
+                    continue
+                lazy.adopt(stream)
+                held.append(stream.stream_id)
+            if step % 40 == 0 and held:
+                sid = rng.choice(held)
+                assert lazy.verdict(sid) == live.verdict(sid)
+                assert lazy.closure(sid) == live.closure(sid)
+                assert lazy.stale == 0
+        assert lazy.stale > 0
+        assert lazy.current_report().verdicts == \
+            live.current_report().verdicts
+        assert lazy.stale == 0
+        # Four reads in 150 ops: far fewer verdicts than deciding each op.
+        assert lazy.stats.verdicts_recomputed < live.stats.verdicts_recomputed
+
+    def test_adopt_validates_like_try_admit(self, setup):
+        mesh, routing = setup
+        eng = IncrementalAdmissionEngine(routing)
+        with pytest.raises(AnalysisError):
+            eng.adopt([])
+        with pytest.raises(AnalysisError, match="unknown analysis"):
+            eng.adopt(ms(mesh, 0, (0, 0), (3, 0), priority=1),
+                      analysis="no-such-backend")
+        eng.adopt(ms(mesh, 4, (0, 0), (3, 0), priority=1))
+        assert eng.next_id == 5
+        with pytest.raises(StreamError, match=r"\[4\]"):
+            eng.adopt(ms(mesh, 4, (0, 1), (3, 1), priority=1))
+        with pytest.raises(StreamError, match=r"\[9\]"):
+            eng.retire([4, 9])
+        assert 4 in eng.admitted
+
+    def test_adopt_makes_no_decision(self, setup):
+        """An infeasible batch is applied as told; the report says so."""
+        mesh, routing = setup
+        eng = IncrementalAdmissionEngine(routing)
+        eng.adopt(ms(mesh, 0, (0, 0), (5, 0), priority=1, deadline=2))
+        assert eng.stats.verdicts_recomputed == 0
+        report = eng.current_report()
+        assert not report.success and report.infeasible_ids() == (0,)
+        eng.retire(0)
+        assert eng.current_report().success and eng.stale == 0
+
+    def test_try_admit_decides_on_settled_verdicts(self, setup):
+        mesh, routing = setup
+        eng = IncrementalAdmissionEngine(routing, incremental=True)
+        victim = ms(mesh, 0, (0, 0), (5, 0), priority=1, length=10,
+                    period=500, deadline=15)
+        eng.adopt(victim)
+        aggressor = ms(mesh, 1, (1, 0), (5, 1), priority=2, length=30,
+                       period=40, deadline=200)
+        d = eng.try_admit(aggressor)
+        assert not d.admitted and 0 in d.violations
+        assert eng.current_report().success and eng.stale == 0
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_unroutable_request_leaves_nothing_behind(
+        self, setup, incremental
+    ):
+        from repro.errors import RoutingError
+        from repro.topology import FaultAwareRouting
+
+        mesh, routing = setup
+        eng = IncrementalAdmissionEngine(routing, incremental=incremental)
+        corner = mesh.node_xy(0, 0)
+        eng.apply_routing(FaultAwareRouting(routing, [
+            (corner, mesh.node_xy(1, 0)), (corner, mesh.node_xy(0, 1)),
+        ]))
+        ok = ms(mesh, 0, (1, 1), (4, 1), priority=1)
+        cut_off = ms(mesh, 1, (0, 0), (3, 0), priority=1)
+        for mutate in (eng.try_admit, eng.adopt):
+            with pytest.raises(RoutingError):
+                mutate([ok, cut_off])
+            assert len(eng.admitted) == 0 and eng.stale == 0
+            assert eng.current_report().verdicts == {}
+
+
 class TestPreparedAnalyzer:
     def test_from_prepared_matches_normal(self, setup):
         mesh, routing = setup
