@@ -15,14 +15,15 @@ indirect blocker are then directed paths, and the BFS layers used by
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active
 from .hpset import HPSet
 from .streams import StreamSet
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["build_bdg", "bfs_layers", "indirect_processing_order"]
 
@@ -48,6 +49,8 @@ def build_bdg(
         ``u`` is directly blocked by ``v``. Node attribute ``mode`` is
         ``"owner"``, ``"DIRECT"`` or ``"INDIRECT"``.
     """
+    import networkx as nx
+
     j = hp.owner_id
     members = {e.stream_id for e in hp if e.stream_id != j}
     # Hot path (once per Cal_U with indirect members): guard the span

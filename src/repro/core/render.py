@@ -16,13 +16,14 @@ Cell legend (matching the paper's)::
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
 
 from .bdg import bfs_layers
 from .hpset import HPSet
 from .timing_diagram import CellState, TimingDiagram
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["render_diagram", "render_hp_set", "render_bdg", "CELL_CHARS"]
 

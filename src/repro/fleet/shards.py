@@ -45,6 +45,22 @@ supervised child processes (``Fleet(..., workers=N)``). Worker deaths
 surface as retryable errors; a death between a migration's journaled
 admit and journaled release leaves the same duplicate-id artefact
 recovery already repairs, just spanning two processes.
+
+Behind a proxy every accessor is a round trip to another interpreter,
+so the manager keeps what it placed instead of asking for it back:
+``placed`` holds each stream's spec and resolved analysis name (both
+are in the admit it forwards and the answer it gets), and ``_bounds``
+each shard's last known ``upper_bounds()``. Migrations, compensation
+captures and link ops read the table; the bounds merge of an admit
+reads the cache. The cache has one invalidation door: :meth:`TenantFleet.
+_forward` drops a shard's entry *before* handing it any ``admit`` /
+``release`` / ``fail_link`` / ``restore_link``, so an op whose fate is
+unknown (its worker died mid-RPC) can never leave a stale entry; only
+a definite admitted answer, which carries the shard's full bounds, or
+a fresh ``upper_bounds()`` refills it. The *probes* after a failure
+(:meth:`TenantFleet._held_ids`, :meth:`TenantFleet._compensate_link`)
+still ask the shard: what a process durably holds after a crash is not
+something to remember.
 """
 
 from __future__ import annotations
@@ -79,6 +95,10 @@ from .regions import Channel, ChannelIndex, entry_channels
 __all__ = ["TenantFleet", "Fleet", "TenantSpec"]
 
 logger = logging.getLogger(__name__)
+
+#: Shard ops after which the shard's bounds are no longer what the
+#: fleet last saw (see :meth:`TenantFleet._forward`).
+_MUTATING_OPS = frozenset(("admit", "release", "fail_link", "restore_link"))
 
 _CODE_TO_ERROR = {
     "degraded": DegradedError,
@@ -174,6 +194,13 @@ class TenantFleet:
         self.metrics = ServiceMetrics()
         #: sid -> shard index currently holding the stream.
         self.owner: Dict[int, int] = {}
+        #: sid -> (spec, resolved analysis name), same keys as ``owner``:
+        #: the admit the fleet forwarded and the name the shard answered
+        #: with, i.e. exactly what the shard's own dump would say.
+        self.placed: Dict[int, Tuple[Dict[str, Any], str]] = {}
+        #: shard -> its last known ``upper_bounds()``; absent = ask it.
+        #: :meth:`_forward` is the one place entries are dropped.
+        self._bounds: Dict[int, Dict[str, int]] = {}
         self.index = ChannelIndex()
         #: Tenant-level fresh-id mark, mirroring the engine's semantics.
         self._next_id = 0
@@ -213,8 +240,8 @@ class TenantFleet:
         which re-derives the same deterministic evictions.
         """
         shard_links: List[Set[Tuple[int, int]]] = []
-        for host in self.hosts:
-            links = self._forward(host, {"op": "links"})
+        for i in range(len(self.hosts)):
+            links = self._forward(i, {"op": "links"})
             shard_links.append({
                 normalize_link(int(u), int(v))
                 for u, v in links["failed_links"]
@@ -227,32 +254,25 @@ class TenantFleet:
                     "crash window); re-applying", self.name, i, list(link),
                 )
                 self._forward(
-                    self.hosts[i],
-                    {"op": "fail_link", "link": [link[0], link[1]]},
+                    i, {"op": "fail_link", "link": [link[0], link[1]]}
                 )
         if union:
             self._set_failed_links(union)
-        seen: Dict[int, int] = {}
-        specs: Dict[int, Dict[str, Any]] = {}
         dumps: List[Dict[str, Any]] = []
         for i, host in enumerate(self.hosts):
             dump = host.shard_dump()
             dumps.append(dump)
             for entry in dump["streams"]:
                 sid = int(entry["stream"]["id"])
-                if sid in seen:
+                if sid in self.owner:
                     logger.warning(
                         "tenant %s: stream %d duplicated on shards %d/%d "
                         "(migration crash window); releasing the copy on "
-                        "shard %d", self.name, sid, seen[sid], i, i,
+                        "shard %d", self.name, sid, self.owner[sid], i, i,
                     )
-                    self._forward(host, {"op": "release", "ids": [sid]})
+                    self._forward(i, {"op": "release", "ids": [sid]})
                     continue
-                seen[sid] = i
-                specs[sid] = entry["stream"]
-        for sid, shard in seen.items():
-            self.owner[sid] = shard
-            self.index.add(sid, self._spec_channels(specs[sid]))
+                self._place(i, entry["stream"], entry["analysis"])
         # Re-merge any component the crash left spanning shards.
         for comp in self.index.components():
             shards_touched = sorted({self.owner[sid] for sid in comp})
@@ -310,6 +330,33 @@ class TenantFleet:
             int(spec["src"]), int(spec["dst"]),
         )
 
+    def _place(
+        self, shard: int, spec: Dict[str, Any], analysis: str
+    ) -> None:
+        """Book one stream the shard holds into the placement table."""
+        sid = int(spec["id"])
+        self.owner[sid] = shard
+        self.placed[sid] = (spec, analysis)
+        self.index.add(sid, self._spec_channels(spec))
+
+    def _admit_groups(self, ids: List[int]) -> Dict[str, List[dict]]:
+        """The placed specs of ``ids``, in that order, grouped by the
+        backend each was vetted under — the shape a re-admission (on a
+        migration target, or compensating a failed op) forwards."""
+        groups: Dict[str, List[dict]] = {}
+        for sid in ids:
+            spec, name = self.placed[sid]
+            groups.setdefault(name, []).append(spec)
+        return groups
+
+    def _shard_bounds(self, shard: int) -> Dict[str, int]:
+        """The shard's delay bounds: as last seen if nothing was
+        forwarded to it since, else asked for (and kept)."""
+        bounds = self._bounds.get(shard)
+        if bounds is None:
+            bounds = self._bounds[shard] = self.hosts[shard].upper_bounds()
+        return bounds
+
     def _held_ids(self, host: Any, ids: List[int]) -> List[int]:
         """Which of ``ids`` the shard durably holds right now (probe)."""
         return sorted(
@@ -366,15 +413,21 @@ class TenantFleet:
         return max(sorted(load), key=lambda s: load[s])
 
     def _forward(
-        self, host: EngineHost, request: Dict[str, Any]
+        self, shard: int, request: Dict[str, Any]
     ) -> Dict[str, Any]:
         """Run a sub-op on a shard; re-raise its errors as exceptions.
 
         The shard host returns protocol error *responses*; placement
         logic needs exceptions (so the fleet-level handler emits exactly
         one error response, with the shard's message and code preserved).
+
+        Every op the fleet sends a shard goes through here, so this is
+        where the shard's cached bounds die: before the op leaves, not
+        after it answers — a worker can commit and die unacked.
         """
-        response = host.handle_request(request)
+        if request["op"] in _MUTATING_OPS:
+            self._bounds.pop(shard, None)
+        response = self.hosts[shard].handle_request(request)
         if response.get("ok"):
             return response
         code = response.get("code")
@@ -412,7 +465,8 @@ class TenantFleet:
 
         Admit-then-release per source shard: the target journals the
         admission first, so a crash in between duplicates (recoverable)
-        instead of losing acked streams. On failure the shards are
+        instead of losing acked streams. What moves is read from the
+        placement table; on failure the shards are
         *probed* (``shard_dump``) rather than trusted from bookkeeping:
         a worker can die after journaling a sub-op but before acking it,
         so what each process durably holds is the only truth. Three
@@ -432,20 +486,11 @@ class TenantFleet:
         for source in sorted(by_source):
             ids = sorted(by_source[source])
             src_host = self.hosts[source]
-            groups: Dict[str, List[dict]] = {}
-            for entry in src_host.shard_dump(ids)["streams"]:
-                groups.setdefault(
-                    entry["analysis"], []
-                ).append(entry["stream"])
-            if sum(len(g) for g in groups.values()) != len(ids):
-                raise ReproError(  # pragma: no cover - defensive
-                    f"placement out of sync: shard {source} no longer "
-                    f"holds all of {ids}"
-                )
+            groups = self._admit_groups(ids)
             try:
                 for name in sorted(groups):
                     response = self._forward(
-                        self.hosts[target],
+                        target,
                         {"op": "admit", "streams": groups[name],
                          "analysis": name},
                     )
@@ -455,7 +500,7 @@ class TenantFleet:
                             f"{target}; the moved set was feasible in "
                             "place, so this is a placement bug"
                         )
-                self._forward(src_host, {"op": "release", "ids": ids})
+                self._forward(source, {"op": "release", "ids": ids})
             except ReproError:
                 if not self._probe_stable(
                     lambda: self._held_ids(src_host, ids)
@@ -474,8 +519,7 @@ class TenantFleet:
                         undo = self._held_ids(self.hosts[target], ids)
                         if undo:
                             self._forward(
-                                self.hosts[target],
-                                {"op": "release", "ids": undo},
+                                target, {"op": "release", "ids": undo}
                             )
                     self._probe_stable(_undo_target)
                     raise
@@ -669,7 +713,7 @@ class TenantFleet:
                 fwd["analysis"] = analysis
             if rid is not None:
                 fwd["rid"] = rid
-            response = self._forward(self.hosts[target], fwd)
+            response = self._forward(target, fwd)
         except ReproError:
             # Mirrors the engine's reset on an uncommitted batch: the
             # trial ids were never acknowledged, so a retry of the same
@@ -688,11 +732,7 @@ class TenantFleet:
             if response.get("admitted") and missing:
                 for entry in (self.hosts[target]
                               .shard_dump(missing)["streams"]):
-                    spec = entry["stream"]
-                    self.owner[int(spec["id"])] = target
-                    self.index.add(
-                        int(spec["id"]), self._spec_channels(spec)
-                    )
+                    self._place(target, entry["stream"], entry["analysis"])
                 self._next_id = max(self._next_id, max(adopted) + 1)
                 self._record_applied(
                     rid, {"admitted": True, "ids": adopted}
@@ -701,24 +741,23 @@ class TenantFleet:
                 self._reset_next_id(next_id_before)
             return {k: v for k, v in response.items() if k != "ok"}
         if response["admitted"]:
-            for s in streams:
-                self.owner[s.stream_id] = target
-                self.index.add(s.stream_id, self._stream_channels(s))
+            for spec in fwd["streams"]:
+                self._place(target, spec, response["analysis"])
+            # An admitted answer reports every stream the shard now
+            # holds (a rejected one reports the refused trial set).
+            self._bounds[target] = response["bounds"]
             self._record_applied(rid, {"admitted": True, "ids": ids})
         else:
             self._reset_next_id(next_id_before)
         # The shard's decision report covers its own streams; the
         # single-engine reference reports bounds for the whole admitted
         # set. Untouched shards' verdicts are unchanged by this op (their
-        # closures don't reach the batch), so merging their cached bounds
-        # reconstructs the reference response exactly.
+        # closures don't reach the batch), so merging their last known
+        # bounds reconstructs the reference response exactly.
         bounds = dict(response["bounds"])
-        shard_bounds: Dict[int, Dict[str, int]] = {}
         for sid, shard in self.owner.items():
             if shard != target:
-                if shard not in shard_bounds:
-                    shard_bounds[shard] = self.hosts[shard].upper_bounds()
-                bounds[str(sid)] = shard_bounds[shard][str(sid)]
+                bounds[str(sid)] = self._shard_bounds(shard)[str(sid)]
         response["bounds"] = bounds
         response.pop("ok", None)
         response.pop("duplicate", None)
@@ -745,49 +784,38 @@ class TenantFleet:
         self._gate_shards(set(groups))
         # All-or-nothing across shards: on a mid-sequence journal
         # failure, compensate the shards that already committed by
-        # re-admitting the captured specs, so the client's error means
-        # "nothing was released" on every shard. Only what *earlier*
-        # shards released is ever re-admitted, so the last shard's specs
-        # (the only shard, for most releases) are not fetched.
-        done: List[Tuple[int, Dict[str, List[dict]]]] = []
-        order = sorted(groups)
-        for shard in order:
-            host = self.hosts[shard]
-            saved: Dict[str, List[dict]] = {}
-            if shard != order[-1]:
-                for entry in host.shard_dump(groups[shard])["streams"]:
-                    saved.setdefault(
-                        entry["analysis"], []
-                    ).append(entry["stream"])
+        # re-admitting what they released (the table still has it), so
+        # the client's error means "nothing was released" on every shard.
+        done: Dict[int, List[int]] = {}
+        for shard in sorted(groups):
             sub: Dict[str, Any] = {"op": "release", "ids": groups[shard]}
             if rid is not None:
                 sub["rid"] = rid
             try:
-                self._forward(host, sub)
+                self._forward(shard, sub)
             except ReproError:
                 self._compensate_release(done, rid)
                 raise
-            done.append((shard, saved))
+            done[shard] = groups[shard]
         for sid in ids:
             del self.owner[sid]
+            del self.placed[sid]
             self.index.remove(sid)
         self._record_applied(rid, {"released": raw})
         return {"released": raw}
 
     def _compensate_release(
-        self,
-        done: List[Tuple[int, Dict[str, List[dict]]]],
-        rid: Optional[str],
+        self, done: Dict[int, List[int]], rid: Optional[str]
     ) -> None:
         """Re-admit already-released subsets of a failed cross-shard
         release (journaled, like the release was), and drop the rid
         record so a client retry re-applies on every shard."""
-        for shard, saved in done:
-            host = self.hosts[shard]
+        for shard, released in done.items():
+            saved = self._admit_groups(released)
             for name in sorted(saved):
                 response = self._forward(
-                    host, {"op": "admit", "streams": saved[name],
-                           "analysis": name},
+                    shard, {"op": "admit", "streams": saved[name],
+                            "analysis": name},
                 )
                 if not response["admitted"]:  # pragma: no cover
                     raise ReproError(
@@ -798,7 +826,7 @@ class TenantFleet:
             if rid is not None:
                 # The sub-release's rid record would otherwise satisfy a
                 # retry without re-applying.
-                host.drop_rid(rid)
+                self.hosts[shard].drop_rid(rid)
 
     def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
         sid = request.get("stream")
@@ -814,7 +842,7 @@ class TenantFleet:
         return {
             k: v
             for k, v in self._forward(
-                self.hosts[self.owner[sid]], {"op": "query", "stream": sid}
+                self.owner[sid], {"op": "query", "stream": sid}
             ).items()
             if k != "ok"
         }
@@ -902,18 +930,9 @@ class TenantFleet:
             new_routing = self.base_routing
         new_table = shared_route_table(new_routing)
         # Prospective placement over the post-swap channel sets.
-        specs: Dict[int, Dict[str, Any]] = {}
-        for host in self.hosts:
-            for entry in host.shard_dump()["streams"]:
-                specs[int(entry["stream"]["id"])] = entry["stream"]
         prospective = ChannelIndex()
         for sid in sorted(self.owner):
-            spec = specs.get(sid)
-            if spec is None:  # pragma: no cover - defensive
-                raise ReproError(
-                    f"placement out of sync: stream {sid} is not on "
-                    f"its shard"
-                )
+            spec = self.placed[sid][0]
             try:
                 channels = entry_channels(
                     new_table, self.topology,
@@ -928,25 +947,18 @@ class TenantFleet:
             shards_touched = sorted({self.owner[sid] for sid in comp})
             if len(shards_touched) > 1:
                 self._migrate(comp, self._escalation_target(comp))
-        # Compensation capture *after* migration, so each shard's saved
-        # specs reflect what it actually holds when the broadcast runs.
-        saved: Dict[int, Dict[str, List[dict]]] = {}
-        for i, host in enumerate(self.hosts):
-            groups: Dict[str, List[dict]] = {}
-            for entry in host.shard_dump()["streams"]:
-                groups.setdefault(
-                    entry["analysis"], []
-                ).append(entry["stream"])
-            saved[i] = groups
+        # The table moves only after a complete broadcast, so until then
+        # it says what each shard held when the op reached it — which is
+        # what compensation re-admits.
         sub: Dict[str, Any] = {"op": op, "link": [link[0], link[1]]}
         if rid is not None:
             sub["rid"] = rid
         deltas: List[Dict[str, Any]] = []
         try:
-            for host in self.hosts:
-                deltas.append(self._forward(host, sub))
+            for shard in range(len(self.hosts)):
+                deltas.append(self._forward(shard, sub))
         except ReproError:
-            self._compensate_link(op, link, saved, rid)
+            self._compensate_link(op, link, rid)
             raise
         self._set_failed_links(new_failed)
         outcome = self._merge_link_outcomes(deltas)
@@ -954,11 +966,12 @@ class TenantFleet:
         for sid in sorted(gone):
             if sid in self.owner:
                 del self.owner[sid]
+                del self.placed[sid]
         # Every survivor's channel set may have changed: rebuild the
         # placement index wholesale under the new shared route table.
         self.index = ChannelIndex()
         for sid in sorted(self.owner):
-            self.index.add(sid, self._spec_channels(specs[sid]))
+            self.index.add(sid, self._spec_channels(self.placed[sid][0]))
         self._record_applied(rid, outcome)
         response = dict(outcome)
         response["failed_links"] = self.links_spec()
@@ -966,11 +979,7 @@ class TenantFleet:
         return response
 
     def _compensate_link(
-        self,
-        op: str,
-        link: Tuple[int, int],
-        saved: Dict[int, Dict[str, List[dict]]],
-        rid: Optional[str],
+        self, op: str, link: Tuple[int, int], rid: Optional[str]
     ) -> None:
         """Undo a partially broadcast link op so the client's error means
         "no shard changed".
@@ -978,14 +987,15 @@ class TenantFleet:
         Shards are *probed* rather than trusted from the forward loop's
         bookkeeping — a worker can journal the op and die before acking
         — and every shard that durably applied it gets the inverse op
-        plus re-admission of whatever streams the swap evicted (captured
-        pre-broadcast; subsets of the feasible pre-op set). The rid is
-        dropped everywhere so a client retry re-applies cleanly.
+        plus re-admission of whatever streams the swap evicted (the
+        table's pre-broadcast placement; subsets of the feasible pre-op
+        set). The rid is dropped everywhere so a client retry re-applies
+        cleanly.
         """
         inverse = "restore_link" if op == "fail_link" else "fail_link"
         for shard, host in enumerate(self.hosts):
             links = self._probe_stable(
-                lambda h=host: self._forward(h, {"op": "links"})
+                lambda i=shard: self._forward(i, {"op": "links"})
             )
             have = {
                 normalize_link(int(u), int(v))
@@ -996,32 +1006,28 @@ class TenantFleet:
             )
             if not applied:
                 continue
-            self._probe_stable(lambda h=host: self._forward(
-                h, {"op": inverse, "link": [link[0], link[1]]}
+            self._probe_stable(lambda i=shard: self._forward(
+                i, {"op": inverse, "link": [link[0], link[1]]}
             ))
-            all_ids = [
-                int(s["id"])
-                for group in saved[shard].values() for s in group
-            ]
+            placed_here = sorted(
+                sid for sid, s in self.owner.items() if s == shard
+            )
             held = set(self._probe_stable(
-                lambda h=host: self._held_ids(h, all_ids)
+                lambda h=host: self._held_ids(h, placed_here)
             ))
-            for name in sorted(saved[shard]):
-                missing = [
-                    s for s in saved[shard][name]
-                    if int(s["id"]) not in held
-                ]
-                if not missing:
-                    continue
+            missing = self._admit_groups(
+                [sid for sid in placed_here if sid not in held]
+            )
+            for name in sorted(missing):
                 response = self._forward(
-                    host,
-                    {"op": "admit", "streams": missing, "analysis": name},
+                    shard, {"op": "admit", "streams": missing[name],
+                            "analysis": name},
                 )
                 if not response["admitted"]:  # pragma: no cover
                     raise ReproError(
                         f"link-op rollback re-admission of "
-                        f"{[e['id'] for e in missing]} rejected on shard "
-                        f"{shard}; state diverged from the journal"
+                        f"{[e['id'] for e in missing[name]]} rejected on "
+                        f"shard {shard}; state diverged from the journal"
                     )
             if rid is not None:
                 host.drop_rid(rid)
@@ -1036,8 +1042,8 @@ class TenantFleet:
         success = True
         streams: Dict[str, Any] = {}
         total = 0
-        for host in self.hosts:
-            sub = self._forward(host, {"op": "report"})
+        for shard in range(len(self.hosts)):
+            sub = self._forward(shard, {"op": "report"})
             success = success and sub["report"]["success"]
             streams.update(sub["report"]["streams"])
             total += sub["admitted"]
@@ -1050,8 +1056,8 @@ class TenantFleet:
     def _op_snapshot(self) -> Dict[str, Any]:
         paths = []
         cleared = False
-        for host in self.hosts:
-            sub = self._forward(host, {"op": "snapshot"})
+        for shard in range(len(self.hosts)):
+            sub = self._forward(shard, {"op": "snapshot"})
             paths.append(sub["path"])
             cleared = cleared or sub.get("degraded_cleared", False)
         response: Dict[str, Any] = {
@@ -1119,6 +1125,7 @@ class TenantFleet:
     def replace_host(self, shard: int, host: Any) -> None:
         """Swap in a promoted host for a failed primary (failover)."""
         self.hosts[shard] = host
+        self._bounds.pop(shard, None)
         self.dead.discard(shard)
 
     def detach_shard(self, shard: int) -> None:

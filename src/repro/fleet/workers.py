@@ -374,6 +374,9 @@ class WorkerClient:
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._rfile = None
+        #: op -> round trips attempted. Op names come from fleet code,
+        #: never from a client, so the key set is closed.
+        self.calls: Dict[str, int] = {}
 
     def _connect_locked(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -421,6 +424,8 @@ class WorkerClient:
         whole RPC budget per poll.
         """
         with self._lock:
+            op = str(payload.get("op"))
+            self.calls[op] = self.calls.get(op, 0) + 1
             try:
                 if self._sock is None:
                     self._connect_locked()

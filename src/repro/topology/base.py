@@ -24,9 +24,10 @@ adjacent to what*.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 from ..errors import TopologyError
 
@@ -120,6 +121,8 @@ class Topology(ABC):
         Nodes carry a ``coords`` attribute; the graph is a snapshot — mutating
         it does not affect the topology.
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         for n in self.nodes():
             g.add_node(n, coords=self.coords(n))

@@ -40,6 +40,7 @@ import json
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     List,
@@ -50,14 +51,15 @@ from typing import (
     Union,
 )
 
-import networkx as nx
-
 from ..errors import RoutingError
 from .base import Channel, Topology
 from .degraded import DegradedTopology
 from .hypercube import Hypercube
 from .mesh import Mesh, Mesh2D
 from .torus import Torus
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "RoutingAlgorithm",
@@ -725,6 +727,8 @@ def channel_dependency_graph(
     disconnected by failed links) contribute no dependencies and are
     skipped.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     if not use_classes:
         g.add_nodes_from(routing.topology.channels())
@@ -752,6 +756,8 @@ def is_deadlock_free(routing: RoutingAlgorithm) -> bool:
     """Return ``True`` iff the routing function admits no dependency cycle
     over (channel, VC class) pairs — and therefore no wormhole deadlock
     given one buffer class per VC class (the simulator's provisioning)."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(
         channel_dependency_graph(routing, use_classes=True)
     )

@@ -26,6 +26,7 @@ from repro.fleet.replication import StandbyPool
 from repro.fleet.shards import Fleet, TenantSpec
 from repro.service.host import EngineHost
 from repro.service.loadgen import churn_spec
+from tests.test_fleet_shards import assert_books_exact
 
 TOPO = {"type": "mesh", "width": 6, "height": 6}
 NODES = 36
@@ -72,6 +73,7 @@ def run_equivalence(seed, tmp_path, *, shards=4, ops=OPS, kills=1):
         assert got == want, (i, request, got, want)
         if request["op"] in ("admit", "release") and got.get("ok"):
             _apply_outcome(request, got, live, [])
+        assert_books_exact(tf)
 
         max_spread = max(
             max_spread, len(set(tf.owner.values())) if tf.owner else 0
@@ -88,6 +90,7 @@ def run_equivalence(seed, tmp_path, *, shards=4, ops=OPS, kills=1):
             request = {"op": "query", "stream": probe}
             assert (fleet.handle_request("t", dict(request))
                     == ref.handle_request(dict(request)))
+            assert_books_exact(tf)
 
     pool.catch_up()
     fleet_sha, fleet_spec = tf.fingerprint()
@@ -193,6 +196,8 @@ def run_three_way(seed, tmp_path, *, ops=OPS, workers=2, worker_kills=2):
                 break
             assert got_ip == want, (i, request, got_ip, want)
             assert got_mp == want, (i, request, got_mp, want)
+            assert_books_exact(tf_ip)
+            assert_books_exact(tf_mp)
             if request["op"] in ("admit", "release") and want.get("ok"):
                 _apply_outcome(request, want, live, [])
             max_spread = max(

@@ -194,3 +194,73 @@ class TestFleetLinkRecovery:
         # Nothing half-applied: the live shard still runs base routing.
         assert tf.links_spec() == []
         tf.close()
+
+
+class TestLinkSchedules:
+    """Fuzzed fail/restore/admit/release schedules: the fleet equals one
+    engine at the end, and after *every* op its placement table equals
+    what the shards hold (link ops evict, migrate and re-index, all of
+    it from the table rather than from shard dumps)."""
+
+    @pytest.mark.parametrize("workers", [0, 1], ids=["inprocess", "workers"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_books_never_drift(self, seed, workers, tmp_path):
+        import random
+
+        from repro.fleet.shards import Fleet, TenantSpec
+        from tests.test_fleet_shards import assert_books_exact
+
+        fleet = Fleet(
+            [TenantSpec("t", "key", TOPO)], shards=3,
+            state_dir=tmp_path, workers=workers,
+        )
+        tf = fleet.tenants["t"]
+        ref = EngineHost(TOPO)
+        rng = random.Random(seed)
+        # Links at the four corners, and half the streams starting in
+        # one: two failures there cut a node off, which evicts.
+        corners = (0, 5, 30, 35)
+        links = sorted(
+            {tuple(sorted(c)) for c in tf.topology.channels()
+             if set(c) & set(corners)}
+        )
+        failed, link_ops, evictions = [], 0, 0
+        try:
+            for step in range(90):
+                roll = rng.random()
+                live = sorted(tf.owner)
+                if roll < 0.2:
+                    if failed and (len(failed) >= 5 or rng.random() < 0.3):
+                        link = failed.pop(rng.randrange(len(failed)))
+                        request = {"op": "restore_link", "link": list(link)}
+                    else:
+                        link = rng.choice(
+                            [l for l in links if l not in failed]
+                        )
+                        failed.append(link)
+                        request = {"op": "fail_link", "link": list(link)}
+                    link_ops += 1
+                elif roll < 0.75 or not live:
+                    src, dst = rng.sample(range(36), 2)
+                    if rng.random() < 0.5:
+                        src = rng.choice([c for c in corners if c != dst])
+                    period = rng.randint(40, 160)
+                    request = {"op": "admit", "streams": [spec(
+                        src, dst, priority=rng.randint(1, 8), period=period,
+                        length=rng.randint(2, 8),
+                        deadline=rng.randint(period // 3, period),
+                    )], "analysis": rng.choice(["kim98", "tighter"])}
+                else:
+                    request = {"op": "release",
+                               "ids": rng.sample(live, min(2, len(live)))}
+                got = fleet.handle_request("t", dict(request))
+                want = ref.handle_request(dict(request))
+                assert got.get("ok") == want.get("ok"), (step, request, got)
+                if request["op"] == "admit":
+                    assert got == want, (step, request, got, want)
+                evictions += len(got.get("evicted", ()))
+                assert_books_exact(tf)
+            assert link_ops >= 5 and evictions >= 1
+            assert tf.fingerprint() == ref.fingerprint()
+        finally:
+            fleet.close()

@@ -485,3 +485,143 @@ class TestFleet:
         assert json.dumps(spec_f, sort_keys=True) == json.dumps(
             spec_r, sort_keys=True
         )
+
+
+# ---------------------------------------------------------------------- #
+# The placement table (what the fleet keeps instead of asking shards)
+# ---------------------------------------------------------------------- #
+
+
+def assert_books_exact(tf):
+    """The fleet's books equal what its shards hold, right now.
+
+    ``placed`` (spec + analysis name, by owner shard) must equal the
+    union of the shards' full dumps, and every remembered bounds entry
+    must equal the shard's current ``upper_bounds()`` — the fuzzes call
+    this after every op, so no op history can make the books drift.
+    """
+    held = {}
+    for shard, host in enumerate(tf.hosts):
+        for entry in host.shard_dump()["streams"]:
+            sid = entry["stream"]["id"]
+            assert sid not in held, f"stream {sid} is on two shards"
+            held[sid] = (shard, entry["stream"], entry["analysis"])
+    assert set(tf.placed) == set(tf.owner)
+    assert {sid: (tf.owner[sid], *tf.placed[sid]) for sid in tf.owner} == held
+    for shard, bounds in tf._bounds.items():
+        assert bounds == tf.hosts[shard].upper_bounds(), shard
+
+
+class TestPlacementTable:
+    def test_books_follow_admit_escalate_release_and_recovery(self, tmp_path):
+        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        admit(tf, spec(0, 2), analysis="tighter")
+        assert_books_exact(tf)
+        admit(tf, spec(3, 5))
+        assert_books_exact(tf)
+        assert set(tf._bounds) == {0, 1}
+        # One batch touching both shards' streams: an escalation.
+        admit(tf, spec(0, 2, priority=4), spec(3, 5, priority=4))
+        assert tf.escalations == 1
+        assert_books_exact(tf)
+        assert tf.placed[0][1] == "tighter", "analysis must move with it"
+        tf.handle_request({"op": "release", "ids": [0]})
+        assert_books_exact(tf)
+        tf.close()
+        recovered = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        assert recovered.placed == tf.placed
+        assert_books_exact(recovered)
+        recovered.close()
+
+    def test_rejected_admit_leaves_no_trial_bounds_behind(self):
+        tf = TenantFleet("t", TOPO, shards=2)
+        admit(tf, spec(0, 2))
+        tight = spec(0, 2, priority=1, period=5, length=8, deadline=5)
+        assert not admit(tf, tight)["admitted"]
+        assert_books_exact(tf)
+        # The bound the refused trial would have caused is not served.
+        other = admit(tf, spec(30, 32))
+        ref = EngineHost(TOPO)
+        ref.handle_request({"op": "admit", "streams": [spec(0, 2)]})
+        ref.handle_request({"op": "admit", "streams": [tight]})
+        want = ref.handle_request({"op": "admit", "streams": [spec(30, 32)]})
+        assert other["bounds"] == want["bounds"]
+
+    def test_lost_ack_is_adopted_from_the_shard(self):
+        """The shard commits an admit, the answer never arrives (a
+        worker death after the journal write); the same-rid retry gets
+        the shard's duplicate answer and the fleet books what the shard
+        holds — spec and analysis included."""
+        tf = TenantFleet("t", TOPO, shards=2)
+        admit(tf, spec(0, 2))
+        target = tf._least_loaded()
+        real = tf.hosts[target].handle_request
+
+        def lose_the_ack(request):
+            tf.hosts[target].handle_request = real
+            assert real(request)["ok"]
+            return {"ok": False, "code": "worker", "error": "ack lost"}
+
+        tf.hosts[target].handle_request = lose_the_ack
+        request = {"op": "admit", "rid": "lost-1", "analysis": "tighter",
+                   "streams": [spec(30, 32)]}
+        first = tf.handle_request(dict(request))
+        assert not first["ok"] and first["code"] == "worker"
+        assert 1 not in tf.owner and target not in tf._bounds
+        retry = tf.handle_request(dict(request))
+        assert retry["ok"] and retry["duplicate"] and retry["ids"] == [1]
+        assert tf.placed[1][1] == "tighter"
+        assert_books_exact(tf)
+
+    def test_compensated_cross_shard_release_keeps_the_books(self, tmp_path):
+        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        a = admit(tf, spec(0, 2), analysis="tighter")["ids"][0]
+        b = admit(tf, spec(30, 32))["ids"][0]
+        assert tf.owner[a] != tf.owner[b]
+        before = tf.fingerprint()
+        placed = dict(tf.placed)
+        second = tf.hosts[max(tf.owner[a], tf.owner[b])]
+        real_append = second.state.append
+
+        def failing_append(op):
+            second.state.append = real_append
+            raise OSError(28, "injected: no space left on device")
+
+        second.state.append = failing_append
+        response = tf.handle_request({"op": "release", "ids": [a, b]})
+        assert not response["ok"] and response["code"] == "degraded"
+        assert tf.placed == placed
+        assert_books_exact(tf)
+        assert tf.fingerprint() == before
+        tf.close()
+
+    def test_link_rollback_keeps_the_books(self, tmp_path):
+        """The link op commits on shard 0 (evicting a stream there) and
+        fails on shard 1: `_compensate_link` restores the link and
+        re-admits the evicted stream from the table."""
+        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        tf.handle_request({"op": "fail_link", "link": [0, 6]})
+        a = admit(tf, spec(0, 2), analysis="tighter")["ids"][0]
+        b = admit(tf, spec(30, 32))["ids"][0]
+        assert (tf.owner[a], tf.owner[b]) == (0, 1)
+        before = tf.fingerprint()
+        placed = dict(tf.placed)
+        second = tf.hosts[1]
+        real_append = second.state.append
+
+        def failing_append(op):
+            second.state.append = real_append
+            raise OSError(28, "injected: no space left on device")
+
+        second.state.append = failing_append
+        # With 0-6 already down, losing 0-1 disconnects node 0: shard 0
+        # evicts stream `a` before shard 1 fails to journal the op.
+        response = tf.handle_request({"op": "fail_link", "link": [0, 1]})
+        assert not response["ok"] and response["code"] == "degraded"
+        assert tf.links_spec() == [[0, 6]]
+        assert tf.placed == placed
+        assert a in tf.hosts[0].engine.admitted, "evicted stream not re-admitted"
+        assert_books_exact(tf)
+        assert tf.handle_request({"op": "snapshot"})["ok"]
+        assert tf.fingerprint() == before
+        tf.close()

@@ -327,3 +327,111 @@ class TestSupervisorGuards:
                 fleet.supervisor.assign_tenant("u", {})
         finally:
             fleet.close()
+
+
+# ---------------------------------------------------------------------- #
+# Round trips per op: the fleet keeps what it placed
+# ---------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def rpc_log(monkeypatch):
+    """Every ``WorkerClient.call`` made while the test runs, by op."""
+    from repro.fleet.workers import WorkerClient
+
+    log = []
+    real_call = WorkerClient.call
+
+    def counted(self, payload, **kw):
+        log.append(payload["op"])
+        return real_call(self, payload, **kw)
+
+    monkeypatch.setattr(WorkerClient, "call", counted)
+    return log
+
+
+class TestRoundTripsPerOp:
+    """A worker is asked only what the fleet cannot know: the spec and
+    analysis of a stream it placed are in its table, and a shard's
+    bounds are remembered until something is forwarded to that shard."""
+
+    def _do(self, fleet, rpc_log, request):
+        del rpc_log[:]
+        response = fleet.handle_request("t", request)
+        assert response["ok"], response
+        return response, list(rpc_log)
+
+    def test_single_shard_ops_are_one_round_trip_each(self, tmp_path, rpc_log):
+        fleet = make_fleet(tmp_path)
+        try:
+            admit, calls = self._do(
+                fleet, rpc_log, {"op": "admit", "streams": [spec()]}
+            )
+            assert calls == ["admit"]
+            sid = admit["ids"][0]
+            _, calls = self._do(fleet, rpc_log,
+                                {"op": "query", "stream": sid})
+            assert calls == ["query"]
+            _, calls = self._do(fleet, rpc_log,
+                                {"op": "release", "ids": [sid]})
+            assert calls == ["release"]
+        finally:
+            fleet.close()
+
+    def test_other_shards_bounds_are_asked_for_only_when_stale(
+        self, tmp_path, rpc_log
+    ):
+        fleet = make_fleet(tmp_path)
+        tf = fleet.tenants["t"]
+
+        def admit(src, dst, priority):
+            return self._do(fleet, rpc_log, {
+                "op": "admit", "streams": [spec(src, dst, priority)],
+            })
+
+        try:
+            # Two streams sharing a channel on one shard ...
+            a, calls = admit(0, 1, 5)
+            assert calls == ["admit"]
+            a2, calls = admit(0, 1, 4)
+            assert calls == ["admit"]
+            # ... and two on the other. Each admit's answer carries its
+            # own shard's bounds, so nobody is asked for the other's.
+            b, calls = admit(2, 3, 5)
+            assert calls == ["admit"]
+            assert tf.owner[b["ids"][0]] != tf.owner[a["ids"][0]]
+            assert set(b["bounds"]) == {"0", "1", "2"}
+            _, calls = admit(2, 3, 4)
+            assert calls == ["admit"]
+            # A release mutates its shard: the next admit on the other
+            # shard asks for the bounds once, the one after does not.
+            _, calls = self._do(
+                fleet, rpc_log, {"op": "release", "ids": a2["ids"]}
+            )
+            assert calls == ["release"]
+            d, calls = admit(2, 3, 3)
+            assert calls == ["admit", "worker_bounds"]
+            assert set(d["bounds"]) == {"0", "2", "3", "4"}
+            _, calls = admit(2, 3, 2)
+            assert calls == ["admit"]
+        finally:
+            fleet.close()
+
+    def test_migration_asks_no_worker_for_specs(self, tmp_path, rpc_log):
+        fleet = make_fleet(tmp_path)
+        tf = fleet.tenants["t"]
+        try:
+            self._do(fleet, rpc_log, {"op": "admit", "streams": [spec(0, 1)]})
+            self._do(fleet, rpc_log, {"op": "admit", "streams": [spec(2, 3)]})
+            assert len(set(tf.owner.values())) == 2
+            # One batch touching both shards' streams, whatever the routing.
+            bridge, calls = self._do(fleet, rpc_log, {
+                "op": "admit",
+                "streams": [spec(0, 1, priority=4), spec(2, 3, priority=4)],
+            })
+            assert tf.escalations == 1 and bridge["admitted"]
+            # Move (admit on the target, release on the source), decide.
+            assert calls == ["admit", "release", "admit"]
+            assert len(set(tf.owner.values())) == 1
+        finally:
+            fleet.close()

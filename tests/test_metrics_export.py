@@ -346,6 +346,47 @@ class TestStaleGauges:
         fleet.close()
 
 
+class TestHandOffRatios:
+    """RPCs per op and the mean batch are scrapeable: counters whose
+    ratios say how many hand-offs an op costs, without a benchmark."""
+
+    def test_worker_rpcs_and_batch_counters(self, tmp_path):
+        fleet = Fleet([TenantSpec("acme", "secret", MESH)], shards=2,
+                      state_dir=tmp_path, workers=1)
+        gateway = GatewayServer(fleet)
+        try:
+            before = dict(fleet.supervisor.workers[0].client.calls)
+            # The start-up sweep: one full dump per shard, never again.
+            assert before["worker_dump"] == 2
+            admit = fleet.handle_request(
+                "acme", {"op": "admit", "streams": [spec()]}
+            )
+            assert admit["ok"] and admit["admitted"]
+            fleet.handle_request(
+                "acme", {"op": "query", "stream": admit["ids"][0]}
+            )
+            gateway.batches, gateway.batched_requests = 2, 5
+            families = check_exposition(
+                fleet.prometheus_text(gateway._gateway_metrics)
+            )
+        finally:
+            fleet.close()
+        rpcs = families["repro_fleet_worker_rpcs_total"]
+        assert rpcs["type"] == "counter"
+        for op in ("admit", "query"):   # exactly one round trip each
+            assert (f'repro_fleet_worker_rpcs_total{{op="{op}",'
+                    f'worker="0"}} 1') in rpcs["samples"]
+        assert ('repro_fleet_worker_rpcs_total{op="worker_dump",'
+                'worker="0"} 2') in rpcs["samples"]
+        for name, value in (
+            ("repro_gateway_batches_total", 2),
+            ("repro_gateway_batched_requests_total", 5),
+            ("repro_gateway_readahead_full_total", 0),
+        ):
+            assert families[name]["type"] == "counter"
+            assert families[name]["samples"] == [f"{name} {value}"]
+
+
 class TestAssertStatsCoversGauges:
     class _FakeClient:
         def __enter__(self):
