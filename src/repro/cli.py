@@ -55,9 +55,8 @@ Commands
     JSON-lines server over a unix socket (``--socket``) or TCP
     (``--host``/``--port``) exposing admit/release/query/report/snapshot/
     stats ops, with optional snapshot+journal persistence
-    (``--state-dir``). ``REPRO_INCREMENTAL=0`` (or ``--no-incremental``)
-    forces full reanalysis on every request. ``--metrics-port PORT``
-    additionally serves Prometheus metrics on ``GET /metrics``.
+    (``--state-dir``). ``--metrics-port PORT`` additionally serves
+    Prometheus metrics on ``GET /metrics``.
 ``load``
     Replay seeded admit/release churn against a running broker and print
     a JSON summary (throughput, acceptance rate, server stats). Used by
@@ -214,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "'{\"type\": \"torus\", \"dims\": [4, 4]}'")
     p_serve.add_argument("--state-dir", default=None, metavar="DIR",
                          help="snapshot+journal persistence directory")
-    p_serve.add_argument("--no-incremental", action="store_true",
-                         help="full reanalysis on every request "
-                              "(same as REPRO_INCREMENTAL=0)")
     p_serve.add_argument("--residency-margin", type=int, default=0,
                          help="analysis residency margin (default 0)")
     p_serve.add_argument("--analysis", default=None, metavar="BACKEND",
@@ -260,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "journal-shipping warm standbys")
     p_gateway.add_argument("--no-standby", action="store_true",
                            help="persist without warm standbys")
-    p_gateway.add_argument("--no-incremental", action="store_true",
-                           help="full reanalysis on every request")
     p_gateway.add_argument("--poll-interval", type=float, default=0.2,
                            help="standby journal-tail period in seconds "
                                 "(default 0.2)")
@@ -609,7 +603,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
         residency_margin=args.residency_margin,
         analysis=args.analysis,
-        incremental=False if args.no_incremental else None,
         batch_max=args.batch_max,
     )
 
@@ -626,10 +619,8 @@ def _run_serve(args: argparse.Namespace) -> int:
             )
             print(f"metrics on http://{args.metrics_host}:"
                   f"{args.metrics_port}/metrics", flush=True)
-        mode = "incremental" if server.engine.incremental else "full"
         print(f"repro-broker listening on {where} "
-              f"({mode} engine, {len(server.engine.admitted)} recovered)",
-              flush=True)
+              f"({len(server.engine.admitted)} recovered)", flush=True)
         await server.serve_forever()
 
     try:
@@ -658,7 +649,6 @@ def _run_gateway(args: argparse.Namespace) -> int:
         specs,
         shards=args.shards,
         state_dir=args.state_dir,
-        incremental=False if args.no_incremental else None,
         workers=args.workers,
     )
     standbys = None

@@ -1,54 +1,37 @@
-"""Row-fill kernels for the timing diagram (``_fill_row``'s inner core).
+"""Row-fill kernel for the timing diagram (``_fill_row``'s inner core).
 
 One call computes a row's ALLOCATED and WAITING masks against the
 busy-from-above mask — the innermost loop of ``Generate_Init_Diagram``
-and therefore of every ``Cal_U``. Two implementations exist:
+and therefore of every ``Cal_U`` — by the vectorised free-rank
+construction: cumulative-sum the FREE slots, subtract the count at each
+window start, and a slot is allocated iff it is free with in-window rank
+``1..C`` (waiting iff busy with rank ``< C``). Identical to the paper's
+scan by the rank/scan equivalence argued in
+:mod:`repro.core.timing_diagram`; the literal per-window scan is the
+test oracle (``tests/reference/kernel.py``) the suite fuzzes this
+against.
 
-``numpy`` (default)
-    The vectorised free-rank construction: cumulative-sum the FREE
-    slots, subtract the count at each window start, and a slot is
-    allocated iff it is free with in-window rank ``1..C`` (waiting iff
-    busy with rank ``< C``). Identical to the paper's scan by the
-    rank/scan equivalence argued in :mod:`repro.core.timing_diagram`.
-
-``numba`` (opt-in, ``REPRO_KERNEL=numba``)
-    The paper's literal per-window scan loop, JIT-compiled. The scan
-    source doubles as the pure-Python reference oracle the test suite
-    fuzzes against the numpy path, so the numba path is exercised for
-    correctness even on hosts without numba (where selection silently
-    falls back to numpy — the dependency is optional and never
-    installed by this repo).
-
-Both share the per-``(period, dtime)`` *window arrays* — the release
-times ``starts`` and the clipped slot-to-window index map — which are
-memoised process-wide because an engine recomputes diagrams for the
-same streams over the same horizons on every admission.
+The per-``(period, dtime)`` *window arrays* — the release times
+``starts`` and the clipped slot-to-window index map — are memoised
+process-wide because an engine recomputes diagrams for the same streams
+over the same horizons on every admission.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "active_kernel",
-    "fill_masks",
-    "fill_masks_numpy",
-    "fill_masks_scan",
-    "select_kernel",
-    "window_arrays",
-]
+__all__ = ["fill_masks", "fill_masks_numpy", "window_arrays"]
 
 # ---------------------------------------------------------------------- #
-# Window arrays (shared by both kernels and by the lazy record builder)
+# Window arrays (shared by the kernel and the lazy record builder)
 # ---------------------------------------------------------------------- #
 
 _WINDOW_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 #: starts[win] materialised per key — the per-slot window-start gather the
-#: numpy kernel would otherwise recompute on every call.
+#: kernel would otherwise recompute on every call.
 _WSTART_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
 _WINDOW_CACHE_CAP = 4096
 
@@ -59,7 +42,7 @@ def window_arrays(period: int, dtime: int) -> Tuple[np.ndarray, np.ndarray]:
     ``starts`` are the instance release times ``0, T, 2T, ...`` below
     ``dtime``; ``win[t]`` is the window index of slot ``t`` clipped to
     the last window (slot 0 maps into window 0 but is masked out by the
-    kernels). Both arrays are shared and must not be mutated.
+    kernel). Both arrays are shared and must not be mutated.
     """
     key = (period, dtime)
     cached = _WINDOW_CACHE.get(key)
@@ -78,7 +61,7 @@ def window_arrays(period: int, dtime: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------- #
-# Kernels
+# Kernel
 # ---------------------------------------------------------------------- #
 
 
@@ -109,89 +92,14 @@ def fill_masks_numpy(
     return alloc, wait
 
 
-def fill_masks_scan(
-    busy: np.ndarray,
-    period: int,
-    length: int,
-    nwin: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The paper's literal scan: walk each window, claim the first ``C``
-    free slots, mark skipped busy slots WAITING while unsatisfied.
-
-    Written numba-compatible (plain loops, no fancy indexing): this
-    exact function object is what ``REPRO_KERNEL=numba`` JIT-compiles,
-    and what the fuzz oracle runs in pure Python against the numpy path.
-    """
-    n = busy.shape[0]
-    alloc = np.zeros(n, np.bool_)
-    wait = np.zeros(n, np.bool_)
-    for w in range(nwin):
-        lo = w * period + 1
-        hi = (w + 1) * period
-        if hi > n - 1:
-            hi = n - 1
-        got = 0
-        for t in range(lo, hi + 1):
-            if busy[t]:
-                if got < length:
-                    wait[t] = True
-            elif got < length:
-                alloc[t] = True
-                got += 1
-    return alloc, wait
-
-
-_scan_jitted = None
-_ACTIVE = "numpy"
-
-
-def select_kernel(name: str) -> str:
-    """Select the fill kernel; return the name actually activated.
-
-    ``"numba"`` JIT-compiles :func:`fill_masks_scan` if numba is
-    importable and falls back to ``"numpy"`` (with a one-time warning)
-    otherwise — the dependency is optional and must never be required.
-    """
-    global _ACTIVE, _scan_jitted
-    if name == "numba":
-        if _scan_jitted is None:
-            try:
-                import numba  # type: ignore[import-not-found]
-
-                _scan_jitted = numba.njit(cache=True)(fill_masks_scan)
-            except ImportError:
-                warnings.warn(
-                    "REPRO_KERNEL=numba requested but numba is not "
-                    "installed; falling back to the numpy kernel",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                _ACTIVE = "numpy"
-                return _ACTIVE
-        _ACTIVE = "numba"
-    else:
-        _ACTIVE = "numpy"
-    return _ACTIVE
-
-
-def active_kernel() -> str:
-    """Return the name of the kernel in use (``"numpy"`` or ``"numba"``)."""
-    return _ACTIVE
-
-
 def fill_masks(
     busy: np.ndarray, period: int, length: int, dtime: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch to the active kernel; return ``(alloc, wait, starts)``."""
+    """Fill one row over its memoised window arrays; return
+    ``(alloc, wait, starts)``."""
     starts, win = window_arrays(period, dtime)
-    if _ACTIVE == "numba" and _scan_jitted is not None:
-        alloc, wait = _scan_jitted(busy, period, length, len(starts))
-    else:
-        alloc, wait = fill_masks_numpy(
-            busy, period, length, starts, win,
-            _WSTART_CACHE.get((period, dtime)),
-        )
+    alloc, wait = fill_masks_numpy(
+        busy, period, length, starts, win,
+        _WSTART_CACHE.get((period, dtime)),
+    )
     return alloc, wait, starts
-
-
-select_kernel(os.environ.get("REPRO_KERNEL", "numpy").strip().lower())

@@ -457,14 +457,13 @@ def _fill_row(
 ) -> None:
     """(Re)compute one row's allocation against the busy-from-above mask.
 
-    The mask computation lives in :mod:`repro.core.kernel` (numpy
-    free-rank by default, optional numba scan): instead of scanning each
-    period window cell by cell, rank the FREE slots with a cumulative sum
-    — within a window, the slots whose free-rank (relative to the window
-    start) is in ``[1, C]`` are exactly the first ``C`` free slots the
-    paper's scan would allocate, and a BUSY slot is WAITING exactly when
-    fewer than ``C`` free slots precede it in its window (the scan was
-    still unsatisfied when it passed).
+    The mask computation lives in :mod:`repro.core.kernel`: instead of
+    scanning each period window cell by cell, rank the FREE slots with a
+    cumulative sum — within a window, the slots whose free-rank (relative
+    to the window start) is in ``[1, C]`` are exactly the first ``C``
+    free slots the paper's scan would allocate, and a BUSY slot is
+    WAITING exactly when fewer than ``C`` free slots precede it in its
+    window (the scan was still unsatisfied when it passed).
     """
     stream = diagram.row_streams[row]
     sid = stream.stream_id

@@ -5,9 +5,8 @@
 connection) while presenting exactly the :class:`~repro.service.loadgen
 .BrokerClient` surface — ``send``/``flush``/``recv``/``request``/
 ``check``/``request_with_retry``/``reconnect``/``close``/``in_flight`` —
-so the churn load generator (:func:`repro.service.loadgen.run_load`) and
-the perf harness drive either transport unchanged (``repro load
---target http://...``).
+so the churn load generator (:func:`repro.service.loadgen.run_load`)
+drives either transport unchanged (``repro load --target http://...``).
 
 One semantic difference is hidden, not exposed: HTTP/1.1 without
 pipelining cannot keep multiple requests in flight on one connection,

@@ -125,12 +125,9 @@ class ShardStandby:
         self,
         state_dir: Union[str, Path],
         topology_spec: Dict[str, Any],
-        *,
-        incremental: Optional[bool] = None,
     ):
         self.state_dir = Path(state_dir)
         self.topology_spec = dict(topology_spec)
-        self.incremental = incremental
         self.tailer = JournalTailer(self.state_dir / "journal.jsonl")
         self.ops_applied = 0
         self.reloads = 0
@@ -138,9 +135,7 @@ class ShardStandby:
 
     def _bootstrap(self) -> None:
         """(Re)build the replica from the primary's current snapshot."""
-        self.host = EngineHost(
-            self.topology_spec, incremental=self.incremental
-        )
+        self.host = EngineHost(self.topology_spec)
         self.tailer.reset()
         snapshot_path = self.state_dir / "snapshot.json"
         if not snapshot_path.exists():
@@ -222,11 +217,7 @@ class ShardStandby:
         """
         self.catch_up()
         replica_sha, replica_spec = self.host.fingerprint()
-        promoted = EngineHost(
-            self.topology_spec,
-            state_dir=self.state_dir,
-            incremental=self.incremental,
-        )
+        promoted = EngineHost(self.topology_spec, state_dir=self.state_dir)
         disk_sha, disk_spec = promoted.fingerprint()
         if disk_sha != replica_sha:  # pragma: no cover - the assertion
             promoted.close()
@@ -246,21 +237,18 @@ class ShardStandby:
 class StandbyPool:
     """One warm standby per (tenant, shard) of a persistent fleet."""
 
-    def __init__(self, fleet: Fleet, *, incremental: Optional[bool] = None):
+    def __init__(self, fleet: Fleet):
         if fleet.state_dir is None:
             raise ReproError(
                 "journal-shipping replication needs a persistent fleet "
                 "(state_dir)"
             )
         self.fleet = fleet
-        self.incremental = incremental
         self.standbys: Dict[Tuple[str, int], ShardStandby] = {}
         for tname, tf in fleet.tenants.items():
             for i in range(len(tf.hosts)):
                 self.standbys[(tname, i)] = ShardStandby(
-                    tf.state_dir / f"shard-{i}",
-                    tf.topology_spec,
-                    incremental=incremental,
+                    tf.state_dir / f"shard-{i}", tf.topology_spec
                 )
 
     def catch_up(self) -> int:
@@ -286,8 +274,6 @@ class StandbyPool:
         promoted = self.standbys[key].promote()
         tf.replace_host(shard, promoted)
         self.standbys[key] = ShardStandby(
-            tf.state_dir / f"shard-{shard}",
-            tf.topology_spec,
-            incremental=self.incremental,
+            tf.state_dir / f"shard-{shard}", tf.topology_spec
         )
         return promoted

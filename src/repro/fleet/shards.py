@@ -85,6 +85,7 @@ from ..service.protocol import (
     ProtocolError,
     coerce_int,
     coerce_rid,
+    error_code,
     error_response,
 )
 from ..topology.degraded import normalize_link
@@ -106,16 +107,6 @@ _CODE_TO_ERROR = {
     "stream": StreamError,
     "analysis": AnalysisError,
 }
-
-
-def _error_code(exc: ReproError) -> str:
-    explicit = getattr(exc, "code", None)
-    if isinstance(explicit, str) and explicit:
-        return explicit
-    for code, cls in _CODE_TO_ERROR.items():
-        if isinstance(exc, cls):
-            return code
-    return "error"
 
 
 class TenantSpec:
@@ -150,7 +141,6 @@ class TenantFleet:
         use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
-        incremental: Optional[bool] = None,
         fault_plane: Optional[FaultPlane] = None,
         shard_clients: Optional[List[Any]] = None,
     ):
@@ -186,7 +176,6 @@ class TenantFleet:
                     use_modify=use_modify,
                     residency_margin=residency_margin,
                     analysis=analysis,
-                    incremental=incremental,
                     fault_plane=fault_plane,
                 )
                 for i in range(shards)
@@ -534,30 +523,24 @@ class TenantFleet:
     def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Execute one protocol request against the sharded tenant."""
         op = request.get("op")
-        t0 = time.perf_counter() if self.metrics.timing_enabled else None
+        t0 = time.perf_counter()
         try:
             with _span("fleet.op", "fleet", op=str(op), tenant=self.name):
                 response = self._dispatch(op, request)
             response["ok"] = True
             if "id" in request:
                 response["id"] = request["id"]
-            self.metrics.record_op(
-                op, None if t0 is None else time.perf_counter() - t0
-            )
+            self.metrics.record_op(op, time.perf_counter() - t0)
             return response
         except ReproError as exc:
             self.metrics.record_op(
-                op or "invalid",
-                None if t0 is None else time.perf_counter() - t0,
-                error=True,
+                op or "invalid", time.perf_counter() - t0, error=True
             )
-            return error_response(request, str(exc), code=_error_code(exc))
+            return error_response(request, str(exc), code=error_code(exc))
         except Exception as exc:  # pragma: no cover - defensive
             logger.exception("internal error handling %r", op)
             self.metrics.record_op(
-                op or "invalid",
-                None if t0 is None else time.perf_counter() - t0,
-                error=True,
+                op or "invalid", time.perf_counter() - t0, error=True
             )
             return error_response(
                 request,
@@ -572,7 +555,6 @@ class TenantFleet:
                 "version": __version__,
                 "topology": self.topology_spec,
                 "nodes": self.topology.num_nodes,
-                "incremental": self.hosts[0].incremental,
                 "analyses": list(_backends.names()),
                 "default_analysis": self.hosts[0].default_analysis,
                 "shards": len(self.hosts),
@@ -1153,7 +1135,6 @@ class Fleet:
         *,
         shards: int = 2,
         state_dir: Optional[Union[str, Path]] = None,
-        incremental: Optional[bool] = None,
         fault_plane: Optional[FaultPlane] = None,
         workers: int = 0,
     ):
@@ -1192,7 +1173,6 @@ class Fleet:
                         ),
                         "topology": t.topology_spec,
                         "analysis": t.analysis,
-                        "incremental": incremental,
                     }
                     for i in range(shards)
                 })
@@ -1205,7 +1185,6 @@ class Fleet:
                         shards=shards,
                         state_dir=self.state_dir / t.name,
                         analysis=t.analysis,
-                        incremental=incremental,
                         shard_clients=[
                             WorkerShard(
                                 self.supervisor, f"{t.name}/shard-{i}"
@@ -1229,7 +1208,6 @@ class Fleet:
                         else self.state_dir / t.name
                     ),
                     analysis=t.analysis,
-                    incremental=incremental,
                     fault_plane=fault_plane,
                 )
                 for t in tenants
@@ -1290,7 +1268,9 @@ class Fleet:
                     tenant=tname, op=op,
                 ).value = float(count)
             shard_streams = [0] * len(tf.hosts)
-            for shard_idx in tf.owner.values():
+            # A snapshot: with --workers an executor thread may be
+            # placing a stream while the loop thread renders a scrape.
+            for shard_idx in list(tf.owner.values()):
                 shard_streams[shard_idx] += 1
             for i, host in enumerate(tf.hosts):
                 shard = str(i)

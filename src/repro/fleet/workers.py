@@ -129,7 +129,6 @@ class _WorkerServer:
                 spec["topology"],
                 state_dir=spec["state_dir"],
                 analysis=spec.get("analysis"),
-                incremental=spec.get("incremental"),
             )
             logger.info(
                 "worker %d recovered shard %s (%d streams)",
@@ -245,10 +244,7 @@ class _WorkerServer:
                 "ok": True,
                 "pid": os.getpid(),
                 "shards": {
-                    key: {
-                        "incremental": host.incremental,
-                        "default_analysis": host.default_analysis,
-                    }
+                    key: {"default_analysis": host.default_analysis}
                     for key, host in self.hosts.items()
                 },
             }
@@ -380,8 +376,12 @@ class WorkerClient:
 
     def _connect_locked(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(RPC_TIMEOUT)
-        sock.connect(self.path)
+        try:
+            sock.settimeout(RPC_TIMEOUT)
+            sock.connect(self.path)
+        except OSError:
+            sock.close()
+            raise
         self._sock = sock
         self._rfile = sock.makefile("rb")
 
@@ -472,7 +472,7 @@ class WorkerProcess:
         self.restarts = 0
         #: Serialises concurrent ensure() calls racing to respawn.
         self.respawn_lock = threading.Lock()
-        #: shard key -> {incremental, default_analysis} from worker_hello.
+        #: shard key -> {default_analysis} from worker_hello.
         self.shard_meta: Dict[str, Dict[str, Any]] = {}
 
     @property
@@ -853,18 +853,13 @@ class WorkerShard:
                 f"shard worker for {self.key} died mid-op ({exc}); "
                 "restarted — retry"
             )
-            retryable.code = "worker"  # round-trips via _error_code
+            retryable.code = "worker"  # round-trips via error_code
             raise retryable from None
         if not response.get("ok"):
             raise _CODE_TO_ERROR.get(response.get("code"), ReproError)(
                 response.get("error", f"shard {self.key} RPC failed")
             )
         return response
-
-    @property
-    def incremental(self) -> bool:
-        return bool(self.supervisor.shard_meta(self.key)
-                    .get("incremental", True))
 
     @property
     def default_analysis(self) -> str:

@@ -8,9 +8,9 @@ EXPERIMENTS.md, section "Soundness fuzzing"):
   presets (deep blocking chains, hotspots, funnels);
 * :mod:`repro.fuzz.oracle` — per-case invariants, run for *every*
   registered bound backend: analysis determinism (pinned per-backend
-  verdict digests), fast-path/reference-path bit-identity, per-backend
-  ``U_i`` soundness, and refinement monotonicity (a backend declaring
-  ``refines`` never rejects what its reference admits);
+  verdict digests), per-backend ``U_i`` soundness, and refinement
+  monotonicity (a backend declaring ``refines`` never rejects what its
+  reference admits);
 * :mod:`repro.fuzz.shrink` — greedy counterexample minimisation;
 * :mod:`repro.fuzz.corpus` — JSON persistence and deterministic replay;
 * :mod:`repro.fuzz.campaign` — parallel, time-boxable campaign driver and

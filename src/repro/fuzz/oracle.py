@@ -20,10 +20,6 @@ For a :class:`~repro.fuzz.generator.FuzzCase` the oracle checks:
     ``<=`` X's whenever X's is finite, and its admitted set is a superset
     of X's — the tighter analysis never rejects a stream set the
     reference admits.
-``divergence``
-    The event-driven fast path and the reference ``_step_slow`` loop must
-    produce bit-identical statistics: same per-stream delay samples (in
-    order), same transfer totals, same unfinished count.
 ``soundness``
     For every stream a backend *admits*, no simulated transmission
     delay may exceed that backend's ``U_i``. Admission requires ``0 <
@@ -81,15 +77,14 @@ __all__ = [
 class FuzzViolation:
     """One invariant violation observed while running a case."""
 
-    # "soundness" | "divergence" | "nondeterminism" | "sim-error"
-    # | "monotonicity"
+    # "soundness" | "nondeterminism" | "sim-error" | "monotonicity"
     kind: str
     detail: str
     stream_id: Optional[int] = None
     observed: Optional[int] = None
     bound: Optional[int] = None
     #: Bound backend the violation is attributed to (``None`` for
-    #: backend-independent checks such as simulator divergence).
+    #: backend-independent checks such as a simulator error).
     backend: Optional[str] = None
 
     def to_spec(self) -> Dict[str, object]:
@@ -154,25 +149,6 @@ def stats_fingerprint(
     }
 
 
-def _fingerprint_diff(a: Dict[str, object], b: Dict[str, object]) -> str:
-    """Human-readable first difference between two run fingerprints."""
-    for key in ("total_transfers", "unfinished", "retransmissions"):
-        if a[key] != b[key]:
-            return f"{key}: fast={a[key]} slow={b[key]}"
-    sa, sb = a["samples"], b["samples"]
-    assert isinstance(sa, dict) and isinstance(sb, dict)
-    for sid in sorted(set(sa) | set(sb)):
-        va, vb = sa.get(sid), sb.get(sid)
-        if va != vb:
-            return (
-                f"stream {sid} samples differ: fast has "
-                f"{len(va or ())} samples, slow has {len(vb or ())}; "
-                f"first mismatch at index "
-                f"{next((i for i, (x, y) in enumerate(zip(va or (), vb or ())) if x != y), min(len(va or ()), len(vb or ())))}"
-            )
-    return "fingerprints differ in an unknown field"
-
-
 def bounds_digest(bounds: Dict[int, int]) -> str:
     """Canonical sha256 digest of one backend's verdict map."""
     canonical = json.dumps(
@@ -232,7 +208,6 @@ def _admitted(
 def run_case(
     case: FuzzCase,
     *,
-    check_divergence: bool = True,
     analysis_repeats: int = 2,
 ) -> CaseResult:
     """Run the full differential pipeline on one case."""
@@ -315,23 +290,14 @@ def run_case(
                 backend=name,
             ))
 
-    # --- simulation (fast path, + reference path) ---------------------- #
-    phases = case.phases()
-
-    def _simulate(fastpath: bool):
-        mesh, routing, streams = case.build()
-        sim = WormholeSimulator(
-            mesh, routing, streams, warmup=0, fastpath=fastpath
-        )
-        stats = sim.simulate_streams(case.sim_time, phases=phases)
-        return sim, stats
-
+    # --- simulation ---------------------------------------------------- #
     try:
-        sim_fast, stats_fast = _simulate(True)
+        sim = WormholeSimulator(*case.build(), warmup=0)
+        stats = sim.simulate_streams(case.sim_time, phases=case.phases())
     except ReproError as exc:
         violations.append(FuzzViolation(
             kind="sim-error",
-            detail=f"fast path raised {type(exc).__name__}: {exc}",
+            detail=f"simulator raised {type(exc).__name__}: {exc}",
         ))
         return CaseResult(
             case=case, admitted=admitted, bounds=effective,
@@ -340,32 +306,11 @@ def run_case(
             backend_admitted=backend_admitted, digests=digests,
         )
 
-    fp_fast = stats_fingerprint(sim_fast, stats_fast)
-    if check_divergence:
-        try:
-            sim_slow, stats_slow = _simulate(False)
-        except ReproError as exc:
-            violations.append(FuzzViolation(
-                kind="sim-error",
-                detail=f"reference path raised {type(exc).__name__}: {exc}",
-            ))
-            sim_slow = stats_slow = None
-        if sim_slow is not None:
-            fp_slow = stats_fingerprint(sim_slow, stats_slow)
-            if fp_fast != fp_slow:
-                violations.append(FuzzViolation(
-                    kind="divergence",
-                    detail=(
-                        "fast/reference statistics differ: "
-                        + _fingerprint_diff(fp_fast, fp_slow)
-                    ),
-                ))
-
     # --- soundness: every backend's admitted bounds dominate the sim --- #
     max_observed = {
         sid: max(samples)
-        for sid, samples in fp_fast["samples"].items()  # type: ignore[union-attr]
-        if samples
+        for sid in stats.stream_ids()
+        if (samples := stats.samples(sid))
     }
     for name in names:
         own_bounds = backend_bounds[name]

@@ -19,7 +19,7 @@ feasibility test. This package turns that role into a long-lived service:
 
 :mod:`repro.service.loadgen`
     :class:`BrokerClient` and a seeded churn load generator
-    (``repro load``), also used by ``benchmarks/perf/run_admission.py``.
+    (``repro load``), also used by the bench spine (``benchmarks/spine/``).
 """
 
 from .engine import EngineStats, IncrementalAdmissionEngine

@@ -41,7 +41,10 @@ Everything else keeps its cached verdict, which is bit-identical to what a
 fresh analyzer would compute because ``Cal_U`` is a pure function of the
 inputs listed above. When the dirty frontier covers the whole set the
 engine falls back to a plain full :class:`FeasibilityAnalyzer` run (and
-adopts its structures as the new caches).
+adopts its structures as the new caches). The from-scratch engine that
+re-analyses everything on every op is the test oracle
+(``tests/reference/engine.py``) the fuzzed equivalence suites hold this
+one to, op by op.
 
 **Settle rule (replay applies, reads settle).** The rule above says
 *which* verdicts an op invalidates, not *when* they must be recomputed.
@@ -76,13 +79,6 @@ sorted-id order: copying a prepared analyzer to another process costs
 more than the handful of verdicts a dirty frontier holds (measured in
 DESIGN.md section 10).
 
-Escape hatches (all default-on paths have default-off twins for CI's
-equivalence legs and the perf baselines):
-
-* ``REPRO_INCREMENTAL=0`` — force the full analyzer on every op;
-* ``REPRO_INCREMENTAL_HP=0`` — keep closure invalidation but rebuild each
-  dirty HP set by graph traversal instead of from the reach deltas.
-
 **Closure-scoped guarantees (finding F-7).** A stream's bound is only a
 guarantee while its transitive HP closure is itself admitted (the bound
 conditions on those streams' behaviour). Inside the broker the closure is
@@ -93,7 +89,6 @@ guarantee is scoped to, so clients can propagate the condition.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -105,7 +100,7 @@ from ..core.feasibility import (
     FeasibilityReport,
     StreamVerdict,
 )
-from ..core.hpset import HPSet, build_hp_set, hp_set_from_reach
+from ..core.hpset import HPSet, hp_set_from_reach
 from ..core.latency import LatencyModel, NoLoadLatency
 from ..core.streams import MessageStream, StreamSet
 from ..errors import AnalysisError, RoutingError, StreamError
@@ -119,16 +114,6 @@ __all__ = ["EngineStats", "IncrementalAdmissionEngine", "RoutingDelta"]
 #: churn (release/re-admit of recurring configurations), where recency is
 #: a good-enough proxy and bookkeeping must stay off the hot path.
 _MEMO_CAP = 8192
-
-
-def incremental_enabled_default() -> bool:
-    """Whether incremental recomputation is on (``REPRO_INCREMENTAL`` != 0)."""
-    return os.environ.get("REPRO_INCREMENTAL", "1") != "0"
-
-
-def hp_incremental_enabled_default() -> bool:
-    """Whether HP sets come from reach deltas (``REPRO_INCREMENTAL_HP`` != 0)."""
-    return os.environ.get("REPRO_INCREMENTAL_HP", "1") != "0"
 
 
 @dataclass
@@ -152,7 +137,7 @@ class EngineStats:
     reroute_evictions: int = 0
     route_cache_hits: int = 0
     route_cache_misses: int = 0
-    #: Dirty-frontier sizes of incremental ops (last / running max / sum).
+    #: Dirty-frontier sizes of the ops (last / running max / sum).
     dirty_last: int = 0
     dirty_max: int = 0
     dirty_total: int = 0
@@ -165,7 +150,7 @@ class EngineStats:
     verdict_seconds: float = 0.0
 
     def note_dirty(self, size: int) -> None:
-        """Record one incremental op's dirty-frontier size."""
+        """Record one op's dirty-frontier size."""
         self.dirty_last = size
         if size > self.dirty_max:
             self.dirty_max = size
@@ -251,13 +236,6 @@ class IncrementalAdmissionEngine:
         ``REPRO_ANALYSIS_BACKEND`` environment variable. Per-request
         backends ride on :meth:`try_admit`'s ``analysis`` keyword and
         are remembered per stream until release.
-    incremental:
-        ``True``/``False`` force the mode; ``None`` (default) reads the
-        ``REPRO_INCREMENTAL`` environment variable (unset/``1`` = on).
-    incremental_hp:
-        Whether dirty HP sets come from the maintained reach closures
-        (delta path) or a fresh graph traversal. ``None`` reads
-        ``REPRO_INCREMENTAL_HP`` (unset/``1`` = delta path).
     """
 
     def __init__(
@@ -268,8 +246,6 @@ class IncrementalAdmissionEngine:
         use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
-        incremental: Optional[bool] = None,
-        incremental_hp: Optional[bool] = None,
     ):
         self.routing = routing
         self.latency_model = latency_model or NoLoadLatency()
@@ -278,13 +254,6 @@ class IncrementalAdmissionEngine:
         # Resolved eagerly so a typo'd REPRO_ANALYSIS_BACKEND fails at
         # construction, not on the first admit.
         self.default_analysis = _backends.resolve_name(analysis)
-        if incremental is None:
-            incremental = incremental_enabled_default()
-        self.incremental = bool(incremental)
-        if incremental_hp is None:
-            self.incremental_hp = hp_incremental_enabled_default()
-        else:
-            self.incremental_hp = bool(incremental_hp)
         self.stats = EngineStats()
 
         self._admitted = StreamSet()   # streams as requested (raw latency)
@@ -305,9 +274,7 @@ class IncrementalAdmissionEngine:
         #: Per-stream bound-backend name (every admitted id has an entry).
         self._analysis: Dict[int, str] = {}
         #: Ids touched by ``adopt``/``retire`` since the last settle: the
-        #: admitted ids whose cached HP set and verdict are out of date
-        #: (full mode, which has no dirty frontier, only asks whether it
-        #: is empty).
+        #: admitted ids whose cached HP set and verdict are out of date.
         self._stale: Set[int] = set()
 
     # ------------------------------------------------------------------ #
@@ -431,10 +398,7 @@ class IncrementalAdmissionEngine:
         requests, backend_name = self._validated_batch(requests, analysis)
         self._settle()
         self.stats.ops += 1
-        if not self.incremental:
-            decision = self._full_admit(requests, backend_name)
-        else:
-            decision = self._incremental_admit(requests, backend_name)
+        decision = self._incremental_admit(requests, backend_name)
         if decision.admitted:
             self.stats.admits += 1
         else:
@@ -461,9 +425,8 @@ class IncrementalAdmissionEngine:
         dirty = {r.stream_id for r in requests}
         for r in requests:
             self._analysis[r.stream_id] = backend_name
-            dirty |= self._attach(r, structures_only=not self.incremental)
-        if self.incremental:
-            self.stats.note_dirty(len(dirty))
+            dirty |= self._attach(r)
+        self.stats.note_dirty(len(dirty))
         self._stale |= dirty
 
     def release(self, stream_ids: int | Iterable[int]) -> None:
@@ -492,12 +455,6 @@ class IncrementalAdmissionEngine:
             )
         self.stats.ops += 1
         self.stats.releases += 1
-        if not self.incremental:
-            for sid in ids:
-                self._admitted.remove(sid)
-                self._analysis.pop(sid, None)
-            self._stale.update(ids)
-            return
         # Dirty set on the OLD graph: whoever could reach a removed id.
         dirty = self._reverse_reachable(ids) - set(ids)
         self.stats.note_dirty(len(dirty))
@@ -507,10 +464,9 @@ class IncrementalAdmissionEngine:
             # Nothing reached the removed ids: every verdict stands.
             self.stats.verdicts_reused += len(self._verdicts)
             return
-        if self.incremental_hp:
-            t0 = time.perf_counter()
-            self._recompute_reach(dirty)
-            self.stats.hp_seconds += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        self._recompute_reach(dirty)
+        self.stats.hp_seconds += time.perf_counter() - t0
         self._stale |= dirty
 
     def _validated_batch(
@@ -551,9 +507,7 @@ class IncrementalAdmissionEngine:
         stale = self._stale
         if not stale:
             return
-        if not self.incremental:
-            self._full_rebuild()
-        elif len(stale) >= len(self._admitted):
+        if len(stale) >= len(self._admitted):
             self._full_rebuild()
             self.stats.full_fallbacks += 1
         else:
@@ -604,39 +558,30 @@ class IncrementalAdmissionEngine:
         ]
         evicted: List[int] = list(disconnected)
 
-        if not self.incremental:
-            for sid in disconnected:
-                self._admitted.remove(sid)
-                self._analysis.pop(sid, None)
-            self.routing = new_routing
-            self._route_table = new_table
+        # Capture before detach (detach pops the analysis name too).
+        moved = [
+            (self._admitted[sid], self._analysis[sid])
+            for sid in changed
+        ]
+        dirty = self._reverse_reachable(changed + disconnected)
+        for sid in changed + disconnected:
+            self._detach(sid)
+        self.routing = new_routing
+        self._route_table = new_table
+        for stream, name in moved:
+            self._analysis[stream.stream_id] = name
+            dirty |= self._attach(stream)
+            dirty.add(stream.stream_id)
+        dirty &= set(self._admitted.ids())
+        self.stats.note_dirty(len(dirty))
+        if dirty and len(dirty) >= len(self._admitted):
             self._full_rebuild()
+            self.stats.full_fallbacks += 1
         else:
-            # Capture before detach (detach pops the analysis name too).
-            moved = [
-                (self._admitted[sid], self._analysis[sid])
-                for sid in changed
-            ]
-            dirty = self._reverse_reachable(changed + disconnected)
-            for sid in changed + disconnected:
-                self._detach(sid)
-            self.routing = new_routing
-            self._route_table = new_table
-            for stream, name in moved:
-                self._analysis[stream.stream_id] = name
-                dirty |= self._attach(stream)
-                dirty.add(stream.stream_id)
-            dirty &= set(self._admitted.ids())
-            self.stats.note_dirty(len(dirty))
-            if dirty and len(dirty) >= len(self._admitted):
-                self._full_rebuild()
-                self.stats.full_fallbacks += 1
-            else:
-                if self.incremental_hp:
-                    t0 = time.perf_counter()
-                    self._recompute_reach(dirty)
-                    self.stats.hp_seconds += time.perf_counter() - t0
-                self._refresh(dirty)
+            t0 = time.perf_counter()
+            self._recompute_reach(dirty)
+            self.stats.hp_seconds += time.perf_counter() - t0
+            self._refresh(dirty)
 
         # Eviction fixpoint: drop deadline-missers until feasible again.
         rerouted_left = set(rerouted)
@@ -670,7 +615,7 @@ class IncrementalAdmissionEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Admission paths
+    # Admission path
     # ------------------------------------------------------------------ #
 
     def _incremental_admit(
@@ -723,19 +668,6 @@ class IncrementalAdmissionEngine:
         for j, vd in saved_vd.items():
             if vd is not None and j in self._admitted:
                 self._verdicts[j] = vd
-        return AdmissionDecision(False, report, report.infeasible_ids())
-
-    def _full_admit(
-        self, requests: Tuple[MessageStream, ...], backend_name: str
-    ) -> AdmissionDecision:
-        saved = self._snapshot_caches()
-        for r in requests:
-            self._analysis[r.stream_id] = backend_name
-            self._attach(r, structures_only=True)
-        report = self._full_rebuild()
-        if report.success:
-            return AdmissionDecision(True, report, ())
-        self._restore_caches(saved)
         return AdmissionDecision(False, report, report.infeasible_ids())
 
     def _full_rebuild(self) -> FeasibilityReport:
@@ -808,10 +740,9 @@ class IncrementalAdmissionEngine:
         self._hp_sets = dict(analyzer.hp_sets)
         self._verdicts = dict(report.verdicts)
         self._rebuild_indexes()
-        if self.incremental_hp:
-            self._reach = {
-                sid: set(hp.ids()) for sid, hp in self._hp_sets.items()
-            }
+        self._reach = {
+            sid: set(hp.ids()) for sid, hp in self._hp_sets.items()
+        }
         self.stats.verdicts_recomputed += len(report.verdicts)
         self.stats.hp_rebuilt += len(report.verdicts)
         return report
@@ -824,19 +755,12 @@ class IncrementalAdmissionEngine:
             return
         order = sorted(dirty)
         t0 = time.perf_counter()
-        if self.incremental_hp:
-            reach_map = self._reach
-            for j in order:
-                self._hp_sets[j] = hp_set_from_reach(
-                    j, self._blockers[j], reach_map[j], reach_map
-                )
-            stats.hp_delta_updates += len(order)
-        else:
-            for j in order:
-                self._hp_sets[j] = build_hp_set(
-                    self._resolved[j], self._resolved, self._blockers
-                )
-            stats.hp_rebuilt += len(order)
+        reach_map = self._reach
+        for j in order:
+            self._hp_sets[j] = hp_set_from_reach(
+                j, self._blockers[j], reach_map[j], reach_map
+            )
+        stats.hp_delta_updates += len(order)
         stats.hp_seconds += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -929,7 +853,6 @@ class IncrementalAdmissionEngine:
         self,
         stream: MessageStream,
         *,
-        structures_only: bool = False,
         undo_reach: Optional[Dict[int, Optional[Set[int]]]] = None,
     ) -> Set[int]:
         """Add one stream to the admitted set and the dependency indexes.
@@ -937,10 +860,7 @@ class IncrementalAdmissionEngine:
         Returns the reverse-reachable set of the new stream on the updated
         graph (the ids whose closures changed, new id included); the union
         of these sets over a batch equals the batch's dirty set, because
-        every new edge is incident to some added stream. With
-        ``structures_only`` (full mode) only the admitted set is
-        maintained — the analyzer rebuild supplies the rest — and the
-        returned set is empty.
+        every new edge is incident to some added stream.
 
         When ``undo_reach`` is given, every reach entry this attach
         replaces is recorded there once (``None`` = was absent), so a
@@ -948,8 +868,6 @@ class IncrementalAdmissionEngine:
         snapshot.
         """
         self._admitted.add(stream)
-        if structures_only:
-            return set()
         k = stream.stream_id
         chans = self._route(stream.src, stream.dst)
         self._channels[k] = chans
@@ -980,29 +898,28 @@ class IncrementalAdmissionEngine:
         self._blockers[k] = tuple(sorted(bk))
 
         affected = self._reverse_reachable((k,))
-        if self.incremental_hp:
-            t0 = time.perf_counter()
-            reach = self._reach
-            # All new edges touch k, so the closure over k's direct
-            # blockers' (old, still-valid) closures is itself closed.
-            rk: Set[int] = set()
-            for x in bk:
-                rk.add(x)
-                rk.update(reach.get(x, ()))
-            rk.discard(k)
-            if undo_reach is not None and k not in undo_reach:
-                undo_reach[k] = None
-            reach[k] = rk
-            gain = rk | {k}
-            for j in affected:
-                if j == k:
-                    continue
-                if undo_reach is not None and j not in undo_reach:
-                    undo_reach[j] = reach.get(j)
-                new = reach.get(j, set()) | gain
-                new.discard(j)
-                reach[j] = new
-            self.stats.hp_seconds += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        reach = self._reach
+        # All new edges touch k, so the closure over k's direct
+        # blockers' (old, still-valid) closures is itself closed.
+        rk: Set[int] = set()
+        for x in bk:
+            rk.add(x)
+            rk.update(reach.get(x, ()))
+        rk.discard(k)
+        if undo_reach is not None and k not in undo_reach:
+            undo_reach[k] = None
+        reach[k] = rk
+        gain = rk | {k}
+        for j in affected:
+            if j == k:
+                continue
+            if undo_reach is not None and j not in undo_reach:
+                undo_reach[j] = reach.get(j)
+            new = reach.get(j, set()) | gain
+            new.discard(j)
+            reach[j] = new
+        self.stats.hp_seconds += time.perf_counter() - t0
         return affected
 
     def _detach(self, sid: int) -> None:
@@ -1082,41 +999,5 @@ class IncrementalAdmissionEngine:
             for v in bl:
                 self._rev[v].add(sid)
 
-    # ------------------------------------------------------------------ #
-    # Rollback (rejected admissions, full mode)
-    # ------------------------------------------------------------------ #
-
-    def _snapshot_caches(self):
-        return (
-            StreamSet(self._admitted),
-            StreamSet(self._resolved),
-            dict(self._channels),
-            dict(self._channel_users),
-            dict(self._blockers),
-            {k: set(v) for k, v in self._rev.items()},
-            {k: set(v) for k, v in self._reach.items()},
-            dict(self._hp_sets),
-            dict(self._verdicts),
-            dict(self._analysis),
-        )
-
-    def _restore_caches(self, saved) -> None:
-        (
-            self._admitted,
-            self._resolved,
-            self._channels,
-            self._channel_users,
-            self._blockers,
-            self._rev,
-            self._reach,
-            self._hp_sets,
-            self._verdicts,
-            self._analysis,
-        ) = saved
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "incremental" if self.incremental else "full"
-        return (
-            f"IncrementalAdmissionEngine(admitted={len(self._admitted)}, "
-            f"mode={mode})"
-        )
+        return f"IncrementalAdmissionEngine(admitted={len(self._admitted)})"

@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from .. import __version__
 from ..core import backends as _backends
 from ..core.streams import MessageStream
-from ..errors import AnalysisError, ReproError, StreamError
+from ..errors import ReproError
 from ..faults.plane import FaultPlane
 from ..io import (
     report_to_spec,
@@ -57,6 +57,7 @@ from .protocol import (
     ProtocolError,
     coerce_int,
     coerce_rid,
+    error_code,
     error_response,
 )
 
@@ -75,17 +76,8 @@ class DegradedError(ReproError):
     keep working throughout.
     """
 
-
-def _error_code(exc: ReproError) -> str:
-    if isinstance(exc, DegradedError):
-        return "degraded"
-    if isinstance(exc, ProtocolError):
-        return "protocol"
-    if isinstance(exc, StreamError):
-        return "stream"
-    if isinstance(exc, AnalysisError):
-        return "analysis"
-    return "error"
+    #: Wire code (see :func:`repro.service.protocol.error_code`).
+    code = "degraded"
 
 
 class EngineHost:
@@ -97,8 +89,6 @@ class EngineHost:
         Problem-file topology spec (``{"type": "mesh", "width": 8, ...}``).
     state_dir:
         Directory for snapshot + journal; ``None`` disables persistence.
-    incremental:
-        Engine mode override; ``None`` reads ``REPRO_INCREMENTAL``.
     fault_plane:
         Chaos-testing hook (see :mod:`repro.faults.plane`); installed
         into the persistence layer. ``None`` in production use.
@@ -115,7 +105,6 @@ class EngineHost:
         use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
-        incremental: Optional[bool] = None,
         fault_plane: Optional[FaultPlane] = None,
         on_shutdown: Optional[Callable[[], None]] = None,
     ):
@@ -131,7 +120,6 @@ class EngineHost:
             use_modify=use_modify,
             residency_margin=residency_margin,
             analysis=analysis,
-            incremental=incremental,
         )
         self.metrics = ServiceMetrics()
         self.on_shutdown = on_shutdown
@@ -306,10 +294,6 @@ class EngineHost:
     # host in a supervised child process.
 
     @property
-    def incremental(self) -> bool:
-        return self.engine.incremental
-
-    @property
     def default_analysis(self) -> str:
         return self.engine.default_analysis
 
@@ -416,35 +400,27 @@ class EngineHost:
     def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Execute one protocol request and return the response object."""
         op = request.get("op")
-        # Lazy latency sampling: with REPRO_SERVICE_TIMING=0 the worker
-        # loop never reads the wall clock (counters are still kept).
-        t0 = time.perf_counter() if self.metrics.timing_enabled else None
+        t0 = time.perf_counter()
         try:
             with _span("broker.op", "service", op=str(op)):
                 response = self._dispatch(op, request)
             response["ok"] = True
             if "id" in request:
                 response["id"] = request["id"]
-            self.metrics.record_op(
-                op, None if t0 is None else time.perf_counter() - t0
-            )
+            self.metrics.record_op(op, time.perf_counter() - t0)
             return response
         except ReproError as exc:
             self.metrics.record_op(
-                op or "invalid",
-                None if t0 is None else time.perf_counter() - t0,
-                error=True,
+                op or "invalid", time.perf_counter() - t0, error=True
             )
-            return error_response(request, str(exc), code=_error_code(exc))
+            return error_response(request, str(exc), code=error_code(exc))
         except Exception as exc:
             # Last-resort guard: an escaped exception would kill the single
             # worker task and wedge every connection. Persistence failures
             # (journal append OSError) land here too.
             logger.exception("internal error handling %r", op)
             self.metrics.record_op(
-                op or "invalid",
-                None if t0 is None else time.perf_counter() - t0,
-                error=True,
+                op or "invalid", time.perf_counter() - t0, error=True
             )
             return error_response(
                 request,
@@ -459,7 +435,6 @@ class EngineHost:
                 "version": __version__,
                 "topology": self.topology_spec,
                 "nodes": self.topology.num_nodes,
-                "incremental": self.engine.incremental,
                 "analyses": list(_backends.names()),
                 "default_analysis": self.engine.default_analysis,
             }

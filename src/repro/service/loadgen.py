@@ -1,8 +1,8 @@
 """Load-generator client for the channel broker (``repro load``).
 
 :class:`BrokerClient` is a small synchronous JSON-lines client (unix
-socket or TCP) used by the CI smoke job, the perf harness
-(``benchmarks/perf/run_admission.py``) and scripts. The load generator
+socket or TCP) used by the CI smoke job, the bench spine
+(``benchmarks/spine/``) and scripts. The load generator
 replays seeded admit/release churn against a broker: it keeps a target
 number of live streams, admitting locality-biased random streams and
 releasing random live ones, and reports throughput, acceptance rate and

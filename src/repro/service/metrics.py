@@ -9,18 +9,15 @@ shared :class:`~repro.obs.metrics.MetricsRegistry` as Prometheus text
 (``stats`` with ``format: "prometheus"``, or the ``--metrics-port`` HTTP
 scrape endpoint of ``repro serve``).
 
-Hot-path cost: the worker loop records one latency sample per request.
-Bucketing is O(1) (one ``bit_length`` on the power-of-two ladder — the
-original implementation scanned all 24 bounds per sample), and the two
-``time.perf_counter()`` reads per request can be disabled entirely with
-``REPRO_SERVICE_TIMING=0`` (op/outcome counters are always kept; only
-the latency histograms go dark). ``benchmarks/perf/run_admission.py``
-pins the per-sample cost with a microbenchmark guard.
+Hot-path cost: the worker loop records one latency sample per request
+— two ``time.perf_counter()`` reads and an O(1) bucketing (one
+``bit_length`` on the power-of-two ladder). The bench spine's ladder
+(``benchmarks/spine/``, ``service.host.self_us_per_op``) is where that
+cost shows.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional
 
@@ -30,19 +27,10 @@ from ..obs.metrics import (
     MetricsRegistry,
 )
 
-__all__ = ["LatencyHistogram", "ServiceMetrics", "TIMING_ENV"]
-
-#: Disable per-request wall-clock latency sampling when set to 0/false.
-TIMING_ENV = "REPRO_SERVICE_TIMING"
+__all__ = ["LatencyHistogram", "ServiceMetrics"]
 
 # Bucket upper bounds in microseconds: 1us, 2us, ... ~8.4s, +inf.
 _BUCKET_BOUNDS_US = list(DEFAULT_TIME_BUCKETS_US)
-
-
-def timing_enabled_from_env() -> bool:
-    return os.environ.get(TIMING_ENV, "1").lower() not in (
-        "", "0", "false", "no", "off",
-    )
 
 
 class LatencyHistogram:
@@ -119,17 +107,8 @@ class ServiceMetrics:
     same numbers without taxing the hot path.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        *,
-        timing: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: Whether per-request latency sampling is on (``REPRO_SERVICE_TIMING``).
-        self.timing_enabled = (
-            timing_enabled_from_env() if timing is None else bool(timing)
-        )
         self.started_at = time.time()
         self.op_counts: Dict[str, int] = {}
         self.op_errors: Dict[str, int] = {}
@@ -148,28 +127,22 @@ class ServiceMetrics:
         self.connections = 0
 
     def record_op(
-        self,
-        op: str,
-        seconds: Optional[float] = None,
-        *,
-        error: bool = False,
+        self, op: str, seconds: float, *, error: bool = False
     ) -> None:
-        """Count one request; ``seconds`` feeds the latency histogram
-        (pass ``None`` when timing is disabled)."""
+        """Count one request and feed its latency histogram."""
         self.op_counts[op] = self.op_counts.get(op, 0) + 1
         if error:
             self.op_errors[op] = self.op_errors.get(op, 0) + 1
-        if seconds is not None:
-            hist = self.op_latency.get(op)
-            if hist is None:
-                hist = self.op_latency[op] = LatencyHistogram(
-                    self.registry.histogram(
-                        "repro_broker_op_latency_us",
-                        "Request handling latency in microseconds, by op.",
-                        op=op,
-                    )
+        hist = self.op_latency.get(op)
+        if hist is None:
+            hist = self.op_latency[op] = LatencyHistogram(
+                self.registry.histogram(
+                    "repro_broker_op_latency_us",
+                    "Request handling latency in microseconds, by op.",
+                    op=op,
                 )
-            hist.record(seconds)
+            )
+        hist.record(seconds)
 
     def record_batch(self, size: int) -> None:
         self.batches += 1

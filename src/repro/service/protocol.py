@@ -68,7 +68,7 @@ import json
 import random
 from typing import Any, Dict, Optional
 
-from ..errors import ReproError
+from ..errors import AnalysisError, ReproError, StreamError
 
 __all__ = [
     "ProtocolError",
@@ -76,6 +76,7 @@ __all__ = [
     "coerce_rid",
     "encode",
     "decode",
+    "error_code",
     "error_response",
     "retry_backoff",
 ]
@@ -181,6 +182,27 @@ def retry_backoff(
     span = min(cap, base * (2 ** max(0, attempt)))
     u = rng.random() if rng is not None else random.random()
     return span * u
+
+
+def error_code(exc: ReproError) -> str:
+    """The wire ``code`` of an error.
+
+    A non-empty ``code`` attribute wins — an error class that names its
+    own (``DegradedError``), or one stamped on an instance (the
+    ``"worker"`` of a shard whose process died mid-op, which must cross
+    the fleet unchanged because retry loops key on it). Otherwise the
+    typed errors map by class.
+    """
+    explicit = getattr(exc, "code", None)
+    if isinstance(explicit, str) and explicit:
+        return explicit
+    if isinstance(exc, ProtocolError):
+        return "protocol"
+    if isinstance(exc, StreamError):
+        return "stream"
+    if isinstance(exc, AnalysisError):
+        return "analysis"
+    return "error"
 
 
 def error_response(

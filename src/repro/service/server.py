@@ -107,8 +107,6 @@ class BrokerServer:
         Problem-file topology spec (``{"type": "mesh", "width": 8, ...}``).
     state_dir:
         Directory for snapshot + journal; ``None`` disables persistence.
-    incremental:
-        Engine mode override; ``None`` reads ``REPRO_INCREMENTAL``.
     batch_max:
         Maximum requests the worker drains per wakeup.
     fault_plane:
@@ -124,7 +122,6 @@ class BrokerServer:
         use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
-        incremental: Optional[bool] = None,
         batch_max: int = 64,
         fault_plane: Optional[FaultPlane] = None,
     ):
@@ -134,7 +131,6 @@ class BrokerServer:
             use_modify=use_modify,
             residency_margin=residency_margin,
             analysis=analysis,
-            incremental=incremental,
             fault_plane=fault_plane,
             on_shutdown=self.request_shutdown,
         )

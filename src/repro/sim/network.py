@@ -36,15 +36,14 @@ allocated VC full) is parked on a per-VC wait list and woken only when that
 VC frees or pops a flit, so blocked and idle VCs cost zero per-cycle work;
 per-message channel tuples and downstream VC targets are precomputed at
 injection. Cycle-for-cycle results are identical to the straightforward
-rescan-everything loop, which remains available as an escape hatch via
-``REPRO_SIM_FASTPATH=0`` (or ``fastpath=False``) and is pinned to the fast
-path by ``tests/test_fastpath_equivalence.py``.
+rescan-everything loop, which lives on as a test oracle
+(``tests/reference/sim.py``) and is pinned to this one bit for bit by
+``tests/test_fastpath_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -103,11 +102,6 @@ class WormholeSimulator(SimulationKernel):
         statistics (the paper discards a 2000-flit-time start-up).
     watchdog_cycles:
         Forwarded to :class:`~repro.sim.engine.SimulationKernel`.
-    fastpath:
-        Use the event-driven movable-set cycle body (default). ``False``
-        selects the reference rescan-everything loop; ``None`` reads the
-        ``REPRO_SIM_FASTPATH`` environment variable (``0`` disables).
-        Both paths produce bit-identical statistics.
     """
 
     def __init__(
@@ -124,7 +118,6 @@ class WormholeSimulator(SimulationKernel):
         watchdog_cycles: int = 50_000,
         trace: Optional["TraceRecorder"] = None,
         gantt: Optional["GanttRecorder"] = None,
-        fastpath: Optional[bool] = None,
     ):
         super().__init__(watchdog_cycles=watchdog_cycles)
         if vc_mode not in VC_MODES:
@@ -150,17 +143,10 @@ class WormholeSimulator(SimulationKernel):
         self.stats = StatsCollector(warmup=warmup)
         self.trace = trace
         self.gantt = gantt
-        if fastpath is None:
-            fastpath = os.environ.get("REPRO_SIM_FASTPATH", "1") not in (
-                "0", "false", "no", "off",
-            )
-        #: Whether the event-driven cycle body is in use (see module doc).
-        self.fastpath = bool(fastpath)
-
         #: Directed channels numbered densely *in sorted order*, so that
-        #: sorting by channel id and sorting by channel tuple agree (the
-        #: commit loop visits channels in this canonical order on both
-        #: paths — see _step_fast). Transfer counts live in a flat list
+        #: sorting by channel id and sorting by channel tuple agree (under
+        #: ``vc_mode="li"`` the commit loop visits channels in this
+        #: canonical order — see _step). Transfer counts live in a flat list
         #: indexed by channel id (int indexing beats tuple hashing in the
         #: hot loop); ``channel_transfers`` re-materialises the public
         #: Counter view on demand.
@@ -199,19 +185,16 @@ class WormholeSimulator(SimulationKernel):
                 n, tuple(upstream[n]), self.num_vcs, vc_capacity
             )
 
-        #: VCs holding at least one buffered flit (reference path only;
-        #: the fast path tracks `_movable` + wait lists instead).
-        self._active: Set[VirtualChannel] = set()
-        #: Fast path: VCs whose head flit may move this cycle.
+        #: VCs whose head flit may move this cycle.
         self._movable: Set[VirtualChannel] = set()
-        #: Fast path: upstream VCs waiting for the key VC to be released
-        #: (blocked headers; woken by tail pop / kill of the key VC).
+        #: Upstream VCs waiting for the key VC to be released (blocked
+        #: headers; woken by tail pop / kill of the key VC).
         self._wait_free: Dict[VirtualChannel, List[VirtualChannel]] = {}
-        #: Fast path: the (unique) upstream VC waiting for the key VC to
-        #: regain buffer space (woken by any flit pop from the key VC).
+        #: The (unique) upstream VC waiting for the key VC to regain
+        #: buffer space (woken by any flit pop from the key VC).
         self._wait_space: Dict[VirtualChannel, VirtualChannel] = {}
-        #: Fast path: (ready_time, seq, vc) heap of parked heads that are
-        #: waiting out the router pipeline (hop_delay > 1 only).
+        #: (ready_time, seq, vc) heap of parked heads that are waiting
+        #: out the router pipeline (hop_delay > 1 only).
         self._ready_heap: List[Tuple[int, int, VirtualChannel]] = []
         self._ready_seq = 0
         #: stream_id -> (path, per-position (channel id, downstream
@@ -245,9 +228,6 @@ class WormholeSimulator(SimulationKernel):
         self._dead_channels: Set[int] = set()
         #: Total committed flit transfers (includes absorptions).
         self.total_transfers = 0
-        # Bind the cycle body once; the instance attribute shadows the
-        # dispatching class method, sparing a call layer per cycle.
-        self._step = self._step_fast if self.fastpath else self._step_slow
 
     # ------------------------------------------------------------------ #
     # Injection
@@ -324,7 +304,6 @@ class WormholeSimulator(SimulationKernel):
         return False
 
     def _inject(self, payloads: List[object]) -> None:
-        fast = self.fastpath
         for msg in payloads:
             assert isinstance(msg, Message)
             if self._dead_channels and self._path_dead(msg.path):
@@ -340,7 +319,7 @@ class WormholeSimulator(SimulationKernel):
             vc = self._routers[msg.src].vc(
                 INJECTION_PORT, self._vc_index_for(msg.priority)
             )
-            if fast and msg.hop_cache is None:
+            if msg.hop_cache is None:
                 msg.hop_cache = self._hop_info(msg)
             vc.enqueue_message(msg)
             chain: List[Optional[VirtualChannel]] = [None] * len(msg.path)
@@ -352,26 +331,23 @@ class WormholeSimulator(SimulationKernel):
                     # Injection pipeline: the header may not leave before
                     # release + hop_delay.
                     vc.ready.append(msg.release + self.hop_delay)
-                if fast:
-                    # Newly promoted owner: the VC was free before, so it
-                    # is tracked nowhere and must (re)enter the movable
-                    # set. If another message owns the VC, its state is
-                    # unaffected by a queue append.
-                    self._movable.add(vc)
+                # Newly promoted owner: the VC was free before, so it is
+                # tracked nowhere and must (re)enter the movable set. If
+                # another message owns the VC, its state is unaffected by
+                # a queue append.
+                self._movable.add(vc)
             self._in_flight.add(msg.msg_id)
             self._messages[msg.msg_id] = msg
-            if not fast and vc.count > 0:
-                self._active.add(vc)
 
     # ------------------------------------------------------------------ #
     # Cycle body
     # ------------------------------------------------------------------ #
 
     def _has_work(self) -> bool:
-        return bool(self._movable if self.fastpath else self._active)
+        return bool(self._movable)
 
     def _next_event_time(self) -> Optional[int]:
-        """Earliest parked head-ready time (fast path, hop_delay > 1).
+        """Earliest parked head-ready time (hop_delay > 1).
 
         Lazily drops entries whose VC was emptied by a kill since parking.
         """
@@ -387,46 +363,8 @@ class WormholeSimulator(SimulationKernel):
     def _blocked_work(self) -> bool:
         return bool(self._in_flight)
 
-    def _downstream_target(
-        self, msg: Message, position: int
-    ) -> Optional[VirtualChannel]:
-        """Return the downstream VC a flit at ``position`` would enter, or
-        ``None`` when no VC is currently available (header blocked)."""
-        v = msg.path[position + 1]
-        chain = self._chains[msg.msg_id]
-        dvc = chain[position + 1]
-        if dvc is not None:
-            return dvc if dvc.has_space() else None
-        router = self._routers[v]
-        u = msg.path[position]
-        if self.vc_mode == "li":
-            free = router.free_vc_indices(u, self._prio_rank[msg.priority])
-            if not free:
-                return None
-            return router.vc(u, free[0])
-        vc = router.vc(
-            u, self._vc_index_for(msg.priority, msg.vc_class(position))
-        )
-        if vc.free:
-            return vc
-        if (
-            self.vc_mode == "preempt_kill"
-            and vc.owner is not None
-            and vc.owner.priority < msg.priority
-        ):
-            # Song-style hardware preemption: schedule the lower-priority
-            # worm for a kill; the header retries once the VC frees.
-            self._kill_pending.add(vc.owner.msg_id)
-        return None
-
     def _step(self) -> int:
-        if self.fastpath:
-            return self._step_fast()
-        return self._step_slow()
-
-    def _step_fast(self) -> int:
-        """Event-driven cycle body: identical semantics to
-        :meth:`_step_slow`, but only *movable* VCs are examined.
+        """Event-driven cycle body: only *movable* VCs are examined.
 
         Phase 1 walks the movable set, parking anything blocked — on the
         downstream VC's wait list (woken when that VC frees or pops) or on
@@ -435,7 +373,7 @@ class WormholeSimulator(SimulationKernel):
         parked VCs as the events they wait for occur. Wait entries are
         hints, not state: phase 1 re-validates every woken VC against the
         actual pre-cycle occupancy, so spurious wakes are harmless and
-        the two paths stay cycle-for-cycle identical.
+        every cycle equals the rescan-everything loop's.
         """
         now = self.now
         movable = self._movable
@@ -560,8 +498,8 @@ class WormholeSimulator(SimulationKernel):
         # port pool's *current* owners, so a tail release committed
         # earlier in the same cycle can change which VC index a later
         # header picks — there (and only there) channels commit in
-        # canonical sorted order, pinning both execution paths (and
-        # re-runs under hash randomisation) to identical results.
+        # canonical sorted order, pinning this loop, the rescan oracle and
+        # re-runs under hash randomisation to identical results.
         # VCs that end the cycle drained (released tails, mid-worm
         # bubbles) are *not* discarded from the movable set here — the
         # count == 0 test at the top of phase 1 reclaims them next cycle,
@@ -666,7 +604,7 @@ class WormholeSimulator(SimulationKernel):
                     dvc.allocate(msg, pos + 1)
                     chain[pos + 1] = dvc
                 # Inlined VirtualChannel.push_flit (``received`` is not
-                # maintained here: nothing on the fast path reads it and
+                # maintained here: nothing in the simulator reads it and
                 # allocate/release reset it).
                 dcount = dvc.count
                 if dcount == 0:
@@ -677,96 +615,11 @@ class WormholeSimulator(SimulationKernel):
             moved += 1
         self.total_transfers += moved
         if ev:
-            for name, _, args in sorted(ev, key=lambda e: (e[0], e[1])):
+            # A worm can park at two positions in one cycle: the
+            # position breaks the tie the message id leaves.
+            ev.sort(key=lambda e: (e[0], e[1], e[2].get("position", 0)))
+            for name, _, args in ev:
                 obs.emit("i", name, "sim", dict(args, t=now))
-        if self._kill_pending:
-            for victim_id in sorted(self._kill_pending):
-                self._kill_message(victim_id)
-            self._kill_pending.clear()
-        return moved
-
-    def _step_slow(self) -> int:
-        # Phase 1: per-channel candidate collection (pre-cycle state only).
-        wants: Dict[Channel, List[Tuple[VirtualChannel, Message]]] = {}
-        for vc in self._active:
-            msg = vc.owner
-            if msg is None or vc.count == 0:  # pragma: no cover - defensive
-                continue
-            if not vc.head_ready(self.now):
-                continue
-            pos = vc.position
-            v = msg.path[pos + 1]
-            if v != msg.dst:
-                if self._downstream_target(msg, pos) is None:
-                    continue
-            wants.setdefault((msg.path[pos], v), []).append((vc, msg))
-
-        # Phase 2: arbitrate and commit one flit per contended channel —
-        # under vc_mode="li" in canonical (sorted channel) order; see the
-        # commit-order note in _step_fast. Both paths must pick the same
-        # order there or they can diverge on which VC index a header
-        # allocates.
-        moved = 0
-        commits = (
-            sorted(wants.items()) if self.vc_mode == "li" else wants.items()
-        )
-        for channel, candidates in commits:
-            if len(candidates) == 1:
-                vc, msg = candidates[0]
-            else:
-                vc, msg = self.arbiter.select(channel, candidates, self.now)
-            pos = vc.position
-            was_first = vc.is_injection and vc.sent == 0
-            sender = vc.pop_flit()
-            assert sender is msg
-            if self.trace is not None and was_first:
-                self.trace.on_first_flit(self.now, msg)
-            self._transfer_counts[self._chan_id[channel]] += 1
-            if self.gantt is not None:
-                self.gantt.on_transfer(self.now, channel, msg)
-            if vc.count == 0:
-                self._active.discard(vc)
-            elif vc.owner is not msg:
-                # Tail left and an injection queue promoted a new owner.
-                pass
-            dst_node = channel[1]
-            if dst_node == msg.dst:
-                msg.delivered += 1
-                if msg.delivered == msg.length:
-                    msg.finish = self.now
-                    self.stats.record(msg)
-                    if self.trace is not None:
-                        self.trace.on_finish(self.now, msg)
-                    self._in_flight.discard(msg.msg_id)
-                    self._messages.pop(msg.msg_id, None)
-                    del self._chains[msg.msg_id]
-            else:
-                chain = self._chains[msg.msg_id]
-                dvc = chain[pos + 1]
-                if dvc is None:
-                    dvc = self._downstream_target(msg, pos)
-                    if dvc is None:  # pragma: no cover - defensive
-                        raise SimulationError(
-                            "downstream VC vanished between phases"
-                        )
-                    dvc.allocate(msg, pos + 1)
-                    chain[pos + 1] = dvc
-                dvc.push_flit(
-                    self.now + self.hop_delay if self.hop_delay > 1 else None
-                )
-                self._active.add(dvc)
-            # An injection VC that promoted a queued message stays active;
-            # record the new owner's chain head.
-            if vc.is_injection and vc.owner is not None and vc.owner is not msg:
-                promoted = vc.owner
-                self._chains[promoted.msg_id][0] = vc
-                if self.hop_delay > 1:
-                    vc.ready.append(
-                        max(promoted.release + self.hop_delay, self.now + 1)
-                    )
-                self._active.add(vc)
-            moved += 1
-        self.total_transfers += moved
         if self._kill_pending:
             for victim_id in sorted(self._kill_pending):
                 self._kill_message(victim_id)
@@ -782,7 +635,6 @@ class WormholeSimulator(SimulationKernel):
         victim = self._messages.pop(msg_id, None)
         if victim is None:
             return None
-        fast = self.fastpath
         chain = self._chains.pop(msg_id)
         if chain[0] is None:
             # Never promoted: still queued behind the injection VC's
@@ -798,18 +650,15 @@ class WormholeSimulator(SimulationKernel):
             if vc is None or vc.owner is not victim:
                 continue
             vc.force_release()
-            if fast:
-                self._movable.discard(vc)
-                # The freed VC may have blocked headers parked on it —
-                # this wake is exactly the preemption the kill exists for.
-                waiters = self._wait_free.pop(vc, None)
-                if waiters:
-                    self._movable.update(waiters)
-                waiter = self._wait_space.pop(vc, None)
-                if waiter is not None:
-                    self._movable.add(waiter)
-            else:
-                self._active.discard(vc)
+            self._movable.discard(vc)
+            # The freed VC may have blocked headers parked on it — this
+            # wake is exactly the preemption the kill exists for.
+            waiters = self._wait_free.pop(vc, None)
+            if waiters:
+                self._movable.update(waiters)
+            waiter = self._wait_space.pop(vc, None)
+            if waiter is not None:
+                self._movable.add(waiter)
             if vc.is_injection:
                 promoted = vc.promote_queued()
                 if promoted is not None:
@@ -819,10 +668,7 @@ class WormholeSimulator(SimulationKernel):
                             max(promoted.release + self.hop_delay,
                                 self.now + 1)
                         )
-                    if fast:
-                        self._movable.add(vc)
-                    else:
-                        self._active.add(vc)
+                    self._movable.add(vc)
         self._in_flight.discard(msg_id)
         return victim
 
@@ -841,7 +687,6 @@ class WormholeSimulator(SimulationKernel):
             self._obs.emit("i", "sim.kill", "sim", {
                 "t": self.now, "msg": msg_id, "stream": victim.stream_id,
             })
-        fast = self.fastpath
         self.retransmissions += 1
 
         clone = Message(
@@ -861,8 +706,7 @@ class WormholeSimulator(SimulationKernel):
         inj = self._routers[clone.src].vc(
             INJECTION_PORT, self._vc_index_for(clone.priority)
         )
-        if fast:
-            clone.hop_cache = victim.hop_cache
+        clone.hop_cache = victim.hop_cache
         inj.enqueue_message(clone)
         chain: List[Optional[VirtualChannel]] = [None] * len(clone.path)
         clone.chain = chain
@@ -871,12 +715,9 @@ class WormholeSimulator(SimulationKernel):
             chain[0] = inj
             if self.hop_delay > 1:
                 inj.ready.append(self.now + self.hop_delay)
-            if fast:
-                self._movable.add(inj)
+            self._movable.add(inj)
         self._in_flight.add(clone.msg_id)
         self._messages[clone.msg_id] = clone
-        if not fast and inj.count > 0:
-            self._active.add(inj)
 
     # ------------------------------------------------------------------ #
     # Link faults

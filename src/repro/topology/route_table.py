@@ -7,7 +7,8 @@ for the *channel set* of a route on every attach — and with tens of
 (src, dst) pairs recurring across the lifetime of a broker (and across
 the several engines a process may host: servers, benchmarks, replicas),
 per-engine caches rediscover the same frozensets over and over
-(BENCH_PR3 recorded 127 misses against 1 hit).
+(PR 3's 60-stream churn recorded 127 misses against 1 hit; see
+EXPERIMENTS.md, "PR 20").
 
 :func:`shared_route_table` keys a process-wide table on
 ``(routing class name, topology.signature())`` so every engine bound to

@@ -14,6 +14,7 @@ import pytest
 from repro.core.hpset import HPEntry, HPSet
 from repro.core.streams import MessageStream, StreamSet
 from repro.topology import Mesh2D, XYRouting
+from repro.topology.routing import RoutingAlgorithm
 
 #: (src_xy, dst_xy, P, T, C, D, L) for M0..M4 of section 4.4.
 PAPER_EXAMPLE = [
@@ -79,3 +80,71 @@ def paper_hp_override():
             ],
         ),
     }
+
+
+class FixedTableRouting(RoutingAlgorithm):
+    """Test-only routing from an explicit route table (falls back to a
+    shortest path for pairs the table omits)."""
+
+    def __init__(self, topology, table):
+        super().__init__(topology)
+        self._table = dict(table)
+
+    def _compute_route(self, src, dst):
+        if (src, dst) in self._table:
+            return tuple(self._table[(src, dst)])
+        # Fallback: simple BFS shortest path.
+        from collections import deque
+
+        prev = {src: None}
+        q = deque([src])
+        while q:
+            u = q.popleft()
+            if u == dst:
+                break
+            for v in self.topology.neighbors(u):
+                if v not in prev:
+                    prev[v] = u
+                    q.append(v)
+        path = [dst]
+        while prev[path[-1]] is not None:
+            path.append(prev[path[-1]])
+        return tuple(reversed(path))
+
+
+@pytest.fixture()
+def ring_setup():
+    """The canonical wormhole deadlock: four messages turning around the
+    four channels of an inner ring A->B->C->D->A on a 4x4 mesh, each
+    holding one ring channel and waiting for the next (held by the next
+    message), with the final hop exiting the ring. Simultaneous release +
+    single VCs + single-flit buffers wedge the ring.
+
+    A=(1,1), B=(2,1), C=(2,2), D=(1,2)."""
+    mesh = Mesh2D(4, 4)
+    A, B = mesh.node_xy(1, 1), mesh.node_xy(2, 1)
+    C, D = mesh.node_xy(2, 2), mesh.node_xy(1, 2)
+    exits = {
+        "m1": mesh.node_xy(2, 0),
+        "m2": mesh.node_xy(3, 2),
+        "m3": mesh.node_xy(0, 2),
+        "m4": mesh.node_xy(1, 0),
+    }
+    table = {
+        (D, exits["m1"]): (D, A, B, exits["m1"]),
+        (A, exits["m2"]): (A, B, C, exits["m2"]),
+        (B, exits["m3"]): (B, C, D, exits["m3"]),
+        (C, exits["m4"]): (C, D, A, exits["m4"]),
+    }
+    routing = FixedTableRouting(mesh, table)
+    streams = StreamSet([
+        MessageStream(0, D, exits["m1"], priority=1, period=5_000,
+                      length=4, deadline=5_000),
+        MessageStream(1, A, exits["m2"], priority=1, period=5_000,
+                      length=4, deadline=5_000),
+        MessageStream(2, B, exits["m3"], priority=1, period=5_000,
+                      length=4, deadline=5_000),
+        MessageStream(3, C, exits["m4"], priority=1, period=5_000,
+                      length=4, deadline=5_000),
+    ])
+    return mesh, routing, streams

@@ -4,10 +4,10 @@ Four optimisation layers ride the admission path — shared route tables,
 reach-delta HP maintenance, the dependency-sparse row refill of
 ``Modify_Diagram`` and the adaptive-horizon diagram kernel. These tests
 pin the only contract any of them is allowed to have: the observed
-decisions and report specs are byte-identical with every combination of
-knobs, including after a chaos ``cache_storm``; a sparsely refilled
-diagram equals one generated from scratch; and the fill kernels agree
-bit for bit with the paper's literal scan.
+decisions and report specs are byte-identical to the from-scratch
+reference engine's, including after a chaos ``cache_storm``; a sparsely
+refilled diagram equals one generated from scratch; and the fill kernel
+agrees bit for bit with the paper's literal scan.
 """
 
 import hashlib
@@ -21,13 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import timing_diagram
 from repro.core.feasibility import FeasibilityAnalyzer
-from repro.core.kernel import (
-    active_kernel,
-    fill_masks_numpy,
-    fill_masks_scan,
-    select_kernel,
-    window_arrays,
-)
+from repro.core.kernel import fill_masks_numpy, window_arrays
 from repro.core.modify import modify_diagram
 from repro.core.streams import MessageStream
 from repro.core.timing_diagram import (
@@ -43,6 +37,7 @@ from repro.topology.route_table import (
     shared_route_table,
 )
 from repro.topology.routing import XYRouting
+from tests.reference import ReferenceEngine, fill_masks_scan
 from tests.test_properties import XY, stream_sets
 
 MESH_W = MESH_H = 6
@@ -99,11 +94,9 @@ def replay_digest(engine, trace):
     return h.hexdigest()
 
 
-def fresh_engine(**kwargs):
+def fresh_engine(cls=IncrementalAdmissionEngine):
     clear_shared_route_tables()
-    return IncrementalAdmissionEngine(
-        XYRouting(Mesh2D(MESH_W, MESH_H)), **kwargs
-    )
+    return cls(XYRouting(Mesh2D(MESH_W, MESH_H)))
 
 
 def row(sid, priority, period, length):
@@ -294,13 +287,11 @@ class TestSparseRefill:
 
 class TestKnobByteIdentity:
     def test_every_escape_hatch_reproduces_the_default(self):
+        """No shortcut may show: the digest over every decision and
+        report equals the from-scratch reference engine's."""
         trace = fuzz_trace(seed=3)
-        baseline = replay_digest(fresh_engine(), trace)
-        for kwargs in (
-            {"incremental_hp": False},   # REPRO_INCREMENTAL_HP=0
-            {"incremental": False},      # full reanalysis per op
-        ):
-            assert replay_digest(fresh_engine(**kwargs), trace) == baseline
+        assert replay_digest(fresh_engine(), trace) == \
+            replay_digest(fresh_engine(ReferenceEngine), trace)
 
 
 class TestCacheStorm:
@@ -345,19 +336,6 @@ class TestKernelParity:
             for a, b in zip(got, cached):
                 np.testing.assert_array_equal(a, b)
 
-    def test_numba_fallback_warns_and_stays_numpy(self):
-        try:
-            import numba  # noqa: F401
-            pytest.skip("numba installed; fallback path not reachable")
-        except ImportError:
-            pass
-        try:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                assert select_kernel("numba") == "numpy"
-            assert active_kernel() == "numpy"
-        finally:
-            select_kernel("numpy")
-
 
 class TestAdaptiveHorizon:
     @given(streams=stream_sets(max_streams=6))
@@ -377,9 +355,7 @@ class TestAdaptiveHorizon:
 class TestPhaseTimings:
     def test_stats_break_down_the_admission_path(self):
         trace = fuzz_trace(seed=5, ops=80)
-        # The delta path's own counters: pin it on, whatever the
-        # REPRO_INCREMENTAL* legs of CI set as the default.
-        engine = fresh_engine(incremental=True, incremental_hp=True)
+        engine = fresh_engine()
         for op, payload in trace:
             if op == "admit":
                 engine.try_admit(payload)

@@ -8,6 +8,9 @@ are the targeted edges).
 """
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -462,6 +465,58 @@ class TestFleet:
         assert 'repro_fleet_tenant_streams{tenant="beta"} 0' in text
         assert "repro_fleet_shard_streams" in text
         assert 'op="admit"' in text
+
+    def test_scrape_while_another_thread_places_streams(self):
+        """A ``--workers`` gateway runs a tenant's ops on an executor
+        thread while ``/metrics`` renders on the loop thread; a scrape
+        must never catch the placement map mid-update (``dictionary
+        changed size during iteration``)."""
+        fleet = self._fleet()
+        live = []
+
+        def place(count):
+            # One-hop streams: many small components, cheap to analyse.
+            for i in range(count):
+                src = 6 * (i % 6) + i // 6 % 5
+                response = fleet.handle_request("acme", {
+                    "op": "admit",
+                    "streams": [spec(src, src + 1, priority=1 + i % 9,
+                                     period=500_000, length=1,
+                                     deadline=500_000)],
+                })
+                assert response["admitted"], response
+                live.extend(response["ids"])
+
+        place(400)   # a map long enough to be caught inside
+        stop = threading.Event()
+        failures = []
+
+        def churn():
+            try:
+                while not stop.is_set():
+                    fleet.handle_request(
+                        "acme", {"op": "release", "ids": [live.pop(0)]}
+                    )
+                    place(1)
+            except Exception as exc:  # the assertion below reports it
+                failures.append(exc)
+
+        driver = threading.Thread(target=churn)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        scrapes = 0
+        try:
+            driver.start()
+            deadline = time.monotonic() + 1.5
+            while time.monotonic() < deadline and driver.is_alive():
+                assert "repro_fleet_shard_streams" in fleet.prometheus_text()
+                scrapes += 1
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            driver.join(timeout=60)
+        assert not driver.is_alive() and not failures
+        assert scrapes >= 20
 
     def test_hello_names_tenant(self):
         fleet = self._fleet()

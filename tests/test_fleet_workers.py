@@ -10,8 +10,10 @@ gauges, and /admin/kill_worker with supervised convergence.
 """
 
 import asyncio
+import gc
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
 from repro.fleet.replication import StandbyPool
 from repro.fleet.shards import Fleet, TenantSpec
-from repro.fleet.workers import WorkerSupervisor
+from repro.fleet.workers import WorkerClient, WorkerDied, WorkerSupervisor
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
 
@@ -319,6 +321,19 @@ class TestSupervisorGuards:
     def test_worker_mode_requires_state_dir(self):
         with pytest.raises(ReproError, match="state"):
             Fleet([TenantSpec("t", "key", TOPO)], shards=2, workers=1)
+
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        """Spawn polling connects to a socket path nobody listens on yet,
+        many times over; each refused attempt must close what it opened."""
+        client = WorkerClient(tmp_path / "not-bound-yet.sock")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(3):
+                with pytest.raises(WorkerDied):
+                    client.call({"op": "worker_hello"}, timeout=0.2)
+            gc.collect()   # a leaked socket would be finalised here
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_assign_after_start_is_refused(self, tmp_path):
         fleet = make_fleet(tmp_path)

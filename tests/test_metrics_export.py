@@ -20,7 +20,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.service.metrics import ServiceMetrics, timing_enabled_from_env
+from repro.service.metrics import ServiceMetrics
 from repro.service.server import BrokerServer
 
 MESH = {"type": "mesh", "width": 6, "height": 6}
@@ -171,25 +171,8 @@ class TestRegistry:
 
 
 class TestServiceMetricsExport:
-    def test_timing_env_parsing(self, monkeypatch):
-        for val, expect in (("1", True), ("0", False), ("false", False),
-                            ("off", False), ("yes", True)):
-            monkeypatch.setenv("REPRO_SERVICE_TIMING", val)
-            assert timing_enabled_from_env() is expect
-        monkeypatch.delenv("REPRO_SERVICE_TIMING")
-        assert timing_enabled_from_env() is True
-
-    def test_timing_disabled_skips_histograms(self):
-        m = ServiceMetrics(timing=False)
-        assert not m.timing_enabled
-        m.record_op("admit")
-        m.record_op("admit", None, error=True)
-        assert m.op_counts["admit"] == 2 and m.op_errors["admit"] == 1
-        assert m.op_latency == {}
-        assert m.to_dict()["latency"] == {}
-
     def test_sync_registry_matches_scalars(self):
-        m = ServiceMetrics(timing=True)
+        m = ServiceMetrics()
         m.record_op("admit", 0.001)
         m.record_op("admit", 0.002)
         m.record_op("query", 0.001, error=True)
@@ -212,7 +195,7 @@ class TestServiceMetricsExport:
         assert families["repro_broker_op_latency_us"]["type"] == "histogram"
 
     def test_latency_histogram_buckets_monotone(self):
-        m = ServiceMetrics(timing=True)
+        m = ServiceMetrics()
         for s in (1e-6, 5e-6, 1e-3, 0.1, 2.0):
             m.record_op("admit", s)
         lines = [
@@ -252,9 +235,7 @@ class TestBrokerPrometheus:
         assert "repro_engine_dirty_frontier_total" in families
 
     def test_json_stats_include_dirty_frontier(self):
-        # A dirty frontier only exists on the incremental path; pin it
-        # on so CI's REPRO_INCREMENTAL=0 leg does not decide the answer.
-        server = BrokerServer(MESH, incremental=True)
+        server = BrokerServer(MESH)
         server.handle_request({"op": "admit", "streams": [spec()]})
         engine = server.handle_request({"op": "stats"})["engine"]
         assert engine["dirty_last"] >= 1

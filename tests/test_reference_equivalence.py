@@ -1,5 +1,5 @@
 """Equivalence of the vectorised timing-diagram against the paper's
-literal pseudocode (tests/reference.py), over hypothesis-generated inputs.
+literal pseudocode (tests/reference/diagram.py), over hypothesis-generated inputs.
 
 This is the strongest internal check of the reproduction's core data
 structure: two independently written implementations — one transcribed
@@ -113,7 +113,7 @@ class TestModifyEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_modify_matches_reference(self, case):
         from repro.core.modify import modify_diagram
-        from tests.reference import (
+        from tests.reference.diagram import (
             _grid_upper_bound,
             modify_diagram_reference,
         )

@@ -7,11 +7,18 @@ import threading
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import AnalysisError, ReproError, StreamError
+from repro.service.host import DegradedError
 from repro.service.loadgen import BrokerClient, churn_spec, run_load
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.persistence import BrokerState
-from repro.service.protocol import ProtocolError, decode, encode, error_response
+from repro.service.protocol import (
+    ProtocolError,
+    decode,
+    encode,
+    error_code,
+    error_response,
+)
 from repro.service.server import BrokerServer
 
 MESH = {"type": "mesh", "width": 6, "height": 6}
@@ -48,6 +55,21 @@ class TestProtocol:
         assert resp == {"ok": False, "error": "boom", "code": "stream",
                         "id": 9}
 
+    def test_error_code_by_class_and_by_stamp(self):
+        for cls, code in ((DegradedError, "degraded"),
+                          (ProtocolError, "protocol"),
+                          (StreamError, "stream"),
+                          (AnalysisError, "analysis"),
+                          (ReproError, "error")):
+            assert error_code(cls("boom")) == code
+        # A code stamped on the instance crosses layers unchanged (the
+        # fleet's "worker": retry loops key on it), an empty one does not.
+        died = ReproError("shard worker died mid-op")
+        died.code = "worker"
+        assert error_code(died) == "worker"
+        died.code = ""
+        assert error_code(died) == "error"
+
 
 class TestMetrics:
     def test_histogram_buckets_and_quantiles(self):
@@ -80,7 +102,7 @@ class TestServerOps:
         assert resp["ok"] and resp["id"] == 1
         assert resp["nodes"] == 36
         assert resp["topology"] == MESH
-        assert isinstance(resp["incremental"], bool)
+        assert "incremental" not in resp
 
     def test_admit_assigns_ids_and_closures(self):
         server = BrokerServer(MESH)
