@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--batch-size", type=int, default=1,
                         help="streams per admit request (default 1)")
     p_load.add_argument("--pipeline", type=int, default=1,
-                        help="requests kept in flight (default 1 = "
-                             "closed loop)")
+                        help="requests kept in flight, over a socket "
+                             "or --target alike (default 1 = closed loop)")
     p_load.add_argument("--wait", type=float, default=10.0,
                         help="seconds to wait for the broker socket")
     p_load.add_argument("--trace", default=None, metavar="FILE",

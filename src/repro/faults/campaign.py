@@ -38,9 +38,7 @@ op gets which fault. Replaying a seed replays the campaign.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
-import socket as socket_module
 import tempfile
 import threading
 import time
@@ -50,6 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
 from ..service.loadgen import BrokerClient, churn_spec
+from ..service.protocol import encode
 from ..service.server import BrokerServer
 from .plane import (
     PERSISTENCE_FAULTS,
@@ -463,53 +462,42 @@ class _ServerThread:
 def _half_open_probe(socket_path: Path) -> None:
     """Pipeline two requests, half-close the write side, demand both
     responses (then EOF) — the server must flush before closing."""
-    conn = socket_module.socket(
-        socket_module.AF_UNIX, socket_module.SOCK_STREAM
-    )
-    try:
-        conn.settimeout(10)
-        conn.connect(str(socket_path))
-        fh = conn.makefile("rwb")
-        fh.write(b'{"op":"ping","id":1}\n{"op":"report","id":2}\n')
-        fh.flush()
-        conn.shutdown(socket_module.SHUT_WR)
-        for want in (1, 2):
-            line = fh.readline()
-            if not line:
-                raise ReproError(
-                    "half-open pipeline lost a queued response"
-                )
-            response = json.loads(line.decode("utf-8"))
-            if not response.get("ok") or response.get("id") != want:
-                raise ReproError(
-                    f"half-open response mismatch: {response}"
-                )
-        if fh.readline():  # pragma: no cover - defensive
-            raise ReproError("half-open connection served extra data")
-    finally:
-        conn.close()
+    with BrokerClient(socket_path=socket_path, timeout=10) as conn:
+        conn.send("ping")
+        conn.send("report")
+        conn.half_close()
+        try:
+            answers = [conn.recv(), conn.recv()]
+        except ReproError as exc:
+            raise ReproError(
+                f"half-open pipeline lost a queued response: {exc}"
+            ) from None
+        if not all(response.get("ok") for response in answers):
+            raise ReproError(f"half-open response mismatch: {answers}")
+        conn.send_bytes(b"")    # one more read, which must find EOF
+        try:
+            conn.recv()
+        except ReproError:
+            return
+        raise ReproError(  # pragma: no cover - defensive
+            "half-open connection served extra data"
+        )
 
 
 def _slow_request(
     client: BrokerClient, request: Dict[str, Any]
 ) -> Dict[str, Any]:
     """Dribble one request over three writes; read the one response."""
-    client._seq += 1
-    payload = (
-        json.dumps({**request, "id": client._seq}, separators=(",", ":"))
-        + "\n"
-    ).encode("utf-8")
+    payload = encode(request)
     third = max(1, len(payload) // 3)
+    client.send_bytes(b"")      # the pieces are owed one response
     for piece in (payload[:third], payload[third:2 * third],
                   payload[2 * third:]):
         if piece:
-            client._fh.write(piece)
-            client._fh.flush()
+            client.send_bytes(piece, responses=0)
+            client.flush()
             time.sleep(0.002)
-    line = client._fh.readline()
-    if not line:
-        raise ReproError("connection closed during a slow write")
-    response = json.loads(line.decode("utf-8"))
+    response = client.recv()
     if not response.get("ok"):
         raise ReproError(f"slow-client op failed: {response}")
     return response
@@ -536,23 +524,17 @@ def _socket_op(
         client.close()
     elif fault == "drop_after_send":
         plane.record(fault)
-        payload = (
-            json.dumps({"op": op, "rid": rid, **fields},
-                       separators=(",", ":")) + "\n"
-        ).encode("utf-8")
         try:
-            client._fh.write(payload)
-            client._fh.flush()
-        except (OSError, ValueError):  # pragma: no cover - race with peer
+            client.send_bytes(encode(request), responses=0)
+            client.flush()
+        except OSError:  # pragma: no cover - race with peer
             pass
         client.close()
     elif fault == "garbage_bytes":
         plane.record(fault)
-        client._fh.write(b"\xff\x00 this is not json {]\n")
-        client._fh.flush()
-        line = client._fh.readline()
-        error = json.loads(line.decode("utf-8"))
-        if error.get("ok"):  # pragma: no cover - defensive
+        client.send_bytes(b"\xff\x00 this is not json {]\n")
+        client.flush()
+        if client.recv().get("ok"):  # pragma: no cover - defensive
             raise ReproError("garbage line was accepted by the broker")
     elif fault == "half_open":
         plane.record(fault)

@@ -31,9 +31,9 @@ the broker's defining property — bit-identical admission verdicts:
     /metrics rollup, JSON admission API, kill/failover admin ops.
 
 :mod:`repro.fleet.client`
-    :class:`GatewayClient` — BrokerClient-compatible HTTP client, so
+    :class:`GatewayClient` — the broker client with an HTTP framing, so
     ``repro load --target http://...`` replays the same churn workloads
-    against the fleet.
+    (pipelined or not) against the fleet.
 """
 
 from .client import GatewayClient

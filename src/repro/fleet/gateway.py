@@ -11,8 +11,11 @@ framing) exposing the broker protocol as a JSON-over-HTTP API:
 ``GET  /metrics``
     Prometheus rollup across every tenant and shard (plus the gateway's
     own HTTP counters). Unauthenticated, like the broker's scrape port.
-``POST /v1/{admit,release,query,report,stats,snapshot,hello}``
-    The broker ops, one endpoint each: the JSON body carries the op's
+``POST /v1/<op>``
+    The broker ops, one endpoint each — ``hello``, ``ping``, ``admit``,
+    ``release``, ``query``, ``report``, ``snapshot``, ``stats``,
+    ``fail_link``, ``restore_link``, ``links``: the ``http`` column of
+    :data:`repro.service.protocol.OPS`. The JSON body carries the op's
     fields (``streams``, ``analysis``, ``ids``, ``rid``, ...), the
     ``X-API-Key`` header picks the tenant. Responses are the broker
     protocol's response objects verbatim, status 200 even for
@@ -92,6 +95,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
+from ..service.protocol import HTTP_OPS
 from ..service.server import keep_recv_buffers_on_heap
 from .replication import StandbyPool
 from .shards import Fleet
@@ -100,8 +104,6 @@ __all__ = ["GatewayServer"]
 
 logger = logging.getLogger(__name__)
 
-_OPS = ("hello", "ping", "admit", "release", "query", "report",
-        "snapshot", "stats", "fail_link", "restore_link", "links")
 _MAX_BODY = 8 * 1024 * 1024
 _MAX_HEAD = 64 * 1024
 #: Parsed requests one connection may have waiting for its handler. The
@@ -119,7 +121,7 @@ _BATCH_MAX = 16
 _ROUTES = frozenset(
     ["/healthz", "/metrics", "/v1/op", "/v1/shutdown", "/admin/kill",
      "/admin/failover", "/admin/kill_worker"]
-    + [f"/v1/{op}" for op in _OPS]
+    + [f"/v1/{op}" for op in HTTP_OPS]
 )
 _REASONS = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
             403: "Forbidden", 404: "Not Found", 405: "Method Not Allowed",
@@ -220,7 +222,7 @@ class _Connection(asyncio.Protocol):
         self._transport: Optional[asyncio.Transport] = None
         self._buf = bytearray()   # received, not yet a whole request
         #: The parsed head at the front of ``_buf`` while its body is
-        #: still arriving (http.client sends the two separately), with
+        #: still arriving (some clients send the two separately), with
         #: where the body starts and ends.
         self._head: Optional[Tuple[Any, ...]] = None
         self._ended = False       # the last word is queued
@@ -642,7 +644,7 @@ class GatewayServer:
                 )
             return tenant, payload
         op = path[len("/v1/"):]
-        if op not in _OPS:
+        if op not in HTTP_OPS:
             raise _HttpError(404, f"no route {path!r}")
         fleet_request = dict(payload)
         fleet_request["op"] = op

@@ -65,8 +65,6 @@ something to remember.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import time
 from pathlib import Path
@@ -74,19 +72,24 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .. import __version__
 from ..core import backends as _backends
-from ..errors import AnalysisError, ReproError, RoutingError, StreamError
+from ..errors import ReproError, RoutingError, StreamError
 from ..faults.plane import FaultPlane
-from ..io import stream_from_spec, stream_to_spec, topology_from_spec
-from ..obs.trace import span as _span
-from ..service.host import DegradedError, EngineHost
+from ..io import stream_to_spec, topology_from_spec
+from ..service.host import EngineHost
 from ..service.metrics import ServiceMetrics
-from ..service.persistence import RID_CAP
 from ..service.protocol import (
-    ProtocolError,
-    coerce_int,
+    MUTATING_OPS,
+    DegradedError,
+    RidTable,
+    answer,
     coerce_rid,
-    error_code,
+    error_from_response,
     error_response,
+    fingerprint,
+    parse_admit,
+    parse_link,
+    parse_query,
+    parse_release,
 )
 from ..topology.degraded import normalize_link
 from ..topology.route_table import shared_route_table
@@ -96,17 +99,6 @@ from .regions import Channel, ChannelIndex, entry_channels
 __all__ = ["TenantFleet", "Fleet", "TenantSpec"]
 
 logger = logging.getLogger(__name__)
-
-#: Shard ops after which the shard's bounds are no longer what the
-#: fleet last saw (see :meth:`TenantFleet._forward`).
-_MUTATING_OPS = frozenset(("admit", "release", "fail_link", "restore_link"))
-
-_CODE_TO_ERROR = {
-    "degraded": DegradedError,
-    "protocol": ProtocolError,
-    "stream": StreamError,
-    "analysis": AnalysisError,
-}
 
 
 class TenantSpec:
@@ -138,7 +130,6 @@ class TenantFleet:
         *,
         shards: int = 2,
         state_dir: Optional[Union[str, Path]] = None,
-        use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
@@ -173,7 +164,6 @@ class TenantFleet:
                         None if self.state_dir is None
                         else self.state_dir / f"shard-{i}"
                     ),
-                    use_modify=use_modify,
                     residency_margin=residency_margin,
                     analysis=analysis,
                     fault_plane=fault_plane,
@@ -194,7 +184,7 @@ class TenantFleet:
         #: Tenant-level fresh-id mark, mirroring the engine's semantics.
         self._next_id = 0
         #: rid -> recorded outcome (fleet-level idempotency).
-        self._applied: Dict[str, Dict[str, Any]] = {}
+        self._applied = RidTable()
         self.escalations = 0
         self.migrated_streams = 0
         #: Shards whose primary crashed and has not been failed over yet.
@@ -328,15 +318,27 @@ class TenantFleet:
         self.placed[sid] = (spec, analysis)
         self.index.add(sid, self._spec_channels(spec))
 
-    def _admit_groups(self, ids: List[int]) -> Dict[str, List[dict]]:
-        """The placed specs of ``ids``, in that order, grouped by the
-        backend each was vetted under — the shape a re-admission (on a
-        migration target, or compensating a failed op) forwards."""
+    def _readmit(self, shard: int, ids: List[int], what: str) -> None:
+        """Admit the placed streams ``ids`` on ``shard`` (journaled like
+        any admit), in that order, one batch per backend each was vetted
+        under: a migration's first half, or the undo of a release / link
+        op that failed part-way. The set was feasible where it came
+        from, so a rejection is a bug."""
         groups: Dict[str, List[dict]] = {}
         for sid in ids:
             spec, name = self.placed[sid]
             groups.setdefault(name, []).append(spec)
-        return groups
+        for name in sorted(groups):
+            response = self._forward(
+                shard,
+                {"op": "admit", "streams": groups[name], "analysis": name},
+            )
+            if not response["admitted"]:  # pragma: no cover - defensive
+                raise ReproError(
+                    f"{what} re-admission of "
+                    f"{[e['id'] for e in groups[name]]} rejected on shard "
+                    f"{shard}; state diverged from the journal"
+                )
 
     def _shard_bounds(self, shard: int) -> Dict[str, int]:
         """The shard's delay bounds: as last seen if nothing was
@@ -414,22 +416,16 @@ class TenantFleet:
         where the shard's cached bounds die: before the op leaves, not
         after it answers — a worker can commit and die unacked.
         """
-        if request["op"] in _MUTATING_OPS:
+        if request["op"] in MUTATING_OPS:
             self._bounds.pop(shard, None)
         response = self.hosts[shard].handle_request(request)
         if response.get("ok"):
             return response
-        code = response.get("code")
-        exc = _CODE_TO_ERROR.get(code, ReproError)(
-            response.get("error", "shard error")
-        )
         # Codes outside the typed map (e.g. "worker": a shard worker
-        # died mid-op and was restarted; the caller should retry) must
-        # round-trip through the fleet's error response unchanged — the
-        # retry loop keys on them.
-        if code and code not in _CODE_TO_ERROR:
-            exc.code = code
-        raise exc
+        # died mid-op and was restarted; the caller should retry) come
+        # back stamped, so they round-trip through the fleet's error
+        # response unchanged — the retry loop keys on them.
+        raise error_from_response(response, "shard error")
 
     def _gate_shards(self, shard_indexes: Set[int]) -> None:
         """Refuse a mutation while any involved shard is down or
@@ -475,20 +471,8 @@ class TenantFleet:
         for source in sorted(by_source):
             ids = sorted(by_source[source])
             src_host = self.hosts[source]
-            groups = self._admit_groups(ids)
             try:
-                for name in sorted(groups):
-                    response = self._forward(
-                        target,
-                        {"op": "admit", "streams": groups[name],
-                         "analysis": name},
-                    )
-                    if not response["admitted"]:  # pragma: no cover
-                        raise ReproError(
-                            f"migration admit of {ids} rejected on shard "
-                            f"{target}; the moved set was feasible in "
-                            "place, so this is a placement bug"
-                        )
+                self._readmit(target, ids, "migration")
                 self._forward(source, {"op": "release", "ids": ids})
             except ReproError:
                 if not self._probe_stable(
@@ -522,33 +506,14 @@ class TenantFleet:
 
     def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Execute one protocol request against the sharded tenant."""
-        op = request.get("op")
-        t0 = time.perf_counter()
-        try:
-            with _span("fleet.op", "fleet", op=str(op), tenant=self.name):
-                response = self._dispatch(op, request)
-            response["ok"] = True
-            if "id" in request:
-                response["id"] = request["id"]
-            self.metrics.record_op(op, time.perf_counter() - t0)
-            return response
-        except ReproError as exc:
-            self.metrics.record_op(
-                op or "invalid", time.perf_counter() - t0, error=True
-            )
-            return error_response(request, str(exc), code=error_code(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            logger.exception("internal error handling %r", op)
-            self.metrics.record_op(
-                op or "invalid", time.perf_counter() - t0, error=True
-            )
-            return error_response(
-                request,
-                f"internal error handling {op!r}: {exc!r}",
-                code="internal",
-            )
+        return answer(
+            request, self._dispatch, self.metrics, "fleet.op", "fleet",
+            tenant=self.name,
+        )
 
-    def _dispatch(self, op: str, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _dispatch(
+        self, op: str, request: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
         if op in ("hello", "ping"):
             return {
                 "server": "repro-fleet",
@@ -560,16 +525,19 @@ class TenantFleet:
                 "shards": len(self.hosts),
                 "tenant": self.name,
             }
-        if op == "admit":
-            return self._op_admit(request)
-        if op == "release":
-            return self._op_release(request)
+        if op in MUTATING_OPS:
+            rid = coerce_rid(request)
+            duplicate = self._applied.replay(rid)
+            if duplicate is not None:
+                self.metrics.duplicates += 1
+                return duplicate
+            if op == "admit":
+                return self._op_admit(request, rid)
+            if op == "release":
+                return self._op_release(request, rid)
+            return self._op_link(request, rid)
         if op == "query":
             return self._op_query(request)
-        if op == "fail_link":
-            return self._op_link(request, fail=True)
-        if op == "restore_link":
-            return self._op_link(request, fail=False)
         if op == "links":
             return {
                 "failed_links": self.links_spec(),
@@ -597,69 +565,22 @@ class TenantFleet:
                 "migrated_streams": self.migrated_streams,
                 "degraded": self.degraded,
             }
-        raise ProtocolError(f"unknown op {op!r}")
+        return None     # ``shutdown`` is the front end's, not a tenant's
 
     @property
     def degraded(self) -> bool:
         return any(h.degraded for h in self.hosts)
 
-    def _record_applied(
-        self, rid: Optional[str], outcome: Dict[str, Any]
-    ) -> None:
-        if rid is None:
-            return
-        self._applied[str(rid)] = outcome
-        while len(self._applied) > RID_CAP:
-            del self._applied[next(iter(self._applied))]
-
-    def _duplicate_response(
-        self, rid: Optional[str]
-    ) -> Optional[Dict[str, Any]]:
-        if rid is None or rid not in self._applied:
-            return None
-        self.metrics.duplicates += 1
-        response = dict(self._applied[rid])
-        response["duplicate"] = True
-        return response
-
-    def _op_admit(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        rid = coerce_rid(request)
-        duplicate = self._duplicate_response(rid)
-        if duplicate is not None:
-            return duplicate
-        entries = request.get("streams")
-        if not isinstance(entries, list) or not entries:
-            raise ProtocolError("'admit' needs a non-empty 'streams' list")
-        analysis = request.get("analysis")
-        if analysis is not None:
-            if not isinstance(analysis, str):
-                raise ProtocolError(
-                    f"'analysis' must be a string, got {analysis!r}"
-                )
-            if analysis not in _backends.names():
-                raise ProtocolError(
-                    f"unknown analysis backend {analysis!r} (known: "
-                    f"{', '.join(_backends.names())})"
-                )
+    def _op_admit(
+        self, request: Dict[str, Any], rid: Optional[str]
+    ) -> Dict[str, Any]:
         next_id_before = self._next_id
         # Build the batch with tenant-level ids, mirroring the engine's
         # fresh-id semantics exactly (ids must match the single-engine
         # reference regardless of placement).
-        streams = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise ProtocolError("'streams' entries must be objects")
-            sid = (coerce_int(entry["id"], "stream entry 'id'")
-                   if entry.get("id") is not None
-                   else self._fresh_id())
-            try:
-                streams.append(
-                    stream_from_spec(self.topology, entry, stream_id=sid)
-                )
-            except (ValueError, TypeError) as exc:
-                raise ProtocolError(
-                    f"invalid stream entry (id {sid}): {exc}"
-                ) from None
+        streams, analysis = parse_admit(
+            request, self.topology, self._fresh_id
+        )
         ids = [s.stream_id for s in streams]
         dup = [sid for sid in ids if sid in self.owner]
         if dup or len(set(ids)) != len(ids):
@@ -716,7 +637,7 @@ class TenantFleet:
                               .shard_dump(missing)["streams"]):
                     self._place(target, entry["stream"], entry["analysis"])
                 self._next_id = max(self._next_id, max(adopted) + 1)
-                self._record_applied(
+                self._applied.record(
                     rid, {"admitted": True, "ids": adopted}
                 )
             else:
@@ -728,7 +649,7 @@ class TenantFleet:
             # An admitted answer reports every stream the shard now
             # holds (a rejected one reports the refused trial set).
             self._bounds[target] = response["bounds"]
-            self._record_applied(rid, {"admitted": True, "ids": ids})
+            self._applied.record(rid, {"admitted": True, "ids": ids})
         else:
             self._reset_next_id(next_id_before)
         # The shard's decision report covers its own streams; the
@@ -745,15 +666,10 @@ class TenantFleet:
         response.pop("duplicate", None)
         return response
 
-    def _op_release(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        rid = coerce_rid(request)
-        duplicate = self._duplicate_response(rid)
-        if duplicate is not None:
-            return duplicate
-        raw = request.get("ids")
-        if not isinstance(raw, list) or not raw:
-            raise ProtocolError("'release' needs a non-empty 'ids' list")
-        raw = [coerce_int(i, "'release' id") for i in raw]
+    def _op_release(
+        self, request: Dict[str, Any], rid: Optional[str]
+    ) -> Dict[str, Any]:
+        raw = parse_release(request)
         ids = list(dict.fromkeys(raw))
         unknown = sorted(sid for sid in ids if sid not in self.owner)
         if unknown:
@@ -783,7 +699,7 @@ class TenantFleet:
             del self.owner[sid]
             del self.placed[sid]
             self.index.remove(sid)
-        self._record_applied(rid, {"released": raw})
+        self._applied.record(rid, {"released": raw})
         return {"released": raw}
 
     def _compensate_release(
@@ -793,28 +709,14 @@ class TenantFleet:
         release (journaled, like the release was), and drop the rid
         record so a client retry re-applies on every shard."""
         for shard, released in done.items():
-            saved = self._admit_groups(released)
-            for name in sorted(saved):
-                response = self._forward(
-                    shard, {"op": "admit", "streams": saved[name],
-                            "analysis": name},
-                )
-                if not response["admitted"]:  # pragma: no cover
-                    raise ReproError(
-                        f"release rollback re-admission of "
-                        f"{[e['id'] for e in saved[name]]} rejected on "
-                        f"shard {shard}; state diverged from the journal"
-                    )
+            self._readmit(shard, released, "release rollback")
             if rid is not None:
                 # The sub-release's rid record would otherwise satisfy a
                 # retry without re-applying.
                 self.hosts[shard].drop_rid(rid)
 
     def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        sid = request.get("stream")
-        if sid is None:
-            raise ProtocolError("'query' needs a 'stream' id")
-        sid = coerce_int(sid, "'query' stream")
+        sid = parse_query(request)
         if sid not in self.owner:
             raise StreamError(f"no admitted stream with id {sid}")
         if self.owner[sid] in self.dead:
@@ -864,7 +766,7 @@ class TenantFleet:
         return merged
 
     def _op_link(
-        self, request: Dict[str, Any], *, fail: bool
+        self, request: Dict[str, Any], rid: Optional[str]
     ) -> Dict[str, Any]:
         """Fail or restore a physical link, tenant-wide.
 
@@ -879,30 +781,10 @@ class TenantFleet:
         — and the merged delta is the client's answer, bit-identical to
         a single engine applying the same swap.
         """
-        op = "fail_link" if fail else "restore_link"
-        rid = coerce_rid(request)
-        duplicate = self._duplicate_response(rid)
-        if duplicate is not None:
-            return duplicate
-        raw = request.get("link")
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ProtocolError(f"'{op}' needs a 'link' [u, v] pair")
-        link = normalize_link(
-            coerce_int(raw[0], "'link' endpoint"),
-            coerce_int(raw[1], "'link' endpoint"),
+        op = request["op"]
+        link, new_failed = parse_link(
+            request, self.topology, self.failed_links
         )
-        if fail:
-            if not self.topology.has_channel(link[0], link[1]):
-                raise ProtocolError(
-                    f"no physical link {list(link)} in the topology"
-                )
-            if link in self.failed_links:
-                raise ProtocolError(f"link {list(link)} is already failed")
-            new_failed = self.failed_links | {link}
-        else:
-            if link not in self.failed_links:
-                raise ProtocolError(f"link {list(link)} is not failed")
-            new_failed = self.failed_links - {link}
         self._gate_shards(set(range(len(self.hosts))))
         if new_failed:
             new_routing = FaultAwareRouting(
@@ -954,7 +836,7 @@ class TenantFleet:
         self.index = ChannelIndex()
         for sid in sorted(self.owner):
             self.index.add(sid, self._spec_channels(self.placed[sid][0]))
-        self._record_applied(rid, outcome)
+        self._applied.record(rid, outcome)
         response = dict(outcome)
         response["failed_links"] = self.links_spec()
         response["admitted"] = len(self.owner)
@@ -997,20 +879,10 @@ class TenantFleet:
             held = set(self._probe_stable(
                 lambda h=host: self._held_ids(h, placed_here)
             ))
-            missing = self._admit_groups(
-                [sid for sid in placed_here if sid not in held]
+            self._readmit(
+                shard, [sid for sid in placed_here if sid not in held],
+                "link-op rollback",
             )
-            for name in sorted(missing):
-                response = self._forward(
-                    shard, {"op": "admit", "streams": missing[name],
-                            "analysis": name},
-                )
-                if not response["admitted"]:  # pragma: no cover
-                    raise ReproError(
-                        f"link-op rollback re-admission of "
-                        f"{[e['id'] for e in missing[name]]} rejected on "
-                        f"shard {shard}; state diverged from the journal"
-                    )
             if rid is not None:
                 host.drop_rid(rid)
 
@@ -1060,30 +932,9 @@ class TenantFleet:
         engine holding the same streams — the acceptance check the
         equivalence and failover tests assert.
         """
-        report = self.handle_request({"op": "report"})
-        if not report.get("ok"):  # pragma: no cover - defensive
-            raise ReproError(f"report failed while fingerprinting: {report}")
-        streams: Dict[str, Any] = {}
-        for sid in sorted(self.owner):
-            query = self.handle_request({"op": "query", "stream": sid})
-            if not query.get("ok"):  # pragma: no cover - defensive
-                raise ReproError(f"query {sid} failed: {query}")
-            streams[str(sid)] = {
-                "stream": query["stream"],
-                "upper_bound": query["upper_bound"],
-                "feasible": query["feasible"],
-                "slack": query["slack"],
-                "closure": query["closure"],
-            }
-        spec = {
-            "streams": streams,
-            "next_id": self._next_id,
-            "report": report["report"],
-            "admitted": report["admitted"],
-            "failed_links": self.links_spec(),
-        }
-        blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest(), spec
+        return fingerprint(
+            self.handle_request, sorted(self.owner), self._next_id
+        )
 
     def _gate_dead(self) -> None:
         if self.dead:

@@ -26,8 +26,8 @@ Parent side
     ``handle_request`` + accessor surface, implemented as RPCs.
 
 Requests are the normal broker ops plus a ``"shard"`` routing field;
-``worker_*`` ops (hello/status/dump/bounds/stats/drop_rid/fingerprint/
-detach/shutdown) carry the supervision and placement bookkeeping that
+``worker_*`` ops (hello/status/dump/bounds/stats/drop_rid/detach/
+shutdown) carry the supervision and placement bookkeeping that
 :class:`~repro.fleet.shards.TenantFleet` needs across the process
 boundary.
 
@@ -65,9 +65,17 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..errors import AnalysisError, ReproError, StreamError
-from ..service.host import DegradedError, EngineHost
-from ..service.protocol import ProtocolError, encode, error_response
+from ..errors import ReproError
+from ..service.client import BrokerClient
+from ..service.host import EngineHost
+from ..service.protocol import (
+    MUTATING_OPS,
+    ProtocolError,
+    encode,
+    error_from_response,
+    error_response,
+    parse_line,
+)
 from ..service.server import clear_stale_socket
 
 __all__ = [
@@ -92,13 +100,6 @@ RPC_TIMEOUT = float(os.environ.get("REPRO_WORKER_RPC_TIMEOUT", "60"))
 
 #: ``sun_path`` is ~108 bytes on Linux; leave headroom for the name.
 _SOCKET_PATH_BUDGET = 90
-
-_CODE_TO_ERROR = {
-    "degraded": DegradedError,
-    "protocol": ProtocolError,
-    "stream": StreamError,
-    "analysis": AnalysisError,
-}
 
 
 class WorkerDied(ReproError):
@@ -199,31 +200,15 @@ class _WorkerServer:
                 return
 
     def handle_line(self, line: bytes) -> Dict[str, Any]:
+        request: Dict[str, Any] = {}
         try:
-            request = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return error_response(
-                {}, f"request is not valid JSON: {exc}", code="protocol"
-            )
-        if not isinstance(request, dict):
-            return error_response(
-                {}, "request must be a JSON object", code="protocol"
-            )
-        op = request.get("op")
-        if isinstance(op, str) and op.startswith("worker_"):
-            try:
+            request = parse_line(line)
+            op = request.get("op")
+            if isinstance(op, str) and op.startswith("worker_"):
                 return self._worker_op(op, request)
-            except ReproError as exc:
-                return error_response(request, str(exc), code="protocol")
-        shard = request.get("shard")
-        host = self.hosts.get(shard)
-        if host is None:
-            return error_response(
-                request,
-                f"worker does not host shard {shard!r} "
-                f"(has: {sorted(self.hosts)})",
-                code="protocol",
-            )
+            host = self._shard_of(request)
+        except ReproError as exc:
+            return error_response(request, str(exc), code="protocol")
         routed = {k: v for k, v in request.items() if k != "shard"}
         return host.handle_request(routed)
 
@@ -257,7 +242,6 @@ class _WorkerServer:
                         "admitted": host.admitted_count(),
                         "degraded": host.degraded,
                         "degraded_reason": host.degraded_reason,
-                        "next_id": host.next_id,
                     }
                     for key, host in self.hosts.items()
                 },
@@ -283,11 +267,6 @@ class _WorkerServer:
                 raise ProtocolError("'worker_drop_rid' needs a string 'rid'")
             self._shard_of(request).drop_rid(rid)
             return {"ok": True}
-        if op == "worker_fingerprint":
-            host = self._shard_of(request)
-            sha, spec = host.fingerprint()
-            return {"ok": True, "sha": sha,
-                    "streams": len(spec["streams"])}
         if op == "worker_detach":
             shard = request.get("shard")
             host = self.hosts.pop(shard, None)
@@ -368,36 +347,15 @@ class WorkerClient:
     def __init__(self, path: Path):
         self.path = str(path)
         self._lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
+        self._conn: Optional[BrokerClient] = None
         #: op -> round trips attempted. Op names come from fleet code,
         #: never from a client, so the key set is closed.
         self.calls: Dict[str, int] = {}
 
-    def _connect_locked(self) -> None:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            sock.settimeout(RPC_TIMEOUT)
-            sock.connect(self.path)
-        except OSError:
-            sock.close()
-            raise
-        self._sock = sock
-        self._rfile = sock.makefile("rb")
-
     def _drop_locked(self) -> None:
-        if self._rfile is not None:
-            try:
-                self._rfile.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        self._rfile = None
-        self._sock = None
+        if self._conn is not None:
+            self._conn.close()
+        self._conn = None
 
     def close(self) -> None:
         with self._lock:
@@ -411,6 +369,9 @@ class WorkerClient:
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
         """One request/response round trip.
+
+        The request goes out as it is, without the client's ``id``, so
+        a shard's answer is exactly what an in-process host returns.
 
         ``kill_pid`` is the chaos harness's in-flight fault: SIGKILL
         that pid after the request bytes are written but before the
@@ -427,33 +388,23 @@ class WorkerClient:
             op = str(payload.get("op"))
             self.calls[op] = self.calls.get(op, 0) + 1
             try:
-                if self._sock is None:
-                    self._connect_locked()
+                if self._conn is None:
+                    self._conn = BrokerClient(
+                        socket_path=self.path, timeout=RPC_TIMEOUT
+                    )
+                conn = self._conn
                 # Unconditional: the connection outlives any short
                 # probe timeout a previous call may have left behind.
-                self._sock.settimeout(
-                    RPC_TIMEOUT if timeout is None else timeout
-                )
-                self._sock.sendall(encode(payload))
+                conn.settimeout(RPC_TIMEOUT if timeout is None else timeout)
+                conn.send_bytes(encode(payload))
+                conn.flush()
                 if kill_pid is not None:
                     os.kill(kill_pid, signal.SIGKILL)
-                line = self._rfile.readline()
-            except (OSError, ValueError) as exc:
+                return conn.recv()
+            except (OSError, ValueError, ReproError) as exc:
+                # ReproError: EOF, or a response that is not an object.
                 self._drop_locked()
                 raise WorkerDied(f"worker IPC failed: {exc}") from None
-            if not line:
-                self._drop_locked()
-                raise WorkerDied("worker closed the connection mid-request")
-            try:
-                response = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                self._drop_locked()
-                raise WorkerDied(
-                    f"worker sent an unparseable response: {exc}"
-                ) from None
-        if not isinstance(response, dict):  # pragma: no cover - defensive
-            raise WorkerDied("worker response was not a JSON object")
-        return response
 
 
 class WorkerProcess:
@@ -834,11 +785,11 @@ class WorkerShard:
     def _track(
         self, request: Dict[str, Any], response: Dict[str, Any]
     ) -> None:
+        op = request.get("op")
         if response.get("code") == "degraded":
             self.degraded = True
             self.degraded_reason = response.get("error")
-        elif (response.get("ok")
-              and request.get("op") in ("admit", "release", "snapshot")):
+        elif response.get("ok") and (op in MUTATING_OPS or op == "snapshot"):
             self.degraded = False
             self.degraded_reason = None
 
@@ -856,8 +807,8 @@ class WorkerShard:
             retryable.code = "worker"  # round-trips via error_code
             raise retryable from None
         if not response.get("ok"):
-            raise _CODE_TO_ERROR.get(response.get("code"), ReproError)(
-                response.get("error", f"shard {self.key} RPC failed")
+            raise error_from_response(
+                response, f"shard {self.key} RPC failed"
             )
         return response
 
@@ -865,15 +816,6 @@ class WorkerShard:
     def default_analysis(self) -> str:
         return str(self.supervisor.shard_meta(self.key)
                    .get("default_analysis", ""))
-
-    @property
-    def next_id(self) -> int:
-        status = self._rpc({"op": "worker_status"})
-        return int(status["shards"][self.key]["next_id"])
-
-    def admitted_ids(self) -> List[int]:
-        dump = self._rpc({"op": "worker_dump"})
-        return sorted(e["stream"]["id"] for e in dump["streams"])
 
     def admitted_count(self) -> int:
         status = self._rpc({"op": "worker_status"})
@@ -899,9 +841,6 @@ class WorkerShard:
             key: dump[key]
             for key in ("streams", "next_id", "applied") if key in dump
         }
-
-    def fingerprint_sha(self) -> str:
-        return str(self._rpc({"op": "worker_fingerprint"})["sha"])
 
     def detach(self) -> None:
         """Hand the shard's journal back to the parent process."""

@@ -17,16 +17,21 @@ feasibility test. This package turns that role into a long-lived service:
     ``snapshot`` / ``stats`` ops with request batching, per-op metrics and
     snapshot+journal persistence.
 
+:mod:`repro.service.protocol` / :mod:`repro.service.client`
+    What the wire says, and :class:`BrokerClient`, the one client that
+    speaks it (unix/TCP socket, worker RPC, HTTP gateway).
+
 :mod:`repro.service.loadgen`
-    :class:`BrokerClient` and a seeded churn load generator
-    (``repro load``), also used by the bench spine (``benchmarks/spine/``).
+    A seeded churn load generator (``repro load``), also used by the
+    bench spine (``benchmarks/spine/``).
 """
 
 from .engine import EngineStats, IncrementalAdmissionEngine
-from .host import DegradedError, EngineHost
+from .host import EngineHost
 from .loadgen import BrokerClient, LoadSummary, run_load
-from .metrics import LatencyHistogram, ServiceMetrics
+from .metrics import ServiceMetrics
 from .persistence import BrokerState
+from .protocol import DegradedError
 from .server import BrokerServer
 
 __all__ = [
@@ -37,7 +42,6 @@ __all__ = [
     "BrokerServer",
     "BrokerClient",
     "BrokerState",
-    "LatencyHistogram",
     "ServiceMetrics",
     "LoadSummary",
     "run_load",

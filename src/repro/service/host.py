@@ -30,54 +30,38 @@ composes:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .. import __version__
 from ..core import backends as _backends
 from ..core.streams import MessageStream
 from ..errors import ReproError
 from ..faults.plane import FaultPlane
-from ..io import (
-    report_to_spec,
-    stream_from_spec,
-    stream_to_spec,
-    topology_from_spec,
-)
-from ..obs.trace import span as _span
+from ..io import report_to_spec, stream_to_spec, topology_from_spec
 from ..topology import FaultAwareRouting, normalize_link
 from .engine import IncrementalAdmissionEngine, RoutingDelta
 from .metrics import ServiceMetrics
-from .persistence import RID_CAP, BrokerState
+from .persistence import BrokerState
 from .protocol import (
+    MUTATING_OPS,
+    DegradedError,
     ProtocolError,
-    coerce_int,
+    RidTable,
+    answer,
     coerce_rid,
-    error_code,
-    error_response,
+    fingerprint,
+    parse_admit,
+    parse_link,
+    parse_query,
+    parse_release,
+    parse_streams,
 )
 
 __all__ = ["DegradedError", "EngineHost"]
 
 logger = logging.getLogger(__name__)
-
-
-class DegradedError(ReproError):
-    """Raised for mutations while the host is read-only (``degraded``).
-
-    Entered when the journal becomes unwritable: the failed mutation is
-    rolled back (memory must keep matching disk), and further mutations
-    are refused until a successful ``snapshot`` op re-establishes durable
-    storage. Reads and idempotent replays of already-committed mutations
-    keep working throughout.
-    """
-
-    #: Wire code (see :func:`repro.service.protocol.error_code`).
-    code = "degraded"
 
 
 class EngineHost:
@@ -102,7 +86,6 @@ class EngineHost:
         topology_spec: Dict[str, Any],
         *,
         state_dir: Optional[Union[str, Path]] = None,
-        use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
@@ -117,7 +100,6 @@ class EngineHost:
         self.failed_links: set = set()
         self.engine = IncrementalAdmissionEngine(
             self.routing,
-            use_modify=use_modify,
             residency_margin=residency_margin,
             analysis=analysis,
         )
@@ -127,7 +109,7 @@ class EngineHost:
         self.degraded = False
         self.degraded_reason: Optional[str] = None
         #: rid -> recorded outcome of the committed mutation (FIFO-capped).
-        self._applied: Dict[str, Dict[str, Any]] = {}
+        self._applied = RidTable()
         self.state: Optional[BrokerState] = None
         if state_dir is not None:
             self.state = BrokerState(
@@ -193,7 +175,7 @@ class EngineHost:
         for entry in entries:
             groups.setdefault(entry.get("analysis"), []).append(entry)
         for name in sorted(groups, key=lambda n: (n is None, n or "")):
-            self._admit_entries(groups[name], replay=True, analysis=name)
+            self._adopt_entries(groups[name], name)
 
     def apply_journal_op(self, op: Dict[str, Any]) -> None:
         """Apply one committed journal record to the engine.
@@ -209,14 +191,12 @@ class EngineHost:
         """
         rid = op.get("rid")
         if op.get("op") == "admit":
-            ids, _ = self._admit_entries(
-                op["streams"], replay=True, analysis=op.get("analysis")
-            )
-            self._record_applied(rid, {"admitted": True, "ids": ids})
+            ids = self._adopt_entries(op["streams"], op.get("analysis"))
+            self._applied.record(rid, {"admitted": True, "ids": ids})
         elif op.get("op") == "release":
             ids = [int(i) for i in op["ids"]]
             self.engine.retire(ids)
-            self._record_applied(rid, {"released": ids})
+            self._applied.record(rid, {"released": ids})
         elif op.get("op") in ("fail_link", "restore_link"):
             # Reroute-and-readmit is deterministic, so replay re-derives
             # the same evictions the primary computed and acknowledged
@@ -227,8 +207,9 @@ class EngineHost:
                 delta = self._swap_routing(self.failed_links | {link})
             else:
                 delta = self._swap_routing(self.failed_links - {link})
-            self._record_applied(rid, self._link_outcome(op["op"], link,
-                                                         delta))
+            self._applied.record(
+                rid, self._link_outcome(op["op"], link, delta)
+            )
         else:  # pragma: no cover - defensive
             raise ReproError(f"unknown journal op {op.get('op')!r}")
 
@@ -244,40 +225,11 @@ class EngineHost:
         )
 
     def fingerprint(self) -> Tuple[str, Dict[str, Any]]:
-        """``(sha256, spec)`` of everything recovery promises to preserve.
-
-        Covers the admitted stream specs, each stream's delay bound /
-        feasibility / slack / HP closure, the full feasibility report and
-        the fresh-id high-water mark. Built through the public protocol
-        ops so it fingerprints what clients can observe.
-        """
-        report = self.handle_request({"op": "report"})
-        if not report.get("ok"):  # pragma: no cover - report cannot fail
-            raise ReproError(f"report failed while fingerprinting: {report}")
-        streams: Dict[str, Any] = {}
-        for sid in sorted(self.engine.admitted.ids()):
-            query = self.handle_request({"op": "query", "stream": sid})
-            if not query.get("ok"):  # pragma: no cover - defensive
-                raise ReproError(f"query {sid} failed: {query}")
-            streams[str(sid)] = {
-                "stream": query["stream"],
-                "upper_bound": query["upper_bound"],
-                "feasible": query["feasible"],
-                "slack": query["slack"],
-                "closure": query["closure"],
-            }
-        links = self.handle_request({"op": "links"})
-        if not links.get("ok"):  # pragma: no cover - links cannot fail
-            raise ReproError(f"links failed while fingerprinting: {links}")
-        spec = {
-            "streams": streams,
-            "next_id": self.engine.next_id,
-            "report": report["report"],
-            "admitted": report["admitted"],
-            "failed_links": links["failed_links"],
-        }
-        blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest(), spec
+        """``(sha256, spec)`` of everything recovery promises to preserve
+        (see :func:`repro.service.protocol.fingerprint`)."""
+        return fingerprint(
+            self.handle_request, self.admitted_ids(), self.engine.next_id
+        )
 
     def close(self) -> None:
         """Release persistence file handles (idempotent)."""
@@ -296,10 +248,6 @@ class EngineHost:
     @property
     def default_analysis(self) -> str:
         return self.engine.default_analysis
-
-    @property
-    def next_id(self) -> int:
-        return self.engine.next_id
 
     def admitted_ids(self) -> List[int]:
         return sorted(self.engine.admitted.ids())
@@ -365,33 +313,13 @@ class EngineHost:
             for sid in self.engine.admitted.ids()
         }
 
-    def _admit_entries(
-        self,
-        entries: List[dict],
-        *,
-        replay: bool = False,
-        analysis: Optional[str] = None,
-    ) -> Tuple[List[int], Any]:
-        streams: List[MessageStream] = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise ProtocolError("'streams' entries must be objects")
-            sid = (coerce_int(entry["id"], "stream entry 'id'")
-                   if entry.get("id") is not None
-                   else self.engine.fresh_id())
-            try:
-                streams.append(
-                    stream_from_spec(self.topology, entry, stream_id=sid)
-                )
-            except (ValueError, TypeError) as exc:
-                raise ProtocolError(
-                    f"invalid stream entry (id {sid}): {exc}"
-                ) from None
-        ids = [s.stream_id for s in streams]
-        if replay:
-            self.engine.adopt(streams, analysis=analysis)
-            return ids, None
-        return ids, self.engine.try_admit(streams, analysis=analysis)
+    def _adopt_entries(
+        self, entries: List[dict], analysis: Optional[str]
+    ) -> List[int]:
+        """Replay committed stream entries: applied, not decided."""
+        streams = parse_streams(self.topology, entries, self.engine.fresh_id)
+        self.engine.adopt(streams, analysis=analysis)
+        return [s.stream_id for s in streams]
 
     # ------------------------------------------------------------------ #
     # Op dispatch (synchronous; also the unit-test surface)
@@ -399,36 +327,13 @@ class EngineHost:
 
     def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Execute one protocol request and return the response object."""
-        op = request.get("op")
-        t0 = time.perf_counter()
-        try:
-            with _span("broker.op", "service", op=str(op)):
-                response = self._dispatch(op, request)
-            response["ok"] = True
-            if "id" in request:
-                response["id"] = request["id"]
-            self.metrics.record_op(op, time.perf_counter() - t0)
-            return response
-        except ReproError as exc:
-            self.metrics.record_op(
-                op or "invalid", time.perf_counter() - t0, error=True
-            )
-            return error_response(request, str(exc), code=error_code(exc))
-        except Exception as exc:
-            # Last-resort guard: an escaped exception would kill the single
-            # worker task and wedge every connection. Persistence failures
-            # (journal append OSError) land here too.
-            logger.exception("internal error handling %r", op)
-            self.metrics.record_op(
-                op or "invalid", time.perf_counter() - t0, error=True
-            )
-            return error_response(
-                request,
-                f"internal error handling {op!r}: {exc!r}",
-                code="internal",
-            )
+        return answer(
+            request, self._dispatch, self.metrics, "broker.op", "service"
+        )
 
-    def _dispatch(self, op: str, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _dispatch(
+        self, op: str, request: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
         if op in ("hello", "ping"):
             return {
                 "server": "repro-broker",
@@ -438,16 +343,23 @@ class EngineHost:
                 "analyses": list(_backends.names()),
                 "default_analysis": self.engine.default_analysis,
             }
-        if op == "admit":
-            return self._op_admit(request)
-        if op == "release":
-            return self._op_release(request)
+        if op in MUTATING_OPS:
+            rid = coerce_rid(request)
+            # Checked *before* the degraded gate: replaying a committed
+            # mutation writes nothing, so it stays safe while read-only
+            # — and that is exactly when crash-induced retries arrive.
+            duplicate = self._applied.replay(rid)
+            if duplicate is not None:
+                self.metrics.duplicates += 1
+                return duplicate
+            self._mutation_gate()
+            if op == "admit":
+                return self._op_admit(request, rid)
+            if op == "release":
+                return self._op_release(request, rid)
+            return self._op_link(request, rid)
         if op == "query":
             return self._op_query(request)
-        if op == "fail_link":
-            return self._op_link(request, fail=True)
-        if op == "restore_link":
-            return self._op_link(request, fail=False)
         if op == "links":
             return {
                 "failed_links": self.links_spec(),
@@ -495,37 +407,11 @@ class EngineHost:
             if self.on_shutdown is not None:
                 self.on_shutdown()
             return {"stopping": True}
-        raise ProtocolError(f"unknown op {op!r}")  # pragma: no cover
+        return None
 
     # ------------------------------------------------------------------ #
     # Idempotency + degraded-mode plumbing
     # ------------------------------------------------------------------ #
-
-    def _record_applied(
-        self, rid: Optional[str], outcome: Dict[str, Any]
-    ) -> None:
-        """Remember a committed mutation's outcome under its rid."""
-        if rid is None:
-            return
-        self._applied[str(rid)] = outcome
-        while len(self._applied) > RID_CAP:
-            del self._applied[next(iter(self._applied))]
-
-    def _duplicate_response(
-        self, rid: Optional[str]
-    ) -> Optional[Dict[str, Any]]:
-        """The recorded outcome for an already-applied rid, or ``None``.
-
-        Checked *before* the degraded gate: replaying a committed
-        mutation writes nothing, so it stays safe while read-only — and
-        that is exactly when crash-induced retries arrive.
-        """
-        if rid is None or rid not in self._applied:
-            return None
-        self.metrics.duplicates += 1
-        response = dict(self._applied[rid])
-        response["duplicate"] = True
-        return response
 
     def _mutation_gate(self) -> None:
         if self.degraded:
@@ -569,28 +455,15 @@ class EngineHost:
         self.degraded = False
         self.degraded_reason = None
 
-    def _op_admit(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        rid = coerce_rid(request)
-        duplicate = self._duplicate_response(rid)
-        if duplicate is not None:
-            return duplicate
-        self._mutation_gate()
-        entries = request.get("streams")
-        if not isinstance(entries, list) or not entries:
-            raise ProtocolError("'admit' needs a non-empty 'streams' list")
-        analysis = request.get("analysis")
-        if analysis is not None:
-            if not isinstance(analysis, str):
-                raise ProtocolError(
-                    f"'analysis' must be a string, got {analysis!r}"
-                )
-            if analysis not in _backends.names():
-                raise ProtocolError(
-                    f"unknown analysis backend {analysis!r} (known: "
-                    f"{', '.join(_backends.names())})"
-                )
+    def _op_admit(
+        self, request: Dict[str, Any], rid: Optional[str]
+    ) -> Dict[str, Any]:
         next_id_before = self.engine.next_id
-        ids, decision = self._admit_entries(entries, analysis=analysis)
+        streams, analysis = parse_admit(
+            request, self.topology, self.engine.fresh_id
+        )
+        ids = [s.stream_id for s in streams]
+        decision = self.engine.try_admit(streams, analysis=analysis)
         response: Dict[str, Any] = {
             "admitted": decision.admitted,
             "ids": ids,
@@ -623,7 +496,7 @@ class EngineHost:
                     entry,
                     lambda: self._rollback_admit(ids, next_id_before),
                 )
-            self._record_applied(rid, {"admitted": True, "ids": ids})
+            self._applied.record(rid, {"admitted": True, "ids": ids})
         else:
             self.metrics.admitted_rejected += 1
             # The trial ids of a rejected batch were never admitted, so
@@ -639,16 +512,10 @@ class EngineHost:
         # which the failed admit never happened.
         self.engine.reset_next_id(next_id_before)
 
-    def _op_release(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        rid = coerce_rid(request)
-        duplicate = self._duplicate_response(rid)
-        if duplicate is not None:
-            return duplicate
-        self._mutation_gate()
-        ids = request.get("ids")
-        if not isinstance(ids, list) or not ids:
-            raise ProtocolError("'release' needs a non-empty 'ids' list")
-        ids = [coerce_int(i, "'release' id") for i in ids]
+    def _op_release(
+        self, request: Dict[str, Any], rid: Optional[str]
+    ) -> Dict[str, Any]:
+        ids = parse_release(request)
         # Captured before the release (stream + the backend it was vetted
         # under) so a journal failure can restore them; unknown ids make
         # engine.release raise before mutating.
@@ -662,14 +529,17 @@ class EngineHost:
             if rid is not None:
                 entry["rid"] = rid
             self._journal_commit(
-                entry, lambda: self._rollback_release(removed)
+                entry, lambda: self._readmit(removed, "rollback")
             )
-        self._record_applied(rid, {"released": ids})
+        self._applied.record(rid, {"released": ids})
         return {"released": ids}
 
-    def _rollback_release(
-        self, removed: List[Tuple[MessageStream, str]]
+    def _readmit(
+        self, removed: Iterable[Tuple[MessageStream, str]], what: str
     ) -> None:
+        """Undo half of a mutation whose journal append failed: re-admit
+        the ``(stream, backend)`` pairs it removed, one batch per
+        backend."""
         groups: Dict[str, List[MessageStream]] = {}
         for stream, name in removed:
             groups.setdefault(name, []).append(stream)
@@ -680,7 +550,7 @@ class EngineHost:
                 # cannot fail; if it somehow does, crash loudly rather
                 # than serve a state that disagrees with the journal.
                 raise ReproError(
-                    "rollback re-admission rejected; broker state is "
+                    f"{what} re-admission rejected; broker state is "
                     "inconsistent with the journal"
                 )
 
@@ -716,35 +586,12 @@ class EngineHost:
         }
 
     def _op_link(
-        self, request: Dict[str, Any], *, fail: bool
+        self, request: Dict[str, Any], rid: Optional[str]
     ) -> Dict[str, Any]:
-        op = "fail_link" if fail else "restore_link"
-        rid = coerce_rid(request)
-        duplicate = self._duplicate_response(rid)
-        if duplicate is not None:
-            return duplicate
-        self._mutation_gate()
-        raw = request.get("link")
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ProtocolError(f"'{op}' needs a 'link' [u, v] pair")
-        link = normalize_link(
-            coerce_int(raw[0], "'link' endpoint"),
-            coerce_int(raw[1], "'link' endpoint"),
+        op = request["op"]
+        link, new_failed = parse_link(
+            request, self.topology, self.failed_links
         )
-        if fail:
-            if not self.topology.has_channel(link[0], link[1]):
-                raise ProtocolError(
-                    f"no physical link {list(link)} in the topology"
-                )
-            if link in self.failed_links:
-                raise ProtocolError(
-                    f"link {list(link)} is already failed"
-                )
-            new_failed = self.failed_links | {link}
-        else:
-            if link not in self.failed_links:
-                raise ProtocolError(f"link {list(link)} is not failed")
-            new_failed = self.failed_links - {link}
         old_failed = set(self.failed_links)
         delta = self._swap_routing(new_failed)
         if self.state is not None:
@@ -755,7 +602,7 @@ class EngineHost:
                 entry, lambda: self._rollback_link(old_failed, delta)
             )
         outcome = self._link_outcome(op, link, delta)
-        self._record_applied(rid, outcome)
+        self._applied.record(rid, outcome)
         response = dict(outcome)
         response["failed_links"] = self.links_spec()
         response["admitted"] = len(self.engine.admitted)
@@ -767,22 +614,10 @@ class EngineHost:
         Both steps must succeed — the pre-op set was feasible under the
         old routing, and subsets of a feasible set are feasible."""
         self._swap_routing(old_failed)
-        groups: Dict[str, List[MessageStream]] = {}
-        for stream, name in delta.evicted_streams:
-            groups.setdefault(name, []).append(stream)
-        for name in sorted(groups):
-            decision = self.engine.try_admit(groups[name], analysis=name)
-            if not decision.admitted:  # pragma: no cover - defensive
-                raise ReproError(
-                    "link-op rollback re-admission rejected; broker "
-                    "state is inconsistent with the journal"
-                )
+        self._readmit(delta.evicted_streams, "link-op rollback")
 
     def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        sid = request.get("stream")
-        if sid is None:
-            raise ProtocolError("'query' needs a 'stream' id")
-        sid = coerce_int(sid, "'query' stream")
+        sid = parse_query(request)
         verdict = self.engine.verdict(sid)
         return {
             "stream": stream_to_spec(self.engine.admitted[sid]),

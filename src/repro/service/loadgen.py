@@ -1,8 +1,9 @@
-"""Load-generator client for the channel broker (``repro load``).
+"""Load generator for the channel broker (``repro load``).
 
-:class:`BrokerClient` is a small synchronous JSON-lines client (unix
-socket or TCP) used by the CI smoke job, the bench spine
-(``benchmarks/spine/``) and scripts. The load generator
+The client is :class:`repro.service.client.BrokerClient`, re-exported
+here (where the CI smoke job, the bench spine under
+``benchmarks/spine/`` and scripts import it from); every transport it
+speaks drives these workloads unchanged. The load generator
 replays seeded admit/release churn against a broker: it keeps a target
 number of live streams, admitting locality-biased random streams and
 releasing random live ones, and reports throughput, acceptance rate and
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import socket
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -24,7 +24,7 @@ from typing import (
 )
 
 from ..errors import ReproError
-from .protocol import retry_backoff
+from .client import BrokerClient
 
 __all__ = [
     "BrokerClient",
@@ -38,213 +38,6 @@ __all__ = [
 ]
 
 TRACE_PATTERNS = ("bursty", "diurnal")
-
-
-class BrokerClient:
-    """Blocking JSON-lines client for one broker connection.
-
-    Remembers its connect parameters, so a dropped connection can be
-    re-established with :meth:`reconnect` — the building block of
-    :meth:`request_with_retry`, the at-least-once retry loop that pairs
-    with the server's ``rid`` idempotency (see
-    :mod:`repro.service.protocol`).
-    """
-
-    def __init__(
-        self,
-        *,
-        socket_path: Optional[Union[str, Path]] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        timeout: float = 30.0,
-    ):
-        if (socket_path is None) == (host is None):
-            raise ReproError("pass exactly one of socket_path or host/port")
-        self._socket_path = socket_path
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._seq = 0
-        self._connect()
-
-    def _connect(self) -> None:
-        if self._socket_path is not None:
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(self._timeout)
-            self._sock.connect(str(self._socket_path))
-        else:
-            assert self._port is not None
-            self._sock = socket.create_connection(
-                (self._host, self._port), timeout=self._timeout
-            )
-        self._fh = self._sock.makefile("rwb")
-        # Requests on the wire whose responses have not been read yet
-        # (pipelined I/O); a fresh connection has none by definition.
-        self._pending: Deque[int] = deque()
-
-    def reconnect(self, *, timeout: float = 10.0) -> None:
-        """Tear the connection down and dial again, retrying until the
-        server accepts (it may be mid-restart) or ``timeout`` expires."""
-        self.close()
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                self._connect()
-                return
-            except OSError:
-                if time.monotonic() >= deadline:
-                    raise ReproError(
-                        f"broker did not accept a reconnect within "
-                        f"{timeout:.0f}s"
-                    ) from None
-                time.sleep(0.05)
-
-    @classmethod
-    def wait_for_unix(
-        cls,
-        socket_path: Union[str, Path],
-        *,
-        timeout: float = 10.0,
-        **kwargs,
-    ) -> "BrokerClient":
-        """Connect to a unix socket, retrying until the server is up."""
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                return cls(socket_path=socket_path, **kwargs)
-            except OSError:
-                if time.monotonic() >= deadline:
-                    raise ReproError(
-                        f"broker did not come up on {socket_path} within "
-                        f"{timeout:.0f}s"
-                    ) from None
-                time.sleep(0.05)
-
-    def send(self, op: str, **fields: Any) -> int:
-        """Queue one op on the wire without waiting for its response.
-
-        Returns the request's sequence number; pair with :meth:`flush`
-        and :meth:`recv` for pipelined I/O. The server answers each
-        connection's requests in order, so responses are consumed FIFO.
-        """
-        self._seq += 1
-        payload = {"op": op, "id": self._seq, **fields}
-        self._fh.write(
-            (json.dumps(payload, separators=(",", ":")) + "\n").encode()
-        )
-        self._pending.append(self._seq)
-        return self._seq
-
-    def flush(self) -> None:
-        """Push every queued request onto the socket."""
-        self._fh.flush()
-
-    def recv(self, seq: Optional[int] = None) -> Dict[str, Any]:
-        """Read the response of the oldest in-flight request.
-
-        ``seq`` (when given) must name that request — responses are
-        strictly FIFO per connection.
-        """
-        if not self._pending:
-            raise ReproError("recv with no request in flight")
-        expect = self._pending.popleft()
-        if seq is not None and seq != expect:
-            raise ReproError(
-                f"recv out of order: oldest in-flight request is "
-                f"{expect}, asked for {seq}"
-            )
-        line = self._fh.readline()
-        if not line:
-            raise ReproError("broker closed the connection")
-        response = json.loads(line.decode("utf-8"))
-        if response.get("id") not in (None, expect):
-            raise ReproError(
-                f"response id {response.get('id')} does not match "
-                f"request id {expect}"
-            )
-        return response
-
-    @property
-    def in_flight(self) -> int:
-        """Number of sent requests whose responses are still unread."""
-        return len(self._pending)
-
-    def request(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """Send one op and return the matching response."""
-        seq = self.send(op, **fields)
-        self.flush()
-        return self.recv(seq)
-
-    def check(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """Like :meth:`request` but raises on ``ok: false`` responses."""
-        response = self.request(op, **fields)
-        if not response.get("ok"):
-            raise ReproError(
-                f"broker op {op!r} failed: {response.get('error')}"
-            )
-        return response
-
-    def request_with_retry(
-        self,
-        op: str,
-        *,
-        rid: str,
-        max_attempts: int = 6,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        rng: Optional[random.Random] = None,
-        reconnect_timeout: float = 10.0,
-        **fields: Any,
-    ) -> Dict[str, Any]:
-        """Send an idempotent mutation, retrying across dropped
-        connections with full-jitter exponential backoff.
-
-        Every attempt carries the same ``rid``, so the server applies the
-        mutation at most once no matter how many times the wire eats the
-        acknowledgement; the response may carry ``"duplicate": true``
-        when an earlier attempt already committed. Transport failures
-        (connection reset, EOF, refused reconnect) are retried; an
-        application-level error response is returned to the caller as-is.
-        """
-        last_exc: Optional[Exception] = None
-        for attempt in range(max_attempts):
-            if attempt:
-                time.sleep(retry_backoff(
-                    attempt - 1, base=backoff_base, cap=backoff_cap,
-                    rng=rng,
-                ))
-                try:
-                    self.reconnect(timeout=reconnect_timeout)
-                except ReproError as exc:
-                    last_exc = exc
-                    continue
-            try:
-                return self.request(op, rid=rid, **fields)
-            except (ReproError, OSError, ValueError) as exc:
-                # ValueError covers writes on a file object whose
-                # connection was already torn down (and JSONDecodeError).
-                last_exc = exc
-        raise ReproError(
-            f"broker op {op!r} (rid {rid!r}) failed after "
-            f"{max_attempts} attempts: {last_exc}"
-        )
-
-    def close(self) -> None:
-        try:
-            self._fh.close()
-        except OSError:
-            pass
-        finally:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-
-    def __enter__(self) -> "BrokerClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -315,6 +108,18 @@ class LoadSummary:
             "pipeline": self.pipeline,
             "server_stats": self.server_stats,
         }
+
+
+def _server_stats(client: BrokerClient) -> Dict[str, Any]:
+    """The slice of the server's ``stats`` a load summary reports."""
+    stats = client.request("stats")
+    if not stats.get("ok"):
+        return {}
+    return {
+        "admitted": stats.get("admitted"),
+        "engine": stats.get("engine"),
+        "batching": stats.get("service", {}).get("batching"),
+    }
 
 
 def run_load(
@@ -394,13 +199,7 @@ def run_load(
     settle(0)
     summary.seconds = time.perf_counter() - t0
     summary.live_at_end = len(live)
-    stats = client.request("stats")
-    if stats.get("ok"):
-        summary.server_stats = {
-            "admitted": stats.get("admitted"),
-            "engine": stats.get("engine"),
-            "batching": stats.get("service", {}).get("batching"),
-        }
+    summary.server_stats = _server_stats(client)
     return summary
 
 
@@ -613,11 +412,5 @@ def run_trace(
             raise ReproError(f"unknown trace op {kind!r}")
     summary.seconds = time.perf_counter() - t0
     summary.live_at_end = sum(1 for sid in handle_ids if sid is not None)
-    stats = client.request("stats")
-    if stats.get("ok"):
-        summary.server_stats = {
-            "admitted": stats.get("admitted"),
-            "engine": stats.get("engine"),
-            "batching": stats.get("service", {}).get("batching"),
-        }
+    summary.server_stats = _server_stats(client)
     return summary

@@ -19,82 +19,34 @@ cost shows.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..obs.metrics import (
-    DEFAULT_TIME_BUCKETS_US,
-    Histogram as _Histogram,
-    MetricsRegistry,
-)
+from ..obs.metrics import Histogram, MetricsRegistry
 
-__all__ = ["LatencyHistogram", "ServiceMetrics"]
-
-# Bucket upper bounds in microseconds: 1us, 2us, ... ~8.4s, +inf.
-_BUCKET_BOUNDS_US = list(DEFAULT_TIME_BUCKETS_US)
+__all__ = ["ServiceMetrics", "latency_dict"]
 
 
-class LatencyHistogram:
-    """Latency histogram with power-of-two microsecond buckets.
+def latency_dict(h: Histogram) -> Dict[str, object]:
+    """The ``stats`` op's view of one latency histogram (which observes
+    microseconds): count, mean / max / p50 / p99 in milliseconds — the
+    quantiles are bucket upper bounds, ``None`` when empty — and the
+    non-empty buckets."""
+    def ms(us: float) -> float:
+        return round(us / 1e3, 4)
 
-    A seconds-based facade over :class:`repro.obs.metrics.Histogram`
-    (which observes microseconds and does the O(1) bucketing); the broker
-    registers the underlying histogram in the shared registry so the
-    same counts serve both the JSON ``stats`` op and Prometheus export.
-    """
-
-    __slots__ = ("_h",)
-
-    def __init__(self, hist: Optional[_Histogram] = None) -> None:
-        self._h = hist if hist is not None else _Histogram()
-
-    def record(self, seconds: float) -> None:
-        self._h.observe(seconds * 1e6)
-
-    @property
-    def count(self) -> int:
-        return self._h.count
-
-    @property
-    def counts(self) -> List[int]:
-        return self._h.counts
-
-    @property
-    def total_seconds(self) -> float:
-        return self._h.sum / 1e6
-
-    @property
-    def max_seconds(self) -> float:
-        return self._h.max / 1e6
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Approximate quantile in seconds (bucket upper bound), or
-        ``None`` when empty."""
-        if self._h.count == 0:
-            return None
-        return self._h.quantile(q) / 1e6
-
-    def to_dict(self) -> Dict[str, object]:
-        h = self._h
-        buckets = {
-            f"le_{bound}us": c
-            for bound, c in zip(_BUCKET_BOUNDS_US, h.counts)
-            if c
-        }
-        if h.counts[-1]:
-            buckets["le_inf"] = h.counts[-1]
-        mean = self.total_seconds / h.count if h.count else 0.0
-        return {
-            "count": h.count,
-            "mean_ms": round(mean * 1e3, 4),
-            "max_ms": round(self.max_seconds * 1e3, 4),
-            "p50_ms": _ms(self.quantile(0.5)),
-            "p99_ms": _ms(self.quantile(0.99)),
-            "buckets": buckets,
-        }
-
-
-def _ms(seconds: Optional[float]) -> Optional[float]:
-    return None if seconds is None else round(seconds * 1e3, 4)
+    buckets = {
+        f"le_{bound}us": c for bound, c in zip(h.bounds, h.counts) if c
+    }
+    if h.counts[-1]:
+        buckets["le_inf"] = h.counts[-1]
+    return {
+        "count": h.count,
+        "mean_ms": ms(h.sum / h.count) if h.count else 0.0,
+        "max_ms": ms(h.max),
+        "p50_ms": ms(h.quantile(0.5)) if h.count else None,
+        "p99_ms": ms(h.quantile(0.99)) if h.count else None,
+        "buckets": buckets,
+    }
 
 
 class ServiceMetrics:
@@ -112,7 +64,7 @@ class ServiceMetrics:
         self.started_at = time.time()
         self.op_counts: Dict[str, int] = {}
         self.op_errors: Dict[str, int] = {}
-        self.op_latency: Dict[str, LatencyHistogram] = {}
+        self.op_latency: Dict[str, Histogram] = {}
         self.admitted_ok = 0
         self.admitted_rejected = 0
         #: Journal append failures survived (rollback + degraded entry).
@@ -135,14 +87,12 @@ class ServiceMetrics:
             self.op_errors[op] = self.op_errors.get(op, 0) + 1
         hist = self.op_latency.get(op)
         if hist is None:
-            hist = self.op_latency[op] = LatencyHistogram(
-                self.registry.histogram(
-                    "repro_broker_op_latency_us",
-                    "Request handling latency in microseconds, by op.",
-                    op=op,
-                )
+            hist = self.op_latency[op] = self.registry.histogram(
+                "repro_broker_op_latency_us",
+                "Request handling latency in microseconds, by op.",
+                op=op,
             )
-        hist.record(seconds)
+        hist.observe(seconds * 1e6)
 
     def record_batch(self, size: int) -> None:
         self.batches += 1
@@ -174,7 +124,7 @@ class ServiceMetrics:
                 "max_size": self.max_batch,
             },
             "latency": {
-                op: h.to_dict()
+                op: latency_dict(h)
                 for op, h in sorted(self.op_latency.items())
             },
         }

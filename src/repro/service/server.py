@@ -25,8 +25,10 @@ from typing import Any, Dict, Optional, Union
 
 from ..errors import ReproError
 from ..faults.plane import FaultPlane
-from .host import DegradedError, EngineHost
-from .protocol import ProtocolError, decode, encode, error_response
+from .host import EngineHost
+from .protocol import (
+    DegradedError, ProtocolError, decode, encode, error_response,
+)
 
 __all__ = [
     "BrokerServer",
@@ -119,7 +121,6 @@ class BrokerServer:
         topology_spec: Dict[str, Any],
         *,
         state_dir: Optional[Union[str, Path]] = None,
-        use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
         batch_max: int = 64,
@@ -128,7 +129,6 @@ class BrokerServer:
         self.host = EngineHost(
             topology_spec,
             state_dir=state_dir,
-            use_modify=use_modify,
             residency_margin=residency_margin,
             analysis=analysis,
             fault_plane=fault_plane,
@@ -189,7 +189,7 @@ class BrokerServer:
     def _record_applied(
         self, rid: Optional[str], outcome: Dict[str, Any]
     ) -> None:
-        self.host._record_applied(rid, outcome)
+        self.host._applied.record(rid, outcome)
 
     def prometheus_text(self) -> str:
         """Service + engine metrics in Prometheus text exposition format."""
@@ -210,19 +210,12 @@ class BrokerServer:
         """
         sock_path = Path(path)
         if sock_path.exists():
-            self._clear_stale_socket(sock_path)
+            clear_stale_socket(sock_path)
         self._init_async()
         self._server = await asyncio.start_unix_server(
             self._client_connected, path=str(sock_path)
         )
         self._unix_path = sock_path
-
-    # Kept as a method name for callers/tests that patch it; the logic
-    # is module-level so the fleet's worker processes apply the same
-    # hygiene rules to their per-worker sockets.
-    _clear_stale_socket = staticmethod(
-        lambda sock_path: clear_stale_socket(sock_path)
-    )
 
     async def start_tcp(self, host: str, port: int) -> None:
         """Listen on a TCP address."""

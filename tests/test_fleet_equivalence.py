@@ -14,18 +14,25 @@ fails over to its journal-shipped standby; equivalence must hold
 straight through the promotion.
 """
 
+import asyncio
 import hashlib
 import json
 import random
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.faults.campaign import ScheduledOp, _apply_outcome, build_request
+from repro.fleet.client import GatewayClient
+from repro.fleet.gateway import GatewayServer
 from repro.fleet.replication import StandbyPool
 from repro.fleet.shards import Fleet, TenantSpec
 from repro.service.host import EngineHost
-from repro.service.loadgen import churn_spec
+from repro.service.loadgen import BrokerClient, churn_spec
+from repro.service.protocol import fingerprint
+from repro.service.server import BrokerServer
 from tests.test_fleet_shards import assert_books_exact
 
 TOPO = {"type": "mesh", "width": 6, "height": 6}
@@ -244,3 +251,165 @@ def test_three_way_multiprocess_equivalence(seed, tmp_path):
     assert stats["worker_restarts"] >= 2
     assert stats["max_spread"] >= 2
     assert stats["escalations"] >= 1
+
+
+# --------------------------------------------------------------------- #
+# Transport parity: one op list, every way of speaking the protocol
+# --------------------------------------------------------------------- #
+
+
+def _spec(src, dst, **extra):
+    return {"src": src, "dst": dst, "priority": 5, "period": 300,
+            "length": 4, "deadline": 300, **extra}
+
+
+#: Every op and every malformed shape the parsers reject, as the request
+#: objects a client sends. Node 0 is a corner: failing both of its links
+#: disconnects (evicts) the stream that starts there.
+PARITY_OPS = [
+    {"op": "hello"},
+    {"op": "admit", "streams": [_spec(0, 2)]},
+    {"op": "admit", "streams": [_spec(30, 32, id=7)], "analysis": "kim98"},
+    {"op": "admit", "streams": [_spec(12, 15), _spec(18, 21)],
+     "rid": "parity-1"},
+    {"op": "admit", "streams": [_spec(12, 15), _spec(18, 21)],
+     "rid": "parity-1"},                                    # rid replay
+    {"op": "admit", "streams": [_spec(0, 5, length=50, deadline=10)]},
+    {"op": "query", "stream": 7},
+    {"op": "report"},
+    {"op": "links"},
+    {"op": "fail_link", "link": [0, 1]},
+    {"op": "fail_link", "link": [0, 6], "rid": "parity-2"},  # evicts 0
+    {"op": "fail_link", "link": [0, 6], "rid": "parity-2"},
+    {"op": "fail_link", "link": [0, 1]},                # already failed
+    {"op": "restore_link", "link": [2, 3]},             # not failed
+    {"op": "restore_link", "link": [1, 0]},
+    {"op": "fail_link", "link": [0, 1, 2]},
+    {"op": "fail_link", "link": [0, 7]},                # not a channel
+    {"op": "fail_link", "link": "0-1"},
+    {"op": "release", "ids": [7]},
+    {"op": "release", "ids": []},
+    {"op": "release", "ids": "7"},
+    {"op": "release", "ids": [True]},
+    {"op": "release", "ids": [8.5]},
+    {"op": "release", "ids": [9999]},                   # unknown id
+    {"op": "query"},
+    {"op": "query", "stream": False},
+    {"op": "query", "stream": float("inf")},    # JSON ``Infinity``
+    {"op": "query", "stream": 9999},
+    {"op": "admit", "streams": "all of them"},
+    {"op": "admit", "streams": []},
+    {"op": "admit", "streams": ["not an object"]},
+    {"op": "admit", "streams": [{"src": 0, "dst": 2}]},     # bad spec
+    {"op": "admit", "streams": [_spec(0, 99)]},
+    {"op": "admit", "streams": [_spec(3, 4, id=True)]},
+    {"op": "admit", "streams": [_spec(3, 4, id=2.5)]},
+    {"op": "admit", "streams": [_spec(3, 4)], "analysis": "no-such"},
+    {"op": "admit", "streams": [_spec(3, 4)], "analysis": 3},
+    {"op": "admit", "streams": [_spec(3, 4)], "rid": ""},
+    {"op": "release", "ids": [1], "rid": 5},
+    {"op": "report"},
+]
+#: What tells a broker's ``hello`` from a fleet's.
+HELLO_IDENTITY = ("server", "shards", "tenant")
+
+
+def _serve_on_thread(start):
+    """Run ``server = await start()`` and its ``serve_forever`` on a
+    background event loop; returns ``(server, thread)`` once it
+    listens. A ``shutdown`` op ends it."""
+    ready = threading.Event()
+    box = {}
+
+    async def main():
+        try:
+            box["server"] = server = await start()
+        finally:
+            ready.set()
+        await asyncio.wait_for(server.serve_forever(), timeout=120)
+
+    thread = threading.Thread(target=lambda: asyncio.run(main()))
+    thread.start()
+    assert ready.wait(timeout=60) and "server" in box, "did not start"
+    return box["server"], thread
+
+
+def _free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _open_surface(surface, tmp_path):
+    """``(client, thread)`` speaking to a fresh, empty server."""
+    if surface in ("unix", "tcp"):
+        port = _free_port()
+
+        async def start():
+            server = BrokerServer(TOPO)
+            if surface == "unix":
+                await server.start_unix(tmp_path / "b.sock")
+            else:
+                await server.start_tcp("127.0.0.1", port)
+            return server
+
+        _, thread = _serve_on_thread(start)
+        if surface == "unix":
+            return BrokerClient(socket_path=tmp_path / "b.sock"), thread
+        return BrokerClient(host="127.0.0.1", port=port), thread
+    workers = 1 if surface == "gateway-workers" else 0
+
+    async def start():
+        fleet = Fleet(
+            [TenantSpec("t", "key", TOPO)], shards=2, workers=workers,
+            state_dir=tmp_path / "fleet" if workers else None,
+        )
+        gateway = GatewayServer(fleet, poll_interval=0.05)
+        await gateway.start("127.0.0.1", 0)
+        return gateway
+
+    gateway, thread = _serve_on_thread(start)
+    return GatewayClient(f"127.0.0.1:{gateway.port}", api_key="key"), thread
+
+
+@pytest.mark.parametrize(
+    "surface", ["unix", "tcp", "gateway", "gateway-workers"]
+)
+def test_transport_parity(surface, tmp_path):
+    """The same requests get the same answers — whole dicts, error
+    text and ``code`` included — from ``EngineHost.handle_request`` and
+    over every wire, and leave the same observable state behind."""
+    ref = EngineHost(TOPO)
+    client, thread = _open_surface(surface, tmp_path)
+
+    def ask(request):
+        fields = {k: v for k, v in request.items() if k != "op"}
+        response = client.request(request["op"], **fields)
+        response.pop("id")
+        return response
+
+    try:
+        rejected = 0
+        for request in PARITY_OPS:
+            want = ref.handle_request(json.loads(json.dumps(request)))
+            got = ask(request)
+            if request["op"] == "hello":
+                for key in HELLO_IDENTITY:
+                    want.pop(key, None)
+                    got.pop(key, None)
+            assert got == want, (request, got, want)
+            # A refusal is the parsers' or the engine's, never the
+            # last-resort ``internal`` guard.
+            assert want.get("code") != "internal", want
+            rejected += not want["ok"]
+        assert rejected >= 25, "the malformed shapes must all be refused"
+        ids = sorted(int(sid) for sid in
+                     ref.handle_request({"op": "report"})["report"]["streams"])
+        assert ids, "the campaign must leave streams behind"
+        assert (fingerprint(ask, ids, None)
+                == fingerprint(ref.handle_request, ids, None))
+    finally:
+        client.request("shutdown")
+        client.close()
+        thread.join(timeout=60)
+    assert not thread.is_alive()

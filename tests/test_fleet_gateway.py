@@ -13,7 +13,8 @@ from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
 from repro.fleet.replication import StandbyPool
 from repro.fleet.shards import Fleet, TenantSpec
-from repro.service.loadgen import run_load
+from repro.service.loadgen import BrokerClient, run_load
+from repro.service.server import BrokerServer
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
 
@@ -162,6 +163,49 @@ class TestV1Api:
         assert summary.ops == 40
         assert summary.errors == 0
         assert summary.admits_accepted > 0
+
+
+    def test_pipelined_run_load_is_batched_and_transport_blind(
+        self, tmp_path
+    ):
+        """``--pipeline`` over HTTP keeps a real window in flight (the
+        gateway answers it in batches), and the workload it produces is
+        the one the same seed and window produce over a unix socket."""
+        def client(port):
+            with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
+                summary = run_load(c, ops=200, seed=11, target_live=8,
+                                   pipeline=8)
+                c.request("shutdown")
+            return {"summary": summary}
+
+        result = run_gateway(client)
+        over_http, gw = result["summary"], result["gw"]
+        assert gw.batched_requests / gw.batches > 1.5
+
+        sock = str(tmp_path / "broker.sock")
+        box = {}
+
+        def socket_client():
+            with BrokerClient.wait_for_unix(sock) as c:
+                box["summary"] = run_load(c, ops=200, seed=11,
+                                          target_live=8, pipeline=8)
+                c.check("shutdown")
+
+        async def main():
+            server = BrokerServer(TOPO)
+            await server.start_unix(sock)
+            thread = threading.Thread(target=socket_client)
+            thread.start()
+            await asyncio.wait_for(server.serve_forever(), timeout=60)
+            thread.join(timeout=10)
+
+        asyncio.run(main())
+        over_socket = box["summary"]
+        assert over_http.pipeline == over_socket.pipeline == 8
+        for field in ("ops", "admits_tried", "admits_accepted", "releases",
+                      "errors", "live_at_end"):
+            assert getattr(over_http, field) == getattr(over_socket, field)
+        assert over_http.errors == 0 and over_http.admits_accepted > 0
 
 
 class TestMetrics:

@@ -3,7 +3,8 @@
 Same answers, fewer wake-ups: whatever a client has pipelined on a
 connection is resolved in one handler pass and answered with one write.
 These tests speak raw pipelined HTTP/1.1 (the stock ``GatewayClient``
-is strictly request/response) and pin what batching must not change:
+pipelines too, but only well-formed requests under one API key; see
+``tests/test_fleet_gateway.py``) and pin what batching must not change:
 response order, equality with serial answers, per-request API keys,
 ``400``-then-close, ``Connection: close``, ``shutdown``, half-closed
 clients and back-pressure beyond the read-ahead bound — with in-process

@@ -10,7 +10,8 @@ import pytest
 from repro.errors import AnalysisError, ReproError, StreamError
 from repro.service.host import DegradedError
 from repro.service.loadgen import BrokerClient, churn_spec, run_load
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.obs.metrics import Histogram
+from repro.service.metrics import ServiceMetrics, latency_dict
 from repro.service.persistence import BrokerState
 from repro.service.protocol import (
     ProtocolError,
@@ -73,15 +74,15 @@ class TestProtocol:
 
 class TestMetrics:
     def test_histogram_buckets_and_quantiles(self):
-        h = LatencyHistogram()
-        assert h.quantile(0.5) is None
+        h = Histogram()
+        assert latency_dict(h)["p50_ms"] is None
         for us in (1, 10, 100, 1000, 10000):
-            h.record(us / 1e6)
-        d = h.to_dict()
+            h.observe(us)
+        d = latency_dict(h)
         assert d["count"] == 5
         assert d["max_ms"] == 10.0
         assert sum(d["buckets"].values()) == 5
-        assert h.quantile(0.5) <= h.quantile(0.99)
+        assert d["p50_ms"] <= d["p99_ms"]
 
     def test_service_metrics_dict(self):
         m = ServiceMetrics()
@@ -343,9 +344,9 @@ class TestAsyncFrontEnd:
     def test_malformed_line_gets_error_response(self, tmp_path):
         def client(sock):
             c = BrokerClient.wait_for_unix(sock)
-            c._fh.write(b"this is not json\n")
-            c._fh.flush()
-            raw = json.loads(c._fh.readline())
+            c.send_bytes(b"this is not json\n")
+            c.flush()
+            raw = c.recv()
             ok = c.check("ping")
             c.check("shutdown")
             c.close()
@@ -374,20 +375,15 @@ class TestAsyncFrontEnd:
     def test_half_close_still_gets_responses(self, tmp_path):
         # A client that pipelines requests and then shuts down its write
         # side must still receive every response before EOF.
-        import socket as socketmod
-
         def client(sock):
             c = BrokerClient.wait_for_unix(sock)
             for op in ("hello", "report", "shutdown"):
-                c._fh.write(json.dumps({"op": op}).encode() + b"\n")
-            c._fh.flush()
-            c._sock.shutdown(socketmod.SHUT_WR)
-            lines = []
-            while True:
-                line = c._fh.readline()
-                if not line:
-                    break
-                lines.append(json.loads(line))
+                c.send_bytes(json.dumps({"op": op}).encode() + b"\n")
+            c.half_close()
+            lines = [c.recv() for _ in range(3)]
+            c.send_bytes(b"")  # one more read: nothing more is owed
+            with pytest.raises(ReproError, match="closed the connection"):
+                c.recv()
             c.close()
             return {"lines": lines}
 
@@ -407,9 +403,9 @@ class TestAsyncFrontEnd:
             for payload in ({"op": "stats", "format": "prometheus"},
                             {"op": "shutdown"},
                             {"op": "stats", "format": "prometheus"}):
-                c._fh.write(json.dumps(payload).encode() + b"\n")
-            c._fh.flush()
-            lines = [json.loads(c._fh.readline()) for _ in range(3)]
+                c.send_bytes(json.dumps(payload).encode() + b"\n")
+            c.flush()
+            lines = [c.recv() for _ in range(3)]
             c.close()
             return {"lines": lines}
 
@@ -426,12 +422,12 @@ class TestAsyncFrontEnd:
         def client(sock):
             c = BrokerClient.wait_for_unix(sock)
             for i in range(2):
-                c._fh.write(json.dumps(
+                c.send_bytes(json.dumps(
                     {"op": "admit", "rid": f"p{i}",
                      "streams": [spec(src=6 * i, dst=6 * i + 3)]}
                 ).encode() + b"\n")
-            c._fh.flush()
-            first = json.loads(c._fh.readline())
+            c.flush()
+            first = c.recv()
             c.close()  # drop mid-batch: the second ack is lost
             r = BrokerClient.wait_for_unix(sock)
             retries = [
