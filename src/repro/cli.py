@@ -73,18 +73,18 @@ Commands
     ``GET /metrics`` rollup, the JSON admission API under ``/v1/`` and
     kill/failover admin ops under ``/admin/``.
 ``chaos``
-    Run a seeded fault-injection campaign against the broker (see
-    :mod:`repro.faults`): a fault-free oracle executes an op schedule,
-    then the same schedule runs against a persistent broker while
-    persistence, protocol and engine faults fire (torn journal writes,
-    kills + restarts, dropped connections, cache storms). Exit 0 iff the
-    recovered state is bit-identical to the oracle, no acknowledged op
-    was lost, and at least ``--min-faults`` faults fired. The printed
-    seed reproduces the campaign exactly. ``--fleet`` runs the campaign
-    against a sharded fleet instead (see :mod:`repro.fleet.chaos`):
-    multi-tenant churn with journal faults, whole-fleet crash restarts,
-    primary kills and standby promotions, judged per tenant against
-    single-engine oracles.
+    Run a seeded fault-injection campaign (see
+    :mod:`repro.faults.campaign`): a fault-free oracle executes an op
+    schedule, then the same schedule runs against a persistent broker
+    while persistence, protocol, engine and (``--link-rate``) link
+    faults fire: torn journal writes, kills + restarts, dropped
+    connections, cache storms. Exit 0 iff the recovered state is
+    bit-identical to the oracle, no acknowledged op was lost, and at
+    least ``--min-faults`` faults fired. The printed seed reproduces the
+    campaign exactly. ``--fleet`` points the same driver at a sharded
+    fleet instead: multi-tenant churn with journal faults, whole-fleet
+    crash restarts, primary kills, standby promotions and worker
+    SIGKILLs, judged per tenant against single-engine oracles.
 """
 
 from __future__ import annotations
@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "server restart")
     p_chaos.add_argument("--link-rate", type=float, default=0.0,
                          help="per-slot probability the schedule kills "
-                              "or restores a topology link (default 0)")
+                              "or restores a topology link (default 0; "
+                              "also with --fleet)")
     p_chaos.add_argument("--socket-fraction", type=float, default=0.4,
                          help="fraction of ops run over a real unix "
                               "socket (default 0.4)")
@@ -774,84 +775,37 @@ def _run_load(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_fleet_chaos(args: argparse.Namespace) -> int:
-    from .fleet.chaos import FleetChaosConfig, run_fleet_chaos_campaign
-
-    width, height = _parse_mesh(args.mesh)
-    cfg = FleetChaosConfig(
-        seed=args.seed,
-        ops=args.ops,
-        tenants=args.tenants,
-        shards=args.shards,
-        width=width,
-        height=height,
-        target_live=args.target_live,
-        persistence_rate=args.persistence_rate,
-        kill_rate=args.kill_rate,
-        workers=args.workers,
-        worker_kill_rate=args.worker_kill_rate,
-    )
-    report = run_fleet_chaos_campaign(cfg, state_dir=args.state_dir)
-    print(json.dumps(report.to_dict(), indent=2))
-    print(report.summary(), file=sys.stderr)
-    if not report.ok:
-        return 1
-    if report.faults_total < args.min_faults:
-        print(
-            f"error: only {report.faults_total} faults fired "
-            f"(--min-faults {args.min_faults})",
-            file=sys.stderr,
-        )
-        return 1
-    if report.kills < args.min_kills:
-        print(
-            f"error: only {report.kills} primaries killed "
-            f"(--min-kills {args.min_kills})",
-            file=sys.stderr,
-        )
-        return 1
-    if report.worker_kills < args.min_worker_kills:
-        print(
-            f"error: only {report.worker_kills} workers SIGKILLed "
-            f"(--min-worker-kills {args.min_worker_kills})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _run_chaos(args: argparse.Namespace) -> int:
-    from .faults import ChaosConfig, run_chaos_campaign
+    import dataclasses
 
-    if args.fleet:
-        return _run_fleet_chaos(args)
+    from .faults import campaign
+
+    cls = campaign.FleetChaosConfig if args.fleet else campaign.ChaosConfig
     width, height = _parse_mesh(args.mesh)
-    cfg = ChaosConfig(
-        seed=args.seed,
-        ops=args.ops,
-        width=width,
-        height=height,
-        target_live=args.target_live,
-        persistence_rate=args.persistence_rate,
-        protocol_rate=args.protocol_rate,
-        engine_rate=args.engine_rate,
-        restart_rate=args.restart_rate,
-        socket_fraction=args.socket_fraction,
-        link_rate=args.link_rate,
-    )
-    report = run_chaos_campaign(cfg, state_dir=args.state_dir)
+    # Every campaign knob with a flag has the flag's name.
+    knobs = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(cls) if hasattr(args, f.name)
+    }
+    cfg = cls(**knobs, width=width, height=height)
+    report = campaign.run_chaos_campaign(cfg, state_dir=args.state_dir)
     print(json.dumps(report.to_dict(), indent=2))
     print(report.summary(), file=sys.stderr)
     if not report.ok:
         return 1
-    if report.faults_total < args.min_faults:
-        print(
-            f"error: only {report.faults_total} faults fired "
-            f"(--min-faults {args.min_faults})",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_faults and report.layers_covered < 3:
+    floors = [("faults", report.faults_total, "faults fired")]
+    if args.fleet:
+        floors += [
+            ("kills", report.kills, "primaries killed"),
+            ("worker-kills", report.worker_kills, "workers SIGKILLed"),
+        ]
+    for name, got, what in floors:
+        floor = getattr(args, f"min_{name.replace('-', '_')}")
+        if got < floor:
+            print(f"error: only {got} {what} (--min-{name} {floor})",
+                  file=sys.stderr)
+            return 1
+    if not args.fleet and args.min_faults and report.layers_covered < 3:
         print(
             f"error: only {report.layers_covered}/3 fault layers covered",
             file=sys.stderr,

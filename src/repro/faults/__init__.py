@@ -7,14 +7,16 @@ Layout:
     four-layer taxonomy (persistence / protocol / engine / link) and the
     :class:`InjectedCrash` simulated-process-death signal.
 :mod:`repro.faults.campaign`
-    The chaos campaign driver: seeded op schedules, a fault-free oracle
-    run, the faulted run with kills/restarts, and the end-state
-    bit-identity + zero-acked-lost invariants.
+    The chaos campaign driver, written once: seeded op schedules, a
+    fault-free oracle per tenant, the faulted run with its retries, and
+    the end-state bit-identity + zero-acked-lost invariants — plus the
+    three deployments it targets (broker in process, broker over a
+    socket, sharded fleet).
 
 Only the plane is imported eagerly: :mod:`repro.service.persistence`
-depends on it, while the campaign depends on the whole service layer —
-importing the campaign here would be circular. Campaign symbols are
-loaded on first attribute access instead.
+depends on it, while the campaign depends on the whole service and fleet
+layers — importing the campaign here would be circular. Campaign symbols
+are loaded on first attribute access instead.
 """
 
 from .plane import (

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
 from ..service.host import EngineHost
+from ..service.persistence import read_snapshot
 from .shards import Fleet
 
 __all__ = ["JournalTailer", "ShardStandby", "StandbyPool"]
@@ -137,30 +138,13 @@ class ShardStandby:
         """(Re)build the replica from the primary's current snapshot."""
         self.host = EngineHost(self.topology_spec)
         self.tailer.reset()
-        snapshot_path = self.state_dir / "snapshot.json"
-        if not snapshot_path.exists():
-            self._snapshot_sha = None
-            return
-        raw = snapshot_path.read_bytes()
-        self._snapshot_sha = hashlib.sha256(raw).hexdigest()
-        spec = json.loads(raw.decode("utf-8"))
-        topo = spec.get("topology")
-        if topo != self.topology_spec:
-            raise ReproError(
-                f"standby snapshot topology {topo} does not match the "
-                f"shard topology {self.topology_spec}"
-            )
-        if spec.get("next_id") is not None:
-            self.host.engine.advance_next_id(int(spec["next_id"]))
-        applied = spec.get("applied")
-        if isinstance(applied, dict):
-            self.host._applied.update(
-                {str(rid): dict(v) for rid, v in applied.items()}
-            )
-        entries = list(spec.get("streams", []))
-        if entries:
-            self.host.load_snapshot(entries)
-        self.reloads += 1
+        rec = read_snapshot(
+            self.state_dir / "snapshot.json", self.topology_spec
+        )
+        self._snapshot_sha = self._current_snapshot_sha(rec.raw)
+        if rec.raw is not None:
+            self.host.load_snapshot(rec)
+            self.reloads += 1
 
     def catch_up(self) -> int:
         """Apply every record committed since the last call.
@@ -196,11 +180,13 @@ class ShardStandby:
             "primary compacts faster than the standby polls"
         )
 
-    def _current_snapshot_sha(self) -> Optional[str]:
+    def _current_snapshot_sha(self, raw: Optional[bytes] = None):
+        """SHA-256 of ``raw``, else of the snapshot file now on disk
+        (``None`` when there is none)."""
         snapshot_path = self.state_dir / "snapshot.json"
-        if not snapshot_path.exists():
-            return None
-        return hashlib.sha256(snapshot_path.read_bytes()).hexdigest()
+        if raw is None and snapshot_path.exists():
+            raw = snapshot_path.read_bytes()
+        return None if raw is None else hashlib.sha256(raw).hexdigest()
 
     def fingerprint(self) -> Tuple[str, Dict[str, Any]]:
         return self.host.fingerprint()

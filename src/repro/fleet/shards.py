@@ -212,35 +212,46 @@ class TenantFleet:
           escalation uses.
 
         A third artefact comes from the link-fault plane: a crash in the
-        middle of a ``fail_link`` broadcast leaves shards disagreeing on
-        the failed-link set. The union is authoritative — every member
-        was journaled by at least one shard, so the op was in flight —
-        and lagging shards are brought forward by re-forwarding the op,
-        which re-derives the same deterministic evictions.
+        middle of a link-op broadcast leaves shards disagreeing on the
+        failed-link set. A broadcast runs in shard order and a crash
+        stops it, so shard 0 is never behind: the others are brought to
+        *its* set — fail or restore alike — by forwarding the missing op
+        under the rid shard 0 recorded for it. Each lagging shard then
+        re-derives and records its own deterministic delta, and the rid
+        merge below hands a retrying client the complete answer.
         """
-        shard_links: List[Set[Tuple[int, int]]] = []
-        for i in range(len(self.hosts)):
-            links = self._forward(i, {"op": "links"})
-            shard_links.append({
+        shard_links = [
+            {
                 normalize_link(int(u), int(v))
-                for u, v in links["failed_links"]
-            })
-        union: Set[Tuple[int, int]] = set().union(*shard_links)
+                for u, v in self._forward(i, {"op": "links"})["failed_links"]
+            }
+            for i in range(len(self.hosts))
+        ]
+        dumps = [host.shard_dump() for host in self.hosts]
+        lead = shard_links[0]
         for i, have in enumerate(shard_links):
-            for link in sorted(union - have):
+            behind = [("fail_link", l) for l in sorted(lead - have)]
+            behind += [("restore_link", l) for l in sorted(have - lead)]
+            for op, link in behind:
+                sub: Dict[str, Any] = {"op": op, "link": [link[0], link[1]]}
+                rids = [
+                    rid for rid, out in dumps[0]["applied"].items()
+                    if out.get("op") == op and out.get("link") == sub["link"]
+                ]
+                # A rid this shard already holds names an earlier,
+                # completed op on the same link, not the torn one.
+                if rids and rids[-1] not in dumps[i]["applied"]:
+                    sub["rid"] = rids[-1]
                 logger.warning(
-                    "tenant %s: shard %d missed fail_link %s (link-op "
-                    "crash window); re-applying", self.name, i, list(link),
+                    "tenant %s: shard %d missed %s %s (link-op crash "
+                    "window); re-applying", self.name, i, op, sub["link"],
                 )
-                self._forward(
-                    i, {"op": "fail_link", "link": [link[0], link[1]]}
-                )
-        if union:
-            self._set_failed_links(union)
-        dumps: List[Dict[str, Any]] = []
-        for i, host in enumerate(self.hosts):
-            dump = host.shard_dump()
-            dumps.append(dump)
+                self._forward(i, sub)
+            if behind:
+                dumps[i] = self.hosts[i].shard_dump()
+        if lead:
+            self._set_failed_links(lead)
+        for i, dump in enumerate(dumps):
             for entry in dump["streams"]:
                 sid = int(entry["stream"]["id"])
                 if sid in self.owner:
@@ -575,37 +586,36 @@ class TenantFleet:
         self, request: Dict[str, Any], rid: Optional[str]
     ) -> Dict[str, Any]:
         next_id_before = self._next_id
-        # Build the batch with tenant-level ids, mirroring the engine's
-        # fresh-id semantics exactly (ids must match the single-engine
-        # reference regardless of placement).
-        streams, analysis = parse_admit(
-            request, self.topology, self._fresh_id
-        )
-        ids = [s.stream_id for s in streams]
-        dup = [sid for sid in ids if sid in self.owner]
-        if dup or len(set(ids)) != len(ids):
-            raise StreamError(
-                f"duplicate stream id(s) in admission request: "
-                f"{sorted(set(dup or ids))}"
-            )
-        top = max(ids)
-        if top >= self._next_id:
-            self._next_id = top + 1
-        # Placement: which shards hold components the batch touches?
-        batch_channels: Set[Channel] = set()
-        for s in streams:
-            batch_channels |= self._stream_channels(s)
-        comp = self.index.component(batch_channels)
-        shards_touched = sorted({self.owner[sid] for sid in comp})
-        if not shards_touched:
-            target = self._least_loaded()
-        elif len(shards_touched) == 1:
-            target = shards_touched[0]
-        else:
-            target = self._escalation_target(comp)
-        involved = set(shards_touched) | {target}
         try:
-            self._gate_shards(involved)
+            # Build the batch with tenant-level ids, mirroring the
+            # engine's fresh-id semantics exactly (ids must match the
+            # single-engine reference regardless of placement).
+            streams, analysis = parse_admit(
+                request, self.topology, self._fresh_id
+            )
+            ids = [s.stream_id for s in streams]
+            dup = [sid for sid in ids if sid in self.owner]
+            if dup or len(set(ids)) != len(ids):
+                raise StreamError(
+                    f"duplicate stream id(s) in admission request: "
+                    f"{sorted(set(dup or ids))}"
+                )
+            top = max(ids)
+            if top >= self._next_id:
+                self._next_id = top + 1
+            # Placement: which shards hold components the batch touches?
+            batch_channels: Set[Channel] = set()
+            for s in streams:
+                batch_channels |= self._stream_channels(s)
+            comp = self.index.component(batch_channels)
+            shards_touched = sorted({self.owner[sid] for sid in comp})
+            if not shards_touched:
+                target = self._least_loaded()
+            elif len(shards_touched) == 1:
+                target = shards_touched[0]
+            else:
+                target = self._escalation_target(comp)
+            self._gate_shards(set(shards_touched) | {target})
             if len(shards_touched) > 1:
                 self._migrate(comp, target)
             fwd: Dict[str, Any] = {
@@ -620,7 +630,9 @@ class TenantFleet:
         except ReproError:
             # Mirrors the engine's reset on an uncommitted batch: the
             # trial ids were never acknowledged, so a retry of the same
-            # request re-evaluates with the same ids.
+            # request re-evaluates with the same ids — and a batch
+            # refused outright (failed links disconnect a pair) holds
+            # no id a restart would forget.
             self._reset_next_id(next_id_before)
             raise
         if response.get("duplicate"):

@@ -43,7 +43,7 @@ from ..io import report_to_spec, stream_to_spec, topology_from_spec
 from ..topology import FaultAwareRouting, normalize_link
 from .engine import IncrementalAdmissionEngine, RoutingDelta
 from .metrics import ServiceMetrics
-from .persistence import BrokerState
+from .persistence import BrokerState, RecoveredState
 from .protocol import (
     MUTATING_OPS,
     DegradedError,
@@ -124,25 +124,7 @@ class EngineHost:
     def _recover(self) -> None:
         assert self.state is not None
         rec = self.state.recover()
-        if rec.next_id is not None:
-            # Restore the fresh-id high-water mark so ids released before
-            # the snapshot are never reissued across restarts.
-            self.engine.advance_next_id(rec.next_id)
-        # The idempotency table survives restarts: snapshot-persisted rids
-        # first, then the rids of replayed journal entries, so a client
-        # retrying an op whose ack died with the old process still gets
-        # the committed outcome instead of a double-apply.
-        self._applied.update(rec.applied_rids)
-        if rec.failed_links:
-            # Degrade the routing *before* the streams replay: the
-            # snapshot's admitted set was vetted on the degraded network,
-            # so it must re-admit on the same one — and with the engine
-            # still empty, the swap reroutes nothing.
-            self._swap_routing(
-                {normalize_link(u, v) for u, v in rec.failed_links}
-            )
-        if rec.snapshot:
-            self.load_snapshot(rec.snapshot)
+        self.load_snapshot(rec)
         for op in rec.ops:
             self.apply_journal_op(op)
         # Replay only marked; this is where the recovered set is decided
@@ -161,18 +143,37 @@ class EngineHost:
                 f"{list(report.infeasible_ids())} now infeasible"
             )
 
-    def load_snapshot(self, entries: List[dict]) -> None:
-        """Replay snapshot stream entries into an empty engine.
+    def load_snapshot(self, rec: RecoveredState) -> None:
+        """Apply what a snapshot file held to an empty engine.
 
-        Streams snapshotted under different bound backends replay as one
-        batch per backend. Order is irrelevant to the final state (the
-        analysis has no admission-order dependence) and every
-        intermediate set is a subset of a feasible set, hence feasible
-        itself. Also the standby's bootstrap path
-        (:mod:`repro.fleet.replication`).
+        Shared by restart recovery and the standby's bootstrap
+        (:mod:`repro.fleet.replication`), in the one order that is
+        right: high-water mark, rid table, failed links, streams.
         """
+        if rec.next_id is not None:
+            # Restore the fresh-id high-water mark so ids released before
+            # the snapshot are never reissued across restarts.
+            self.engine.advance_next_id(rec.next_id)
+        # The idempotency table survives restarts: snapshot-persisted rids
+        # first, then the rids of replayed journal entries, so a client
+        # retrying an op whose ack died with the old process still gets
+        # the committed outcome instead of a double-apply.
+        self._applied.update(rec.applied_rids)
+        if rec.failed_links:
+            # Degrade the routing *before* the streams replay: the
+            # snapshot's admitted set was vetted on the degraded network,
+            # so it must re-admit on the same one — and with the engine
+            # still empty, the swap reroutes nothing.
+            self._swap_routing(
+                {normalize_link(u, v) for u, v in rec.failed_links}
+            )
+        # Streams snapshotted under different bound backends replay as
+        # one batch per backend. Order is irrelevant to the final state
+        # (the analysis has no admission-order dependence) and every
+        # intermediate set is a subset of a feasible set, hence feasible
+        # itself.
         groups: Dict[Optional[str], List[dict]] = {}
-        for entry in entries:
+        for entry in rec.snapshot or ():
             groups.setdefault(entry.get("analysis"), []).append(entry)
         for name in sorted(groups, key=lambda n: (n is None, n or "")):
             self._adopt_entries(groups[name], name)
@@ -459,11 +460,18 @@ class EngineHost:
         self, request: Dict[str, Any], rid: Optional[str]
     ) -> Dict[str, Any]:
         next_id_before = self.engine.next_id
-        streams, analysis = parse_admit(
-            request, self.topology, self.engine.fresh_id
-        )
+        try:
+            streams, analysis = parse_admit(
+                request, self.topology, self.engine.fresh_id
+            )
+            decision = self.engine.try_admit(streams, analysis=analysis)
+        except ReproError:
+            # Refused before any verdict (failed links disconnect a
+            # pair): the ids drawn live in memory only; held, every
+            # later id would differ from a run that restarted since.
+            self.engine.reset_next_id(next_id_before)
+            raise
         ids = [s.stream_id for s in streams]
-        decision = self.engine.try_admit(streams, analysis=analysis)
         response: Dict[str, Any] = {
             "admitted": decision.admitted,
             "ids": ids,

@@ -60,7 +60,7 @@ from ..errors import ReproError
 from ..faults.plane import FaultPlane, FaultSpec, InjectedCrash, SITE_JOURNAL_APPEND
 from ..io import streams_to_spec
 
-__all__ = ["BrokerState", "RecoveredState", "RID_CAP"]
+__all__ = ["BrokerState", "RecoveredState", "RID_CAP", "read_snapshot"]
 
 #: Most applied request ids kept for duplicate detection (FIFO eviction).
 RID_CAP = 1024
@@ -84,6 +84,43 @@ class RecoveredState:
     failed_links: List[List[int]] = field(default_factory=list)
     #: Whether a torn (partial) final journal record was skipped.
     torn_tail: bool = False
+    #: The snapshot file's bytes, if any (a standby hashes them to
+    #: notice a compaction it did not tail).
+    raw: Optional[bytes] = None
+
+
+def read_snapshot(
+    path: Union[str, Path], topology_spec: Dict[str, Any]
+) -> RecoveredState:
+    """Read ``snapshot.json`` into a :class:`RecoveredState` (no journal).
+
+    The one reader of the file — restart recovery and a standby's
+    bootstrap both come here. Validates that the snapshot was taken over
+    the topology the caller runs: recovering a 10x10-mesh admitted set
+    onto a torus would silently re-route everything.
+    """
+    out = RecoveredState()
+    path = Path(path)
+    if not path.exists():
+        return out
+    out.raw = path.read_bytes()
+    spec = json.loads(out.raw.decode("utf-8"))
+    topo = spec.get("topology")
+    if topo != topology_spec:
+        raise ReproError(
+            f"snapshot topology {topo} in {path} does not match the "
+            f"server topology {topology_spec}"
+        )
+    out.snapshot = list(spec.get("streams", []))
+    if spec.get("next_id") is not None:
+        out.next_id = int(spec["next_id"])
+    applied = spec.get("applied")
+    if isinstance(applied, dict):
+        out.applied_rids = {str(rid): dict(v) for rid, v in applied.items()}
+    out.failed_links = [
+        [int(u), int(v)] for u, v in spec.get("failed_links", [])
+    ]
+    return out
 
 
 class BrokerState:
@@ -109,33 +146,8 @@ class BrokerState:
     # ------------------------------------------------------------------ #
 
     def recover(self) -> RecoveredState:
-        """Read the snapshot and journal back; see :class:`RecoveredState`.
-
-        Validates that a present snapshot was taken over the same topology
-        the server is being started with — recovering a 10x10-mesh
-        admitted set onto a torus would silently re-route everything.
-        """
-        out = RecoveredState()
-        if self.snapshot_path.exists():
-            spec = json.loads(self.snapshot_path.read_text())
-            topo = spec.get("topology")
-            if topo != self.topology_spec:
-                raise ReproError(
-                    f"snapshot topology {topo} does not match the "
-                    f"server topology {self.topology_spec}"
-                )
-            out.snapshot = list(spec.get("streams", []))
-            if spec.get("next_id") is not None:
-                out.next_id = int(spec["next_id"])
-            applied = spec.get("applied")
-            if isinstance(applied, dict):
-                out.applied_rids = {
-                    str(rid): dict(v) for rid, v in applied.items()
-                }
-            out.failed_links = [
-                [int(u), int(v)]
-                for u, v in spec.get("failed_links", [])
-            ]
+        """Read the snapshot and journal back; see :class:`RecoveredState`."""
+        out = read_snapshot(self.snapshot_path, self.topology_spec)
         if self.journal_path.exists():
             self._read_journal(out)
         return out

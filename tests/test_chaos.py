@@ -101,7 +101,7 @@ class TestCrashRecoveryProperty:
         cfg = ChaosConfig(seed=9, ops=24, target_live=6,
                           socket_fraction=0.0)
         schedule = generate_schedule(cfg)
-        oracle_sha, _ = run_oracle(cfg, schedule)
+        oracle_sha = run_oracle(cfg, schedule)[0][None]
 
         state = tmp_path / f"state-{kill_every}-{snap_every}"
         plane = FaultPlane(seed=cfg.seed)

@@ -366,6 +366,20 @@ class TestFleetCommands:
         assert payload["acked_then_lost"] == {}
         assert "fleet chaos seed=0" in captured.err
 
+    def test_fleet_chaos_honours_link_rate(self, tmp_path, capsys):
+        code = main([
+            "chaos", "--fleet", "--seed", "0", "--ops", "60",
+            "--tenants", "2", "--shards", "2", "--mesh", "5x5",
+            "--target-live", "8", "--persistence-rate", "0.4",
+            "--kill-rate", "0.10", "--link-rate", "0.2",
+            "--state-dir", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        payload = json.loads(captured.out)
+        assert payload["ok"] and payload["bit_identical"]
+        assert payload["faults"]["by_layer"]["link"].get("link_fail", 0) > 0
+
     def test_fleet_chaos_enforces_min_kills(self, capsys):
         code = main([
             "chaos", "--fleet", "--seed", "0", "--ops", "10",

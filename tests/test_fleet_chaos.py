@@ -1,4 +1,4 @@
-"""Fleet chaos campaign tests (``repro.fleet.chaos``).
+"""Fleet chaos campaign tests (``repro.faults.campaign``, fleet target).
 
 Same split as ``test_chaos.py``: the unmarked tests run a small
 campaign with boosted fault/kill rates so every mechanism fires inside
@@ -6,12 +6,14 @@ the tier-1 budget; the ``chaos``-marked tests run default-size
 campaigns across several seeds (CI's chaos job and nightly runs).
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.fleet.chaos import (
+from repro.faults.campaign import (
     FleetChaosConfig,
-    generate_fleet_schedule,
-    run_fleet_chaos_campaign,
+    generate_schedule,
+    run_chaos_campaign,
 )
 
 #: Small but hostile: kill and fault rates cranked up so the campaign
@@ -32,7 +34,7 @@ SMALL = FleetChaosConfig(
 
 class TestSmallFleetCampaign:
     def test_fleet_survives_and_matches_oracles(self, tmp_path):
-        report = run_fleet_chaos_campaign(SMALL, state_dir=tmp_path)
+        report = run_chaos_campaign(SMALL, state_dir=tmp_path)
         assert report.ok, report.summary()
         assert report.bit_identical
         assert report.committed == SMALL.ops
@@ -46,22 +48,36 @@ class TestSmallFleetCampaign:
         assert report.fleet_restarts >= 1
 
     def test_campaign_is_reproducible(self):
-        first = run_fleet_chaos_campaign(SMALL).to_dict()
-        second = run_fleet_chaos_campaign(SMALL).to_dict()
+        first = run_chaos_campaign(SMALL).to_dict()
+        second = run_chaos_campaign(SMALL).to_dict()
+        first.pop("seconds"), second.pop("seconds")
+        assert first == second
+
+    def test_link_slots_ride_the_fleet_campaign(self, tmp_path):
+        """The link layer on the fleet target: per-tenant link state,
+        torn broadcasts, standbys bootstrapped from snapshots with
+        failed links, refused admits — same two invariants."""
+        linky = replace(SMALL, link_rate=0.15)
+        report = run_chaos_campaign(linky, state_dir=tmp_path)
+        assert report.ok, report.summary()
+        assert report.committed == linky.ops
+        assert report.faults_by_layer["link"].get("link_fail", 0) > 0
+        assert report.kills >= 1 and report.fleet_restarts >= 1
+        first, second = report.to_dict(), run_chaos_campaign(linky).to_dict()
         first.pop("seconds"), second.pop("seconds")
         assert first == second
 
     def test_schedule_is_deterministic_and_interleaved(self):
-        sched = generate_fleet_schedule(SMALL)
+        sched = generate_schedule(SMALL)
         assert len(sched) == SMALL.ops
-        assert sched == generate_fleet_schedule(SMALL)
-        tenants = {tenant for tenant, _ in sched}
+        assert sched == generate_schedule(SMALL)
+        tenants = {entry.tenant for entry in sched}
         assert len(tenants) == SMALL.tenants
-        rids = [entry.rid for _, entry in sched]
+        rids = [entry.rid for entry in sched]
         assert len(set(rids)) == len(rids)
 
     def test_report_dict_shape(self, tmp_path):
-        report = run_fleet_chaos_campaign(SMALL, state_dir=tmp_path)
+        report = run_chaos_campaign(SMALL, state_dir=tmp_path)
         d = report.to_dict()
         for key in ("seed", "ops", "tenants", "shards", "kills",
                     "promotions", "oracle_shas", "live_shas",
@@ -91,7 +107,7 @@ WORKER_SMALL = FleetChaosConfig(
 
 class TestWorkerFleetCampaign:
     def test_worker_campaign_survives_real_sigkills(self, tmp_path):
-        report = run_fleet_chaos_campaign(WORKER_SMALL, state_dir=tmp_path)
+        report = run_chaos_campaign(WORKER_SMALL, state_dir=tmp_path)
         assert report.ok, report.summary()
         assert report.bit_identical
         assert report.committed == WORKER_SMALL.ops
@@ -112,15 +128,15 @@ class TestWorkerFleetCampaign:
         runs to the same final state. Timing-raced counters (retries,
         restarts, duplicate acks) are the only fields allowed to
         differ."""
-        first = run_fleet_chaos_campaign(WORKER_SMALL).to_dict()
-        second = run_fleet_chaos_campaign(WORKER_SMALL).to_dict()
+        first = run_chaos_campaign(WORKER_SMALL).to_dict()
+        second = run_chaos_campaign(WORKER_SMALL).to_dict()
         for raced in ("seconds", "worker_retries", "worker_restarts",
                       "duplicate_acks"):
             first.pop(raced), second.pop(raced)
         assert first == second
 
     def test_worker_report_dict_shape(self, tmp_path):
-        report = run_fleet_chaos_campaign(WORKER_SMALL, state_dir=tmp_path)
+        report = run_chaos_campaign(WORKER_SMALL, state_dir=tmp_path)
         d = report.to_dict()
         for key in ("workers", "worker_kills", "worker_retries",
                     "worker_restarts"):
@@ -132,19 +148,27 @@ class TestWorkerFleetCampaign:
 class TestFullFleetCampaign:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_default_size_campaign(self, seed, tmp_path):
-        report = run_fleet_chaos_campaign(
+        report = run_chaos_campaign(
             FleetChaosConfig(seed=seed), state_dir=tmp_path
         )
         assert report.ok, report.summary()
         assert report.kills >= 1
         assert report.promotions >= 1
 
+    def test_default_size_campaign_with_links(self, tmp_path):
+        report = run_chaos_campaign(
+            FleetChaosConfig(seed=4, link_rate=0.15), state_dir=tmp_path
+        )
+        assert report.ok, report.summary()
+        assert report.faults_by_layer["link"].get("link_fail", 0) > 0
+        assert report.kills >= 1
+
 
 @pytest.mark.chaos
 class TestFullWorkerCampaign:
     @pytest.mark.parametrize("seed", [3, 5])
     def test_default_size_worker_campaign(self, seed, tmp_path):
-        report = run_fleet_chaos_campaign(
+        report = run_chaos_campaign(
             FleetChaosConfig(seed=seed, workers=2, worker_kill_rate=0.12),
             state_dir=tmp_path,
         )
@@ -152,3 +176,13 @@ class TestFullWorkerCampaign:
         assert report.worker_kills >= 3
         assert report.worker_restarts >= 1
         assert report.bit_identical
+
+    def test_default_size_worker_campaign_with_links(self, tmp_path):
+        report = run_chaos_campaign(
+            FleetChaosConfig(seed=7, workers=2, worker_kill_rate=0.12,
+                             link_rate=0.15),
+            state_dir=tmp_path,
+        )
+        assert report.ok, report.summary()
+        assert report.faults_by_layer["link"].get("link_fail", 0) > 0
+        assert report.worker_kills >= 3

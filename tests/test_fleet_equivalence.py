@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro.faults.campaign import ScheduledOp, _apply_outcome, build_request
+from repro.faults.campaign import ScheduledOp, apply_outcome, build_request
 from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
 from repro.fleet.replication import StandbyPool
@@ -79,7 +79,7 @@ def run_equivalence(seed, tmp_path, *, shards=4, ops=OPS, kills=1):
         want = ref.handle_request(dict(request))
         assert got == want, (i, request, got, want)
         if request["op"] in ("admit", "release") and got.get("ok"):
-            _apply_outcome(request, got, live, [])
+            apply_outcome(request, got, live, [])
         assert_books_exact(tf)
 
         max_spread = max(
@@ -206,7 +206,7 @@ def run_three_way(seed, tmp_path, *, ops=OPS, workers=2, worker_kills=2):
             assert_books_exact(tf_ip)
             assert_books_exact(tf_mp)
             if request["op"] in ("admit", "release") and want.get("ok"):
-                _apply_outcome(request, want, live, [])
+                apply_outcome(request, want, live, [])
             max_spread = max(
                 max_spread,
                 len(set(tf_mp.owner.values())) if tf_mp.owner else 0,

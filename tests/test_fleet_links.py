@@ -11,6 +11,12 @@ left behind).
 
 import pytest
 
+from repro.faults.plane import (
+    SITE_JOURNAL_APPEND,
+    FaultPlane,
+    FaultSpec,
+    InjectedCrash,
+)
 from repro.fleet.shards import TenantFleet
 from repro.service.host import EngineHost
 
@@ -184,6 +190,75 @@ class TestFleetLinkRecovery:
         )
         assert recovered.fingerprint() == ref.fingerprint()
         recovered.close()
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("op", ["fail_link", "restore_link"])
+    def test_torn_broadcast_rolls_forward_under_its_rid(
+        self, tmp_path, op, shards
+    ):
+        """Crash after shard 0 journaled a broadcast link op: recovery
+        brings the lagging shards to shard 0's set — fail or restore —
+        under the op's own rid, so the client's retry is answered with
+        the complete delta and the link really is in the acked state."""
+        setup = [
+            {"op": "admit", "streams": [spec(0, 2)]},
+            {"op": "admit", "streams": [spec(2, 0)]},
+            {"op": "admit", "streams": [spec(30, 32)]},
+        ]
+        if op == "restore_link":
+            setup.append({"op": "fail_link", "link": [1, 2], "rid": "a"})
+        request = {"op": op, "link": [1, 2], "rid": "b"}
+        plane = FaultPlane(0)
+        tf = TenantFleet("t", TOPO, shards=shards, state_dir=tmp_path,
+                         fault_plane=plane)
+        for step in setup:
+            assert tf.handle_request(step)["ok"]
+        assert len(set(tf.owner.values())) == shards
+        plane.arm(SITE_JOURNAL_APPEND, FaultSpec("crash_after_append"))
+        with pytest.raises(InjectedCrash):
+            tf.handle_request(request)
+        assert tf.hosts[0].links_spec() != tf.hosts[1].links_spec()
+        tf.close()
+
+        recovered = TenantFleet("t", TOPO, shards=shards,
+                                state_dir=tmp_path)
+        retried = recovered.handle_request(request)
+        ref = reference(*setup)
+        want = ref.handle_request(request)
+        assert retried["ok"] and retried["duplicate"], retried
+        for key in ("rerouted", "evicted", "disconnected", "survivors"):
+            assert retried[key] == want[key], key
+        assert (recovered.handle_request({"op": "links"})["failed_links"]
+                == want["failed_links"])
+        for host in recovered.hosts:
+            assert host.links_spec() == want["failed_links"]
+        assert recovered.fingerprint() == ref.fingerprint()
+        recovered.close()
+
+    def test_refused_admit_holds_no_id_across_restart(self, tmp_path):
+        """An admit refused because failed links disconnect its pair
+        must not burn a stream id only memory remembers."""
+        steps = [
+            {"op": "admit", "streams": [spec(14, 16)]},
+            {"op": "fail_link", "link": [0, 1]},
+            {"op": "fail_link", "link": [0, 6]},
+        ]
+        cut_off = {"op": "admit", "streams": [spec(0, 8)]}
+        after = {"op": "admit", "streams": [spec(20, 22)]}
+        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        for step in steps:
+            assert tf.handle_request(step)["ok"]
+        refused = tf.handle_request(cut_off)
+        assert not refused["ok"] and "disconnect" in refused["error"]
+        tf.close()
+
+        restarted = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        ref = reference(*steps)
+        assert ref.handle_request(cut_off)["error"] == refused["error"]
+        assert (restarted.handle_request(after)["ids"]
+                == ref.handle_request(after)["ids"] == [1])
+        assert restarted.fingerprint() == ref.fingerprint()
+        restarted.close()
 
     def test_link_op_on_dead_shard_fails_clearly(self):
         tf = TenantFleet("t", TOPO, shards=2)

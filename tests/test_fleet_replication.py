@@ -244,6 +244,43 @@ class TestStandbyPool:
             assert sb.fingerprint()[0] == tf.hosts[i].fingerprint()[0]
         fleet.close()
 
+    def test_promote_after_a_snapshot_that_holds_failed_links(self, tmp_path):
+        """The snapshot's fifth field: a standby bootstrapped from a
+        snapshot taken while a link was down must restore the link set
+        before the streams, as restart recovery does — else promotion
+        refuses with a fingerprint mismatch, forever."""
+        fleet = Fleet(
+            [TenantSpec("t", "k", TOPO)], shards=2, state_dir=tmp_path
+        )
+        pool = StandbyPool(fleet)
+        tf = fleet.tenants["t"]
+        for request in (
+            {"op": "admit", "streams": [spec(0, 3)]},
+            {"op": "fail_link", "link": [1, 2]},
+            {"op": "snapshot"},
+        ):
+            assert fleet.handle_request("t", request)["ok"]
+        pool.catch_up()
+        sha = tf.fingerprint()[0]
+        tf.kill_host(0)
+        pool.promote("t", 0)
+        assert tf.links_spec() == [[1, 2]]
+        assert tf.fingerprint()[0] == sha
+
+        # And the other way: restored again before the next snapshot.
+        for request in (
+            {"op": "restore_link", "link": [1, 2]},
+            {"op": "snapshot"},
+        ):
+            assert fleet.handle_request("t", request)["ok"]
+        pool.catch_up()
+        sha = tf.fingerprint()[0]
+        tf.kill_host(1)
+        pool.promote("t", 1)
+        assert tf.hosts[1].links_spec() == []
+        assert tf.fingerprint()[0] == sha
+        fleet.close()
+
     def test_pool_requires_persistence(self, tmp_path):
         import pytest
 

@@ -234,6 +234,33 @@ class TestHostLinkOps:
         recovered.state.close()
 
 
+    def test_refused_admit_holds_no_id_across_restart(self, tmp_path):
+        """Two failures isolate corner 0; an admit from it is refused
+        (no route) and must leave the fresh-id mark where it was — the
+        burned id would live in memory only, so a restarted host would
+        hand out different ids than one that never restarted."""
+        stream = {"src": 0, "dst": 5, "priority": 1, "period": 150,
+                  "length": 2, "deadline": 150}
+        other = dict(stream, src=10, dst=15)
+        steady = EngineHost(self.SPEC)
+        host = EngineHost(self.SPEC, state_dir=tmp_path)
+        for h in (steady, host):
+            self._admit(h, [other])
+            for link in ([0, 1], [0, 4]):
+                assert h.handle_request(
+                    {"op": "fail_link", "link": link}
+                )["ok"]
+            refused = h.handle_request({"op": "admit", "streams": [stream]})
+            assert not refused["ok"] and "disconnect" in refused["error"]
+        host.state.close()
+        restarted = EngineHost(self.SPEC, state_dir=tmp_path)
+        again = dict(other, src=15, dst=10)
+        assert (self._admit(restarted, [again])
+                == self._admit(steady, [again]) == [1])
+        assert restarted.fingerprint() == steady.fingerprint()
+        restarted.state.close()
+
+
 class TestSimulatorLinkFaults:
     """Flit-level behaviour: dead links kill crossing worms."""
 
