@@ -54,9 +54,9 @@ Commands
     Run the online channel broker (see :mod:`repro.service`): an asyncio
     JSON-lines server over a unix socket (``--socket``) or TCP
     (``--host``/``--port``) exposing admit/release/query/report/snapshot/
-    stats ops, with optional snapshot+journal persistence
-    (``--state-dir``). ``--metrics-port PORT`` additionally serves
-    Prometheus metrics on ``GET /metrics``.
+    stats ops (one request per line, up to 8 MiB), with optional
+    snapshot+journal persistence (``--state-dir``). ``--metrics-port
+    PORT`` additionally serves Prometheus metrics on ``GET /metrics``.
 ``load``
     Replay seeded admit/release churn against a running broker and print
     a JSON summary (throughput, acceptance rate, server stats). Used by
@@ -219,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="engine-default bound backend for admits "
                               "that do not name one (default: "
                               "REPRO_ANALYSIS_BACKEND or kim98)")
-    p_serve.add_argument("--batch-max", type=int, default=64,
-                         help="max requests drained per worker wakeup")
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          metavar="PORT",
                          help="serve Prometheus metrics over HTTP on "
@@ -604,7 +602,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
         residency_margin=args.residency_margin,
         analysis=args.analysis,
-        batch_max=args.batch_max,
     )
 
     async def run() -> None:

@@ -384,8 +384,7 @@ def state_fingerprint(server: BrokerServer) -> Tuple[str, Dict[str, Any]]:
     """``(sha256, spec)`` of everything recovery promises to preserve
     (see :func:`repro.service.protocol.fingerprint`), of a
     :class:`BrokerServer` or a bare :class:`EngineHost`."""
-    host = getattr(server, "host", server)
-    return host.fingerprint()
+    return server.fingerprint()
 
 
 def run_oracle(

@@ -38,36 +38,30 @@ framing) exposing the broker protocol as a JSON-over-HTTP API:
 
 Architecture
 ------------
-Every connection has a *reader* and a *handler* joined by a bounded
-FIFO (:class:`_Connection`). The reader is the transport's
-``data_received`` callback: it parses every complete request out of the
-bytes that arrived (one regex search per head) and queues it, also
-while the handler is busy; when ``_READAHEAD`` requests are waiting it
-pauses the transport, so TCP back-pressure reaches a client that sends
-faster than it is served. The handler is one task per connection: it
-takes whatever is queued — at most
-``_BATCH_MAX`` — resolves each request (route, API key, body), runs
+Every connection is a :class:`repro.service.server.HttpConnection` — the
+front end the broker's listeners share: a reader that parses ahead into
+a bounded FIFO (TCP back-pressure beyond ``_READAHEAD``), one handler
+task taking at most ``_BATCH_MAX`` requests per pass, one write per
+batch. What the gateway adds is :meth:`GatewayServer._serve`, how a
+batch is answered: it resolves each request (route, API key, body), runs
 every maximal run of consecutive fleet ops of one tenant as **one**
 job, answers ``/healthz``, ``/metrics``, ``/admin/*``, ``shutdown`` and
 errors in their turn between runs, and sends the whole batch's
 responses, in request order, with one write. A serial client is the
-batch-of-one case of the same code, and pays one task wake-up per
-request, as it did when the handler read the socket itself (a reader
-*task* was measured: it costs a second wake-up, 40 us per request on
-the bench host). What a batch changes for a
+batch-of-one case of the same code. What a batch changes for a
 pipelining client: an op's ack leaves with the batch's last response.
 It still never leaves before the op's journal commit, so a crash loses
 at most acks (the rid-retry case), never an acked op.
 
 In the default in-process fleet a run executes synchronously on the
-event-loop thread — the same single-writer model as the broker's worker
-task, so decisions stay linearisable per tenant without locks. In
-worker-pool mode (``repro gateway --workers N``) the shards run in
-supervised child processes, so a run dispatches to a thread pool under
-one asyncio lock per tenant, held for the whole run: still
-single-writer *per tenant*, but different tenants' admissions run truly
-in parallel across cores. Background tasks tail the journals into the
-warm standbys and restart any worker that dies.
+event-loop thread — the same single-writer model as the broker, so
+decisions stay linearisable per tenant without locks. In worker-pool
+mode (``repro gateway --workers N``) the shards run in supervised child
+processes, so a run dispatches to a thread pool under one asyncio lock
+per tenant, held for the whole run: still single-writer *per tenant*,
+but different tenants' admissions run truly in parallel across cores.
+Background tasks tail the journals into the warm standbys and restart
+any worker that dies.
 """
 
 from __future__ import annotations
@@ -75,28 +69,25 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import re
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Tuple,
-    Union,
-)
-from urllib.parse import parse_qs, urlsplit
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from urllib.parse import parse_qs
 
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
 from ..service.protocol import HTTP_OPS
-from ..service.server import keep_recv_buffers_on_heap
+from ..service.server import (
+    Connection,
+    HttpConnection,
+    _Answer,
+    _encode_response,
+    _HttpError,
+    _Request,
+    close_connections,
+    keep_recv_buffers_on_heap,
+)
 from .replication import StandbyPool
 from .shards import Fleet
 
@@ -104,18 +95,6 @@ __all__ = ["GatewayServer"]
 
 logger = logging.getLogger(__name__)
 
-_MAX_BODY = 8 * 1024 * 1024
-_MAX_HEAD = 64 * 1024
-#: Parsed requests one connection may have waiting for its handler. The
-#: reader stops reading the socket at this depth (memory per connection
-#: is bounded by it, not by how fast the client writes).
-_READAHEAD = 32
-#: Most requests one handler pass answers with one write: it bounds how
-#: many acks wait on one batch's last op, and how long one connection
-#: holds its tenant's lock while another waits. A constant, not an
-#: option: it only binds above the depth clients pipeline at, and no
-#: deployment has a reason to choose differently.
-_BATCH_MAX = 16
 #: Every path a request can be counted under; the rest count as
 #: ``"other"`` so a scanner cannot grow the table (or ``/metrics``).
 _ROUTES = frozenset(
@@ -123,229 +102,6 @@ _ROUTES = frozenset(
      "/admin/failover", "/admin/kill_worker"]
     + [f"/v1/{op}" for op in HTTP_OPS]
 )
-_REASONS = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
-            403: "Forbidden", 404: "Not Found", 405: "Method Not Allowed",
-            413: "Payload Too Large",
-            431: "Request Header Fields Too Large",
-            503: "Service Unavailable"}
-_HEAD_END = re.compile(rb"\r?\n\r?\n")
-
-_Answer = Tuple[int, Any]
-
-
-class _HttpError(Exception):
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-    def answer(self) -> _Answer:
-        return self.status, {"ok": False, "error": self.message}
-
-
-class _Request(NamedTuple):
-    method: str
-    path: str
-    query: str
-    keep_alive: bool
-    headers: Dict[str, str]
-    body: bytes
-
-
-def _parse_head(
-    head: bytes
-) -> Tuple[str, str, str, bool, Dict[str, str], int]:
-    """``(method, path, query, keep_alive, headers, body length)`` of
-    one request head (request line + header lines, blank line
-    excluded)."""
-    lines = head.decode("latin-1").split("\n")
-    parts = lines[0].split()
-    if len(parts) < 3:
-        raise _HttpError(400, "malformed request line")
-    try:
-        target = urlsplit(parts[1])
-    except ValueError:
-        raise _HttpError(400, "malformed request target") from None
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        name, colon, value = line.partition(":")
-        if colon:
-            headers[name.strip().lower()] = value.strip()
-    keep_alive = (parts[2].upper() != "HTTP/1.0"
-                  and headers.get("connection", "").lower() != "close")
-    try:
-        length = int(headers.get("content-length") or 0)
-    except ValueError:
-        length = -1
-    if length < 0:
-        raise _HttpError(400, "malformed Content-Length header")
-    if length > _MAX_BODY:
-        raise _HttpError(413, "request body too large")
-    return (parts[0].upper(), target.path, target.query, keep_alive,
-            headers, length)
-
-
-def _encode_response(status: int, payload: Any, keep_alive: bool) -> bytes:
-    if isinstance(payload, str):
-        body = payload.encode("utf-8")
-        ctype = "text/plain; version=0.0.4; charset=utf-8"
-    else:
-        body = (json.dumps(payload, separators=(",", ":")) + "\n").encode()
-        ctype = "application/json"
-    return (
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}\r\n"
-        f"Content-Type: {ctype}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: {'keep-alive' if keep_alive else 'close'}"
-        "\r\n\r\n"
-    ).encode("latin-1") + body
-
-
-class _Connection(asyncio.Protocol):
-    """One client connection: bytes in, a bounded FIFO of parsed
-    requests in between, one handler task taking batches out.
-
-    The transport calls :meth:`data_received` whenever bytes arrive —
-    also while the handler awaits a job — and every complete request in
-    them is parsed and queued at once. At ``_READAHEAD`` queued requests
-    the transport is paused (what has been received but not parsed
-    waits in ``_buf``; the kernel's socket buffer does the rest), and
-    resumed when the handler has made room. The FIFO's last item is the
-    reader's last word: ``None`` (the client is done sending, the
-    connection is gone, or the last request asked to close) or the
-    :class:`_HttpError` to answer before closing.
-    """
-
-    def __init__(self, gateway: "GatewayServer"):
-        self.gateway = gateway
-        self.fifo: Deque[Union[_Request, _HttpError, None]] = deque()
-        self._transport: Optional[asyncio.Transport] = None
-        self._buf = bytearray()   # received, not yet a whole request
-        #: The parsed head at the front of ``_buf`` while its body is
-        #: still arriving (some clients send the two separately), with
-        #: where the body starts and ends.
-        self._head: Optional[Tuple[Any, ...]] = None
-        self._ended = False       # the last word is queued
-        self._paused = False      # not reading: the FIFO is full
-        self._writable = True     # the transport's write buffer has room
-        self._lost = False
-        #: The handler, when it waits (for a request, or for the write
-        #: buffer to drain).
-        self._waiter: Optional[asyncio.Future] = None
-
-    # -- transport side ------------------------------------------------ #
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        assert isinstance(transport, asyncio.Transport)
-        self._transport = transport
-        self.gateway._connected(self)
-
-    def data_received(self, data: bytes) -> None:
-        if not self._ended:     # nothing is read past the last word
-            self._buf += data
-            self._parse()
-
-    def eof_received(self) -> bool:
-        self._end(
-            _HttpError(400, "connection closed mid-request")
-            if self._buf.strip(b"\r\n") else None
-        )
-        return True     # half-closed: what is queued still gets answered
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._lost = True
-        self._end(None)
-        self._wake()
-
-    def pause_writing(self) -> None:
-        self._writable = False
-
-    def resume_writing(self) -> None:
-        self._writable = True
-        self._wake()
-
-    def _parse(self) -> None:
-        """Move every complete request from ``_buf`` to the FIFO."""
-        buf = self._buf
-        while not self._ended:
-            if len(self.fifo) >= _READAHEAD:
-                if not self._paused:
-                    self._paused = True
-                    self.gateway.readahead_full += 1
-                    assert self._transport is not None
-                    self._transport.pause_reading()
-                return
-            if self._head is None:
-                if buf[:1] in (b"\r", b"\n"):
-                    # Empty lines before a request line are ignored.
-                    del buf[:len(buf) - len(buf.lstrip(b"\r\n"))]
-                match = _HEAD_END.search(buf)
-                if match is None:
-                    if len(buf) > _MAX_HEAD:
-                        self._end(_HttpError(431, "request head too large"))
-                    return
-                try:
-                    *head, length = _parse_head(buf[:match.start()])
-                except _HttpError as exc:
-                    self._end(exc)
-                    return
-                self._head = (*head, match.end(), match.end() + length)
-            *head, start, end = self._head
-            if len(buf) < end:
-                return      # the body is still arriving
-            self._head = None
-            request = _Request(*head, bytes(buf[start:end]))
-            del buf[:end]
-            self.fifo.append(request)
-            self._wake()
-            if not request.keep_alive:
-                self._end(None)
-
-    def _end(self, last: Optional[_HttpError]) -> None:
-        if not self._ended:
-            self._ended = True
-            self.fifo.append(last)
-            self._wake()
-
-    def _wake(self) -> None:
-        if self._waiter is not None and not self._waiter.done():
-            self._waiter.set_result(None)
-
-    # -- handler side -------------------------------------------------- #
-
-    async def _wait(self) -> None:
-        self._waiter = asyncio.get_running_loop().create_future()
-        try:
-            await self._waiter
-        finally:
-            self._waiter = None
-
-    async def take(self) -> List[Union[_Request, _HttpError, None]]:
-        """Everything queued, at most ``_BATCH_MAX``; waits for one."""
-        while not self.fifo:
-            await self._wait()
-        fifo = self.fifo
-        batch = [fifo.popleft() for _ in range(min(len(fifo), _BATCH_MAX))]
-        if self._paused and not self._lost:
-            self._paused = False
-            assert self._transport is not None
-            self._transport.resume_reading()
-            self._parse()
-        return batch
-
-    async def send(self, data: bytes) -> None:
-        """Write, and wait while the transport's buffer is over its
-        high-water mark (what ``StreamWriter.drain`` does)."""
-        if self._lost:
-            raise ConnectionResetError("connection lost")
-        assert self._transport is not None
-        self._transport.write(data)
-        while not self._writable and not self._lost:
-            await self._wait()
-
-    def close(self) -> None:
-        if self._transport is not None:
-            self._transport.close()
 
 
 class GatewayServer:
@@ -371,12 +127,15 @@ class GatewayServer:
         #: Times a reader found its connection's FIFO full and stopped.
         self.readahead_full = 0
         self._server: Optional[asyncio.base_events.Server] = None
-        self._stopping: Optional[asyncio.Event] = None
+        #: The bound port (useful with port 0 in tests), read once in
+        #: :meth:`start`: still known while the gateway shuts down.
+        self.port = 0
+        self._stopping = asyncio.Event()
         self._poll_task: Optional[asyncio.Task] = None
         self._monitor_task: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._tenant_locks: Dict[str, asyncio.Lock] = {}
-        self._clients: set = set()
+        self.connections: Set[Connection] = set()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -384,10 +143,10 @@ class GatewayServer:
 
     async def start(self, host: str, port: int) -> None:
         keep_recv_buffers_on_heap()
-        self._stopping = asyncio.Event()
         self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), host=host, port=port
+            lambda: HttpConnection(self), host=host, port=port
         )
+        self.port = self._server.sockets[0].getsockname()[1]
         if self.standbys is not None:
             self._poll_task = asyncio.create_task(self._poll_standbys())
         if self.fleet.supervisor is not None:
@@ -401,36 +160,25 @@ class GatewayServer:
             )
             self._monitor_task = asyncio.create_task(self._monitor_workers())
 
-    @property
-    def port(self) -> int:
-        """The bound port (useful with port 0 in tests)."""
-        assert self._server is not None
-        return self._server.sockets[0].getsockname()[1]
-
     async def serve_forever(self) -> None:
         if self._server is None:
             raise ReproError("gateway not started")
-        assert self._stopping is not None
         await self._stopping.wait()
-        # Let the connection that asked for shutdown flush its response
-        # before its task is cancelled.
-        await asyncio.sleep(0.05)
         await self.aclose()
 
     def request_shutdown(self) -> None:
-        if self._stopping is not None:
-            self._stopping.set()
+        self._stopping.set()
 
     async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._clients):
-            task.cancel()
-        if self._clients:
-            await asyncio.gather(*self._clients, return_exceptions=True)
-        self._clients.clear()
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        # Every handler answers what its reader had queued — the
+        # connection that asked for the shutdown gets its response —
+        # before the fleet under them closes.
+        await close_connections(self.connections)
+        if server is not None:
+            await server.wait_closed()
         for attr in ("_poll_task", "_monitor_task"):
             task = getattr(self, attr)
             if task is not None:
@@ -492,24 +240,6 @@ class GatewayServer:
     # HTTP plumbing
     # ------------------------------------------------------------------ #
 
-    def _connected(self, conn: _Connection) -> None:
-        """Start the handler task of a new connection."""
-        task = asyncio.get_running_loop().create_task(self._handle(conn))
-        self._clients.add(task)
-        task.add_done_callback(self._clients.discard)
-
-    async def _handle(self, conn: _Connection) -> None:
-        """One connection's handler: take what its reader has queued,
-        answer it as one batch, until something ends the connection."""
-        try:
-            serving = True
-            while serving:
-                serving = await self._serve(await conn.take(), conn)
-        except ConnectionError:
-            pass
-        finally:
-            conn.close()
-
     def _answer(self, request: _Request, status: int, payload: Any) -> bytes:
         """Count and encode the response to ``request``."""
         key = (request.path if request.path in _ROUTES else "other", status)
@@ -518,8 +248,8 @@ class GatewayServer:
 
     async def _serve(
         self,
-        batch: List[Union[_Request, _HttpError, None]],
-        conn: _Connection,
+        batch: List[Union[_Request, bytes, None]],
+        conn: Connection,
     ) -> bool:
         """Answer ``batch`` in request order with one write; returns
         whether the connection stays open.
@@ -556,14 +286,15 @@ class GatewayServer:
 
         serving = True
         for item in batch:
-            if not isinstance(item, _Request):
-                # The reader's last word: end of input, or a request it
-                # could not parse (answered, after everything before it).
-                await finish_run()
-                if item is not None:
-                    out.append(_encode_response(*item.answer(), False))
+            if item is None:    # the reader's last word
                 serving = False
                 break
+            if isinstance(item, bytes):
+                # A request the reader could not parse: its answer,
+                # after everything before it.
+                await finish_run()
+                out.append(item)
+                continue
             try:
                 tenant, routed = self._route(item)
             except _HttpError as exc:
@@ -576,9 +307,7 @@ class GatewayServer:
             else:
                 await finish_run()
                 out.append(self._answer(item, *self._in_turn(item, routed)))
-            if not item.keep_alive or (
-                self._stopping is not None and self._stopping.is_set()
-            ):
+            if not item.keep_alive or self._stopping.is_set():
                 serving = False
                 break
         await finish_run()

@@ -1,12 +1,9 @@
 """EngineHost: one admission engine behind the broker protocol.
 
-Historically the broker (:class:`repro.service.server.BrokerServer`)
-owned everything: the engine, persistence, idempotency, degraded mode,
-protocol dispatch *and* the asyncio front end. The fleet subsystem
-(:mod:`repro.fleet`) needs to host many engines — one per (shard,
-tenant) — without dragging a socket listener along with each, so the
-synchronous core lives here as :class:`EngineHost` and the server wraps
-exactly one of them.
+The synchronous core of the service: the broker
+(:class:`repro.service.server.BrokerServer`) is one of these with
+listeners, and the fleet (:mod:`repro.fleet`) hosts many — one per
+(shard, tenant) — behind one gateway.
 
 An :class:`EngineHost` is the unit of state the rest of the system
 composes:
@@ -32,7 +29,7 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from .. import __version__
 from ..core import backends as _backends
@@ -76,9 +73,6 @@ class EngineHost:
     fault_plane:
         Chaos-testing hook (see :mod:`repro.faults.plane`); installed
         into the persistence layer. ``None`` in production use.
-    on_shutdown:
-        Callback invoked by the ``shutdown`` op (the server passes its
-        stop-event setter; standalone hosts leave it ``None``).
     """
 
     def __init__(
@@ -89,7 +83,6 @@ class EngineHost:
         residency_margin: int = 0,
         analysis: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
-        on_shutdown: Optional[Callable[[], None]] = None,
     ):
         self.topology_spec = dict(topology_spec)
         self.topology, self.routing = topology_from_spec(self.topology_spec)
@@ -104,7 +97,6 @@ class EngineHost:
             analysis=analysis,
         )
         self.metrics = ServiceMetrics()
-        self.on_shutdown = on_shutdown
         #: Read-only degraded mode (journal unwritable); see DegradedError.
         self.degraded = False
         self.degraded_reason: Optional[str] = None
@@ -231,6 +223,10 @@ class EngineHost:
         return fingerprint(
             self.handle_request, self.admitted_ids(), self.engine.next_id
         )
+
+    def request_shutdown(self) -> None:
+        """What the ``shutdown`` op does: nothing for a bare host; a
+        server stops its serve loop."""
 
     def close(self) -> None:
         """Release persistence file handles (idempotent)."""
@@ -405,8 +401,7 @@ class EngineHost:
                 "degraded": self.degraded,
             }
         if op == "shutdown":
-            if self.on_shutdown is not None:
-                self.on_shutdown()
+            self.request_shutdown()
             return {"stopping": True}
         return None
 

@@ -52,7 +52,7 @@ def latency_dict(h: Histogram) -> Dict[str, object]:
 class ServiceMetrics:
     """Aggregated broker metrics, serialised by the ``stats`` op.
 
-    Scalar counters stay plain Python ints (the worker loop touches them
+    Scalar counters stay plain Python ints (the serving path touches them
     once per request); latency histograms live directly in the shared
     :class:`MetricsRegistry`. :meth:`sync_registry` copies the scalars
     into registry counters/gauges, so Prometheus rendering reflects the
@@ -76,6 +76,8 @@ class ServiceMetrics:
         self.batches = 0
         self.batched_requests = 0
         self.max_batch = 0
+        #: Times a connection's reader stopped because its FIFO was full.
+        self.readahead_full = 0
         self.connections = 0
 
     def record_op(
@@ -122,6 +124,7 @@ class ServiceMetrics:
                 "requests": self.batched_requests,
                 "mean_size": round(mean_batch, 3),
                 "max_size": self.max_batch,
+                "readahead_full": self.readahead_full,
             },
             "latency": {
                 op: latency_dict(h)
@@ -177,15 +180,24 @@ class ServiceMetrics:
             "Mutations answered from the idempotency (rid) table.",
         ).value = float(self.duplicates)
         reg.counter(
-            "repro_broker_batches_total", "Worker queue drains."
+            "repro_broker_batches_total",
+            "Handler passes that answered at least one request (one "
+            "connection, one write each).",
         ).value = float(self.batches)
         reg.counter(
             "repro_broker_batched_requests_total",
-            "Requests drained in batches.",
+            "Requests answered by those passes; over batches_total it is "
+            "the mean batch (1.0 under serial clients).",
         ).value = float(self.batched_requests)
         reg.gauge(
-            "repro_broker_batch_max_size", "Largest batch drained so far."
+            "repro_broker_batch_max_size",
+            "Most requests one handler pass has answered so far.",
         ).set(self.max_batch)
+        reg.counter(
+            "repro_broker_readahead_full_total",
+            "Times a connection's reader stopped reading because its "
+            "request FIFO was full.",
+        ).value = float(self.readahead_full)
         return reg
 
     def render_prometheus(self) -> str:

@@ -308,6 +308,9 @@ PARITY_OPS = [
     {"op": "admit", "streams": [_spec(3, 4)], "analysis": 3},
     {"op": "admit", "streams": [_spec(3, 4)], "rid": ""},
     {"op": "release", "ids": [1], "rid": 5},
+    # One request may be large (a ~600-stream admit is this size): every
+    # transport frames up to 8 MiB, not one stream reader's 64 KiB.
+    {"op": "ping", "padding": "x" * 70_000},
     {"op": "report"},
 ]
 #: What tells a broker's ``hello`` from a fleet's.
@@ -393,7 +396,7 @@ def test_transport_parity(surface, tmp_path):
         for request in PARITY_OPS:
             want = ref.handle_request(json.loads(json.dumps(request)))
             got = ask(request)
-            if request["op"] == "hello":
+            if request["op"] in ("hello", "ping"):
                 for key in HELLO_IDENTITY:
                     want.pop(key, None)
                     got.pop(key, None)

@@ -9,6 +9,13 @@ response order, equality with serial answers, per-request API keys,
 ``400``-then-close, ``Connection: close``, ``shutdown``, half-closed
 clients and back-pressure beyond the read-ahead bound — with in-process
 shards and with two worker processes.
+
+What is about the connection and not about HTTP — requests arriving in
+pieces, more outstanding than the read-ahead bound — runs against
+``repro serve``'s JSON-lines framing too (the ``line`` parameter of
+:func:`wire`): it is the same :class:`repro.service.server.Connection`.
+The rest of the line framing's battery, whose helpers have another
+shape, is ``tests/test_service_server.py::TestAsyncFrontEnd``.
 """
 
 import asyncio
@@ -17,12 +24,14 @@ import json
 import socket
 import threading
 import time
+from typing import Any, Callable, NamedTuple, Tuple
 
 import pytest
 
-from repro.fleet import gateway as gateway_module
 from repro.fleet.gateway import GatewayServer
 from repro.fleet.shards import Fleet, TenantSpec
+from repro.service import server as server_module
+from repro.service.server import BrokerServer
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
 TENANTS = (("acme", "k-acme"), ("beta", "k-beta"))
@@ -34,14 +43,36 @@ def spec(src=0, dst=2, priority=5, period=300, length=4):
 
 
 @contextlib.contextmanager
-def serving(state_dir, workers):
-    """A gateway on a loopback port, served from a background thread;
-    yields ``(port, gateway)`` and shuts it down over HTTP if the body
-    has not already."""
+def on_thread(start, shutdown):
+    """Run ``server = await start()`` and its ``serve_forever`` on a
+    background event loop; yields the server and ends it with
+    ``shutdown(server)`` if the body has not already."""
     ready = threading.Event()
     box = {}
 
     async def main():
+        box["server"] = server = await start()
+        ready.set()
+        await asyncio.wait_for(server.serve_forever(), timeout=120)
+
+    thread = threading.Thread(target=lambda: asyncio.run(main()))
+    thread.start()
+    assert ready.wait(timeout=60), "server did not start"
+    try:
+        yield box["server"]
+    finally:
+        if thread.is_alive():
+            with contextlib.suppress(OSError):
+                shutdown(box["server"])
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "server did not stop"
+
+
+@contextlib.contextmanager
+def serving(state_dir, workers):
+    """A gateway on a loopback port; yields ``(port, gateway)`` and
+    shuts it down over HTTP."""
+    async def start():
         fleet = Fleet(
             [TenantSpec(name, key, TOPO) for name, key in TENANTS],
             shards=2, state_dir=state_dir if workers else None,
@@ -49,24 +80,15 @@ def serving(state_dir, workers):
         )
         gw = GatewayServer(fleet, poll_interval=0.05)
         await gw.start("127.0.0.1", 0)
-        box["gw"] = gw
-        ready.set()
-        await asyncio.wait_for(gw.serve_forever(), timeout=120)
+        return gw
 
-    thread = threading.Thread(target=lambda: asyncio.run(main()))
-    thread.start()
-    assert ready.wait(timeout=60), "gateway did not start"
-    gw = box["gw"]
-    try:
+    def shutdown(gw):
+        stopper = Pipe(gw.port)
+        stopper.send(http("/v1/shutdown")).read(1)
+        stopper.close()
+
+    with on_thread(start, shutdown) as gw:
         yield gw.port, gw
-    finally:
-        if thread.is_alive():
-            with contextlib.suppress(OSError):
-                stopper = Pipe(gw.port)
-                stopper.send(http("/v1/shutdown")).read(1)
-                stopper.close()
-        thread.join(timeout=60)
-        assert not thread.is_alive(), "gateway did not stop"
 
 
 def http(path="/v1/op", body=None, *, key="k-acme", method="POST",
@@ -117,6 +139,9 @@ class Pipe:
                         json.loads(body)))
         return out
 
+    def bodies(self, count=None):
+        return [body for _, _, body in self.read(count)]
+
     def closed_by_server(self):
         return self.file.read(1) == b""
 
@@ -125,17 +150,90 @@ class Pipe:
         self.sock.close()
 
 
-@pytest.fixture(scope="module", params=[0, 2], ids=["inprocess", "workers"])
-def gateway(request, tmp_path_factory):
-    state_dir = tmp_path_factory.mktemp("gw")
-    with serving(state_dir, request.param) as (port, gw):
+class LinePipe(Pipe):
+    """The same raw connection to a JSON-lines listener."""
+
+    def bodies(self, count=None):
+        out = []
+        while count is None or len(out) < count:
+            line = self.file.readline()
+            if not line:
+                assert count is None, f"closed after {len(out)} of {count}"
+                break
+            out.append(json.loads(line))
+        return out
+
+
+@pytest.fixture(scope="module")
+def gateway_inprocess(tmp_path_factory):
+    with serving(tmp_path_factory.mktemp("gw"), 0) as (port, gw):
         yield port, gw
+
+
+@pytest.fixture(scope="module")
+def gateway_workers(tmp_path_factory):
+    with serving(tmp_path_factory.mktemp("gw"), 2) as (port, gw):
+        yield port, gw
+
+
+@pytest.fixture(scope="module")
+def broker():
+    """``repro serve`` on a loopback port: ``(port, server)``."""
+    async def start():
+        server = BrokerServer(TOPO)
+        await server.start_tcp("127.0.0.1", 0)
+        return server
+
+    def port(server):
+        return server._server.sockets[0].getsockname()[1]
+
+    def shutdown(server):
+        stopper = LinePipe(port(server))
+        stopper.send(line_op("shutdown")).bodies(1)
+        stopper.close()
+
+    with on_thread(start, shutdown) as server:
+        yield port(server), server
+
+
+@pytest.fixture(scope="module", params=["inprocess", "workers"])
+def gateway(request):
+    return request.getfixturevalue(f"gateway_{request.param}")
 
 
 @pytest.fixture()
 def pipe(gateway):
     conn = Pipe(gateway[0])
     yield conn
+    conn.close()
+
+
+class Wire(NamedTuple):
+    """One raw connection of either framing, with what a test of the
+    connection (not of the protocol spoken over it) needs to know."""
+    pipe: Pipe
+    op: Callable[..., bytes]    # one request as wire bytes
+    blank: bytes                # what the framing skips between requests
+    #: ``(readahead_full, batches, batched requests)`` of the server.
+    counters: Callable[[], Tuple[int, int, int]]
+
+
+def line_op(name, **fields):
+    return json.dumps({"op": name, **fields}).encode() + b"\n"
+
+
+@pytest.fixture(params=["inprocess", "workers", "line"])
+def wire(request):
+    if request.param == "line":
+        port, server = request.getfixturevalue("broker")
+        metrics: Any = server.metrics
+        conn, speak, blank = LinePipe(port), line_op, b"\n"
+    else:
+        port, metrics = request.getfixturevalue(f"gateway_{request.param}")
+        conn, speak, blank = Pipe(port), op, b"\r\n"
+    yield Wire(conn, speak, blank, lambda: (
+        metrics.readahead_full, metrics.batches, metrics.batched_requests
+    ))
     conn.close()
 
 
@@ -233,35 +331,36 @@ def test_half_closed_client_gets_everything_it_queued(pipe):
     assert answers[12][0] == 200 and "tenants" in answers[12][2]
 
 
-def test_more_outstanding_than_the_read_ahead_bound(gateway, pipe):
+def test_more_outstanding_than_the_read_ahead_bound(wire):
     """Past the FIFO bound the reader stops reading (TCP back-pressure
     reaches the client); nothing deadlocks, nothing is dropped."""
-    port, gw = gateway
-    count = 5 * gateway_module._READAHEAD
-    full_before = gw.readahead_full
+    count = 5 * server_module._READAHEAD
+    full_before, _, _ = wire.counters()
     writer = threading.Thread(
-        target=pipe.send, args=[op("ping", id=i) for i in range(count)]
+        target=wire.pipe.send,
+        args=[wire.op("ping", id=i) for i in range(count)],
     )
     writer.start()
-    answers = pipe.read(count)
+    answers = wire.pipe.bodies(count)
     writer.join(timeout=30)
     assert not writer.is_alive()
-    assert [b["id"] for _, _, b in answers] == list(range(count))
-    assert gw.readahead_full > full_before
-    assert gw.batched_requests > gw.batches, "nothing was ever batched"
+    assert [b["id"] for b in answers] == list(range(count))
+    full, batches, batched_requests = wire.counters()
+    assert full > full_before
+    assert batched_requests > batches, "nothing was ever batched"
 
 
-def test_requests_arriving_in_pieces(pipe):
-    """A head split mid-line, a body larger than one socket read, and
+def test_requests_arriving_in_pieces(wire):
+    """A request split mid-token, one larger than one socket read, and
     blank lines between requests all assemble into the same requests."""
-    big = op("ping", id=2, padding="x" * 400_000)
-    wire = op("ping", id=1) + b"\r\n" + big + op("ping", id=3)
-    for cut in (10, 45, len(op("ping", id=1)) + 60):
-        pipe.sock.sendall(wire[:cut])
+    big = wire.op("ping", id=2, padding="x" * 400_000)
+    data = wire.op("ping", id=1) + wire.blank + big + wire.op("ping", id=3)
+    for cut in (10, 45, len(wire.op("ping", id=1)) + 60):
+        wire.pipe.sock.sendall(data[:cut])
         time.sleep(0.05)
-        wire = wire[cut:]
-    pipe.sock.sendall(wire)
-    assert [b["id"] for _, _, b in pipe.read(3)] == [1, 2, 3]
+        data = data[cut:]
+    wire.pipe.sock.sendall(data)
+    assert [b["id"] for b in wire.pipe.bodies(3)] == [1, 2, 3]
 
 
 def test_endless_head_is_refused(pipe):

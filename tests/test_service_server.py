@@ -3,6 +3,7 @@ and the asyncio front end over a unix socket."""
 
 import asyncio
 import json
+import socket
 import threading
 
 import pytest
@@ -20,7 +21,12 @@ from repro.service.protocol import (
     error_code,
     error_response,
 )
-from repro.service.server import BrokerServer
+from repro.service import server as server_module
+from repro.service.server import (
+    BrokerServer,
+    LineConnection,
+    close_connections,
+)
 
 MESH = {"type": "mesh", "width": 6, "height": 6}
 
@@ -415,6 +421,102 @@ class TestAsyncFrontEnd:
         assert lines[1]["stopping"]
         assert "repro_broker_degraded 0" in lines[2]["prometheus"]
 
+    def test_one_sendall_answers_in_order_like_a_serial_client(
+        self, tmp_path
+    ):
+        # The line framing's twin of the gateway test of the same name
+        # (tests/test_gateway_batching.py): a batch changes how many
+        # wake-ups and writes the answers cost, never the answers.
+        lines = [json.dumps(r).encode() + b"\n" for r in (
+            {"op": "admit", "id": 1, "streams": [spec()]},
+            {"op": "admit", "id": 2, "streams": [spec(src=6, dst=9)]},
+            {"op": "query", "id": 3, "stream": 0},
+            {"op": "admit", "id": 4, "streams": [
+                spec(priority=0, period=5, length=8)]},
+            {"op": "release", "id": 5, "ids": [99]},
+        )] + [b"not json\n", b"\n"] + [
+            json.dumps(r).encode() + b"\n" for r in (
+                {"op": "release", "id": 7, "ids": [0]},
+                {"op": "report", "id": 8},
+            )
+        ]
+        owed = len(lines) - 1       # the blank line is not a request
+
+        def piped(sock):
+            with BrokerClient.wait_for_unix(sock) as c:
+                c.send_bytes(b"".join(lines), responses=owed)
+                c.flush()
+                answers = [c.recv() for _ in range(owed)]
+                c.check("shutdown")
+                return {"answers": answers}
+
+        def serial(sock):
+            with BrokerClient.wait_for_unix(sock) as c:
+                answers = []
+                for line in lines:
+                    if line.strip():
+                        c.send_bytes(line)
+                        c.flush()
+                        answers.append(c.recv())
+                c.check("shutdown")
+                return {"answers": answers}
+
+        for name in ("piped", "serial"):
+            (tmp_path / name).mkdir()
+        batched = self._run(piped, tmp_path / "piped")
+        one_by_one = self._run(serial, tmp_path / "serial")
+        answers = batched["answers"]
+        assert answers == one_by_one["answers"]
+        assert [a.get("id") for a in answers] == [1, 2, 3, 4, 5, None, 7, 8]
+        assert answers[0]["admitted"] and not answers[3]["admitted"]
+        assert not answers[4]["ok"] and answers[5]["code"] == "protocol"
+        assert batched["server"].metrics.max_batch == owed
+        assert one_by_one["server"].metrics.max_batch == 1
+
+    def test_over_limit_line_is_answered_then_the_connection_closed(
+        self, tmp_path
+    ):
+        # One constant bounds a request on every framing: a line of
+        # exactly _MAX_BODY bytes is served; one byte more is refused
+        # with a protocol error — after everything before it was
+        # answered — and only that connection is closed.
+        limit = server_module._MAX_BODY
+        at_limit = json.dumps({"op": "ping", "id": 2, "padding": ""})
+        at_limit = at_limit.replace(
+            '""', '"' + "x" * (limit - len(at_limit)) + '"'
+        ).encode()
+        assert len(at_limit) == limit
+
+        def client(sock):
+            other = BrokerClient.wait_for_unix(sock)
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.settimeout(30)
+            raw.connect(sock)
+            try:
+                raw.sendall(b'{"op": "ping", "id": 1}\n' + at_limit + b"\n"
+                            + b"y" * (limit + 1) + b"\n")
+            except OSError:
+                pass    # refused while still being written
+            reader = raw.makefile("rb")
+            answers = [json.loads(reader.readline()) for _ in range(3)]
+            try:
+                rest = reader.read()
+            except ConnectionResetError:    # closed with input unread
+                rest = b""
+            raw.close()
+            ping = other.check("ping")
+            other.check("shutdown")
+            other.close()
+            return {"answers": answers, "rest": rest, "ping": ping}
+
+        result = self._run(client, tmp_path)
+        first, second, refused = result["answers"]
+        assert first["ok"] and first["id"] == 1
+        assert second["ok"] and second["id"] == 2
+        assert not refused["ok"] and refused["code"] == "protocol"
+        assert result["rest"] == b""
+        assert result["ping"]["ok"]
+
     def test_pipelined_disconnect_retry_no_duplicates(self, tmp_path):
         # A client that pipelines two rid-carrying admits and vanishes
         # after the first response must be able to retry both rids from
@@ -502,6 +604,85 @@ class TestAsyncFrontEnd:
         assert summary.ops == 80 and summary.errors == 0
         assert summary.admits_accepted > 0 and summary.releases > 0
         assert result["report"]["admitted"] == summary.live_at_end
+
+
+class TestCloseConnections:
+    """The one shutdown every listener uses, against a stub server."""
+
+    def test_queued_answered_idle_closed_blocked_cancelled(self):
+        class Stub:
+            """Answers a batch with its ids once ``gate`` opens."""
+            readahead_full = 0
+
+            def __init__(self, connections):
+                self.connections = connections
+                self.gate = asyncio.Event()
+                self.serving = 0
+
+            async def _serve(self, batch, conn):
+                self.serving += 1
+                await self.gate.wait()
+                ids = [item["id"] for item in batch if item is not None]
+                if ids:
+                    await conn.send(json.dumps(ids).encode() + b"\n")
+                return batch[-1] is not None
+
+        def drain(sock):
+            """Everything the server wrote before it closed."""
+            data = b""
+            with sock:
+                while True:
+                    try:
+                        chunk = sock.recv(65536)
+                    except ConnectionResetError:    # closed, input unread
+                        return data
+                    if not chunk:
+                        return data
+                    data += chunk
+
+        async def connect(loop, server):
+            """A connected pair: (client socket, server-side Connection)."""
+            ours, theirs = socket.socketpair()
+            ours.settimeout(10)
+            _, conn = await loop.connect_accepted_socket(
+                lambda: LineConnection(server), sock=theirs
+            )
+            return ours, conn
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            connections = set()
+            opens, never = Stub(connections), Stub(connections)
+            busy, busy_conn = await connect(loop, opens)
+            idle, _ = await connect(loop, opens)
+            stuck, stuck_conn = await connect(loop, never)
+            for sock, conn in ((busy, busy_conn), (stuck, stuck_conn)):
+                # One request the handler is already serving (blocked on
+                # the gate), two more queued behind it.
+                sock.sendall(b'{"op": "ping", "id": 0}\n')
+                while not conn.server.serving:
+                    await asyncio.sleep(0.01)
+                sock.sendall(b'{"op": "ping", "id": 1}\n'
+                             b'{"op": "ping", "id": 2}\n')
+                while len(conn.fifo) < 2:
+                    await asyncio.sleep(0.01)
+            assert len(connections) == 3
+            closing = asyncio.create_task(
+                close_connections(connections, timeout=0.5)
+            )
+            await asyncio.sleep(0.05)
+            busy.sendall(b'{"op": "ping", "id": 99}\n')   # not read any more
+            opens.gate.set()
+            await asyncio.wait_for(closing, timeout=10)
+            assert not connections
+            assert stuck_conn._task.cancelled()
+            return [await asyncio.to_thread(drain, sock)
+                    for sock in (busy, idle, stuck)]
+
+        answered, idle, stuck = asyncio.run(main())
+        assert [json.loads(line) for line in answered.splitlines()] == \
+            [[0], [1, 2]]
+        assert idle == b"" and stuck == b""
 
 
 class TestChurnSpec:
