@@ -90,7 +90,6 @@ __all__ = [
     "generate_schedule",
     "run_chaos_campaign",
     "run_oracle",
-    "state_fingerprint",
 ]
 
 #: Retry ceiling per op. Each armed fault is one-shot, so two attempts
@@ -376,15 +375,8 @@ class _Run:
 
 
 # ---------------------------------------------------------------------- #
-# Fingerprinting + oracle
+# Oracle
 # ---------------------------------------------------------------------- #
-
-
-def state_fingerprint(server: BrokerServer) -> Tuple[str, Dict[str, Any]]:
-    """``(sha256, spec)`` of everything recovery promises to preserve
-    (see :func:`repro.service.protocol.fingerprint`), of a
-    :class:`BrokerServer` or a bare :class:`EngineHost`."""
-    return server.fingerprint()
 
 
 def run_oracle(
@@ -452,7 +444,7 @@ def _converge(
                 raise ReproError(
                     f"snapshot failed to clear degraded: {snap}"
                 )
-        elif "down; fail over" in str(response.get("error", "")):
+        elif code == "down":
             # The op needs a dead shard: this is the failover moment,
             # with the rest of the fleet's traffic already committed
             # around it.
@@ -544,7 +536,7 @@ class _BrokerTarget(_Target):
         """What a fresh, fault-free broker recovers from ``state_dir``."""
         final = BrokerServer(cfg.topology_spec(), state_dir=state_dir)
         try:
-            return {None: state_fingerprint(final)}
+            return {None: final.fingerprint()}
         finally:
             final.state.close()
 

@@ -68,9 +68,6 @@ class ChannelIndex:
     def ids(self) -> List[int]:
         return sorted(self._channels)
 
-    def channels_of(self, sid: int) -> FrozenSet[Channel]:
-        return self._channels[sid]
-
     def add(self, sid: int, channels: FrozenSet[Channel]) -> None:
         if sid in self._channels:  # pragma: no cover - caller invariant
             raise ValueError(f"stream {sid} already indexed")

@@ -68,24 +68,22 @@ from __future__ import annotations
 import logging
 import time
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union,
+)
 
-from .. import __version__
-from ..core import backends as _backends
 from ..errors import ReproError, RoutingError, StreamError
 from ..faults.plane import FaultPlane
-from ..io import stream_to_spec, topology_from_spec
-from ..service.host import EngineHost
-from ..service.metrics import ServiceMetrics
+from ..io import stream_to_spec
+from ..service.host import EngineHost, OpInterpreter, refuse_read_only
 from ..service.protocol import (
     MUTATING_OPS,
-    DegradedError,
-    RidTable,
-    answer,
-    coerce_rid,
+    ShardDownError,
     error_from_response,
     error_response,
-    fingerprint,
+    merge_outcomes,
+    op_record,
+    outcome,
     parse_admit,
     parse_link,
     parse_query,
@@ -93,7 +91,6 @@ from ..service.protocol import (
 )
 from ..topology.degraded import normalize_link
 from ..topology.route_table import shared_route_table
-from ..topology.routing import FaultAwareRouting
 from .regions import Channel, ChannelIndex, entry_channels
 
 __all__ = ["TenantFleet", "Fleet", "TenantSpec"]
@@ -120,8 +117,17 @@ class TenantSpec:
         self.analysis = analysis
 
 
-class TenantFleet:
-    """One tenant's engines: placement, escalation, merged decisions."""
+class TenantFleet(OpInterpreter):
+    """One tenant's engines: placement, escalation, merged decisions.
+
+    The second interpreter of the op table (the first is
+    :class:`~repro.service.host.EngineHost`, whose answers it must give
+    byte for byte): what it states itself is what an op does across
+    shards. ``shutdown`` is the front end's op, not a tenant's.
+    """
+
+    span = ("fleet.op", "fleet")
+    server_name = "repro-fleet"
 
     def __init__(
         self,
@@ -130,25 +136,19 @@ class TenantFleet:
         *,
         shards: int = 2,
         state_dir: Optional[Union[str, Path]] = None,
-        residency_margin: int = 0,
         analysis: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
         shard_clients: Optional[List[Any]] = None,
     ):
         if shards < 1:
             raise ReproError(f"need at least one shard, got {shards}")
+        super().__init__(topology_spec)
         self.name = name
-        self.topology_spec = dict(topology_spec)
-        self.topology, self.routing = topology_from_spec(self.topology_spec)
-        #: The intact network's routing; ``self.routing`` tracks the
-        #: tenant's *effective* routing (fault-aware once links failed).
-        self.base_routing = self.routing
-        #: Failed physical links, as normalised ``(u, v)`` tuples. Kept
-        #: in lockstep with every shard (link ops broadcast).
-        self.failed_links: Set[Tuple[int, int]] = set()
+        self.span_labels = {"tenant": name}
+        # ``failed_links`` is kept in lockstep with every shard (link
+        # ops broadcast).
         self._route_table = shared_route_table(self.routing)
         self.state_dir = Path(state_dir) if state_dir is not None else None
-        self.fault_plane = fault_plane
         if shard_clients is not None:
             # Pre-built shard clients (worker-process proxies): the
             # engines live elsewhere; this manager only places and
@@ -164,13 +164,11 @@ class TenantFleet:
                         None if self.state_dir is None
                         else self.state_dir / f"shard-{i}"
                     ),
-                    residency_margin=residency_margin,
                     analysis=analysis,
                     fault_plane=fault_plane,
                 )
                 for i in range(shards)
             ]
-        self.metrics = ServiceMetrics()
         #: sid -> shard index currently holding the stream.
         self.owner: Dict[int, int] = {}
         #: sid -> (spec, resolved analysis name), same keys as ``owner``:
@@ -183,8 +181,6 @@ class TenantFleet:
         self.index = ChannelIndex()
         #: Tenant-level fresh-id mark, mirroring the engine's semantics.
         self._next_id = 0
-        #: rid -> recorded outcome (fleet-level idempotency).
-        self._applied = RidTable()
         self.escalations = 0
         self.migrated_streams = 0
         #: Shards whose primary crashed and has not been failed over yet.
@@ -220,33 +216,28 @@ class TenantFleet:
         re-derives and records its own deterministic delta, and the rid
         merge below hands a retrying client the complete answer.
         """
-        shard_links = [
-            {
-                normalize_link(int(u), int(v))
-                for u, v in self._forward(i, {"op": "links"})["failed_links"]
-            }
-            for i in range(len(self.hosts))
-        ]
+        shard_links = [self._shard_links(i) for i in range(len(self.hosts))]
         dumps = [host.shard_dump() for host in self.hosts]
         lead = shard_links[0]
         for i, have in enumerate(shard_links):
             behind = [("fail_link", l) for l in sorted(lead - have)]
             behind += [("restore_link", l) for l in sorted(have - lead)]
             for op, link in behind:
-                sub: Dict[str, Any] = {"op": op, "link": [link[0], link[1]]}
+                pair = [link[0], link[1]]
                 rids = [
                     rid for rid, out in dumps[0]["applied"].items()
-                    if out.get("op") == op and out.get("link") == sub["link"]
+                    if out.get("op") == op and out.get("link") == pair
                 ]
                 # A rid this shard already holds names an earlier,
                 # completed op on the same link, not the torn one.
-                if rids and rids[-1] not in dumps[i]["applied"]:
-                    sub["rid"] = rids[-1]
+                torn = rids[-1] if rids else None
+                if torn in dumps[i]["applied"]:
+                    torn = None
                 logger.warning(
                     "tenant %s: shard %d missed %s %s (link-op crash "
-                    "window); re-applying", self.name, i, op, sub["link"],
+                    "window); re-applying", self.name, i, op, pair,
                 )
-                self._forward(i, sub)
+                self._forward(i, op_record(op, torn, link=pair))
             if behind:
                 dumps[i] = self.hosts[i].shard_dump()
         if lead:
@@ -282,41 +273,25 @@ class TenantFleet:
             + [0]
         )
         # Idempotency: an admit's rid lives on one shard; a cross-shard
-        # release's rid lives on several, each holding its subset — merge
-        # the released lists (sorted; the request order is not recorded).
-        # A broadcast link op's rid lives on *every* shard, each holding
-        # its local reroute/evict delta — merge those too.
+        # release's rid lives on several, each holding its subset, and a
+        # broadcast link op's on *every* shard, each holding its local
+        # reroute/evict delta — the rid table merges the shares (id
+        # lists sorted; the request order is not recorded).
         for dump in dumps:
-            for rid, outcome in dump["applied"].items():
-                prior = self._applied.get(rid)
-                if (prior and "released" in prior
-                        and "released" in outcome):
-                    merged = sorted(
-                        set(prior["released"]) | set(outcome["released"])
-                    )
-                    self._applied[rid] = {"released": merged}
-                elif (prior
-                        and prior.get("op") in ("fail_link", "restore_link")
-                        and outcome.get("op") == prior.get("op")
-                        and outcome.get("link") == prior.get("link")):
-                    self._applied[rid] = self._merge_link_outcomes(
-                        [prior, outcome]
-                    )
-                else:
-                    self._applied[rid] = dict(outcome)
+            for rid, share in dump["applied"].items():
+                self._applied.merge(rid, share)
 
     # ------------------------------------------------------------------ #
     # Placement helpers
     # ------------------------------------------------------------------ #
 
-    def _stream_channels(self, stream) -> FrozenSet[Channel]:
+    def _spec_channels(
+        self, spec: Dict[str, Any], table: Any = None
+    ) -> FrozenSet[Channel]:
+        """The channels a stream occupies under ``table`` (default: the
+        routing in effect)."""
         return entry_channels(
-            self._route_table, self.topology, stream.src, stream.dst
-        )
-
-    def _spec_channels(self, spec: Dict[str, Any]) -> FrozenSet[Channel]:
-        return entry_channels(
-            self._route_table, self.topology,
+            self._route_table if table is None else table, self.topology,
             int(spec["src"]), int(spec["dst"]),
         )
 
@@ -335,19 +310,14 @@ class TenantFleet:
         under: a migration's first half, or the undo of a release / link
         op that failed part-way. The set was feasible where it came
         from, so a rejection is a bug."""
-        groups: Dict[str, List[dict]] = {}
-        for sid in ids:
-            spec, name = self.placed[sid]
-            groups.setdefault(name, []).append(spec)
-        for name in sorted(groups):
+        for name, specs in self._by_backend(self.placed[sid] for sid in ids):
             response = self._forward(
-                shard,
-                {"op": "admit", "streams": groups[name], "analysis": name},
+                shard, op_record("admit", streams=specs, analysis=name)
             )
             if not response["admitted"]:  # pragma: no cover - defensive
                 raise ReproError(
                     f"{what} re-admission of "
-                    f"{[e['id'] for e in groups[name]]} rejected on shard "
+                    f"{[e['id'] for e in specs]} rejected on shard "
                     f"{shard}; state diverged from the journal"
                 )
 
@@ -358,6 +328,11 @@ class TenantFleet:
         if bounds is None:
             bounds = self._bounds[shard] = self.hosts[shard].upper_bounds()
         return bounds
+
+    def _shard_links(self, shard: int) -> Set[Tuple[int, int]]:
+        """The failed links the shard runs under right now (probe)."""
+        links = self._forward(shard, {"op": "links"})["failed_links"]
+        return {normalize_link(int(u), int(v)) for u, v in links}
 
     def _held_ids(self, host: Any, ids: List[int]) -> List[int]:
         """Which of ``ids`` the shard durably holds right now (probe)."""
@@ -438,23 +413,23 @@ class TenantFleet:
         # response unchanged — the retry loop keys on them.
         raise error_from_response(response, "shard error")
 
-    def _gate_shards(self, shard_indexes: Set[int]) -> None:
+    def _gate_alive(self, shards: Iterable[int]) -> None:
+        """Refuse an op that needs a shard whose primary is down."""
+        down = sorted(self.dead.intersection(shards))
+        if down:
+            raise ShardDownError(
+                f"shard(s) {down} are down; fail over to their standbys"
+            )
+
+    def _gate_shards(self, shard_indexes: Iterable[int]) -> None:
         """Refuse a mutation while any involved shard is down or
         read-only.
 
         Checked before anything (migration included) mutates, so a
         degraded shard can never strand a half-escalated component."""
         for i in sorted(shard_indexes):
-            if i in self.dead:
-                raise ReproError(
-                    f"shard {i} is down; fail over to its standby"
-                )
-            host = self.hosts[i]
-            if host.degraded:
-                raise DegradedError(
-                    f"broker is read-only ({host.degraded_reason}); "
-                    "retry after a successful 'snapshot' op"
-                )
+            self._gate_alive([i])
+            refuse_read_only(self.hosts[i])
 
     def _migrate(self, comp: Set[int], target: int) -> None:
         """Move every stream of ``comp`` not on ``target`` onto it.
@@ -515,72 +490,47 @@ class TenantFleet:
     # Protocol surface (same ops and response shapes as the broker)
     # ------------------------------------------------------------------ #
 
-    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Execute one protocol request against the sharded tenant."""
-        return answer(
-            request, self._dispatch, self.metrics, "fleet.op", "fleet",
-            tenant=self.name,
-        )
+    @property
+    def default_analysis(self) -> str:
+        return self.hosts[0].default_analysis
 
-    def _dispatch(
-        self, op: str, request: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        if op in ("hello", "ping"):
-            return {
-                "server": "repro-fleet",
-                "version": __version__,
-                "topology": self.topology_spec,
-                "nodes": self.topology.num_nodes,
-                "analyses": list(_backends.names()),
-                "default_analysis": self.hosts[0].default_analysis,
-                "shards": len(self.hosts),
-                "tenant": self.name,
-            }
-        if op in MUTATING_OPS:
-            rid = coerce_rid(request)
-            duplicate = self._applied.replay(rid)
-            if duplicate is not None:
-                self.metrics.duplicates += 1
-                return duplicate
-            if op == "admit":
-                return self._op_admit(request, rid)
-            if op == "release":
-                return self._op_release(request, rid)
-            return self._op_link(request, rid)
-        if op == "query":
-            return self._op_query(request)
-        if op == "links":
-            return {
-                "failed_links": self.links_spec(),
-                "routing": type(self.routing).__name__,
-            }
-        if op == "report":
-            self._gate_dead()
-            return self._merged_report()
-        if op == "snapshot":
-            self._gate_dead()
-            return self._op_snapshot()
-        if op == "stats":
-            return {
-                "service": self.metrics.to_dict(),
-                "shards": [
-                    {
-                        "admitted": h.admitted_count(),
-                        "degraded": h.degraded,
-                        "engine": h.engine_stats(),
-                    }
-                    for h in self.hosts
-                ],
-                "admitted": len(self.owner),
-                "escalations": self.escalations,
-                "migrated_streams": self.migrated_streams,
-                "degraded": self.degraded,
-            }
-        return None     # ``shutdown`` is the front end's, not a tenant's
+    @property
+    def next_id(self) -> int:
+        return self._next_id
+
+    def admitted_ids(self) -> List[int]:
+        return sorted(self.owner)
+
+    def admitted_count(self) -> int:
+        return len(self.owner)
 
     @property
     def degraded(self) -> bool:
         return any(h.degraded for h in self.hosts)
+
+    def _op_hello(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return {
+            **super()._op_hello(request),
+            "shards": len(self.hosts),
+            "tenant": self.name,
+        }
+
+    def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return {
+            "service": self.metrics.to_dict(),
+            "shards": [
+                {
+                    "admitted": h.admitted_count(),
+                    "degraded": h.degraded,
+                    "engine": h.engine_stats(),
+                }
+                for h in self.hosts
+            ],
+            "admitted": len(self.owner),
+            "escalations": self.escalations,
+            "migrated_streams": self.migrated_streams,
+            "degraded": self.degraded,
+        }
 
     def _op_admit(
         self, request: Dict[str, Any], rid: Optional[str]
@@ -603,10 +553,11 @@ class TenantFleet:
             top = max(ids)
             if top >= self._next_id:
                 self._next_id = top + 1
+            specs = [stream_to_spec(s) for s in streams]
             # Placement: which shards hold components the batch touches?
             batch_channels: Set[Channel] = set()
-            for s in streams:
-                batch_channels |= self._stream_channels(s)
+            for spec in specs:
+                batch_channels |= self._spec_channels(spec)
             comp = self.index.component(batch_channels)
             shards_touched = sorted({self.owner[sid] for sid in comp})
             if not shards_touched:
@@ -618,15 +569,9 @@ class TenantFleet:
             self._gate_shards(set(shards_touched) | {target})
             if len(shards_touched) > 1:
                 self._migrate(comp, target)
-            fwd: Dict[str, Any] = {
-                "op": "admit",
-                "streams": [stream_to_spec(s) for s in streams],
-            }
-            if analysis is not None:
-                fwd["analysis"] = analysis
-            if rid is not None:
-                fwd["rid"] = rid
-            response = self._forward(target, fwd)
+            response = self._forward(target, op_record(
+                "admit", rid, streams=specs, analysis=analysis
+            ))
         except ReproError:
             # Mirrors the engine's reset on an uncommitted batch: the
             # trial ids were never acknowledged, so a retry of the same
@@ -649,19 +594,16 @@ class TenantFleet:
                               .shard_dump(missing)["streams"]):
                     self._place(target, entry["stream"], entry["analysis"])
                 self._next_id = max(self._next_id, max(adopted) + 1)
-                self._applied.record(
-                    rid, {"admitted": True, "ids": adopted}
-                )
+                self._applied.record(rid, "admit", response)
             else:
                 self._reset_next_id(next_id_before)
-            return {k: v for k, v in response.items() if k != "ok"}
+            return response
         if response["admitted"]:
-            for spec in fwd["streams"]:
+            for spec in specs:
                 self._place(target, spec, response["analysis"])
             # An admitted answer reports every stream the shard now
             # holds (a rejected one reports the refused trial set).
             self._bounds[target] = response["bounds"]
-            self._applied.record(rid, {"admitted": True, "ids": ids})
         else:
             self._reset_next_id(next_id_before)
         # The shard's decision report covers its own streams; the
@@ -674,8 +616,6 @@ class TenantFleet:
             if shard != target:
                 bounds[str(sid)] = self._shard_bounds(shard)[str(sid)]
         response["bounds"] = bounds
-        response.pop("ok", None)
-        response.pop("duplicate", None)
         return response
 
     def _op_release(
@@ -698,11 +638,10 @@ class TenantFleet:
         # the client's error means "nothing was released" on every shard.
         done: Dict[int, List[int]] = {}
         for shard in sorted(groups):
-            sub: Dict[str, Any] = {"op": "release", "ids": groups[shard]}
-            if rid is not None:
-                sub["rid"] = rid
             try:
-                self._forward(shard, sub)
+                self._forward(
+                    shard, op_record("release", rid, ids=groups[shard])
+                )
             except ReproError:
                 self._compensate_release(done, rid)
                 raise
@@ -711,8 +650,7 @@ class TenantFleet:
             del self.owner[sid]
             del self.placed[sid]
             self.index.remove(sid)
-        self._applied.record(rid, {"released": raw})
-        return {"released": raw}
+        return outcome("release", released=raw)
 
     def _compensate_release(
         self, done: Dict[int, List[int]], rid: Optional[str]
@@ -731,51 +669,18 @@ class TenantFleet:
         sid = parse_query(request)
         if sid not in self.owner:
             raise StreamError(f"no admitted stream with id {sid}")
-        if self.owner[sid] in self.dead:
-            raise ReproError(
-                f"shard {self.owner[sid]} is down; fail over to its standby"
-            )
-        return {
-            k: v
-            for k, v in self._forward(
-                self.owner[sid], {"op": "query", "stream": sid}
-            ).items()
-            if k != "ok"
-        }
+        self._gate_alive([self.owner[sid]])
+        return self._forward(self.owner[sid], {"op": "query", "stream": sid})
 
     # ------------------------------------------------------------------ #
     # Link faults (broadcast reroute-and-readmit)
     # ------------------------------------------------------------------ #
 
-    def links_spec(self) -> List[List[int]]:
-        """The failed-link set as sorted ``[u, v]`` pairs (wire form)."""
-        return sorted([u, v] for u, v in self.failed_links)
-
     def _set_failed_links(self, failed) -> None:
         """Point the placement layer at the routing for ``failed``."""
         self.failed_links = set(failed)
-        if self.failed_links:
-            self.routing = FaultAwareRouting(
-                self.base_routing, sorted(self.failed_links)
-            )
-        else:
-            self.routing = self.base_routing
+        self.routing = self._routing_for(self.failed_links)
         self._route_table = shared_route_table(self.routing)
-
-    @staticmethod
-    def _merge_link_outcomes(
-        outcomes: List[Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        """Union the per-shard deltas of one broadcast link op."""
-        merged: Dict[str, Any] = {
-            "op": outcomes[0]["op"],
-            "link": list(outcomes[0]["link"]),
-        }
-        for key in ("rerouted", "evicted", "disconnected", "survivors"):
-            merged[key] = sorted(
-                {int(sid) for out in outcomes for sid in out.get(key, [])}
-            )
-        return merged
 
     def _op_link(
         self, request: Dict[str, Any], rid: Optional[str]
@@ -797,23 +702,13 @@ class TenantFleet:
         link, new_failed = parse_link(
             request, self.topology, self.failed_links
         )
-        self._gate_shards(set(range(len(self.hosts))))
-        if new_failed:
-            new_routing = FaultAwareRouting(
-                self.base_routing, sorted(new_failed)
-            )
-        else:
-            new_routing = self.base_routing
-        new_table = shared_route_table(new_routing)
+        self._gate_shards(range(len(self.hosts)))
+        new_table = shared_route_table(self._routing_for(new_failed))
         # Prospective placement over the post-swap channel sets.
         prospective = ChannelIndex()
         for sid in sorted(self.owner):
-            spec = self.placed[sid][0]
             try:
-                channels = entry_channels(
-                    new_table, self.topology,
-                    int(spec["src"]), int(spec["dst"]),
-                )
+                channels = self._spec_channels(self.placed[sid][0], new_table)
             except RoutingError:
                 # Disconnected under the new routing: the shard will
                 # evict it, so it interacts with nothing.
@@ -826,9 +721,7 @@ class TenantFleet:
         # The table moves only after a complete broadcast, so until then
         # it says what each shard held when the op reached it — which is
         # what compensation re-admits.
-        sub: Dict[str, Any] = {"op": op, "link": [link[0], link[1]]}
-        if rid is not None:
-            sub["rid"] = rid
+        sub = op_record(op, rid, link=[link[0], link[1]])
         deltas: List[Dict[str, Any]] = []
         try:
             for shard in range(len(self.hosts)):
@@ -837,8 +730,8 @@ class TenantFleet:
             self._compensate_link(op, link, rid)
             raise
         self._set_failed_links(new_failed)
-        outcome = self._merge_link_outcomes(deltas)
-        gone = set(outcome["evicted"]) | set(outcome["disconnected"])
+        merged = merge_outcomes([outcome(op, **d) for d in deltas])
+        gone = set(merged["evicted"]) | set(merged["disconnected"])
         for sid in sorted(gone):
             if sid in self.owner:
                 del self.owner[sid]
@@ -848,11 +741,7 @@ class TenantFleet:
         self.index = ChannelIndex()
         for sid in sorted(self.owner):
             self.index.add(sid, self._spec_channels(self.placed[sid][0]))
-        self._applied.record(rid, outcome)
-        response = dict(outcome)
-        response["failed_links"] = self.links_spec()
-        response["admitted"] = len(self.owner)
-        return response
+        return self._link_response(op, link, merged)
 
     def _compensate_link(
         self, op: str, link: Tuple[int, int], rid: Optional[str]
@@ -870,13 +759,7 @@ class TenantFleet:
         """
         inverse = "restore_link" if op == "fail_link" else "fail_link"
         for shard, host in enumerate(self.hosts):
-            links = self._probe_stable(
-                lambda i=shard: self._forward(i, {"op": "links"})
-            )
-            have = {
-                normalize_link(int(u), int(v))
-                for u, v in links["failed_links"]
-            }
+            have = self._probe_stable(lambda i=shard: self._shard_links(i))
             applied = (link in have) if op == "fail_link" else (
                 link not in have
             )
@@ -898,13 +781,14 @@ class TenantFleet:
             if rid is not None:
                 host.drop_rid(rid)
 
-    def _merged_report(self) -> Dict[str, Any]:
+    def _op_report(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """The tenant-wide feasibility report, merged across shards.
 
         Identical to a single engine's ``report`` over the union: each
         stream's verdict is computed against its full closure (the
         component invariant), and ``success`` is the conjunction.
         """
+        self._gate_alive(range(len(self.hosts)))
         success = True
         streams: Dict[str, Any] = {}
         total = 0
@@ -919,7 +803,8 @@ class TenantFleet:
         }
         return {"report": report, "admitted": total}
 
-    def _op_snapshot(self) -> Dict[str, Any]:
+    def _op_snapshot(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        self._gate_alive(range(len(self.hosts)))
         paths = []
         cleared = False
         for shard in range(len(self.hosts)):
@@ -934,26 +819,8 @@ class TenantFleet:
         return response
 
     # ------------------------------------------------------------------ #
-    # Fingerprint + lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------ #
-
-    def fingerprint(self) -> Tuple[str, Dict[str, Any]]:
-        """``(sha256, spec)`` over the tenant's merged state.
-
-        Byte-identical to :meth:`EngineHost.fingerprint` on a single
-        engine holding the same streams — the acceptance check the
-        equivalence and failover tests assert.
-        """
-        return fingerprint(
-            self.handle_request, sorted(self.owner), self._next_id
-        )
-
-    def _gate_dead(self) -> None:
-        if self.dead:
-            raise ReproError(
-                f"shard(s) {sorted(self.dead)} are down; fail over to "
-                "their standbys"
-            )
 
     def kill_host(self, shard: int) -> None:
         """Simulate a primary crash: the shard stops serving immediately.
@@ -1040,28 +907,8 @@ class Fleet:
                     for i in range(shards)
                 })
             self.supervisor.start()
-            try:
-                self.tenants: Dict[str, TenantFleet] = {
-                    t.name: TenantFleet(
-                        t.name,
-                        t.topology_spec,
-                        shards=shards,
-                        state_dir=self.state_dir / t.name,
-                        analysis=t.analysis,
-                        shard_clients=[
-                            WorkerShard(
-                                self.supervisor, f"{t.name}/shard-{i}"
-                            )
-                            for i in range(shards)
-                        ],
-                    )
-                    for t in tenants
-                }
-            except ReproError:
-                self.supervisor.stop()
-                raise
-        else:
-            self.tenants = {
+        try:
+            self.tenants: Dict[str, TenantFleet] = {
                 t.name: TenantFleet(
                     t.name,
                     t.topology_spec,
@@ -1072,9 +919,17 @@ class Fleet:
                     ),
                     analysis=t.analysis,
                     fault_plane=fault_plane,
+                    shard_clients=None if self.supervisor is None else [
+                        WorkerShard(self.supervisor, f"{t.name}/shard-{i}")
+                        for i in range(shards)
+                    ],
                 )
                 for t in tenants
             }
+        except ReproError:
+            if self.supervisor is not None:
+                self.supervisor.stop()
+            raise
         self._keys: Dict[str, str] = {t.api_key: t.name for t in tenants}
 
     def tenant_for_key(self, api_key: Optional[str]) -> Optional[str]:

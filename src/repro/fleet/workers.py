@@ -754,33 +754,31 @@ class WorkerShard:
         try:
             response = self.supervisor.call(self.key, request)
         except WorkerDied as exc:
-            return self._died(request, exc)
+            return error_response(
+                request, str(self._died(exc)), code="worker"
+            )
         except ReproError as exc:  # detached shard: no longer routed
             return error_response(request, str(exc), code="worker")
         self._track(request, response)
         return response
 
-    def _died(
-        self, request: Dict[str, Any], exc: WorkerDied
-    ) -> Dict[str, Any]:
+    def _died(self, exc: WorkerDied) -> ReproError:
+        """Restart the dead worker; the retryable ``code: "worker"``
+        error its caller gets instead of an answer (the op's fate is
+        unknown: retry with the same rid)."""
         self.degraded = False
         self.degraded_reason = None
         try:
             self.supervisor.ensure(self.key)
+            then = ("the supervisor restarted it with journal recovery — "
+                    "retry the request (same rid) for the committed outcome")
         except ReproError as restart_exc:
-            return error_response(
-                request,
-                f"shard worker for {self.key} died mid-op ({exc}) and "
-                f"could not be restarted: {restart_exc}",
-                code="worker",
-            )
-        return error_response(
-            request,
-            f"shard worker for {self.key} died mid-op ({exc}); the "
-            "supervisor restarted it with journal recovery — retry the "
-            "request (same rid) for the committed outcome",
-            code="worker",
+            then = f"it could not be restarted: {restart_exc}"
+        retryable = ReproError(
+            f"shard worker for {self.key} died mid-op ({exc}); {then}"
         )
+        retryable.code = "worker"  # round-trips via error_code
+        return retryable
 
     def _track(
         self, request: Dict[str, Any], response: Dict[str, Any]
@@ -799,13 +797,7 @@ class WorkerShard:
         try:
             response = self.supervisor.call(self.key, payload)
         except WorkerDied as exc:
-            self.supervisor.ensure(self.key)
-            retryable = ReproError(
-                f"shard worker for {self.key} died mid-op ({exc}); "
-                "restarted — retry"
-            )
-            retryable.code = "worker"  # round-trips via error_code
-            raise retryable from None
+            raise self._died(exc) from None
         if not response.get("ok"):
             raise error_from_response(
                 response, f"shard {self.key} RPC failed"

@@ -1,12 +1,18 @@
-"""EngineHost: one admission engine behind the broker protocol.
+"""The op table's interpreters: one engine host, and what they share.
 
-The synchronous core of the service: the broker
+:class:`OpInterpreter` runs :data:`~repro.service.protocol.OPS` once for
+both: the request envelope, the rid preamble and outcome record of every
+mutation, ``hello`` / ``links``, the failed-links → routing rule, the
+link-op answer, per-backend re-admit batches and the fingerprint. What
+an op *does* is the subclass's: :class:`EngineHost` applies it to one
+engine and journals it with rollback; :class:`repro.fleet.shards.
+TenantFleet` places, migrates, broadcasts and compensates across hosts.
+
+:class:`EngineHost` is the synchronous core of the service: the broker
 (:class:`repro.service.server.BrokerServer`) is one of these with
 listeners, and the fleet (:mod:`repro.fleet`) hosts many — one per
-(shard, tenant) — behind one gateway.
-
-An :class:`EngineHost` is the unit of state the rest of the system
-composes:
+(shard, tenant) — behind one gateway. It is the unit of state the rest
+of the system composes:
 
 * ``handle_request`` executes one protocol op (the same JSON objects the
   wire carries) against the engine, with metrics, idempotent ``rid``
@@ -29,7 +35,9 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, List, Optional, Set, Tuple, TypeVar, Union,
+)
 
 from .. import __version__
 from ..core import backends as _backends
@@ -37,11 +45,12 @@ from ..core.streams import MessageStream
 from ..errors import ReproError
 from ..faults.plane import FaultPlane
 from ..io import report_to_spec, stream_to_spec, topology_from_spec
-from ..topology import FaultAwareRouting, normalize_link
+from ..topology import FaultAwareRouting, RoutingAlgorithm, normalize_link
 from .engine import IncrementalAdmissionEngine, RoutingDelta
 from .metrics import ServiceMetrics
 from .persistence import BrokerState, RecoveredState
 from .protocol import (
+    KNOWN_OPS,
     MUTATING_OPS,
     DegradedError,
     ProtocolError,
@@ -49,6 +58,8 @@ from .protocol import (
     answer,
     coerce_rid,
     fingerprint,
+    op_record,
+    outcome,
     parse_admit,
     parse_link,
     parse_query,
@@ -56,12 +67,161 @@ from .protocol import (
     parse_streams,
 )
 
-__all__ = ["DegradedError", "EngineHost"]
+__all__ = [
+    "DegradedError", "EngineHost", "OpInterpreter", "refuse_read_only",
+]
+
+_T = TypeVar("_T")
 
 logger = logging.getLogger(__name__)
 
 
-class EngineHost:
+def refuse_read_only(host: Any) -> None:
+    """Refuse a mutation while ``host`` — an engine host, or a fleet's
+    view of one of its shards — is read-only (see DegradedError)."""
+    if host.degraded:
+        raise DegradedError(
+            f"broker is read-only ({host.degraded_reason}); "
+            "retry after a successful 'snapshot' op"
+        )
+
+
+class OpInterpreter:
+    """Executes :data:`~repro.service.protocol.OPS`; see the module doc.
+
+    A subclass states an ``_op_<name>`` per op it serves (the others
+    answer "unknown op"; a mutation's takes the validated rid too, and
+    both link ops run ``_op_link``) plus ``default_analysis``,
+    ``admitted_ids``, ``admitted_count`` and ``next_id``. Gates are its
+    own: a host refuses every mutation while read-only before parsing
+    (:meth:`_mutation_gate`), a fleet gates each shard an op involves
+    after placing it.
+    """
+
+    #: Trace span name and category of one request.
+    span = ("broker.op", "service")
+    #: Labels on that span.
+    span_labels: Dict[str, str] = {}
+    #: The ``server`` a ``hello`` names.
+    server_name = "repro-broker"
+
+    def __init__(self, topology_spec: Dict[str, Any]):
+        self.topology_spec = dict(topology_spec)
+        self.topology, self.routing = topology_from_spec(self.topology_spec)
+        #: The intact network's routing; ``self.routing`` tracks the
+        #: *effective* routing (fault-aware once links failed).
+        self.base_routing = self.routing
+        #: Failed physical links, as normalised ``(u, v)`` tuples.
+        self.failed_links: Set[Tuple[int, int]] = set()
+        self.metrics = ServiceMetrics()
+        #: rid -> recorded outcome of the committed mutation (FIFO-capped).
+        self._applied = RidTable()
+        #: op -> the handler serving it here; an op not in it is unknown.
+        self._handlers = {
+            op: getattr(self, f"_op_{op}")
+            for op in KNOWN_OPS if hasattr(self, f"_op_{op}")
+        }
+
+    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Execute one protocol request and return the response object."""
+        return answer(
+            request, self._dispatch, self.metrics, *self.span,
+            **self.span_labels,
+        )
+
+    def _dispatch(
+        self, op: str, request: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        handler = self._handlers.get(op)
+        if handler is None or op not in MUTATING_OPS:
+            return None if handler is None else handler(request)
+        rid = coerce_rid(request)
+        # Before any gate: replaying a committed mutation writes nothing,
+        # so it stays safe while read-only — and that is exactly when
+        # crash-induced retries arrive.
+        duplicate = self._applied.replay(rid)
+        if duplicate is not None:
+            self.metrics.duplicates += 1
+            return duplicate
+        self._mutation_gate()
+        response = handler(request, rid)
+        # A fleet passing a shard's replay through records nothing.
+        if not response.get("duplicate"):
+            self._applied.record(rid, op, response)
+        return response
+
+    def _mutation_gate(self) -> None:
+        """Where a subclass refuses any mutation before parsing it
+        (after the rid replay); the base refuses nothing."""
+
+    def _op_hello(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return {
+            "server": self.server_name,
+            "version": __version__,
+            "topology": self.topology_spec,
+            "nodes": self.topology.num_nodes,
+            "analyses": list(_backends.names()),
+            "default_analysis": self.default_analysis,
+        }
+
+    def _op_ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return self._op_hello(request)
+
+    def _op_links(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return {
+            "failed_links": self.links_spec(),
+            "routing": type(self.routing).__name__,
+        }
+
+    # Both link ops are one handler in every subclass.
+    _op_fail_link = _op_restore_link = property(lambda self: self._op_link)
+
+    def links_spec(self) -> List[List[int]]:
+        """The failed-link set as sorted ``[u, v]`` pairs (wire form)."""
+        return sorted([u, v] for u, v in self.failed_links)
+
+    def _routing_for(self, failed: Set[Tuple[int, int]]) -> RoutingAlgorithm:
+        """The routing of the network with ``failed`` links down."""
+        if failed:
+            return FaultAwareRouting(self.base_routing, sorted(failed))
+        return self.base_routing
+
+    def _link_response(
+        self, op: str, link: Tuple[int, int], delta: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """A link op's answer: what it rerouted and evicted (``delta``)
+        and the failed links and admitted count it left."""
+        return {
+            "op": op,
+            "link": [link[0], link[1]],
+            **delta,
+            "failed_links": self.links_spec(),
+            "admitted": self.admitted_count(),
+        }
+
+    @staticmethod
+    def _by_backend(
+        pairs: Iterable[Tuple[_T, Optional[str]]]
+    ) -> List[Tuple[Optional[str], List[_T]]]:
+        """``(item, backend)`` pairs as ``(backend, items)`` batches:
+        how streams vetted under several backends are admitted again
+        (by name; ``None``, the engine default, last)."""
+        groups: Dict[Optional[str], List[_T]] = {}
+        for item, name in pairs:
+            groups.setdefault(name, []).append(item)
+        order = sorted(groups, key=lambda n: (n is None, n or ""))
+        return [(name, groups[name]) for name in order]
+
+    def fingerprint(self) -> Tuple[str, Dict[str, Any]]:
+        """``(sha256, spec)`` of everything recovery promises to preserve
+        (see :func:`repro.service.protocol.fingerprint`) — byte-identical
+        for one engine and a sharded tenant holding the same streams."""
+        return fingerprint(
+            self.handle_request, self.admitted_ids(), self.next_id
+        )
+
+
+class EngineHost(OpInterpreter):
     """One admission engine + persistence + protocol dispatch.
 
     Parameters
@@ -84,24 +244,15 @@ class EngineHost:
         analysis: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
     ):
-        self.topology_spec = dict(topology_spec)
-        self.topology, self.routing = topology_from_spec(self.topology_spec)
-        #: The intact network's routing; ``self.routing`` tracks the
-        #: engine's *effective* routing (fault-aware once links failed).
-        self.base_routing = self.routing
-        #: Failed physical links, as normalised ``(u, v)`` tuples.
-        self.failed_links: set = set()
+        super().__init__(topology_spec)
         self.engine = IncrementalAdmissionEngine(
             self.routing,
             residency_margin=residency_margin,
             analysis=analysis,
         )
-        self.metrics = ServiceMetrics()
         #: Read-only degraded mode (journal unwritable); see DegradedError.
         self.degraded = False
         self.degraded_reason: Optional[str] = None
-        #: rid -> recorded outcome of the committed mutation (FIFO-capped).
-        self._applied = RidTable()
         self.state: Optional[BrokerState] = None
         if state_dir is not None:
             self.state = BrokerState(
@@ -164,11 +315,10 @@ class EngineHost:
         # (the analysis has no admission-order dependence) and every
         # intermediate set is a subset of a feasible set, hence feasible
         # itself.
-        groups: Dict[Optional[str], List[dict]] = {}
-        for entry in rec.snapshot or ():
-            groups.setdefault(entry.get("analysis"), []).append(entry)
-        for name in sorted(groups, key=lambda n: (n is None, n or "")):
-            self._adopt_entries(groups[name], name)
+        for name, entries in self._by_backend(
+            (entry, entry.get("analysis")) for entry in rec.snapshot or ()
+        ):
+            self._adopt_entries(entries, name)
 
     def apply_journal_op(self, op: Dict[str, Any]) -> None:
         """Apply one committed journal record to the engine.
@@ -182,29 +332,28 @@ class EngineHost:
         whose eviction fixpoint would otherwise drop a stream the
         journal wrongly admitted instead of reporting it.
         """
-        rid = op.get("rid")
-        if op.get("op") == "admit":
+        name = op.get("op")
+        if name == "admit":
             ids = self._adopt_entries(op["streams"], op.get("analysis"))
-            self._applied.record(rid, {"admitted": True, "ids": ids})
-        elif op.get("op") == "release":
+            response = outcome(name, admitted=True, ids=ids)
+        elif name == "release":
             ids = [int(i) for i in op["ids"]]
             self.engine.retire(ids)
-            self._applied.record(rid, {"released": ids})
-        elif op.get("op") in ("fail_link", "restore_link"):
+            response = outcome(name, released=ids)
+        elif name in ("fail_link", "restore_link"):
             # Reroute-and-readmit is deterministic, so replay re-derives
             # the same evictions the primary computed and acknowledged
             # (from fresh verdicts: the swap settles first).
             self._check_replayed()
             link = normalize_link(*op["link"])
-            if op["op"] == "fail_link":
+            if name == "fail_link":
                 delta = self._swap_routing(self.failed_links | {link})
             else:
                 delta = self._swap_routing(self.failed_links - {link})
-            self._applied.record(
-                rid, self._link_outcome(op["op"], link, delta)
-            )
+            response = self._link_response(name, link, delta.to_spec())
         else:  # pragma: no cover - defensive
-            raise ReproError(f"unknown journal op {op.get('op')!r}")
+            raise ReproError(f"unknown journal op {name!r}")
+        self._applied.record(op.get("rid"), name, response)
 
     def compact(self) -> Path:
         """Write a fresh snapshot and truncate the journal."""
@@ -215,13 +364,6 @@ class EngineHost:
             applied_rids=self._applied,
             analyses=self._admitted_analyses(),
             failed_links=self.links_spec(),
-        )
-
-    def fingerprint(self) -> Tuple[str, Dict[str, Any]]:
-        """``(sha256, spec)`` of everything recovery promises to preserve
-        (see :func:`repro.service.protocol.fingerprint`)."""
-        return fingerprint(
-            self.handle_request, self.admitted_ids(), self.engine.next_id
         )
 
     def request_shutdown(self) -> None:
@@ -245,6 +387,10 @@ class EngineHost:
     @property
     def default_analysis(self) -> str:
         return self.engine.default_analysis
+
+    @property
+    def next_id(self) -> int:
+        return self.engine.next_id
 
     def admitted_ids(self) -> List[int]:
         return sorted(self.engine.admitted.ids())
@@ -319,102 +465,71 @@ class EngineHost:
         return [s.stream_id for s in streams]
 
     # ------------------------------------------------------------------ #
-    # Op dispatch (synchronous; also the unit-test surface)
+    # Reads
     # ------------------------------------------------------------------ #
 
-    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Execute one protocol request and return the response object."""
-        return answer(
-            request, self._dispatch, self.metrics, "broker.op", "service"
-        )
+    def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        sid = parse_query(request)
+        verdict = self.engine.verdict(sid)
+        return {
+            "stream": stream_to_spec(self.engine.admitted[sid]),
+            "upper_bound": verdict.upper_bound,
+            "feasible": verdict.feasible,
+            "slack": verdict.slack,
+            "closure": list(self.engine.closure(sid)),
+            "analysis": self.engine.analysis_of(sid),
+        }
 
-    def _dispatch(
-        self, op: str, request: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        if op in ("hello", "ping"):
-            return {
-                "server": "repro-broker",
-                "version": __version__,
-                "topology": self.topology_spec,
-                "nodes": self.topology.num_nodes,
-                "analyses": list(_backends.names()),
-                "default_analysis": self.engine.default_analysis,
-            }
-        if op in MUTATING_OPS:
-            rid = coerce_rid(request)
-            # Checked *before* the degraded gate: replaying a committed
-            # mutation writes nothing, so it stays safe while read-only
-            # — and that is exactly when crash-induced retries arrive.
-            duplicate = self._applied.replay(rid)
-            if duplicate is not None:
-                self.metrics.duplicates += 1
-                return duplicate
-            self._mutation_gate()
-            if op == "admit":
-                return self._op_admit(request, rid)
-            if op == "release":
-                return self._op_release(request, rid)
-            return self._op_link(request, rid)
-        if op == "query":
-            return self._op_query(request)
-        if op == "links":
-            return {
-                "failed_links": self.links_spec(),
-                "routing": type(self.engine.routing).__name__,
-            }
-        if op == "report":
-            return {
-                "report": report_to_spec(self.engine.current_report()),
-                "admitted": len(self.engine.admitted),
-            }
-        if op == "snapshot":
-            if self.state is None:
-                raise ProtocolError(
-                    "server runs without persistence (no --state-dir)"
-                )
-            # Allowed (and essential) in degraded mode: a successful
-            # compaction rewrites the snapshot and truncates the journal,
-            # re-establishing durable storage.
-            try:
-                path = self.compact()
-            except OSError as exc:
-                self.metrics.journal_errors += 1
-                self._enter_degraded(f"snapshot compaction failed: {exc}")
-                raise DegradedError(
-                    f"snapshot failed ({exc}); broker stays read-only"
-                ) from None
-            cleared = self.degraded
-            self._clear_degraded()
-            response = {
-                "path": str(path), "streams": len(self.engine.admitted),
-            }
-            if cleared:
-                response["degraded_cleared"] = True
-            return response
-        if op == "stats":
-            if request.get("format") == "prometheus":
-                return {"prometheus": self.prometheus_text()}
-            return {
-                "service": self.metrics.to_dict(),
-                "engine": self.engine_stats(),
-                "admitted": len(self.engine.admitted),
-                "degraded": self.degraded,
-            }
-        if op == "shutdown":
-            self.request_shutdown()
-            return {"stopping": True}
-        return None
+    def _op_report(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return {
+            "report": report_to_spec(self.engine.current_report()),
+            "admitted": len(self.engine.admitted),
+        }
 
-    # ------------------------------------------------------------------ #
-    # Idempotency + degraded-mode plumbing
-    # ------------------------------------------------------------------ #
-
-    def _mutation_gate(self) -> None:
-        if self.degraded:
-            raise DegradedError(
-                f"broker is read-only ({self.degraded_reason}); "
-                "retry after a successful 'snapshot' op"
+    def _op_snapshot(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        if self.state is None:
+            raise ProtocolError(
+                "server runs without persistence (no --state-dir)"
             )
+        # Allowed (and essential) in degraded mode: a successful
+        # compaction rewrites the snapshot and truncates the journal,
+        # re-establishing durable storage.
+        try:
+            path = self.compact()
+        except OSError as exc:
+            self.metrics.journal_errors += 1
+            self._enter_degraded(f"snapshot compaction failed: {exc}")
+            raise DegradedError(
+                f"snapshot failed ({exc}); broker stays read-only"
+            ) from None
+        cleared = self.degraded
+        self._clear_degraded()
+        response = {
+            "path": str(path), "streams": len(self.engine.admitted),
+        }
+        if cleared:
+            response["degraded_cleared"] = True
+        return response
+
+    def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        if request.get("format") == "prometheus":
+            return {"prometheus": self.prometheus_text()}
+        return {
+            "service": self.metrics.to_dict(),
+            "engine": self.engine_stats(),
+            "admitted": len(self.engine.admitted),
+            "degraded": self.degraded,
+        }
+
+    def _op_shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        self.request_shutdown()
+        return {"stopping": True}
+
+    # ------------------------------------------------------------------ #
+    # Mutations: applied, journaled, rolled back on a journal failure
+    # ------------------------------------------------------------------ #
+
+    _mutation_gate = refuse_read_only
 
     def _journal_commit(self, entry: Dict[str, Any], rollback) -> None:
         """Append a committed mutation; on failure undo it and degrade.
@@ -485,21 +600,17 @@ class EngineHost:
             response["analysis"] = self.engine.analysis_of(ids[0])
             self.metrics.admitted_ok += 1
             if self.state is not None:
-                entry: Dict[str, Any] = {
-                    "op": "admit",
-                    "streams": [
-                        stream_to_spec(self.engine.admitted[sid])
-                        for sid in ids
-                    ],
-                    "analysis": self.engine.analysis_of(ids[0]),
-                }
-                if rid is not None:
-                    entry["rid"] = rid
                 self._journal_commit(
-                    entry,
+                    op_record(
+                        "admit", rid,
+                        streams=[
+                            stream_to_spec(self.engine.admitted[sid])
+                            for sid in ids
+                        ],
+                        analysis=response["analysis"],
+                    ),
                     lambda: self._rollback_admit(ids, next_id_before),
                 )
-            self._applied.record(rid, {"admitted": True, "ids": ids})
         else:
             self.metrics.admitted_rejected += 1
             # The trial ids of a rejected batch were never admitted, so
@@ -528,14 +639,11 @@ class EngineHost:
         ]
         self.engine.release(ids)
         if self.state is not None:
-            entry = {"op": "release", "ids": ids}
-            if rid is not None:
-                entry["rid"] = rid
             self._journal_commit(
-                entry, lambda: self._readmit(removed, "rollback")
+                op_record("release", rid, ids=ids),
+                lambda: self._readmit(removed, "rollback"),
             )
-        self._applied.record(rid, {"released": ids})
-        return {"released": ids}
+        return outcome("release", released=ids)
 
     def _readmit(
         self, removed: Iterable[Tuple[MessageStream, str]], what: str
@@ -543,11 +651,8 @@ class EngineHost:
         """Undo half of a mutation whose journal append failed: re-admit
         the ``(stream, backend)`` pairs it removed, one batch per
         backend."""
-        groups: Dict[str, List[MessageStream]] = {}
-        for stream, name in removed:
-            groups.setdefault(name, []).append(stream)
-        for name in sorted(groups):
-            decision = self.engine.try_admit(groups[name], analysis=name)
+        for name, streams in self._by_backend(removed):
+            decision = self.engine.try_admit(streams, analysis=name)
             if not decision.admitted:  # pragma: no cover - defensive
                 # Re-admitting streams that were feasible a moment ago
                 # cannot fail; if it somehow does, crash loudly rather
@@ -557,40 +662,18 @@ class EngineHost:
                     "inconsistent with the journal"
                 )
 
-    # ------------------------------------------------------------------ #
-    # Link faults (reroute-and-readmit)
-    # ------------------------------------------------------------------ #
-
-    def links_spec(self) -> List[List[int]]:
-        """The failed-link set as sorted ``[u, v]`` pairs (wire form)."""
-        return sorted([u, v] for u, v in self.failed_links)
-
     def _swap_routing(self, new_failed: set) -> RoutingDelta:
         """Point the engine at the routing for ``new_failed`` links."""
-        if new_failed:
-            routing = FaultAwareRouting(
-                self.base_routing, sorted(new_failed)
-            )
-        else:
-            routing = self.base_routing
-        delta = self.engine.apply_routing(routing)
+        delta = self.engine.apply_routing(self._routing_for(new_failed))
         self.failed_links = set(new_failed)
         self.routing = self.engine.routing
         return delta
 
-    @staticmethod
-    def _link_outcome(
-        op: str, link, delta: RoutingDelta
-    ) -> Dict[str, Any]:
-        return {
-            "op": op,
-            "link": [link[0], link[1]],
-            **delta.to_spec(),
-        }
-
     def _op_link(
         self, request: Dict[str, Any], rid: Optional[str]
     ) -> Dict[str, Any]:
+        """Fail or restore a link: reroute, and evict what no longer
+        fits or connects."""
         op = request["op"]
         link, new_failed = parse_link(
             request, self.topology, self.failed_links
@@ -598,18 +681,11 @@ class EngineHost:
         old_failed = set(self.failed_links)
         delta = self._swap_routing(new_failed)
         if self.state is not None:
-            entry: Dict[str, Any] = {"op": op, "link": [link[0], link[1]]}
-            if rid is not None:
-                entry["rid"] = rid
             self._journal_commit(
-                entry, lambda: self._rollback_link(old_failed, delta)
+                op_record(op, rid, link=[link[0], link[1]]),
+                lambda: self._rollback_link(old_failed, delta),
             )
-        outcome = self._link_outcome(op, link, delta)
-        self._applied.record(rid, outcome)
-        response = dict(outcome)
-        response["failed_links"] = self.links_spec()
-        response["admitted"] = len(self.engine.admitted)
-        return response
+        return self._link_response(op, link, delta.to_spec())
 
     def _rollback_link(self, old_failed: set, delta: RoutingDelta) -> None:
         """Undo a link op whose journal append failed: re-apply the old
@@ -618,18 +694,6 @@ class EngineHost:
         old routing, and subsets of a feasible set are feasible."""
         self._swap_routing(old_failed)
         self._readmit(delta.evicted_streams, "link-op rollback")
-
-    def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        sid = parse_query(request)
-        verdict = self.engine.verdict(sid)
-        return {
-            "stream": stream_to_spec(self.engine.admitted[sid]),
-            "upper_bound": verdict.upper_bound,
-            "feasible": verdict.feasible,
-            "slack": verdict.slack,
-            "closure": list(self.engine.closure(sid)),
-            "analysis": self.engine.analysis_of(sid),
-        }
 
     # ------------------------------------------------------------------ #
     # Prometheus export

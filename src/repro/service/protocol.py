@@ -17,10 +17,12 @@ client-chosen string identifying the *request* (not the connection).
 When a mutation succeeds, its ``rid`` is recorded — in memory, in the
 journal entry, and through snapshot compaction — and a later request
 with the same ``rid`` is **not re-executed**: the server answers with
-the recorded outcome plus ``"duplicate": true`` (for ``admit`` that is
+the recorded outcome plus ``"duplicate": true`` — the response keys the
+``outcome`` column of :data:`OPS` names (for ``admit``
 ``admitted``/``ids`` without the per-stream ``bounds``/``closures``
 detail; for ``release`` the ``released`` ids; for a link op its
-reroute/evict delta). This makes at-least-once retry loops safe: a
+reroute/evict delta). A fleet whose op spanned shards merges their
+records (:func:`merge_outcomes`). This makes at-least-once retry loops safe: a
 client whose connection died after sending a request simply reconnects
 and resends the same ``rid``; whether or not the original was applied,
 the end state is applied-exactly-once. Failed mutations record nothing
@@ -36,13 +38,18 @@ disk, and stops accepting mutations: they fail with ``code:
 "degraded"`` (:class:`DegradedError`) while reads (``query``/``report``/
 ``links``/``stats``/``hello``) keep working. A successful ``snapshot``
 op (which rewrites the snapshot and truncates the journal) clears the
-condition.
+condition. A fleet refuses an op that needs a shard whose primary is
+down with ``code: "down"`` (:class:`ShardDownError`) until the shard's
+standby is promoted.
 
 Ops
 ---
 :data:`OPS` is the source: the names a server accepts, which of them
-mutate, and which the gateway routes as ``POST /v1/<op>``; every list
-of ops elsewhere derives from it.
+mutate, which the gateway routes as ``POST /v1/<op>``, and what a
+committed mutation records under its rid; every list of ops elsewhere
+derives from it, and :class:`~repro.service.host.OpInterpreter` is what
+executes it (an engine host and a fleet tenant are its two
+interpreters).
 
 ``hello`` / ``ping``
     Server identity (``ping`` is an alias): name, version, topology
@@ -107,6 +114,7 @@ __all__ = [
     "OPS",
     "ProtocolError",
     "RidTable",
+    "ShardDownError",
     "answer",
     "coerce_int",
     "coerce_rid",
@@ -116,6 +124,9 @@ __all__ = [
     "error_from_response",
     "error_response",
     "fingerprint",
+    "merge_outcomes",
+    "op_record",
+    "outcome",
     "parse_admit",
     "parse_line",
     "parse_link",
@@ -139,19 +150,27 @@ class Op(NamedTuple):
     #: The gateway forwards ``POST /v1/<name>`` to the tenant's fleet
     #: (``shutdown`` it serves itself: it stops the gateway).
     http: bool = True
+    #: The response keys a committed mutation records under its ``rid``
+    #: (in this order: snapshots write the record as it is) — what a
+    #: retry gets back, with ``duplicate``.
+    outcome: Tuple[str, ...] = ()
 
+
+_LINK_OUTCOME = (
+    "op", "link", "rerouted", "evicted", "disconnected", "survivors",
+)
 
 OPS = (
     Op("hello"),
     Op("ping"),
-    Op("admit", mutates=True),
-    Op("release", mutates=True),
+    Op("admit", mutates=True, outcome=("admitted", "ids")),
+    Op("release", mutates=True, outcome=("released",)),
     Op("query"),
     Op("report"),
     Op("snapshot"),
     Op("stats"),
-    Op("fail_link", mutates=True),
-    Op("restore_link", mutates=True),
+    Op("fail_link", mutates=True, outcome=_LINK_OUTCOME),
+    Op("restore_link", mutates=True, outcome=_LINK_OUTCOME),
     Op("links"),
     Op("shutdown", http=False),
 )
@@ -159,6 +178,7 @@ OPS = (
 KNOWN_OPS = tuple(op.name for op in OPS)
 MUTATING_OPS = frozenset(op.name for op in OPS if op.mutates)
 HTTP_OPS = tuple(op.name for op in OPS if op.http)
+_OUTCOMES = {op.name: op.outcome for op in OPS if op.mutates}
 
 
 class ProtocolError(ReproError):
@@ -177,6 +197,13 @@ class DegradedError(ReproError):
 
     #: Wire code (see :func:`error_code`).
     code = "degraded"
+
+
+class ShardDownError(ReproError):
+    """Raised by a fleet for an op that needs a shard whose primary is
+    down: promote its standby, then retry (``code: "down"``)."""
+
+    code = "down"
 
 
 # ---------------------------------------------------------------------- #
@@ -250,6 +277,19 @@ def coerce_rid(request: Dict[str, Any]) -> Optional[str]:
             f"'rid' must be a non-empty string, got {rid!r}"
         )
     return rid
+
+
+def op_record(
+    op: str, rid: Optional[str] = None, /, **fields: Any
+) -> Dict[str, Any]:
+    """One op as a record a host journals or a sub-request a fleet
+    forwards: ``op``, the ``fields`` that are not ``None`` and the
+    ``rid`` if there is one."""
+    record = {"op": op, "rid": rid, **fields}
+    if None in record.values():
+        record = {key: value for key, value in record.items()
+                  if value is not None}
+    return record
 
 
 def retry_backoff(
@@ -364,8 +404,35 @@ def parse_link(
 
 
 # ---------------------------------------------------------------------- #
-# Idempotency table
+# Outcomes and the idempotency table
 # ---------------------------------------------------------------------- #
+
+
+def _project(op: str, response: Dict[str, Any]) -> Dict[str, Any]:
+    return {key: response[key] for key in _OUTCOMES[op]}
+
+
+def outcome(op: str, /, **response: Any) -> Dict[str, Any]:
+    """The outcome of a committed mutation ``op``: its answer reduced to
+    the op's ``outcome`` keys (or built from exactly those)."""
+    return _project(op, response)
+
+
+def _ids(key: str, value: Any) -> bool:
+    """Whether an outcome field is a list of stream ids (a link's
+    endpoints are a list too, but not ids)."""
+    return isinstance(value, list) and key != "link"
+
+
+def merge_outcomes(shares: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """One outcome from the shares of one op several shards recorded —
+    a cross-shard release, a broadcast link op: every id list is the
+    ascending union, the rest is what the shares agree on."""
+    return {
+        key: sorted({int(sid) for share in shares for sid in share[key]})
+        if _ids(key, value) else value
+        for key, value in shares[0].items()
+    }
 
 
 class RidTable(dict):
@@ -376,13 +443,29 @@ class RidTable(dict):
     writer, shard dump, standby bootstrap).
     """
 
-    def record(self, rid: Optional[str], outcome: Dict[str, Any]) -> None:
-        """Remember a committed mutation's outcome under its rid."""
-        if rid is None:
+    def record(
+        self, rid: Optional[str], op: str, response: Dict[str, Any]
+    ) -> None:
+        """Remember what mutation ``op`` answered under its rid, as its
+        :func:`outcome`. An admit the engine refused committed nothing
+        and records nothing."""
+        if rid is None or response.get("admitted") is False:
             return
-        self[str(rid)] = outcome
+        self[str(rid)] = _project(op, response)
         while len(self) > RID_CAP:
             del self[next(iter(self))]
+
+    def merge(self, rid: str, share: Dict[str, Any]) -> None:
+        """Fold one shard's record of ``rid`` into the table (fleet
+        recovery): a share of the same op joins the record already
+        there (:func:`merge_outcomes`), anything else replaces it."""
+        prior = self.get(rid)
+        if prior is not None and prior.keys() == share.keys() and all(
+            _ids(key, value) or share[key] == value
+            for key, value in prior.items()
+        ):
+            share = merge_outcomes([prior, share])
+        self[rid] = dict(share)
 
     def replay(self, rid: Optional[str]) -> Optional[Dict[str, Any]]:
         """The ``duplicate`` answer for an already-applied rid, or
@@ -400,6 +483,7 @@ class RidTable(dict):
 #: Wire code <-> error class, for the typed errors.
 _CODES = {
     "degraded": DegradedError,
+    "down": ShardDownError,
     "protocol": ProtocolError,
     "stream": StreamError,
     "analysis": AnalysisError,

@@ -24,7 +24,6 @@ from repro.faults.campaign import (
     generate_schedule,
     run_chaos_campaign,
     run_oracle,
-    state_fingerprint,
 )
 from repro.faults.plane import (
     SITE_JOURNAL_APPEND,
@@ -140,7 +139,7 @@ class TestCrashRecoveryProperty:
         assert restarts > 0  # the parametrisation must actually kill
 
         recovered = BrokerServer(cfg.topology_spec(), state_dir=state)
-        sha, spec = state_fingerprint(recovered)
+        sha, spec = recovered.fingerprint()
         next_id = recovered.engine.next_id
         recovered.state.close()
         assert sha == oracle_sha
@@ -161,7 +160,7 @@ class TestCrashRecoveryProperty:
         again = BrokerServer(cfg.topology_spec(), state_dir=state)
         gauges = counters(again)
         assert again.engine.next_id == next_id
-        assert state_fingerprint(again)[0] == oracle_sha
+        assert again.fingerprint()[0] == oracle_sha
         again.state.close()
         third = BrokerServer(cfg.topology_spec(), state_dir=state)
         assert counters(third) == gauges

@@ -31,7 +31,7 @@ from repro.fleet.replication import StandbyPool
 from repro.fleet.shards import Fleet, TenantSpec
 from repro.service.host import EngineHost
 from repro.service.loadgen import BrokerClient, churn_spec
-from repro.service.protocol import fingerprint
+from repro.service.protocol import KNOWN_OPS, MUTATING_OPS, fingerprint
 from repro.service.server import BrokerServer
 from tests.test_fleet_shards import assert_books_exact
 
@@ -264,8 +264,10 @@ def _spec(src, dst, **extra):
 
 
 #: Every op and every malformed shape the parsers reject, as the request
-#: objects a client sends. Node 0 is a corner: failing both of its links
-#: disconnects (evicts) the stream that starts there.
+#: objects a client sends, and every mutation once more under a rid it
+#: already committed. Node 0 is a corner: failing both of its links
+#: disconnects (evicts) the stream that starts there. On a two-shard
+#: fleet, stream 7 and 10 live on one shard, 8 and 9 on the other.
 PARITY_OPS = [
     {"op": "hello"},
     {"op": "admit", "streams": [_spec(0, 2)]},
@@ -284,9 +286,15 @@ PARITY_OPS = [
     {"op": "fail_link", "link": [0, 1]},                # already failed
     {"op": "restore_link", "link": [2, 3]},             # not failed
     {"op": "restore_link", "link": [1, 0]},
+    {"op": "fail_link", "link": [31, 32]},                  # reroutes 7
+    {"op": "restore_link", "link": [32, 31], "rid": "parity-3"},
+    {"op": "restore_link", "link": [32, 31], "rid": "parity-3"},
     {"op": "fail_link", "link": [0, 1, 2]},
     {"op": "fail_link", "link": [0, 7]},                # not a channel
     {"op": "fail_link", "link": "0-1"},
+    {"op": "admit", "streams": [_spec(33, 35)]},
+    {"op": "release", "ids": [10, 9], "rid": "parity-4"},  # spans shards
+    {"op": "release", "ids": [10, 9], "rid": "parity-4"},
     {"op": "release", "ids": [7]},
     {"op": "release", "ids": []},
     {"op": "release", "ids": "7"},
@@ -311,10 +319,20 @@ PARITY_OPS = [
     # One request may be large (a ~600-stream admit is this size): every
     # transport frames up to 8 MiB, not one stream reader's 64 KiB.
     {"op": "ping", "padding": "x" * 70_000},
+    {"op": "stats"},
+    {"op": "snapshot"},
     {"op": "report"},
 ]
-#: What tells a broker's ``hello`` from a fleet's.
-HELLO_IDENTITY = ("server", "shards", "tenant")
+#: What in an answer describes the server rather than the state it
+#: holds: a broker's ``hello`` from a fleet's, where a snapshot went, the
+#: counters behind ``stats``.
+SERVER_KEYS = {
+    "hello": ("server", "shards", "tenant"),
+    "ping": ("server", "shards", "tenant"),
+    "snapshot": ("path", "paths"),
+    "stats": ("service", "engine", "shards", "escalations",
+              "migrated_streams"),
+}
 
 
 def _serve_on_thread(start):
@@ -349,7 +367,7 @@ def _open_surface(surface, tmp_path):
         port = _free_port()
 
         async def start():
-            server = BrokerServer(TOPO)
+            server = BrokerServer(TOPO, state_dir=tmp_path / "broker")
             if surface == "unix":
                 await server.start_unix(tmp_path / "b.sock")
             else:
@@ -365,7 +383,7 @@ def _open_surface(surface, tmp_path):
     async def start():
         fleet = Fleet(
             [TenantSpec("t", "key", TOPO)], shards=2, workers=workers,
-            state_dir=tmp_path / "fleet" if workers else None,
+            state_dir=tmp_path / "fleet",
         )
         gateway = GatewayServer(fleet, poll_interval=0.05)
         await gateway.start("127.0.0.1", 0)
@@ -381,8 +399,11 @@ def _open_surface(surface, tmp_path):
 def test_transport_parity(surface, tmp_path):
     """The same requests get the same answers — whole dicts, error
     text and ``code`` included — from ``EngineHost.handle_request`` and
-    over every wire, and leave the same observable state behind."""
-    ref = EngineHost(TOPO)
+    over every wire, and leave the same observable state behind. The
+    op table drives the coverage: every op is sent (``shutdown`` last,
+    below), and every mutation is replayed under a committed rid."""
+    assert {r["op"] for r in PARITY_OPS} | {"shutdown"} == set(KNOWN_OPS)
+    ref = EngineHost(TOPO, state_dir=tmp_path / "ref")
     client, thread = _open_surface(surface, tmp_path)
 
     def ask(request):
@@ -393,19 +414,22 @@ def test_transport_parity(surface, tmp_path):
 
     try:
         rejected = 0
+        replayed = set()
         for request in PARITY_OPS:
             want = ref.handle_request(json.loads(json.dumps(request)))
             got = ask(request)
-            if request["op"] in ("hello", "ping"):
-                for key in HELLO_IDENTITY:
-                    want.pop(key, None)
-                    got.pop(key, None)
+            for key in SERVER_KEYS.get(request["op"], ()):
+                want.pop(key, None)
+                got.pop(key, None)
             assert got == want, (request, got, want)
             # A refusal is the parsers' or the engine's, never the
             # last-resort ``internal`` guard.
             assert want.get("code") != "internal", want
             rejected += not want["ok"]
+            if want.get("duplicate"):
+                replayed.add(request["op"])
         assert rejected >= 25, "the malformed shapes must all be refused"
+        assert replayed == MUTATING_OPS
         ids = sorted(int(sid) for sid in
                      ref.handle_request({"op": "report"})["report"]["streams"])
         assert ids, "the campaign must leave streams behind"
@@ -415,4 +439,5 @@ def test_transport_parity(surface, tmp_path):
         client.request("shutdown")
         client.close()
         thread.join(timeout=60)
+        ref.close()
     assert not thread.is_alive()

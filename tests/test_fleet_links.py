@@ -87,6 +87,25 @@ class TestFleetLinkOps:
         assert tf.fingerprint() == ref.fingerprint()
         tf.close()
 
+    def test_detour_that_fuses_components_migrates_first(self):
+        """Failing 1-2 detours 0→2 over 7-8, which 6→8 on the other
+        shard uses: placement is judged under the *new* routing, so the
+        two streams share a shard before the broadcast."""
+        tf = TenantFleet("t", TOPO, shards=2)
+        a = admit(tf, spec(0, 2))["ids"][0]
+        b = admit(tf, spec(6, 8))["ids"][0]
+        assert tf.owner[a] != tf.owner[b]
+        response = tf.handle_request({"op": "fail_link", "link": [1, 2]})
+        assert response["ok"] and response["rerouted"] == [a]
+        assert tf.owner[a] == tf.owner[b] and tf.escalations == 1
+        ref = reference(
+            {"op": "admit", "streams": [spec(0, 2)]},
+            {"op": "admit", "streams": [spec(6, 8)]},
+            {"op": "fail_link", "link": [1, 2]},
+        )
+        assert tf.fingerprint() == ref.fingerprint()
+        tf.close()
+
     def test_restore_round_trip(self):
         tf = TenantFleet("t", TOPO, shards=2)
         assert admit(tf, spec(0, 5))["ok"]

@@ -340,6 +340,38 @@ class TestRecovery:
         assert recovered.fingerprint() == ref.fingerprint()
         recovered.close()
 
+    def test_restart_replays_merged_rid_outcomes(self, tmp_path):
+        """A cross-shard release and a broadcast link op leave their rid
+        on several shards, each recording its own share; a fleet
+        restarted from disk merges the shares, so a retry gets the whole
+        answer, exactly as one engine gives it."""
+        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        ref = EngineHost(TOPO)
+        a, b, c = (admit(tf, spec(*pair))["ids"][0]
+                   for pair in ((0, 2), (30, 32), (12, 15)))
+        assert tf.owner[b] != tf.owner[c]
+        ridded = [
+            {"op": "fail_link", "rid": "L", "link": [0, 1]},
+            {"op": "fail_link", "rid": "E", "link": [0, 6]},  # evicts a
+            # Ascending: the merged share is sorted (no shard records
+            # the request order).
+            {"op": "release", "rid": "R", "ids": [b, c]},
+        ]
+        for pair in ((0, 2), (30, 32), (12, 15)):
+            admit(ref, spec(*pair))
+        for request in ridded:
+            got = tf.handle_request(dict(request))
+            assert got == ref.handle_request(dict(request)), request
+        tf.close()
+
+        recovered = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        for request in ridded:
+            got = recovered.handle_request(dict(request))
+            assert got["duplicate"], got
+            assert got == ref.handle_request(dict(request)), request
+        assert recovered.fingerprint() == ref.fingerprint()
+        recovered.close()
+
     def test_recovery_dedupes_doubled_stream(self, tmp_path):
         """A crash between migration admit and source release leaves the
         stream on two shards; recovery keeps one copy."""
@@ -382,6 +414,21 @@ class TestDeadShards:
         assert not q["ok"] and "down" in q["error"]
         rep = tf.handle_request({"op": "report"})
         assert not rep["ok"] and "down" in rep["error"]
+
+    def test_down_refusals_carry_their_own_code(self):
+        """Retry loops key on ``code: "down"`` (fail over, then retry),
+        never on the message."""
+        tf = TenantFleet("t", TOPO, shards=2)
+        a = admit(tf, spec(0, 2))["ids"][0]
+        tf.kill_host(tf.owner[a])
+        for request in (
+            {"op": "admit", "streams": [spec(0, 3)]},
+            {"op": "query", "stream": a},
+            {"op": "report"},
+        ):
+            response = tf.handle_request(request)
+            assert not response["ok"] and response["code"] == "down", (
+                request, response)
 
     def test_other_shards_keep_serving(self):
         tf = TenantFleet("t", TOPO, shards=2)

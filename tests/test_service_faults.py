@@ -325,9 +325,9 @@ class TestIdempotency:
         from repro.service.persistence import RID_CAP
 
         server = BrokerServer(MESH)
-        server._applied.record("first", {"released": [0]})
+        server._applied.record("first", "release", {"released": [0]})
         for i in range(RID_CAP):
-            server._applied.record(f"r{i}", {"released": [i]})
+            server._applied.record(f"r{i}", "release", {"released": [i]})
         assert len(server._applied) == RID_CAP
         assert "first" not in server._applied
         assert f"r{RID_CAP - 1}" in server._applied
