@@ -9,10 +9,10 @@ from .experiments import (
     run_paper_table,
     run_table_experiment,
 )
+from .observe import Observation, admitted_scope, observe
 from .parallel import map_seeds
 from .ratio import RatioStats, ratio_by_priority, stream_ratios
 from .tables import format_rule_sweep, format_table
-from .validation import CampaignResult, Violation, run_soundness_campaign
 
 __all__ = [
     "RatioStats",
@@ -27,8 +27,8 @@ __all__ = [
     "priority_rule_sweep",
     "format_table",
     "format_rule_sweep",
-    "CampaignResult",
-    "Violation",
-    "run_soundness_campaign",
+    "Observation",
+    "admitted_scope",
+    "observe",
     "map_seeds",
 ]

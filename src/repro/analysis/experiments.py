@@ -31,11 +31,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.feasibility import FeasibilityAnalyzer
 from ..core.streams import MessageStream, StreamSet
 from ..errors import AnalysisError
-from ..sim.network import WormholeSimulator
 from ..sim.stats import StatsCollector
 from ..sim.traffic import PaperWorkload
 from ..topology.mesh import Mesh2D
 from ..topology.routing import RoutingAlgorithm, XYRouting
+from .observe import observe
 from .ratio import RatioStats, ratio_by_priority
 
 __all__ = [
@@ -64,6 +64,8 @@ class InflationResult:
     inflated: Dict[int, Tuple[int, int]]
     passes: int
     converged: bool
+    #: HP-set member ids per stream (routes and priorities: T-independent).
+    hp_ids: Dict[int, Tuple[int, ...]]
 
 
 def inflate_periods(
@@ -87,16 +89,19 @@ def inflate_periods(
     """
     original = {s.stream_id: s.period for s in streams}
     current = StreamSet(streams)
-    bounds: Dict[int, int] = {}
-    converged = False
-    passes = 0
-    for passes in range(1, max_passes + 1):
+
+    def analyse() -> Tuple[FeasibilityAnalyzer, Dict[int, int]]:
         analyzer = FeasibilityAnalyzer(
             current, routing, use_modify=use_modify,
             modify_granularity=modify_granularity,
             residency_margin=residency_margin,
         )
-        bounds = analyzer.all_upper_bounds(max_horizon=max_horizon)
+        return analyzer, analyzer.all_upper_bounds(max_horizon=max_horizon)
+
+    converged = False
+    passes = 0
+    for passes in range(1, max_passes + 1):
+        analyzer, bounds = analyse()
         changed = False
         for s in list(current):
             u = bounds[s.stream_id]
@@ -115,12 +120,7 @@ def inflate_periods(
             break
     # Bounds must describe the final stream set.
     if not converged:
-        analyzer = FeasibilityAnalyzer(
-            current, routing, use_modify=use_modify,
-            modify_granularity=modify_granularity,
-            residency_margin=residency_margin,
-        )
-        bounds = analyzer.all_upper_bounds(max_horizon=max_horizon)
+        analyzer, bounds = analyse()
     inflated = {
         sid: (orig, current[sid].period)
         for sid, orig in original.items()
@@ -132,6 +132,7 @@ def inflate_periods(
         inflated=inflated,
         passes=passes,
         converged=converged,
+        hp_ids={sid: analyzer.hp_sets[sid].ids() for sid in bounds},
     )
 
 
@@ -200,8 +201,11 @@ def run_table_experiment(
         drawn, routing, use_modify=use_modify, max_horizon=max_horizon
     )
     streams = inflation.streams
-    sim = WormholeSimulator(mesh, routing, streams, warmup=warmup)
-    stats = sim.simulate_streams(sim_time)
+    stats = observe(
+        routing, streams, sim_time=sim_time,
+        bounds={"kim98": inflation.upper_bounds},
+        hp_ids=inflation.hp_ids, warmup=warmup,
+    ).stats
     rows = ratio_by_priority(streams, inflation.upper_bounds, stats)
     return TableResult(
         name=name,

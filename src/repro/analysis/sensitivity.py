@@ -25,11 +25,8 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.feasibility import FeasibilityAnalyzer
 from ..errors import AnalysisError
 from ..sim.traffic import PaperWorkload
-from ..topology.mesh import Mesh2D
-from ..topology.routing import XYRouting
 from .experiments import run_table_experiment
 
 __all__ = [
@@ -85,11 +82,8 @@ def _run_point(
         per_stream = [r.mean for r in result.rows.values()]
         means.append(float(np.mean(per_stream)))
         tops.append(result.highest_priority_ratio())
-        analyzer = FeasibilityAnalyzer(
-            result.streams, XYRouting(Mesh2D(mesh_width, mesh_height))
-        )
         hp_sizes.append(float(np.mean(
-            [len(analyzer.hp_sets[s.stream_id]) for s in result.streams]
+            [len(ids) for ids in result.inflation.hp_ids.values()]
         )))
         inflated.append(len(result.inflation.inflated) / num_streams)
     return SweepPoint(

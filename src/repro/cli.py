@@ -7,9 +7,6 @@ Commands
     renderings of Figs. 7-9 plus the bounds U = (7, 8, 26, 20, 33).
 ``table {table1..table5}``
     Regenerate one of the paper's evaluation tables end to end.
-``soundness``
-    Run a soundness campaign: random workloads, bounds, simulation, and a
-    violation report (see :mod:`repro.analysis.validation`).
 ``inversion``
     The Fig. 2 priority-inversion comparison (classical vs preemptive).
 ``check FILE``
@@ -48,8 +45,10 @@ Commands
     workloads through analysis and simulator, invariant cross-checks,
     counterexample shrinking and replay. ``--replay FILE`` re-runs a
     stored counterexample; ``--self-test`` proves the harness against an
-    injected bound perturbation. Exit 0 iff no violation (for
-    ``--replay``: iff the counterexample still reproduces, exit 1).
+    injected bound perturbation; ``--preset paper`` is the paper's
+    soundness campaign (its workload with ``T := U``). Exit 0 iff no
+    violation (for ``--replay``: iff the counterexample still
+    reproduces, exit 1).
 ``serve``
     Run the online channel broker (see :mod:`repro.service`): an asyncio
     JSON-lines server over a unix socket (``--socket``) or TCP
@@ -122,13 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--seed", type=int, default=0)
     p_table.add_argument("--sim-time", type=int, default=30_000)
 
-    p_sound = sub.add_parser("soundness", help="run a soundness campaign")
-    p_sound.add_argument("--workloads", type=int, default=10)
-    p_sound.add_argument("--streams", type=int, default=12)
-    p_sound.add_argument("--levels", type=int, default=3)
-    p_sound.add_argument("--sim-time", type=int, default=10_000)
-    p_sound.add_argument("--seed0", type=int, default=0)
-
     sub.add_parser("inversion",
                    help="Fig. 2 priority-inversion comparison")
 
@@ -191,6 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--residency-margin", type=int, default=1,
                         help="analysis residency margin (default 1; "
                              "0 = the paper's unsound original)")
+    p_fuzz.add_argument("--preset", default=None, metavar="NAME",
+                        help="draw every case from one preset (uniform, "
+                             "chain, hotspot, funnel, paper)")
     p_fuzz.add_argument("--replay", metavar="FILE", default=None,
                         help="re-run one stored counterexample and exit")
     p_fuzz.add_argument("--self-test", action="store_true",
@@ -409,20 +404,6 @@ def _run_table(name: str, seed: int, sim_time: int) -> int:
     return 0
 
 
-def _run_soundness(args: argparse.Namespace) -> int:
-    from .analysis import run_soundness_campaign
-
-    result = run_soundness_campaign(
-        workloads=args.workloads,
-        num_streams=args.streams,
-        priority_levels=args.levels,
-        sim_time=args.sim_time,
-        seed0=args.seed0,
-    )
-    print(result.summary())
-    return 0 if result.sound else 1
-
-
 def _run_inversion() -> int:
     from .baselines import compare_arbitration, priority_inversion_scenario
 
@@ -555,6 +536,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         max_streams=args.max_streams,
         sim_time=args.sim_time,
         residency_margin=args.residency_margin,
+        **({"presets": (args.preset,)} if args.preset else {}),
     )
     if args.self_test:
         ok, text = run_self_test(
@@ -722,22 +704,19 @@ def _run_load(args: argparse.Namespace) -> int:
                 trace = load_trace(args.trace)
             else:
                 hello = client.check("hello")
-                links: List[tuple] = []
+                pool: List[tuple] = []
                 if args.link_rate > 0:
                     from .io import topology_from_spec
+                    from .topology import links
 
-                    topo, _ = topology_from_spec(hello["topology"])
-                    links = sorted({
-                        tuple(sorted((u, v)))
-                        for u, v in topo.channels()
-                    })
+                    pool = links(topology_from_spec(hello["topology"])[0])
                 trace = generate_trace(
                     args.pattern,
                     random.Random(args.seed),
                     int(hello["nodes"]),
                     ops=args.ops,
                     target_live=args.target_live,
-                    links=links,
+                    links=pool,
                     link_rate=args.link_rate,
                 )
             if args.save_trace is not None:
@@ -819,8 +798,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_example()
         if args.command == "table":
             return _run_table(args.name, args.seed, args.sim_time)
-        if args.command == "soundness":
-            return _run_soundness(args)
         if args.command == "inversion":
             return _run_inversion()
         if args.command == "check":

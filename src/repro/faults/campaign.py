@@ -70,6 +70,7 @@ from ..service.host import EngineHost
 from ..service.loadgen import BrokerClient, churn_spec
 from ..service.protocol import encode
 from ..service.server import BrokerServer
+from ..topology import links
 from .plane import (
     PERSISTENCE_FAULTS,
     PROTOCOL_FAULTS,
@@ -138,8 +139,7 @@ class _CampaignConfig:
 
     def link_pool(self) -> List[Tuple[int, int]]:
         """Every undirected mesh link as a sorted ``(u, v)`` pair."""
-        topology, _ = topology_from_spec(self.topology_spec())
-        return sorted({tuple(sorted(c)) for c in topology.channels()})
+        return links(topology_from_spec(self.topology_spec())[0])
 
     def tenant_names(self) -> List[Tenant]:
         return [f"tenant-{i}" for i in range(self.tenants)] or [None]

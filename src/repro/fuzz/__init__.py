@@ -5,19 +5,20 @@ The subsystem is the repository's standing correctness gate (see
 EXPERIMENTS.md, section "Soundness fuzzing"):
 
 * :mod:`repro.fuzz.generator` — seeded random cases with adversarial
-  presets (deep blocking chains, hotspots, funnels);
+  presets (deep blocking chains, hotspots, funnels) and, on request, the
+  paper's own workload inflated to ``T := U`` (``paper``);
 * :mod:`repro.fuzz.oracle` — per-case invariants, run for *every*
   registered bound backend: analysis determinism (pinned per-backend
-  verdict digests), per-backend ``U_i`` soundness, and refinement
-  monotonicity (a backend declaring ``refines`` never rejects what its
-  reference admits);
+  verdict digests), per-backend ``U_i`` soundness (compared through
+  :func:`repro.analysis.observe.observe`), and refinement monotonicity (a
+  backend declaring ``refines`` never rejects what its reference admits);
 * :mod:`repro.fuzz.shrink` — greedy counterexample minimisation;
 * :mod:`repro.fuzz.corpus` — JSON persistence and deterministic replay;
 * :mod:`repro.fuzz.campaign` — parallel, time-boxable campaign driver and
   the ``--self-test`` canary.
 
-CLI entry points: ``repro fuzz``, ``repro fuzz --replay``,
-``repro fuzz --self-test``.
+CLI entry points: ``repro fuzz`` (``--preset NAME`` for one preset),
+``repro fuzz --replay``, ``repro fuzz --self-test``.
 """
 
 from .campaign import (

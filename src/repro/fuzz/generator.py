@@ -24,6 +24,11 @@ be committed to a corpus and replayed bit-for-bit (:mod:`repro.fuzz.corpus`).
     All sources on the left edge aiming at the two rightmost columns: long
     paths whose X-segments are disjoint but whose Y-segments collide,
     mixing DIRECT and INDIRECT relations.
+``paper``
+    Only on request: the paper's own draw
+    (:class:`~repro.sim.traffic.PaperWorkload`) with ``T := U`` under
+    kim98 and ``D := T``. The case stores the inflated periods, so a
+    replay does not re-inflate.
 
 All randomness flows through one :class:`numpy.random.Generator` seeded per
 case, so ``generate_case(seed, cfg)`` is a pure function of its arguments.
@@ -36,14 +41,16 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.experiments import inflate_periods
 from ..core.streams import MessageStream, StreamSet
 from ..errors import AnalysisError
+from ..sim.traffic import PaperWorkload
 from ..topology.mesh import Mesh2D
 from ..topology.routing import XYRouting
 
 __all__ = ["FuzzStream", "FuzzCase", "GeneratorConfig", "generate_case", "PRESETS"]
 
-PRESETS = ("uniform", "chain", "hotspot", "funnel")
+PRESETS = ("uniform", "chain", "hotspot", "funnel", "paper")
 
 #: JSON schema version written into serialised cases.
 CASE_SCHEMA = 1
@@ -221,7 +228,9 @@ class GeneratorConfig:
     #: Probability that a case uses random release phases instead of the
     #: all-zero critical instant.
     phase_probability: float = 0.3
-    presets: Tuple[str, ...] = PRESETS
+    #: ``paper`` preset levels; ``None`` is the paper's ``|M|/4`` rule.
+    priority_levels: Optional[int] = None
+    presets: Tuple[str, ...] = PRESETS[:4]
 
     def __post_init__(self) -> None:
         if self.width < 2 and self.height < 2:
@@ -341,6 +350,26 @@ def _place_funnel(
     return out
 
 
+def _place_paper(seed: int, cfg: GeneratorConfig) -> List[tuple]:
+    """The paper's draw inflated to ``T := U``; placement plus timing."""
+    mesh = Mesh2D(cfg.width, cfg.height)
+    drawn = PaperWorkload(
+        num_streams=cfg.max_streams,
+        priority_levels=cfg.priority_levels or max(1, cfg.max_streams // 4),
+        period_range=cfg.period_range,
+        length_range=cfg.length_range,
+        seed=seed,
+    ).generate(mesh)
+    inflated = inflate_periods(
+        drawn, XYRouting(mesh), residency_margin=cfg.residency_margin,
+        max_horizon=1 << 16,
+    ).streams
+    return [
+        (mesh.xy(s.src), mesh.xy(s.dst), s.priority, s.period, s.length)
+        for s in inflated
+    ]
+
+
 _PLACERS = {
     "uniform": _place_uniform,
     "chain": _place_chain,
@@ -351,7 +380,7 @@ _PLACERS = {
 #: Preset sampling weights (uniform traffic is the bulk; the adversarial
 #: presets each get a steady share of the seed budget).
 _PRESET_WEIGHTS = {"uniform": 0.45, "chain": 0.25, "hotspot": 0.15,
-                   "funnel": 0.15}
+                   "funnel": 0.15, "paper": 0.15}
 
 
 def generate_case(seed: int, cfg: GeneratorConfig) -> FuzzCase:
@@ -360,12 +389,15 @@ def generate_case(seed: int, cfg: GeneratorConfig) -> FuzzCase:
     presets = list(cfg.presets)
     weights = np.array([_PRESET_WEIGHTS[p] for p in presets], dtype=float)
     preset = presets[int(rng.choice(len(presets), p=weights / weights.sum()))]
-    placement = _PLACERS[preset](rng, cfg)
+    if preset == "paper":
+        placement = _place_paper(seed, cfg)
+    else:
+        placement = _PLACERS[preset](rng, cfg)
 
     use_phases = bool(rng.random() < cfg.phase_probability)
     streams = []
-    for i, (src_xy, dst_xy, priority) in enumerate(placement):
-        period, length = _draw_timing(rng, cfg)
+    for i, (src_xy, dst_xy, priority, *timing) in enumerate(placement):
+        period, length = timing or _draw_timing(rng, cfg)
         phase = int(rng.integers(0, period)) if use_phases else 0
         streams.append(FuzzStream(
             stream_id=i,

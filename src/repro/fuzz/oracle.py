@@ -22,23 +22,11 @@ For a :class:`~repro.fuzz.generator.FuzzCase` the oracle checks:
     reference admits.
 ``soundness``
     For every stream a backend *admits*, no simulated transmission
-    delay may exceed that backend's ``U_i``. Admission requires ``0 <
-    U_i <= min(T_i, D_i)`` for the stream itself AND for every member of
-    its transitive HP closure. Both halves scope the check to what the
-    paper actually claims:
-
-    * the ``min`` with the period keeps self-interference out: a stream
-      whose bound exceeds its own period legitimately queues behind its
-      previous message at the source, a delay component the analysis
-      never covers (the paper inflates ``T := U`` before simulating, see
-      :mod:`repro.analysis.experiments`);
-    * the closure condition mirrors the timing diagram's construction,
-      which confines every HP member instance to its own period window
-      ``(kT, (k+1)T]`` — valid exactly when that member itself completes
-      within its window. The paper's theorem is about sets that pass
-      ``Determine-Feasibility`` wholesale; ``U_i`` for a stream whose
-      blockers are themselves infeasible is conditional on an assumption
-      known to be false (see EXPERIMENTS.md, finding F-7).
+    delay may exceed that backend's ``U_i``. What "admits" means — ``0 <
+    U_i <= min(T_i, D_i)`` for the stream and for every member of its
+    transitive HP closure (finding F-7) — is stated once, with its
+    reasons, in :func:`repro.analysis.observe.admitted_scope`; the
+    comparison is :meth:`repro.analysis.observe.Observation.excesses`.
 ``sim-error``
     The simulator must not raise (deadlock watchdog, internal invariant)
     on any generated workload; X-Y routing is deadlock-free, so any raise
@@ -58,6 +46,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..analysis.observe import admitted_scope, observe
 from ..core import backends as _backends
 from ..errors import ReproError
 from ..sim.network import WormholeSimulator
@@ -105,12 +94,9 @@ class CaseResult:
     """Everything the oracle learned about one case."""
 
     case: FuzzCase
-    #: Streams the reference (kim98) analysis admits: finite bound within
-    #: min(period, deadline), for the stream and its whole transitive HP
-    #: closure.
+    #: Streams the reference (kim98) analysis admits
+    #: (:func:`repro.analysis.observe.admitted_scope`).
     admitted: Tuple[int, ...]
-    #: Effective (possibly perturbed) kim98 bound per admitted stream.
-    bounds: Dict[int, int]
     #: Maximum observed delay per stream that produced samples.
     max_observed: Dict[int, int]
     violations: Tuple[FuzzViolation, ...]
@@ -178,33 +164,6 @@ def _analysis_bounds(
     return bounds, hp_ids
 
 
-def _admitted(
-    case: FuzzCase,
-    bounds: Dict[int, int],
-    hp_ids: Dict[int, Tuple[int, ...]],
-) -> Tuple[int, ...]:
-    """Streams whose bound the analysis actually stands behind.
-
-    A stream is admitted when ``0 < U <= min(T, D)`` holds for itself and
-    for every member of its transitive HP closure: the timing diagram
-    confines each member instance to its own period window, which only
-    models reality when that member finishes within its window.
-    """
-    by_id = {s.stream_id: s for s in case.streams}
-    ok = {
-        sid for sid, u in bounds.items()
-        if 0 < u <= min(by_id[sid].period, by_id[sid].deadline)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for sid in sorted(ok):
-            if any(m != sid and m not in ok for m in hp_ids.get(sid, ())):
-                ok.discard(sid)
-                changed = True
-    return tuple(sorted(ok))
-
-
 def run_case(
     case: FuzzCase,
     *,
@@ -244,15 +203,9 @@ def run_case(
         if any(v.kind == "nondeterminism" for v in violations):
             break
 
-    by_id = {s.stream_id: s for s in case.streams}
     backend_admitted = {
-        name: _admitted(case, backend_bounds[name], hp_ids)
+        name: admitted_scope(case.streams, backend_bounds[name], hp_ids)
         for name in names
-    }
-    bounds_raw = backend_bounds.get("kim98", backend_bounds[names[0]])
-    admitted = backend_admitted.get("kim98", backend_admitted[names[0]])
-    effective = {
-        sid: max(1, bounds_raw[sid] - case.bound_delta) for sid in admitted
     }
 
     # --- refinement monotonicity --------------------------------------- #
@@ -290,42 +243,31 @@ def run_case(
                 backend=name,
             ))
 
-    # --- simulation ---------------------------------------------------- #
+    # --- simulation, then soundness: admitted bounds dominate it ------- #
+    _, routing, streams = case.build()
+    max_observed: Dict[int, int] = {}
     try:
-        sim = WormholeSimulator(*case.build(), warmup=0)
-        stats = sim.simulate_streams(case.sim_time, phases=case.phases())
+        obs = observe(
+            routing, streams, sim_time=case.sim_time,
+            bounds=backend_bounds, hp_ids=hp_ids, phases=case.phases(),
+        )
     except ReproError as exc:
         violations.append(FuzzViolation(
             kind="sim-error",
             detail=f"simulator raised {type(exc).__name__}: {exc}",
         ))
-        return CaseResult(
-            case=case, admitted=admitted, bounds=effective,
-            max_observed={}, violations=tuple(violations),
-            backend_bounds=backend_bounds,
-            backend_admitted=backend_admitted, digests=digests,
-        )
-
-    # --- soundness: every backend's admitted bounds dominate the sim --- #
-    max_observed = {
-        sid: max(samples)
-        for sid in stats.stream_ids()
-        if (samples := stats.samples(sid))
-    }
-    for name in names:
-        own_bounds = backend_bounds[name]
-        for sid in backend_admitted[name]:
-            observed = max_observed.get(sid)
-            if observed is None:
-                continue
-            u = max(1, own_bounds[sid] - case.bound_delta)
-            if observed > u:
+    else:
+        max_observed = obs.max_observed
+        for name in names:
+            for sid, observed, u in obs.excesses(
+                name, bound_delta=case.bound_delta
+            ):
                 violations.append(FuzzViolation(
                     kind="soundness",
                     detail=(
-                        f"[{name}] stream {sid} (P{by_id[sid].priority}) "
+                        f"[{name}] stream {sid} (P{streams[sid].priority}) "
                         f"observed delay {observed} exceeds bound {u}"
-                        + (f" (U={own_bounds[sid]} perturbed by "
+                        + (f" (U={backend_bounds[name][sid]} perturbed by "
                            f"-{case.bound_delta})"
                            if case.bound_delta else "")
                     ),
@@ -337,8 +279,7 @@ def run_case(
 
     return CaseResult(
         case=case,
-        admitted=admitted,
-        bounds=effective,
+        admitted=backend_admitted.get("kim98", backend_admitted[names[0]]),
         max_observed=max_observed,
         violations=tuple(violations),
         backend_bounds=backend_bounds,

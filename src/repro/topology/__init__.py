@@ -7,7 +7,7 @@ the network reduces to those two questions.
 """
 
 from .base import Channel, Topology
-from .degraded import DegradedTopology, normalize_link
+from .degraded import DegradedTopology, links, normalize_link
 from .hypercube import Hypercube
 from .mesh import Mesh, Mesh2D
 from .routing import (
@@ -36,6 +36,7 @@ __all__ = [
     "Channel",
     "Topology",
     "DegradedTopology",
+    "links",
     "normalize_link",
     "Mesh",
     "Mesh2D",

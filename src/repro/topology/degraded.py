@@ -18,12 +18,12 @@ function of (base network, failed links).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import TopologyError
 from .base import Topology
 
-__all__ = ["DegradedTopology", "normalize_link"]
+__all__ = ["DegradedTopology", "links", "normalize_link"]
 
 #: An undirected physical link, normalised as ``(min(u, v), max(u, v))``.
 Link = Tuple[int, int]
@@ -35,6 +35,11 @@ def normalize_link(u: int, v: int) -> Link:
     if u == v:
         raise TopologyError(f"link endpoints must differ, got ({u}, {v})")
     return (u, v) if u < v else (v, u)
+
+
+def links(topology: Topology) -> List[Link]:
+    """Every undirected physical link of ``topology``, canonical, sorted."""
+    return sorted({normalize_link(u, v) for u, v in topology.channels()})
 
 
 class DegradedTopology(Topology):

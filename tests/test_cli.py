@@ -42,11 +42,22 @@ class TestTableCommand:
 
 
 class TestSoundnessCommand:
-    def test_sound_campaign_exit_zero(self, capsys):
-        code = main(["soundness", "--workloads", "1", "--streams", "6",
-                     "--levels", "2", "--sim-time", "2000"])
+    """The paper's soundness campaign is ``fuzz --preset paper``."""
+
+    def test_sound_campaign_exit_zero(self, tmp_path, capsys):
+        code = main(["fuzz", "--preset", "paper", "--seeds", "1",
+                     "--mesh", "10x10", "--max-streams", "6",
+                     "--sim-time", "2000", "--jobs", "1",
+                     "--corpus", str(tmp_path)])
         assert code == 0
-        assert "sound" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("sound: 0 violations")
+        assert "presets: paper=1" in out
+
+    def test_unknown_preset_exit_two(self, tmp_path, capsys):
+        assert main(["fuzz", "--preset", "nope", "--seeds", "1",
+                     "--corpus", str(tmp_path)]) == 2
+        assert "unknown presets" in capsys.readouterr().err
 
 
 class TestCheckCommand:

@@ -39,7 +39,7 @@ from repro.topology import (
     Torus,
     TorusDimensionOrderRouting,
     UpDownRouting,
-    normalize_link,
+    links,
 )
 from repro.topology.mesh import Mesh2D
 from repro.topology.routing import XYRouting
@@ -230,7 +230,7 @@ def _run_link_schedule(sim_cls, seed):
     routing = FaultAwareRouting(base, [])
     streams = _workload(seed)
     sim = sim_cls(routing.topology, routing, streams, warmup=0)
-    pool = sorted({normalize_link(u, v) for u, v in mesh.channels()})
+    pool = links(mesh)
     due = {s.stream_id: 0 for s in streams}
     failed, log, now = [], [], 0
     for _ in range(90):

@@ -180,7 +180,11 @@ class TestV1Api:
 
         result = run_gateway(client)
         over_http, gw = result["summary"], result["gw"]
-        assert gw.batched_requests / gw.batches > 1.5
+        # Batching itself is measured deterministically in
+        # tests/test_gateway_batching.py; here a window must merely have
+        # been answered in batches at least once (the mean batch depends
+        # on scheduling and reads 1.46-6.8 on a 2-vCPU host).
+        assert gw.batched_requests > gw.batches
 
         sock = str(tmp_path / "broker.sock")
         box = {}

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.analysis.observe import admitted_scope
 from repro.errors import ReproError
 from repro.fuzz import (
     FuzzCase,
@@ -20,9 +21,22 @@ from repro.fuzz import (
     write_counterexample,
 )
 from repro.fuzz.corpus import counterexample_spec
-from repro.fuzz.oracle import FuzzViolation, _admitted
+from repro.fuzz.oracle import FuzzViolation
 
 SMALL = GeneratorConfig(width=3, height=3, sim_time=600)
+#: The paper's traffic model, periods inflated to T := U.
+PAPER = GeneratorConfig(
+    width=10, height=10, max_streams=8, priority_levels=2,
+    period_range=(200, 500), length_range=(10, 40), sim_time=4_000,
+    presets=("paper",),
+)
+#: Finding F-4: seed 3 of the high-interference regime converges in one
+#: inflation pass with all 15 streams at 0 < U <= T.
+F4 = GeneratorConfig(
+    width=10, height=10, max_streams=15, period_range=(100, 250),
+    length_range=(8, 20), sim_time=8_000, residency_margin=0,
+    presets=("paper",), phase_probability=0.0,
+)
 
 
 def _case(streams, width=3, height=3, sim_time=400, **kw):
@@ -115,9 +129,9 @@ class TestOracle:
             _stream(2, (0, 1), (2, 1), priority=2, period=30, length=4),
         ])
         # Member 2's bound exceeds its period: 1 must be dropped with it.
-        assert _admitted(case, bounds, hp_ids) == ()
+        assert admitted_scope(case.streams, bounds, hp_ids) == ()
         # With a feasible member, both are admitted.
-        assert _admitted(case, {1: 10, 2: 20}, hp_ids) == (1, 2)
+        assert admitted_scope(case.streams, {1: 10, 2: 20}, hp_ids) == (1, 2)
 
     def test_closure_is_transitive(self):
         case = _case([
@@ -128,7 +142,7 @@ class TestOracle:
         bounds = {1: 10, 2: 10, 3: 9999}
         hp_ids = {1: (2,), 2: (3,), 3: ()}
         # 3 infeasible -> 2 dropped -> 1 dropped.
-        assert _admitted(case, bounds, hp_ids) == ()
+        assert admitted_scope(case.streams, bounds, hp_ids) == ()
 
     def test_violation_spec_roundtrip_fields(self):
         v = FuzzViolation(
@@ -308,3 +322,64 @@ class TestCampaign:
         assert serial.checked == parallel.checked
         assert serial.admitted == parallel.admitted
         assert serial.outcomes_by_preset == parallel.outcomes_by_preset
+
+
+class TestPaperPreset:
+    """``presets=("paper",)``: the paper's draw with T := U, the campaign
+    that ``repro fuzz --preset paper`` runs."""
+
+    def test_small_campaign_is_sound(self):
+        report = run_fuzz_campaign(seeds=2, generator=PAPER, jobs=1)
+        assert report.sound
+        assert report.checked > 0
+        assert report.outcomes_by_preset == {"paper": 2}
+        assert "sound: 0 violations" in report.summary()
+
+    def test_campaign_deterministic(self):
+        a = run_fuzz_campaign(seeds=2, seed0=5, generator=PAPER, jobs=1)
+        b = run_fuzz_campaign(seeds=2, seed0=5, generator=PAPER, jobs=1)
+        assert (a.checked, a.admitted) == (b.checked, b.admitted)
+
+    def test_zero_seeds_rejected(self):
+        with pytest.raises(ReproError):
+            run_fuzz_campaign(seeds=0, generator=PAPER)
+
+    def test_seed0_changes_workloads(self):
+        assert generate_case(0, PAPER).streams != \
+            generate_case(50, PAPER).streams
+
+    def test_case_stores_inflated_periods(self):
+        case = generate_case(4, PAPER)
+        assert case.preset == "paper" and len(case.streams) == 8
+        assert {s.priority for s in case.streams} <= {1, 2}
+        assert all(s.deadline == s.period for s in case.streams)
+        # The case carries the inflated periods; a replay reads them back.
+        assert FuzzCase.from_spec(case.to_spec()) == case
+        result = run_case(case)
+        bounds = result.backend_bounds["kim98"]
+        assert all(0 < bounds[s.stream_id] <= s.period
+                   for s in case.streams)
+
+    def test_random_phases_keep_the_draw(self):
+        zero = generate_case(1, PAPER)
+        phased = generate_case(
+            1, dataclasses.replace(PAPER, phase_probability=1.0)
+        )
+        assert any(s.phase for s in phased.streams)
+        assert [dataclasses.replace(s, phase=0) for s in phased.streams] \
+            == list(zero.streams)
+
+    def test_f4_raw_analysis_violated_by_one_slot(self):
+        case = generate_case(3, F4)
+        result = run_case(case)
+        assert len(result.admitted) == len(case.streams) == 15
+        kim98 = [v for v in result.violations
+                 if v.kind == "soundness" and v.backend == "kim98"]
+        assert [(v.stream_id, v.observed - v.bound) for v in kim98] \
+            == [(11, 1)]
+
+    def test_f4_margin_one_is_sound(self):
+        case = generate_case(
+            3, dataclasses.replace(F4, residency_margin=1)
+        )
+        assert run_case(case).ok

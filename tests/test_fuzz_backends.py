@@ -20,7 +20,8 @@ import pytest
 
 from repro.core import backends
 from repro.fuzz import GeneratorConfig, bounds_digest, generate_case, run_case
-from repro.fuzz.oracle import _admitted, _analysis_bounds
+from repro.analysis.observe import admitted_scope
+from repro.fuzz.oracle import _analysis_bounds
 
 SEEDS = range(200)
 CONFIG = GeneratorConfig()
@@ -70,8 +71,9 @@ class TestFastTier:
                         )
                         if own_bounds[sid] < u_ref:
                             strictly_tighter += 1
-                assert (set(_admitted(case, ref_bounds, hp_ids))
-                        <= set(_admitted(case, own_bounds, hp_ids))), (
+                ref_ok = admitted_scope(case.streams, ref_bounds, hp_ids)
+                own_ok = admitted_scope(case.streams, own_bounds, hp_ids)
+                assert set(ref_ok) <= set(own_ok), (
                     f"seed {seed}: {name} rejects a set {ref} admits"
                 )
 

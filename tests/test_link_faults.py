@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.analysis import observe
 from repro.core import backends
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import RoutingError, SimulationError
@@ -27,7 +28,7 @@ from repro.topology import (
     FaultAwareRouting,
     Mesh2D,
     XYRouting,
-    normalize_link,
+    links,
 )
 
 
@@ -59,7 +60,7 @@ class TestEngineDifferential:
         rng = random.Random(seed)
         mesh = Mesh2D(5, 5)
         base = XYRouting(mesh)
-        pool = sorted({normalize_link(u, v) for u, v in mesh.channels()})
+        pool = links(mesh)
         eng = IncrementalAdmissionEngine(base, analysis=backend)
         failed = []
         link_events = 0
@@ -111,14 +112,15 @@ class TestEngineDifferential:
         survivors = sorted(eng.admitted, key=lambda s: s.stream_id)
         if not report.success or not survivors:
             return
-        topo = eng.routing.topology if failed else mesh
-        sim = WormholeSimulator(topo, eng.routing, StreamSet(survivors))
-        stats = sim.simulate_streams(2000)
-        bounds = report.upper_bounds()
-        for stream in survivors:
-            samples = stats.samples(stream.stream_id)
-            if samples:
-                assert max(samples) <= bounds[stream.stream_id]
+        streams = StreamSet(survivors)
+        hp_sets = backends.get(backend).analyzer(streams, eng.routing).hp_sets
+        obs = observe(
+            eng.routing, streams, sim_time=2000,
+            bounds={backend: report.upper_bounds()},
+            hp_ids={sid: hp.ids() for sid, hp in hp_sets.items()},
+        )
+        assert obs.admitted[backend] == tuple(s.stream_id for s in survivors)
+        assert obs.excesses(backend) == ()
 
 
 class TestHostLinkOps:

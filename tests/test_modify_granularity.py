@@ -96,31 +96,39 @@ class TestSlotGranularityUnsound:
     """Finding F-6: the paper's literal per-slot prose over-releases.
 
     Replays the soundness-campaign counterexample (seed 1 of the
-    high-interference regime): the slot-granular bound is violated by the
-    simulation while the instance-granular bound holds.
+    high-interference regime, periods inflated to ``T := U`` under each
+    granularity): the slot-granular bound is violated by the simulation
+    while the instance-granular bound holds.
     """
 
     @pytest.fixture(scope="class")
-    def campaigns(self):
-        from repro.analysis import run_soundness_campaign
+    def observations(self):
+        from repro.analysis import inflate_periods, observe
+        from repro.sim import PaperWorkload
+        from repro.topology import Mesh2D, XYRouting
 
-        kwargs = dict(
-            workloads=1, num_streams=15, priority_levels=3,
-            period_range=(100, 250), length_range=(8, 20),
-            sim_time=5_000, seed0=1, residency_margin=1,
-            include_random_phases=False,
-        )
-        return (
-            run_soundness_campaign(modify_granularity="instance", **kwargs),
-            run_soundness_campaign(modify_granularity="slot", **kwargs),
-        )
+        mesh = Mesh2D(10, 10)
+        routing = XYRouting(mesh)
+        drawn = PaperWorkload(
+            num_streams=15, priority_levels=3, period_range=(100, 250),
+            length_range=(8, 20), seed=1,
+        ).generate(mesh)
+        out = {}
+        for granularity in ("instance", "slot"):
+            inflation = inflate_periods(
+                drawn, routing, modify_granularity=granularity,
+                residency_margin=1, max_horizon=1 << 16,
+            )
+            out[granularity] = observe(
+                routing, inflation.streams, sim_time=5_000,
+                bounds={granularity: inflation.upper_bounds},
+                hp_ids=inflation.hp_ids,
+            ).excesses(granularity)
+        return out
 
-    def test_instance_granularity_sound(self, campaigns):
-        instance, _ = campaigns
-        assert instance.sound
+    def test_instance_granularity_sound(self, observations):
+        assert observations["instance"] == ()
 
-    def test_slot_granularity_violated(self, campaigns):
-        _, slot = campaigns
-        assert not slot.sound
-        worst = max(v.excess for v in slot.violations)
+    def test_slot_granularity_violated(self, observations):
+        worst = max(observed - u for _, observed, u in observations["slot"])
         assert worst >= 10  # double-digit violation, not a margin effect

@@ -25,13 +25,9 @@ from repro.topology import (
     UpDownRouting,
     XYRouting,
     is_deadlock_free,
+    links,
     normalize_link,
 )
-
-
-def _links(topo):
-    """Every undirected link of a topology, sorted."""
-    return sorted({normalize_link(u, v) for u, v in topo.channels()})
 
 
 def _connected(topo, *, skip=frozenset()):
@@ -52,11 +48,11 @@ def _connected(topo, *, skip=frozenset()):
 def random_connected_subgraph(topo, rng, *, drop_fraction=0.3):
     """A DegradedTopology that stays connected: shuffle the links and
     greedily fail each one that does not disconnect the graph."""
-    links = _links(topo)
-    rng.shuffle(links)
+    pool = links(topo)
+    rng.shuffle(pool)
     failed = set()
-    budget = int(len(links) * drop_fraction)
-    for link in links:
+    budget = int(len(pool) * drop_fraction)
+    for link in pool:
         if len(failed) >= budget:
             break
         if _connected(topo, skip=failed | {link}):

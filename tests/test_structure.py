@@ -1,0 +1,47 @@
+"""Structural invariants of the analyse → simulate → compare pipeline.
+
+Every comparison of a delay bound with the flit-level simulator goes
+through :func:`repro.analysis.observe.observe`, and the admitted scope it
+compares over (finding F-7) is stated once, in
+:func:`repro.analysis.observe.admitted_scope`. These checks read the
+source tree, so a second copy fails here rather than drifting.
+"""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: The F-7 admission predicate ``0 < U <= min(T, D)`` and the closure
+#: walk over HP members.
+SCOPE_PATTERNS = (
+    re.compile(r"<=\s*min\([^)]*\.period,\s*[^)]*\.deadline\)"),
+    re.compile(r"for \w+ in hp_ids"),
+)
+
+
+def _modules_matching(pattern):
+    return sorted(
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if pattern.search(path.read_text())
+    )
+
+
+def test_only_observe_simulates_against_bounds():
+    # The arbitration comparison simulates without bounds.
+    assert _modules_matching(re.compile(r"\.simulate_streams\(")) == [
+        "analysis/observe.py",
+        "baselines/nonpreemptive.py",
+    ]
+
+
+def test_admitted_scope_is_stated_once():
+    for pattern in SCOPE_PATTERNS:
+        assert _modules_matching(pattern) == ["analysis/observe.py"], (
+            pattern.pattern
+        )
+
+
+def test_second_campaign_runner_is_gone():
+    assert not (SRC / "analysis" / "validation.py").exists()

@@ -23,12 +23,11 @@ from repro.service.loadgen import (
     save_trace,
 )
 from repro.service.server import BrokerServer
-from repro.topology import Mesh2D, normalize_link
+from repro.topology import Mesh2D, links
 
 
 def mesh_links(width, height):
-    mesh = Mesh2D(width, height)
-    return sorted({normalize_link(u, v) for u, v in mesh.channels()})
+    return links(Mesh2D(width, height))
 
 
 class InProcClient:
