@@ -531,9 +531,8 @@ class FeasibilityAnalyzer:
                 (stream.latency + total_c) / (1.0 - util)
             ) + guard + 1
             est = max(stream.latency, est, 1)
-            # Round up to a power of two: the per-(period, horizon)
-            # window arrays are memoised, and raw estimates would give
-            # every call its own cold cache key.
+            # Round up to a power of two: the slack past the estimate
+            # spares most verdicts a second pass at a doubled horizon.
             h = min(deadline, 1 << (est - 1).bit_length())
         sink = self.timing_sink
         while True:

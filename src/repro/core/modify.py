@@ -40,23 +40,47 @@ so lower-priority allocations compact into the released slots (the paper's
 "the first instance of M_3 is compacted"). Indirect elements are processed
 in BFS order over the blocking dependency graph from the analysed stream,
 matching the paper's in-degree-counted BFS walk.
+
+Both release tests read the diagram's row bitsets: the intermediates'
+requested slots are the OR of their ALLOCATED and WAITING bits, an
+instance goes when its window of the indirect row is occupied and
+disjoint from them, and the releasable slots are ``own & ~requested``.
+The re-generation after a release is ``refill_rows``, which refills
+only the rows the release can reach.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Dict, Mapping, Optional, Set, Tuple
 
-import numpy as np
-
 from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active
 from .bdg import indirect_processing_order
 from .hpset import HPSet
-from .kernel import window_arrays
 from .streams import MessageStream, StreamSet
-from .timing_diagram import TimingDiagram, generate_init_diagram, refill_rows
+from .timing_diagram import (
+    TimingDiagram,
+    generate_init_diagram,
+    refill_rows,
+    slot_indices,
+    windows,
+)
 
 __all__ = ["modify_diagram", "releasable_instances"]
+
+
+def _requested(
+    diagram: TimingDiagram, indirect_id: int, intermediates: AbstractSet[int]
+) -> int:
+    """The slots any intermediate requests (ALLOCATED or WAITING)."""
+    if not intermediates:
+        raise AnalysisError(
+            f"indirect stream {indirect_id} has no intermediates"
+        )
+    requested = 0
+    for r in intermediates:
+        requested |= diagram.request_bits(diagram.row_of(r))
+    return requested
 
 
 def releasable_instances(
@@ -67,54 +91,42 @@ def releasable_instances(
     """Return indices of the indirect stream's instances that can be removed.
 
     An instance is releasable when every slot it occupies (ALLOCATED or
-    WAITING) is requested by **no** intermediate stream. Computed
-    straight off the row masks: instance indices are period-window
-    indices, so mapping each occupied slot through the shared
-    slot-to-window array and discarding windows that contain a requested
-    slot yields exactly the instances the per-record check would pass —
-    without materialising any instance records.
+    WAITING) is requested by **no** intermediate stream. Instance
+    indices are period-window indices, so this tests each window of the
+    indirect row: it occupies something (``occ``) and nothing it
+    occupies is requested (``occ & requested == 0``) — the per-record
+    check, without materialising any instance records.
     """
-    if not intermediates:
-        raise AnalysisError(
-            f"indirect stream {indirect_id} has no intermediates"
-        )
+    requested = _requested(diagram, indirect_id, intermediates)
     row = diagram.row_of(indirect_id)
-    occ_idx = np.flatnonzero(diagram.row_requests(row))
-    if len(occ_idx) == 0:
+    occupied = diagram.request_bits(row)
+    if not occupied:
         return ()
-    requested = np.zeros(diagram.dtime + 1, dtype=bool)
-    for r in sorted(intermediates):
-        requested |= diagram.row_requests(diagram.row_of(r))
-    _, win = window_arrays(
-        diagram.row_streams[row].period, diagram.dtime
-    )
-    # The arrays are tiny (a handful of occupied slots): plain set
-    # arithmetic beats numpy's set routines here.
-    w_occ = win[occ_idx]
-    bad = set(w_occ[requested[occ_idx]].tolist())
-    return tuple(sorted(set(w_occ.tolist()) - bad))
+    occ_bytes = occupied.to_bytes(diagram.nbytes, "little")
+    req_bytes = requested.to_bytes(diagram.nbytes, "little")
+    out = []
+    for index, _, i, j, m in windows(diagram.row_streams[row].period,
+                                     diagram.dtime):
+        occ = int.from_bytes(occ_bytes[i:j], "little") & m
+        if occ and not occ & int.from_bytes(req_bytes[i:j], "little"):
+            out.append(index)
+    return tuple(out)
 
 
 def releasable_slots(
     diagram: TimingDiagram,
     indirect_id: int,
     intermediates: AbstractSet[int],
-) -> np.ndarray:
+) -> Tuple[int, ...]:
     """Return the slots of the indirect stream that can be erased.
 
     Slot-granular variant of :func:`releasable_instances`: a slot the
     indirect stream occupies (ALLOCATED or WAITING) is releasable when no
     intermediate requests it.
     """
-    if not intermediates:
-        raise AnalysisError(
-            f"indirect stream {indirect_id} has no intermediates"
-        )
-    requested = np.zeros(diagram.dtime + 1, dtype=bool)
-    for r in sorted(intermediates):
-        requested |= diagram.row_requests(diagram.row_of(r))
-    own = diagram.row_requests(diagram.row_of(indirect_id))
-    return np.flatnonzero(own & ~requested)
+    requested = _requested(diagram, indirect_id, intermediates)
+    own = diagram.request_bits(diagram.row_of(indirect_id))
+    return tuple(slot_indices(own & ~requested))
 
 
 def modify_diagram(
@@ -213,7 +225,6 @@ def modify_diagram(
                     )
                 else:
                     new = set(
-                        int(t) for t in
                         releasable_slots(diagram, k, entry.intermediates)
                     )
                 fresh = new - removed.get(k, set())

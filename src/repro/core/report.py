@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import AnalysisError
 from .feasibility import FeasibilityAnalyzer
 from .hpset import BlockingMode
@@ -80,13 +78,15 @@ def interference_report(
     u = diagram.upper_bound(stream.latency)
     window_end = u if u > 0 else diagram.dtime
 
+    window = (2 << window_end) - 2  # slots 1..window_end
+
     contributions: List[Contribution] = []
     hp = analyzer.hp_sets[stream_id]
     for entry in hp:
         if entry.stream_id == stream_id:
             continue
         row = diagram.row_of(entry.stream_id)
-        busy = int(diagram.allocated[row][1 : window_end + 1].sum())
+        busy = (diagram.alloc_bits[row] & window).bit_count()
         contributions.append(Contribution(
             stream_id=entry.stream_id,
             priority=analyzer.streams[entry.stream_id].priority,

@@ -56,8 +56,10 @@ reads the cache. The cache has one invalidation door: :meth:`TenantFleet.
 _forward` drops a shard's entry *before* handing it any ``admit`` /
 ``release`` / ``fail_link`` / ``restore_link``, so an op whose fate is
 unknown (its worker died mid-RPC) can never leave a stale entry; only
-a definite admitted answer, which carries the shard's full bounds, or
-a fresh ``upper_bounds()`` refills it. The *probes* after a failure
+a definite answer refills it: an admitted one carries the shard's full
+bounds, a rejected one (not a ``duplicate``) restores the entry taken
+just before it, because a rejection leaves the shard as it was — and
+otherwise a fresh ``upper_bounds()``. The *probes* after a failure
 (:meth:`TenantFleet._held_ids`, :meth:`TenantFleet._compensate_link`)
 still ask the shard: what a process durably holds after a crash is not
 something to remember.
@@ -569,6 +571,9 @@ class TenantFleet(OpInterpreter):
             self._gate_shards(set(shards_touched) | {target})
             if len(shards_touched) > 1:
                 self._migrate(comp, target)
+            # _forward drops the target's bounds; a rejection puts them
+            # back (below), since it leaves the shard as it was.
+            kept = self._bounds.get(target)
             response = self._forward(target, op_record(
                 "admit", rid, streams=specs, analysis=analysis
             ))
@@ -605,6 +610,8 @@ class TenantFleet(OpInterpreter):
             # holds (a rejected one reports the refused trial set).
             self._bounds[target] = response["bounds"]
         else:
+            if kept is not None:
+                self._bounds[target] = kept
             self._reset_next_id(next_id_before)
         # The shard's decision report covers its own streams; the
         # single-engine reference reports bounds for the whole admitted

@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.feasibility import FeasibilityAnalyzer
 from ..core.render import render_diagram
+from ..core.timing_diagram import slot_indices
 from ..errors import AnalysisError
 
 __all__ = [
@@ -172,6 +171,7 @@ def explain_stream(
     diagram, removed = analyzer.diagram_for(stream_id, horizon)
     u = diagram.upper_bound(stream.latency)
     window_end = u if u > 0 else diagram.dtime
+    window = (2 << window_end) - 2  # slots 1..window_end
 
     contributions: List[HPContribution] = []
     hp = analyzer.hp_sets[stream_id]
@@ -179,8 +179,7 @@ def explain_stream(
         if entry.stream_id == stream_id:
             continue
         row = diagram.row_of(entry.stream_id)
-        window = diagram.allocated[row][1 : window_end + 1]
-        slots = (np.flatnonzero(window) + 1).tolist()
+        slots = slot_indices(diagram.alloc_bits[row] & window)
         contributions.append(
             HPContribution(
                 stream_id=entry.stream_id,
@@ -204,8 +203,7 @@ def explain_stream(
                 ReleasedInstance(stream_id=sid, index=index, window=(lo, hi))
             )
 
-    busy = diagram.result_busy()[1 : window_end + 1]
-    busy_slots = (np.flatnonzero(busy) + 1).tolist()
+    busy_slots = slot_indices(diagram.busy_bits() & window)
     interference = len(busy_slots)
 
     # Accounting identities. Allocations are disjoint across rows, so the

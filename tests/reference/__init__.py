@@ -5,7 +5,7 @@ does a faster way; the equivalence tests require the two to agree bit
 for bit. Nothing under ``src/`` imports from here.
 
 ``diagram``  ``Generate_Init_Diagram`` / ``Modify_Diagram`` cell by cell
-``kernel``   the paper's per-window row scan (vs the numpy free-rank fill)
+``kernel``   the paper's per-window row scan (vs the bitset row fill)
 ``sim``      the rescan-everything cycle loop (vs the movable-set one)
 ``engine``   from-scratch analysis on every op (vs the incremental engine)
 """

@@ -4,9 +4,9 @@
 cell by cell, exactly as printed in section 4.3: scan each instance's
 window slot by slot, allocate free slots until the demand is met, mark
 skipped busy slots WAITING, propagate BUSY downwards. It is O(rows x
-dtime) Python and exists purely as a test oracle for the vectorised
-production implementation (`repro.core.timing_diagram`), which replaces
-the scan with a cumulative-sum ranking.
+dtime) Python and exists purely as a test oracle for the production
+implementation (`repro.core.timing_diagram`), which replaces the scan
+with a few bitwise operations per window.
 
 The equivalence test (`tests/test_reference_equivalence.py`) drives both
 over hypothesis-generated stream sets and requires bit-identical cell

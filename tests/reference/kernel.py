@@ -1,6 +1,7 @@
-"""The paper's literal row scan, the oracle for the numpy fill kernel
-(:func:`repro.core.kernel.fill_masks_numpy`); ``TestKernelParity`` in
-``tests/test_admission_fastpath.py`` fuzzes one against the other."""
+"""The paper's literal row scan, the oracle for the bitset row fill
+(:func:`repro.core.timing_diagram._fill_row`); ``TestKernelParity`` in
+``tests/test_admission_fastpath.py`` fuzzes one against the other,
+converting the boolean arrays to row ints and back at the boundary."""
 
 from __future__ import annotations
 

@@ -2,12 +2,13 @@
 
 Four optimisation layers ride the admission path — shared route tables,
 reach-delta HP maintenance, the dependency-sparse row refill of
-``Modify_Diagram`` and the adaptive-horizon diagram kernel. These tests
+``Modify_Diagram`` and the adaptive-horizon bitset diagram. These tests
 pin the only contract any of them is allowed to have: the observed
 decisions and report specs are byte-identical to the from-scratch
 reference engine's, including after a chaos ``cache_storm``; a sparsely
-refilled diagram equals one generated from scratch; and the fill kernel
-agrees bit for bit with the paper's literal scan.
+refilled diagram equals one generated from scratch; the bitset row fill
+agrees bit for bit with the paper's literal scan; and the window-wise
+release test agrees with the per-instance rule.
 """
 
 import hashlib
@@ -21,8 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import timing_diagram
 from repro.core.feasibility import FeasibilityAnalyzer
-from repro.core.kernel import fill_masks_numpy, window_arrays
-from repro.core.modify import modify_diagram
+from repro.core.modify import modify_diagram, releasable_instances
 from repro.core.streams import MessageStream
 from repro.core.timing_diagram import (
     TimingDiagram,
@@ -314,27 +314,97 @@ class TestCacheStorm:
         assert engine.stats.forced_invalidations == 3
 
 
+def to_bits(mask):
+    """A boolean slot mask as the diagram's row int (bit t = slot t)."""
+    return int.from_bytes(
+        np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def fill_case(rng):
+    """A random row against a random busy-from-above mask."""
+    dtime = rng.choice((rng.randint(1, 40), rng.randint(41, 400),
+                        rng.randint(1 << 12, 1 << 13)))
+    period = rng.choice((rng.randint(1, 9), rng.randint(1, dtime),
+                         rng.randint(dtime, dtime + 20)))
+    # C may exceed the window: every window is then unsatisfied.
+    length = rng.choice((rng.randint(1, 6), rng.randint(1, period + 3)))
+    nwin = -(-dtime // period)
+    skip = frozenset(rng.sample(range(nwin + 2), min(nwin + 2,
+                                                     rng.randint(0, 3))))
+    density = rng.choice((0.0, 0.1, 0.5, 0.9, 1.0))
+    busy = np.zeros(dtime + 1, dtype=bool)
+    busy[1:] = [rng.random() < density for _ in range(dtime)]
+    return dtime, period, length, skip, busy
+
+
 class TestKernelParity:
-    def test_scan_and_numpy_agree_on_fuzzed_rows(self):
+    """The bitset row fill against the paper's literal scan
+    (``tests/reference/kernel.py``), arrays converted at the boundary."""
+
+    def check(self, dtime, period, length, skip, busy):
+        diagram = TimingDiagram(9, (row(0, 1, period, length),), dtime)
+        timing_diagram._fill_row(diagram, 0, to_bits(busy), skip)
+        alloc, wait = fill_masks_scan(
+            busy, period, length, -(-dtime // period))
+        for index in skip:
+            alloc[index * period + 1 : (index + 1) * period + 1] = False
+            wait[index * period + 1 : (index + 1) * period + 1] = False
+        np.testing.assert_array_equal(diagram.allocated[0], alloc)
+        np.testing.assert_array_equal(diagram.waiting[0], wait)
+
+    def test_int_fill_matches_the_scan_on_fuzzed_rows(self):
         rng = random.Random(0)
-        for _ in range(300):
-            dtime = rng.randint(4, 160)
-            period = rng.randint(2, dtime)
-            length = rng.randint(1, 6)
-            busy = np.zeros(dtime + 1, dtype=bool)
-            for t in range(1, dtime + 1):
-                busy[t] = rng.random() < rng.choice((0.1, 0.5, 0.9))
-            starts, win = window_arrays(period, dtime)
-            ref = fill_masks_scan(busy.copy(), period, length, len(starts))
-            got = fill_masks_numpy(busy.copy(), period, length, starts, win)
-            # Cached-wstart fast path must be indistinguishable.
-            cached = fill_masks_numpy(
-                busy.copy(), period, length, starts, win, starts[win]
-            )
-            for a, b in zip(ref, got):
-                np.testing.assert_array_equal(a, b)
-            for a, b in zip(got, cached):
-                np.testing.assert_array_equal(a, b)
+        for _ in range(400):
+            self.check(*fill_case(rng))
+
+    @pytest.mark.parametrize("dtime", [(1 << 16) - 3, 1 << 16])
+    def test_int_fill_matches_the_scan_on_long_horizons(self, dtime):
+        rng = random.Random(dtime)
+        busy = np.zeros(dtime + 1, dtype=bool)
+        busy[1:] = [rng.random() < 0.6 for _ in range(dtime)]
+        for period, length in ((5, 2), (13, 9), (997, 300),
+                               (dtime // 3, 5000)):
+            self.check(dtime, period, length, frozenset({1, 7}), busy)
+
+    def test_windows_straddling_bytes_and_too_small_for_c(self):
+        # Periods of 3, 5, 7 and 11 put window edges in every position
+        # of a byte; C = 6 never fits a 3- or 5-slot window.
+        for dtime in (7, 8, 9, 63, 64, 65):
+            for period in (3, 5, 7, 11):
+                busy = np.zeros(dtime + 1, dtype=bool)
+                busy[2::3] = True
+                self.check(dtime, period, 6, frozenset(), busy)
+                self.check(dtime, period, 1, frozenset({0, 2}), busy)
+
+
+class TestReleaseParity:
+    def test_window_test_matches_the_per_instance_rule(self):
+        """``releasable_instances`` reads whole windows off the row bits;
+        the rule it implements is per record: an instance goes iff it
+        occupies a slot and no intermediate requests any of them."""
+        rng = random.Random(1)
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            dtime = rng.randint(4, 300)
+            rows = tuple(sorted(
+                (row(i, rng.randint(1, 4), rng.randint(2, 80),
+                     rng.randint(1, 8)) for i in range(n)),
+                key=lambda s: (-s.priority, s.stream_id)))
+            removed = {rng.randrange(n): {rng.randrange(4)}}
+            diagram = generate_init_diagram(99, rows, dtime, removed=removed)
+            for k in range(n):
+                others = [i for i in range(n) if i != k]
+                inter = frozenset(rng.sample(others,
+                                             rng.randint(1, len(others))))
+                requested = np.zeros(dtime + 1, dtype=bool)
+                for r in inter:
+                    requested |= diagram.row_requests(diagram.row_of(r))
+                want = tuple(
+                    inst.index for inst in diagram.instances[k]
+                    if inst.occupied()
+                    and not requested[list(inst.occupied())].any()
+                )
+                assert releasable_instances(diagram, k, inter) == want
 
 
 class TestAdaptiveHorizon:

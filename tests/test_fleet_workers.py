@@ -432,6 +432,29 @@ class TestRoundTripsPerOp:
         finally:
             fleet.close()
 
+    def test_rejected_admit_keeps_the_shards_bounds(self, tmp_path, rpc_log):
+        fleet = make_fleet(tmp_path)
+        tf = fleet.tenants["t"]
+        try:
+            a, _ = self._do(fleet, rpc_log,
+                            {"op": "admit", "streams": [spec(0, 1, 5)]})
+            b, _ = self._do(fleet, rpc_log,
+                            {"op": "admit", "streams": [spec(2, 3, 5)]})
+            assert tf.owner[a["ids"][0]] != tf.owner[b["ids"][0]]
+            # Behind M_a on its channel, 8 slots in every 10 cannot fit.
+            refused, calls = self._do(fleet, rpc_log, {
+                "op": "admit",
+                "streams": [spec(0, 1, 4, period=10, length=8)],
+            })
+            assert calls == ["admit"] and not refused["admitted"]
+            # A's shard is as it was: B's next admit merges its bounds
+            # from the cache instead of asking A's worker.
+            _, calls = self._do(fleet, rpc_log,
+                                {"op": "admit", "streams": [spec(2, 3, 4)]})
+            assert calls == ["admit"]
+        finally:
+            fleet.close()
+
     def test_migration_asks_no_worker_for_specs(self, tmp_path, rpc_log):
         fleet = make_fleet(tmp_path)
         tf = fleet.tenants["t"]

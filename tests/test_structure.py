@@ -1,10 +1,13 @@
-"""Structural invariants of the analyse → simulate → compare pipeline.
+"""Structural invariants of the analysis layers.
 
 Every comparison of a delay bound with the flit-level simulator goes
 through :func:`repro.analysis.observe.observe`, and the admitted scope it
 compares over (finding F-7) is stated once, in
-:func:`repro.analysis.observe.admitted_scope`. These checks read the
-source tree, so a second copy fails here rather than drifting.
+:func:`repro.analysis.observe.admitted_scope`. A timing-diagram row is
+filled by one function, on integer bitsets, and the modules a service
+interpreter loads for the diagram and its explanations import NumPy
+only inside the functions that build array views. These checks read
+the source tree, so a second copy fails here rather than drifting.
 """
 
 import re
@@ -45,3 +48,21 @@ def test_admitted_scope_is_stated_once():
 
 def test_second_campaign_runner_is_gone():
     assert not (SRC / "analysis" / "validation.py").exists()
+
+
+def test_one_row_fill_on_bitsets():
+    assert not (SRC / "core" / "kernel.py").exists()
+    fills = re.compile(r"^def (_?fill_row|fill_masks\w*)\(", re.M)
+    found = sorted(
+        (path.relative_to(SRC).as_posix(), name)
+        for path in (SRC / "core").rglob("*.py")
+        for name in fills.findall(path.read_text())
+    )
+    assert found == [("core/timing_diagram.py", "_fill_row")]
+
+
+def test_diagram_modules_import_numpy_lazily():
+    module_scope = re.compile(r"^(import numpy|from numpy)", re.M)
+    for module in ("core/timing_diagram.py", "core/modify.py",
+                   "core/report.py", "obs/provenance.py"):
+        assert not module_scope.search((SRC / module).read_text()), module
