@@ -39,29 +39,29 @@ framing) exposing the broker protocol as a JSON-over-HTTP API:
 Architecture
 ------------
 Every connection is a :class:`repro.service.server.HttpConnection` — the
-front end the broker's listeners share: a reader that parses ahead into
-a bounded FIFO (TCP back-pressure beyond ``_READAHEAD``), one handler
-task taking at most ``_BATCH_MAX`` requests per pass, one write per
-batch. What the gateway adds is :meth:`GatewayServer._serve`, how a
-batch is answered: it resolves each request (route, API key, body), runs
-every maximal run of consecutive fleet ops of one tenant as **one**
-job, answers ``/healthz``, ``/metrics``, ``/admin/*``, ``shutdown`` and
-errors in their turn between runs, and sends the whole batch's
-responses, in request order, with one write. A serial client is the
-batch-of-one case of the same code. What a batch changes for a
-pipelining client: an op's ack leaves with the batch's last response.
-It still never leaves before the op's journal commit, so a crash loses
-at most acks (the rid-retry case), never an acked op.
+front end the broker's listeners share, answered in its reader: a pass
+cuts at most ``_BATCH_MAX`` requests off what arrived, one write sends
+their answers (TCP back-pressure beyond ``_READAHEAD`` parsed ahead).
+What the gateway adds is :meth:`GatewayServer._serve`, how a batch is
+answered: it resolves each request (route, API key, body), runs every
+maximal run of consecutive fleet ops of one tenant as **one** job,
+answers ``/healthz``, ``/metrics``, ``/admin/*``, ``shutdown`` and
+errors in their turn between runs, and returns the batch's responses,
+in request order. A serial client is the batch-of-one case of the same
+code. What a batch changes for a pipelining client: an op's ack leaves
+with the batch's last response. It still never leaves before the op's
+journal commit, so a crash loses at most acks (the rid-retry case),
+never an acked op.
 
 In the default in-process fleet a run executes synchronously on the
 event-loop thread — the same single-writer model as the broker, so
 decisions stay linearisable per tenant without locks. In worker-pool
 mode (``repro gateway --workers N``) the shards run in supervised child
-processes, so a run dispatches to a thread pool under one asyncio lock
-per tenant, held for the whole run: still single-writer *per tenant*,
-but different tenants' admissions run truly in parallel across cores.
-Background tasks tail the journals into the warm standbys and restart
-any worker that dies.
+processes, so a batch's runs are awaited by one task, each dispatched
+to a thread pool under one asyncio lock per tenant, held for the whole
+run: still single-writer *per tenant*, but different tenants'
+admissions run truly in parallel across cores. Background tasks tail
+the journals into the warm standbys and restart any worker that dies.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import (Any, Awaitable, Callable, Dict, Generator, List, Optional,
+                    Set, Tuple, Union)
 from urllib.parse import parse_qs
 
 from ..errors import ReproError
@@ -120,11 +121,11 @@ class GatewayServer:
         #: (path or "other", status) -> responses sent.
         self.requests: Dict[Tuple[str, int], int] = {}
         self.auth_failures = 0
-        #: Handler passes that answered something, and how many requests
+        #: Passes that answered something, and how many requests
         #: they answered: the ratio is the mean batch (1.0 = serial).
         self.batches = 0
         self.batched_requests = 0
-        #: Times a reader found its connection's FIFO full and stopped.
+        #: Times a connection stopped reading: its read-ahead was full.
         self.readahead_full = 0
         self._server: Optional[asyncio.base_events.Server] = None
         #: The bound port (useful with port 0 in tests), read once in
@@ -173,7 +174,7 @@ class GatewayServer:
         server, self._server = self._server, None
         if server is not None:
             server.close()
-        # Every handler answers what its reader had queued — the
+        # Every connection answers what its reader had parsed — the
         # connection that asked for the shutdown gets its response —
         # before the fleet under them closes.
         await close_connections(self.connections)
@@ -218,22 +219,21 @@ class GatewayServer:
             except ReproError:  # pragma: no cover - defensive
                 logger.exception("worker respawn failed")
 
-    async def _dispatch(
-        self, tenant: str, requests: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Run consecutive fleet ops of one tenant, in order, as one
-        job: inline for in-process shards, on the thread pool under the
-        tenant's lock (held for the whole run) when shards live in
-        workers."""
-        if self._executor is None:
-            return [self.fleet.handle_request(tenant, r) for r in requests]
-        lock = self._tenant_locks.setdefault(tenant, asyncio.Lock())
-        loop = asyncio.get_running_loop()
-        async with lock:
-            return await loop.run_in_executor(
-                self._executor,
-                lambda: [self.fleet.handle_request(tenant, r)
-                         for r in requests],
+    def _run(self, tenant: str, requests: List[Any]) -> List[_Answer]:
+        """Run one tenant's consecutive fleet ops as one job."""
+        try:
+            return [(200, self.fleet.handle_request(tenant, r))
+                    for r in requests]
+        except Exception as exc:  # pragma: no cover - defensive
+            logger.exception("gateway error running %d op(s)", len(requests))
+            return [(500, {"ok": False, "error": f"internal error: {exc!r}"})
+                    ] * len(requests)
+
+    async def _dispatch(self, tenant: str, requests: List[Any]) -> Any:
+        """:meth:`_run` on the thread pool, under the tenant's lock."""
+        async with self._tenant_locks.setdefault(tenant, asyncio.Lock()):
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._run, tenant, requests
             )
 
     # ------------------------------------------------------------------ #
@@ -246,53 +246,49 @@ class GatewayServer:
         self.requests[key] = self.requests.get(key, 0) + 1
         return _encode_response(status, payload, request.keep_alive)
 
-    async def _serve(
-        self,
-        batch: List[Union[_Request, bytes, None]],
-        conn: Connection,
-    ) -> bool:
-        """Answer ``batch`` in request order with one write; returns
-        whether the connection stays open.
+    def _serve(self, batch: List[Any],
+               conn: Connection) -> Union[bytes, Awaitable[bytes]]:
+        """Answer ``batch`` (:meth:`_walk`): bytes, running each run
+        inline — or, once a run needs the worker pool, an awaitable."""
+        walk = self._walk(batch, conn)
+        try:
+            run = next(walk)
+            while self._executor is None:
+                run = walk.send(self._run(*run))
+        except StopIteration as done:
+            return done.value
+        return self._pooled(walk, run)
 
-        Consecutive fleet ops of one tenant are collected into a run and
-        executed as one job; anything else waits for the pending run,
+    async def _pooled(self, walk: Generator, run: Tuple[str, Any]) -> bytes:
+        """The rest of :meth:`_serve`, each run dispatched to the pool."""
+        try:
+            while True:
+                run = walk.send(await self._dispatch(*run))
+        except StopIteration as done:
+            return done.value
+
+    def _walk(self, batch: List[Any], conn: Connection) -> Generator:
+        """Answer ``batch`` in request order: each run of one tenant's
+        consecutive fleet ops is yielded as ``(tenant, requests)`` and
+        sent back its answers; anything else waits for the pending run,
         then is answered in its turn, so every request sees the effects
-        of exactly those before it — as when they were served one by
-        one.
-        """
+        of exactly those before it. A ``shutdown`` ends the connection."""
         out: List[bytes] = []
         run: List[Tuple[_Request, Dict[str, Any]]] = []
         run_tenant: Optional[str] = None
 
-        async def finish_run() -> None:
-            if not run:
-                return
-            status = 200
-            try:
-                payloads = await self._dispatch(
-                    run_tenant, [fleet_request for _, fleet_request in run]
-                )
-            except Exception as exc:  # pragma: no cover - defensive
-                logger.exception("gateway error running %d op(s)", len(run))
-                status = 500
-                payloads = [
-                    {"ok": False, "error": f"internal error: {exc!r}"}
-                ] * len(run)
-            out.extend(
-                self._answer(request, status, payload)
-                for (request, _), payload in zip(run, payloads)
-            )
-            run.clear()
+        def finish_run() -> Generator[Any, List[_Answer], None]:
+            if run:
+                answers = yield run_tenant, [r for _, r in run]
+                out.extend(self._answer(request, *answer)
+                           for (request, _), answer in zip(run, answers))
+                run.clear()
 
-        serving = True
         for item in batch:
-            if item is None:    # the reader's last word
-                serving = False
-                break
             if isinstance(item, bytes):
-                # A request the reader could not parse: its answer,
+                # A request the framing could not parse: its answer,
                 # after everything before it.
-                await finish_run()
+                yield from finish_run()
                 out.append(item)
                 continue
             try:
@@ -301,21 +297,19 @@ class GatewayServer:
                 tenant, routed = None, exc.answer
             if tenant is not None:
                 if tenant != run_tenant:
-                    await finish_run()
+                    yield from finish_run()
                     run_tenant = tenant
                 run.append((item, routed))
             else:
-                await finish_run()
+                yield from finish_run()
                 out.append(self._answer(item, *self._in_turn(item, routed)))
-            if not item.keep_alive or self._stopping.is_set():
-                serving = False
+            if self._stopping.is_set():
+                conn.finish()
                 break
-        await finish_run()
-        if out:
-            self.batches += 1
-            self.batched_requests += len(out)
-            await conn.send(b"".join(out))
-        return serving
+        yield from finish_run()
+        self.batches += 1
+        self.batched_requests += len(out)
+        return b"".join(out)
 
     @staticmethod
     def _in_turn(
@@ -487,8 +481,8 @@ class GatewayServer:
         ).value = float(self.auth_failures)
         reg.counter(
             "repro_gateway_batches_total",
-            "Handler passes that answered at least one request (one "
-            "write each).",
+            "Passes that answered at least one request (one write "
+            "each).",
         ).value = float(self.batches)
         reg.counter(
             "repro_gateway_batched_requests_total",
@@ -498,7 +492,7 @@ class GatewayServer:
         reg.counter(
             "repro_gateway_readahead_full_total",
             "Times a connection's reader stopped reading because its "
-            "request FIFO was full.",
+            "read-ahead queue was full.",
         ).value = float(self.readahead_full)
         if self.standbys is not None:
             for (tenant, shard), sb in sorted(

@@ -2,8 +2,8 @@
 
 The broker tracks, per protocol op, a request counter and a latency
 histogram with power-of-two bucket boundaries (microseconds up to ~8 s),
-plus admit/reject outcome counters and the batch sizes the worker drained
-from the request queue. Everything is exposed through the ``stats`` op —
+plus admit/reject outcome counters and the batch sizes the connections'
+passes answered. Everything is exposed through the ``stats`` op —
 no external metrics dependency is assumed — and, since PR 4, through the
 shared :class:`~repro.obs.metrics.MetricsRegistry` as Prometheus text
 (``stats`` with ``format: "prometheus"``, or the ``--metrics-port`` HTTP
@@ -76,7 +76,8 @@ class ServiceMetrics:
         self.batches = 0
         self.batched_requests = 0
         self.max_batch = 0
-        #: Times a connection's reader stopped because its FIFO was full.
+        #: Times a connection's reader stopped because its read-ahead
+        #: queue was full.
         self.readahead_full = 0
         self.connections = 0
 
@@ -181,7 +182,7 @@ class ServiceMetrics:
         ).value = float(self.duplicates)
         reg.counter(
             "repro_broker_batches_total",
-            "Handler passes that answered at least one request (one "
+            "Passes that answered at least one request (one "
             "connection, one write each).",
         ).value = float(self.batches)
         reg.counter(
@@ -191,12 +192,12 @@ class ServiceMetrics:
         ).value = float(self.batched_requests)
         reg.gauge(
             "repro_broker_batch_max_size",
-            "Most requests one handler pass has answered so far.",
+            "Most requests one pass has answered so far.",
         ).set(self.max_batch)
         reg.counter(
             "repro_broker_readahead_full_total",
             "Times a connection's reader stopped reading because its "
-            "request FIFO was full.",
+            "read-ahead queue was full.",
         ).value = float(self.readahead_full)
         return reg
 

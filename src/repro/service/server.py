@@ -3,13 +3,13 @@ broker server (``repro serve``).
 
 Every listener that serves many clients — the broker's unix/TCP socket,
 its ``--metrics-port`` and the fleet's HTTP gateway
-(:mod:`repro.fleet.gateway`) — is the same :class:`Connection`: a reader
-parsing ahead into a bounded FIFO, and one handler task that has its
-server answer what is queued (``await server._serve(batch, conn)``) in
-request order with one write. A serial client is the batch-of-one case
-of the same code, and pays one task wake-up per request, as if the
-handler read the socket itself (a reader *task* was measured: it costs
-a second wake-up, 40 us per request on the bench host).
+(:mod:`repro.fleet.gateway`) — is the same :class:`Connection`,
+answered in its reader: the bytes a read delivers run one pass that
+cuts whole requests off the buffer, has the server answer them
+(``server._serve(batch, conn)``) in request order, and sends the answer
+with one write. A task runs only where the server must await an answer
+(the gateway's worker-pool runs): a serial client costs no task wake-up
+(a handler task cost one per request, ~3 us of a 17 us round trip).
 
 Listeners differ by a **framing**, how one request is cut off the byte
 stream — :class:`LineConnection` (the broker protocol: one JSON object
@@ -32,7 +32,8 @@ import stat
 from collections import deque
 from pathlib import Path
 from typing import (
-    Any, Deque, Dict, List, NamedTuple, Optional, Set, Tuple, Union,
+    Any, Awaitable, Deque, Dict, List, NamedTuple, Optional, Set, Tuple,
+    Union,
 )
 from urllib.parse import urlsplit
 
@@ -55,11 +56,11 @@ logger = logging.getLogger(__name__)
 #: Largest request any framing accepts: an HTTP body, or one JSON line.
 _MAX_BODY = 8 * 1024 * 1024
 _MAX_HEAD = 64 * 1024
-#: Parsed requests one connection may have waiting for its handler. The
-#: reader stops reading the socket at this depth (memory per connection
-#: is bounded by it, not by how fast the client writes).
+#: Parsed requests one busy connection may have waiting. The reader
+#: stops reading the socket at this depth (memory per connection is
+#: bounded by it, not by how fast the client writes).
 _READAHEAD = 32
-#: Most requests one handler pass answers with one write: it bounds how
+#: Most requests one pass answers with one write: it bounds how
 #: many acks wait on one batch's last op, and how long one connection
 #: holds the event loop (or its tenant's lock) while another waits. A
 #: constant, not an option: it only binds above the depth clients
@@ -124,190 +125,200 @@ def clear_stale_socket(sock_path: Path) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# A connection: reader -> bounded FIFO -> one handler -> one write
+# A connection: reader -> pump -> server -> one write per batch
 # ---------------------------------------------------------------------- #
 
 
 class Connection(asyncio.Protocol):
-    """One client connection: bytes in, a bounded FIFO of parsed
-    requests in between, one handler task taking batches out.
+    """One client connection, answered in its reader.
 
-    The transport calls :meth:`data_received` whenever bytes arrive —
-    also while the handler awaits a job — and every complete request in
-    them is parsed and queued at once. At ``_READAHEAD`` queued requests
-    the transport is paused (what has been received but not parsed
-    waits in ``_buf``; the kernel's socket buffer does the rest), and
-    resumed when the handler has made room. A ``bytes`` item is the
-    answer to a request the reader had to refuse, sent in its turn. The
-    FIFO's last item is ``None``, the reader's last word: the client is
-    done sending, the connection is gone, the last request asked to
-    close, or what follows cannot be framed.
+    Unless the connection is busy, bytes that arrive run one *pass*: up
+    to ``_BATCH_MAX`` whole requests are cut off ``_buf``, answered by
+    ``server._serve(batch, conn)`` — ``bytes``, or an awaitable of them
+    that a task awaits — and sent with one write. It is busy while that
+    task runs, while its next pass is scheduled (one batch per pass) and
+    while writes are stalled; what arrives meanwhile is parsed into
+    ``ahead``, and at ``_READAHEAD`` requests reading stops. After the
+    last word — the client is done sending, the connection is gone, a
+    request asked to close, or what follows cannot be framed — what was
+    parsed before it is answered, then the connection closes.
 
-    ``server`` answers the batches (``async _serve(batch, conn) -> stays
-    open``), counts ``readahead_full`` and keeps its open ``connections``
-    (a set) for :func:`close_connections`. A framing is a subclass with
-    :meth:`_next`, :meth:`_leftover` and, optionally, :meth:`_closes`.
+    ``server`` also counts ``readahead_full`` and keeps its open
+    ``connections`` (a set). A framing is a subclass with :meth:`_next`
+    and :meth:`_leftover`; a ``bytes`` request is the answer to one it
+    had to refuse.
     """
+
+    _transport: asyncio.Transport
 
     def __init__(self, server: Any):
         self.server = server
-        self.fifo: Deque[Any] = deque()
-        self._transport: Optional[asyncio.Transport] = None
-        self._task: Optional[asyncio.Task] = None
-        self._buf = bytearray()   # received, not yet a whole request
-        self._ended = False       # the last word is queued
-        self._paused = False      # not reading: the FIFO is full
+        #: Parsed while the connection was busy, not yet answered.
+        self.ahead: Deque[Any] = deque()
+        self._buf = bytearray()   # received, not yet cut or parsed
+        self._ended = False       # past the last word nothing is parsed
         self._writable = True     # the transport's write buffer has room
-        self._lost = False
-        #: The handler, when it waits (for a request, or for the write
-        #: buffer to drain).
-        self._waiter: Optional[asyncio.Future] = None
+        #: The scheduled pass, or the task awaiting an answer.
+        self._busy: Union[asyncio.Handle, asyncio.Task, None] = None
+        #: Set by :func:`close_connections`, resolved on close.
+        self._closed: Optional[asyncio.Future] = None
 
     def _next(self) -> Any:
-        """Cut one request off the front of ``_buf``; ``None`` if it
-        holds no whole one yet, or after calling :meth:`_end`."""
+        """Cut one request off ``_buf`` (calling :meth:`_end` after the
+        last one); ``None`` if it holds no whole one yet."""
         raise NotImplementedError
 
     def _leftover(self) -> Any:
         """What ``_buf`` means once the client is done sending: a last
-        item to queue, or ``None``."""
+        item to answer, or ``None``."""
         raise NotImplementedError
-
-    def _closes(self, request: Any) -> bool:
-        """Whether ``request`` is the last this connection serves."""
-        return False
-
-    # -- transport side ------------------------------------------------ #
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         assert isinstance(transport, asyncio.Transport)
         self._transport = transport
-        self._task = asyncio.get_running_loop().create_task(self._handle())
-        connections = self.server.connections
-        connections.add(self)
-        self._task.add_done_callback(lambda _: connections.discard(self))
+        self.server.connections.add(self)
 
     def data_received(self, data: bytes) -> None:
         if not self._ended:     # nothing is read past the last word
             self._buf += data
-            self._parse()
+            if self._busy is None and self._writable:
+                self._pump()
+            else:
+                self._parse_ahead()
 
     def eof_received(self) -> bool:
         if not self._ended:
             self._end(self._leftover())
-        return True     # half-closed: what is queued still gets answered
+            self._kick()
+        return True     # half-closed: what is parsed still gets answered
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._lost = True
-        self._end()
-        self._wake()
+        # Nothing more is answered; an answer being awaited still runs
+        # to its end (its ops commit: a lost ack).
+        self.finish()
+        if not isinstance(self._busy, asyncio.Task):
+            self._close()
 
     def pause_writing(self) -> None:
         self._writable = False
+        self._transport.pause_reading()
 
     def resume_writing(self) -> None:
         self._writable = True
-        self._wake()
+        self._kick()
 
-    def _parse(self) -> None:
-        """Move every complete request from ``_buf`` to the FIFO."""
-        while not self._ended:
-            if len(self.fifo) >= _READAHEAD:
-                if not self._paused:
-                    self._paused = True
-                    self.server.readahead_full += 1
-                    assert self._transport is not None
-                    self._transport.pause_reading()
-                return
+    def _pump(self) -> None:
+        """One pass: answer up to ``_BATCH_MAX`` requests, one write."""
+        self._busy = None
+        if not self._writable:
+            return      # resume_writing kicks
+        batch = self._cut()
+        answer = self.server._serve(batch, self) if batch else b""
+        if not isinstance(answer, bytes):
+            self._busy = asyncio.create_task(self._awaited(answer))
+        else:
+            self._done(answer)
+
+    async def _awaited(self, answer: Awaitable[bytes]) -> None:
+        """The end of a pass whose answer is awaited, in its task."""
+        try:
+            data = await answer
+        except BaseException:   # cancelled by close_connections, or failed
+            self._busy = None
+            self._close()
+            raise
+        self._busy = None
+        self._done(data)
+
+    def _done(self, answer: bytes) -> None:
+        """Send a pass's answer (a lost transport drops it); schedule the
+        next pass, or close after the last word; read again if room."""
+        self._transport.write(answer)
+        if self.ahead:
+            self._kick()
+        elif self._ended:
+            self._close()
+        if self._writable and not self._ended and len(self.ahead) < _READAHEAD:
+            self._transport.resume_reading()
+
+    def _cut(self) -> List[Any]:
+        """Up to ``_BATCH_MAX`` requests: those parsed ahead, then whole
+        ones off ``_buf``; a full batch parses the rest ahead."""
+        ahead, batch = self.ahead, []
+        while len(batch) < _BATCH_MAX:
+            if ahead:
+                batch.append(ahead.popleft())
+            elif self._ended or (request := self._next()) is None:
+                return batch
+            else:
+                batch.append(request)
+        self._parse_ahead()
+        return batch
+
+    def _parse_ahead(self) -> None:
+        """Move whole requests from ``_buf`` to ``ahead``; stop reading
+        when that fills it."""
+        ahead = self.ahead
+        while not self._ended and len(ahead) < _READAHEAD:
             request = self._next()
             if request is None:
                 return
-            self.fifo.append(request)
-            self._wake()
-            if self._closes(request):
-                self._end()
+            ahead.append(request)
+            if len(ahead) == _READAHEAD:
+                self.server.readahead_full += 1
+                self._transport.pause_reading()
+
+    def _kick(self) -> None:
+        """Schedule a pass unless one is scheduled or an answer awaited."""
+        if self._busy is None:
+            self._busy = asyncio.get_running_loop().call_soon(self._pump)
 
     def _end(self, last: Optional[bytes] = None) -> None:
-        """Queue the last word, after the answer ``last`` if given."""
+        """Parse nothing more; answer ``last`` after what is parsed."""
         if not self._ended:
             self._ended = True
             if last is not None:
-                self.fifo.append(last)
-            self.fifo.append(None)
-            self._wake()
+                self.ahead.append(last)
 
-    def _wake(self) -> None:
-        if self._waiter is not None and not self._waiter.done():
-            self._waiter.set_result(None)
+    def finish(self) -> None:
+        """Answer nothing the client sent after the batch being answered,
+        then close (a server's ``shutdown``)."""
+        self.ahead.clear()
+        self._end()
 
-    # -- handler side -------------------------------------------------- #
-
-    async def _handle(self) -> None:
-        """Take what the reader has queued, have the server answer it
-        as one batch, until something ends the connection."""
-        try:
-            while await self.server._serve(await self.take(), self):
-                pass
-        except ConnectionError:
-            pass
-        finally:
-            assert self._transport is not None
-            self._transport.close()
-
-    async def _wait(self) -> None:
-        self._waiter = asyncio.get_running_loop().create_future()
-        try:
-            await self._waiter
-        finally:
-            self._waiter = None
-
-    async def take(self) -> List[Any]:
-        """Everything queued, at most ``_BATCH_MAX``; waits for one."""
-        while not self.fifo:
-            await self._wait()
-        fifo = self.fifo
-        batch = [fifo.popleft() for _ in range(min(len(fifo), _BATCH_MAX))]
-        if self._paused and not self._ended:
-            self._paused = False
-            assert self._transport is not None
-            self._transport.resume_reading()
-            self._parse()
-        return batch
-
-    async def send(self, data: bytes) -> None:
-        """Write, and wait while the transport's buffer is over its
-        high-water mark (what ``StreamWriter.drain`` does)."""
-        if self._lost:
-            raise ConnectionResetError("connection lost")
-        assert self._transport is not None
-        self._transport.write(data)
-        while not self._writable and not self._lost:
-            await self._wait()
+    def _close(self) -> None:
+        self.finish()
+        self.server.connections.discard(self)
+        self._transport.close()
+        if self._closed is not None and not self._closed.done():
+            self._closed.set_result(None)
 
 
 async def close_connections(
     connections: Set[Connection], timeout: float = 10.0
 ) -> None:
     """Shut ``connections`` down without dropping an answer: stop every
-    reader, let every handler answer what is already queued — so a
-    committed op is never left unacknowledged, and the connection that
-    asked for the shutdown gets its response — and cancel only the
-    handlers still busy after ``timeout`` seconds."""
-    tasks = []
+    reader, answer what is parsed — a committed op is never left
+    unacknowledged — and cancel what is still awaited after ``timeout``
+    seconds."""
+    if not connections:
+        return
     for conn in list(connections):
         conn._transport.pause_reading()
+        conn._closed = asyncio.get_running_loop().create_future()
         conn._end()
-        tasks.append(conn._task)
-    if not tasks:
-        return
-    _, pending = await asyncio.wait(tasks, timeout=timeout)
+        conn._kick()
+    _, pending = await asyncio.wait(
+        [conn._closed for conn in connections], timeout=timeout
+    )
     if pending:
-        logger.warning(
-            "%d connection(s) did not drain within %gs; cancelling "
-            "their handlers with requests pending", len(pending), timeout,
-        )
-        for task in pending:
-            task.cancel()
+        logger.warning("%d connection(s) did not drain within %gs; "
+                       "cancelling their answers", len(pending), timeout)
+        for conn in list(connections):
+            if isinstance(conn._busy, asyncio.Task):
+                conn._busy.cancel()     # it closes the connection
+            else:
+                conn._close()
         await asyncio.wait(pending)
 
 
@@ -481,15 +492,14 @@ class HttpConnection(Connection):
         self._head = None
         request = _Request(*head, bytes(buf[start:end]))
         del buf[:end]
+        if not request.keep_alive:
+            self._end()
         return request
 
     def _leftover(self) -> Optional[bytes]:
         if self._buf.strip(b"\r\n"):
             return self._refusal(400, "connection closed mid-request")
         return None
-
-    def _closes(self, request: _Request) -> bool:
-        return not request.keep_alive
 
 
 # ---------------------------------------------------------------------- #
@@ -555,8 +565,8 @@ class BrokerServer(EngineHost):
         """Serve ``GET /metrics`` (Prometheus text) over HTTP.
 
         Dependency-free scrape endpoint on the broker's event loop;
-        rendering reads engine state between handler passes, so scrapes
-        observe consistent counters.
+        rendering reads engine state between passes, so scrapes observe
+        consistent counters.
         """
         self._metrics_server = await asyncio.get_running_loop().create_server(
             lambda: HttpConnection(self), host=host, port=port
@@ -577,8 +587,8 @@ class BrokerServer(EngineHost):
 
     async def aclose(self) -> None:
         """Close the listeners, drain the connections, flush
-        persistence. Queued requests are answered before any handler is
-        cancelled, so a committed op is never left unacknowledged."""
+        persistence. Parsed requests are answered before any connection
+        is closed, so a committed op is never left unacknowledged."""
         servers = [s for s in (self._server, self._metrics_server)
                    if s is not None]
         self._server = self._metrics_server = None
@@ -593,19 +603,16 @@ class BrokerServer(EngineHost):
             await server.wait_closed()
         self.close()
 
-    async def _serve(self, batch: List[Any], conn: Connection) -> bool:
-        """Answer ``batch`` in request order with one write; returns
-        whether the connection stays open. One handler pass of one
-        connection is what the ``batching`` stats call a batch; a
-        ``shutdown`` inside it does not stop the requests queued behind
-        it from being answered."""
+    def _serve(self, batch: List[Any], conn: Connection) -> bytes:
+        """Answer ``batch`` in request order, as the bytes of one
+        write. One pass of one connection is what the ``batching``
+        stats call a batch; a ``shutdown`` inside it does not stop the
+        requests behind it from being answered."""
         scrape = isinstance(conn, HttpConnection)
         out: List[bytes] = []
         for item in batch:
-            if item is None:    # the reader's last word
-                break
             try:
-                if isinstance(item, bytes):     # refused by the reader
+                if isinstance(item, bytes):     # refused by the framing
                     out.append(item)
                 elif scrape:
                     out.append(self._scrape(item))
@@ -613,14 +620,12 @@ class BrokerServer(EngineHost):
                     out.append(encode(self.handle_request(item)))
             except Exception:  # pragma: no cover - defensive
                 # handle_request catches everything itself; this guards
-                # encode so one bad request can never kill its
-                # connection's handler (and the answers queued behind it).
+                # encode so one bad request can never take down its
+                # connection (and the answers behind it).
                 logger.exception("broker request failed")
-        if out:
-            if not scrape:
-                self.metrics.record_batch(len(out))
-            await conn.send(b"".join(out))
-        return item is not None
+        if not scrape:
+            self.metrics.record_batch(len(out))
+        return b"".join(out)
 
     def _scrape(self, request: _Request) -> bytes:
         if request.path in ("/metrics", "/"):

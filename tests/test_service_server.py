@@ -5,6 +5,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -473,6 +474,91 @@ class TestAsyncFrontEnd:
         assert batched["server"].metrics.max_batch == owed
         assert one_by_one["server"].metrics.max_batch == 1
 
+    def test_serial_requests_are_answered_without_a_task(self, tmp_path):
+        # A request is answered in the reader's callback: serving a
+        # serial client adds no task to the loop, not even one per
+        # connection.
+        sock = str(tmp_path / "broker.sock")
+        tasks = []
+
+        class Counting(BrokerServer):
+            def handle_request(self, request):
+                tasks.append(len(asyncio.all_tasks()))
+                return super().handle_request(request)
+
+        def client():
+            with BrokerClient.wait_for_unix(sock) as c:
+                c.check("admit", streams=[spec()])
+                for _ in range(98):
+                    c.check("query", stream=0)
+                c.check("shutdown")
+
+        async def main():
+            server = Counting(MESH)
+            await server.start_unix(sock)
+            serving = asyncio.ensure_future(server.serve_forever())
+            await asyncio.sleep(0)
+            before = len(asyncio.all_tasks())
+            thread = threading.Thread(target=client)
+            thread.start()
+            await asyncio.wait_for(serving, timeout=30)
+            thread.join(timeout=10)
+            return before
+
+        before = asyncio.run(main())
+        assert len(tasks) == 100
+        assert max(tasks) <= before
+
+    def test_one_sendall_is_one_batch(self, tmp_path):
+        lines = b"".join(json.dumps({"op": "ping", "id": i}).encode()
+                         + b"\n" for i in range(8))
+
+        def client(sock):
+            with BrokerClient.wait_for_unix(sock) as c:
+                c.send_bytes(lines, responses=8)
+                c.flush()
+                answers = [c.recv() for _ in range(8)]
+                batching = c.check("stats")["service"]["batching"]
+                c.check("shutdown")
+                return {"answers": answers, "batching": batching}
+
+        result = self._run(client, tmp_path)
+        assert [a["id"] for a in result["answers"]] == list(range(8))
+        assert result["batching"]["batches"] == 1
+        assert result["batching"]["mean_size"] == 8
+
+    def test_stalled_writes_stop_the_reader(self, tmp_path):
+        # A client that pipelines without reading: once the answers
+        # fill the socket and the transport's buffer, the connection
+        # stops answering and, its read-ahead full, stops reading —
+        # then serves everything, in order, once the client reads.
+        count = 2000
+        streams = [spec(src=i % 36, dst=(i * 7 + 3) % 36, priority=i % 10,
+                        period=4000, length=2) for i in range(50)]
+
+        def client(sock):
+            with BrokerClient.wait_for_unix(sock) as c:
+                assert len(c.check("admit", streams=streams)["ids"]) == 50
+                raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                raw.settimeout(30)
+                raw.connect(sock)
+                raw.sendall(b"".join(
+                    json.dumps({"op": "report", "id": i}).encode() + b"\n"
+                    for i in range(count)
+                ))
+                time.sleep(1.0)
+                stalled = c.check("stats")["service"]["batching"]
+                with raw, raw.makefile("rb") as reader:
+                    ids = [json.loads(reader.readline())["id"]
+                           for _ in range(count)]
+                c.check("shutdown")
+                return {"stalled": stalled, "ids": ids}
+
+        result = self._run(client, tmp_path)
+        assert result["stalled"]["readahead_full"] > 0
+        assert result["stalled"]["requests"] < count
+        assert result["ids"] == list(range(count))
+
     def test_over_limit_line_is_answered_then_the_connection_closed(
         self, tmp_path
     ):
@@ -611,21 +697,26 @@ class TestCloseConnections:
 
     def test_queued_answered_idle_closed_blocked_cancelled(self):
         class Stub:
-            """Answers a batch with its ids once ``gate`` opens."""
+            """Answers a batch with its ids: as bytes, or — given a
+            ``gate`` — with an awaitable that waits for it to open."""
             readahead_full = 0
 
-            def __init__(self, connections):
+            def __init__(self, connections, gate=None):
                 self.connections = connections
-                self.gate = asyncio.Event()
+                self.gate = gate
                 self.serving = 0
 
-            async def _serve(self, batch, conn):
+            def _serve(self, batch, conn):
+                answer = json.dumps([item["id"] for item in batch]).encode()
+                if self.gate is None:
+                    return answer + b"\n"
+
+                async def gated():
+                    await self.gate.wait()
+                    return answer + b"\n"
+
                 self.serving += 1
-                await self.gate.wait()
-                ids = [item["id"] for item in batch if item is not None]
-                if ids:
-                    await conn.send(json.dumps(ids).encode() + b"\n")
-                return batch[-1] is not None
+                return gated()
 
         def drain(sock):
             """Everything the server wrote before it closed."""
@@ -652,20 +743,25 @@ class TestCloseConnections:
         async def main():
             loop = asyncio.get_running_loop()
             connections = set()
-            opens, never = Stub(connections), Stub(connections)
+            instant = Stub(connections)
+            opens = Stub(connections, asyncio.Event())
+            never = Stub(connections, asyncio.Event())
+            idle, _ = await connect(loop, instant)
+            idle.sendall(b'{"op": "ping", "id": 5}\n')
+            assert await asyncio.to_thread(idle.recv, 100) == b"[5]\n"
             busy, busy_conn = await connect(loop, opens)
-            idle, _ = await connect(loop, opens)
             stuck, stuck_conn = await connect(loop, never)
             for sock, conn in ((busy, busy_conn), (stuck, stuck_conn)):
-                # One request the handler is already serving (blocked on
-                # the gate), two more queued behind it.
+                # One request whose answer is awaited (held on the
+                # gate), two more parsed ahead behind it.
                 sock.sendall(b'{"op": "ping", "id": 0}\n')
                 while not conn.server.serving:
                     await asyncio.sleep(0.01)
                 sock.sendall(b'{"op": "ping", "id": 1}\n'
                              b'{"op": "ping", "id": 2}\n')
-                while len(conn.fifo) < 2:
+                while len(conn.ahead) < 2:
                     await asyncio.sleep(0.01)
+            blocked = stuck_conn._busy
             assert len(connections) == 3
             closing = asyncio.create_task(
                 close_connections(connections, timeout=0.5)
@@ -675,7 +771,7 @@ class TestCloseConnections:
             opens.gate.set()
             await asyncio.wait_for(closing, timeout=10)
             assert not connections
-            assert stuck_conn._task.cancelled()
+            assert blocked.cancelled()
             return [await asyncio.to_thread(drain, sock)
                     for sock in (busy, idle, stuck)]
 
