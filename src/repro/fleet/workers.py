@@ -4,26 +4,24 @@ PR 8's fleet put every shard of every tenant behind one event loop and
 one GIL, so its throughput win was per-tenant isolation, not
 parallelism. This module moves the engines into child processes:
 
-Child side (``python -m repro.fleet.workers --config <json>``)
-    :func:`worker_main` recovers one :class:`~repro.service.host.
-    EngineHost` per assigned ``tenant/shard-i`` key from that shard's
-    *unchanged* journal directory (``state_dir/<tenant>/shard-<i>``, so
-    :class:`~repro.fleet.replication.JournalTailer` standbys keep
-    tailing the same files), then serves the broker's JSON-lines
-    protocol over a per-worker unix socket. The socket is bound only
-    after every shard has recovered — binding *is* the readiness
-    signal — and the same stale-socket hygiene rules as the broker
-    apply (:func:`~repro.service.server.clear_stale_socket`): reclaim
-    dead leftovers, refuse live servers, never delete non-sockets,
-    unlink on clean shutdown.
+Child side (a fork of the supervisor, :func:`_child`)
+    With every module already imported, the child cuts loose from its
+    parent (own stdio, signals, logging and tracer; no inherited fd),
+    recovers one :class:`~repro.service.host.EngineHost` per assigned
+    ``tenant/shard-i`` key from that shard's *unchanged* journal
+    directory (so :class:`~repro.fleet.replication.JournalTailer`
+    standbys keep tailing the same files), binds a per-worker unix
+    socket with the broker's stale-socket hygiene, says so with one
+    byte on a private pipe and serves the broker's JSON-lines protocol
+    until stopped or orphaned. It always ends in ``os._exit``.
 
 Parent side
-    :class:`WorkerSupervisor` spawns and monitors the children,
-    restarts them on exit (journal recovery happens in the child's
-    constructor), and owns one :class:`WorkerClient` RPC connection per
-    worker. :class:`WorkerShard` is the shard-client proxy the fleet's
-    shard manager composes instead of a local ``EngineHost``: the same
-    ``handle_request`` + accessor surface, implemented as RPCs.
+    :class:`WorkerSupervisor` forks and monitors the children,
+    restarts them on exit, and owns one :class:`WorkerClient` RPC
+    connection per worker. :class:`WorkerShard` is the shard-client
+    proxy the fleet's shard manager composes instead of a local
+    ``EngineHost``: the same ``handle_request`` + accessor surface,
+    implemented as RPCs.
 
 Requests are the normal broker ops plus a ``"shard"`` routing field;
 ``worker_*`` ops (hello/status/dump/bounds/stats/drop_rid/detach/
@@ -49,15 +47,15 @@ recovery already repairs, now spanning two processes.
 
 from __future__ import annotations
 
-import argparse
+import contextlib
 import faulthandler
-import json
+import gc
 import logging
 import os
+import select
 import selectors
 import signal
 import socket
-import subprocess
 import sys
 import tempfile
 import threading
@@ -66,6 +64,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..errors import ReproError
+from ..obs import trace
 from ..service.client import BrokerClient
 from ..service.host import EngineHost
 from ..service.protocol import (
@@ -84,7 +83,6 @@ __all__ = [
     "WorkerProcess",
     "WorkerShard",
     "WorkerSupervisor",
-    "worker_main",
 ]
 
 logger = logging.getLogger(__name__)
@@ -121,11 +119,12 @@ class WorkerDied(ReproError):
 class _WorkerServer:
     """The child's serving loop: N recovered EngineHosts, one socket."""
 
-    def __init__(self, config: Dict[str, Any]):
-        self.sock_path = Path(config["socket"])
+    def __init__(self, wp: "WorkerProcess", supervisor: int):
+        self.sock_path = wp.socket_path
+        self.supervisor = supervisor
         self.hosts: Dict[str, EngineHost] = {}
-        for key in sorted(config["hosts"]):
-            spec = config["hosts"][key]
+        for key in sorted(wp.assigned):
+            spec = wp.assigned[key]
             self.hosts[key] = EngineHost(
                 spec["topology"],
                 state_dir=spec["state_dir"],
@@ -141,7 +140,7 @@ class _WorkerServer:
         self._buffers: Dict[socket.socket, bytes] = {}
 
     def bind(self) -> None:
-        """Apply socket hygiene and bind; binding signals readiness."""
+        """Apply socket hygiene and bind."""
         if self.sock_path.exists():
             clear_stale_socket(self.sock_path)
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -153,11 +152,17 @@ class _WorkerServer:
 
     def serve(self) -> None:
         while self.running:
-            for sel_key, _ in self._selector.select(timeout=1.0):
+            events = self._selector.select(timeout=1.0)
+            for sel_key, _ in events:
                 if sel_key.data == "accept":
                     self._accept()
                 else:
                     self._read(sel_key.fileobj)
+            if not events and os.getppid() != self.supervisor:
+                # Orphaned: a restarted gateway must find the socket
+                # free, not served by a process it does not supervise.
+                logger.warning("supervisor %d is gone", self.supervisor)
+                return
 
     def _accept(self) -> None:
         assert self._listener is not None
@@ -295,36 +300,65 @@ class _WorkerServer:
             host.close()
 
 
-def worker_main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fleet.workers",
-        description="Fleet shard worker process (spawned by the "
-                    "WorkerSupervisor; not for interactive use).",
-    )
-    parser.add_argument("--config", required=True,
-                        help="JSON config written by the supervisor")
-    args = parser.parse_args(argv)
+#: The parent's fd-owning objects (tracer sink, stdio, log handlers), held
+#: in a child and never closed or flushed: their fd numbers may be reused.
+_inherited: List[Any] = []
+
+
+def _child(wp: "WorkerProcess", supervisor: int, ready: int) -> int:
+    """A forked worker's life: cut loose from the parent, recover, bind,
+    write one byte on ``ready``, serve until stopped or orphaned."""
+    gc.freeze()  # no inherited object is ever collected here
+    # A signal sent to a worker must not reach the gateway loop's
+    # self-pipe, nor run one of the parent's handlers.
+    signal.set_wakeup_fd(-1)
+    for sig in signal.valid_signals():
+        if callable(signal.getsignal(sig)):
+            signal.signal(sig, signal.default_int_handler
+                          if sig == signal.SIGINT else signal.SIG_DFL)
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
+    null = os.open(os.devnull, os.O_RDONLY)
+    log = os.open(wp.log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    for fd, target in ((0, null), (1, log), (2, log)):
+        os.dup2(target, fd)
+    # The gateway's listener and connections, other workers' sockets,
+    # promoted shards' journals, epoll, the self-pipe: nothing stays.
+    os.closerange(3, ready)
+    os.closerange(ready + 1, os.sysconf("SC_OPEN_MAX"))
+    _inherited.extend([sys.stdout, sys.stderr, trace.active(),
+                       *logging.root.handlers])
+    logging.root.handlers.clear()  # detached, not closed
+    sys.stdout = open(1, "w", buffering=1, closefd=False)
+    sys.stderr = open(2, "w", buffering=1, closefd=False)
     logging.basicConfig(
         level=logging.INFO,
         format=f"%(asctime)s worker[{os.getpid()}] %(levelname)s "
                "%(name)s: %(message)s",
         stream=sys.stderr,
     )
-    config = json.loads(Path(args.config).read_text())
-    server = _WorkerServer(config)
-
-    def _on_sigterm(signum, frame):  # pragma: no cover - signal path
-        raise SystemExit(0)
-
-    signal.signal(signal.SIGTERM, _on_sigterm)
+    trace.configure_from_env()  # `{pid}` in the trace file names us
     # `kill -USR1 <pid>` dumps the worker's stacks to its log — the
     # first question about a wedged worker is always "where is it".
     faulthandler.register(signal.SIGUSR1, file=sys.stderr)
+    if faulthandler.is_enabled():  # onto the log, not a closed fd
+        faulthandler.enable(file=sys.stderr)
     try:
-        server.bind()
-        server.serve()
+        server = _WorkerServer(wp, supervisor)
+        try:
+            server.bind()
+            os.write(ready, b".")
+            os.close(ready)
+            server.serve()
+        finally:
+            server.close()
+    except SystemExit:  # SIGTERM: a clean stop
+        pass
+    except Exception:
+        logger.exception("worker %d failed", os.getpid())
+        return 1
     finally:
-        server.close()
+        if trace.active() is not None:
+            trace.active().flush()
     return 0
 
 
@@ -362,11 +396,7 @@ class WorkerClient:
             self._drop_locked()
 
     def call(
-        self,
-        payload: Dict[str, Any],
-        *,
-        kill_pid: Optional[int] = None,
-        timeout: Optional[float] = None,
+        self, payload: Dict[str, Any], *, kill_pid: Optional[int] = None
     ) -> Dict[str, Any]:
         """One request/response round trip.
 
@@ -378,11 +408,6 @@ class WorkerClient:
         response is read, so the commit/no-commit race of a mid-op
         worker death is actually exercised (both outcomes are safe:
         the caller retries with the same rid).
-
-        ``timeout`` overrides the per-call socket timeout; the spawn
-        readiness probe uses a short one so a socket path squatted on
-        by a foreign live server fails fast instead of burning the
-        whole RPC budget per poll.
         """
         with self._lock:
             op = str(payload.get("op"))
@@ -393,9 +418,6 @@ class WorkerClient:
                         socket_path=self.path, timeout=RPC_TIMEOUT
                     )
                 conn = self._conn
-                # Unconditional: the connection outlives any short
-                # probe timeout a previous call may have left behind.
-                conn.settimeout(RPC_TIMEOUT if timeout is None else timeout)
                 conn.send_bytes(encode(payload))
                 conn.flush()
                 if kill_pid is not None:
@@ -407,19 +429,49 @@ class WorkerClient:
                 raise WorkerDied(f"worker IPC failed: {exc}") from None
 
 
-class WorkerProcess:
-    """One supervised child: assignment, Popen handle, RPC client."""
+class _Forked:
+    """The ``Popen`` surface the supervisor uses, over ``os.waitpid``."""
 
-    def __init__(self, index: int, socket_path: Path, config_path: Path,
-                 log_path: Path):
+    def __init__(self, pid: int):
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:  # another thread reaped it
+                pid, status = self.pid, 0
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: float) -> int:
+        deadline = time.monotonic() + timeout
+        while self.poll() is None:
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"pid {self.pid} outlived {timeout:g}s")
+            time.sleep(0.001)
+        return self.returncode
+
+    def send_signal(self, sig: int) -> None:
+        if self.poll() is None:  # a reaped pid may be someone else's
+            os.kill(self.pid, sig)
+
+
+class WorkerProcess:
+    """One supervised child: assignment, process handle, RPC client."""
+
+    def __init__(self, index: int, socket_path: Path, log_path: Path):
         self.index = index
         self.socket_path = socket_path
-        self.config_path = config_path
         self.log_path = log_path
         #: key -> host spec; mutated by detach so respawns exclude it.
         self.assigned: Dict[str, Dict[str, Any]] = {}
         self.client = WorkerClient(socket_path)
-        self.proc: Optional[subprocess.Popen] = None
+        self.proc: Optional[_Forked] = None
+        #: Read end of the child's readiness pipe until :meth:`await_ready`.
+        self._ready: Optional[int] = None
         self.restarts = 0
         #: Serialises concurrent ensure() calls racing to respawn.
         self.respawn_lock = threading.Lock()
@@ -461,85 +513,72 @@ class WorkerProcess:
             return "<no worker log>"
         return "\n".join(text.splitlines()[-lines:])
 
-    def spawn(self) -> None:
-        """Start the child and block until it has recovered and bound."""
-        self.config_path.write_text(json.dumps(
-            {"socket": str(self.socket_path), "hosts": self.assigned},
-            indent=2, sort_keys=True,
-        ))
-        env = dict(os.environ)
-        # The child must import repro regardless of how the parent got
-        # it onto sys.path (installed, PYTHONPATH, or sys.path.insert).
-        pkg_root = str(Path(__file__).resolve().parents[2])
-        parts = [pkg_root] + [p for p in
-                              env.get("PYTHONPATH", "").split(os.pathsep)
-                              if p and p != pkg_root]
-        env["PYTHONPATH"] = os.pathsep.join(parts)
-        with open(self.log_path, "ab") as log:
-            self.proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.fleet.workers",
-                 "--config", str(self.config_path)],
-                stdin=subprocess.DEVNULL,
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                env=env,
-            )
-        deadline = time.monotonic() + SPAWN_TIMEOUT
-        while True:
-            if self.proc.poll() is not None:
-                raise ReproError(
-                    f"worker {self.index} exited with code "
-                    f"{self.proc.returncode} during startup; log tail:\n"
-                    f"{self._log_tail()}"
-                )
+    def fork(self) -> None:
+        """Fork the child, which recovers its shards, binds and serves."""
+        supervisor = os.getpid()
+        # The child gets a copy of every buffer; written once, here.
+        for out in (sys.stdout, sys.stderr, trace.active()):
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                out.flush()  # unless it is None or a closed pipe
+        self._ready, ready_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: never returns into the caller's stack
+            code = 1
             try:
-                hello = self.client.call(
-                    {"op": "worker_hello"}, timeout=2.0
-                )
-                break
-            except WorkerDied:
-                if time.monotonic() > deadline:
-                    raise ReproError(
-                        f"worker {self.index} did not become ready within "
-                        f"{SPAWN_TIMEOUT:.0f}s; log tail:\n"
-                        f"{self._log_tail()}"
-                    ) from None
-                time.sleep(0.02)
+                code = _child(self, supervisor, ready_w)
+            finally:
+                os._exit(code)
+        os.close(ready_w)
+        self.proc = _Forked(pid)
+
+    def await_ready(self) -> None:
+        """Wait for the forked child's byte, then ask it for its shards."""
+        ready, self._ready = self._ready, None
+        poller = select.poll()
+        poller.register(ready, select.POLLIN)
+        try:
+            if not poller.poll(SPAWN_TIMEOUT * 1e3):
+                raise WorkerDied(f"not ready within {SPAWN_TIMEOUT:.0f}s")
+            if not os.read(ready, 1):  # EOF: it died before it bound
+                raise WorkerDied(f"exit code {self.proc.wait(timeout=10)}")
+            hello = self.client.call({"op": "worker_hello"})
+        except (WorkerDied, TimeoutError) as exc:
+            self.kill()
+            raise ReproError(
+                f"worker {self.index} failed to start ({exc}); log tail:\n"
+                f"{self._log_tail()}"
+            ) from None
+        finally:
+            os.close(ready)
         self.shard_meta = dict(hello.get("shards", {}))
 
     def kill(self, sig: int = signal.SIGKILL) -> None:
-        """Hard-kill the child (chaos fault) and reap it."""
+        """Signal the child (SIGKILL: the chaos fault) and reap it."""
         if self.proc is None:
             return
-        try:
-            self.proc.send_signal(sig)
-        except (ProcessLookupError, OSError):  # pragma: no cover
-            pass
+        self.proc.send_signal(sig)  # an unreaped child can be signalled
         try:
             self.proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-            self.proc.kill()
+        except TimeoutError:  # pragma: no cover - defensive
+            self.proc.send_signal(signal.SIGKILL)
             self.proc.wait(timeout=10)
         self.client.close()
 
     def stop(self) -> None:
         """Graceful shutdown: worker_shutdown op, then escalate."""
-        if self.proc is None:
-            return
-        if self.proc.poll() is None:
+        if self._ready is not None:  # forked, never awaited: no hello
+            os.close(self._ready)
+            self._ready = None
+            self.kill()
+        if self.alive:
             try:
                 self.client.call({"op": "worker_shutdown"})
             except WorkerDied:
                 pass
             try:
                 self.proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self.proc.terminate()
-                try:
-                    self.proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    self.proc.kill()
-                    self.proc.wait(timeout=5)
+            except TimeoutError:
+                self.kill(signal.SIGTERM)
         self.client.close()
 
 
@@ -572,7 +611,6 @@ class WorkerSupervisor:
             WorkerProcess(
                 i,
                 socket_path=self.sock_dir / f"w{i}.sock",
-                config_path=self.run_dir / f"worker-{i}.json",
                 log_path=self.run_dir / f"worker-{i}.log",
             )
             for i in range(workers)
@@ -613,7 +651,9 @@ class WorkerSupervisor:
         self._started = True
         try:
             for wp in self.workers:
-                wp.spawn()
+                wp.fork()
+            for wp in self.workers:
+                wp.await_ready()
         except ReproError:
             self.stop()
             raise
@@ -653,7 +693,8 @@ class WorkerSupervisor:
                 "worker %d (pid %s) is down; respawning (restart #%d)",
                 wp.index, wp.pid, wp.restarts,
             )
-            wp.spawn()
+            wp.fork()
+            wp.await_ready()
             return True
 
     def ensure_all(self) -> int:
@@ -843,7 +884,3 @@ class WorkerShard:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WorkerShard({self.key!r}, degraded={self.degraded})"
-
-
-if __name__ == "__main__":  # pragma: no cover - child entry point
-    raise SystemExit(worker_main())

@@ -183,11 +183,6 @@ class BrokerClient:
         # has none by definition.
         self._pending: Deque[Optional[int]] = deque()
 
-    def settimeout(self, timeout: float) -> None:
-        """Change the socket timeout of this and later connections."""
-        self._timeout = timeout
-        self._sock.settimeout(timeout)
-
     def reconnect(self, *, timeout: float = 10.0) -> None:
         """Tear the connection down and dial again, retrying until the
         server accepts (it may be mid-restart) or ``timeout`` expires."""

@@ -11,9 +11,18 @@ gauges, and /admin/kill_worker with supervised convergence.
 
 import asyncio
 import gc
+import io
+import json
+import logging
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +31,13 @@ from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
 from repro.fleet.replication import StandbyPool
 from repro.fleet.shards import Fleet, TenantSpec
-from repro.fleet.workers import WorkerClient, WorkerDied, WorkerSupervisor
+from repro.fleet.workers import (
+    SPAWN_TIMEOUT,
+    WorkerClient,
+    WorkerDied,
+    WorkerSupervisor,
+)
+from repro.obs import trace
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
 
@@ -195,13 +210,16 @@ class TestWorkerFailover:
             fleet.close()
 
 
-def run_gateway(client_fn, tmp_path, *, workers=2, standbys=False):
-    """test_fleet_gateway harness, worker-pool edition."""
+def run_gateway(client_fn, tmp_path, *, workers=2, standbys=False,
+                tenants=("t",)):
+    """test_fleet_gateway harness, worker-pool edition (tenant ``t``'s
+    key is ``key``, any other's ``key-<name>``)."""
     result = {}
 
     async def main():
         fleet = Fleet(
-            [TenantSpec("t", "key", TOPO)],
+            [TenantSpec(t, "key" if t == "t" else f"key-{t}", TOPO)
+             for t in tenants],
             shards=2, state_dir=tmp_path, workers=workers,
         )
         pool = StandbyPool(fleet) if standbys else None
@@ -323,14 +341,14 @@ class TestSupervisorGuards:
             Fleet([TenantSpec("t", "key", TOPO)], shards=2, workers=1)
 
     def test_failed_connect_closes_its_socket(self, tmp_path):
-        """Spawn polling connects to a socket path nobody listens on yet,
-        many times over; each refused attempt must close what it opened."""
+        """Every RPC to a dead worker connects to a socket path nobody
+        listens on; each refused attempt must close what it opened."""
         client = WorkerClient(tmp_path / "not-bound-yet.sock")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             for _ in range(3):
                 with pytest.raises(WorkerDied):
-                    client.call({"op": "worker_hello"}, timeout=0.2)
+                    client.call({"op": "worker_hello"})
             gc.collect()   # a leaked socket would be finalised here
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
@@ -473,3 +491,264 @@ class TestRoundTripsPerOp:
             assert len(set(tf.owner.values())) == 1
         finally:
             fleet.close()
+
+
+# ---------------------------------------------------------------------- #
+# A forked worker holds nothing of its parent's
+# ---------------------------------------------------------------------- #
+
+
+def fd_table(pid):
+    """``{fd: link target}`` of a live process, from ``/proc``."""
+    table = {}
+    for entry in Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            table[int(entry.name)] = os.readlink(entry)
+        except OSError:  # closed while we listed it
+            pass
+    return table
+
+
+def assert_holds_only_its_own(pid, tmp_path, tenant):
+    """A worker's fds are its stdio, its selector, sockets the gateway
+    does not hold (its listener and connections) and its tenant's
+    journals, each once."""
+    own = fd_table(pid)
+    ours = set(fd_table(os.getpid()).values())
+    assert own.pop(0) == os.devnull
+    log = own.pop(1)
+    assert Path(log).name.startswith("worker-") and own.pop(2) == log
+    kinds = {}
+    for target in own.values():
+        kind = target.split(":", 1)[0] if ":" in target else "file"
+        kinds.setdefault(kind, []).append(target)
+    assert sorted(kinds) in (["anon_inode", "file", "socket"],
+                             ["anon_inode", "socket"]), own
+    assert kinds["anon_inode"] == ["anon_inode:[eventpoll]"], own
+    assert not set(kinds["socket"]) & ours, "holds a gateway socket"
+    journals = sorted(kinds.get("file", []))
+    assert journals == sorted(
+        str(tmp_path / tenant / f"shard-{i}" / "journal.jsonl")
+        for i in range(len(journals))
+    ), own
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="needs /proc")
+class TestForkIsolation:
+    def test_worker_fds_at_start_and_after_a_respawn_in_a_gateway(
+        self, tmp_path
+    ):
+        """Worker 0 is respawned from a gateway pool thread while the
+        loop holds its TCP listener, an HTTP connection and worker 1's
+        RPC socket: none of them, nor tenant u's journals, may leak."""
+        def client(c):
+            c.check("admit", rid="i1", streams=[spec()])
+            pids = [w["pid"] for w in c.get("/healthz")["workers"]]
+            for pid, tenant in zip(pids, ("t", "u")):
+                assert_holds_only_its_own(pid, tmp_path, tenant)
+            c.admin("kill_worker", worker=0)
+            respawned = wait_for_restart(c)["workers"][0]["pid"]
+            assert respawned != pids[0]
+            assert_holds_only_its_own(respawned, tmp_path, "t")
+            assert c.check("report")["admitted"] == 1
+
+        checked(client, tmp_path, tenants=("t", "u"))
+
+    def test_sigterm_to_a_worker_leaves_the_gateway_serving(self, tmp_path):
+        def client(c):
+            c.check("admit", rid="s1", streams=[spec()])
+            os.kill(c.get("/healthz")["workers"][0]["pid"], signal.SIGTERM)
+            wait_for_restart(c)
+            assert c.check("report")["admitted"] == 1
+
+        checked(client, tmp_path)
+        log = (tmp_path / "workers" / "worker-0.log").read_text()
+        assert "Traceback" not in log, log
+
+    def test_trace_files_are_per_process_and_never_duplicated(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setenv("REPRO_TRACE_FILE", str(tmp_path / "t-{pid}.jsonl"))
+        previous = trace.active()
+        trace.configure_from_env()
+        try:
+            fleet = make_fleet(tmp_path / "state")
+            try:
+                admit_ok(fleet, "tr1")
+                first = fleet.supervisor.workers[0].pid
+                fleet.supervisor.kill_worker(0)
+                fleet.supervisor.ensure_all()
+                admit_ok(fleet, "tr2")
+                second = fleet.supervisor.workers[0].pid
+            finally:
+                fleet.close()
+        finally:
+            trace.uninstall().close()
+            if previous is not None:
+                trace.install(previous)
+        files = {int(p.stem[2:]): p for p in tmp_path.glob("t-*.jsonl")}
+        assert {os.getpid(), first, second} <= set(files)
+        for pid, path in files.items():  # (a SIGKILL loses a buffer)
+            lines = path.read_text().splitlines()
+            assert lines or pid == first, pid
+            seqs = [json.loads(line)["seq"] for line in lines]
+            assert seqs == sorted(set(seqs)), f"pid {pid}: seq repeats"
+            assert len(set(lines)) == len(lines)
+        assert '"broker.op"' in files[second].read_text()
+
+    def test_respawned_worker_logs_its_recovery(self, tmp_path):
+        fleet = make_fleet(tmp_path)
+        try:
+            admit_ok(fleet, "l1")
+            fleet.supervisor.kill_worker(0)
+            fleet.supervisor.ensure_all()
+            pid = fleet.supervisor.workers[0].pid
+        finally:
+            fleet.close()
+        log = (tmp_path / "workers" / "worker-0.log").read_text()
+        assert f"worker {pid} recovered shard t/shard-0" in log, log
+
+    def test_respawn_while_a_thread_holds_a_root_handler_lock(
+        self, tmp_path
+    ):
+        """A fork copies a lock held by another thread as held; the
+        child must not need any lock it inherited."""
+        handler = logging.StreamHandler(io.StringIO())
+        handler.setLevel(logging.CRITICAL + 1)  # the parent never uses it
+        logging.root.addHandler(handler)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with handler.lock:
+                held.set()
+                release.wait(SPAWN_TIMEOUT)
+
+        holder = threading.Thread(target=hold)
+        fleet = make_fleet(tmp_path)
+        try:
+            holder.start()
+            held.wait()
+            fleet.supervisor.kill_worker(0)
+            started = time.monotonic()
+            assert fleet.supervisor.ensure_all() == 1
+            assert time.monotonic() - started < SPAWN_TIMEOUT
+            assert fleet.handle_request("t", {"op": "report"})["ok"]
+        finally:
+            release.set()
+            holder.join()
+            logging.root.removeHandler(handler)
+            fleet.close()
+
+
+def checked(client_fn, tmp_path, **kwargs):
+    """:func:`run_gateway` with ``client_fn(c)`` run on a connection
+    whose failure is raised here, after the gateway was shut down."""
+    def client(port):
+        with GatewayClient(f"127.0.0.1:{port}", api_key="key") as c:
+            try:
+                client_fn(c)
+            except BaseException as exc:  # re-raised in the test
+                return {"error": exc}
+            finally:
+                c.request("shutdown")
+        return {}
+
+    result = run_gateway(client, tmp_path, **kwargs)
+    if "error" in result:
+        raise result["error"]
+
+
+def wait_for_restart(c, timeout=30.0):
+    """Poll /healthz (every answer must come) until it is ok again with
+    worker 0 restarted, then until a report is answered: a respawn
+    counts as alive from its fork, before it serves."""
+    deadline = time.monotonic() + timeout
+    while True:
+        health = c.get("/healthz")
+        if health.get("ok") and health["workers"][0]["restarts"] >= 1:
+            break
+        assert time.monotonic() < deadline, health
+        time.sleep(0.05)
+    while c.request("report").get("code") == "worker":
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
+    return health
+
+
+# ---------------------------------------------------------------------- #
+# A worker does not outlive its supervisor
+# ---------------------------------------------------------------------- #
+
+
+def free_port():
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def running(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_orphaned_worker_exits_and_a_restarted_gateway_stays_quiet(tmp_path):
+    """SIGKILL the gateway alone: its worker must go within 3 s, so a
+    gateway restarted on the same state dir supervises what it serves
+    through instead of respawning into an orphan's socket forever."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    port, poll = free_port(), 0.1
+
+    def gateway():
+        with open(tmp_path / "gateway.log", "ab") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "gateway", "--port",
+                 str(port), "--mesh", "4x4", "--shards", "2",
+                 "--workers", "1", "--tenant", "t=key", "--state-dir",
+                 str(tmp_path / "state"), "--poll-interval", str(poll)],
+                env=env, stdin=subprocess.DEVNULL, stdout=log,
+                stderr=subprocess.STDOUT,
+            )
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                return proc, GatewayClient(f"127.0.0.1:{port}",
+                                           api_key="key")
+            except OSError:
+                assert proc.poll() is None and time.monotonic() < deadline, (
+                    (tmp_path / "gateway.log").read_text())
+                time.sleep(0.05)
+
+    proc, c = gateway()
+    try:
+        for i in range(3):
+            c.check("admit", rid=f"o{i}", streams=[spec(src=i, dst=i + 4)])
+        worker = c.get("/healthz")["workers"][0]["pid"]
+        c.close()
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 3.0
+        while running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(worker), "the orphaned worker kept serving"
+
+        proc, c = gateway()
+        time.sleep(3 * poll)
+        health = c.get("/healthz")
+        assert health["ok"], health
+        assert [w["restarts"] for w in health["workers"]] == [0]
+        assert health["workers"][0]["pid"] != worker
+        assert c.check("report")["admitted"] == 3
+        c.request("shutdown")
+        c.close()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:  # pragma: no cover - cleanup
+            proc.kill()
+            proc.wait(timeout=30)

@@ -12,10 +12,13 @@ stream reader, request queue or second protocol class or HTTP parser,
 and a task only where an answer has to be awaited (the fleet worker's
 blocking ``select`` loop serves one client and is not an asyncio
 server: it measured faster than a ``LineConnection`` listener, see
-EXPERIMENTS.md). These checks read
-the source tree, so a second copy fails here rather than drifting.
+EXPERIMENTS.md). A fleet worker is a fork of its supervisor, never a
+fresh interpreter, and its branch of the fork can only leave through
+``os._exit``. These checks read the source tree, so a second copy fails
+here rather than drifting.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -100,3 +103,19 @@ def test_a_task_only_where_an_answer_is_awaited():
         r"self\._awaited\(answer\)\)",
         server,
     )
+
+
+def test_workers_are_forked_and_their_branch_ends_in_exit():
+    fork = re.compile(r"\bos\.fork\(")
+    assert _modules_matching(fork) == ["fleet/workers.py"]
+    assert _occurrences(fork) == 1
+    source = (SRC / "fleet" / "workers.py").read_text()
+    for word in ("subprocess", "sys.executable", "argparse", "__main__"):
+        assert word not in source, word
+    [child] = [node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "pid == 0"]
+    # Whatever the child runs, it never returns into the parent's stack.
+    last = child.body[-1]
+    assert isinstance(last, ast.Try) and last.finalbody
+    assert ast.unparse(last.finalbody[-1]).startswith("os._exit(")
