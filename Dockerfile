@@ -1,5 +1,5 @@
 # Fleet gateway image: `repro gateway` fronting N engine shards per
-# tenant with journal-shipping standbys (docs/DEPLOYMENT.md).
+# tenant, journaled under /var/lib/repro (docs/DEPLOYMENT.md).
 #
 #   docker build -t repro-fleet .
 #   docker run --rm -p 7316:7316 -v repro-state:/var/lib/repro \
@@ -20,8 +20,8 @@ COPY pyproject.toml setup.py README.md ./
 COPY src ./src
 RUN pip install --no-cache-dir .
 
-# Journals, snapshots and standby state live here; mount a volume or a
-# container restart has nothing to recover from.
+# Journals and snapshots live here; mount a volume or a container
+# restart (or a shard failover) has nothing to recover from.
 RUN mkdir -p /var/lib/repro
 VOLUME /var/lib/repro
 

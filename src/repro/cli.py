@@ -67,10 +67,11 @@ Commands
     Run the sharded broker fleet behind an HTTP front end (see
     :mod:`repro.fleet`): per-tenant API keys (``--tenant NAME=KEY``,
     repeatable), ``--shards`` engines per tenant partitioned by
-    channel-connected components, journal-shipping warm standbys when
-    ``--state-dir`` is given, ``GET /healthz``, a Prometheus
-    ``GET /metrics`` rollup, the JSON admission API under ``/v1/`` and
-    kill/failover admin ops under ``/admin/``.
+    channel-connected components, journals under ``--state-dir``,
+    ``GET /healthz``, a Prometheus ``GET /metrics`` rollup, the JSON
+    admission API under ``/v1/`` and kill/failover admin ops under
+    ``/admin/`` (a failover replays the shard's journal, as a restart
+    does).
 ``chaos``
     Run a seeded fault-injection campaign (see
     :mod:`repro.faults.campaign`): a fault-free oracle executes an op
@@ -82,7 +83,7 @@ Commands
     least ``--min-faults`` faults fired. The printed seed reproduces the
     campaign exactly. ``--fleet`` points the same driver at a sharded
     fleet instead: multi-tenant churn with journal faults, whole-fleet
-    crash restarts, primary kills, standby promotions and worker
+    crash restarts, primary kills and their recoveries, and worker
     SIGKILLs, judged per tenant against single-engine oracles.
 """
 
@@ -245,13 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="topology spec as JSON (all tenants)")
     p_gateway.add_argument("--state-dir", default=None, metavar="DIR",
                            help="persistence root (one subdirectory per "
-                                "tenant/shard); also enables the "
-                                "journal-shipping warm standbys")
-    p_gateway.add_argument("--no-standby", action="store_true",
-                           help="persist without warm standbys")
-    p_gateway.add_argument("--poll-interval", type=float, default=0.2,
-                           help="standby journal-tail period in seconds "
-                                "(default 0.2)")
+                                "tenant/shard); also enables "
+                                "/admin/failover")
 
     p_load = sub.add_parser(
         "load", help="replay admit/release churn against a running broker"
@@ -336,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "fired across all three layers")
     p_chaos.add_argument("--fleet", action="store_true",
                          help="run the campaign against a sharded fleet "
-                              "(kills, promotions, whole-fleet restarts)")
+                              "(kills, recoveries, whole-fleet restarts)")
     p_chaos.add_argument("--tenants", type=int, default=3,
                          help="fleet tenants (--fleet only; default 3)")
     p_chaos.add_argument("--shards", type=int, default=2,
@@ -613,7 +609,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_gateway(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .fleet import Fleet, GatewayServer, StandbyPool, TenantSpec
+    from .fleet import Fleet, GatewayServer, TenantSpec
 
     topo = _serve_topology_spec(args)
     pairs = args.tenant or ["default=dev-key"]
@@ -631,12 +627,7 @@ def _run_gateway(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
         workers=args.workers,
     )
-    standbys = None
-    if args.state_dir is not None and not args.no_standby:
-        standbys = StandbyPool(fleet)
-    gateway = GatewayServer(
-        fleet, standbys=standbys, poll_interval=args.poll_interval
-    )
+    gateway = GatewayServer(fleet)
 
     async def run() -> None:
         await gateway.start(args.host, args.port)
@@ -646,8 +637,7 @@ def _run_gateway(args: argparse.Namespace) -> int:
         print(
             f"repro-gateway listening on http://{args.host}:"
             f"{gateway.port} ({len(specs)} tenant(s) x {args.shards} "
-            f"shard(s), {recovered} stream(s) recovered, standbys "
-            f"{'on' if standbys else 'off'}, "
+            f"shard(s), {recovered} stream(s) recovered, "
             f"{args.workers or 'no'} worker process(es))",
             flush=True,
         )

@@ -8,8 +8,8 @@ A campaign replays one seeded op schedule twice:
 2. **Chaos run** — the same schedule executes against a persistent
    *deployment* while faults fire (see :mod:`repro.faults.plane`). The
    driver behaves like a correct client: idempotent request ids and
-   at-least-once retries, ``snapshot`` to clear degraded mode, failover
-   when a shard is down.
+   at-least-once retries, ``snapshot`` to clear degraded mode, shard
+   recovery when a shard is down.
 
 Afterwards a *fresh*, fault-free deployment recovers from the chaos
 run's state dir and the campaign asserts the two invariants the whole
@@ -21,7 +21,7 @@ subsystem exists for:
   recovery is not "approximately right", it is the same state — and
   sharding is a placement strategy, not an approximation.
 * **Zero acked-then-lost, zero phantoms** — every operation the driver
-  saw acknowledged survives every crash, kill and promotion, and
+  saw acknowledged survives every crash, kill and recovery, and
   nothing survives that was never acknowledged (no phantom admissions
   from replayed retries).
 
@@ -30,7 +30,7 @@ request is delivered, which faults are placed before an op, what a
 restart is: :class:`_BrokerTarget` (the broker in this process),
 :class:`_SocketTarget` (the broker over a real unix socket) and
 :class:`_FleetTarget` (``repro chaos --fleet``: a sharded multi-tenant
-fleet with standbys and, optionally, worker processes). A broker
+fleet, optionally with worker processes). A broker
 campaign runs the head of its schedule on the first and the tail on the
 second; both share one run, one fault plane and one state dir, so the
 socket stage starts by recovering the in-process stage's state. Link
@@ -63,7 +63,6 @@ from pathlib import Path
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
-from ..fleet.replication import StandbyPool
 from ..fleet.shards import Fleet, TenantSpec
 from ..io import topology_from_spec
 from ..service.host import EngineHost
@@ -95,7 +94,7 @@ __all__ = [
 
 #: Retry ceiling per op. Each armed fault is one-shot, so two attempts
 #: normally converge; the slack covers a degraded round-trip (snapshot +
-#: retry) stacked on a crash, a failover and a worker restart.
+#: retry) stacked on a crash, a shard recovery and a worker restart.
 _MAX_ATTEMPTS = 32
 
 _LINK_FAULT = {"fail_link": "link_fail", "restore_link": "link_restore"}
@@ -438,18 +437,18 @@ def _converge(
             # A disk fault left the journal read-only; clear it with a
             # ``snapshot`` op, exactly as a supervising client would.
             counts["degraded_recoveries"] += 1
-            target.failover(tenant)
+            target.recover(tenant)
             snap = target.send(tenant, {"op": "snapshot"})
             if not snap.get("ok"):  # pragma: no cover - one-shot faults
                 raise ReproError(
                     f"snapshot failed to clear degraded: {snap}"
                 )
         elif code == "down":
-            # The op needs a dead shard: this is the failover moment,
+            # The op needs a dead shard: this is the recovery moment,
             # with the rest of the fleet's traffic already committed
             # around it.
             counts["ops_while_dead"] += 1
-            target.failover(tenant)
+            target.recover(tenant)
         else:
             return response
     raise ReproError(  # pragma: no cover - defensive
@@ -497,8 +496,8 @@ class _Target:
         self.close()
         self.open()
 
-    def failover(self, tenant: Tenant = None) -> None:
-        """Promote standbys of dead primaries (no-op without any)."""
+    def recover(self, tenant: Tenant = None) -> None:
+        """Recover dead shards (no-op without any)."""
 
     def finish(self) -> Optional[Dict[Tenant, str]]:
         """Quiesce; the survivor's fingerprints, if judged like the disk's."""
@@ -705,7 +704,7 @@ class _SocketTarget(_BrokerTarget):
 
 
 class _FleetTarget(_Target):
-    """A sharded multi-tenant fleet with journal-shipping standbys.
+    """A sharded multi-tenant fleet.
 
     The fault vocabulary is the fleet's deployment reality:
 
@@ -717,10 +716,13 @@ class _FleetTarget(_Target):
       exactly what fleet recovery's repairs exist for.
     * **Primary kills** — a random shard stops serving between ops (a
       crash point *within* an op is the journal faults' job). With
-      probability ½ the driver fails over immediately; otherwise it
+      probability ½ the driver recovers it immediately; otherwise it
       keeps issuing ops — those that land on live shards proceed, the
-      first that needs the dead shard forces the failover — so promotion
-      happens with real traffic in flight around it.
+      first that needs the dead shard forces the recovery — so recovery
+      happens with real traffic in flight around it. A recovery is the
+      fleet's :meth:`~repro.fleet.shards.TenantFleet.recover_shard`:
+      the shard replays its journal as after a restart, with the fault
+      plane still armed on it (in worker mode its worker is respawned).
     * **Worker kills** (``workers > 0``) — a *real* ``SIGKILL`` of a
       live shard worker process, either between ops or armed to fire
       mid-RPC (after the request bytes left the parent, before the ack
@@ -733,7 +735,7 @@ class _FleetTarget(_Target):
     """
 
     def open(self) -> None:
-        """(Re)build the fleet + standbys from disk, riding out one crash.
+        """(Re)build the fleet from disk, riding out one crash.
 
         Fleet recovery itself journals (duplicate-repair releases,
         re-merge migrations, link reconciliation), so a fault still
@@ -751,7 +753,6 @@ class _FleetTarget(_Target):
                     fault_plane=None if cfg.workers else self.plane,
                     workers=cfg.workers,
                 )
-                self.standbys = StandbyPool(self.fleet)
                 return
             except InjectedCrash:
                 self.counts["restarts"] += 1
@@ -767,7 +768,7 @@ class _FleetTarget(_Target):
         supervisor = fleet.supervisor
         # A primary kill lands between ops (a clean journal boundary;
         # intra-op crash points belong to the journal faults). Half the
-        # time the failover is immediate; the other half traffic keeps
+        # time the recovery is immediate; the other half traffic keeps
         # flowing and the first op that needs the dead shard forces it.
         if (
             not any(t.dead for t in fleet.tenants.values())
@@ -775,11 +776,10 @@ class _FleetTarget(_Target):
         ):
             tf = fleet.tenants[entry.tenant]
             victim = rng.randrange(len(tf.hosts))
-            self.standbys.catch_up()
             tf.kill_host(victim)
             self.counts["kills"] += 1
             if rng.random() < 0.5:
-                self.failover()
+                self.recover()
         if supervisor is not None and rng.random() < cfg.worker_kill_rate:
             self.counts["worker_kills"] += 1
             if rng.random() < 0.5:
@@ -799,21 +799,21 @@ class _FleetTarget(_Target):
     def send(self, tenant: Tenant, request: Dict[str, Any]) -> Dict[str, Any]:
         return self.fleet.handle_request(tenant, request)
 
-    def failover(self, tenant: Tenant = None) -> None:
-        """Fail every dead primary over to its standby (given a
-        ``tenant``: only if one of *its* shards is down)."""
+    def recover(self, tenant: Tenant = None) -> None:
+        """Recover every dead shard (given a ``tenant``: only if one of
+        *its* shards is down)."""
         tenants = self.fleet.tenants
         if tenant is not None and not tenants[tenant].dead:
             return
         for tname in sorted(tenants):
             for shard in sorted(tenants[tname].dead):
-                self.standbys.promote(tname, shard)
-                self.counts["promotions"] += 1
+                tenants[tname].recover_shard(shard)
+                self.counts["recoveries"] += 1
 
     def finish(self) -> Optional[Dict[Tenant, str]]:
-        # Leave no primary dead: promote stragglers so the final fleet
+        # Leave no shard dead: recover stragglers so the final fleet
         # (and the fresh recovery after it) is fully serving.
-        self.failover()
+        self.recover()
         supervisor = self.fleet.supervisor
         if supervisor is not None:
             # Quiesce: drop any unconsumed mid-RPC kill and bring every
@@ -855,7 +855,7 @@ _BROKER_KEYS = (
 )
 _FLEET_KEYS = (
     "seed", "ops", "tenants", "shards", "committed", "faults",
-    "fleet_restarts", "kills", "promotions", "ops_while_dead",
+    "fleet_restarts", "kills", "recoveries", "ops_while_dead",
     "degraded_recoveries", "duplicate_acks", "workers", "worker_kills",
     "worker_retries", "worker_restarts", "outcome_mismatches", "oracle_shas",
     "live_shas", "recovered_shas", "bit_identical", "acked_then_lost",
@@ -882,7 +882,7 @@ class ChaosReport:
     # Event counters of the chaos run.
     restarts: int
     kills: int
-    promotions: int
+    recoveries: int
     ops_while_dead: int
     degraded_recoveries: int
     duplicate_acks: int
@@ -969,7 +969,7 @@ class ChaosReport:
                 f"{self.tenants} tenants x {self.shards} shards"
                 f"{pool}, {self.faults_total} faults, "
                 f"{self.restarts} fleet restarts, {self.kills} kills -> "
-                f"{self.promotions} promotions ({self.ops_while_dead} ops "
+                f"{self.recoveries} recoveries ({self.ops_while_dead} ops "
                 f"hit a dead shard){sigkills}"
             )
         else:

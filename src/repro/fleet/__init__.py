@@ -21,14 +21,11 @@ the broker's defining property — bit-identical admission verdicts:
     JSON-lines unix socket per worker, SIGKILL-safe restarts with
     journal recovery, per-core parallelism across tenants.
 
-:mod:`repro.fleet.replication`
-    :class:`ShardStandby` / :class:`StandbyPool` — journal-shipping warm
-    standbys with SHA-256-verified promotion on failover.
-
 :mod:`repro.fleet.gateway`
     :class:`GatewayServer` — the asyncio HTTP front end
     (``repro gateway``): per-tenant API keys, /healthz, Prometheus
-    /metrics rollup, JSON admission API, kill/failover admin ops.
+    /metrics rollup, JSON admission API, kill/failover admin ops (a
+    failover recovers the shard from its journal, as a restart does).
 
 :mod:`repro.fleet.client`
     :class:`GatewayClient` — the broker client with an HTTP framing, so
@@ -39,7 +36,6 @@ the broker's defining property — bit-identical admission verdicts:
 from .client import GatewayClient
 from .gateway import GatewayServer
 from .regions import ChannelIndex, entry_channels
-from .replication import JournalTailer, ShardStandby, StandbyPool
 from .shards import Fleet, TenantFleet, TenantSpec
 from .workers import WorkerShard, WorkerSupervisor
 
@@ -49,9 +45,6 @@ __all__ = [
     "Fleet",
     "TenantFleet",
     "TenantSpec",
-    "JournalTailer",
-    "ShardStandby",
-    "StandbyPool",
     "GatewayServer",
     "GatewayClient",
     "WorkerShard",

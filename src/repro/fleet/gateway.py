@@ -5,9 +5,9 @@ framing) exposing the broker protocol as a JSON-over-HTTP API:
 
 ``GET  /healthz``
     Liveness/consistency rollup: per tenant, shard count, dead shards,
-    degraded flags, admitted streams, standby lag. ``200`` when every
-    shard is up and writable, ``503`` otherwise. Unauthenticated (it
-    leaks no tenant data beyond counts).
+    degraded flags, admitted streams; per worker, its pid and restarts.
+    ``200`` when every shard is up and writable, ``503`` otherwise.
+    Unauthenticated (it leaks no tenant data beyond counts).
 ``GET  /metrics``
     Prometheus rollup across every tenant and shard (plus the gateway's
     own HTTP counters). Unauthenticated, like the broker's scrape port.
@@ -25,8 +25,9 @@ framing) exposing the broker protocol as a JSON-over-HTTP API:
     churn loadgen drives this endpoint, which keeps its op stream
     byte-compatible with the raw socket broker.
 ``POST /admin/failover`` ``{"tenant": ..., "shard": N}``
-    Promote the shard's warm standby (the primary must be dead). The
-    API key must belong to the named tenant.
+    Recover the shard from its journal the way a restart does, in the
+    process that owns it (a live shard is killed first). Needs a
+    persistent fleet. The API key must belong to the named tenant.
 ``POST /admin/kill`` ``{"tenant": ..., "shard": N}``
     Simulate a primary crash (testing/chaos; same auth rule).
 ``POST /admin/kill_worker`` ``{"worker": N}``
@@ -60,8 +61,8 @@ mode (``repro gateway --workers N``) the shards run in supervised child
 processes, so a batch's runs are awaited by one task, each dispatched
 to a thread pool under one asyncio lock per tenant, held for the whole
 run: still single-writer *per tenant*, but different tenants'
-admissions run truly in parallel across cores. Background tasks tail
-the journals into the warm standbys and restart any worker that dies.
+admissions run truly in parallel across cores. A background task
+restarts any worker that dies.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from pathlib import Path
 from typing import (Any, Awaitable, Callable, Dict, Generator, List, Optional,
                     Set, Tuple, Union)
 from urllib.parse import parse_qs
@@ -89,7 +89,6 @@ from ..service.server import (
     close_connections,
     keep_recv_buffers_on_heap,
 )
-from .replication import StandbyPool
 from .shards import Fleet
 
 __all__ = ["GatewayServer"]
@@ -104,20 +103,15 @@ _ROUTES = frozenset(
     + [f"/v1/{op}" for op in HTTP_OPS]
 )
 
+#: Seconds between the worker monitor's respawn sweeps.
+_MONITOR_PERIOD = 0.2
+
 
 class GatewayServer:
-    """HTTP front end over a :class:`Fleet` (+ optional standbys)."""
+    """HTTP front end over a :class:`Fleet`."""
 
-    def __init__(
-        self,
-        fleet: Fleet,
-        *,
-        standbys: Optional[StandbyPool] = None,
-        poll_interval: float = 0.2,
-    ):
+    def __init__(self, fleet: Fleet):
         self.fleet = fleet
-        self.standbys = standbys
-        self.poll_interval = poll_interval
         #: (path or "other", status) -> responses sent.
         self.requests: Dict[Tuple[str, int], int] = {}
         self.auth_failures = 0
@@ -132,7 +126,6 @@ class GatewayServer:
         #: :meth:`start`: still known while the gateway shuts down.
         self.port = 0
         self._stopping = asyncio.Event()
-        self._poll_task: Optional[asyncio.Task] = None
         self._monitor_task: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._tenant_locks: Dict[str, asyncio.Lock] = {}
@@ -148,8 +141,6 @@ class GatewayServer:
             lambda: HttpConnection(self), host=host, port=port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.standbys is not None:
-            self._poll_task = asyncio.create_task(self._poll_standbys())
         if self.fleet.supervisor is not None:
             # Worker-pool mode: fleet ops block on a child-process RPC,
             # so they leave the event loop for a thread pool — one
@@ -180,28 +171,17 @@ class GatewayServer:
         await close_connections(self.connections)
         if server is not None:
             await server.wait_closed()
-        for attr in ("_poll_task", "_monitor_task"):
-            task = getattr(self, attr)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, attr, None)
+        task, self._monitor_task = self._monitor_task, None
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
         self.fleet.close()
-
-    async def _poll_standbys(self) -> None:
-        assert self.standbys is not None
-        while True:
-            try:
-                self.standbys.catch_up()
-            except ReproError:  # pragma: no cover - defensive
-                logger.exception("standby catch-up failed")
-            await asyncio.sleep(self.poll_interval)
 
     async def _monitor_workers(self) -> None:
         """Respawn dead workers between requests, not just on the next
@@ -211,7 +191,7 @@ class GatewayServer:
         assert supervisor is not None and self._executor is not None
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.poll_interval)
+            await asyncio.sleep(_MONITOR_PERIOD)
             try:
                 await loop.run_in_executor(
                     self._executor, supervisor.ensure_all
@@ -424,49 +404,11 @@ class GatewayServer:
             }
             healthy = healthy and not dead and not degraded
         out: Dict[str, Any] = {"ok": healthy, "tenants": tenants}
-        if self.standbys is not None:
-            out["standbys"] = {
-                f"{t}/{s}": sb.ops_applied
-                for (t, s), sb in sorted(self.standbys.standbys.items())
-            }
         if self.fleet.supervisor is not None:
-            workers = []
-            for wp in self.fleet.supervisor.workers:
-                workers.append({
-                    "index": wp.index,
-                    "pid": wp.pid,
-                    "alive": wp.alive,
-                    "restarts": wp.restarts,
-                    "shards": sorted(wp.assigned),
-                    "journal_lag_bytes": self._worker_journal_lag(wp),
-                })
-                healthy = healthy and wp.alive
-            out["workers"] = workers
+            out["workers"] = self.fleet.supervisor.status()
+            healthy = healthy and all(w["alive"] for w in out["workers"])
             out["ok"] = healthy
         return (200 if healthy else 503), out
-
-    def _worker_journal_lag(self, wp: Any) -> int:
-        """Bytes of journal the standbys have not yet shipped, summed
-        over the worker's shards (0 without standbys: nothing tails, so
-        there is no lag to speak of)."""
-        if self.standbys is None:
-            return 0
-        lag = 0
-        for key, spec in wp.assigned.items():
-            journal = Path(spec["state_dir"]) / "journal.jsonl"
-            try:
-                size = journal.stat().st_size
-            except OSError:
-                continue
-            tenant, _, shard_name = key.partition("/")
-            try:
-                shard = int(shard_name.rsplit("-", 1)[1])
-            except (IndexError, ValueError):  # pragma: no cover
-                continue
-            sb = self.standbys.standbys.get((tenant, shard))
-            if sb is not None:
-                lag += max(0, size - sb.tailer.offset)
-        return lag
 
     def _gateway_metrics(self, reg: MetricsRegistry) -> None:
         for (path, status), count in sorted(self.requests.items()):
@@ -494,21 +436,6 @@ class GatewayServer:
             "Times a connection's reader stopped reading because its "
             "read-ahead queue was full.",
         ).value = float(self.readahead_full)
-        if self.standbys is not None:
-            for (tenant, shard), sb in sorted(
-                self.standbys.standbys.items()
-            ):
-                reg.counter(
-                    "repro_fleet_standby_ops_applied_total",
-                    "Journal records shipped into the warm standby.",
-                    tenant=tenant, shard=str(shard),
-                ).value = float(sb.ops_applied)
-                reg.gauge(
-                    "repro_fleet_standby_stale_streams",
-                    "Replica streams whose verdict awaits a settle: what "
-                    "a promotion of this standby would recompute.",
-                    tenant=tenant, shard=str(shard),
-                ).set(sb.host.engine.stale)
         if self.fleet.supervisor is not None:
             for wp in self.fleet.supervisor.workers:
                 worker = str(wp.index)
@@ -527,12 +454,6 @@ class GatewayServer:
                     "Supervised restarts of the worker process.",
                     worker=worker,
                 ).value = float(wp.restarts)
-                reg.gauge(
-                    "repro_fleet_worker_journal_lag_bytes",
-                    "Journal bytes not yet shipped to warm standbys, "
-                    "summed over the worker's shards.",
-                    worker=worker,
-                ).value = float(self._worker_journal_lag(wp))
                 for op, count in sorted(dict(wp.client.calls).items()):
                     reg.counter(
                         "repro_fleet_worker_rpcs_total",
@@ -552,12 +473,7 @@ class GatewayServer:
                 raise _HttpError(
                     400, "gateway runs in-process shards (no --workers)"
                 )
-            worker = payload.get("worker")
-            n = len(supervisor.workers)
-            if not isinstance(worker, int) or not 0 <= worker < n:
-                raise _HttpError(
-                    400, f"'worker' must be an index in [0, {n})"
-                )
+            worker = _index(payload, "worker", len(supervisor.workers))
             pid = supervisor.kill_worker(worker)
             return 200, {"ok": True, "killed_worker": worker, "pid": pid}
         target = payload.get("tenant", tenant)
@@ -566,27 +482,34 @@ class GatewayServer:
                 403, "API key does not belong to the target tenant"
             )
         tf = self.fleet.tenants[tenant]
-        shard = payload.get("shard")
-        if not isinstance(shard, int) or not 0 <= shard < len(tf.hosts):
-            raise _HttpError(
-                400, f"'shard' must be an index in [0, {len(tf.hosts)})"
-            )
+        shard = _index(payload, "shard", len(tf.hosts))
         if path == "/admin/kill":
             tf.kill_host(shard)
             return 200, {"ok": True, "killed": shard}
         if path == "/admin/failover":
-            if self.standbys is None:
-                raise _HttpError(400, "gateway runs without standbys")
-            if shard not in tf.dead:
-                # Explicit failover of a live primary is legal (planned
-                # maintenance) but it must stop writing first.
-                tf.kill_host(shard)
+            if tf.state_dir is None:
+                raise _HttpError(
+                    400, "failover replays the shard's journal: the "
+                    "gateway runs without --state-dir"
+                )
+            # A live shard is killed first (planned maintenance): it
+            # must stop serving before its journal is replayed.
+            tf.kill_host(shard)
             try:
-                self.standbys.promote(tenant, shard)
+                tf.recover_shard(shard)
             except ReproError as exc:
                 return 503, {"ok": False, "error": str(exc)}
             return 200, {
-                "ok": True, "promoted": shard,
+                "ok": True, "recovered": shard,
                 "admitted": tf.hosts[shard].admitted_count(),
             }
         return 404, {"ok": False, "error": f"no route {path!r}"}
+
+
+def _index(payload: Dict[str, Any], key: str, n: int) -> int:
+    """``payload[key]`` as an index in ``[0, n)``, else a 400 (a JSON
+    ``true`` is not an index, though ``bool`` subclasses ``int``)."""
+    value = payload.get(key)
+    if type(value) is not int or not 0 <= value < n:
+        raise _HttpError(400, f"'{key}' must be an index in [0, {n})")
+    return value

@@ -1,33 +1,34 @@
-"""Journal-shipping replication: warm standbys and explicit failover.
+"""Journal tailing: a test oracle and a ladder probe, not a served path.
 
-The broker journal (PR 3/5) is a deterministic replay log: every record
-was appended only after the primary's engine accepted the op, and the
+No deployed surface runs this module. A fleet fails a dead shard over
+the way a restart recovers it, by replaying its journal in the process
+that owns it (:meth:`repro.fleet.shards.TenantFleet.recover_shard`).
+What stays here is the independent second reading of a journal that
+the tests compare recovery against, and that the bench spine's ladder
+times (``fleet.replication.*``).
+
+The broker journal is a deterministic replay log: every record was
+appended only after the primary's engine accepted the op, and the
 analysis has no hidden state, so replaying snapshot + journal rebuilds
-the engine bit-identically. Replication is therefore *shipping the
-journal*: a :class:`ShardStandby` bootstraps from the primary's
-snapshot, then tails the journal file by byte offset and applies new
-records to a warm in-memory engine. Applying is structure maintenance
-only (``EngineHost.apply_journal_op`` marks, it does not re-decide what
-the primary already decided): nobody reads a replica's verdicts until
-promotion, so that is when they are computed.
+the engine bit-identically. A :class:`ShardStandby` bootstraps from a
+shard's snapshot, then tails the journal file by byte offset and
+applies new records to an in-memory engine. Applying is structure
+maintenance only (``EngineHost.apply_journal_op`` marks, it does not
+re-decide what the primary already decided): verdicts are computed when
+the replica is read.
 
 The tailer never writes to the primary's files (recovery's torn-tail
-truncate-repair is the primary's job; a standby racing it mid-append
-could corrupt a live journal). A partial trailing record — no newline
-yet, or bytes that don't parse — is simply not consumed; the next poll
-retries from the same offset. Compaction shows up as the journal file
-shrinking below the tail offset: the standby reloads the fresh snapshot
-and restarts from offset zero.
+truncate-repair is the primary's job). A partial trailing record — no
+newline yet, or bytes that don't parse — is simply not consumed; the
+next poll retries from the same offset. Compaction shows up as the
+journal file shrinking below the tail offset: the replica reloads the
+fresh snapshot and restarts from offset zero.
 
-Failover (:meth:`ShardStandby.promote`) is deliberately paranoid: the
-standby catches up to the journal tip, a *fresh* host recovers from the
-on-disk state the failed primary left behind, and the two SHA-256 state
-fingerprints must be identical before the disk-recovered host is handed
-to the fleet as the new primary. A mismatch means replication diverged
-from recovery and promotion refuses.
-
-Single-writer assumption: promotion happens only after the primary is
-dead. Two hosts appending to one journal is outside the model.
+:meth:`ShardStandby.promote` is the oracle check: the replica catches up
+to the journal tip, a *fresh* host recovers from the on-disk state the
+dead primary left behind, and the two SHA-256 state fingerprints must be
+identical. A mismatch means the tail and recovery read the journal
+differently, and promotion refuses.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..errors import ReproError
 from ..service.host import EngineHost
 from ..service.persistence import read_snapshot
-from .shards import Fleet
 
-__all__ = ["JournalTailer", "ShardStandby", "StandbyPool"]
+__all__ = ["JournalTailer", "ShardStandby"]
 
 logger = logging.getLogger(__name__)
 
@@ -216,50 +216,5 @@ class ShardStandby:
         logger.info(
             "promoted standby for %s (%d streams, sha %s)",
             self.state_dir, len(disk_spec["streams"]), disk_sha[:12],
-        )
-        return promoted
-
-
-class StandbyPool:
-    """One warm standby per (tenant, shard) of a persistent fleet."""
-
-    def __init__(self, fleet: Fleet):
-        if fleet.state_dir is None:
-            raise ReproError(
-                "journal-shipping replication needs a persistent fleet "
-                "(state_dir)"
-            )
-        self.fleet = fleet
-        self.standbys: Dict[Tuple[str, int], ShardStandby] = {}
-        for tname, tf in fleet.tenants.items():
-            for i in range(len(tf.hosts)):
-                self.standbys[(tname, i)] = ShardStandby(
-                    tf.state_dir / f"shard-{i}", tf.topology_spec
-                )
-
-    def catch_up(self) -> int:
-        """Poll every standby; returns total ops shipped this tick."""
-        return sum(sb.catch_up() for sb in self.standbys.values())
-
-    def promote(self, tenant: str, shard: int) -> EngineHost:
-        """Fail the (dead) primary over to its standby.
-
-        Swaps the verified disk-recovered host into the fleet and
-        re-bootstraps the standby slot against the same directory, so
-        the new primary is immediately replicated again.
-        """
-        key = (tenant, shard)
-        if key not in self.standbys:
-            raise ReproError(f"no standby for tenant {tenant!r} shard {shard}")
-        tf = self.fleet.tenants[tenant]
-        # The primary must be dead before its successor opens the
-        # journal: detach closes an in-process host (idempotent, no-op
-        # after a real crash) and evicts a worker-hosted shard from its
-        # child process, so no worker respawn ever reopens this journal.
-        tf.detach_shard(shard)
-        promoted = self.standbys[key].promote()
-        tf.replace_host(shard, promoted)
-        self.standbys[key] = ShardStandby(
-            tf.state_dir / f"shard-{shard}", tf.topology_spec
         )
         return promoted

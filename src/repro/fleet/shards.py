@@ -38,7 +38,7 @@ Shard clients
 The manager never touches an engine directly: every shard is driven
 through the *shard-client* surface (``handle_request`` plus the
 accessors :meth:`~repro.service.host.EngineHost.shard_dump`,
-``upper_bounds``, ``admitted_count``, ``drop_rid``, ``detach``, ...),
+``upper_bounds``, ``admitted_count``, ``drop_rid``, ...),
 so ``self.hosts`` can hold in-process :class:`EngineHost`\\ s (the
 default) or :class:`~repro.fleet.workers.WorkerShard` proxies fronting
 supervised child processes (``Fleet(..., workers=N)``). Worker deaths
@@ -151,6 +151,8 @@ class TenantFleet(OpInterpreter):
         # ops broadcast).
         self._route_table = shared_route_table(self.routing)
         self.state_dir = Path(state_dir) if state_dir is not None else None
+        self._analysis = analysis
+        self._fault_plane = fault_plane
         if shard_clients is not None:
             # Pre-built shard clients (worker-process proxies): the
             # engines live elsewhere; this manager only places and
@@ -159,18 +161,7 @@ class TenantFleet(OpInterpreter):
                 raise ReproError("shard_clients must be non-empty")
             self.hosts: List[Any] = list(shard_clients)
         else:
-            self.hosts = [
-                EngineHost(
-                    self.topology_spec,
-                    state_dir=(
-                        None if self.state_dir is None
-                        else self.state_dir / f"shard-{i}"
-                    ),
-                    analysis=analysis,
-                    fault_plane=fault_plane,
-                )
-                for i in range(shards)
-            ]
+            self.hosts = [self._open_host(i) for i in range(shards)]
         #: sid -> shard index currently holding the stream.
         self.owner: Dict[int, int] = {}
         #: sid -> (spec, resolved analysis name), same keys as ``owner``:
@@ -185,10 +176,22 @@ class TenantFleet(OpInterpreter):
         self._next_id = 0
         self.escalations = 0
         self.migrated_streams = 0
-        #: Shards whose primary crashed and has not been failed over yet.
+        #: Shards whose primary crashed and has not been recovered yet.
         self.dead: Set[int] = set()
         if self.state_dir is not None:
             self._recover_fleet()
+
+    def _open_host(self, shard: int) -> EngineHost:
+        """Open in-process shard ``shard``: what a restart opens."""
+        return EngineHost(
+            self.topology_spec,
+            state_dir=(
+                None if self.state_dir is None
+                else self.state_dir / f"shard-{shard}"
+            ),
+            analysis=self._analysis,
+            fault_plane=self._fault_plane,
+        )
 
     # ------------------------------------------------------------------ #
     # Recovery
@@ -420,7 +423,8 @@ class TenantFleet(OpInterpreter):
         down = sorted(self.dead.intersection(shards))
         if down:
             raise ShardDownError(
-                f"shard(s) {down} are down; fail over to their standbys"
+                f"shard(s) {down} are down; fail them over (recover "
+                "from their journals)"
             )
 
     def _gate_shards(self, shard_indexes: Iterable[int]) -> None:
@@ -835,28 +839,35 @@ class TenantFleet(OpInterpreter):
         Nothing is flushed or closed — every committed journal record is
         already fsynced, which is exactly what a real process death
         leaves behind. Ops needing the shard fail until
-        :meth:`replace_host` installs a successor.
+        :meth:`recover_shard` brings it back.
         """
         if not 0 <= shard < len(self.hosts):
             raise ReproError(f"no shard {shard} (have {len(self.hosts)})")
         self.dead.add(shard)
 
-    def replace_host(self, shard: int, host: Any) -> None:
-        """Swap in a promoted host for a failed primary (failover)."""
-        self.hosts[shard] = host
-        self._bounds.pop(shard, None)
-        self.dead.discard(shard)
+    def recover_shard(self, shard: int) -> None:
+        """Fail a shard over the way a restart would: replay its journal
+        in the process that owns it.
 
-    def detach_shard(self, shard: int) -> None:
-        """Release the shard's journal for a parent-side takeover.
-
-        In-process hosts just close; worker proxies evict the shard
-        from their child process first, so a standby promotion never
-        opens a journal a worker still writes (single-writer rule).
+        An in-process host is closed and re-opened from its state dir;
+        a worker-hosted shard's worker is killed and respawned, and
+        recovers every shard it hosts. Either way the shard comes back
+        with the tenant's analysis and fault plane, as after a restart.
         """
         if not 0 <= shard < len(self.hosts):
             raise ReproError(f"no shard {shard} (have {len(self.hosts)})")
-        self.hosts[shard].detach()
+        if self.state_dir is None:
+            raise ReproError(
+                "recovering a shard needs a persistent fleet (state_dir)"
+            )
+        host = self.hosts[shard]
+        if isinstance(host, EngineHost):
+            host.close()
+            self.hosts[shard] = self._open_host(shard)
+        else:
+            host.restart()
+        self._bounds.pop(shard, None)
+        self.dead.discard(shard)
 
     def close(self) -> None:
         for host in self.hosts:

@@ -9,11 +9,11 @@ Child side (a fork of the supervisor, :func:`_child`)
     parent (own stdio, signals, logging and tracer; no inherited fd),
     recovers one :class:`~repro.service.host.EngineHost` per assigned
     ``tenant/shard-i`` key from that shard's *unchanged* journal
-    directory (so :class:`~repro.fleet.replication.JournalTailer`
-    standbys keep tailing the same files), binds a per-worker unix
-    socket with the broker's stale-socket hygiene, says so with one
-    byte on a private pipe and serves the broker's JSON-lines protocol
-    until stopped or orphaned. It always ends in ``os._exit``.
+    directory (exactly what an in-process restart opens), binds a
+    per-worker unix socket with the broker's stale-socket hygiene, says
+    so with one byte on a private pipe and serves the broker's
+    JSON-lines protocol until stopped or orphaned. It always ends in
+    ``os._exit``.
 
 Parent side
     :class:`WorkerSupervisor` forks and monitors the children,
@@ -24,16 +24,15 @@ Parent side
     implemented as RPCs.
 
 Requests are the normal broker ops plus a ``"shard"`` routing field;
-``worker_*`` ops (hello/status/dump/bounds/stats/drop_rid/detach/
-shutdown) carry the supervision and placement bookkeeping that
+``worker_*`` ops (hello/status/dump/bounds/stats/drop_rid/shutdown)
+carry the supervision and placement bookkeeping that
 :class:`~repro.fleet.shards.TenantFleet` needs across the process
 boundary.
 
 Single-writer discipline: a shard's journal is only ever open in one
-process. The child serves its shards single-threaded; the supervisor
-``detach``\\ es a shard (child closes it and drops the key from the
-respawn assignment) before a standby promotion opens the same journal
-in the parent.
+process, its worker, which serves its shards single-threaded. A shard
+never leaves its worker: failing it over (:meth:`WorkerShard.restart`)
+kills and respawns the worker, which recovers the journal again.
 
 Mid-op worker death is safe by construction: committed mutations are
 journaled with their ``rid`` before the ack, so the supervisor restarts
@@ -272,15 +271,6 @@ class _WorkerServer:
                 raise ProtocolError("'worker_drop_rid' needs a string 'rid'")
             self._shard_of(request).drop_rid(rid)
             return {"ok": True}
-        if op == "worker_detach":
-            shard = request.get("shard")
-            host = self.hosts.pop(shard, None)
-            if host is not None:
-                host.close()
-                logger.info("worker %d detached shard %s",
-                            os.getpid(), shard)
-            return {"ok": True, "detached": shard,
-                    "was_hosted": host is not None}
         if op == "worker_shutdown":
             self.running = False
             return {"ok": True, "stopping": True}
@@ -322,7 +312,7 @@ def _child(wp: "WorkerProcess", supervisor: int, ready: int) -> int:
     for fd, target in ((0, null), (1, log), (2, log)):
         os.dup2(target, fd)
     # The gateway's listener and connections, other workers' sockets,
-    # promoted shards' journals, epoll, the self-pipe: nothing stays.
+    # epoll, the self-pipe: nothing stays.
     os.closerange(3, ready)
     os.closerange(ready + 1, os.sysconf("SC_OPEN_MAX"))
     _inherited.extend([sys.stdout, sys.stderr, trace.active(),
@@ -466,7 +456,7 @@ class WorkerProcess:
         self.index = index
         self.socket_path = socket_path
         self.log_path = log_path
-        #: key -> host spec; mutated by detach so respawns exclude it.
+        #: key -> host spec: what every (re)spawn recovers.
         self.assigned: Dict[str, Dict[str, Any]] = {}
         self.client = WorkerClient(socket_path)
         self.proc: Optional[_Forked] = None
@@ -722,24 +712,6 @@ class WorkerSupervisor:
         """Drop an unconsumed mid-RPC kill (end-of-campaign quiesce)."""
         self._inflight_kill = False
 
-    def detach(self, key: str) -> None:
-        """Evict ``key`` from its worker for a parent-side takeover.
-
-        Removes the shard from the respawn assignment *first* (a crash
-        right now must not resurrect it in the child), then asks the
-        live worker to close it. A dead worker holds no file handles,
-        so WorkerDied here means the journal is already free.
-        """
-        wp = self._worker_of.pop(key, None)
-        if wp is None:
-            return
-        wp.assigned.pop(key, None)
-        wp.shard_meta.pop(key, None)
-        try:
-            wp.client.call({"op": "worker_detach", "shard": key})
-        except WorkerDied:
-            pass
-
     # ------------------------------ RPC + status ---------------------- #
 
     def call(self, key: str, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -798,8 +770,6 @@ class WorkerShard:
             return error_response(
                 request, str(self._died(exc)), code="worker"
             )
-        except ReproError as exc:  # detached shard: no longer routed
-            return error_response(request, str(exc), code="worker")
         self._track(request, response)
         return response
 
@@ -875,9 +845,14 @@ class WorkerShard:
             for key in ("streams", "next_id", "applied") if key in dump
         }
 
-    def detach(self) -> None:
-        """Hand the shard's journal back to the parent process."""
-        self.supervisor.detach(self.key)
+    def restart(self) -> None:
+        """Kill this shard's worker and respawn it: the fresh child
+        recovers every shard it hosts from its journal."""
+        supervisor = self.supervisor
+        supervisor.kill_worker(supervisor.worker_for(self.key).index)
+        supervisor.ensure(self.key)
+        self.degraded = False
+        self.degraded_reason = None
 
     def close(self) -> None:
         """No-op: worker lifecycles belong to the supervisor."""

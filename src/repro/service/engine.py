@@ -61,8 +61,9 @@ the moment the ops that shaped it were applied, and marks compose — an
 id no op marked since its last computation has an unchanged closure.
 The live mutators decide at once (``try_admit`` computes its trial,
 ``release`` is ``retire`` + ``_settle``); the deferred pair exists for
-consumers of the journal — restart recovery and the warm standbys —
-whose every record the primary's engine already decided.
+consumers of the journal — restart recovery, and a shard's failover,
+which is the same recovery — whose every record the primary's engine
+already decided.
 
 **Reach-set maintenance.** ``_reach[j]`` is the transitive closure of the
 blocked-by relation from ``j`` (``j`` excluded) — exactly the member ids

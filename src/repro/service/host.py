@@ -19,16 +19,16 @@ of the system composes:
   deduplication and read-only degradation on journal failures;
 * snapshot + journal persistence and restart recovery
   (:mod:`repro.service.persistence`), factored into
-  :meth:`load_snapshot` / :meth:`apply_journal_op` so a warm standby can
-  replay the same records the recovery path does
-  (:mod:`repro.fleet.replication`). Replay *applies* records through the
-  engine's ``adopt`` / ``retire`` and decides nothing — the primary
-  decided each one before journaling it; verdicts are settled by the
-  first reader, and recovery checks the settled report before it
-  compacts (see "Settle rule" in :mod:`repro.service.engine`);
+  :meth:`load_snapshot` / :meth:`apply_journal_op`. Replay *applies*
+  records through the engine's ``adopt`` / ``retire`` and decides
+  nothing — the primary decided each one before journaling it; verdicts
+  are settled by the first reader, and recovery checks the settled
+  report before it compacts (see "Settle rule" in
+  :mod:`repro.service.engine`). A restart and a fleet's shard failover
+  are the same recovery;
 * :meth:`fingerprint` — the SHA-256 identity over everything recovery
-  promises to preserve, shared by the chaos campaign and the fleet's
-  failover assertions.
+  promises to preserve, shared by the chaos campaign and the
+  equivalence tests.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ class EngineHost(OpInterpreter):
             self._recover()
 
     # ------------------------------------------------------------------ #
-    # Recovery / replication building blocks
+    # Recovery building blocks
     # ------------------------------------------------------------------ #
 
     def _recover(self) -> None:
@@ -289,9 +289,8 @@ class EngineHost(OpInterpreter):
     def load_snapshot(self, rec: RecoveredState) -> None:
         """Apply what a snapshot file held to an empty engine.
 
-        Shared by restart recovery and the standby's bootstrap
-        (:mod:`repro.fleet.replication`), in the one order that is
-        right: high-water mark, rid table, failed links, streams.
+        Recovery's first step, in the one order that is right:
+        high-water mark, rid table, failed links, streams.
         """
         if rec.next_id is not None:
             # Restore the fresh-id high-water mark so ids released before
@@ -323,12 +322,11 @@ class EngineHost(OpInterpreter):
     def apply_journal_op(self, op: Dict[str, Any]) -> None:
         """Apply one committed journal record to the engine.
 
-        Shared by restart recovery and the journal-shipping standby. The
-        record was only ever written after the primary's engine accepted
-        it, so replay applies it without deciding again (``adopt`` /
-        ``retire`` mark, the next reader settles). Whether disk and
-        engine agree is checked where the answer exists: at the end of
-        :meth:`_recover`, at a standby's promotion, and before a link op,
+        The record was only ever written after the primary's engine
+        accepted it, so replay applies it without deciding again
+        (``adopt`` / ``retire`` mark, the next reader settles). Whether
+        disk and engine agree is checked where the answer exists: at the
+        end of :meth:`_recover` and before a link op,
         whose eviction fixpoint would otherwise drop a stream the
         journal wrongly admitted instead of reporting it.
         """
@@ -439,15 +437,6 @@ class EngineHost(OpInterpreter):
                 rid: dict(out) for rid, out in self._applied.items()
             }
         return dump
-
-    def detach(self) -> None:
-        """Stop serving and release the journal (single-writer handoff).
-
-        For an in-process host this is just :meth:`close`; the worker
-        proxy overrides it to evict the shard from its child process so
-        a standby promotion never races a worker holding the journal.
-        """
-        self.close()
 
     def _admitted_analyses(self) -> Dict[int, str]:
         """Per-stream backend names of the admitted set (for snapshots)."""

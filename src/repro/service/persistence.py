@@ -84,8 +84,8 @@ class RecoveredState:
     failed_links: List[List[int]] = field(default_factory=list)
     #: Whether a torn (partial) final journal record was skipped.
     torn_tail: bool = False
-    #: The snapshot file's bytes, if any (a standby hashes them to
-    #: notice a compaction it did not tail).
+    #: The snapshot file's bytes, if any (a journal-tailing replica
+    #: hashes them to notice a compaction it did not tail).
     raw: Optional[bytes] = None
 
 
@@ -94,10 +94,10 @@ def read_snapshot(
 ) -> RecoveredState:
     """Read ``snapshot.json`` into a :class:`RecoveredState` (no journal).
 
-    The one reader of the file — restart recovery and a standby's
-    bootstrap both come here. Validates that the snapshot was taken over
-    the topology the caller runs: recovering a 10x10-mesh admitted set
-    onto a torus would silently re-route everything.
+    The one reader of the file — restart recovery and a journal-tailing
+    replica's bootstrap both come here. Validates that the snapshot was
+    taken over the topology the caller runs: recovering a 10x10-mesh
+    admitted set onto a torus would silently re-route everything.
     """
     out = RecoveredState()
     path = Path(path)

@@ -39,8 +39,8 @@ disk, and stops accepting mutations: they fail with ``code:
 ``links``/``stats``/``hello``) keep working. A successful ``snapshot``
 op (which rewrites the snapshot and truncates the journal) clears the
 condition. A fleet refuses an op that needs a shard whose primary is
-down with ``code: "down"`` (:class:`ShardDownError`) until the shard's
-standby is promoted.
+down with ``code: "down"`` (:class:`ShardDownError`) until the shard is
+failed over, i.e. recovered from its journal.
 
 Ops
 ---
@@ -201,7 +201,7 @@ class DegradedError(ReproError):
 
 class ShardDownError(ReproError):
     """Raised by a fleet for an op that needs a shard whose primary is
-    down: promote its standby, then retry (``code: "down"``)."""
+    down: fail the shard over, then retry (``code: "down"``)."""
 
     code = "down"
 
@@ -440,7 +440,7 @@ class RidTable(dict):
     the most recent :data:`~repro.service.persistence.RID_CAP` (FIFO).
 
     A plain mapping to everything that persists or ships it (snapshot
-    writer, shard dump, standby bootstrap).
+    writer, shard dump, recovery).
     """
 
     def record(

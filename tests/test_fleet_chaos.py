@@ -44,7 +44,7 @@ class TestSmallFleetCampaign:
         # The hostile rates must actually produce hostility.
         assert report.faults_total > 0
         assert report.kills >= 1
-        assert report.promotions >= 1
+        assert report.recoveries >= 1
         assert report.fleet_restarts >= 1
 
     def test_campaign_is_reproducible(self):
@@ -55,8 +55,8 @@ class TestSmallFleetCampaign:
 
     def test_link_slots_ride_the_fleet_campaign(self, tmp_path):
         """The link layer on the fleet target: per-tenant link state,
-        torn broadcasts, standbys bootstrapped from snapshots with
-        failed links, refused admits — same two invariants."""
+        torn broadcasts, shards recovered from snapshots with failed
+        links, refused admits — same two invariants."""
         linky = replace(SMALL, link_rate=0.15)
         report = run_chaos_campaign(linky, state_dir=tmp_path)
         assert report.ok, report.summary()
@@ -80,7 +80,7 @@ class TestSmallFleetCampaign:
         report = run_chaos_campaign(SMALL, state_dir=tmp_path)
         d = report.to_dict()
         for key in ("seed", "ops", "tenants", "shards", "kills",
-                    "promotions", "oracle_shas", "live_shas",
+                    "recoveries", "oracle_shas", "live_shas",
                     "recovered_shas", "bit_identical", "ok"):
             assert key in d
         assert set(d["oracle_shas"]) == {"tenant-0", "tenant-1"}
@@ -153,7 +153,7 @@ class TestFullFleetCampaign:
         )
         assert report.ok, report.summary()
         assert report.kills >= 1
-        assert report.promotions >= 1
+        assert report.recoveries >= 1
 
     def test_default_size_campaign_with_links(self, tmp_path):
         report = run_chaos_campaign(

@@ -10,8 +10,11 @@ response is equal **as a whole dict** (verdicts, bounds, closures,
 error strings) and the final SHA-256 fingerprints are identical.
 
 Mid-campaign the fuzz also kills a primary that owns live streams and
-fails over to its journal-shipped standby; equivalence must hold
-straight through the promotion.
+fails it over (the shard replays its journal, as a restart does);
+equivalence must hold straight through the recovery. At the end, an
+independent reading of every shard's journal (the tailing oracle,
+:class:`~repro.fleet.replication.ShardStandby`) must land on each live
+shard's fingerprint.
 """
 
 import asyncio
@@ -27,7 +30,7 @@ import pytest
 from repro.faults.campaign import ScheduledOp, apply_outcome, build_request
 from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
-from repro.fleet.replication import StandbyPool
+from repro.fleet.replication import ShardStandby
 from repro.fleet.shards import Fleet, TenantSpec
 from repro.service.host import EngineHost
 from repro.service.loadgen import BrokerClient, churn_spec
@@ -45,13 +48,12 @@ def run_equivalence(seed, tmp_path, *, shards=4, ops=OPS, kills=1):
     fleet = Fleet(
         [TenantSpec("t", "key", TOPO)], shards=shards, state_dir=tmp_path
     )
-    pool = StandbyPool(fleet)
     tf = fleet.tenants["t"]
     ref = EngineHost(TOPO)
     rng = random.Random(seed)
     live = []
     kill_slots = set(rng.sample(range(ops // 3, ops - 10), kills))
-    promotions = 0
+    recoveries = 0
     max_spread = 0  # most shards simultaneously holding streams
 
     for i in range(ops):
@@ -85,33 +87,32 @@ def run_equivalence(seed, tmp_path, *, shards=4, ops=OPS, kills=1):
         max_spread = max(
             max_spread, len(set(tf.owner.values())) if tf.owner else 0
         )
-        if i % 9 == 0:
-            pool.catch_up()
         if i in kill_slots and tf.owner:
             victim = tf.owner[live[int(rng.random() * len(live))]]
             tf.kill_host(victim)
-            pool.promote("t", victim)
-            promotions += 1
-            # The promoted shard answers exactly like the reference.
+            tf.recover_shard(victim)
+            recoveries += 1
+            # The recovered shard answers exactly like the reference.
             probe = next(s for s, o in tf.owner.items() if o == victim)
             request = {"op": "query", "stream": probe}
             assert (fleet.handle_request("t", dict(request))
                     == ref.handle_request(dict(request)))
             assert_books_exact(tf)
 
-    pool.catch_up()
     fleet_sha, fleet_spec = tf.fingerprint()
     ref_sha, ref_spec = ref.fingerprint()
     assert fleet_sha == ref_sha
     assert fleet_spec == ref_spec
-    # Every warm standby converged to its primary too.
-    for (tenant, shard), sb in pool.standbys.items():
-        assert sb.fingerprint()[0] == tf.hosts[shard].fingerprint()[0]
+    # The oracle: a fresh tail of every shard's journal agrees with it.
+    for shard, host in enumerate(tf.hosts):
+        oracle = ShardStandby(tmp_path / "t" / f"shard-{shard}", TOPO)
+        oracle.catch_up()
+        assert oracle.fingerprint()[0] == host.fingerprint()[0]
     fleet.close()
     return {
         "ops": ops,
         "escalations": tf.escalations,
-        "promotions": promotions,
+        "recoveries": recoveries,
         "max_spread": max_spread,
         "live": len(live),
     }
@@ -121,7 +122,7 @@ def run_equivalence(seed, tmp_path, *, shards=4, ops=OPS, kills=1):
 def test_fleet_bit_identical_under_fuzz(seed, tmp_path):
     stats = run_equivalence(seed, tmp_path)
     assert stats["ops"] >= 200
-    assert stats["promotions"] >= 1, "campaign must exercise failover"
+    assert stats["recoveries"] >= 1, "campaign must exercise failover"
     # The run must actually have exercised the interesting machinery:
     # streams spread over >1 shard, and at least one cross-shard
     # escalation (a batch whose component spanned shards).
@@ -133,7 +134,7 @@ def test_fleet_single_shard_degenerate(tmp_path):
     """shards=1 is the trivial partition; equivalence is exact there
     too (guards against the fleet layer itself perturbing requests)."""
     stats = run_equivalence(7, tmp_path, shards=1, ops=60, kills=1)
-    assert stats["promotions"] == 1
+    assert stats["recoveries"] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -385,7 +386,7 @@ def _open_surface(surface, tmp_path):
             [TenantSpec("t", "key", TOPO)], shards=2, workers=workers,
             state_dir=tmp_path / "fleet",
         )
-        gateway = GatewayServer(fleet, poll_interval=0.05)
+        gateway = GatewayServer(fleet)
         await gateway.start("127.0.0.1", 0)
         return gateway
 

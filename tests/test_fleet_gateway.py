@@ -1,7 +1,8 @@
-"""HTTP gateway tests: auth, the /v1 API, health, metrics, admin
-failover — round-tripped through the real asyncio server on a loopback
-TCP port, driven by :class:`GatewayClient` from a worker thread (the
-same harness shape as ``test_service_server.TestAsyncFrontEnd``)."""
+"""HTTP gateway tests: auth, the /v1 API, health, metrics, admin kill
+and failover (recovery) — round-tripped through the real asyncio server
+on a loopback TCP port, driven by :class:`GatewayClient` from a worker
+thread (the same harness shape as
+``test_service_server.TestAsyncFrontEnd``)."""
 
 import asyncio
 import threading
@@ -11,10 +12,9 @@ import pytest
 from repro.errors import ReproError
 from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
-from repro.fleet.replication import StandbyPool
 from repro.fleet.shards import Fleet, TenantSpec
 from repro.service.loadgen import BrokerClient, run_load
-from repro.service.server import BrokerServer
+from repro.service.server import BrokerServer, _HttpError
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
 
@@ -24,8 +24,7 @@ def spec(src=0, dst=2, priority=5, period=300, length=4):
             "length": length, "deadline": period}
 
 
-def run_gateway(client_fn, tmp_path=None, *, tenants=None, shards=2,
-                standbys=None):
+def run_gateway(client_fn, tmp_path=None, *, tenants=None, shards=2):
     """Start a gateway on a loopback port, run ``client_fn(port)`` in a
     thread, and return its result dict (plus the server under "gw")."""
     tenants = tenants or [TenantSpec("acme", "secret", TOPO)]
@@ -33,10 +32,7 @@ def run_gateway(client_fn, tmp_path=None, *, tenants=None, shards=2,
 
     async def main():
         fleet = Fleet(tenants, shards=shards, state_dir=tmp_path)
-        pool = None
-        if standbys:
-            pool = StandbyPool(fleet)
-        gw = GatewayServer(fleet, standbys=pool, poll_interval=0.05)
+        gw = GatewayServer(fleet)
         await gw.start("127.0.0.1", 0)
         thread = threading.Thread(
             target=lambda: result.update(client_fn(gw.port))
@@ -247,12 +243,12 @@ class TestAdmin:
                 c.request("shutdown")
             return out
 
-        result = run_gateway(client, tmp_path, standbys=True)
+        result = run_gateway(client, tmp_path)
         assert result["kill"]["_status"] == 200
         assert result["health_down"]["ok"] is False
         assert result["health_down"]["tenants"]["acme"]["dead"] == [0]
         assert result["failover"]["_status"] == 200
-        assert result["failover"]["promoted"] == 0
+        assert result["failover"]["recovered"] == 0
         assert result["health_up"]["ok"] is True
         assert result["report"]["admitted"] == 1
 
@@ -270,15 +266,18 @@ class TestAdmin:
         assert result["forbidden"]["_status"] == 403
         assert "does not belong" in result["forbidden"]["error"]
 
-    def test_failover_without_standbys_is_400(self):
+    def test_failover_without_state_dir_is_400(self):
         def client(port):
             with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
                 response = c.admin("failover", tenant="acme", shard=0)
+                health = c.get("/healthz")
                 c.request("shutdown")
-            return {"response": response}
+            return {"response": response, "health": health}
 
-        result = run_gateway(client)  # no state_dir -> no standbys
+        result = run_gateway(client)  # no state_dir -> no journal
         assert result["response"]["_status"] == 400
+        assert "--state-dir" in result["response"]["error"]
+        assert result["health"]["ok"] is True
 
     def test_bad_shard_is_400(self, tmp_path):
         def client(port):
@@ -287,30 +286,25 @@ class TestAdmin:
                 c.request("shutdown")
             return {"response": response}
 
-        result = run_gateway(client, tmp_path, standbys=True)
+        result = run_gateway(client, tmp_path)
         assert result["response"]["_status"] == 400
 
-
-class TestStandbyPolling:
-    def test_background_poll_ships_journal(self, tmp_path):
-        """The gateway's poll task replicates without any explicit
-        catch_up call from the request path."""
-        def client(port):
-            import time
-
-            with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
-                c.check("admit", streams=[spec()])
-                deadline = time.monotonic() + 5.0
-                shipped = {}
-                while time.monotonic() < deadline:
-                    shipped = c.get("/healthz").get("standbys", {})
-                    if any(shipped.values()):
-                        break
-                    time.sleep(0.05)
-                c.request("shutdown")
-            return {"shipped": shipped}
-
-        result = run_gateway(client, tmp_path, standbys=True)
-        assert any(result["shipped"].values()), (
-            "background poller never shipped the admit"
-        )
+    @pytest.mark.parametrize("path,payload", [
+        ("/admin/kill", {"tenant": "acme", "shard": True}),
+        ("/admin/failover", {"tenant": "acme", "shard": True}),
+        ("/admin/kill_worker", {"worker": True}),
+    ])
+    def test_bool_index_is_400(self, tmp_path, path, payload):
+        """A JSON ``true`` is not an index, though ``bool`` subclasses
+        ``int``: nothing is killed or recovered."""
+        fleet = Fleet([TenantSpec("acme", "secret", TOPO)], shards=2,
+                      state_dir=tmp_path, workers=1)
+        try:
+            pid = fleet.supervisor.workers[0].pid
+            with pytest.raises(_HttpError) as err:
+                GatewayServer(fleet)._admin(path, "acme", payload)
+            assert err.value.status == 400
+            assert fleet.tenants["acme"].dead == set()
+            assert fleet.supervisor.workers[0].pid == pid
+        finally:
+            fleet.close()

@@ -1,16 +1,18 @@
-"""Journal-shipping replication: tailer edges, standby convergence,
-verified promotion.
+"""The journal-tailing oracle: tailer edges, replica convergence,
+promotion verified against a disk recovery.
 
-The dangerous cases are all races between the primary's compaction and
-the standby's tail offset; each detection mechanism (file shrank,
-consumed-prefix SHA mismatch, snapshot SHA changed at offset zero) gets
-a test that would fail if that mechanism were removed.
+No served path tails journals (a fleet fails a shard over by replaying
+its journal, as a restart does); the tailer is the second, independent
+reading of a journal that recovery is checked against. The dangerous
+cases are all races between the primary's compaction and the replica's
+tail offset; each detection mechanism (file shrank, consumed-prefix SHA
+mismatch, snapshot SHA changed at offset zero) gets a test that would
+fail if that mechanism were removed.
 """
 
 import json
 
-from repro.fleet.replication import JournalTailer, ShardStandby, StandbyPool
-from repro.fleet.shards import Fleet, TenantSpec
+from repro.fleet.replication import JournalTailer, ShardStandby
 from repro.service.host import EngineHost
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
@@ -208,84 +210,3 @@ class TestShardStandby:
         q = promoted.handle_request({"op": "query", "stream": sid})
         assert q["ok"], "acked-then-lost across failover"
         promoted.close()
-
-
-# ---------------------------------------------------------------------- #
-# StandbyPool against a live fleet
-# ---------------------------------------------------------------------- #
-
-
-class TestStandbyPool:
-    def test_pool_promote_swaps_and_rearms(self, tmp_path):
-        fleet = Fleet(
-            [TenantSpec("t", "k", TOPO)], shards=2, state_dir=tmp_path
-        )
-        pool = StandbyPool(fleet)
-        tf = fleet.tenants["t"]
-        a = fleet.handle_request(
-            "t", {"op": "admit", "streams": [spec(0, 2)]}
-        )["ids"][0]
-        fleet.handle_request("t", {"op": "admit", "streams": [spec(8, 10)]})
-        pool.catch_up()
-
-        shard = tf.owner[a]
-        tf.kill_host(shard)
-        assert not fleet.handle_request(
-            "t", {"op": "query", "stream": a}
-        )["ok"]
-        pool.promote("t", shard)
-        assert fleet.handle_request("t", {"op": "query", "stream": a})["ok"]
-        assert not tf.dead
-
-        # The replacement standby replicates the new primary.
-        fleet.handle_request("t", {"op": "admit", "streams": [spec(5, 7)]})
-        pool.catch_up()
-        for (tenant, i), sb in pool.standbys.items():
-            assert sb.fingerprint()[0] == tf.hosts[i].fingerprint()[0]
-        fleet.close()
-
-    def test_promote_after_a_snapshot_that_holds_failed_links(self, tmp_path):
-        """The snapshot's fifth field: a standby bootstrapped from a
-        snapshot taken while a link was down must restore the link set
-        before the streams, as restart recovery does — else promotion
-        refuses with a fingerprint mismatch, forever."""
-        fleet = Fleet(
-            [TenantSpec("t", "k", TOPO)], shards=2, state_dir=tmp_path
-        )
-        pool = StandbyPool(fleet)
-        tf = fleet.tenants["t"]
-        for request in (
-            {"op": "admit", "streams": [spec(0, 3)]},
-            {"op": "fail_link", "link": [1, 2]},
-            {"op": "snapshot"},
-        ):
-            assert fleet.handle_request("t", request)["ok"]
-        pool.catch_up()
-        sha = tf.fingerprint()[0]
-        tf.kill_host(0)
-        pool.promote("t", 0)
-        assert tf.links_spec() == [[1, 2]]
-        assert tf.fingerprint()[0] == sha
-
-        # And the other way: restored again before the next snapshot.
-        for request in (
-            {"op": "restore_link", "link": [1, 2]},
-            {"op": "snapshot"},
-        ):
-            assert fleet.handle_request("t", request)["ok"]
-        pool.catch_up()
-        sha = tf.fingerprint()[0]
-        tf.kill_host(1)
-        pool.promote("t", 1)
-        assert tf.hosts[1].links_spec() == []
-        assert tf.fingerprint()[0] == sha
-        fleet.close()
-
-    def test_pool_requires_persistence(self, tmp_path):
-        import pytest
-
-        from repro.errors import ReproError
-
-        fleet = Fleet([TenantSpec("t", "k", TOPO)], shards=2)
-        with pytest.raises(ReproError):
-            StandbyPool(fleet)

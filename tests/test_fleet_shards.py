@@ -15,7 +15,14 @@ import time
 import pytest
 
 from repro.errors import ReproError
+from repro.faults.plane import (
+    SITE_JOURNAL_APPEND,
+    FaultPlane,
+    FaultSpec,
+    InjectedCrash,
+)
 from repro.fleet.regions import ChannelIndex, entry_channels
+from repro.fleet.replication import ShardStandby
 from repro.fleet.shards import Fleet, TenantFleet, TenantSpec
 from repro.service.host import EngineHost
 from repro.topology.route_table import shared_route_table
@@ -438,15 +445,83 @@ class TestDeadShards:
         q = tf.handle_request({"op": "query", "stream": b})
         assert q["ok"]
 
-    def test_replace_host_revives_shard(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+    def test_replace_host_revives_shard(self, tmp_path):
+        """Failover replaces the dead host with the one a restart opens
+        (its journal replayed): the shard serves again, and keeps
+        journaling what a fresh, independent reading of its journal
+        agrees with."""
+        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
         a = admit(tf, spec(0, 2))["ids"][0]
+        admit(tf, spec(30, 32))
         shard = tf.owner[a]
-        old = tf.hosts[shard]
         tf.kill_host(shard)
-        tf.replace_host(shard, old)  # stand-in for a promoted standby
+        assert not tf.handle_request({"op": "query", "stream": a})["ok"]
+        tf.recover_shard(shard)
         assert tf.handle_request({"op": "query", "stream": a})["ok"]
         assert not tf.dead
+        assert admit(tf, spec(5, 7))["ok"]
+        assert_books_exact(tf)
+        for i, host in enumerate(tf.hosts):
+            oracle = ShardStandby(tmp_path / f"shard-{i}", TOPO)
+            oracle.catch_up()
+            assert oracle.fingerprint()[0] == host.fingerprint()[0]
+        tf.close()
+
+    def test_recover_shard_requires_persistence(self):
+        tf = TenantFleet("t", TOPO, shards=2)
+        tf.kill_host(0)
+        with pytest.raises(ReproError, match="persistent"):
+            tf.recover_shard(0)
+        assert tf.dead == {0}
+
+    def test_recover_after_a_snapshot_that_holds_failed_links(
+        self, tmp_path
+    ):
+        """The snapshot's fifth field: a shard recovered from a snapshot
+        taken while a link was down restores the link set before the
+        streams, and the tenant's fingerprint does not move."""
+        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        for request in (
+            {"op": "admit", "streams": [spec(0, 3)]},
+            {"op": "fail_link", "link": [1, 2]},
+            {"op": "snapshot"},
+        ):
+            assert tf.handle_request(request)["ok"]
+        sha = tf.fingerprint()[0]
+        tf.kill_host(0)
+        tf.recover_shard(0)
+        assert tf.hosts[0].links_spec() == [[1, 2]]
+        assert tf.fingerprint()[0] == sha
+
+        # And the other way: restored again before the next snapshot.
+        for request in (
+            {"op": "restore_link", "link": [1, 2]},
+            {"op": "snapshot"},
+        ):
+            assert tf.handle_request(request)["ok"]
+        sha = tf.fingerprint()[0]
+        tf.kill_host(1)
+        tf.recover_shard(1)
+        assert tf.hosts[1].links_spec() == []
+        assert tf.fingerprint()[0] == sha
+        tf.close()
+
+    def test_recovered_shard_still_trips_an_armed_journal_fault(
+        self, tmp_path
+    ):
+        """A recovered shard is opened like every other shard: on the
+        tenant's fault plane, so chaos keeps injecting into it."""
+        plane = FaultPlane()
+        tf = TenantFleet("t", TOPO, shards=1, state_dir=tmp_path,
+                         fault_plane=plane)
+        assert admit(tf, spec(0, 2))["ok"]
+        tf.kill_host(0)
+        tf.recover_shard(0)
+        plane.arm(SITE_JOURNAL_APPEND, FaultSpec("crash_after_append"))
+        with pytest.raises(InjectedCrash):
+            admit(tf, spec(4, 6))
+        assert plane.fired == {"crash_after_append": 1}
+        tf.close()
 
     def test_kill_bounds_checked(self):
         tf = TenantFleet("t", TOPO, shards=2)

@@ -3,10 +3,11 @@
 The units here are the supervision contract itself: a SIGKILLed worker
 is detected, respawned, and recovers its shards from their journals; a
 mid-RPC kill surfaces as the retryable ``worker`` error code and the
-rid idempotency table makes the retry exactly-once; detach hands a
-shard back to the parent for standby promotion. The gateway tests run
-the same machinery behind HTTP: /healthz worker rows, /metrics worker
-gauges, and /admin/kill_worker with supervised convergence.
+rid idempotency table makes the retry exactly-once; failing a shard
+over respawns its worker, which recovers the shard where it always
+lived. The gateway tests run the same machinery behind HTTP: /healthz
+worker rows, /metrics worker gauges, /admin/kill_worker with supervised
+convergence, and /admin/kill + /admin/failover.
 """
 
 import asyncio
@@ -29,7 +30,6 @@ import pytest
 from repro.errors import ReproError
 from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
-from repro.fleet.replication import StandbyPool
 from repro.fleet.shards import Fleet, TenantSpec
 from repro.fleet.workers import (
     SPAWN_TIMEOUT,
@@ -180,38 +180,51 @@ class TestInflightKill:
 
 
 class TestWorkerFailover:
-    def test_detach_and_promote_cross_process(self, tmp_path):
-        """Standby promotion in worker mode: the dead shard is detached
-        from its worker (so respawns exclude it) and replaced by an
-        in-process promoted host, invisibly to clients."""
+    def test_failover_respawns_the_owning_worker(self, tmp_path):
+        """Failover in worker mode: the dead shard's worker is killed
+        and respawned, and recovers the shard from its journal — the
+        shard never leaves its worker, invisibly to clients."""
         fleet = make_fleet(tmp_path)
-        pool = StandbyPool(fleet)
         try:
             admitted = admit_ok(fleet, "f1")
             sid = admitted["ids"][0]
-            pool.catch_up()
             tf = fleet.tenants["t"]
             victim = tf.owner[sid]
-            victim_key = f"t/shard-{victim}"
+            wp = fleet.supervisor.worker_for(f"t/shard-{victim}")
+            pid = wp.pid
             tf.kill_host(victim)
-            pool.promote("t", victim)
-            # The supervisor no longer routes (or respawns) the shard.
-            with pytest.raises(ReproError, match="no worker hosts"):
-                fleet.supervisor.worker_for(victim_key)
+            tf.recover_shard(victim)
+            assert not tf.dead
+            assert wp.pid != pid and wp.alive and wp.restarts == 1
             query = fleet.handle_request("t", {"op": "query", "stream": sid})
             assert query["ok"] and query["stream"]["id"] == sid
-            # A worker restart after the detach must not resurrect the
-            # promoted shard inside the child.
-            fleet.supervisor.kill_worker(0)
-            fleet.supervisor.ensure_all()
             report = fleet.handle_request("t", {"op": "report"})
             assert report["ok"] and report["admitted"] == 1
         finally:
             fleet.close()
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_failover_keeps_the_tenant_analysis(self, tmp_path, workers):
+        """A failed-over shard is the shard a restart would open: with
+        the tenant's analysis, not the engine default."""
+        fleet = Fleet(
+            [TenantSpec("t", "key", TOPO, analysis="tighter")],
+            shards=2, state_dir=tmp_path, workers=workers,
+        )
+        try:
+            tf = fleet.tenants["t"]
+            tf.kill_host(0)
+            tf.recover_shard(0)
+            assert [h.default_analysis for h in tf.hosts] == [
+                "tighter", "tighter"]
+            admitted = admit_ok(fleet, "a1")
+            assert tf.owner[admitted["ids"][0]] == 0
+            assert admitted["analysis"] == "tighter"
+        finally:
+            fleet.close()
 
-def run_gateway(client_fn, tmp_path, *, workers=2, standbys=False,
-                tenants=("t",)):
+
+def run_gateway(client_fn, tmp_path, *, workers=2, tenants=("t",)):
     """test_fleet_gateway harness, worker-pool edition (tenant ``t``'s
     key is ``key``, any other's ``key-<name>``)."""
     result = {}
@@ -222,8 +235,7 @@ def run_gateway(client_fn, tmp_path, *, workers=2, standbys=False,
              for t in tenants],
             shards=2, state_dir=tmp_path, workers=workers,
         )
-        pool = StandbyPool(fleet) if standbys else None
-        gw = GatewayServer(fleet, standbys=pool, poll_interval=0.05)
+        gw = GatewayServer(fleet)
         await gw.start("127.0.0.1", 0)
         thread = threading.Thread(
             target=lambda: result.update(client_fn(gw.port))
@@ -254,7 +266,6 @@ class TestGatewayWorkers:
             assert w["alive"] is True
             assert w["restarts"] == 0
             assert isinstance(w["pid"], int)
-            assert w["journal_lag_bytes"] == 0  # no standbys -> no lag
         assert workers[0]["shards"] == ["t/shard-0", "t/shard-1"]
 
     def test_metrics_export_worker_gauges(self, tmp_path):
@@ -266,8 +277,7 @@ class TestGatewayWorkers:
 
         text = run_gateway(client, tmp_path)["text"]
         for name in ("repro_fleet_worker_up", "repro_fleet_worker_pid",
-                     "repro_fleet_worker_restarts_total",
-                     "repro_fleet_worker_journal_lag_bytes"):
+                     "repro_fleet_worker_restarts_total"):
             assert f'{name}{{worker="0"}}' in text, name
         assert 'repro_fleet_worker_up{worker="1"} 1' in text
 
@@ -329,6 +339,53 @@ class TestGatewayWorkers:
         result = run_gateway(client, tmp_path, workers=0)
         assert result["response"]["_status"] == 400
         assert "worker" in result["response"]["error"]
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").exists(),
+                        reason="needs /proc")
+    def test_admin_failover_recovers_in_the_worker(self, tmp_path):
+        """Kill then fail over a worker-hosted shard over HTTP: the
+        journal is replayed by a respawned worker, never opened by the
+        gateway, and the other tenant's worker is left alone."""
+        journal = (tmp_path / "t" / "shard-0" / "journal.jsonl").resolve()
+
+        def gateway_holds_journal():
+            fds = Path("/proc/self/fd")
+            held = set()
+            for fd in fds.iterdir():
+                try:
+                    held.add(Path(os.readlink(fd)))
+                except OSError:  # closed since the listing
+                    continue
+            return journal in held
+
+        def client(port):
+            out = {}
+            with GatewayClient(f"127.0.0.1:{port}", api_key="key") as c:
+                for i in range(3):
+                    c.check("admit", rid=f"fo{i}",
+                            streams=[spec(src=i, dst=i + 4)])
+                out["before"] = c.get("/healthz")
+                out["kill"] = c.admin("kill", tenant="t", shard=0)
+                out["failover"] = c.admin("failover", tenant="t", shard=0)
+                out["holds_journal"] = gateway_holds_journal()
+                out["after"] = c.get("/healthz")
+                out["report"] = c.check("report")
+                c.request("shutdown")
+            return out
+
+        result = run_gateway(client, tmp_path, tenants=("t", "u"))
+        assert result["kill"]["_status"] == 200
+        assert result["failover"]["_status"] == 200
+        assert result["failover"]["recovered"] == 0
+        assert not result["holds_journal"]
+        before = {w["index"]: w["pid"] for w in result["before"]["workers"]}
+        after = {w["index"]: w["pid"] for w in result["after"]["workers"]}
+        assert after[0] != before[0]     # tenant t's worker respawned
+        assert after[1] == before[1]     # tenant u's was not touched
+        assert result["after"]["ok"], result["after"]
+        assert result["after"]["tenants"]["t"]["admitted"] == 3
+        assert result["report"]["admitted"] == 3
+        assert result["report"]["report"]["success"]
 
 
 class TestSupervisorGuards:
@@ -703,7 +760,7 @@ def test_orphaned_worker_exits_and_a_restarted_gateway_stays_quiet(tmp_path):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    port, poll = free_port(), 0.1
+    port, poll = free_port(), 0.2     # the gateway's monitor period
 
     def gateway():
         with open(tmp_path / "gateway.log", "ab") as log:
@@ -711,7 +768,7 @@ def test_orphaned_worker_exits_and_a_restarted_gateway_stays_quiet(tmp_path):
                 [sys.executable, "-m", "repro", "gateway", "--port",
                  str(port), "--mesh", "4x4", "--shards", "2",
                  "--workers", "1", "--tenant", "t=key", "--state-dir",
-                 str(tmp_path / "state"), "--poll-interval", str(poll)],
+                 str(tmp_path / "state")],
                 env=env, stdin=subprocess.DEVNULL, stdout=log,
                 stderr=subprocess.STDOUT,
             )

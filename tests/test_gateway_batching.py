@@ -78,7 +78,7 @@ def serving(state_dir, workers):
             shards=2, state_dir=state_dir if workers else None,
             workers=workers,
         )
-        gw = GatewayServer(fleet, poll_interval=0.05)
+        gw = GatewayServer(fleet)
         await gw.start("127.0.0.1", 0)
         return gw
 

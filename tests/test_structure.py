@@ -14,8 +14,11 @@ blocking ``select`` loop serves one client and is not an asyncio
 server: it measured faster than a ``LineConnection`` listener, see
 EXPERIMENTS.md). A fleet worker is a fork of its supervisor, never a
 fresh interpreter, and its branch of the fork can only leave through
-``os._exit``. These checks read the source tree, so a second copy fails
-here rather than drifting.
+``os._exit``. A dead fleet shard has one recovery path, the restart's
+journal replay: no warm standby, journal poller or shard hand-off is
+served, and the journal-tailing module is a test oracle nothing under
+``src/repro`` imports. These checks read the source tree, so a second
+copy fails here rather than drifting.
 """
 
 import ast
@@ -30,6 +33,10 @@ SCOPE_PATTERNS = (
     re.compile(r"<=\s*min\([^)]*\.period,\s*[^)]*\.deadline\)"),
     re.compile(r"for \w+ in hp_ids"),
 )
+
+
+#: Lines of ``src/repro/fleet``: lower it when the package shrinks.
+FLEET_LINE_CEILING = 2894
 
 
 def _modules_matching(pattern):
@@ -119,3 +126,21 @@ def test_workers_are_forked_and_their_branch_ends_in_exit():
     last = child.body[-1]
     assert isinstance(last, ast.Try) and last.finalbody
     assert ast.unparse(last.finalbody[-1]).startswith("os._exit(")
+
+
+def test_one_recovery_path():
+    served = re.compile(
+        r"StandbyPool|worker_detach|poll_interval|_poll_standbys"
+        r"|\.detach\(|def detach\("
+    )
+    assert _modules_matching(served) == []
+    imports = re.compile(
+        r"^\s*(from\s+[\w.]*replication\s+import|import\s+[\w.]*replication)",
+        re.M,
+    )
+    assert _modules_matching(imports) == []
+    lines = sum(len(path.read_text().splitlines())
+                for path in (SRC / "fleet").rglob("*.py"))
+    assert lines <= FLEET_LINE_CEILING, (
+        f"src/repro/fleet has {lines} lines, over its ceiling"
+    )
