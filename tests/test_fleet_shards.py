@@ -467,6 +467,42 @@ class TestDeadShards:
             assert oracle.fingerprint()[0] == host.fingerprint()[0]
         tf.close()
 
+    def test_fleet_recover_swaps_and_recovers_again(self, tmp_path):
+        """Through the multi-tenant shell: the recovered host replaces
+        the dead one, and the same shard can be killed and recovered a
+        second time, its journal still agreeing with an independent
+        reading of it."""
+        fleet = Fleet(
+            [TenantSpec("t", "k", TOPO)], shards=2, state_dir=tmp_path
+        )
+        tf = fleet.tenants["t"]
+        a = fleet.handle_request(
+            "t", {"op": "admit", "streams": [spec(0, 2)]}
+        )["ids"][0]
+        fleet.handle_request("t", {"op": "admit", "streams": [spec(8, 10)]})
+
+        shard = tf.owner[a]
+        dead = tf.hosts[shard]
+        tf.kill_host(shard)
+        assert not fleet.handle_request(
+            "t", {"op": "query", "stream": a}
+        )["ok"]
+        tf.recover_shard(shard)
+        assert tf.hosts[shard] is not dead
+        assert fleet.handle_request("t", {"op": "query", "stream": a})["ok"]
+        assert not tf.dead
+
+        fleet.handle_request("t", {"op": "admit", "streams": [spec(5, 7)]})
+        sha = tf.fingerprint()[0]
+        tf.kill_host(shard)
+        tf.recover_shard(shard)
+        assert tf.fingerprint()[0] == sha
+        for i, host in enumerate(tf.hosts):
+            oracle = ShardStandby(tmp_path / "t" / f"shard-{i}", TOPO)
+            oracle.catch_up()
+            assert oracle.fingerprint()[0] == host.fingerprint()[0]
+        fleet.close()
+
     def test_recover_shard_requires_persistence(self):
         tf = TenantFleet("t", TOPO, shards=2)
         tf.kill_host(0)
