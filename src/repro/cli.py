@@ -628,12 +628,12 @@ def _run_gateway(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     gateway = GatewayServer(fleet)
+    recovered = sum(
+        answer.get("admitted") or 0 for answer in fleet.stats().values()
+    )
 
     async def run() -> None:
         await gateway.start(args.host, args.port)
-        recovered = sum(
-            len(tf.owner) for tf in fleet.tenants.values()
-        )
         print(
             f"repro-gateway listening on http://{args.host}:"
             f"{gateway.port} ({len(specs)} tenant(s) x {args.shards} "

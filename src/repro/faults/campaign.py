@@ -58,16 +58,17 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import ReproError
 from ..fleet.shards import Fleet, TenantSpec
 from ..io import topology_from_spec
 from ..service.host import EngineHost
 from ..service.loadgen import BrokerClient, churn_spec
-from ..service.protocol import encode
+from ..service.protocol import encode, fingerprint
 from ..service.server import BrokerServer
 from ..topology import links
 from .plane import (
@@ -719,19 +720,21 @@ class _FleetTarget(_Target):
       probability ½ the driver recovers it immediately; otherwise it
       keeps issuing ops — those that land on live shards proceed, the
       first that needs the dead shard forces the recovery — so recovery
-      happens with real traffic in flight around it. A recovery is the
-      fleet's :meth:`~repro.fleet.shards.TenantFleet.recover_shard`:
-      the shard replays its journal as after a restart, with the fault
-      plane still armed on it (in worker mode its worker is respawned).
+      happens with real traffic in flight around it. Kill and recovery
+      are the tenant's ``kill_shard`` / ``recover_shard`` ops: the shard
+      replays its journal as after a restart, with the fault plane
+      still armed on it. The campaign remembers what it killed until
+      a rebuild or a worker restart revives it with its tenant.
     * **Worker kills** (``workers > 0``) — a *real* ``SIGKILL`` of a
-      live shard worker process, either between ops or armed to fire
+      live worker process, either between ops or armed to fire
       mid-RPC (after the request bytes left the parent, before the ack
-      returns — the fate-unknown window). The supervisor restarts the
-      worker with journal recovery and the driver retries the op under
-      the same rid; idempotent replay must return the committed outcome.
-      Injected journal faults are a single-process trick and cannot
-      cross the process boundary, so worker campaigns trade
-      ``persistence_rate`` for ``worker_kill_rate``.
+      returns — the fate-unknown window). The worker takes its tenants
+      down with their shards; the supervisor restarts it with journal
+      recovery and the campaign retries the op under the same rid;
+      idempotent replay must return the committed outcome. Injected
+      journal faults are a single-process trick and cannot cross the
+      process boundary, so worker campaigns trade ``persistence_rate``
+      for ``worker_kill_rate``.
     """
 
     def open(self) -> None:
@@ -744,6 +747,9 @@ class _FleetTarget(_Target):
         always converges.
         """
         cfg = self.cfg
+        #: (tenant, shard, pid of the process that killed it) for each
+        #: shard this campaign killed and has not recovered.
+        self.killed: Set[Tuple[Tenant, int, Optional[int]]] = set()
         for _ in range(_MAX_ATTEMPTS):  # pragma: no branch
             try:
                 self.fleet = Fleet(
@@ -764,19 +770,18 @@ class _FleetTarget(_Target):
         self.fleet.close()
 
     def place_faults(self, entry: ScheduledOp) -> None:
-        cfg, rng, fleet = self.cfg, self.rng, self.fleet
-        supervisor = fleet.supervisor
+        cfg, rng = self.cfg, self.rng
+        supervisor = self.fleet.supervisor
         # A primary kill lands between ops (a clean journal boundary;
         # intra-op crash points belong to the journal faults). Half the
         # time the recovery is immediate; the other half traffic keeps
         # flowing and the first op that needs the dead shard forces it.
-        if (
-            not any(t.dead for t in fleet.tenants.values())
-            and rng.random() < cfg.kill_rate
-        ):
-            tf = fleet.tenants[entry.tenant]
-            victim = rng.randrange(len(tf.hosts))
-            tf.kill_host(victim)
+        # A worker restart revived the shards its tenants had killed.
+        self.killed = {k for k in self.killed if self._pid(k[0]) == k[2]}
+        if not self.killed and rng.random() < cfg.kill_rate:
+            victim = rng.randrange(cfg.shards)
+            self._ask(entry.tenant, {"op": "kill_shard", "shard": victim})
+            self.killed.add((entry.tenant, victim, self._pid(entry.tenant)))
             self.counts["kills"] += 1
             if rng.random() < 0.5:
                 self.recover()
@@ -799,32 +804,50 @@ class _FleetTarget(_Target):
     def send(self, tenant: Tenant, request: Dict[str, Any]) -> Dict[str, Any]:
         return self.fleet.handle_request(tenant, request)
 
+    def _pid(self, tenant: Tenant) -> Optional[int]:
+        sup = self.fleet.supervisor
+        return None if sup is None else sup.worker_for(tenant).pid
+
+    def _ask(self, tenant: Tenant, request: Dict[str, Any]) -> Dict[str, Any]:
+        """An op of the campaign's own: once more if it found its worker
+        dead (the failed call respawned it)."""
+        response = self.fleet.handle_request(tenant, request)
+        if response.get("code") == "worker":
+            response = self.fleet.handle_request(tenant, request)
+        if not response.get("ok"):  # pragma: no cover - defensive
+            raise ReproError(f"chaos campaign's {request} failed: {response}")
+        return response
+
     def recover(self, tenant: Tenant = None) -> None:
-        """Recover every dead shard (given a ``tenant``: only if one of
-        *its* shards is down)."""
-        tenants = self.fleet.tenants
-        if tenant is not None and not tenants[tenant].dead:
+        """Recover every shard this campaign killed (given a ``tenant``:
+        only if one of *its* shards is down)."""
+        if tenant is not None and not any(
+            t == tenant for t, *_ in self.killed
+        ):
             return
-        for tname in sorted(tenants):
-            for shard in sorted(tenants[tname].dead):
-                tenants[tname].recover_shard(shard)
-                self.counts["recoveries"] += 1
+        for tname, shard, _ in sorted(self.killed):
+            self._ask(tname, {"op": "recover_shard", "shard": shard})
+            self.counts["recoveries"] += 1
+        self.killed.clear()
 
     def finish(self) -> Optional[Dict[Tenant, str]]:
-        # Leave no shard dead: recover stragglers so the final fleet
-        # (and the fresh recovery after it) is fully serving.
-        self.recover()
         supervisor = self.fleet.supervisor
         if supervisor is not None:
             # Quiesce: drop any unconsumed mid-RPC kill and bring every
-            # worker back to serving before the read-only fingerprint
-            # pass — the last op's SIGKILL may still be tearing a
-            # worker down.
+            # worker back to serving — the last op's SIGKILL may still
+            # be tearing a worker down.
             supervisor.disarm_inflight_kill()
             supervisor.ensure_all()
-        live = {
-            t: tf.fingerprint()[0] for t, tf in self.fleet.tenants.items()
-        }
+        # Leave no shard dead: recover stragglers so the final fleet
+        # (and the fresh recovery after it) is fully serving.
+        self.recover()
+        live = {}
+        for tenant in self.cfg.tenant_names():
+            ask = partial(self._ask, tenant)
+            ids = sorted(map(int, ask({"op": "report"})["report"]["streams"]))
+            live[tenant] = fingerprint(
+                ask, ids, ask({"op": "stats"})["next_id"]
+            )[0]
         if supervisor is not None:
             self.counts["worker_restarts"] = sum(
                 wp.restarts for wp in supervisor.workers

@@ -16,8 +16,8 @@ the broker's defining property — bit-identical admission verdicts:
     reports are byte-identical to a single engine holding the same set.
 
 :mod:`repro.fleet.workers`
-    :class:`WorkerSupervisor` / :class:`WorkerShard` — shard execution
-    in supervised child processes (``Fleet(..., workers=N)``): one
+    :class:`WorkerSupervisor` — each tenant's whole fleet in a
+    supervised child process (``Fleet(..., workers=N)``): one
     JSON-lines unix socket per worker, SIGKILL-safe restarts with
     journal recovery, per-core parallelism across tenants.
 
@@ -37,7 +37,7 @@ from .client import GatewayClient
 from .gateway import GatewayServer
 from .regions import ChannelIndex, entry_channels
 from .shards import Fleet, TenantFleet, TenantSpec
-from .workers import WorkerShard, WorkerSupervisor
+from .workers import WorkerSupervisor
 
 __all__ = [
     "ChannelIndex",
@@ -47,6 +47,5 @@ __all__ = [
     "TenantSpec",
     "GatewayServer",
     "GatewayClient",
-    "WorkerShard",
     "WorkerSupervisor",
 ]

@@ -26,10 +26,15 @@ framing) exposing the broker protocol as a JSON-over-HTTP API:
     byte-compatible with the raw socket broker.
 ``POST /admin/failover`` ``{"tenant": ..., "shard": N}``
     Recover the shard from its journal the way a restart does, in the
-    process that owns it (a live shard is killed first). Needs a
-    persistent fleet. The API key must belong to the named tenant.
+    process that owns it (a live shard is killed first): the tenant's
+    ``recover_shard`` op. Needs a persistent fleet. The API key must
+    belong to the named tenant.
 ``POST /admin/kill`` ``{"tenant": ..., "shard": N}``
-    Simulate a primary crash (testing/chaos; same auth rule).
+    Simulate a primary crash, the tenant's ``kill_shard`` op
+    (testing/chaos; same auth rule). Both admin ops run in the
+    tenant's turn like any op of its own, and answer 400 for a bad
+    request, 503 when the shard could not be recovered; ``/v1/op``
+    refuses them as unknown ops.
 ``POST /admin/kill_worker`` ``{"worker": N}``
     SIGKILL worker process ``N`` (worker-pool mode only; any valid
     tenant key). The monitor task restarts it with journal recovery —
@@ -54,15 +59,20 @@ with the batch's last response. It still never leaves before the op's
 journal commit, so a crash loses at most acks (the rid-retry case),
 never an acked op.
 
+``/healthz`` and ``/metrics`` are built from every tenant's ``stats``
+answer, asked in their turn; with worker processes, of every worker at
+once and for at most ``PROBE_TIMEOUT`` (a dead or wedged worker's
+tenants count as down, with every shard dead).
+
 In the default in-process fleet a run executes synchronously on the
 event-loop thread — the same single-writer model as the broker, so
 decisions stay linearisable per tenant without locks. In worker-pool
-mode (``repro gateway --workers N``) the shards run in supervised child
-processes, so a batch's runs are awaited by one task, each dispatched
-to a thread pool under one asyncio lock per tenant, held for the whole
-run: still single-writer *per tenant*, but different tenants'
-admissions run truly in parallel across cores. A background task
-restarts any worker that dies.
+mode (``repro gateway --workers N``) each tenant's whole fleet runs in
+a supervised child process, and a batch's runs are awaited by one task:
+each is forwarded to its tenant's worker with one write, its answers
+read on the loop, one run at a time per worker. Different tenants'
+workers run truly in parallel across cores, and a wedged worker stalls
+only its own tenants. A background task restarts any worker that dies.
 """
 
 from __future__ import annotations
@@ -70,7 +80,6 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import (Any, Awaitable, Callable, Dict, Generator, List, Optional,
                     Set, Tuple, Union)
@@ -78,7 +87,7 @@ from urllib.parse import parse_qs
 
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
-from ..service.protocol import HTTP_OPS
+from ..service.protocol import HTTP_OPS, error_response
 from ..service.server import (
     Connection,
     HttpConnection,
@@ -95,16 +104,23 @@ __all__ = ["GatewayServer"]
 
 logger = logging.getLogger(__name__)
 
+#: The tenant op each admin path runs.
+_ADMIN_OPS = {"/admin/kill": "kill_shard", "/admin/failover": "recover_shard"}
+
 #: Every path a request can be counted under; the rest count as
 #: ``"other"`` so a scanner cannot grow the table (or ``/metrics``).
 _ROUTES = frozenset(
-    ["/healthz", "/metrics", "/v1/op", "/v1/shutdown", "/admin/kill",
-     "/admin/failover", "/admin/kill_worker"]
-    + [f"/v1/{op}" for op in HTTP_OPS]
+    ["/healthz", "/metrics", "/v1/op", "/v1/shutdown", "/admin/kill_worker",
+     *_ADMIN_OPS] + [f"/v1/{op}" for op in HTTP_OPS]
 )
 
 #: Seconds between the worker monitor's respawn sweeps.
 _MONITOR_PERIOD = 0.2
+
+#: A run's requests, and what the tenant answered them; a walk yields a
+#: run, or ``None`` for every tenant's ``stats`` answer, by name.
+_Run = Tuple[str, List[Dict[str, Any]]]
+_Walk = Generator[Optional[_Run], Any, Any]
 
 
 class GatewayServer:
@@ -127,8 +143,6 @@ class GatewayServer:
         self.port = 0
         self._stopping = asyncio.Event()
         self._monitor_task: Optional[asyncio.Task] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._tenant_locks: Dict[str, asyncio.Lock] = {}
         self.connections: Set[Connection] = set()
 
     # ------------------------------------------------------------------ #
@@ -142,14 +156,6 @@ class GatewayServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.fleet.supervisor is not None:
-            # Worker-pool mode: fleet ops block on a child-process RPC,
-            # so they leave the event loop for a thread pool — one
-            # tenant may run at a time (asyncio lock per tenant keeps
-            # the single-writer order), different tenants in parallel.
-            self._executor = ThreadPoolExecutor(
-                max_workers=len(self.fleet.tenants) + 1,
-                thread_name_prefix="gw-fleet",
-            )
             self._monitor_task = asyncio.create_task(self._monitor_workers())
 
     async def serve_forever(self) -> None:
@@ -178,43 +184,35 @@ class GatewayServer:
                 await task
             except asyncio.CancelledError:
                 pass
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         self.fleet.close()
 
     async def _monitor_workers(self) -> None:
         """Respawn dead workers between requests, not just on the next
         request that happens to hit one (a wedged worker whose tenants
-        are idle would otherwise stay down forever)."""
+        are idle would otherwise stay down forever). A sweep runs on a
+        thread; one in flight when the gateway closes is waited for, so
+        no worker is forked after the fleet closed."""
         supervisor = self.fleet.supervisor
-        assert supervisor is not None and self._executor is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(_MONITOR_PERIOD)
-            try:
-                await loop.run_in_executor(
-                    self._executor, supervisor.ensure_all
-                )
-            except ReproError:  # pragma: no cover - defensive
-                logger.exception("worker respawn failed")
-
-    def _run(self, tenant: str, requests: List[Any]) -> List[_Answer]:
-        """Run one tenant's consecutive fleet ops as one job."""
+        assert supervisor is not None
+        sweep: Optional[asyncio.Future] = None
         try:
-            return [(200, self.fleet.handle_request(tenant, r))
-                    for r in requests]
-        except Exception as exc:  # pragma: no cover - defensive
-            logger.exception("gateway error running %d op(s)", len(requests))
-            return [(500, {"ok": False, "error": f"internal error: {exc!r}"})
-                    ] * len(requests)
+            while True:
+                await asyncio.sleep(_MONITOR_PERIOD)
+                sweep = asyncio.ensure_future(
+                    asyncio.to_thread(supervisor.ensure_all)
+                )
+                try:
+                    await asyncio.shield(sweep)
+                except ReproError:  # pragma: no cover - defensive
+                    logger.exception("worker respawn failed")
+        finally:
+            if sweep is not None:
+                await asyncio.wait([sweep])
 
-    async def _dispatch(self, tenant: str, requests: List[Any]) -> Any:
-        """:meth:`_run` on the thread pool, under the tenant's lock."""
-        async with self._tenant_locks.setdefault(tenant, asyncio.Lock()):
-            return await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._run, tenant, requests
-            )
+    def _run(self, tenant: str,
+             requests: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Run one tenant's consecutive fleet ops, in this process."""
+        return [self.fleet.handle_request(tenant, r) for r in requests]
 
     # ------------------------------------------------------------------ #
     # HTTP plumbing
@@ -229,39 +227,45 @@ class GatewayServer:
     def _serve(self, batch: List[Any],
                conn: Connection) -> Union[bytes, Awaitable[bytes]]:
         """Answer ``batch`` (:meth:`_walk`): bytes, running each run
-        inline — or, once a run needs the worker pool, an awaitable."""
+        inline — or, with worker processes, an awaitable."""
         walk = self._walk(batch, conn)
         try:
             run = next(walk)
-            while self._executor is None:
-                run = walk.send(self._run(*run))
+            while self.fleet.supervisor is None:
+                run = walk.send(self._run(*run) if run else self.fleet.stats())
         except StopIteration as done:
             return done.value
         return self._pooled(walk, run)
 
-    async def _pooled(self, walk: Generator, run: Tuple[str, Any]) -> bytes:
-        """The rest of :meth:`_serve`, each run dispatched to the pool."""
+    async def _pooled(self, walk: _Walk, run: Optional[_Run]) -> bytes:
+        """The rest of :meth:`_serve`, each run forwarded to its
+        tenant's worker, and the stats asked of all workers at once."""
+        supervisor = self.fleet.supervisor
         try:
             while True:
-                run = walk.send(await self._dispatch(*run))
+                run = walk.send(await (supervisor.forward(*run) if run
+                                       else supervisor.stats()))
         except StopIteration as done:
             return done.value
 
-    def _walk(self, batch: List[Any], conn: Connection) -> Generator:
+    def _walk(self, batch: List[Any], conn: Connection) -> _Walk:
         """Answer ``batch`` in request order: each run of one tenant's
         consecutive fleet ops is yielded as ``(tenant, requests)`` and
         sent back its answers; anything else waits for the pending run,
-        then is answered in its turn, so every request sees the effects
-        of exactly those before it. A ``shutdown`` ends the connection."""
+        then is answered in its turn (yielding ``None`` first, if it
+        needs the tenants' stats), so every request sees the effects of
+        exactly those before it. A ``shutdown`` ends the connection."""
         out: List[bytes] = []
         run: List[Tuple[_Request, Dict[str, Any]]] = []
         run_tenant: Optional[str] = None
 
-        def finish_run() -> Generator[Any, List[_Answer], None]:
+        def finish_run() -> _Walk:
             if run:
                 answers = yield run_tenant, [r for _, r in run]
-                out.extend(self._answer(request, *answer)
-                           for (request, _), answer in zip(run, answers))
+                out.extend(
+                    self._answer(request, _status(request, answer), answer)
+                    for (request, _), answer in zip(run, answers)
+                )
                 run.clear()
 
         for item in batch:
@@ -282,7 +286,8 @@ class GatewayServer:
                 run.append((item, routed))
             else:
                 yield from finish_run()
-                out.append(self._answer(item, *self._in_turn(item, routed)))
+                answer = yield from self._in_turn(item, routed)
+                out.append(self._answer(item, *answer))
             if self._stopping.is_set():
                 conn.finish()
                 break
@@ -292,12 +297,14 @@ class GatewayServer:
         return b"".join(out)
 
     @staticmethod
-    def _in_turn(
-        request: _Request, answer: Callable[[], _Answer]
-    ) -> _Answer:
-        """Produce the answer of a request the gateway serves itself."""
+    def _in_turn(request: _Request, answer: Callable[[], Any]) -> _Walk:
+        """Produce the answer of a request the gateway serves itself;
+        an ``answer()`` that is a generator asks its runs first."""
         try:
-            return answer()
+            got = answer()
+            if isinstance(got, Generator):
+                got = yield from got
+            return got
         except _HttpError as exc:
             return exc.answer()
         except Exception as exc:  # pragma: no cover - defensive
@@ -312,28 +319,35 @@ class GatewayServer:
 
     def _route(
         self, request: _Request
-    ) -> Tuple[Optional[str], Union[Dict[str, Any], Callable[[], _Answer]]]:
+    ) -> Tuple[Optional[str], Union[Dict[str, Any], Callable[[], Any]]]:
         """Resolve one request without touching the fleet: route, API
         key, body parse.
 
         Returns ``(tenant, fleet request)`` for a fleet op — to be run
         with its neighbours — and ``(None, answer)`` for everything the
         gateway serves itself, where ``answer()`` produces ``(status,
-        payload)`` and is called when the request's turn comes.
+        payload)`` in the request's turn (:meth:`_in_turn`).
         """
         path = request.path
         if path == "/healthz":
             return None, self._healthz
         if path == "/metrics":
-            return None, lambda: (
-                200, self.fleet.prometheus_text(self._gateway_metrics)
-            )
+            return None, self._metrics
         if not path.startswith(("/v1/", "/admin/")):
             raise _HttpError(404, f"no route {path!r}")
         tenant = self._authenticate(request.headers)
         payload = self._parse_body(request.body)
+        if path == "/admin/kill_worker":
+            return None, partial(self._kill_worker, payload)
         if path.startswith("/admin/"):
-            return None, partial(self._admin, path, tenant, payload)
+            if payload.get("tenant", tenant) != tenant:
+                raise _HttpError(
+                    403, "API key does not belong to the target tenant"
+                )
+            if path not in _ADMIN_OPS:
+                raise _HttpError(404, f"no route {path!r}")
+            return tenant, {"op": _ADMIN_OPS[path],
+                            "shard": payload.get("shard")}
         if path == "/v1/shutdown":
             return None, partial(self._shutdown, {})
         if path == "/v1/op":
@@ -345,6 +359,11 @@ class GatewayServer:
                 return None, partial(
                     self._shutdown, {"id": payload.get("id")}
                 )
+            if payload["op"] in _ADMIN_OPS.values():  # only as /admin/*
+                return None, lambda: (200, error_response(
+                    payload, f"unknown op {payload['op']!r}",
+                    code="protocol",
+                ))
             return tenant, payload
         op = path[len("/v1/"):]
         if op not in HTTP_OPS:
@@ -385,30 +404,18 @@ class GatewayServer:
             raise _HttpError(400, "request body must be a JSON object")
         return payload
 
-    def _healthz(self) -> Tuple[int, Any]:
-        tenants: Dict[str, Any] = {}
-        healthy = True
-        for name in sorted(self.fleet.tenants):
-            tf = self.fleet.tenants[name]
-            dead = sorted(tf.dead)
-            degraded = [
-                i for i, h in enumerate(tf.hosts)
-                if i not in tf.dead and h.degraded
-            ]
-            tenants[name] = {
-                "shards": len(tf.hosts),
-                "admitted": len(tf.owner),
-                "dead": dead,
-                "degraded": degraded,
-                "escalations": tf.escalations,
-            }
-            healthy = healthy and not dead and not degraded
+    def _healthz(self) -> _Walk:
+        healthy, tenants = self.fleet.health((yield None))
         out: Dict[str, Any] = {"ok": healthy, "tenants": tenants}
         if self.fleet.supervisor is not None:
             out["workers"] = self.fleet.supervisor.status()
             healthy = healthy and all(w["alive"] for w in out["workers"])
             out["ok"] = healthy
         return (200 if healthy else 503), out
+
+    def _metrics(self) -> _Walk:
+        stats = yield None
+        return 200, self.fleet.prometheus_text(stats, self._gateway_metrics)
 
     def _gateway_metrics(self, reg: MetricsRegistry) -> None:
         for (path, status), count in sorted(self.requests.items()):
@@ -457,59 +464,31 @@ class GatewayServer:
                 for op, count in sorted(dict(wp.client.calls).items()):
                     reg.counter(
                         "repro_fleet_worker_rpcs_total",
-                        "Round trips to the worker, by op; over "
+                        "Round trips to the worker, by op (a forwarded "
+                        "run counts once, under its first); over "
                         "repro_fleet_ops_total it is RPCs per op.",
                         worker=worker, op=op,
                     ).value = float(count)
 
-    def _admin(
-        self, path: str, tenant: str, payload: Dict[str, Any]
-    ) -> Tuple[int, Any]:
-        if path == "/admin/kill_worker":
-            # Workers host shards of many tenants, so this is not a
-            # tenant-scoped op — any valid API key may run the drill.
-            supervisor = self.fleet.supervisor
-            if supervisor is None:
-                raise _HttpError(
-                    400, "gateway runs in-process shards (no --workers)"
-                )
-            worker = _index(payload, "worker", len(supervisor.workers))
-            pid = supervisor.kill_worker(worker)
-            return 200, {"ok": True, "killed_worker": worker, "pid": pid}
-        target = payload.get("tenant", tenant)
-        if target != tenant:
+    def _kill_worker(self, payload: Dict[str, Any]) -> _Answer:
+        # Workers serve many tenants, so this is not a tenant-scoped
+        # op — any valid API key may run the drill.
+        supervisor = self.fleet.supervisor
+        if supervisor is None:
             raise _HttpError(
-                403, "API key does not belong to the target tenant"
+                400, "gateway runs in-process shards (no --workers)"
             )
-        tf = self.fleet.tenants[tenant]
-        shard = _index(payload, "shard", len(tf.hosts))
-        if path == "/admin/kill":
-            tf.kill_host(shard)
-            return 200, {"ok": True, "killed": shard}
-        if path == "/admin/failover":
-            if tf.state_dir is None:
-                raise _HttpError(
-                    400, "failover replays the shard's journal: the "
-                    "gateway runs without --state-dir"
-                )
-            # A live shard is killed first (planned maintenance): it
-            # must stop serving before its journal is replayed.
-            tf.kill_host(shard)
-            try:
-                tf.recover_shard(shard)
-            except ReproError as exc:
-                return 503, {"ok": False, "error": str(exc)}
-            return 200, {
-                "ok": True, "recovered": shard,
-                "admitted": tf.hosts[shard].admitted_count(),
-            }
-        return 404, {"ok": False, "error": f"no route {path!r}"}
+        # A JSON ``true`` is not an index, though ``bool`` subclasses int.
+        worker, n = payload.get("worker"), len(supervisor.workers)
+        if type(worker) is not int or not 0 <= worker < n:
+            raise _HttpError(400, f"'worker' must be an index in [0, {n})")
+        pid = supervisor.kill_worker(worker)
+        return 200, {"ok": True, "killed_worker": worker, "pid": pid}
 
 
-def _index(payload: Dict[str, Any], key: str, n: int) -> int:
-    """``payload[key]`` as an index in ``[0, n)``, else a 400 (a JSON
-    ``true`` is not an index, though ``bool`` subclasses ``int``)."""
-    value = payload.get(key)
-    if type(value) is not int or not 0 <= value < n:
-        raise _HttpError(400, f"'{key}' must be an index in [0, {n})")
-    return value
+def _status(request: _Request, answer: Dict[str, Any]) -> int:
+    """200 (errors are data), but a failed admin op is a 400 for a bad
+    request and a 503 for a shard it could not recover."""
+    if answer.get("ok") or not request.path.startswith("/admin/"):
+        return 200
+    return 400 if answer.get("code") == "protocol" else 503

@@ -33,45 +33,26 @@ Id allocation lives at the tenant level (the fleet mirrors the engine's
 ``fresh_id`` / high-water-mark semantics exactly), because ids must come
 out identical to the single-engine reference regardless of placement.
 
-Shard clients
--------------
-The manager never touches an engine directly: every shard is driven
-through the *shard-client* surface (``handle_request`` plus the
-accessors :meth:`~repro.service.host.EngineHost.shard_dump`,
-``upper_bounds``, ``admitted_count``, ``drop_rid``, ...),
-so ``self.hosts`` can hold in-process :class:`EngineHost`\\ s (the
-default) or :class:`~repro.fleet.workers.WorkerShard` proxies fronting
-supervised child processes (``Fleet(..., workers=N)``). Worker deaths
-surface as retryable errors; a death between a migration's journaled
-admit and journaled release leaves the same duplicate-id artefact
-recovery already repairs, just spanning two processes.
-
-Behind a proxy every accessor is a round trip to another interpreter,
-so the manager keeps what it placed instead of asking for it back:
-``placed`` holds each stream's spec and resolved analysis name (both
-are in the admit it forwards and the answer it gets), and ``_bounds``
-each shard's last known ``upper_bounds()``. Migrations, compensation
-captures and link ops read the table; the bounds merge of an admit
-reads the cache. The cache has one invalidation door: :meth:`TenantFleet.
-_forward` drops a shard's entry *before* handing it any ``admit`` /
-``release`` / ``fail_link`` / ``restore_link``, so an op whose fate is
-unknown (its worker died mid-RPC) can never leave a stale entry; only
-a definite answer refills it: an admitted one carries the shard's full
-bounds, a rejected one (not a ``duplicate``) restores the entry taken
-just before it, because a rejection leaves the shard as it was — and
-otherwise a fresh ``upper_bounds()``. The *probes* after a failure
-(:meth:`TenantFleet._held_ids`, :meth:`TenantFleet._compensate_link`)
-still ask the shard: what a process durably holds after a crash is not
-something to remember.
+Shards
+------
+A tenant's shards are always in its own process: ``Fleet(...,
+workers=N)`` runs each tenant's whole fleet in a supervised worker
+(:mod:`repro.fleet.workers`), whose death takes the tenant down with
+its shards — the crash the recovery below repairs. The manager keeps
+what it placed: ``placed`` holds each stream's spec and resolved
+analysis name (both are in the admit it forwards and the answer it
+gets), which migrations, compensation captures and link ops read. Only
+the probes after a failure (:meth:`TenantFleet._held_ids`,
+:meth:`TenantFleet._compensate_link`) ask a shard what it holds.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from pathlib import Path
 from typing import (
-    Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union,
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+    Union,
 )
 
 from ..errors import ReproError, RoutingError, StreamError
@@ -79,7 +60,7 @@ from ..faults.plane import FaultPlane
 from ..io import stream_to_spec
 from ..service.host import EngineHost, OpInterpreter, refuse_read_only
 from ..service.protocol import (
-    MUTATING_OPS,
+    ProtocolError,
     ShardDownError,
     error_from_response,
     error_response,
@@ -125,7 +106,9 @@ class TenantFleet(OpInterpreter):
     The second interpreter of the op table (the first is
     :class:`~repro.service.host.EngineHost`, whose answers it must give
     byte for byte): what it states itself is what an op does across
-    shards. ``shutdown`` is the front end's op, not a tenant's.
+    shards, plus the shard lifecycle ops ``kill_shard`` and
+    ``recover_shard``. ``shutdown`` is the front end's op, not a
+    tenant's.
     """
 
     span = ("fleet.op", "fleet")
@@ -140,7 +123,6 @@ class TenantFleet(OpInterpreter):
         state_dir: Optional[Union[str, Path]] = None,
         analysis: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
-        shard_clients: Optional[List[Any]] = None,
     ):
         if shards < 1:
             raise ReproError(f"need at least one shard, got {shards}")
@@ -153,24 +135,13 @@ class TenantFleet(OpInterpreter):
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self._analysis = analysis
         self._fault_plane = fault_plane
-        if shard_clients is not None:
-            # Pre-built shard clients (worker-process proxies): the
-            # engines live elsewhere; this manager only places and
-            # forwards. Recovery below runs over RPC dumps.
-            if not shard_clients:
-                raise ReproError("shard_clients must be non-empty")
-            self.hosts: List[Any] = list(shard_clients)
-        else:
-            self.hosts = [self._open_host(i) for i in range(shards)]
+        self.hosts = [self._open_host(i) for i in range(shards)]
         #: sid -> shard index currently holding the stream.
         self.owner: Dict[int, int] = {}
         #: sid -> (spec, resolved analysis name), same keys as ``owner``:
         #: the admit the fleet forwarded and the name the shard answered
         #: with, i.e. exactly what the shard's own dump would say.
         self.placed: Dict[int, Tuple[Dict[str, Any], str]] = {}
-        #: shard -> its last known ``upper_bounds()``; absent = ask it.
-        #: :meth:`_forward` is the one place entries are dropped.
-        self._bounds: Dict[int, Dict[str, int]] = {}
         self.index = ChannelIndex()
         #: Tenant-level fresh-id mark, mirroring the engine's semantics.
         self._next_id = 0
@@ -326,45 +297,17 @@ class TenantFleet(OpInterpreter):
                     f"{shard}; state diverged from the journal"
                 )
 
-    def _shard_bounds(self, shard: int) -> Dict[str, int]:
-        """The shard's delay bounds: as last seen if nothing was
-        forwarded to it since, else asked for (and kept)."""
-        bounds = self._bounds.get(shard)
-        if bounds is None:
-            bounds = self._bounds[shard] = self.hosts[shard].upper_bounds()
-        return bounds
-
     def _shard_links(self, shard: int) -> Set[Tuple[int, int]]:
         """The failed links the shard runs under right now (probe)."""
         links = self._forward(shard, {"op": "links"})["failed_links"]
         return {normalize_link(int(u), int(v)) for u, v in links}
 
-    def _held_ids(self, host: Any, ids: List[int]) -> List[int]:
+    def _held_ids(self, host: EngineHost, ids: List[int]) -> List[int]:
         """Which of ``ids`` the shard durably holds right now (probe)."""
         return sorted(
             int(e["stream"]["id"])
             for e in host.shard_dump(list(ids))["streams"]
         )
-
-    def _probe_stable(self, fn):
-        """Run a probe/undo step through a worker bounce.
-
-        The crash-window repair reads and rewrites the very shards
-        whose worker just died, and in worker mode every shard of the
-        tenant lives on that one process. The first failed call has
-        already respawned the worker (the shard proxy ensures before
-        raising its retryable error), so retrying here sees the
-        recovered journal state instead of aborting the undo half-way
-        and leaving ghost admissions for the next attempt to trip on.
-        """
-        for _ in range(8):
-            try:
-                return fn()
-            except ReproError as exc:
-                if getattr(exc, "code", None) != "worker":
-                    raise
-                time.sleep(0.05)
-        return fn()
 
     def _fresh_id(self) -> int:
         while self._next_id in self.owner:
@@ -378,8 +321,7 @@ class TenantFleet(OpInterpreter):
         self._next_id = max(int(value), floor)
 
     def _least_loaded(self) -> int:
-        # Placement-table counts, not engine counts: identical under the
-        # owner/shard invariant, and free of a per-shard RPC round trip.
+        # Placement-table counts: the engines' under the invariant.
         load = [0] * len(self.hosts)
         for shard in self.owner.values():
             load[shard] += 1
@@ -402,20 +344,10 @@ class TenantFleet(OpInterpreter):
         The shard host returns protocol error *responses*; placement
         logic needs exceptions (so the fleet-level handler emits exactly
         one error response, with the shard's message and code preserved).
-
-        Every op the fleet sends a shard goes through here, so this is
-        where the shard's cached bounds die: before the op leaves, not
-        after it answers — a worker can commit and die unacked.
         """
-        if request["op"] in MUTATING_OPS:
-            self._bounds.pop(shard, None)
         response = self.hosts[shard].handle_request(request)
         if response.get("ok"):
             return response
-        # Codes outside the typed map (e.g. "worker": a shard worker
-        # died mid-op and was restarted; the caller should retry) come
-        # back stamped, so they round-trip through the fleet's error
-        # response unchanged — the retry loop keys on them.
         raise error_from_response(response, "shard error")
 
     def _gate_alive(self, shards: Iterable[int]) -> None:
@@ -443,14 +375,11 @@ class TenantFleet(OpInterpreter):
         Admit-then-release per source shard: the target journals the
         admission first, so a crash in between duplicates (recoverable)
         instead of losing acked streams. What moves is read from the
-        placement table; on failure the shards are
-        *probed* (``shard_dump``) rather than trusted from bookkeeping:
-        a worker can die after journaling a sub-op but before acking it,
-        so what each process durably holds is the only truth. Three
-        cases fall out: the source release committed unacked (the
-        migration actually completed), the target admit committed
-        unacked (undo it from the probe), or a plain failure (undo the
-        acked admissions). All leave placement consistent.
+        placement table. A sub-op that fails commits nothing (its shard
+        rolled it back), but the admissions before it did: the target is
+        *probed* (``shard_dump``) for what it holds of the moved ids and
+        that is released again, so a failed migration leaves placement
+        as it was.
         """
         by_source: Dict[int, List[int]] = {}
         for sid in comp:
@@ -462,32 +391,14 @@ class TenantFleet(OpInterpreter):
         self.escalations += 1
         for source in sorted(by_source):
             ids = sorted(by_source[source])
-            src_host = self.hosts[source]
             try:
                 self._readmit(target, ids, "migration")
                 self._forward(source, {"op": "release", "ids": ids})
             except ReproError:
-                if not self._probe_stable(
-                    lambda: self._held_ids(src_host, ids)
-                ):
-                    # The source release committed but its ack was lost
-                    # (worker death window): the migration is complete.
-                    pass
-                else:
-                    # Undo whatever the target durably admitted —
-                    # including commits whose acks died with a worker —
-                    # so a failed migration leaves placement as it was.
-                    # Probe-and-release as one retried unit: held_ids
-                    # is recomputed per attempt so an undo whose own
-                    # ack was lost is not released twice.
-                    def _undo_target():
-                        undo = self._held_ids(self.hosts[target], ids)
-                        if undo:
-                            self._forward(
-                                target, {"op": "release", "ids": undo}
-                            )
-                    self._probe_stable(_undo_target)
-                    raise
+                undo = self._held_ids(self.hosts[target], ids)
+                if undo:
+                    self._forward(target, {"op": "release", "ids": undo})
+                raise
             for sid in ids:
                 self.owner[sid] = target
             self.migrated_streams += len(ids)
@@ -527,12 +438,14 @@ class TenantFleet(OpInterpreter):
             "shards": [
                 {
                     "admitted": h.admitted_count(),
+                    "dead": i in self.dead,
                     "degraded": h.degraded,
                     "engine": h.engine_stats(),
                 }
-                for h in self.hosts
+                for i, h in enumerate(self.hosts)
             ],
             "admitted": len(self.owner),
+            "next_id": self._next_id,
             "escalations": self.escalations,
             "migrated_streams": self.migrated_streams,
             "degraded": self.degraded,
@@ -575,9 +488,6 @@ class TenantFleet(OpInterpreter):
             self._gate_shards(set(shards_touched) | {target})
             if len(shards_touched) > 1:
                 self._migrate(comp, target)
-            # _forward drops the target's bounds; a rejection puts them
-            # back (below), since it leaves the shard as it was.
-            kept = self._bounds.get(target)
             response = self._forward(target, op_record(
                 "admit", rid, streams=specs, analysis=analysis
             ))
@@ -590,12 +500,11 @@ class TenantFleet(OpInterpreter):
             self._reset_next_id(next_id_before)
             raise
         if response.get("duplicate"):
-            # The shard had the rid but the fleet table didn't: RID_CAP
-            # eviction skew, or — in worker mode — a death after the
-            # shard journaled the admit but before the fleet recorded
-            # it, now being retried. Adopt any committed ids placement
-            # doesn't know yet, so the books match what the shard
-            # durably holds; otherwise pass the outcome through.
+            # The shard had the rid but the fleet table didn't (RID_CAP
+            # eviction skew, or an answer lost on its way back). Adopt
+            # any committed ids placement doesn't know yet, so the books
+            # match what the shard durably holds; otherwise pass the
+            # outcome through.
             adopted = [int(i) for i in response.get("ids") or []]
             missing = [sid for sid in adopted if sid not in self.owner]
             if response.get("admitted") and missing:
@@ -610,22 +519,16 @@ class TenantFleet(OpInterpreter):
         if response["admitted"]:
             for spec in specs:
                 self._place(target, spec, response["analysis"])
-            # An admitted answer reports every stream the shard now
-            # holds (a rejected one reports the refused trial set).
-            self._bounds[target] = response["bounds"]
         else:
-            if kept is not None:
-                self._bounds[target] = kept
             self._reset_next_id(next_id_before)
         # The shard's decision report covers its own streams; the
         # single-engine reference reports bounds for the whole admitted
         # set. Untouched shards' verdicts are unchanged by this op (their
-        # closures don't reach the batch), so merging their last known
+        # closures don't reach the batch), so merging their current
         # bounds reconstructs the reference response exactly.
         bounds = dict(response["bounds"])
-        for sid, shard in self.owner.items():
-            if shard != target:
-                bounds[str(sid)] = self._shard_bounds(shard)[str(sid)]
+        for shard in sorted(set(self.owner.values()) - {target}):
+            bounds.update(self.hosts[shard].upper_bounds())
         response["bounds"] = bounds
         return response
 
@@ -760,31 +663,25 @@ class TenantFleet(OpInterpreter):
         """Undo a partially broadcast link op so the client's error means
         "no shard changed".
 
-        Shards are *probed* rather than trusted from the forward loop's
-        bookkeeping — a worker can journal the op and die before acking
-        — and every shard that durably applied it gets the inverse op
-        plus re-admission of whatever streams the swap evicted (the
-        table's pre-broadcast placement; subsets of the feasible pre-op
-        set). The rid is dropped everywhere so a client retry re-applies
-        cleanly.
+        Each shard is *probed* for whether it applied the op, and every
+        one that did gets the inverse op plus re-admission of whatever
+        streams the swap evicted (the table's pre-broadcast placement;
+        subsets of the feasible pre-op set). The rid is dropped
+        everywhere so a client retry re-applies cleanly.
         """
         inverse = "restore_link" if op == "fail_link" else "fail_link"
         for shard, host in enumerate(self.hosts):
-            have = self._probe_stable(lambda i=shard: self._shard_links(i))
+            have = self._shard_links(shard)
             applied = (link in have) if op == "fail_link" else (
                 link not in have
             )
             if not applied:
                 continue
-            self._probe_stable(lambda i=shard: self._forward(
-                i, {"op": inverse, "link": [link[0], link[1]]}
-            ))
+            self._forward(shard, {"op": inverse, "link": [link[0], link[1]]})
             placed_here = sorted(
                 sid for sid, s in self.owner.items() if s == shard
             )
-            held = set(self._probe_stable(
-                lambda h=host: self._held_ids(h, placed_here)
-            ))
+            held = set(self._held_ids(host, placed_here))
             self._readmit(
                 shard, [sid for sid in placed_here if sid not in held],
                 "link-op rollback",
@@ -841,33 +738,46 @@ class TenantFleet(OpInterpreter):
         leaves behind. Ops needing the shard fail until
         :meth:`recover_shard` brings it back.
         """
-        if not 0 <= shard < len(self.hosts):
-            raise ReproError(f"no shard {shard} (have {len(self.hosts)})")
-        self.dead.add(shard)
+        self.dead.add(self._shard_index(shard))
 
     def recover_shard(self, shard: int) -> None:
-        """Fail a shard over the way a restart would: replay its journal
-        in the process that owns it.
-
-        An in-process host is closed and re-opened from its state dir;
-        a worker-hosted shard's worker is killed and respawned, and
-        recovers every shard it hosts. Either way the shard comes back
-        with the tenant's analysis and fault plane, as after a restart.
-        """
-        if not 0 <= shard < len(self.hosts):
-            raise ReproError(f"no shard {shard} (have {len(self.hosts)})")
+        """Fail a shard over the way a restart would: close it and open
+        it again from its journal, with the tenant's analysis and fault
+        plane. A live shard stops serving first (planned maintenance);
+        one that cannot be recovered stays dead."""
+        self._shard_index(shard)
         if self.state_dir is None:
-            raise ReproError(
-                "recovering a shard needs a persistent fleet (state_dir)"
+            raise ProtocolError(
+                "recovering a shard replays its journal, which needs a "
+                "persistent fleet (--state-dir)"
             )
-        host = self.hosts[shard]
-        if isinstance(host, EngineHost):
-            host.close()
-            self.hosts[shard] = self._open_host(shard)
-        else:
-            host.restart()
-        self._bounds.pop(shard, None)
+        self.dead.add(shard)
+        self.hosts[shard].close()
+        self.hosts[shard] = self._open_host(shard)
         self.dead.discard(shard)
+        logger.info(
+            "tenant %s: shard %d replayed its journal (%d streams)",
+            self.name, shard, self.hosts[shard].admitted_count(),
+        )
+
+    def _shard_index(self, value: Any) -> int:
+        """``value`` if it is an index in ``[0, shards)`` (a JSON
+        ``true`` is not one, though ``bool`` subclasses ``int``)."""
+        n = len(self.hosts)
+        if type(value) is not int or not 0 <= value < n:
+            raise ProtocolError(f"'shard' must be an index in [0, {n})")
+        return value
+
+    def _op_kill_shard(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        self.kill_host(request.get("shard"))
+        return {"killed": request["shard"]}
+
+    def _op_recover_shard(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        shard = request.get("shard")
+        self.recover_shard(shard)
+        return {
+            "recovered": shard, "admitted": self.hosts[shard].admitted_count(),
+        }
 
     def close(self) -> None:
         for host in self.hosts:
@@ -875,7 +785,9 @@ class TenantFleet(OpInterpreter):
 
 
 class Fleet:
-    """All tenants: API-key routing, metrics rollup, lifecycle."""
+    """All tenants: API-key routing, stats rollup, lifecycle. Each is a
+    :class:`TenantFleet` in this process (``tenants``) or, with
+    ``workers``, in the worker it was placed on."""
 
     def __init__(
         self,
@@ -895,12 +807,13 @@ class Fleet:
         if len(set(keys)) != len(keys):
             raise ReproError("tenant api keys must be unique")
         self.state_dir = Path(state_dir) if state_dir is not None else None
-        self.workers = int(workers)
+        self.shards = shards
+        self.names = sorted(names)
+        #: The in-process tenants (none with ``workers``).
+        self.tenants: Dict[str, TenantFleet] = {}
         self.supervisor = None
-        if self.workers:
-            # Worker-pool mode: shards execute in supervised child
-            # processes; this process keeps only placement + routing.
-            from .workers import WorkerShard, WorkerSupervisor
+        if workers:
+            from .workers import WorkerSupervisor
 
             if self.state_dir is None:
                 raise ReproError(
@@ -912,21 +825,17 @@ class Fleet:
                     "fault_plane injection cannot cross the process "
                     "boundary; use the worker_kill chaos fault instead"
                 )
-            self.supervisor = WorkerSupervisor(self.state_dir, self.workers)
+            self.supervisor = WorkerSupervisor(self.state_dir, workers)
             for t in tenants:
                 self.supervisor.assign_tenant(t.name, {
-                    f"{t.name}/shard-{i}": {
-                        "state_dir": str(
-                            self.state_dir / t.name / f"shard-{i}"
-                        ),
-                        "topology": t.topology_spec,
-                        "analysis": t.analysis,
-                    }
-                    for i in range(shards)
+                    "topology": t.topology_spec,
+                    "shards": shards,
+                    "state_dir": str(self.state_dir / t.name),
+                    "analysis": t.analysis,
                 })
             self.supervisor.start()
-        try:
-            self.tenants: Dict[str, TenantFleet] = {
+        else:
+            self.tenants = {
                 t.name: TenantFleet(
                     t.name,
                     t.topology_spec,
@@ -937,17 +846,9 @@ class Fleet:
                     ),
                     analysis=t.analysis,
                     fault_plane=fault_plane,
-                    shard_clients=None if self.supervisor is None else [
-                        WorkerShard(self.supervisor, f"{t.name}/shard-{i}")
-                        for i in range(shards)
-                    ],
                 )
                 for t in tenants
             }
-        except ReproError:
-            if self.supervisor is not None:
-                self.supervisor.stop()
-            raise
         self._keys: Dict[str, str] = {t.api_key: t.name for t in tenants}
 
     def tenant_for_key(self, api_key: Optional[str]) -> Optional[str]:
@@ -958,80 +859,108 @@ class Fleet:
     def handle_request(
         self, tenant: str, request: Dict[str, Any]
     ) -> Dict[str, Any]:
-        tf = self.tenants.get(tenant)
-        if tf is None:
+        if tenant not in self.names:
             return error_response(
                 request, f"unknown tenant {tenant!r}", code="auth"
             )
-        return tf.handle_request(request)
+        if self.supervisor is not None:
+            return self.supervisor.call(tenant, request)
+        return self.tenants[tenant].handle_request(request)
+
+    def stats(self) -> Dict[str, Dict[str, Any]]:
+        """Every tenant's ``stats`` answer, by name."""
+        return {
+            name: self.handle_request(name, {"op": "stats"})
+            for name in self.names
+        }
+
+    def health(
+        self, stats: Dict[str, Dict[str, Any]]
+    ) -> Tuple[bool, Dict[str, Any]]:
+        """``(all shards up and writable, /healthz tenant rows)`` from the
+        ``stats`` answers; a tenant without one has every shard dead."""
+        rows: Dict[str, Any] = {}
+        for name in sorted(stats):
+            answer = stats[name]
+            if not answer.get("ok"):
+                answer = {"admitted": None, "escalations": None, "shards": [
+                    {"dead": True, "degraded": False}] * self.shards}
+            shards = answer["shards"]
+            rows[name] = {
+                "shards": len(shards),
+                "admitted": answer["admitted"],
+                "dead": [i for i, row in enumerate(shards) if row["dead"]],
+                "degraded": [
+                    i for i, row in enumerate(shards)
+                    if row["degraded"] and not row["dead"]
+                ],
+                "escalations": answer["escalations"],
+            }
+        ok = not any(row["dead"] or row["degraded"] for row in rows.values())
+        return ok, rows
 
     def healthy(self) -> bool:
         if self.supervisor is not None and not all(
             wp.alive for wp in self.supervisor.workers
         ):
             return False
-        return not any(
-            tf.dead or tf.degraded for tf in self.tenants.values()
-        )
+        return self.health(self.stats())[0]
 
-    def prometheus_text(self, extra=None) -> str:
-        """Cross-shard Prometheus rollup, labelled by tenant and shard."""
+    def prometheus_text(
+        self,
+        stats: Dict[str, Dict[str, Any]],
+        extra: Optional[Callable[[Any], None]] = None,
+    ) -> str:
+        """Cross-shard Prometheus rollup, labelled by tenant and shard,
+        from the tenants' ``stats`` answers; a tenant that could not
+        answer contributes no series."""
         from ..obs.metrics import MetricsRegistry
 
         reg = MetricsRegistry()
-        for tname in sorted(self.tenants):
-            tf = self.tenants[tname]
+        for tname in sorted(stats):
+            answer = stats[tname]
+            if not answer.get("ok"):
+                continue
             reg.counter(
                 "repro_fleet_escalations_total",
                 "Cross-shard admissions that triggered a component "
                 "migration.",
                 tenant=tname,
-            ).value = float(tf.escalations)
+            ).value = float(answer["escalations"])
             reg.counter(
                 "repro_fleet_migrated_streams_total",
                 "Streams moved between shards by escalations.",
                 tenant=tname,
-            ).value = float(tf.migrated_streams)
+            ).value = float(answer["migrated_streams"])
             reg.gauge(
                 "repro_fleet_tenant_streams",
                 "Streams currently admitted for the tenant.",
                 tenant=tname,
-            ).set(len(tf.owner))
-            for op, count in sorted(tf.metrics.op_counts.items()):
+            ).set(answer["admitted"])
+            for op, count in sorted(answer["service"]["ops"].items()):
                 reg.counter(
                     "repro_fleet_ops_total",
                     "Requests handled by the fleet, by tenant and op.",
                     tenant=tname, op=op,
                 ).value = float(count)
-            shard_streams = [0] * len(tf.hosts)
-            # A snapshot: with --workers an executor thread may be
-            # placing a stream while the loop thread renders a scrape.
-            for shard_idx in list(tf.owner.values()):
-                shard_streams[shard_idx] += 1
-            for i, host in enumerate(tf.hosts):
+            for i, row in enumerate(answer["shards"]):
                 shard = str(i)
                 reg.gauge(
                     "repro_fleet_shard_streams",
                     "Streams admitted on the shard.",
                     tenant=tname, shard=shard,
-                ).set(shard_streams[i])
+                ).set(row["admitted"])
                 reg.gauge(
                     "repro_fleet_shard_degraded",
                     "1 while the shard is in read-only degraded mode.",
                     tenant=tname, shard=shard,
-                ).set(1.0 if host.degraded else 0.0)
-                try:
-                    es = host.engine_stats()
-                except ReproError:
-                    # Worker down mid-scrape; the supervisor gauges on
-                    # the gateway make that visible.
-                    continue
+                ).set(1.0 if row["degraded"] else 0.0)
                 for field in ("ops", "admits", "rejects", "releases"):
                     reg.counter(
                         f"repro_fleet_shard_engine_{field}_total",
                         f"Engine {field} on the shard.",
                         tenant=tname, shard=shard,
-                    ).value = float(es.get(field, 0))
+                    ).value = float(row["engine"].get(field, 0))
         if extra is not None:
             extra(reg)
         return reg.render()

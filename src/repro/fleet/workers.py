@@ -1,51 +1,47 @@
-"""Supervised worker processes: shard execution out of the fleet process.
+"""Supervised worker processes: each tenant's fleet out of the gateway.
 
 PR 8's fleet put every shard of every tenant behind one event loop and
 one GIL, so its throughput win was per-tenant isolation, not
-parallelism. This module moves the engines into child processes:
+parallelism. This module moves whole tenants into child processes:
 
 Child side (a fork of the supervisor, :func:`_child`)
     With every module already imported, the child cuts loose from its
     parent (own stdio, signals, logging and tracer; no inherited fd),
-    recovers one :class:`~repro.service.host.EngineHost` per assigned
-    ``tenant/shard-i`` key from that shard's *unchanged* journal
-    directory (exactly what an in-process restart opens), binds a
-    per-worker unix socket with the broker's stale-socket hygiene, says
-    so with one byte on a private pipe and serves the broker's
-    JSON-lines protocol until stopped or orphaned. It always ends in
-    ``os._exit``.
+    opens one :class:`~repro.fleet.shards.TenantFleet` per assigned
+    tenant from the tenant's *unchanged* state directory — the same
+    constructor, in-process shards and recovery an in-process fleet
+    runs —, binds a per-worker unix socket with the broker's
+    stale-socket hygiene, says so with one byte on a private pipe and
+    serves the broker's JSON-lines protocol until stopped or orphaned.
+    It always ends in ``os._exit``.
 
 Parent side
-    :class:`WorkerSupervisor` forks and monitors the children,
-    restarts them on exit, and owns one :class:`WorkerClient` RPC
-    connection per worker. :class:`WorkerShard` is the shard-client
-    proxy the fleet's shard manager composes instead of a local
-    ``EngineHost``: the same ``handle_request`` + accessor surface,
-    implemented as RPCs.
+    :class:`WorkerSupervisor` forks and monitors the children, restarts
+    them on exit, and owns one :class:`WorkerClient` per worker: a
+    blocking round trip for synchronous callers, and an awaited forward
+    of one tenant's run of requests for the gateway.
 
-Requests are the normal broker ops plus a ``"shard"`` routing field;
-``worker_*`` ops (hello/status/dump/bounds/stats/drop_rid/shutdown)
-carry the supervision and placement bookkeeping that
-:class:`~repro.fleet.shards.TenantFleet` needs across the process
-boundary.
+A request is a broker op plus a ``tenant`` key naming one of the
+worker's tenants, and its answer is that tenant's ``handle_request``;
+a request without one is a ``protocol`` error. SIGTERM stops a worker.
 
-Single-writer discipline: a shard's journal is only ever open in one
-process, its worker, which serves its shards single-threaded. A shard
-never leaves its worker: failing it over (:meth:`WorkerShard.restart`)
-kills and respawns the worker, which recovers the journal again.
+Single-writer discipline: a tenant's journals are only ever open in one
+process, its worker, which serves its tenants single-threaded. A shard
+never leaves its worker: failing it over (the ``recover_shard`` op)
+replays its journal there, and the worker keeps its pid.
 
-Mid-op worker death is safe by construction: committed mutations are
-journaled with their ``rid`` before the ack, so the supervisor restarts
-the worker (which recovers the journal) and the caller retries with the
-same rid — the recovered idempotency table replays the committed
-outcome instead of double-applying. That turns the crash-torn-migration
-window (admit journaled on the target worker, release not yet journaled
-on the source worker) into the same duplicate-id artefact fleet
-recovery already repairs, now spanning two processes.
+A worker's death takes its tenants down with their shards, which is the
+crash model of an in-process fleet: committed mutations are journaled
+with their ``rid`` before the ack, so the supervisor restarts the worker
+(whose fleets recover, repairing a torn migration or link broadcast as
+any restart does) and the caller retries with the same rid — the
+recovered idempotency table replays the committed outcome instead of
+double-applying.
 """
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import faulthandler
 import gc
@@ -53,6 +49,7 @@ import logging
 import os
 import select
 import selectors
+import shutil
 import signal
 import socket
 import sys
@@ -65,22 +62,20 @@ from typing import Any, Dict, List, Optional
 from ..errors import ReproError
 from ..obs import trace
 from ..service.client import BrokerClient
-from ..service.host import EngineHost
 from ..service.protocol import (
-    MUTATING_OPS,
+    KNOWN_OPS,
     ProtocolError,
     encode,
-    error_from_response,
     error_response,
     parse_line,
 )
 from ..service.server import clear_stale_socket
+from .shards import TenantFleet
 
 __all__ = [
     "WorkerClient",
     "WorkerDied",
     "WorkerProcess",
-    "WorkerShard",
     "WorkerSupervisor",
 ]
 
@@ -94,6 +89,10 @@ SPAWN_TIMEOUT = float(os.environ.get("REPRO_WORKER_SPAWN_TIMEOUT", "60"))
 #: large component under the slower backends is milliseconds, not tens
 #: of seconds, so hitting this means the worker is wedged, not slow.
 RPC_TIMEOUT = float(os.environ.get("REPRO_WORKER_RPC_TIMEOUT", "60"))
+
+#: How long ``/healthz`` and ``/metrics`` wait for a worker's ``stats``
+#: answers: a probe must answer, 503 or partial, while a worker is wedged.
+PROBE_TIMEOUT = 2.0
 
 #: ``sun_path`` is ~108 bytes on Linux; leave headroom for the name.
 _SOCKET_PATH_BUDGET = 90
@@ -116,24 +115,23 @@ class WorkerDied(ReproError):
 
 
 class _WorkerServer:
-    """The child's serving loop: N recovered EngineHosts, one socket."""
+    """The child's serving loop: its tenants' fleets, one socket."""
 
     def __init__(self, wp: "WorkerProcess", supervisor: int):
         self.sock_path = wp.socket_path
         self.supervisor = supervisor
-        self.hosts: Dict[str, EngineHost] = {}
-        for key in sorted(wp.assigned):
-            spec = wp.assigned[key]
-            self.hosts[key] = EngineHost(
-                spec["topology"],
-                state_dir=spec["state_dir"],
-                analysis=spec.get("analysis"),
+        self.tenants: Dict[str, TenantFleet] = {}
+        for name in sorted(wp.assigned):
+            spec = wp.assigned[name]
+            tf = self.tenants[name] = TenantFleet(
+                name, spec["topology"], shards=spec["shards"],
+                state_dir=spec["state_dir"], analysis=spec["analysis"],
             )
-            logger.info(
-                "worker %d recovered shard %s (%d streams)",
-                os.getpid(), key, self.hosts[key].admitted_count(),
-            )
-        self.running = True
+            for i, host in enumerate(tf.hosts):
+                logger.info(
+                    "worker %d recovered shard %s/shard-%d (%d streams)",
+                    os.getpid(), name, i, host.admitted_count(),
+                )
         self._listener: Optional[socket.socket] = None
         self._selector = selectors.DefaultSelector()
         self._buffers: Dict[socket.socket, bytes] = {}
@@ -150,7 +148,8 @@ class _WorkerServer:
         self._selector.register(listener, selectors.EVENT_READ, "accept")
 
     def serve(self) -> None:
-        while self.running:
+        """Serve until orphaned (or SIGTERMed: ``SystemExit``)."""
+        while True:
             events = self._selector.select(timeout=1.0)
             for sel_key, _ in events:
                 if sel_key.data == "accept":
@@ -182,99 +181,36 @@ class _WorkerServer:
         conn.close()
 
     def _read(self, conn: socket.socket) -> None:
+        """Answer every whole request that arrived, with one write."""
         try:
             chunk = conn.recv(65536)
         except OSError:
-            self._drop(conn)
-            return
+            chunk = b""
         if not chunk:
             self._drop(conn)
             return
-        self._buffers[conn] += chunk
-        while self.running:
-            buf = self._buffers.get(conn)
-            if buf is None or b"\n" not in buf:
-                return
-            line, self._buffers[conn] = buf.split(b"\n", 1)
-            response = self.handle_line(line)
-            try:
-                conn.sendall(encode(response))
-            except OSError:
-                self._drop(conn)
-                return
+        *lines, self._buffers[conn] = (self._buffers[conn] + chunk).split(
+            b"\n"
+        )
+        try:
+            conn.sendall(b"".join(encode(self.handle_line(line))
+                                  for line in lines))
+        except OSError:
+            self._drop(conn)
 
     def handle_line(self, line: bytes) -> Dict[str, Any]:
         request: Dict[str, Any] = {}
         try:
             request = parse_line(line)
-            op = request.get("op")
-            if isinstance(op, str) and op.startswith("worker_"):
-                return self._worker_op(op, request)
-            host = self._shard_of(request)
+            tenant = request.pop("tenant", None)
+            if not isinstance(tenant, str) or tenant not in self.tenants:
+                raise ProtocolError(
+                    f"worker does not serve tenant {tenant!r} "
+                    f"(has: {sorted(self.tenants)})"
+                )
         except ReproError as exc:
             return error_response(request, str(exc), code="protocol")
-        routed = {k: v for k, v in request.items() if k != "shard"}
-        return host.handle_request(routed)
-
-    def _shard_of(self, request: Dict[str, Any]) -> EngineHost:
-        shard = request.get("shard")
-        if shard not in self.hosts:
-            raise ProtocolError(
-                f"worker does not host shard {shard!r} "
-                f"(has: {sorted(self.hosts)})"
-            )
-        return self.hosts[shard]
-
-    def _worker_op(
-        self, op: str, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if op == "worker_hello":
-            return {
-                "ok": True,
-                "pid": os.getpid(),
-                "shards": {
-                    key: {"default_analysis": host.default_analysis}
-                    for key, host in self.hosts.items()
-                },
-            }
-        if op == "worker_status":
-            return {
-                "ok": True,
-                "pid": os.getpid(),
-                "shards": {
-                    key: {
-                        "admitted": host.admitted_count(),
-                        "degraded": host.degraded,
-                        "degraded_reason": host.degraded_reason,
-                    }
-                    for key, host in self.hosts.items()
-                },
-            }
-        if op == "worker_dump":
-            dump = self._shard_of(request).shard_dump(request.get("ids"))
-            dump["ok"] = True
-            return dump
-        if op == "worker_bounds":
-            return {"ok": True,
-                    "bounds": self._shard_of(request).upper_bounds()}
-        if op == "worker_stats":
-            host = self._shard_of(request)
-            return {
-                "ok": True,
-                "engine": host.engine_stats(),
-                "admitted": host.admitted_count(),
-                "degraded": host.degraded,
-            }
-        if op == "worker_drop_rid":
-            rid = request.get("rid")
-            if not isinstance(rid, str):
-                raise ProtocolError("'worker_drop_rid' needs a string 'rid'")
-            self._shard_of(request).drop_rid(rid)
-            return {"ok": True}
-        if op == "worker_shutdown":
-            self.running = False
-            return {"ok": True, "stopping": True}
-        raise ProtocolError(f"unknown worker op {op!r}")
+        return self.tenants[tenant].handle_request(request)
 
     def close(self) -> None:
         for conn in list(self._buffers):
@@ -286,8 +222,8 @@ class _WorkerServer:
             # (SIGKILL) leave one behind for hygiene to reclaim.
             self.sock_path.unlink(missing_ok=True)
         self._selector.close()
-        for host in self.hosts.values():
-            host.close()
+        for tf in self.tenants.values():
+            tf.close()
 
 
 #: The parent's fd-owning objects (tracer sink, stdio, log handlers), held
@@ -358,23 +294,33 @@ def _child(wp: "WorkerProcess", supervisor: int, ready: int) -> int:
 
 
 class WorkerClient:
-    """Blocking JSON-lines RPC over one worker's unix socket.
+    """JSON-lines RPC over one worker's unix socket, on two connections.
 
-    One instance per worker process, shared by every shard proxy routed
-    to that worker: calls are serialised under a lock (the child serves
-    its shards single-threaded anyway), and any transport failure —
-    connect refused, reset, EOF, timeout — surfaces as
-    :class:`WorkerDied` after dropping the connection, so the next call
-    reconnects against the restarted worker.
+    :meth:`call` is one blocking round trip, serialised under a lock, for
+    synchronous callers; :meth:`forward` writes a run of requests at
+    once and awaits their answers on the running event loop, one run at
+    a time, for the gateway. A transport failure — connect refused,
+    reset, EOF, timeout — drops the connection it happened on, and so
+    does :meth:`close` (the worker was killed or respawned), so the next
+    use reconnects against the restarted worker.
     """
 
     def __init__(self, path: Path):
         self.path = str(path)
         self._lock = threading.Lock()
         self._conn: Optional[BrokerClient] = None
-        #: op -> round trips attempted. Op names come from fleet code,
-        #: never from a client, so the key set is closed.
+        #: The forward's connection; stale once :meth:`close` ran.
+        self._sock: Optional[socket.socket] = None
+        self._stale = False
+        self._forwarding = asyncio.Lock()  # bound to a loop on first wait
+        #: op -> round trips attempted (a forwarded run counts once,
+        #: under its first op). Ops outside the op table count as
+        #: ``"other"``: a client names them, so the key set stays closed.
         self.calls: Dict[str, int] = {}
+
+    def _count(self, op: Any) -> None:
+        op = op if op in KNOWN_OPS else "other"
+        self.calls[op] = self.calls.get(op, 0) + 1
 
     def _drop_locked(self) -> None:
         if self._conn is not None:
@@ -384,14 +330,16 @@ class WorkerClient:
     def close(self) -> None:
         with self._lock:
             self._drop_locked()
+            self._stale = True  # the forward's connection goes on next use
 
     def call(
         self, payload: Dict[str, Any], *, kill_pid: Optional[int] = None
     ) -> Dict[str, Any]:
-        """One request/response round trip.
+        """One request/response round trip; :class:`WorkerDied` if the
+        transport fails.
 
         The request goes out as it is, without the client's ``id``, so
-        a shard's answer is exactly what an in-process host returns.
+        a tenant's answer is exactly what an in-process fleet returns.
 
         ``kill_pid`` is the chaos harness's in-flight fault: SIGKILL
         that pid after the request bytes are written but before the
@@ -400,8 +348,7 @@ class WorkerClient:
         the caller retries with the same rid).
         """
         with self._lock:
-            op = str(payload.get("op"))
-            self.calls[op] = self.calls.get(op, 0) + 1
+            self._count(payload.get("op"))
             try:
                 if self._conn is None:
                     self._conn = BrokerClient(
@@ -417,6 +364,79 @@ class WorkerClient:
                 # ReproError: EOF, or a response that is not an object.
                 self._drop_locked()
                 raise WorkerDied(f"worker IPC failed: {exc}") from None
+
+    async def forward(
+        self, payloads: List[Dict[str, Any]], timeout: float
+    ) -> List[Dict[str, Any]]:
+        """Every payload written at once, their answers read as they
+        come, in order.
+
+        Waits at most ``timeout`` on the loop — for its turn on the
+        connection, then for the answers — never blocking it. A request
+        the worker did not answer — it died, or is wedged — gets the
+        retryable ``code: "worker"`` error: its fate is unknown, so its
+        client retries it with the same rid.
+        """
+        answers: List[Dict[str, Any]] = []
+        try:
+            await asyncio.wait_for(self._exchange(payloads, answers), timeout)
+        except (OSError, asyncio.TimeoutError, ReproError) as exc:
+            why = f"worker IPC failed ({exc!r}); retry (same rid)"
+            answers += [error_response(p, why, code="worker")
+                        for p in payloads[len(answers):]]
+        return answers
+
+    async def _exchange(
+        self, payloads: List[Dict[str, Any]], answers: List[Dict[str, Any]]
+    ) -> None:
+        loop = asyncio.get_running_loop()
+        async with self._forwarding:
+            self._count(payloads[0].get("op"))
+            try:
+                if self._stale:
+                    self.close_forward()
+                if self._sock is None:
+                    self._sock = socket.socket(socket.AF_UNIX,
+                                               socket.SOCK_STREAM)
+                    self._sock.setblocking(False)
+                    await loop.sock_connect(self._sock, self.path)
+                # Answers are read while the run is still being written:
+                # the worker answers each whole line as it arrives, with
+                # a blocking write, so a run whose first answers fill the
+                # socket before its last requests are sent would
+                # otherwise stall both sides.
+                sock, rest = self._sock, None
+                data = memoryview(b"".join(map(encode, payloads)))
+                with contextlib.suppress(BlockingIOError):
+                    data = data[sock.send(data):]
+                if data:
+                    rest = loop.create_task(loop.sock_sendall(sock, data))
+                try:
+                    buf = b""
+                    while len(answers) < len(payloads):
+                        chunk = await loop.sock_recv(sock, 65536)
+                        if not chunk:
+                            raise ReproError("the worker closed the "
+                                             "connection")
+                        *lines, buf = (buf + chunk).split(b"\n")
+                        answers += map(parse_line, lines)
+                    if rest is not None:
+                        await rest  # all answered, so all was read
+                finally:
+                    if rest is not None and rest.cancel():
+                        await asyncio.wait([rest])  # unwatch, then close
+                    elif rest is not None and not rest.cancelled():
+                        rest.exception()  # retrieved: the reads report it
+            except BaseException:
+                self.close_forward()  # also when cancelled by a timeout
+                raise
+
+    def close_forward(self) -> None:
+        """Close the forward's connection: from the loop's thread only,
+        where no forward awaits it."""
+        if self._sock is not None:
+            self._sock.close()
+        self._sock, self._stale = None, False
 
 
 class _Forked:
@@ -456,7 +476,7 @@ class WorkerProcess:
         self.index = index
         self.socket_path = socket_path
         self.log_path = log_path
-        #: key -> host spec: what every (re)spawn recovers.
+        #: tenant -> fleet spec: what every (re)spawn recovers.
         self.assigned: Dict[str, Dict[str, Any]] = {}
         self.client = WorkerClient(socket_path)
         self.proc: Optional[_Forked] = None
@@ -465,8 +485,6 @@ class WorkerProcess:
         self.restarts = 0
         #: Serialises concurrent ensure() calls racing to respawn.
         self.respawn_lock = threading.Lock()
-        #: shard key -> {default_analysis} from worker_hello.
-        self.shard_meta: Dict[str, Dict[str, Any]] = {}
 
     @property
     def pid(self) -> Optional[int]:
@@ -504,7 +522,7 @@ class WorkerProcess:
         return "\n".join(text.splitlines()[-lines:])
 
     def fork(self) -> None:
-        """Fork the child, which recovers its shards, binds and serves."""
+        """Fork the child, which recovers its tenants, binds and serves."""
         supervisor = os.getpid()
         # The child gets a copy of every buffer; written once, here.
         for out in (sys.stdout, sys.stderr, trace.active()):
@@ -522,7 +540,7 @@ class WorkerProcess:
         self.proc = _Forked(pid)
 
     def await_ready(self) -> None:
-        """Wait for the forked child's byte, then ask it for its shards."""
+        """Wait for the forked child's byte: it has bound its socket."""
         ready, self._ready = self._ready, None
         poller = select.poll()
         poller.register(ready, select.POLLIN)
@@ -531,7 +549,6 @@ class WorkerProcess:
                 raise WorkerDied(f"not ready within {SPAWN_TIMEOUT:.0f}s")
             if not os.read(ready, 1):  # EOF: it died before it bound
                 raise WorkerDied(f"exit code {self.proc.wait(timeout=10)}")
-            hello = self.client.call({"op": "worker_hello"})
         except (WorkerDied, TimeoutError) as exc:
             self.kill()
             raise ReproError(
@@ -540,7 +557,6 @@ class WorkerProcess:
             ) from None
         finally:
             os.close(ready)
-        self.shard_meta = dict(hello.get("shards", {}))
 
     def kill(self, sig: int = signal.SIGKILL) -> None:
         """Signal the child (SIGKILL: the chaos fault) and reap it."""
@@ -555,31 +571,21 @@ class WorkerProcess:
         self.client.close()
 
     def stop(self) -> None:
-        """Graceful shutdown: worker_shutdown op, then escalate."""
-        if self._ready is not None:  # forked, never awaited: no hello
+        """Graceful shutdown: SIGTERM, which the child answers by closing
+        its tenants and exiting; SIGKILL if it does not."""
+        if self._ready is not None:  # forked, never awaited: not bound
             os.close(self._ready)
             self._ready = None
-            self.kill()
-        if self.alive:
-            try:
-                self.client.call({"op": "worker_shutdown"})
-            except WorkerDied:
-                pass
-            try:
-                self.proc.wait(timeout=5)
-            except TimeoutError:
-                self.kill(signal.SIGTERM)
-        self.client.close()
+        self.kill(signal.SIGTERM)
+        self.client.close_forward()
 
 
 class WorkerSupervisor:
     """Spawns, monitors and restarts the fleet's worker processes.
 
-    Assignment is by *tenant*: every shard of a tenant lands on the same
-    worker (tenants round-robin across workers). The fleet is
-    single-writer per tenant, so shards of one tenant never execute
-    concurrently anyway — spreading them across workers would buy no
-    parallelism while forcing every escalation through two processes.
+    Assignment is by *tenant*: a tenant's whole fleet — placement and
+    every shard — runs in one worker (tenants round-robin across
+    workers), so every decision it makes stays in one process.
     Cross-tenant parallelism is what the pool provides, and that is
     what the benchmark drives.
     """
@@ -594,7 +600,8 @@ class WorkerSupervisor:
         probe = sock_dir / f"w{workers - 1}.sock"
         if len(str(probe)) > _SOCKET_PATH_BUDGET:
             # sun_path is ~108 bytes; deep state dirs (pytest tmp trees)
-            # overflow it, so fall back to a short private tempdir.
+            # overflow it, so fall back to a short private tempdir,
+            # which stop() removes.
             sock_dir = Path(tempfile.mkdtemp(prefix="repro-w-"))
         self.sock_dir = sock_dir
         self.workers: List[WorkerProcess] = [
@@ -606,34 +613,27 @@ class WorkerSupervisor:
             for i in range(workers)
         ]
         self._worker_of: Dict[str, WorkerProcess] = {}
-        self._tenant_order: List[str] = []
         self._inflight_kill = False
         self._started = False
 
     # ------------------------------ assignment ------------------------ #
 
-    def assign_tenant(
-        self, tenant: str, shard_specs: Dict[str, Dict[str, Any]]
-    ) -> None:
-        """Register a tenant's shards (before :meth:`start`)."""
+    def assign_tenant(self, tenant: str, spec: Dict[str, Any]) -> None:
+        """Place a tenant's fleet (``topology``, ``shards``,
+        ``state_dir``, ``analysis``) on a worker, before :meth:`start`."""
         if self._started:
             raise ReproError("cannot assign tenants after start()")
-        if tenant in self._tenant_order:
+        if tenant in self._worker_of:
             raise ReproError(f"tenant {tenant!r} already assigned")
-        wp = self.workers[len(self._tenant_order) % len(self.workers)]
-        self._tenant_order.append(tenant)
-        for key, spec in shard_specs.items():
-            wp.assigned[key] = dict(spec)
-            self._worker_of[key] = wp
+        wp = self.workers[len(self._worker_of) % len(self.workers)]
+        wp.assigned[tenant] = dict(spec)
+        self._worker_of[tenant] = wp
 
-    def worker_for(self, key: str) -> WorkerProcess:
-        wp = self._worker_of.get(key)
+    def worker_for(self, tenant: str) -> WorkerProcess:
+        wp = self._worker_of.get(tenant)
         if wp is None:
-            raise ReproError(f"no worker hosts shard {key!r}")
+            raise ReproError(f"no worker serves tenant {tenant!r}")
         return wp
-
-    def shard_meta(self, key: str) -> Dict[str, Any]:
-        return self.worker_for(key).shard_meta.get(key, {})
 
     # ------------------------------ lifecycle ------------------------- #
 
@@ -651,17 +651,16 @@ class WorkerSupervisor:
     def stop(self) -> None:
         for wp in self.workers:
             wp.stop()
-
-    def ensure(self, key: str) -> bool:
-        """Respawn the worker hosting ``key`` if it is dead.
-
-        Returns ``True`` if a respawn happened. The respawned child
-        recovers every assigned shard from its journals before binding,
-        so by the time this returns the shard serves again.
-        """
-        return self.ensure_worker(self.worker_for(key))
+        if self.sock_dir != self.run_dir:
+            shutil.rmtree(self.sock_dir, ignore_errors=True)
 
     def ensure_worker(self, wp: WorkerProcess) -> bool:
+        """Respawn ``wp`` if it is dead; ``True`` if a respawn happened.
+
+        The respawned child recovers every assigned tenant from its
+        journals before binding, so by the time this returns its
+        tenants serve again.
+        """
         with wp.respawn_lock:
             if wp.alive:
                 if wp.responsive():
@@ -703,8 +702,8 @@ class WorkerSupervisor:
         return pid if pid is not None else -1
 
     def arm_inflight_kill(self) -> None:
-        """One-shot chaos fault: SIGKILL the target of the *next* RPC
-        after the request bytes are on the wire (see
+        """One-shot chaos fault: SIGKILL the target of the *next*
+        :meth:`call` after the request bytes are on the wire (see
         :meth:`WorkerClient.call`)."""
         self._inflight_kill = True
 
@@ -712,18 +711,61 @@ class WorkerSupervisor:
         """Drop an unconsumed mid-RPC kill (end-of-campaign quiesce)."""
         self._inflight_kill = False
 
-    # ------------------------------ RPC + status ---------------------- #
+    # ------------------------------ requests + status ----------------- #
 
-    def call(self, key: str, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Route one shard-addressed request to its worker."""
-        wp = self.worker_for(key)
-        payload = dict(request)
-        payload["shard"] = key
+    def call(self, tenant: str, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer one of ``tenant``'s requests in its worker, blocking.
+
+        A worker that dies mid-request is respawned before this returns
+        the retryable ``code: "worker"`` error: the op's fate is
+        unknown, which is exactly what at-least-once clients with
+        request ids are built for.
+        """
+        wp = self.worker_for(tenant)
         kill_pid = None
         if self._inflight_kill and wp.alive:
             self._inflight_kill = False
             kill_pid = wp.pid
-        return wp.client.call(payload, kill_pid=kill_pid)
+        try:
+            return wp.client.call(
+                {**request, "tenant": tenant}, kill_pid=kill_pid
+            )
+        except WorkerDied as exc:
+            try:
+                self.ensure_worker(wp)
+                then = ("the supervisor restarted it with journal recovery "
+                        "— retry the request (same rid) for the committed "
+                        "outcome")
+            except ReproError as restart_exc:
+                then = f"it could not be restarted: {restart_exc}"
+            return error_response(
+                request, f"worker {wp.index} serving tenant {tenant!r} "
+                f"died mid-op ({exc}); {then}", code="worker",
+            )
+
+    async def forward(
+        self, tenant: str, requests: List[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """Answer a run of ``tenant``'s requests in its worker, awaited
+        (see :meth:`WorkerClient.forward`); the monitor respawns a dead
+        worker."""
+        return await self.worker_for(tenant).client.forward(
+            [{**request, "tenant": tenant} for request in requests],
+            RPC_TIMEOUT,
+        )
+
+    async def stats(self) -> Dict[str, Dict[str, Any]]:
+        """Every tenant's ``stats`` answer, by name, for /healthz and
+        /metrics: one forward per worker, all at once, each bounded by
+        ``PROBE_TIMEOUT``; the tenants of a worker that is down or does
+        not answer in time get the ``code: "worker"`` error."""
+        runs = {wp: [{"op": "stats", "tenant": t} for t in sorted(wp.assigned)]
+                for wp in self.workers if wp.assigned}
+        answers = await asyncio.gather(*(
+            wp.client.forward(run, PROBE_TIMEOUT) for wp, run in runs.items()
+        ))
+        return {r["tenant"]: answer for run, got in zip(runs.values(), answers)
+                for r, answer in zip(run, got)}
 
     def status(self) -> List[Dict[str, Any]]:
         """Per-worker supervision facts for /healthz and /metrics."""
@@ -733,129 +775,11 @@ class WorkerSupervisor:
                 "pid": wp.pid,
                 "alive": wp.alive,
                 "restarts": wp.restarts,
-                "shards": sorted(wp.assigned),
+                "shards": sorted(
+                    f"{tenant}/shard-{i}"
+                    for tenant, spec in wp.assigned.items()
+                    for i in range(spec["shards"])
+                ),
             }
             for wp in self.workers
         ]
-
-
-class WorkerShard:
-    """Shard-client proxy: an EngineHost in a worker, seen from the fleet.
-
-    Implements the same surface the fleet's shard manager uses on a
-    local :class:`~repro.service.host.EngineHost` (``handle_request``
-    plus the shard-client accessors), as RPCs through the supervisor.
-    A :class:`WorkerDied` mid-request restarts the worker (journal
-    recovery) and surfaces as a retryable ``code: "worker"`` error —
-    the op's fate is unknown, which is exactly what at-least-once
-    clients with request ids are built for.
-    """
-
-    def __init__(self, supervisor: WorkerSupervisor, key: str):
-        self.supervisor = supervisor
-        self.key = key
-        #: Mirrors the child host's degraded flag, updated from response
-        #: traffic (set on ``code: "degraded"``, cleared by a successful
-        #: mutation/snapshot or a worker restart). A stale value only
-        #: ever delays an op by one round trip.
-        self.degraded = False
-        self.degraded_reason: Optional[str] = None
-
-    # ------------------------------ protocol -------------------------- #
-
-    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            response = self.supervisor.call(self.key, request)
-        except WorkerDied as exc:
-            return error_response(
-                request, str(self._died(exc)), code="worker"
-            )
-        self._track(request, response)
-        return response
-
-    def _died(self, exc: WorkerDied) -> ReproError:
-        """Restart the dead worker; the retryable ``code: "worker"``
-        error its caller gets instead of an answer (the op's fate is
-        unknown: retry with the same rid)."""
-        self.degraded = False
-        self.degraded_reason = None
-        try:
-            self.supervisor.ensure(self.key)
-            then = ("the supervisor restarted it with journal recovery — "
-                    "retry the request (same rid) for the committed outcome")
-        except ReproError as restart_exc:
-            then = f"it could not be restarted: {restart_exc}"
-        retryable = ReproError(
-            f"shard worker for {self.key} died mid-op ({exc}); {then}"
-        )
-        retryable.code = "worker"  # round-trips via error_code
-        return retryable
-
-    def _track(
-        self, request: Dict[str, Any], response: Dict[str, Any]
-    ) -> None:
-        op = request.get("op")
-        if response.get("code") == "degraded":
-            self.degraded = True
-            self.degraded_reason = response.get("error")
-        elif response.get("ok") and (op in MUTATING_OPS or op == "snapshot"):
-            self.degraded = False
-            self.degraded_reason = None
-
-    # ------------------------------ accessors ------------------------- #
-
-    def _rpc(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            response = self.supervisor.call(self.key, payload)
-        except WorkerDied as exc:
-            raise self._died(exc) from None
-        if not response.get("ok"):
-            raise error_from_response(
-                response, f"shard {self.key} RPC failed"
-            )
-        return response
-
-    @property
-    def default_analysis(self) -> str:
-        return str(self.supervisor.shard_meta(self.key)
-                   .get("default_analysis", ""))
-
-    def admitted_count(self) -> int:
-        status = self._rpc({"op": "worker_status"})
-        return int(status["shards"][self.key]["admitted"])
-
-    def upper_bounds(self) -> Dict[str, int]:
-        return dict(self._rpc({"op": "worker_bounds"})["bounds"])
-
-    def engine_stats(self) -> Dict[str, Any]:
-        return dict(self._rpc({"op": "worker_stats"})["engine"])
-
-    def drop_rid(self, rid: str) -> None:
-        self._rpc({"op": "worker_drop_rid", "rid": str(rid)})
-
-    def shard_dump(
-        self, ids: Optional[List[int]] = None
-    ) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"op": "worker_dump"}
-        if ids is not None:
-            payload["ids"] = [int(i) for i in ids]
-        dump = self._rpc(payload)
-        return {
-            key: dump[key]
-            for key in ("streams", "next_id", "applied") if key in dump
-        }
-
-    def restart(self) -> None:
-        """Kill this shard's worker and respawn it: the fresh child
-        recovers every shard it hosts from its journal."""
-        supervisor = self.supervisor
-        supervisor.kill_worker(supervisor.worker_for(self.key).index)
-        supervisor.ensure(self.key)
-        self.degraded = False
-        self.degraded_reason = None
-
-    def close(self) -> None:
-        """No-op: worker lifecycles belong to the supervisor."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"WorkerShard({self.key!r}, degraded={self.degraded})"

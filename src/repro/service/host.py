@@ -376,11 +376,9 @@ class EngineHost(OpInterpreter):
     # ------------------------------------------------------------------ #
     # Shard-client interface
     # ------------------------------------------------------------------ #
-    # The fleet's shard manager talks to its shards exclusively through
-    # these accessors (plus ``handle_request``), never through ``engine``
-    # directly, so a shard can equally be this in-process host or a
-    # :class:`repro.fleet.workers.WorkerShard` proxy fronting the same
-    # host in a supervised child process.
+    # The fleet's shard manager talks to its shards through these
+    # accessors (plus ``handle_request``), never through ``engine``
+    # directly; a shard is always in its tenant's process.
 
     @property
     def default_analysis(self) -> str:
@@ -507,6 +505,7 @@ class EngineHost(OpInterpreter):
             "service": self.metrics.to_dict(),
             "engine": self.engine_stats(),
             "admitted": len(self.engine.admitted),
+            "next_id": self.engine.next_id,
             "degraded": self.degraded,
         }
 

@@ -85,9 +85,13 @@ interpreters).
     Persist the admitted set to the snapshot file and truncate the
     journal. Requires the server to run with a state dir.
 ``stats``
-    Per-op metrics, engine cache counters, admitted count.
+    Per-op metrics, engine cache counters, admitted count, fresh-id
+    mark.
 ``shutdown``
     Acknowledge, then stop the server gracefully.
+``kill_shard`` / ``recover_shard``
+    ``shard``: an index. A fleet tenant stops serving the shard (a
+    primary crash), or replays its journal; unknown to an engine host.
 """
 
 from __future__ import annotations
@@ -148,7 +152,9 @@ class Op(NamedTuple):
     #: longer what the fleet last saw.
     mutates: bool = False
     #: The gateway forwards ``POST /v1/<name>`` to the tenant's fleet
-    #: (``shutdown`` it serves itself: it stops the gateway).
+    #: (``shutdown`` it serves itself: it stops the gateway; the shard
+    #: lifecycle ops it runs only for ``/admin/kill`` and
+    #: ``/admin/failover``).
     http: bool = True
     #: The response keys a committed mutation records under its ``rid``
     #: (in this order: snapshots write the record as it is) — what a
@@ -173,6 +179,8 @@ OPS = (
     Op("restore_link", mutates=True, outcome=_LINK_OUTCOME),
     Op("links"),
     Op("shutdown", http=False),
+    Op("kill_shard", http=False),
+    Op("recover_shard", http=False),
 )
 #: Ops the server accepts (``hello``/``ping`` are aliases).
 KNOWN_OPS = tuple(op.name for op in OPS)

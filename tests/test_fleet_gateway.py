@@ -14,7 +14,7 @@ from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
 from repro.fleet.shards import Fleet, TenantSpec
 from repro.service.loadgen import BrokerClient, run_load
-from repro.service.server import BrokerServer, _HttpError
+from repro.service.server import BrokerServer
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
 
@@ -24,14 +24,16 @@ def spec(src=0, dst=2, priority=5, period=300, length=4):
             "length": length, "deadline": period}
 
 
-def run_gateway(client_fn, tmp_path=None, *, tenants=None, shards=2):
+def run_gateway(client_fn, tmp_path=None, *, tenants=None, shards=2,
+                workers=0):
     """Start a gateway on a loopback port, run ``client_fn(port)`` in a
     thread, and return its result dict (plus the server under "gw")."""
     tenants = tenants or [TenantSpec("acme", "secret", TOPO)]
     result = {}
 
     async def main():
-        fleet = Fleet(tenants, shards=shards, state_dir=tmp_path)
+        fleet = Fleet(tenants, shards=shards, state_dir=tmp_path,
+                      workers=workers)
         gw = GatewayServer(fleet)
         await gw.start("127.0.0.1", 0)
         thread = threading.Thread(
@@ -297,14 +299,35 @@ class TestAdmin:
     def test_bool_index_is_400(self, tmp_path, path, payload):
         """A JSON ``true`` is not an index, though ``bool`` subclasses
         ``int``: nothing is killed or recovered."""
-        fleet = Fleet([TenantSpec("acme", "secret", TOPO)], shards=2,
-                      state_dir=tmp_path, workers=1)
-        try:
-            pid = fleet.supervisor.workers[0].pid
-            with pytest.raises(_HttpError) as err:
-                GatewayServer(fleet)._admin(path, "acme", payload)
-            assert err.value.status == 400
-            assert fleet.tenants["acme"].dead == set()
-            assert fleet.supervisor.workers[0].pid == pid
-        finally:
-            fleet.close()
+        def client(port):
+            with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
+                before = c.get("/healthz")
+                response = c.admin(path[len("/admin/"):], **payload)
+                after = c.get("/healthz")
+                c.request("shutdown")
+            return {"before": before, "response": response, "after": after}
+
+        result = run_gateway(client, tmp_path, workers=1)
+        assert result["response"]["_status"] == 400
+        assert result["after"]["ok"]
+        assert result["after"]["tenants"]["acme"]["dead"] == []
+        assert result["after"]["workers"] == result["before"]["workers"]
+
+    def test_admin_ops_are_unknown_on_v1(self, tmp_path):
+        """``kill_shard`` / ``recover_shard`` are the admin paths' ops:
+        ``/v1/op`` answers them as it answers any op it does not know,
+        and nothing is killed."""
+        def client(port):
+            with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
+                out = {op: c.request(op, shard=0)
+                       for op in ("kill_shard", "recover_shard", "nope")}
+                out["health"] = c.get("/healthz")
+                c.request("shutdown")
+            return out
+
+        result = run_gateway(client, tmp_path)
+        for op in ("kill_shard", "recover_shard", "nope"):
+            answer = result[op]
+            assert not answer["ok"] and answer["code"] == "protocol"
+            assert answer["error"] == f"unknown op {op!r}"
+        assert result["health"]["ok"]

@@ -299,30 +299,50 @@ class TestLinkSchedules:
     @pytest.mark.parametrize("workers", [0, 1], ids=["inprocess", "workers"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_books_never_drift(self, seed, workers, tmp_path):
+        """With a worker, the tenant's books live in another process:
+        after every op they are read from a recovery of a copy of its
+        state dir, and the worker's own counts — its placement table's
+        size, each shard's engine, the next id, which recovery does not
+        read back from the shard dumps — must match the copy's."""
         import random
 
         from repro.fleet.shards import Fleet, TenantSpec
-        from tests.test_fleet_shards import assert_books_exact
+        from repro.io import topology_from_spec
+        from tests.test_fleet_shards import assert_books_exact, recovered_copy
 
-        fleet = Fleet(
-            [TenantSpec("t", "key", TOPO)], shards=3,
-            state_dir=tmp_path, workers=workers,
-        )
-        tf = fleet.tenants["t"]
+        tenants = [TenantSpec("t", "key", TOPO)]
+        state = tmp_path / "state"
+        fleet = Fleet(tenants, shards=3, state_dir=state, workers=workers)
         ref = EngineHost(TOPO)
+
+        def books():
+            if not workers:
+                assert_books_exact(fleet.tenants["t"])
+                return fleet.tenants["t"].fingerprint()
+            live = fleet.handle_request("t", {"op": "stats"})
+            with recovered_copy(state, tenants, shards=3) as copy:
+                tf = copy.tenants["t"]
+                assert_books_exact(tf)
+                assert live["admitted"] == tf.admitted_count()
+                assert live["next_id"] == tf.next_id
+                assert [row["admitted"] for row in live["shards"]] == [
+                    host.admitted_count() for host in tf.hosts]
+                return tf.fingerprint()
+
         rng = random.Random(seed)
         # Links at the four corners, and half the streams starting in
         # one: two failures there cut a node off, which evicts.
         corners = (0, 5, 30, 35)
         links = sorted(
-            {tuple(sorted(c)) for c in tf.topology.channels()
+            {tuple(sorted(c))
+             for c in topology_from_spec(TOPO)[0].channels()
              if set(c) & set(corners)}
         )
         failed, link_ops, evictions = [], 0, 0
         try:
             for step in range(90):
                 roll = rng.random()
-                live = sorted(tf.owner)
+                live = ref.admitted_ids()
                 if roll < 0.2:
                     if failed and (len(failed) >= 5 or rng.random() < 0.3):
                         link = failed.pop(rng.randrange(len(failed)))
@@ -353,8 +373,8 @@ class TestLinkSchedules:
                 if request["op"] == "admit":
                     assert got == want, (step, request, got, want)
                 evictions += len(got.get("evicted", ()))
-                assert_books_exact(tf)
+                books()
             assert link_ops >= 5 and evictions >= 1
-            assert tf.fingerprint() == ref.fingerprint()
+            assert books() == ref.fingerprint()
         finally:
             fleet.close()

@@ -7,10 +7,15 @@ tenant (the fuzzed proof lives in ``test_fleet_equivalence.py``; here
 are the targeted edges).
 """
 
+import contextlib
+import itertools
 import json
+import shutil
 import sys
 import threading
 import time
+
+from pathlib import Path
 
 import pytest
 
@@ -618,18 +623,20 @@ class TestFleet:
         fleet.handle_request(
             "acme", {"op": "admit", "streams": [spec(0, 2)]}
         )
-        text = fleet.prometheus_text()
+        text = fleet.prometheus_text(fleet.stats())
         assert 'repro_fleet_tenant_streams{tenant="acme"} 1' in text
         assert 'repro_fleet_tenant_streams{tenant="beta"} 0' in text
         assert "repro_fleet_shard_streams" in text
         assert 'op="admit"' in text
 
-    def test_scrape_while_another_thread_places_streams(self):
-        """A ``--workers`` gateway runs a tenant's ops on an executor
-        thread while ``/metrics`` renders on the loop thread; a scrape
-        must never catch the placement map mid-update (``dictionary
-        changed size during iteration``)."""
-        fleet = self._fleet()
+    def test_scrape_while_another_thread_places_streams(self, tmp_path):
+        """With workers, one caller's thread may run a tenant's ops while
+        another renders ``/metrics`` from its ``stats`` answer: the
+        worker answers one request at a time, so a scrape never catches
+        the placement map mid-update (``dictionary changed size during
+        iteration``). A ``TenantFleet`` in this process is single-writer
+        (the gateway's loop thread)."""
+        fleet = self._fleet(state_dir=tmp_path, workers=1)
         live = []
 
         def place(count):
@@ -656,23 +663,26 @@ class TestFleet:
                         "acme", {"op": "release", "ids": [live.pop(0)]}
                     )
                     place(1)
+                    time.sleep(0)   # let the scraper at the client's lock
             except Exception as exc:  # the assertion below reports it
                 failures.append(exc)
 
         driver = threading.Thread(target=churn)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
         scrapes = 0
         try:
             driver.start()
-            deadline = time.monotonic() + 1.5
-            while time.monotonic() < deadline and driver.is_alive():
-                assert "repro_fleet_shard_streams" in fleet.prometheus_text()
+            # Twenty scrapes while the other thread churns (how long
+            # they take depends on who wins the client's lock).
+            deadline = time.monotonic() + 30
+            while (scrapes < 20 and time.monotonic() < deadline
+                   and driver.is_alive()):
+                text = fleet.prometheus_text(fleet.stats())
+                assert "repro_fleet_shard_streams" in text
                 scrapes += 1
         finally:
-            sys.setswitchinterval(interval)
             stop.set()
             driver.join(timeout=60)
+            fleet.close()
         assert not driver.is_alive() and not failures
         assert scrapes >= 20
 
@@ -709,9 +719,8 @@ def assert_books_exact(tf):
     """The fleet's books equal what its shards hold, right now.
 
     ``placed`` (spec + analysis name, by owner shard) must equal the
-    union of the shards' full dumps, and every remembered bounds entry
-    must equal the shard's current ``upper_bounds()`` — the fuzzes call
-    this after every op, so no op history can make the books drift.
+    union of the shards' full dumps — the fuzzes call this after every
+    op, so no op history can make the books drift.
     """
     held = {}
     for shard, host in enumerate(tf.hosts):
@@ -721,8 +730,26 @@ def assert_books_exact(tf):
             held[sid] = (shard, entry["stream"], entry["analysis"])
     assert set(tf.placed) == set(tf.owner)
     assert {sid: (tf.owner[sid], *tf.placed[sid]) for sid in tf.owner} == held
-    for shard, bounds in tf._bounds.items():
-        assert bounds == tf.hosts[shard].upper_bounds(), shard
+
+
+_copies = itertools.count()
+
+
+@contextlib.contextmanager
+def recovered_copy(state_dir, tenants, *, shards):
+    """An in-process :class:`Fleet` opened over a copy of ``state_dir``
+    (a worker fleet's, live): what a restart would recover, read without
+    touching the original. Its tenants' books are the worker's books."""
+    state_dir = Path(state_dir)
+    copy = state_dir.parent / f"{state_dir.name}-copy-{next(_copies)}"
+    shutil.copytree(state_dir, copy,
+                    ignore=shutil.ignore_patterns("workers"))
+    fleet = Fleet(tenants, shards=shards, state_dir=copy)
+    try:
+        yield fleet
+    finally:
+        fleet.close()
+        shutil.rmtree(copy)
 
 
 class TestPlacementTable:
@@ -732,7 +759,6 @@ class TestPlacementTable:
         assert_books_exact(tf)
         admit(tf, spec(3, 5))
         assert_books_exact(tf)
-        assert set(tf._bounds) == {0, 1}
         # One batch touching both shards' streams: an escalation.
         admit(tf, spec(0, 2, priority=4), spec(3, 5, priority=4))
         assert tf.escalations == 1
@@ -780,7 +806,7 @@ class TestPlacementTable:
                    "streams": [spec(30, 32)]}
         first = tf.handle_request(dict(request))
         assert not first["ok"] and first["code"] == "worker"
-        assert 1 not in tf.owner and target not in tf._bounds
+        assert 1 not in tf.owner
         retry = tf.handle_request(dict(request))
         assert retry["ok"] and retry["duplicate"] and retry["ids"] == [1]
         assert tf.placed[1][1] == "tighter"

@@ -259,7 +259,7 @@ def test_one_sendall_answers_in_order_like_a_serial_client(tmp_path, workers):
         piped = conn.send(*requests).read(len(requests))
         conn.close()
         assert gw.batched_requests == len(requests)
-        assert gw.fleet.tenants["acme"].escalations == 1
+        assert gw.fleet.stats()["acme"]["escalations"] == 1
     with serving(tmp_path / "serial", 0) as (port, _):
         conn = Pipe(port)
         serial = [conn.send(r).read(1)[0] for r in requests]

@@ -297,9 +297,8 @@ class TestHandOffRatios:
                       state_dir=tmp_path, workers=1)
         gateway = GatewayServer(fleet)
         try:
-            before = dict(fleet.supervisor.workers[0].client.calls)
-            # The start-up sweep: one full dump per shard, never again.
-            assert before["worker_dump"] == 2
+            # Readiness is a byte on a pipe: nothing is asked at start.
+            assert fleet.supervisor.workers[0].client.calls == {}
             admit = fleet.handle_request(
                 "acme", {"op": "admit", "streams": [spec()]}
             )
@@ -309,17 +308,17 @@ class TestHandOffRatios:
             )
             gateway.batches, gateway.batched_requests = 2, 5
             families = check_exposition(
-                fleet.prometheus_text(gateway._gateway_metrics)
+                fleet.prometheus_text(fleet.stats(), gateway._gateway_metrics)
             )
         finally:
             fleet.close()
         rpcs = families["repro_fleet_worker_rpcs_total"]
         assert rpcs["type"] == "counter"
-        for op in ("admit", "query"):   # exactly one round trip each
-            assert (f'repro_fleet_worker_rpcs_total{{op="{op}",'
-                    f'worker="0"}} 1') in rpcs["samples"]
-        assert ('repro_fleet_worker_rpcs_total{op="worker_dump",'
-                'worker="0"} 2') in rpcs["samples"]
+        # Exactly one round trip each, the scrape's stats included.
+        assert rpcs["samples"] == [
+            f'repro_fleet_worker_rpcs_total{{op="{op}",worker="0"}} 1'
+            for op in ("admit", "query", "stats")
+        ]
         for name, value in (
             ("repro_gateway_batches_total", 2),
             ("repro_gateway_batched_requests_total", 5),

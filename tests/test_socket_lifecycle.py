@@ -113,13 +113,11 @@ class TestStaleSocket:
 
 
 def make_supervisor(tmp_path, workers=1):
-    """A one-shard supervisor, assigned but not yet started."""
+    """A one-tenant, one-shard supervisor, assigned but not started."""
     sup = WorkerSupervisor(tmp_path, workers)
     sup.assign_tenant("t", {
-        "t/shard-0": {
-            "state_dir": str(tmp_path / "t" / "shard-0"),
-            "topology": MESH,
-        },
+        "topology": MESH, "shards": 1,
+        "state_dir": str(tmp_path / "t"), "analysis": None,
     })
     return sup
 

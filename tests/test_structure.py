@@ -17,8 +17,10 @@ fresh interpreter, and its branch of the fork can only leave through
 ``os._exit``. A dead fleet shard has one recovery path, the restart's
 journal replay: no warm standby, journal poller or shard hand-off is
 served, and the journal-tailing module is a test oracle nothing under
-``src/repro`` imports. These checks read the source tree, so a second
-copy fails here rather than drifting.
+``src/repro`` imports. A worker serves whole tenants: no shard proxy,
+cached shard bounds, private ``worker_*`` op or gateway thread pool
+bridges a tenant's placement and its shards. These checks read the
+source tree, so a second copy fails here rather than drifting.
 """
 
 import ast
@@ -36,7 +38,7 @@ SCOPE_PATTERNS = (
 
 
 #: Lines of ``src/repro/fleet``: lower it when the package shrinks.
-FLEET_LINE_CEILING = 2894
+FLEET_LINE_CEILING = 2725
 
 
 def _modules_matching(pattern):
@@ -144,3 +146,13 @@ def test_one_recovery_path():
     assert lines <= FLEET_LINE_CEILING, (
         f"src/repro/fleet has {lines} lines, over its ceiling"
     )
+
+
+def test_a_worker_serves_whole_tenants():
+    bridge = re.compile(
+        r"WorkerShard|shard_clients|_shard_bounds|_probe_stable"
+        r"""|(["']op["']\s*:|==|startswith\()\s*["']worker_"""
+    )
+    assert _modules_matching(bridge) == []
+    gateway = (SRC / "fleet" / "gateway.py").read_text()
+    assert "ThreadPoolExecutor" not in gateway
