@@ -48,13 +48,6 @@ class InversionComparison:
             self.classical[priority].mean / self.preemptive[priority].mean
         )
 
-    def max_blowup(self, priority: int) -> float:
-        """Max-latency factor classical/preemptive for one priority level."""
-        return (
-            self.classical[priority].maximum
-            / self.preemptive[priority].maximum
-        )
-
 
 def compare_arbitration(
     topology: Mesh2D,

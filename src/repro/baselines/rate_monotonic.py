@@ -69,18 +69,6 @@ class RMLinkAnalysis:
         """Naive claim: feasible iff every used link passes its RM bound."""
         return all(v.schedulable for v in self.verdicts.values())
 
-    def failing_links(self) -> Tuple[Channel, ...]:
-        """Links whose utilization exceeds their RM bound."""
-        return tuple(
-            sorted(c for c, v in self.verdicts.items() if not v.schedulable)
-        )
-
-    def max_utilization(self) -> float:
-        """The most loaded link's utilization (0.0 when no link is used)."""
-        if not self.verdicts:
-            return 0.0
-        return max(v.utilization for v in self.verdicts.values())
-
 
 def rm_link_feasibility(
     streams: StreamSet, routing: RoutingAlgorithm

@@ -587,14 +587,14 @@ def _run_serve(args: argparse.Namespace) -> int:
             await server.start_unix(args.socket)
             where = args.socket
         else:
-            await server.start_tcp(args.host, args.port)
-            where = f"{args.host}:{args.port}"
+            port = await server.start_tcp(args.host, args.port)
+            where = f"{args.host}:{port}"
         if args.metrics_port is not None:
-            await server.start_metrics_http(
+            port = await server.start_metrics_http(
                 args.metrics_host, args.metrics_port
             )
-            print(f"metrics on http://{args.metrics_host}:"
-                  f"{args.metrics_port}/metrics", flush=True)
+            print(f"metrics on http://{args.metrics_host}:{port}/metrics",
+                  flush=True)
         print(f"repro-broker listening on {where} "
               f"({len(server.engine.admitted)} recovered)", flush=True)
         await server.serve_forever()

@@ -15,7 +15,6 @@ from .backends import (
     get as get_backend,
     names as backend_names,
     register as register_backend,
-    temporary_backend,
 )
 from .assignment import (
     audsley_assignment,
@@ -82,7 +81,6 @@ __all__ = [
     "backend_names",
     "register_backend",
     "default_backend_name",
-    "temporary_backend",
     "BusyWindowResult",
     "busy_window_bound",
     "busy_window_bounds",

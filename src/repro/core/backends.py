@@ -35,8 +35,7 @@ Registered backends
     by construction; useful as the conservative end of the differential
     spread.
 
-Use :func:`get` / :func:`names` / :func:`default_name` for lookup and
-:func:`temporary_backend` to register throwaway backends in tests. The
+Use :func:`get` / :func:`names` / :func:`default_name` for lookup. The
 process-wide default honours the ``REPRO_ANALYSIS_BACKEND`` environment
 variable (validated — an unknown name raises at first use rather than
 silently meaning kim98).
@@ -44,10 +43,9 @@ silently meaning kim98).
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import AnalysisError
 from .feasibility import FeasibilityAnalyzer
@@ -60,7 +58,6 @@ __all__ = [
     "names",
     "default_name",
     "resolve_name",
-    "temporary_backend",
     "ENV_VAR",
 ]
 
@@ -188,21 +185,6 @@ def default_name() -> str:
     if env:
         return get(env).name
     return "kim98"
-
-
-@contextlib.contextmanager
-def temporary_backend(backend: BoundBackend) -> Iterator[BoundBackend]:
-    """Register ``backend`` for the duration of a ``with`` block.
-
-    Test helper: conformance/fuzz tests inject synthetic backends (e.g. a
-    deliberately unsound one to prove the oracle catches it) without
-    leaking them into other tests.
-    """
-    register(backend)
-    try:
-        yield backend
-    finally:
-        _REGISTRY.pop(backend.name, None)
 
 
 register(BoundBackend(

@@ -53,12 +53,6 @@ class InterferenceReport:
         """Total busy slots before the bound (``U - L`` when U exists)."""
         return sum(c.busy_slots for c in self.contributions)
 
-    def dominant(self) -> Optional[Contribution]:
-        """The largest contributor, or ``None`` when nothing interferes."""
-        if not self.contributions:
-            return None
-        return max(self.contributions, key=lambda c: c.busy_slots)
-
 
 def interference_report(
     analyzer: FeasibilityAnalyzer,

@@ -19,13 +19,13 @@ the seven-tuple ``(S_id, R_id, P_i, T_i, C_i, D_i, L_i)``:
 
 Every message generated by the stream inherits these attributes. Streams are
 immutable; a :class:`StreamSet` is an ordered, id-keyed collection with the
-validation and priority-grouping (the paper's ``GList``) the algorithm needs.
+validation and priority order the algorithm needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import StreamError
 
@@ -85,34 +85,6 @@ class MessageStream:
 
     # ------------------------------------------------------------------ #
 
-    @classmethod
-    def from_tuple(
-        cls,
-        stream_id: int,
-        seven_tuple: Sequence[int],
-    ) -> "MessageStream":
-        """Build a stream from the paper's ``(S, R, P, T, C, D, L)`` tuple.
-
-        ``S`` and ``R`` must already be node ids (use
-        :meth:`~repro.topology.mesh.Mesh2D.node_xy` for ``(x, y)`` pairs).
-        """
-        if len(seven_tuple) != 7:
-            raise StreamError(
-                f"expected a 7-tuple (S, R, P, T, C, D, L), got "
-                f"{len(seven_tuple)} values"
-            )
-        s, r, p, t, c, d, latency = seven_tuple
-        return cls(
-            stream_id=stream_id,
-            src=int(s),
-            dst=int(r),
-            priority=int(p),
-            period=int(t),
-            length=int(c),
-            deadline=int(d),
-            latency=int(latency),
-        )
-
     def with_latency(self, latency: int) -> "MessageStream":
         """Return a copy of this stream with ``latency`` filled in."""
         return replace(self, latency=latency)
@@ -126,26 +98,13 @@ class MessageStream:
         """Return the stream's injection utilization ``C_i / T_i``."""
         return self.length / self.period
 
-    def as_tuple(self) -> Tuple[int, int, int, int, int, int, Optional[int]]:
-        """Return the paper's seven-tuple form ``(S, R, P, T, C, D, L)``."""
-        return (
-            self.src,
-            self.dst,
-            self.priority,
-            self.period,
-            self.length,
-            self.deadline,
-            self.latency,
-        )
-
 
 class StreamSet:
     """An ordered, id-keyed collection of message streams.
 
-    The set enforces unique stream ids and offers the groupings the
+    The set enforces unique stream ids and offers the order the
     feasibility algorithm iterates over: streams sorted by decreasing
-    priority, and the per-priority-level ``GList`` of the paper's
-    ``Determine-Feasibility`` pseudocode.
+    priority, ties by id.
     """
 
     def __init__(self, streams: Iterable[MessageStream] = ()):
@@ -211,21 +170,6 @@ class StreamSet:
     # Groupings used by the algorithm
     # ------------------------------------------------------------------ #
 
-    def priorities(self) -> Tuple[int, ...]:
-        """Return the distinct priority values, descending (highest first)."""
-        return tuple(sorted({s.priority for s in self}, reverse=True))
-
-    def by_priority(self) -> Mapping[int, Tuple[MessageStream, ...]]:
-        """Return the ``GList`` mapping priority -> streams at that level.
-
-        Within a level, streams keep insertion order (the paper breaks
-        intra-level ties by stream index).
-        """
-        glist: Dict[int, List[MessageStream]] = {}
-        for s in self:
-            glist.setdefault(s.priority, []).append(s)
-        return {p: tuple(v) for p, v in glist.items()}
-
     def sorted_by_priority(self) -> Tuple[MessageStream, ...]:
         """Return streams in non-increasing priority order (ties by id).
 
@@ -238,13 +182,9 @@ class StreamSet:
             )
         return self._sorted
 
-    def higher_priority_than(self, stream: MessageStream) -> Tuple[MessageStream, ...]:
-        """Return all streams with strictly higher priority than ``stream``."""
-        return tuple(s for s in self if s.priority > stream.priority)
-
     def total_utilization(self) -> float:
         """Return the sum of per-stream injection utilizations."""
         return sum(s.utilization() for s in self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StreamSet(n={len(self)}, priorities={self.priorities()})"
+        return f"StreamSet(n={len(self)})"

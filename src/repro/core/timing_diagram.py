@@ -256,31 +256,6 @@ class TimingDiagram:
         bits = self._pre_erasure.get(row)
         return self.request_bits(row) if bits is None else bits
 
-    def state(self, row: int, slot: int) -> CellState:
-        """Return the :class:`CellState` of one cell.
-
-        ``row`` may be ``num_rows`` to address the result row, whose cells
-        are only ever FREE or BUSY.
-        """
-        if not 1 <= slot <= self.dtime:
-            raise AnalysisError(
-                f"slot {slot} outside diagram range [1, {self.dtime}]"
-            )
-        if row == self.num_rows:
-            return (
-                CellState.BUSY if self.busy_bits() >> slot & 1
-                else CellState.FREE
-            )
-        if not 0 <= row < self.num_rows:
-            raise AnalysisError(f"row {row} out of range")
-        if self.alloc_bits[row] >> slot & 1:
-            return CellState.ALLOCATED
-        if self.wait_bits[row] >> slot & 1:
-            return CellState.WAITING
-        if any(alloc >> slot & 1 for alloc in self.alloc_bits[:row]):
-            return CellState.BUSY
-        return CellState.FREE
-
     def _records_for(self, stream_id: int) -> List[InstanceAllocation]:
         """Build (or return cached) instance records for one stream row:
         the row's bits split per period window, skipped windows left out."""
@@ -342,15 +317,6 @@ class TimingDiagram:
                 lo = mid + 1
         return lo
 
-    def unsatisfied_instances(self) -> Tuple[InstanceAllocation, ...]:
-        """Return instances whose demand did not fit inside their window."""
-        return tuple(
-            inst
-            for lst in self.instances.values()
-            for inst in lst
-            if not inst.satisfied
-        )
-
     # ------------------------------------------------------------------ #
     # NumPy views (rendering / tests)
     # ------------------------------------------------------------------ #
@@ -374,20 +340,6 @@ class TimingDiagram:
     def waiting(self) -> "np.ndarray":
         """WAITING cells, one boolean row per stream row (a copy)."""
         return self._unpack(self.wait_bits)
-
-    def result_busy(self) -> "np.ndarray":
-        """Return the result row's busy mask (index 0 unused)."""
-        return self._unpack([self.busy_bits()])[0]
-
-    def row_requests(self, row: int) -> "np.ndarray":
-        """Return the mask of :meth:`request_bits`."""
-        return self._unpack([self.request_bits(row)])[0]
-
-    def free_slots(self) -> "np.ndarray":
-        """Return ascending slot indices that are FREE on the result row."""
-        import numpy as np
-
-        return np.flatnonzero(self._unpack([self.free_bits()])[0])
 
     def to_grid(self) -> "np.ndarray":
         """Materialise the dense ``(num_rows + 1, dtime + 1)`` state grid.

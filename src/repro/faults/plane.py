@@ -160,10 +160,6 @@ class FaultPlane:
         """Discard any unfired faults at ``site``; return how many."""
         return len(self._armed.pop(site, []))
 
-    def armed(self, site: str) -> int:
-        """Number of faults currently armed at ``site``."""
-        return len(self._armed.get(site, []))
-
     def take(self, site: str) -> Optional[FaultSpec]:
         """Pop and return the next armed fault at ``site`` (recording it
         as fired), or ``None``."""

@@ -899,13 +899,6 @@ class Fleet:
         ok = not any(row["dead"] or row["degraded"] for row in rows.values())
         return ok, rows
 
-    def healthy(self) -> bool:
-        if self.supervisor is not None and not all(
-            wp.alive for wp in self.supervisor.workers
-        ):
-            return False
-        return self.health(self.stats())[0]
-
     def prometheus_text(
         self,
         stats: Dict[str, Dict[str, Any]],

@@ -34,7 +34,6 @@ from .oracle import (
     FuzzViolation,
     bounds_digest,
     run_case,
-    stats_fingerprint,
 )
 from .shrink import ShrinkResult, shrink_case
 
@@ -47,7 +46,6 @@ __all__ = [
     "CaseResult",
     "FuzzViolation",
     "run_case",
-    "stats_fingerprint",
     "bounds_digest",
     "ShrinkResult",
     "shrink_case",

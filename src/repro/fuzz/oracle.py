@@ -49,15 +49,12 @@ from typing import Dict, Optional, Tuple
 from ..analysis.observe import admitted_scope, observe
 from ..core import backends as _backends
 from ..errors import ReproError
-from ..sim.network import WormholeSimulator
-from ..sim.stats import StatsCollector
 from .generator import FuzzCase
 
 __all__ = [
     "FuzzViolation",
     "CaseResult",
     "run_case",
-    "stats_fingerprint",
     "bounds_digest",
 ]
 
@@ -116,23 +113,6 @@ class CaseResult:
     def kinds(self) -> Tuple[str, ...]:
         """Distinct violation kinds, sorted."""
         return tuple(sorted({v.kind for v in self.violations}))
-
-
-def stats_fingerprint(
-    sim: WormholeSimulator, stats: StatsCollector
-) -> Dict[str, object]:
-    """A canonical, comparable digest of one simulation run.
-
-    Two runs of the same workload through semantically identical execution
-    paths must produce equal fingerprints — per-stream sample sequences
-    (order included), transfer totals and the unfinished count.
-    """
-    return {
-        "samples": {sid: stats.samples(sid) for sid in stats.stream_ids()},
-        "total_transfers": sim.total_transfers,
-        "unfinished": stats.unfinished,
-        "retransmissions": sim.retransmissions,
-    }
 
 
 def bounds_digest(bounds: Dict[int, int]) -> str:

@@ -44,7 +44,6 @@ from .topology import (
 __all__ = [
     "topology_from_spec",
     "load_problem",
-    "save_problem",
     "stream_from_spec",
     "stream_to_spec",
     "streams_to_spec",
@@ -176,19 +175,6 @@ def load_problem(
 def streams_to_spec(streams: StreamSet) -> list:
     """Serialise a stream set to the problem-file stream list."""
     return [stream_to_spec(s) for s in streams]
-
-
-def save_problem(
-    path: Union[str, Path],
-    topology_spec: Dict[str, Any],
-    streams: StreamSet,
-) -> None:
-    """Write a problem file (topology spec passed through verbatim)."""
-    payload = {
-        "topology": topology_spec,
-        "streams": streams_to_spec(streams),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def report_to_spec(report: FeasibilityReport) -> Dict[str, Any]:

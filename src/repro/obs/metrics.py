@@ -25,7 +25,7 @@ on its single asyncio thread, and the analysis pipeline is synchronous.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 
@@ -80,11 +80,6 @@ class Counter:
     def __init__(self) -> None:
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ReproError("counters can only increase")
-        self.value += amount
-
     def samples(self, name: str, labels: Mapping[str, str]) -> List[str]:
         return [f"{name}{_format_labels(labels)} {_format_value(self.value)}"]
 
@@ -99,12 +94,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
     def samples(self, name: str, labels: Mapping[str, str]) -> List[str]:
         return [f"{name}{_format_labels(labels)} {_format_value(self.value)}"]
@@ -253,9 +242,6 @@ class MetricsRegistry:
         **labels: str,
     ) -> Histogram:
         return self._family(name, "histogram", help, bounds=bounds).child(labels)
-
-    def families(self) -> Iterable[str]:
-        return sorted(self._families)
 
     def render(self) -> str:
         """The full registry in Prometheus text exposition format."""

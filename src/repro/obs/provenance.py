@@ -131,12 +131,6 @@ class StreamExplanation:
     #: Result-row busy intervals in ``[1, window_end]``.
     busy_timeline: Tuple[Tuple[int, int], ...] = ()
 
-    def dominant(self) -> Optional[HPContribution]:
-        """The largest contributor, or ``None`` when nothing interferes."""
-        if not self.contributions:
-            return None
-        return max(self.contributions, key=lambda c: c.busy_slots)
-
     def to_spec(self) -> Dict[str, Any]:
         """JSON-serialisable form (the ``repro explain --json`` payload)."""
         return {

@@ -11,11 +11,10 @@ Design constraints, in order:
    touches this module when tracing is off.
 2. **Determinism.** Every event carries a process-monotonic sequence
    number; all payload fields are pure functions of the workload. Wall
-   timestamps (``ts``/``dur``) are the only nondeterministic fields, and
-   :func:`canonical_lines` strips them so two runs of the same seeded
-   problem compare byte-identical. With ``REPRO_TRACE_CLOCK=logical``
-   the timestamp *is* the sequence number and the files themselves are
-   byte-identical.
+   timestamps (``ts``/``dur``) are the only nondeterministic fields, so
+   two runs of the same seeded problem compare byte-identical once they
+   are zeroed. With ``REPRO_TRACE_CLOCK=logical`` the timestamp *is* the
+   sequence number and the files themselves are byte-identical.
 3. **No dependencies, bounded memory.** Events land in a ring buffer
    (``REPRO_TRACE_BUFFER`` events, default 65536) and, when
    ``REPRO_TRACE_FILE`` names a path, are simultaneously streamed to it
@@ -51,7 +50,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, IO, Iterator, List, Mapping, Optional, Union
 
 from ..errors import ReproError
 
@@ -63,11 +62,9 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "active",
-    "canonical_lines",
     "configure_from_env",
     "install",
     "instant",
-    "pair_spans",
     "read_trace",
     "span",
     "trace_enabled_from_env",
@@ -340,47 +337,6 @@ def read_trace(path: Union[str, os.PathLike]) -> List[TraceEvent]:
                     f"bad trace line {lineno} in {path}: {exc}"
                 ) from None
     return events
-
-
-def canonical_lines(path: Union[str, os.PathLike]) -> List[str]:
-    """Trace lines with the nondeterministic fields (``ts``) zeroed.
-
-    Two runs of the same seeded workload must agree on this projection
-    byte for byte — the determinism contract the test suite pins.
-    """
-    out = []
-    for event in read_trace(path):
-        d = event.to_dict()
-        d["ts"] = 0
-        out.append(json.dumps(d, sort_keys=True, separators=(",", ":")))
-    return out
-
-
-def pair_spans(
-    events: List[TraceEvent],
-) -> List[Tuple[TraceEvent, TraceEvent, int]]:
-    """Match ``B``/``E`` events into ``(begin, end, depth)`` triples.
-
-    Raises :class:`ReproError` on unbalanced or interleaved spans —
-    the nesting validity check used by the trace tests.
-    """
-    stack: List[TraceEvent] = []
-    spans: List[Tuple[TraceEvent, TraceEvent, int]] = []
-    for event in events:
-        if event.ph == "B":
-            stack.append(event)
-        elif event.ph == "E":
-            if not stack or stack[-1].name != event.name:
-                raise ReproError(
-                    f"unbalanced span end {event.name!r} at seq {event.seq}"
-                )
-            begin = stack.pop()
-            spans.append((begin, event, len(stack)))
-    if stack:
-        raise ReproError(
-            f"unclosed span(s): {[e.name for e in stack]}"
-        )
-    return spans
 
 
 # Import-time activation: lets `REPRO_TRACE=1 pytest` (the CI

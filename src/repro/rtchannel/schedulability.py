@@ -59,11 +59,6 @@ class HolisticResult:
     links: Tuple[LinkResponse, ...]
     converged: bool
 
-    @property
-    def feasible_within(self) -> Optional[int]:
-        """The bound when it exists, else ``None``."""
-        return self.bound if self.bound > 0 else None
-
 
 def _link_response(
     stream: MessageStream,

@@ -200,7 +200,3 @@ class ServiceMetrics:
             "read-ahead queue was full.",
         ).value = float(self.readahead_full)
         return reg
-
-    def render_prometheus(self) -> str:
-        """The service metrics in Prometheus text exposition format."""
-        return self.sync_registry().render()

@@ -554,15 +554,18 @@ class BrokerServer(EngineHost):
         )
         self._unix_path = sock_path
 
-    async def start_tcp(self, host: str, port: int) -> None:
-        """Listen on a TCP address."""
+    async def start_tcp(self, host: str, port: int) -> int:
+        """Listen on a TCP address; returns the bound port (``port`` 0
+        binds an ephemeral one)."""
         keep_recv_buffers_on_heap()
         self._server = await asyncio.get_running_loop().create_server(
             self._client, host=host, port=port
         )
+        return self._server.sockets[0].getsockname()[1]
 
-    async def start_metrics_http(self, host: str, port: int) -> None:
-        """Serve ``GET /metrics`` (Prometheus text) over HTTP.
+    async def start_metrics_http(self, host: str, port: int) -> int:
+        """Serve ``GET /metrics`` (Prometheus text) over HTTP; returns
+        the bound port.
 
         Dependency-free scrape endpoint on the broker's event loop;
         rendering reads engine state between passes, so scrapes observe
@@ -571,6 +574,7 @@ class BrokerServer(EngineHost):
         self._metrics_server = await asyncio.get_running_loop().create_server(
             lambda: HttpConnection(self), host=host, port=port
         )
+        return self._metrics_server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
         """Serve until a ``shutdown`` op (or :meth:`request_shutdown`)."""

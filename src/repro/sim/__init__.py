@@ -17,18 +17,9 @@ from .flit import Message
 from .gantt import GanttRecorder, render_gantt
 from .network import VC_MODES, WormholeSimulator
 from .router import INJECTION_PORT, Router, VirtualChannel
-from .snapshot import render_worm_snapshot
 from .stats import DelayStats, StatsCollector
 from .trace import MessageTrace, TraceRecorder, render_mesh_utilization
-from .traffic import (
-    PaperWorkload,
-    PatternWorkload,
-    bit_reversal_pattern,
-    hotspot_pattern,
-    random_phases,
-    transpose_pattern,
-    zero_phases,
-)
+from .traffic import PaperWorkload, random_phases
 
 __all__ = [
     "SimulationKernel",
@@ -45,16 +36,10 @@ __all__ = [
     "DelayStats",
     "StatsCollector",
     "PaperWorkload",
-    "PatternWorkload",
-    "transpose_pattern",
-    "bit_reversal_pattern",
-    "hotspot_pattern",
-    "zero_phases",
     "random_phases",
     "MessageTrace",
     "TraceRecorder",
     "render_mesh_utilization",
-    "render_worm_snapshot",
     "GanttRecorder",
     "render_gantt",
 ]

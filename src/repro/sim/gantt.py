@@ -18,7 +18,7 @@ paper's section 4.4 example.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..topology.base import Channel
@@ -67,17 +67,6 @@ class GanttRecorder:
         """Channels that carried at least one flit inside the window."""
         return tuple(sorted(self.cells))
 
-    def occupancy(self, channel: Channel) -> Mapping[int, int]:
-        """cycle -> stream id for one channel (empty if never used)."""
-        return dict(self.cells.get(channel, {}))
-
-    def utilisation(self, channel: Channel, lo: int, hi: int) -> float:
-        """Fraction of [lo, hi] the channel was busy."""
-        if hi < lo:
-            raise SimulationError(f"bad interval [{lo}, {hi}]")
-        cells = self.cells.get(channel, {})
-        busy = sum(1 for t in cells if lo <= t <= hi)
-        return busy / (hi - lo + 1)
 
 
 def _channel_label(channel: Channel, topology=None) -> str:

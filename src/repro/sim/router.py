@@ -270,7 +270,3 @@ class Router:
             i for i in range(min(max_index, self.num_vcs - 1), -1, -1)
             if vcs[i].free
         ]
-
-    def all_vcs(self) -> List[VirtualChannel]:
-        """Return every VC of this router (all ports)."""
-        return [vc for vcs in self.ports.values() for vc in vcs]

@@ -47,13 +47,6 @@ class MessageTrace:
         return self.first_flit - 1 - self.release
 
     @property
-    def network_delay(self) -> Optional[int]:
-        """Flit times from first flit to tail absorption (inclusive)."""
-        if self.first_flit is None or self.finish is None:
-            return None
-        return self.finish - self.first_flit + 1
-
-    @property
     def total_delay(self) -> Optional[int]:
         """The paper's transmission delay (release to tail absorption)."""
         if self.finish is None:
@@ -103,13 +96,6 @@ class TraceRecorder:
         return sorted(
             (t for t in self._traces.values() if t.stream_id == stream_id),
             key=lambda t: t.release,
-        )
-
-    def finished(self) -> List[MessageTrace]:
-        """All completed traces, in finish order."""
-        return sorted(
-            (t for t in self._traces.values() if t.finish is not None),
-            key=lambda t: t.finish,
         )
 
     def queueing_share(self, stream_id: int) -> float:

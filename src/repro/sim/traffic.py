@@ -23,24 +23,17 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.streams import MessageStream, StreamSet
 from ..errors import SimulationError
 from ..topology.base import Topology
-from ..topology.hypercube import Hypercube
-from ..topology.mesh import Mesh2D
 
 __all__ = [
     "PaperWorkload",
-    "PatternWorkload",
-    "transpose_pattern",
-    "bit_reversal_pattern",
-    "hotspot_pattern",
-    "zero_phases",
     "random_phases",
 ]
 
@@ -116,129 +109,6 @@ class PaperWorkload:
                 )
             )
         return streams
-
-
-# ---------------------------------------------------------------------- #
-# Structured destination patterns (classic NoC workloads)
-# ---------------------------------------------------------------------- #
-
-
-def transpose_pattern(topology: Topology) -> Dict[int, int]:
-    """Matrix-transpose pattern on a square 2-D mesh: ``(x, y) -> (y, x)``.
-
-    Nodes on the diagonal have no partner and are omitted. Transpose
-    traffic concentrates load around the diagonal, the classic adversarial
-    pattern for dimension-ordered routing.
-    """
-    if not isinstance(topology, Mesh2D) or topology.width != topology.height:
-        raise SimulationError(
-            "transpose_pattern needs a square Mesh2D"
-        )
-    out: Dict[int, int] = {}
-    for n in topology.nodes():
-        x, y = topology.xy(n)
-        if x != y:
-            out[n] = topology.node_xy(y, x)
-    return out
-
-
-def bit_reversal_pattern(topology: Topology) -> Dict[int, int]:
-    """Bit-reversal pattern on a hypercube (or any power-of-two node set):
-    node ``b_{k-1}..b_0`` sends to ``b_0..b_{k-1}``."""
-    n = topology.num_nodes
-    if n & (n - 1):
-        raise SimulationError(
-            "bit_reversal_pattern needs a power-of-two node count"
-        )
-    bits = n.bit_length() - 1
-    out: Dict[int, int] = {}
-    for src in topology.nodes():
-        dst = int(f"{src:0{bits}b}"[::-1], 2) if bits else src
-        if dst != src:
-            out[src] = dst
-    return out
-
-
-def hotspot_pattern(
-    topology: Topology,
-    hotspot: int,
-    *,
-    num_sources: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> Dict[int, int]:
-    """All (or a sample of) nodes send to one hotspot node.
-
-    Models the many-to-one congestion of a shared service (host processor,
-    memory controller) — the paper's Fig. 1 host is exactly such a node.
-    """
-    topology.validate_node(hotspot)
-    sources = [n for n in topology.nodes() if n != hotspot]
-    if num_sources is not None:
-        if not 1 <= num_sources <= len(sources):
-            raise SimulationError(
-                f"num_sources must be in [1, {len(sources)}]"
-            )
-        rng = np.random.default_rng(seed)
-        picked = rng.choice(len(sources), size=num_sources, replace=False)
-        sources = [sources[i] for i in sorted(int(i) for i in picked)]
-    return {src: hotspot for src in sources}
-
-
-@dataclass
-class PatternWorkload:
-    """Periodic streams over an explicit source->destination pattern.
-
-    Combines a structured destination map (e.g. :func:`transpose_pattern`)
-    with the paper's timing parameters. Priorities are assigned uniformly
-    over ``1..priority_levels`` like :class:`PaperWorkload`.
-    """
-
-    pattern: Dict[int, int]
-    priority_levels: int = 1
-    length_range: Tuple[int, int] = (10, 40)
-    period_range: Tuple[int, int] = (400, 900)
-    deadline_factor: float = 1.0
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not self.pattern:
-            raise SimulationError("empty destination pattern")
-        if self.priority_levels < 1:
-            raise SimulationError("priority_levels must be >= 1")
-        for src, dst in self.pattern.items():
-            if src == dst:
-                raise SimulationError(
-                    f"pattern maps node {src} to itself"
-                )
-
-    def generate(self, topology: Topology) -> StreamSet:
-        """Draw timing parameters for every pattern pair."""
-        rng = np.random.default_rng(self.seed)
-        streams = StreamSet()
-        for i, src in enumerate(sorted(self.pattern)):
-            dst = self.pattern[src]
-            topology.validate_node(src)
-            topology.validate_node(dst)
-            period = int(rng.integers(self.period_range[0],
-                                      self.period_range[1] + 1))
-            streams.add(MessageStream(
-                stream_id=i,
-                src=src,
-                dst=dst,
-                priority=int(rng.integers(1, self.priority_levels + 1)),
-                period=period,
-                length=int(rng.integers(self.length_range[0],
-                                        self.length_range[1] + 1)),
-                deadline=max(1, int(round(period * self.deadline_factor))),
-            ))
-        return streams
-
-
-def zero_phases(streams: StreamSet) -> Dict[int, int]:
-    """All streams released synchronously at time 0 (the analysis's critical
-    instant; the paper's simulations start all sources together and discard
-    the start-up transient)."""
-    return {s.stream_id: 0 for s in streams}
 
 
 def random_phases(

@@ -15,7 +15,6 @@ from .routing import (
     ECubeRouting,
     FaultAwareRouting,
     RoutingAlgorithm,
-    TableRouting,
     TorusDimensionOrderRouting,
     UpDownRouting,
     XYRouting,
@@ -24,7 +23,6 @@ from .routing import (
 )
 from .route_table import (
     RouteTable,
-    clear_shared_route_tables,
     shared_route_table,
 )
 from .torus import Torus
@@ -32,7 +30,6 @@ from .torus import Torus
 __all__ = [
     "RouteTable",
     "shared_route_table",
-    "clear_shared_route_tables",
     "Channel",
     "Topology",
     "DegradedTopology",
@@ -48,7 +45,6 @@ __all__ = [
     "ECubeRouting",
     "TorusDimensionOrderRouting",
     "UpDownRouting",
-    "TableRouting",
     "FaultAwareRouting",
     "channel_dependency_graph",
     "is_deadlock_free",

@@ -24,10 +24,7 @@ adjacent to what*.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Tuple
-
-if TYPE_CHECKING:
-    import networkx as nx
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from ..errors import TopologyError
 
@@ -114,28 +111,6 @@ class Topology(ABC):
                 f"node {node} out of range [0, {self.num_nodes})"
             )
         return node
-
-    def to_networkx(self) -> "nx.DiGraph":
-        """Return the topology as a :class:`networkx.DiGraph`.
-
-        Nodes carry a ``coords`` attribute; the graph is a snapshot — mutating
-        it does not affect the topology.
-        """
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for n in self.nodes():
-            g.add_node(n, coords=self.coords(n))
-        g.add_edges_from(self.channels())
-        return g
-
-    # ------------------------------------------------------------------ #
-    # Introspection helpers
-    # ------------------------------------------------------------------ #
-
-    def degree(self, node: int) -> int:
-        """Return the out-degree (= in-degree for our symmetric links)."""
-        return len(self.neighbors(node))
 
     def __contains__(self, node: object) -> bool:
         return isinstance(node, int) and 0 <= node < self.num_nodes

@@ -56,11 +56,5 @@ class Hypercube(Topology):
             node |= bit << i
         return node
 
-    def hop_distance(self, src: int, dst: int) -> int:
-        """Return the Hamming distance between the two node addresses."""
-        self.validate_node(src)
-        self.validate_node(dst)
-        return (src ^ dst).bit_count()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Hypercube(dimension={self.dimension})"

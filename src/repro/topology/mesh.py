@@ -112,11 +112,6 @@ class Mesh(Topology):
         self._neighbor_cache[node] = out
         return out
 
-    def hop_distance(self, src: int, dst: int) -> int:
-        """Return the minimal hop count between two nodes (Manhattan)."""
-        sc, dc = self.coords(src), self.coords(dst)
-        return sum(abs(a - b) for a, b in zip(sc, dc))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(dims={self.dims})"
 

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Tuple
 from .base import Channel
 from .routing import RoutingAlgorithm
 
-__all__ = ["RouteTable", "shared_route_table", "clear_shared_route_tables"]
+__all__ = ["RouteTable", "shared_route_table"]
 
 
 class RouteTable:
@@ -93,8 +93,3 @@ def shared_route_table(routing: RoutingAlgorithm) -> RouteTable:
         table = RouteTable(routing)
         _SHARED[key] = table
     return table
-
-
-def clear_shared_route_tables() -> None:
-    """Drop every shared table entirely (tests and benchmarks)."""
-    _SHARED.clear()

@@ -18,8 +18,6 @@ This module supplies:
   is a sequence of "up" channels followed by "down" channels, which rules
   out dependency cycles on any topology, including irregular degraded
   ones);
-* :class:`TableRouting` — arbitrary per-pair route tables, loadable from
-  JSON, for externally computed routing functions;
 * :class:`FaultAwareRouting` — a composite that keeps the base routing's
   route wherever it avoids a set of failed links and falls back to
   up*/down* detours on the degraded graph elsewhere, spending one extra
@@ -35,8 +33,6 @@ HP-set construction in :mod:`repro.core.hpset` intersects.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import (
@@ -44,11 +40,9 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..errors import RoutingError
@@ -68,7 +62,6 @@ __all__ = [
     "ECubeRouting",
     "TorusDimensionOrderRouting",
     "UpDownRouting",
-    "TableRouting",
     "FaultAwareRouting",
     "channel_dependency_graph",
     "is_deadlock_free",
@@ -134,18 +127,6 @@ class RoutingAlgorithm(ABC):
         returns all zeros.
         """
         return (0,) * self.hop_count(src, dst)
-
-    def next_hop(self, current: int, dst: int) -> int:
-        """Return the next node after ``current`` on the route to ``dst``.
-
-        This is the form of the routing function a router evaluates when a
-        header flit arrives. Deterministic routing guarantees the suffix of a
-        route is itself the route from the intermediate node, so this is
-        simply the second node of ``route(current, dst)``.
-        """
-        if current == dst:
-            raise RoutingError(f"node {current} is already the destination")
-        return self.route(current, dst)[1]
 
     def hop_count(self, src: int, dst: int) -> int:
         """Return the number of channels (hops) on the route."""
@@ -442,186 +423,6 @@ class UpDownRouting(RoutingAlgorithm):
 
     def signature(self) -> Tuple:
         return ("UpDownRouting", self.root)
-
-
-class TableRouting(RoutingAlgorithm):
-    """Arbitrary per-pair route tables (the gem5-garnet style).
-
-    Routes come from an explicit ``(src, dst) -> path`` mapping instead
-    of an algorithm — the form externally computed routing functions
-    (SAT-solved, up/down tables from a management plane, hand-written
-    regression cases) arrive in. Pairs absent from the table raise a
-    :class:`~repro.errors.RoutingError` naming the pair, and every route
-    is validated against the topology on first use exactly like the
-    algorithmic routings. Tables round-trip through JSON
-    (:meth:`from_json` / :meth:`to_json`) and can be dumped from any
-    existing routing with :meth:`from_routing` — including regenerating
-    an up/down table after a link failure.
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        routes: Mapping[Tuple[int, int], Sequence[int]],
-        *,
-        classes: Optional[Mapping[Tuple[int, int], Sequence[int]]] = None,
-        num_vc_classes: int = 1,
-    ):
-        super().__init__(topology)
-        if int(num_vc_classes) < 1:
-            raise RoutingError(
-                f"num_vc_classes must be >= 1, got {num_vc_classes}"
-            )
-        self.num_vc_classes = int(num_vc_classes)
-        self._routes: Dict[Tuple[int, int], Tuple[int, ...]] = {
-            (int(s), int(d)): tuple(int(n) for n in path)
-            for (s, d), path in routes.items()
-        }
-        self._classes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        for (s, d), cls in (classes or {}).items():
-            key = (int(s), int(d))
-            out = tuple(int(c) for c in cls)
-            if key not in self._routes:
-                raise RoutingError(
-                    f"classes given for pair {key} with no route"
-                )
-            if len(out) != len(self._routes[key]) - 1:
-                raise RoutingError(
-                    f"classes for pair {key} have {len(out)} entries, "
-                    f"route has {len(self._routes[key]) - 1} hops"
-                )
-            if any(not 0 <= c < self.num_vc_classes for c in out):
-                raise RoutingError(
-                    f"classes for pair {key} exceed num_vc_classes="
-                    f"{self.num_vc_classes}: {out}"
-                )
-            self._classes[key] = out
-        self._signature: Optional[Tuple] = None
-
-    def _compute_route(self, src: int, dst: int) -> Tuple[int, ...]:
-        if src == dst:
-            return (src,)
-        path = self._routes.get((src, dst))
-        if path is None:
-            raise RoutingError(
-                f"route table has no entry for pair ({src}, {dst}); "
-                "the destination is unreachable under this table"
-            )
-        return path
-
-    def route_classes(self, src: int, dst: int) -> Tuple[int, ...]:
-        cls = self._classes.get((src, dst))
-        if cls is not None:
-            return cls
-        return (0,) * self.hop_count(src, dst)
-
-    def pairs(self) -> List[Tuple[int, int]]:
-        """The (src, dst) pairs the table has routes for, sorted."""
-        return sorted(self._routes)
-
-    # ------------------------------------------------------------------ #
-    # Construction / serialisation
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_routing(cls, routing: RoutingAlgorithm) -> "TableRouting":
-        """Dump a routing function into an explicit all-pairs table.
-
-        Pairs the source routing cannot route (disconnected under a
-        degraded topology) are simply absent from the table — lookups
-        for them raise the same ``RoutingError`` an absent JSON entry
-        would.
-        """
-        routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        classes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        n = routing.topology.num_nodes
-        for src in range(n):
-            for dst in range(n):
-                if src == dst:
-                    continue
-                try:
-                    routes[(src, dst)] = routing.route(src, dst)
-                except RoutingError:
-                    continue
-                classes[(src, dst)] = routing.route_classes(src, dst)
-        return cls(
-            routing.topology,
-            routes,
-            classes=classes,
-            num_vc_classes=getattr(routing, "num_vc_classes", 1),
-        )
-
-    def to_spec(self) -> Dict:
-        """The JSON-serialisable table form (see :meth:`from_spec`)."""
-        return {
-            "num_vc_classes": self.num_vc_classes,
-            "routes": [
-                {
-                    "src": s,
-                    "dst": d,
-                    "path": list(self._routes[(s, d)]),
-                    **(
-                        {"classes": list(self._classes[(s, d)])}
-                        if (s, d) in self._classes
-                        and any(self._classes[(s, d)])
-                        else {}
-                    ),
-                }
-                for s, d in sorted(self._routes)
-            ],
-        }
-
-    @classmethod
-    def from_spec(cls, topology: Topology, spec: Mapping) -> "TableRouting":
-        """Build a table from its JSON object form."""
-        entries = spec.get("routes")
-        if not isinstance(entries, list):
-            raise RoutingError("table spec needs a 'routes' list")
-        routes: Dict[Tuple[int, int], List[int]] = {}
-        classes: Dict[Tuple[int, int], List[int]] = {}
-        for entry in entries:
-            try:
-                key = (int(entry["src"]), int(entry["dst"]))
-                path = [int(n) for n in entry["path"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RoutingError(
-                    f"bad route table entry {entry!r}: {exc}"
-                ) from None
-            if key in routes:
-                raise RoutingError(f"duplicate route table entry for {key}")
-            routes[key] = path
-            if "classes" in entry:
-                classes[key] = [int(c) for c in entry["classes"]]
-        return cls(
-            topology,
-            routes,
-            classes=classes,
-            num_vc_classes=int(spec.get("num_vc_classes", 1)),
-        )
-
-    def to_json(self) -> str:
-        """Serialise the table to canonical JSON text."""
-        return json.dumps(self.to_spec(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(
-        cls, topology: Topology, text: Union[str, bytes]
-    ) -> "TableRouting":
-        """Parse a table from JSON text (see :meth:`to_json`)."""
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise RoutingError(f"route table is not valid JSON: {exc}")
-        if not isinstance(spec, dict):
-            raise RoutingError("route table JSON must be an object")
-        return cls.from_spec(topology, spec)
-
-    def signature(self) -> Tuple:
-        if self._signature is None:
-            digest = hashlib.sha256(self.to_json().encode()).hexdigest()
-            self._signature = ("TableRouting", digest)
-        return self._signature
 
 
 class FaultAwareRouting(RoutingAlgorithm):

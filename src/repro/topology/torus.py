@@ -52,12 +52,3 @@ class Torus(Mesh):
         out = tuple(result)
         self._neighbor_cache[node] = out
         return out
-
-    def hop_distance(self, src: int, dst: int) -> int:
-        """Return the minimal hop count, taking wrap-around into account."""
-        sc, dc = self.coords(src), self.coords(dst)
-        total = 0
-        for a, b, extent in zip(sc, dc, self.dims):
-            d = abs(a - b)
-            total += min(d, extent - d)
-        return total

@@ -13,8 +13,13 @@ import pytest
 
 from repro.core.hpset import HPEntry, HPSet
 from repro.core.streams import MessageStream, StreamSet
-from repro.topology import Mesh2D, XYRouting
+from repro.topology import Mesh2D, XYRouting, route_table
 from repro.topology.routing import RoutingAlgorithm
+
+def clear_shared_route_tables():
+    """Forget every process-wide route table, so a test starts cold."""
+    route_table._SHARED.clear()
+
 
 #: (src_xy, dst_xy, P, T, C, D, L) for M0..M4 of section 4.4.
 PAPER_EXAMPLE = [

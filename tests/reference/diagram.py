@@ -22,9 +22,41 @@ import numpy as np
 from repro.core.bdg import indirect_processing_order
 from repro.core.hpset import HPSet
 from repro.core.streams import MessageStream, StreamSet
-from repro.core.timing_diagram import CellState
+from repro.core.timing_diagram import CellState, TimingDiagram
+from repro.errors import AnalysisError
 
-__all__ = ["generate_init_diagram_reference", "modify_diagram_reference"]
+__all__ = [
+    "cell_state",
+    "generate_init_diagram_reference",
+    "modify_diagram_reference",
+]
+
+
+def cell_state(diagram: TimingDiagram, row: int, slot: int) -> CellState:
+    """Return the :class:`CellState` of one cell of ``diagram``.
+
+    Read straight off the row bitsets, one cell at a time. ``row`` may
+    be ``num_rows`` to address the result row, whose cells are only ever
+    FREE or BUSY.
+    """
+    if not 1 <= slot <= diagram.dtime:
+        raise AnalysisError(
+            f"slot {slot} outside diagram range [1, {diagram.dtime}]"
+        )
+    if row == diagram.num_rows:
+        return (
+            CellState.BUSY if diagram.busy_bits() >> slot & 1
+            else CellState.FREE
+        )
+    if not 0 <= row < diagram.num_rows:
+        raise AnalysisError(f"row {row} out of range")
+    if diagram.alloc_bits[row] >> slot & 1:
+        return CellState.ALLOCATED
+    if diagram.wait_bits[row] >> slot & 1:
+        return CellState.WAITING
+    if any(alloc >> slot & 1 for alloc in diagram.alloc_bits[:row]):
+        return CellState.BUSY
+    return CellState.FREE
 
 
 def generate_init_diagram_reference(

@@ -19,9 +19,10 @@ from repro.errors import SimulationError
 from repro.sim.flit import Message
 from repro.sim.network import WormholeSimulator
 from repro.sim.router import VirtualChannel
+from repro.sim.stats import StatsCollector
 from repro.topology.base import Channel
 
-__all__ = ["RescanSimulator"]
+__all__ = ["RescanSimulator", "stats_fingerprint"]
 
 
 class RescanSimulator(WormholeSimulator):
@@ -139,3 +140,20 @@ class RescanSimulator(WormholeSimulator):
                 self._kill_message(victim_id)
             self._kill_pending.clear()
         return moved
+
+
+def stats_fingerprint(
+    sim: WormholeSimulator, stats: StatsCollector
+) -> Dict[str, object]:
+    """A canonical, comparable digest of one simulation run.
+
+    Two runs of the same workload through semantically identical execution
+    paths must produce equal fingerprints — per-stream sample sequences
+    (order included), transfer totals and the unfinished count.
+    """
+    return {
+        "samples": {sid: stats.samples(sid) for sid in stats.stream_ids()},
+        "total_transfers": sim.total_transfers,
+        "unfinished": stats.unfinished,
+        "retransmissions": sim.retransmissions,
+    }

@@ -32,10 +32,8 @@ from repro.core.timing_diagram import (
 from repro.io import report_to_spec
 from repro.service.engine import IncrementalAdmissionEngine
 from repro.topology.mesh import Mesh2D
-from repro.topology.route_table import (
-    clear_shared_route_tables,
-    shared_route_table,
-)
+from repro.topology.route_table import shared_route_table
+from tests.conftest import clear_shared_route_tables
 from repro.topology.routing import XYRouting
 from tests.reference import ReferenceEngine, fill_masks_scan
 from tests.test_properties import XY, stream_sets
@@ -131,8 +129,7 @@ def refill_cases(draw):
 def assert_same_diagram(got, want, latencies):
     np.testing.assert_array_equal(got.to_grid(), want.to_grid())
     for r in range(got.num_rows):
-        np.testing.assert_array_equal(
-            got.row_requests(r), want.row_requests(r))
+        assert got.request_bits(r) == want.request_bits(r)
     for latency in latencies:
         assert got.upper_bound(latency) == want.upper_bound(latency)
 
@@ -168,7 +165,7 @@ class TestSparseRefill:
             # Reading before the refill warms the per-row request
             # caches the refill has to invalidate (and only those).
             for r in range(diagram.num_rows):
-                diagram.row_requests(r)
+                diagram.request_bits(r)
             excl.setdefault(sid, set()).update(idxs)
             refill_rows(
                 diagram, {} if slot else excl,
@@ -396,13 +393,13 @@ class TestReleaseParity:
                 others = [i for i in range(n) if i != k]
                 inter = frozenset(rng.sample(others,
                                              rng.randint(1, len(others))))
-                requested = np.zeros(dtime + 1, dtype=bool)
+                requested = 0
                 for r in inter:
-                    requested |= diagram.row_requests(diagram.row_of(r))
+                    requested |= diagram.request_bits(diagram.row_of(r))
                 want = tuple(
                     inst.index for inst in diagram.instances[k]
                     if inst.occupied()
-                    and not requested[list(inst.occupied())].any()
+                    and not any(requested >> t & 1 for t in inst.occupied())
                 )
                 assert releasable_instances(diagram, k, inter) == want
 

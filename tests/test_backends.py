@@ -11,12 +11,13 @@ oracle actually *catches* a backend that violates its declared
 refinement.
 """
 
+import contextlib
 import random
 
 import pytest
 
 from repro.core import backends
-from repro.core.backends import BoundBackend, temporary_backend
+from repro.core.backends import BoundBackend
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import AnalysisError
 from repro.service.engine import IncrementalAdmissionEngine
@@ -29,6 +30,19 @@ from repro.topology import (
     XYRouting,
 )
 from tests.conftest import PAPER_EXAMPLE_U
+
+
+@contextlib.contextmanager
+def temporary_backend(backend):
+    """Register ``backend`` for the duration of a ``with`` block, so a
+    synthetic backend (e.g. a deliberately unsound one the oracle must
+    catch) does not leak into other tests."""
+    backends.register(backend)
+    try:
+        yield backend
+    finally:
+        backends._REGISTRY.pop(backend.name, None)
+
 
 ALL = backends.names()
 

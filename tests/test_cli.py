@@ -247,6 +247,44 @@ class TestServeLoadCommands:
         assert summary["ops"] == 40 and summary["errors"] == 0
         assert summary["server_stats"]["engine"]["ops"] > 0
 
+    def test_serve_prints_the_ports_it_bound(self):
+        """Port 0 binds ephemeral ports, and the printed addresses are
+        the ones that answer."""
+        import os
+        import re
+        import subprocess
+        import sys
+        import urllib.request
+        from pathlib import Path
+
+        from repro.service.client import BrokerClient
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
+             "--port", "0", "--mesh", "4x4", "--metrics-port", "0"],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            metrics = re.fullmatch(r"metrics on (http://127\.0\.0\.1:(\d+)"
+                                   r"/metrics)\n", proc.stdout.readline())
+            broker = re.match(r"repro-broker listening on 127\.0\.0\.1:"
+                              r"(\d+) ", proc.stdout.readline())
+            assert metrics and broker
+            assert int(metrics[2]) and int(broker[1])
+            client = BrokerClient(host="127.0.0.1", port=int(broker[1]))
+            assert client.check("ping")["ok"]
+            with urllib.request.urlopen(metrics[1], timeout=10) as reply:
+                assert b"repro_engine_admitted_streams" in reply.read()
+            client.check("shutdown")
+            client.close()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
 
 class TestChaosCommand:
     def test_chaos_round_trip(self, tmp_path, capsys):

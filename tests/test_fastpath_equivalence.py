@@ -18,11 +18,10 @@ import pytest
 
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import DeadlockError, RoutingError
-from repro.fuzz import GeneratorConfig, generate_case, stats_fingerprint
+from repro.fuzz import GeneratorConfig, generate_case
 from repro.obs.trace import (
     Tracer,
     active,
-    canonical_lines,
     install,
     uninstall,
 )
@@ -43,7 +42,7 @@ from repro.topology import (
 )
 from repro.topology.mesh import Mesh2D
 from repro.topology.routing import XYRouting
-from tests.reference import RescanSimulator
+from tests.reference import RescanSimulator, canonical_lines, stats_fingerprint
 
 ARBITERS = {
     "preemptive": PriorityPreemptiveArbiter,

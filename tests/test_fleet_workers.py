@@ -127,11 +127,11 @@ class TestSupervisorRestart:
     def test_healthy_reflects_worker_liveness(self, tmp_path):
         fleet = make_fleet(tmp_path)
         try:
-            assert fleet.healthy()
+            assert fleet.health(fleet.stats())[0]
             fleet.supervisor.kill_worker(0)
-            assert not fleet.healthy()
+            assert not fleet.health(fleet.stats())[0]
             fleet.supervisor.ensure_all()
-            assert fleet.healthy()
+            assert fleet.health(fleet.stats())[0]
         finally:
             fleet.close()
 

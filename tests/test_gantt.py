@@ -31,7 +31,7 @@ class TestGanttRecorder:
         sim = WormholeSimulator(mesh, rt, StreamSet([s]), gantt=g)
         sim.simulate_streams(1)
         for k, ch in enumerate(route):
-            cells = g.occupancy(ch)
+            cells = g.cells.get(ch, {})
             assert sorted(cells) == list(range(k + 1, k + 1 + 4))
             assert set(cells.values()) == {0}
 
@@ -42,7 +42,7 @@ class TestGanttRecorder:
         sim = WormholeSimulator(mesh, rt, StreamSet([s]), gantt=g)
         sim.simulate_streams(60)
         times = [t for ch in g.recorded_channels()
-                 for t in g.occupancy(ch)]
+                 for t in g.cells.get(ch, {})]
         assert times and all(31 <= t <= 40 for t in times)
 
     def test_channel_filter(self, net):
@@ -53,17 +53,6 @@ class TestGanttRecorder:
         sim = WormholeSimulator(mesh, rt, StreamSet([s]), gantt=g)
         sim.simulate_streams(1)
         assert g.recorded_channels() == (only,)
-
-    def test_utilisation(self, net):
-        mesh, rt = net
-        s = ms(0, mesh, (0, 0), (3, 0), length=5)
-        ch = (mesh.node_xy(0, 0), mesh.node_xy(1, 0))
-        g = GanttRecorder()
-        sim = WormholeSimulator(mesh, rt, StreamSet([s]), gantt=g)
-        sim.simulate_streams(1)
-        assert g.utilisation(ch, 1, 10) == pytest.approx(0.5)
-        with pytest.raises(SimulationError):
-            g.utilisation(ch, 5, 1)
 
     def test_bad_window(self):
         with pytest.raises(SimulationError):

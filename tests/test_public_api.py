@@ -1,6 +1,9 @@
 """Public API surface checks: every advertised name exists and resolves."""
 
 import importlib
+import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +80,61 @@ class TestPublicSurface:
 
         assert PAPER_EXAMPLE[0][2:] == (5, 15, 4, 15, 7)
         assert PAPER_EXAMPLE_U == {0: 7, 1: 8, 2: 26, 3: 20, 4: 33}
+
+
+API_DOC = Path(__file__).resolve().parents[1] / "docs" / "API.md"
+
+
+def _documented_names():
+    """``(module, name column, purpose column)`` per row of every
+    ``## `repro.x``` table in docs/API.md."""
+    module = None
+    for line in API_DOC.read_text().splitlines():
+        heading = re.fullmatch(r"## `(repro(?:\.\w+)*)`", line)
+        if heading or line.startswith("## "):
+            module = heading[1] if heading else None
+        elif module and line.startswith("|") and not line.startswith("|-"):
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            if cells[0] != "name":
+                yield module, cells[0], cells[1]
+
+
+def _member(owner, name):
+    """``owner.name``, or ``owner`` itself when ``name`` is an attribute
+    its ``__init__`` assigns (an instance attribute), else ``None``."""
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    if isinstance(owner, type) and re.search(
+            rf"self\.{name}\b\s*[:=]", inspect.getsource(owner)):
+        return owner
+    return None
+
+
+def test_every_documented_name_resolves():
+    """Every backticked name in docs/API.md's tables exists in ``repro``
+    or the subpackage the table is for (``.name`` on the class named last
+    before it); a method named in the purpose column exists on one of
+    the row's objects."""
+    missing, owner = [], None
+    for module_name, names, purpose in _documented_names():
+        module = importlib.import_module(module_name)
+        found = []
+        for item in re.findall(r"`([^`]+)`", names):
+            path = re.match(r"\.?[A-Za-z_][\w.]*", item)[0]
+            obj = owner if path.startswith(".") else None
+            for part in path.lstrip(".").split("."):
+                obj = (_member(obj, part) if obj is not None
+                       else getattr(module, part, getattr(repro, part, None)))
+                if obj is None:
+                    missing.append(f"{module_name}: {item}")
+                    break
+                if isinstance(obj, type):
+                    owner = obj
+            else:
+                found.append(obj)
+        for item in re.findall(r"`([^`]+)`", purpose):
+            word = re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?", item)
+            if word and not any(_member(obj, word[1]) is not None
+                                for obj in found + [module]):
+                missing.append(f"{module_name}: {item} (in {names})")
+    assert missing == [], missing

@@ -14,7 +14,6 @@ from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import Mesh2D
 from repro.topology.route_table import (
     RouteTable,
-    clear_shared_route_tables,
     shared_route_table,
 )
 from repro.topology.routing import (
@@ -23,6 +22,7 @@ from repro.topology.routing import (
     XYRouting,
 )
 from repro.topology.torus import Torus
+from tests.conftest import clear_shared_route_tables
 
 
 def _routings():
@@ -96,8 +96,3 @@ class TestSharing:
         b = shared_route_table(XYRouting(mesh))
         assert a is not b
 
-    def test_clear_shared_forgets_everything(self):
-        a = shared_route_table(XYRouting(Mesh2D(3, 3)))
-        clear_shared_route_tables()
-        b = shared_route_table(XYRouting(Mesh2D(3, 3)))
-        assert a is not b

@@ -1,14 +1,12 @@
-"""Fuzzed validation of up*/down* and table-driven routing.
+"""Fuzzed validation of up*/down* routing.
 
 Up/down routing is the repo's fault-tolerance workhorse: it must produce
 valid, loop-free, deadlock-free routes on *arbitrary* connected graphs,
 including the irregular ones left behind by link failures. These tests
 fuzz random connected subgraphs of every stock topology and check the
-full contract, then round-trip the same routes through the JSON route
-tables the management plane ships.
+full contract.
 """
 
-import json
 import random
 
 import pytest
@@ -16,14 +14,10 @@ import pytest
 from repro.errors import RoutingError
 from repro.topology import (
     DegradedTopology,
-    ECubeRouting,
-    FaultAwareRouting,
     Hypercube,
     Mesh2D,
-    TableRouting,
     Torus,
     UpDownRouting,
-    XYRouting,
     is_deadlock_free,
     links,
     normalize_link,
@@ -128,68 +122,3 @@ class TestUpDownFuzz:
             routing.route(0, 3)
         # The reachable component still routes.
         assert routing.route(0, 2) == (0, 2)
-
-
-class TestTableRoundTrip:
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_json_round_trip_preserves_routes(self, seed):
-        rng = random.Random(seed)
-        topo = random_connected_subgraph(Mesh2D(4, 3), rng)
-        source = UpDownRouting(topo)
-        table = TableRouting.from_routing(source)
-        text = table.to_json()
-        loaded = TableRouting.from_json(topo, text)
-        for src in range(topo.num_nodes):
-            for dst in range(topo.num_nodes):
-                assert loaded.route(src, dst) == source.route(src, dst)
-                assert (loaded.route_classes(src, dst)
-                        == source.route_classes(src, dst))
-        # Canonical JSON means identical signatures for identical tables.
-        assert loaded.signature() == table.signature()
-        assert loaded.to_json() == text
-        assert is_deadlock_free(loaded)
-
-    def test_missing_pair_raises_with_pair_named(self):
-        topo = Mesh2D(2, 2)
-        table = TableRouting(topo, {(0, 1): (0, 1)})
-        assert table.route(0, 1) == (0, 1)
-        with pytest.raises(RoutingError, match=r"\(1, 0\)"):
-            table.route(1, 0)
-
-    def test_fault_aware_table_dump(self):
-        # Dumping a FaultAwareRouting captures the detours and the extra
-        # VC class; the table replays them without the live machinery.
-        base = XYRouting(Mesh2D(3, 3))
-        far = FaultAwareRouting(base, [(0, 1)])
-        table = TableRouting.from_routing(far)
-        assert table.num_vc_classes == far.num_vc_classes
-        for src in range(9):
-            for dst in range(9):
-                assert table.route(src, dst) == far.route(src, dst)
-                assert (table.route_classes(src, dst)
-                        == far.route_classes(src, dst))
-        assert is_deadlock_free(table)
-
-    def test_bad_specs_rejected(self):
-        topo = Hypercube(2)
-        with pytest.raises(RoutingError, match="not valid JSON"):
-            TableRouting.from_json(topo, "{nope")
-        with pytest.raises(RoutingError, match="must be an object"):
-            TableRouting.from_json(topo, "[1, 2]")
-        with pytest.raises(RoutingError, match="'routes'"):
-            TableRouting.from_spec(topo, {})
-        with pytest.raises(RoutingError, match="duplicate"):
-            TableRouting.from_spec(topo, {"routes": [
-                {"src": 0, "dst": 1, "path": [0, 1]},
-                {"src": 0, "dst": 1, "path": [0, 1]},
-            ]})
-        with pytest.raises(RoutingError, match="bad route table entry"):
-            TableRouting.from_spec(topo, {"routes": [{"src": 0}]})
-
-    def test_ecube_survives_round_trip(self):
-        cube = Hypercube(3)
-        table = TableRouting.from_routing(ECubeRouting(cube))
-        spec = json.loads(table.to_json())
-        assert spec["num_vc_classes"] == 1
-        loaded = TableRouting.from_spec(cube, spec)
-        assert loaded.route(0, 7) == ECubeRouting(cube).route(0, 7)

@@ -129,7 +129,6 @@ class TestHolisticBounds:
                              max_bound=10_000)
         assert hb[1].bound == -1
         assert not hb[1].converged
-        assert hb[1].feasible_within is None
 
     def test_empty_rejected(self, net):
         mesh, rt = net

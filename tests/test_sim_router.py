@@ -140,4 +140,4 @@ class TestRouter:
 
     def test_all_vcs(self):
         r = Router(3, (2, 4), num_vcs=2, vc_capacity=1)
-        assert len(r.all_vcs()) == 6
+        assert sum(len(vcs) for vcs in r.ports.values()) == 6

@@ -42,20 +42,6 @@ class TestMessageStream:
         with pytest.raises(StreamError):
             ms(-1)
 
-    def test_from_tuple_matches_paper_order(self):
-        s = MessageStream.from_tuple(4, (61, 39, 1, 50, 6, 50, 10))
-        assert (s.src, s.dst) == (61, 39)
-        assert (s.priority, s.period, s.length) == (1, 50, 6)
-        assert (s.deadline, s.latency) == (50, 10)
-
-    def test_from_tuple_rejects_wrong_arity(self):
-        with pytest.raises(StreamError):
-            MessageStream.from_tuple(0, (1, 2, 3))
-
-    def test_as_tuple_roundtrip(self):
-        s = MessageStream.from_tuple(1, (5, 9, 2, 45, 9, 45, 16))
-        assert MessageStream.from_tuple(1, s.as_tuple()) == s
-
     def test_with_latency_is_copy(self):
         s = ms(0)
         s2 = s.with_latency(20)
@@ -112,25 +98,10 @@ class TestStreamSet:
         with pytest.raises(StreamError):
             ss.replace(ms(7))
 
-    def test_priorities_descending(self):
-        ss = StreamSet([ms(0, priority=2), ms(1, priority=5), ms(2, priority=2)])
-        assert ss.priorities() == (5, 2)
-
-    def test_by_priority_glist(self):
-        ss = StreamSet([ms(0, priority=2), ms(1, priority=5), ms(2, priority=2)])
-        glist = ss.by_priority()
-        assert [s.stream_id for s in glist[2]] == [0, 2]
-        assert [s.stream_id for s in glist[5]] == [1]
-
     def test_sorted_by_priority_ties_by_id(self):
         ss = StreamSet([ms(3, priority=1), ms(1, priority=3),
                         ms(2, priority=3), ms(0, priority=2)])
         assert [s.stream_id for s in ss.sorted_by_priority()] == [1, 2, 0, 3]
-
-    def test_higher_priority_than(self):
-        ss = StreamSet([ms(0, priority=1), ms(1, priority=2), ms(2, priority=3)])
-        ids = [s.stream_id for s in ss.higher_priority_than(ss[1])]
-        assert ids == [2]
 
     def test_total_utilization(self):
         ss = StreamSet([ms(0, period=100, length=10),

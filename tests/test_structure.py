@@ -19,15 +19,28 @@ journal replay: no warm standby, journal poller or shard hand-off is
 served, and the journal-tailing module is a test oracle nothing under
 ``src/repro`` imports. A worker serves whole tenants: no shard proxy,
 cached shard bounds, private ``worker_*`` op or gateway thread pool
-bridges a tenant's placement and its shards. These checks read the
-source tree, so a second copy fails here rather than drifting.
+bridges a tenant's placement and its shards. The wire is stated in
+``service/protocol.py`` and spoken by ``service/client.py``; a chaos
+campaign is written once, in ``faults/campaign.py``; an op's rid outcome
+is built once and interpreted by ``service/host.py``. Every function,
+class and method under ``src/repro`` is named by something a deployed
+surface runs (``src/repro`` itself, ``benchmarks/``, ``examples/``), bar a
+short list kept for the tests with a reason each, and the package has a
+line ceiling. The ``REPRO_*`` knob count is bounded and retired knobs
+stay gone. These checks read the source tree, so a second copy fails
+here rather than drifting.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
+from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 #: The F-7 admission predicate ``0 < U <= min(T, D)`` and the closure
 #: walk over HP members.
@@ -39,6 +52,43 @@ SCOPE_PATTERNS = (
 
 #: Lines of ``src/repro/fleet``: lower it when the package shrinks.
 FLEET_LINE_CEILING = 2725
+
+#: Lines of ``src/repro``: lower it when the package shrinks.
+SRC_LINE_CEILING = 20417
+
+#: Definitions under ``src/repro`` that nothing deployed names, each kept
+#: for one reason. Everything else that only tests reached is deleted or
+#: lives under ``tests/reference/`` (EXPERIMENTS.md has the measurement).
+KEPT_FOR_TESTS = {
+    "set_routing": "re-routes a live simulation: the simulator's half of "
+                   "a link-fault history (ROADMAP aim 3)",
+    "push_flit": "the rescan oracle (tests/reference/sim.py) moves flits "
+                 "with it",
+    "pop_flit": "the rescan oracle moves flits with it",
+    "head_ready": "the rescan oracle reads a VC's head flit with it",
+    "free_vc_indices": "the rescan oracle allocates VCs with it",
+    "no_load_latency": "the contention-free delay the simulator tests "
+                       "compare measured delays against",
+    "admin": "the client the gateway tests drive /admin/kill and "
+             "/admin/failover with",
+}
+
+#: Called by asyncio, never by name.
+PROTOCOL_CALLBACKS = frozenset({
+    "connection_made", "data_received", "eof_received", "connection_lost",
+    "pause_writing", "resume_writing",
+})
+
+#: Distinct ``REPRO_*`` names: a new knob raises this on purpose or not
+#: at all.
+KNOB_CEILING = 11
+
+#: Retired knobs, without their ``REPRO_`` prefix so that this file does
+#: not name them.
+RETIRED_KNOBS = (
+    "SIM_FASTPATH", "INCREMENTAL", "KERNEL", "SERVICE_TIMING",
+    "ANALYSIS_PROCS", "ANALYSIS_THRESHOLD", "PERF_REPEATS",
+)
 
 
 def _modules_matching(pattern):
@@ -52,6 +102,32 @@ def _modules_matching(pattern):
 def _occurrences(pattern):
     return sum(len(pattern.findall(path.read_text()))
                for path in SRC.rglob("*.py"))
+
+
+def _lines_matching(pattern, *packages):
+    """The module of every source line of ``src/repro`` (or of its
+    ``packages``) that ``pattern`` matches, once per line."""
+    roots = [SRC / package for package in packages] or [SRC]
+    return [
+        path.relative_to(SRC).as_posix()
+        for root in roots
+        for path in sorted(root.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if pattern.search(line)
+    ]
+
+
+def _tree_files(names, suffixes=None):
+    """Files under the repo-root entries ``names`` (files or directories),
+    optionally only those with one of ``suffixes``."""
+    for name in names:
+        path = ROOT / name
+        paths = [path] if path.is_file() else (
+            sorted(path.rglob("*")) if path.is_dir() else [])
+        for found in paths:
+            if (found.is_file() and "__pycache__" not in found.parts
+                    and (suffixes is None or found.suffix in suffixes)):
+                yield found
 
 
 def test_only_observe_simulates_against_bounds():
@@ -156,3 +232,134 @@ def test_a_worker_serves_whole_tenants():
     assert _modules_matching(bridge) == []
     gateway = (SRC / "fleet" / "gateway.py").read_text()
     assert "ThreadPoolExecutor" not in gateway
+
+
+def test_src_line_ceiling():
+    lines = sum(len(path.read_text().splitlines())
+                for path in SRC.rglob("*.py"))
+    assert lines <= SRC_LINE_CEILING, (
+        f"src/repro has {lines} lines, over its ceiling"
+    )
+
+
+def _uses(path, *, reexports):
+    """``(name, line)`` for every name ``path`` uses: identifiers,
+    attributes, imported names and identifier-like strings (``getattr``
+    dispatch). ``__all__`` does not count, nor, when ``reexports`` is
+    false, a package ``__init__``'s imports."""
+    tree = ast.parse(path.read_text())
+    exported = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets)
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom) and (
+                reexports or path.name != "__init__.py"):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value, node.lineno
+
+
+def test_every_definition_is_named_by_a_deployed_surface():
+    uses = defaultdict(list)
+    for path in SRC.rglob("*.py"):
+        for name, line in _uses(path, reexports=False):
+            uses[name].append((path, line))
+    for path in _tree_files(("benchmarks", "examples"), {".py"}):
+        for name, line in _uses(path, reexports=True):
+            uses[name].append((path, line))
+    unnamed = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")
+                    or name.startswith("_op_") or name in PROTOCOL_CALLBACKS):
+                continue
+            start = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            if not any(used != path or not start <= line <= node.end_lineno
+                       for used, line in uses[name]):
+                unnamed.add(name)
+    assert sorted(unnamed) == sorted(KEPT_FOR_TESTS)
+
+
+def test_knob_count_and_retired_knobs():
+    knob = re.compile(r"REPRO_[A-Z_]+[A-Z]")
+    names = {
+        match
+        for path in _tree_files(
+            ("src", "tests", "benchmarks", "examples", ".github"),
+            {".py", ".yml"})
+        for match in knob.findall(path.read_text(errors="replace"))
+    }
+    assert len(names) <= KNOB_CEILING, sorted(names)
+    retired = re.compile("REPRO_(" + "|".join(RETIRED_KNOBS) + ")")
+    back = [
+        path.relative_to(ROOT).as_posix()
+        for path in _tree_files(
+            ("src", "tests", "examples", "docs", "README.md", "DESIGN.md",
+             ".claude", ".github"))
+        if retired.search(path.read_text(errors="replace"))
+    ]
+    assert back == [], "a retired knob is back"
+
+
+def test_the_wire_has_one_home():
+    assert _modules_matching(re.compile(r"_CODE_TO_ERROR|http\.client")) == []
+    assert len(_modules_matching(re.compile(r"def request_with_retry"))) == 1
+    op_list = re.compile(r'"(admit|release)", *"(release|query)"')
+    for module in ("fleet/gateway.py", "fleet/shards.py", "fleet/workers.py"):
+        assert not op_list.search((SRC / module).read_text()), (
+            f"an op list is restated in {module}"
+        )
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.fleet.gateway, repro.fleet.workers; "
+         "sys.exit('http.client' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=120,
+    )
+    assert loaded.returncode == 0, "the fleet imports http.client"
+
+
+def test_one_chaos_driver():
+    assert len(_modules_matching(
+        re.compile(r"def generate_\w*schedule"))) == 1
+    assert len(_modules_matching(re.compile(r"range\(_MAX_ATTEMPTS\)"))) == 1
+    cli = (SRC / "cli.py").read_text()
+    assert len(re.findall(r"def _run_.*chaos", cli)) == 1
+    # The journal tailer's record parse is the one allowed match:
+    # snapshot.json is read by service/persistence.py alone.
+    replication = (SRC / "fleet" / "replication.py").read_text()
+    assert replication.count("json.loads") == 1
+
+
+def test_an_op_is_declared_once():
+    outcome = re.compile(r'"admitted": True|\{"released"')
+    assert [m for m in _modules_matching(outcome)
+            if m != "service/protocol.py"] == [], (
+        "a rid outcome is built outside service/protocol.py"
+    )
+    assert _modules_matching(
+        re.compile(r"def _link_outcome|def _merge_link_outcomes")) == []
+    assert len([m for m in _lines_matching(re.compile(r"coerce_rid\("))
+                if m != "service/protocol.py"]) <= 1
+    assert len(_lines_matching(re.compile(r"FaultAwareRouting\("),
+                               "service", "fleet")) <= 1
+    assert _lines_matching(re.compile(r"down; fail over"), "faults") == [], (
+        "the converge loop matches a message instead of code down"
+    )

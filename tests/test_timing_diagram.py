@@ -15,6 +15,12 @@ from repro.core.timing_diagram import (
     generate_init_diagram,
 )
 from repro.errors import AnalysisError
+from tests.reference import cell_state
+
+
+def _slots(bits):
+    """Ascending slot indices of a row bitset."""
+    return [t for t in range(bits.bit_length()) if bits >> t & 1]
 
 
 def ms(i, priority, period, length, src=0, dst=1):
@@ -54,26 +60,26 @@ class TestFig4Diagram:
 
     def test_free_slots(self, fig4_rows):
         d = generate_init_diagram(4, fig4_rows, dtime=30)
-        assert list(d.free_slots()) == [10, 13, 23, 24, 25, 26]
+        assert _slots(d.free_bits()) == [10, 13, 23, 24, 25, 26]
 
     def test_waiting_marks(self, fig4_rows):
         d = generate_init_diagram(4, fig4_rows, dtime=30)
         # M2 is preempted by M1 during slots 1-2 of its first instance.
-        assert d.state(d.row_of(2), 1) is CellState.WAITING
-        assert d.state(d.row_of(2), 2) is CellState.WAITING
-        assert d.state(d.row_of(2), 3) is CellState.ALLOCATED
+        assert cell_state(d, d.row_of(2), 1) is CellState.WAITING
+        assert cell_state(d, d.row_of(2), 2) is CellState.WAITING
+        assert cell_state(d, d.row_of(2), 3) is CellState.ALLOCATED
         # M3 waits through slots 1-5 before allocating 6-9.
         r3 = d.row_of(3)
         for t in range(1, 6):
-            assert d.state(r3, t) is CellState.WAITING
-        assert d.state(r3, 6) is CellState.ALLOCATED
+            assert cell_state(d, r3, t) is CellState.WAITING
+        assert cell_state(d, r3, 6) is CellState.ALLOCATED
 
     def test_result_row_states(self, fig4_rows):
         d = generate_init_diagram(4, fig4_rows, dtime=30)
         res = d.num_rows
-        assert d.state(res, 10) is CellState.FREE
-        assert d.state(res, 1) is CellState.BUSY
-        assert d.state(res, 6) is CellState.BUSY
+        assert cell_state(d, res, 10) is CellState.FREE
+        assert cell_state(d, res, 1) is CellState.BUSY
+        assert cell_state(d, res, 6) is CellState.BUSY
 
 
 class TestDiagramBasics:
@@ -91,7 +97,7 @@ class TestDiagramBasics:
             (1, 2, 3), (11, 12, 13), (21, 22, 23),
         ]
         assert all(inst.satisfied for inst in alloc)
-        assert list(d.free_slots()) == [4, 5, 6, 7, 8, 9, 10,
+        assert _slots(d.free_bits()) == [4, 5, 6, 7, 8, 9, 10,
                                         14, 15, 16, 17, 18, 19, 20, 24, 25]
 
     def test_unsatisfied_instance_detected(self):
@@ -99,7 +105,8 @@ class TestDiagramBasics:
         # only 2 free slots per window for a C=5 lower stream.
         rows = (ms(0, 2, period=10, length=8), ms(1, 1, period=10, length=5))
         d = generate_init_diagram(9, rows, dtime=20)
-        unsat = d.unsatisfied_instances()
+        unsat = [inst for lst in d.instances.values() for inst in lst
+                 if not inst.satisfied]
         assert {u.stream_id for u in unsat} == {1}
         assert all(not u.satisfied for u in unsat)
 
@@ -109,7 +116,7 @@ class TestDiagramBasics:
         releases = [inst.index for inst in d.instances[0]]
         assert releases == [0, 2]
         # Slots 11-13 stay free.
-        assert d.state(d.num_rows, 11) is CellState.FREE
+        assert cell_state(d, d.num_rows, 11) is CellState.FREE
 
     def test_window_confinement(self):
         """An instance may not spill past its own period window even when
@@ -150,11 +157,11 @@ class TestDiagramBasics:
     def test_state_bounds_checked(self):
         d = generate_init_diagram(9, (ms(0, 1, period=5, length=1),), dtime=10)
         with pytest.raises(AnalysisError):
-            d.state(0, 0)
+            cell_state(d, 0, 0)
         with pytest.raises(AnalysisError):
-            d.state(0, 11)
+            cell_state(d, 0, 11)
         with pytest.raises(AnalysisError):
-            d.state(5, 3)
+            cell_state(d, 5, 3)
 
     def test_row_of_unknown_stream(self):
         d = generate_init_diagram(9, (ms(0, 1, period=5, length=1),), dtime=10)
@@ -169,7 +176,7 @@ class TestToGrid:
         assert grid.shape == (4, 31)
         for row in range(d.num_rows + 1):
             for t in range(1, 31):
-                assert grid[row, t] == d.state(row, t)
+                assert grid[row, t] == cell_state(d, row, t)
 
     def test_grid_dtype_compact(self, fig4_rows):
         d = generate_init_diagram(4, fig4_rows, dtime=30)
@@ -182,7 +189,7 @@ class TestCriticalInstantProperties:
         union = np.zeros(41, dtype=bool)
         for row in range(d.num_rows):
             union |= d.allocated[row]
-        assert np.array_equal(union, d.result_busy())
+        assert _slots(d.busy_bits()) == list(np.flatnonzero(union))
 
     def test_rows_never_allocate_same_slot(self, fig4_rows):
         d = generate_init_diagram(4, fig4_rows, dtime=40)
