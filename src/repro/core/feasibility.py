@@ -281,8 +281,11 @@ class FeasibilityAnalyzer:
         results to the normal constructor given equal inputs.
 
         ``streams`` must already carry resolved latencies (every
-        ``MessageStream.latency`` set); ``channels``, ``blockers`` and
-        ``hp_sets`` must cover exactly the ids in ``streams``.
+        ``MessageStream.latency`` set); ``channels`` and ``blockers`` must
+        cover exactly the ids in ``streams``. ``hp_sets`` only needs the
+        ids whose bound will be asked for: ``Cal_U(j)`` reads ``HP_j``
+        alone, so a caller that re-analyses a few streams builds only
+        their HP sets.
         """
         if len(streams) == 0:
             raise AnalysisError("cannot analyse an empty stream set")
@@ -290,7 +293,6 @@ class FeasibilityAnalyzer:
         for name, mapping in (
             ("channels", channels),
             ("blockers", blockers),
-            ("hp_sets", hp_sets),
         ):
             missing = ids - set(mapping)
             if missing:

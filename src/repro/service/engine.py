@@ -17,12 +17,18 @@ This engine maintains, between requests:
   that overlap a new route are found by link lookup, not an O(n) scan;
 * the direct-blocking relation and its reverse adjacency;
 * per-stream **reachability closures** over the blocked-by relation,
-  updated by delta on attach/detach, from which HP sets are produced
-  without any graph traversal (:func:`~repro.core.hpset.hp_set_from_reach`);
-* per-stream HP sets and :class:`~repro.core.feasibility.StreamVerdict`\\ s,
-  plus a **verdict memo** keyed by the full analytic input of ``Cal_U``
-  (owner stream + HP member streams/modes/intermediates), so churn that
-  re-creates a previously seen configuration skips the diagram entirely.
+  updated by delta on attach/detach, from which the HP set of a verdict
+  to compute is produced without any graph traversal
+  (:func:`~repro.core.hpset.hp_set_from_reach`) and then dropped;
+* per-stream :class:`~repro.core.feasibility.StreamVerdict`\\ s, plus a
+  **verdict memo** keyed by the full analytic input of ``Cal_U``:
+  ``(backend, route table in effect, resolved owner, resolved members of
+  the closure in id order)``. With the routes fixed by the table, the
+  members' routes and priorities determine every HP mode, intermediate
+  set and shared-channel count, so the key is complete without the HP
+  set, a hit builds none, and an entry holds one pointer per member plus
+  the verdict. Churn that re-creates a previously seen configuration
+  skips the HP set and the diagram entirely.
 
 **Invalidation rule (link-overlap / closure reachability).** A verdict for
 stream ``j`` depends only on ``j`` itself, ``HP_j``, the parameters of the
@@ -51,9 +57,10 @@ one to, op by op.
 The structural mutators :meth:`~IncrementalAdmissionEngine.adopt` and
 :meth:`~IncrementalAdmissionEngine.retire` maintain every index and
 reach closure eagerly but only *mark* the dirty ids in a stale set;
-``_settle()`` recomputes the marked HP sets and verdicts in one go. It
-runs whenever someone reads a verdict (``verdict``, ``closure``,
-``current_report``) and on entry to ``try_admit`` and ``apply_routing``
+``_settle()`` recomputes the marked verdicts in one go. It runs
+whenever someone reads a verdict (``verdict``, ``current_report``; a
+``closure`` is the reach set, never stale) and on entry to
+``try_admit`` and ``apply_routing``
 (a trial and the eviction fixpoint both decide on fresh verdicts), so
 no caller ever observes a stale answer. This is sound because ``Cal_U``
 is pure: a verdict depends on the final closure, not on the order or
@@ -101,7 +108,7 @@ from ..core.feasibility import (
     FeasibilityReport,
     StreamVerdict,
 )
-from ..core.hpset import HPSet, hp_set_from_reach
+from ..core.hpset import hp_set_from_reach
 from ..core.latency import LatencyModel, NoLoadLatency
 from ..core.streams import MessageStream, StreamSet
 from ..errors import AnalysisError, RoutingError, StreamError
@@ -269,13 +276,12 @@ class IncrementalAdmissionEngine:
         self._blockers: Dict[int, Tuple[int, ...]] = {}
         self._rev: Dict[int, Set[int]] = {}
         self._reach: Dict[int, Set[int]] = {}
-        self._hp_sets: Dict[int, HPSet] = {}
         self._verdicts: Dict[int, StreamVerdict] = {}
         self._verdict_memo: Dict[tuple, StreamVerdict] = {}
         #: Per-stream bound-backend name (every admitted id has an entry).
         self._analysis: Dict[int, str] = {}
         #: Ids touched by ``adopt``/``retire`` since the last settle: the
-        #: admitted ids whose cached HP set and verdict are out of date.
+        #: admitted ids whose cached verdict is out of date.
         self._stale: Set[int] = set()
 
     # ------------------------------------------------------------------ #
@@ -328,7 +334,7 @@ class IncrementalAdmissionEngine:
         """Drop every derived cache and rebuild from the admitted set.
 
         The chaos campaign's engine-layer fault (``cache_storm``): after
-        an invalidation storm all verdicts, HP sets, reach closures, the
+        an invalidation storm all verdicts, reach closures, the
         verdict memo, the shared route table and the indexes are
         recomputed from scratch, and must come back bit-identical — the
         caches are an optimisation, never a source of truth.
@@ -351,8 +357,7 @@ class IncrementalAdmissionEngine:
         stream's bound conditions on, ascending."""
         if stream_id not in self._admitted:
             raise StreamError(f"no admitted stream with id {stream_id}")
-        self._settle()
-        return self._hp_sets[stream_id].ids()
+        return tuple(sorted(self._reach[stream_id]))
 
     def verdict(self, stream_id: int) -> StreamVerdict:
         """Return the verdict of one admitted stream (settling first)."""
@@ -503,7 +508,7 @@ class IncrementalAdmissionEngine:
         return requests, backend_name
 
     def _settle(self) -> None:
-        """Recompute every stale HP set and verdict (the flush point of
+        """Recompute every stale verdict (the flush point of
         ``adopt``/``retire``; free when nothing is stale)."""
         stale = self._stale
         if not stale:
@@ -623,8 +628,8 @@ class IncrementalAdmissionEngine:
         self, requests: Tuple[MessageStream, ...], backend_name: str
     ) -> AdmissionDecision:
         # No O(n) cache snapshot up front: the attach path keeps an undo
-        # log of the reach entries it replaces, and the refresh path saves
-        # the HP sets / verdicts of the dirty ids before overwriting them.
+        # log of the reach entries it replaces, and the verdicts of the
+        # dirty ids are saved before the refresh overwrites them.
         # Rejection then detaches the added streams (the exact structural
         # inverse of attach) and restores only those saved entries.
         undo_reach: Dict[int, Optional[Set[int]]] = {}
@@ -648,7 +653,6 @@ class IncrementalAdmissionEngine:
                 self._detach(sid)
             self._full_rebuild()
             return AdmissionDecision(False, report, report.infeasible_ids())
-        saved_hp = {j: self._hp_sets.get(j) for j in dirty}
         saved_vd = {j: self._verdicts.get(j) for j in dirty}
         self._refresh(dirty)
         report = self._report_from_cache()
@@ -663,9 +667,6 @@ class IncrementalAdmissionEngine:
                 self._reach.pop(j, None)
             else:
                 self._reach[j] = old_reach
-        for j, hp in saved_hp.items():
-            if hp is not None and j in self._admitted:
-                self._hp_sets[j] = hp
         for j, vd in saved_vd.items():
             if vd is not None and j in self._admitted:
                 self._verdicts[j] = vd
@@ -687,7 +688,6 @@ class IncrementalAdmissionEngine:
             self._blockers.clear()
             self._rev.clear()
             self._reach.clear()
-            self._hp_sets.clear()
             self._verdicts.clear()
             return FeasibilityReport.trivial()
         in_use = {self._analysis[sid] for sid in self._admitted.ids()}
@@ -738,56 +738,51 @@ class IncrementalAdmissionEngine:
         self._resolved = analyzer.streams
         self._channels = dict(analyzer.channels)
         self._blockers = dict(analyzer.blockers)
-        self._hp_sets = dict(analyzer.hp_sets)
         self._verdicts = dict(report.verdicts)
         self._rebuild_indexes()
         self._reach = {
-            sid: set(hp.ids()) for sid, hp in self._hp_sets.items()
+            sid: set(hp.ids()) for sid, hp in analyzer.hp_sets.items()
         }
         self.stats.verdicts_recomputed += len(report.verdicts)
         self.stats.hp_rebuilt += len(report.verdicts)
         return report
 
     def _refresh(self, dirty: Set[int]) -> None:
-        """Rebuild HP sets and verdicts for the dirty ids only."""
+        """Recompute the dirty verdicts: only a memo miss builds its HP
+        set and runs ``Cal_U``."""
         stats = self.stats
         if not dirty:
             stats.verdicts_reused += len(self._verdicts)
             return
-        order = sorted(dirty)
-        t0 = time.perf_counter()
-        reach_map = self._reach
-        for j in order:
-            self._hp_sets[j] = hp_set_from_reach(
-                j, self._blockers[j], reach_map[j], reach_map
-            )
-        stats.hp_delta_updates += len(order)
-        stats.hp_seconds += time.perf_counter() - t0
-
         t0 = time.perf_counter()
         memo = self._verdict_memo
-        pending: List[int] = []
-        keys: Dict[int, tuple] = {}
-        for j in order:
+        pending: Dict[int, tuple] = {}
+        for j in sorted(dirty):
             key = self._memo_key(j)
-            keys[j] = key
             hit = memo.get(key)
             if hit is not None:
                 self._verdicts[j] = hit
                 stats.verdict_memo_hits += 1
             else:
-                pending.append(j)
+                pending[j] = key
         if pending:
+            t1 = time.perf_counter()
+            reach = self._reach
+            hp_sets = {j: hp_set_from_reach(j, self._blockers[j], reach[j],
+                                            reach) for j in pending}
+            stats.hp_delta_updates += len(pending)
+            hp_time = time.perf_counter() - t1
+            stats.hp_seconds += hp_time
+            t0 += hp_time  # the verdict phase excludes the HP build
             by_backend: Dict[str, List[int]] = {}
             for j in pending:
                 by_backend.setdefault(self._analysis[j], []).append(j)
-            computed: Dict[int, StreamVerdict] = {}
             for name in sorted(by_backend):
                 analyzer = _backends.get(name).analyzer_from_prepared(
                     self._resolved,
                     self._channels,
                     self._blockers,
-                    self._hp_sets,
+                    hp_sets,
                     routing=self.routing,
                     latency_model=self.latency_model,
                     use_modify=self.use_modify,
@@ -795,11 +790,9 @@ class IncrementalAdmissionEngine:
                 )
                 analyzer.timing_sink = stats
                 for j in by_backend[name]:
-                    computed[j] = analyzer.cal_u(j)
-            for j in pending:
-                v = computed[j]
-                self._verdicts[j] = v
-                memo[keys[j]] = v
+                    v = analyzer.cal_u(j)
+                    self._verdicts[j] = v
+                    memo[pending[j]] = v
             while len(memo) > _MEMO_CAP:
                 memo.pop(next(iter(memo)))
         stats.verdict_seconds += time.perf_counter() - t0
@@ -807,24 +800,19 @@ class IncrementalAdmissionEngine:
         stats.verdicts_reused += len(self._verdicts) - len(dirty)
 
     def _memo_key(self, j: int) -> tuple:
-        """The full analytic input of ``Cal_U(j)``, as a hashable key.
-
-        A verdict is a pure function of the owner stream and the HP
-        members (their parameters, modes and intermediate sets): routes
-        are fixed per ``(src, dst)``, so the blocking edges *among* the
-        closure members — all the BDG uses — are determined by the member
-        streams themselves. Resolved streams are frozen dataclasses, so
-        the key is hashable and survives release/re-admit cycles.
-        """
-        hp = self._hp_sets[j]
+        """The full analytic input of ``Cal_U(j)`` as a hashable key:
+        backend, route table, resolved owner, resolved ``_reach[j]`` in
+        id order. The table fixes every route (a link fault switches
+        tables), and the routes and priorities of ``{j} | reach[j]`` (a
+        closed set) then fix every HP mode, intermediate set and channel
+        overlap, so a hit needs no HP set. An entry costs one pointer
+        per member plus the verdict."""
         resolved = self._resolved
         return (
             self._analysis[j],
+            self._route_table,
             resolved[j],
-            tuple(
-                (resolved[e.stream_id], e.mode, e.intermediates)
-                for e in hp
-            ),
+            tuple(resolved[r] for r in sorted(self._reach[j])),
         )
 
     def _report_from_cache(self) -> FeasibilityReport:
@@ -942,7 +930,6 @@ class IncrementalAdmissionEngine:
             if v in self._rev:
                 self._rev[v].discard(sid)
         self._reach.pop(sid, None)
-        self._hp_sets.pop(sid, None)
         self._verdicts.pop(sid, None)
         self._analysis.pop(sid, None)
         self._stale.discard(sid)

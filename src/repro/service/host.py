@@ -720,7 +720,8 @@ class EngineHost(OpInterpreter):
                                   "memo without recomputation."),
             ("hp_rebuilt", "HP sets rebuilt by graph traversal."),
             ("hp_delta_updates", "HP sets produced from maintained reach "
-                                 "closures (delta path)."),
+                                 "closures for recomputed verdicts (a "
+                                 "memo hit builds none)."),
             ("full_fallbacks", "Incremental ops that fell back to a full "
                                "rebuild."),
             ("forced_invalidations", "Forced cache invalidations "

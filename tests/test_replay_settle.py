@@ -16,9 +16,11 @@ on the pre-settle engine: replay used to re-decide every record.
 
 import contextlib
 import functools
+import gc
 import json
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -250,6 +252,45 @@ def test_live_path_does_the_same_work_as_before(dense_state):
         )
     } == PARENT_DENSE_STATS
     assert stats["stale"] == 0
+
+
+def test_a_memo_hit_builds_no_hp_set(dense_state):
+    """The memo is keyed by the closure's members, not by its HP set:
+    only a verdict that is computed builds one (from the reach sets on
+    the delta path, or all of them in a full rebuild)."""
+    _, host = dense_state
+    stats = host.engine_stats()
+    assert stats["verdict_memo_hits"] > 0
+    assert (stats["hp_delta_updates"] + stats["hp_rebuilt"]
+            == stats["verdicts_recomputed"])
+
+
+#: Bytes one memo entry may keep alive: its key is a pointer per closure
+#: member plus the verdict (about 0.5 KiB here); keyed by the HP set it
+#: held every member's intermediates too (about 2 KiB).
+MEMO_ENTRY_CEILING = 1024
+
+
+def test_a_memo_entry_stays_small(tmp_path):
+    """What clearing the memo frees after the dense schedule, per entry:
+    the bytes only the memo retains (keys, released streams, verdicts
+    of streams no longer live)."""
+    tracemalloc.start()
+    host = EngineHost(DENSE_SPEC, state_dir=tmp_path)
+    try:
+        run_dense_schedule(host)
+        memo = host.engine._verdict_memo
+        entries = len(memo)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        memo.clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        host.close()
+    assert entries >= 300
+    assert freed / entries < MEMO_ENTRY_CEILING
 
 
 def test_replay_recomputes_each_survivor_at_most_once(dense_state):

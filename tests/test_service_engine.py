@@ -10,13 +10,14 @@ import random
 
 import pytest
 
+from repro.core import backends
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.hpset import build_all_hp_sets
 from repro.core.streams import MessageStream, StreamSet
-from repro.errors import AnalysisError, StreamError
+from repro.errors import AnalysisError, RoutingError, StreamError
 from repro.io import report_to_spec
 from repro.service.engine import IncrementalAdmissionEngine
-from repro.topology import Mesh2D, XYRouting
+from repro.topology import FaultAwareRouting, Mesh2D, XYRouting, normalize_link
 from tests.reference import ReferenceEngine, ShadowedEngine
 
 
@@ -329,3 +330,70 @@ class TestFuzzedEquivalence:
             fresh = build_all_hp_sets(StreamSet(inc.admitted), routing)
             for sid2 in inc.admitted.ids():
                 assert inc.closure(sid2) == fresh[sid2].ids()
+
+
+def fault_fuzz(seed, *, width, levels, analysis, ops=150):
+    """A shadowed engine on a ``width`` x ``width`` mesh through ``ops``
+    admits, releases and (15 %) link fails/restores on links live streams
+    use, every op compared with the from-scratch reference."""
+    rng = random.Random(f"memo-routing-{seed}")
+    mesh = Mesh2D(width, width)
+    base = XYRouting(mesh)
+    eng = ShadowedEngine(IncrementalAdmissionEngine(base, analysis=analysis))
+    failed = []
+    for _ in range(ops):
+        live = sorted(eng.admitted.ids())
+        if live and rng.random() < 0.15:
+            if failed and (len(failed) >= 3 or rng.random() < 0.4):
+                failed.pop(rng.randrange(len(failed)))
+            else:
+                s = eng.admitted[rng.choice(live)]
+                link = normalize_link(*rng.choice(
+                    eng.routing.route_channels(s.src, s.dst)
+                ))
+                if link not in failed:
+                    failed.append(link)
+            eng.apply_routing(
+                FaultAwareRouting(base, sorted(failed)) if failed else base
+            )
+        elif live and rng.random() < 0.4:
+            eng.release(rng.choice(live))
+        else:
+            src = rng.randrange(mesh.num_nodes)
+            dst = rng.randrange(mesh.num_nodes - 1)
+            dst += dst >= src
+            period = rng.randint(30, 90)
+            stream = MessageStream(
+                eng.fresh_id(), src, dst, priority=rng.randint(1, levels),
+                period=period, length=rng.randint(1, 6),
+                deadline=rng.randint(period // 2, period),
+            )
+            try:
+                eng.try_admit(stream)
+            except RoutingError:
+                pass  # the failed links disconnect the pair
+    return eng
+
+
+class TestMemoUnderLinkFaults:
+    """The verdict memo is keyed by the route table in effect: under
+    ``tighter`` the discharged instances count the channels a member
+    shares with the owner, so a verdict memoized under other routes
+    (before a ``fail_link`` or after a ``restore_link``) is not this
+    closure's, even when every HP mode and intermediate set agrees."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_memoized_verdicts_follow_the_routes(self, seed):
+        eng = fault_fuzz(seed, width=4, levels=2, analysis="tighter")
+        assert eng.stats.reroutes > 0 and eng.compared > 100
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("analysis", backends.names())
+    @pytest.mark.parametrize("width,levels", [(3, 1), (4, 2)])
+    def test_memo_fault_fuzz_sweep(self, width, levels, analysis):
+        hits = 0
+        for seed in range(200):
+            eng = fault_fuzz(seed, width=width, levels=levels,
+                             analysis=analysis)
+            hits += eng.stats.verdict_memo_hits
+        assert hits > 0
