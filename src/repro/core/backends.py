@@ -97,13 +97,13 @@ class BoundBackend:
     def analyzer(
         self,
         streams: StreamSet,
-        routing=None,
+        routing,
         **kwargs: Any,
     ) -> FeasibilityAnalyzer:
         """Construct an analyzer for ``streams`` under this backend.
 
-        ``kwargs`` are the caller's extras (latency model, precomputed
-        channels, residency margin...); the backend's own kwargs win on
+        ``kwargs`` are the caller's extras (latency model, residency
+        margin...); the backend's own kwargs win on
         conflict so a backend cannot be accidentally un-configured.
         """
         merged = {**kwargs, **self.analyzer_kwargs, "backend": self.name}

@@ -110,12 +110,9 @@ class FeasibilityAnalyzer:
         ``latency`` get ``L_i`` from ``latency_model`` over their route.
     routing:
         Deterministic routing function (e.g. :class:`~repro.topology.routing.XYRouting`
-        on the paper's mesh). May be omitted when both ``channels`` and all
-        stream latencies are supplied explicitly.
+        on the paper's mesh).
     latency_model:
         No-load latency model; defaults to the paper's ``L = hops + C - 1``.
-    channels:
-        Optional pre-computed channel sets per stream id (overrides routes).
     hp_override:
         Optional explicit HP sets (stream id -> :class:`HPSet`). Used to
         reproduce the paper's section 4.4 example verbatim, whose printed
@@ -181,10 +178,9 @@ class FeasibilityAnalyzer:
     def __init__(
         self,
         streams: StreamSet,
-        routing: Optional[RoutingAlgorithm] = None,
+        routing: RoutingAlgorithm,
         *,
         latency_model: Optional[LatencyModel] = None,
-        channels: Optional[Mapping[int, FrozenSet[Channel]]] = None,
         hp_override: Optional[Mapping[int, HPSet]] = None,
         use_modify: bool = True,
         modify_fixpoint: bool = False,
@@ -208,18 +204,15 @@ class FeasibilityAnalyzer:
         self.backend = backend
         if len(streams) == 0:
             raise AnalysisError("cannot analyse an empty stream set")
-        if routing is None and channels is None:
-            raise AnalysisError("pass 'routing' and/or 'channels'")
         self.routing = routing
         self.latency_model = latency_model or NoLoadLatency()
         self.use_modify = use_modify
         self.modify_fixpoint = modify_fixpoint
         self.modify_granularity = modify_granularity
 
-        if channels is None:
-            assert routing is not None
-            channels = stream_channels(streams, routing)
-        self.channels: Mapping[int, FrozenSet[Channel]] = dict(channels)
+        self.channels: Mapping[int, FrozenSet[Channel]] = stream_channels(
+            streams, routing
+        )
 
         # Resolve latencies up front so every stream carries its L_i.
         resolved = StreamSet()

@@ -9,13 +9,13 @@ connection as one batch), and the load generator
 (:func:`repro.service.loadgen.run_load`) drives either transport
 unchanged. What is defined here is only what a gateway has and a broker
 does not: the ``http://host:port`` target with its API key, and the
-non-op endpoints (``get``, ``admin``).
+``GET`` endpoints (``/healthz``, ``/metrics``).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 from urllib.parse import urlsplit
 
 from ..errors import ReproError
@@ -67,13 +67,3 @@ class GatewayClient(BrokerClient):
         """
         _, ctype, text = self._http("GET", path)
         return json.loads(text) if "json" in ctype else text
-
-    def admin(self, action: str, **fields: Any) -> Dict[str, Any]:
-        """POST /admin/{action} with this client's API key."""
-        status, _, text = self._http(
-            "POST", f"/admin/{action}",
-            json.dumps(fields, separators=(",", ":")).encode(),
-        )
-        decoded = json.loads(text)
-        decoded["_status"] = status
-        return decoded

@@ -45,12 +45,11 @@ reachability of the changed ids:
 
 Everything else keeps its cached verdict, which is bit-identical to what a
 fresh analyzer would compute because ``Cal_U`` is a pure function of the
-inputs listed above. When the dirty frontier covers the whole set the
-engine falls back to a plain full :class:`FeasibilityAnalyzer` run (and
-adopts its structures as the new caches). The from-scratch engine that
-re-analyses everything on every op is the test oracle
-(``tests/reference/engine.py``) the fuzzed equivalence suites hold this
-one to, op by op.
+inputs listed above. A dirty frontier that covers the whole set (the
+first admit, a recovery, a cache storm) takes the same memo and reach
+sets as any other. The from-scratch engine that re-analyses everything
+on every op is the test oracle (``tests/reference/engine.py``) the
+fuzzed equivalence suites hold this one to, op by op.
 
 **Settle rule (replay applies, reads settle).** The rule above says
 *which* verdicts an op invalidates, not *when* they must be recomputed.
@@ -103,13 +102,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core import backends as _backends
 from ..core.admission import AdmissionDecision
-from ..core.feasibility import (
-    FeasibilityAnalyzer,
-    FeasibilityReport,
-    StreamVerdict,
-)
+from ..core.feasibility import FeasibilityReport, StreamVerdict
 from ..core.hpset import hp_set_from_reach
-from ..core.latency import LatencyModel, NoLoadLatency
+from ..core.latency import NoLoadLatency
 from ..core.streams import MessageStream, StreamSet
 from ..errors import AnalysisError, RoutingError, StreamError
 from ..topology.base import Channel
@@ -123,6 +118,9 @@ __all__ = ["EngineStats", "IncrementalAdmissionEngine", "RoutingDelta"]
 #: a good-enough proxy and bookkeeping must stay off the hot path.
 _MEMO_CAP = 8192
 
+#: Resolves each stream's ``L`` over its route (the paper's model).
+_LATENCY = NoLoadLatency()
+
 
 @dataclass
 class EngineStats:
@@ -135,9 +133,8 @@ class EngineStats:
     verdicts_recomputed: int = 0
     verdicts_reused: int = 0
     verdict_memo_hits: int = 0
+    #: HP sets built, one per verdict computed (a memo hit builds none).
     hp_rebuilt: int = 0
-    hp_delta_updates: int = 0
-    full_fallbacks: int = 0
     forced_invalidations: int = 0
     #: Routing swaps applied (link failures/restores) and the streams
     #: they evicted (disconnected + deadline-missers after reroute).
@@ -173,8 +170,7 @@ class EngineStats:
         out = {k: getattr(self, k) for k in (
             "ops", "admits", "rejects", "releases",
             "verdicts_recomputed", "verdicts_reused", "verdict_memo_hits",
-            "hp_rebuilt", "hp_delta_updates",
-            "full_fallbacks", "forced_invalidations",
+            "hp_rebuilt", "forced_invalidations",
             "reroutes", "reroute_evictions",
             "route_cache_hits", "route_cache_misses",
             "dirty_last", "dirty_max", "dirty_total",
@@ -231,10 +227,6 @@ class IncrementalAdmissionEngine:
     ----------
     routing:
         Deterministic routing function of the managed network.
-    latency_model:
-        No-load latency model (paper default).
-    use_modify:
-        Whether the analysis applies ``Modify_Diagram``.
     residency_margin:
         Passed through to the analyzer (see finding F-4).
     analysis:
@@ -250,14 +242,10 @@ class IncrementalAdmissionEngine:
         self,
         routing: RoutingAlgorithm,
         *,
-        latency_model: Optional[LatencyModel] = None,
-        use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
     ):
         self.routing = routing
-        self.latency_model = latency_model or NoLoadLatency()
-        self.use_modify = use_modify
         self.residency_margin = residency_margin
         # Resolved eagerly so a typo'd REPRO_ANALYSIS_BACKEND fails at
         # construction, not on the first admit.
@@ -333,18 +321,27 @@ class IncrementalAdmissionEngine:
     def invalidate_caches(self) -> None:
         """Drop every derived cache and rebuild from the admitted set.
 
-        The chaos campaign's engine-layer fault (``cache_storm``): after
-        an invalidation storm all verdicts, reach closures, the
-        verdict memo, the shared route table and the indexes are
-        recomputed from scratch, and must come back bit-identical — the
-        caches are an optimisation, never a source of truth.
+        The chaos campaign's engine-layer fault (``cache_storm``): every
+        index, reach closure and verdict, the verdict memo and the
+        shared route table are cleared, the admitted streams are
+        re-attached with their backends, and the settle that follows
+        must come back bit-identical — the caches are an optimisation,
+        never a source of truth.
         """
         self.stats.forced_invalidations += 1
+        streams = [(s, self._analysis[s.stream_id]) for s in self._admitted]
+        for s, _ in streams:
+            self._admitted.remove(s.stream_id)
+        self._resolved = StreamSet()
+        for cache in (self._channels, self._channel_users, self._blockers,
+                      self._rev, self._reach, self._verdicts,
+                      self._verdict_memo, self._analysis, self._stale):
+            cache.clear()
         self._route_table.clear()
-        self._reach.clear()
-        self._verdict_memo.clear()
-        self._full_rebuild()
-        self._stale.clear()
+        for s, name in streams:
+            self._analysis[s.stream_id] = name
+            self._stale |= self._attach(s)
+        self._settle()
 
     @property
     def stale(self) -> int:
@@ -511,14 +508,9 @@ class IncrementalAdmissionEngine:
         """Recompute every stale verdict (the flush point of
         ``adopt``/``retire``; free when nothing is stale)."""
         stale = self._stale
-        if not stale:
-            return
-        if len(stale) >= len(self._admitted):
-            self._full_rebuild()
-            self.stats.full_fallbacks += 1
-        else:
+        if stale:
             self._refresh(stale)
-        stale.clear()
+            stale.clear()
 
     def apply_routing(self, new_routing: RoutingAlgorithm) -> RoutingDelta:
         """Swap the routing function and re-admit the affected closure.
@@ -580,14 +572,10 @@ class IncrementalAdmissionEngine:
             dirty.add(stream.stream_id)
         dirty &= set(self._admitted.ids())
         self.stats.note_dirty(len(dirty))
-        if dirty and len(dirty) >= len(self._admitted):
-            self._full_rebuild()
-            self.stats.full_fallbacks += 1
-        else:
-            t0 = time.perf_counter()
-            self._recompute_reach(dirty)
-            self.stats.hp_seconds += time.perf_counter() - t0
-            self._refresh(dirty)
+        t0 = time.perf_counter()
+        self._recompute_reach(dirty)
+        self.stats.hp_seconds += time.perf_counter() - t0
+        self._refresh(dirty)
 
         # Eviction fixpoint: drop deadline-missers until feasible again.
         rerouted_left = set(rerouted)
@@ -641,18 +629,6 @@ class IncrementalAdmissionEngine:
             dirty |= self._attach(r, undo_reach=undo_reach)
         dirty.update(added)
         self.stats.note_dirty(len(dirty))
-        if len(dirty) >= len(self._admitted):
-            report = self._full_rebuild()
-            self.stats.full_fallbacks += 1
-            if report.success:
-                return AdmissionDecision(True, report, ())
-            # Rare reject-after-fallback: the wholesale rebuild replaced
-            # every cache, so the undo log no longer applies — detach the
-            # added streams and rebuild the original set from scratch.
-            for sid in added:
-                self._detach(sid)
-            self._full_rebuild()
-            return AdmissionDecision(False, report, report.infeasible_ids())
         saved_vd = {j: self._verdicts.get(j) for j in dirty}
         self._refresh(dirty)
         report = self._report_from_cache()
@@ -671,81 +647,6 @@ class IncrementalAdmissionEngine:
             if vd is not None and j in self._admitted:
                 self._verdicts[j] = vd
         return AdmissionDecision(False, report, report.infeasible_ids())
-
-    def _full_rebuild(self) -> FeasibilityReport:
-        """Recompute everything with a plain analyzer; adopt its caches.
-
-        Structures (routes, blockers, HP sets) are backend-independent,
-        so one analyzer derives them; verdicts are then grouped by each
-        stream's bound backend — a single-backend set takes the direct
-        ``determine_feasibility`` path (bit-identical to the pre-backend
-        engine when that backend is kim98).
-        """
-        if len(self._admitted) == 0:
-            self._resolved = StreamSet()
-            self._channels.clear()
-            self._channel_users.clear()
-            self._blockers.clear()
-            self._rev.clear()
-            self._reach.clear()
-            self._verdicts.clear()
-            return FeasibilityReport.trivial()
-        in_use = {self._analysis[sid] for sid in self._admitted.ids()}
-        single = _backends.get(next(iter(in_use))) if len(in_use) == 1 \
-            else None
-        base_kwargs = single.analyzer_kwargs if single else {}
-        analyzer = FeasibilityAnalyzer(
-            StreamSet(self._admitted),
-            self.routing,
-            latency_model=self.latency_model,
-            channels={
-                s.stream_id: self._route(s.src, s.dst)
-                for s in self._admitted
-            },
-            use_modify=self.use_modify,
-            residency_margin=self.residency_margin,
-            backend=single.name if single else "kim98",
-            **base_kwargs,
-        )
-        if single is not None:
-            report = analyzer.determine_feasibility()
-        else:
-            by_backend: Dict[str, List[int]] = {}
-            for sid in self._admitted.ids():
-                by_backend.setdefault(self._analysis[sid], []).append(sid)
-            verdicts: Dict[int, StreamVerdict] = {}
-            for name in sorted(by_backend):
-                sub = _backends.get(name).analyzer_from_prepared(
-                    analyzer.streams,
-                    analyzer.channels,
-                    analyzer.blockers,
-                    analyzer.hp_sets,
-                    routing=self.routing,
-                    latency_model=self.latency_model,
-                    use_modify=self.use_modify,
-                    residency_margin=self.residency_margin,
-                )
-                for sid in by_backend[name]:
-                    verdicts[sid] = sub.cal_u(sid)
-            ordered = {
-                s.stream_id: verdicts[s.stream_id]
-                for s in analyzer.streams.sorted_by_priority()
-            }
-            report = FeasibilityReport(
-                verdicts=ordered,
-                success=all(v.feasible for v in ordered.values()),
-            )
-        self._resolved = analyzer.streams
-        self._channels = dict(analyzer.channels)
-        self._blockers = dict(analyzer.blockers)
-        self._verdicts = dict(report.verdicts)
-        self._rebuild_indexes()
-        self._reach = {
-            sid: set(hp.ids()) for sid, hp in analyzer.hp_sets.items()
-        }
-        self.stats.verdicts_recomputed += len(report.verdicts)
-        self.stats.hp_rebuilt += len(report.verdicts)
-        return report
 
     def _refresh(self, dirty: Set[int]) -> None:
         """Recompute the dirty verdicts: only a memo miss builds its HP
@@ -770,7 +671,7 @@ class IncrementalAdmissionEngine:
             reach = self._reach
             hp_sets = {j: hp_set_from_reach(j, self._blockers[j], reach[j],
                                             reach) for j in pending}
-            stats.hp_delta_updates += len(pending)
+            stats.hp_rebuilt += len(pending)
             hp_time = time.perf_counter() - t1
             stats.hp_seconds += hp_time
             t0 += hp_time  # the verdict phase excludes the HP build
@@ -784,8 +685,6 @@ class IncrementalAdmissionEngine:
                     self._blockers,
                     hp_sets,
                     routing=self.routing,
-                    latency_model=self.latency_model,
-                    use_modify=self.use_modify,
                     residency_margin=self.residency_margin,
                 )
                 analyzer.timing_sink = stats
@@ -862,7 +761,7 @@ class IncrementalAdmissionEngine:
         self._channels[k] = chans
         if stream.latency is None:
             resolved = stream.with_latency(
-                self.latency_model.latency(stream, len(chans))
+                _LATENCY.latency(stream, len(chans))
             )
         else:
             resolved = stream
@@ -973,19 +872,6 @@ class IncrementalAdmissionEngine:
                     out.update(reach.get(x, ()))
             out.discard(j)
             reach[j] = out
-
-    def _rebuild_indexes(self) -> None:
-        """Derive channel-users and reverse adjacency from the caches."""
-        self._channel_users = {}
-        users: Dict[Channel, Set[int]] = {}
-        for sid, chans in self._channels.items():
-            for c in chans:
-                users.setdefault(c, set()).add(sid)
-        self._channel_users = {c: frozenset(v) for c, v in users.items()}
-        self._rev = {sid: set() for sid in self._blockers}
-        for sid, bl in self._blockers.items():
-            for v in bl:
-                self._rev[v].add(sid)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"IncrementalAdmissionEngine(admitted={len(self._admitted)})"

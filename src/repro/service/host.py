@@ -718,12 +718,9 @@ class EngineHost(OpInterpreter):
             ("verdicts_reused", "Per-stream verdicts served from cache."),
             ("verdict_memo_hits", "Verdicts served from the input-keyed "
                                   "memo without recomputation."),
-            ("hp_rebuilt", "HP sets rebuilt by graph traversal."),
-            ("hp_delta_updates", "HP sets produced from maintained reach "
-                                 "closures for recomputed verdicts (a "
-                                 "memo hit builds none)."),
-            ("full_fallbacks", "Incremental ops that fell back to a full "
-                               "rebuild."),
+            ("hp_rebuilt", "HP sets built from the maintained reach "
+                           "closures, one per recomputed verdict (a memo "
+                           "hit builds none)."),
             ("forced_invalidations", "Forced cache invalidations "
                                      "(chaos cache_storm hook)."),
             ("route_cache_hits", "Route cache hits."),

@@ -45,8 +45,8 @@ class ReferenceEngine(AdmissionController):
     ``adopt`` / ``retire``, closures and reroute-and-readmit."""
 
     def __init__(self, routing, *, analysis: Optional[str] = None,
-                 use_modify: bool = True, residency_margin: int = 0):
-        super().__init__(routing, use_modify=use_modify)
+                 residency_margin: int = 0):
+        super().__init__(routing)
         self.residency_margin = residency_margin
         self.default_analysis = backends.resolve_name(analysis)
         self._analysis: Dict[int, str] = {}
@@ -175,7 +175,6 @@ class ShadowedEngine:
         self.engine = engine
         self.reference = ReferenceEngine(
             engine.routing, analysis=engine.default_analysis,
-            use_modify=engine.use_modify,
             residency_margin=engine.residency_margin,
         )
         for s in engine.admitted:

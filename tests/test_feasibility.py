@@ -32,9 +32,9 @@ class TestConstruction:
         with pytest.raises(AnalysisError):
             FeasibilityAnalyzer(StreamSet(), routing)
 
-    def test_requires_routing_or_channels(self):
+    def test_requires_routing(self):
         streams = StreamSet([ms(0, 0, 1, priority=1, latency=5)])
-        with pytest.raises(AnalysisError):
+        with pytest.raises(TypeError):
             FeasibilityAnalyzer(streams)
 
     def test_latencies_resolved_from_route(self, mesh, routing):

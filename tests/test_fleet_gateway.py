@@ -1,6 +1,7 @@
 """HTTP gateway tests: auth, the /v1 API, health, metrics, admin kill
 and failover (recovery) — round-tripped through the real asyncio server
-on a loopback TCP port, driven by :class:`GatewayClient` from a worker
+on a loopback TCP port, driven by :class:`GatewayClient` (and its
+admin-capable subclass in ``tests/gateway_admin.py``) from a worker
 thread (the same harness shape as
 ``test_service_server.TestAsyncFrontEnd``)."""
 
@@ -15,6 +16,7 @@ from repro.fleet.gateway import GatewayServer
 from repro.fleet.shards import Fleet, TenantSpec
 from repro.service.loadgen import BrokerClient, run_load
 from repro.service.server import BrokerServer
+from tests.gateway_admin import AdminClient
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
 
@@ -230,7 +232,7 @@ class TestAdmin:
     def test_kill_degrades_health_and_failover_restores(self, tmp_path):
         def client(port):
             out = {}
-            with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
+            with AdminClient(f"127.0.0.1:{port}", api_key="secret") as c:
                 admit = c.check("admit", streams=[spec()])
                 shard = None
                 # Find the owning shard by killing and probing health.
@@ -259,7 +261,7 @@ class TestAdmin:
                    TenantSpec("beta", "k-beta", TOPO)]
 
         def client(port):
-            with GatewayClient(f"127.0.0.1:{port}", api_key="k-acme") as c:
+            with AdminClient(f"127.0.0.1:{port}", api_key="k-acme") as c:
                 forbidden = c.admin("kill", tenant="beta", shard=0)
                 c.request("shutdown")
             return {"forbidden": forbidden}
@@ -270,7 +272,7 @@ class TestAdmin:
 
     def test_failover_without_state_dir_is_400(self):
         def client(port):
-            with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
+            with AdminClient(f"127.0.0.1:{port}", api_key="secret") as c:
                 response = c.admin("failover", tenant="acme", shard=0)
                 health = c.get("/healthz")
                 c.request("shutdown")
@@ -283,7 +285,7 @@ class TestAdmin:
 
     def test_bad_shard_is_400(self, tmp_path):
         def client(port):
-            with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
+            with AdminClient(f"127.0.0.1:{port}", api_key="secret") as c:
                 response = c.admin("kill", tenant="acme", shard=9)
                 c.request("shutdown")
             return {"response": response}
@@ -300,7 +302,7 @@ class TestAdmin:
         """A JSON ``true`` is not an index, though ``bool`` subclasses
         ``int``: nothing is killed or recovered."""
         def client(port):
-            with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
+            with AdminClient(f"127.0.0.1:{port}", api_key="secret") as c:
                 before = c.get("/healthz")
                 response = c.admin(path[len("/admin/"):], **payload)
                 after = c.get("/healthz")

@@ -42,6 +42,7 @@ from repro.fleet.workers import (
     WorkerSupervisor,
 )
 from repro.obs import trace
+from tests.gateway_admin import AdminClient
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
 
@@ -296,7 +297,7 @@ class TestGatewayWorkers:
         monitor task respawn it, and prove the shards still serve."""
         def client(port):
             out = {}
-            with GatewayClient(f"127.0.0.1:{port}", api_key="key") as c:
+            with AdminClient(f"127.0.0.1:{port}", api_key="key") as c:
                 c.check("admit", rid="gk1", streams=[spec()])
                 out["kill"] = c.admin("kill_worker", worker=0)
                 deadline = time.monotonic() + 30.0
@@ -331,7 +332,7 @@ class TestGatewayWorkers:
 
     def test_admin_kill_worker_validates_index(self, tmp_path):
         def client(port):
-            with GatewayClient(f"127.0.0.1:{port}", api_key="key") as c:
+            with AdminClient(f"127.0.0.1:{port}", api_key="key") as c:
                 bad = c.admin("kill_worker", worker=9)
                 c.request("shutdown")
             return {"bad": bad}
@@ -341,7 +342,7 @@ class TestGatewayWorkers:
 
     def test_admin_kill_worker_without_workers_is_400(self, tmp_path):
         def client(port):
-            with GatewayClient(f"127.0.0.1:{port}", api_key="key") as c:
+            with AdminClient(f"127.0.0.1:{port}", api_key="key") as c:
                 response = c.admin("kill_worker", worker=0)
                 c.request("shutdown")
             return {"response": response}
@@ -361,7 +362,7 @@ class TestGatewayWorkers:
 
         def client(port):
             out = {}
-            with GatewayClient(f"127.0.0.1:{port}", api_key="key") as c:
+            with AdminClient(f"127.0.0.1:{port}", api_key="key") as c:
                 for i in range(3):
                     c.check("admit", rid=f"fo{i}",
                             streams=[spec(src=i, dst=i + 4)])
@@ -758,7 +759,7 @@ def checked(client_fn, tmp_path, **kwargs):
     """:func:`run_gateway` with ``client_fn(c)`` run on a connection
     whose failure is raised here, after the gateway was shut down."""
     def client(port):
-        with GatewayClient(f"127.0.0.1:{port}", api_key="key") as c:
+        with AdminClient(f"127.0.0.1:{port}", api_key="key") as c:
             try:
                 client_fn(c)
             except BaseException as exc:  # re-raised in the test
