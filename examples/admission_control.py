@@ -3,22 +3,29 @@
 
 The host processor owns all traffic information and runs the schedulability
 test whenever a real-time job asks to be loaded. This example plays a
-sequence of job arrivals against an :class:`AdmissionController`: each job
-is a small bundle of message streams, admitted only if the *entire* admitted
-set stays feasible (no existing guarantee may be broken). Finally the
-admitted set is simulated to confirm every deadline is honoured.
+sequence of job arrivals against an :class:`IncrementalAdmissionEngine`:
+each job is a small bundle of message streams, admitted only if the
+*entire* admitted set stays feasible (no existing guarantee may be broken).
+Finally the admitted set is simulated to confirm every deadline is honoured.
 
 Run:  python examples/admission_control.py
 """
 
 import numpy as np
 
-from repro import AdmissionController, Mesh2D, MessageStream, XYRouting
-from repro.core import FeasibilityAnalyzer, format_interference_report, interference_report
+from repro import (
+    FeasibilityAnalyzer,
+    Mesh2D,
+    MessageStream,
+    StreamSet,
+    XYRouting,
+)
+from repro.obs import explain_stream, render_explanation
+from repro.service import IncrementalAdmissionEngine
 from repro.sim import WormholeSimulator
 
 
-def make_job(mesh, ctrl, rng, *, n_streams, priority):
+def make_job(mesh, engine, rng, *, n_streams, priority):
     """Build one job: a few streams between random distinct nodes."""
     streams = []
     for _ in range(n_streams):
@@ -28,7 +35,7 @@ def make_job(mesh, ctrl, rng, *, n_streams, priority):
             dst += 1
         period = int(rng.integers(150, 400))
         streams.append(MessageStream(
-            stream_id=ctrl.fresh_id(),
+            stream_id=engine.fresh_id(),
             src=src,
             dst=dst,
             priority=priority,
@@ -40,28 +47,18 @@ def make_job(mesh, ctrl, rng, *, n_streams, priority):
     return streams
 
 
-def _trial_set(ctrl, job):
-    """The admitted set plus a rejected job, for post-mortem diagnosis."""
-    from repro import StreamSet
-
-    trial = StreamSet(ctrl.admitted)
-    for s in job:
-        trial.add(s)
-    return trial
-
-
 def main() -> None:
     mesh = Mesh2D(10, 10)
     routing = XYRouting(mesh)
-    ctrl = AdmissionController(routing)
+    engine = IncrementalAdmissionEngine(routing, analysis="kim98")
     rng = np.random.default_rng(2026)
 
     admitted_jobs = []
     print("job arrivals (each = 3 streams at one priority level):")
     for job_no in range(1, 13):
         priority = int(rng.integers(1, 5))
-        job = make_job(mesh, ctrl, rng, n_streams=3, priority=priority)
-        decision = ctrl.try_admit(job)
+        job = make_job(mesh, engine, rng, n_streams=3, priority=priority)
+        decision = engine.try_admit(job)
         state = "ADMITTED" if decision.admitted else "REJECTED"
         detail = ""
         if not decision.admitted:
@@ -70,24 +67,23 @@ def main() -> None:
         if decision.admitted:
             admitted_jobs.append(job)
         elif decision.violations:
-            # Diagnose the first broken guarantee: who blocks it, and by
-            # how much? (the question an operator asks after a rejection)
-            victim = decision.violations[0]
+            # Diagnose the first broken guarantee: who blocks it, where,
+            # and by how much? (the question an operator asks after a
+            # rejection)
             trial = FeasibilityAnalyzer(
-                _trial_set(ctrl, job), ctrl.routing
+                StreamSet([*engine.admitted, *job]), routing
             )
+            explanation = explain_stream(trial, decision.violations[0])
             print("      diagnosis: "
-                  + format_interference_report(
-                      interference_report(trial, victim)
-                  ).replace("\n", "\n      "))
+                  + render_explanation(explanation).replace(
+                      "\n", "\n      "))
 
-
-    admitted = ctrl.admitted
+    admitted = engine.admitted
     print(f"\nadmitted {len(admitted_jobs)} jobs, "
           f"{len(admitted)} streams, total injection utilization "
           f"{admitted.total_utilization():.2f}")
 
-    report = ctrl.current_report()
+    report = engine.current_report()
     worst = min(
         (v.slack for v in report.verdicts.values() if v.slack is not None),
         default=None,

@@ -7,7 +7,7 @@ The package provides:
   deadlock-free routing (X-Y, dimension-order, e-cube);
 * :mod:`repro.core` — the paper's contribution: HP sets, blocking dependency
   graphs, worst-case timing diagrams, the ``Cal_U`` / ``Determine-Feasibility``
-  delay-upper-bound analysis, and host-processor admission control;
+  delay-upper-bound analysis;
 * :mod:`repro.sim` — a cycle-accurate flit-level wormhole simulator with
   per-priority virtual channels and preemptive priority arbitration (the
   paper's priority-handling substrate), plus the paper's periodic workload
@@ -36,8 +36,6 @@ Quickstart::
 
 from ._version import __version__
 from .core import (
-    AdmissionController,
-    AdmissionDecision,
     BlockingMode,
     BoundBackend,
     CellState,
@@ -118,8 +116,6 @@ __all__ = [
     "get_backend",
     "backend_names",
     "default_backend_name",
-    "AdmissionController",
-    "AdmissionDecision",
     "render_diagram",
     "render_hp_set",
     "render_bdg",

@@ -3,12 +3,11 @@
 Submodules follow the structure of the paper's section 4: stream model
 (:mod:`.streams`, :mod:`.latency`), HP sets (:mod:`.hpset`), blocking
 dependency graphs (:mod:`.bdg`), timing diagrams (:mod:`.timing_diagram`,
-:mod:`.modify`), the feasibility test itself (:mod:`.feasibility`), the
-host-processor admission-control surface (:mod:`.admission`) and figure
-rendering (:mod:`.render`).
+:mod:`.modify`), the feasibility test itself (:mod:`.feasibility`) and
+figure rendering (:mod:`.render`). The host processor's admission control
+is :class:`repro.service.engine.IncrementalAdmissionEngine`.
 """
 
-from .admission import AdmissionController, AdmissionDecision
 from .backends import (
     BoundBackend,
     default_name as default_backend_name,
@@ -37,12 +36,6 @@ from .hpset import (
 from .latency import LatencyModel, NoLoadLatency, PipelinedLatency
 from .modify import modify_diagram, releasable_instances
 from .render import render_bdg, render_diagram, render_hp_set
-from .report import (
-    Contribution,
-    InterferenceReport,
-    format_interference_report,
-    interference_report,
-)
 from .streams import MessageStream, StreamSet
 from .timing_diagram import (
     CellState,
@@ -84,15 +77,9 @@ __all__ = [
     "BusyWindowResult",
     "busy_window_bound",
     "busy_window_bounds",
-    "AdmissionController",
-    "AdmissionDecision",
     "render_diagram",
     "render_hp_set",
     "render_bdg",
-    "Contribution",
-    "InterferenceReport",
-    "interference_report",
-    "format_interference_report",
     "rate_monotonic_assignment",
     "deadline_monotonic_assignment",
     "audsley_assignment",

@@ -15,7 +15,7 @@ indirect blocker are then directed paths, and the BFS layers used by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Tuple
 
 from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active
@@ -121,28 +121,16 @@ def indirect_processing_order(
     indirect = set(hp.indirect_ids())
     if not indirect:
         return ()
-    if _trace_active() is not None:
-        # Cold path: build the real graph so the build_bdg span fires.
-        g = build_bdg(hp, blockers)
-        order: List[int] = []
-        for layer in bfs_layers(g, hp.owner_id):
-            layer_ids = [i for i in layer if i in indirect]
-            layer_ids.sort(key=lambda i: (-streams[i].priority, i))
-            order.extend(layer_ids)
-        missing = indirect - set(order)
-        if missing:  # pragma: no cover - defensive
-            order.extend(sorted(missing))
-        return tuple(order)
     # Hot path (once per Cal_U with indirect members): the BFS only needs
     # the blocked-by edges restricted to the closure — walk `blockers`
-    # directly instead of materialising a DiGraph.
+    # directly instead of materialising the DiGraph of :func:`build_bdg`.
     j = hp.owner_id
     node_set = {e.stream_id for e in hp if e.stream_id != j}
     node_set.add(j)
     for u in node_set:
         if u not in blockers:
             raise AnalysisError(f"no blocking info for stream {u}")
-    order = []
+    order: List[int] = []
     seen = {j}
     frontier = [j]
     while frontier:

@@ -16,11 +16,14 @@ Pipeline per stream (section 4):
 4. ``U_i`` = time by which the result row's free slots accumulate to the
    no-load network latency ``L_i``.
 
-A computed ``U_i`` of ``-1`` means the bound exceeded the analysis horizon
-(the stream's deadline, by default); :meth:`FeasibilityAnalyzer.upper_bound`
-can search a larger horizon by doubling, which the evaluation harness uses
-because the paper's simulation study compares ``U`` against *measured*
-latency even when ``U`` exceeds the deadline.
+A computed ``U_i`` of ``-1`` means the bound exceeded the analysis horizon.
+``Cal_U`` is computed one way, whether or not a tracer is installed: one
+horizon search (:meth:`FeasibilityAnalyzer._search`) starts from the
+busy-window estimate and doubles up to a limit — the stream's deadline
+for :meth:`FeasibilityAnalyzer.cal_u`, a larger ``max_horizon`` for
+:meth:`FeasibilityAnalyzer.upper_bound`, which the evaluation harness
+uses because the paper's simulation study compares ``U`` against
+*measured* latency even when ``U`` exceeds the deadline.
 """
 
 from __future__ import annotations
@@ -190,56 +193,32 @@ class FeasibilityAnalyzer:
         eqp_instance_cap: bool = False,
         backend: str = "kim98",
     ):
-        if residency_margin < 0:
-            raise AnalysisError(
-                f"residency_margin must be >= 0, got {residency_margin}"
-            )
-        if interference_margin < 0:
-            raise AnalysisError(
-                f"interference_margin must be >= 0, got {interference_margin}"
-            )
-        self.residency_margin = residency_margin
-        self.interference_margin = interference_margin
-        self.eqp_instance_cap = eqp_instance_cap
-        self.backend = backend
-        if len(streams) == 0:
-            raise AnalysisError("cannot analyse an empty stream set")
-        self.routing = routing
-        self.latency_model = latency_model or NoLoadLatency()
-        self.use_modify = use_modify
-        self.modify_fixpoint = modify_fixpoint
-        self.modify_granularity = modify_granularity
-
-        self.channels: Mapping[int, FrozenSet[Channel]] = stream_channels(
-            streams, routing
-        )
-
+        latency_model = latency_model or NoLoadLatency()
+        channels = stream_channels(streams, routing)
         # Resolve latencies up front so every stream carries its L_i.
         resolved = StreamSet()
         for s in streams:
             if s.latency is None:
-                hops = len(self.channels[s.stream_id])
-                resolved.add(s.with_latency(self.latency_model.latency(s, hops)))
+                hops = len(channels[s.stream_id])
+                resolved.add(s.with_latency(latency_model.latency(s, hops)))
             else:
                 resolved.add(s)
-        self.streams = resolved
-
-        self.blockers = direct_blockers(self.streams, self.channels)
+        hp_sets = build_all_hp_sets(resolved, channels=channels)
         if hp_override is not None:
-            unknown = set(hp_override) - set(self.streams.ids())
+            unknown = set(hp_override) - set(resolved.ids())
             if unknown:
                 raise AnalysisError(
                     f"hp_override names unknown streams {sorted(unknown)}"
                 )
-            base = build_all_hp_sets(self.streams, channels=self.channels)
-            base.update(
+            hp_sets.update(
                 {i: hp.without_self() for i, hp in hp_override.items()}
             )
-            self.hp_sets: Dict[int, HPSet] = base
-        else:
-            self.hp_sets = build_all_hp_sets(
-                self.streams, channels=self.channels
-            )
+        self._adopt(
+            resolved, channels, direct_blockers(resolved, channels), hp_sets,
+            routing, latency_model, use_modify, modify_fixpoint,
+            modify_granularity, residency_margin, interference_margin,
+            eqp_instance_cap, backend,
+        )
 
     # ------------------------------------------------------------------ #
     # Cache-friendly construction (incremental admission engine)
@@ -280,8 +259,6 @@ class FeasibilityAnalyzer:
         alone, so a caller that re-analyses a few streams builds only
         their HP sets.
         """
-        if len(streams) == 0:
-            raise AnalysisError("cannot analyse an empty stream set")
         ids = set(streams.ids())
         for name, mapping in (
             ("channels", channels),
@@ -299,6 +276,25 @@ class FeasibilityAnalyzer:
                 f"from_prepared: streams {unresolved} have no resolved "
                 "latency"
             )
+        self = cls.__new__(cls)
+        self._adopt(
+            streams, channels, blockers, hp_sets,
+            routing, latency_model or NoLoadLatency(), use_modify,
+            modify_fixpoint, modify_granularity, residency_margin,
+            interference_margin, eqp_instance_cap, backend,
+        )
+        return self
+
+    def _adopt(
+        self, streams, channels, blockers, hp_sets, routing, latency_model,
+        use_modify, modify_fixpoint, modify_granularity, residency_margin,
+        interference_margin, eqp_instance_cap, backend,
+    ) -> None:
+        """Check the options and take the resolved structures: both
+        constructors end here, passing their keywords in signature
+        order."""
+        if len(streams) == 0:
+            raise AnalysisError("cannot analyse an empty stream set")
         if residency_margin < 0:
             raise AnalysisError(
                 f"residency_margin must be >= 0, got {residency_margin}"
@@ -307,21 +303,19 @@ class FeasibilityAnalyzer:
             raise AnalysisError(
                 f"interference_margin must be >= 0, got {interference_margin}"
             )
-        self = cls.__new__(cls)
+        self.streams = streams
+        self.channels: Dict[int, FrozenSet[Channel]] = dict(channels)
+        self.blockers: Dict[int, Tuple[int, ...]] = dict(blockers)
+        self.hp_sets: Dict[int, HPSet] = dict(hp_sets)
+        self.routing = routing
+        self.latency_model = latency_model
+        self.use_modify = use_modify
+        self.modify_fixpoint = modify_fixpoint
+        self.modify_granularity = modify_granularity
         self.residency_margin = residency_margin
         self.interference_margin = interference_margin
         self.eqp_instance_cap = eqp_instance_cap
         self.backend = backend
-        self.routing = routing
-        self.latency_model = latency_model or NoLoadLatency()
-        self.use_modify = use_modify
-        self.modify_fixpoint = modify_fixpoint
-        self.modify_granularity = modify_granularity
-        self.channels = dict(channels)
-        self.streams = streams
-        self.blockers = dict(blockers)
-        self.hp_sets = dict(hp_sets)
-        return self
 
     # ------------------------------------------------------------------ #
     # Per-stream bound (Cal_U)
@@ -446,105 +440,22 @@ class FeasibilityAnalyzer:
     def cal_u(
         self, stream_id: int, horizon: Optional[int] = None
     ) -> StreamVerdict:
-        """Compute ``U`` for one stream over one horizon (the paper's
-        ``Cal_U``). Returns a verdict with ``upper_bound == -1`` when the
-        bound exceeds the horizon."""
+        """Compute ``U`` for one stream (the paper's ``Cal_U``). Returns a
+        verdict with ``upper_bound == -1`` when the bound exceeds the
+        horizon.
+
+        Without a ``horizon`` the verdict is the deadline-horizon one,
+        found by :meth:`_search` over the smallest safe prefix; with one,
+        exactly that horizon is evaluated.
+        """
         stream = self.streams[stream_id]
-        # Called once per stream per horizon: guard the span with an
-        # explicit active() check so the disabled path costs one call and
-        # a None test instead of a nullcontext enter/exit.
-        tr = _trace_active()
-        if horizon is None and tr is None:
-            return self._cal_u_adaptive(stream)
-        dtime = int(horizon) if horizon is not None else stream.deadline
-        if tr is not None:
-            tr.begin("cal_u", "analysis", stream=stream_id, horizon=dtime)
-        try:
-            sink = self.timing_sink
-            if sink is not None:
-                t0 = time.perf_counter()
-            diagram, removed = self.diagram_for(stream_id, dtime)
-            if sink is not None:
-                sink.diagram_seconds += time.perf_counter() - t0
-            assert stream.latency is not None
-            u = diagram.upper_bound(stream.latency)
-            if tr is not None:
-                tr.instant("cal_u.result", "analysis", stream=stream_id, u=u)
-        finally:
-            if tr is not None:
-                tr.end("cal_u", "analysis")
+        dtime = stream.deadline if horizon is None else int(horizon)
+        u, removed = self._search(stream, dtime, exact=horizon is not None)
         return StreamVerdict(
             stream=stream,
             upper_bound=u,
             horizon=dtime,
             feasible=0 < u <= stream.deadline,
-            removed_instances={
-                k: frozenset(v) for k, v in removed.items()
-            },
-            backend=self.backend,
-        )
-
-    def _cal_u_adaptive(self, stream: MessageStream) -> StreamVerdict:
-        """Deadline-horizon verdict computed over the smallest safe prefix.
-
-        The diagram construction is prefix-stable: truncating the horizon
-        truncates period windows on the right, and the greedy fill claims
-        slots left to right against a busy-from-above mask that itself
-        only depends on the prefix — so the cells in ``[1, h]`` are
-        identical for every horizon ``>= h``. A bound found at a shorter
-        horizon therefore equals the deadline-horizon bound provided
-        every window that can still disturb slots ``<= U`` closes within
-        the horizon: trivially true for direct-only HP sets (guard 0),
-        and within the max member period for ``Modify_Diagram`` release
-        decisions (the same guard :meth:`upper_bound` applies). Since
-        deadlines routinely dwarf the bound, starting from the
-        busy-window estimate instead of the deadline cuts the dominant
-        admission-path cost; the returned verdict is bit-identical to
-        the plain run except that ``removed_instances`` only covers the
-        evaluated prefix (no release decision past ``U + guard`` can
-        exist within it anyway).
-        """
-        sid = stream.stream_id
-        deadline = stream.deadline
-        hp = self.hp_sets[sid]
-        assert stream.latency is not None
-        guard = 0
-        if self.use_modify and hp.indirect_ids():
-            guard = max(
-                (self.streams[e.stream_id].period for e in hp
-                 if e.stream_id != sid),
-                default=0,
-            )
-        effective = self._effective_streams(stream)
-        members = [effective[e.stream_id] for e in hp
-                   if e.stream_id != sid]
-        util = sum(m.length / m.period for m in members)
-        h = deadline
-        if util < 0.999:
-            total_c = sum(m.length for m in members)
-            est = int(
-                (stream.latency + total_c) / (1.0 - util)
-            ) + guard + 1
-            est = max(stream.latency, est, 1)
-            # Round up to a power of two: the slack past the estimate
-            # spares most verdicts a second pass at a doubled horizon.
-            h = min(deadline, 1 << (est - 1).bit_length())
-        sink = self.timing_sink
-        while True:
-            if sink is not None:
-                t0 = time.perf_counter()
-            diagram, removed = self.diagram_for(sid, h)
-            if sink is not None:
-                sink.diagram_seconds += time.perf_counter() - t0
-            u = diagram.upper_bound(stream.latency)
-            if h >= deadline or (u > 0 and u + guard <= h):
-                break
-            h = min(max(h * 2, h + guard), deadline)
-        return StreamVerdict(
-            stream=stream,
-            upper_bound=u,
-            horizon=deadline,
-            feasible=0 < u <= deadline,
             removed_instances={
                 k: frozenset(v) for k, v in removed.items()
             },
@@ -562,46 +473,84 @@ class FeasibilityAnalyzer:
         Returns ``-1`` if no bound is found within ``max_horizon`` slots
         (interference from the HP set saturates the path indefinitely).
         """
-        stream = self.streams[stream_id]
+        return self._search(self.streams[stream_id], max_horizon)[0]
+
+    def _search(
+        self,
+        stream: MessageStream,
+        limit: int,
+        *,
+        exact: bool = False,
+    ) -> Tuple[int, Dict[int, Set[int]]]:
+        """Return ``(U, removed instances)`` as the diagram over ``limit``
+        slots gives them, evaluating the smallest safe prefix.
+
+        The diagram construction is prefix-stable: truncating the horizon
+        truncates period windows on the right, and the greedy fill claims
+        slots left to right against a busy-from-above mask that itself
+        only depends on the prefix — so the cells in ``[1, h]`` are
+        identical for every horizon ``>= h``. A bound found at a shorter
+        horizon therefore equals the ``limit``-horizon bound provided
+        every window that can still disturb slots ``<= U`` closes within
+        the horizon: trivially true for direct-only diagrams (guard 0),
+        and within the largest member period when ``Modify_Diagram``
+        release decisions run. The search starts from the busy-window
+        estimate — the HP set's interference within ``t`` slots is at
+        most ``t * util + sum(C_k)``, so ``t = (L + sum C) / (1 - util)``
+        slots contain ``L`` free ones when ``util < 1`` — rounded up to a
+        power of two, and doubles up to ``limit``. ``removed`` covers the
+        evaluated prefix only (no release decision past ``U + guard`` can
+        exist within it). With ``exact``, ``limit`` alone is evaluated.
+        """
+        sid = stream.stream_id
         assert stream.latency is not None
-        hp = self.hp_sets[stream_id]
-        # Instances whose window straddles the horizon are truncated, which
-        # can perturb Modify_Diagram release decisions near the boundary.
-        # Truncation effects only propagate forward in time, so a bound is
-        # horizon-independent once every window containing a slot <= U closes
-        # before the horizon: require U + max member period <= horizon.
-        guard = max(
-            (self.streams[e.stream_id].period for e in hp
-             if e.stream_id != stream_id),
-            default=0,
-        )
-        # Busy-window estimate: the interference of the HP set within t is
-        # at most sum(ceil(t/T_k) * C_k) <= t * util + sum(C_k), so
-        # t = (L + sum C) / (1 - util) slots always contain L free slots
-        # when util < 1. Starting there (plus the guard) makes the search
-        # single-shot for every non-saturated stream instead of doubling
-        # its way up from the deadline.
-        effective = self._effective_streams(stream)
-        members = [effective[e.stream_id] for e in hp
-                   if e.stream_id != stream_id]
-        util = sum(m.length / m.period for m in members)
-        total_c = sum(m.length for m in members)
-        assert stream.latency is not None
-        if util < 0.999:
-            estimate = int((stream.latency + total_c) / (1.0 - util)) + guard + 1
-        else:
-            estimate = max_horizon
-        horizon = min(
-            max(stream.deadline, stream.latency, estimate, 1), max_horizon
-        )
-        while True:
-            verdict = self.cal_u(stream_id, horizon)
-            u = verdict.upper_bound
-            if u > 0 and (u + guard <= horizon or horizon >= max_horizon):
-                return u
-            if horizon >= max_horizon:
-                return -1
-            horizon = min(horizon * 2, max_horizon)
+        hp = self.hp_sets[sid]
+        guard = 0
+        if self.use_modify and hp.indirect_ids():
+            guard = max(
+                (self.streams[e.stream_id].period for e in hp
+                 if e.stream_id != sid),
+                default=0,
+            )
+        h = limit
+        if not exact:
+            effective = self._effective_streams(stream)
+            members = [effective[e.stream_id] for e in hp
+                       if e.stream_id != sid]
+            util = sum(m.length / m.period for m in members)
+            if util < 0.999:
+                total_c = sum(m.length for m in members)
+                est = int(
+                    (stream.latency + total_c) / (1.0 - util)
+                ) + guard + 1
+                est = max(stream.latency, est, 1)
+                # Round up to a power of two: the slack past the estimate
+                # spares most searches a second pass at a doubled horizon.
+                h = min(limit, 1 << (est - 1).bit_length())
+        # Called once per stream per bound: guard the span with an
+        # explicit active() check so the disabled path costs one call and
+        # None tests instead of a nullcontext enter/exit.
+        tr = _trace_active()
+        if tr is not None:
+            tr.begin("cal_u", "analysis", stream=sid, horizon=limit)
+        try:
+            sink = self.timing_sink
+            while True:
+                if sink is not None:
+                    t0 = time.perf_counter()
+                diagram, removed = self.diagram_for(sid, h)
+                if sink is not None:
+                    sink.diagram_seconds += time.perf_counter() - t0
+                u = diagram.upper_bound(stream.latency)
+                if h >= limit or (u > 0 and u + guard <= h):
+                    break
+                h = min(h * 2, limit)
+            if tr is not None:
+                tr.instant("cal_u.result", "analysis", stream=sid, u=u)
+        finally:
+            if tr is not None:
+                tr.end("cal_u", "analysis")
+        return u, removed
 
     # ------------------------------------------------------------------ #
     # Whole-set test (Determine-Feasibility)

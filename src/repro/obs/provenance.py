@@ -1,9 +1,8 @@
 """Delay-bound provenance: a full, serialisable explanation of ``U_i``.
 
-:mod:`repro.core.report` answers "who blocks me and by how much"; this
-module answers the follow-up question "*where* exactly" — the complete
-per-stream accounting an operator needs when the broker rejects an
-admission request:
+This module answers "who blocks me, by how much and *where* exactly" —
+the complete per-stream accounting an operator needs when the broker
+rejects an admission request:
 
 * every HP element (DIRECT/INDIRECT, with intermediates) together with
   the slots it occupies before the bound, compressed to intervals;

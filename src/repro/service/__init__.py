@@ -26,7 +26,7 @@ feasibility test. This package turns that role into a long-lived service:
     bench spine (``benchmarks/spine/``).
 """
 
-from .engine import EngineStats, IncrementalAdmissionEngine
+from .engine import AdmissionDecision, EngineStats, IncrementalAdmissionEngine
 from .host import EngineHost
 from .loadgen import BrokerClient, LoadSummary, run_load
 from .metrics import ServiceMetrics
@@ -35,6 +35,7 @@ from .protocol import DegradedError
 from .server import BrokerServer
 
 __all__ = [
+    "AdmissionDecision",
     "IncrementalAdmissionEngine",
     "EngineStats",
     "EngineHost",

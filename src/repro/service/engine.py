@@ -101,7 +101,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core import backends as _backends
-from ..core.admission import AdmissionDecision
 from ..core.feasibility import FeasibilityReport, StreamVerdict
 from ..core.hpset import hp_set_from_reach
 from ..core.latency import NoLoadLatency
@@ -111,7 +110,10 @@ from ..topology.base import Channel
 from ..topology.route_table import shared_route_table
 from ..topology.routing import RoutingAlgorithm
 
-__all__ = ["EngineStats", "IncrementalAdmissionEngine", "RoutingDelta"]
+__all__ = [
+    "AdmissionDecision", "EngineStats", "IncrementalAdmissionEngine",
+    "RoutingDelta",
+]
 
 #: Verdict-memo capacity (entries). FIFO eviction: the memo exists for
 #: churn (release/re-admit of recurring configurations), where recency is
@@ -214,14 +216,25 @@ class RoutingDelta:
         }
 
 
+@dataclass(frozen=True)
+class AdmissionDecision:
+    """Outcome of one admission request."""
+
+    admitted: bool
+    #: Feasibility report of the trial set (admitted set + request).
+    report: FeasibilityReport
+    #: Ids of the streams whose bounds broke, if rejected.
+    violations: Tuple[int, ...]
+
+
 class IncrementalAdmissionEngine:
     """Admission control with incremental feasibility recomputation.
 
-    Drop-in analogue of :class:`~repro.core.admission.AdmissionController`
-    (same ``try_admit`` / ``release`` / ``current_report`` / ``fresh_id``
-    surface, same all-or-nothing batch semantics) that keeps its analysis
-    warm between requests. Reports are bit-identical to a from-scratch
-    :class:`FeasibilityAnalyzer` over the same admitted set.
+    The paper's host processor (Fig. 1): streams are requested one at a
+    time or in job-sized batches, and a request is admitted only if the
+    whole set — admitted streams plus the request — stays feasible. The
+    analysis stays warm between requests; reports are bit-identical to a
+    from-scratch :class:`FeasibilityAnalyzer` over the same admitted set.
 
     Parameters
     ----------

@@ -8,7 +8,7 @@ equivalence tests require the two to agree bit for bit. Nothing under
 ``diagram``  ``Generate_Init_Diagram`` / ``Modify_Diagram`` cell by cell
 ``kernel``   the paper's per-window row scan (vs the bitset row fill)
 ``sim``      the rescan-everything cycle loop (vs the movable-set one)
-``engine``   from-scratch analysis on every op (vs the incremental engine)
+``engine``   from-scratch admission on every op (vs the incremental engine)
 ``topology`` minimal hop counts (what minimal routes are checked against)
 ``trace``    canonical trace lines and span pairing (what determinism is)
 """
@@ -18,13 +18,19 @@ from .diagram import (
     generate_init_diagram_reference,
     modify_diagram_reference,
 )
-from .engine import ReferenceEngine, ShadowedEngine, shadow
+from .engine import (
+    AdmissionController,
+    ReferenceEngine,
+    ShadowedEngine,
+    shadow,
+)
 from .kernel import fill_masks_scan
 from .sim import RescanSimulator, stats_fingerprint
 from .topology import hop_distance
 from .trace import canonical_lines, pair_spans
 
 __all__ = [
+    "AdmissionController",
     "ReferenceEngine",
     "RescanSimulator",
     "ShadowedEngine",

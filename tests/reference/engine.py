@@ -1,9 +1,12 @@
 """From-scratch admission, the oracle for the incremental engine
 (:class:`repro.service.engine.IncrementalAdmissionEngine`).
 
-:class:`ReferenceEngine` keeps nothing between requests but the admitted
-set and each stream's bound backend: every decision and every read builds
-a fresh ``backends.get(name).analyzer(StreamSet, routing)`` per backend in
+:class:`AdmissionController` is the paper's host processor (Fig. 1) as
+the spec states it: a request is admitted only if the admitted set plus
+the request stays feasible, and every request re-runs the whole test.
+:class:`ReferenceEngine` extends it and keeps nothing between requests
+but the admitted set and each stream's bound backend: every decision and
+every read builds a fresh ``backends.get(name).analyzer(StreamSet, routing)`` per backend in
 use, and HP closures come from ``build_all_hp_sets`` over the whole set.
 :class:`ShadowedEngine` runs one beside a production engine and compares
 them at every op, so any driver of an engine (a fuzz loop, an
@@ -13,18 +16,28 @@ equivalence test by swapping the engine object.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import backends
-from repro.core.admission import AdmissionController, AdmissionDecision
-from repro.core.feasibility import FeasibilityReport, StreamVerdict
+from repro.core.feasibility import (
+    FeasibilityAnalyzer,
+    FeasibilityReport,
+    StreamVerdict,
+)
 from repro.core.hpset import build_all_hp_sets
+from repro.core.latency import LatencyModel, NoLoadLatency
 from repro.core.streams import MessageStream, StreamSet
-from repro.errors import RoutingError, StreamError
+from repro.errors import AnalysisError, RoutingError, StreamError
 from repro.io import report_to_spec
-from repro.service.engine import IncrementalAdmissionEngine, RoutingDelta
+from repro.service.engine import (
+    AdmissionDecision,
+    IncrementalAdmissionEngine,
+    RoutingDelta,
+)
+from repro.topology.routing import RoutingAlgorithm
 
-__all__ = ["ReferenceEngine", "ShadowedEngine", "shadow"]
+__all__ = ["AdmissionController", "ReferenceEngine", "ShadowedEngine",
+           "shadow"]
 
 
 def _batch(requests) -> Tuple[MessageStream, ...]:
@@ -37,6 +50,131 @@ def _ids(stream_ids) -> Tuple[int, ...]:
     if isinstance(stream_ids, int):
         return (stream_ids,)
     return tuple(stream_ids)
+
+
+class AdmissionController:
+    """From-scratch admission control over a routed network: every
+    request re-runs ``Determine-Feasibility`` over the admitted set plus
+    the request.
+
+    Parameters
+    ----------
+    routing:
+        Deterministic routing function of the managed network.
+    latency_model:
+        No-load latency model (paper default).
+    use_modify:
+        Whether admitted-set analysis applies ``Modify_Diagram``.
+    """
+
+    def __init__(
+        self,
+        routing: RoutingAlgorithm,
+        *,
+        latency_model: Optional[LatencyModel] = None,
+        use_modify: bool = True,
+    ):
+        self.routing = routing
+        self.latency_model = latency_model or NoLoadLatency()
+        self.use_modify = use_modify
+        self._admitted = StreamSet()
+        self._next_id = 0
+
+    # ------------------------------------------------------------------ #
+
+    @property
+    def admitted(self) -> StreamSet:
+        """The currently admitted stream set (a live view; do not mutate)."""
+        return self._admitted
+
+    def fresh_id(self) -> int:
+        """Return a never-before-seen stream id for building request streams.
+
+        The counter is monotonic over the controller's lifetime: an id that
+        was admitted (or merely requested) and later released is **never**
+        reissued, so a decision that still references it cannot be confused
+        with a newer stream.
+        """
+        while self._next_id in self._admitted:  # explicit client-chosen ids
+            self._next_id += 1
+        nid = self._next_id
+        self._next_id += 1
+        return nid
+
+    def _reserve_ids(self, requests: Sequence[MessageStream]) -> None:
+        """Advance the id counter past every requested id (no reuse)."""
+        top = max(r.stream_id for r in requests)
+        if top >= self._next_id:
+            self._next_id = top + 1
+
+    def _analyze(self, streams: StreamSet) -> FeasibilityReport:
+        analyzer = FeasibilityAnalyzer(
+            streams,
+            self.routing,
+            latency_model=self.latency_model,
+            use_modify=self.use_modify,
+        )
+        return analyzer.determine_feasibility()
+
+    # ------------------------------------------------------------------ #
+
+    def try_admit(
+        self, requests: MessageStream | Iterable[MessageStream]
+    ) -> AdmissionDecision:
+        """Test a request (stream or job batch) and admit it if feasible.
+
+        Rejection leaves the admitted set untouched. Admission of a new
+        stream can never be granted at the expense of an existing guarantee:
+        the trial analysis covers the *union*, so if any already-admitted
+        stream's bound breaks, the request is rejected.
+        """
+        if isinstance(requests, MessageStream):
+            requests = (requests,)
+        requests = tuple(requests)
+        if not requests:
+            raise AnalysisError("empty admission request")
+        self._reserve_ids(requests)
+        trial = StreamSet(self._admitted)
+        for r in requests:
+            trial.add(r)
+        report = self._analyze(trial)
+        violations = report.infeasible_ids()
+        if report.success:
+            for r in requests:
+                self._admitted.add(r)
+            return AdmissionDecision(True, report, ())
+        return AdmissionDecision(False, report, violations)
+
+    def release(self, stream_ids: int | Iterable[int]) -> None:
+        """Remove streams (a finished job's traffic) from the admitted set.
+
+        The whole release is validated up front: if any id is not currently
+        admitted, a :class:`StreamError` naming it is raised and *nothing*
+        is removed.
+        """
+        if isinstance(stream_ids, int):
+            stream_ids = (stream_ids,)
+        ids = tuple(dict.fromkeys(stream_ids))
+        unknown = sorted(sid for sid in ids if sid not in self._admitted)
+        if unknown:
+            raise StreamError(
+                f"cannot release stream id(s) {unknown}: not admitted"
+            )
+        for sid in ids:
+            self._admitted.remove(sid)
+
+    def current_report(self) -> FeasibilityReport:
+        """Re-run the analysis over the currently admitted set.
+
+        An empty admitted set is vacuously feasible and yields a trivial
+        success report (no verdicts).
+        """
+        if len(self._admitted) == 0:
+            return FeasibilityReport.trivial()
+        return self._analyze(self._admitted)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"AdmissionController(admitted={len(self._admitted)})"
 
 
 class ReferenceEngine(AdmissionController):

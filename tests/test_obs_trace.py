@@ -11,6 +11,8 @@ import pathlib
 
 import pytest
 
+from repro.core import backends
+from repro.core.bdg import indirect_processing_order
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.streams import StreamSet
 from repro.errors import ReproError
@@ -330,3 +332,37 @@ class TestTracingDoesNotChangeResults:
         uninstall()
         assert traced == untraced
         assert len(tr.events) > 0
+
+
+class TestTracingChoosesNoPath:
+    """A tracer records what runs and never picks it: ``Cal_U`` runs the
+    same horizon search and ``Modify_Diagram`` the same indirect order
+    traced or not, so whole verdicts — ``removed_instances`` included —
+    are equal. (Seeds 9, 13, 22, 25 and 29 once differed under
+    ``tighter``: a traced ``cal_u`` built one full-deadline diagram.)"""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_traced_verdicts_equal_untraced(self, seed):
+        case = generate_case(seed, GeneratorConfig(max_streams=10))
+        _, routing, streams = case.build()
+        for name in backends.names():
+            an = backends.get(name).analyzer(
+                streams, routing, residency_margin=case.residency_margin,
+            )
+
+            def run():
+                verdicts = {s.stream_id: an.cal_u(s.stream_id)
+                            for s in an.streams}
+                orders = {
+                    sid: indirect_processing_order(hp, an.blockers,
+                                                   an.streams)
+                    for sid, hp in an.hp_sets.items()
+                }
+                return verdicts, orders
+
+            assert active() is None
+            untraced = run()
+            install(Tracer(clock="logical"))
+            traced = run()
+            uninstall()
+            assert traced == untraced, name

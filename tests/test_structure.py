@@ -6,7 +6,9 @@ compares over (finding F-7) is stated once, in
 :func:`repro.analysis.observe.admitted_scope`. A timing-diagram row is
 filled by one function, on integer bitsets, and the modules a service
 interpreter loads for the diagram and its explanations import NumPy
-only inside the functions that build array views. Every listener is a
+only inside the functions that build array views; under ``core/`` a
+test of the tracer guards only span and instant calls, so tracing never
+picks which code runs. Every listener is a
 :class:`repro.service.server.Connection` answered in its reader: no
 stream reader, request queue or second protocol class or HTTP parser,
 and a task only where an answer has to be awaited (the fleet worker's
@@ -54,7 +56,7 @@ SCOPE_PATTERNS = (
 FLEET_LINE_CEILING = 2708
 
 #: Lines of ``src/repro``: lower it when the package shrinks.
-SRC_LINE_CEILING = 20273
+SRC_LINE_CEILING = 19918
 
 #: Definitions under ``src/repro`` that nothing deployed names, each kept
 #: for one reason. Everything else that only tests reached is deleted or
@@ -161,8 +163,52 @@ def test_one_row_fill_on_bitsets():
 def test_diagram_modules_import_numpy_lazily():
     module_scope = re.compile(r"^(import numpy|from numpy)", re.M)
     for module in ("core/timing_diagram.py", "core/modify.py",
-                   "core/report.py", "obs/provenance.py"):
+                   "obs/provenance.py"):
         assert not module_scope.search((SRC / module).read_text()), module
+
+
+#: What a tracer guard under ``core/`` may do: record, never compute.
+TRACER_RECORDS = frozenset({"begin", "end", "instant", "counter"})
+
+
+def _tracer_guards(tree):
+    """``(handles, if)`` for every ``if`` whose test reads the tracer
+    handle: a ``_trace_active()`` call or a name bound to one."""
+    def is_active(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_trace_active")
+
+    handles = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and is_active(node.value)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and any(
+                is_active(n) or isinstance(n, ast.Name) and n.id in handles
+                for n in ast.walk(node.test)):
+            yield handles, node
+
+
+def test_tracing_chooses_no_path():
+    """The analysis runs the same code traced or not: an ``if`` on the
+    tracer under ``core/`` holds only ``tr.begin/end/instant/counter``
+    calls — no early return, no second algorithm."""
+    offenders = []
+    for path in sorted((SRC / "core").rglob("*.py")):
+        for handles, guard in _tracer_guards(ast.parse(path.read_text())):
+            for stmt in guard.body + guard.orelse:
+                call = stmt.value if isinstance(stmt, ast.Expr) else None
+                if not (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr in TRACER_RECORDS
+                        and isinstance(call.func.value, ast.Name)
+                        and call.func.value.id in handles):
+                    offenders.append(
+                        f"{path.relative_to(SRC).as_posix()}:{stmt.lineno}"
+                    )
+    assert offenders == []
 
 
 def test_one_front_end():
