@@ -25,12 +25,11 @@ from .bdg import bfs_layers, build_bdg, indirect_processing_order
 from .busy_window import BusyWindowResult, busy_window_bound, busy_window_bounds
 from .feasibility import FeasibilityAnalyzer, FeasibilityReport, StreamVerdict
 from .hpset import (
+    BlockingIndex,
     BlockingMode,
     HPEntry,
     HPSet,
     build_all_hp_sets,
-    build_hp_set,
-    direct_blockers,
     stream_channels,
 )
 from .latency import LatencyModel, NoLoadLatency, PipelinedLatency
@@ -50,12 +49,11 @@ __all__ = [
     "LatencyModel",
     "NoLoadLatency",
     "PipelinedLatency",
+    "BlockingIndex",
     "BlockingMode",
     "HPEntry",
     "HPSet",
     "stream_channels",
-    "direct_blockers",
-    "build_hp_set",
     "build_all_hp_sets",
     "build_bdg",
     "bfs_layers",

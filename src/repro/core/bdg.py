@@ -40,7 +40,7 @@ def build_bdg(
         The HP set of the analysed stream (self-entry optional; ignored).
     blockers:
         The global direct-blocking relation (stream id -> ids that directly
-        block it), as produced by :func:`repro.core.hpset.direct_blockers`.
+        block it), as kept by :class:`repro.core.hpset.BlockingIndex`.
 
     Returns
     -------

@@ -37,7 +37,7 @@ from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active, span as _span
 from ..topology.base import Channel
 from ..topology.routing import RoutingAlgorithm
-from .hpset import HPSet, build_all_hp_sets, direct_blockers, stream_channels
+from .hpset import HPSet, index_hp_sets, stream_channels
 from .latency import LatencyModel, NoLoadLatency
 from .modify import modify_diagram
 from .streams import MessageStream, StreamSet
@@ -203,7 +203,7 @@ class FeasibilityAnalyzer:
                 resolved.add(s.with_latency(latency_model.latency(s, hops)))
             else:
                 resolved.add(s)
-        hp_sets = build_all_hp_sets(resolved, channels=channels)
+        index, hp_sets = index_hp_sets(resolved, channels)
         if hp_override is not None:
             unknown = set(hp_override) - set(resolved.ids())
             if unknown:
@@ -214,10 +214,9 @@ class FeasibilityAnalyzer:
                 {i: hp.without_self() for i, hp in hp_override.items()}
             )
         self._adopt(
-            resolved, channels, direct_blockers(resolved, channels), hp_sets,
-            routing, latency_model, use_modify, modify_fixpoint,
-            modify_granularity, residency_margin, interference_margin,
-            eqp_instance_cap, backend,
+            resolved, channels, index.blockers, hp_sets, use_modify,
+            modify_fixpoint, modify_granularity, residency_margin,
+            interference_margin, eqp_instance_cap, backend,
         )
 
     # ------------------------------------------------------------------ #
@@ -232,8 +231,6 @@ class FeasibilityAnalyzer:
         blockers: Mapping[int, Tuple[int, ...]],
         hp_sets: Mapping[int, HPSet],
         *,
-        routing: Optional[RoutingAlgorithm] = None,
-        latency_model: Optional[LatencyModel] = None,
         use_modify: bool = True,
         modify_fixpoint: bool = False,
         modify_granularity: str = "instance",
@@ -278,16 +275,15 @@ class FeasibilityAnalyzer:
             )
         self = cls.__new__(cls)
         self._adopt(
-            streams, channels, blockers, hp_sets,
-            routing, latency_model or NoLoadLatency(), use_modify,
+            streams, channels, blockers, hp_sets, use_modify,
             modify_fixpoint, modify_granularity, residency_margin,
             interference_margin, eqp_instance_cap, backend,
         )
         return self
 
     def _adopt(
-        self, streams, channels, blockers, hp_sets, routing, latency_model,
-        use_modify, modify_fixpoint, modify_granularity, residency_margin,
+        self, streams, channels, blockers, hp_sets, use_modify,
+        modify_fixpoint, modify_granularity, residency_margin,
         interference_margin, eqp_instance_cap, backend,
     ) -> None:
         """Check the options and take the resolved structures: both
@@ -307,8 +303,6 @@ class FeasibilityAnalyzer:
         self.channels: Dict[int, FrozenSet[Channel]] = dict(channels)
         self.blockers: Dict[int, Tuple[int, ...]] = dict(blockers)
         self.hp_sets: Dict[int, HPSet] = dict(hp_sets)
-        self.routing = routing
-        self.latency_model = latency_model
         self.use_modify = use_modify
         self.modify_fixpoint = modify_fixpoint
         self.modify_granularity = modify_granularity

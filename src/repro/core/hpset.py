@@ -20,13 +20,17 @@ example of section 4.4 — see DESIGN.md):
   relation (each step: the left stream is directly blocked by the right
   one). The ``IN`` set of the entry contains every stream that lies on the
   interior of *any* such chain.
-* The paper's ``HP_j`` also lists ``M_j`` itself (removed again on entry to
-  ``Cal_U``); we keep that behaviour behind ``include_self`` for exactness
-  but default to the cleaner self-free set.
+* The paper's ``HP_j`` also lists ``M_j`` itself, removed again on entry
+  to ``Cal_U``; the sets built here never contain the owner.
+
+One structure derives every HP set: :class:`BlockingIndex`, which the
+admission engine keeps by delta and :func:`index_hp_sets` fills for a
+whole set, for :func:`build_all_hp_sets` and every offline analyzer.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import (
@@ -34,8 +38,10 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    List,
     Mapping,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -43,17 +49,17 @@ from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active, span as _span
 from ..topology.base import Channel
 from ..topology.routing import RoutingAlgorithm
-from .streams import MessageStream, StreamSet
+from .streams import StreamSet
 
 __all__ = [
     "BlockingMode",
     "HPEntry",
     "HPSet",
+    "BlockingIndex",
     "stream_channels",
-    "direct_blockers",
-    "build_hp_set",
     "build_all_hp_sets",
     "hp_set_from_reach",
+    "index_hp_sets",
 ]
 
 
@@ -202,94 +208,198 @@ def stream_channels(
     }
 
 
-def direct_blockers(
-    streams: StreamSet,
-    channels: Mapping[int, FrozenSet[Channel]],
-) -> Dict[int, Tuple[int, ...]]:
-    """Return, per stream id, the ids that *directly* block it.
+class BlockingIndex:
+    """The blocked-by relation of a stream set and its closures, kept by
+    delta: the one derivation of every ``HP_j``.
 
-    A stream is directly blocked by every distinct stream of equal or higher
-    priority whose route shares a directed channel with it.
+    Per indexed stream it holds the channel set and priority, the direct
+    blockers (``blockers[j]``, ascending) and their reverse (``rev[k]``:
+    the ids ``k`` directly blocks), and ``reach[j]``, the transitive
+    closure of the blocked-by relation from ``j`` (``j`` excluded) —
+    exactly the member ids of ``HP_j``. A channel -> users map finds the
+    streams a new route overlaps by link lookup, not an O(n) scan.
+
+    **Reach-set maintenance.** On :meth:`add` of ``k`` every new edge is
+    incident to ``k``, so ``reach(k) = union over direct blockers x of
+    ({x} | reach(x))`` is already closed, and every affected ``j``
+    (reverse-reachable of ``k``) gains exactly ``{k} | reach(k)``. After
+    a :meth:`remove` the closures of the ids that reached the removed
+    one are recomputed by :meth:`recompute_reach`, which expands dirty
+    nodes edge-by-edge but absorbs every clean neighbour's (unchanged,
+    already closed) reach set wholesale — a clean stream can never reach
+    a dirty one, or it would reach a removed id. Reach sets are replaced,
+    never mutated in place, so an undo log can keep the old objects.
+
+    The admission engine drives one by delta; :meth:`of` fills one for a
+    whole set in two passes — link every stream, then close every reach
+    set with the same walk, every id dirty — because replaying the adds
+    with their reach deltas costs cubic time on dense sets.
     """
-    out: Dict[int, Tuple[int, ...]] = {}
-    all_streams = tuple(streams)
-    for sj in all_streams:
-        cj = channels[sj.stream_id]
-        blockers = [
-            sk.stream_id
-            for sk in all_streams
-            if sk.stream_id != sj.stream_id
-            and sk.priority >= sj.priority
-            and not cj.isdisjoint(channels[sk.stream_id])
-        ]
-        out[sj.stream_id] = tuple(sorted(blockers))
-    return out
 
+    def __init__(self, *, timing_sink=None) -> None:
+        #: Any object with a mutable ``hp_seconds`` (the engine's
+        #: ``EngineStats``): :meth:`add` adds its reach update's time.
+        self.timing_sink = timing_sink
+        self.channels: Dict[int, FrozenSet[Channel]] = {}
+        self.users: Dict[Channel, FrozenSet[int]] = {}
+        self.priority: Dict[int, int] = {}
+        self.blockers: Dict[int, Tuple[int, ...]] = {}
+        self.rev: Dict[int, Set[int]] = {}
+        self.reach: Dict[int, Set[int]] = {}
 
-def build_hp_set(
-    stream: MessageStream,
-    streams: StreamSet,
-    blockers: Mapping[int, Tuple[int, ...]],
-    *,
-    include_self: bool = False,
-) -> HPSet:
-    """Construct ``HP_j`` for one stream from the direct-blocking relation.
+    @classmethod
+    def of(
+        cls,
+        streams: StreamSet,
+        channels: Mapping[int, FrozenSet[Channel]],
+    ) -> "BlockingIndex":
+        """Index a whole stream set whose routes are ``channels``."""
+        index = cls()
+        for s in streams:
+            index._link(s.stream_id, s.priority, channels[s.stream_id])
+        index.recompute_reach(set(index.blockers))
+        return index
 
-    Indirect elements are found by forward traversal of the direct-blocking
-    relation starting at ``stream``; the intermediates of an indirect element
-    ``K`` are all streams reachable from ``stream`` from which ``K`` is in
-    turn reachable (i.e. the interior nodes of every blocking chain).
-    """
-    j = stream.stream_id
-    direct = set(blockers[j])
+    def _link(
+        self, k: int, priority: int, chans: FrozenSet[Channel]
+    ) -> Tuple[int, ...]:
+        """Add ``k``'s blocked-by edges (no closure); return its direct
+        blockers."""
+        self.channels[k] = chans
+        self.priority[k] = priority
+        users = self.users
+        overlap: Set[int] = set()
+        for c in chans:
+            old = users.get(c, frozenset())
+            overlap |= old
+            users[c] = old | {k}
+        blockers, rev = self.blockers, self.rev
+        bk: List[int] = []
+        rev[k] = set()
+        for j in overlap:
+            pj = self.priority[j]
+            if pj >= priority:
+                bk.append(j)
+                rev[j].add(k)
+            if priority >= pj:
+                blockers[j] = tuple(sorted(blockers[j] + (k,)))
+                rev[k].add(j)
+        blockers[k] = direct = tuple(sorted(bk))
+        return direct
 
-    # Transitive closure of the blocked-by relation from j.
-    reachable: set[int] = set()
-    frontier = list(direct)
-    while frontier:
-        k = frontier.pop()
-        if k in reachable:
-            continue
-        reachable.add(k)
-        frontier.extend(blockers[k])
-    indirect = reachable - direct - {j}
+    def add(
+        self,
+        k: int,
+        priority: int,
+        chans: FrozenSet[Channel],
+        *,
+        undo_reach: Optional[Dict[int, Set[int]]] = None,
+    ) -> Set[int]:
+        """Index stream ``k`` and update every closure it changes.
 
-    hp = HPSet(j)
-    if include_self:
-        hp.add(HPEntry.direct(j))
-    for k in sorted(direct):
-        hp.add(HPEntry.direct(k))
-    if indirect:
-        # descendants[r] = streams reachable from r via blocked-by edges.
-        desc_cache: Dict[int, FrozenSet[int]] = {}
+        Returns the reverse-reachable set of ``k`` on the updated graph
+        (the ids whose closures changed, ``k`` included); the union of
+        these sets over a batch is the batch's dirty set, because every
+        new edge is incident to some added stream.
 
-        def descendants(r: int) -> FrozenSet[int]:
-            cached = desc_cache.get(r)
-            if cached is not None:
-                return cached
-            seen: set[int] = set()
-            stack = list(blockers[r])
+        When ``undo_reach`` is given, every other stream's reach entry
+        this add replaces is recorded there once, so :meth:`restore` can
+        put a rejected trial's closures back without an O(n) snapshot.
+        """
+        bk = self._link(k, priority, chans)
+        affected = self.reverse_reachable((k,))
+        t0 = time.perf_counter()
+        reach = self.reach
+        # All new edges touch k, so the closure over k's direct
+        # blockers' (old, still-valid) closures is itself closed.
+        rk: Set[int] = set()
+        for x in bk:
+            rk.add(x)
+            rk.update(reach.get(x, ()))
+        rk.discard(k)
+        reach[k] = rk
+        gain = rk | {k}
+        for j in affected:
+            if j == k:
+                continue
+            if undo_reach is not None and j not in undo_reach:
+                undo_reach[j] = reach[j]
+            new = reach[j] | gain
+            new.discard(j)
+            reach[j] = new
+        if self.timing_sink is not None:
+            self.timing_sink.hp_seconds += time.perf_counter() - t0
+        return affected
+
+    def remove(self, sid: int) -> None:
+        """Unindex one stream. The closures that reached it are stale
+        until :meth:`recompute_reach` (or :meth:`restore`) runs."""
+        users = self.users
+        for c in self.channels.pop(sid):
+            rest = users[c] - {sid}
+            if rest:
+                users[c] = rest
+            else:
+                del users[c]
+        del self.priority[sid]
+        blockers, rev = self.blockers, self.rev
+        for j in rev.pop(sid):
+            blockers[j] = tuple(x for x in blockers[j] if x != sid)
+        for v in blockers.pop(sid):
+            rev[v].discard(sid)
+        del self.reach[sid]
+
+    def restore(self, undo_reach: Mapping[int, Set[int]]) -> None:
+        """Put back the closures :meth:`add` logged in ``undo_reach`` for
+        every id still indexed (the trial's own ids are removed first)."""
+        for j, old in undo_reach.items():
+            if j in self.reach:
+                self.reach[j] = old
+
+    def reverse_reachable(self, seeds: Iterable[int]) -> Set[int]:
+        """Ids that can reach any seed via blocked-by edges (seeds incl.)."""
+        seen: Set[int] = set()
+        frontier = [s for s in seeds if s in self.blockers]
+        while frontier:
+            v = frontier.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            frontier.extend(self.rev.get(v, ()))
+        return seen
+
+    def recompute_reach(self, dirty: AbstractSet[int]) -> None:
+        """Recompute the closures of the dirty ids.
+
+        A clean (non-dirty) stream cannot reach a dirty one — it would
+        reach a removed id through it — so its closure is unchanged and
+        already transitively closed. The walk therefore only expands
+        dirty nodes edge-by-edge and absorbs each clean neighbour's
+        closure wholesale.
+        """
+        reach = self.reach
+        blockers = self.blockers
+        for j in dirty:
+            out: Set[int] = set()
+            seen: Set[int] = {j}
+            stack = list(blockers.get(j, ()))
             while stack:
                 x = stack.pop()
                 if x in seen:
                     continue
                 seen.add(x)
-                stack.extend(blockers[x])
-            out = frozenset(seen)
-            desc_cache[r] = out
-            return out
+                out.add(x)
+                if x in dirty:
+                    stack.extend(blockers.get(x, ()))
+                else:
+                    out.update(reach.get(x, ()))
+            out.discard(j)
+            reach[j] = out
 
-        for k in sorted(indirect):
-            # Interior nodes of any blocking chain j -> ... -> k: reachable
-            # from j, and k reachable from them. Same-priority mutual
-            # blocking creates cycles, so j itself may appear in `reachable`
-            # and must be excluded explicitly.
-            ins = frozenset(
-                r for r in reachable
-                if r != k and r != j and k in descendants(r)
-            )
-            hp.add(HPEntry.indirect(k, ins))
-    return hp
+    def hp_set(self, j: int) -> HPSet:
+        """``HP_j`` from the maintained closures, no graph walk."""
+        return hp_set_from_reach(j, self.blockers[j], self.reach[j],
+                                 self.reach)
 
 
 def hp_set_from_reach(
@@ -298,35 +408,22 @@ def hp_set_from_reach(
     reach: AbstractSet[int],
     reach_map: Mapping[int, AbstractSet[int]],
 ) -> HPSet:
-    """Construct ``HP_j`` from maintained reachability sets (no traversal).
-
-    The incremental admission engine keeps, per admitted stream, the
-    transitive closure ``reach[j]`` of the blocked-by relation (owner
-    excluded). Given those closed sets, the HP set falls out without any
-    graph walk — and bit-identical to :func:`build_hp_set`:
+    """Construct ``HP_j`` from ``direct`` (``blockers[j]``, ascending)
+    and the closed reach sets (owner excluded) of ``j`` and of every
+    stream in ``reach_map``, without any graph walk:
 
     * the DIRECT elements are exactly ``blockers[j]``;
     * the INDIRECT elements are ``reach[j]`` minus the direct ones
       (``j`` itself never appears: the closure excludes the owner);
     * the intermediates of an indirect ``k`` are the members ``r`` of
       ``reach[j]`` with ``k in reach[r]`` — reachable from ``j`` and
-      reaching ``k``, i.e. the interior of some blocking chain. The
-      owner-exclusion of :func:`build_hp_set` is automatic (``j`` is not
-      in its own closure) and every indirect element has at least one
-      intermediate (the direct blocker its chain passes through), so the
-      :class:`HPEntry` invariant holds by construction.
+      reaching ``k``, i.e. the interior of some blocking chain. Every
+      indirect element has at least one (the direct blocker its chain
+      passes through), so the :class:`HPEntry` invariant holds by
+      construction.
 
-    Parameters
-    ----------
-    owner_id:
-        The analysed stream ``j``.
-    direct:
-        ``blockers[j]``, ascending (the engine maintains sorted tuples).
-    reach:
-        Closed reachable set of ``j`` over blocked-by edges, ``j``
-        excluded.
-    reach_map:
-        The closure of every admitted stream (must cover ``reach``).
+    The pair-by-pair derivation of the same sets, one traversal per
+    stream, is the test oracle in ``tests/reference/hpset.py``.
     """
     hp = HPSet(owner_id)
     for k in direct:
@@ -340,12 +437,36 @@ def hp_set_from_reach(
     return hp
 
 
+def index_hp_sets(
+    streams: StreamSet,
+    channels: Mapping[int, FrozenSet[Channel]],
+) -> Tuple[BlockingIndex, Dict[int, HPSet]]:
+    """Index ``streams`` and build every HP set from the index: one
+    ``build_hp_sets`` trace span with an ``hp_set`` instant per stream,
+    in set order."""
+    # Hoist the active() check out of the per-stream loop so the disabled
+    # path pays one call for the whole build, not one per hp_set instant.
+    tr = _trace_active()
+    with _span("build_hp_sets", "analysis", n=len(streams)):
+        index = BlockingIndex.of(streams, channels)
+        out = {}
+        for s in streams:
+            hp = index.hp_set(s.stream_id)
+            if tr is not None:
+                tr.instant(
+                    "hp_set", "analysis", stream=s.stream_id,
+                    direct=len(hp.direct_ids()),
+                    indirect=len(hp.indirect_ids()),
+                )
+            out[s.stream_id] = hp
+    return index, out
+
+
 def build_all_hp_sets(
     streams: StreamSet,
     routing: Optional[RoutingAlgorithm] = None,
     *,
     channels: Optional[Mapping[int, FrozenSet[Channel]]] = None,
-    include_self: bool = False,
 ) -> Dict[int, HPSet]:
     """Construct the HP set of every stream in the set.
 
@@ -361,19 +482,4 @@ def build_all_hp_sets(
     missing = [s.stream_id for s in streams if s.stream_id not in channels]
     if missing:
         raise AnalysisError(f"no channel set for stream ids {missing}")
-    # Hoist the active() check out of the per-stream loop so the disabled
-    # path pays one call for the whole build, not one per hp_set instant.
-    tr = _trace_active()
-    with _span("build_hp_sets", "analysis", n=len(streams)):
-        blockers = direct_blockers(streams, channels)
-        out = {}
-        for s in streams:
-            hp = build_hp_set(s, streams, blockers, include_self=include_self)
-            if tr is not None:
-                tr.instant(
-                    "hp_set", "analysis", stream=s.stream_id,
-                    direct=len(hp.direct_ids()),
-                    indirect=len(hp.indirect_ids()),
-                )
-            out[s.stream_id] = hp
-    return out
+    return index_hp_sets(streams, channels)[1]

@@ -89,15 +89,12 @@ class TenantSpec:
         name: str,
         api_key: str,
         topology_spec: Dict[str, Any],
-        *,
-        analysis: Optional[str] = None,
     ):
         if not name or "/" in name or name != name.strip():
             raise ReproError(f"invalid tenant name {name!r}")
         self.name = name
         self.api_key = api_key
         self.topology_spec = dict(topology_spec)
-        self.analysis = analysis
 
 
 class TenantFleet(OpInterpreter):
@@ -121,7 +118,6 @@ class TenantFleet(OpInterpreter):
         *,
         shards: int = 2,
         state_dir: Optional[Union[str, Path]] = None,
-        analysis: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
     ):
         if shards < 1:
@@ -133,7 +129,6 @@ class TenantFleet(OpInterpreter):
         # ops broadcast).
         self._route_table = shared_route_table(self.routing)
         self.state_dir = Path(state_dir) if state_dir is not None else None
-        self._analysis = analysis
         self._fault_plane = fault_plane
         self.hosts = [self._open_host(i) for i in range(shards)]
         #: sid -> shard index currently holding the stream.
@@ -160,7 +155,6 @@ class TenantFleet(OpInterpreter):
                 None if self.state_dir is None
                 else self.state_dir / f"shard-{shard}"
             ),
-            analysis=self._analysis,
             fault_plane=self._fault_plane,
         )
 
@@ -742,9 +736,9 @@ class TenantFleet(OpInterpreter):
 
     def recover_shard(self, shard: int) -> None:
         """Fail a shard over the way a restart would: close it and open
-        it again from its journal, with the tenant's analysis and fault
-        plane. A live shard stops serving first (planned maintenance);
-        one that cannot be recovered stays dead."""
+        it again from its journal, with the tenant's fault plane. A live
+        shard stops serving first (planned maintenance); one that cannot
+        be recovered stays dead."""
         self._shard_index(shard)
         if self.state_dir is None:
             raise ProtocolError(
@@ -831,7 +825,6 @@ class Fleet:
                     "topology": t.topology_spec,
                     "shards": shards,
                     "state_dir": str(self.state_dir / t.name),
-                    "analysis": t.analysis,
                 })
             self.supervisor.start()
         else:
@@ -844,7 +837,6 @@ class Fleet:
                         None if self.state_dir is None
                         else self.state_dir / t.name
                     ),
-                    analysis=t.analysis,
                     fault_plane=fault_plane,
                 )
                 for t in tenants

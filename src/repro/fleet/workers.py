@@ -125,7 +125,7 @@ class _WorkerServer:
             spec = wp.assigned[name]
             tf = self.tenants[name] = TenantFleet(
                 name, spec["topology"], shards=spec["shards"],
-                state_dir=spec["state_dir"], analysis=spec["analysis"],
+                state_dir=spec["state_dir"],
             )
             for i, host in enumerate(tf.hosts):
                 logger.info(
@@ -620,7 +620,7 @@ class WorkerSupervisor:
 
     def assign_tenant(self, tenant: str, spec: Dict[str, Any]) -> None:
         """Place a tenant's fleet (``topology``, ``shards``,
-        ``state_dir``, ``analysis``) on a worker, before :meth:`start`."""
+        ``state_dir``) on a worker, before :meth:`start`."""
         if self._started:
             raise ReproError("cannot assign tenants after start()")
         if tenant in self._worker_of:

@@ -16,7 +16,7 @@ Design constraints, in order:
    are zeroed. With ``REPRO_TRACE_CLOCK=logical`` the timestamp *is* the
    sequence number and the files themselves are byte-identical.
 3. **No dependencies, bounded memory.** Events land in a ring buffer
-   (``REPRO_TRACE_BUFFER`` events, default 65536) and, when
+   (65536 events; :class:`Tracer` takes another ``buffer_limit``) and, when
    ``REPRO_TRACE_FILE`` names a path, are simultaneously streamed to it
    as JSON lines. A literal ``{pid}`` in the path is replaced by the
    process id so parallel campaigns do not interleave writes.
@@ -58,7 +58,6 @@ __all__ = [
     "TRACE_ENV",
     "TRACE_FILE_ENV",
     "TRACE_CLOCK_ENV",
-    "TRACE_BUFFER_ENV",
     "TraceEvent",
     "Tracer",
     "active",
@@ -74,7 +73,6 @@ __all__ = [
 TRACE_ENV = "REPRO_TRACE"
 TRACE_FILE_ENV = "REPRO_TRACE_FILE"
 TRACE_CLOCK_ENV = "REPRO_TRACE_CLOCK"
-TRACE_BUFFER_ENV = "REPRO_TRACE_BUFFER"
 
 _FALSEY = ("", "0", "false", "no", "off")
 
@@ -302,17 +300,16 @@ def configure_from_env() -> Optional[Tracer]:
 
     ``REPRO_TRACE`` gates tracing; ``REPRO_TRACE_FILE`` selects a JSONL
     sink path (``{pid}`` substituted); ``REPRO_TRACE_CLOCK=logical``
-    selects the deterministic clock; ``REPRO_TRACE_BUFFER`` sizes the
-    ring buffer. With the gate unset this *uninstalls* any active tracer
-    and returns ``None``.
+    selects the deterministic clock. The ring buffer holds 65536 events.
+    With the gate unset this *uninstalls* any active tracer and returns
+    ``None``.
     """
     if not trace_enabled_from_env():
         uninstall()
         return None
     clock = os.environ.get(TRACE_CLOCK_ENV, "wall")
     sink = os.environ.get(TRACE_FILE_ENV) or None
-    buffer_limit = int(os.environ.get(TRACE_BUFFER_ENV, "65536"))
-    tracer = Tracer(sink=sink, clock=clock, buffer_limit=buffer_limit)
+    tracer = Tracer(sink=sink, clock=clock, buffer_limit=65536)
     install(tracer)
     return tracer
 

@@ -13,13 +13,13 @@ This engine maintains, between requests:
   topology/routing (:func:`~repro.topology.route_table.shared_route_table`)
   — routes are a pure function of ``(src, dst)``, so one memoized lookup
   serves every engine, analyzer rebuild and replay;
-* per-stream channel sets and a channel -> users index, so the streams
-  that overlap a new route are found by link lookup, not an O(n) scan;
-* the direct-blocking relation and its reverse adjacency;
-* per-stream **reachability closures** over the blocked-by relation,
-  updated by delta on attach/detach, from which the HP set of a verdict
-  to compute is produced without any graph traversal
-  (:func:`~repro.core.hpset.hp_set_from_reach`) and then dropped;
+* a :class:`~repro.core.hpset.BlockingIndex`: per-stream channel sets,
+  a channel -> users index, the direct-blocking relation and its reverse
+  adjacency, and per-stream **reachability closures** over the
+  blocked-by relation, updated by delta on attach/detach, from which the
+  HP set of a verdict to compute is produced without any graph traversal
+  and then dropped (the same index builds every offline analyzer's HP
+  sets, for the whole set at once);
 * per-stream :class:`~repro.core.feasibility.StreamVerdict`\\ s, plus a
   **verdict memo** keyed by the full analytic input of ``Cal_U``:
   ``(backend, route table in effect, resolved owner, resolved members of
@@ -71,16 +71,6 @@ consumers of the journal — restart recovery, and a shard's failover,
 which is the same recovery — whose every record the primary's engine
 already decided.
 
-**Reach-set maintenance.** ``_reach[j]`` is the transitive closure of the
-blocked-by relation from ``j`` (``j`` excluded) — exactly the member ids
-of ``HP_j``. On attach of ``k`` every new edge is incident to ``k``, so
-``reach(k) = union over direct blockers x of ({x} | reach(x))`` is already
-closed, and every affected ``j`` (reverse-reachable of ``k``) gains exactly
-``{k} | reach(k)``. On release the dirty streams' closures are recomputed
-by a traversal that expands dirty nodes edge-by-edge but absorbs every
-clean neighbour's (unchanged, already closed) reach set wholesale — a
-clean stream can never reach a dirty one, or it would reach a removed id.
-
 Dirty-set ``Cal_U`` runs that miss the memo are computed in-process, in
 sorted-id order: copying a prepared analyzer to another process costs
 more than the handful of verdicts a dirty frontier holds (measured in
@@ -97,12 +87,12 @@ guarantee is scoped to, so clients can propagate the condition.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core import backends as _backends
 from ..core.feasibility import FeasibilityReport, StreamVerdict
-from ..core.hpset import hp_set_from_reach
+from ..core.hpset import BlockingIndex
 from ..core.latency import NoLoadLatency
 from ..core.streams import MessageStream, StreamSet
 from ..errors import AnalysisError, RoutingError, StreamError
@@ -268,15 +258,9 @@ class IncrementalAdmissionEngine:
         self._admitted = StreamSet()   # streams as requested (raw latency)
         self._resolved = StreamSet()   # latencies resolved over the route
         self._next_id = 0
-        # Caches (all id-keyed, values immutable except _rev's sets; reach
-        # sets are replaced, never mutated in place, so rollback can keep
-        # references to the old objects).
+        # Derived state, rebuilt by invalidate_caches.
         self._route_table = shared_route_table(routing)
-        self._channels: Dict[int, FrozenSet[Channel]] = {}
-        self._channel_users: Dict[Channel, FrozenSet[int]] = {}
-        self._blockers: Dict[int, Tuple[int, ...]] = {}
-        self._rev: Dict[int, Set[int]] = {}
-        self._reach: Dict[int, Set[int]] = {}
+        self._index = BlockingIndex(timing_sink=self.stats)
         self._verdicts: Dict[int, StreamVerdict] = {}
         self._verdict_memo: Dict[tuple, StreamVerdict] = {}
         #: Per-stream bound-backend name (every admitted id has an entry).
@@ -346,9 +330,9 @@ class IncrementalAdmissionEngine:
         for s, _ in streams:
             self._admitted.remove(s.stream_id)
         self._resolved = StreamSet()
-        for cache in (self._channels, self._channel_users, self._blockers,
-                      self._rev, self._reach, self._verdicts,
-                      self._verdict_memo, self._analysis, self._stale):
+        self._index = BlockingIndex(timing_sink=self.stats)
+        for cache in (self._verdicts, self._verdict_memo, self._analysis,
+                      self._stale):
             cache.clear()
         self._route_table.clear()
         for s, name in streams:
@@ -367,7 +351,7 @@ class IncrementalAdmissionEngine:
         stream's bound conditions on, ascending."""
         if stream_id not in self._admitted:
             raise StreamError(f"no admitted stream with id {stream_id}")
-        return tuple(sorted(self._reach[stream_id]))
+        return tuple(sorted(self._index.reach[stream_id]))
 
     def verdict(self, stream_id: int) -> StreamVerdict:
         """Return the verdict of one admitted stream (settling first)."""
@@ -472,7 +456,7 @@ class IncrementalAdmissionEngine:
         self.stats.ops += 1
         self.stats.releases += 1
         # Dirty set on the OLD graph: whoever could reach a removed id.
-        dirty = self._reverse_reachable(ids) - set(ids)
+        dirty = self._index.reverse_reachable(ids) - set(ids)
         self.stats.note_dirty(len(dirty))
         for sid in ids:
             self._detach(sid)
@@ -481,7 +465,7 @@ class IncrementalAdmissionEngine:
             self.stats.verdicts_reused += len(self._verdicts)
             return
         t0 = time.perf_counter()
-        self._recompute_reach(dirty)
+        self._index.recompute_reach(dirty)
         self.stats.hp_seconds += time.perf_counter() - t0
         self._stale |= dirty
 
@@ -560,7 +544,7 @@ class IncrementalAdmissionEngine:
             except RoutingError:
                 disconnected.append(sid)
                 continue
-            if chans != self._channels.get(sid):
+            if chans != self._index.channels.get(sid):
                 changed.append(sid)
         rerouted = tuple(changed)
         evicted_streams: List[Tuple[MessageStream, str]] = [
@@ -574,7 +558,7 @@ class IncrementalAdmissionEngine:
             (self._admitted[sid], self._analysis[sid])
             for sid in changed
         ]
-        dirty = self._reverse_reachable(changed + disconnected)
+        dirty = self._index.reverse_reachable(changed + disconnected)
         for sid in changed + disconnected:
             self._detach(sid)
         self.routing = new_routing
@@ -586,7 +570,7 @@ class IncrementalAdmissionEngine:
         dirty &= set(self._admitted.ids())
         self.stats.note_dirty(len(dirty))
         t0 = time.perf_counter()
-        self._recompute_reach(dirty)
+        self._index.recompute_reach(dirty)
         self.stats.hp_seconds += time.perf_counter() - t0
         self._refresh(dirty)
 
@@ -633,7 +617,7 @@ class IncrementalAdmissionEngine:
         # dirty ids are saved before the refresh overwrites them.
         # Rejection then detaches the added streams (the exact structural
         # inverse of attach) and restores only those saved entries.
-        undo_reach: Dict[int, Optional[Set[int]]] = {}
+        undo_reach: Dict[int, Set[int]] = {}
         added = [r.stream_id for r in requests]
         for sid in added:
             self._analysis[sid] = backend_name
@@ -649,13 +633,7 @@ class IncrementalAdmissionEngine:
             return AdmissionDecision(True, report, ())
         for sid in added:
             self._detach(sid)
-        for j, old_reach in undo_reach.items():
-            if j not in self._admitted:
-                continue
-            if old_reach is None:
-                self._reach.pop(j, None)
-            else:
-                self._reach[j] = old_reach
+        self._index.restore(undo_reach)
         for j, vd in saved_vd.items():
             if vd is not None and j in self._admitted:
                 self._verdicts[j] = vd
@@ -681,9 +659,8 @@ class IncrementalAdmissionEngine:
                 pending[j] = key
         if pending:
             t1 = time.perf_counter()
-            reach = self._reach
-            hp_sets = {j: hp_set_from_reach(j, self._blockers[j], reach[j],
-                                            reach) for j in pending}
+            index = self._index
+            hp_sets = {j: index.hp_set(j) for j in pending}
             stats.hp_rebuilt += len(pending)
             hp_time = time.perf_counter() - t1
             stats.hp_seconds += hp_time
@@ -694,10 +671,9 @@ class IncrementalAdmissionEngine:
             for name in sorted(by_backend):
                 analyzer = _backends.get(name).analyzer_from_prepared(
                     self._resolved,
-                    self._channels,
-                    self._blockers,
+                    index.channels,
+                    index.blockers,
                     hp_sets,
-                    routing=self.routing,
                     residency_margin=self.residency_margin,
                 )
                 analyzer.timing_sink = stats
@@ -713,7 +689,7 @@ class IncrementalAdmissionEngine:
 
     def _memo_key(self, j: int) -> tuple:
         """The full analytic input of ``Cal_U(j)`` as a hashable key:
-        backend, route table, resolved owner, resolved ``_reach[j]`` in
+        backend, route table, resolved owner, resolved ``reach[j]`` in
         id order. The table fixes every route (a link fault switches
         tables), and the routes and priorities of ``{j} | reach[j]`` (a
         closed set) then fix every HP mode, intermediate set and channel
@@ -724,7 +700,7 @@ class IncrementalAdmissionEngine:
             self._analysis[j],
             self._route_table,
             resolved[j],
-            tuple(resolved[r] for r in sorted(self._reach[j])),
+            tuple(resolved[r] for r in sorted(self._index.reach[j])),
         )
 
     def _report_from_cache(self) -> FeasibilityReport:
@@ -754,24 +730,12 @@ class IncrementalAdmissionEngine:
         self,
         stream: MessageStream,
         *,
-        undo_reach: Optional[Dict[int, Optional[Set[int]]]] = None,
+        undo_reach: Optional[Dict[int, Set[int]]] = None,
     ) -> Set[int]:
-        """Add one stream to the admitted set and the dependency indexes.
-
-        Returns the reverse-reachable set of the new stream on the updated
-        graph (the ids whose closures changed, new id included); the union
-        of these sets over a batch equals the batch's dirty set, because
-        every new edge is incident to some added stream.
-
-        When ``undo_reach`` is given, every reach entry this attach
-        replaces is recorded there once (``None`` = was absent), so a
-        rejected trial can restore the old closures without an O(n)
-        snapshot.
-        """
+        """Admit and index one stream; return the ids whose closures
+        changed (:meth:`~repro.core.hpset.BlockingIndex.add`)."""
         self._admitted.add(stream)
-        k = stream.stream_id
         chans = self._route(stream.src, stream.dst)
-        self._channels[k] = chans
         if stream.latency is None:
             resolved = stream.with_latency(
                 _LATENCY.latency(stream, len(chans))
@@ -779,112 +743,17 @@ class IncrementalAdmissionEngine:
         else:
             resolved = stream
         self._resolved.add(resolved)
-
-        overlap: Set[int] = set()
-        for c in chans:
-            overlap |= self._channel_users.get(c, frozenset())
-            self._channel_users[c] = (
-                self._channel_users.get(c, frozenset()) | {k}
-            )
-        bk: List[int] = []
-        self._rev.setdefault(k, set())
-        for j in overlap:
-            other = self._resolved[j]
-            if other.priority >= stream.priority:
-                bk.append(j)
-                self._rev[j].add(k)
-            if stream.priority >= other.priority:
-                self._blockers[j] = tuple(sorted(self._blockers[j] + (k,)))
-                self._rev[k].add(j)
-        self._blockers[k] = tuple(sorted(bk))
-
-        affected = self._reverse_reachable((k,))
-        t0 = time.perf_counter()
-        reach = self._reach
-        # All new edges touch k, so the closure over k's direct
-        # blockers' (old, still-valid) closures is itself closed.
-        rk: Set[int] = set()
-        for x in bk:
-            rk.add(x)
-            rk.update(reach.get(x, ()))
-        rk.discard(k)
-        if undo_reach is not None and k not in undo_reach:
-            undo_reach[k] = None
-        reach[k] = rk
-        gain = rk | {k}
-        for j in affected:
-            if j == k:
-                continue
-            if undo_reach is not None and j not in undo_reach:
-                undo_reach[j] = reach.get(j)
-            new = reach.get(j, set()) | gain
-            new.discard(j)
-            reach[j] = new
-        self.stats.hp_seconds += time.perf_counter() - t0
-        return affected
+        return self._index.add(stream.stream_id, stream.priority, chans,
+                               undo_reach=undo_reach)
 
     def _detach(self, sid: int) -> None:
         """Remove one stream from the admitted set and every index."""
         self._admitted.remove(sid)
         self._resolved.remove(sid)
-        for c in self._channels.pop(sid):
-            users = self._channel_users[c] - {sid}
-            if users:
-                self._channel_users[c] = users
-            else:
-                del self._channel_users[c]
-        for j in self._rev.pop(sid, set()):
-            if j in self._blockers:
-                self._blockers[j] = tuple(
-                    x for x in self._blockers[j] if x != sid
-                )
-        for v in self._blockers.pop(sid, ()):
-            if v in self._rev:
-                self._rev[v].discard(sid)
-        self._reach.pop(sid, None)
+        self._index.remove(sid)
         self._verdicts.pop(sid, None)
         self._analysis.pop(sid, None)
         self._stale.discard(sid)
-
-    def _reverse_reachable(self, seeds: Iterable[int]) -> Set[int]:
-        """Ids that can reach any seed via blocked-by edges (seeds incl.)."""
-        seen: Set[int] = set()
-        frontier = [s for s in seeds if s in self._blockers]
-        while frontier:
-            v = frontier.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            frontier.extend(self._rev.get(v, ()))
-        return seen
-
-    def _recompute_reach(self, dirty: Set[int]) -> None:
-        """Recompute the closures of the dirty ids after a release.
-
-        A clean (non-dirty) stream cannot reach a dirty one — it would
-        reach a removed id through it — so its closure is unchanged and
-        already transitively closed. The walk therefore only expands
-        dirty nodes edge-by-edge and absorbs each clean neighbour's
-        closure wholesale.
-        """
-        reach = self._reach
-        blockers = self._blockers
-        for j in dirty:
-            out: Set[int] = set()
-            seen: Set[int] = {j}
-            stack = list(blockers.get(j, ()))
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                out.add(x)
-                if x in dirty:
-                    stack.extend(blockers.get(x, ()))
-                else:
-                    out.update(reach.get(x, ()))
-            out.discard(j)
-            reach[j] = out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"IncrementalAdmissionEngine(admitted={len(self._admitted)})"

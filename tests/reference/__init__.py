@@ -9,6 +9,7 @@ equivalence tests require the two to agree bit for bit. Nothing under
 ``kernel``   the paper's per-window row scan (vs the bitset row fill)
 ``sim``      the rescan-everything cycle loop (vs the movable-set one)
 ``engine``   from-scratch admission on every op (vs the incremental engine)
+``hpset``    section 4.1 HP sets pair by pair (vs the blocking index)
 ``topology`` minimal hop counts (what minimal routes are checked against)
 ``trace``    canonical trace lines and span pairing (what determinism is)
 """

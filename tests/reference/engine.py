@@ -6,8 +6,9 @@ the spec states it: a request is admitted only if the admitted set plus
 the request stays feasible, and every request re-runs the whole test.
 :class:`ReferenceEngine` extends it and keeps nothing between requests
 but the admitted set and each stream's bound backend: every decision and
-every read builds a fresh ``backends.get(name).analyzer(StreamSet, routing)`` per backend in
-use, and HP closures come from ``build_all_hp_sets`` over the whole set.
+every read builds a fresh analyzer per backend in use. Its HP sets, like
+every closure it reports, come from the section 4.1 oracle
+(:mod:`tests.reference.hpset`), never from the index the engine keeps.
 :class:`ShadowedEngine` runs one beside a production engine and compares
 them at every op, so any driver of an engine (a fuzz loop, an
 ``EngineHost`` serving requests, a journal replay) becomes an
@@ -19,12 +20,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import backends
-from repro.core.feasibility import (
-    FeasibilityAnalyzer,
-    FeasibilityReport,
-    StreamVerdict,
-)
-from repro.core.hpset import build_all_hp_sets
+from repro.core.feasibility import FeasibilityReport, StreamVerdict
+from repro.core.hpset import stream_channels
 from repro.core.latency import LatencyModel, NoLoadLatency
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import AnalysisError, RoutingError, StreamError
@@ -35,6 +32,8 @@ from repro.service.engine import (
     RoutingDelta,
 )
 from repro.topology.routing import RoutingAlgorithm
+
+from .hpset import oracle_analyzer, oracle_hp_sets
 
 __all__ = ["AdmissionController", "ReferenceEngine", "ShadowedEngine",
            "shadow"]
@@ -108,7 +107,7 @@ class AdmissionController:
             self._next_id = top + 1
 
     def _analyze(self, streams: StreamSet) -> FeasibilityReport:
-        analyzer = FeasibilityAnalyzer(
+        analyzer = oracle_analyzer(
             streams,
             self.routing,
             latency_model=self.latency_model,
@@ -198,8 +197,8 @@ class ReferenceEngine(AdmissionController):
         }
         verdicts: Dict[int, StreamVerdict] = {}
         for name in sorted(set(names.values())):
-            analyzer = backends.get(name).analyzer(
-                StreamSet(streams), self.routing,
+            analyzer = oracle_analyzer(
+                streams, self.routing, backend=name,
                 latency_model=self.latency_model,
                 use_modify=self.use_modify,
                 residency_margin=self.residency_margin,
@@ -253,8 +252,8 @@ class ReferenceEngine(AdmissionController):
     def closure(self, stream_id: int) -> Tuple[int, ...]:
         if stream_id not in self._admitted:
             raise StreamError(f"no admitted stream with id {stream_id}")
-        return build_all_hp_sets(
-            StreamSet(self._admitted), self.routing
+        return oracle_hp_sets(
+            self._admitted, stream_channels(self._admitted, self.routing)
         )[stream_id].ids()
 
     def apply_routing(self, new_routing) -> RoutingDelta:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.bdg import bfs_layers, build_bdg, indirect_processing_order
-from repro.core.hpset import build_all_hp_sets, direct_blockers, stream_channels
+from repro.core.hpset import build_all_hp_sets, stream_channels
 from repro.errors import AnalysisError
+from tests.reference.hpset import direct_blockers
 
 
 @pytest.fixture()

@@ -214,26 +214,6 @@ class TestWorkerFailover:
         assert f"worker[{pid}] INFO" in log
         assert "tenant t: shard 0 replayed its journal (1 streams)" in log
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_failover_keeps_the_tenant_analysis(self, tmp_path, workers):
-        """A failed-over shard is the shard a restart would open: with
-        the tenant's analysis, not the engine default."""
-        fleet = Fleet(
-            [TenantSpec("t", "key", TOPO, analysis="tighter")],
-            shards=2, state_dir=tmp_path, workers=workers,
-        )
-        try:
-            for op in ("kill_shard", "recover_shard"):
-                assert fleet.handle_request("t", {"op": op, "shard": 0})["ok"]
-            hello = fleet.handle_request("t", {"op": "hello"})
-            assert hello["default_analysis"] == "tighter"   # shard 0's
-            admitted = admit_ok(fleet, "a1")
-            assert admitted["analysis"] == "tighter"
-            shards = fleet.stats()["t"]["shards"]
-            assert [row["admitted"] for row in shards] == [1, 0]
-        finally:
-            fleet.close()
-
 
 def run_gateway(client_fn, tmp_path, *, workers=2, tenants=("t",)):
     """test_fleet_gateway harness, worker-pool edition (tenant ``t``'s

@@ -7,11 +7,11 @@ from repro.core.hpset import (
     HPEntry,
     HPSet,
     build_all_hp_sets,
-    direct_blockers,
     stream_channels,
 )
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import AnalysisError
+from tests.reference.hpset import direct_blockers
 
 
 def ms(i, priority, src=0, dst=1, period=100, length=10):
@@ -152,12 +152,6 @@ class TestPaperExampleHPSets:
         assert hps[4].direct_ids() == (2, 3)
         assert hps[4].indirect_ids() == (0, 1)
         assert hps[4][1].intermediates == frozenset({2, 3})
-
-    def test_include_self(self, paper_streams, xy10):
-        hps = build_all_hp_sets(paper_streams, xy10, include_self=True)
-        for i in range(5):
-            assert i in hps[i]
-            assert hps[i][i].is_direct
 
     def test_stream_channels_match_routes(self, paper_streams, xy10):
         chans = stream_channels(paper_streams, xy10)

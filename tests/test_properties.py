@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from repro.core.bdg import bfs_layers, build_bdg
 from repro.core.feasibility import FeasibilityAnalyzer
-from repro.core.hpset import build_all_hp_sets, direct_blockers, stream_channels
+from repro.core.hpset import build_all_hp_sets, stream_channels
 from repro.core.streams import MessageStream, StreamSet
 from repro.core.timing_diagram import generate_init_diagram
 from repro.topology import Hypercube, ECubeRouting, Mesh, Mesh2D, XYRouting
 from repro.topology.routing import DimensionOrderRouting
 from tests.reference import hop_distance
+from tests.reference.hpset import direct_blockers
 
 # ---------------------------------------------------------------------- #
 # Strategies

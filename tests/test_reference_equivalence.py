@@ -85,7 +85,8 @@ class TestEquivalence:
 def modify_cases(draw):
     """Random stream sets with synthetic channel structure rich enough to
     produce indirect blocking chains."""
-    from repro.core.hpset import build_all_hp_sets, direct_blockers
+    from repro.core.hpset import build_all_hp_sets
+    from tests.reference.hpset import direct_blockers
     from repro.core.streams import StreamSet
 
     n = draw(st.integers(min_value=2, max_value=6))

@@ -12,13 +12,19 @@ import pytest
 
 from repro.core import backends
 from repro.core.feasibility import FeasibilityAnalyzer
-from repro.core.hpset import build_all_hp_sets
+from repro.core.hpset import stream_channels
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import AnalysisError, RoutingError, StreamError
 from repro.io import report_to_spec
 from repro.service.engine import IncrementalAdmissionEngine
 from repro.topology import FaultAwareRouting, Mesh2D, XYRouting, normalize_link
 from tests.reference import ReferenceEngine, ShadowedEngine
+from tests.reference.hpset import oracle_hp_sets
+
+
+def oracle_closures(engine, routing):
+    admitted = StreamSet(engine.admitted)
+    return oracle_hp_sets(admitted, stream_channels(admitted, routing))
 
 
 @pytest.fixture()
@@ -129,9 +135,7 @@ class TestEngineBasics:
         ]
         for s in streams:
             assert eng.try_admit(s).admitted
-        fresh = build_all_hp_sets(
-            StreamSet(eng.admitted), routing
-        )
+        fresh = oracle_closures(eng, routing)
         for sid in eng.admitted.ids():
             assert eng.closure(sid) == fresh[sid].ids()
         with pytest.raises(StreamError):
@@ -280,7 +284,7 @@ class TestPreparedAnalyzer:
         normal = FeasibilityAnalyzer(streams, routing)
         prepared = FeasibilityAnalyzer.from_prepared(
             normal.streams, normal.channels, normal.blockers,
-            normal.hp_sets, routing=routing,
+            normal.hp_sets,
         )
         a = normal.determine_feasibility()
         b = prepared.determine_feasibility()
@@ -335,7 +339,7 @@ class TestFuzzedEquivalence:
         assert inc.stats.verdicts_reused > inc.stats.verdicts_recomputed
 
     def test_closures_track_full_mode(self, setup):
-        """Reach-delta closures vs ``build_all_hp_sets`` from scratch."""
+        """Reach-delta closures vs the section 4.1 oracle from scratch."""
         mesh, routing = setup
         rng = random.Random(7)
         inc = IncrementalAdmissionEngine(routing)
@@ -349,7 +353,7 @@ class TestFuzzedEquivalence:
                     live.append(sid)
             if not live:
                 continue
-            fresh = build_all_hp_sets(StreamSet(inc.admitted), routing)
+            fresh = oracle_closures(inc, routing)
             for sid2 in inc.admitted.ids():
                 assert inc.closure(sid2) == fresh[sid2].ids()
 

@@ -29,7 +29,10 @@ class and method under ``src/repro`` is named by something a deployed
 surface runs (``src/repro`` itself, ``benchmarks/``, ``examples/``), bar a
 short list kept for the tests with a reason each, and the package has a
 line ceiling. The ``REPRO_*`` knob count is bounded and retired knobs
-stay gone. These checks read the source tree, so a second copy fails
+stay gone. The blocked-by relation and its closures are built once,
+by ``core/hpset.py``'s ``BlockingIndex``: the engine keeps no copy of
+its own, and the section 4.1 oracle under ``tests/reference/`` never
+touches the index. These checks read the source tree, so a second copy fails
 here rather than drifting.
 """
 
@@ -52,11 +55,18 @@ SCOPE_PATTERNS = (
 )
 
 
+#: What builds or reads the blocking index of ``core/hpset.py``.
+INDEX_NAMES = frozenset({
+    "BlockingIndex", "index_hp_sets", "build_all_hp_sets",
+    "hp_set_from_reach",
+})
+
+
 #: Lines of ``src/repro/fleet``: lower it when the package shrinks.
-FLEET_LINE_CEILING = 2708
+FLEET_LINE_CEILING = 2700
 
 #: Lines of ``src/repro``: lower it when the package shrinks.
-SRC_LINE_CEILING = 19918
+SRC_LINE_CEILING = 19874
 
 #: Definitions under ``src/repro`` that nothing deployed names, each kept
 #: for one reason. Everything else that only tests reached is deleted or
@@ -81,13 +91,13 @@ PROTOCOL_CALLBACKS = frozenset({
 
 #: Distinct ``REPRO_*`` names: a new knob raises this on purpose or not
 #: at all.
-KNOB_CEILING = 11
+KNOB_CEILING = 10
 
 #: Retired knobs, without their ``REPRO_`` prefix so that this file does
 #: not name them.
 RETIRED_KNOBS = (
     "SIM_FASTPATH", "INCREMENTAL", "KERNEL", "SERVICE_TIMING",
-    "ANALYSIS_PROCS", "ANALYSIS_THRESHOLD", "PERF_REPEATS",
+    "ANALYSIS_PROCS", "ANALYSIS_THRESHOLD", "PERF_REPEATS", "TRACE_BUFFER",
 )
 
 
@@ -143,6 +153,37 @@ def test_admitted_scope_is_stated_once():
         assert _modules_matching(pattern) == ["analysis/observe.py"], (
             pattern.pattern
         )
+
+
+def test_one_blocking_index():
+    # The index in core/hpset.py is the only code that builds the
+    # blocked-by relation or a reach closure.
+    scan = re.compile(r"def direct_blockers\(|def build_hp_set\(|\.isdisjoint\(")
+    assert _modules_matching(scan) == []
+    stored = set()
+    for node in ast.walk(ast.parse((SRC / "service" / "engine.py").read_text())):
+        if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+            while isinstance(node, ast.Subscript):
+                node = node.value
+            if isinstance(node, ast.Attribute):
+                stored.add(node.attr)
+    assert stored & {"_channel_users", "_blockers", "_rev", "_reach"} == set()
+    # The oracle derives HP sets without it: no name of the index, and
+    # no analyzer built by a constructor that fills one.
+    for path in sorted((ROOT / "tests" / "reference").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Call):
+                names = {getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None)}
+                assert not names & {"FeasibilityAnalyzer", "analyzer"}, (
+                    f"{path.name}:{node.lineno}")
+                continue
+            else:
+                names = {getattr(node, "id", None),
+                         getattr(node, "attr", None)}
+            assert not names & INDEX_NAMES, f"{path.name}:{node.lineno}"
 
 
 def test_second_campaign_runner_is_gone():
