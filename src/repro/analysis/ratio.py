@@ -39,13 +39,6 @@ class RatioStats:
     minimum: float
     maximum: float
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RatioStats(P={self.priority}, n={self.num_streams}, "
-            f"mean={self.mean:.3f}, range=[{self.minimum:.3f}, "
-            f"{self.maximum:.3f}], unbounded={self.num_unbounded})"
-        )
-
 
 def stream_ratios(
     streams: StreamSet,

@@ -98,10 +98,6 @@ class FeasibilityReport:
             sorted(i for i, v in self.verdicts.items() if not v.feasible)
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        word = "success" if self.success else "fail"
-        return f"FeasibilityReport({word}, U={self.upper_bounds()})"
-
 
 class FeasibilityAnalyzer:
     """Delay-upper-bound analysis for a stream set on a routed network.
@@ -177,6 +173,12 @@ class FeasibilityAnalyzer:
     #: diagrams into it. Class-level default keeps the hot path to a
     #: single attribute test when unused.
     timing_sink = None
+    #: Optional shared row memo (see
+    #: :func:`~repro.core.timing_diagram.generate_init_diagram`): the
+    #: admission engine sets one for the analyzers of one refresh, so
+    #: their diagrams fill each distinct row once. ``None`` gives every
+    #: diagram a private memo, i.e. fills every row.
+    row_memo = None
 
     def __init__(
         self,
@@ -344,6 +346,7 @@ class FeasibilityAnalyzer:
                 fixpoint=self.modify_fixpoint,
                 granularity=self.modify_granularity,
                 initial_removed=seeds,
+                row_memo=self.row_memo,
             )
         rows = tuple(
             sorted(
@@ -353,7 +356,8 @@ class FeasibilityAnalyzer:
             )
         )
         return (
-            generate_init_diagram(stream_id, rows, dtime, removed=seeds),
+            generate_init_diagram(stream_id, rows, dtime, removed=seeds,
+                                  row_memo=self.row_memo),
             {k: set(v) for k, v in seeds.items()} if seeds else {},
         )
 
@@ -590,9 +594,3 @@ class FeasibilityAnalyzer:
             )
             for s in self.streams.sorted_by_priority()
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FeasibilityAnalyzer(n_streams={len(self.streams)}, "
-            f"use_modify={self.use_modify})"
-        )

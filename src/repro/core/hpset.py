@@ -119,6 +119,7 @@ class HPSet:
         self.owner_id = owner_id
         self._entries: Dict[int, HPEntry] = {}
         self._ordered: Optional[Tuple[HPEntry, ...]] = None
+        self._indirect: Optional[Tuple[int, ...]] = None
         for e in entries:
             self.add(e)
 
@@ -129,7 +130,7 @@ class HPSet:
                 f"stream {entry.stream_id}"
             )
         self._entries[entry.stream_id] = entry
-        self._ordered = None
+        self._ordered = self._indirect = None
 
     def __contains__(self, stream_id: object) -> bool:
         return stream_id in self._entries
@@ -164,8 +165,12 @@ class HPSet:
         return tuple(e.stream_id for e in self if e.is_direct)
 
     def indirect_ids(self) -> Tuple[int, ...]:
-        """Return the ids of INDIRECT elements, ascending."""
-        return tuple(e.stream_id for e in self if e.is_indirect)
+        """Return the ids of INDIRECT elements, ascending (cached until
+        the next add: every ``Cal_U`` asks several times)."""
+        if self._indirect is None:
+            self._indirect = tuple(e.stream_id for e in self
+                                   if e.is_indirect)
+        return self._indirect
 
     def without_self(self) -> "HPSet":
         """Return a copy with the owner's own entry removed (``Cal_U`` line 1)."""
@@ -181,16 +186,6 @@ class HPSet:
             self.owner_id == other.owner_id
             and self._entries == other._entries
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        parts = []
-        for e in self:
-            if e.is_direct:
-                parts.append(f"({e.stream_id}, DIRECT)")
-            else:
-                ins = ",".join(str(i) for i in sorted(e.intermediates))
-                parts.append(f"({e.stream_id}, INDIRECT, {{{ins}}})")
-        return f"HP_{self.owner_id} = {{{', '.join(parts)}}}"
 
 
 # ---------------------------------------------------------------------- #
@@ -417,10 +412,12 @@ def hp_set_from_reach(
       (``j`` itself never appears: the closure excludes the owner);
     * the intermediates of an indirect ``k`` are the members ``r`` of
       ``reach[j]`` with ``k in reach[r]`` — reachable from ``j`` and
-      reaching ``k``, i.e. the interior of some blocking chain. Every
-      indirect element has at least one (the direct blocker its chain
-      passes through), so the :class:`HPEntry` invariant holds by
-      construction.
+      reaching ``k``, i.e. the interior of some blocking chain. One pass
+      over the members hands each ``r`` to every indirect element in
+      ``reach[r]`` (``r`` itself never is: closures exclude their
+      owner). Every indirect element has at least one (the direct
+      blocker its chain passes through), so the :class:`HPEntry`
+      invariant holds by construction.
 
     The pair-by-pair derivation of the same sets, one traversal per
     stream, is the test oracle in ``tests/reference/hpset.py``.
@@ -429,11 +426,12 @@ def hp_set_from_reach(
     for k in direct:
         hp.add(HPEntry.direct(k))
     indirect = reach.difference(direct)
+    ins: Dict[int, List[int]] = {k: [] for k in indirect}
+    for r in reach:
+        for k in indirect.intersection(reach_map[r]):
+            ins[k].append(r)
     for k in sorted(indirect):
-        ins = frozenset(
-            r for r in reach if r != k and k in reach_map[r]
-        )
-        hp.add(HPEntry.indirect(k, ins))
+        hp.add(HPEntry.indirect(k, ins[k]))
     return hp
 
 

@@ -60,9 +60,6 @@ class PipelinedLatency(LatencyModel):
             )
         return self.header_hop_delay * hops + stream.length - 1
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PipelinedLatency(header_hop_delay={self.header_hop_delay})"
-
 
 class NoLoadLatency(PipelinedLatency):
     """The paper's latency model: ``L = hops + C - 1`` (unit hop delay)."""

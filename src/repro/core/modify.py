@@ -51,7 +51,7 @@ only the rows the release can reach.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, Mapping, Optional, Set, Tuple
 
 from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active
@@ -69,10 +69,11 @@ from .timing_diagram import (
 __all__ = ["modify_diagram", "releasable_instances"]
 
 
-def _requested(
+def _requests(
     diagram: TimingDiagram, indirect_id: int, intermediates: AbstractSet[int]
-) -> int:
-    """The slots any intermediate requests (ALLOCATED or WAITING)."""
+) -> Iterator[int]:
+    """The slots the intermediates request (ALLOCATED or WAITING), ORed
+    one intermediate at a time: each step yields the running union."""
     if not intermediates:
         raise AnalysisError(
             f"indirect stream {indirect_id} has no intermediates"
@@ -80,7 +81,7 @@ def _requested(
     requested = 0
     for r in intermediates:
         requested |= diagram.request_bits(diagram.row_of(r))
-    return requested
+        yield requested
 
 
 def releasable_instances(
@@ -95,13 +96,15 @@ def releasable_instances(
     indices are period-window indices, so this tests each window of the
     indirect row: it occupies something (``occ``) and nothing it
     occupies is requested (``occ & requested == 0``) — the per-record
-    check, without materialising any instance records.
+    check, without materialising any instance records. Most tests
+    release nothing, so the requests are ORed one intermediate at a time
+    and the test returns as soon as they cover the row.
     """
-    requested = _requested(diagram, indirect_id, intermediates)
     row = diagram.row_of(indirect_id)
     occupied = diagram.request_bits(row)
-    if not occupied:
-        return ()
+    for requested in _requests(diagram, indirect_id, intermediates):
+        if not occupied & ~requested:
+            return ()
     occ_bytes = occupied.to_bytes(diagram.nbytes, "little")
     req_bytes = requested.to_bytes(diagram.nbytes, "little")
     out = []
@@ -124,7 +127,7 @@ def releasable_slots(
     indirect stream occupies (ALLOCATED or WAITING) is releasable when no
     intermediate requests it.
     """
-    requested = _requested(diagram, indirect_id, intermediates)
+    *_, requested = _requests(diagram, indirect_id, intermediates)
     own = diagram.request_bits(diagram.row_of(indirect_id))
     return tuple(slot_indices(own & ~requested))
 
@@ -140,6 +143,7 @@ def modify_diagram(
     granularity: str = "instance",
     max_passes: int = 16,
     initial_removed: Optional[Mapping[int, AbstractSet[int]]] = None,
+    row_memo: Optional[Dict[tuple, list]] = None,
 ) -> Tuple[TimingDiagram, Dict[int, Set[int]]]:
     """Run ``Modify_Diagram``: release indirect interference and re-compact.
 
@@ -170,6 +174,9 @@ def modify_diagram(
         of a member's demand analytically (e.g. the FCFS equal-priority
         instance cap of the ``tighter`` backend) seed the exclusion here;
         the returned map includes these seeds alongside genuine releases.
+    row_memo:
+        Filled rows the initial diagram may share with other diagrams
+        (see :func:`~repro.core.timing_diagram.generate_init_diagram`).
 
     Returns
     -------
@@ -208,7 +215,8 @@ def modify_diagram(
         )
     try:
         diagram = generate_init_diagram(
-            owner.stream_id, row_streams, dtime, removed=removed
+            owner.stream_id, row_streams, dtime, removed=removed,
+            row_memo=row_memo,
         )
         order = indirect_processing_order(hp, blockers, streams)
         if not order:

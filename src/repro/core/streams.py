@@ -185,6 +185,3 @@ class StreamSet:
     def total_utilization(self) -> float:
         """Return the sum of per-stream injection utilizations."""
         return sum(s.utilization() for s in self)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StreamSet(n={len(self)})"

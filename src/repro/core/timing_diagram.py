@@ -361,12 +361,6 @@ class TimingDiagram:
         grid[n, busy] = CellState.BUSY
         return grid
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TimingDiagram(owner={self.owner_id}, rows="
-            f"{[s.stream_id for s in self.row_streams]}, dtime={self.dtime})"
-        )
-
 
 def generate_init_diagram(
     owner_id: int,
@@ -374,7 +368,7 @@ def generate_init_diagram(
     dtime: int,
     *,
     removed: Optional[Mapping[int, AbstractSet[int]]] = None,
-    erased_slots: Optional[Mapping[int, AbstractSet[int]]] = None,
+    row_memo: Optional[Dict[tuple, list]] = None,
 ) -> TimingDiagram:
     """Populate a timing diagram (the paper's ``Generate_Init_Diagram``).
 
@@ -391,10 +385,12 @@ def generate_init_diagram(
         Optional map ``stream_id -> set of instance indices`` to skip —
         ``Modify_Diagram`` re-generates the diagram with the instances whose
         indirect interference was released removed entirely.
-    erased_slots:
-        Optional map ``stream_id -> set of absolute slots`` erased from the
-        stream's demand (slot-granular release): the stream neither
-        allocates nor waits there, and the erased demand does not shift.
+    row_memo:
+        Filled rows shared between diagrams (``None``: a private memo).
+        A row is fixed by the rows above it, so it is keyed by that path:
+        the parent row's key id plus its period, length and skip set. A
+        row stored at a horizon ``>= dtime`` is copied truncated (the
+        fill is prefix-stable), a shorter one is refilled and replaced.
 
     Notes
     -----
@@ -404,6 +400,7 @@ def generate_init_diagram(
     WAITING. Slots it allocates become BUSY for every lower row.
     """
     removed = removed or {}
+    memo = {} if row_memo is None else row_memo
     # Hot path (re-run on every Cal_U / Modify_Diagram pass): guard the
     # span explicitly so the disabled cost is one call and a None test.
     tr = _trace_active()
@@ -424,7 +421,27 @@ def generate_init_diagram(
                     "diagram rows must be sorted by non-increasing priority "
                     f"(ties by id): {prev.stream_id} before {cur.stream_id}"
                 )
-        refill_rows(diagram, removed, erased_slots=erased_slots, start_row=0)
+        dtime = diagram.dtime
+        keep = (2 << dtime) - 1
+        alloc_bits, wait_bits = diagram.alloc_bits, diagram.wait_bits
+        busy = 0
+        path = -1
+        for row, stream in enumerate(diagram.row_streams):
+            skip = frozenset(removed.get(stream.stream_id, ()))
+            key = (path, stream.period, stream.length, skip)
+            # [key id, horizon, alloc bits, wait bits]
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = [len(memo), 0, 0, 0]
+            if entry[1] >= dtime:
+                alloc_bits[row] = entry[2] & keep
+                wait_bits[row] = entry[3] & keep
+                diagram._row_skip[row] = skip
+            else:
+                _fill_row(diagram, row, busy, skip)
+                entry[1:] = dtime, alloc_bits[row], wait_bits[row]
+            path = entry[0]
+            busy |= alloc_bits[row]
     finally:
         if tr is not None:
             tr.end("generate_init_diagram", "analysis")
@@ -533,10 +550,8 @@ def refill_rows(
     replaces ``changed`` by the slots where what the next row sees
     moved. Once nothing differs, every row below is up to date.
 
-    Rows are first filled top to bottom, so below a filled row every row
-    is filled. A ``start_row`` never filled before has no previous fill
-    to differ from: it and every row below are simply filled, which is
-    the from-scratch fill of ``generate_init_diagram``.
+    Every row must have been filled before: ``generate_init_diagram``
+    fills them all, and only ``Modify_Diagram`` refills.
     """
     if not 0 <= start_row <= diagram.num_rows:
         raise AnalysisError(f"start_row {start_row} out of range")
@@ -545,17 +560,16 @@ def refill_rows(
     busy = 0
     for alloc in allocated[:start_row]:
         busy |= alloc
-    changed = 0 if start_row in diagram._row_skip else None
+    changed = 0
     for row in range(start_row, diagram.num_rows):
-        if changed is not None:
-            if row != start_row:
-                if not changed:
-                    break
-                if not changed & diagram.inspected_bits(row):
-                    busy |= allocated[row]
-                    continue
-            # What the next row saw before: (busy xor changed) | old row.
-            changed = (busy ^ changed) | allocated[row]
+        if row != start_row:
+            if not changed:
+                break
+            if not changed & diagram.inspected_bits(row):
+                busy |= allocated[row]
+                continue
+        # What the next row saw before: (busy xor changed) | old row.
+        changed = (busy ^ changed) | allocated[row]
         sid = diagram.row_streams[row].stream_id
         _fill_row(
             diagram, row, busy,
@@ -563,5 +577,4 @@ def refill_rows(
             erased_slots.get(sid),
         )
         busy |= allocated[row]
-        if changed is not None:
-            changed ^= busy
+        changed ^= busy

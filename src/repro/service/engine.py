@@ -30,6 +30,10 @@ This engine maintains, between requests:
   the verdict. Churn that re-creates a previously seen configuration
   skips the HP set and the diagram entirely.
 
+A verdict that misses the memo shares one more cache, which lives for a
+single refresh: the diagram rows its analyzers fill, keyed by the path
+of rows above (see :func:`~repro.core.timing_diagram.generate_init_diagram`).
+
 **Invalidation rule (link-overlap / closure reachability).** A verdict for
 stream ``j`` depends only on ``j`` itself, ``HP_j``, the parameters of the
 HP members, and the direct-blocking relation restricted to that closure
@@ -668,6 +672,7 @@ class IncrementalAdmissionEngine:
             by_backend: Dict[str, List[int]] = {}
             for j in pending:
                 by_backend.setdefault(self._analysis[j], []).append(j)
+            rows: Dict[tuple, list] = {}  # dropped when this returns
             for name in sorted(by_backend):
                 analyzer = _backends.get(name).analyzer_from_prepared(
                     self._resolved,
@@ -677,6 +682,7 @@ class IncrementalAdmissionEngine:
                     residency_margin=self.residency_margin,
                 )
                 analyzer.timing_sink = stats
+                analyzer.row_memo = rows
                 for j in by_backend[name]:
                     v = analyzer.cal_u(j)
                     self._verdicts[j] = v
@@ -754,6 +760,3 @@ class IncrementalAdmissionEngine:
         self._verdicts.pop(sid, None)
         self._analysis.pop(sid, None)
         self._stale.discard(sid)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"IncrementalAdmissionEngine(admitted={len(self._admitted)})"

@@ -753,9 +753,3 @@ class EngineHost(OpInterpreter):
                 "admission hot path.",
             ).value = float(getattr(es, f"{phase}_seconds"))
         return reg.render()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"EngineHost(admitted={len(self.engine.admitted)}, "
-            f"degraded={self.degraded})"
-        )

@@ -117,6 +117,3 @@ class Topology(ABC):
 
     def __len__(self) -> int:
         return self.num_nodes
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(num_nodes={self.num_nodes})"

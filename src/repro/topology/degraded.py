@@ -114,9 +114,3 @@ class DegradedTopology(Topology):
     def link_alive(self, u: int, v: int) -> bool:
         """``True`` iff the physical link ``u -- v`` is not failed."""
         return normalize_link(u, v) not in self.failed_links
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DegradedTopology({self.base!r}, "
-            f"failed={sorted(self.failed_links)})"
-        )

@@ -55,6 +55,3 @@ class Hypercube(Topology):
                 raise TopologyError(f"hypercube coordinates are bits, got {bit}")
             node |= bit << i
         return node
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Hypercube(dimension={self.dimension})"

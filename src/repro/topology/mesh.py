@@ -112,9 +112,6 @@ class Mesh(Topology):
         self._neighbor_cache[node] = out
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(dims={self.dims})"
-
 
 class Mesh2D(Mesh):
     """Two-dimensional mesh, the topology of the paper's evaluation.

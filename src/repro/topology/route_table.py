@@ -66,12 +66,6 @@ class RouteTable:
     def __len__(self) -> int:
         return len(self._channels)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RouteTable({type(self.routing).__name__}, "
-            f"pairs={len(self._channels)})"
-        )
-
 
 _SHARED: Dict[Tuple, RouteTable] = {}
 

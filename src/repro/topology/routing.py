@@ -161,9 +161,6 @@ class RoutingAlgorithm(ABC):
                     f"({u}, {v})"
                 )
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}({self.topology!r})"
-
 
 class DimensionOrderRouting(RoutingAlgorithm):
     """Dimension-ordered routing on a mesh: correct dimension 0 fully, then

@@ -5,7 +5,8 @@ does a faster way, or a projection the tests compare runs by; the
 equivalence tests require the two to agree bit for bit. Nothing under
 ``src/`` imports from here.
 
-``diagram``  ``Generate_Init_Diagram`` / ``Modify_Diagram`` cell by cell
+``diagram``  ``Generate_Init_Diagram`` / ``Modify_Diagram`` cell by cell;
+             a from-scratch erased fill and the unshortened release scan
 ``kernel``   the paper's per-window row scan (vs the bitset row fill)
 ``sim``      the rescan-everything cycle loop (vs the movable-set one)
 ``engine``   from-scratch admission on every op (vs the incremental engine)

@@ -22,13 +22,16 @@ import numpy as np
 from repro.core.bdg import indirect_processing_order
 from repro.core.hpset import HPSet
 from repro.core.streams import MessageStream, StreamSet
-from repro.core.timing_diagram import CellState, TimingDiagram
+from repro.core import timing_diagram
+from repro.core.timing_diagram import CellState, TimingDiagram, windows
 from repro.errors import AnalysisError
 
 __all__ = [
     "cell_state",
+    "erased_init_diagram",
     "generate_init_diagram_reference",
     "modify_diagram_reference",
+    "releasable_windows_scan",
 ]
 
 
@@ -171,3 +174,43 @@ def modify_diagram_reference(
         if changed:
             grid = generate_init_diagram_reference(rows, dtime, removed)
     return grid, removed
+
+
+def erased_init_diagram(
+    owner_id: int,
+    row_streams: Sequence[MessageStream],
+    dtime: int,
+    erased_slots: Mapping[int, Set[int]],
+) -> TimingDiagram:
+    """A from-scratch diagram with slot-granular erasure: every row
+    filled top down, each with its stream's erased slots — what
+    ``refill_rows(..., erased_slots=...)`` must keep a diagram equal to.
+    """
+    diagram = TimingDiagram(owner_id, row_streams, dtime)
+    busy = 0
+    for row, stream in enumerate(diagram.row_streams):
+        timing_diagram._fill_row(diagram, row, busy, frozenset(),
+                                 erased_slots.get(stream.stream_id))
+        busy |= diagram.alloc_bits[row]
+    return diagram
+
+
+def releasable_windows_scan(
+    diagram: TimingDiagram, indirect_id: int, intermediates
+) -> Tuple[int, ...]:
+    """``releasable_instances`` without its early exit: OR every
+    intermediate's requests, then test each window of the indirect row
+    (occupied, and disjoint from the requests)."""
+    requested = 0
+    for r in intermediates:
+        requested |= diagram.request_bits(diagram.row_of(r))
+    row = diagram.row_of(indirect_id)
+    occupied = diagram.request_bits(row)
+    period = diagram.row_streams[row].period
+    window = ((1 << period) - 1) << 1  # slots 1..T after the shift
+    out = []
+    for index, release, _, _, _ in windows(period, diagram.dtime):
+        occ = occupied >> release & window
+        if occ and not occ & requested >> release:
+            out.append(index)
+    return tuple(out)

@@ -37,6 +37,7 @@ from repro.topology.route_table import shared_route_table
 from tests.conftest import clear_shared_route_tables
 from repro.topology.routing import XYRouting
 from tests.reference import ReferenceEngine, fill_masks_scan
+from tests.reference.diagram import erased_init_diagram
 from tests.test_properties import XY, stream_sets
 
 MESH_W = MESH_H = 6
@@ -159,8 +160,13 @@ class TestSparseRefill:
     def test_growing_exclusions_match_from_scratch(self, case):
         rows, dtime, slot, seeds, steps = case
         excl = {sid: set(idxs) for sid, idxs in seeds.items()}
-        key = "erased_slots" if slot else "removed"
-        diagram = generate_init_diagram(99, rows, dtime, **{key: excl})
+
+        def from_scratch():
+            if slot:
+                return erased_init_diagram(99, rows, dtime, excl)
+            return generate_init_diagram(99, rows, dtime, removed=excl)
+
+        diagram = from_scratch()
         latencies = (1, 2, dtime // 2 + 1, dtime)
         for sid, idxs in steps:
             # Reading before the refill warms the per-row request
@@ -173,11 +179,7 @@ class TestSparseRefill:
                 erased_slots=excl if slot else None,
                 start_row=diagram.row_of(sid),
             )
-            assert_same_diagram(
-                diagram,
-                generate_init_diagram(99, rows, dtime, **{key: excl}),
-                latencies,
-            )
+            assert_same_diagram(diagram, from_scratch(), latencies)
 
     @given(streams=stream_sets(max_streams=8),
            fixpoint=st.booleans(), seeded=st.booleans())
@@ -243,7 +245,7 @@ class TestSparseRefill:
         # did look there, and once row 0 gives slot 1 up, row 1 counts
         # a free slot earlier and no longer needs slot 4.
         rows = (row(0, 2, 10, 2), row(1, 1, 10, 2))
-        diagram = generate_init_diagram(9, rows, 10, erased_slots={1: {1}})
+        diagram = erased_init_diagram(9, rows, 10, {1: {1}})
         assert diagram.allocated[1, 4]
         del filled_rows[:]
         erased = {0: {1}, 1: {1}}
@@ -251,22 +253,7 @@ class TestSparseRefill:
         assert filled_rows == [0, 1]
         assert not diagram.allocated[1, 4]
         assert_same_diagram(
-            diagram,
-            generate_init_diagram(9, rows, 10, erased_slots=erased),
-            (1, 2))
-
-    def test_never_filled_rows_above_filled_ones(self, filled_rows):
-        # Only reachable by building a diagram by hand: rows 1-2 were
-        # filled under a blank row 0. Filling row 0 for the first time
-        # leaves nothing to compare with, so everything below follows.
-        rows = (row(0, 3, 7, 2), row(1, 2, 9, 3), row(2, 1, 30, 5))
-        diagram = TimingDiagram(9, rows, 30)
-        refill_rows(diagram, {}, start_row=1)
-        del filled_rows[:]
-        refill_rows(diagram, {}, start_row=0)
-        assert filled_rows == [0, 1, 2]
-        assert_same_diagram(
-            diagram, generate_init_diagram(9, rows, 30), (1, 4))
+            diagram, erased_init_diagram(9, rows, 10, erased), (1, 2))
 
     def test_release_can_reach_the_last_row(self, filled_rows):
         # Each row allocates right behind the one above, so the two

@@ -1,0 +1,246 @@
+"""Cheaper memo-miss verdicts: every shortcut must be invisible.
+
+Three shortcuts ride a verdict the engine's memo misses:
+
+* the diagram rows filled during one engine refresh are shared between
+  its diagrams (``generate_init_diagram(row_memo=...)``), keyed by the
+  path of rows above and copied truncated to a shorter horizon;
+* ``releasable_instances`` stops ORing intermediates' requests as soon
+  as they cover the indirect row;
+* an ``HPSet`` caches its indirect ids, and ``hp_set_from_reach`` hands
+  each member to the indirect elements it reaches in one pass.
+
+These tests hold each to the plain computation: one memo over a sequence
+of diagrams (growing and shrinking horizons, skipped instances, inflated
+lengths) against fresh fills, the release test against the full window
+scan, and whole engine verdicts (``removed_instances`` included) against
+analyzers that share nothing, for every backend under X-Y and up*/down*.
+The churn sweep runs 2 000 schedules nightly (``-m slow``).
+"""
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import backends, timing_diagram
+from repro.core.hpset import HPEntry, HPSet
+from repro.core.modify import releasable_instances
+from repro.core.streams import MessageStream, StreamSet
+from repro.core.timing_diagram import generate_init_diagram
+from repro.errors import RoutingError
+from repro.service.engine import IncrementalAdmissionEngine
+from tests.reference import ShadowedEngine
+from tests.reference.diagram import releasable_windows_scan
+from tests.test_admission_fastpath import row
+from tests.test_blocking_index import routing_for
+
+PROPERTY = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def by_priority(rows):
+    return tuple(sorted(rows, key=lambda s: (-s.priority, s.stream_id)))
+
+
+@st.composite
+def memo_sequences(draw):
+    """A pool of rows and a sequence of diagrams over it. Each diagram
+    keeps most rows (so prefixes recur), may inflate some lengths by a
+    margin, skips a few instances and picks its own horizon, so the
+    horizons both grow and shrink along the sequence."""
+    n = draw(st.integers(1, 6))
+    pool = [row(i, draw(st.integers(1, 3)), draw(st.integers(2, 40)),
+                draw(st.integers(1, 6))) for i in range(n)]
+    calls = []
+    for _ in range(draw(st.integers(2, 8))):
+        rows = []
+        for s in pool:
+            if draw(st.integers(0, 3)) == 0:
+                continue
+            margin = draw(st.sampled_from((0, 0, 1, 2)))
+            rows.append(dataclasses.replace(s, length=s.length + margin)
+                        if margin else s)
+        removed = {
+            s.stream_id: draw(st.sets(st.integers(0, 4), min_size=1,
+                                      max_size=2))
+            for s in rows if draw(st.integers(0, 2)) == 0
+        }
+        calls.append((by_priority(rows), draw(st.integers(4, 160)),
+                      removed))
+    return calls
+
+
+def assert_same_rows(got, want):
+    assert got.alloc_bits == want.alloc_bits
+    assert got.wait_bits == want.wait_bits
+    assert got._row_skip == want._row_skip
+    assert dict(got.instances) == dict(want.instances)
+    for latency in (1, 2, got.dtime // 2 + 1, got.dtime):
+        assert got.upper_bound(latency) == want.upper_bound(latency)
+
+
+class TestRowMemo:
+    @given(calls=memo_sequences())
+    @PROPERTY
+    def test_one_memo_serves_a_sequence_of_diagrams(self, calls):
+        """Every diagram drawn through one memo equals a fresh fill."""
+        memo = {}
+        for rows, dtime, removed in calls:
+            got = generate_init_diagram(99, rows, dtime, removed=removed,
+                                        row_memo=memo)
+            assert_same_rows(
+                got, generate_init_diagram(99, rows, dtime, removed=removed))
+
+    def test_a_hit_is_copied_and_a_shorter_one_refilled(self, monkeypatch):
+        fills = []
+        fill = timing_diagram._fill_row
+        monkeypatch.setattr(timing_diagram, "_fill_row",
+                            lambda d, r, *a: fills.append(r) or fill(d, r, *a))
+        rows = (row(0, 3, 7, 2), row(1, 2, 9, 3), row(2, 1, 30, 5))
+        memo = {}
+        generate_init_diagram(9, rows, 40, row_memo=memo)
+        assert fills == [0, 1, 2]
+        # Shorter horizon, same path: every row is a truncated copy.
+        generate_init_diagram(9, rows, 25, row_memo=memo)
+        assert fills == [0, 1, 2]
+        # Row 1 skips an instance: it and the rows below take new paths.
+        generate_init_diagram(9, rows, 25, removed={1: {0}}, row_memo=memo)
+        assert fills == [0, 1, 2, 1, 2]
+        # Longer than anything stored: every row is refilled.
+        generate_init_diagram(9, rows, 60, row_memo=memo)
+        assert fills == [0, 1, 2, 1, 2, 0, 1, 2]
+
+
+@st.composite
+def release_cases(draw):
+    """A diagram, an indirect row and intermediates. With a *hog* (a
+    lowest-priority row wanting every slot of its windows) among the
+    intermediates every occupied slot is requested; without, windows of
+    the indirect row may be releasable."""
+    n = draw(st.integers(2, 8))
+    dtime = draw(st.integers(4, 200))
+    rows = [row(i, draw(st.integers(2, 5)), draw(st.integers(2, 80)),
+                draw(st.integers(1, 8))) for i in range(n)]
+    if draw(st.booleans()):
+        period = draw(st.integers(2, 80))
+        rows.append(row(n, 1, period, period))
+    removed = {draw(st.integers(0, n - 1)): {draw(st.integers(0, 3))}}
+    diagram = generate_init_diagram(99, by_priority(rows), dtime,
+                                    removed=removed)
+    ids = [s.stream_id for s in rows]
+    k = draw(st.sampled_from(ids))
+    inter = draw(st.sets(st.sampled_from([i for i in ids if i != k]),
+                         min_size=1))
+    return diagram, k, inter
+
+
+class TestReleaseEarlyExit:
+    @given(case=release_cases())
+    @PROPERTY
+    def test_equals_the_window_scan(self, case):
+        diagram, k, inter = case
+        assert releasable_instances(diagram, k, inter) == \
+            releasable_windows_scan(diagram, k, inter)
+
+
+def test_indirect_ids_follow_adds():
+    hp = HPSet(0, (HPEntry.direct(1), HPEntry.indirect(3, {1})))
+    assert hp.indirect_ids() == (3,)
+    hp.add(HPEntry.indirect(2, {1}))
+    assert hp.indirect_ids() == (2, 3)
+
+
+def draw_stream(rng, sid, nodes, levels):
+    src, dst = rng.sample(range(nodes), 2)
+    period = rng.randint(30, 120)
+    return MessageStream(sid, src, dst, priority=rng.randint(1, levels),
+                         period=period, length=rng.randint(1, 8),
+                         deadline=rng.randint(period // 2, period))
+
+
+class TestRefreshSharesRows:
+    @pytest.mark.parametrize("kind", ["xy", "updown"])
+    def test_backends_share_one_memo(self, kind):
+        """The engine hands one memo to the analyzers of every backend
+        in a refresh: the same owner's rows under ``kim98`` and under
+        ``tighter`` (capped instances skipped) or ``buffered`` (lengths
+        inflated) must not be mistaken for each other."""
+        rng = random.Random(f"shared-rows-backends-{kind}")
+        routing = routing_for(kind, 4)
+        for _ in range(100):
+            streams = StreamSet(
+                draw_stream(rng, sid, 16, 2)
+                for sid in range(rng.randint(2, 10)))
+            memo = {}
+            for name in backends.names():
+                shared = backends.get(name).analyzer(streams, routing)
+                shared.row_memo = memo
+                private = backends.get(name).analyzer(streams, routing)
+                for s in shared.streams:
+                    assert shared.cal_u(s.stream_id) == \
+                        private.cal_u(s.stream_id), name
+
+    @pytest.mark.parametrize("kind", ["xy", "updown"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_refresh_equals_private_analyzers(self, kind, seed,
+                                                  monkeypatch):
+        """Adopted under every backend at once, the admitted set settles
+        in one refresh, whose memo serves all of its diagrams; each
+        verdict equals the one an analyzer of its own computes."""
+        rng = random.Random(f"shared-rows-{kind}-{seed}")
+        routing = routing_for(kind, 4)
+        engine = IncrementalAdmissionEngine(routing, residency_margin=seed % 2)
+        names = backends.names()
+        for sid in range(24):
+            engine.adopt(draw_stream(rng, sid, 16, 1),
+                         analysis=names[sid % len(names)])
+        fills = []
+        fill = timing_diagram._fill_row
+        monkeypatch.setattr(timing_diagram, "_fill_row",
+                            lambda d, r, *a: fills.append(r) or fill(d, r, *a))
+        report = engine.current_report()
+        shared = len(fills)
+        del fills[:]
+        for sid, got in report.verdicts.items():
+            analyzer = backends.get(engine.analysis_of(sid)).analyzer(
+                engine.admitted, routing,
+                residency_margin=engine.residency_margin)
+            assert got == analyzer.cal_u(sid), (kind, seed, sid)
+        assert shared < len(fills), (shared, len(fills))
+
+
+def churn(seed, *, kind, width=4, levels=2, ops=40):
+    """A shadowed engine through ``ops`` random admits (each under a
+    random backend) and releases; every op's verdicts are compared with
+    the from-scratch reference engine's."""
+    rng = random.Random(f"shared-rows-churn-{kind}-{seed}")
+    eng = ShadowedEngine(IncrementalAdmissionEngine(routing_for(kind, width)))
+    names = backends.names()
+    for _ in range(ops):
+        live = sorted(eng.admitted.ids())
+        if live and rng.random() < 0.35:
+            eng.release(rng.sample(live, rng.randint(1, min(2, len(live)))))
+            continue
+        batch = [draw_stream(rng, eng.fresh_id(), width * width, levels)
+                 for _ in range(rng.randint(1, 2))]
+        try:
+            eng.try_admit(batch, analysis=rng.choice(names))
+        except RoutingError:
+            pass
+    return eng
+
+
+@pytest.mark.parametrize("kind", ["xy", "updown"])
+def test_churn_against_the_reference(kind):
+    compared = sum(churn(seed, kind=kind).compared for seed in range(6))
+    assert compared > 200
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["xy", "updown"])
+def test_churn_sweep_nightly(kind):
+    for seed in range(1000):
+        churn(seed, kind=kind, width=3 + seed % 3)
