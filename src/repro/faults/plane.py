@@ -195,9 +195,3 @@ class FaultPlane:
     def layers_covered(self) -> int:
         """How many of the four layers fired at least one fault."""
         return sum(1 for kinds in self.counts_by_layer().values() if kinds)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FaultPlane(seed={self.seed}, fired={self.total_fired()}, "
-            f"layers={self.layers_covered()})"
-        )

@@ -1,36 +1,17 @@
-"""Sharded broker fleet: horizontal scale-out for the admission broker.
+"""Sharded broker fleet: the admission broker grown into a small fleet
+that keeps its defining property, bit-identical admission verdicts.
 
-The paper's host processor is a single point of both failure and
-throughput; this package grows it into a small fleet without giving up
-the broker's defining property — bit-identical admission verdicts:
-
-:mod:`repro.fleet.regions`
-    :class:`ChannelIndex` — the dynamic channel-connected components of
-    the admitted set, the sound unit of stream placement (Kim98 bounds
-    only couple streams sharing channels, transitively; finding F-7).
-
-:mod:`repro.fleet.shards`
-    :class:`TenantFleet` / :class:`Fleet` — partition tenants across
-    per-shard :class:`~repro.service.host.EngineHost` engines, keeping
-    one component per shard via escalation-by-migration; verdicts and
-    reports are byte-identical to a single engine holding the same set.
-
-:mod:`repro.fleet.workers`
-    :class:`WorkerSupervisor` — each tenant's whole fleet in a
-    supervised child process (``Fleet(..., workers=N)``): one
-    JSON-lines unix socket per worker, SIGKILL-safe restarts with
-    journal recovery, per-core parallelism across tenants.
-
-:mod:`repro.fleet.gateway`
-    :class:`GatewayServer` — the asyncio HTTP front end
-    (``repro gateway``): per-tenant API keys, /healthz, Prometheus
-    /metrics rollup, JSON admission API, kill/failover admin ops (a
-    failover recovers the shard from its journal, as a restart does).
-
-:mod:`repro.fleet.client`
-    :class:`GatewayClient` — the broker client with an HTTP framing, so
-    ``repro load --target http://...`` replays the same churn workloads
-    (pipelined or not) against the fleet.
+* :mod:`~repro.fleet.regions` — :class:`ChannelIndex`, the channel-
+  connected components of the admitted set: the sound unit of placement
+  (bounds only couple streams sharing channels, transitively; F-7).
+* :mod:`~repro.fleet.shards` — :class:`TenantFleet` / :class:`Fleet`:
+  tenants over per-shard engines, one component per shard.
+* :mod:`~repro.fleet.workers` — :class:`WorkerSupervisor`: each
+  tenant's whole fleet in a supervised child process.
+* :mod:`~repro.fleet.gateway` — :class:`GatewayServer`, the HTTP front
+  end (``repro gateway``).
+* :mod:`~repro.fleet.client` — :class:`GatewayClient`, the broker
+  client with an HTTP framing (``repro load --target http://...``).
 """
 
 from .client import GatewayClient

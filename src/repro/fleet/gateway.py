@@ -65,14 +65,19 @@ once and for at most ``PROBE_TIMEOUT`` (a dead or wedged worker's
 tenants count as down, with every shard dead).
 
 In the default in-process fleet a run executes synchronously on the
-event-loop thread — the same single-writer model as the broker, so
-decisions stay linearisable per tenant without locks. In worker-pool
-mode (``repro gateway --workers N``) each tenant's whole fleet runs in
-a supervised child process, and a batch's runs are awaited by one task:
-each is forwarded to its tenant's worker with one write, its answers
-read on the loop, one run at a time per worker. Different tenants'
-workers run truly in parallel across cores, and a wedged worker stalls
-only its own tenants. A background task restarts any worker that dies.
+event-loop thread — the broker's single-writer model, linearisable per
+tenant without locks. With ``--workers N`` each tenant's whole fleet
+runs in a supervised child process, and a batch's runs are awaited by
+one task. Each worker has one persistent link from the gateway: every
+run is written on it with one write, and runs are pipelined FIFO (the
+worker answers in arrival order, so a tenant's ops stay linearisable
+in write order). The worker's answer lines become the HTTP bodies
+unchanged (only an ``/admin/*`` answer is parsed, for its status), and
+in-process answers are encoded the same way. A timeout or a lost
+connection fails the link: every run waiting on it gets the retryable
+``code: "worker"`` error. Different tenants' workers run in parallel
+across cores, a wedged worker stalls only its own tenants, and a
+background task restarts any worker that dies.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ from urllib.parse import parse_qs
 
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
-from ..service.protocol import HTTP_OPS, error_response
+from ..service.protocol import HTTP_OPS, error_response, parse_line
 from ..service.server import (
     Connection,
     HttpConnection,
@@ -117,8 +122,8 @@ _ROUTES = frozenset(
 #: Seconds between the worker monitor's respawn sweeps.
 _MONITOR_PERIOD = 0.2
 
-#: A run's requests, and what the tenant answered them; a walk yields a
-#: run, or ``None`` for every tenant's ``stats`` answer, by name.
+#: A run's requests, and what the tenant answered them (or its answer
+#: lines); a walk yields a run, or ``None`` for every tenant's ``stats``.
 _Run = Tuple[str, List[Dict[str, Any]]]
 _Walk = Generator[Optional[_Run], Any, Any]
 
@@ -424,43 +429,33 @@ class GatewayServer:
                 "HTTP requests handled by the gateway.",
                 path=path, status=str(status),
             ).value = float(count)
-        reg.counter(
-            "repro_gateway_auth_failures_total",
-            "Requests rejected for a missing or unknown API key.",
-        ).value = float(self.auth_failures)
-        reg.counter(
-            "repro_gateway_batches_total",
-            "Passes that answered at least one request (one write "
-            "each).",
-        ).value = float(self.batches)
-        reg.counter(
-            "repro_gateway_batched_requests_total",
-            "Requests answered by those passes; over batches_total it is "
-            "the mean batch (1.0 under serial clients).",
-        ).value = float(self.batched_requests)
-        reg.counter(
-            "repro_gateway_readahead_full_total",
-            "Times a connection's reader stopped reading because its "
-            "read-ahead queue was full.",
-        ).value = float(self.readahead_full)
+        for name, text, value in (
+            ("auth_failures", "Requests rejected for a missing or unknown "
+             "API key.", self.auth_failures),
+            ("batches", "Passes that answered at least one request (one "
+             "write each).", self.batches),
+            ("batched_requests", "Requests answered by those passes; over "
+             "batches_total it is the mean batch (1.0 under serial "
+             "clients).", self.batched_requests),
+            ("readahead_full", "Times a connection's reader stopped "
+             "reading because its read-ahead queue was full.",
+             self.readahead_full),
+        ):
+            reg.counter(f"repro_gateway_{name}_total",
+                        text).value = float(value)
         if self.fleet.supervisor is not None:
             for wp in self.fleet.supervisor.workers:
                 worker = str(wp.index)
-                reg.gauge(
-                    "repro_fleet_worker_up",
-                    "1 if the worker process is alive, else 0.",
-                    worker=worker,
-                ).value = 1.0 if wp.alive else 0.0
-                reg.gauge(
-                    "repro_fleet_worker_pid",
-                    "PID of the worker process (changes on restart).",
-                    worker=worker,
-                ).value = float(wp.pid or 0)
-                reg.counter(
-                    "repro_fleet_worker_restarts_total",
-                    "Supervised restarts of the worker process.",
-                    worker=worker,
-                ).value = float(wp.restarts)
+                for family, name, text, value in (
+                    (reg.gauge, "up", "1 if the worker process is alive, "
+                     "else 0.", wp.alive),
+                    (reg.gauge, "pid", "PID of the worker process (changes "
+                     "on restart).", wp.pid or 0),
+                    (reg.counter, "restarts_total", "Supervised restarts "
+                     "of the worker process.", wp.restarts),
+                ):
+                    family(f"repro_fleet_worker_{name}", text,
+                           worker=worker).value = float(value)
                 for op, count in sorted(dict(wp.client.calls).items()):
                     reg.counter(
                         "repro_fleet_worker_rpcs_total",
@@ -486,9 +481,13 @@ class GatewayServer:
         return 200, {"ok": True, "killed_worker": worker, "pid": pid}
 
 
-def _status(request: _Request, answer: Dict[str, Any]) -> int:
+def _status(request: _Request, answer: Union[Dict[str, Any], bytes]) -> int:
     """200 (errors are data), but a failed admin op is a 400 for a bad
-    request and a 503 for a shard it could not recover."""
-    if answer.get("ok") or not request.path.startswith("/admin/"):
+    request and a 503 for a shard it could not recover. A worker's
+    answer line is parsed only here, for an admin path."""
+    if not request.path.startswith("/admin/"):
+        return 200
+    answer = parse_line(answer) if isinstance(answer, bytes) else answer
+    if answer.get("ok"):
         return 200
     return 400 if answer.get("code") == "protocol" else 503

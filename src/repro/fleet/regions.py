@@ -59,14 +59,8 @@ class ChannelIndex:
         self._channels: Dict[int, FrozenSet[Channel]] = {}
         self._users: Dict[Channel, Set[int]] = {}
 
-    def __contains__(self, sid: int) -> bool:
-        return sid in self._channels
-
     def __len__(self) -> int:
         return len(self._channels)
-
-    def ids(self) -> List[int]:
-        return sorted(self._channels)
 
     def add(self, sid: int, channels: FrozenSet[Channel]) -> None:
         if sid in self._channels:  # pragma: no cover - caller invariant

@@ -1,8 +1,6 @@
 """Supervised worker processes: each tenant's fleet out of the gateway.
 
-PR 8's fleet put every shard of every tenant behind one event loop and
-one GIL, so its throughput win was per-tenant isolation, not
-parallelism. This module moves whole tenants into child processes:
+Whole tenants run in child processes, in parallel across cores:
 
 Child side (a fork of the supervisor, :func:`_child`)
     With every module already imported, the child cuts loose from its
@@ -18,8 +16,12 @@ Child side (a fork of the supervisor, :func:`_child`)
 Parent side
     :class:`WorkerSupervisor` forks and monitors the children, restarts
     them on exit, and owns one :class:`WorkerClient` per worker: a
-    blocking round trip for synchronous callers, and an awaited forward
-    of one tenant's run of requests for the gateway.
+    blocking round trip for synchronous callers, and the gateway's one
+    persistent link to the worker, on which runs of requests are
+    pipelined FIFO and answered with the worker's encoded lines, which
+    the gateway sends on as HTTP bodies unchanged. A timeout or a lost
+    connection fails the link: every run waiting on it gets the
+    retryable ``code: "worker"`` error.
 
 A request is a broker op plus a ``tenant`` key naming one of the
 worker's tenants, and its answer is that tenant's ``handle_request``;
@@ -56,8 +58,9 @@ import sys
 import tempfile
 import threading
 import time
+from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..obs import trace
@@ -99,14 +102,9 @@ _SOCKET_PATH_BUDGET = 90
 
 
 class WorkerDied(ReproError):
-    """The worker's process or IPC connection went away mid-request.
-
-    Raised by :class:`WorkerClient` — never returned as a protocol
-    error — so callers can distinguish "the op failed" (the op never
-    or definitely happened, per the response) from "the op's fate is
-    unknown" (retry with the same rid after the supervisor restarts
-    the worker).
-    """
+    """The worker's process or IPC connection went away mid-request:
+    the op's fate is unknown (retry with the same rid once the worker
+    is restarted), unlike an error response, which says it failed."""
 
 
 # --------------------------------------------------------------------- #
@@ -293,26 +291,101 @@ def _child(wp: "WorkerProcess", supervisor: int, ready: int) -> int:
 # --------------------------------------------------------------------- #
 
 
-class WorkerClient:
-    """JSON-lines RPC over one worker's unix socket, on two connections.
+#: A run on a link: answers expected, lines read, future (None or why).
+_Waiting = Tuple[int, List[bytes], asyncio.Future]
 
-    :meth:`call` is one blocking round trip, serialised under a lock, for
-    synchronous callers; :meth:`forward` writes a run of requests at
-    once and awaits their answers on the running event loop, one run at
-    a time, for the gateway. A transport failure — connect refused,
-    reset, EOF, timeout — drops the connection it happened on, and so
-    does :meth:`close` (the worker was killed or respawned), so the next
-    use reconnects against the restarted worker.
-    """
+
+class _Link:
+    """The gateway's persistent connection to one worker, on the loop
+    that opened it: each answer line read goes to the oldest run waiting;
+    a run costs one write and one future (the socket stays on the loop's
+    reader). Not an asyncio transport: that cannot be closed once its
+    loop has ended, and warns if left open."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, path: str):
+        self.loop, self.sock = loop, socket.socket(socket.AF_UNIX)
+        self.waiting: Deque[_Waiting] = deque()
+        self.failed, self._buf, self._out = False, b"", bytearray()
+        try:
+            self.sock.setblocking(False)
+            self.sock.connect(path)
+        except OSError:
+            self.sock.close()
+            raise
+        loop.add_reader(self.sock, self._readable)
+
+    def send(self, data: bytes, run: _Waiting) -> None:
+        """Write ``data`` after what is pending (OSError: a reset). Reads
+        go on meanwhile: the worker blocks writing answers until read."""
+        self.waiting.append(run)
+        if not self._out:
+            with contextlib.suppress(BlockingIOError):
+                data = data[self.sock.send(data):]
+            if data:
+                self.loop.add_writer(self.sock, self._writable)
+        self._out += data
+
+    def _writable(self) -> None:
+        try:
+            del self._out[:self.sock.send(self._out)]
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            return self.fail(exc)
+        if not self._out:
+            self.loop.remove_writer(self.sock)
+
+    def _readable(self) -> None:
+        try:
+            data = self.sock.recv(65536)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            return self.fail(exc)
+        if not data:
+            return self.fail(ReproError("the worker closed the connection"))
+        *lines, self._buf = (self._buf + data).split(b"\n")
+        for line in lines:
+            if not self.waiting:
+                return self.fail(ReproError("an answer nobody asked for"))
+            count, answers, done = self.waiting[0]
+            answers.append(line + b"\n")
+            if len(answers) == count:
+                self.waiting.popleft()
+                if not done.done():  # else its forward was cancelled
+                    done.set_result(None)
+
+    def fail(self, why: BaseException) -> None:
+        """Close the link, ending each run still waiting with ``why``;
+        safe once the loop has ended."""
+        if not self.failed:
+            self.failed = True
+            self.loop.remove_reader(self.sock)
+            self.loop.remove_writer(self.sock)
+            self.sock.close()
+            for _, _, done in self.waiting:
+                if not done.done():
+                    done.set_result(why)
+            self.waiting.clear()
+
+
+class WorkerClient:
+    """JSON-lines RPC to one worker's unix socket, on two connections:
+    :meth:`call`, one blocking round trip under a lock, and the
+    gateway's :meth:`forward`: one persistent :class:`_Link`, runs
+    pipelined on it FIFO, answered with the worker's encoded lines (sent
+    on unchanged). A timeout fails the link: every run waiting on it
+    gets the retryable ``code: "worker"`` error. :meth:`close` (the
+    worker was killed or respawned) drops the call's connection and
+    marks the link stale, from any thread; the next use reconnects. A
+    link is never used under another loop than the one that opened it."""
 
     def __init__(self, path: Path):
         self.path = str(path)
         self._lock = threading.Lock()
         self._conn: Optional[BrokerClient] = None
-        #: The forward's connection; stale once :meth:`close` ran.
-        self._sock: Optional[socket.socket] = None
-        self._stale = False
-        self._forwarding = asyncio.Lock()  # bound to a loop on first wait
+        self._link: Optional[_Link] = None
+        self._stale = False  # the link goes on the next forward
         #: op -> round trips attempted (a forwarded run counts once,
         #: under its first op). Ops outside the op table count as
         #: ``"other"``: a client names them, so the key set stays closed.
@@ -330,23 +403,17 @@ class WorkerClient:
     def close(self) -> None:
         with self._lock:
             self._drop_locked()
-            self._stale = True  # the forward's connection goes on next use
+            self._stale = True
 
     def call(
         self, payload: Dict[str, Any], *, kill_pid: Optional[int] = None
     ) -> Dict[str, Any]:
-        """One request/response round trip; :class:`WorkerDied` if the
-        transport fails.
-
-        The request goes out as it is, without the client's ``id``, so
-        a tenant's answer is exactly what an in-process fleet returns.
-
-        ``kill_pid`` is the chaos harness's in-flight fault: SIGKILL
-        that pid after the request bytes are written but before the
-        response is read, so the commit/no-commit race of a mid-op
-        worker death is actually exercised (both outcomes are safe:
-        the caller retries with the same rid).
-        """
+        """One round trip, the request as it is (no client ``id``, so
+        the answer is an in-process fleet's); :class:`WorkerDied` if the
+        transport fails. ``kill_pid`` is the chaos in-flight fault:
+        SIGKILL that pid once the request is written, before the answer
+        is read, so a mid-op death's commit/no-commit race is exercised
+        (either way the caller retries with the same rid)."""
         with self._lock:
             self._count(payload.get("op"))
             try:
@@ -367,76 +434,43 @@ class WorkerClient:
 
     async def forward(
         self, payloads: List[Dict[str, Any]], timeout: float
-    ) -> List[Dict[str, Any]]:
-        """Every payload written at once, their answers read as they
-        come, in order.
-
-        Waits at most ``timeout`` on the loop — for its turn on the
-        connection, then for the answers — never blocking it. A request
-        the worker did not answer — it died, or is wedged — gets the
-        retryable ``code: "worker"`` error: its fate is unknown, so its
-        client retries it with the same rid.
-        """
-        answers: List[Dict[str, Any]] = []
+    ) -> List[bytes]:
+        """Every payload written at once on the link, their answer
+        lines in order, within ``timeout`` (then the link fails). One the
+        worker did not answer — it died or is wedged — gets the retryable
+        ``code: "worker"`` error: its fate is unknown, so its client
+        retries it with the same rid."""
+        loop = asyncio.get_running_loop()
+        self._count(payloads[0].get("op"))
+        run: _Waiting = (len(payloads), [], loop.create_future())
         try:
-            await asyncio.wait_for(self._exchange(payloads, answers), timeout)
-        except (OSError, asyncio.TimeoutError, ReproError) as exc:
-            why = f"worker IPC failed ({exc!r}); retry (same rid)"
-            answers += [error_response(p, why, code="worker")
+            link = self._link
+            if self._stale or link is None or link.failed \
+                    or link.loop is not loop:
+                self.close_forward()
+                link = self._link = _Link(loop, self.path)
+            link.send(b"".join(map(encode, payloads)), run)
+        except OSError as exc:  # refused, or reset under the write
+            self.close_forward()
+            why: Optional[BaseException] = exc
+        else:
+            timer = loop.call_later(timeout, link.fail, TimeoutError())
+            try:
+                why = await run[2]
+            finally:
+                timer.cancel()
+        answers = run[1]
+        if len(answers) < len(payloads):
+            message = f"worker IPC failed ({why!r}); retry (same rid)"
+            answers += [encode(error_response(p, message, code="worker"))
                         for p in payloads[len(answers):]]
         return answers
 
-    async def _exchange(
-        self, payloads: List[Dict[str, Any]], answers: List[Dict[str, Any]]
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        async with self._forwarding:
-            self._count(payloads[0].get("op"))
-            try:
-                if self._stale:
-                    self.close_forward()
-                if self._sock is None:
-                    self._sock = socket.socket(socket.AF_UNIX,
-                                               socket.SOCK_STREAM)
-                    self._sock.setblocking(False)
-                    await loop.sock_connect(self._sock, self.path)
-                # Answers are read while the run is still being written:
-                # the worker answers each whole line as it arrives, with
-                # a blocking write, so a run whose first answers fill the
-                # socket before its last requests are sent would
-                # otherwise stall both sides.
-                sock, rest = self._sock, None
-                data = memoryview(b"".join(map(encode, payloads)))
-                with contextlib.suppress(BlockingIOError):
-                    data = data[sock.send(data):]
-                if data:
-                    rest = loop.create_task(loop.sock_sendall(sock, data))
-                try:
-                    buf = b""
-                    while len(answers) < len(payloads):
-                        chunk = await loop.sock_recv(sock, 65536)
-                        if not chunk:
-                            raise ReproError("the worker closed the "
-                                             "connection")
-                        *lines, buf = (buf + chunk).split(b"\n")
-                        answers += map(parse_line, lines)
-                    if rest is not None:
-                        await rest  # all answered, so all was read
-                finally:
-                    if rest is not None and rest.cancel():
-                        await asyncio.wait([rest])  # unwatch, then close
-                    elif rest is not None and not rest.cancelled():
-                        rest.exception()  # retrieved: the reads report it
-            except BaseException:
-                self.close_forward()  # also when cancelled by a timeout
-                raise
-
     def close_forward(self) -> None:
-        """Close the forward's connection: from the loop's thread only,
-        where no forward awaits it."""
-        if self._sock is not None:
-            self._sock.close()
-        self._sock, self._stale = None, False
+        """Fail the link: on its loop's thread, or once that ended."""
+        if self._link is not None:
+            self._link.fail(ReproError("the link was closed"))
+        self._link, self._stale = None, False
 
 
 class _Forked:
@@ -495,15 +529,11 @@ class WorkerProcess:
         return self.proc is not None and self.proc.poll() is None
 
     def responsive(self) -> bool:
-        """True if the worker currently accepts connections.
-
-        ``poll()`` alone is not liveness: a SIGKILLed child can linger
-        in the kernel's exit path (or a wedged one can hold its pid)
-        long after its listener is gone — ``poll()`` says alive while
-        every RPC gets connection-refused. A busy-but-healthy worker
-        still accepts (the listen backlog queues us), so a refused
-        probe means dead-for-service, whatever the pid table says.
-        """
+        """True if the worker accepts connections. ``poll()`` is not
+        liveness: a SIGKILLed child can linger in the kernel's exit path
+        (a wedged one hold its pid) with its listener gone. A busy
+        worker still accepts (the backlog queues us), so a refusal means
+        dead for service, whatever the pid table says."""
         probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         probe.settimeout(1.0)
         try:
@@ -585,10 +615,8 @@ class WorkerSupervisor:
 
     Assignment is by *tenant*: a tenant's whole fleet — placement and
     every shard — runs in one worker (tenants round-robin across
-    workers), so every decision it makes stays in one process.
-    Cross-tenant parallelism is what the pool provides, and that is
-    what the benchmark drives.
-    """
+    workers), so every decision it makes stays in one process; the
+    parallelism is across tenants."""
 
     def __init__(self, state_dir: Path, workers: int):
         if workers < 1:
@@ -665,12 +693,9 @@ class WorkerSupervisor:
             if wp.alive:
                 if wp.responsive():
                     return False
-                # The pid is still in the process table but the socket
-                # refuses: a SIGKILLed child that has not finished
-                # dying (its fds are torn down before the parent can
-                # reap it) or a wedged one. Finish the job — the
-                # blocking wait() also yields the CPU a dying child on
-                # a loaded host needs to actually exit.
+                # In the process table but refusing: a SIGKILLed child
+                # not done dying, or a wedged one. Finish the job (the
+                # blocking wait() yields the CPU a dying child needs).
                 logger.warning(
                     "worker %d (pid %s) is unresponsive; killing before "
                     "respawn", wp.index, wp.pid,
@@ -745,10 +770,10 @@ class WorkerSupervisor:
 
     async def forward(
         self, tenant: str, requests: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Answer a run of ``tenant``'s requests in its worker, awaited
-        (see :meth:`WorkerClient.forward`); the monitor respawns a dead
-        worker."""
+    ) -> List[bytes]:
+        """Answer a run of ``tenant``'s requests in its worker, awaited:
+        the answer lines (see :meth:`WorkerClient.forward`); the monitor
+        respawns a dead worker."""
         return await self.worker_for(tenant).client.forward(
             [{**request, "tenant": tenant} for request in requests],
             RPC_TIMEOUT,
@@ -764,8 +789,9 @@ class WorkerSupervisor:
         answers = await asyncio.gather(*(
             wp.client.forward(run, PROBE_TIMEOUT) for wp, run in runs.items()
         ))
-        return {r["tenant"]: answer for run, got in zip(runs.values(), answers)
-                for r, answer in zip(run, got)}
+        return {r["tenant"]: parse_line(line)
+                for run, got in zip(runs.values(), answers)
+                for r, line in zip(run, got)}
 
     def status(self) -> List[Dict[str, Any]]:
         """Per-worker supervision facts for /healthz and /metrics."""

@@ -239,12 +239,6 @@ class Tracer:
                 self._fh.close()
             self._fh = None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Tracer(clock={self.clock!r}, events={len(self.events)}, "
-            f"depth={self.depth})"
-        )
-
 
 # ---------------------------------------------------------------------- #
 # Global tracer (the instrumentation sites' fast path)

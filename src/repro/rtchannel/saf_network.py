@@ -220,10 +220,3 @@ class StoreAndForwardSimulator:
                 self.run(min(self._events[0][0], deadline))
         self.stats.unfinished = self._in_flight
         return self.stats
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"StoreAndForwardSimulator(nodes={self.topology.num_nodes}, "
-            f"streams={len(self.streams)}, scheduler={self.scheduler!r}, "
-            f"t={self.now})"
-        )

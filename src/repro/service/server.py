@@ -24,7 +24,6 @@ fleet. :func:`close_connections` is the shutdown both use.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import re
 import socket as socket_module
@@ -438,11 +437,14 @@ def _parse_head(
 
 
 def _encode_response(status: int, payload: Any, keep_alive: bool) -> bytes:
+    """One HTTP response: ``payload`` is text, an encoded JSON line (a
+    worker's answer, sent on unchanged) or an object to encode as one —
+    with the protocol's :func:`encode`, so the two are the same bytes."""
     if isinstance(payload, str):
         body = payload.encode("utf-8")
         ctype = "text/plain; version=0.0.4; charset=utf-8"
     else:
-        body = (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+        body = payload if isinstance(payload, bytes) else encode(payload)
         ctype = "application/json"
     return (
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}\r\n"

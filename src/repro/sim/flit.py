@@ -106,11 +106,3 @@ class Message:
     def no_load_latency(self) -> int:
         """The paper's network latency ``L = hops + C - 1`` for this message."""
         return self.hops + self.length - 1
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = f"finish={self.finish}" if self.done else f"delivered={self.delivered}"
-        return (
-            f"Message(id={self.msg_id}, stream={self.stream_id}, "
-            f"prio={self.priority}, {self.src}->{self.dst}, C={self.length}, "
-            f"release={self.release}, {state})"
-        )

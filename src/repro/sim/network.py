@@ -876,10 +876,3 @@ class WormholeSimulator(SimulationKernel):
         return {
             ch: n / self.now for ch, n in self.channel_transfers.items()
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"WormholeSimulator(nodes={self.topology.num_nodes}, "
-            f"streams={len(self.streams)}, vc_mode={self.vc_mode!r}, "
-            f"t={self.now})"
-        )

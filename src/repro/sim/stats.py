@@ -118,10 +118,3 @@ class StatsCollector:
         return {
             p: DelayStats.from_samples(s) for p, s in sorted(pooled.items())
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        total = sum(len(v) for v in self._samples.values())
-        return (
-            f"StatsCollector(streams={len(self._samples)}, samples={total}, "
-            f"warmup_dropped={self._dropped}, unfinished={self.unfinished})"
-        )

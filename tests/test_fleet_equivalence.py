@@ -21,6 +21,7 @@ import asyncio
 import hashlib
 import json
 import random
+import shutil
 import socket
 import threading
 import time
@@ -459,3 +460,38 @@ def test_transport_parity(surface, tmp_path):
         thread.join(timeout=60)
         ref.close()
     assert not thread.is_alive()
+
+
+def test_gateway_bodies_are_the_same_bytes_with_and_without_workers(
+    tmp_path
+):
+    """A worker's answer line is the HTTP body unchanged, and the
+    in-process gateway encodes its answers with the same encoder: the
+    same op stream gets byte-identical bodies from both surfaces, run
+    one after the other on the same (emptied) state dir. The requests
+    carry no ``id`` to echo; ``stats`` answers carry timings and are
+    left out."""
+    requests = [r for r in PARITY_OPS if r["op"] != "stats"]
+    bodies = {}
+    for surface in ("gateway", "gateway-workers"):
+        client, thread = _open_surface(surface, tmp_path)
+        try:
+            got = []
+            for request in requests:
+                client.send_bytes(client.framing.frame(request), responses=0)
+                client.flush()
+                status, ctype, body = client.framing.read_response(
+                    client._rfile)
+                assert (status, ctype) == (200, "application/json")
+                got.append(body)
+        finally:
+            client.request("shutdown")
+            client.close()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        shutil.rmtree(tmp_path / "fleet")
+        bodies[surface] = got
+    assert len(bodies["gateway"]) == len(requests)
+    for request, a, b in zip(requests, bodies["gateway"],
+                             bodies["gateway-workers"]):
+        assert a == b, (request, a, b)

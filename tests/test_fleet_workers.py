@@ -17,9 +17,11 @@ import io
 import json
 import logging
 import os
+import random
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -33,7 +35,7 @@ from repro.errors import ReproError
 from repro.fleet import workers as workers_module
 from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
-from repro.fleet.shards import Fleet, TenantSpec
+from repro.fleet.shards import Fleet, TenantFleet, TenantSpec
 from repro.fleet.workers import (
     PROBE_TIMEOUT,
     SPAWN_TIMEOUT,
@@ -42,6 +44,7 @@ from repro.fleet.workers import (
     WorkerSupervisor,
 )
 from repro.obs import trace
+from repro.service.protocol import fingerprint, outcome
 from tests.gateway_admin import AdminClient
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
@@ -441,8 +444,9 @@ class TestGatewayWorkers:
             run = [{"op": "ping", "id": f"{i}" + "x" * (512 << 10)}
                    for i in range(4)]
             started = time.monotonic()
-            answers = asyncio.run(fleet.supervisor.forward("t", run))
+            lines = asyncio.run(fleet.supervisor.forward("t", run))
             elapsed = time.monotonic() - started
+            answers = [json.loads(line) for line in lines]
             assert [a.get("ok") for a in answers] == [True] * 4, [
                 a.get("error") for a in answers]
             assert [a["id"] for a in answers] == [r["id"] for r in run]
@@ -583,6 +587,186 @@ class TestRoundTripsPerOp:
         # Two passes: the run of admits, then the shutdown.
         assert (gw.batches, gw.batched_requests) == (2, ops + 1)
         assert gw.fleet.supervisor.workers[0].client.calls == {"admit": 1}
+
+    def test_a_mixed_pipelined_run_counts_once_under_its_first_op(
+        self, tmp_path
+    ):
+        """Whatever ops a pipelined run mixes, it is one forward: one
+        count under its first op in ``WorkerClient.calls`` and in
+        ``repro_fleet_worker_rpcs_total`` (which the scrape's own
+        ``stats`` forward joins)."""
+        ops = [("query", {"stream": 0}), ("admit", {"streams": [spec()]}),
+               ("ping", {}), ("report", {}), ("query", {"stream": 0}),
+               ("release", {"ids": [0]}), ("links", {})]
+
+        def client(port):
+            with GatewayClient(f"127.0.0.1:{port}", api_key="key") as c:
+                for op, fields in ops:
+                    c.send(op, **fields)
+                c.flush()
+                answers = [c.recv() for _ in ops]
+                text = c.get("/metrics")
+                c.request("shutdown")
+            return {"answers": answers, "text": text}
+
+        result = run_gateway(client, tmp_path, workers=1)
+        assert [a["ok"] for a in result["answers"]] == [
+            False, True, True, True, True, True, True]
+        assert result["gw"].fleet.supervisor.workers[0].client.calls == {
+            "query": 1, "stats": 1}
+        rpcs = re.findall(r'repro_fleet_worker_rpcs_total\{op="(\w+)",'
+                          r'worker="0"\} (\S+)', result["text"])
+        assert sorted(rpcs) == [("query", "1"), ("stats", "1")]
+
+
+def peer_pid(sock):
+    """The pid at the other end of a unix socket."""
+    cred = sock.getsockopt(socket.SOL_SOCKET, socket.SO_PEERCRED,
+                           struct.calcsize("3i"))
+    return struct.unpack("3i", cred)[0]
+
+
+@pytest.fixture()
+def kill_after_write(monkeypatch):
+    """While the returned event is set, the next run written on a link
+    SIGKILLs the worker at its other end once the run's bytes are out
+    (and clears the event); the pids killed are ``event.killed``."""
+    armed = threading.Event()
+    armed.killed = []
+    real_send = workers_module._Link.send
+
+    def send(link, data, run):
+        real_send(link, data, run)
+        if armed.is_set():
+            armed.clear()
+            armed.killed.append(peer_pid(link.sock))
+            os.kill(armed.killed[-1], signal.SIGKILL)
+
+    monkeypatch.setattr(workers_module._Link, "send", send)
+    return armed
+
+
+def settle(c, op, fields, *, timeout=30.0):
+    """Ask ``op`` until the answer is not the retryable worker code
+    (the same rid every time, if ``fields`` has one)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        answer = c.request(op, **fields)
+        answer.pop("id", None)
+        if answer.get("code") != "worker" or time.monotonic() > deadline:
+            return answer
+        time.sleep(0.05)
+
+
+def decided(op, answer):
+    """What a retry must reproduce: a mutation's outcome, or its error."""
+    if answer["ok"]:
+        return outcome(op, **answer)
+    return {key: answer.get(key) for key in ("code", "error")}
+
+
+def digest(c):
+    """The tenant's state fingerprint, asked over ``c``."""
+    def ask(request):
+        request = dict(request)
+        return settle(c, request.pop("op"), request)
+
+    report = ask({"op": "report"})["report"]
+    ids = sorted(int(sid) for sid in report["streams"])
+    return fingerprint(ask, ids, None)
+
+
+class TestForwardedLink:
+    """The gateway's forward: one persistent link per worker with runs
+    pipelined on it, and a worker death or wedge answered with the
+    retryable ``code: "worker"`` for every request left unanswered."""
+
+    def test_a_kill_under_a_pipelined_run_retries_to_the_committed_outcome(
+        self, tmp_path, kill_after_write
+    ):
+        streams = [[spec(src=i, dst=i + 4)] for i in range(6)]
+
+        def client(port):
+            with GatewayClient(f"127.0.0.1:{port}", api_key="key") as c:
+                kill_after_write.set()
+                for i, batch in enumerate(streams):
+                    c.send("admit", rid=f"k{i}", streams=batch)
+                c.flush()
+                first = [c.recv() for _ in streams]
+                final = [settle(c, "admit", {"rid": f"k{i}", "streams": b})
+                         for i, b in enumerate(streams)]
+                state = digest(c)
+                c.request("shutdown")
+            return {"first": first, "final": final, "state": state}
+
+        result = run_gateway(client, tmp_path, workers=1)
+        assert len(kill_after_write.killed) == 1
+        codes = [a.get("code") for a in result["first"]]
+        assert "worker" in codes, result["first"]
+        assert all(a["ok"] or code == "worker"
+                   for a, code in zip(result["first"], codes))
+        oracle = TenantFleet("t", TOPO, shards=2)
+        want = [oracle.handle_request(
+            {"op": "admit", "rid": f"k{i}", "streams": batch})
+            for i, batch in enumerate(streams)]
+        assert [decided("admit", a) for a in result["final"]] == [
+            decided("admit", a) for a in want]
+        assert result["state"] == fingerprint(
+            oracle.handle_request, sorted(oracle.owner), None)
+        oracle.close()
+
+    def test_a_wedged_worker_fails_every_run_on_its_link(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(workers_module, "RPC_TIMEOUT", 0.5)
+        fleet = make_fleet(tmp_path)
+        sup = fleet.supervisor
+        client, pid = sup.workers[0].client, sup.workers[0].pid
+        run = [{"op": "query", "stream": 0}, {"op": "ping"}]
+
+        async def wedge():
+            await sup.forward("t", [{"op": "ping"}])
+            link = client._link
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                runs = await asyncio.wait_for(asyncio.gather(
+                    *(sup.forward("t", run) for _ in range(3))), 10)
+                dropped = link.failed and client._link is link
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            [after] = await sup.forward("t", [{"op": "ping"}])
+            return link, runs, dropped, json.loads(after)
+
+        try:
+            link, runs, dropped, after = asyncio.run(wedge())
+            answers = [json.loads(line) for lines in runs for line in lines]
+            assert [a.get("code") for a in answers] == ["worker"] * 6
+            assert all("TimeoutError" in a["error"] for a in answers)
+            assert dropped
+            assert after["ok"] and client._link is not link
+        finally:
+            fleet.close()
+
+    def test_a_link_is_never_reused_under_another_loop(self, tmp_path):
+        fleet = make_fleet(tmp_path)
+        client = fleet.supervisor.workers[0].client
+
+        async def ping():
+            [line] = await fleet.supervisor.forward("t", [{"op": "ping"}])
+            return client._link, json.loads(line)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                first, a = asyncio.run(ping())
+                second, b = asyncio.run(ping())
+            finally:
+                fleet.close()
+            gc.collect()   # a leaked socket would be finalised here
+        assert a["ok"] and b["ok"]
+        assert second is not first and first.failed and second.failed
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 # ---------------------------------------------------------------------- #
@@ -846,3 +1030,85 @@ def test_orphaned_worker_exits_and_a_restarted_gateway_stays_quiet(tmp_path):
         if proc.poll() is None:  # pragma: no cover - cleanup
             proc.kill()
             proc.wait(timeout=30)
+
+
+@pytest.mark.chaos
+def test_pipelined_http_batches_survive_worker_kills(tmp_path,
+                                                      kill_after_write):
+    """Seeded chaos through ``--workers 2``: batches of two tenants'
+    admits and releases are pipelined over HTTP while workers are
+    SIGKILLed under runs on their links (in 5 of the batches). Each op
+    is retried with its rid until its answer is definitive; then no
+    acked stream is lost, none is live that no ack admitted, and each
+    tenant's answers and state digest are an in-process oracle's."""
+    rng = random.Random(41)
+    keys = {"t": "key", "u": "key-u"}
+    batches = 18
+    kill_at = set(rng.sample(range(batches), 5))
+
+    def client(port):
+        conns = {t: GatewayClient(f"127.0.0.1:{port}", api_key=key)
+                 for t, key in keys.items()}
+        settled = {t: [] for t in keys}   # (request, definitive answer)
+        live = {t: set() for t in keys}   # what the acks say is admitted
+        retried = 0
+        try:
+            for b in range(batches):
+                tenant = rng.choice(sorted(keys))
+                c, batch = conns[tenant], []
+                for k in range(rng.randint(3, 6)):
+                    fields = {"rid": f"{tenant}{b}.{k}"}
+                    if live[tenant] and rng.random() < 0.3:
+                        fields["ids"] = [rng.choice(sorted(live[tenant]))]
+                        batch.append(("release", fields))
+                        continue
+                    src, dst = rng.sample(range(16), 2)
+                    period = rng.randrange(200, 400)
+                    fields["streams"] = [{
+                        "src": src, "dst": dst, "priority": rng.randint(1, 8),
+                        "period": period, "length": rng.randint(2, 6),
+                        "deadline": period}]
+                    batch.append(("admit", fields))
+                if b in kill_at:
+                    kill_after_write.set()
+                for op, fields in batch:
+                    c.send(op, **fields)
+                c.flush()
+                for (op, fields), answer in zip(batch, [c.recv()
+                                                        for _ in batch]):
+                    answer.pop("id", None)
+                    if answer.get("code") == "worker":
+                        retried += 1
+                        answer = settle(c, op, fields)
+                    assert answer.get("code") != "worker", answer
+                    settled[tenant].append(({"op": op, **fields}, answer))
+                    if op == "admit" and answer.get("admitted"):
+                        live[tenant].update(answer["ids"])
+                    elif op == "release" and answer["ok"]:
+                        live[tenant] -= set(fields["ids"])
+            served = {t: (settle(c, "report", {}), digest(c))
+                      for t, c in conns.items()}
+            conns["t"].request("shutdown")
+        finally:
+            for c in conns.values():
+                c.close()
+        return {"settled": settled, "live": live, "served": served,
+                "retried": retried}
+
+    result = run_gateway(client, tmp_path, tenants=tuple(keys))
+    assert len(kill_after_write.killed) >= 3
+    assert result["retried"] >= 3
+    for tenant in keys:
+        report, state = result["served"][tenant]
+        served = {int(sid) for sid in report["report"]["streams"]}
+        acked = result["live"][tenant]
+        assert not acked - served, "acked then lost"
+        assert not served - acked, "phantom streams"
+        oracle = TenantFleet(tenant, TOPO, shards=2)
+        for request, answer in result["settled"][tenant]:
+            want = oracle.handle_request(dict(request))
+            assert decided(request["op"], answer) == decided(
+                request["op"], want), (request, answer, want)
+        assert state == fingerprint(
+            oracle.handle_request, sorted(oracle.owner), None)
+        oracle.close()

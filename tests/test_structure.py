@@ -66,7 +66,7 @@ INDEX_NAMES = frozenset({
 FLEET_LINE_CEILING = 2700
 
 #: Lines of ``src/repro``: lower it when the package shrinks.
-SRC_LINE_CEILING = 19851
+SRC_LINE_CEILING = 19812
 
 #: Definitions under ``src/repro`` that nothing deployed names, each kept
 #: for one reason. Everything else that only tests reached is deleted or
