@@ -7,18 +7,23 @@ effect on random paper workloads: per-stream bounds with and without the
 release step, plus the fixpoint variant (repeating the release sweep until
 nothing more can be freed)."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from benchmarks.common import write_output
+from repro.core.backends import KIM98
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.sim.traffic import PaperWorkload
 from repro.topology import Mesh2D, XYRouting
 
 MAX_HORIZON = 1 << 16
+NO_MODIFY = replace(KIM98, use_modify=False)
+FIXPOINT_ONLY = replace(KIM98, modify_fixpoint=True)
 
 
-def bounds_for(streams, routing, **kw):
-    an = FeasibilityAnalyzer(streams, routing, **kw)
+def bounds_for(streams, routing, backend=KIM98):
+    an = FeasibilityAnalyzer(streams, routing, backend=backend)
     return an.all_upper_bounds(max_horizon=MAX_HORIZON)
 
 
@@ -46,11 +51,9 @@ def test_ablation_modify(benchmark):
             for seed in range(3):
                 wl = PaperWorkload(seed=seed, **kw)
                 streams = wl.generate(mesh)
-                direct = bounds_for(streams, routing, use_modify=False)
-                modify = bounds_for(streams, routing, use_modify=True)
-                fixpoint = bounds_for(
-                    streams, routing, use_modify=True, modify_fixpoint=True
-                )
+                direct = bounds_for(streams, routing, NO_MODIFY)
+                modify = bounds_for(streams, routing)
+                fixpoint = bounds_for(streams, routing, FIXPOINT_ONLY)
                 rows.append((label, seed, streams, direct, modify, fixpoint))
         return rows
 

@@ -8,9 +8,12 @@ instances removed, M3's first instance compacted, U_4 = 33.
 The full example yields U = (7, 8, 26, 20, 33).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from benchmarks.common import write_output
+from repro.core.backends import KIM98
 from repro.core.bdg import build_bdg
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.hpset import HPEntry, HPSet
@@ -52,7 +55,10 @@ def test_fig7_fig9_worked_example(benchmark, example):
     def full_example():
         an = FeasibilityAnalyzer(streams, routing, hp_override=override)
         report = an.determine_feasibility()
-        init, _ = an.diagram_for(4, apply_modify=False)
+        init, _ = FeasibilityAnalyzer(
+            streams, routing, hp_override=override,
+            backend=replace(KIM98, use_modify=False),
+        ).diagram_for(4)
         final, removed = an.diagram_for(4)
         return an, report, init, final, removed
 

@@ -15,6 +15,7 @@ import dataclasses
 
 from benchmarks.common import write_output
 from repro.analysis import inflate_periods, observe
+from repro.core.backends import KIM98
 from repro.fuzz import GeneratorConfig, run_fuzz_campaign
 from repro.sim import PaperWorkload
 from repro.sim.traffic import random_phases
@@ -60,7 +61,10 @@ def _slot_granular_excesses(regime):
             seed=seed,
         ).generate(mesh)
         inflation = inflate_periods(
-            drawn, routing, modify_granularity="slot", residency_margin=1,
+            drawn, routing,
+            backend=dataclasses.replace(
+                KIM98, modify_granularity="slot", residency_margin=1
+            ),
             max_horizon=1 << 16,
         )
         streams = inflation.streams

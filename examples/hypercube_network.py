@@ -10,7 +10,10 @@ computation, flit-level simulation, soundness comparison — on a 6-cube
 Run:  python examples/hypercube_network.py
 """
 
+from dataclasses import replace
+
 from repro import ECubeRouting, FeasibilityAnalyzer, Hypercube, is_deadlock_free
+from repro.core.backends import KIM98
 from repro.sim import PaperWorkload, WormholeSimulator
 
 
@@ -70,7 +73,9 @@ def torus_demo() -> None:
     wl = PaperWorkload(num_streams=16, priority_levels=4, seed=5,
                        period_range=(200, 500))
     streams = wl.generate(torus)
-    analyzer = FeasibilityAnalyzer(streams, routing, residency_margin=1)
+    analyzer = FeasibilityAnalyzer(
+        streams, routing, backend=replace(KIM98, residency_margin=1)
+    )
     bounds = analyzer.all_upper_bounds(max_horizon=1 << 16)
     sim = WormholeSimulator(torus, routing, analyzer.streams, warmup=1_000)
     stats = sim.simulate_streams(12_000)

@@ -16,6 +16,8 @@ Reproduces:
 Run:  python examples/paper_example.py
 """
 
+from dataclasses import replace
+
 from repro import (
     FeasibilityAnalyzer,
     HPEntry,
@@ -28,6 +30,7 @@ from repro import (
     render_diagram,
     render_hp_set,
 )
+from repro.core.backends import KIM98
 from repro.core.bdg import build_bdg
 
 #: (src, dst, P, T, C, D, L) — section 4.4, reconstructed constants.
@@ -70,7 +73,11 @@ def main() -> None:
     for sid in sorted(analyzer.hp_sets):
         print(render_hp_set(analyzer.hp_sets[sid]))
 
-    init, _ = analyzer.diagram_for(4, apply_modify=False)
+    direct_only = FeasibilityAnalyzer(
+        streams, routing, hp_override=paper_hp,
+        backend=replace(KIM98, use_modify=False),
+    )
+    init, _ = direct_only.diagram_for(4)
     print(f"\n== Fig. 7: initial diagram of HP_4 "
           f"({init.num_free_slots()} free slots, L_4 = 10) ==")
     print(render_diagram(init))

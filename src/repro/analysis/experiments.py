@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.backends import KIM98, BoundBackend
 from ..core.feasibility import FeasibilityAnalyzer
 from ..core.streams import MessageStream, StreamSet
 from ..errors import AnalysisError
@@ -72,9 +73,7 @@ def inflate_periods(
     streams: StreamSet,
     routing: RoutingAlgorithm,
     *,
-    use_modify: bool = True,
-    modify_granularity: str = "instance",
-    residency_margin: int = 0,
+    backend: BoundBackend = KIM98,
     max_passes: int = 8,
     max_horizon: int = 1 << 18,
 ) -> InflationResult:
@@ -85,17 +84,14 @@ def inflate_periods(
     workload. Streams whose bound exceeds ``max_horizon`` have their period
     doubled each pass (their HP interference is saturating); if the
     fixpoint is not reached within ``max_passes`` the result is flagged
-    ``converged=False`` and the last bounds are reported.
+    ``converged=False`` and the last bounds are reported. ``backend``
+    declares the analysis the bounds come from.
     """
     original = {s.stream_id: s.period for s in streams}
     current = StreamSet(streams)
 
     def analyse() -> Tuple[FeasibilityAnalyzer, Dict[int, int]]:
-        analyzer = FeasibilityAnalyzer(
-            current, routing, use_modify=use_modify,
-            modify_granularity=modify_granularity,
-            residency_margin=residency_margin,
-        )
+        analyzer = FeasibilityAnalyzer(current, routing, backend=backend)
         return analyzer, analyzer.all_upper_bounds(max_horizon=max_horizon)
 
     converged = False
@@ -179,7 +175,6 @@ def run_table_experiment(
     warmup: int = 2_000,
     mesh_width: int = 10,
     mesh_height: int = 10,
-    use_modify: bool = True,
     max_horizon: int = 1 << 18,
     workload: Optional[PaperWorkload] = None,
 ) -> TableResult:
@@ -197,9 +192,7 @@ def run_table_experiment(
         seed=seed,
     )
     drawn = wl.generate(mesh)
-    inflation = inflate_periods(
-        drawn, routing, use_modify=use_modify, max_horizon=max_horizon
-    )
+    inflation = inflate_periods(drawn, routing, max_horizon=max_horizon)
     streams = inflation.streams
     stats = observe(
         routing, streams, sim_time=sim_time,

@@ -209,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "'{\"type\": \"torus\", \"dims\": [4, 4]}'")
     p_serve.add_argument("--state-dir", default=None, metavar="DIR",
                          help="snapshot+journal persistence directory")
-    p_serve.add_argument("--residency-margin", type=int, default=0,
-                         help="analysis residency margin (default 0)")
     p_serve.add_argument("--analysis", default=None, metavar="BACKEND",
                          help="engine-default bound backend for admits "
                               "that do not name one (default: "
@@ -432,7 +430,9 @@ def _run_check(
     except json.JSONDecodeError as exc:
         print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
         return 3
-    report = backend.analyzer(streams, routing).determine_feasibility()
+    report = FeasibilityAnalyzer(
+        streams, routing, backend=backend
+    ).determine_feasibility()
     if out:
         import pathlib
 
@@ -467,7 +467,7 @@ def _run_explain(args: argparse.Namespace) -> int:
         print(f"error: no stream {args.stream} in {args.file} "
               f"(streams: {known})", file=sys.stderr)
         return 2
-    analyzer = backend.analyzer(streams, routing)
+    analyzer = FeasibilityAnalyzer(streams, routing, backend=backend)
     explanation = explain_stream(analyzer, args.stream)
     if args.json:
         print(json.dumps(explanation.to_spec(), indent=2))
@@ -578,7 +578,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     server = BrokerServer(
         _serve_topology_spec(args),
         state_dir=args.state_dir,
-        residency_margin=args.residency_margin,
         analysis=args.analysis,
     )
 

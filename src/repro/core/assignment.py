@@ -81,9 +81,6 @@ def deadline_monotonic_assignment(streams: StreamSet) -> StreamSet:
 def audsley_assignment(
     streams: StreamSet,
     routing: RoutingAlgorithm,
-    *,
-    use_modify: bool = True,
-    residency_margin: int = 0,
 ) -> Optional[StreamSet]:
     """Audsley's optimal priority assignment with the paper's test.
 
@@ -110,12 +107,9 @@ def audsley_assignment(
                 if other.stream_id != candidate.stream_id:
                     trial_prios[other.stream_id] = level + 1
             trial = _with_priorities(streams, trial_prios)
-            analyzer = FeasibilityAnalyzer(
-                trial, routing,
-                use_modify=use_modify,
-                residency_margin=residency_margin,
+            verdict = FeasibilityAnalyzer(trial, routing).cal_u(
+                candidate.stream_id
             )
-            verdict = analyzer.cal_u(candidate.stream_id)
             if verdict.feasible:
                 placed = candidate
                 break

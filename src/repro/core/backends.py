@@ -1,14 +1,18 @@
-"""Pluggable bound backends: named configurations of the feasibility analysis.
+"""Bound backends: the one declaration of a feasibility analysis.
 
 Every admission verdict in this repo is ultimately a delay upper bound ``U``
 compared against ``min(T, D)``. The paper's analysis (Kim98) is one way to
 compute ``U``; the successor literature bounds the *same* workloads with
 different tightness — Nikolić/Indrusiak's tighter priority-preemptive
 analysis (arXiv:1605.07888) and Indrusiak/Burns's buffering-effects analysis
-(arXiv:1606.02942). A :class:`BoundBackend` names one such analysis as a
-frozen set of :class:`~repro.core.feasibility.FeasibilityAnalyzer` keyword
-arguments, so callers (engine, CLI, fuzz oracle, benchmarks) select an
-analysis by name instead of by knob soup.
+(arXiv:1606.02942). A :class:`BoundBackend` declares one such analysis —
+every rule :class:`~repro.core.feasibility.FeasibilityAnalyzer` applies,
+as typed frozen fields validated once at construction — and the analyzer
+takes it as its one ``backend`` argument. The engine, the hosts, the
+server and the CLI select an analysis by registered name only; an
+offline variant (an ablation, the fuzz oracle's residency margin) is a
+:func:`dataclasses.replace` of a registered declaration, which keeps its
+name.
 
 Registered backends
 -------------------
@@ -44,15 +48,14 @@ silently meaning kim98).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..errors import AnalysisError
-from .feasibility import FeasibilityAnalyzer
-from .streams import StreamSet
 
 __all__ = [
     "BoundBackend",
+    "KIM98",
     "register",
     "get",
     "names",
@@ -67,12 +70,14 @@ ENV_VAR = "REPRO_ANALYSIS_BACKEND"
 
 @dataclass(frozen=True)
 class BoundBackend:
-    """A named, frozen configuration of the feasibility analysis.
+    """A named, frozen declaration of the feasibility analysis.
 
     Attributes
     ----------
     name:
-        Registry key; also what the service persists in reports/journals.
+        Registry key; also what the service persists in reports/journals
+        and what every :class:`~repro.core.feasibility.StreamVerdict`
+        carries.
     summary:
         One-line human description (surfaced by ``hello`` and the CLI).
     citation:
@@ -83,45 +88,78 @@ class BoundBackend:
         admitted set is a superset. ``None`` when no such relation is
         claimed. The cross-backend fuzz oracle enforces declared
         refinements.
-    analyzer_kwargs:
-        Extra keyword arguments applied on top of the caller's when
-        constructing a :class:`FeasibilityAnalyzer`.
+    use_modify:
+        Apply ``Modify_Diagram`` for indirect elements (paper behaviour).
+        ``False`` keeps the pessimistic direct-only diagram (E-AB1 ablation).
+    modify_fixpoint:
+        Iterate the release sweep to a fixpoint instead of the paper's
+        single BFS pass.
+    modify_granularity:
+        ``"instance"`` (default, matches the paper's worked example) or
+        ``"slot"`` (the paper's literal per-slot prose) — see
+        :mod:`repro.core.modify`. Slot granularity is never looser.
+    residency_margin:
+        Extra slots charged per instance of every *equal-priority* HP
+        member. The paper's analysis charges an interfering instance
+        exactly its ``C`` channel slots, which is correct for
+        higher-priority preemption (separate VCs) but not for
+        equal-priority contention: equal-priority messages share one VC
+        per port, and a worm owns each VC from header arrival until its
+        tail drains — one slot longer than its channel occupancy. The
+        reproduction observed exactly +1-slot bound violations from this
+        effect (EXPERIMENTS.md, finding F-4); ``residency_margin=1``
+        eliminated every observed violation. Default 0 = the paper's
+        analysis, empirically unsound by one slot under equal-priority
+        contention.
+    interference_margin:
+        Extra slots charged per instance of **every** HP member — the
+        ``buffered`` backend's generalisation of ``residency_margin`` to
+        all interference: router buffering and backpressure keep a worm
+        resident on contested channels beyond its nominal ``C`` slots
+        (the effect arXiv:1606.02942 analyses). Strictly pessimistic, so
+        bounds grow monotonically with the margin. Default 0.
+    eqp_instance_cap:
+        Apply the ``tighter`` backend's FCFS refinement: a *direct*
+        equal-priority member can block the analysed stream at most once
+        per shared channel, because equal-priority arbitration is
+        first-come-first-served on message release time — once the
+        analysed header waits at a channel, a later-released instance
+        cannot overtake it, and closure feasibility (``U <= T``) rules
+        out backlogged earlier-released instances. A member only
+        qualifies when no third stream at the same priority shares any
+        of its channels: chain-mediated re-blocking through an
+        equal-priority convoy defeats the argument otherwise. Qualified
+        members have their window instances beyond the cap discharged
+        from the diagram before any release decision, so the cap needs
+        instance granularity. Default off (= the paper's charging).
     """
 
     name: str
     summary: str
     citation: str
     refines: Optional[str] = None
-    analyzer_kwargs: Mapping[str, Any] = field(default_factory=dict)
+    use_modify: bool = True
+    modify_fixpoint: bool = False
+    modify_granularity: str = "instance"
+    residency_margin: int = 0
+    interference_margin: int = 0
+    eqp_instance_cap: bool = False
 
-    def analyzer(
-        self,
-        streams: StreamSet,
-        routing,
-        **kwargs: Any,
-    ) -> FeasibilityAnalyzer:
-        """Construct an analyzer for ``streams`` under this backend.
-
-        ``kwargs`` are the caller's extras (latency model, residency
-        margin...); the backend's own kwargs win on
-        conflict so a backend cannot be accidentally un-configured.
-        """
-        merged = {**kwargs, **self.analyzer_kwargs, "backend": self.name}
-        return FeasibilityAnalyzer(streams, routing, **merged)
-
-    def analyzer_from_prepared(
-        self,
-        streams: StreamSet,
-        channels,
-        blockers,
-        hp_sets,
-        **kwargs: Any,
-    ) -> FeasibilityAnalyzer:
-        """`from_prepared` twin of :meth:`analyzer` (engine hot path)."""
-        merged = {**kwargs, **self.analyzer_kwargs, "backend": self.name}
-        return FeasibilityAnalyzer.from_prepared(
-            streams, channels, blockers, hp_sets, **merged
-        )
+    def __post_init__(self) -> None:
+        for rule in ("residency_margin", "interference_margin"):
+            margin = getattr(self, rule)
+            if margin < 0:
+                raise AnalysisError(f"{rule} must be >= 0, got {margin}")
+        if self.modify_granularity not in ("instance", "slot"):
+            raise AnalysisError(
+                "modify_granularity must be 'instance' or 'slot', got "
+                f"{self.modify_granularity!r}"
+            )
+        if self.eqp_instance_cap and self.modify_granularity != "instance":
+            raise AnalysisError(
+                "eqp_instance_cap requires instance granularity (its "
+                "discharged windows are whole instances)"
+            )
 
 
 _REGISTRY: Dict[str, BoundBackend] = {}
@@ -187,7 +225,9 @@ def default_name() -> str:
     return "kim98"
 
 
-register(BoundBackend(
+#: The paper's analysis: the analyzer's default, whatever
+#: ``REPRO_ANALYSIS_BACKEND`` says.
+KIM98 = register(BoundBackend(
     name="kim98",
     summary="the paper's timing-diagram analysis (single Modify sweep)",
     citation="Kim, Kim, Hong & Lee, ICPP 1998",
@@ -199,7 +239,8 @@ register(BoundBackend(
              "(never looser than kim98)"),
     citation="arXiv:1605.07888 (Nikolić & Indrusiak)",
     refines="kim98",
-    analyzer_kwargs={"modify_fixpoint": True, "eqp_instance_cap": True},
+    modify_fixpoint=True,
+    eqp_instance_cap=True,
 ))
 
 register(BoundBackend(
@@ -207,5 +248,5 @@ register(BoundBackend(
     summary=("Kim98 with one extra flit slot of per-member buffering "
              "residency (strictly pessimistic)"),
     citation="arXiv:1606.02942 (Indrusiak, Burns & Nikolić)",
-    analyzer_kwargs={"interference_margin": 1},
+    interference_margin=1,
 ))

@@ -37,6 +37,7 @@ from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active, span as _span
 from ..topology.base import Channel
 from ..topology.routing import RoutingAlgorithm
+from .backends import KIM98, BoundBackend
 from .hpset import HPSet, index_hp_sets, stream_channels
 from .latency import LatencyModel, NoLoadLatency
 from .modify import modify_diagram
@@ -117,53 +118,12 @@ class FeasibilityAnalyzer:
         reproduce the paper's section 4.4 example verbatim, whose printed
         ``HP_3`` deviates from the path-overlap rule (see DESIGN.md), and
         generally useful for what-if analysis.
-    use_modify:
-        Apply ``Modify_Diagram`` for indirect elements (paper behaviour).
-        ``False`` keeps the pessimistic direct-only diagram (E-AB1 ablation).
-    modify_fixpoint:
-        Iterate the release sweep to a fixpoint instead of the paper's
-        single BFS pass.
-    modify_granularity:
-        ``"instance"`` (default, matches the paper's worked example) or
-        ``"slot"`` (the paper's literal per-slot prose) — see
-        :mod:`repro.core.modify`. Slot granularity is never looser.
-    residency_margin:
-        Extra slots charged per instance of every *equal-priority* HP
-        member. The paper's analysis charges an interfering instance
-        exactly its ``C`` channel slots, which is correct for
-        higher-priority preemption (separate VCs) but not for
-        equal-priority contention: equal-priority messages share one VC
-        per port, and a worm owns each VC from header arrival until its
-        tail drains — one slot longer than its channel occupancy. The
-        reproduction observed exactly +1-slot bound violations from this
-        effect (EXPERIMENTS.md, finding F-4); ``residency_margin=1``
-        eliminated every observed violation. Default 0 = the paper's
-        analysis, empirically unsound by one slot under equal-priority
-        contention.
-    interference_margin:
-        Extra slots charged per instance of **every** HP member — the
-        ``buffered`` backend's generalisation of ``residency_margin`` to
-        all interference: router buffering and backpressure keep a worm
-        resident on contested channels beyond its nominal ``C`` slots
-        (the effect arXiv:1606.02942 analyses). Strictly pessimistic, so
-        bounds grow monotonically with the margin. Default 0.
-    eqp_instance_cap:
-        Apply the ``tighter`` backend's FCFS refinement: a *direct*
-        equal-priority member can block the analysed stream at most once
-        per shared channel, because equal-priority arbitration is
-        first-come-first-served on message release time — once the
-        analysed header waits at a channel, a later-released instance
-        cannot overtake it, and closure feasibility (``U <= T``) rules
-        out backlogged earlier-released instances. A member only
-        qualifies when no third stream at the same priority shares any
-        of its channels: chain-mediated re-blocking through an
-        equal-priority convoy defeats the argument otherwise. Qualified
-        members have their window instances beyond the cap discharged
-        from the diagram before any release decision. Default off (= the
-        paper's charging).
     backend:
-        Label stamped into every :class:`StreamVerdict` (reports carry it
-        through the service and CLI). Purely descriptive.
+        The :class:`~repro.core.backends.BoundBackend` declaring every
+        bound rule the analysis applies (``Modify_Diagram`` sweep and
+        granularity, margins, the FCFS cap); its name is stamped into
+        every :class:`StreamVerdict`. Defaults to the paper's ``kim98``
+        whatever ``REPRO_ANALYSIS_BACKEND`` says.
     """
 
     #: Optional per-phase timing sink (any object with a mutable
@@ -185,15 +145,9 @@ class FeasibilityAnalyzer:
         streams: StreamSet,
         routing: RoutingAlgorithm,
         *,
+        backend: BoundBackend = KIM98,
         latency_model: Optional[LatencyModel] = None,
         hp_override: Optional[Mapping[int, HPSet]] = None,
-        use_modify: bool = True,
-        modify_fixpoint: bool = False,
-        modify_granularity: str = "instance",
-        residency_margin: int = 0,
-        interference_margin: int = 0,
-        eqp_instance_cap: bool = False,
-        backend: str = "kim98",
     ):
         latency_model = latency_model or NoLoadLatency()
         channels = stream_channels(streams, routing)
@@ -215,11 +169,7 @@ class FeasibilityAnalyzer:
             hp_sets.update(
                 {i: hp.without_self() for i, hp in hp_override.items()}
             )
-        self._adopt(
-            resolved, channels, index.blockers, hp_sets, use_modify,
-            modify_fixpoint, modify_granularity, residency_margin,
-            interference_margin, eqp_instance_cap, backend,
-        )
+        self._adopt(resolved, channels, index.blockers, hp_sets, backend)
 
     # ------------------------------------------------------------------ #
     # Cache-friendly construction (incremental admission engine)
@@ -233,13 +183,7 @@ class FeasibilityAnalyzer:
         blockers: Mapping[int, Tuple[int, ...]],
         hp_sets: Mapping[int, HPSet],
         *,
-        use_modify: bool = True,
-        modify_fixpoint: bool = False,
-        modify_granularity: str = "instance",
-        residency_margin: int = 0,
-        interference_margin: int = 0,
-        eqp_instance_cap: bool = False,
-        backend: str = "kim98",
+        backend: BoundBackend = KIM98,
     ) -> "FeasibilityAnalyzer":
         """Build an analyzer from precomputed per-stream structures.
 
@@ -276,41 +220,18 @@ class FeasibilityAnalyzer:
                 "latency"
             )
         self = cls.__new__(cls)
-        self._adopt(
-            streams, channels, blockers, hp_sets, use_modify,
-            modify_fixpoint, modify_granularity, residency_margin,
-            interference_margin, eqp_instance_cap, backend,
-        )
+        self._adopt(streams, channels, blockers, hp_sets, backend)
         return self
 
-    def _adopt(
-        self, streams, channels, blockers, hp_sets, use_modify,
-        modify_fixpoint, modify_granularity, residency_margin,
-        interference_margin, eqp_instance_cap, backend,
-    ) -> None:
-        """Check the options and take the resolved structures: both
-        constructors end here, passing their keywords in signature
-        order."""
+    def _adopt(self, streams, channels, blockers, hp_sets, backend) -> None:
+        """Take the resolved structures and the (already validated)
+        declaration: both constructors end here."""
         if len(streams) == 0:
             raise AnalysisError("cannot analyse an empty stream set")
-        if residency_margin < 0:
-            raise AnalysisError(
-                f"residency_margin must be >= 0, got {residency_margin}"
-            )
-        if interference_margin < 0:
-            raise AnalysisError(
-                f"interference_margin must be >= 0, got {interference_margin}"
-            )
         self.streams = streams
         self.channels: Dict[int, FrozenSet[Channel]] = dict(channels)
         self.blockers: Dict[int, Tuple[int, ...]] = dict(blockers)
         self.hp_sets: Dict[int, HPSet] = dict(hp_sets)
-        self.use_modify = use_modify
-        self.modify_fixpoint = modify_fixpoint
-        self.modify_granularity = modify_granularity
-        self.residency_margin = residency_margin
-        self.interference_margin = interference_margin
-        self.eqp_instance_cap = eqp_instance_cap
         self.backend = backend
 
     # ------------------------------------------------------------------ #
@@ -318,33 +239,26 @@ class FeasibilityAnalyzer:
     # ------------------------------------------------------------------ #
 
     def diagram_for(
-        self,
-        stream_id: int,
-        horizon: Optional[int] = None,
-        *,
-        apply_modify: Optional[bool] = None,
+        self, stream_id: int, horizon: Optional[int] = None
     ) -> Tuple[TimingDiagram, Dict[int, Set[int]]]:
         """Return the (final) timing diagram and removed instances for a stream.
 
-        ``horizon`` defaults to the stream's deadline; ``apply_modify``
-        defaults to the analyzer-wide setting.
+        ``horizon`` defaults to the stream's deadline.
         """
         stream = self.streams[stream_id]
         dtime = int(horizon) if horizon is not None else stream.deadline
         hp = self.hp_sets[stream_id]
-        if apply_modify is None:
-            apply_modify = self.use_modify
         effective = self._effective_streams(stream)
         seeds = self._cap_seeds(stream, dtime)
-        if apply_modify and hp.indirect_ids():
+        if self.backend.use_modify and hp.indirect_ids():
             return modify_diagram(
                 stream,
                 hp,
                 effective,
                 self.blockers,
                 dtime,
-                fixpoint=self.modify_fixpoint,
-                granularity=self.modify_granularity,
+                fixpoint=self.backend.modify_fixpoint,
+                granularity=self.backend.modify_granularity,
                 initial_removed=seeds,
                 row_memo=self.row_memo,
             )
@@ -372,17 +286,19 @@ class FeasibilityAnalyzer:
         buffering/backpressure residency on contested channels; the two
         margins stack for equal-priority members.
         """
-        if self.residency_margin == 0 and self.interference_margin == 0:
+        residency = self.backend.residency_margin
+        interference = self.backend.interference_margin
+        if residency == 0 and interference == 0:
             return self.streams
         hp = self.hp_sets[owner.stream_id]
         inflate: Dict[int, int] = {}
         for e in hp:
             if e.stream_id == owner.stream_id:
                 continue
-            margin = self.interference_margin
-            if (self.residency_margin
+            margin = interference
+            if (residency
                     and self.streams[e.stream_id].priority == owner.priority):
-                margin += self.residency_margin
+                margin += residency
             if margin:
                 inflate[e.stream_id] = margin
         if not inflate:
@@ -411,7 +327,7 @@ class FeasibilityAnalyzer:
         feasibility rules out backlog, so at most one instance can hold
         each shared channel when the header arrives there.
         """
-        if not self.eqp_instance_cap:
+        if not self.backend.eqp_instance_cap:
             return None
         sid = owner.stream_id
         hp = self.hp_sets[sid]
@@ -457,7 +373,7 @@ class FeasibilityAnalyzer:
             removed_instances={
                 k: frozenset(v) for k, v in removed.items()
             },
-            backend=self.backend,
+            backend=self.backend.name,
         )
 
     def upper_bound(
@@ -504,7 +420,7 @@ class FeasibilityAnalyzer:
         assert stream.latency is not None
         hp = self.hp_sets[sid]
         guard = 0
-        if self.use_modify and hp.indirect_ids():
+        if self.backend.use_modify and hp.indirect_ids():
             guard = max(
                 (self.streams[e.stream_id].period for e in hp
                  if e.stream_id != sid),

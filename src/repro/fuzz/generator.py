@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.experiments import inflate_periods
+from ..core.backends import KIM98
 from ..core.streams import MessageStream, StreamSet
 from ..errors import AnalysisError
 from ..sim.traffic import PaperWorkload
@@ -361,7 +362,8 @@ def _place_paper(seed: int, cfg: GeneratorConfig) -> List[tuple]:
         seed=seed,
     ).generate(mesh)
     inflated = inflate_periods(
-        drawn, XYRouting(mesh), residency_margin=cfg.residency_margin,
+        drawn, XYRouting(mesh),
+        backend=replace(KIM98, residency_margin=cfg.residency_margin),
         max_horizon=1 << 16,
     ).streams
     return [

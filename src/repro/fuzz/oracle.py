@@ -43,11 +43,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from ..analysis.observe import admitted_scope, observe
 from ..core import backends as _backends
+from ..core.feasibility import FeasibilityAnalyzer
 from ..errors import ReproError
 from .generator import FuzzCase
 
@@ -136,9 +137,9 @@ def _analysis_bounds(
     the bounds differ between backends.
     """
     _, routing, streams = case.build()
-    analyzer = _backends.get(backend).analyzer(
-        streams, routing, residency_margin=case.residency_margin
-    )
+    analyzer = FeasibilityAnalyzer(streams, routing, backend=replace(
+        _backends.get(backend), residency_margin=case.residency_margin
+    ))
     bounds = analyzer.determine_feasibility().upper_bounds()
     hp_ids = {sid: analyzer.hp_sets[sid].ids() for sid in bounds}
     return bounds, hp_ids

@@ -80,6 +80,11 @@ sorted-id order: copying a prepared analyzer to another process costs
 more than the handful of verdicts a dirty frontier holds (measured in
 DESIGN.md section 10).
 
+**Analyses by name.** Each admitted stream names a registered
+:class:`~repro.core.backends.BoundBackend`, which declares every bound
+rule its verdicts apply, margins included. The engine holds no rule of
+its own, so a served margin comes only from a registered backend.
+
 **Closure-scoped guarantees (finding F-7).** A stream's bound is only a
 guarantee while its transitive HP closure is itself admitted (the bound
 conditions on those streams' behaviour). Inside the broker the closure is
@@ -95,7 +100,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core import backends as _backends
-from ..core.feasibility import FeasibilityReport, StreamVerdict
+from ..core.feasibility import (
+    FeasibilityAnalyzer, FeasibilityReport, StreamVerdict,
+)
 from ..core.hpset import BlockingIndex
 from ..core.latency import NoLoadLatency
 from ..core.streams import MessageStream, StreamSet
@@ -234,8 +241,6 @@ class IncrementalAdmissionEngine:
     ----------
     routing:
         Deterministic routing function of the managed network.
-    residency_margin:
-        Passed through to the analyzer (see finding F-4).
     analysis:
         Name of the default bound backend
         (:mod:`repro.core.backends`) applied to admits that do not name
@@ -249,11 +254,9 @@ class IncrementalAdmissionEngine:
         self,
         routing: RoutingAlgorithm,
         *,
-        residency_margin: int = 0,
         analysis: Optional[str] = None,
     ):
         self.routing = routing
-        self.residency_margin = residency_margin
         # Resolved eagerly so a typo'd REPRO_ANALYSIS_BACKEND fails at
         # construction, not on the first admit.
         self.default_analysis = _backends.resolve_name(analysis)
@@ -674,12 +677,12 @@ class IncrementalAdmissionEngine:
                 by_backend.setdefault(self._analysis[j], []).append(j)
             rows: Dict[tuple, list] = {}  # dropped when this returns
             for name in sorted(by_backend):
-                analyzer = _backends.get(name).analyzer_from_prepared(
+                analyzer = FeasibilityAnalyzer.from_prepared(
                     self._resolved,
                     index.channels,
                     index.blockers,
                     hp_sets,
-                    residency_margin=self.residency_margin,
+                    backend=_backends.get(name),
                 )
                 analyzer.timing_sink = stats
                 analyzer.row_memo = rows

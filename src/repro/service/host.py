@@ -29,6 +29,10 @@ of the system composes:
 * :meth:`fingerprint` — the SHA-256 identity over everything recovery
   promises to preserve, shared by the chaos campaign and the
   equivalence tests.
+
+An analysis is selected by registered backend name only — the host's
+default and each admit's ``analysis`` — and journaled as that name; the
+host passes no bound rule of its own to the engine.
 """
 
 from __future__ import annotations
@@ -230,6 +234,9 @@ class EngineHost(OpInterpreter):
         Problem-file topology spec (``{"type": "mesh", "width": 8, ...}``).
     state_dir:
         Directory for snapshot + journal; ``None`` disables persistence.
+    analysis:
+        Name of the engine-default bound backend; ``None`` reads the
+        process default.
     fault_plane:
         Chaos-testing hook (see :mod:`repro.faults.plane`); installed
         into the persistence layer. ``None`` in production use.
@@ -240,16 +247,11 @@ class EngineHost(OpInterpreter):
         topology_spec: Dict[str, Any],
         *,
         state_dir: Optional[Union[str, Path]] = None,
-        residency_margin: int = 0,
         analysis: Optional[str] = None,
         fault_plane: Optional[FaultPlane] = None,
     ):
         super().__init__(topology_spec)
-        self.engine = IncrementalAdmissionEngine(
-            self.routing,
-            residency_margin=residency_margin,
-            analysis=analysis,
-        )
+        self.engine = IncrementalAdmissionEngine(self.routing, analysis=analysis)
         #: Read-only degraded mode (journal unwritable); see DegradedError.
         self.degraded = False
         self.degraded_reason: Optional[str] = None

@@ -513,8 +513,8 @@ class BrokerServer(EngineHost):
     """The channel broker: an :class:`EngineHost` with a socket.
 
     Takes the host's arguments (``topology_spec``, ``state_dir``,
-    ``residency_margin``, ``analysis``, ``fault_plane``) and passes them
-    through untouched; the ``shutdown`` op stops :meth:`serve_forever`.
+    ``analysis``, ``fault_plane``) and passes them through untouched;
+    the ``shutdown`` op stops :meth:`serve_forever`.
     """
 
     def __init__(self, topology_spec: Dict[str, Any], **host_kwargs: Any):

@@ -62,8 +62,6 @@ class AdmissionController:
         Deterministic routing function of the managed network.
     latency_model:
         No-load latency model (paper default).
-    use_modify:
-        Whether admitted-set analysis applies ``Modify_Diagram``.
     """
 
     def __init__(
@@ -71,11 +69,9 @@ class AdmissionController:
         routing: RoutingAlgorithm,
         *,
         latency_model: Optional[LatencyModel] = None,
-        use_modify: bool = True,
     ):
         self.routing = routing
         self.latency_model = latency_model or NoLoadLatency()
-        self.use_modify = use_modify
         self._admitted = StreamSet()
         self._next_id = 0
 
@@ -108,10 +104,7 @@ class AdmissionController:
 
     def _analyze(self, streams: StreamSet) -> FeasibilityReport:
         analyzer = oracle_analyzer(
-            streams,
-            self.routing,
-            latency_model=self.latency_model,
-            use_modify=self.use_modify,
+            streams, self.routing, latency_model=self.latency_model
         )
         return analyzer.determine_feasibility()
 
@@ -181,10 +174,8 @@ class ReferenceEngine(AdmissionController):
     service engine adds to it: a bound backend per stream, structural
     ``adopt`` / ``retire``, closures and reroute-and-readmit."""
 
-    def __init__(self, routing, *, analysis: Optional[str] = None,
-                 residency_margin: int = 0):
+    def __init__(self, routing, *, analysis: Optional[str] = None):
         super().__init__(routing)
-        self.residency_margin = residency_margin
         self.default_analysis = backends.resolve_name(analysis)
         self._analysis: Dict[int, str] = {}
         #: Backend of the streams a trial adds (they have no entry yet).
@@ -200,8 +191,6 @@ class ReferenceEngine(AdmissionController):
             analyzer = oracle_analyzer(
                 streams, self.routing, backend=name,
                 latency_model=self.latency_model,
-                use_modify=self.use_modify,
-                residency_margin=self.residency_margin,
             )
             for sid in sorted(names):
                 if names[sid] == name:
@@ -311,8 +300,7 @@ class ShadowedEngine:
     def __init__(self, engine: IncrementalAdmissionEngine):
         self.engine = engine
         self.reference = ReferenceEngine(
-            engine.routing, analysis=engine.default_analysis,
-            residency_margin=engine.residency_margin,
+            engine.routing, analysis=engine.default_analysis
         )
         for s in engine.admitted:
             self.reference.adopt(s, analysis=engine.analysis_of(s.stream_id))

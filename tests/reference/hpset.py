@@ -126,7 +126,6 @@ def oracle_analyzer(
     *,
     backend: str = "kim98",
     latency_model: Optional[LatencyModel] = None,
-    **kwargs,
 ) -> FeasibilityAnalyzer:
     """An analyzer of ``backend`` whose routes, latencies, blockers and
     HP sets all come from this module: what the normal constructor
@@ -139,7 +138,7 @@ def oracle_analyzer(
             latency_model.latency(s, len(channels[s.stream_id])))
         for s in streams
     )
-    return backends.get(backend).analyzer_from_prepared(
+    return FeasibilityAnalyzer.from_prepared(
         resolved, channels, direct_blockers(resolved, channels),
-        oracle_hp_sets(resolved, channels), **kwargs,
+        oracle_hp_sets(resolved, channels), backend=backends.get(backend),
     )

@@ -11,6 +11,7 @@ agrees bit for bit with the paper's literal scan; and the window-wise
 release test agrees with the per-instance rule.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -402,8 +403,8 @@ class TestAdaptiveHorizon:
         for ``upper_bound``."""
         for name, use_modify in itertools.product(backends.names(),
                                                   (True, False)):
-            an = backends.get(name).analyzer(streams, XY,
-                                             use_modify=use_modify)
+            an = FeasibilityAnalyzer(streams, XY, backend=dataclasses.replace(
+                backends.get(name), use_modify=use_modify))
             for s in an.streams:
                 fast = an.cal_u(s.stream_id)
                 slow = an.cal_u(s.stream_id, horizon=s.deadline)

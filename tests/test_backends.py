@@ -12,12 +12,14 @@ refinement.
 """
 
 import contextlib
+import dataclasses
 import random
 
 import pytest
 
 from repro.core import backends
 from repro.core.backends import BoundBackend
+from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import AnalysisError
 from repro.service.engine import IncrementalAdmissionEngine
@@ -48,8 +50,9 @@ ALL = backends.names()
 
 
 def _bounds(backend_name, streams, routing, **kw):
-    backend = backends.get(backend_name)
-    return backend.analyzer(streams, routing, **kw).determine_feasibility()
+    return FeasibilityAnalyzer(
+        streams, routing, backend=backends.get(backend_name), **kw
+    ).determine_feasibility()
 
 
 class TestRegistry:
@@ -94,12 +97,51 @@ class TestRegistry:
         with pytest.raises(AnalysisError, match="khim98"):
             backends.default_name()
 
-    def test_backend_kwargs_win_over_callers(self, paper_streams, xy10):
-        # A backend cannot be accidentally un-configured by caller kwargs.
-        analyzer = backends.get("buffered").analyzer(
-            paper_streams, xy10, interference_margin=0
-        )
-        assert analyzer.interference_margin == 1
+    def test_analyzer_default_is_kim98_whatever_the_env_says(
+        self, monkeypatch, paper_streams, xy10
+    ):
+        monkeypatch.setenv(backends.ENV_VAR, "buffered")
+        analyzer = FeasibilityAnalyzer(paper_streams, xy10)
+        assert analyzer.backend is backends.get("kim98")
+        assert {v.backend for v in
+                analyzer.determine_feasibility().verdicts.values()} == \
+            {"kim98"}
+
+
+class TestDeclarationValidation:
+    """A declaration is checked once, when it is built: no bad rule
+    reaches an analysis, whatever stream set it is used on."""
+
+    def test_unknown_granularity_rejected(self):
+        # The analyzer only reads the granularity for streams with
+        # indirect HP members, so an analysis could not be relied on to
+        # catch this one.
+        with pytest.raises(AnalysisError, match="modify_granularity"):
+            BoundBackend(name="x", summary="s", citation="c",
+                         modify_granularity="bogus")
+
+    def test_instance_cap_needs_instance_granularity(self):
+        # The cap discharges whole instances; with slot granularity the
+        # conflict used to surface only inside Modify_Diagram, in the
+        # middle of an analysis that happened to have indirect members.
+        with pytest.raises(AnalysisError, match="instance granularity"):
+            dataclasses.replace(backends.get("tighter"),
+                                modify_granularity="slot")
+
+    @pytest.mark.parametrize("rule",
+                             ["residency_margin", "interference_margin"])
+    def test_negative_margin_rejected(self, rule):
+        with pytest.raises(AnalysisError, match=rule):
+            dataclasses.replace(backends.get("kim98"), **{rule: -1})
+
+    def test_registered_declarations_carry_their_rules(self):
+        tighter = backends.get("tighter")
+        assert tighter.modify_fixpoint and tighter.eqp_instance_cap
+        assert backends.get("buffered").interference_margin == 1
+        # A replaced declaration keeps its name, hence its labels.
+        variant = dataclasses.replace(tighter, residency_margin=1)
+        assert variant.name == "tighter"
+        assert variant.modify_fixpoint and variant.residency_margin == 1
 
 
 class TestPaperExample:
@@ -276,7 +318,8 @@ class TestPropertyBattery:
         for seed in range(4):
             streams, routing = _battery_workload(kind, seed)
             for name in ALL:
-                analyzer = backends.get(name).analyzer(streams, routing)
+                analyzer = FeasibilityAnalyzer(
+                    streams, routing, backend=backends.get(name))
                 report = analyzer.determine_feasibility()
                 for sid, verdict in report.verdicts.items():
                     if not analyzer.hp_sets[sid].ids():
@@ -298,7 +341,7 @@ class TestOracleCatchesBadRefinement:
             summary="deliberately looser than kim98, claims to refine it",
             citation="none",
             refines="kim98",
-            analyzer_kwargs={"interference_margin": 3},
+            interference_margin=3,
         )
         small = GeneratorConfig(width=3, height=3, sim_time=600)
         with temporary_backend(bogus):

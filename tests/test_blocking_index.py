@@ -177,7 +177,8 @@ def oracle_sweep(seed, sets, *, max_width, max_streams):
         streams, routing = random_case(rng, max_width=max_width,
                                        max_streams=max_streams)
         for name in backends.names():
-            analyzer = backends.get(name).analyzer(streams, routing)
+            analyzer = FeasibilityAnalyzer(streams, routing,
+                                           backend=backends.get(name))
             oracle = oracle_analyzer(streams, routing, backend=name)
             assert analyzer.blockers == oracle.blockers
             assert analyzer.hp_sets == oracle.hp_sets

@@ -8,11 +8,13 @@ interference ``U - L`` the bound charges on top of the no-load latency.
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
 from conftest import PAPER_EXAMPLE_U
 from repro.cli import main
+from repro.core.backends import KIM98
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.streams import MessageStream, StreamSet
 from repro.fuzz.generator import GeneratorConfig, generate_case
@@ -61,9 +63,8 @@ class TestAccountingIdentity:
     def test_identity_on_fuzzed_problems(self, seed):
         case = generate_case(seed, GeneratorConfig(max_streams=6))
         _, routing, streams = case.build()
-        an = FeasibilityAnalyzer(
-            streams, routing, residency_margin=case.residency_margin
-        )
+        an = FeasibilityAnalyzer(streams, routing, backend=replace(
+            KIM98, residency_margin=case.residency_margin))
         for exp in explain_report(an).values():
             assert sum(c.busy_slots for c in exp.contributions) == \
                 exp.interference

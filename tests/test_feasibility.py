@@ -1,7 +1,10 @@
 """Unit tests for the feasibility analyzer (repro.core.feasibility)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.backends import KIM98
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.hpset import HPEntry, HPSet
 from repro.core.latency import PipelinedLatency
@@ -168,7 +171,7 @@ class TestModifyToggle:
         )
         without = FeasibilityAnalyzer(
             paper_streams, xy10, hp_override=paper_hp_override,
-            use_modify=False,
+            backend=replace(KIM98, use_modify=False),
         )
         for sid in range(5):
             u_mod = with_mod.upper_bound(sid)
@@ -181,7 +184,7 @@ class TestModifyToggle:
         M4's deadline while its latency is 10 — the test must fail."""
         an = FeasibilityAnalyzer(
             paper_streams, xy10, hp_override=paper_hp_override,
-            use_modify=False,
+            backend=replace(KIM98, use_modify=False),
         )
         assert an.cal_u(4).upper_bound == -1
         assert not an.determine_feasibility().success

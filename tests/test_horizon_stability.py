@@ -8,9 +8,12 @@ equal the bound computed at a much larger horizon, across random
 workloads and both Modify settings.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.core.backends import KIM98
 from repro.core.feasibility import FeasibilityAnalyzer
 from tests.test_properties import XY, stream_sets
 
@@ -37,7 +40,8 @@ class TestHorizonStability:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_search_matches_large_horizon_without_modify(self, streams):
-        an = FeasibilityAnalyzer(streams, XY, use_modify=False)
+        an = FeasibilityAnalyzer(
+            streams, XY, backend=replace(KIM98, use_modify=False))
         for s in an.streams:
             searched = an.upper_bound(s.stream_id, max_horizon=BIG)
             direct = an.cal_u(s.stream_id, horizon=BIG).upper_bound

@@ -18,6 +18,7 @@ import pytest
 
 from repro.analysis import observe
 from repro.core import backends
+from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import RoutingError, SimulationError
 from repro.io import report_to_spec
@@ -71,8 +72,8 @@ class TestEngineDifferential:
             streams = StreamSet(sorted(
                 eng.admitted, key=lambda s: s.stream_id
             ))
-            scratch = backends.get(backend).analyzer(
-                streams, eng.routing
+            scratch = FeasibilityAnalyzer(
+                streams, eng.routing, backend=backends.get(backend)
             ).determine_feasibility()
             assert report_sha(eng.current_report()) == report_sha(scratch)
 
@@ -113,7 +114,7 @@ class TestEngineDifferential:
         if not report.success or not survivors:
             return
         streams = StreamSet(survivors)
-        hp_sets = backends.get(backend).analyzer(streams, eng.routing).hp_sets
+        hp_sets = FeasibilityAnalyzer(streams, eng.routing).hp_sets
         obs = observe(
             eng.routing, streams, sim_time=2000,
             bounds={backend: report.upper_bounds()},

@@ -1,7 +1,10 @@
 """Edge-case tests for paths not covered by the per-module suites."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.backends import KIM98
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.streams import MessageStream, StreamSet
 from repro.core.timing_diagram import generate_init_diagram, refill_rows
@@ -77,8 +80,9 @@ class TestAnalyzerEdges:
             ms(2, mesh, (4, 0), (8, 0), priority=1, period=200, length=5,
                deadline=400),
         ])
-        a = FeasibilityAnalyzer(streams, rt, modify_fixpoint=True)
-        b = FeasibilityAnalyzer(streams, rt, modify_fixpoint=False)
+        a = FeasibilityAnalyzer(
+            streams, rt, backend=replace(KIM98, modify_fixpoint=True))
+        b = FeasibilityAnalyzer(streams, rt, backend=KIM98)
         ua, ub = a.upper_bound(2), b.upper_bound(2)
         assert 0 < ua <= ub
 

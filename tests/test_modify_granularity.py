@@ -6,9 +6,12 @@ Key invariant: slot granularity is never looser than instance granularity
 (any instance-level release is the union of its slot-level releases).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
+from repro.core.backends import KIM98
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.hpset import HPEntry, HPSet
 from repro.core.modify import modify_diagram, releasable_slots
@@ -83,8 +86,8 @@ class TestGranularityComparison:
     @settings(max_examples=20, deadline=None)
     def test_analyzer_slot_bounds_never_looser(self, streams):
         a_inst = FeasibilityAnalyzer(streams, XY)
-        a_slot = FeasibilityAnalyzer(streams, XY,
-                                     modify_granularity="slot")
+        a_slot = FeasibilityAnalyzer(
+            streams, XY, backend=replace(KIM98, modify_granularity="slot"))
         for s in streams:
             u_i = a_inst.upper_bound(s.stream_id, max_horizon=1 << 13)
             u_s = a_slot.upper_bound(s.stream_id, max_horizon=1 << 13)
@@ -116,8 +119,10 @@ class TestSlotGranularityUnsound:
         out = {}
         for granularity in ("instance", "slot"):
             inflation = inflate_periods(
-                drawn, routing, modify_granularity=granularity,
-                residency_margin=1, max_horizon=1 << 16,
+                drawn, routing, backend=replace(
+                    KIM98, modify_granularity=granularity,
+                    residency_margin=1,
+                ), max_horizon=1 << 16,
             )
             out[granularity] = observe(
                 routing, inflation.streams, sim_time=5_000,

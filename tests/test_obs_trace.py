@@ -8,10 +8,12 @@ assuming it starts out disabled.
 import json
 import os
 import pathlib
+from dataclasses import replace
 
 import pytest
 
 from repro.core import backends
+from repro.core.backends import KIM98
 from repro.core.bdg import indirect_processing_order
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.streams import StreamSet
@@ -318,10 +320,9 @@ class TestTracingDoesNotChangeResults:
 
         def report():
             return report_to_spec(
-                FeasibilityAnalyzer(
-                    streams, routing,
-                    residency_margin=case.residency_margin,
-                ).determine_feasibility()
+                FeasibilityAnalyzer(streams, routing, backend=replace(
+                    KIM98, residency_margin=case.residency_margin,
+                )).determine_feasibility()
             )
 
         assert active() is None
@@ -346,9 +347,9 @@ class TestTracingChoosesNoPath:
         case = generate_case(seed, GeneratorConfig(max_streams=10))
         _, routing, streams = case.build()
         for name in backends.names():
-            an = backends.get(name).analyzer(
-                streams, routing, residency_margin=case.residency_margin,
-            )
+            an = FeasibilityAnalyzer(streams, routing, backend=replace(
+                backends.get(name), residency_margin=case.residency_margin,
+            ))
 
             def run():
                 verdicts = {s.stream_id: an.cal_u(s.stream_id)

@@ -8,8 +8,11 @@ must show exactly 7 free slots (Fig. 7), ``Modify_Diagram`` must remove the
 ``M_3``'s first instance (Fig. 9).
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.backends import KIM98
 from repro.core.feasibility import FeasibilityAnalyzer
 from tests.conftest import PAPER_EXAMPLE_U
 
@@ -35,8 +38,13 @@ class TestSection44:
         assert report.upper_bounds() == PAPER_EXAMPLE_U
         assert report.success
 
-    def test_fig7_initial_diagram_has_seven_free_slots(self, analyzer):
-        diagram, _ = analyzer.diagram_for(4, apply_modify=False)
+    def test_fig7_initial_diagram_has_seven_free_slots(
+        self, paper_streams, xy10, paper_hp_override
+    ):
+        diagram, _ = FeasibilityAnalyzer(
+            paper_streams, xy10, hp_override=paper_hp_override,
+            backend=replace(KIM98, use_modify=False),
+        ).diagram_for(4)
         assert diagram.num_free_slots() == 7
         # 7 < L_4 = 10: the direct-only diagram cannot guarantee M4.
         assert diagram.upper_bound(10) == -1

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.backends import KIM98
 from repro.core.bdg import bfs_layers, build_bdg
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.hpset import build_all_hp_sets, stream_channels
@@ -321,8 +324,9 @@ class TestAnalyzerProperties:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_modify_never_looser_than_direct(self, streams):
-        mod = FeasibilityAnalyzer(streams, XY, use_modify=True)
-        direct = FeasibilityAnalyzer(streams, XY, use_modify=False)
+        mod = FeasibilityAnalyzer(streams, XY)
+        direct = FeasibilityAnalyzer(
+            streams, XY, backend=replace(KIM98, use_modify=False))
         for s in streams:
             u_m = mod.upper_bound(s.stream_id, max_horizon=1 << 14)
             u_d = direct.upper_bound(s.stream_id, max_horizon=1 << 14)

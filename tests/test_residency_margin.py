@@ -7,14 +7,22 @@ These tests replay the exact counterexample the soundness campaign found
 (seed 3 of the high-interference regime) and check the corrected analysis.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.experiments import inflate_periods
+from repro.core.backends import KIM98
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import AnalysisError
 from repro.sim import PaperWorkload, WormholeSimulator
 from repro.topology import Mesh2D, XYRouting
+
+
+def margin(m):
+    """The paper's analysis with residency margin ``m``."""
+    return replace(KIM98, residency_margin=m)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +53,7 @@ class TestCounterexample:
 
     def test_margin_one_restores_soundness(self, net, counterexample):
         mesh, rt = net
-        an = FeasibilityAnalyzer(counterexample, rt, residency_margin=1)
+        an = FeasibilityAnalyzer(counterexample, rt, backend=margin(1))
         u = an.upper_bound(11)
         sim = WormholeSimulator(mesh, rt, counterexample)
         stats = sim.simulate_streams(8_000)
@@ -65,12 +73,9 @@ class TestCounterexample:
 
 
 class TestMarginSemantics:
-    def test_negative_margin_rejected(self, net):
-        mesh, rt = net
-        s = MessageStream(0, 0, 1, priority=1, period=50, length=5,
-                          deadline=50)
-        with pytest.raises(AnalysisError):
-            FeasibilityAnalyzer(StreamSet([s]), rt, residency_margin=-1)
+    def test_negative_margin_rejected(self):
+        with pytest.raises(AnalysisError, match="residency_margin"):
+            margin(-1)
 
     def test_margin_only_touches_equal_priority(self, net):
         mesh, rt = net
@@ -81,7 +86,7 @@ class TestMarginSemantics:
         streams = StreamSet([lo, hi])
         base = FeasibilityAnalyzer(streams, rt).upper_bound(0)
         margined = FeasibilityAnalyzer(
-            streams, rt, residency_margin=3
+            streams, rt, backend=margin(3)
         ).upper_bound(0)
         # hi has strictly higher priority: no margin applied.
         assert margined == base
@@ -95,9 +100,9 @@ class TestMarginSemantics:
         streams = StreamSet([a, b])
         base = FeasibilityAnalyzer(streams, rt).upper_bound(0)
         m1 = FeasibilityAnalyzer(streams, rt,
-                                 residency_margin=1).upper_bound(0)
+                                 backend=margin(1)).upper_bound(0)
         m2 = FeasibilityAnalyzer(streams, rt,
-                                 residency_margin=2).upper_bound(0)
+                                 backend=margin(2)).upper_bound(0)
         # One equal-priority instance before the bound: +1 slot per margin.
         assert m1 == base + 1
         assert m2 == base + 2
@@ -105,6 +110,6 @@ class TestMarginSemantics:
     def test_margin_zero_is_paper(self, net, counterexample):
         mesh, rt = net
         a = FeasibilityAnalyzer(counterexample, rt)
-        b = FeasibilityAnalyzer(counterexample, rt, residency_margin=0)
+        b = FeasibilityAnalyzer(counterexample, rt, backend=margin(0))
         for s in counterexample:
             assert a.upper_bound(s.stream_id) == b.upper_bound(s.stream_id)

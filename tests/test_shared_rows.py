@@ -18,6 +18,7 @@ analyzers that share nothing, for every backend under X-Y and up*/down*.
 The churn sweep runs 2 000 schedules nightly (``-m slow``).
 """
 
+import contextlib
 import dataclasses
 import random
 
@@ -26,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import backends, timing_diagram
+from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.hpset import HPEntry, HPSet
 from repro.core.modify import releasable_instances
 from repro.core.streams import MessageStream, StreamSet
@@ -35,6 +37,7 @@ from repro.service.engine import IncrementalAdmissionEngine
 from tests.reference import ShadowedEngine
 from tests.reference.diagram import releasable_windows_scan
 from tests.test_admission_fastpath import row
+from tests.test_backends import temporary_backend
 from tests.test_blocking_index import routing_for
 
 PROPERTY = settings(max_examples=150, deadline=None,
@@ -161,6 +164,21 @@ def draw_stream(rng, sid, nodes, levels):
                          deadline=rng.randint(period // 2, period))
 
 
+@contextlib.contextmanager
+def backends_at_margin(margin):
+    """The registered backends' names or, for a positive ``margin``, the
+    names of their twins at that residency margin, registered for the
+    block."""
+    with contextlib.ExitStack() as stack:
+        yield tuple(
+            stack.enter_context(temporary_backend(dataclasses.replace(
+                backends.get(name), name=f"{name}-margin{margin}",
+                refines=None, residency_margin=margin,
+            ))).name if margin else name
+            for name in backends.names()
+        )
+
+
 class TestRefreshSharesRows:
     @pytest.mark.parametrize("kind", ["xy", "updown"])
     def test_backends_share_one_memo(self, kind):
@@ -176,9 +194,11 @@ class TestRefreshSharesRows:
                 for sid in range(rng.randint(2, 10)))
             memo = {}
             for name in backends.names():
-                shared = backends.get(name).analyzer(streams, routing)
+                backend = backends.get(name)
+                shared = FeasibilityAnalyzer(streams, routing, backend=backend)
                 shared.row_memo = memo
-                private = backends.get(name).analyzer(streams, routing)
+                private = FeasibilityAnalyzer(streams, routing,
+                                              backend=backend)
                 for s in shared.streams:
                     assert shared.cal_u(s.stream_id) == \
                         private.cal_u(s.stream_id), name
@@ -189,26 +209,29 @@ class TestRefreshSharesRows:
                                                   monkeypatch):
         """Adopted under every backend at once, the admitted set settles
         in one refresh, whose memo serves all of its diagrams; each
-        verdict equals the one an analyzer of its own computes."""
+        verdict equals the one an analyzer of its own computes. Odd
+        seeds run every backend at residency margin 1, through
+        declarations registered for the test."""
         rng = random.Random(f"shared-rows-{kind}-{seed}")
         routing = routing_for(kind, 4)
-        engine = IncrementalAdmissionEngine(routing, residency_margin=seed % 2)
-        names = backends.names()
-        for sid in range(24):
-            engine.adopt(draw_stream(rng, sid, 16, 1),
-                         analysis=names[sid % len(names)])
-        fills = []
-        fill = timing_diagram._fill_row
-        monkeypatch.setattr(timing_diagram, "_fill_row",
-                            lambda d, r, *a: fills.append(r) or fill(d, r, *a))
-        report = engine.current_report()
-        shared = len(fills)
-        del fills[:]
-        for sid, got in report.verdicts.items():
-            analyzer = backends.get(engine.analysis_of(sid)).analyzer(
-                engine.admitted, routing,
-                residency_margin=engine.residency_margin)
-            assert got == analyzer.cal_u(sid), (kind, seed, sid)
+        engine = IncrementalAdmissionEngine(routing)
+        with backends_at_margin(seed % 2) as names:
+            for sid in range(24):
+                engine.adopt(draw_stream(rng, sid, 16, 1),
+                             analysis=names[sid % len(names)])
+            fills = []
+            fill = timing_diagram._fill_row
+            monkeypatch.setattr(
+                timing_diagram, "_fill_row",
+                lambda d, r, *a: fills.append(r) or fill(d, r, *a))
+            report = engine.current_report()
+            shared = len(fills)
+            del fills[:]
+            for sid, got in report.verdicts.items():
+                analyzer = FeasibilityAnalyzer(
+                    engine.admitted, routing,
+                    backend=backends.get(engine.analysis_of(sid)))
+                assert got == analyzer.cal_u(sid), (kind, seed, sid)
         assert shared < len(fills), (shared, len(fills))
 
 

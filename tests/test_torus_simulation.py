@@ -6,8 +6,11 @@ traffic indefinitely, and the feasibility analysis (which only consumes
 channel sets) must keep bounding the measured delays.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.backends import KIM98
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import SimulationError
@@ -78,7 +81,8 @@ class TestTorusSimulation:
         torus routes must cover simulated delays, wraps included."""
         torus, routing = torus_net
         streams = ring_streams(torus, length=8, period=120)
-        an = FeasibilityAnalyzer(streams, routing, residency_margin=1)
+        an = FeasibilityAnalyzer(
+            streams, routing, backend=replace(KIM98, residency_margin=1))
         bounds = {s.stream_id: an.upper_bound(s.stream_id)
                   for s in streams}
         sim = WormholeSimulator(torus, routing, an.streams)
