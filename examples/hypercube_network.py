@@ -20,7 +20,7 @@ from repro.sim import PaperWorkload, WormholeSimulator
 def main() -> None:
     cube = Hypercube(6)
     routing = ECubeRouting(cube)
-    print(f"topology: {cube!r} ({cube.num_nodes} nodes, "
+    print(f"topology: {cube.dimension}-cube ({cube.num_nodes} nodes, "
           f"{cube.num_channels()} directed channels)")
     print("e-cube routing deadlock-free:", is_deadlock_free(routing))
 
@@ -65,8 +65,9 @@ def torus_demo() -> None:
 
     torus = Torus((8, 8))
     routing = TorusDimensionOrderRouting(torus)
-    print(f"\ntopology: {torus!r} "
-          f"(dateline VC classes: {routing.num_vc_classes})")
+    print(f"\ntopology: {'x'.join(map(str, torus.dims))} torus "
+          f"({torus.num_nodes} nodes, "
+          f"dateline VC classes: {routing.num_vc_classes})")
     print("minimal dimension-order routing deadlock-free:",
           is_deadlock_free(routing))
 

@@ -125,30 +125,25 @@ def indirect_processing_order(
     # the blocked-by edges restricted to the closure — walk `blockers`
     # directly instead of materialising the DiGraph of :func:`build_bdg`.
     j = hp.owner_id
-    node_set = {e.stream_id for e in hp if e.stream_id != j}
+    node_set = {e.stream_id for e in hp}
     node_set.add(j)
-    for u in node_set:
-        if u not in blockers:
-            raise AnalysisError(f"no blocking info for stream {u}")
+    if not blockers.keys() >= node_set:
+        u = min(node_set - blockers.keys())
+        raise AnalysisError(f"no blocking info for stream {u}")
     order: List[int] = []
     seen = {j}
-    frontier = [j]
+    frontier = {j}
     while frontier:
-        nxt = {
+        frontier = {
             v
             for u in frontier
             for v in blockers[u]
-            if v in node_set and v != u and v not in seen
+            if v in node_set and v not in seen
         }
-        if not nxt:
-            break
-        seen.update(nxt)
-        frontier = sorted(nxt)
-        layer_ids = [i for i in frontier if i in indirect]
-        layer_ids.sort(key=lambda i: (-streams[i].priority, i))
-        order.extend(layer_ids)
+        seen |= frontier
+        order += sorted(frontier & indirect,
+                        key=lambda i: (-streams[i].priority, i))
     missing = indirect - seen
     if missing:  # pragma: no cover - defensive
-        rest = sorted(missing, key=lambda i: (-streams[i].priority, i))
-        order.extend(rest)
+        order += sorted(missing, key=lambda i: (-streams[i].priority, i))
     return tuple(order)

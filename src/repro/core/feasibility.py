@@ -133,10 +133,10 @@ class FeasibilityAnalyzer:
     #: diagrams into it. Class-level default keeps the hot path to a
     #: single attribute test when unused.
     timing_sink = None
-    #: Optional shared row memo (see
+    #: Optional shared :class:`~repro.core.timing_diagram.RowMemo` (see
     #: :func:`~repro.core.timing_diagram.generate_init_diagram`): the
-    #: admission engine sets one for the analyzers of one refresh, so
-    #: their diagrams fill each distinct row once. ``None`` gives every
+    #: admission engine hands its memo to the analyzers of each refresh,
+    #: so their diagrams fill each distinct row once. ``None`` gives every
     #: diagram a private memo, i.e. fills every row.
     row_memo = None
 

@@ -73,7 +73,12 @@ class BlockingMode(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+# Enum member lookups cost more than globals, and every verdict the
+# engine recomputes builds an HP set of entries.
+_DIRECT, _INDIRECT = BlockingMode.DIRECT, BlockingMode.INDIRECT
+
+
+@dataclass(frozen=True, slots=True)
 class HPEntry:
     """One element of an HP set: the paper's ``(M_id, Mode, IN)`` structure."""
 
@@ -82,12 +87,12 @@ class HPEntry:
     intermediates: FrozenSet[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.mode is BlockingMode.DIRECT and self.intermediates:
+        if self.mode is _DIRECT and self.intermediates:
             raise AnalysisError(
                 f"direct HP entry for stream {self.stream_id} must not carry "
                 f"intermediates {set(self.intermediates)}"
             )
-        if self.mode is BlockingMode.INDIRECT and not self.intermediates:
+        if self.mode is _INDIRECT and not self.intermediates:
             raise AnalysisError(
                 f"indirect HP entry for stream {self.stream_id} needs at "
                 "least one intermediate stream"
@@ -95,21 +100,21 @@ class HPEntry:
 
     @property
     def is_direct(self) -> bool:
-        return self.mode is BlockingMode.DIRECT
+        return self.mode is _DIRECT
 
     @property
     def is_indirect(self) -> bool:
-        return self.mode is BlockingMode.INDIRECT
+        return self.mode is _INDIRECT
 
     @classmethod
     def direct(cls, stream_id: int) -> "HPEntry":
         """Build a DIRECT entry."""
-        return cls(stream_id, BlockingMode.DIRECT)
+        return cls(stream_id, _DIRECT)
 
     @classmethod
     def indirect(cls, stream_id: int, intermediates: Iterable[int]) -> "HPEntry":
         """Build an INDIRECT entry with the given intermediate streams."""
-        return cls(stream_id, BlockingMode.INDIRECT, frozenset(intermediates))
+        return cls(stream_id, _INDIRECT, frozenset(intermediates))
 
 
 class HPSet:

@@ -51,7 +51,7 @@ only the rows the release can reach.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterator, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Mapping, Optional, Set, Tuple
 
 from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active
@@ -59,6 +59,7 @@ from .bdg import indirect_processing_order
 from .hpset import HPSet
 from .streams import MessageStream, StreamSet
 from .timing_diagram import (
+    RowMemo,
     TimingDiagram,
     generate_init_diagram,
     refill_rows,
@@ -69,19 +70,22 @@ from .timing_diagram import (
 __all__ = ["modify_diagram", "releasable_instances"]
 
 
-def _requests(
-    diagram: TimingDiagram, indirect_id: int, intermediates: AbstractSet[int]
-) -> Iterator[int]:
+def _requested(diagram: TimingDiagram, indirect_id: int,
+               intermediates: AbstractSet[int], occupied: int) -> int:
     """The slots the intermediates request (ALLOCATED or WAITING), ORed
-    one intermediate at a time: each step yields the running union."""
+    one intermediate at a time until they cover ``occupied``."""
     if not intermediates:
         raise AnalysisError(
             f"indirect stream {indirect_id} has no intermediates"
         )
+    alloc, wait = diagram.alloc_bits, diagram.wait_bits
     requested = 0
     for r in intermediates:
-        requested |= diagram.request_bits(diagram.row_of(r))
-        yield requested
+        r = diagram.row_of(r)
+        requested |= alloc[r] | wait[r]
+        if not occupied & ~requested:
+            break
+    return requested
 
 
 def releasable_instances(
@@ -102,9 +106,9 @@ def releasable_instances(
     """
     row = diagram.row_of(indirect_id)
     occupied = diagram.request_bits(row)
-    for requested in _requests(diagram, indirect_id, intermediates):
-        if not occupied & ~requested:
-            return ()
+    requested = _requested(diagram, indirect_id, intermediates, occupied)
+    if not occupied & ~requested:
+        return ()
     occ_bytes = occupied.to_bytes(diagram.nbytes, "little")
     req_bytes = requested.to_bytes(diagram.nbytes, "little")
     out = []
@@ -127,8 +131,8 @@ def releasable_slots(
     indirect stream occupies (ALLOCATED or WAITING) is releasable when no
     intermediate requests it.
     """
-    *_, requested = _requests(diagram, indirect_id, intermediates)
     own = diagram.request_bits(diagram.row_of(indirect_id))
+    requested = _requested(diagram, indirect_id, intermediates, own)
     return tuple(slot_indices(own & ~requested))
 
 
@@ -143,7 +147,7 @@ def modify_diagram(
     granularity: str = "instance",
     max_passes: int = 16,
     initial_removed: Optional[Mapping[int, AbstractSet[int]]] = None,
-    row_memo: Optional[Dict[tuple, list]] = None,
+    row_memo: Optional[RowMemo] = None,
 ) -> Tuple[TimingDiagram, Dict[int, Set[int]]]:
     """Run ``Modify_Diagram``: release indirect interference and re-compact.
 

@@ -38,6 +38,9 @@ class MessageStream:
 
     Attributes mirror the seven-tuple of the paper; ``stream_id`` is the
     index used in HP sets, blocking dependency graphs and result tables.
+    Equality is field-wise; the hash is computed once (verdict-memo keys
+    hash every member of a closure), from ints only, so it is the same
+    in every process a stream is pickled to.
     """
 
     stream_id: int
@@ -82,6 +85,14 @@ class MessageStream:
                 f"stream {self.stream_id}: latency must be positive, got "
                 f"{self.latency}"
             )
+        # A valid latency is positive: 0 stands for None.
+        object.__setattr__(self, "_hash", hash((
+            self.stream_id, self.src, self.dst, self.priority, self.period,
+            self.length, self.deadline, self.latency or 0,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------ #
 

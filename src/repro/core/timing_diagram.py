@@ -45,6 +45,7 @@ from __future__ import annotations
 from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import count
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -69,12 +70,17 @@ if TYPE_CHECKING:
 __all__ = [
     "CellState",
     "InstanceAllocation",
+    "RowMemo",
     "TimingDiagram",
     "generate_init_diagram",
     "refill_rows",
     "slot_indices",
     "windows",
 ]
+
+
+#: The skip set of a row none of whose instances is removed, shared.
+_NO_SKIP: FrozenSet[int] = frozenset()
 
 
 class CellState(IntEnum):
@@ -200,7 +206,7 @@ class TimingDiagram:
         #: has been filled.
         self._row_skip: Dict[int, FrozenSet[int]] = {}
         #: Requests bits *before* slot erasure, for rows that had slots
-        #: erased (see inspected_bits).
+        #: erased (see refill_rows).
         self._pre_erasure: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -240,21 +246,6 @@ class TimingDiagram:
         the condition ``Modify_Diagram`` evaluates on intermediate streams.
         """
         return self.alloc_bits[row] | self.wait_bits[row]
-
-    def inspected_bits(self, row: int) -> int:
-        """Return the slots the row's scan looked at.
-
-        Inside a window the scan reads the busy-from-above bits only
-        while demand is still unmet, and every slot it reads ends up
-        ALLOCATED or WAITING — so the row is a function of
-        busy-from-above at exactly these slots, which is what lets
-        :func:`refill_rows` skip rows. Without erasure this *is* the
-        requests set; an erased slot was still looked at (whether it
-        was busy decided where its window got satisfied), so rows with
-        erased slots keep the set from before the erasure.
-        """
-        bits = self._pre_erasure.get(row)
-        return self.request_bits(row) if bits is None else bits
 
     def _records_for(self, stream_id: int) -> List[InstanceAllocation]:
         """Build (or return cached) instance records for one stream row:
@@ -362,13 +353,38 @@ class TimingDiagram:
         return grid
 
 
+class RowMemo:
+    """Filled diagram rows shared between diagrams, by generation.
+
+    ``rows`` holds the rows filled or hit since the last :meth:`age`
+    (the engine ages after each refresh that ran ``Cal_U``), ``last``
+    and ``earlier`` those of the two generations before; a hit there
+    moves the row into ``rows``. Between generations the memo thus
+    holds two generations' rows. Key ids come from a counter, never
+    reused: a key names its parent row by id, and a dropped row's id
+    handed out again would graft its stale children onto a new parent.
+    """
+
+    __slots__ = ("rows", "last", "earlier", "ids")
+
+    def __init__(self) -> None:
+        self.rows: Dict[tuple, list] = {}
+        self.last: Dict[tuple, list] = {}
+        self.earlier: Dict[tuple, list] = {}
+        self.ids = count()
+
+    def age(self) -> None:
+        """Start a generation, dropping rows the last two did not use."""
+        self.earlier, self.last, self.rows = self.last, self.rows, {}
+
+
 def generate_init_diagram(
     owner_id: int,
     row_streams: Sequence[MessageStream],
     dtime: int,
     *,
     removed: Optional[Mapping[int, AbstractSet[int]]] = None,
-    row_memo: Optional[Dict[tuple, list]] = None,
+    row_memo: Optional[RowMemo] = None,
 ) -> TimingDiagram:
     """Populate a timing diagram (the paper's ``Generate_Init_Diagram``).
 
@@ -391,6 +407,7 @@ def generate_init_diagram(
         the parent row's key id plus its period, length and skip set. A
         row stored at a horizon ``>= dtime`` is copied truncated (the
         fill is prefix-stable), a shorter one is refilled and replaced.
+        Either way the row joins the memo's current generation.
 
     Notes
     -----
@@ -400,7 +417,8 @@ def generate_init_diagram(
     WAITING. Slots it allocates become BUSY for every lower row.
     """
     removed = removed or {}
-    memo = {} if row_memo is None else row_memo
+    memo = RowMemo() if row_memo is None else row_memo
+    rows, last, earlier, ids = memo.rows, memo.last, memo.earlier, memo.ids
     # Hot path (re-run on every Cal_U / Modify_Diagram pass): guard the
     # span explicitly so the disabled cost is one call and a None test.
     tr = _trace_active()
@@ -427,12 +445,14 @@ def generate_init_diagram(
         busy = 0
         path = -1
         for row, stream in enumerate(diagram.row_streams):
-            skip = frozenset(removed.get(stream.stream_id, ()))
+            skip = removed.get(stream.stream_id)
+            skip = frozenset(skip) if skip else _NO_SKIP
             key = (path, stream.period, stream.length, skip)
             # [key id, horizon, alloc bits, wait bits]
-            entry = memo.get(key)
+            entry = rows.get(key)
             if entry is None:
-                entry = memo[key] = [len(memo), 0, 0, 0]
+                entry = rows[key] = (last.get(key) or earlier.get(key)
+                                     or [next(ids), 0, 0, 0])
             if entry[1] >= dtime:
                 alloc_bits[row] = entry[2] & keep
                 wait_bits[row] = entry[3] & keep
@@ -452,7 +472,7 @@ def _fill_row(
     diagram: TimingDiagram,
     row: int,
     busy: int,
-    skip: AbstractSet[int],
+    skip: FrozenSet[int],
     erased: Optional[Iterable[int]] = None,
 ) -> None:
     """(Re)compute one row's allocation against the busy-from-above bits.
@@ -509,7 +529,7 @@ def _fill_row(
                 gone[t >> 3] |= 1 << (t & 7)
         if any(gone):
             # After the removed windows were skipped (never looked at),
-            # before the erasure (looked at): see inspected_bits.
+            # before the erasure (looked at): see refill_rows.
             diagram._pre_erasure[row] = alloc | wait
             keep = ~int.from_bytes(gone, "little")
             alloc &= keep
@@ -519,7 +539,7 @@ def _fill_row(
     diagram.wait_bits[row] = wait
     # Records are derived from the bits just rewritten — drop the stale
     # ones; _records_for rebuilds on demand.
-    diagram._row_skip[row] = frozenset(skip)
+    diagram._row_skip[row] = skip
     diagram._records.pop(stream.stream_id, None)
 
 
@@ -539,10 +559,14 @@ def refill_rows(
     lower rows see.
 
     Only the rows the change can reach are refilled. A row is a function
-    of the busy-from-above bits at the slots its scan inspected
-    (:meth:`TimingDiagram.inspected_bits`): an unsatisfied window
-    inspects every slot it has, a satisfied one stops looking, a removed
-    one never looks. So the loop carries ``changed``, the slots where
+    of the busy-from-above bits at the slots its scan inspected: an
+    unsatisfied window inspects every slot it has, a satisfied one stops
+    looking once its demand is met, a removed one never looks, and every
+    slot looked at ends up ALLOCATED or WAITING. So without erasure the
+    inspected slots are the row's requests; an erased slot was still
+    looked at (whether it was busy decided where its window got
+    satisfied), so a row with erased slots keeps its requests from
+    before the erasure. The loop carries ``changed``, the slots where
     busy-from-above differs from the previous fill, down from
     ``start_row``: a row with ``changed & inspected == 0`` keeps its
     bits, and because its allocation lies inside its inspected slots,
@@ -556,7 +580,8 @@ def refill_rows(
     if not 0 <= start_row <= diagram.num_rows:
         raise AnalysisError(f"start_row {start_row} out of range")
     erased_slots = erased_slots or {}
-    allocated = diagram.alloc_bits
+    allocated, waiting = diagram.alloc_bits, diagram.wait_bits
+    pre_erasure = diagram._pre_erasure
     busy = 0
     for alloc in allocated[:start_row]:
         busy |= alloc
@@ -565,15 +590,19 @@ def refill_rows(
         if row != start_row:
             if not changed:
                 break
-            if not changed & diagram.inspected_bits(row):
+            inspected = pre_erasure.get(row)
+            if inspected is None:
+                inspected = allocated[row] | waiting[row]
+            if not changed & inspected:
                 busy |= allocated[row]
                 continue
         # What the next row saw before: (busy xor changed) | old row.
         changed = (busy ^ changed) | allocated[row]
         sid = diagram.row_streams[row].stream_id
+        skip = removed.get(sid)
         _fill_row(
             diagram, row, busy,
-            removed.get(sid, frozenset()),
+            frozenset(skip) if skip else _NO_SKIP,
             erased_slots.get(sid),
         )
         busy |= allocated[row]

@@ -106,6 +106,7 @@ from ..core.feasibility import (
 from ..core.hpset import BlockingIndex
 from ..core.latency import NoLoadLatency
 from ..core.streams import MessageStream, StreamSet
+from ..core.timing_diagram import RowMemo
 from ..errors import AnalysisError, RoutingError, StreamError
 from ..topology.base import Channel
 from ..topology.route_table import shared_route_table
@@ -270,6 +271,9 @@ class IncrementalAdmissionEngine:
         self._index = BlockingIndex(timing_sink=self.stats)
         self._verdicts: Dict[int, StreamVerdict] = {}
         self._verdict_memo: Dict[tuple, StreamVerdict] = {}
+        #: Diagram rows filled or hit by the last two refreshes that ran
+        #: ``Cal_U``, shared by every diagram of the next.
+        self._rows = RowMemo()
         #: Per-stream bound-backend name (every admitted id has an entry).
         self._analysis: Dict[int, str] = {}
         #: Ids touched by ``adopt``/``retire`` since the last settle: the
@@ -326,8 +330,8 @@ class IncrementalAdmissionEngine:
         """Drop every derived cache and rebuild from the admitted set.
 
         The chaos campaign's engine-layer fault (``cache_storm``): every
-        index, reach closure and verdict, the verdict memo and the
-        shared route table are cleared, the admitted streams are
+        index, reach closure and verdict, the verdict and row memos and
+        the shared route table are cleared, the admitted streams are
         re-attached with their backends, and the settle that follows
         must come back bit-identical — the caches are an optimisation,
         never a source of truth.
@@ -342,6 +346,7 @@ class IncrementalAdmissionEngine:
                       self._stale):
             cache.clear()
         self._route_table.clear()
+        self._rows = RowMemo()
         for s, name in streams:
             self._analysis[s.stream_id] = name
             self._stale |= self._attach(s)
@@ -675,7 +680,6 @@ class IncrementalAdmissionEngine:
             by_backend: Dict[str, List[int]] = {}
             for j in pending:
                 by_backend.setdefault(self._analysis[j], []).append(j)
-            rows: Dict[tuple, list] = {}  # dropped when this returns
             for name in sorted(by_backend):
                 analyzer = FeasibilityAnalyzer.from_prepared(
                     self._resolved,
@@ -685,11 +689,12 @@ class IncrementalAdmissionEngine:
                     backend=_backends.get(name),
                 )
                 analyzer.timing_sink = stats
-                analyzer.row_memo = rows
+                analyzer.row_memo = self._rows
                 for j in by_backend[name]:
                     v = analyzer.cal_u(j)
                     self._verdicts[j] = v
                     memo[pending[j]] = v
+            self._rows.age()
             while len(memo) > _MEMO_CAP:
                 memo.pop(next(iter(memo)))
         stats.verdict_seconds += time.perf_counter() - t0

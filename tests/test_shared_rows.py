@@ -1,26 +1,34 @@
 """Cheaper memo-miss verdicts: every shortcut must be invisible.
 
-Three shortcuts ride a verdict the engine's memo misses:
+Four shortcuts ride a verdict the engine's memo misses:
 
-* the diagram rows filled during one engine refresh are shared between
-  its diagrams (``generate_init_diagram(row_memo=...)``), keyed by the
-  path of rows above and copied truncated to a shorter horizon;
+* filled diagram rows are shared between diagrams
+  (``generate_init_diagram(row_memo=...)``), keyed by the path of rows
+  above and copied truncated to a shorter horizon; the engine's memo
+  keeps the rows of its last two refreshes (``RowMemo.age``);
 * ``releasable_instances`` stops ORing intermediates' requests as soon
   as they cover the indirect row;
 * an ``HPSet`` caches its indirect ids, and ``hp_set_from_reach`` hands
-  each member to the indirect elements it reaches in one pass.
+  each member to the indirect elements it reaches in one pass;
+* a ``MessageStream`` hashes its fields once, when it is made (the
+  verdict-memo key hashes every member of a closure).
 
 These tests hold each to the plain computation: one memo over a sequence
 of diagrams (growing and shrinking horizons, skipped instances, inflated
-lengths) against fresh fills, the release test against the full window
-scan, and whole engine verdicts (``removed_instances`` included) against
-analyzers that share nothing, for every backend under X-Y and up*/down*.
+lengths, aged between batches) against fresh fills, the release test
+against the full window scan, and whole engine verdicts
+(``removed_instances`` included) against analyzers that share nothing,
+for every backend under X-Y and up*/down*, and a rolled-back id
+admitting a new spec against a fresh analyzer.
 The churn sweep runs 2 000 schedules nightly (``-m slow``).
 """
 
 import contextlib
 import dataclasses
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +39,7 @@ from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.hpset import HPEntry, HPSet
 from repro.core.modify import releasable_instances
 from repro.core.streams import MessageStream, StreamSet
-from repro.core.timing_diagram import generate_init_diagram
+from repro.core.timing_diagram import RowMemo, generate_init_diagram
 from repro.errors import RoutingError
 from repro.service.engine import IncrementalAdmissionEngine
 from tests.reference import ShadowedEngine
@@ -39,6 +47,7 @@ from tests.reference.diagram import releasable_windows_scan
 from tests.test_admission_fastpath import row
 from tests.test_backends import temporary_backend
 from tests.test_blocking_index import routing_for
+from tests.test_import_cost import child_env
 
 PROPERTY = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -48,32 +57,54 @@ def by_priority(rows):
     return tuple(sorted(rows, key=lambda s: (-s.priority, s.stream_id)))
 
 
+def draw_call(draw, pool):
+    """One diagram over ``pool``: it keeps most rows (so prefixes recur),
+    may inflate some lengths by a margin, skips a few instances and
+    picks its own horizon."""
+    rows = []
+    for s in pool:
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        margin = draw(st.sampled_from((0, 0, 1, 2)))
+        rows.append(dataclasses.replace(s, length=s.length + margin)
+                    if margin else s)
+    removed = {
+        s.stream_id: draw(st.sets(st.integers(0, 4), min_size=1,
+                                  max_size=2))
+        for s in rows if draw(st.integers(0, 2)) == 0
+    }
+    return by_priority(rows), draw(st.integers(4, 160)), removed
+
+
 @st.composite
 def memo_sequences(draw):
-    """A pool of rows and a sequence of diagrams over it. Each diagram
-    keeps most rows (so prefixes recur), may inflate some lengths by a
-    margin, skips a few instances and picks its own horizon, so the
-    horizons both grow and shrink along the sequence."""
+    """A pool of rows and a sequence of diagrams over it, whose horizons
+    both grow and shrink along the sequence."""
     n = draw(st.integers(1, 6))
     pool = [row(i, draw(st.integers(1, 3)), draw(st.integers(2, 40)),
                 draw(st.integers(1, 6))) for i in range(n)]
-    calls = []
-    for _ in range(draw(st.integers(2, 8))):
-        rows = []
-        for s in pool:
-            if draw(st.integers(0, 3)) == 0:
-                continue
-            margin = draw(st.sampled_from((0, 0, 1, 2)))
-            rows.append(dataclasses.replace(s, length=s.length + margin)
-                        if margin else s)
-        removed = {
-            s.stream_id: draw(st.sets(st.integers(0, 4), min_size=1,
-                                      max_size=2))
-            for s in rows if draw(st.integers(0, 2)) == 0
-        }
-        calls.append((by_priority(rows), draw(st.integers(4, 160)),
-                      removed))
-    return calls
+    return [draw_call(draw, pool) for _ in range(draw(st.integers(2, 8)))]
+
+
+@st.composite
+def batch_sequences(draw):
+    """Batches of diagrams over a pool whose rows share few periods and
+    lengths, so that two rows' keys often differ only in the parent's
+    key id."""
+    n = draw(st.integers(2, 6))
+    pool = [row(i, draw(st.integers(1, 3)), draw(st.sampled_from((6, 9, 14))),
+                draw(st.integers(1, 3))) for i in range(n)]
+    return [[draw_call(draw, pool) for _ in range(draw(st.integers(1, 2)))]
+            for _ in range(draw(st.integers(2, 4)))]
+
+
+def counting_fills(monkeypatch):
+    """The row index of every ``_fill_row`` call from now on, in order."""
+    fills = []
+    fill = timing_diagram._fill_row
+    monkeypatch.setattr(timing_diagram, "_fill_row",
+                        lambda d, r, *a: fills.append(r) or fill(d, r, *a))
+    return fills
 
 
 def assert_same_rows(got, want):
@@ -90,20 +121,63 @@ class TestRowMemo:
     @PROPERTY
     def test_one_memo_serves_a_sequence_of_diagrams(self, calls):
         """Every diagram drawn through one memo equals a fresh fill."""
-        memo = {}
+        memo = RowMemo()
         for rows, dtime, removed in calls:
             got = generate_init_diagram(99, rows, dtime, removed=removed,
                                         row_memo=memo)
             assert_same_rows(
                 got, generate_init_diagram(99, rows, dtime, removed=removed))
 
+    @given(batches=batch_sequences())
+    @PROPERTY
+    def test_an_aged_memo_serves_every_later_diagram(self, batches):
+        """Aged between batches, as the engine ages it after a refresh,
+        the memo still hands every diagram a fresh fill's rows."""
+        memo = RowMemo()
+        for calls in batches:
+            for rows, dtime, removed in calls:
+                got = generate_init_diagram(99, rows, dtime, removed=removed,
+                                            row_memo=memo)
+                assert_same_rows(got, generate_init_diagram(
+                    99, rows, dtime, removed=removed))
+            memo.age()
+
+    def test_a_dropped_row_never_lends_its_id(self):
+        """Row ``b`` stored under ``a``'s id must not be found under a
+        row that is new in a later batch. An id taken from the size of
+        the current generation repeats ``a``'s in the first sequence,
+        one from the size of all three in the second, once ``x`` has
+        been dropped; a counter repeats none."""
+        a, c, b = row(0, 3, 7, 2), row(1, 3, 9, 3), row(2, 1, 30, 5)
+        x = (row(10, 5, 6, 1), row(11, 5, 8, 1), row(12, 5, 14, 2))
+        s = row(3, 4, 11, 1)
+        for batches in ([(a, b)], [(c, b)]), ([x], [(a, b)], [],
+                                              [(s, c, b)]):
+            memo = RowMemo()
+            for batch in batches:
+                for rows in batch:
+                    got = generate_init_diagram(9, rows, 40, row_memo=memo)
+                    assert_same_rows(got, generate_init_diagram(9, rows, 40))
+                memo.age()
+
+    def test_a_row_survives_one_unused_batch(self, monkeypatch):
+        fills = counting_fills(monkeypatch)
+        ab = (row(0, 3, 7, 2), row(2, 1, 30, 5))
+        c = (row(1, 3, 9, 3),)
+        memo = RowMemo()
+        for batch in (ab, c, ab, c, (), ab):
+            if batch:
+                generate_init_diagram(9, batch, 40, row_memo=memo)
+            memo.age()
+        # `ab` is filled, kept through `c`'s batch and hit; `c` likewise.
+        # Unused in the empty batch and the one before it, `ab` is gone.
+        assert fills == [0, 1, 0, 0, 1]
+        assert (len(memo.rows), len(memo.last), len(memo.earlier)) == (0, 2, 0)
+
     def test_a_hit_is_copied_and_a_shorter_one_refilled(self, monkeypatch):
-        fills = []
-        fill = timing_diagram._fill_row
-        monkeypatch.setattr(timing_diagram, "_fill_row",
-                            lambda d, r, *a: fills.append(r) or fill(d, r, *a))
+        fills = counting_fills(monkeypatch)
         rows = (row(0, 3, 7, 2), row(1, 2, 9, 3), row(2, 1, 30, 5))
-        memo = {}
+        memo = RowMemo()
         generate_init_diagram(9, rows, 40, row_memo=memo)
         assert fills == [0, 1, 2]
         # Shorter horizon, same path: every row is a truncated copy.
@@ -192,7 +266,7 @@ class TestRefreshSharesRows:
             streams = StreamSet(
                 draw_stream(rng, sid, 16, 2)
                 for sid in range(rng.randint(2, 10)))
-            memo = {}
+            memo = RowMemo()
             for name in backends.names():
                 backend = backends.get(name)
                 shared = FeasibilityAnalyzer(streams, routing, backend=backend)
@@ -219,11 +293,7 @@ class TestRefreshSharesRows:
             for sid in range(24):
                 engine.adopt(draw_stream(rng, sid, 16, 1),
                              analysis=names[sid % len(names)])
-            fills = []
-            fill = timing_diagram._fill_row
-            monkeypatch.setattr(
-                timing_diagram, "_fill_row",
-                lambda d, r, *a: fills.append(r) or fill(d, r, *a))
+            fills = counting_fills(monkeypatch)
             report = engine.current_report()
             shared = len(fills)
             del fills[:]
@@ -233,6 +303,70 @@ class TestRefreshSharesRows:
                     backend=backends.get(engine.analysis_of(sid)))
                 assert got == analyzer.cal_u(sid), (kind, seed, sid)
         assert shared < len(fills), (shared, len(fills))
+
+
+class TestReusedId:
+    @pytest.mark.parametrize("change", [
+        {"deadline": 60}, {"deadline": 60, "priority": 1},
+    ])
+    def test_a_rolled_back_id_decides_a_new_spec_afresh(self, change):
+        """A rejected admit leaves verdict-memo entries and rows made
+        for its spec. Once ``reset_next_id`` hands its id out again, a
+        different spec under that id hits none of those verdicts and is
+        decided as a fresh analyzer decides it."""
+        routing = routing_for("xy", 4)
+        engine = IncrementalAdmissionEngine(routing)
+        rng = random.Random("reused-id")
+        for sid in range(10):
+            engine.try_admit(draw_stream(rng, sid, 16, 2))
+        before = list(engine.admitted)
+        mark = engine.next_id
+        sid = engine.fresh_id()
+        tight = MessageStream(sid, 0, 15, priority=2, period=60, length=4,
+                              deadline=3)
+        assert not engine.try_admit(tight).admitted
+        engine.reset_next_id(mark)
+        assert engine.fresh_id() == sid
+        spec = dataclasses.replace(tight, **change)
+        hits = engine.stats.verdict_memo_hits
+        decision = engine.try_admit(spec)
+        assert decision.admitted
+        # Every dirty verdict's closure holds the new spec.
+        assert engine.stats.verdict_memo_hits == hits
+        want = FeasibilityAnalyzer(
+            StreamSet([*before, spec]), routing,
+            backend=backends.get(engine.default_analysis),
+        ).determine_feasibility()
+        assert decision.report == want
+
+
+class TestStreamHash:
+    def test_copies_hash_and_compare_field_wise(self):
+        s = MessageStream(3, 0, 5, priority=2, period=40, length=3,
+                          deadline=30)
+        t = s.with_latency(7)
+        same = MessageStream(3, 0, 5, priority=2, period=40, length=3,
+                             deadline=30, latency=7)
+        assert t == same and hash(t) == hash(same) and t != s
+        for name, value in (("src", 1), ("dst", 6), ("priority", 1),
+                            ("period", 41), ("length", 2),
+                            ("deadline", 31), ("latency", 7)):
+            other = dataclasses.replace(s, **{name: value})
+            back = dataclasses.replace(other, **{name: getattr(s, name)})
+            assert other != s and back == s and hash(back) == hash(s)
+        assert {s: "s"}[dataclasses.replace(s)] == "s"
+        assert pickle.loads(pickle.dumps(t)) == t
+
+    def test_a_hash_does_not_depend_on_the_process(self):
+        """Streams cross processes (``map_seeds`` results), carrying the
+        hash made where they were built; it must be the one a stream
+        built in the receiving process gets, latency unset included."""
+        code = ("from repro.core.streams import MessageStream as M\n"
+                "print(hash(M(3, 0, 5, 2, 40, 3, 30)))")
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) == hash(MessageStream(3, 0, 5, 2, 40, 3, 30))
 
 
 def churn(seed, *, kind, width=4, levels=2, ops=40):
