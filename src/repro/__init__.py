@@ -34,6 +34,7 @@ Quickstart::
     print(report.success, report.upper_bounds())
 """
 
+from ._lazy import lazy_exports
 from ._version import __version__
 from .core import (
     BlockingMode,
@@ -55,9 +56,6 @@ from .core import (
     get_backend,
     generate_init_diagram,
     modify_diagram,
-    render_bdg,
-    render_diagram,
-    render_hp_set,
 )
 from .errors import (
     AnalysisError,
@@ -128,3 +126,8 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    name: (".core.render", name)
+    for name in ("render_diagram", "render_hp_set", "render_bdg")
+})

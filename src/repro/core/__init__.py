@@ -6,7 +6,13 @@ dependency graphs (:mod:`.bdg`), timing diagrams (:mod:`.timing_diagram`,
 :mod:`.modify`), the feasibility test itself (:mod:`.feasibility`) and
 figure rendering (:mod:`.render`). The host processor's admission control
 is :class:`repro.service.engine.IncrementalAdmissionEngine`.
+
+Rendering, priority assignment and the busy-window bound are offline
+tools: their names resolve on first use (:mod:`repro._lazy`), so a
+served interpreter never imports them.
 """
+
+from .._lazy import lazy_exports
 
 from .backends import (
     BoundBackend,
@@ -15,14 +21,7 @@ from .backends import (
     names as backend_names,
     register as register_backend,
 )
-from .assignment import (
-    audsley_assignment,
-    deadline_monotonic_assignment,
-    group_into_levels,
-    rate_monotonic_assignment,
-)
 from .bdg import bfs_layers, build_bdg, indirect_processing_order
-from .busy_window import BusyWindowResult, busy_window_bound, busy_window_bounds
 from .feasibility import FeasibilityAnalyzer, FeasibilityReport, StreamVerdict
 from .hpset import (
     BlockingIndex,
@@ -34,7 +33,6 @@ from .hpset import (
 )
 from .latency import LatencyModel, NoLoadLatency, PipelinedLatency
 from .modify import modify_diagram, releasable_instances
-from .render import render_bdg, render_diagram, render_hp_set
 from .streams import MessageStream, StreamSet
 from .timing_diagram import (
     CellState,
@@ -83,3 +81,18 @@ __all__ = [
     "audsley_assignment",
     "group_into_levels",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "BusyWindowResult": (".busy_window", "BusyWindowResult"),
+    "busy_window_bound": (".busy_window", "busy_window_bound"),
+    "busy_window_bounds": (".busy_window", "busy_window_bounds"),
+    "render_diagram": (".render", "render_diagram"),
+    "render_hp_set": (".render", "render_hp_set"),
+    "render_bdg": (".render", "render_bdg"),
+    "rate_monotonic_assignment": (".assignment", "rate_monotonic_assignment"),
+    "deadline_monotonic_assignment": (
+        ".assignment", "deadline_monotonic_assignment"
+    ),
+    "audsley_assignment": (".assignment", "audsley_assignment"),
+    "group_into_levels": (".assignment", "group_into_levels"),
+})

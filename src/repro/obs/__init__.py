@@ -19,12 +19,14 @@ Three independent sub-systems, all zero-overhead when disabled:
 This package init deliberately imports only the dependency-free modules;
 :mod:`repro.obs.provenance` pulls in :mod:`repro.core` and is loaded
 lazily so that core modules can import :mod:`repro.obs.trace` without a
-cycle.
+cycle, and the offline :mod:`repro.obs.chrome` exporter is loaded lazily
+so that a served interpreter never imports it (:mod:`repro._lazy`).
 """
 
 from __future__ import annotations
 
-from .chrome import chrome_trace, export_chrome_trace
+from .._lazy import lazy_exports
+
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import (
     TraceEvent,
@@ -51,7 +53,7 @@ __all__ = [
     "span",
     "trace_enabled_from_env",
     "uninstall",
-    # chrome
+    # chrome (lazy)
     "chrome_trace",
     "export_chrome_trace",
     # metrics
@@ -68,19 +70,15 @@ __all__ = [
     "render_explanation",
 ]
 
-_PROVENANCE_NAMES = (
-    "StreamExplanation",
-    "HPContribution",
-    "ReleasedInstance",
-    "explain_stream",
-    "explain_report",
-    "render_explanation",
-)
-
-
-def __getattr__(name: str):
-    if name in _PROVENANCE_NAMES:
-        from . import provenance
-
-        return getattr(provenance, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = lazy_exports(__name__, {
+    "chrome_trace": (".chrome", "chrome_trace"),
+    "export_chrome_trace": (".chrome", "export_chrome_trace"),
+    **{name: (".provenance", name) for name in (
+        "StreamExplanation",
+        "HPContribution",
+        "ReleasedInstance",
+        "explain_stream",
+        "explain_report",
+        "render_explanation",
+    )},
+})

@@ -23,12 +23,15 @@ feasibility test. This package turns that role into a long-lived service:
 
 :mod:`repro.service.loadgen`
     A seeded churn load generator (``repro load``), also used by the
-    bench spine (``benchmarks/spine/``).
+    bench spine (``benchmarks/spine/``). Its names, and the client's,
+    resolve on first use (:mod:`repro._lazy`): a served interpreter
+    never imports it.
 """
+
+from .._lazy import lazy_exports
 
 from .engine import AdmissionDecision, EngineStats, IncrementalAdmissionEngine
 from .host import EngineHost
-from .loadgen import BrokerClient, LoadSummary, run_load
 from .metrics import ServiceMetrics
 from .persistence import BrokerState
 from .protocol import DegradedError
@@ -47,3 +50,9 @@ __all__ = [
     "LoadSummary",
     "run_load",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "BrokerClient": (".client", "BrokerClient"),
+    "LoadSummary": (".loadgen", "LoadSummary"),
+    "run_load": (".loadgen", "run_load"),
+})

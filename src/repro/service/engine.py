@@ -97,7 +97,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+)
 
 from ..core import backends as _backends
 from ..core.feasibility import (
@@ -279,6 +281,9 @@ class IncrementalAdmissionEngine:
         #: Ids touched by ``adopt``/``retire`` since the last settle: the
         #: admitted ids whose cached verdict is out of date.
         self._stale: Set[int] = set()
+        #: Ids a replay adopted as ``netted``: validated, never attached,
+        #: held until the ``retire`` of the id (empty outside a replay).
+        self._netted: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Public surface
@@ -422,6 +427,7 @@ class IncrementalAdmissionEngine:
         requests: MessageStream | Iterable[MessageStream],
         *,
         analysis: Optional[str] = None,
+        netted: Collection[int] = (),
     ) -> None:
         """Add streams an engine already admitted, without deciding.
 
@@ -430,8 +436,23 @@ class IncrementalAdmissionEngine:
         are only marked stale — the next reader settles them. For
         journal and snapshot records, which were written only after the
         primary's engine accepted them.
+
+        ``netted`` names streams of the batch that the next
+        :meth:`retire` of their id removes before anything reads: they
+        are validated like the rest (duplicates, routes, the fresh-id
+        mark) but held as ids only, never attached, so they cost no
+        index or closure work.
         """
         requests, backend_name = self._validated_batch(requests, analysis)
+        if netted:
+            self._netted.update(
+                r.stream_id for r in requests if r.stream_id in netted
+            )
+            requests = tuple(
+                r for r in requests if r.stream_id not in netted
+            )
+            if not requests:
+                return
         self.stats.ops += 1
         self.stats.admits += 1
         dirty = {r.stream_id for r in requests}
@@ -454,17 +475,26 @@ class IncrementalAdmissionEngine:
     def retire(self, stream_ids: int | Iterable[int]) -> None:
         """Remove streams without recomputing: :meth:`release` minus its
         settle (the replay half, like :meth:`adopt`). The verdicts that
-        reached a removed stream are marked stale."""
+        reached a removed stream are marked stale; a stream
+        :meth:`adopt` netted is only forgotten."""
         if isinstance(stream_ids, int):
             stream_ids = (stream_ids,)
         ids = tuple(dict.fromkeys(stream_ids))
         if not ids:
             return
-        unknown = sorted(sid for sid in ids if sid not in self._admitted)
+        unknown = sorted(
+            sid for sid in ids
+            if sid not in self._admitted and sid not in self._netted
+        )
         if unknown:
             raise StreamError(
                 f"cannot release stream id(s) {unknown}: not admitted"
             )
+        if self._netted:
+            self._netted.difference_update(ids)
+            ids = tuple(sid for sid in ids if sid in self._admitted)
+            if not ids:
+                return
         self.stats.ops += 1
         self.stats.releases += 1
         # Dirty set on the OLD graph: whoever could reach a removed id.
@@ -497,7 +527,8 @@ class IncrementalAdmissionEngine:
         requests = tuple(requests)
         if not requests:
             raise AnalysisError("empty admission request")
-        dup = [r.stream_id for r in requests if r.stream_id in self._admitted]
+        dup = [r.stream_id for r in requests
+               if r.stream_id in self._admitted or r.stream_id in self._netted]
         ids = [r.stream_id for r in requests]
         if dup or len(set(ids)) != len(ids):
             raise StreamError(

@@ -24,8 +24,10 @@ of the system composes:
   nothing — the primary decided each one before journaling it; verdicts
   are settled by the first reader, and recovery checks the settled
   report before it compacts (see "Settle rule" in
-  :mod:`repro.service.engine`). A restart and a fleet's shard failover
-  are the same recovery;
+  :mod:`repro.service.engine`). A restart never attaches a stream the
+  journal admits and releases again before the next link op
+  (:func:`netted_ids`). A restart and a fleet's shard failover are the
+  same recovery;
 * :meth:`fingerprint` — the SHA-256 identity over everything recovery
   promises to preserve, shared by the chaos campaign and the
   equivalence tests.
@@ -38,9 +40,11 @@ host passes no bound rule of its own to the engine.
 from __future__ import annotations
 
 import logging
+import time
 from pathlib import Path
 from typing import (
-    Any, Dict, Iterable, List, Optional, Set, Tuple, TypeVar, Union,
+    Any, Collection, Dict, Iterable, List, Optional, Set, Tuple, TypeVar,
+    Union,
 )
 
 from .. import __version__
@@ -78,6 +82,39 @@ __all__ = [
 _T = TypeVar("_T")
 
 logger = logging.getLogger(__name__)
+
+
+def netted_ids(ops: List[Dict[str, Any]]) -> List[Set[int]]:
+    """Per journal record, the admitted stream ids recovery need never
+    attach: those the first later release of the id retires with no
+    link op between (a link op settles and decides on the live set, so
+    a stream live across one must be attached).
+
+    Per occurrence: a shard's journal releases and re-admits an id when
+    a stream migrates, and each round trip pairs on its own. Only plain
+    ``int`` ids pair; a record this does not understand pairs nothing
+    and fails in :meth:`EngineHost.apply_journal_op`, in order, as it
+    always did.
+    """
+    netted: List[Set[int]] = [set() for _ in ops]
+    #: id -> the record that admitted it since the last link op.
+    admitted_at: Dict[int, int] = {}
+    for pos, op in enumerate(ops):
+        name = op.get("op")
+        if name == "admit":
+            entries = op.get("streams")
+            for entry in entries if isinstance(entries, list) else ():
+                sid = entry.get("id") if isinstance(entry, dict) else None
+                if type(sid) is int:
+                    admitted_at[sid] = pos
+        elif name == "release":
+            ids = op.get("ids")
+            for sid in ids if isinstance(ids, list) else ():
+                if type(sid) is int and sid in admitted_at:
+                    netted[admitted_at.pop(sid)].add(sid)
+        else:
+            admitted_at.clear()
+    return netted
 
 
 def refuse_read_only(host: Any) -> None:
@@ -268,15 +305,28 @@ class EngineHost(OpInterpreter):
 
     def _recover(self) -> None:
         assert self.state is not None
+        t0 = time.perf_counter()
         rec = self.state.recover()
         self.load_snapshot(rec)
-        for op in rec.ops:
-            self.apply_journal_op(op)
+        skips = netted_ids(rec.ops)
+        for op, skip in zip(rec.ops, skips):
+            self.apply_journal_op(op, skip)
         # Replay only marked; this is where the recovered set is decided
         # — before compaction may rewrite the disk from a bad state.
         self._check_replayed()
         if rec.snapshot or rec.ops or rec.torn_tail:
             self.compact()
+        netted = sum(map(len, skips))
+        adopted = len(rec.snapshot or ()) + sum(
+            len(op["streams"]) for op in rec.ops if op["op"] == "admit"
+        )
+        logger.info(
+            "recovered %s: %d journal records, %d streams attached, "
+            "%d netted, torn tail %s, %.1f ms", self.state.dir,
+            len(rec.ops), adopted - netted, netted,
+            "dropped" if rec.torn_tail else "none",
+            (time.perf_counter() - t0) * 1e3,
+        )
 
     def _check_replayed(self) -> None:
         """Settle, and refuse a replayed state the engine would not have
@@ -321,7 +371,9 @@ class EngineHost(OpInterpreter):
         ):
             self._adopt_entries(entries, name)
 
-    def apply_journal_op(self, op: Dict[str, Any]) -> None:
+    def apply_journal_op(
+        self, op: Dict[str, Any], netted: Collection[int] = ()
+    ) -> None:
         """Apply one committed journal record to the engine.
 
         The record was only ever written after the primary's engine
@@ -331,10 +383,17 @@ class EngineHost(OpInterpreter):
         end of :meth:`_recover` and before a link op,
         whose eviction fixpoint would otherwise drop a stream the
         journal wrongly admitted instead of reporting it.
+
+        ``netted`` is an admit's share of :func:`netted_ids`: stream ids
+        validated and recorded but never attached (their release only
+        forgets them). Empty, the record replays in full, as a journal
+        tailer's must.
         """
         name = op.get("op")
         if name == "admit":
-            ids = self._adopt_entries(op["streams"], op.get("analysis"))
+            ids = self._adopt_entries(
+                op["streams"], op.get("analysis"), netted
+            )
             response = outcome(name, admitted=True, ids=ids)
         elif name == "release":
             ids = [int(i) for i in op["ids"]]
@@ -446,11 +505,14 @@ class EngineHost(OpInterpreter):
         }
 
     def _adopt_entries(
-        self, entries: List[dict], analysis: Optional[str]
+        self,
+        entries: List[dict],
+        analysis: Optional[str],
+        netted: Collection[int] = (),
     ) -> List[int]:
         """Replay committed stream entries: applied, not decided."""
         streams = parse_streams(self.topology, entries, self.engine.fresh_id)
-        self.engine.adopt(streams, analysis=analysis)
+        self.engine.adopt(streams, analysis=analysis, netted=netted)
         return [s.stream_id for s in streams]
 
     # ------------------------------------------------------------------ #

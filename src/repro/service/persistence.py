@@ -17,11 +17,15 @@ The broker's durable state is the admitted stream set. It is stored as:
     accepted the batch) and ``{"op": "release", "ids": [...]}``. Ops
     carry the client's ``rid`` when the request had one.
 
-Recovery replays the snapshot as one admit batch and then the journal in
-order, through the normal engine's structural mutators — the records
-are applied, not decided again, and the analysis is deterministic, so
-the verdicts settled afterwards are bit-identical to the ones the set
-was admitted under. After a successful recovery (the settled report is
+Recovery replays the snapshot as one admit batch and then the journal,
+through the normal engine's structural mutators — the records are
+applied, not decided again, and the analysis is deterministic, so the
+verdicts settled afterwards are bit-identical to the ones the set was
+admitted under. Every record is parsed, validated and its rid outcome
+recorded in order, but a stream the journal admits and releases again
+with no link op between is never attached (see
+:func:`repro.service.host.netted_ids`): recovery costs what survives,
+not the churn. After a successful recovery (the settled report is
 feasible) the broker compacts, so the journal stays short.
 
 Crash tolerance

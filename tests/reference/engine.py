@@ -294,7 +294,8 @@ class ShadowedEngine:
     Mutations go to both and every answer (decision, report, verdict,
     closure, routing delta) is asserted equal before it is returned;
     everything else — ids, stats, the stale count, cache storms — is the
-    production engine's alone.
+    production engine's alone. A replay's ``netted`` streams reach the
+    reference in full: it replays per record.
     """
 
     def __init__(self, engine: IncrementalAdmissionEngine):
@@ -324,9 +325,9 @@ class ShadowedEngine:
         self._same_report(got.report, want.report)
         return got
 
-    def adopt(self, requests, *, analysis=None) -> None:
+    def adopt(self, requests, *, analysis=None, netted=()) -> None:
         requests = _batch(requests)
-        self.engine.adopt(requests, analysis=analysis)
+        self.engine.adopt(requests, analysis=analysis, netted=netted)
         self.reference.adopt(requests, analysis=analysis)
 
     def release(self, stream_ids) -> None:

@@ -1,5 +1,5 @@
 """Start-up cost pin: service interpreters import neither ``networkx``
-nor ``numpy``.
+nor ``numpy``, nor the offline-only modules the package inits re-export.
 
 Every ``repro serve``, gateway and shard-worker process imports the
 topology and core packages; ``networkx`` is only needed by the graph
@@ -38,14 +38,22 @@ def child_env():
     return env
 
 
+#: Offline-only modules a package init re-exports by name: resolved on
+#: first use, so no served interpreter compiles them.
+OFFLINE_MODULES = (
+    "repro.core.assignment", "repro.core.busy_window", "repro.core.render",
+    "repro.service.loadgen", "repro.obs.chrome",
+)
+
+
 def test_service_modules_load_without_networkx():
     env = child_env()
     code = (
         "import sys\n"
-        "import repro.service.server, repro.fleet.workers, "
+        "import repro.cli, repro.service.server, repro.fleet.workers, "
         "repro.fleet.gateway\n"
         "raise SystemExit(', '.join(m for m in ('networkx', 'numpy',"
-        " 'http.client') if m in sys.modules) or 0)\n"
+        f" 'http.client', *{OFFLINE_MODULES!r}) if m in sys.modules) or 0)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True,
@@ -53,7 +61,9 @@ def test_service_modules_load_without_networkx():
     )
     # ``http.client`` (and the ``email`` package it drags in) left with
     # the gateway's second client: the one client speaks HTTP itself.
-    # ``numpy`` costs ~14 MiB of RSS and ~30 ms of start-up per process.
+    # ``numpy`` costs ~14 MiB of RSS and ~30 ms of start-up per process;
+    # the offline modules cost compile time in every spawn that does not
+    # find their bytecode cached.
     assert done.returncode == 0, (
         "a service module imports at load time: " + done.stderr
     )

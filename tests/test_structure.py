@@ -69,7 +69,7 @@ INDEX_NAMES = frozenset({
 FLEET_LINE_CEILING = 2700
 
 #: Lines of ``src/repro``: the count, ratcheted like the fleet's.
-SRC_LINE_CEILING = 19812
+SRC_LINE_CEILING = 19970
 
 #: The bound rules a :class:`repro.core.backends.BoundBackend` declares,
 #: plus the retired names that once carried them past the declaration.
