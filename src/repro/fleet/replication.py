@@ -21,8 +21,11 @@ The tailer never writes to the primary's files (recovery's torn-tail
 truncate-repair is the primary's job). A partial trailing record — no
 newline yet, or bytes that don't parse — is simply not consumed; the
 next poll retries from the same offset. Compaction shows up as the
-journal file shrinking below the tail offset: the replica reloads the
-fresh snapshot and restarts from offset zero.
+journal file shrinking below the tail offset (or gone while it is set
+aside): the replica reloads the snapshot recovery would take
+(:func:`~repro.service.persistence.snapshot_file`, so a compaction
+interrupted after its journal was set aside reads as its tmp snapshot)
+and restarts from offset zero.
 
 :meth:`ShardStandby.promote` is the oracle check: the replica catches up
 to the journal tip, a *fresh* host recovers from the on-disk state the
@@ -41,7 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
 from ..service.host import EngineHost
-from ..service.persistence import read_snapshot
+from ..service.persistence import read_snapshot, snapshot_file
 
 __all__ = ["JournalTailer", "ShardStandby"]
 
@@ -138,9 +141,7 @@ class ShardStandby:
         """(Re)build the replica from the primary's current snapshot."""
         self.host = EngineHost(self.topology_spec)
         self.tailer.reset()
-        rec = read_snapshot(
-            self.state_dir / "snapshot.json", self.topology_spec
-        )
+        rec = read_snapshot(snapshot_file(self.state_dir), self.topology_spec)
         self._snapshot_sha = self._current_snapshot_sha(rec.raw)
         if rec.raw is not None:
             self.host.load_snapshot(rec)
@@ -183,7 +184,7 @@ class ShardStandby:
     def _current_snapshot_sha(self, raw: Optional[bytes] = None):
         """SHA-256 of ``raw``, else of the snapshot file now on disk
         (``None`` when there is none)."""
-        snapshot_path = self.state_dir / "snapshot.json"
+        snapshot_path = snapshot_file(self.state_dir)
         if raw is None and snapshot_path.exists():
             raw = snapshot_path.read_bytes()
         return None if raw is None else hashlib.sha256(raw).hexdigest()

@@ -59,6 +59,7 @@ from ..errors import ReproError, RoutingError, StreamError
 from ..faults.plane import FaultPlane
 from ..io import stream_to_spec
 from ..service.host import EngineHost, OpInterpreter, refuse_read_only
+from ..service.metrics import export_journal, journal_total
 from ..service.protocol import (
     ProtocolError,
     ShardDownError,
@@ -427,14 +428,18 @@ class TenantFleet(OpInterpreter):
         }
 
     def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        service = self.metrics.to_dict()
+        # The tenant journals nothing itself; its shards do.
+        service["journal"] = journal_total(h.metrics for h in self.hosts)
         return {
-            "service": self.metrics.to_dict(),
+            "service": service,
             "shards": [
                 {
                     "admitted": h.admitted_count(),
                     "dead": i in self.dead,
                     "degraded": h.degraded,
                     "engine": h.engine_stats(),
+                    "journal": h.metrics.journal_dict(),
                 }
                 for i, h in enumerate(self.hosts)
             ],
@@ -946,6 +951,8 @@ class Fleet:
                         f"Engine {field} on the shard.",
                         tenant=tname, shard=shard,
                     ).value = float(row["engine"].get(field, 0))
+                export_journal(reg, "repro_fleet_shard", row["journal"],
+                               tenant=tname, shard=shard)
         if extra is not None:
             extra(reg)
         return reg.render()

@@ -56,7 +56,7 @@ from ..io import report_to_spec, stream_to_spec, topology_from_spec
 from ..topology import FaultAwareRouting, RoutingAlgorithm, normalize_link
 from .engine import IncrementalAdmissionEngine, RoutingDelta
 from .metrics import ServiceMetrics
-from .persistence import BrokerState, RecoveredState
+from .persistence import COMPACT_AT, BrokerState, RecoveredState
 from .protocol import (
     KNOWN_OPS,
     MUTATING_OPS,
@@ -189,11 +189,16 @@ class OpInterpreter:
         # A fleet passing a shard's replay through records nothing.
         if not response.get("duplicate"):
             self._applied.record(rid, op, response)
+        self._committed()
         return response
 
     def _mutation_gate(self) -> None:
         """Where a subclass refuses any mutation before parsing it
         (after the rid replay); the base refuses nothing."""
+
+    def _committed(self) -> None:
+        """Where a subclass acts once a mutation's outcome is recorded;
+        the base does nothing."""
 
     def _op_hello(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return {
@@ -292,9 +297,12 @@ class EngineHost(OpInterpreter):
         #: Read-only degraded mode (journal unwritable); see DegradedError.
         self.degraded = False
         self.degraded_reason: Optional[str] = None
+        #: Set by an append that brings the journal to a multiple of
+        #: ``COMPACT_AT`` records; :meth:`_committed` compacts.
+        self._compact_due = False
         self.state: Optional[BrokerState] = None
         if state_dir is not None:
-            self.state = BrokerState(
+            self.state = self.metrics.journal = BrokerState(
                 state_dir, self.topology_spec, fault_plane=fault_plane
             )
             self._recover()
@@ -415,7 +423,7 @@ class EngineHost(OpInterpreter):
         self._applied.record(op.get("rid"), name, response)
 
     def compact(self) -> Path:
-        """Write a fresh snapshot and truncate the journal."""
+        """Write a fresh snapshot and start an empty journal."""
         assert self.state is not None
         return self.state.compact(
             self.engine.admitted,
@@ -602,6 +610,18 @@ class EngineHost(OpInterpreter):
                 f"journal unwritable ({exc}); mutation rolled back, "
                 "broker is read-only until a successful snapshot"
             ) from None
+        self._compact_due = self.state.records % COMPACT_AT == 0
+
+    def _committed(self) -> None:
+        """Compact on size, after the op's rid is recorded so that the
+        snapshot carries it (see "Compaction" in
+        :mod:`repro.service.persistence`)."""
+        if self._compact_due:
+            self._compact_due = False
+            try:
+                self.compact()
+            except OSError as exc:
+                logger.warning("journal compaction failed: %s", exc)
 
     def _enter_degraded(self, reason: str) -> None:
         if not self.degraded:

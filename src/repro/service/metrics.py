@@ -19,11 +19,11 @@ cost shows.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from ..obs.metrics import Histogram, MetricsRegistry
 
-__all__ = ["ServiceMetrics", "latency_dict"]
+__all__ = ["ServiceMetrics", "export_journal", "journal_total", "latency_dict"]
 
 
 def latency_dict(h: Histogram) -> Dict[str, object]:
@@ -47,6 +47,36 @@ def latency_dict(h: Histogram) -> Dict[str, object]:
         "p99_ms": ms(h.quantile(0.99)) if h.count else None,
         "buckets": buckets,
     }
+
+
+def journal_total(metrics: Iterable["ServiceMetrics"]) -> Dict[str, int]:
+    """The summed :meth:`ServiceMetrics.journal_dict` of several hosts
+    (a tenant's shards)."""
+    dicts = [m.journal_dict() for m in metrics]
+    return {key: sum(d[key] for d in dicts) for key in dicts[0]}
+
+
+def export_journal(
+    reg: MetricsRegistry, prefix: str, journal: Dict[str, int], **labels: Any
+) -> None:
+    """One host's :meth:`ServiceMetrics.journal_dict` as Prometheus
+    series named ``<prefix>_journal_records`` and
+    ``<prefix>_compactions_total`` / ``_compaction_failures_total``."""
+    reg.gauge(
+        f"{prefix}_journal_records",
+        "Records in the journal: what a restart replays on top of the "
+        "snapshot.",
+        **labels,
+    ).set(journal["records"])
+    for field, help_text in (
+        ("compactions", "Snapshot compactions written (recovery, "
+                        "snapshot op, journal size)."),
+        ("compaction_failures", "Snapshot compactions that failed; the "
+                                "journal kept growing."),
+    ):
+        reg.counter(
+            f"{prefix}_{field}_total", help_text, **labels
+        ).value = float(journal[field])
 
 
 class ServiceMetrics:
@@ -73,6 +103,9 @@ class ServiceMetrics:
         self.degraded_entered = 0
         #: Mutations answered from the idempotency table (rid replays).
         self.duplicates = 0
+        #: The host's :class:`~repro.service.persistence.BrokerState`
+        #: (``None`` without one): journal size and compaction counts.
+        self.journal: Optional[Any] = None
         self.batches = 0
         self.batched_requests = 0
         self.max_batch = 0
@@ -120,6 +153,7 @@ class ServiceMetrics:
                 "degraded_entered": self.degraded_entered,
                 "duplicates": self.duplicates,
             },
+            "journal": self.journal_dict(),
             "batching": {
                 "batches": self.batches,
                 "requests": self.batched_requests,
@@ -131,6 +165,13 @@ class ServiceMetrics:
                 op: latency_dict(h)
                 for op, h in sorted(self.op_latency.items())
             },
+        }
+
+    def journal_dict(self) -> Dict[str, int]:
+        """The ``stats`` op's view of the journal and its compactions."""
+        return {
+            key: getattr(self.journal, key, 0)
+            for key in ("records", "compactions", "compaction_failures")
         }
 
     # ------------------------------------------------------------------ #
@@ -176,6 +217,7 @@ class ServiceMetrics:
             "repro_broker_degraded_entered_total",
             "Times the broker entered read-only degraded mode.",
         ).value = float(self.degraded_entered)
+        export_journal(reg, "repro_broker", self.journal_dict())
         reg.counter(
             "repro_broker_duplicate_requests_total",
             "Mutations answered from the idempotency (rid) table.",

@@ -437,6 +437,14 @@ def test_transport_parity(surface, tmp_path):
         for request in PARITY_OPS:
             want = ref.handle_request(json.loads(json.dumps(request)))
             got = ask(request)
+            if request["op"] == "stats":
+                # Every surface reports its journal (a fleet's is its
+                # shards' sum); nothing has compacted yet.
+                for stats in (want, got):
+                    journal = stats["service"]["journal"]
+                    assert journal["records"] > 0
+                    assert journal["compactions"] == 0
+                    assert journal["compaction_failures"] == 0
             for key in SERVER_KEYS.get(request["op"], ()):
                 want.pop(key, None)
                 got.pop(key, None)

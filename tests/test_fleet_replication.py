@@ -12,8 +12,13 @@ fail if that mechanism were removed.
 
 import json
 
+import pytest
+
+from repro.faults.plane import InjectedCrash
 from repro.fleet.replication import JournalTailer, ShardStandby
 from repro.service.host import EngineHost
+from repro.service.persistence import COMPACT_AT
+from tests.test_service_faults import fail_compaction_step
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
 
@@ -209,4 +214,58 @@ class TestShardStandby:
         assert promoted.fingerprint()[0] == want
         q = promoted.handle_request({"op": "query", "stream": sid})
         assert q["ok"], "acked-then-lost across failover"
+        promoted.close()
+
+    def test_tails_across_an_automatic_compaction(self, tmp_path):
+        """The primary compacts on its own when its journal reaches
+        ``COMPACT_AT`` records; a standby polling every so often reloads
+        and stays in step, and promotion agrees with the disk."""
+        host = primary(tmp_path)
+        sb = ShardStandby(tmp_path, TOPO)
+        reloads = sb.reloads
+        for n in range(COMPACT_AT + 40):
+            if n % 2 == 0:
+                host.handle_request({"op": "admit", "rid": f"a-{n}",
+                                     "streams": [spec(n % 16, (n + 3) % 16)]})
+            else:
+                host.handle_request({"op": "release",
+                                     "ids": host.admitted_ids()[:1]})
+            if n % 150 == 0:
+                sb.catch_up()
+                assert sb.fingerprint() == host.fingerprint()
+        assert host.state.compactions == 1
+        assert host.state.records == 40
+        sb.catch_up()
+        assert sb.reloads > reloads, "compaction must force a re-bootstrap"
+        assert sb.fingerprint() == host.fingerprint()
+        want = host.fingerprint()
+        host.close()
+        promoted = sb.promote()
+        assert promoted.fingerprint() == want
+        promoted.close()
+
+    def test_promotes_over_a_compaction_cut_short(
+        self, tmp_path, monkeypatch
+    ):
+        """A primary killed between setting its journal aside and
+        swapping in the new snapshot: recovery promotes the tmp
+        snapshot, and so must the standby's reading of the dir."""
+        host = primary(tmp_path)
+        sb = ShardStandby(tmp_path, TOPO)
+        host.handle_request({"op": "admit", "streams": [spec(0, 2)]})
+        host.handle_request({"op": "admit", "streams": [spec(4, 6)]})
+        sb.catch_up()
+        want = host.fingerprint()
+        armed = fail_compaction_step(monkeypatch, "promote tmp", "crash")
+        with pytest.raises(InjectedCrash):
+            host.handle_request({"op": "snapshot"})
+        assert armed["fired"]
+        monkeypatch.undo()
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "snapshot.json.tmp", "journal.jsonl.old",
+        }
+        sb.catch_up()
+        assert sb.fingerprint() == want
+        promoted = sb.promote()
+        assert promoted.fingerprint() == want
         promoted.close()

@@ -250,6 +250,41 @@ class TestBrokerPrometheus:
         (ops_line,) = families["repro_engine_ops_total"]["samples"]
         assert float(ops_line.rsplit(" ", 1)[1]) > 0
 
+    def test_journal_size_and_compactions_exported(self, tmp_path):
+        """What a restart would replay and how often the journal was
+        compacted are scrapeable, on a broker and per fleet shard."""
+        server = BrokerServer(MESH, state_dir=tmp_path / "state")
+        for src in (0, 6):
+            server.handle_request(
+                {"op": "admit", "streams": [spec(src=src, dst=src + 3)]})
+        assert server.handle_request({"op": "stats"})["service"][
+            "journal"] == {"records": 2, "compactions": 0,
+                           "compaction_failures": 0}
+        server.handle_request({"op": "snapshot"})
+        families = check_exposition(server.handle_request(
+            {"op": "stats", "format": "prometheus"})["prometheus"])
+        for name, value in (
+            ("repro_broker_journal_records", 0),
+            ("repro_broker_compactions_total", 1),
+            ("repro_broker_compaction_failures_total", 0),
+        ):
+            assert families[name]["samples"] == [f"{name} {value}"]
+        server.state.close()
+
+        fleet = Fleet([TenantSpec("acme", "secret", MESH)], shards=2,
+                      state_dir=tmp_path / "fleet")
+        try:
+            fleet.handle_request(
+                "acme", {"op": "admit", "streams": [spec()]})
+            families = check_exposition(fleet.prometheus_text(fleet.stats()))
+        finally:
+            fleet.close()
+        assert families["repro_fleet_shard_journal_records"]["samples"] == [
+            'repro_fleet_shard_journal_records{shard="0",tenant="acme"} 1',
+            'repro_fleet_shard_journal_records{shard="1",tenant="acme"} 0',
+        ]
+        assert "repro_fleet_shard_compactions_total" in families
+
     def test_http_scrape_endpoint(self):
         server = BrokerServer(MESH)
         server.handle_request({"op": "admit", "streams": [spec()]})

@@ -22,17 +22,19 @@ import pytest
 from repro.core import backends
 from repro.errors import ReproError, RoutingError, StreamError
 from repro.io import stream_to_spec
+from repro.service import host as host_module
 from repro.service.host import EngineHost, netted_ids
-from repro.service.persistence import BrokerState
+from repro.service.persistence import COMPACT_AT, BrokerState
 from repro.service.protocol import encode
 from repro.topology import normalize_link
 from tests.test_replay_settle import SPEC, disk, fuzz_spec
 
 
-def journaled_run(state_dir, seed, *, ops=120):
-    """A live host on ``state_dir`` through ``ops`` random requests;
-    the journal it leaves (plus, at some seeds, a torn tail) is what
-    the recoveries below read."""
+def journaled_run(state_dir, seed, *, ops=120, snapshots=True):
+    """A live host on ``state_dir`` through ``ops`` random requests
+    (``snapshot`` ops among them unless ``snapshots`` is false); the
+    journal it leaves (plus, at some seeds, a torn tail) is what the
+    recoveries below read."""
     rng = random.Random(f"netted-recovery-{seed}")
     host = EngineHost(SPEC, state_dir=state_dir)
     names = list(backends.names())
@@ -52,7 +54,7 @@ def journaled_run(state_dir, seed, *, ops=120):
                 )))
                 failed.append(link)
                 request.update(op="fail_link", link=link)
-        elif roll < 0.095:
+        elif roll < 0.095 and snapshots:
             request.update(op="snapshot")
         elif released and roll < 0.25:
             # A migration: the same id, released here, admitted again.
@@ -174,6 +176,34 @@ def test_netted_recovery_matches_per_record_replay(tmp_path):
 def test_netted_recovery_sweep_nightly(tmp_path):
     for seed in range(10, 310):
         check_seed(seed, tmp_path / str(seed))
+
+
+def journal_records(state_dir):
+    return len((state_dir / "journal.jsonl").read_bytes().splitlines())
+
+
+@pytest.mark.parametrize("trigger", ["off", "on"])
+def test_journals_across_the_compaction_threshold(
+    tmp_path, monkeypatch, trigger
+):
+    """More than ``COMPACT_AT`` records, no ``snapshot`` op: with the
+    size trigger off (a journal as older code left it) recovery reads
+    them all; on, the host compacted on its own and recovery reads a
+    snapshot and the short journal after it. Netted and per record
+    agree on both."""
+    if trigger == "off":
+        monkeypatch.setattr(host_module, "COMPACT_AT", 1 << 30)
+    state_dir = tmp_path / "state"
+    journaled_run(state_dir, 7, ops=COMPACT_AT + 600, snapshots=False)
+    records = journal_records(state_dir)
+    if trigger == "off":
+        assert records > COMPACT_AT
+        assert not (state_dir / "snapshot.json").exists()
+    else:
+        assert 0 < records < COMPACT_AT
+        assert (state_dir / "snapshot.json").exists()
+    state, _ = assert_same_recovery(state_dir, tmp_path)
+    assert state[3] > 0
 
 
 # ---------------------------------------------------------------------- #

@@ -4,15 +4,22 @@ Covers the hardening half of the chaos subsystem in isolation: the
 seeded fault plane, every persistence fault kind fired through
 ``BrokerState.append``, torn-tail repair, read-only degraded mode with
 rollback, and the request-id (rid) idempotency table — in memory, across
-compaction and across restarts. The end-to-end campaign lives in
-``test_chaos.py``.
+compaction and across restarts; then a crash or an ``OSError`` at each
+step of a compaction, and journals driven past the size that triggers
+one. The end-to-end campaign lives in ``test_chaos.py``.
+
+The crash-point sweep runs more seeds nightly (``-m slow``).
 """
 
+import errno
 import json
+import os
+import random
 
 import pytest
 
 from repro.errors import ReproError
+from repro.fleet.shards import TenantFleet
 from repro.faults.plane import (
     LAYER_OF,
     PERSISTENCE_FAULTS,
@@ -21,9 +28,15 @@ from repro.faults.plane import (
     FaultSpec,
     InjectedCrash,
 )
-from repro.service.persistence import BrokerState
-from repro.service.protocol import ProtocolError, coerce_rid, retry_backoff
+from repro.service import host as host_module
+from repro.service import persistence
+from repro.service.host import EngineHost
+from repro.service.persistence import COMPACT_AT, RID_CAP, BrokerState
+from repro.service.protocol import (
+    ProtocolError, coerce_rid, merge_outcomes, retry_backoff,
+)
 from repro.service.server import BrokerServer
+from repro.topology import normalize_link
 
 MESH = {"type": "mesh", "width": 6, "height": 6}
 
@@ -321,8 +334,6 @@ class TestIdempotency:
         assert dup["duplicate"] and dup["ids"] == [0]
 
     def test_rid_table_is_fifo_capped(self):
-        from repro.service.persistence import RID_CAP
-
         server = BrokerServer(MESH)
         server._applied.record("first", "release", {"released": [0]})
         for i in range(RID_CAP):
@@ -386,3 +397,372 @@ class TestFaultSpecKinds:
             state.append({"op": "release", "ids": [1]})
         state.close()
         assert (tmp_path / "s" / "journal.jsonl").read_bytes() == b'{"i'
+
+
+# ---------------------------------------------------------------------- #
+# Compaction crash points
+# ---------------------------------------------------------------------- #
+
+#: The steps of ``BrokerState.compact`` ("Compaction" in
+#: ``repro.service.persistence``), each as the n-th call of the file
+#: operation that performs it, counted from the tmp snapshot's open.
+COMPACTION_STEPS = {
+    "write tmp": ("open", 1),
+    "set journal aside": ("replace", 1),
+    "promote tmp": ("replace", 2),
+    "drop old journal": ("unlink", 1),
+    "create journal": ("open", 2),
+}
+FAULTS = {
+    "crash": lambda: InjectedCrash("injected fault: crash in compaction"),
+    "oserror": lambda: OSError(errno.EIO, "injected fault: compaction I/O"),
+}
+#: What triggers the compaction: the journal's size, the ``snapshot``
+#: op, a restart.
+TRIGGERS = ("size", "snapshot", "recovery")
+#: The size trigger's threshold in these tests (the rule is the same at
+#: ``COMPACT_AT``; the long runs below use the real one).
+SMALL_COMPACT_AT = 6
+
+
+class _TornFile:
+    """A file whose first write lands half its bytes and then raises."""
+
+    def __init__(self, fh, exc):
+        self.fh, self.exc = fh, exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise self.exc
+
+
+def fail_compaction_step(monkeypatch, step, fault):
+    """Fire ``fault`` once, at ``step`` of the next compaction (what
+    runs before it, e.g. clearing an earlier failure's leftovers, is not
+    counted); the returned dict's ``fired`` says whether it went off."""
+    kind, nth = COMPACTION_STEPS[step]
+    real = {"open": open, "replace": os.replace, "unlink": os.unlink}
+    calls = dict.fromkeys(real, 0)
+    armed = {"counting": False, "fired": False}
+
+    def wrap(name):
+        def call(path, *args, **kwargs):
+            if name == "open" and str(path).endswith(".tmp"):
+                armed["counting"] = True
+            if armed["counting"] and not armed["fired"]:
+                calls[name] += 1
+                if (name, calls[name]) == (kind, nth):
+                    armed["fired"] = True
+                    if step == "write tmp":
+                        return _TornFile(real[name](path, *args, **kwargs),
+                                         FAULTS[fault]())
+                    raise FAULTS[fault]()
+            return real[name](path, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(persistence, "open", wrap("open"), raising=False)
+    monkeypatch.setattr(os, "replace", wrap("replace"))
+    monkeypatch.setattr(os, "unlink", wrap("unlink"))
+    return armed
+
+
+def next_mutation(rng, ref, n, *, rid_rate=0.8):
+    """A random mutation against the streams ``ref`` holds: admits and
+    releases churning around eight live streams, now and then a link
+    failed under a live stream or restored; most carry a rid."""
+    request = {"rid": f"m-{n}"} if rng.random() < rid_rate else {}
+    live = ref.admitted_ids()
+    roll = rng.random()
+    if ref.failed_links and roll < 0.06:
+        link = rng.choice(sorted(ref.failed_links))
+        return {**request, "op": "restore_link", "link": list(link)}
+    if live and roll < 0.1 and len(ref.failed_links) < 2:
+        stream = ref.engine.admitted[rng.choice(live)]
+        channels = ref.routing.route_channels(stream.src, stream.dst)
+        link = normalize_link(*rng.choice(channels))
+        return {**request, "op": "fail_link", "link": list(link)}
+    if live and (len(live) > 8) == (rng.random() < 0.8):
+        ids = rng.sample(live, min(len(live), rng.randint(1, 2)))
+        return {**request, "op": "release", "ids": ids}
+    nodes = ref.topology.num_nodes
+    streams = []
+    for _ in range(rng.randint(1, 2)):
+        src, dst = rng.sample(range(nodes), 2)
+        period = rng.randint(80, 400)
+        streams.append(spec(src, dst, priority=rng.randint(1, 9),
+                            period=period, length=rng.randint(1, 4)))
+    return {**request, "op": "admit", "streams": streams}
+
+
+class Mirrored:
+    """A journaled host — or, with ``shards``, a tenant fleet of that
+    many journaled hosts — and an in-memory reference fed the same
+    mutations; the reference is what recovery must give back."""
+
+    def __init__(self, state_dir, seed, *, shards=0):
+        self.state_dir, self.shards = state_dir, shards
+        self.rng = random.Random(f"compaction-{seed}")
+        self.ref = EngineHost(MESH)
+        self.sent = []
+        self.restart()
+
+    def restart(self):
+        if self.shards:
+            self.live = TenantFleet("t", MESH, shards=self.shards,
+                                    state_dir=self.state_dir)
+        else:
+            self.live = EngineHost(MESH, state_dir=self.state_dir)
+
+    def kill(self):
+        """The process dies: nothing is flushed or cleaned up (every
+        acked record is already fsynced)."""
+        self.live = None
+
+    def hosts(self):
+        return self.live.hosts if self.shards else [self.live]
+
+    def records(self):
+        """The longest journal: the most a restart replays."""
+        return max(host.state.records for host in self.hosts())
+
+    def compactions(self):
+        return sum(host.state.compactions for host in self.hosts())
+
+    def mutation(self):
+        # A fleet's ops all carry a rid: one cut short by a crash is
+        # retried under it.
+        return next_mutation(self.rng, self.ref, len(self.sent),
+                             rid_rate=1.0 if self.shards else 0.8)
+
+    def apply(self, request):
+        """One mutation on both; the live answer must be the
+        reference's unless it crashed (``InjectedCrash`` propagates)."""
+        self.sent.append(request)
+        want = self.ref.handle_request(dict(request))
+        got = self.live.handle_request(dict(request))
+        assert got == want, (request, got, want)
+
+    def step(self):
+        self.apply(self.mutation())
+
+    def drive_to(self, records):
+        """Step until the journal holds ``records`` (a host appends at
+        most one record per op, so it passes every count)."""
+        while self.records() != records:
+            self.step()
+            assert self.records() < COMPACT_AT
+
+    def assert_recovered(self):
+        """A restart holds the reference's state, every rid the
+        reference remembers replays as the duplicate it answers, and
+        each state dir holds a snapshot and a journal, nothing else."""
+        live, ref = self.live, self.ref
+        assert live.fingerprint() == ref.fingerprint()
+        assert live.next_id == ref.next_id
+        if not self.shards:
+            assert list(live._applied.items()) == list(ref._applied.items())
+        for request in self.sent:
+            if request.get("rid") in ref._applied:
+                want = ref.handle_request(dict(request))
+                got = live.handle_request(dict(request))
+                assert want["duplicate"]
+                if self.shards:
+                    # A fleet merges a rid's shares from its shards'
+                    # tables: id lists come back sorted.
+                    got, want = merge_outcomes([got]), merge_outcomes([want])
+                assert got == want
+        for host in self.hosts():
+            assert sorted(p.name for p in host.state.dir.iterdir()) == [
+                "journal.jsonl", "snapshot.json",
+            ]
+
+
+def check_crash_point(tmp_path, monkeypatch, seed, trigger, step, fault):
+    """Fail ``step`` of a compaction ``trigger`` starts; the host that
+    survives an ``OSError`` keeps serving (past its next compaction),
+    and a restart after either recovers the reference's state."""
+    monkeypatch.setattr(host_module, "COMPACT_AT", SMALL_COMPACT_AT)
+    run = Mirrored(tmp_path / "state", seed)
+    run.drive_to(SMALL_COMPACT_AT - 1)
+    armed = fail_compaction_step(monkeypatch, step, fault)
+    expected = InjectedCrash if fault == "crash" else OSError
+    if trigger == "size":
+        try:
+            for _ in range(SMALL_COMPACT_AT):
+                run.step()
+                if armed["fired"]:
+                    break
+        except InjectedCrash:
+            assert fault == "crash"
+            run.kill()
+        else:
+            assert fault == "oserror"
+            assert run.live.state.compaction_failures == 1
+    elif trigger == "snapshot":
+        if fault == "crash":
+            with pytest.raises(InjectedCrash):
+                run.live.handle_request({"op": "snapshot"})
+            run.kill()
+        else:
+            answer = run.live.handle_request({"op": "snapshot"})
+            assert answer["code"] == "degraded" and run.live.degraded
+            assert run.live.handle_request({"op": "snapshot"})["ok"]
+    else:
+        run.kill()
+        with pytest.raises(expected):
+            run.restart()
+    assert armed["fired"]
+    if run.live is not None:
+        # The survivor's next compaction clears what the failed one left.
+        compactions = run.live.state.compactions
+        while run.live.state.compactions == compactions:
+            run.step()
+        run.step()
+        run.kill()
+    run.restart()
+    run.assert_recovered()
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("step", list(COMPACTION_STEPS))
+@pytest.mark.parametrize("trigger", TRIGGERS)
+def test_a_failure_at_any_compaction_step_loses_nothing_acked(
+    tmp_path, monkeypatch, trigger, step, fault
+):
+    check_crash_point(tmp_path, monkeypatch, 0, trigger, step, fault)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_compaction_crash_point_sweep_nightly(tmp_path, monkeypatch, seed):
+    for trigger in TRIGGERS:
+        for step in COMPACTION_STEPS:
+            for fault in FAULTS:
+                case = tmp_path / f"{trigger}-{step}-{fault}"
+                case.mkdir()
+                with monkeypatch.context() as patch:
+                    check_crash_point(case, patch, seed, trigger, step, fault)
+
+
+# ---------------------------------------------------------------------- #
+# Long runs: past COMPACT_AT journaled ops, with kills
+# ---------------------------------------------------------------------- #
+
+
+def host_long_run(tmp_path, monkeypatch, seed, crash_step):
+    """More than ``COMPACT_AT`` journaled ops through one host: a kill
+    early on, the automatic compaction (or, with ``crash_step``, a kill
+    at that step of it) and a kill after it. No journal ever reaches
+    ``COMPACT_AT`` records, and every restart gives back the
+    reference's state."""
+    rng = random.Random(f"long-run-{seed}")
+    run = Mirrored(tmp_path / "state", f"long-{seed}")
+    run.drive_to(rng.randrange(50, 400))
+    run.kill()
+    run.restart()
+    run.assert_recovered()
+    run.drive_to(COMPACT_AT - 1)
+    if crash_step is None:
+        run.step()
+        assert run.live.state.compactions == 2    # restart, size
+        assert run.records() == 0
+        applied = json.loads((run.state_dir / "snapshot.json").read_text())
+        assert len(applied["applied"]) == RID_CAP
+        assert (run.state_dir / "journal.jsonl").read_bytes() == b""
+    else:
+        armed = fail_compaction_step(monkeypatch, crash_step, "crash")
+        with pytest.raises(InjectedCrash):
+            while run.live.state.compactions == 1:
+                run.step()
+        assert armed["fired"]
+        run.kill()
+        run.restart()
+        run.assert_recovered()
+    run.drive_to(rng.randrange(20, 200))
+    run.kill()
+    run.restart()
+    run.assert_recovered()
+
+
+def fleet_long_run(tmp_path, monkeypatch, seed, crash_step):
+    """The same through a two-shard tenant fleet: a kill early on (at a
+    seeded step of a shard's restart compaction with ``crash_step``),
+    then on to a shard's automatic compaction (a kill at that step of
+    it with ``crash_step``, the cut-short op retried under its rid) and
+    a kill after it.
+
+    While a crash is armed no release spans shards: a crash between two
+    shards' shares of one is the fleet's own crash window, which a rid
+    retry does not close (a shard that committed its share holds the
+    rid), and is not what this test is about.
+    """
+    rng = random.Random(f"fleet-long-run-{seed}")
+    run = Mirrored(tmp_path / "fleet", f"fleet-long-{seed}", shards=2)
+
+    def spans_shards(request):
+        owner = run.live.owner
+        return (request["op"] == "release"
+                and len({owner[sid] for sid in request["ids"]}) > 1)
+
+    def restart():
+        run.kill()
+        if crash_step is not None:
+            armed = fail_compaction_step(monkeypatch, crash_step, "crash")
+            with pytest.raises(InjectedCrash):
+                run.restart()
+            assert armed["fired"]
+            monkeypatch.undo()
+        run.restart()
+        run.assert_recovered()
+
+    early = rng.randrange(50, 400)
+    while run.records() < early:
+        run.step()
+    restart()
+    compactions = run.compactions()
+    armed = {"fired": False}
+    if crash_step is not None:
+        armed = fail_compaction_step(monkeypatch, crash_step, "crash")
+    try:
+        while run.compactions() == compactions and not armed["fired"]:
+            request = run.mutation()
+            if crash_step is None or not spans_shards(request):
+                run.apply(request)
+            assert run.records() < COMPACT_AT
+    except InjectedCrash:
+        crashed = run.sent[-1]
+        run.kill()
+        run.restart()
+        assert run.live.handle_request(dict(crashed))["ok"]
+        run.assert_recovered()
+    monkeypatch.undo()
+    assert armed["fired"] == (crash_step is not None)
+    later = run.records() + rng.randrange(20, 200)
+    while run.records() < later:
+        run.step()
+    restart()
+
+
+def test_a_host_journal_stays_bounded_across_kills(tmp_path, monkeypatch):
+    host_long_run(tmp_path, monkeypatch, 0, None)
+
+
+def test_a_fleet_journal_stays_bounded_across_kills(tmp_path, monkeypatch):
+    fleet_long_run(tmp_path, monkeypatch, 1, "promote tmp")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(2, 12))
+def test_long_runs_nightly(tmp_path, monkeypatch, seed):
+    steps = [None, *COMPACTION_STEPS]
+    crash_step = steps[seed % len(steps)]
+    host_long_run(tmp_path / "host", monkeypatch, seed, crash_step)
+    monkeypatch.undo()
+    fleet_long_run(tmp_path / "fleet", monkeypatch, seed, crash_step)

@@ -66,10 +66,10 @@ INDEX_NAMES = frozenset({
 
 #: Lines of ``src/repro/fleet``: the count, ratcheted (a smaller count
 #: fails until this is lowered to it).
-FLEET_LINE_CEILING = 2700
+FLEET_LINE_CEILING = 2708
 
 #: Lines of ``src/repro``: the count, ratcheted like the fleet's.
-SRC_LINE_CEILING = 19970
+SRC_LINE_CEILING = 20147
 
 #: The bound rules a :class:`repro.core.backends.BoundBackend` declares,
 #: plus the retired names that once carried them past the declaration.
