@@ -64,14 +64,13 @@ Commands
     the key maps to) drives a fleet gateway over HTTP instead of a raw
     broker socket — same workload, same summary.
 ``gateway``
-    Run the sharded broker fleet behind an HTTP front end (see
+    Run the multi-tenant broker fleet behind an HTTP front end (see
     :mod:`repro.fleet`): per-tenant API keys (``--tenant NAME=KEY``,
-    repeatable), ``--shards`` engines per tenant partitioned by
-    channel-connected components, journals under ``--state-dir``,
+    repeatable), one engine per tenant, journals under ``--state-dir``,
     ``GET /healthz``, a Prometheus ``GET /metrics`` rollup, the JSON
     admission API under ``/v1/`` and kill/failover admin ops under
-    ``/admin/`` (a failover replays the shard's journal, as a restart
-    does).
+    ``/admin/`` (a failover replays the tenant's journal, as a restart
+    does). ``--shards`` is accepted (at least 1) and ignored.
 ``chaos``
     Run a seeded fault-injection campaign (see
     :mod:`repro.faults.campaign`): a fault-free oracle executes an op
@@ -81,10 +80,10 @@ Commands
     connections, cache storms. Exit 0 iff the recovered state is
     bit-identical to the oracle, no acknowledged op was lost, and at
     least ``--min-faults`` faults fired. The printed seed reproduces the
-    campaign exactly. ``--fleet`` points the same driver at a sharded
-    fleet instead: multi-tenant churn with journal faults, whole-fleet
-    crash restarts, primary kills and their recoveries, and worker
-    SIGKILLs, judged per tenant against single-engine oracles.
+    campaign exactly. ``--fleet`` points the same driver at the fleet
+    instead: multi-tenant churn with journal faults, whole-fleet crash
+    restarts, tenant kills and their failovers, and worker SIGKILLs,
+    judged per tenant against single-engine oracles.
 """
 
 from __future__ import annotations
@@ -101,6 +100,16 @@ from .errors import ReproError
 from .topology import Mesh2D, XYRouting
 
 __all__ = ["main", "build_parser"]
+
+
+def _inert_shards(text: str) -> int:
+    """``repro gateway --shards N``: validated as at least 1, then
+    ignored. The bench spine still passes it; retired with ROADMAP item
+    10(a)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 127.0.0.1)")
 
     p_gateway = sub.add_parser(
-        "gateway", help="run the sharded broker fleet behind HTTP"
+        "gateway", help="run the multi-tenant broker fleet behind HTTP"
     )
     p_gateway.add_argument("--host", default="127.0.0.1",
                            help="bind address (default 127.0.0.1)")
@@ -232,10 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="NAME=KEY",
                            help="tenant and its API key; repeatable "
                                 "(default: one tenant 'default=dev-key')")
-    p_gateway.add_argument("--shards", type=int, default=2,
-                           help="engines per tenant (default 2)")
+    p_gateway.add_argument("--shards", type=_inert_shards, default=1,
+                           help="accepted (at least 1) and ignored: a "
+                                "tenant is one engine")
     p_gateway.add_argument("--workers", type=int, default=0,
-                           help="run shards in N supervised worker "
+                           help="run tenants in N supervised worker "
                                 "processes (needs --state-dir; default "
                                 "0 = in-process)")
     p_gateway.add_argument("--mesh", default=None, metavar="WxH",
@@ -244,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="topology spec as JSON (all tenants)")
     p_gateway.add_argument("--state-dir", default=None, metavar="DIR",
                            help="persistence root (one subdirectory per "
-                                "tenant/shard); also enables "
+                                "tenant); also enables "
                                 "/admin/failover")
 
     p_load = sub.add_parser(
@@ -329,20 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fail unless at least this many faults "
                               "fired across all three layers")
     p_chaos.add_argument("--fleet", action="store_true",
-                         help="run the campaign against a sharded fleet "
-                              "(kills, recoveries, whole-fleet restarts)")
+                         help="run the campaign against a multi-tenant "
+                              "fleet (kills, failovers, whole-fleet "
+                              "restarts)")
     p_chaos.add_argument("--tenants", type=int, default=3,
                          help="fleet tenants (--fleet only; default 3)")
-    p_chaos.add_argument("--shards", type=int, default=2,
-                         help="shards per tenant (--fleet only; default 2)")
     p_chaos.add_argument("--kill-rate", type=float, default=0.04,
-                         help="per-op probability of a primary kill "
+                         help="per-op probability of a tenant kill "
                               "(--fleet only; default 0.04)")
     p_chaos.add_argument("--min-kills", type=int, default=0,
-                         help="fail unless at least this many primaries "
+                         help="fail unless at least this many tenants "
                               "were killed (--fleet only)")
     p_chaos.add_argument("--workers", type=int, default=0,
-                         help="run shards in N supervised worker "
+                         help="run tenants in N supervised worker "
                               "processes and SIGKILL them for real "
                               "(--fleet only; default 0 = in-process)")
     p_chaos.add_argument("--worker-kill-rate", type=float, default=0.10,
@@ -620,12 +629,7 @@ def _run_gateway(args: argparse.Namespace) -> int:
                 f"--tenant wants NAME=KEY, got {pair!r}"
             )
         specs.append(TenantSpec(name, key, topo))
-    fleet = Fleet(
-        specs,
-        shards=args.shards,
-        state_dir=args.state_dir,
-        workers=args.workers,
-    )
+    fleet = Fleet(specs, state_dir=args.state_dir, workers=args.workers)
     gateway = GatewayServer(fleet)
     recovered = sum(
         answer.get("admitted") or 0 for answer in fleet.stats().values()
@@ -635,8 +639,8 @@ def _run_gateway(args: argparse.Namespace) -> int:
         await gateway.start(args.host, args.port)
         print(
             f"repro-gateway listening on http://{args.host}:"
-            f"{gateway.port} ({len(specs)} tenant(s) x {args.shards} "
-            f"shard(s), {recovered} stream(s) recovered, "
+            f"{gateway.port} ({len(specs)} tenant(s), "
+            f"{recovered} stream(s) recovered, "
             f"{args.workers or 'no'} worker process(es))",
             flush=True,
         )
@@ -761,7 +765,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
     floors = [("faults", report.faults_total, "faults fired")]
     if args.fleet:
         floors += [
-            ("kills", report.kills, "primaries killed"),
+            ("kills", report.kills, "tenants killed"),
             ("worker-kills", report.worker_kills, "workers SIGKILLed"),
         ]
     for name, got, what in floors:

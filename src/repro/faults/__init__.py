@@ -11,7 +11,7 @@ Layout:
     fault-free oracle per tenant, the faulted run with its retries, and
     the end-state bit-identity + zero-acked-lost invariants — plus the
     three deployments it targets (broker in process, broker over a
-    socket, sharded fleet).
+    socket, multi-tenant fleet).
 
 Only the plane is imported eagerly: :mod:`repro.service.persistence`
 depends on it, while the campaign depends on the whole service and fleet

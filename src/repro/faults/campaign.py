@@ -3,13 +3,13 @@
 A campaign replays one seeded op schedule twice:
 
 1. **Oracle run** — a bare :class:`~repro.service.host.EngineHost` per
-   tenant, no persistence, no sharding, no faults, executes the
+   tenant, no persistence, no faults, executes the
    schedule; its end state is fingerprinted.
 2. **Chaos run** — the same schedule executes against a persistent
    *deployment* while faults fire (see :mod:`repro.faults.plane`). The
    driver behaves like a correct client: idempotent request ids and
-   at-least-once retries, ``snapshot`` to clear degraded mode, shard
-   recovery when a shard is down.
+   at-least-once retries, ``snapshot`` to clear degraded mode, a
+   failover when a tenant is down.
 
 Afterwards a *fresh*, fault-free deployment recovers from the chaos
 run's state dir and the campaign asserts the two invariants the whole
@@ -18,8 +18,7 @@ subsystem exists for:
 * **Bit-identity** — every tenant's recovered fingerprint (stream specs,
   delay bounds, HP closures, feasibility report, failed links, fresh-id
   high-water mark) equals its oracle's. Deterministic analysis means
-  recovery is not "approximately right", it is the same state — and
-  sharding is a placement strategy, not an approximation.
+  recovery is not "approximately right", it is the same state.
 * **Zero acked-then-lost, zero phantoms** — every operation the driver
   saw acknowledged survives every crash, kill and recovery, and
   nothing survives that was never acknowledged (no phantom admissions
@@ -29,8 +28,8 @@ The campaign is written once; a deployment is a *target* — how a
 request is delivered, which faults are placed before an op, what a
 restart is: :class:`_BrokerTarget` (the broker in this process),
 :class:`_SocketTarget` (the broker over a real unix socket) and
-:class:`_FleetTarget` (``repro chaos --fleet``: a sharded multi-tenant
-fleet, optionally with worker processes). A broker
+:class:`_FleetTarget` (``repro chaos --fleet``: a multi-tenant fleet,
+optionally with worker processes). A broker
 campaign runs the head of its schedule on the first and the tail on the
 second; both share one run, one fault plane and one state dir, so the
 socket stage starts by recovering the in-process stage's state. Link
@@ -95,7 +94,7 @@ __all__ = [
 
 #: Retry ceiling per op. Each armed fault is one-shot, so two attempts
 #: normally converge; the slack covers a degraded round-trip (snapshot +
-#: retry) stacked on a crash, a shard recovery and a worker restart.
+#: retry) stacked on a crash, a failover and a worker restart.
 _MAX_ATTEMPTS = 32
 
 _LINK_FAULT = {"fail_link": "link_fail", "restore_link": "link_restore"}
@@ -161,19 +160,18 @@ class ChaosConfig(_CampaignConfig):
 
 @dataclass(frozen=True)
 class FleetChaosConfig(_CampaignConfig):
-    """A campaign against a sharded, replicated, multi-tenant fleet."""
+    """A campaign against a multi-tenant fleet."""
 
     ops: int = 200
     target_live: int = 10
-    #: Armed on the shared plane: whichever shard appends next trips
+    #: Armed on the shared plane: whichever tenant appends next trips
     #: it. Ignored in worker mode — injection cannot cross the process
     #: boundary.
     persistence_rate: float = 0.20
     tenants: int = 3
-    shards: int = 2
-    #: Probability an op is preceded by a primary kill (if none pending).
+    #: Probability an op is preceded by a tenant kill (if none pending).
     kill_rate: float = 0.04
-    #: Shard workers to run (0 = in-process shards, the default).
+    #: Worker processes to run (0 = in-process tenants, the default).
     workers: int = 0
     #: Probability an op is preceded by a real SIGKILL of a worker
     #: process (worker mode only). Half land between ops, half are
@@ -244,7 +242,7 @@ def generate_schedule(cfg: _CampaignConfig) -> List[ScheduledOp]:
     """Materialise the campaign's op schedule from ``cfg.seed``.
 
     Fleet tenants interleave on one timeline — that is what makes
-    migrations and kills land between *other* tenants' ops — but each
+    kills land between *other* tenants' ops — but each
     tenant's subsequence is a plain churn schedule its oracle can replay
     alone. With ``cfg.link_rate == 0`` no extra randomness is consumed,
     so schedules are bit-identical to pre-link versions of this module.
@@ -385,9 +383,9 @@ def run_oracle(
     """Execute the schedule fault-free; return ``(shas, acked logs)``,
     both keyed by tenant (the broker's one is ``None``).
 
-    One :class:`EngineHost` (no persistence, no sharding) replays each
-    tenant's subsequence; its fingerprint is the bar the crashed,
-    sharded, failed-over deployment must clear bit-for-bit.
+    One :class:`EngineHost` (no persistence) replays each tenant's
+    subsequence; its fingerprint is the bar the crashed, failed-over
+    deployment must clear bit-for-bit.
     """
     hosts = {t: EngineHost(cfg.topology_spec()) for t in cfg.tenant_names()}
     run = _Run(cfg)
@@ -425,7 +423,7 @@ def _converge(
             return response
         code = response.get("code")
         if code == "worker":
-            # The shard's worker died mid-op and is being restarted
+            # The tenant's worker died mid-op and is being restarted
             # with journal recovery; re-issue the same rid — the
             # idempotency table answers for whatever the dead worker
             # committed. Back off between retries: a hot loop starves
@@ -445,9 +443,8 @@ def _converge(
                     f"snapshot failed to clear degraded: {snap}"
                 )
         elif code == "down":
-            # The op needs a dead shard: this is the recovery moment,
-            # with the rest of the fleet's traffic already committed
-            # around it.
+            # The tenant is down: this is the recovery moment, with the
+            # rest of the fleet's traffic already committed around it.
             counts["ops_while_dead"] += 1
             target.recover(tenant)
         else:
@@ -498,7 +495,7 @@ class _Target:
         self.open()
 
     def recover(self, tenant: Tenant = None) -> None:
-        """Recover dead shards (no-op without any)."""
+        """Fail dead tenants over (no-op without any)."""
 
     def finish(self) -> Optional[Dict[Tenant, str]]:
         """Quiesce; the survivor's fingerprints, if judged like the disk's."""
@@ -705,65 +702,47 @@ class _SocketTarget(_BrokerTarget):
 
 
 class _FleetTarget(_Target):
-    """A sharded multi-tenant fleet.
+    """A multi-tenant fleet.
 
     The fault vocabulary is the fleet's deployment reality:
 
     * **Journal faults**, armed on the shared plane — an
-      :class:`InjectedCrash` escaping a shard is indistinguishable from
+      :class:`InjectedCrash` escaping a tenant is indistinguishable from
       the whole process dying, so the entire :class:`Fleet` is rebuilt
-      from its state directory. Torn migrations (admitted on the target,
-      crash before the source released) and torn link broadcasts are
-      exactly what fleet recovery's repairs exist for.
-    * **Primary kills** — a random shard stops serving between ops (a
+      from its state directory.
+    * **Tenant kills** — a tenant's host stops serving between ops (a
       crash point *within* an op is the journal faults' job). With
-      probability ½ the driver recovers it immediately; otherwise it
-      keeps issuing ops — those that land on live shards proceed, the
-      first that needs the dead shard forces the recovery — so recovery
-      happens with real traffic in flight around it. Kill and recovery
-      are the tenant's ``kill_shard`` / ``recover_shard`` ops: the shard
-      replays its journal as after a restart, with the fault plane
-      still armed on it. The campaign remembers what it killed until
-      a rebuild or a worker restart revives it with its tenant.
+      probability ½ the driver fails it over immediately; otherwise it
+      keeps issuing ops — other tenants' proceed, the first of the dead
+      tenant's forces the failover — so recovery happens with real
+      traffic in flight around it. Kill and failover are the tenant's
+      ``kill`` / ``failover`` ops: the host replays its journal as after
+      a restart, with the fault plane still armed on it. The campaign
+      remembers what it killed until a rebuild or a worker restart
+      revives it.
     * **Worker kills** (``workers > 0``) — a *real* ``SIGKILL`` of a
       live worker process, either between ops or armed to fire
       mid-RPC (after the request bytes left the parent, before the ack
       returns — the fate-unknown window). The worker takes its tenants
-      down with their shards; the supervisor restarts it with journal
-      recovery and the campaign retries the op under the same rid;
-      idempotent replay must return the committed outcome. Injected
-      journal faults are a single-process trick and cannot cross the
-      process boundary, so worker campaigns trade ``persistence_rate``
-      for ``worker_kill_rate``.
+      down; the supervisor restarts it with journal recovery and the
+      campaign retries the op under the same rid; idempotent replay
+      must return the committed outcome. Injected journal faults are a
+      single-process trick and cannot cross the process boundary, so
+      worker campaigns trade ``persistence_rate`` for
+      ``worker_kill_rate``.
     """
 
     def open(self) -> None:
-        """(Re)build the fleet from disk, riding out one crash.
-
-        Fleet recovery itself journals (duplicate-repair releases,
-        re-merge migrations, link reconciliation), so a fault still
-        armed from the op that crashed the previous incarnation can fire
-        *during* recovery. Armed faults are one-shot: retrying once more
-        always converges.
-        """
+        """(Re)build the fleet from disk."""
         cfg = self.cfg
-        #: (tenant, shard, pid of the process that killed it) for each
-        #: shard this campaign killed and has not recovered.
-        self.killed: Set[Tuple[Tenant, int, Optional[int]]] = set()
-        for _ in range(_MAX_ATTEMPTS):  # pragma: no branch
-            try:
-                self.fleet = Fleet(
-                    cfg.tenant_specs(),
-                    shards=cfg.shards,
-                    state_dir=self.state_dir,
-                    fault_plane=None if cfg.workers else self.plane,
-                    workers=cfg.workers,
-                )
-                return
-            except InjectedCrash:
-                self.counts["restarts"] += 1
-        raise ReproError(  # pragma: no cover - one-shot faults converge
-            f"fleet recovery did not converge in {_MAX_ATTEMPTS} attempts"
+        #: (tenant, pid of the process that killed it) for each tenant
+        #: this campaign killed and has not failed over.
+        self.killed: Set[Tuple[Tenant, Optional[int]]] = set()
+        self.fleet = Fleet(
+            cfg.tenant_specs(),
+            state_dir=self.state_dir,
+            fault_plane=None if cfg.workers else self.plane,
+            workers=cfg.workers,
         )
 
     def close(self) -> None:
@@ -772,16 +751,15 @@ class _FleetTarget(_Target):
     def place_faults(self, entry: ScheduledOp) -> None:
         cfg, rng = self.cfg, self.rng
         supervisor = self.fleet.supervisor
-        # A primary kill lands between ops (a clean journal boundary;
+        # A tenant kill lands between ops (a clean journal boundary;
         # intra-op crash points belong to the journal faults). Half the
-        # time the recovery is immediate; the other half traffic keeps
-        # flowing and the first op that needs the dead shard forces it.
-        # A worker restart revived the shards its tenants had killed.
-        self.killed = {k for k in self.killed if self._pid(k[0]) == k[2]}
+        # time the failover is immediate; the other half traffic keeps
+        # flowing and the dead tenant's next op forces it. A worker
+        # restart revived the tenants it had killed.
+        self.killed = {k for k in self.killed if self._pid(k[0]) == k[1]}
         if not self.killed and rng.random() < cfg.kill_rate:
-            victim = rng.randrange(cfg.shards)
-            self._ask(entry.tenant, {"op": "kill_shard", "shard": victim})
-            self.killed.add((entry.tenant, victim, self._pid(entry.tenant)))
+            self._ask(entry.tenant, {"op": "kill"})
+            self.killed.add((entry.tenant, self._pid(entry.tenant)))
             self.counts["kills"] += 1
             if rng.random() < 0.5:
                 self.recover()
@@ -819,14 +797,14 @@ class _FleetTarget(_Target):
         return response
 
     def recover(self, tenant: Tenant = None) -> None:
-        """Recover every shard this campaign killed (given a ``tenant``:
-        only if one of *its* shards is down)."""
+        """Fail over every tenant this campaign killed (given a
+        ``tenant``: only if it is one of them)."""
         if tenant is not None and not any(
-            t == tenant for t, *_ in self.killed
+            t == tenant for t, _ in self.killed
         ):
             return
-        for tname, shard, _ in sorted(self.killed):
-            self._ask(tname, {"op": "recover_shard", "shard": shard})
+        for tname, _ in sorted(self.killed):
+            self._ask(tname, {"op": "failover"})
             self.counts["recoveries"] += 1
         self.killed.clear()
 
@@ -838,7 +816,7 @@ class _FleetTarget(_Target):
             # be tearing a worker down.
             supervisor.disarm_inflight_kill()
             supervisor.ensure_all()
-        # Leave no shard dead: recover stragglers so the final fleet
+        # Leave no tenant dead: fail stragglers over so the final fleet
         # (and the fresh recovery after it) is fully serving.
         self.recover()
         live = {}
@@ -857,9 +835,7 @@ class _FleetTarget(_Target):
     @staticmethod
     def recovered(cfg: Any, state_dir: Path) -> Dict[Tenant, tuple]:
         """What a fresh, fault-free fleet recovers from ``state_dir``."""
-        final = Fleet(
-            cfg.tenant_specs(), shards=cfg.shards, state_dir=state_dir
-        )
+        final = Fleet(cfg.tenant_specs(), state_dir=state_dir)
         try:
             return {t: tf.fingerprint() for t, tf in final.tenants.items()}
         finally:
@@ -877,7 +853,7 @@ _BROKER_KEYS = (
     "seconds", "ok",
 )
 _FLEET_KEYS = (
-    "seed", "ops", "tenants", "shards", "committed", "faults",
+    "seed", "ops", "tenants", "committed", "faults",
     "fleet_restarts", "kills", "recoveries", "ops_while_dead",
     "degraded_recoveries", "duplicate_acks", "workers", "worker_kills",
     "worker_retries", "worker_restarts", "outcome_mismatches", "oracle_shas",
@@ -896,7 +872,6 @@ class ChaosReport:
     seed: int
     ops: int
     tenants: int
-    shards: int
     workers: int
     # The fault plane's account.
     faults_total: int
@@ -989,11 +964,11 @@ class ChaosReport:
             ) if self.workers else ("", "")
             events = (
                 f"fleet chaos seed={self.seed}: {self.ops} ops over "
-                f"{self.tenants} tenants x {self.shards} shards"
-                f"{pool}, {self.faults_total} faults, "
+                f"{self.tenants} tenants{pool}, {self.faults_total} "
+                f"faults, "
                 f"{self.restarts} fleet restarts, {self.kills} kills -> "
                 f"{self.recoveries} recoveries ({self.ops_while_dead} ops "
-                f"hit a dead shard){sigkills}"
+                f"hit a dead tenant){sigkills}"
             )
         else:
             events = (

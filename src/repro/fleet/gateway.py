@@ -4,12 +4,13 @@ A dependency-free asyncio HTTP/1.1 server (keep-alive, Content-Length
 framing) exposing the broker protocol as a JSON-over-HTTP API:
 
 ``GET  /healthz``
-    Liveness/consistency rollup: per tenant, shard count, dead shards,
-    degraded flags, admitted streams; per worker, its pid and restarts.
-    ``200`` when every shard is up and writable, ``503`` otherwise.
+    Liveness/consistency rollup: per tenant, whether it is dead or
+    degraded, and its admitted streams; per worker, its pid, restarts
+    and tenants. ``200`` when every tenant is up and writable, ``503``
+    otherwise.
     Unauthenticated (it leaks no tenant data beyond counts).
 ``GET  /metrics``
-    Prometheus rollup across every tenant and shard (plus the gateway's
+    Prometheus rollup across every tenant (plus the gateway's
     own HTTP counters). Unauthenticated, like the broker's scrape port.
 ``POST /v1/<op>``
     The broker ops, one endpoint each — ``hello``, ``ping``, ``admit``,
@@ -24,16 +25,17 @@ framing) exposing the broker protocol as a JSON-over-HTTP API:
     Generic passthrough: the body *is* a protocol request object. The
     churn loadgen drives this endpoint, which keeps its op stream
     byte-compatible with the raw socket broker.
-``POST /admin/failover`` ``{"tenant": ..., "shard": N}``
-    Recover the shard from its journal the way a restart does, in the
-    process that owns it (a live shard is killed first): the tenant's
-    ``recover_shard`` op. Needs a persistent fleet. The API key must
-    belong to the named tenant.
-``POST /admin/kill`` ``{"tenant": ..., "shard": N}``
-    Simulate a primary crash, the tenant's ``kill_shard`` op
+``POST /admin/failover`` ``{"tenant": ...}``
+    Recover the tenant from its journal the way a restart does, in the
+    process that owns it (a live tenant stops serving first): the
+    tenant's ``failover`` op. Needs a persistent fleet. The API key
+    must belong to the named tenant (the body may omit it); any other
+    field is a 400.
+``POST /admin/kill`` ``{"tenant": ...}``
+    Simulate a crash of the tenant's host, its ``kill`` op
     (testing/chaos; same auth rule). Both admin ops run in the
     tenant's turn like any op of its own, and answer 400 for a bad
-    request, 503 when the shard could not be recovered; ``/v1/op``
+    request, 503 when the tenant could not be recovered; ``/v1/op``
     refuses them as unknown ops.
 ``POST /admin/kill_worker`` ``{"worker": N}``
     SIGKILL worker process ``N`` (worker-pool mode only; any valid
@@ -50,7 +52,7 @@ cuts at most ``_BATCH_MAX`` requests off what arrived, one write sends
 their answers (TCP back-pressure beyond ``_READAHEAD`` parsed ahead).
 What the gateway adds is :meth:`GatewayServer._serve`, how a batch is
 answered: it resolves each request (route, API key, body), runs every
-maximal run of consecutive fleet ops of one tenant as **one** job,
+maximal run of consecutive ops of one tenant as **one** job,
 answers ``/healthz``, ``/metrics``, ``/admin/*``, ``shutdown`` and
 errors in their turn between runs, and returns the batch's responses,
 in request order. A serial client is the batch-of-one case of the same
@@ -62,12 +64,12 @@ never an acked op.
 ``/healthz`` and ``/metrics`` are built from every tenant's ``stats``
 answer, asked in their turn; with worker processes, of every worker at
 once and for at most ``PROBE_TIMEOUT`` (a dead or wedged worker's
-tenants count as down, with every shard dead).
+tenants count as dead).
 
 In the default in-process fleet a run executes synchronously on the
 event-loop thread — the broker's single-writer model, linearisable per
-tenant without locks. With ``--workers N`` each tenant's whole fleet
-runs in a supervised child process, and a batch's runs are awaited by
+tenant without locks. With ``--workers N`` each tenant's host runs in
+a supervised child process, and a batch's runs are awaited by
 one task. Each worker has one persistent link from the gateway: every
 run is written on it with one write, and runs are pipelined FIFO (the
 worker answers in arrival order, so a tenant's ops stay linearisable
@@ -110,7 +112,7 @@ __all__ = ["GatewayServer"]
 logger = logging.getLogger(__name__)
 
 #: The tenant op each admin path runs.
-_ADMIN_OPS = {"/admin/kill": "kill_shard", "/admin/failover": "recover_shard"}
+_ADMIN_OPS = {"/admin/kill": "kill", "/admin/failover": "failover"}
 
 #: Every path a request can be counted under; the rest count as
 #: ``"other"`` so a scanner cannot grow the table (or ``/metrics``).
@@ -216,7 +218,7 @@ class GatewayServer:
 
     def _run(self, tenant: str,
              requests: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Run one tenant's consecutive fleet ops, in this process."""
+        """Run one tenant's consecutive ops, in this process."""
         return [self.fleet.handle_request(tenant, r) for r in requests]
 
     # ------------------------------------------------------------------ #
@@ -351,8 +353,10 @@ class GatewayServer:
                 )
             if path not in _ADMIN_OPS:
                 raise _HttpError(404, f"no route {path!r}")
-            return tenant, {"op": _ADMIN_OPS[path],
-                            "shard": payload.get("shard")}
+            if set(payload) - {"tenant"}:
+                # A client still naming a shard would kill the tenant.
+                raise _HttpError(400, f"{path} takes only 'tenant'")
+            return tenant, {"op": _ADMIN_OPS[path]}
         if path == "/v1/shutdown":
             return None, partial(self._shutdown, {})
         if path == "/v1/op":
@@ -471,7 +475,7 @@ class GatewayServer:
         supervisor = self.fleet.supervisor
         if supervisor is None:
             raise _HttpError(
-                400, "gateway runs in-process shards (no --workers)"
+                400, "gateway runs its tenants in-process (no --workers)"
             )
         # A JSON ``true`` is not an index, though ``bool`` subclasses int.
         worker, n = payload.get("worker"), len(supervisor.workers)
@@ -483,7 +487,7 @@ class GatewayServer:
 
 def _status(request: _Request, answer: Union[Dict[str, Any], bytes]) -> int:
     """200 (errors are data), but a failed admin op is a 400 for a bad
-    request and a 503 for a shard it could not recover. A worker's
+    request and a 503 for a tenant it could not recover. A worker's
     answer line is parsed only here, for an admin path."""
     if not request.path.startswith("/admin/"):
         return 200

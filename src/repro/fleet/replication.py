@@ -1,17 +1,18 @@
 """Journal tailing: a test oracle and a ladder probe, not a served path.
 
-No deployed surface runs this module. A fleet fails a dead shard over
-the way a restart recovers it, by replaying its journal in the process
-that owns it (:meth:`repro.fleet.shards.TenantFleet.recover_shard`).
-What stays here is the independent second reading of a journal that
-the tests compare recovery against, and that the bench spine's ladder
-times (``fleet.replication.*``).
+No deployed surface runs this module. A fleet fails a dead tenant
+over the way a restart recovers it, by replaying its journal in the
+process that owns it (the ``failover`` op of
+:class:`repro.fleet.shards.TenantHost`). What stays here is the
+independent second reading of a journal that the tests compare
+recovery against, and that the bench spine's ladder times
+(``fleet.replication.*``); it goes with ROADMAP item 10(a).
 
 The broker journal is a deterministic replay log: every record was
 appended only after the primary's engine accepted the op, and the
 analysis has no hidden state, so replaying snapshot + journal rebuilds
-the engine bit-identically. A :class:`ShardStandby` bootstraps from a
-shard's snapshot, then tails the journal file by byte offset and
+the engine bit-identically. A :class:`ShardStandby` bootstraps from
+any engine host's snapshot, then tails the journal file by byte offset and
 applies new records to an in-memory engine. Applying is structure
 maintenance only (``EngineHost.apply_journal_op`` marks, it does not
 re-decide what the primary already decided): verdicts are computed when
@@ -116,7 +117,8 @@ class JournalTailer:
 
 
 class ShardStandby:
-    """Warm replica of one shard: snapshot bootstrap + journal tail.
+    """Warm replica of one engine host's state dir: snapshot bootstrap
+    + journal tail.
 
     The replica engine runs without persistence of its own — its state
     dir *is* the primary's, read-only. ``catch_up()`` computes no
@@ -196,7 +198,7 @@ class ShardStandby:
         """Fail over: return a disk-recovered host, verified against the
         caught-up replica.
 
-        The promoted primary comes from a fresh recovery of the shard's
+        The promoted primary comes from a fresh recovery of the host's
         state directory (it needs the journal file handle and must see
         exactly what a restart would), and its SHA-256 fingerprint must
         equal the replica's — proving journal shipping lost nothing the

@@ -1,14 +1,14 @@
-"""Supervised worker processes: each tenant's fleet out of the gateway.
+"""Supervised worker processes: tenants out of the gateway.
 
 Whole tenants run in child processes, in parallel across cores:
 
 Child side (a fork of the supervisor, :func:`_child`)
     With every module already imported, the child cuts loose from its
     parent (own stdio, signals, logging and tracer; no inherited fd),
-    opens one :class:`~repro.fleet.shards.TenantFleet` per assigned
+    opens one :class:`~repro.fleet.shards.TenantHost` per assigned
     tenant from the tenant's *unchanged* state directory — the same
-    constructor, in-process shards and recovery an in-process fleet
-    runs —, binds a per-worker unix socket with the broker's
+    constructor and recovery an in-process fleet runs —, binds a
+    per-worker unix socket with the broker's
     stale-socket hygiene, says so with one byte on a private pipe and
     serves the broker's JSON-lines protocol until stopped or orphaned.
     It always ends in ``os._exit``.
@@ -27,18 +27,17 @@ A request is a broker op plus a ``tenant`` key naming one of the
 worker's tenants, and its answer is that tenant's ``handle_request``;
 a request without one is a ``protocol`` error. SIGTERM stops a worker.
 
-Single-writer discipline: a tenant's journals are only ever open in one
-process, its worker, which serves its tenants single-threaded. A shard
-never leaves its worker: failing it over (the ``recover_shard`` op)
-replays its journal there, and the worker keeps its pid.
+Single-writer discipline: a tenant's journal is only ever open in one
+process, its worker, which serves its tenants single-threaded. A tenant
+never leaves its worker: failing it over (the ``failover`` op) replays
+its journal there, and the worker keeps its pid.
 
-A worker's death takes its tenants down with their shards, which is the
-crash model of an in-process fleet: committed mutations are journaled
-with their ``rid`` before the ack, so the supervisor restarts the worker
-(whose fleets recover, repairing a torn migration or link broadcast as
-any restart does) and the caller retries with the same rid — the
-recovered idempotency table replays the committed outcome instead of
-double-applying.
+A worker's death takes its tenants down, which is the crash model of an
+in-process fleet: committed mutations are journaled with their ``rid``
+before the ack, so the supervisor restarts the worker (whose tenants
+recover as any restart does) and the caller retries with the same rid —
+the recovered idempotency table replays the committed outcome instead
+of double-applying.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from ..service.protocol import (
     parse_line,
 )
 from ..service.server import clear_stale_socket
-from .shards import TenantFleet
+from .shards import TenantHost
 
 __all__ = [
     "WorkerClient",
@@ -86,12 +85,12 @@ logger = logging.getLogger(__name__)
 
 #: How long the supervisor waits for a fresh child to recover its
 #: journals and bind its socket before declaring the spawn failed.
-SPAWN_TIMEOUT = float(os.environ.get("REPRO_WORKER_SPAWN_TIMEOUT", "60"))
+SPAWN_TIMEOUT = 60.0
 
 #: Per-RPC socket timeout. Generous: a single admission verdict on a
-#: large component under the slower backends is milliseconds, not tens
+#: large closure under the slower backends is milliseconds, not tens
 #: of seconds, so hitting this means the worker is wedged, not slow.
-RPC_TIMEOUT = float(os.environ.get("REPRO_WORKER_RPC_TIMEOUT", "60"))
+RPC_TIMEOUT = 60.0
 
 #: How long ``/healthz`` and ``/metrics`` wait for a worker's ``stats``
 #: answers: a probe must answer, 503 or partial, while a worker is wedged.
@@ -113,23 +112,21 @@ class WorkerDied(ReproError):
 
 
 class _WorkerServer:
-    """The child's serving loop: its tenants' fleets, one socket."""
+    """The child's serving loop: its tenants' hosts, one socket."""
 
     def __init__(self, wp: "WorkerProcess", supervisor: int):
         self.sock_path = wp.socket_path
         self.supervisor = supervisor
-        self.tenants: Dict[str, TenantFleet] = {}
+        self.tenants: Dict[str, TenantHost] = {}
         for name in sorted(wp.assigned):
             spec = wp.assigned[name]
-            tf = self.tenants[name] = TenantFleet(
-                name, spec["topology"], shards=spec["shards"],
-                state_dir=spec["state_dir"],
+            host = self.tenants[name] = TenantHost(
+                name, spec["topology"], state_dir=spec["state_dir"],
             )
-            for i, host in enumerate(tf.hosts):
-                logger.info(
-                    "worker %d recovered shard %s/shard-%d (%d streams)",
-                    os.getpid(), name, i, host.admitted_count(),
-                )
+            logger.info(
+                "worker %d recovered tenant %s (%d streams)",
+                os.getpid(), name, host.admitted_count(),
+            )
         self._listener: Optional[socket.socket] = None
         self._selector = selectors.DefaultSelector()
         self._buffers: Dict[socket.socket, bytes] = {}
@@ -220,8 +217,8 @@ class _WorkerServer:
             # (SIGKILL) leave one behind for hygiene to reclaim.
             self.sock_path.unlink(missing_ok=True)
         self._selector.close()
-        for tf in self.tenants.values():
-            tf.close()
+        for host in self.tenants.values():
+            host.close()
 
 
 #: The parent's fd-owning objects (tracer sink, stdio, log handlers), held
@@ -510,7 +507,8 @@ class WorkerProcess:
         self.index = index
         self.socket_path = socket_path
         self.log_path = log_path
-        #: tenant -> fleet spec: what every (re)spawn recovers.
+        #: tenant -> ``topology`` and ``state_dir``: what every
+        #: (re)spawn recovers.
         self.assigned: Dict[str, Dict[str, Any]] = {}
         self.client = WorkerClient(socket_path)
         self.proc: Optional[_Forked] = None
@@ -613,10 +611,9 @@ class WorkerProcess:
 class WorkerSupervisor:
     """Spawns, monitors and restarts the fleet's worker processes.
 
-    Assignment is by *tenant*: a tenant's whole fleet — placement and
-    every shard — runs in one worker (tenants round-robin across
-    workers), so every decision it makes stays in one process; the
-    parallelism is across tenants."""
+    Assignment is by *tenant*: a tenant's host runs in one worker
+    (tenants round-robin across workers); the parallelism is across
+    tenants."""
 
     def __init__(self, state_dir: Path, workers: int):
         if workers < 1:
@@ -647,8 +644,8 @@ class WorkerSupervisor:
     # ------------------------------ assignment ------------------------ #
 
     def assign_tenant(self, tenant: str, spec: Dict[str, Any]) -> None:
-        """Place a tenant's fleet (``topology``, ``shards``,
-        ``state_dir``) on a worker, before :meth:`start`."""
+        """Place a tenant (``topology``, ``state_dir``) on a worker,
+        before :meth:`start`."""
         if self._started:
             raise ReproError("cannot assign tenants after start()")
         if tenant in self._worker_of:
@@ -801,11 +798,7 @@ class WorkerSupervisor:
                 "pid": wp.pid,
                 "alive": wp.alive,
                 "restarts": wp.restarts,
-                "shards": sorted(
-                    f"{tenant}/shard-{i}"
-                    for tenant, spec in wp.assigned.items()
-                    for i in range(spec["shards"])
-                ),
+                "tenants": sorted(wp.assigned),
             }
             for wp in self.workers
         ]

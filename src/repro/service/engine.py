@@ -71,8 +71,8 @@ the moment the ops that shaped it were applied, and marks compose — an
 id no op marked since its last computation has an unchanged closure.
 The live mutators decide at once (``try_admit`` computes its trial,
 ``release`` is ``retire`` + ``_settle``); the deferred pair exists for
-consumers of the journal — restart recovery, and a shard's failover,
-which is the same recovery — whose every record the primary's engine
+consumers of the journal — restart recovery, and a tenant's failover,
+which is the same recovery — whose every record the live engine
 already decided.
 
 Dirty-set ``Cal_U`` runs that miss the memo are computed in-process, in

@@ -1,33 +1,27 @@
-"""The op table's interpreters: one engine host, and what they share.
-
-:class:`OpInterpreter` runs :data:`~repro.service.protocol.OPS` once for
-both: the request envelope, the rid preamble and outcome record of every
-mutation, ``hello`` / ``links``, the failed-links → routing rule, the
-link-op answer, per-backend re-admit batches and the fingerprint. What
-an op *does* is the subclass's: :class:`EngineHost` applies it to one
-engine and journals it with rollback; :class:`repro.fleet.shards.
-TenantFleet` places, migrates, broadcasts and compensates across hosts.
+"""The engine host: the one interpreter of the op table.
 
 :class:`EngineHost` is the synchronous core of the service: the broker
 (:class:`repro.service.server.BrokerServer`) is one of these with
-listeners, and the fleet (:mod:`repro.fleet`) hosts many — one per
-(shard, tenant) — behind one gateway. It is the unit of state the rest
-of the system composes:
+listeners, and the fleet (:mod:`repro.fleet`) holds one per tenant
+behind one gateway. It is the unit of state the rest of the system
+composes:
 
 * ``handle_request`` executes one protocol op (the same JSON objects the
-  wire carries) against the engine, with metrics, idempotent ``rid``
+  wire carries) against the engine — the request envelope, the rid
+  preamble and outcome record of every mutation, ``hello`` / ``links``,
+  the failed-links -> routing rule — with metrics, idempotent ``rid``
   deduplication and read-only degradation on journal failures;
 * snapshot + journal persistence and restart recovery
   (:mod:`repro.service.persistence`), factored into
   :meth:`load_snapshot` / :meth:`apply_journal_op`. Replay *applies*
   records through the engine's ``adopt`` / ``retire`` and decides
-  nothing — the primary decided each one before journaling it; verdicts
+  nothing — the host decided each one before journaling it; verdicts
   are settled by the first reader, and recovery checks the settled
   report before it compacts (see "Settle rule" in
   :mod:`repro.service.engine`). A restart never attaches a stream the
   journal admits and releases again before the next link op
-  (:func:`netted_ids`). A restart and a fleet's shard failover are the
-  same recovery;
+  (:func:`netted_ids`). A restart and a tenant's failover are the same
+  recovery;
 * :meth:`fingerprint` — the SHA-256 identity over everything recovery
   promises to preserve, shared by the chaos campaign and the
   equivalence tests.
@@ -75,9 +69,7 @@ from .protocol import (
     parse_streams,
 )
 
-__all__ = [
-    "DegradedError", "EngineHost", "OpInterpreter", "refuse_read_only",
-]
+__all__ = ["DegradedError", "EngineHost"]
 
 _T = TypeVar("_T")
 
@@ -90,8 +82,8 @@ def netted_ids(ops: List[Dict[str, Any]]) -> List[Set[int]]:
     link op between (a link op settles and decides on the live set, so
     a stream live across one must be attached).
 
-    Per occurrence: a shard's journal releases and re-admits an id when
-    a stream migrates, and each round trip pairs on its own. Only plain
+    Per occurrence: a journal may admit an id again once it was
+    released, and each round trip pairs on its own. Only plain
     ``int`` ids pair; a record this does not understand pairs nothing
     and fails in :meth:`EngineHost.apply_journal_op`, in order, as it
     always did.
@@ -117,26 +109,25 @@ def netted_ids(ops: List[Dict[str, Any]]) -> List[Set[int]]:
     return netted
 
 
-def refuse_read_only(host: Any) -> None:
-    """Refuse a mutation while ``host`` — an engine host, or a fleet's
-    view of one of its shards — is read-only (see DegradedError)."""
-    if host.degraded:
-        raise DegradedError(
-            f"broker is read-only ({host.degraded_reason}); "
-            "retry after a successful 'snapshot' op"
-        )
+class EngineHost:
+    """One admission engine + persistence + protocol dispatch.
 
+    Every op of :data:`~repro.service.protocol.OPS` it serves has an
+    ``_op_<name>`` (the others answer "unknown op"); a mutation's takes
+    the validated rid too, and both link ops run ``_op_link``.
 
-class OpInterpreter:
-    """Executes :data:`~repro.service.protocol.OPS`; see the module doc.
-
-    A subclass states an ``_op_<name>`` per op it serves (the others
-    answer "unknown op"; a mutation's takes the validated rid too, and
-    both link ops run ``_op_link``) plus ``default_analysis``,
-    ``admitted_ids``, ``admitted_count`` and ``next_id``. Gates are its
-    own: a host refuses every mutation while read-only before parsing
-    (:meth:`_mutation_gate`), a fleet gates each shard an op involves
-    after placing it.
+    Parameters
+    ----------
+    topology_spec:
+        Problem-file topology spec (``{"type": "mesh", "width": 8, ...}``).
+    state_dir:
+        Directory for snapshot + journal; ``None`` disables persistence.
+    analysis:
+        Name of the engine-default bound backend; ``None`` reads the
+        process default.
+    fault_plane:
+        Chaos-testing hook (see :mod:`repro.faults.plane`); installed
+        into the persistence layer. ``None`` in production use.
     """
 
     #: Trace span name and category of one request.
@@ -146,7 +137,14 @@ class OpInterpreter:
     #: The ``server`` a ``hello`` names.
     server_name = "repro-broker"
 
-    def __init__(self, topology_spec: Dict[str, Any]):
+    def __init__(
+        self,
+        topology_spec: Dict[str, Any],
+        *,
+        state_dir: Optional[Union[str, Path]] = None,
+        analysis: Optional[str] = None,
+        fault_plane: Optional[FaultPlane] = None,
+    ):
         self.topology_spec = dict(topology_spec)
         self.topology, self.routing = topology_from_spec(self.topology_spec)
         #: The intact network's routing; ``self.routing`` tracks the
@@ -162,6 +160,23 @@ class OpInterpreter:
             op: getattr(self, f"_op_{op}")
             for op in KNOWN_OPS if hasattr(self, f"_op_{op}")
         }
+        self.engine = IncrementalAdmissionEngine(self.routing, analysis=analysis)
+        #: Read-only degraded mode (journal unwritable); see DegradedError.
+        self.degraded = False
+        self.degraded_reason: Optional[str] = None
+        #: Set by an append that brings the journal to a multiple of
+        #: ``COMPACT_AT`` records; :meth:`_committed` compacts.
+        self._compact_due = False
+        self.state: Optional[BrokerState] = None
+        if state_dir is not None:
+            self.state = self.metrics.journal = BrokerState(
+                state_dir, self.topology_spec, fault_plane=fault_plane
+            )
+            self._recover()
+
+    # ------------------------------------------------------------------ #
+    # The request envelope
+    # ------------------------------------------------------------------ #
 
     def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Execute one protocol request and return the response object."""
@@ -184,21 +199,15 @@ class OpInterpreter:
         if duplicate is not None:
             self.metrics.duplicates += 1
             return duplicate
-        self._mutation_gate()
+        if self.degraded:
+            raise DegradedError(
+                f"broker is read-only ({self.degraded_reason}); "
+                "retry after a successful 'snapshot' op"
+            )
         response = handler(request, rid)
-        # A fleet passing a shard's replay through records nothing.
-        if not response.get("duplicate"):
-            self._applied.record(rid, op, response)
+        self._applied.record(rid, op, response)
         self._committed()
         return response
-
-    def _mutation_gate(self) -> None:
-        """Where a subclass refuses any mutation before parsing it
-        (after the rid replay); the base refuses nothing."""
-
-    def _committed(self) -> None:
-        """Where a subclass acts once a mutation's outcome is recorded;
-        the base does nothing."""
 
     def _op_hello(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return {
@@ -218,9 +227,6 @@ class OpInterpreter:
             "failed_links": self.links_spec(),
             "routing": type(self.routing).__name__,
         }
-
-    # Both link ops are one handler in every subclass.
-    _op_fail_link = _op_restore_link = property(lambda self: self._op_link)
 
     def links_spec(self) -> List[List[int]]:
         """The failed-link set as sorted ``[u, v]`` pairs (wire form)."""
@@ -260,52 +266,10 @@ class OpInterpreter:
 
     def fingerprint(self) -> Tuple[str, Dict[str, Any]]:
         """``(sha256, spec)`` of everything recovery promises to preserve
-        (see :func:`repro.service.protocol.fingerprint`) — byte-identical
-        for one engine and a sharded tenant holding the same streams."""
+        (see :func:`repro.service.protocol.fingerprint`)."""
         return fingerprint(
             self.handle_request, self.admitted_ids(), self.next_id
         )
-
-
-class EngineHost(OpInterpreter):
-    """One admission engine + persistence + protocol dispatch.
-
-    Parameters
-    ----------
-    topology_spec:
-        Problem-file topology spec (``{"type": "mesh", "width": 8, ...}``).
-    state_dir:
-        Directory for snapshot + journal; ``None`` disables persistence.
-    analysis:
-        Name of the engine-default bound backend; ``None`` reads the
-        process default.
-    fault_plane:
-        Chaos-testing hook (see :mod:`repro.faults.plane`); installed
-        into the persistence layer. ``None`` in production use.
-    """
-
-    def __init__(
-        self,
-        topology_spec: Dict[str, Any],
-        *,
-        state_dir: Optional[Union[str, Path]] = None,
-        analysis: Optional[str] = None,
-        fault_plane: Optional[FaultPlane] = None,
-    ):
-        super().__init__(topology_spec)
-        self.engine = IncrementalAdmissionEngine(self.routing, analysis=analysis)
-        #: Read-only degraded mode (journal unwritable); see DegradedError.
-        self.degraded = False
-        self.degraded_reason: Optional[str] = None
-        #: Set by an append that brings the journal to a multiple of
-        #: ``COMPACT_AT`` records; :meth:`_committed` compacts.
-        self._compact_due = False
-        self.state: Optional[BrokerState] = None
-        if state_dir is not None:
-            self.state = self.metrics.journal = BrokerState(
-                state_dir, self.topology_spec, fault_plane=fault_plane
-            )
-            self._recover()
 
     # ------------------------------------------------------------------ #
     # Recovery building blocks
@@ -443,11 +407,8 @@ class EngineHost(OpInterpreter):
             self.state.close()
 
     # ------------------------------------------------------------------ #
-    # Shard-client interface
+    # Accessors
     # ------------------------------------------------------------------ #
-    # The fleet's shard manager talks to its shards through these
-    # accessors (plus ``handle_request``), never through ``engine``
-    # directly; a shard is always in its tenant's process.
 
     @property
     def default_analysis(self) -> str:
@@ -463,47 +424,8 @@ class EngineHost(OpInterpreter):
     def admitted_count(self) -> int:
         return len(self.engine.admitted)
 
-    def upper_bounds(self) -> Dict[str, int]:
-        """Cached delay bounds of every admitted stream, keyed by str id."""
-        return {
-            str(sid): self.engine.verdict(sid).upper_bound
-            for sid in self.engine.admitted.ids()
-        }
-
     def engine_stats(self) -> Dict[str, Any]:
         return {**self.engine.stats.to_dict(), "stale": self.engine.stale}
-
-    def drop_rid(self, rid: str) -> None:
-        """Forget a recorded mutation outcome (release compensation)."""
-        self._applied.pop(str(rid), None)
-
-    def shard_dump(self, ids: Optional[List[int]] = None) -> Dict[str, Any]:
-        """Admitted specs + analyses + id mark, for placement bookkeeping.
-
-        ``ids`` restricts the dump to those streams; ids not (or no
-        longer) admitted are silently skipped, so callers probing after
-        a partial failure see exactly what the shard still holds. Only
-        a full dump carries the rid table (``applied``): fleet recovery
-        is its one reader, and it dumps everything.
-        """
-        full = ids is None
-        if full:
-            ids = sorted(self.engine.admitted.ids())
-        streams = []
-        for sid in ids:
-            sid = int(sid)
-            if sid not in self.engine.admitted:
-                continue
-            streams.append({
-                "stream": stream_to_spec(self.engine.admitted[sid]),
-                "analysis": self.engine.analysis_of(sid),
-            })
-        dump = {"streams": streams, "next_id": self.engine.next_id}
-        if full:
-            dump["applied"] = {
-                rid: dict(out) for rid, out in self._applied.items()
-            }
-        return dump
 
     def _admitted_analyses(self) -> Dict[int, str]:
         """Per-stream backend names of the admitted set (for snapshots)."""
@@ -588,8 +510,6 @@ class EngineHost(OpInterpreter):
     # ------------------------------------------------------------------ #
     # Mutations: applied, journaled, rolled back on a journal failure
     # ------------------------------------------------------------------ #
-
-    _mutation_gate = refuse_read_only
 
     def _journal_commit(self, entry: Dict[str, Any], rollback) -> None:
         """Append a committed mutation; on failure undo it and degrade.
@@ -758,6 +678,8 @@ class EngineHost(OpInterpreter):
                 lambda: self._rollback_link(old_failed, delta),
             )
         return self._link_response(op, link, delta.to_spec())
+
+    _op_fail_link = _op_restore_link = _op_link
 
     def _rollback_link(self, old_failed: set, delta: RoutingDelta) -> None:
         """Undo a link op whose journal append failed: re-apply the old

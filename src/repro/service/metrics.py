@@ -19,11 +19,11 @@ cost shows.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
 from ..obs.metrics import Histogram, MetricsRegistry
 
-__all__ = ["ServiceMetrics", "export_journal", "journal_total", "latency_dict"]
+__all__ = ["ServiceMetrics", "export_journal", "latency_dict"]
 
 
 def latency_dict(h: Histogram) -> Dict[str, object]:
@@ -47,13 +47,6 @@ def latency_dict(h: Histogram) -> Dict[str, object]:
         "p99_ms": ms(h.quantile(0.99)) if h.count else None,
         "buckets": buckets,
     }
-
-
-def journal_total(metrics: Iterable["ServiceMetrics"]) -> Dict[str, int]:
-    """The summed :meth:`ServiceMetrics.journal_dict` of several hosts
-    (a tenant's shards)."""
-    dicts = [m.journal_dict() for m in metrics]
-    return {key: sum(d[key] for d in dicts) for key in dicts[0]}
 
 
 def export_journal(

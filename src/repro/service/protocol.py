@@ -21,8 +21,7 @@ the recorded outcome plus ``"duplicate": true`` — the response keys the
 ``outcome`` column of :data:`OPS` names (for ``admit``
 ``admitted``/``ids`` without the per-stream ``bounds``/``closures``
 detail; for ``release`` the ``released`` ids; for a link op its
-reroute/evict delta). A fleet whose op spanned shards merges their
-records (:func:`merge_outcomes`). This makes at-least-once retry loops safe: a
+reroute/evict delta). This makes at-least-once retry loops safe: a
 client whose connection died after sending a request simply reconnects
 and resends the same ``rid``; whether or not the original was applied,
 the end state is applied-exactly-once. Failed mutations record nothing
@@ -38,18 +37,17 @@ disk, and stops accepting mutations: they fail with ``code:
 "degraded"`` (:class:`DegradedError`) while reads (``query``/``report``/
 ``links``/``stats``/``hello``) keep working. A successful ``snapshot``
 op (which rewrites the snapshot and truncates the journal) clears the
-condition. A fleet refuses an op that needs a shard whose primary is
-down with ``code: "down"`` (:class:`ShardDownError`) until the shard is
-failed over, i.e. recovered from its journal.
+condition. A fleet tenant that was killed refuses every op with
+``code: "down"`` (:class:`TenantDownError`) until it is failed over,
+i.e. recovered from its journal.
 
 Ops
 ---
 :data:`OPS` is the source: the names a server accepts, which of them
 mutate, which the gateway routes as ``POST /v1/<op>``, and what a
 committed mutation records under its rid; every list of ops elsewhere
-derives from it, and :class:`~repro.service.host.OpInterpreter` is what
-executes it (an engine host and a fleet tenant are its two
-interpreters).
+derives from it, and :class:`~repro.service.host.EngineHost` is what
+executes it.
 
 ``hello`` / ``ping``
     Server identity (``ping`` is an alias): name, version, topology
@@ -89,9 +87,9 @@ interpreters).
     mark.
 ``shutdown``
     Acknowledge, then stop the server gracefully.
-``kill_shard`` / ``recover_shard``
-    ``shard``: an index. A fleet tenant stops serving the shard (a
-    primary crash), or replays its journal; unknown to an engine host.
+``kill`` / ``failover``
+    A fleet tenant stops serving (a crash of its host), or replays its
+    journal the way a restart does; unknown to a broker.
 """
 
 from __future__ import annotations
@@ -118,14 +116,13 @@ __all__ = [
     "OPS",
     "ProtocolError",
     "RidTable",
-    "ShardDownError",
+    "TenantDownError",
     "answer",
     "coerce_int",
     "coerce_rid",
     "encode",
     "decode",
     "error_code",
-    "error_from_response",
     "error_response",
     "fingerprint",
     "merge_outcomes",
@@ -148,11 +145,10 @@ class Op(NamedTuple):
 
     name: str
     #: Changes the admitted set or the routing: journaled, refused while
-    #: degraded, may carry a ``rid``, and leaves a shard's bounds no
-    #: longer what the fleet last saw.
+    #: degraded, may carry a ``rid``.
     mutates: bool = False
-    #: The gateway forwards ``POST /v1/<name>`` to the tenant's fleet
-    #: (``shutdown`` it serves itself: it stops the gateway; the shard
+    #: The gateway forwards ``POST /v1/<name>`` to the tenant
+    #: (``shutdown`` it serves itself: it stops the gateway; the tenant
     #: lifecycle ops it runs only for ``/admin/kill`` and
     #: ``/admin/failover``).
     http: bool = True
@@ -179,8 +175,8 @@ OPS = (
     Op("restore_link", mutates=True, outcome=_LINK_OUTCOME),
     Op("links"),
     Op("shutdown", http=False),
-    Op("kill_shard", http=False),
-    Op("recover_shard", http=False),
+    Op("kill", http=False),
+    Op("failover", http=False),
 )
 #: Ops the server accepts (``hello``/``ping`` are aliases).
 KNOWN_OPS = tuple(op.name for op in OPS)
@@ -207,9 +203,9 @@ class DegradedError(ReproError):
     code = "degraded"
 
 
-class ShardDownError(ReproError):
-    """Raised by a fleet for an op that needs a shard whose primary is
-    down: fail the shard over, then retry (``code: "down"``)."""
+class TenantDownError(ReproError):
+    """Raised for an op of a fleet tenant that was killed: fail it over,
+    then retry (``code: "down"``)."""
 
     code = "down"
 
@@ -433,9 +429,10 @@ def _ids(key: str, value: Any) -> bool:
 
 
 def merge_outcomes(shares: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """One outcome from the shares of one op several shards recorded —
-    a cross-shard release, a broadcast link op: every id list is the
-    ascending union, the rest is what the shares agree on."""
+    """One outcome from the shares of one op that several shards of a
+    legacy sharded state dir recorded — a release spanning shards, a
+    broadcast link op: every id list is the ascending union, the rest
+    is what the shares agree on."""
     return {
         key: sorted({int(sid) for share in shares for sid in share[key]})
         if _ids(key, value) else value
@@ -448,7 +445,7 @@ class RidTable(dict):
     the most recent :data:`~repro.service.persistence.RID_CAP` (FIFO).
 
     A plain mapping to everything that persists or ships it (snapshot
-    writer, shard dump, recovery).
+    writer, recovery).
     """
 
     def record(
@@ -464,9 +461,10 @@ class RidTable(dict):
             del self[next(iter(self))]
 
     def merge(self, rid: str, share: Dict[str, Any]) -> None:
-        """Fold one shard's record of ``rid`` into the table (fleet
-        recovery): a share of the same op joins the record already
-        there (:func:`merge_outcomes`), anything else replaces it."""
+        """Fold one legacy shard's record of ``rid`` into the table
+        (:func:`repro.fleet.shards.fold_shards`): a share of the same op
+        joins the record already there (:func:`merge_outcomes`),
+        anything else replaces it."""
         prior = self.get(rid)
         if prior is not None and prior.keys() == share.keys() and all(
             _ids(key, value) or share[key] == value
@@ -491,7 +489,7 @@ class RidTable(dict):
 #: Wire code <-> error class, for the typed errors.
 _CODES = {
     "degraded": DegradedError,
-    "down": ShardDownError,
+    "down": TenantDownError,
     "protocol": ProtocolError,
     "stream": StreamError,
     "analysis": AnalysisError,
@@ -501,11 +499,8 @@ _CODES = {
 def error_code(exc: ReproError) -> str:
     """The wire ``code`` of an error.
 
-    A non-empty ``code`` attribute wins — an error class that names its
-    own (``DegradedError``), or one stamped on an instance (the
-    ``"worker"`` of a shard whose process died mid-op, which must cross
-    the fleet unchanged because retry loops key on it). Otherwise the
-    typed errors map by class.
+    A non-empty ``code`` attribute wins (``DegradedError`` names its
+    own); otherwise the typed errors map by class.
     """
     explicit = getattr(exc, "code", None)
     if isinstance(explicit, str) and explicit:
@@ -514,20 +509,6 @@ def error_code(exc: ReproError) -> str:
         if isinstance(exc, cls):
             return code
     return "error"
-
-
-def error_from_response(
-    response: Dict[str, Any], default: str = "request failed"
-) -> ReproError:
-    """The exception an ``ok: false`` response stands for — the inverse
-    of :func:`error_code`: typed codes come back as their class, any
-    other code (``"worker"``, ``"internal"``) is stamped on a plain
-    :class:`ReproError` so it survives the next ``error_code``."""
-    code = response.get("code")
-    exc = _CODES.get(code, ReproError)(response.get("error", default))
-    if code and code not in _CODES:
-        exc.code = code
-    return exc
 
 
 def error_response(
@@ -601,8 +582,7 @@ def fingerprint(
     feasibility / slack / HP closure, the full feasibility report, the
     failed links and the fresh-id high-water mark. Built through the
     public protocol ops so it fingerprints what clients can observe —
-    and is byte-identical for a single engine and a sharded tenant
-    holding the same streams.
+    and is byte-identical for any two hosts holding the same streams.
     """
     def ask(**request: Any) -> Dict[str, Any]:
         response = handle_request(request)

@@ -402,7 +402,7 @@ class TestFleetCommands:
     def test_fleet_chaos_round_trip(self, tmp_path, capsys):
         code = main([
             "chaos", "--fleet", "--seed", "0", "--ops", "60",
-            "--tenants", "2", "--shards", "2", "--mesh", "5x5",
+            "--tenants", "2", "--mesh", "5x5",
             "--target-live", "8", "--persistence-rate", "0.4",
             "--kill-rate", "0.10", "--state-dir", str(tmp_path),
             "--min-kills", "1",
@@ -418,7 +418,7 @@ class TestFleetCommands:
     def test_fleet_chaos_honours_link_rate(self, tmp_path, capsys):
         code = main([
             "chaos", "--fleet", "--seed", "0", "--ops", "60",
-            "--tenants", "2", "--shards", "2", "--mesh", "5x5",
+            "--tenants", "2", "--mesh", "5x5",
             "--target-live", "8", "--persistence-rate", "0.4",
             "--kill-rate", "0.10", "--link-rate", "0.2",
             "--state-dir", str(tmp_path),
@@ -450,3 +450,14 @@ class TestFleetCommands:
     def test_gateway_rejects_bad_tenant_spec(self, capsys):
         assert main(["gateway", "--tenant", "nokey"]) == 2
         assert "NAME=KEY" in capsys.readouterr().err
+
+    def test_gateway_shards_is_validated_and_ignored(self, capsys):
+        """``--shards`` stays on ``repro gateway`` for the bench spine:
+        at least 1, then ignored; ``repro chaos`` has none."""
+        with pytest.raises(SystemExit) as exc:
+            main(["gateway", "--shards", "0"])
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--fleet", "--shards", "2"])
+        assert exc.value.code == 2

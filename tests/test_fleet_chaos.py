@@ -17,13 +17,12 @@ from repro.faults.campaign import (
 )
 
 #: Small but hostile: kill and fault rates cranked up so the campaign
-#: exercises primary kills, deferred failover, journal faults during
-#: recovery, and duplicate acks even at 60 ops.
+#: exercises tenant kills, deferred failover, journal faults and
+#: duplicate acks even at 60 ops.
 SMALL = FleetChaosConfig(
     seed=0,
     ops=60,
     tenants=2,
-    shards=2,
     width=5,
     height=5,
     target_live=8,
@@ -55,8 +54,8 @@ class TestSmallFleetCampaign:
 
     def test_link_slots_ride_the_fleet_campaign(self, tmp_path):
         """The link layer on the fleet target: per-tenant link state,
-        torn broadcasts, shards recovered from snapshots with failed
-        links, refused admits — same two invariants."""
+        tenants recovered from snapshots with failed links, refused
+        admits — same two invariants."""
         linky = replace(SMALL, link_rate=0.15)
         report = run_chaos_campaign(linky, state_dir=tmp_path)
         assert report.ok, report.summary()
@@ -79,7 +78,8 @@ class TestSmallFleetCampaign:
     def test_report_dict_shape(self, tmp_path):
         report = run_chaos_campaign(SMALL, state_dir=tmp_path)
         d = report.to_dict()
-        for key in ("seed", "ops", "tenants", "shards", "kills",
+        assert "shards" not in d
+        for key in ("seed", "ops", "tenants", "kills",
                     "recoveries", "oracle_shas", "live_shas",
                     "recovered_shas", "bit_identical", "ok"):
             assert key in d
@@ -87,15 +87,14 @@ class TestSmallFleetCampaign:
         assert "fleet chaos seed=0" in report.summary()
 
 
-#: Worker mode, small but hostile: real SIGKILLs of shard worker
-#: processes (half between ops, half armed to fire mid-RPC) on top of
-#: the primary kills. Persistence faults are off by construction —
-#: injection cannot cross the process boundary.
+#: Worker mode, small but hostile: real SIGKILLs of worker processes
+#: (half between ops, half armed to fire mid-RPC) on top of the tenant
+#: kills. Persistence faults are off by construction — injection cannot
+#: cross the process boundary.
 WORKER_SMALL = FleetChaosConfig(
     seed=1,
     ops=48,
     tenants=2,
-    shards=2,
     width=5,
     height=5,
     target_live=8,

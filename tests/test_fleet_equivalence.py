@@ -1,20 +1,18 @@
-"""Fuzzed proof that sharding + failover are invisible in every verdict.
+"""Fuzzed proof that a fleet tenant answers exactly as one broker.
 
-The fleet's whole claim (finding F-7: a stream's bound depends only on
-its transitive HP closure over shared channels) is that partitioning a
-tenant by channel-connected components changes *nothing observable*.
-This test runs a seeded random campaign — admits, releases, queries,
-reports, deliberate protocol errors — against a 4-shard fleet and an
-unsharded single-engine reference simultaneously, asserting every
-response is equal **as a whole dict** (verdicts, bounds, closures,
-error strings) and the final SHA-256 fingerprints are identical.
+A tenant is one engine host, so every response it gives — through the
+in-process fleet and through worker processes — must equal a broker's
+holding the same streams, **as a whole dict** (verdicts, bounds,
+closures, error strings), and the final SHA-256 fingerprints must be
+identical. A seeded random campaign of admits, releases, queries,
+reports and deliberate protocol errors runs against both at once.
 
-Mid-campaign the fuzz also kills a primary that owns live streams and
-fails it over (the shard replays its journal, as a restart does);
-equivalence must hold straight through the recovery. At the end, an
-independent reading of every shard's journal (the tailing oracle,
-:class:`~repro.fleet.replication.ShardStandby`) must land on each live
-shard's fingerprint.
+Mid-campaign the in-process fuzz kills the tenant and fails it over (it
+replays its journal, as a restart does), and the worker fuzz SIGKILLs
+the worker processes; equivalence must hold straight through. At the
+end an independent reading of the tenant's journal (the tailing oracle,
+:class:`~repro.fleet.replication.ShardStandby`) must land on its
+fingerprint.
 """
 
 import asyncio
@@ -55,7 +53,6 @@ def run_equivalence(seed, tmp_path, *, shards=4, ops=OPS, kills=1):
     live = []
     kill_slots = set(rng.sample(range(ops // 3, ops - 10), kills))
     recoveries = 0
-    max_spread = 0  # most shards simultaneously holding streams
 
     for i in range(ops):
         entry = ScheduledOp(
@@ -85,17 +82,12 @@ def run_equivalence(seed, tmp_path, *, shards=4, ops=OPS, kills=1):
             apply_outcome(request, got, live, [])
         assert_books_exact(tf)
 
-        max_spread = max(
-            max_spread, len(set(tf.owner.values())) if tf.owner else 0
-        )
-        if i in kill_slots and tf.owner:
-            victim = tf.owner[live[int(rng.random() * len(live))]]
-            tf.kill_host(victim)
-            tf.recover_shard(victim)
+        if i in kill_slots and live:
+            assert fleet.handle_request("t", {"op": "kill"})["ok"]
+            assert fleet.handle_request("t", {"op": "failover"})["ok"]
             recoveries += 1
-            # The recovered shard answers exactly like the reference.
-            probe = next(s for s, o in tf.owner.items() if o == victim)
-            request = {"op": "query", "stream": probe}
+            # The failed-over tenant answers exactly like the reference.
+            request = {"op": "query", "stream": live[0]}
             assert (fleet.handle_request("t", dict(request))
                     == ref.handle_request(dict(request)))
             assert_books_exact(tf)
@@ -104,19 +96,12 @@ def run_equivalence(seed, tmp_path, *, shards=4, ops=OPS, kills=1):
     ref_sha, ref_spec = ref.fingerprint()
     assert fleet_sha == ref_sha
     assert fleet_spec == ref_spec
-    # The oracle: a fresh tail of every shard's journal agrees with it.
-    for shard, host in enumerate(tf.hosts):
-        oracle = ShardStandby(tmp_path / "t" / f"shard-{shard}", TOPO)
-        oracle.catch_up()
-        assert oracle.fingerprint()[0] == host.fingerprint()[0]
+    # The oracle: a fresh tail of the tenant's journal agrees with it.
+    oracle = ShardStandby(tmp_path / "t", TOPO)
+    oracle.catch_up()
+    assert oracle.fingerprint()[0] == fleet_sha
     fleet.close()
-    return {
-        "ops": ops,
-        "escalations": tf.escalations,
-        "recoveries": recoveries,
-        "max_spread": max_spread,
-        "live": len(live),
-    }
+    return {"ops": ops, "recoveries": recoveries, "live": len(live)}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -124,45 +109,38 @@ def test_fleet_bit_identical_under_fuzz(seed, tmp_path):
     stats = run_equivalence(seed, tmp_path)
     assert stats["ops"] >= 200
     assert stats["recoveries"] >= 1, "campaign must exercise failover"
-    # The run must actually have exercised the interesting machinery:
-    # streams spread over >1 shard, and at least one cross-shard
-    # escalation (a batch whose component spanned shards).
-    assert stats["max_spread"] >= 2
-    assert stats["escalations"] >= 1
 
 
 def test_fleet_single_shard_degenerate(tmp_path):
-    """shards=1 is the trivial partition; equivalence is exact there
-    too (guards against the fleet layer itself perturbing requests)."""
+    """``shards=`` is accepted and ignored (the bench spine still passes
+    it): a fleet built with 1 answers like one built with 4, and like
+    one broker."""
     stats = run_equivalence(7, tmp_path, shards=1, ops=60, kills=1)
     assert stats["recoveries"] == 1
 
 
 # --------------------------------------------------------------------- #
-# Three-way: multiprocess fleet ≡ in-process fleet ≡ single engine
+# Three-way: worker fleet ≡ in-process fleet ≡ broker
 # --------------------------------------------------------------------- #
 
 
 def run_three_way(seed, tmp_path, *, ops=OPS, workers=2, worker_kills=2):
     """Drive identical fuzzed traffic into a worker-pool fleet, an
-    in-process fleet, and an unsharded engine; every response must be
-    equal as a whole dict, straight through real mid-run SIGKILLs of
-    the worker processes (the retryable ``worker`` code is the one
-    tolerated, and only on the multiprocess side). The worker fleet's
-    books are read from an in-process recovery of a copy of its state
-    dir, at each kill slot and at the end; its escalations and spread
-    from its ``stats`` answers."""
+    in-process fleet, and one engine; every response must be equal as
+    a whole dict, straight through real mid-run SIGKILLs of the worker
+    processes (the retryable ``worker`` code is the one tolerated, and
+    only on the multiprocess side). The worker fleet's books are read
+    from an in-process recovery of a copy of its state dir, at each
+    kill slot and at the end."""
     tenants = [TenantSpec("t", "key", TOPO)]
     mp_state = tmp_path / "mp"
-    mp = Fleet(tenants, shards=4, state_dir=mp_state, workers=workers)
-    ip = Fleet(tenants, shards=4, state_dir=tmp_path / "ip")
+    mp = Fleet(tenants, state_dir=mp_state, workers=workers)
+    ip = Fleet(tenants, state_dir=tmp_path / "ip")
     ref = EngineHost(TOPO)
     rng = random.Random(seed)
     live = []
     kill_slots = set(rng.sample(range(ops // 4, ops - 10), worker_kills))
     worker_retries = 0
-    max_spread = 0
-    escalations = 0     # summed over the worker's incarnations
     tf_ip = ip.tenants["t"]
 
     def ask_mp(request):
@@ -176,7 +154,7 @@ def run_three_way(seed, tmp_path, *, ops=OPS, workers=2, worker_kills=2):
         return response
 
     def recovered_books():
-        with recovered_copy(mp_state, tenants, shards=4) as copy:
+        with recovered_copy(mp_state, tenants) as copy:
             assert_books_exact(copy.tenants["t"])
             return copy.tenants["t"].fingerprint()
 
@@ -207,7 +185,6 @@ def run_three_way(seed, tmp_path, *, ops=OPS, workers=2, worker_kills=2):
                 # first so every kill lands on a running process.
                 mp.supervisor.ensure_all()
                 recovered_books()
-                escalations += ask_mp({"op": "stats"})["escalations"]
                 mp.supervisor.kill_worker(rng.randrange(workers))
 
             want = ref.handle_request(dict(request))
@@ -218,15 +195,10 @@ def run_three_way(seed, tmp_path, *, ops=OPS, workers=2, worker_kills=2):
             assert_books_exact(tf_ip)
             if request["op"] in ("admit", "release") and want.get("ok"):
                 apply_outcome(request, want, live, [])
-            shards = ask_mp({"op": "stats"})["shards"]
-            max_spread = max(
-                max_spread, sum(row["admitted"] > 0 for row in shards)
-            )
 
         mp.supervisor.ensure_all()
         restarts = sum(wp.restarts for wp in mp.supervisor.workers)
         stats = ask_mp({"op": "stats"})
-        escalations += stats["escalations"]
         ids = ref.admitted_ids()
         mp_sha, mp_spec = fingerprint(ask_mp, ids, stats["next_id"])
         disk_sha, disk_spec = recovered_books()
@@ -251,8 +223,6 @@ def run_three_way(seed, tmp_path, *, ops=OPS, workers=2, worker_kills=2):
         "ops": ops,
         "worker_restarts": restarts,
         "worker_retries": worker_retries,
-        "escalations": escalations,
-        "max_spread": max_spread,
         "live": len(live),
     }
 
@@ -261,11 +231,8 @@ def run_three_way(seed, tmp_path, *, ops=OPS, workers=2, worker_kills=2):
 def test_three_way_multiprocess_equivalence(seed, tmp_path):
     stats = run_three_way(seed, tmp_path)
     assert stats["ops"] >= 200
-    # Every kill slot produced a real restart mid-run, and the
-    # campaign exercised the cross-shard machinery on both fleets.
+    # Every kill slot produced a real restart mid-run.
     assert stats["worker_restarts"] >= 2
-    assert stats["max_spread"] >= 2
-    assert stats["escalations"] >= 1
 
 
 # --------------------------------------------------------------------- #
@@ -281,8 +248,7 @@ def _spec(src, dst, **extra):
 #: Every op and every malformed shape the parsers reject, as the request
 #: objects a client sends, and every mutation once more under a rid it
 #: already committed. Node 0 is a corner: failing both of its links
-#: disconnects (evicts) the stream that starts there. On a two-shard
-#: fleet, stream 7 and 10 live on one shard, 8 and 9 on the other.
+#: disconnects (evicts) the stream that starts there.
 PARITY_OPS = [
     {"op": "hello"},
     {"op": "admit", "streams": [_spec(0, 2)]},
@@ -308,7 +274,7 @@ PARITY_OPS = [
     {"op": "fail_link", "link": [0, 7]},                # not a channel
     {"op": "fail_link", "link": "0-1"},
     {"op": "admit", "streams": [_spec(33, 35)]},
-    {"op": "release", "ids": [10, 9], "rid": "parity-4"},  # spans shards
+    {"op": "release", "ids": [10, 9], "rid": "parity-4"},
     {"op": "release", "ids": [10, 9], "rid": "parity-4"},
     {"op": "release", "ids": [7]},
     {"op": "release", "ids": []},
@@ -336,21 +302,20 @@ PARITY_OPS = [
     {"op": "ping", "padding": "x" * 70_000},
     {"op": "stats"},
     {"op": "snapshot"},
-    # A fleet's shard lifecycle ops: unknown to an engine host, and to
-    # every wire (the gateway runs them for /admin/* only).
-    {"op": "kill_shard", "shard": 0},
-    {"op": "recover_shard", "shard": 0},
+    # A fleet tenant's lifecycle ops: unknown to a broker, and to every
+    # wire (the gateway runs them for /admin/* only).
+    {"op": "kill"},
+    {"op": "failover"},
     {"op": "report"},
 ]
 #: What in an answer describes the server rather than the state it
 #: holds: a broker's ``hello`` from a fleet's, where a snapshot went, the
 #: counters behind ``stats``.
 SERVER_KEYS = {
-    "hello": ("server", "shards", "tenant"),
-    "ping": ("server", "shards", "tenant"),
-    "snapshot": ("path", "paths"),
-    "stats": ("service", "engine", "shards", "escalations",
-              "migrated_streams"),
+    "hello": ("server", "tenant"),
+    "ping": ("server", "tenant"),
+    "snapshot": ("path",),
+    "stats": ("service", "engine"),
 }
 
 
@@ -401,7 +366,7 @@ def _open_surface(surface, tmp_path):
 
     async def start():
         fleet = Fleet(
-            [TenantSpec("t", "key", TOPO)], shards=2, workers=workers,
+            [TenantSpec("t", "key", TOPO)], workers=workers,
             state_dir=tmp_path / "fleet",
         )
         gateway = GatewayServer(fleet)
@@ -438,8 +403,8 @@ def test_transport_parity(surface, tmp_path):
             want = ref.handle_request(json.loads(json.dumps(request)))
             got = ask(request)
             if request["op"] == "stats":
-                # Every surface reports its journal (a fleet's is its
-                # shards' sum); nothing has compacted yet.
+                # Every surface reports its journal; nothing has
+                # compacted yet.
                 for stats in (want, got):
                     journal = stats["service"]["journal"]
                     assert journal["records"] > 0

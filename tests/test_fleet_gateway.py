@@ -26,16 +26,14 @@ def spec(src=0, dst=2, priority=5, period=300, length=4):
             "length": length, "deadline": period}
 
 
-def run_gateway(client_fn, tmp_path=None, *, tenants=None, shards=2,
-                workers=0):
+def run_gateway(client_fn, tmp_path=None, *, tenants=None, workers=0):
     """Start a gateway on a loopback port, run ``client_fn(port)`` in a
     thread, and return its result dict (plus the server under "gw")."""
     tenants = tenants or [TenantSpec("acme", "secret", TOPO)]
     result = {}
 
     async def main():
-        fleet = Fleet(tenants, shards=shards, state_dir=tmp_path,
-                      workers=workers)
+        fleet = Fleet(tenants, state_dir=tmp_path, workers=workers)
         gw = GatewayServer(fleet)
         await gw.start("127.0.0.1", 0)
         thread = threading.Thread(
@@ -81,7 +79,8 @@ class TestAuth:
 
         result = run_gateway(client)
         assert result["health"]["ok"]
-        assert result["health"]["tenants"]["acme"]["shards"] == 2
+        assert result["health"]["tenants"]["acme"] == {
+            "admitted": 0, "dead": False, "degraded": False}
 
 
 class TestV1Api:
@@ -233,15 +232,10 @@ class TestAdmin:
         def client(port):
             out = {}
             with AdminClient(f"127.0.0.1:{port}", api_key="secret") as c:
-                admit = c.check("admit", streams=[spec()])
-                shard = None
-                # Find the owning shard by killing and probing health.
-                out["admit"] = admit
-                kill = c.admin("kill", tenant="acme", shard=0)
-                out["kill"] = kill
+                out["admit"] = c.check("admit", streams=[spec()])
+                out["kill"] = c.admin("kill", tenant="acme")
                 out["health_down"] = c.get("/healthz")
-                out["failover"] = c.admin("failover", tenant="acme",
-                                          shard=0)
+                out["failover"] = c.admin("failover")
                 out["health_up"] = c.get("/healthz")
                 out["report"] = c.check("report")
                 c.request("shutdown")
@@ -250,9 +244,9 @@ class TestAdmin:
         result = run_gateway(client, tmp_path)
         assert result["kill"]["_status"] == 200
         assert result["health_down"]["ok"] is False
-        assert result["health_down"]["tenants"]["acme"]["dead"] == [0]
+        assert result["health_down"]["tenants"]["acme"]["dead"] is True
         assert result["failover"]["_status"] == 200
-        assert result["failover"]["recovered"] == 0
+        assert result["failover"]["recovered"] == "acme"
         assert result["health_up"]["ok"] is True
         assert result["report"]["admitted"] == 1
 
@@ -262,7 +256,7 @@ class TestAdmin:
 
         def client(port):
             with AdminClient(f"127.0.0.1:{port}", api_key="k-acme") as c:
-                forbidden = c.admin("kill", tenant="beta", shard=0)
+                forbidden = c.admin("kill", tenant="beta")
                 c.request("shutdown")
             return {"forbidden": forbidden}
 
@@ -273,7 +267,7 @@ class TestAdmin:
     def test_failover_without_state_dir_is_400(self):
         def client(port):
             with AdminClient(f"127.0.0.1:{port}", api_key="secret") as c:
-                response = c.admin("failover", tenant="acme", shard=0)
+                response = c.admin("failover", tenant="acme")
                 health = c.get("/healthz")
                 c.request("shutdown")
             return {"response": response, "health": health}
@@ -284,14 +278,19 @@ class TestAdmin:
         assert result["health"]["ok"] is True
 
     def test_bad_shard_is_400(self, tmp_path):
+        """An admin op acts on the whole tenant: a body still naming a
+        shard is refused, not taken as a kill of every stream."""
         def client(port):
             with AdminClient(f"127.0.0.1:{port}", api_key="secret") as c:
                 response = c.admin("kill", tenant="acme", shard=9)
+                health = c.get("/healthz")
                 c.request("shutdown")
-            return {"response": response}
+            return {"response": response, "health": health}
 
         result = run_gateway(client, tmp_path)
         assert result["response"]["_status"] == 400
+        assert "only 'tenant'" in result["response"]["error"]
+        assert result["health"]["ok"]
 
     @pytest.mark.parametrize("path,payload", [
         ("/admin/kill", {"tenant": "acme", "shard": True}),
@@ -300,7 +299,8 @@ class TestAdmin:
     ])
     def test_bool_index_is_400(self, tmp_path, path, payload):
         """A JSON ``true`` is not an index, though ``bool`` subclasses
-        ``int``: nothing is killed or recovered."""
+        ``int``, and the tenant ops take no index at all: nothing is
+        killed or recovered."""
         def client(port):
             with AdminClient(f"127.0.0.1:{port}", api_key="secret") as c:
                 before = c.get("/healthz")
@@ -312,23 +312,23 @@ class TestAdmin:
         result = run_gateway(client, tmp_path, workers=1)
         assert result["response"]["_status"] == 400
         assert result["after"]["ok"]
-        assert result["after"]["tenants"]["acme"]["dead"] == []
+        assert result["after"]["tenants"]["acme"]["dead"] is False
         assert result["after"]["workers"] == result["before"]["workers"]
 
     def test_admin_ops_are_unknown_on_v1(self, tmp_path):
-        """``kill_shard`` / ``recover_shard`` are the admin paths' ops:
-        ``/v1/op`` answers them as it answers any op it does not know,
-        and nothing is killed."""
+        """``kill`` / ``failover`` are the admin paths' ops: ``/v1/op``
+        answers them as it answers any op it does not know, and nothing
+        is killed."""
         def client(port):
             with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
-                out = {op: c.request(op, shard=0)
-                       for op in ("kill_shard", "recover_shard", "nope")}
+                out = {op: c.request(op)
+                       for op in ("kill", "failover", "nope")}
                 out["health"] = c.get("/healthz")
                 c.request("shutdown")
             return out
 
         result = run_gateway(client, tmp_path)
-        for op in ("kill_shard", "recover_shard", "nope"):
+        for op in ("kill", "failover", "nope"):
             answer = result[op]
             assert not answer["ok"] and answer["code"] == "protocol"
             assert answer["error"] == f"unknown op {op!r}"

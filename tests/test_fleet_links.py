@@ -1,23 +1,19 @@
-"""Fleet-wide link faults: broadcast, merge, migration, recovery.
+"""Tenant link faults: one engine's answers, and legacy torn broadcasts.
 
-A link failure is a *global* event — every shard of a tenant must swap to
-the same fault-aware routing or verdicts diverge between shards. These
-tests pin the fleet semantics: merged deltas equal one engine holding
-the whole tenant, components that the new routing fuses migrate onto one
-shard, rids deduplicate across the broadcast, and the failed-link set is
-reconciled across shard journals at recovery (including shards a crash
-left behind).
+A link failure is a *global* event for a tenant: its one engine swaps
+to the fault-aware routing and re-derives the reroute/evict delta, which
+must equal a broker's holding the same streams. A state dir that a
+sharded fleet wrote can hold a torn broadcast — the op journaled on
+shard 0 and not on the others — and the fold that opens it must roll
+the lagging shards forward under the op's rid, so a client's retry is
+answered with the complete delta.
 """
+
+from pathlib import Path
 
 import pytest
 
-from repro.faults.plane import (
-    SITE_JOURNAL_APPEND,
-    FaultPlane,
-    FaultSpec,
-    InjectedCrash,
-)
-from repro.fleet.shards import TenantFleet
+from repro.fleet.shards import TenantHost
 from repro.service.host import EngineHost
 
 TOPO = {"type": "mesh", "width": 6, "height": 6}
@@ -46,18 +42,22 @@ def reference(*requests):
     return host
 
 
+def legacy_shards(root, count):
+    """Engine hosts over ``<root>/t/shard-<i>/``: a state dir as the
+    sharded fleet wrote it."""
+    return [EngineHost(TOPO, state_dir=Path(root) / "t" / f"shard-{i}")
+            for i in range(count)]
+
+
 class TestFleetLinkOps:
     def test_fail_link_matches_single_engine(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         assert admit(tf, spec(0, 2))["ok"]
         assert admit(tf, spec(30, 32))["ok"]
         response = tf.handle_request({"op": "fail_link", "link": [1, 2]})
         assert response["ok"]
         assert response["failed_links"] == [[1, 2]]
         assert tf.links_spec() == [[1, 2]]
-        # Every live shard swapped to the same fault-aware routing.
-        for host in tf.hosts:
-            assert host.links_spec() == [[1, 2]]
         ref = reference(
             {"op": "admit", "streams": [spec(0, 2)]},
             {"op": "admit", "streams": [spec(30, 32)]},
@@ -67,7 +67,7 @@ class TestFleetLinkOps:
         tf.close()
 
     def test_disconnection_evicts_across_shards(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         sid = admit(tf, spec(0, 2))["ids"][0]
         assert admit(tf, spec(30, 32))["ok"]
         assert tf.handle_request(
@@ -77,7 +77,7 @@ class TestFleetLinkOps:
         assert response["ok"]
         assert sid in response["evicted"]
         assert sid in response["disconnected"]
-        assert sid not in tf.owner
+        assert sid not in tf.admitted_ids()
         ref = reference(
             {"op": "admit", "streams": [spec(0, 2)]},
             {"op": "admit", "streams": [spec(30, 32)]},
@@ -88,16 +88,15 @@ class TestFleetLinkOps:
         tf.close()
 
     def test_detour_that_fuses_components_migrates_first(self):
-        """Failing 1-2 detours 0→2 over 7-8, which 6→8 on the other
-        shard uses: placement is judged under the *new* routing, so the
-        two streams share a shard before the broadcast."""
-        tf = TenantFleet("t", TOPO, shards=2)
+        """Failing 1-2 detours 0→2 over 7-8, which 6→8 uses: the two
+        streams, independent before, are decided together after, in the
+        same engine, exactly as one broker decides them."""
+        tf = TenantHost("t", TOPO)
         a = admit(tf, spec(0, 2))["ids"][0]
         b = admit(tf, spec(6, 8))["ids"][0]
-        assert tf.owner[a] != tf.owner[b]
+        assert a not in tf.engine.closure(b)
         response = tf.handle_request({"op": "fail_link", "link": [1, 2]})
         assert response["ok"] and response["rerouted"] == [a]
-        assert tf.owner[a] == tf.owner[b] and tf.escalations == 1
         ref = reference(
             {"op": "admit", "streams": [spec(0, 2)]},
             {"op": "admit", "streams": [spec(6, 8)]},
@@ -107,7 +106,7 @@ class TestFleetLinkOps:
         tf.close()
 
     def test_restore_round_trip(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         assert admit(tf, spec(0, 5))["ok"]
         assert tf.handle_request(
             {"op": "fail_link", "link": [2, 3]}
@@ -126,7 +125,7 @@ class TestFleetLinkOps:
         tf.close()
 
     def test_rid_dedupes_across_fleet(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         assert admit(tf, spec(0, 2))["ok"]
         first = tf.handle_request(
             {"op": "fail_link", "link": [1, 2], "rid": "L1"}
@@ -141,7 +140,7 @@ class TestFleetLinkOps:
         tf.close()
 
     def test_validation_mirrors_host(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         bad = tf.handle_request({"op": "fail_link", "link": [0, 35]})
         assert not bad["ok"]
         assert tf.handle_request(
@@ -156,7 +155,7 @@ class TestFleetLinkOps:
         tf.close()
 
     def test_links_op_reports_state(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         links = tf.handle_request({"op": "links"})
         assert links["ok"] and links["failed_links"] == []
         assert tf.handle_request(
@@ -170,7 +169,7 @@ class TestFleetLinkOps:
 
 class TestFleetLinkRecovery:
     def test_failed_links_survive_fleet_recovery(self, tmp_path):
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        tf = TenantHost("t", TOPO, state_dir=tmp_path)
         assert admit(tf, spec(0, 2))["ok"]
         assert admit(tf, spec(30, 32))["ok"]
         assert tf.handle_request(
@@ -180,28 +179,25 @@ class TestFleetLinkRecovery:
         assert fleet_spec["failed_links"] == [[1, 2]]
         tf.close()
 
-        recovered = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        recovered = TenantHost("t", TOPO, state_dir=tmp_path)
         assert recovered.links_spec() == [[1, 2]]
         assert recovered.fingerprint()[0] == sha
         recovered.close()
 
     def test_lagging_shard_is_reconciled(self, tmp_path):
-        """A crash mid-broadcast leaves the link journaled on only some
-        shards; recovery re-applies it as the union across journals."""
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
-        assert admit(tf, spec(0, 2))["ok"]
-        assert admit(tf, spec(30, 32))["ok"]
-        # Forge the torn broadcast: one shard journals the failure, the
-        # fleet (and the other shard) never hears about it.
-        assert tf.hosts[0].handle_request(
+        """A crash mid-broadcast left a sharded state dir with the link
+        journaled on shard 0 only; the fold brings the other shard to
+        shard 0's set before it takes the union."""
+        s0, s1 = legacy_shards(tmp_path, 2)
+        assert admit(s0, spec(0, 2))["ok"]
+        assert admit(s1, spec(30, 32, id=1))["ok"]
+        assert s0.handle_request(
             {"op": "fail_link", "link": [13, 14]}
         )["ok"]
-        tf.close()
+        s0.close(), s1.close()
 
-        recovered = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        recovered = TenantHost("t", TOPO, state_dir=tmp_path / "t")
         assert recovered.links_spec() == [[13, 14]]
-        for host in recovered.hosts:
-            assert host.links_spec() == [[13, 14]]
         ref = reference(
             {"op": "admit", "streams": [spec(0, 2)]},
             {"op": "admit", "streams": [spec(30, 32)]},
@@ -215,10 +211,11 @@ class TestFleetLinkRecovery:
     def test_torn_broadcast_rolls_forward_under_its_rid(
         self, tmp_path, op, shards
     ):
-        """Crash after shard 0 journaled a broadcast link op: recovery
-        brings the lagging shards to shard 0's set — fail or restore —
-        under the op's own rid, so the client's retry is answered with
-        the complete delta and the link really is in the acked state."""
+        """A sharded state dir where shard 0 journaled a broadcast link
+        op and the crash stopped it there: the fold brings the lagging
+        shards to shard 0's set — fail or restore — under the op's own
+        rid, so the client's retry is answered with the complete delta
+        and the link really is in the acked state."""
         setup = [
             {"op": "admit", "streams": [spec(0, 2)]},
             {"op": "admit", "streams": [spec(2, 0)]},
@@ -227,20 +224,19 @@ class TestFleetLinkRecovery:
         if op == "restore_link":
             setup.append({"op": "fail_link", "link": [1, 2], "rid": "a"})
         request = {"op": op, "link": [1, 2], "rid": "b"}
-        plane = FaultPlane(0)
-        tf = TenantFleet("t", TOPO, shards=shards, state_dir=tmp_path,
-                         fault_plane=plane)
-        for step in setup:
-            assert tf.handle_request(step)["ok"]
-        assert len(set(tf.owner.values())) == shards
-        plane.arm(SITE_JOURNAL_APPEND, FaultSpec("crash_after_append"))
-        with pytest.raises(InjectedCrash):
-            tf.handle_request(request)
-        assert tf.hosts[0].links_spec() != tf.hosts[1].links_spec()
-        tf.close()
+        hosts = legacy_shards(tmp_path, shards)
+        for sid, step in enumerate(setup[:3]):
+            entry = dict(step["streams"][0], id=sid)
+            assert admit(hosts[sid % shards], entry)["ok"]
+        for step in setup[3:]:
+            for host in hosts:
+                assert host.handle_request(dict(step))["ok"]
+        assert hosts[0].handle_request(dict(request))["ok"]
+        assert hosts[0].links_spec() != hosts[1].links_spec()
+        for host in hosts:
+            host.close()
 
-        recovered = TenantFleet("t", TOPO, shards=shards,
-                                state_dir=tmp_path)
+        recovered = TenantHost("t", TOPO, state_dir=tmp_path / "t")
         retried = recovered.handle_request(request)
         ref = reference(*setup)
         want = ref.handle_request(request)
@@ -249,8 +245,6 @@ class TestFleetLinkRecovery:
             assert retried[key] == want[key], key
         assert (recovered.handle_request({"op": "links"})["failed_links"]
                 == want["failed_links"])
-        for host in recovered.hosts:
-            assert host.links_spec() == want["failed_links"]
         assert recovered.fingerprint() == ref.fingerprint()
         recovered.close()
 
@@ -264,14 +258,14 @@ class TestFleetLinkRecovery:
         ]
         cut_off = {"op": "admit", "streams": [spec(0, 8)]}
         after = {"op": "admit", "streams": [spec(20, 22)]}
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        tf = TenantHost("t", TOPO, state_dir=tmp_path)
         for step in steps:
             assert tf.handle_request(step)["ok"]
         refused = tf.handle_request(cut_off)
         assert not refused["ok"] and "disconnect" in refused["error"]
         tf.close()
 
-        restarted = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        restarted = TenantHost("t", TOPO, state_dir=tmp_path)
         ref = reference(*steps)
         assert ref.handle_request(cut_off)["error"] == refused["error"]
         assert (restarted.handle_request(after)["ids"]
@@ -280,30 +274,28 @@ class TestFleetLinkRecovery:
         restarted.close()
 
     def test_link_op_on_dead_shard_fails_clearly(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         assert admit(tf, spec(0, 2))["ok"]
-        tf.kill_host(0)
+        tf.handle_request({"op": "kill"})
         response = tf.handle_request({"op": "fail_link", "link": [1, 2]})
-        assert not response["ok"] and "down" in response["error"]
-        # Nothing half-applied: the live shard still runs base routing.
+        assert not response["ok"] and response["code"] == "down"
+        # Nothing applied: the tenant still runs base routing.
         assert tf.links_spec() == []
         tf.close()
 
 
 class TestLinkSchedules:
-    """Fuzzed fail/restore/admit/release schedules: the fleet equals one
-    engine at the end, and after *every* op its placement table equals
-    what the shards hold (link ops evict, migrate and re-index, all of
-    it from the table rather than from shard dumps)."""
+    """Fuzzed fail/restore/admit/release schedules: the tenant equals
+    one engine at the end, and after *every* op its memory equals what
+    its journal recovers (link ops evict, and a rollback re-admits)."""
 
     @pytest.mark.parametrize("workers", [0, 1], ids=["inprocess", "workers"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_books_never_drift(self, seed, workers, tmp_path):
-        """With a worker, the tenant's books live in another process:
-        after every op they are read from a recovery of a copy of its
-        state dir, and the worker's own counts — its placement table's
-        size, each shard's engine, the next id, which recovery does not
-        read back from the shard dumps — must match the copy's."""
+        """With a worker, the tenant lives in another process: after
+        every op a recovery of a copy of its state dir is checked, and
+        the worker's own counts — admitted streams, the next id — must
+        match the copy's."""
         import random
 
         from repro.fleet.shards import Fleet, TenantSpec
@@ -312,7 +304,7 @@ class TestLinkSchedules:
 
         tenants = [TenantSpec("t", "key", TOPO)]
         state = tmp_path / "state"
-        fleet = Fleet(tenants, shards=3, state_dir=state, workers=workers)
+        fleet = Fleet(tenants, state_dir=state, workers=workers)
         ref = EngineHost(TOPO)
 
         def books():
@@ -320,13 +312,11 @@ class TestLinkSchedules:
                 assert_books_exact(fleet.tenants["t"])
                 return fleet.tenants["t"].fingerprint()
             live = fleet.handle_request("t", {"op": "stats"})
-            with recovered_copy(state, tenants, shards=3) as copy:
+            with recovered_copy(state, tenants) as copy:
                 tf = copy.tenants["t"]
                 assert_books_exact(tf)
                 assert live["admitted"] == tf.admitted_count()
                 assert live["next_id"] == tf.next_id
-                assert [row["admitted"] for row in live["shards"]] == [
-                    host.admitted_count() for host in tf.hosts]
                 return tf.fingerprint()
 
         rng = random.Random(seed)

@@ -1,8 +1,8 @@
 """The journal-tailing oracle: tailer edges, replica convergence,
 promotion verified against a disk recovery.
 
-No served path tails journals (a fleet fails a shard over by replaying
-its journal, as a restart does); the tailer is the second, independent
+No served path tails journals (a fleet fails a tenant over by
+replaying its journal, as a restart does); the tailer is the second, independent
 reading of a journal that recovery is checked against. The dangerous
 cases are all races between the primary's compaction and the replica's
 tail offset; each detection mechanism (file shrank, consumed-prefix SHA

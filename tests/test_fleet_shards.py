@@ -1,17 +1,20 @@
-"""Shard manager tests: placement, escalation, atomicity, recovery.
+"""Tenant tests: one engine host per tenant, its drill, its legacy fold.
 
-The fleet's contract is that sharding is *invisible* in every verdict:
-placement by channel-connected components plus escalation-by-migration
-must produce responses byte-identical to one engine holding the whole
-tenant (the fuzzed proof lives in ``test_fleet_equivalence.py``; here
-are the targeted edges).
+A fleet tenant is a :class:`TenantHost` — an :class:`EngineHost` that
+names its tenant and can be killed and failed over — so every answer it
+gives must be byte-identical to a broker's holding the same streams
+(the fuzzed proof lives in ``test_fleet_equivalence.py``; here are the
+targeted edges). State dirs that a sharded fleet wrote
+(``<tenant>/shard-<i>/``) fold into one host's when the tenant opens
+(:func:`repro.fleet.shards.fold_shards`): the result must equal what
+the sharded code recovered from the same dir, whatever step a crash
+interrupts.
 """
 
 import contextlib
 import itertools
 import json
 import shutil
-import sys
 import threading
 import time
 
@@ -26,13 +29,14 @@ from repro.faults.plane import (
     FaultSpec,
     InjectedCrash,
 )
-from repro.fleet.regions import ChannelIndex, entry_channels
+from repro.fleet import shards
 from repro.fleet.replication import ShardStandby
-from repro.fleet.shards import Fleet, TenantFleet, TenantSpec
+from repro.fleet.shards import Fleet, TenantHost, TenantSpec
 from repro.service.host import EngineHost
-from repro.topology.route_table import shared_route_table
+from repro.service.persistence import BrokerState
 
 TOPO = {"type": "mesh", "width": 6, "height": 6}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def spec(src, dst, *, priority=5, period=300, length=4, deadline=300,
@@ -43,93 +47,35 @@ def spec(src, dst, *, priority=5, period=300, length=4, deadline=300,
     return out
 
 
-def admit(fleet, *streams, rid=None, **kw):
+def admit(target, *streams, rid=None, **kw):
     request = {"op": "admit", "streams": list(streams), **kw}
     if rid is not None:
         request["rid"] = rid
-    return fleet.handle_request(request)
+    return target.handle_request(request)
+
+
+def failing_next_append(host):
+    """The next journal append of ``host`` raises ``ENOSPC``, once."""
+    real_append = host.state.append
+
+    def failing_append(op):
+        host.state.append = real_append
+        raise OSError(28, "injected: no space left on device")
+
+    host.state.append = failing_append
 
 
 # ---------------------------------------------------------------------- #
-# ChannelIndex
-# ---------------------------------------------------------------------- #
-
-
-class TestChannelIndex:
-    def test_components_split_and_merge(self):
-        tf = TenantFleet("t", TOPO, shards=1)
-        table = shared_route_table(tf.routing)
-        a = entry_channels(table, tf.topology, 0, 2)       # links 0-1, 1-2
-        b = entry_channels(table, tf.topology, 3, 5)       # links 3-4, 4-5
-        bridge = entry_channels(table, tf.topology, 1, 4)  # 1-2, 2-3, 3-4
-
-        idx = ChannelIndex()
-        idx.add(1, a)
-        idx.add(2, b)
-        assert idx.component(a) == {1}
-        assert idx.component(b) == {2}
-        assert sorted(map(sorted, idx.components())) == [[1], [2]]
-
-        # The bridge stream's channel set touches both -> one component.
-        assert idx.component(bridge) == {1, 2}
-        idx.add(3, bridge)
-        assert sorted(map(sorted, idx.components())) == [[1, 2, 3]]
-
-        # Removing the bridge splits the component again.
-        idx.remove(3)
-        assert sorted(map(sorted, idx.components())) == [[1], [2]]
-
-    def test_touching_is_direct_only(self):
-        tf = TenantFleet("t", TOPO, shards=1)
-        table = shared_route_table(tf.routing)
-        idx = ChannelIndex()
-        # A chain: 1 and 2 share link 1-2, 2 and 3 share link 2-3.
-        idx.add(1, entry_channels(table, tf.topology, 0, 2))
-        idx.add(2, entry_channels(table, tf.topology, 1, 3))
-        idx.add(3, entry_channels(table, tf.topology, 2, 4))
-        probe = entry_channels(table, tf.topology, 0, 1)
-        # Direct sharing reaches only stream 1; the component closure
-        # walks the chain 1-2-3.
-        assert idx.touching(probe) == {1}
-        assert idx.component(probe) == {1, 2, 3}
-
-
-# ---------------------------------------------------------------------- #
-# Placement + escalation
+# One engine per tenant answers like one broker
 # ---------------------------------------------------------------------- #
 
 
 class TestPlacement:
-    def test_disjoint_streams_spread_over_shards(self):
-        tf = TenantFleet("t", TOPO, shards=2)
-        admit(tf, spec(0, 2))    # row 0
-        admit(tf, spec(30, 32))  # row 5
-        shards = {tf.owner[sid] for sid in tf.owner}
-        assert shards == {0, 1}
-        assert tf.escalations == 0
-
-    def test_bridge_stream_escalates_and_migrates(self):
-        """A stream bridging two regions forces them onto one shard."""
-        tf = TenantFleet("t", TOPO, shards=2)
-        r1 = admit(tf, spec(0, 2))
-        r2 = admit(tf, spec(3, 5))
-        assert tf.owner[r1["ids"][0]] != tf.owner[r2["ids"][0]]
-
-        r3 = admit(tf, spec(1, 4))  # shares links with both regions
-        assert r3["ok"], r3
-        owners = {tf.owner[sid] for sid in tf.owner}
-        assert len(owners) == 1, "bridged component must live on one shard"
-        assert tf.escalations == 1
-        assert tf.migrated_streams >= 1
-        # The moved stream is gone from its source engine.
-        for i, host in enumerate(tf.hosts):
-            expected = [s for s, o in tf.owner.items() if o == i]
-            assert list(host.engine.admitted.ids()) == sorted(expected)
-
     def test_bridge_mid_churn_matches_single_engine(self):
-        """Escalation under interleaved admits/releases stays
-        bit-identical to the unsharded reference."""
-        tf = TenantFleet("t", TOPO, shards=2)
+        """A stream that stitches two groups of streams together mid
+        churn is decided against its whole closure, as one broker
+        decides it; the spine ladder's sum of ``escalations`` stays 0."""
+        tf = TenantHost("t", TOPO)
         ref = EngineHost(TOPO)
 
         def step(request):
@@ -140,21 +86,20 @@ class TestPlacement:
 
         step({"op": "admit", "streams": [spec(0, 2)]})          # id 0
         step({"op": "admit", "streams": [spec(3, 5)]})          # id 1
-        assert tf.owner[0] != tf.owner[1]
-        # Churn: a third region comes and goes while the first two live.
+        # Churn: a third group comes and goes while the first two live.
         step({"op": "admit", "streams": [spec(30, 32)]})        # id 2
         step({"op": "release", "ids": [2]})
-        # The bridge lands mid-churn and stitches regions 0 and 1.
+        # The bridge lands mid-churn and stitches groups 0 and 1.
         step({"op": "admit", "streams": [spec(1, 4, priority=7)]})  # id 3
-        assert tf.escalations == 1
-        assert len({tf.owner[sid] for sid in (0, 1, 3)}) == 1
         step({"op": "admit", "streams": [spec(24, 26)]})        # id 4
         step({"op": "release", "ids": [1]})
         step({"op": "report"})
         assert tf.fingerprint() == ref.fingerprint()
+        fleet = Fleet([TenantSpec("t", "k", TOPO)], shards=2)
+        assert sum(tf.escalations for tf in fleet.tenants.values()) == 0
 
     def test_verdicts_identical_to_single_engine(self):
-        tf = TenantFleet("t", TOPO, shards=4)
+        tf = TenantHost("t", TOPO)
         ref = EngineHost(TOPO)
         batches = [
             [spec(0, 2, priority=2), spec(1, 2, priority=9)],
@@ -170,21 +115,17 @@ class TestPlacement:
         assert tf.fingerprint() == ref.fingerprint()
 
 
-# ---------------------------------------------------------------------- #
-# Tenant-level ids mirror the engine exactly
-# ---------------------------------------------------------------------- #
-
-
 class TestIds:
     def test_fresh_ids_are_sequential_across_shards(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        """Ids come from the tenant's one engine, in admission order."""
+        tf = TenantHost("t", TOPO)
         ids = []
         for src, dst in ((0, 2), (30, 32), (12, 14)):
             ids.extend(admit(tf, spec(src, dst))["ids"])
         assert ids == [0, 1, 2]
 
     def test_explicit_id_advances_high_water_mark(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         ref = EngineHost(TOPO)
         for request in (
             {"op": "admit", "streams": [spec(0, 2, id=7)]},
@@ -192,10 +133,10 @@ class TestIds:
         ):
             assert (tf.handle_request(dict(request))
                     == ref.handle_request(dict(request)))
-        assert sorted(tf.owner) == [7, 8]
+        assert tf.admitted_ids() == [7, 8]
 
     def test_duplicate_ids_rejected_like_engine(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         ref = EngineHost(TOPO)
         admit(tf, spec(0, 2, id=3))
         ref.handle_request({"op": "admit", "streams": [spec(0, 2, id=3)]})
@@ -210,7 +151,7 @@ class TestIds:
                 == ref.handle_request(dict(after)))
 
     def test_rejected_admit_restores_next_id(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         ref = EngineHost(TOPO)
         tight = spec(0, 2, priority=1, period=5, length=8, deadline=5)
         for request in (
@@ -221,80 +162,60 @@ class TestIds:
             got = tf.handle_request(dict(request))
             want = ref.handle_request(dict(request))
             assert got == want
-        assert sorted(tf.owner) == [0, 1]
+        assert tf.admitted_ids() == [0, 1]
 
 
 # ---------------------------------------------------------------------- #
-# Cross-shard release atomicity
+# A release of several streams is one journal record
 # ---------------------------------------------------------------------- #
 
 
 class TestCrossShardRelease:
-    def _two_shard_release(self, tmp_path=None):
-        tf = TenantFleet(
-            "t", TOPO, shards=2,
-            state_dir=None if tmp_path is None else tmp_path,
-        )
+    def _two_stream_release(self, tmp_path=None):
+        tf = TenantHost("t", TOPO, state_dir=tmp_path)
         a = admit(tf, spec(0, 2))["ids"][0]
         b = admit(tf, spec(30, 32))["ids"][0]
-        assert tf.owner[a] != tf.owner[b]
         return tf, a, b
 
     def test_release_spanning_shards(self):
-        tf, a, b = self._two_shard_release()
+        """Two channel-disjoint streams (two shards' worth, once) go in
+        one release."""
+        tf, a, b = self._two_stream_release()
         response = tf.handle_request({"op": "release", "ids": [a, b]})
         assert response["ok"] and sorted(response["released"]) == [a, b]
-        assert not tf.owner and len(tf.index) == 0
+        assert tf.admitted_ids() == []
 
     def test_rollback_restores_both_shards(self, tmp_path):
-        """Journal failure on the *second* shard: the first shard's
-        already-committed release must be compensated, leaving the
-        fleet's state (and fingerprint) exactly as before the op."""
-        tf, a, b = self._two_shard_release(tmp_path)
+        """A journal failure on the release leaves both streams as they
+        were (the tenant's fingerprint unchanged), and the same-rid
+        retry after a snapshot releases both."""
+        tf, a, b = self._two_stream_release(tmp_path)
         before = tf.fingerprint()
-        second = tf.hosts[max(tf.owner[a], tf.owner[b])]
-
-        # One-shot injected journal failure on the higher shard only
-        # (releases iterate shards ascending, so the lower one commits
-        # first and must be rolled back).
-        real_append = second.state.append
-
-        def failing_append(op):
-            second.state.append = real_append
-            raise OSError(28, "injected: no space left on device")
-
-        second.state.append = failing_append
+        failing_next_append(tf)
         response = tf.handle_request(
             {"op": "release", "rid": "r-roll", "ids": [a, b]}
         )
         assert not response["ok"]
         assert response["code"] == "degraded"
-
-        # Nothing released anywhere; bounds and closures unchanged.
-        assert sorted(tf.owner) == sorted([a, b])
+        assert tf.admitted_ids() == sorted([a, b])
         assert tf.fingerprint() == before
-        for sid in (a, b):
-            host = tf.hosts[tf.owner[sid]]
-            assert sid in host.engine.admitted
 
-        # Clear degraded mode, then the *same rid* retry releases both
-        # (the rollback must have dropped the partial rid record).
         snap = tf.handle_request({"op": "snapshot"})
         assert snap["ok"], snap
         retry = tf.handle_request(
             {"op": "release", "rid": "r-roll", "ids": [a, b]}
         )
         assert retry["ok"] and not retry.get("duplicate")
-        assert not tf.owner
+        assert tf.admitted_ids() == []
 
-        # And the rolled-back state survives a disk recovery.
-        recovered = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        # And the state survives a disk recovery.
+        recovered = TenantHost("t", TOPO, state_dir=tmp_path)
         assert recovered.fingerprint() == tf.fingerprint()
         recovered.close()
         tf.close()
 
     def test_release_unknown_id_matches_engine_message(self):
-        tf, a, b = self._two_shard_release()
+        tf, a, b = self._two_stream_release()
         ref = EngineHost(TOPO)
         got = tf.handle_request({"op": "release", "ids": [a, 99]})
         want = ref.handle_request({"op": "release", "ids": [99]})
@@ -302,49 +223,101 @@ class TestCrossShardRelease:
         assert got["error"] == "cannot release stream id(s) [99]: not admitted"
         assert got["code"] == want["code"] == "stream"
         # Atomic: the known id was not released either.
-        assert a in tf.owner
+        assert a in tf.admitted_ids()
+
+
+def test_a_failed_release_retries_to_what_the_journal_holds(
+    tmp_path, monkeypatch
+):
+    """Two streams, ``release [0, 1]`` under rid ``x`` while the append
+    that would record stream 1's release fails (``ENOSPC`` from the
+    fault plane), a restart on the same state dir, then a retry of
+    ``x``. The journal holds no release, so the retry must release both
+    — never answer ``{"released": [0], "duplicate": true}`` while both
+    streams are live. (With ``shards=2`` the sharded fleet released 0
+    on one shard, compensated in memory only, and the restart brought
+    the rid back.)"""
+    plane = FaultPlane()
+    real_append = BrokerState.append
+
+    def append(state, op):
+        if op.get("rid") == "x" and 1 in op.get("ids", ()):
+            plane.arm(SITE_JOURNAL_APPEND, FaultSpec("disk_full"))
+        return real_append(state, op)
+
+    monkeypatch.setattr(BrokerState, "append", append)
+    tenants = [TenantSpec("t", "k", TOPO)]
+    fleet = Fleet(tenants, shards=2, state_dir=tmp_path, fault_plane=plane)
+    assert admit_in(fleet, spec(0, 2))["ids"] == [0]
+    assert admit_in(fleet, spec(30, 32))["ids"] == [1]
+    failed = fleet.handle_request(
+        "t", {"op": "release", "rid": "x", "ids": [0, 1]}
+    )
+    assert not failed["ok"] and failed["code"] == "degraded"
+    assert plane.fired == {"disk_full": 1}
+    fleet.close()
+
+    monkeypatch.setattr(BrokerState, "append", real_append)
+    fleet = Fleet(tenants, shards=2, state_dir=tmp_path)
+    live = fleet.handle_request("t", {"op": "report"})["report"]["streams"]
+    assert sorted(map(int, live)) == [0, 1]
+    retry = fleet.handle_request(
+        "t", {"op": "release", "rid": "x", "ids": [0, 1]}
+    )
+    assert retry == {"released": [0, 1], "ok": True}
+    live = fleet.handle_request("t", {"op": "report"})["report"]["streams"]
+    assert live == {}
+    fleet.close()
+
+
+def admit_in(fleet, *streams):
+    return fleet.handle_request(
+        "t", {"op": "admit", "streams": list(streams)}
+    )
 
 
 # ---------------------------------------------------------------------- #
-# Fleet recovery
+# Recovery, and the fold of a sharded state dir
 # ---------------------------------------------------------------------- #
+
+
+def legacy_shard(root, shard):
+    """An engine host over ``<root>/t/shard-<shard>/``: one shard of a
+    state dir as the sharded fleet wrote it."""
+    return EngineHost(TOPO, state_dir=Path(root) / "t" / f"shard-{shard}")
+
+
+def open_tenant(root):
+    return TenantHost("t", TOPO, state_dir=Path(root) / "t")
 
 
 class TestRecovery:
     def test_recovery_is_bit_identical(self, tmp_path):
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        tf = TenantHost("t", TOPO, state_dir=tmp_path)
         admit(tf, spec(0, 2))
         admit(tf, spec(3, 5))
-        admit(tf, spec(1, 4))  # escalation -> migration journaled
+        admit(tf, spec(1, 4))
         tf.handle_request({"op": "release", "ids": [0]})
         sha, _ = tf.fingerprint()
-        owner = dict(tf.owner)
         tf.close()
 
-        recovered = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        recovered = TenantHost("t", TOPO, state_dir=tmp_path)
         assert recovered.fingerprint()[0] == sha
-        assert recovered.owner == owner
+        assert recovered.admitted_ids() == [1, 2]
         recovered.close()
 
     def test_recovery_repairs_spanning_component(self, tmp_path):
-        """Streams that share channels but recovered onto different
-        shards (e.g. a migration torn by a crash) are re-merged."""
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
-        admit(tf, spec(0, 2))
-        admit(tf, spec(3, 5))
-        # Forge the torn state: admit the bridge directly on whichever
-        # shard does NOT hold stream 0, bypassing fleet placement.
-        target = 1 - tf.owner[0]
-        tf.hosts[target].handle_request(
-            {"op": "admit", "streams": [spec(1, 4, id=5)]}
-        )
-        tf.close()
+        """Streams that share channels but sit on different shards of a
+        legacy dir (a migration torn by a crash) fold into one engine,
+        which equals one engine holding all three."""
+        s0, s1 = legacy_shard(tmp_path, 0), legacy_shard(tmp_path, 1)
+        admit(s0, spec(0, 2))
+        admit(s1, spec(3, 5, id=1))
+        admit(s1, spec(1, 4, id=5))
+        s0.close(), s1.close()
 
-        recovered = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
-        assert sorted(recovered.owner) == [0, 1, 5]
-        owners = {recovered.owner[sid] for sid in (0, 1, 5)}
-        assert len(owners) == 1, "connected component must be re-merged"
-        # The merged state equals one engine holding all three.
+        recovered = open_tenant(tmp_path)
+        assert recovered.admitted_ids() == [0, 1, 5]
         ref = EngineHost(TOPO)
         ref.handle_request({"op": "admit", "streams": [spec(0, 2)]})
         ref.handle_request({"op": "admit", "streams": [spec(3, 5)]})
@@ -353,30 +326,37 @@ class TestRecovery:
         recovered.close()
 
     def test_restart_replays_merged_rid_outcomes(self, tmp_path):
-        """A cross-shard release and a broadcast link op leave their rid
-        on several shards, each recording its own share; a fleet
-        restarted from disk merges the shares, so a retry gets the whole
-        answer, exactly as one engine gives it."""
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
-        ref = EngineHost(TOPO)
-        a, b, c = (admit(tf, spec(*pair))["ids"][0]
-                   for pair in ((0, 2), (30, 32), (12, 15)))
-        assert tf.owner[b] != tf.owner[c]
+        """A release spanning shards and a broadcast link op left their
+        rid on both shards of a legacy dir, each recording its share;
+        the fold merges the shares, so a retry gets the whole answer,
+        exactly as one engine gives it."""
+        s0, s1 = legacy_shard(tmp_path, 0), legacy_shard(tmp_path, 1)
+        a = admit(s0, spec(0, 2))["ids"][0]
+        b = admit(s0, spec(30, 32, id=1))["ids"][0]
+        c = admit(s1, spec(12, 15, id=2))["ids"][0]
         ridded = [
             {"op": "fail_link", "rid": "L", "link": [0, 1]},
             {"op": "fail_link", "rid": "E", "link": [0, 6]},  # evicts a
-            # Ascending: the merged share is sorted (no shard records
+            # Ascending: the merged share is sorted (no shard recorded
             # the request order).
             {"op": "release", "rid": "R", "ids": [b, c]},
         ]
+        for request in ridded[:2]:
+            for host in (s0, s1):
+                assert host.handle_request(dict(request))["ok"]
+        assert s0.handle_request({"op": "release", "rid": "R",
+                                  "ids": [b]})["ok"]
+        assert s1.handle_request({"op": "release", "rid": "R",
+                                  "ids": [c]})["ok"]
+        s0.close(), s1.close()
+        ref = EngineHost(TOPO)
         for pair in ((0, 2), (30, 32), (12, 15)):
             admit(ref, spec(*pair))
         for request in ridded:
-            got = tf.handle_request(dict(request))
-            assert got == ref.handle_request(dict(request)), request
-        tf.close()
+            assert ref.handle_request(dict(request))["ok"]
+        assert a == 0
 
-        recovered = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        recovered = open_tenant(tmp_path)
         for request in ridded:
             got = recovered.handle_request(dict(request))
             assert got["duplicate"], got
@@ -385,40 +365,122 @@ class TestRecovery:
         recovered.close()
 
     def test_recovery_dedupes_doubled_stream(self, tmp_path):
-        """A crash between migration admit and source release leaves the
-        stream on two shards; recovery keeps one copy."""
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
-        admit(tf, spec(0, 2))
-        # Duplicate stream 0 onto the other shard, as a torn migration
-        # (admit-then-release, crashed before the release) would.
-        other = 1 - tf.owner[0]
-        tf.hosts[other].handle_request(
-            {"op": "admit", "streams": [spec(0, 2, id=0)]}
-        )
-        tf.close()
+        """A crash between a migration's admit and its source release
+        left the stream on two shards; the fold keeps one copy."""
+        s0, s1 = legacy_shard(tmp_path, 0), legacy_shard(tmp_path, 1)
+        admit(s0, spec(0, 2))
+        admit(s1, spec(0, 2, id=0))
+        s0.close(), s1.close()
 
-        recovered = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
-        assert sorted(recovered.owner) == [0]
-        copies = sum(
-            1 for host in recovered.hosts if 0 in host.engine.admitted
-        )
-        assert copies == 1
+        recovered = open_tenant(tmp_path)
+        assert recovered.admitted_ids() == [0]
         ref = EngineHost(TOPO)
         ref.handle_request({"op": "admit", "streams": [spec(0, 2)]})
         assert recovered.fingerprint() == ref.fingerprint()
         recovered.close()
 
 
+#: ``tests/golden/sharded_tenant/``, written by the sharded fleet (two
+#: shards, 6x6 mesh) with its schedule in ``sharded_tenant.json``; the
+#: same file holds what that code recovered from the dir.
+LEGACY = GOLDEN / "sharded_tenant"
+LEGACY_TOPO = {"type": "mesh", "width": 6, "height": 6, "routing": "default"}
+
+
+def _legacy_copy(tmp_path):
+    root = tmp_path / "state"
+    shutil.copytree(LEGACY, root / "t")
+    return root
+
+
+def _assert_matches_sharded_recovery(root):
+    """The tenant opened on ``root`` answers what the sharded fleet's
+    recovery of the golden dir answered, and holds no shard dir."""
+    expected = json.loads((GOLDEN / "sharded_tenant.json").read_text())
+    fleet = Fleet([TenantSpec("t", "k", LEGACY_TOPO)], shards=2,
+                  state_dir=root)
+    try:
+        ask = lambda request: fleet.handle_request("t", dict(request))
+        assert ask({"op": "report"}) == expected["report"]
+        assert ask({"op": "links"}) == expected["links"]
+        assert ask({"op": "stats"})["next_id"] == expected["next_id"]
+        for retry in expected["retries"]:
+            assert ask(retry["request"]) == retry["answer"], retry
+        assert sorted(p.name for p in (root / "t").iterdir()) == [
+            "journal.jsonl", "snapshot.json"]
+    finally:
+        fleet.close()
+
+
+class TestLegacyFold:
+    def test_fold_matches_the_sharded_recovery(self, tmp_path):
+        """Churn, releases spanning shards, a link failed and restored
+        (rerouting a stream), two migrations, one in a snapshot and one
+        in a journal: the fold answers ``report``, ``next_id`` and every
+        rid's retry as the sharded code did."""
+        _assert_matches_sharded_recovery(_legacy_copy(tmp_path))
+
+    #: Where a crash can land in a fold: after each shard's recovery,
+    #: after each compaction (both shards', then the tenant's snapshot),
+    #: after the link catch-up, after each shard dir's removal.
+    CRASH_POINTS = [
+        (shards, "EngineHost", 1), (shards, "EngineHost", 2),
+        (BrokerState, "compact", 1), (BrokerState, "compact", 2),
+        (BrokerState, "compact", 3), (shards, "_catch_up_links", 1),
+        (shards.shutil, "rmtree", 1), (shards.shutil, "rmtree", 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "owner,name,nth", CRASH_POINTS,
+        ids=[f"{name}-{nth}" for _, name, nth in CRASH_POINTS],
+    )
+    def test_a_crash_after_each_fold_step_restarts_into_the_same_state(
+        self, tmp_path, monkeypatch, owner, name, nth
+    ):
+        root = _legacy_copy(tmp_path)
+        real = getattr(owner, name)
+        calls = itertools.count(1)
+
+        def crash_after(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if next(calls) == nth:
+                raise InjectedCrash(f"after {name} #{nth}")
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, crash_after)
+            with pytest.raises(InjectedCrash):
+                Fleet([TenantSpec("t", "k", LEGACY_TOPO)], state_dir=root)
+        _assert_matches_sharded_recovery(root)
+
+    def test_shard_dirs_beside_a_tenant_snapshot_are_dropped(self, tmp_path):
+        """A tenant snapshot means the fold finished: shard dirs left
+        beside it are leftovers, not state."""
+        host = open_tenant(tmp_path)
+        admit(host, spec(0, 2))
+        assert host.handle_request({"op": "snapshot"})["ok"]
+        host.close()
+        leftover = legacy_shard(tmp_path, 0)
+        admit(leftover, spec(30, 32))
+        leftover.close()
+
+        reopened = open_tenant(tmp_path)
+        assert reopened.admitted_ids() == [0]
+        assert not (tmp_path / "t" / "shard-0").exists()
+        reopened.close()
+
+
 # ---------------------------------------------------------------------- #
-# Kill / failover gating
+# Kill / failover
 # ---------------------------------------------------------------------- #
 
 
 class TestDeadShards:
     def test_ops_on_dead_shard_fail_clearly(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         a = admit(tf, spec(0, 2))["ids"][0]
-        tf.kill_host(tf.owner[a])
+        assert tf.handle_request({"op": "kill"}) == {
+            "killed": "t", "ok": True}
         response = tf.handle_request({"op": "release", "ids": [a]})
         assert not response["ok"]
         assert "down" in response["error"]
@@ -430,53 +492,59 @@ class TestDeadShards:
     def test_down_refusals_carry_their_own_code(self):
         """Retry loops key on ``code: "down"`` (fail over, then retry),
         never on the message."""
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         a = admit(tf, spec(0, 2))["ids"][0]
-        tf.kill_host(tf.owner[a])
+        tf.handle_request({"op": "kill"})
         for request in (
             {"op": "admit", "streams": [spec(0, 3)]},
             {"op": "query", "stream": a},
             {"op": "report"},
+            {"op": "stats"},
         ):
             response = tf.handle_request(request)
             assert not response["ok"] and response["code"] == "down", (
                 request, response)
 
     def test_other_shards_keep_serving(self):
-        tf = TenantFleet("t", TOPO, shards=2)
-        a = admit(tf, spec(0, 2))["ids"][0]
-        b = admit(tf, spec(30, 32))["ids"][0]
-        tf.kill_host(tf.owner[a])
-        q = tf.handle_request({"op": "query", "stream": b})
-        assert q["ok"]
+        """A killed tenant takes no other tenant down."""
+        fleet = Fleet([TenantSpec("a", "ka", TOPO),
+                       TenantSpec("b", "kb", TOPO)])
+        for name in ("a", "b"):
+            assert fleet.handle_request(
+                name, {"op": "admit", "streams": [spec(0, 2)]})["ok"]
+        assert fleet.handle_request("a", {"op": "kill"})["ok"]
+        assert fleet.handle_request("b", {"op": "query", "stream": 0})["ok"]
+        healthy, rows = fleet.health(fleet.stats())
+        assert not healthy
+        assert rows == {
+            "a": {"admitted": None, "dead": True, "degraded": False},
+            "b": {"admitted": 1, "dead": False, "degraded": False},
+        }
 
     def test_replace_host_revives_shard(self, tmp_path):
-        """Failover replaces the dead host with the one a restart opens
-        (its journal replayed): the shard serves again, and keeps
-        journaling what a fresh, independent reading of its journal
-        agrees with."""
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        """Failover reopens the tenant the way a restart does (its
+        journal replayed): it serves again, and keeps journaling what a
+        fresh, independent reading of its journal agrees with."""
+        tf = TenantHost("t", TOPO, state_dir=tmp_path)
         a = admit(tf, spec(0, 2))["ids"][0]
         admit(tf, spec(30, 32))
-        shard = tf.owner[a]
-        tf.kill_host(shard)
+        tf.handle_request({"op": "kill"})
         assert not tf.handle_request({"op": "query", "stream": a})["ok"]
-        tf.recover_shard(shard)
+        assert tf.handle_request({"op": "failover"}) == {
+            "recovered": "t", "admitted": 2, "ok": True}
         assert tf.handle_request({"op": "query", "stream": a})["ok"]
         assert not tf.dead
         assert admit(tf, spec(5, 7))["ok"]
         assert_books_exact(tf)
-        for i, host in enumerate(tf.hosts):
-            oracle = ShardStandby(tmp_path / f"shard-{i}", TOPO)
-            oracle.catch_up()
-            assert oracle.fingerprint()[0] == host.fingerprint()[0]
+        oracle = ShardStandby(tmp_path, TOPO)
+        oracle.catch_up()
+        assert oracle.fingerprint()[0] == tf.fingerprint()[0]
         tf.close()
 
     def test_fleet_recover_swaps_and_recovers_again(self, tmp_path):
-        """Through the multi-tenant shell: the recovered host replaces
-        the dead one, and the same shard can be killed and recovered a
-        second time, its journal still agreeing with an independent
-        reading of it."""
+        """Through the multi-tenant shell: the tenant can be killed and
+        failed over twice, its journal still agreeing with an
+        independent reading of it."""
         fleet = Fleet(
             [TenantSpec("t", "k", TOPO)], shards=2, state_dir=tmp_path
         )
@@ -486,42 +554,38 @@ class TestDeadShards:
         )["ids"][0]
         fleet.handle_request("t", {"op": "admit", "streams": [spec(8, 10)]})
 
-        shard = tf.owner[a]
-        dead = tf.hosts[shard]
-        tf.kill_host(shard)
+        assert fleet.handle_request("t", {"op": "kill"})["ok"]
         assert not fleet.handle_request(
             "t", {"op": "query", "stream": a}
         )["ok"]
-        tf.recover_shard(shard)
-        assert tf.hosts[shard] is not dead
+        assert fleet.handle_request("t", {"op": "failover"})["ok"]
         assert fleet.handle_request("t", {"op": "query", "stream": a})["ok"]
-        assert not tf.dead
 
         fleet.handle_request("t", {"op": "admit", "streams": [spec(5, 7)]})
         sha = tf.fingerprint()[0]
-        tf.kill_host(shard)
-        tf.recover_shard(shard)
+        fleet.handle_request("t", {"op": "kill"})
+        fleet.handle_request("t", {"op": "failover"})
         assert tf.fingerprint()[0] == sha
-        for i, host in enumerate(tf.hosts):
-            oracle = ShardStandby(tmp_path / "t" / f"shard-{i}", TOPO)
-            oracle.catch_up()
-            assert oracle.fingerprint()[0] == host.fingerprint()[0]
+        oracle = ShardStandby(tmp_path / "t", TOPO)
+        oracle.catch_up()
+        assert oracle.fingerprint()[0] == sha
         fleet.close()
 
     def test_recover_shard_requires_persistence(self):
-        tf = TenantFleet("t", TOPO, shards=2)
-        tf.kill_host(0)
-        with pytest.raises(ReproError, match="persistent"):
-            tf.recover_shard(0)
-        assert tf.dead == {0}
+        tf = TenantHost("t", TOPO)
+        tf.handle_request({"op": "kill"})
+        response = tf.handle_request({"op": "failover"})
+        assert not response["ok"] and response["code"] == "protocol"
+        assert "persistent" in response["error"]
+        assert tf.dead
 
     def test_recover_after_a_snapshot_that_holds_failed_links(
         self, tmp_path
     ):
-        """The snapshot's fifth field: a shard recovered from a snapshot
-        taken while a link was down restores the link set before the
-        streams, and the tenant's fingerprint does not move."""
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        """A tenant failed over from a snapshot taken while a link was
+        down restores the link set before the streams, and its
+        fingerprint does not move."""
+        tf = TenantHost("t", TOPO, state_dir=tmp_path)
         for request in (
             {"op": "admit", "streams": [spec(0, 3)]},
             {"op": "fail_link", "link": [1, 2]},
@@ -529,9 +593,9 @@ class TestDeadShards:
         ):
             assert tf.handle_request(request)["ok"]
         sha = tf.fingerprint()[0]
-        tf.kill_host(0)
-        tf.recover_shard(0)
-        assert tf.hosts[0].links_spec() == [[1, 2]]
+        tf.handle_request({"op": "kill"})
+        tf.handle_request({"op": "failover"})
+        assert tf.links_spec() == [[1, 2]]
         assert tf.fingerprint()[0] == sha
 
         # And the other way: restored again before the next snapshot.
@@ -541,23 +605,22 @@ class TestDeadShards:
         ):
             assert tf.handle_request(request)["ok"]
         sha = tf.fingerprint()[0]
-        tf.kill_host(1)
-        tf.recover_shard(1)
-        assert tf.hosts[1].links_spec() == []
+        tf.handle_request({"op": "kill"})
+        tf.handle_request({"op": "failover"})
+        assert tf.links_spec() == []
         assert tf.fingerprint()[0] == sha
         tf.close()
 
     def test_recovered_shard_still_trips_an_armed_journal_fault(
         self, tmp_path
     ):
-        """A recovered shard is opened like every other shard: on the
-        tenant's fault plane, so chaos keeps injecting into it."""
+        """A failed-over tenant is opened like every tenant: on the
+        fleet's fault plane, so chaos keeps injecting into it."""
         plane = FaultPlane()
-        tf = TenantFleet("t", TOPO, shards=1, state_dir=tmp_path,
-                         fault_plane=plane)
+        tf = TenantHost("t", TOPO, state_dir=tmp_path, fault_plane=plane)
         assert admit(tf, spec(0, 2))["ok"]
-        tf.kill_host(0)
-        tf.recover_shard(0)
+        tf.handle_request({"op": "kill"})
+        tf.handle_request({"op": "failover"})
         plane.arm(SITE_JOURNAL_APPEND, FaultSpec("crash_after_append"))
         with pytest.raises(InjectedCrash):
             admit(tf, spec(4, 6))
@@ -565,9 +628,12 @@ class TestDeadShards:
         tf.close()
 
     def test_kill_bounds_checked(self):
-        tf = TenantFleet("t", TOPO, shards=2)
-        with pytest.raises(ReproError):
-            tf.kill_host(5)
+        """A kill names a tenant the caller may act on: an unknown one
+        is an ``auth`` refusal and kills nothing."""
+        fleet = Fleet([TenantSpec("t", "k", TOPO)])
+        response = fleet.handle_request("nope", {"op": "kill"})
+        assert not response["ok"] and response["code"] == "auth"
+        assert not fleet.tenants["t"].dead
 
 
 # ---------------------------------------------------------------------- #
@@ -580,7 +646,7 @@ class TestFleet:
         return Fleet(
             [TenantSpec("acme", "k1", TOPO),
              TenantSpec("beta", "k2", TOPO)],
-            shards=2, **kw,
+            **kw,
         )
 
     def test_tenants_are_isolated(self):
@@ -626,21 +692,27 @@ class TestFleet:
         text = fleet.prometheus_text(fleet.stats())
         assert 'repro_fleet_tenant_streams{tenant="acme"} 1' in text
         assert 'repro_fleet_tenant_streams{tenant="beta"} 0' in text
-        assert "repro_fleet_shard_streams" in text
+        assert 'repro_fleet_tenant_degraded{tenant="acme"} 0' in text
+        assert ('repro_fleet_tenant_engine_admits_total{tenant="acme"} 1'
+                in text)
+        assert 'repro_fleet_tenant_journal_records{tenant="acme"}' in text
         assert 'op="admit"' in text
+        for gone in ("repro_fleet_shard_", "repro_fleet_escalations_total",
+                     "repro_fleet_migrated_streams_total"):
+            assert gone not in text
 
     def test_scrape_while_another_thread_places_streams(self, tmp_path):
         """With workers, one caller's thread may run a tenant's ops while
         another renders ``/metrics`` from its ``stats`` answer: the
         worker answers one request at a time, so a scrape never catches
-        the placement map mid-update (``dictionary changed size during
-        iteration``). A ``TenantFleet`` in this process is single-writer
-        (the gateway's loop thread)."""
+        the engine mid-update (``dictionary changed size during
+        iteration``). A tenant in this process is single-writer (the
+        gateway's loop thread)."""
         fleet = self._fleet(state_dir=tmp_path, workers=1)
         live = []
 
         def place(count):
-            # One-hop streams: many small components, cheap to analyse.
+            # One-hop streams: many small closures, cheap to analyse.
             for i in range(count):
                 src = 6 * (i % 6) + i // 6 % 5
                 response = fleet.handle_request("acme", {
@@ -652,7 +724,7 @@ class TestFleet:
                 assert response["admitted"], response
                 live.extend(response["ids"])
 
-        place(400)   # a map long enough to be caught inside
+        place(400)   # a set long enough to be caught inside
         stop = threading.Event()
         failures = []
 
@@ -677,7 +749,7 @@ class TestFleet:
             while (scrapes < 20 and time.monotonic() < deadline
                    and driver.is_alive()):
                 text = fleet.prometheus_text(fleet.stats())
-                assert "repro_fleet_shard_streams" in text
+                assert "repro_fleet_tenant_streams" in text
                 scrapes += 1
         finally:
             stop.set()
@@ -687,16 +759,16 @@ class TestFleet:
         assert scrapes >= 20
 
     def test_hello_names_tenant(self):
-        fleet = self._fleet()
+        fleet = self._fleet(shards=2)
         hello = fleet.handle_request("acme", {"op": "hello"})
         assert hello["server"] == "repro-fleet"
         assert hello["tenant"] == "acme"
-        assert hello["shards"] == 2
+        assert "shards" not in hello
 
     def test_fingerprint_spec_shape_matches_host(self):
         """The tenant fingerprint is byte-compatible with EngineHost's —
         that equality is what every oracle comparison rests on."""
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         ref = EngineHost(TOPO)
         for target in (tf, ref):
             target.handle_request(
@@ -711,40 +783,44 @@ class TestFleet:
 
 
 # ---------------------------------------------------------------------- #
-# The placement table (what the fleet keeps instead of asking shards)
+# The books: what a tenant holds in memory is what its disk recovers
 # ---------------------------------------------------------------------- #
-
-
-def assert_books_exact(tf):
-    """The fleet's books equal what its shards hold, right now.
-
-    ``placed`` (spec + analysis name, by owner shard) must equal the
-    union of the shards' full dumps — the fuzzes call this after every
-    op, so no op history can make the books drift.
-    """
-    held = {}
-    for shard, host in enumerate(tf.hosts):
-        for entry in host.shard_dump()["streams"]:
-            sid = entry["stream"]["id"]
-            assert sid not in held, f"stream {sid} is on two shards"
-            held[sid] = (shard, entry["stream"], entry["analysis"])
-    assert set(tf.placed) == set(tf.owner)
-    assert {sid: (tf.owner[sid], *tf.placed[sid]) for sid in tf.owner} == held
 
 
 _copies = itertools.count()
 
 
+def assert_books_exact(host):
+    """A tenant's memory equals what its journal holds, right now.
+
+    A fresh host recovered from a copy of its state dir must have the
+    same fingerprint, next_id, per-stream analyses and rid table — the
+    fuzzes call this after every op, so no op history can make memory
+    and disk drift.
+    """
+    state_dir = host.state.dir
+    copy = state_dir.parent / f"{state_dir.name}-books-{next(_copies)}"
+    shutil.copytree(state_dir, copy)
+    fresh = EngineHost(host.topology_spec, state_dir=copy)
+    try:
+        assert fresh.fingerprint() == host.fingerprint()
+        assert fresh._admitted_analyses() == host._admitted_analyses()
+        assert dict(fresh._applied) == dict(host._applied)
+    finally:
+        fresh.close()
+        shutil.rmtree(copy)
+
+
 @contextlib.contextmanager
-def recovered_copy(state_dir, tenants, *, shards):
+def recovered_copy(state_dir, tenants):
     """An in-process :class:`Fleet` opened over a copy of ``state_dir``
     (a worker fleet's, live): what a restart would recover, read without
-    touching the original. Its tenants' books are the worker's books."""
+    touching the original."""
     state_dir = Path(state_dir)
     copy = state_dir.parent / f"{state_dir.name}-copy-{next(_copies)}"
     shutil.copytree(state_dir, copy,
                     ignore=shutil.ignore_patterns("workers"))
-    fleet = Fleet(tenants, shards=shards, state_dir=copy)
+    fleet = Fleet(tenants, state_dir=copy)
     try:
         yield fleet
     finally:
@@ -754,30 +830,31 @@ def recovered_copy(state_dir, tenants, *, shards):
 
 class TestPlacementTable:
     def test_books_follow_admit_escalate_release_and_recovery(self, tmp_path):
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        """Memory and journal agree through an admit under a second
+        backend, a batch bridging two groups of streams, a release and
+        a restart, which keeps each stream's analysis."""
+        tf = TenantHost("t", TOPO, state_dir=tmp_path)
         admit(tf, spec(0, 2), analysis="tighter")
         assert_books_exact(tf)
         admit(tf, spec(3, 5))
         assert_books_exact(tf)
-        # One batch touching both shards' streams: an escalation.
         admit(tf, spec(0, 2, priority=4), spec(3, 5, priority=4))
-        assert tf.escalations == 1
         assert_books_exact(tf)
-        assert tf.placed[0][1] == "tighter", "analysis must move with it"
-        tf.handle_request({"op": "release", "ids": [0]})
+        tf.handle_request({"op": "release", "ids": [1]})
         assert_books_exact(tf)
+        analyses = tf._admitted_analyses()
+        assert analyses[0] == "tighter"
         tf.close()
-        recovered = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
-        assert recovered.placed == tf.placed
+        recovered = TenantHost("t", TOPO, state_dir=tmp_path)
+        assert recovered._admitted_analyses() == analyses
         assert_books_exact(recovered)
         recovered.close()
 
     def test_rejected_admit_leaves_no_trial_bounds_behind(self):
-        tf = TenantFleet("t", TOPO, shards=2)
+        tf = TenantHost("t", TOPO)
         admit(tf, spec(0, 2))
         tight = spec(0, 2, priority=1, period=5, length=8, deadline=5)
         assert not admit(tf, tight)["admitted"]
-        assert_books_exact(tf)
         # The bound the refused trial would have caused is not served.
         other = admit(tf, spec(30, 32))
         ref = EngineHost(TOPO)
@@ -786,80 +863,38 @@ class TestPlacementTable:
         want = ref.handle_request({"op": "admit", "streams": [spec(30, 32)]})
         assert other["bounds"] == want["bounds"]
 
-    def test_lost_ack_is_adopted_from_the_shard(self):
-        """The shard commits an admit, the answer never arrives (a
-        worker death after the journal write); the same-rid retry gets
-        the shard's duplicate answer and the fleet books what the shard
-        holds — spec and analysis included."""
-        tf = TenantFleet("t", TOPO, shards=2)
-        admit(tf, spec(0, 2))
-        target = tf._least_loaded()
-        real = tf.hosts[target].handle_request
-
-        def lose_the_ack(request):
-            tf.hosts[target].handle_request = real
-            assert real(request)["ok"]
-            return {"ok": False, "code": "worker", "error": "ack lost"}
-
-        tf.hosts[target].handle_request = lose_the_ack
-        request = {"op": "admit", "rid": "lost-1", "analysis": "tighter",
-                   "streams": [spec(30, 32)]}
-        first = tf.handle_request(dict(request))
-        assert not first["ok"] and first["code"] == "worker"
-        assert 1 not in tf.owner
-        retry = tf.handle_request(dict(request))
-        assert retry["ok"] and retry["duplicate"] and retry["ids"] == [1]
-        assert tf.placed[1][1] == "tighter"
-        assert_books_exact(tf)
-
     def test_compensated_cross_shard_release_keeps_the_books(self, tmp_path):
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        """A release whose journal append fails is rolled back in
+        memory, analyses included, and memory still matches the disk."""
+        tf = TenantHost("t", TOPO, state_dir=tmp_path)
         a = admit(tf, spec(0, 2), analysis="tighter")["ids"][0]
         b = admit(tf, spec(30, 32))["ids"][0]
-        assert tf.owner[a] != tf.owner[b]
         before = tf.fingerprint()
-        placed = dict(tf.placed)
-        second = tf.hosts[max(tf.owner[a], tf.owner[b])]
-        real_append = second.state.append
-
-        def failing_append(op):
-            second.state.append = real_append
-            raise OSError(28, "injected: no space left on device")
-
-        second.state.append = failing_append
+        analyses = tf._admitted_analyses()
+        failing_next_append(tf)
         response = tf.handle_request({"op": "release", "ids": [a, b]})
         assert not response["ok"] and response["code"] == "degraded"
-        assert tf.placed == placed
+        assert tf._admitted_analyses() == analyses
         assert_books_exact(tf)
         assert tf.fingerprint() == before
         tf.close()
 
     def test_link_rollback_keeps_the_books(self, tmp_path):
-        """The link op commits on shard 0 (evicting a stream there) and
-        fails on shard 1: `_compensate_link` restores the link and
-        re-admits the evicted stream from the table."""
-        tf = TenantFleet("t", TOPO, shards=2, state_dir=tmp_path)
+        """A link op that evicts a stream and then fails to journal
+        restores the link and re-admits the evicted stream."""
+        tf = TenantHost("t", TOPO, state_dir=tmp_path)
         tf.handle_request({"op": "fail_link", "link": [0, 6]})
         a = admit(tf, spec(0, 2), analysis="tighter")["ids"][0]
-        b = admit(tf, spec(30, 32))["ids"][0]
-        assert (tf.owner[a], tf.owner[b]) == (0, 1)
+        admit(tf, spec(30, 32))
         before = tf.fingerprint()
-        placed = dict(tf.placed)
-        second = tf.hosts[1]
-        real_append = second.state.append
-
-        def failing_append(op):
-            second.state.append = real_append
-            raise OSError(28, "injected: no space left on device")
-
-        second.state.append = failing_append
-        # With 0-6 already down, losing 0-1 disconnects node 0: shard 0
-        # evicts stream `a` before shard 1 fails to journal the op.
+        failing_next_append(tf)
+        # With 0-6 already down, losing 0-1 disconnects node 0: the op
+        # evicts stream `a` before its journal append fails.
         response = tf.handle_request({"op": "fail_link", "link": [0, 1]})
         assert not response["ok"] and response["code"] == "degraded"
         assert tf.links_spec() == [[0, 6]]
-        assert tf.placed == placed
-        assert a in tf.hosts[0].engine.admitted, "evicted stream not re-admitted"
+        assert a in tf.engine.admitted, "evicted stream not re-admitted"
+        assert tf.engine.analysis_of(a) == "tighter"
         assert_books_exact(tf)
         assert tf.handle_request({"op": "snapshot"})["ok"]
         assert tf.fingerprint() == before

@@ -3,9 +3,9 @@
 The units here are the supervision contract itself: a SIGKILLed worker
 is detected, respawned, and recovers its tenants from their journals; a
 mid-RPC kill surfaces as the retryable ``worker`` error code and the
-rid idempotency table makes the retry exactly-once; failing a shard
-over replays its journal inside the worker that owns the tenant, which
-keeps its pid. The gateway tests run the same machinery behind HTTP:
+rid idempotency table makes the retry exactly-once; failing a tenant
+over replays its journal inside the worker that owns it, which keeps
+its pid. The gateway tests run the same machinery behind HTTP:
 /healthz worker rows, /metrics worker gauges, /admin/kill_worker with
 supervised convergence, /admin/kill + /admin/failover, one forward per
 tenant run, and a wedged worker that stalls only its own tenants.
@@ -35,7 +35,7 @@ from repro.errors import ReproError
 from repro.fleet import workers as workers_module
 from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
-from repro.fleet.shards import Fleet, TenantFleet, TenantSpec
+from repro.fleet.shards import Fleet, TenantSpec
 from repro.fleet.workers import (
     PROBE_TIMEOUT,
     SPAWN_TIMEOUT,
@@ -44,6 +44,7 @@ from repro.fleet.workers import (
     WorkerSupervisor,
 )
 from repro.obs import trace
+from repro.service.host import EngineHost
 from repro.service.protocol import fingerprint, outcome
 from tests.gateway_admin import AdminClient
 
@@ -55,10 +56,9 @@ def spec(src=0, dst=2, priority=5, period=300, length=4):
             "length": length, "deadline": period}
 
 
-def make_fleet(tmp_path, *, workers=1, shards=2):
+def make_fleet(tmp_path, *, workers=1):
     return Fleet(
-        [TenantSpec("t", "key", TOPO)],
-        shards=shards, state_dir=tmp_path, workers=workers,
+        [TenantSpec("t", "key", TOPO)], state_dir=tmp_path, workers=workers,
     )
 
 
@@ -148,7 +148,7 @@ class TestSupervisorRestart:
             assert row["alive"] is True
             assert row["restarts"] == 0
             assert isinstance(row["pid"], int)
-            assert sorted(row["shards"]) == ["t/shard-0", "t/shard-1"]
+            assert row["tenants"] == ["t"]
         finally:
             fleet.close()
 
@@ -191,22 +191,22 @@ class TestWorkerFailover:
     @pytest.mark.skipif(not Path("/proc/self/fd").exists(),
                         reason="needs /proc")
     def test_failover_replays_inside_the_owning_worker(self, tmp_path):
-        """Failover in worker mode: the shard's journal is replayed by
-        the worker that owns the tenant — same pid, the replay in its
-        log — and this process never opens the journal."""
+        """Failover in worker mode: the tenant's journal is replayed by
+        the worker that owns it — same pid, the replay in its log — and
+        this process never opens the journal."""
         fleet = make_fleet(tmp_path)
-        journal = (tmp_path / "t" / "shard-0" / "journal.jsonl").resolve()
+        journal = (tmp_path / "t" / "journal.jsonl").resolve()
         try:
             admitted = admit_ok(fleet, "f1")
             sid = admitted["ids"][0]
             wp = fleet.supervisor.worker_for("t")
             pid = wp.pid
-            for op in ("kill_shard", "recover_shard"):
-                assert fleet.handle_request("t", {"op": op, "shard": 0})["ok"]
+            for op in ("kill", "failover"):
+                assert fleet.handle_request("t", {"op": op})["ok"]
             assert journal not in set(fd_table(os.getpid()).values())
             assert wp.pid == pid and wp.restarts == 0
             health = fleet.health(fleet.stats())
-            assert health[0] and health[1]["t"]["dead"] == []
+            assert health[0] and not health[1]["t"]["dead"]
             query = fleet.handle_request("t", {"op": "query", "stream": sid})
             assert query["ok"] and query["stream"]["id"] == sid
             report = fleet.handle_request("t", {"op": "report"})
@@ -215,7 +215,7 @@ class TestWorkerFailover:
             fleet.close()
         log = (tmp_path / "workers" / "worker-0.log").read_text()
         assert f"worker[{pid}] INFO" in log
-        assert "tenant t: shard 0 replayed its journal (1 streams)" in log
+        assert "tenant t replayed its journal (1 streams)" in log
 
 
 def run_gateway(client_fn, tmp_path, *, workers=2, tenants=("t",)):
@@ -227,7 +227,7 @@ def run_gateway(client_fn, tmp_path, *, workers=2, tenants=("t",)):
         fleet = Fleet(
             [TenantSpec(t, "key" if t == "t" else f"key-{t}", TOPO)
              for t in tenants],
-            shards=2, state_dir=tmp_path, workers=workers,
+            state_dir=tmp_path, workers=workers,
         )
         gw = GatewayServer(fleet)
         await gw.start("127.0.0.1", 0)
@@ -260,7 +260,7 @@ class TestGatewayWorkers:
             assert w["alive"] is True
             assert w["restarts"] == 0
             assert isinstance(w["pid"], int)
-        assert workers[0]["shards"] == ["t/shard-0", "t/shard-1"]
+        assert workers[0]["tenants"] == ["t"]
 
     def test_metrics_export_worker_gauges(self, tmp_path):
         def client(port):
@@ -277,7 +277,7 @@ class TestGatewayWorkers:
 
     def test_admin_kill_worker_converges(self, tmp_path):
         """The drill CI runs: SIGKILL a worker over HTTP, watch the
-        monitor task respawn it, and prove the shards still serve."""
+        monitor task respawn it, and prove the tenants still serve."""
         def client(port):
             out = {}
             with AdminClient(f"127.0.0.1:{port}", api_key="key") as c:
@@ -337,11 +337,11 @@ class TestGatewayWorkers:
     @pytest.mark.skipif(not Path("/proc/self/fd").exists(),
                         reason="needs /proc")
     def test_admin_failover_recovers_in_the_worker(self, tmp_path):
-        """Kill then fail over a worker-hosted shard over HTTP: the
+        """Kill then fail over a worker-hosted tenant over HTTP: the
         journal is replayed by the worker that owns the tenant (its pid
         unchanged, the replay in its log), never opened by the gateway,
         and the other tenant's worker is left alone."""
-        journal = (tmp_path / "t" / "shard-0" / "journal.jsonl").resolve()
+        journal = (tmp_path / "t" / "journal.jsonl").resolve()
 
         def client(port):
             out = {}
@@ -350,9 +350,9 @@ class TestGatewayWorkers:
                     c.check("admit", rid=f"fo{i}",
                             streams=[spec(src=i, dst=i + 4)])
                 out["before"] = c.get("/healthz")
-                out["kill"] = c.admin("kill", tenant="t", shard=0)
+                out["kill"] = c.admin("kill", tenant="t")
                 out["down"] = c.get("/healthz")
-                out["failover"] = c.admin("failover", tenant="t", shard=0)
+                out["failover"] = c.admin("failover", tenant="t")
                 out["holds_journal"] = (
                     journal in set(fd_table(os.getpid()).values())
                 )
@@ -363,9 +363,9 @@ class TestGatewayWorkers:
 
         result = run_gateway(client, tmp_path, tenants=("t", "u"))
         assert result["kill"]["_status"] == 200
-        assert result["down"]["tenants"]["t"]["dead"] == [0]
+        assert result["down"]["tenants"]["t"]["dead"] is True
         assert result["failover"]["_status"] == 200
-        assert result["failover"]["recovered"] == 0
+        assert result["failover"]["recovered"] == "t"
         assert not result["holds_journal"]
         before = {w["index"]: w["pid"] for w in result["before"]["workers"]}
         after = {w["index"]: w["pid"] for w in result["after"]["workers"]}
@@ -375,7 +375,7 @@ class TestGatewayWorkers:
         assert result["report"]["admitted"] == 3
         assert result["report"]["report"]["success"]
         log = (tmp_path / "workers" / "worker-0.log").read_text()
-        assert "tenant t: shard 0 replayed its journal" in log
+        assert "tenant t replayed its journal" in log
 
     def test_a_wedged_worker_stalls_only_its_own_tenants(self, tmp_path):
         """Tenant t's worker is stopped while a ``/metrics`` scrape waits
@@ -420,8 +420,8 @@ class TestGatewayWorkers:
         assert result["health_s"] < PROBE_TIMEOUT + 1.0, result["health_s"]
         wedged = result["wedged_health"]
         assert not wedged["ok"]
-        assert wedged["tenants"]["t"]["dead"] == [0, 1]
-        assert wedged["tenants"]["u"]["dead"] == []
+        assert wedged["tenants"]["t"]["dead"] is True
+        assert wedged["tenants"]["u"]["dead"] is False
         assert wedged["tenants"]["u"]["admitted"] == 1
         # t's series went with its worker; u's were served (asked at
         # once, not after t's, so most likely before u's admit).
@@ -462,7 +462,7 @@ class TestSupervisorGuards:
 
     def test_worker_mode_requires_state_dir(self):
         with pytest.raises(ReproError, match="state"):
-            Fleet([TenantSpec("t", "key", TOPO)], shards=2, workers=1)
+            Fleet([TenantSpec("t", "key", TOPO)], workers=1)
 
     def test_failed_connect_closes_its_socket(self, tmp_path):
         """Every RPC to a dead worker connects to a socket path nobody
@@ -522,10 +522,9 @@ def rpc_log(monkeypatch):
 
 
 class TestRoundTripsPerOp:
-    """A tenant's placement and shards share its worker, so a
-    synchronous request is one round trip whatever it does across
-    shards, and a run of one tenant's pipelined requests through the
-    gateway is one forward."""
+    """A tenant's host lives in its worker, so a synchronous request is
+    one round trip whatever it decides, and a run of one tenant's
+    pipelined requests through the gateway is one forward."""
 
     def _do(self, fleet, rpc_log, request):
         del rpc_log[:]
@@ -551,20 +550,20 @@ class TestRoundTripsPerOp:
             fleet.close()
 
     def test_migration_asks_no_worker_for_specs(self, tmp_path, rpc_log):
+        """A batch touching two independent groups of streams (once a
+        migration between shards) is decided inside the worker, in one
+        round trip."""
         fleet = make_fleet(tmp_path)
         try:
             self._do(fleet, rpc_log, {"op": "admit", "streams": [spec(0, 1)]})
             self._do(fleet, rpc_log, {"op": "admit", "streams": [spec(2, 3)]})
-            # One batch touching both shards' streams, whatever the routing:
-            # the move and the decision happen inside the worker.
             bridge, calls = self._do(fleet, rpc_log, {
                 "op": "admit",
                 "streams": [spec(0, 1, priority=4), spec(2, 3, priority=4)],
             })
             assert bridge["admitted"] and calls == ["admit"]
             stats, _ = self._do(fleet, rpc_log, {"op": "stats"})
-            assert stats["escalations"] == 1
-            assert sorted(row["admitted"] for row in stats["shards"]) == [0, 4]
+            assert stats["admitted"] == 4 and "escalations" not in stats
         finally:
             fleet.close()
 
@@ -705,14 +704,14 @@ class TestForwardedLink:
         assert "worker" in codes, result["first"]
         assert all(a["ok"] or code == "worker"
                    for a, code in zip(result["first"], codes))
-        oracle = TenantFleet("t", TOPO, shards=2)
+        oracle = EngineHost(TOPO)
         want = [oracle.handle_request(
             {"op": "admit", "rid": f"k{i}", "streams": batch})
             for i, batch in enumerate(streams)]
         assert [decided("admit", a) for a in result["final"]] == [
             decided("admit", a) for a in want]
         assert result["state"] == fingerprint(
-            oracle.handle_request, sorted(oracle.owner), None)
+            oracle.handle_request, oracle.admitted_ids(), None)
         oracle.close()
 
     def test_a_wedged_worker_fails_every_run_on_its_link(
@@ -802,11 +801,8 @@ def assert_holds_only_its_own(pid, tmp_path, tenant):
                              ["anon_inode", "socket"]), own
     assert kinds["anon_inode"] == ["anon_inode:[eventpoll]"], own
     assert not set(kinds["socket"]) & ours, "holds a gateway socket"
-    journals = sorted(kinds.get("file", []))
-    assert journals == sorted(
-        str(tmp_path / tenant / f"shard-{i}" / "journal.jsonl")
-        for i in range(len(journals))
-    ), own
+    assert kinds.get("file", []) in (
+        [], [str(tmp_path / tenant / "journal.jsonl")]), own
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="needs /proc")
@@ -872,8 +868,9 @@ class TestForkIsolation:
             seqs = [json.loads(line)["seq"] for line in lines]
             assert seqs == sorted(set(seqs)), f"pid {pid}: seq repeats"
             assert len(set(lines)) == len(lines)
-        assert '"broker.op"' in files[second].read_text()
+        # A tenant's op is one span: its host is the engine host.
         assert '"fleet.op"' in files[second].read_text()
+        assert '"broker.op"' not in files[second].read_text()
 
     def test_respawned_worker_logs_its_recovery(self, tmp_path):
         fleet = make_fleet(tmp_path)
@@ -885,7 +882,7 @@ class TestForkIsolation:
         finally:
             fleet.close()
         log = (tmp_path / "workers" / "worker-0.log").read_text()
-        assert f"worker {pid} recovered shard t/shard-0" in log, log
+        assert f"worker {pid} recovered tenant t (1 streams)" in log, log
 
     def test_respawn_while_a_thread_holds_a_root_handler_lock(
         self, tmp_path
@@ -987,7 +984,7 @@ def test_orphaned_worker_exits_and_a_restarted_gateway_stays_quiet(tmp_path):
         with open(tmp_path / "gateway.log", "ab") as log:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro", "gateway", "--port",
-                 str(port), "--mesh", "4x4", "--shards", "2",
+                 str(port), "--mesh", "4x4",
                  "--workers", "1", "--tenant", "t=key", "--state-dir",
                  str(tmp_path / "state")],
                 env=env, stdin=subprocess.DEVNULL, stdout=log,
@@ -1104,11 +1101,11 @@ def test_pipelined_http_batches_survive_worker_kills(tmp_path,
         acked = result["live"][tenant]
         assert not acked - served, "acked then lost"
         assert not served - acked, "phantom streams"
-        oracle = TenantFleet(tenant, TOPO, shards=2)
+        oracle = EngineHost(TOPO)
         for request, answer in result["settled"][tenant]:
             want = oracle.handle_request(dict(request))
             assert decided(request["op"], answer) == decided(
                 request["op"], want), (request, answer, want)
         assert state == fingerprint(
-            oracle.handle_request, sorted(oracle.owner), None)
+            oracle.handle_request, oracle.admitted_ids(), None)
         oracle.close()

@@ -8,7 +8,7 @@ pipelines too, but only well-formed requests under one API key; see
 response order, equality with serial answers, per-request API keys,
 ``400``-then-close, ``Connection: close``, ``shutdown``, half-closed
 clients and back-pressure beyond the read-ahead bound — with in-process
-shards and with two worker processes.
+tenants and with two worker processes.
 
 What is about the connection and not about HTTP — requests arriving in
 pieces, more outstanding than the read-ahead bound — runs against
@@ -75,8 +75,7 @@ def serving(state_dir, workers):
     async def start():
         fleet = Fleet(
             [TenantSpec(name, key, TOPO) for name, key in TENANTS],
-            shards=2, state_dir=state_dir if workers else None,
-            workers=workers,
+            state_dir=state_dir if workers else None, workers=workers,
         )
         gw = GatewayServer(fleet)
         await gw.start("127.0.0.1", 0)
@@ -244,13 +243,13 @@ def test_one_sendall_answers_in_order_like_a_serial_client(tmp_path, workers):
     gateway — rejections, errors and reads in between included."""
     requests = [
         op("admit", id=1, streams=[spec(0, 1)]),
-        op("admit", id=2, streams=[spec(2, 3)]),      # the other shard
+        op("admit", id=2, streams=[spec(2, 3)]),
         op("query", id=3, stream=0),
         op("admit", id=4,
            streams=[spec(0, 1, priority=1, period=5, length=8)]),
         op("release", id=5, ids=[99]),
         op("admit", id=6, streams=[spec(0, 1, priority=4),     # touches
-                                   spec(2, 3, priority=4)]),   # both shards
+                                   spec(2, 3, priority=4)]),   # both
         op("release", id=7, ids=[0]),
         op("report", id=8),
     ]
@@ -259,7 +258,7 @@ def test_one_sendall_answers_in_order_like_a_serial_client(tmp_path, workers):
         piped = conn.send(*requests).read(len(requests))
         conn.close()
         assert gw.batched_requests == len(requests)
-        assert gw.fleet.stats()["acme"]["escalations"] == 1
+        assert gw.fleet.stats()["acme"]["admitted"] == 3
     with serving(tmp_path / "serial", 0) as (port, _):
         conn = Pipe(port)
         serial = [conn.send(r).read(1)[0] for r in requests]

@@ -1,7 +1,7 @@
 """Start-up cost pin: service interpreters import neither ``networkx``
 nor ``numpy``, nor the offline-only modules the package inits re-export.
 
-Every ``repro serve``, gateway and shard-worker process imports the
+Every ``repro serve``, gateway and worker process imports the
 topology and core packages; ``networkx`` is only needed by the graph
 exports and the deadlock / BDG tooling, and ``numpy`` only by the array
 views of a timing diagram (rendering, tests) — the analysis itself runs

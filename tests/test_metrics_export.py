@@ -252,7 +252,7 @@ class TestBrokerPrometheus:
 
     def test_journal_size_and_compactions_exported(self, tmp_path):
         """What a restart would replay and how often the journal was
-        compacted are scrapeable, on a broker and per fleet shard."""
+        compacted are scrapeable, on a broker and per fleet tenant."""
         server = BrokerServer(MESH, state_dir=tmp_path / "state")
         for src in (0, 6):
             server.handle_request(
@@ -271,7 +271,7 @@ class TestBrokerPrometheus:
             assert families[name]["samples"] == [f"{name} {value}"]
         server.state.close()
 
-        fleet = Fleet([TenantSpec("acme", "secret", MESH)], shards=2,
+        fleet = Fleet([TenantSpec("acme", "secret", MESH)],
                       state_dir=tmp_path / "fleet")
         try:
             fleet.handle_request(
@@ -279,11 +279,10 @@ class TestBrokerPrometheus:
             families = check_exposition(fleet.prometheus_text(fleet.stats()))
         finally:
             fleet.close()
-        assert families["repro_fleet_shard_journal_records"]["samples"] == [
-            'repro_fleet_shard_journal_records{shard="0",tenant="acme"} 1',
-            'repro_fleet_shard_journal_records{shard="1",tenant="acme"} 0',
+        assert families["repro_fleet_tenant_journal_records"]["samples"] == [
+            'repro_fleet_tenant_journal_records{tenant="acme"} 1',
         ]
-        assert "repro_fleet_shard_compactions_total" in families
+        assert "repro_fleet_tenant_compactions_total" in families
 
     def test_http_scrape_endpoint(self):
         server = BrokerServer(MESH)
@@ -317,7 +316,7 @@ class TestHandOffRatios:
     ratios say how many hand-offs an op costs, without a benchmark."""
 
     def test_worker_rpcs_and_batch_counters(self, tmp_path):
-        fleet = Fleet([TenantSpec("acme", "secret", MESH)], shards=2,
+        fleet = Fleet([TenantSpec("acme", "secret", MESH)],
                       state_dir=tmp_path, workers=1)
         gateway = GatewayServer(fleet)
         try:

@@ -5,7 +5,7 @@ that retires it (no link op between) and never attaches either side
 (:func:`repro.service.host.netted_ids`). Per-record replay through
 :meth:`EngineHost.apply_journal_op` with nothing netted is the oracle:
 on random journals — churn, batch releases, link ops with evictions,
-ids released and re-admitted (a shard migration), rids, mixed backends,
+ids released and re-admitted under an explicit id, rids, mixed backends,
 snapshots mid-run and torn tails — both must leave the same
 fingerprint, rid table, fresh-id mark and files on disk, and a corrupt
 journal must fail the same way (exception type and message) in both.
@@ -57,7 +57,7 @@ def journaled_run(state_dir, seed, *, ops=120, snapshots=True):
         elif roll < 0.095 and snapshots:
             request.update(op="snapshot")
         elif released and roll < 0.25:
-            # A migration: the same id, released here, admitted again.
+            # The same id, released here, admitted again.
             sid = rng.choice(sorted(released))
             request.update(op="admit", streams=[released.pop(sid)],
                            analysis=rng.choice(names))
@@ -220,8 +220,8 @@ def release(*ids):
 
 
 def test_pairs_are_per_occurrence():
-    """A migrated id is released and admitted again: each round trip
-    pairs on its own, and the last admission stays live."""
+    """An id released and admitted again: each round trip pairs on its
+    own, and the last admission stays live."""
     ops = [admit(1, 2), release(1), admit(1), release(1, 2), admit(1)]
     assert netted_ids(ops) == [{1, 2}, set(), {1}, set(), set()]
 

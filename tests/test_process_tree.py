@@ -1,6 +1,6 @@
 """An engine process is one process: nothing is left behind by a kill.
 
-``repro serve`` and the fleet's shard workers get ``SIGKILL``ed on
+``repro serve`` and the fleet's workers get ``SIGKILL``ed on
 purpose — by chaos campaigns, by ``ensure_worker``'s kill-then-respawn
 — so whatever they fork would be orphaned. A helper child that inherits
 its siblings' pipe ends never sees EOF and idles for ever. These tests
@@ -122,7 +122,7 @@ def test_sigkilled_shard_worker_leaves_no_process_behind(tmp_path):
     fleet = Fleet(
         [TenantSpec("t", "key",
                     {"type": "mesh", "width": MESH, "height": MESH})],
-        shards=1, state_dir=tmp_path, workers=1,
+        state_dir=tmp_path, workers=1,
     )
     try:
         def admit(spec):

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.errors import ReproError
-from repro.fleet.shards import TenantFleet
+from repro.fleet.shards import TenantHost
 from repro.faults.plane import (
     LAYER_OF,
     PERSISTENCE_FAULTS,
@@ -33,7 +33,7 @@ from repro.service import persistence
 from repro.service.host import EngineHost
 from repro.service.persistence import COMPACT_AT, RID_CAP, BrokerState
 from repro.service.protocol import (
-    ProtocolError, coerce_rid, merge_outcomes, retry_backoff,
+    ProtocolError, coerce_rid, retry_backoff,
 )
 from repro.service.server import BrokerServer
 from repro.topology import normalize_link
@@ -502,21 +502,20 @@ def next_mutation(rng, ref, n, *, rid_rate=0.8):
 
 
 class Mirrored:
-    """A journaled host — or, with ``shards``, a tenant fleet of that
-    many journaled hosts — and an in-memory reference fed the same
-    mutations; the reference is what recovery must give back."""
+    """A journaled host — or, with ``tenant``, a fleet tenant's — and an
+    in-memory reference fed the same mutations; the reference is what
+    recovery must give back."""
 
-    def __init__(self, state_dir, seed, *, shards=0):
-        self.state_dir, self.shards = state_dir, shards
+    def __init__(self, state_dir, seed, *, tenant=False):
+        self.state_dir, self.tenant = state_dir, tenant
         self.rng = random.Random(f"compaction-{seed}")
         self.ref = EngineHost(MESH)
         self.sent = []
         self.restart()
 
     def restart(self):
-        if self.shards:
-            self.live = TenantFleet("t", MESH, shards=self.shards,
-                                    state_dir=self.state_dir)
+        if self.tenant:
+            self.live = TenantHost("t", MESH, state_dir=self.state_dir)
         else:
             self.live = EngineHost(MESH, state_dir=self.state_dir)
 
@@ -525,21 +524,18 @@ class Mirrored:
         acked record is already fsynced)."""
         self.live = None
 
-    def hosts(self):
-        return self.live.hosts if self.shards else [self.live]
-
     def records(self):
-        """The longest journal: the most a restart replays."""
-        return max(host.state.records for host in self.hosts())
+        """What a restart replays."""
+        return self.live.state.records
 
     def compactions(self):
-        return sum(host.state.compactions for host in self.hosts())
+        return self.live.state.compactions
 
     def mutation(self):
-        # A fleet's ops all carry a rid: one cut short by a crash is
+        # A tenant's ops all carry a rid: one cut short by a crash is
         # retried under it.
         return next_mutation(self.rng, self.ref, len(self.sent),
-                             rid_rate=1.0 if self.shards else 0.8)
+                             rid_rate=1.0 if self.tenant else 0.8)
 
     def apply(self, request):
         """One mutation on both; the live answer must be the
@@ -562,26 +558,20 @@ class Mirrored:
     def assert_recovered(self):
         """A restart holds the reference's state, every rid the
         reference remembers replays as the duplicate it answers, and
-        each state dir holds a snapshot and a journal, nothing else."""
+        the state dir holds a snapshot and a journal, nothing else."""
         live, ref = self.live, self.ref
         assert live.fingerprint() == ref.fingerprint()
         assert live.next_id == ref.next_id
-        if not self.shards:
-            assert list(live._applied.items()) == list(ref._applied.items())
+        assert list(live._applied.items()) == list(ref._applied.items())
         for request in self.sent:
             if request.get("rid") in ref._applied:
                 want = ref.handle_request(dict(request))
                 got = live.handle_request(dict(request))
                 assert want["duplicate"]
-                if self.shards:
-                    # A fleet merges a rid's shares from its shards'
-                    # tables: id lists come back sorted.
-                    got, want = merge_outcomes([got]), merge_outcomes([want])
                 assert got == want
-        for host in self.hosts():
-            assert sorted(p.name for p in host.state.dir.iterdir()) == [
-                "journal.jsonl", "snapshot.json",
-            ]
+        assert sorted(p.name for p in live.state.dir.iterdir()) == [
+            "journal.jsonl", "snapshot.json",
+        ]
 
 
 def check_crash_point(tmp_path, monkeypatch, seed, trigger, step, fault):
@@ -692,24 +682,12 @@ def host_long_run(tmp_path, monkeypatch, seed, crash_step):
 
 
 def fleet_long_run(tmp_path, monkeypatch, seed, crash_step):
-    """The same through a two-shard tenant fleet: a kill early on (at a
-    seeded step of a shard's restart compaction with ``crash_step``),
-    then on to a shard's automatic compaction (a kill at that step of
-    it with ``crash_step``, the cut-short op retried under its rid) and
-    a kill after it.
-
-    While a crash is armed no release spans shards: a crash between two
-    shards' shares of one is the fleet's own crash window, which a rid
-    retry does not close (a shard that committed its share holds the
-    rid), and is not what this test is about.
-    """
+    """The same through a fleet tenant: a kill early on (at a seeded
+    step of its restart compaction with ``crash_step``), then on to its
+    automatic compaction (a kill at that step of it with ``crash_step``,
+    the cut-short op retried under its rid) and a kill after it."""
     rng = random.Random(f"fleet-long-run-{seed}")
-    run = Mirrored(tmp_path / "fleet", f"fleet-long-{seed}", shards=2)
-
-    def spans_shards(request):
-        owner = run.live.owner
-        return (request["op"] == "release"
-                and len({owner[sid] for sid in request["ids"]}) > 1)
+    run = Mirrored(tmp_path / "fleet", f"fleet-long-{seed}", tenant=True)
 
     def restart():
         run.kill()
@@ -732,9 +710,7 @@ def fleet_long_run(tmp_path, monkeypatch, seed, crash_step):
         armed = fail_compaction_step(monkeypatch, crash_step, "crash")
     try:
         while run.compactions() == compactions and not armed["fired"]:
-            request = run.mutation()
-            if crash_step is None or not spans_shards(request):
-                run.apply(request)
+            run.step()
             assert run.records() < COMPACT_AT
     except InjectedCrash:
         crashed = run.sent[-1]

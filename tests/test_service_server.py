@@ -72,7 +72,7 @@ class TestProtocol:
             assert error_code(cls("boom")) == code
         # A code stamped on the instance crosses layers unchanged (the
         # fleet's "worker": retry loops key on it), an empty one does not.
-        died = ReproError("shard worker died mid-op")
+        died = ReproError("worker died mid-op")
         died.code = "worker"
         assert error_code(died) == "worker"
         died.code = ""

@@ -113,11 +113,10 @@ class TestStaleSocket:
 
 
 def make_supervisor(tmp_path, workers=1):
-    """A one-tenant, one-shard supervisor, assigned but not started."""
+    """A one-tenant supervisor, assigned but not started."""
     sup = WorkerSupervisor(tmp_path, workers)
     sup.assign_tenant("t", {
-        "topology": MESH, "shards": 1,
-        "state_dir": str(tmp_path / "t"), "analysis": None,
+        "topology": MESH, "state_dir": str(tmp_path / "t"),
     })
     return sup
 

@@ -16,12 +16,12 @@ blocking ``select`` loop serves one client and is not an asyncio
 server: it measured faster than a ``LineConnection`` listener, see
 EXPERIMENTS.md). A fleet worker is a fork of its supervisor, never a
 fresh interpreter, and its branch of the fork can only leave through
-``os._exit``. A dead fleet shard has one recovery path, the restart's
-journal replay: no warm standby, journal poller or shard hand-off is
-served, and the journal-tailing module is a test oracle nothing under
-``src/repro`` imports. A worker serves whole tenants: no shard proxy,
-cached shard bounds, private ``worker_*`` op or gateway thread pool
-bridges a tenant's placement and its shards. The wire is stated in
+``os._exit``. A dead fleet tenant has one recovery path, the restart's
+journal replay: no warm standby, journal poller or hand-off is served,
+and the journal-tailing module is a test oracle nothing under
+``src/repro`` imports. A worker serves whole tenants: no proxy, cached
+bounds, private ``worker_*`` op or gateway thread pool stands between a
+tenant and its host. The wire is stated in
 ``service/protocol.py`` and spoken by ``service/client.py``; a chaos
 campaign is written once, in ``faults/campaign.py``; an op's rid outcome
 is built once and interpreted by ``service/host.py``. Every function,
@@ -66,10 +66,10 @@ INDEX_NAMES = frozenset({
 
 #: Lines of ``src/repro/fleet``: the count, ratcheted (a smaller count
 #: fails until this is lowered to it).
-FLEET_LINE_CEILING = 2708
+FLEET_LINE_CEILING = 1984
 
 #: Lines of ``src/repro``: the count, ratcheted like the fleet's.
-SRC_LINE_CEILING = 20147
+SRC_LINE_CEILING = 19297
 
 #: The bound rules a :class:`repro.core.backends.BoundBackend` declares,
 #: plus the retired names that once carried them past the declaration.
@@ -102,13 +102,14 @@ PROTOCOL_CALLBACKS = frozenset({
 
 #: Distinct ``REPRO_*`` names: a new knob raises this on purpose or not
 #: at all.
-KNOB_CEILING = 10
+KNOB_CEILING = 8
 
 #: Retired knobs, without their ``REPRO_`` prefix so that this file does
 #: not name them.
 RETIRED_KNOBS = (
     "SIM_FASTPATH", "INCREMENTAL", "KERNEL", "SERVICE_TIMING",
     "ANALYSIS_PROCS", "ANALYSIS_THRESHOLD", "PERF_REPEATS", "TRACE_BUFFER",
+    "WORKER_SPAWN_TIMEOUT", "WORKER_RPC_TIMEOUT",
 )
 
 
