@@ -10,8 +10,9 @@ framing) exposing the broker protocol as a JSON-over-HTTP API:
     otherwise.
     Unauthenticated (it leaks no tenant data beyond counts).
 ``GET  /metrics``
-    Prometheus rollup across every tenant (plus the gateway's
-    own HTTP counters). Unauthenticated, like the broker's scrape port.
+    Every tenant's ``stats`` answer rendered as the broker's series,
+    labelled ``tenant`` (plus the gateway's own HTTP and worker
+    families). Unauthenticated, like the broker's scrape port.
 ``POST /v1/<op>``
     The broker ops, one endpoint each — ``hello``, ``ping``, ``admit``,
     ``release``, ``query``, ``report``, ``snapshot``, ``stats``,
@@ -94,6 +95,7 @@ from urllib.parse import parse_qs
 
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
+from ..service.metrics import export_stats
 from ..service.protocol import HTTP_OPS, error_response, parse_line
 from ..service.server import (
     Connection,
@@ -423,10 +425,13 @@ class GatewayServer:
         return (200 if healthy else 503), out
 
     def _metrics(self) -> _Walk:
-        stats = yield None
-        return 200, self.fleet.prometheus_text(stats, self._gateway_metrics)
+        reg = export_stats((yield None))
+        self._gateway_metrics(reg)
+        return 200, reg.render()
 
     def _gateway_metrics(self, reg: MetricsRegistry) -> None:
+        """The families the gateway owns: its HTTP front end's and,
+        with workers, the supervisor's."""
         for (path, status), count in sorted(self.requests.items()):
             reg.counter(
                 "repro_gateway_http_requests_total",
@@ -465,7 +470,7 @@ class GatewayServer:
                         "repro_fleet_worker_rpcs_total",
                         "Round trips to the worker, by op (a forwarded "
                         "run counts once, under its first); over "
-                        "repro_fleet_ops_total it is RPCs per op.",
+                        "repro_broker_ops_total it is RPCs per op.",
                         worker=worker, op=op,
                     ).value = float(count)
 

@@ -27,13 +27,12 @@ from __future__ import annotations
 import logging
 import shutil
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.streams import StreamSet
 from ..errors import ReproError
 from ..faults.plane import FaultPlane
 from ..service.host import EngineHost
-from ..service.metrics import export_journal
 from ..service.persistence import BrokerState, snapshot_file
 from ..service.protocol import (
     ProtocolError,
@@ -211,7 +210,7 @@ class TenantHost(EngineHost):
 
 
 class Fleet:
-    """All tenants: API-key routing, stats rollup, lifecycle. Each is a
+    """All tenants: API-key routing, their ``stats``, lifecycle. Each is a
     :class:`TenantHost` in this process (``tenants``) or, with
     ``workers``, in the worker it was placed on.
 
@@ -315,48 +314,6 @@ class Fleet:
         }
         ok = not any(row["dead"] or row["degraded"] for row in rows.values())
         return ok, rows
-
-    @staticmethod
-    def prometheus_text(
-        stats: Dict[str, Dict[str, Any]],
-        extra: Optional[Callable[[Any], None]] = None,
-    ) -> str:
-        """The tenants' Prometheus rollup, labelled by tenant, from their
-        ``stats`` answers; a tenant that could not answer contributes no
-        series."""
-        from ..obs.metrics import MetricsRegistry
-
-        reg = MetricsRegistry()
-        for tname, answer in sorted(stats.items()):
-            if not answer.get("ok"):
-                continue
-            reg.gauge(
-                "repro_fleet_tenant_streams",
-                "Streams currently admitted for the tenant.",
-                tenant=tname,
-            ).set(answer["admitted"])
-            reg.gauge(
-                "repro_fleet_tenant_degraded",
-                "1 while the tenant is in read-only degraded mode.",
-                tenant=tname,
-            ).set(1.0 if answer["degraded"] else 0.0)
-            for op, count in sorted(answer["service"]["ops"].items()):
-                reg.counter(
-                    "repro_fleet_ops_total",
-                    "Requests handled by the fleet, by tenant and op.",
-                    tenant=tname, op=op,
-                ).value = float(count)
-            for field in ("ops", "admits", "rejects", "releases"):
-                reg.counter(
-                    f"repro_fleet_tenant_engine_{field}_total",
-                    f"Engine {field} of the tenant.",
-                    tenant=tname,
-                ).value = float(answer["engine"].get(field, 0))
-            export_journal(reg, "repro_fleet_tenant",
-                           answer["service"]["journal"], tenant=tname)
-        if extra is not None:
-            extra(reg)
-        return reg.render()
 
     def close(self) -> None:
         for host in self.tenants.values():

@@ -34,7 +34,6 @@ from .trace import (
     active,
     configure_from_env,
     install,
-    instant,
     read_trace,
     span,
     trace_enabled_from_env,
@@ -48,7 +47,6 @@ __all__ = [
     "active",
     "configure_from_env",
     "install",
-    "instant",
     "read_trace",
     "span",
     "trace_enabled_from_env",

@@ -3,12 +3,11 @@
 Converts a repro JSONL trace (see :mod:`repro.obs.trace`) into the JSON
 object format understood by ``chrome://tracing`` / Perfetto: a top-level
 ``{"traceEvents": [...]}`` with microsecond ``ts`` values and the
-``B``/``E``/``i``/``C`` phases we already emit.
+``B``/``E``/``i`` phases we already emit.
 
-The conversion is pure and deterministic: events keep their order, the
-``seq`` number rides along in ``args`` so traces stay inspectable after
-timestamp rounding, and counter events are reshaped into the
-``{"args": {"value": ...}}`` layout the viewer plots.
+The conversion is pure and deterministic: events keep their order, and
+the ``seq`` number rides along in ``args`` so traces stay inspectable
+after timestamp rounding.
 """
 
 from __future__ import annotations
@@ -38,12 +37,7 @@ def _chrome_event(event: TraceEvent, ts_divisor: int) -> Dict[str, Any]:
     }
     if event.ph == "i":
         out["s"] = "t"  # thread-scoped instant
-    if event.ph == "C":
-        out["args"] = {"value": event.args.get("value", 0)}
-    else:
-        args = dict(event.args)
-        args["seq"] = event.seq
-        out["args"] = args
+    out["args"] = {**event.args, "seq": event.seq}
     return out
 
 

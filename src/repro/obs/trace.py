@@ -3,9 +3,10 @@
 Design constraints, in order:
 
 1. **Zero overhead when disabled.** Instrumentation sites call the
-   module-level :func:`span` / :func:`instant` helpers, whose disabled
-   path is one global load and a ``None`` check (plus a shared, reusable
-   ``nullcontext`` for spans). Nothing is formatted, allocated or
+   module-level :func:`span` helper, whose disabled path is one global
+   load and a ``None`` check (plus a shared, reusable ``nullcontext``),
+   or fetch :func:`active` once and call :meth:`Tracer.instant` only
+   when it is not ``None``. Nothing is formatted, allocated or
    timestamped unless a tracer is installed. The simulator additionally
    caches the active tracer per ``run()`` so its per-cycle body never
    touches this module when tracing is off.
@@ -39,7 +40,7 @@ Event schema (one JSON object per line)::
      "cat": "analysis", "args": {"stream": 4, "horizon": 50}}
 
 ``ph`` follows the Chrome trace-event phases: ``B``/``E`` span begin/end,
-``i`` instant, ``C`` counter.
+``i`` instant.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "active",
     "configure_from_env",
     "install",
-    "instant",
     "read_trace",
     "span",
     "trace_enabled_from_env",
@@ -77,7 +77,7 @@ TRACE_CLOCK_ENV = "REPRO_TRACE_CLOCK"
 _FALSEY = ("", "0", "false", "no", "off")
 
 #: Valid event phases (Chrome trace-event subset).
-PHASES = ("B", "E", "i", "C")
+PHASES = ("B", "E", "i")
 
 
 @dataclass(frozen=True)
@@ -204,11 +204,6 @@ class Tracer:
         """Record a point event."""
         self.emit("i", name, cat, args)
 
-    def counter(self, name: str, value: Union[int, float],
-                cat: str = "repro") -> None:
-        """Record a counter sample."""
-        self.emit("C", name, cat, {"value": value})
-
     @contextlib.contextmanager
     def span(self, name: str, cat: str = "repro", **args: Any) -> Iterator[None]:
         """Context manager emitting a balanced ``B``/``E`` pair."""
@@ -221,11 +216,6 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # State
     # ------------------------------------------------------------------ #
-
-    @property
-    def depth(self) -> int:
-        """Current span-nesting depth."""
-        return len(self._stack)
 
     def flush(self) -> None:
         if self._fh is not None:
@@ -275,13 +265,6 @@ def span(name: str, cat: str = "repro", **args: Any):
     if tr is None:
         return _NULL
     return tr.span(name, cat, **args)
-
-
-def instant(name: str, cat: str = "repro", **args: Any) -> None:
-    """Point event through the global tracer (no-op when off)."""
-    tr = _ACTIVE
-    if tr is not None:
-        tr.emit("i", name, cat, args)
 
 
 def trace_enabled_from_env() -> bool:

@@ -49,7 +49,7 @@ from ..faults.plane import FaultPlane
 from ..io import report_to_spec, stream_to_spec, topology_from_spec
 from ..topology import FaultAwareRouting, RoutingAlgorithm, normalize_link
 from .engine import IncrementalAdmissionEngine, RoutingDelta
-from .metrics import ServiceMetrics
+from .metrics import ServiceMetrics, export_stats
 from .persistence import COMPACT_AT, BrokerState, RecoveredState
 from .protocol import (
     KNOWN_OPS,
@@ -493,15 +493,20 @@ class EngineHost:
         return response
 
     def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        if request.get("format") == "prometheus":
-            return {"prometheus": self.prometheus_text()}
-        return {
+        stats = {
             "service": self.metrics.to_dict(),
             "engine": self.engine_stats(),
             "admitted": len(self.engine.admitted),
             "next_id": self.engine.next_id,
             "degraded": self.degraded,
         }
+        if request.get("format") == "prometheus":
+            return {"prometheus": export_stats({None: stats}).render()}
+        return stats
+
+    def prometheus_text(self) -> str:
+        """The ``stats`` answer as Prometheus text (``--metrics-port``)."""
+        return self._op_stats({"format": "prometheus"})["prometheus"]
 
     def _op_shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
         self.request_shutdown()
@@ -688,74 +693,3 @@ class EngineHost:
         old routing, and subsets of a feasible set are feasible."""
         self._swap_routing(old_failed)
         self._readmit(delta.evicted_streams, "link-op rollback")
-
-    # ------------------------------------------------------------------ #
-    # Prometheus export
-    # ------------------------------------------------------------------ #
-
-    def prometheus_text(self) -> str:
-        """Service + engine metrics in Prometheus text exposition format.
-
-        Serves the ``stats`` op's ``format: "prometheus"`` variant and the
-        ``--metrics-port`` HTTP scrape endpoint. Synchronisation happens
-        per export, never per request.
-        """
-        reg = self.metrics.sync_registry()
-        es = self.engine.stats
-        reg.gauge(
-            "repro_broker_degraded",
-            "1 while the broker is in read-only degraded mode.",
-        ).set(1.0 if self.degraded else 0.0)
-        reg.gauge(
-            "repro_engine_admitted_streams",
-            "Streams currently admitted by the engine.",
-        ).set(len(self.engine.admitted))
-        reg.gauge(
-            "repro_engine_stale_streams",
-            "Admitted streams whose verdict awaits a settle (replayed, "
-            "not yet read).",
-        ).set(self.engine.stale)
-        for field, help_text in (
-            ("ops", "Engine operations (admit + release calls)."),
-            ("admits", "Accepted admission batches."),
-            ("rejects", "Rejected admission batches."),
-            ("releases", "Release operations."),
-            ("verdicts_recomputed", "Per-stream verdicts recomputed."),
-            ("verdicts_reused", "Per-stream verdicts served from cache."),
-            ("verdict_memo_hits", "Verdicts served from the input-keyed "
-                                  "memo without recomputation."),
-            ("hp_rebuilt", "HP sets built from the maintained reach "
-                           "closures, one per recomputed verdict (a memo "
-                           "hit builds none)."),
-            ("forced_invalidations", "Forced cache invalidations "
-                                     "(chaos cache_storm hook)."),
-            ("route_cache_hits", "Route cache hits."),
-            ("route_cache_misses", "Route cache misses."),
-            ("dirty_frontier_total", "Sum of dirty-frontier sizes over "
-                                     "incremental ops."),
-        ):
-            attr = "dirty_total" if field == "dirty_frontier_total" else field
-            reg.counter(
-                f"repro_engine_{field}_total"
-                if not field.endswith("_total") else f"repro_engine_{field}",
-                help_text,
-            ).value = float(getattr(es, attr))
-        reg.gauge(
-            "repro_engine_cache_hit_rate",
-            "Fraction of per-stream verdicts served from cache.",
-        ).set(es.cache_hit_rate())
-        reg.gauge(
-            "repro_engine_dirty_frontier_last",
-            "Dirty-frontier size of the most recent incremental op.",
-        ).set(es.dirty_last)
-        reg.gauge(
-            "repro_engine_dirty_frontier_max",
-            "Largest dirty frontier seen.",
-        ).set(es.dirty_max)
-        for phase in ("route", "hp", "diagram", "verdict"):
-            reg.counter(
-                f"repro_engine_{phase}_seconds_total",
-                f"Wall-clock seconds spent in the {phase} phase of the "
-                "admission hot path.",
-            ).value = float(getattr(es, f"{phase}_seconds"))
-        return reg.render()

@@ -528,7 +528,7 @@ def error_response(
 
 def answer(
     request: Dict[str, Any],
-    dispatch: Callable[[Any, Dict[str, Any]], Optional[Dict[str, Any]]],
+    dispatch: Callable[[str, Dict[str, Any]], Optional[Dict[str, Any]]],
     metrics: Any,
     span_name: str,
     span_cat: str,
@@ -543,6 +543,8 @@ def answer(
     t0 = time.perf_counter()
     try:
         with _span(span_name, span_cat, op=str(op), **labels):
+            if not isinstance(op, str):
+                raise ProtocolError("request needs a string 'op' field")
             response = dispatch(op, request)
             if response is None:
                 raise ProtocolError(f"unknown op {op!r}")
@@ -552,18 +554,14 @@ def answer(
         metrics.record_op(op, time.perf_counter() - t0)
         return response
     except ReproError as exc:
-        metrics.record_op(
-            op or "invalid", time.perf_counter() - t0, error=True
-        )
+        metrics.record_op(str(op), time.perf_counter() - t0, error=True)
         return error_response(request, str(exc), code=error_code(exc))
     except Exception as exc:
         # Last-resort guard: an escaped exception would kill the single
         # worker task and wedge every connection. Persistence failures
         # (journal append OSError) land here too.
         logger.exception("internal error handling %r", op)
-        metrics.record_op(
-            op or "invalid", time.perf_counter() - t0, error=True
-        )
+        metrics.record_op(str(op), time.perf_counter() - t0, error=True)
         return error_response(
             request,
             f"internal error handling {op!r}: {exc!r}",

@@ -15,6 +15,7 @@ from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
 from repro.fleet.shards import Fleet, TenantSpec
 from repro.service.loadgen import BrokerClient, run_load
+from repro.service.protocol import KNOWN_OPS
 from repro.service.server import BrokerServer
 from tests.gateway_admin import AdminClient
 
@@ -222,7 +223,7 @@ class TestMetrics:
 
         text = run_gateway(client)["text"]
         assert isinstance(text, str)
-        assert 'repro_fleet_tenant_streams{tenant="acme"} 1' in text
+        assert 'repro_engine_admitted_streams{tenant="acme"} 1' in text
         assert "repro_gateway_http_requests_total" in text
         assert "repro_gateway_auth_failures_total 0" in text
 
@@ -333,3 +334,48 @@ class TestAdmin:
             assert not answer["ok"] and answer["code"] == "protocol"
             assert answer["error"] == f"unknown op {op!r}"
         assert result["health"]["ok"]
+
+
+class TestClientNamedOps:
+    """A client names the op: whatever it sends, the answer is a
+    ``code: "protocol"`` refusal, no worker dies for it and the op
+    labels of the tenant's ``stats`` stay within the op table."""
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_a_non_string_op_is_refused_and_kills_nothing(
+        self, tmp_path, workers
+    ):
+        tenants = [TenantSpec("acme", "secret", TOPO),
+                   TenantSpec("beta", "other", TOPO)]
+
+        def client(port):
+            out = {}
+            with GatewayClient(f"127.0.0.1:{port}", api_key="secret") as c:
+                out["before"] = c.get("/healthz")
+                out["refused"] = [c.request(op) for op in
+                                  (["x"], {"x": 1}, None, 7)]
+                out["bogus"] = [c.request(f"bogus-{i}") for i in range(50)]
+                with GatewayClient(f"127.0.0.1:{port}",
+                                   api_key="other") as beta:
+                    out["beta"] = beta.check("ping")
+                out["stats"] = c.check("stats")
+                out["after"] = c.get("/healthz")
+                c.request("shutdown")
+            return out
+
+        result = run_gateway(client, tmp_path, tenants=tenants,
+                             workers=workers)
+        for answer in result["refused"]:
+            assert not answer["ok"] and answer["code"] == "protocol", answer
+            assert answer["error"] == "request needs a string 'op' field"
+        assert all(a["code"] == "protocol" for a in result["bogus"])
+        assert result["beta"]["ok"] and result["after"]["ok"]
+        if workers:
+            before, after = result["before"]["workers"], \
+                result["after"]["workers"]
+            assert [w["pid"] for w in after] == [w["pid"] for w in before]
+            assert [w["restarts"] for w in after] == [0]
+        service = result["stats"]["service"]
+        labels = {*service["ops"], *service["errors"], *service["latency"]}
+        assert labels <= {*KNOWN_OPS, "other"}, labels
+        assert service["ops"]["other"] == service["errors"]["other"] == 54

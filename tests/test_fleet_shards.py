@@ -33,6 +33,7 @@ from repro.fleet import shards
 from repro.fleet.replication import ShardStandby
 from repro.fleet.shards import Fleet, TenantHost, TenantSpec
 from repro.service.host import EngineHost
+from repro.service.metrics import export_stats
 from repro.service.persistence import BrokerState
 
 TOPO = {"type": "mesh", "width": 6, "height": 6}
@@ -689,16 +690,16 @@ class TestFleet:
         fleet.handle_request(
             "acme", {"op": "admit", "streams": [spec(0, 2)]}
         )
-        text = fleet.prometheus_text(fleet.stats())
-        assert 'repro_fleet_tenant_streams{tenant="acme"} 1' in text
-        assert 'repro_fleet_tenant_streams{tenant="beta"} 0' in text
-        assert 'repro_fleet_tenant_degraded{tenant="acme"} 0' in text
-        assert ('repro_fleet_tenant_engine_admits_total{tenant="acme"} 1'
-                in text)
-        assert 'repro_fleet_tenant_journal_records{tenant="acme"}' in text
-        assert 'op="admit"' in text
+        text = export_stats(fleet.stats()).render()
+        assert 'repro_engine_admitted_streams{tenant="acme"} 1' in text
+        assert 'repro_engine_admitted_streams{tenant="beta"} 0' in text
+        assert 'repro_broker_degraded{tenant="acme"} 0' in text
+        assert 'repro_engine_admits_total{tenant="acme"} 1' in text
+        assert 'repro_broker_journal_records{tenant="acme"}' in text
+        assert 'repro_broker_ops_total{op="admit",tenant="acme"} 1' in text
         for gone in ("repro_fleet_shard_", "repro_fleet_escalations_total",
-                     "repro_fleet_migrated_streams_total"):
+                     "repro_fleet_migrated_streams_total",
+                     "repro_fleet_tenant_", "repro_fleet_ops_total"):
             assert gone not in text
 
     def test_scrape_while_another_thread_places_streams(self, tmp_path):
@@ -748,8 +749,8 @@ class TestFleet:
             deadline = time.monotonic() + 30
             while (scrapes < 20 and time.monotonic() < deadline
                    and driver.is_alive()):
-                text = fleet.prometheus_text(fleet.stats())
-                assert "repro_fleet_tenant_streams" in text
+                text = export_stats(fleet.stats()).render()
+                assert "repro_engine_admitted_streams" in text
                 scrapes += 1
         finally:
             stop.set()

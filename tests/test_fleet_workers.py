@@ -425,8 +425,10 @@ class TestGatewayWorkers:
         assert wedged["tenants"]["u"]["admitted"] == 1
         # t's series went with its worker; u's were served (asked at
         # once, not after t's, so most likely before u's admit).
-        assert re.search(r'\nrepro_fleet_tenant_streams\{tenant="u"\} [01]\n',
-                         result["text"])
+        assert re.search(
+            r'\nrepro_engine_admitted_streams\{tenant="u"\} [01]\n',
+            result["text"],
+        )
         assert 'tenant="t"' not in result["text"]
         assert result["health"]["workers"][0]["restarts"] == 1
 

@@ -2,6 +2,7 @@
 ``stats --format prometheus`` / ``--metrics-port`` surfaces)."""
 
 import asyncio
+import copy
 import re
 import urllib.request
 from bisect import bisect_left
@@ -18,7 +19,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import export_stats
 from repro.service.server import BrokerServer
 
 MESH = {"type": "mesh", "width": 6, "height": 6}
@@ -159,8 +160,9 @@ class TestRegistry:
 
 
 class TestServiceMetricsExport:
-    def test_sync_registry_matches_scalars(self):
-        m = ServiceMetrics()
+    def test_rendered_series_match_scalars(self):
+        server = BrokerServer(MESH)
+        m = server.metrics
         m.record_op("admit", 0.001)
         m.record_op("admit", 0.002)
         m.record_op("query", 0.001, error=True)
@@ -168,8 +170,7 @@ class TestServiceMetricsExport:
         m.admitted_rejected += 2
         m.connections += 3
         m.record_batch(4)
-        text = m.sync_registry().render()
-        families = check_exposition(text)
+        families = check_exposition(server.prometheus_text())
         assert 'repro_broker_ops_total{op="admit"} 2' in \
             families["repro_broker_ops_total"]["samples"]
         assert 'repro_broker_op_errors_total{op="query"} 1' in \
@@ -183,11 +184,11 @@ class TestServiceMetricsExport:
         assert families["repro_broker_op_latency_us"]["type"] == "histogram"
 
     def test_latency_histogram_buckets_monotone(self):
-        m = ServiceMetrics()
+        server = BrokerServer(MESH)
         for s in (1e-6, 5e-6, 1e-3, 0.1, 2.0):
-            m.record_op("admit", s)
+            server.metrics.record_op("admit", s)
         lines = [
-            ln for ln in m.sync_registry().render().splitlines()
+            ln for ln in server.prometheus_text().splitlines()
             if ln.startswith("repro_broker_op_latency_us_bucket")
         ]
         counts = [float(ln.rsplit(" ", 1)[1]) for ln in lines]
@@ -276,13 +277,15 @@ class TestBrokerPrometheus:
         try:
             fleet.handle_request(
                 "acme", {"op": "admit", "streams": [spec()]})
-            families = check_exposition(fleet.prometheus_text(fleet.stats()))
+            families = check_exposition(export_stats(fleet.stats()).render())
         finally:
             fleet.close()
-        assert families["repro_fleet_tenant_journal_records"]["samples"] == [
-            'repro_fleet_tenant_journal_records{tenant="acme"} 1',
+        assert families["repro_broker_journal_records"]["samples"] == [
+            'repro_broker_journal_records{tenant="acme"} 1',
         ]
-        assert "repro_fleet_tenant_compactions_total" in families
+        assert families["repro_broker_compactions_total"]["samples"] == [
+            'repro_broker_compactions_total{tenant="acme"} 0',
+        ]
 
     def test_http_scrape_endpoint(self):
         server = BrokerServer(MESH)
@@ -311,6 +314,137 @@ class TestBrokerPrometheus:
         assert "repro_engine_admitted_streams 1" in text
 
 
+#: ``stats`` fields (dotted paths, ``*`` for a map key) that have no
+#: series of their own, each for its reason. Every other field of the
+#: answer must move the exposition when it moves.
+NO_SERIES = {
+    "next_id": "an id high-water mark, not a measurement: admits and "
+               "releases count the ops that move it",
+    "service.batching.mean_size": "requests over batches, two series "
+                                  "already",
+    "service.latency.*.mean_ms": "the histogram's _sum over its _count, "
+                                 "rounded",
+    "service.latency.*.p50_ms": "a bucket bound read off the histogram",
+    "service.latency.*.p99_ms": "a bucket bound read off the histogram",
+    "service.latency.*.max_ms": "a running max, which a Prometheus "
+                                "histogram does not carry; its buckets "
+                                "bound it",
+}
+
+
+def stats_leaves(answer, path=()):
+    """``(path, value)`` of every scalar in a ``stats`` answer."""
+    for key, value in answer.items():
+        if isinstance(value, dict):
+            yield from stats_leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def exempt(path):
+    return any(
+        len(pattern) == len(path)
+        and all(p in ("*", k) for p, k in zip(pattern, path))
+        for pattern in (key.split(".") for key in NO_SERIES)
+    )
+
+
+def drive(handle):
+    """One fixed op sequence through ``handle(request)``: admits that
+    pass and fail, a rid replay, reads, an error, a link failure and
+    its restore, a release and a snapshot."""
+    for request in (
+        {"op": "admit", "streams": [spec()]},
+        {"op": "admit", "streams": [spec(src=6, dst=9)], "rid": "r"},
+        {"op": "admit", "streams": [spec(src=6, dst=9)], "rid": "r"},
+        {"op": "admit", "streams": [spec(src=1, dst=5, period=10,
+                                         length=9)] * 2},
+        {"op": "query", "stream": 0},
+        {"op": "query", "stream": 99},
+        {"op": "report"},
+        {"op": "fail_link", "link": [0, 1]},
+        {"op": "restore_link", "link": [0, 1]},
+        {"op": "release", "ids": [0]},
+        {"op": "snapshot"},
+        {"op": "admit", "streams": [spec(src=12, dst=15)]},
+    ):
+        handle(dict(request))
+
+
+class TestOneRenderer:
+    """Every series is a rendering of a ``stats`` answer, by one
+    function, the same for a broker and for a fleet tenant."""
+
+    def test_every_stats_field_has_a_series(self, tmp_path):
+        server = BrokerServer(MESH, state_dir=tmp_path)
+        drive(server.handle_request)
+        server.metrics.record_batch(3)
+        stats = server.handle_request({"op": "stats"})
+        server.close()
+        base = export_stats({None: stats}).render()
+        leaves = [(p, v) for p, v in stats_leaves(stats)
+                  if isinstance(v, (int, float)) and not exempt(p)]
+        assert len(leaves) > 60
+        silent = []
+        for path, value in leaves:
+            moved = copy.deepcopy(stats)
+            parent = moved
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = (not value if isinstance(value, bool)
+                                else value + 7)
+            if export_stats({None: moved}).render() == base:
+                silent.append(".".join(path))
+        assert silent == [], f"stats fields without a series: {silent}"
+
+    @staticmethod
+    def _exposition(text, tenant=None):
+        """``({family: (type, help)}, {sample without tenant: value})``."""
+        families, samples = {}, {}
+        for line in text.splitlines():
+            if line.startswith("# HELP "):
+                name, help_text = line[7:].split(" ", 1)
+                families[name] = [None, help_text]
+            elif line.startswith("# TYPE "):
+                name, kind = line[7:].split(" ")
+                families[name][0] = kind
+            else:
+                series, value = line.rsplit(" ", 1)
+                if tenant is not None:
+                    label = f'tenant="{tenant}"'
+                    assert label in series, series
+                    series = (series.replace("," + label, "")
+                              .replace(label + ",", "").replace(label, "")
+                              .replace("{}", ""))
+                samples[series] = value
+        return {k: tuple(v) for k, v in families.items()}, samples
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_a_tenant_renders_what_a_broker_renders(self, tmp_path, workers):
+        server = BrokerServer(MESH, state_dir=tmp_path / "broker")
+        drive(server.handle_request)
+        broker = server.prometheus_text()
+        server.close()
+        fleet = Fleet([TenantSpec("acme", "secret", MESH)],
+                      state_dir=tmp_path / "fleet", workers=workers)
+        try:
+            drive(lambda request: fleet.handle_request("acme", request))
+            tenant = export_stats(fleet.stats()).render()
+        finally:
+            fleet.close()
+        b_families, b_samples = self._exposition(broker)
+        t_families, t_samples = self._exposition(tenant, "acme")
+        assert t_families == b_families
+        assert set(t_samples) == set(b_samples)
+        timed = ("repro_broker_uptime_seconds", "repro_broker_op_latency_us",
+                 "_seconds_total")
+        exact = [s for s in b_samples if not any(t in s for t in timed)]
+        assert any(s.startswith("repro_broker_journal") for s in exact)
+        assert any(s.startswith("repro_broker_ops_total") for s in exact)
+        assert {s: t_samples[s] for s in exact} == \
+            {s: b_samples[s] for s in exact}
+
+
 class TestHandOffRatios:
     """RPCs per op and the mean batch are scrapeable: counters whose
     ratios say how many hand-offs an op costs, without a benchmark."""
@@ -330,9 +464,9 @@ class TestHandOffRatios:
                 "acme", {"op": "query", "stream": admit["ids"][0]}
             )
             gateway.batches, gateway.batched_requests = 2, 5
-            families = check_exposition(
-                fleet.prometheus_text(fleet.stats(), gateway._gateway_metrics)
-            )
+            reg = export_stats(fleet.stats())
+            gateway._gateway_metrics(reg)
+            families = check_exposition(reg.render())
         finally:
             fleet.close()
         rpcs = families["repro_fleet_worker_rpcs_total"]

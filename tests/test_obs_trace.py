@@ -27,7 +27,6 @@ from repro.obs.trace import (
     active,
     configure_from_env,
     install,
-    instant,
     read_trace,
     span,
     trace_enabled_from_env,
@@ -86,7 +85,7 @@ class TestTracer:
         assert [(b.name, d) for b, _, d in spans] == [
             ("inner", 1), ("inner2", 1), ("outer", 0),
         ]
-        assert tr.depth == 0
+        assert [(e.ph, e.name) for e in tr.events][-1] == ("E", "outer")
 
     def test_mismatched_end_raises(self):
         tr = Tracer()
@@ -105,8 +104,12 @@ class TestTracer:
         with pytest.raises(ValueError):
             with tr.span("outer"):
                 raise ValueError("boom")
-        assert tr.depth == 0
-        assert [e.ph for e in tr.events] == ["B", "E"]
+        assert [(e.ph, e.name) for e in tr.events] == [
+            ("B", "outer"), ("E", "outer"),
+        ]
+        # Nothing is left open: a further end has no span to close.
+        with pytest.raises(ReproError, match="open span None"):
+            tr.end("outer")
 
     def test_logical_clock_ts_is_seq(self):
         tr = Tracer(clock="logical")
@@ -132,12 +135,6 @@ class TestTracer:
             Tracer(clock="sundial")
         with pytest.raises(ReproError):
             Tracer(buffer_limit=0)
-
-    def test_counter_event(self):
-        tr = Tracer(clock="logical")
-        tr.counter("queue_depth", 7)
-        (e,) = tr.events
-        assert e.ph == "C" and e.args == {"value": 7}
 
     def test_file_sink_round_trip(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -167,7 +164,7 @@ class TestGlobalHelpers:
     def test_disabled_helpers_are_noops(self):
         assert active() is None
         with span("nothing", stream=1):
-            instant("also nothing")
+            assert active() is None
         # Disabled spans share one reusable nullcontext: no allocation.
         assert span("a") is span("b")
 
@@ -175,7 +172,7 @@ class TestGlobalHelpers:
         tr = Tracer(clock="logical")
         install(tr)
         with span("outer", "t", k=2):
-            instant("point", "t")
+            active().instant("point", "t")
         assert [(e.ph, e.name) for e in tr.events] == [
             ("B", "outer"), ("i", "point"), ("E", "outer"),
         ]
@@ -200,7 +197,6 @@ class TestChromeExport:
         tr = Tracer(sink=path, clock="logical")
         with tr.span("analysis", "a", streams=2):
             tr.instant("hp_set", "a", stream=0)
-            tr.counter("depth", 3, cat="a")
         tr.close()
         return path
 
@@ -208,16 +204,17 @@ class TestChromeExport:
         jsonl = self._small_trace(tmp_path)
         out = tmp_path / "chrome.json"
         count = export_chrome_trace(jsonl, out, clock="logical")
-        assert count == 4
+        assert count == 3
         golden = GOLDEN_DIR / "chrome_trace.json"
         assert out.read_text() == golden.read_text()
 
-    def test_instant_and_counter_shapes(self, tmp_path):
+    def test_instant_shape(self, tmp_path):
         events = read_trace(self._small_trace(tmp_path))
         payload = chrome_trace(events, clock="logical")
         by_ph = {e["ph"]: e for e in payload["traceEvents"]}
+        assert sorted(by_ph) == ["B", "E", "i"]
         assert by_ph["i"]["s"] == "t"
-        assert by_ph["C"]["args"] == {"value": 3}
+        assert by_ph["i"]["args"] == {"stream": 0, "seq": 1}
         assert by_ph["B"]["args"]["seq"] == 0
 
     def test_wall_clock_scales_to_us(self):
