@@ -50,8 +50,8 @@ Commands
     violation (for ``--replay``: iff the counterexample still
     reproduces, exit 1).
 ``serve``
-    Run the online channel broker (see :mod:`repro.service`): an asyncio
-    JSON-lines server over a unix socket (``--socket``) or TCP
+    Run the online channel broker (see :mod:`repro.service`): a
+    JSON-lines server on one ``selectors`` loop over a unix socket (``--socket``) or TCP
     (``--host``/``--port``) exposing admit/release/query/report/snapshot/
     stats ops (one request per line, up to 8 MiB), with optional
     snapshot+journal persistence (``--state-dir``). ``--metrics-port
@@ -578,8 +578,6 @@ def _serve_topology_spec(args: argparse.Namespace) -> dict:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from .service.server import BrokerServer
 
     if (args.socket is None) == (args.host is None):
@@ -589,26 +587,20 @@ def _run_serve(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
         analysis=args.analysis,
     )
-
-    async def run() -> None:
-        if args.socket is not None:
-            await server.start_unix(args.socket)
-            where = args.socket
-        else:
-            port = await server.start_tcp(args.host, args.port)
-            where = f"{args.host}:{port}"
-        if args.metrics_port is not None:
-            port = await server.start_metrics_http(
-                args.metrics_host, args.metrics_port
-            )
-            print(f"metrics on http://{args.metrics_host}:{port}/metrics",
-                  flush=True)
-        print(f"repro-broker listening on {where} "
-              f"({len(server.engine.admitted)} recovered)", flush=True)
-        await server.serve_forever()
-
+    if args.socket is not None:
+        server.bind_unix(args.socket)
+        where = args.socket
+    else:
+        port = server.bind_tcp(args.host, args.port)
+        where = f"{args.host}:{port}"
+    if args.metrics_port is not None:
+        port = server.bind_metrics_http(args.metrics_host, args.metrics_port)
+        print(f"metrics on http://{args.metrics_host}:{port}/metrics",
+              flush=True)
+    print(f"repro-broker listening on {where} "
+          f"({len(server.engine.admitted)} recovered)", flush=True)
     try:
-        asyncio.run(run())
+        server.run()
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
     return 0

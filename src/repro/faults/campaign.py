@@ -49,7 +49,6 @@ on every interleaving.)
 
 from __future__ import annotations
 
-import asyncio
 import random
 import tempfile
 import threading
@@ -552,7 +551,6 @@ class _ServerThread:
         self._state_dir = state_dir
         self._ready = threading.Event()
         self._exc: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.server: Optional[BrokerServer] = None
         self._thread = threading.Thread(
             target=self._run, name="chaos-broker", daemon=True
@@ -560,20 +558,16 @@ class _ServerThread:
 
     def _run(self) -> None:
         try:
-            asyncio.run(self._main())
+            self.server = BrokerServer(
+                self._topology_spec, state_dir=self._state_dir
+            )
+            self.server.bind_unix(self._socket_path)
+            self._ready.set()
+            self.server.run()
         except BaseException as exc:  # pragma: no cover - surfaced in stop
             self._exc = exc
         finally:
             self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self.server = BrokerServer(
-            self._topology_spec, state_dir=self._state_dir
-        )
-        await self.server.start_unix(self._socket_path)
-        self._ready.set()
-        await self.server.serve_forever()
 
     def start(self) -> "_ServerThread":
         self._socket_path.unlink(missing_ok=True)
@@ -585,11 +579,8 @@ class _ServerThread:
         return self
 
     def stop(self) -> None:
-        if self._loop is not None and self.server is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.server.request_shutdown)
-            except RuntimeError:  # pragma: no cover - loop already gone
-                pass
+        if self.server is not None:
+            self.server.request_shutdown()
         self._thread.join(timeout=30)
         if self._thread.is_alive():  # pragma: no cover - defensive
             raise ReproError("chaos broker thread did not stop")

@@ -160,8 +160,9 @@ class GatewayServer:
 
     async def start(self, host: str, port: int) -> None:
         keep_recv_buffers_on_heap()
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: HttpConnection(self), host=host, port=port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: HttpConnection(self, loop), host=host, port=port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.fleet.supervisor is not None:

@@ -84,8 +84,10 @@ def fold_shards(state_dir: Path, topology_spec: Dict[str, Any]) -> None:
     if not shard_dirs:
         return
     if not snapshot_file(state_dir).exists():
-        hosts = [EngineHost(topology_spec, state_dir=d) for d in shard_dirs]
+        hosts: List[EngineHost] = []
         try:
+            for path in shard_dirs:
+                hosts.append(EngineHost(topology_spec, state_dir=path))
             _catch_up_links(hosts)
             streams, analyses, applied = StreamSet(), {}, RidTable()
             for host in hosts:
@@ -201,9 +203,16 @@ class TenantHost(EngineHost):
             )
         self.dead = True
         self.close()
-        self.__init__(self.name, self.topology_spec,
-                      state_dir=self.state.dir,
-                      fault_plane=self._fault_plane)
+        # The service counters are the tenant's, not the host's: the
+        # reopened host keeps counting them, this op included.
+        metrics = self.metrics
+        try:
+            self.__init__(self.name, self.topology_spec,
+                          state_dir=self.state.dir,
+                          fault_plane=self._fault_plane)
+        finally:
+            metrics.journal = self.state
+            self.metrics = metrics
         logger.info("tenant %s replayed its journal (%d streams)",
                     self.name, self.admitted_count())
         return {"recovered": self.name, "admitted": self.admitted_count()}
@@ -261,18 +270,20 @@ class Fleet:
                 })
             self.supervisor.start()
         else:
-            self.tenants = {
-                t.name: TenantHost(
-                    t.name,
-                    t.topology_spec,
-                    state_dir=(
-                        None if self.state_dir is None
-                        else self.state_dir / t.name
-                    ),
-                    fault_plane=fault_plane,
-                )
-                for t in tenants
-            }
+            try:
+                for t in tenants:
+                    self.tenants[t.name] = TenantHost(
+                        t.name,
+                        t.topology_spec,
+                        state_dir=(
+                            None if self.state_dir is None
+                            else self.state_dir / t.name
+                        ),
+                        fault_plane=fault_plane,
+                    )
+            except BaseException:   # the tenants opened before it
+                self.close()
+                raise
         self._keys: Dict[str, str] = {t.api_key: t.name for t in tenants}
 
     def tenant_for_key(self, api_key: Optional[str]) -> Optional[str]:

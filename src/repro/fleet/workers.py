@@ -49,7 +49,6 @@ import gc
 import logging
 import os
 import select
-import selectors
 import shutil
 import signal
 import socket
@@ -59,19 +58,19 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import ReproError
 from ..obs import trace
 from ..service.client import BrokerClient
+from ..service.loop import SelectorLoop
 from ..service.protocol import (
     KNOWN_OPS,
-    ProtocolError,
     encode,
     error_response,
     parse_line,
 )
-from ..service.server import clear_stale_socket
+from ..service.server import LineConnection, unix_listener
 from .shards import TenantHost
 
 __all__ = [
@@ -111,8 +110,19 @@ class WorkerDied(ReproError):
 # --------------------------------------------------------------------- #
 
 
+class _TenantLines(LineConnection):
+    """A worker's framing: the broker's lines, of which every JSON
+    object is a request — its tenant's host judges the op, as in an
+    in-process fleet — however long: the gateway bounded the request,
+    and adding its ``tenant`` can lengthen the line."""
+
+    parse = staticmethod(parse_line)
+    max_line = sys.maxsize
+
+
 class _WorkerServer:
-    """The child's serving loop: its tenants' hosts, one socket."""
+    """The child's server: its tenants' hosts behind one unix socket,
+    on the broker's loop and front end."""
 
     def __init__(self, wp: "WorkerProcess", supervisor: int):
         self.sock_path = wp.socket_path
@@ -127,96 +137,50 @@ class _WorkerServer:
                 "worker %d recovered tenant %s (%d streams)",
                 os.getpid(), name, host.admitted_count(),
             )
-        self._listener: Optional[socket.socket] = None
-        self._selector = selectors.DefaultSelector()
-        self._buffers: Dict[socket.socket, bytes] = {}
+        self.loop = SelectorLoop()
+        self.connections: Set[LineConnection] = set()
+        self.readahead_full = 0
+        self._bound = False
+        self._orphaned = False
 
     def bind(self) -> None:
         """Apply socket hygiene and bind."""
-        if self.sock_path.exists():
-            clear_stale_socket(self.sock_path)
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(str(self.sock_path))
-        listener.listen(16)
-        listener.setblocking(False)
-        self._listener = listener
-        self._selector.register(listener, selectors.EVENT_READ, "accept")
+        self.loop.listen(unix_listener(self.sock_path),
+                         lambda: _TenantLines(self, self.loop))
+        self._bound = True
 
     def serve(self) -> None:
         """Serve until orphaned (or SIGTERMed: ``SystemExit``)."""
-        while True:
-            events = self._selector.select(timeout=1.0)
-            for sel_key, _ in events:
-                if sel_key.data == "accept":
-                    self._accept()
-                else:
-                    self._read(sel_key.fileobj)
-            if not events and os.getppid() != self.supervisor:
-                # Orphaned: a restarted gateway must find the socket
-                # free, not served by a process it does not supervise.
-                logger.warning("supervisor %d is gone", self.supervisor)
-                return
+        self.loop.run(lambda: self._orphaned, idle=self._check_supervisor)
 
-    def _accept(self) -> None:
-        assert self._listener is not None
-        try:
-            conn, _ = self._listener.accept()
-        except OSError:  # pragma: no cover - spurious wakeup
-            return
-        conn.setblocking(True)
-        self._buffers[conn] = b""
-        self._selector.register(conn, selectors.EVENT_READ, "conn")
+    def _check_supervisor(self) -> None:
+        if os.getppid() != self.supervisor:
+            # Orphaned: a restarted gateway must find the socket free,
+            # not served by a process it does not supervise.
+            logger.warning("supervisor %d is gone", self.supervisor)
+            self._orphaned = True
 
-    def _drop(self, conn: socket.socket) -> None:
-        try:
-            self._selector.unregister(conn)
-        except (KeyError, ValueError):  # pragma: no cover - defensive
-            pass
-        self._buffers.pop(conn, None)
-        conn.close()
-
-    def _read(self, conn: socket.socket) -> None:
-        """Answer every whole request that arrived, with one write."""
-        try:
-            chunk = conn.recv(65536)
-        except OSError:
-            chunk = b""
-        if not chunk:
-            self._drop(conn)
-            return
-        *lines, self._buffers[conn] = (self._buffers[conn] + chunk).split(
-            b"\n"
+    def _serve(self, batch: List[Any], conn: LineConnection) -> bytes:
+        return b"".join(
+            item if isinstance(item, bytes)     # refused by the framing
+            else encode(self.handle_request(item)) for item in batch
         )
-        try:
-            conn.sendall(b"".join(encode(self.handle_line(line))
-                                  for line in lines))
-        except OSError:
-            self._drop(conn)
 
-    def handle_line(self, line: bytes) -> Dict[str, Any]:
-        request: Dict[str, Any] = {}
-        try:
-            request = parse_line(line)
-            tenant = request.pop("tenant", None)
-            if not isinstance(tenant, str) or tenant not in self.tenants:
-                raise ProtocolError(
-                    f"worker does not serve tenant {tenant!r} "
-                    f"(has: {sorted(self.tenants)})"
-                )
-        except ReproError as exc:
-            return error_response(request, str(exc), code="protocol")
+    def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        tenant = request.pop("tenant", None)
+        if not isinstance(tenant, str) or tenant not in self.tenants:
+            return error_response(
+                request, f"worker does not serve tenant {tenant!r} "
+                f"(has: {sorted(self.tenants)})", code="protocol",
+            )
         return self.tenants[tenant].handle_request(request)
 
     def close(self) -> None:
-        for conn in list(self._buffers):
-            self._drop(conn)
-        if self._listener is not None:
-            self._selector.unregister(self._listener)
-            self._listener.close()
+        self.loop.close()
+        if self._bound:
             # Clean shutdown unlinks the socket; only unclean exits
             # (SIGKILL) leave one behind for hygiene to reclaim.
             self.sock_path.unlink(missing_ok=True)
-        self._selector.close()
         for host in self.tenants.values():
             host.close()
 

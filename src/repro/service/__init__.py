@@ -12,10 +12,11 @@ feasibility test. This package turns that role into a long-lived service:
     :class:`~repro.core.feasibility.FeasibilityAnalyzer` run.
 
 :mod:`repro.service.server`
-    :class:`BrokerServer` — an asyncio JSON-lines server (``repro serve``)
+    :class:`BrokerServer` — a JSON-lines server (``repro serve``)
     exposing ``admit`` / ``release`` / ``query`` / ``report`` /
     ``snapshot`` / ``stats`` ops with request batching, per-op metrics and
-    snapshot+journal persistence.
+    snapshot+journal persistence, on one ``selectors`` loop
+    (:mod:`repro.service.loop`): a broker process imports no asyncio.
 
 :mod:`repro.service.protocol` / :mod:`repro.service.client`
     What the wire says, and :class:`BrokerClient`, the one client that

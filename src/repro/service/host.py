@@ -172,7 +172,11 @@ class EngineHost:
             self.state = self.metrics.journal = BrokerState(
                 state_dir, self.topology_spec, fault_plane=fault_plane
             )
-            self._recover()
+            try:
+                self._recover()
+            except BaseException:
+                self.state.close()
+                raise
 
     # ------------------------------------------------------------------ #
     # The request envelope
@@ -492,14 +496,18 @@ class EngineHost:
             response["degraded_cleared"] = True
         return response
 
-    def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        stats = {
+    def stats_answer(self) -> Dict[str, Any]:
+        """What ``stats`` answers (the Prometheus text renders it)."""
+        return {
             "service": self.metrics.to_dict(),
             "engine": self.engine_stats(),
             "admitted": len(self.engine.admitted),
             "next_id": self.engine.next_id,
             "degraded": self.degraded,
         }
+
+    def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        stats = self.stats_answer()
         if request.get("format") == "prometheus":
             return {"prometheus": export_stats({None: stats}).render()}
         return stats

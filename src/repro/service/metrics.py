@@ -2,8 +2,9 @@
 
 The broker tracks, per protocol op, a request counter and a latency
 histogram with power-of-two bucket boundaries (microseconds up to ~8 s),
-plus admit/reject outcome counters and the batch sizes the connections'
-passes answered. Everything is exposed through the ``stats`` op — no
+plus admit/reject outcome counters (:class:`ServiceMetrics`); a
+broker's listeners add the connections they accepted and the batch
+sizes their passes answered (:class:`FrontEndMetrics`). Everything is exposed through the ``stats`` op — no
 external metrics dependency is assumed — and every Prometheus series
 is a rendering of a ``stats`` answer by :func:`export_stats`: a
 broker's own answer, unlabelled (``stats`` with ``format:
@@ -26,7 +27,7 @@ from typing import Any, Dict, Mapping, Optional
 from ..obs.metrics import DEFAULT_TIME_BUCKETS_US, Histogram, MetricsRegistry
 from .protocol import KNOWN_OPS
 
-__all__ = ["ServiceMetrics", "export_stats", "latency_dict"]
+__all__ = ["FrontEndMetrics", "ServiceMetrics", "export_stats", "latency_dict"]
 
 
 def latency_dict(h: Histogram) -> Dict[str, object]:
@@ -79,13 +80,6 @@ class ServiceMetrics:
         #: The host's :class:`~repro.service.persistence.BrokerState`
         #: (``None`` without one): journal size and compaction counts.
         self.journal: Optional[Any] = None
-        self.batches = 0
-        self.batched_requests = 0
-        self.max_batch = 0
-        #: Times a connection's reader stopped because its read-ahead
-        #: queue was full.
-        self.readahead_full = 0
-        self.connections = 0
 
     def record_op(
         self, op: str, seconds: float, *, error: bool = False
@@ -102,18 +96,9 @@ class ServiceMetrics:
             self.op_errors[op] = self.op_errors.get(op, 0) + 1
         hist.observe(seconds * 1e6)
 
-    def record_batch(self, size: int) -> None:
-        self.batches += 1
-        self.batched_requests += size
-        self.max_batch = max(self.max_batch, size)
-
     def to_dict(self) -> Dict[str, object]:
-        mean_batch = (
-            self.batched_requests / self.batches if self.batches else 0.0
-        )
         return {
             "uptime_seconds": round(time.time() - self.started_at, 3),
-            "connections": self.connections,
             "ops": dict(sorted(self.op_counts.items())),
             "errors": dict(sorted(self.op_errors.items())),
             "admit": {
@@ -129,16 +114,45 @@ class ServiceMetrics:
                 key: getattr(self.journal, key, 0)
                 for key in ("records", "compactions", "compaction_failures")
             },
+            "latency": {
+                op: latency_dict(h)
+                for op, h in sorted(self.op_latency.items())
+            },
+        }
+
+
+class FrontEndMetrics:
+    """What a broker's listeners count, added to its ``stats`` answer's
+    ``service`` map: connections accepted, the batches the connections'
+    passes answered, and read-ahead stalls. A fleet tenant owns no
+    connection (the gateway counts its own), so its answer has none."""
+
+    def __init__(self) -> None:
+        self.connections = 0
+        self.batches = 0
+        self.batched_requests = 0
+        self.max_batch = 0
+        #: Times a connection's reader stopped because its read-ahead
+        #: queue was full.
+        self.readahead_full = 0
+
+    def record_batch(self, size: int) -> None:
+        self.batches += 1
+        self.batched_requests += size
+        self.max_batch = max(self.max_batch, size)
+
+    def to_dict(self) -> Dict[str, object]:
+        mean_batch = (
+            self.batched_requests / self.batches if self.batches else 0.0
+        )
+        return {
+            "connections": self.connections,
             "batching": {
                 "batches": self.batches,
                 "requests": self.batched_requests,
                 "mean_size": round(mean_batch, 3),
                 "max_size": self.max_batch,
                 "readahead_full": self.readahead_full,
-            },
-            "latency": {
-                op: latency_dict(h)
-                for op, h in sorted(self.op_latency.items())
             },
         }
 
@@ -156,8 +170,6 @@ _SCALARS = (
      "1 while the broker is in read-only degraded mode."),
     ("service.uptime_seconds", "repro_broker_uptime_seconds", "gauge",
      "Seconds since broker start."),
-    ("service.connections", "repro_broker_connections_total", "counter",
-     "Client connections accepted."),
     ("service.faults.journal_errors", "repro_broker_journal_errors_total",
      "counter", "Journal append failures survived via rollback."),
     ("service.faults.degraded_entered",
@@ -174,17 +186,6 @@ _SCALARS = (
     ("service.journal.compaction_failures",
      "repro_broker_compaction_failures_total", "counter",
      "Snapshot compactions that failed; the journal kept growing."),
-    ("service.batching.batches", "repro_broker_batches_total", "counter",
-     "Passes that answered at least one request (one connection, one "
-     "write each)."),
-    ("service.batching.requests", "repro_broker_batched_requests_total",
-     "counter", "Requests answered by those passes; over batches_total it "
-     "is the mean batch (1.0 under serial clients)."),
-    ("service.batching.max_size", "repro_broker_batch_max_size", "gauge",
-     "Most requests one pass has answered so far."),
-    ("service.batching.readahead_full", "repro_broker_readahead_full_total",
-     "counter", "Times a connection's reader stopped reading because its "
-     "read-ahead queue was full."),
     ("engine.stale", "repro_engine_stale_streams", "gauge",
      "Admitted streams whose verdict awaits a settle (replayed, not yet "
      "read)."),
@@ -223,6 +224,24 @@ _SCALARS = (
         "route_cache_hits": "Route cache hits.",
         "route_cache_misses": "Route cache misses.",
     }.items()
+)
+
+#: The front end's fields, rendered like ``_SCALARS`` where an answer
+#: has them: a broker's, not a fleet tenant's.
+_FRONT_END = (
+    ("service.connections", "repro_broker_connections_total", "counter",
+     "Client connections accepted."),
+    ("service.batching.batches", "repro_broker_batches_total", "counter",
+     "Passes that answered at least one request (one connection, one "
+     "write each)."),
+    ("service.batching.requests", "repro_broker_batched_requests_total",
+     "counter", "Requests answered by those passes; over batches_total it "
+     "is the mean batch (1.0 under serial clients)."),
+    ("service.batching.max_size", "repro_broker_batch_max_size", "gauge",
+     "Most requests one pass has answered so far."),
+    ("service.batching.readahead_full", "repro_broker_readahead_full_total",
+     "counter", "Times a connection's reader stopped reading because its "
+     "read-ahead queue was full."),
 )
 
 #: One counter per key of a ``stats`` map: field, family, label, help.
@@ -265,7 +284,8 @@ def export_stats(
         if answer.get("ok") is False:
             continue
         labels = {} if tenant is None else {"tenant": tenant}
-        for path, family, kind, help_text in _SCALARS:
+        front_end = _FRONT_END if "batching" in answer["service"] else ()
+        for path, family, kind, help_text in _SCALARS + front_end:
             metric = getattr(reg, kind)(family, help_text, **labels)
             metric.value = float(_field(answer, path))
         for path, family, label, help_text in _LABELLED:

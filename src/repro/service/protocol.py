@@ -94,7 +94,6 @@ executes it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import random
@@ -605,5 +604,9 @@ def fingerprint(
         "admitted": report["admitted"],
         "failed_links": ask(op="links")["failed_links"],
     }
+    # hashlib maps libcrypto: a served process that never fingerprints
+    # does not load it.
+    import hashlib
+
     blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest(), spec

@@ -2,8 +2,8 @@
 broker server (``repro serve``).
 
 Every listener that serves many clients — the broker's unix/TCP socket,
-its ``--metrics-port`` and the fleet's HTTP gateway
-(:mod:`repro.fleet.gateway`) — is the same :class:`Connection`,
+its ``--metrics-port``, a fleet worker's socket and the fleet's HTTP
+gateway (:mod:`repro.fleet.gateway`) — is the same :class:`Connection`,
 answered in its reader: the bytes a read delivers run one pass that
 cuts whole requests off the buffer, has the server answer them
 (``server._serve(batch, conn)``) in request order, and sends the answer
@@ -18,12 +18,18 @@ answers a batch: :class:`BrokerServer` here, an
 :class:`~repro.service.host.EngineHost` with listeners that runs the
 CPU-bound engine on the event-loop thread, one request at a time, so
 every decision is linearisable without locks; ``GatewayServer`` in the
-fleet. :func:`close_connections` is the shutdown both use.
+fleet.
+
+One front end, two loops: a connection is driven by the transports of
+a :class:`~repro.service.loop.SelectorLoop` — the broker's and the fleet
+worker's, which never await, and whose processes therefore import no
+asyncio (nor the ``ssl`` it drags in) — or by asyncio's, under the
+gateway, whose answers are awaited. :meth:`BrokerServer.run` and
+:func:`close_connections` are the same drain on each.
 """
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import re
 import socket as socket_module
@@ -31,13 +37,15 @@ import stat
 from collections import deque
 from pathlib import Path
 from typing import (
-    Any, Awaitable, Deque, Dict, List, NamedTuple, Optional, Set, Tuple,
-    Union,
+    Any, Awaitable, Callable, Deque, Dict, List, NamedTuple, Optional, Set,
+    Tuple, Union,
 )
 from urllib.parse import urlsplit
 
 from ..errors import ReproError
 from .host import EngineHost
+from .loop import SelectorLoop
+from .metrics import FrontEndMetrics
 from .protocol import ProtocolError, decode, encode, error_response
 
 __all__ = [
@@ -48,6 +56,7 @@ __all__ = [
     "clear_stale_socket",
     "close_connections",
     "keep_recv_buffers_on_heap",
+    "unix_listener",
 ]
 
 logger = logging.getLogger(__name__)
@@ -123,12 +132,37 @@ def clear_stale_socket(sock_path: Path) -> None:
     )
 
 
+def _tcp_listener(host: str, port: int) -> socket_module.socket:
+    """A TCP socket listening at ``(host, port)``, of the family
+    ``host`` resolves to (IPv4 or IPv6)."""
+    family = socket_module.getaddrinfo(
+        host, port, type=socket_module.SOCK_STREAM
+    )[0][0]
+    return socket_module.create_server((host, port), family=family)
+
+
+def unix_listener(sock_path: Path) -> socket_module.socket:
+    """A unix socket listening at ``sock_path``, bound after
+    :func:`clear_stale_socket`'s hygiene."""
+    if sock_path.exists():
+        clear_stale_socket(sock_path)
+    sock = socket_module.socket(socket_module.AF_UNIX,
+                                socket_module.SOCK_STREAM)
+    try:
+        sock.bind(str(sock_path))
+        sock.listen()
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
 # ---------------------------------------------------------------------- #
 # A connection: reader -> pump -> server -> one write per batch
 # ---------------------------------------------------------------------- #
 
 
-class Connection(asyncio.Protocol):
+class Connection:
     """One client connection, answered in its reader.
 
     Unless the connection is busy, bytes that arrive run one *pass*: up
@@ -142,25 +176,32 @@ class Connection(asyncio.Protocol):
     request asked to close, or what follows cannot be framed — what was
     parsed before it is answered, then the connection closes.
 
+    ``loop`` is the loop that drives the connection — asyncio's, or a
+    :class:`~repro.service.loop.SelectorLoop` — reached only to
+    schedule a pass (``call_soon``) and to start the task that awaits
+    an answer (asyncio's alone: the selectors loop runs no task).
     ``server`` also counts ``readahead_full`` and keeps its open
     ``connections`` (a set). A framing is a subclass with :meth:`_next`
     and :meth:`_leftover`; a ``bytes`` request is the answer to one it
     had to refuse.
     """
 
-    _transport: asyncio.Transport
+    _transport: Any
 
-    def __init__(self, server: Any):
+    def __init__(self, server: Any, loop: Any):
         self.server = server
+        self._loop = loop
         #: Parsed while the connection was busy, not yet answered.
         self.ahead: Deque[Any] = deque()
         self._buf = bytearray()   # received, not yet cut or parsed
         self._ended = False       # past the last word nothing is parsed
         self._writable = True     # the transport's write buffer has room
-        #: The scheduled pass, or the task awaiting an answer.
-        self._busy: Union[asyncio.Handle, asyncio.Task, None] = None
+        #: A pass is scheduled, or an answer awaited.
+        self._busy = False
+        #: The task awaiting an answer.
+        self._task: Any = None
         #: Set by :func:`close_connections`, resolved on close.
-        self._closed: Optional[asyncio.Future] = None
+        self._closed: Any = None
 
     def _next(self) -> Any:
         """Cut one request off ``_buf`` (calling :meth:`_end` after the
@@ -172,15 +213,14 @@ class Connection(asyncio.Protocol):
         item to answer, or ``None``."""
         raise NotImplementedError
 
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        assert isinstance(transport, asyncio.Transport)
+    def connection_made(self, transport: Any) -> None:
         self._transport = transport
         self.server.connections.add(self)
 
     def data_received(self, data: bytes) -> None:
         if not self._ended:     # nothing is read past the last word
             self._buf += data
-            if self._busy is None and self._writable:
+            if not self._busy and self._writable:
                 self._pump()
             else:
                 self._parse_ahead()
@@ -195,7 +235,7 @@ class Connection(asyncio.Protocol):
         # Nothing more is answered; an answer being awaited still runs
         # to its end (its ops commit: a lost ack).
         self.finish()
-        if not isinstance(self._busy, asyncio.Task):
+        if self._task is None:
             self._close()
 
     def pause_writing(self) -> None:
@@ -208,13 +248,14 @@ class Connection(asyncio.Protocol):
 
     def _pump(self) -> None:
         """One pass: answer up to ``_BATCH_MAX`` requests, one write."""
-        self._busy = None
+        self._busy = False
         if not self._writable:
             return      # resume_writing kicks
         batch = self._cut()
         answer = self.server._serve(batch, self) if batch else b""
         if not isinstance(answer, bytes):
-            self._busy = asyncio.create_task(self._awaited(answer))
+            self._busy = True
+            self._task = self._loop.create_task(self._awaited(answer))
         else:
             self._done(answer)
 
@@ -223,10 +264,10 @@ class Connection(asyncio.Protocol):
         try:
             data = await answer
         except BaseException:   # cancelled by close_connections, or failed
-            self._busy = None
+            self._busy, self._task = False, None
             self._close()
             raise
-        self._busy = None
+        self._busy, self._task = False, None
         self._done(data)
 
     def _done(self, answer: bytes) -> None:
@@ -269,8 +310,9 @@ class Connection(asyncio.Protocol):
 
     def _kick(self) -> None:
         """Schedule a pass unless one is scheduled or an answer awaited."""
-        if self._busy is None:
-            self._busy = asyncio.get_running_loop().call_soon(self._pump)
+        if not self._busy:
+            self._busy = True
+            self._loop.call_soon(self._pump)
 
     def _end(self, last: Optional[bytes] = None) -> None:
         """Parse nothing more; answer ``last`` after what is parsed."""
@@ -285,6 +327,21 @@ class Connection(asyncio.Protocol):
         self.ahead.clear()
         self._end()
 
+    def drain(self) -> None:
+        """Stop reading; answer what is parsed, then close (the first
+        step of a server's shutdown)."""
+        self._transport.pause_reading()
+        self._end()
+        self._kick()
+
+    def abort(self) -> None:
+        """Give up on a drain: cancel the awaited answer (its task
+        closes the connection), or close now."""
+        if self._task is not None:
+            self._task.cancel()
+        else:
+            self._close()
+
     def _close(self) -> None:
         self.finish()
         self.server.connections.discard(self)
@@ -296,17 +353,18 @@ class Connection(asyncio.Protocol):
 async def close_connections(
     connections: Set[Connection], timeout: float = 10.0
 ) -> None:
-    """Shut ``connections`` down without dropping an answer: stop every
-    reader, answer what is parsed — a committed op is never left
-    unacknowledged — and cancel what is still awaited after ``timeout``
-    seconds."""
+    """Shut ``connections`` down on asyncio's loop without dropping an
+    answer: stop every reader, answer what is parsed — a committed op is
+    never left unacknowledged — and cancel what is still awaited after
+    ``timeout`` seconds. (:meth:`BrokerServer.run` is the same drain on
+    a :class:`~repro.service.loop.SelectorLoop`.)"""
+    import asyncio     # the gateway's loop; a broker never loads it
+
     if not connections:
         return
     for conn in list(connections):
-        conn._transport.pause_reading()
         conn._closed = asyncio.get_running_loop().create_future()
-        conn._end()
-        conn._kick()
+        conn.drain()
     _, pending = await asyncio.wait(
         [conn._closed for conn in connections], timeout=timeout
     )
@@ -314,10 +372,7 @@ async def close_connections(
         logger.warning("%d connection(s) did not drain within %gs; "
                        "cancelling their answers", len(pending), timeout)
         for conn in list(connections):
-            if isinstance(conn._busy, asyncio.Task):
-                conn._busy.cancel()     # it closes the connection
-            else:
-                conn._close()
+            conn.abort()
         await asyncio.wait(pending)
 
 
@@ -339,11 +394,14 @@ class LineConnection(Connection):
 
     #: Bytes at the front of ``_buf`` already searched for a newline.
     _scanned = 0
+    #: What a line must be: a request of the op table.
+    parse = staticmethod(decode)
+    #: The longest line that is a request.
+    max_line = _MAX_BODY
 
-    @staticmethod
-    def _decode(line: bytearray) -> Union[Dict[str, Any], bytes]:
+    def _decode(self, line: bytearray) -> Union[Dict[str, Any], bytes]:
         try:
-            return decode(line)
+            return self.parse(line)
         except ProtocolError as exc:
             return encode(error_response({}, str(exc), code="protocol"))
 
@@ -351,9 +409,9 @@ class LineConnection(Connection):
         buf = self._buf
         while True:
             end = buf.find(b"\n", self._scanned)
-            if (end if end >= 0 else len(buf)) > _MAX_BODY:
+            if (end if end >= 0 else len(buf)) > self.max_line:
                 self._end(encode(error_response(
-                    {}, f"request line longer than {_MAX_BODY} bytes",
+                    {}, f"request line longer than {self.max_line} bytes",
                     code="protocol",
                 )))
                 return None
@@ -508,37 +566,59 @@ class HttpConnection(Connection):
 # The broker: an EngineHost with listeners
 # ---------------------------------------------------------------------- #
 
+#: Seconds a shutdown waits for the connections to answer what they
+#: parsed before it closes them.
+_DRAIN_TIMEOUT = 10.0
+
 
 class BrokerServer(EngineHost):
-    """The channel broker: an :class:`EngineHost` with a socket.
+    """The channel broker: an :class:`EngineHost` with listeners, all on
+    one :class:`~repro.service.loop.SelectorLoop`.
 
     Takes the host's arguments (``topology_spec``, ``state_dir``,
-    ``analysis``, ``fault_plane``) and passes them through untouched;
-    the ``shutdown`` op stops :meth:`serve_forever`.
+    ``analysis``, ``fault_plane``) and passes them through untouched.
+    ``bind_*`` opens a listener, :meth:`run` serves them until a
+    ``shutdown`` op or :meth:`request_shutdown`, then drains and closes.
+    :meth:`start_unix` / :meth:`serve_forever` are the same calls for a
+    caller on an asyncio loop, serving on a thread.
     """
 
     def __init__(self, topology_spec: Dict[str, Any], **host_kwargs: Any):
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._metrics_server: Optional[asyncio.base_events.Server] = None
+        #: Made by the first ``bind_*``: a host that never listens
+        #: holds no socket.
+        self._loop: Optional[SelectorLoop] = None
         self._unix_path: Optional[Path] = None
-        self._stopping = asyncio.Event()
+        self._stopping = False
         self.connections: Set[Connection] = set()
+        self.front = FrontEndMetrics()
         super().__init__(topology_spec, **host_kwargs)
 
     @property
     def readahead_full(self) -> int:
         """Counted where ``stats`` and the scrape read it."""
-        return self.metrics.readahead_full
+        return self.front.readahead_full
 
     @readahead_full.setter
     def readahead_full(self, value: int) -> None:
-        self.metrics.readahead_full = value
+        self.front.readahead_full = value
 
-    def _client(self) -> LineConnection:
-        self.metrics.connections += 1
-        return LineConnection(self)
+    def stats_answer(self) -> Dict[str, Any]:
+        stats = super().stats_answer()
+        stats["service"].update(self.front.to_dict())
+        return stats
 
-    async def start_unix(self, path: Union[str, Path]) -> None:
+    def _listen(self, sock: socket_module.socket,
+                protocol: Callable[[SelectorLoop], Connection]) -> None:
+        if self._loop is None:
+            self._loop = SelectorLoop()
+        loop = self._loop
+        loop.listen(sock, lambda: protocol(loop))
+
+    def _client(self, loop: SelectorLoop) -> LineConnection:
+        self.front.connections += 1
+        return LineConnection(self, loop)
+
+    def bind_unix(self, path: Union[str, Path]) -> None:
         """Listen on a unix socket.
 
         A pre-existing socket file is probed before binding: if a live
@@ -548,66 +628,77 @@ class BrokerServer(EngineHost):
         again on clean shutdown, so only unclean exits leave one behind.
         """
         sock_path = Path(path)
-        if sock_path.exists():
-            clear_stale_socket(sock_path)
-        keep_recv_buffers_on_heap()
-        self._server = await asyncio.get_running_loop().create_unix_server(
-            self._client, path=str(sock_path)
-        )
+        self._listen(unix_listener(sock_path), self._client)
         self._unix_path = sock_path
 
-    async def start_tcp(self, host: str, port: int) -> int:
+    def bind_tcp(self, host: str, port: int) -> int:
         """Listen on a TCP address; returns the bound port (``port`` 0
         binds an ephemeral one)."""
-        keep_recv_buffers_on_heap()
-        self._server = await asyncio.get_running_loop().create_server(
-            self._client, host=host, port=port
-        )
-        return self._server.sockets[0].getsockname()[1]
+        sock = _tcp_listener(host, port)
+        self._listen(sock, self._client)
+        return sock.getsockname()[1]
 
-    async def start_metrics_http(self, host: str, port: int) -> int:
+    def bind_metrics_http(self, host: str, port: int) -> int:
         """Serve ``GET /metrics`` (Prometheus text) over HTTP; returns
         the bound port.
 
-        Dependency-free scrape endpoint on the broker's event loop;
-        rendering reads engine state between passes, so scrapes observe
+        Dependency-free scrape endpoint on the broker's loop; rendering
+        reads engine state between passes, so scrapes observe
         consistent counters.
         """
-        self._metrics_server = await asyncio.get_running_loop().create_server(
-            lambda: HttpConnection(self), host=host, port=port
-        )
-        return self._metrics_server.sockets[0].getsockname()[1]
+        sock = _tcp_listener(host, port)
+        self._listen(sock, lambda loop: HttpConnection(self, loop))
+        return sock.getsockname()[1]
 
-    async def serve_forever(self) -> None:
-        """Serve until a ``shutdown`` op (or :meth:`request_shutdown`)."""
-        if self._server is None:
+    def run(self) -> None:
+        """Serve until a ``shutdown`` op (or :meth:`request_shutdown`),
+        then close the listeners, drain the connections and flush
+        persistence. Parsed requests are answered before any
+        connection is closed, so a committed op is never left
+        unacknowledged — the shutdown's own acknowledgement included."""
+        if self._loop is None:
             raise ReproError("server not started")
-        await self._stopping.wait()
-        # aclose drains the connections, so the shutdown acknowledgement
-        # and any queued responses are flushed before anything stops.
-        await self.aclose()
+        loop = self._loop
+        try:
+            loop.run(lambda: self._stopping)
+            loop.stop_listening()
+            if self._unix_path is not None:
+                # Clean shutdown leaves no stale socket file behind.
+                self._unix_path.unlink(missing_ok=True)
+                self._unix_path = None
+            for conn in list(self.connections):
+                conn.drain()
+            # Until every answer is sent: a connection closes after it.
+            if not loop.run(lambda: not loop.connections,
+                            timeout=_DRAIN_TIMEOUT):
+                logger.warning("%d connection(s) did not drain within "
+                               "%gs; closing them", loop.connections,
+                               _DRAIN_TIMEOUT)
+        finally:
+            self._loop = None
+            loop.close()
+            self.close()
 
     def request_shutdown(self) -> None:
-        """Ask the serve loop to stop (thread-unsafe; call on the loop)."""
-        self._stopping.set()
+        """Ask :meth:`run` to stop; safe from any thread."""
+        self._stopping = True
+        loop = self._loop
+        if loop is not None:
+            loop.wake()
 
-    async def aclose(self) -> None:
-        """Close the listeners, drain the connections, flush
-        persistence. Parsed requests are answered before any connection
-        is closed, so a committed op is never left unacknowledged."""
-        servers = [s for s in (self._server, self._metrics_server)
-                   if s is not None]
-        self._server = self._metrics_server = None
-        for server in servers:
-            server.close()
-        if self._unix_path is not None:
-            # Clean shutdown leaves no stale socket file behind.
-            self._unix_path.unlink(missing_ok=True)
-            self._unix_path = None
-        await close_connections(self.connections)
-        for server in servers:
-            await server.wait_closed()
-        self.close()
+    # -- the same calls from an asyncio loop (the bench spine's) --------
+
+    async def start_unix(self, path: Union[str, Path]) -> None:
+        self.bind_unix(path)
+
+    async def serve_forever(self) -> None:
+        """:meth:`run` on a thread; a cancelled wait shuts it down."""
+        import asyncio     # only a caller that already runs asyncio
+
+        try:
+            await asyncio.to_thread(self.run)
+        finally:
+            self.request_shutdown()
 
     def _serve(self, batch: List[Any], conn: Connection) -> bytes:
         """Answer ``batch`` in request order, as the bytes of one
@@ -630,7 +721,7 @@ class BrokerServer(EngineHost):
                 # connection (and the answers behind it).
                 logger.exception("broker request failed")
         if not scrape:
-            self.metrics.record_batch(len(out))
+            self.front.record_batch(len(out))
         return b"".join(out)
 
     def _scrape(self, request: _Request) -> bytes:

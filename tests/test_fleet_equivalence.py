@@ -355,7 +355,7 @@ def _open_surface(surface, tmp_path):
             if surface == "unix":
                 await server.start_unix(tmp_path / "b.sock")
             else:
-                await server.start_tcp("127.0.0.1", port)
+                server.bind_tcp("127.0.0.1", port)
             return server
 
         _, thread = _serve_on_thread(start)

@@ -228,6 +228,32 @@ class TestMetrics:
         assert "repro_gateway_auth_failures_total 0" in text
 
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_tenants_export_no_front_end_families(self, tmp_path, workers):
+        """A tenant owns no connection: the broker's connection and
+        batching families are the gateway's (``repro_gateway_*``)."""
+        tenants = [TenantSpec("acme", "k-acme", TOPO),
+                   TenantSpec("beta", "k-beta", TOPO)]
+
+        def client(port):
+            for key in ("k-acme", "k-beta"):
+                with GatewayClient(f"127.0.0.1:{port}", api_key=key) as c:
+                    c.check("admit", streams=[spec()])
+            with GatewayClient(f"127.0.0.1:{port}", api_key="k-acme") as c:
+                text = c.get("/metrics")
+                c.request("shutdown")
+            return {"text": text}
+
+        text = run_gateway(client, tmp_path, tenants=tenants,
+                           workers=workers)["text"]
+        assert 'repro_broker_ops_total{op="admit",tenant="beta"} 1' in text
+        assert "repro_gateway_batches_total" in text
+        for family in ("connections_total", "batches_total",
+                       "batched_requests_total", "batch_max_size",
+                       "readahead_full_total"):
+            assert f"repro_broker_{family}" not in text
+
+
 class TestAdmin:
     def test_kill_degrades_health_and_failover_restores(self, tmp_path):
         def client(port):

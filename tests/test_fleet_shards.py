@@ -12,11 +12,13 @@ interrupts.
 """
 
 import contextlib
+import gc
 import itertools
 import json
 import shutil
 import threading
 import time
+import warnings
 
 from pathlib import Path
 
@@ -454,6 +456,59 @@ class TestLegacyFold:
                 Fleet([TenantSpec("t", "k", LEGACY_TOPO)], state_dir=root)
         _assert_matches_sharded_recovery(root)
 
+    def test_a_crashed_fold_leaves_no_file_open(self, tmp_path, monkeypatch):
+        """Whatever step of a fold crashes, every journal opened before
+        it is closed: nothing is left for the collector to finalise. (A
+        real crash closes everything; the simulated one closes what the
+        crashing call itself returned.)"""
+        gc.collect()    # what earlier tests left is theirs, not the fold's
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for owner, name, nth in self.CRASH_POINTS:
+                real, calls = getattr(owner, name), itertools.count(1)
+
+                def crash_after(*args, real=real, calls=calls, nth=nth,
+                                **kwargs):
+                    out = real(*args, **kwargs)
+                    if next(calls) == nth:
+                        if isinstance(out, EngineHost):
+                            out.close()
+                        raise InjectedCrash(f"after #{nth}")
+                    return out
+
+                root = _legacy_copy(tmp_path / f"{name}-{nth}")
+                with monkeypatch.context() as patch:
+                    patch.setattr(owner, name, crash_after)
+                    with pytest.raises(InjectedCrash):
+                        Fleet([TenantSpec("t", "k", LEGACY_TOPO)],
+                              state_dir=root)
+            gc.collect()   # a leaked journal would be finalised here
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)
+                and str(tmp_path) in str(w.message)] == []
+
+    def test_a_tenant_that_cannot_open_closes_those_before_it(
+        self, tmp_path
+    ):
+        """A fleet whose second tenant refuses its state dir (another
+        topology's) leaves no journal of the first one open."""
+        other = {"type": "mesh", "width": 4, "height": 4}
+        for name, topo in (("a", TOPO), ("b", other)):
+            host = TenantHost(name, topo, state_dir=tmp_path / name)
+            admit(host, spec(0, 2))
+            assert host.handle_request({"op": "snapshot"})["ok"]
+            host.close()
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ReproError, match="topology"):
+                Fleet([TenantSpec("a", "ka", TOPO),
+                       TenantSpec("b", "kb", TOPO)], state_dir=tmp_path)
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)
+                and str(tmp_path) in str(w.message)] == []
+
     def test_shard_dirs_beside_a_tenant_snapshot_are_dropped(self, tmp_path):
         """A tenant snapshot means the fold finished: shard dirs left
         beside it are leftovers, not state."""
@@ -540,6 +595,25 @@ class TestDeadShards:
         oracle = ShardStandby(tmp_path, TOPO)
         oracle.catch_up()
         assert oracle.fingerprint()[0] == tf.fingerprint()[0]
+        tf.close()
+
+    def test_failover_keeps_the_counters_and_counts_itself(self, tmp_path):
+        """The service counters are the tenant's: a failover reopens its
+        host, not its books, and is itself an op that was served."""
+        tf = TenantHost("t", TOPO, state_dir=tmp_path)
+        for _ in range(5):
+            tf.handle_request({"op": "ping"})
+        admit(tf, spec(0, 2))
+        assert tf.handle_request({"op": "stats"})["service"]["ops"] == {
+            "admit": 1, "ping": 5}
+        tf.handle_request({"op": "kill"})
+        assert tf.handle_request({"op": "failover"})["ok"]
+        service = tf.handle_request({"op": "stats"})["service"]
+        assert service["ops"] == {
+            "admit": 1, "failover": 1, "kill": 1, "ping": 5, "stats": 1}
+        assert service["admit"]["accepted"] == 1
+        # The journal figures are the reopened host's.
+        assert service["journal"]["records"] == tf.state.records
         tf.close()
 
     def test_fleet_recover_swaps_and_recovers_again(self, tmp_path):

@@ -470,6 +470,7 @@ class TestSupervisorGuards:
         """Every RPC to a dead worker connects to a socket path nobody
         listens on; each refused attempt must close what it opened."""
         client = WorkerClient(tmp_path / "not-bound-yet.sock")
+        gc.collect()    # finalise what earlier tests left outside the check
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             for _ in range(3):

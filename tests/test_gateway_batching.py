@@ -178,21 +178,20 @@ def gateway_workers(tmp_path_factory):
 @pytest.fixture(scope="module")
 def broker():
     """``repro serve`` on a loopback port: ``(port, server)``."""
+    bound = {}
+
     async def start():
         server = BrokerServer(TOPO)
-        await server.start_tcp("127.0.0.1", 0)
+        bound["port"] = server.bind_tcp("127.0.0.1", 0)
         return server
 
-    def port(server):
-        return server._server.sockets[0].getsockname()[1]
-
     def shutdown(server):
-        stopper = LinePipe(port(server))
+        stopper = LinePipe(bound["port"])
         stopper.send(line_op("shutdown")).bodies(1)
         stopper.close()
 
     with on_thread(start, shutdown) as server:
-        yield port(server), server
+        yield bound["port"], server
 
 
 @pytest.fixture(scope="module", params=["inprocess", "workers"])
@@ -225,7 +224,7 @@ def line_op(name, **fields):
 def wire(request):
     if request.param == "line":
         port, server = request.getfixturevalue("broker")
-        metrics: Any = server.metrics
+        metrics: Any = server.front
         conn, speak, blank = LinePipe(port), line_op, b"\n"
     else:
         port, metrics = request.getfixturevalue(f"gateway_{request.param}")

@@ -1,5 +1,6 @@
 """Start-up cost pin: service interpreters import neither ``networkx``
-nor ``numpy``, nor the offline-only modules the package inits re-export.
+nor ``numpy``, nor the offline-only modules the package inits re-export,
+and a broker (``repro serve``) imports neither asyncio nor ``hashlib``.
 
 Every ``repro serve``, gateway and worker process imports the
 topology and core packages; ``networkx`` is only needed by the graph
@@ -13,6 +14,7 @@ lean server must not pay an ``mmap``/``munmap`` pair per socket read
 (:func:`repro.service.server.keep_recv_buffers_on_heap`).
 """
 
+import json
 import os
 import platform
 import subprocess
@@ -23,6 +25,7 @@ import pytest
 
 from repro.core.bdg import build_bdg
 from repro.core.hpset import HPEntry, HPSet
+from repro.service.host import EngineHost
 from repro.topology import Mesh2D, XYRouting
 from repro.topology.routing import is_deadlock_free
 
@@ -67,6 +70,72 @@ def test_service_modules_load_without_networkx():
     assert done.returncode == 0, (
         "a service module imports at load time: " + done.stderr
     )
+
+
+#: A ``repro serve`` run to its end in one interpreter — recovery,
+#: admits, a scrape, the shutdown and the drain — then what it loaded.
+SERVE_PROBE = """
+import json, socket, sys, threading, time
+from repro.cli import main
+
+path, state = sys.argv[1:]
+ops = [{"op": "hello"}, {"op": "stats", "format": "prometheus"}] + [
+    {"op": "admit", "streams": [{"src": i, "dst": i + 1, "priority": 1,
+                                 "period": 100, "length": 4,
+                                 "deadline": 100}]}
+    for i in range(3)
+] + [{"op": "shutdown"}]
+
+def client():
+    for _ in range(3000):
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.connect(path)
+            break
+        except OSError:
+            sock.close()
+            time.sleep(0.01)
+    sock.sendall(b"".join(json.dumps(op).encode() + b"\\n" for op in ops))
+    with sock, sock.makefile("rb") as reader:
+        answers.extend(json.loads(reader.readline()) for _ in ops)
+
+answers = []
+thread = threading.Thread(target=client)
+thread.start()
+main(["serve", "--socket", path, "--mesh", "4x4", "--state-dir", state])
+thread.join(timeout=30)
+assert [a["ok"] for a in answers] == [True] * len(ops), answers
+print(json.dumps([m for m in ("asyncio", "ssl", "_ssl", "hashlib",
+                               "_hashlib") if m in sys.modules]))
+"""
+
+
+def test_a_served_broker_loads_neither_asyncio_nor_libcrypto(tmp_path):
+    """A broker speaks JSON lines without TLS: asyncio (which always
+    imports ``ssl``, mapping libssl and libcrypto) and ``hashlib``
+    (libcrypto again) are ~7 MiB of its RSS it would never use."""
+    done = subprocess.run(
+        [sys.executable, "-c", SERVE_PROBE, str(tmp_path / "b.sock"),
+         str(tmp_path / "state")],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    # The last line; the first is serve's "listening" line.
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_fingerprint_still_works():
+    """``fingerprint`` imports ``hashlib`` where it runs."""
+    import hashlib
+
+    host = EngineHost({"type": "mesh", "width": 4, "height": 4})
+    host.handle_request({"op": "admit", "streams": [
+        {"src": 0, "dst": 3, "priority": 1, "period": 100, "length": 4,
+         "deadline": 100}]})
+    sha, spec = host.fingerprint()
+    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    assert sha == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    assert list(spec["streams"]) == ["0"]
 
 
 def test_graph_helpers_still_work():

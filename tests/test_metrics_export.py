@@ -1,9 +1,9 @@
 """Tests for Prometheus metrics export (repro.obs.metrics and the broker's
 ``stats --format prometheus`` / ``--metrics-port`` surfaces)."""
 
-import asyncio
 import copy
 import re
+import threading
 import urllib.request
 from bisect import bisect_left
 
@@ -168,8 +168,8 @@ class TestServiceMetricsExport:
         m.record_op("query", 0.001, error=True)
         m.admitted_ok += 1
         m.admitted_rejected += 2
-        m.connections += 3
-        m.record_batch(4)
+        server.front.connections += 3
+        server.front.record_batch(4)
         families = check_exposition(server.prometheus_text())
         assert 'repro_broker_ops_total{op="admit"} 2' in \
             families["repro_broker_ops_total"]["samples"]
@@ -298,16 +298,21 @@ class TestBrokerPrometheus:
             except urllib.error.HTTPError as exc:
                 return exc.code, exc.headers, ""
 
-        async def scrape():
-            await server.start_metrics_http("127.0.0.1", 0)
-            port = server._metrics_server.sockets[0].getsockname()[1]
-            base = f"http://127.0.0.1:{port}"
-            good = await asyncio.to_thread(get, base + "/metrics")
-            missing = await asyncio.to_thread(get, base + "/nope")
-            await server.aclose()
-            return good, missing
+        base = f"http://127.0.0.1:{server.bind_metrics_http('127.0.0.1', 0)}"
+        answers = []
 
-        (status, headers, text), (bad_status, _, _) = asyncio.run(scrape())
+        def scrape():
+            try:
+                answers.extend([get(base + "/metrics"), get(base + "/nope")])
+            finally:
+                server.request_shutdown()
+
+        thread = threading.Thread(target=scrape)
+        thread.start()
+        server.run()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        (status, headers, text), (bad_status, _, _) = answers
         assert status == 200 and bad_status == 404
         assert headers["Content-Type"].startswith("text/plain")
         check_exposition(text)
@@ -371,6 +376,15 @@ def drive(handle):
         handle(dict(request))
 
 
+#: What a broker's listeners count (``stats`` → ``service.connections``
+#: and ``service.batching``).
+FRONT_END_FAMILIES = {
+    "repro_broker_connections_total", "repro_broker_batches_total",
+    "repro_broker_batched_requests_total", "repro_broker_batch_max_size",
+    "repro_broker_readahead_full_total",
+}
+
+
 class TestOneRenderer:
     """Every series is a rendering of a ``stats`` answer, by one
     function, the same for a broker and for a fleet tenant."""
@@ -378,7 +392,7 @@ class TestOneRenderer:
     def test_every_stats_field_has_a_series(self, tmp_path):
         server = BrokerServer(MESH, state_dir=tmp_path)
         drive(server.handle_request)
-        server.metrics.record_batch(3)
+        server.front.record_batch(3)
         stats = server.handle_request({"op": "stats"})
         server.close()
         base = export_stats({None: stats}).render()
@@ -434,6 +448,11 @@ class TestOneRenderer:
             fleet.close()
         b_families, b_samples = self._exposition(broker)
         t_families, t_samples = self._exposition(tenant, "acme")
+        # A tenant owns no connection: the broker's front-end families
+        # are all it lacks.
+        assert set(b_families) - set(t_families) == FRONT_END_FAMILIES
+        for name in FRONT_END_FAMILIES:
+            del b_families[name], b_samples[name]
         assert t_families == b_families
         assert set(t_samples) == set(b_samples)
         timed = ("repro_broker_uptime_seconds", "repro_broker_op_latency_us",

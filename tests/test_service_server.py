@@ -1,5 +1,6 @@
 """Tests for the broker server: protocol, ops, metrics, persistence,
-and the asyncio front end over a unix socket."""
+and the front end over a unix socket, on the broker's selectors loop
+(and, for the shutdown every listener shares, on asyncio's)."""
 
 import asyncio
 import json
@@ -13,7 +14,11 @@ from repro.errors import AnalysisError, ReproError, StreamError
 from repro.service.host import DegradedError
 from repro.service.loadgen import BrokerClient, churn_spec, run_load
 from repro.obs.metrics import Histogram
-from repro.service.metrics import ServiceMetrics, latency_dict
+from repro.service.metrics import (
+    FrontEndMetrics,
+    ServiceMetrics,
+    latency_dict,
+)
 from repro.service.persistence import BrokerState
 from repro.service.protocol import (
     ProtocolError,
@@ -95,12 +100,14 @@ class TestMetrics:
         m = ServiceMetrics()
         m.record_op("admit", 0.001)
         m.record_op("admit", 0.002, error=True)
-        m.record_batch(3)
         d = m.to_dict()
         assert d["ops"]["admit"] == 2
         assert d["errors"]["admit"] == 1
-        assert d["batching"]["max_size"] == 3
         assert d["latency"]["admit"]["count"] == 2
+        assert "batching" not in d and "connections" not in d
+        front = FrontEndMetrics()
+        front.record_batch(3)
+        assert front.to_dict()["batching"]["max_size"] == 3
 
 
 class TestServerOps:
@@ -311,24 +318,28 @@ class TestPersistence:
 
 
 class TestAsyncFrontEnd:
-    """Round-trips through the real asyncio server on a unix socket."""
+    """Round-trips through the real server on a unix socket: the client
+    on a thread, :meth:`BrokerServer.run` on the test's."""
 
     def _run(self, client_fn, tmp_path, **server_kwargs):
         sock = str(tmp_path / "broker.sock")
         result = {}
-
-        async def main():
-            server = BrokerServer(MESH, **server_kwargs)
-            await server.start_unix(sock)
-            thread = threading.Thread(
-                target=lambda: result.update(client_fn(sock))
-            )
-            thread.start()
-            await asyncio.wait_for(server.serve_forever(), timeout=30)
-            thread.join(timeout=10)
-            result["server"] = server
-
-        asyncio.run(main())
+        server = BrokerServer(MESH, **server_kwargs)
+        server.bind_unix(sock)
+        thread = threading.Thread(
+            target=lambda: result.update(client_fn(sock))
+        )
+        thread.start()
+        # A client that fails before its shutdown must not hang the test.
+        timer = threading.Timer(30, server.request_shutdown)
+        timer.start()
+        try:
+            server.run()
+        finally:
+            timer.cancel()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        result["server"] = server
         return result
 
     def test_unix_round_trip_and_shutdown(self, tmp_path):
@@ -344,9 +355,8 @@ class TestAsyncFrontEnd:
         assert result["hello"]["nodes"] == 36
         assert result["admit"]["admitted"] and result["admit"]["ids"] == [0]
         assert result["report"]["admitted"] == 1
-        metrics = result["server"].metrics
-        assert metrics.op_counts["admit"] == 1
-        assert metrics.batches >= 1
+        assert result["server"].metrics.op_counts["admit"] == 1
+        assert result["server"].front.batches >= 1
 
     def test_malformed_line_gets_error_response(self, tmp_path):
         def client(sock):
@@ -471,19 +481,20 @@ class TestAsyncFrontEnd:
         assert [a.get("id") for a in answers] == [1, 2, 3, 4, 5, None, 7, 8]
         assert answers[0]["admitted"] and not answers[3]["admitted"]
         assert not answers[4]["ok"] and answers[5]["code"] == "protocol"
-        assert batched["server"].metrics.max_batch == owed
-        assert one_by_one["server"].metrics.max_batch == 1
+        assert batched["server"].front.max_batch == owed
+        assert one_by_one["server"].front.max_batch == 1
 
     def test_serial_requests_are_answered_without_a_task(self, tmp_path):
         # A request is answered in the reader's callback: serving a
-        # serial client adds no task to the loop, not even one per
-        # connection.
+        # serial client schedules nothing on the loop — no callback per
+        # request, not even one per connection.
         sock = str(tmp_path / "broker.sock")
-        tasks = []
+        handled = []
+        scheduled = []
 
         class Counting(BrokerServer):
             def handle_request(self, request):
-                tasks.append(len(asyncio.all_tasks()))
+                handled.append(request["op"])
                 return super().handle_request(request)
 
         def client():
@@ -493,21 +504,22 @@ class TestAsyncFrontEnd:
                     c.check("query", stream=0)
                 c.check("shutdown")
 
-        async def main():
-            server = Counting(MESH)
-            await server.start_unix(sock)
-            serving = asyncio.ensure_future(server.serve_forever())
-            await asyncio.sleep(0)
-            before = len(asyncio.all_tasks())
-            thread = threading.Thread(target=client)
-            thread.start()
-            await asyncio.wait_for(serving, timeout=30)
-            thread.join(timeout=10)
-            return before
-
-        before = asyncio.run(main())
-        assert len(tasks) == 100
-        assert max(tasks) <= before
+        server = Counting(MESH)
+        server.bind_unix(sock)
+        loop = server._loop
+        call_soon = loop.call_soon
+        loop.call_soon = lambda *args: (
+            scheduled.append(handled[-1] if handled else None),
+            call_soon(*args),
+        )
+        thread = threading.Thread(target=client)
+        thread.start()
+        server.run()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(handled) == 100
+        # Only the shutdown schedules: its connection's drain and close.
+        assert set(scheduled) <= {"shutdown"}, scheduled
 
     def test_one_sendall_is_one_batch(self, tmp_path):
         lines = b"".join(json.dumps({"op": "ping", "id": i}).encode()
@@ -692,6 +704,35 @@ class TestAsyncFrontEnd:
         assert result["report"]["admitted"] == summary.live_at_end
 
 
+class TestAsyncAdapters:
+    def test_served_from_asyncio_and_stopped_from_its_loop(self, tmp_path):
+        """The bench spine's embedding: ``start_unix`` and
+        ``serve_forever`` under ``asyncio.run`` on a thread, stopped
+        with ``call_soon_threadsafe(server.request_shutdown)`` — from a
+        thread that is neither the test's nor the one serving."""
+        sock = tmp_path / "broker.sock"
+        server = BrokerServer(MESH)
+        box = {}
+        ready = threading.Event()
+
+        async def main():
+            box["loop"] = asyncio.get_running_loop()
+            await server.start_unix(sock)
+            ready.set()
+            await asyncio.wait_for(server.serve_forever(), timeout=60)
+
+        thread = threading.Thread(target=lambda: asyncio.run(main()))
+        thread.start()
+        assert ready.wait(timeout=30)
+        with BrokerClient(socket_path=sock) as client:
+            assert client.check("admit", streams=[spec()])["admitted"]
+            box["loop"].call_soon_threadsafe(server.request_shutdown)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not sock.exists()
+        assert server.metrics.op_counts == {"admit": 1}
+
+
 class TestCloseConnections:
     """The one shutdown every listener uses, against a stub server."""
 
@@ -736,7 +777,7 @@ class TestCloseConnections:
             ours, theirs = socket.socketpair()
             ours.settimeout(10)
             _, conn = await loop.connect_accepted_socket(
-                lambda: LineConnection(server), sock=theirs
+                lambda: LineConnection(server, loop), sock=theirs
             )
             return ours, conn
 
@@ -761,7 +802,7 @@ class TestCloseConnections:
                              b'{"op": "ping", "id": 2}\n')
                 while len(conn.ahead) < 2:
                     await asyncio.sleep(0.01)
-            blocked = stuck_conn._busy
+            blocked = stuck_conn._task
             assert len(connections) == 3
             closing = asyncio.create_task(
                 close_connections(connections, timeout=0.5)

@@ -8,7 +8,6 @@ connect-accepted means a live broker owns it (refuse with a clear
 error), and a non-socket file is never deleted.
 """
 
-import asyncio
 import socket
 import threading
 
@@ -31,84 +30,69 @@ def make_stale_socket(path):
     assert path.exists()
 
 
+def stop(server):
+    """Shut a bound server down without serving: :meth:`run` finds the
+    stop requested, closes its listeners and drains nothing."""
+    server.request_shutdown()
+    server.run()
+
+
 class TestStaleSocket:
     def test_stale_socket_is_reclaimed(self, tmp_path):
         sock = tmp_path / "broker.sock"
         make_stale_socket(sock)
+        server = BrokerServer(MESH)
+        server.bind_unix(str(sock))
 
-        async def main():
-            server = BrokerServer(MESH)
-            await server.start_unix(str(sock))
+        def client():
+            with BrokerClient.wait_for_unix(str(sock)) as c:
+                out = c.check("ping")
+                c.check("shutdown")
+                return out
 
-            def client():
-                with BrokerClient.wait_for_unix(str(sock)) as c:
-                    out = c.check("ping")
-                    c.check("shutdown")
-                    return out
-
-            thread_result = {}
-            thread = threading.Thread(
-                target=lambda: thread_result.update(client())
-            )
-            thread.start()
-            await asyncio.wait_for(server.serve_forever(), timeout=30)
-            thread.join(timeout=10)
-            return thread_result
-
-        result = asyncio.run(main())
+        result = {}
+        thread = threading.Thread(target=lambda: result.update(client()))
+        thread.start()
+        server.run()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
         assert result["ok"]
 
     def test_live_socket_is_refused(self, tmp_path):
         sock = tmp_path / "broker.sock"
-
-        async def main():
-            first = BrokerServer(MESH)
-            await first.start_unix(str(sock))
-            second = BrokerServer(MESH)
-            with pytest.raises(ReproError, match="live broker"):
-                await second.start_unix(str(sock))
-            await first.aclose()
-            # The refusal must not have deleted the live socket out from
-            # under the first server before it closed...
-            # (aclose unlinks it; see the shutdown test below.)
-
-        asyncio.run(main())
+        first = BrokerServer(MESH)
+        first.bind_unix(str(sock))
+        second = BrokerServer(MESH)
+        with pytest.raises(ReproError, match="live broker"):
+            second.bind_unix(str(sock))
+        # The refusal must not have deleted the live socket out from
+        # under the first server before it closed...
+        assert sock.exists()
+        stop(first)     # (which unlinks it; see the shutdown test below)
 
     def test_non_socket_file_is_never_deleted(self, tmp_path):
         path = tmp_path / "broker.sock"
         path.write_text("precious data, definitely not a socket\n")
-
-        async def main():
-            server = BrokerServer(MESH)
-            with pytest.raises(ReproError, match="not a socket"):
-                await server.start_unix(str(path))
-
-        asyncio.run(main())
+        server = BrokerServer(MESH)
+        with pytest.raises(ReproError, match="not a socket"):
+            server.bind_unix(str(path))
         assert path.read_text().startswith("precious data")
 
     def test_clean_shutdown_unlinks_socket(self, tmp_path):
         sock = tmp_path / "broker.sock"
-
-        async def main():
-            server = BrokerServer(MESH)
-            await server.start_unix(str(sock))
-            assert sock.exists()
-            await server.aclose()
-
-        asyncio.run(main())
+        server = BrokerServer(MESH)
+        server.bind_unix(str(sock))
+        assert sock.exists()
+        stop(server)
         assert not sock.exists(), "clean shutdown must remove the socket"
 
     def test_restart_after_clean_shutdown(self, tmp_path):
         """Stop-then-start on the same path needs no manual cleanup."""
         sock = tmp_path / "broker.sock"
-
-        async def cycle():
+        for _ in range(2):
             server = BrokerServer(MESH)
-            await server.start_unix(str(sock))
-            await server.aclose()
-
-        asyncio.run(cycle())
-        asyncio.run(cycle())
+            server.bind_unix(str(sock))
+            stop(server)
         assert not sock.exists()
 
 

@@ -8,15 +8,15 @@ filled by one function, on integer bitsets, and the modules a service
 interpreter loads for the diagram and its explanations import NumPy
 only inside the functions that build array views; under ``core/`` a
 test of the tracer guards only span and instant calls, so tracing never
-picks which code runs. Every listener is a
+picks which code runs. Every listener — the broker's, its scrape
+port, the gateway and the fleet worker — is a
 :class:`repro.service.server.Connection` answered in its reader: no
 stream reader, request queue or second protocol class or HTTP parser,
-and a task only where an answer has to be awaited (the fleet worker's
-blocking ``select`` loop serves one client and is not an asyncio
-server: it measured faster than a ``LineConnection`` listener, see
-EXPERIMENTS.md). A fleet worker is a fork of its supervisor, never a
-fresh interpreter, and its branch of the fork can only leave through
-``os._exit``. A dead fleet tenant has one recovery path, the restart's
+and a task only where an answer has to be awaited (the gateway's, on
+asyncio; the broker and the worker run on a selectors loop that has no
+tasks, and the broker's module does not import asyncio). A fleet worker
+is a fork of its supervisor, never a fresh interpreter, and its branch
+of the fork can only leave through ``os._exit``. A dead fleet tenant has one recovery path, the restart's
 journal replay: no warm standby, journal poller or hand-off is served,
 and the journal-tailing module is a test oracle nothing under
 ``src/repro`` imports. A worker serves whole tenants: no proxy, cached
@@ -68,10 +68,10 @@ INDEX_NAMES = frozenset({
 
 #: Lines of ``src/repro/fleet``: the count, ratcheted (a smaller count
 #: fails until this is lowered to it).
-FLEET_LINE_CEILING = 1946
+FLEET_LINE_CEILING = 1922
 
 #: Lines of ``src/repro``: the count, ratcheted like the fleet's.
-SRC_LINE_CEILING = 19214
+SRC_LINE_CEILING = 19608
 
 #: The bound rules a :class:`repro.core.backends.BoundBackend` declares,
 #: plus the retired names that once carried them past the declaration.
@@ -96,7 +96,8 @@ KEPT_FOR_TESTS = {
                        "compare measured delays against",
 }
 
-#: Called by asyncio, never by name.
+#: Called by the transport that drives a connection — asyncio's or the
+#: selectors loop's (``service/loop.py``) — never by name.
 PROTOCOL_CALLBACKS = frozenset({
     "connection_made", "data_received", "eof_received", "connection_lost",
     "pause_writing", "resume_writing",
@@ -268,10 +269,13 @@ def test_tracing_chooses_no_path():
 
 def test_one_front_end():
     front_end = re.compile(
-        r"asyncio\.(start_server|start_unix_server|Queue)\b|StreamReader"
+        r"asyncio\.(start_server|start_unix_server|Queue|Protocol)\b"
+        r"|StreamReader"
     )
     assert _modules_matching(front_end) == []
-    assert _occurrences(re.compile(r"\(asyncio\.Protocol\)")) == 1
+    # One connection class (the protocol callbacks are defined once),
+    # one HTTP head parser.
+    assert _occurrences(re.compile(r"def data_received\b")) == 1
     assert _occurrences(re.compile(r"def _?parse_head\b")) == 1
     for module in ("cli.py", "service/server.py"):
         assert not re.search(r"batch[-_]max", (SRC / module).read_text())
@@ -283,10 +287,15 @@ def test_a_task_only_where_an_answer_is_awaited():
         "create_task"
     ]
     assert re.search(
-        r"if not isinstance\(answer, bytes\):\n.*create_task\("
-        r"self\._awaited\(answer\)\)",
+        r"if not isinstance\(answer, bytes\):\n(.*\n)?"
+        r".*self\._loop\.create_task\(self\._awaited\(answer\)\)",
         server,
     )
+    # The broker's and the worker's loop cannot run a task at all, and
+    # what they serve does not load asyncio.
+    loop = (SRC / "service" / "loop.py").read_text()
+    assert not re.search(r"create_task|ensure_future|import asyncio", loop)
+    assert not re.search(r"^(import|from) asyncio", server, re.M)
 
 
 def test_workers_are_forked_and_their_branch_ends_in_exit():
