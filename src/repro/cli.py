@@ -607,8 +607,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_gateway(args: argparse.Namespace) -> int:
-    import asyncio
-
     from .fleet import Fleet, GatewayServer, TenantSpec
 
     topo = _serve_topology_spec(args)
@@ -626,20 +624,15 @@ def _run_gateway(args: argparse.Namespace) -> int:
     recovered = sum(
         answer.get("admitted") or 0 for answer in fleet.stats().values()
     )
-
-    async def run() -> None:
-        await gateway.start(args.host, args.port)
-        print(
-            f"repro-gateway listening on http://{args.host}:"
-            f"{gateway.port} ({len(specs)} tenant(s), "
-            f"{recovered} stream(s) recovered, "
-            f"{args.workers or 'no'} worker process(es))",
-            flush=True,
-        )
-        await gateway.serve_forever()
-
+    port = gateway.bind_tcp(args.host, args.port)
+    print(
+        f"repro-gateway listening on http://{args.host}:{port} "
+        f"({len(specs)} tenant(s), {recovered} stream(s) recovered, "
+        f"{args.workers or 'no'} worker process(es))",
+        flush=True,
+    )
     try:
-        asyncio.run(run())
+        gateway.run()
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
     return 0

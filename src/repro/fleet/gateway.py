@@ -1,7 +1,7 @@
 """HTTP gateway: the fleet's front door (``repro gateway``).
 
-A dependency-free asyncio HTTP/1.1 server (keep-alive, Content-Length
-framing) exposing the broker protocol as a JSON-over-HTTP API:
+A dependency-free HTTP/1.1 server (keep-alive, Content-Length framing)
+exposing the broker protocol as a JSON-over-HTTP API:
 
 ``GET  /healthz``
     Liveness/consistency rollup: per tenant, whether it is dead or
@@ -40,7 +40,7 @@ framing) exposing the broker protocol as a JSON-over-HTTP API:
     refuses them as unknown ops.
 ``POST /admin/kill_worker`` ``{"worker": N}``
     SIGKILL worker process ``N`` (worker-pool mode only; any valid
-    tenant key). The monitor task restarts it with journal recovery —
+    tenant key). The monitor thread restarts it with journal recovery —
     the drill CI runs to prove supervised restarts converge.
 ``POST /v1/shutdown``
     Stop the gateway (any valid tenant key).
@@ -70,42 +70,41 @@ tenants count as dead).
 In the default in-process fleet a run executes synchronously on the
 event-loop thread — the broker's single-writer model, linearisable per
 tenant without locks. With ``--workers N`` each tenant's host runs in
-a supervised child process, and a batch's runs are awaited by
-one task. Each worker has one persistent link from the gateway: every
-run is written on it with one write, and runs are pipelined FIFO (the
-worker answers in arrival order, so a tenant's ops stay linearisable
-in write order). The worker's answer lines become the HTTP bodies
-unchanged (only an ``/admin/*`` answer is parsed, for its status), and
-in-process answers are encoded the same way. A timeout or a lost
-connection fails the link: every run waiting on it gets the retryable
-``code: "worker"`` error. Different tenants' workers run in parallel
-across cores, a wedged worker stalls only its own tenants, and a
-background task restarts any worker that dies.
+a supervised child process, and a batch's walk is driven by its runs'
+answers, in callbacks. Each worker has one persistent link from the
+gateway, on the same loop: every run is written on it with one write,
+and runs are pipelined FIFO (the worker answers in arrival order, so a
+tenant's ops stay linearisable in write order). The worker's answer
+lines become the HTTP bodies unchanged (only an ``/admin/*`` answer is
+parsed, for its status), and in-process answers are encoded the same
+way. A timeout or a lost connection fails the link: every run waiting
+on it gets the retryable ``code: "worker"`` error. Different tenants'
+workers run in parallel across cores, a wedged worker stalls only its
+own tenants, and a monitor thread restarts any worker that dies. The
+gateway's life is the broker's (:class:`LoopServer`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
+import threading
 from functools import partial
-from typing import (Any, Awaitable, Callable, Dict, Generator, List, Optional,
-                    Set, Tuple, Union)
+from typing import (Any, Callable, Dict, Generator, List, Optional, Tuple,
+                    Union)
 from urllib.parse import parse_qs
 
-from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
 from ..service.metrics import export_stats
 from ..service.protocol import HTTP_OPS, error_response, parse_line
 from ..service.server import (
     Connection,
     HttpConnection,
+    LoopServer,
     _Answer,
     _encode_response,
     _HttpError,
     _Request,
-    close_connections,
-    keep_recv_buffers_on_heap,
 )
 from .shards import Fleet
 
@@ -132,10 +131,11 @@ _Run = Tuple[str, List[Dict[str, Any]]]
 _Walk = Generator[Optional[_Run], Any, Any]
 
 
-class GatewayServer:
+class GatewayServer(LoopServer):
     """HTTP front end over a :class:`Fleet`."""
 
     def __init__(self, fleet: Fleet):
+        LoopServer.__init__(self)
         self.fleet = fleet
         #: (path or "other", status) -> responses sent.
         self.requests: Dict[Tuple[str, int], int] = {}
@@ -146,78 +146,58 @@ class GatewayServer:
         self.batched_requests = 0
         #: Times a connection stopped reading: its read-ahead was full.
         self.readahead_full = 0
-        self._server: Optional[asyncio.base_events.Server] = None
         #: The bound port (useful with port 0 in tests), read once in
-        #: :meth:`start`: still known while the gateway shuts down.
+        #: :meth:`bind_tcp`: still known while the gateway shuts down.
         self.port = 0
-        self._stopping = asyncio.Event()
-        self._monitor_task: Optional[asyncio.Task] = None
-        self.connections: Set[Connection] = set()
+        self._monitor: Optional[threading.Thread] = None
+        self._closing = threading.Event()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
+    def bind_tcp(self, host: str, port: int) -> int:
+        """Listen on a TCP address; returns the bound port (``port`` 0
+        binds an ephemeral one)."""
+        self.port = self._listen_tcp(host, port,
+                                     lambda loop: HttpConnection(self, loop))
+        return self.port
+
     async def start(self, host: str, port: int) -> None:
-        keep_recv_buffers_on_heap()
-        loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(
-            lambda: HttpConnection(self, loop), host=host, port=port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if self.fleet.supervisor is not None:
-            self._monitor_task = asyncio.create_task(self._monitor_workers())
+        """:meth:`bind_tcp`, for the asyncio caller of
+        :meth:`serve_forever`."""
+        self.bind_tcp(host, port)
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise ReproError("gateway not started")
-        await self._stopping.wait()
-        await self.aclose()
+    def run(self) -> None:
+        """:meth:`LoopServer.run`, with the worker monitor alongside."""
+        if self._loop is not None and self.fleet.supervisor is not None:
+            self._monitor = threading.Thread(target=self._monitor_workers,
+                                             daemon=True)
+            self._monitor.start()
+        super().run()
 
-    def request_shutdown(self) -> None:
-        self._stopping.set()
-
-    async def aclose(self) -> None:
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-        # Every connection answers what its reader had parsed — the
-        # connection that asked for the shutdown gets its response —
-        # before the fleet under them closes.
-        await close_connections(self.connections)
-        if server is not None:
-            await server.wait_closed()
-        task, self._monitor_task = self._monitor_task, None
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+    def close(self) -> None:
+        """Stop the monitor (a sweep in flight ends first: no worker is
+        forked after this), then close the fleet."""
+        self._closing.set()
+        monitor, self._monitor = self._monitor, None
+        if monitor is not None:
+            monitor.join()
         self.fleet.close()
 
-    async def _monitor_workers(self) -> None:
+    def _monitor_workers(self) -> None:
         """Respawn dead workers between requests, not just on the next
         request that happens to hit one (a wedged worker whose tenants
-        are idle would otherwise stay down forever). A sweep runs on a
-        thread; one in flight when the gateway closes is waited for, so
-        no worker is forked after the fleet closed."""
+        are idle would otherwise stay down forever). A failed sweep (a
+        ``fork`` refused for want of memory or pids) is logged and the
+        next one tries again."""
         supervisor = self.fleet.supervisor
         assert supervisor is not None
-        sweep: Optional[asyncio.Future] = None
-        try:
-            while True:
-                await asyncio.sleep(_MONITOR_PERIOD)
-                sweep = asyncio.ensure_future(
-                    asyncio.to_thread(supervisor.ensure_all)
-                )
-                try:
-                    await asyncio.shield(sweep)
-                except ReproError:  # pragma: no cover - defensive
-                    logger.exception("worker respawn failed")
-        finally:
-            if sweep is not None:
-                await asyncio.wait([sweep])
+        while not self._closing.wait(_MONITOR_PERIOD):
+            try:
+                supervisor.ensure_all()
+            except Exception:
+                logger.exception("worker respawn sweep failed")
 
     def _run(self, tenant: str,
              requests: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -234,10 +214,10 @@ class GatewayServer:
         self.requests[key] = self.requests.get(key, 0) + 1
         return _encode_response(status, payload, request.keep_alive)
 
-    def _serve(self, batch: List[Any],
-               conn: Connection) -> Union[bytes, Awaitable[bytes]]:
+    def _serve(self, batch: List[Any], conn: Connection) -> Optional[bytes]:
         """Answer ``batch`` (:meth:`_walk`): bytes, running each run
-        inline — or, with worker processes, an awaitable."""
+        inline — or, with worker processes, ``None`` and the bytes to
+        ``conn.deliver`` later (:meth:`_pooled`)."""
         walk = self._walk(batch, conn)
         try:
             run = next(walk)
@@ -245,18 +225,33 @@ class GatewayServer:
                 run = walk.send(self._run(*run) if run else self.fleet.stats())
         except StopIteration as done:
             return done.value
-        return self._pooled(walk, run)
+        self._pooled(walk, run, conn)
+        return None
 
-    async def _pooled(self, walk: _Walk, run: Optional[_Run]) -> bytes:
-        """The rest of :meth:`_serve`, each run forwarded to its
-        tenant's worker, and the stats asked of all workers at once."""
+    def _pooled(self, walk: _Walk, run: Optional[_Run],
+                conn: Connection) -> None:
+        """The rest of :meth:`_serve`, driven by the workers' answers:
+        each run forwarded to its tenant's worker, the stats asked of all
+        workers at once, and each answer sent into the walk. A walk
+        still pending when the gateway closes is dropped."""
         supervisor = self.fleet.supervisor
-        try:
-            while True:
-                run = walk.send(await (supervisor.forward(*run) if run
-                                       else supervisor.stats()))
-        except StopIteration as done:
-            return done.value
+
+        def ask(run: Optional[_Run]) -> None:
+            loop = self._loop
+            if loop is None:    # closed: the drain gave up on this answer
+                walk.close()
+            elif run:
+                supervisor.forward(loop, *run, step)
+            else:
+                supervisor.stats(loop, step)
+
+        def step(answers: Any) -> None:
+            try:
+                ask(walk.send(answers))
+            except StopIteration as done:
+                conn.deliver(done.value)
+
+        ask(run)
 
     def _walk(self, batch: List[Any], conn: Connection) -> _Walk:
         """Answer ``batch`` in request order: each run of one tenant's
@@ -298,7 +293,7 @@ class GatewayServer:
                 yield from finish_run()
                 answer = yield from self._in_turn(item, routed)
                 out.append(self._answer(item, *answer))
-            if self._stopping.is_set():
+            if self._stopping:
                 conn.finish()
                 break
         yield from finish_run()

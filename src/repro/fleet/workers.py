@@ -42,7 +42,6 @@ of double-applying.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import faulthandler
 import gc
@@ -57,13 +56,14 @@ import tempfile
 import threading
 import time
 from collections import deque
+from functools import partial
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import ReproError
 from ..obs import trace
 from ..service.client import BrokerClient
-from ..service.loop import SelectorLoop
+from ..service.loop import SelectorLoop, TimerHandle, _Transport
 from ..service.protocol import (
     KNOWN_OPS,
     encode,
@@ -151,14 +151,17 @@ class _WorkerServer:
 
     def serve(self) -> None:
         """Serve until orphaned (or SIGTERMed: ``SystemExit``)."""
-        self.loop.run(lambda: self._orphaned, idle=self._check_supervisor)
+        self._check_supervisor()
+        self.loop.run(lambda: self._orphaned)
 
     def _check_supervisor(self) -> None:
+        """Once a second: a restarted gateway must find the socket free,
+        not served by a process it does not supervise."""
         if os.getppid() != self.supervisor:
-            # Orphaned: a restarted gateway must find the socket free,
-            # not served by a process it does not supervise.
             logger.warning("supervisor %d is gone", self.supervisor)
             self._orphaned = True
+        else:
+            self.loop.call_later(1.0, self._check_supervisor)
 
     def _serve(self, batch: List[Any], conn: LineConnection) -> bytes:
         return b"".join(
@@ -194,8 +197,8 @@ def _child(wp: "WorkerProcess", supervisor: int, ready: int) -> int:
     """A forked worker's life: cut loose from the parent, recover, bind,
     write one byte on ``ready``, serve until stopped or orphaned."""
     gc.freeze()  # no inherited object is ever collected here
-    # A signal sent to a worker must not reach the gateway loop's
-    # self-pipe, nor run one of the parent's handlers.
+    # A signal sent to a worker must not reach the parent's wakeup fd
+    # (an embedding asyncio loop's), nor run one of the parent's handlers.
     signal.set_wakeup_fd(-1)
     for sig in signal.valid_signals():
         if callable(signal.getsignal(sig)):
@@ -206,8 +209,8 @@ def _child(wp: "WorkerProcess", supervisor: int, ready: int) -> int:
     log = os.open(wp.log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     for fd, target in ((0, null), (1, log), (2, log)):
         os.dup2(target, fd)
-    # The gateway's listener and connections, other workers' sockets,
-    # epoll, the self-pipe: nothing stays.
+    # The gateway's listener, connections and worker links, other
+    # workers' sockets, epoll, the loop's waker: nothing stays.
     os.closerange(3, ready)
     os.closerange(ready + 1, os.sysconf("SC_OPEN_MAX"))
     _inherited.extend([sys.stdout, sys.stderr, trace.active(),
@@ -252,100 +255,91 @@ def _child(wp: "WorkerProcess", supervisor: int, ready: int) -> int:
 # --------------------------------------------------------------------- #
 
 
-#: A run on a link: answers expected, lines read, future (None or why).
-_Waiting = Tuple[int, List[bytes], asyncio.Future]
+#: What a forwarded run's caller is handed: the run's answer lines.
+Answered = Callable[[List[bytes]], None]
+#: A run on a link: answers expected, lines read, its end (why or None).
+_Waiting = Tuple[int, List[bytes], Callable[[Optional[BaseException]], None]]
 
 
-class _Link:
-    """The gateway's persistent connection to one worker, on the loop
-    that opened it: each answer line read goes to the oldest run waiting;
-    a run costs one write and one future (the socket stays on the loop's
-    reader). Not an asyncio transport: that cannot be closed once its
-    loop has ended, and warns if left open."""
+class _AnswerLines:
+    """The gateway's persistent link to one worker: the protocol of a
+    connected :class:`~repro.service.loop._Transport` on the gateway's
+    loop. A run costs one write; each answer line read goes to the
+    oldest run waiting, and a lost connection ends every waiting run."""
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, path: str):
-        self.loop, self.sock = loop, socket.socket(socket.AF_UNIX)
-        self.waiting: Deque[_Waiting] = deque()
-        self.failed, self._buf, self._out = False, b"", bytearray()
+    def __init__(self, loop: SelectorLoop, path: str):
+        sock = socket.socket(socket.AF_UNIX)
         try:
-            self.sock.setblocking(False)
-            self.sock.connect(path)
+            sock.setblocking(False)
+            sock.connect(path)
         except OSError:
-            self.sock.close()
+            sock.close()
             raise
-        loop.add_reader(self.sock, self._readable)
+        self.waiting: Deque[_Waiting] = deque()
+        self.failed = False
+        self._buf = b""
+        self._why: Optional[BaseException] = None
+        self.transport = _Transport(loop, sock, self)
 
     def send(self, data: bytes, run: _Waiting) -> None:
-        """Write ``data`` after what is pending (OSError: a reset). Reads
-        go on meanwhile: the worker blocks writing answers until read."""
+        """Write ``data`` after what is pending. Reads go on meanwhile:
+        the worker blocks writing answers until they are read."""
         self.waiting.append(run)
-        if not self._out:
-            with contextlib.suppress(BlockingIOError):
-                data = data[self.sock.send(data):]
-            if data:
-                self.loop.add_writer(self.sock, self._writable)
-        self._out += data
+        self.transport.write(data)
 
-    def _writable(self) -> None:
-        try:
-            del self._out[:self.sock.send(self._out)]
-        except BlockingIOError:
-            return
-        except OSError as exc:
-            return self.fail(exc)
-        if not self._out:
-            self.loop.remove_writer(self.sock)
+    def fail(self, why: BaseException) -> None:
+        """Close the link now, ending each run still waiting with
+        ``why``; a no-op once it is closed."""
+        self._why = self._why or why
+        self.transport.abort()
 
-    def _readable(self) -> None:
-        try:
-            data = self.sock.recv(65536)
-        except BlockingIOError:
-            return
-        except OSError as exc:
-            return self.fail(exc)
-        if not data:
-            return self.fail(ReproError("the worker closed the connection"))
+    # -- what the transport calls: a run's write is buffered whatever
+    # its size, so flow control has nothing to pause ---------------------
+
+    def connection_made(self, transport: _Transport) -> None:
+        pass
+
+    pause_writing = resume_writing = lambda self: None
+
+    def data_received(self, data: bytes) -> None:
         *lines, self._buf = (self._buf + data).split(b"\n")
         for line in lines:
             if not self.waiting:
                 return self.fail(ReproError("an answer nobody asked for"))
-            count, answers, done = self.waiting[0]
+            count, answers, end = self.waiting[0]
             answers.append(line + b"\n")
             if len(answers) == count:
                 self.waiting.popleft()
-                if not done.done():  # else its forward was cancelled
-                    done.set_result(None)
+                end(None)
 
-    def fail(self, why: BaseException) -> None:
-        """Close the link, ending each run still waiting with ``why``;
-        safe once the loop has ended."""
-        if not self.failed:
-            self.failed = True
-            self.loop.remove_reader(self.sock)
-            self.loop.remove_writer(self.sock)
-            self.sock.close()
-            for _, _, done in self.waiting:
-                if not done.done():
-                    done.set_result(why)
-            self.waiting.clear()
+    def eof_received(self) -> bool:
+        self._why = self._why or ReproError("the worker closed the link")
+        return False
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.failed = True
+        why = self._why or exc or ReproError("the link was closed")
+        waiting, self.waiting = self.waiting, deque()
+        for _, _, end in waiting:
+            end(why)
 
 
 class WorkerClient:
     """JSON-lines RPC to one worker's unix socket, on two connections:
     :meth:`call`, one blocking round trip under a lock, and the
-    gateway's :meth:`forward`: one persistent :class:`_Link`, runs
-    pipelined on it FIFO, answered with the worker's encoded lines (sent
-    on unchanged). A timeout fails the link: every run waiting on it
-    gets the retryable ``code: "worker"`` error. :meth:`close` (the
-    worker was killed or respawned) drops the call's connection and
-    marks the link stale, from any thread; the next use reconnects. A
-    link is never used under another loop than the one that opened it."""
+    gateway's :meth:`forward`: one persistent link (an
+    :class:`_AnswerLines` on the gateway's loop), runs pipelined on it
+    FIFO, answered with the worker's encoded lines (sent on unchanged).
+    A timeout fails the link: every run waiting on it gets the retryable
+    ``code: "worker"`` error. :meth:`close` (the worker was killed or
+    respawned) drops the call's connection and marks the link stale,
+    from any thread; the next forward reconnects."""
 
     def __init__(self, path: Path):
         self.path = str(path)
         self._lock = threading.Lock()
         self._conn: Optional[BrokerClient] = None
-        self._link: Optional[_Link] = None
+        self._link: Optional[_AnswerLines] = None
         self._stale = False  # the link goes on the next forward
         #: op -> round trips attempted (a forwarded run counts once,
         #: under its first op). Ops outside the op table count as
@@ -393,42 +387,42 @@ class WorkerClient:
                 self._drop_locked()
                 raise WorkerDied(f"worker IPC failed: {exc}") from None
 
-    async def forward(
-        self, payloads: List[Dict[str, Any]], timeout: float
-    ) -> List[bytes]:
-        """Every payload written at once on the link, their answer
-        lines in order, within ``timeout`` (then the link fails). One the
-        worker did not answer — it died or is wedged — gets the retryable
+    def forward(self, loop: SelectorLoop, payloads: List[Dict[str, Any]],
+                timeout: float, done: Answered) -> None:
+        """Write every payload at once on the link; ``done`` gets their
+        answer lines in order, on ``loop``, after this returns — within
+        ``timeout`` seconds, after which the link fails. One the worker
+        did not answer — it died or is wedged — gets the retryable
         ``code: "worker"`` error: its fate is unknown, so its client
         retries it with the same rid."""
-        loop = asyncio.get_running_loop()
         self._count(payloads[0].get("op"))
-        run: _Waiting = (len(payloads), [], loop.create_future())
+        answers: List[bytes] = []
+        timer: List[TimerHandle] = []
+
+        def end(why: Optional[BaseException]) -> None:
+            for handle in timer:
+                handle.cancel()
+            if len(answers) < len(payloads):
+                message = f"worker IPC failed ({why!r}); retry (same rid)"
+                answers.extend(encode(error_response(p, message, code="worker"))
+                               for p in payloads[len(answers):])
+            done(answers)
+
         try:
             link = self._link
-            if self._stale or link is None or link.failed \
-                    or link.loop is not loop:
+            if self._stale or link is None or link.failed:
                 self.close_forward()
-                link = self._link = _Link(loop, self.path)
-            link.send(b"".join(map(encode, payloads)), run)
-        except OSError as exc:  # refused, or reset under the write
+                link = self._link = _AnswerLines(loop, self.path)
+            link.send(b"".join(map(encode, payloads)),
+                      (len(payloads), answers, end))
+        except OSError as exc:  # refused: nothing was sent
             self.close_forward()
-            why: Optional[BaseException] = exc
+            loop.call_soon(end, exc)
         else:
-            timer = loop.call_later(timeout, link.fail, TimeoutError())
-            try:
-                why = await run[2]
-            finally:
-                timer.cancel()
-        answers = run[1]
-        if len(answers) < len(payloads):
-            message = f"worker IPC failed ({why!r}); retry (same rid)"
-            answers += [encode(error_response(p, message, code="worker"))
-                        for p in payloads[len(answers):]]
-        return answers
+            timer.append(loop.call_later(timeout, link.fail, TimeoutError()))
 
     def close_forward(self) -> None:
-        """Fail the link: on its loop's thread, or once that ended."""
+        """Fail the link (on its loop's thread, or once that closed)."""
         if self._link is not None:
             self._link.fail(ReproError("the link was closed"))
         self._link, self._stale = None, False
@@ -729,30 +723,39 @@ class WorkerSupervisor:
                 f"died mid-op ({exc}); {then}", code="worker",
             )
 
-    async def forward(
-        self, tenant: str, requests: List[Dict[str, Any]]
-    ) -> List[bytes]:
-        """Answer a run of ``tenant``'s requests in its worker, awaited:
-        the answer lines (see :meth:`WorkerClient.forward`); the monitor
-        respawns a dead worker."""
-        return await self.worker_for(tenant).client.forward(
-            [{**request, "tenant": tenant} for request in requests],
-            RPC_TIMEOUT,
+    def forward(self, loop: SelectorLoop, tenant: str,
+                requests: List[Dict[str, Any]], done: Answered) -> None:
+        """Answer a run of ``tenant``'s requests in its worker, on
+        ``loop``: ``done`` gets the answer lines (see
+        :meth:`WorkerClient.forward`); the monitor respawns a dead
+        worker."""
+        self.worker_for(tenant).client.forward(
+            loop, [{**request, "tenant": tenant} for request in requests],
+            RPC_TIMEOUT, done,
         )
 
-    async def stats(self) -> Dict[str, Dict[str, Any]]:
+    def stats(self, loop: SelectorLoop,
+              done: Callable[[Dict[str, Dict[str, Any]]], None]) -> None:
         """Every tenant's ``stats`` answer, by name, for /healthz and
         /metrics: one forward per worker, all at once, each bounded by
-        ``PROBE_TIMEOUT``; the tenants of a worker that is down or does
-        not answer in time get the ``code: "worker"`` error."""
-        runs = {wp: [{"op": "stats", "tenant": t} for t in sorted(wp.assigned)]
-                for wp in self.workers if wp.assigned}
-        answers = await asyncio.gather(*(
-            wp.client.forward(run, PROBE_TIMEOUT) for wp, run in runs.items()
-        ))
-        return {r["tenant"]: parse_line(line)
-                for run, got in zip(runs.values(), answers)
-                for r, line in zip(run, got)}
+        ``PROBE_TIMEOUT``; ``done`` gets them once the last worker has
+        answered or timed out. The tenants of a worker that is down or
+        does not answer in time get the ``code: "worker"`` error."""
+        runs = [(wp, [{"op": "stats", "tenant": t} for t in sorted(wp.assigned)])
+                for wp in self.workers if wp.assigned]
+        got: Dict[int, List[bytes]] = {}
+
+        def answered(index: int, lines: List[bytes]) -> None:
+            got[index] = lines
+            if len(got) == len(runs):
+                done({r["tenant"]: parse_line(line)
+                      for i, (_, run) in enumerate(runs)
+                      for r, line in zip(run, got[i])})
+
+        if not runs:
+            loop.call_soon(done, {})
+        for i, (wp, run) in enumerate(runs):
+            wp.client.forward(loop, run, PROBE_TIMEOUT, partial(answered, i))
 
     def status(self) -> List[Dict[str, Any]]:
         """Per-worker supervision facts for /healthz and /metrics."""

@@ -19,7 +19,7 @@ produces the ``text/plain; version=0.0.4`` exposition format::
     repro_broker_ops_total{op="admit"} 12
 
 Everything is synchronous and unlocked: the broker mutates metrics only
-on its single asyncio thread, and the analysis pipeline is synchronous.
+on its event-loop thread, and the analysis pipeline is synchronous.
 """
 
 from __future__ import annotations

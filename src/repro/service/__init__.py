@@ -16,7 +16,8 @@ feasibility test. This package turns that role into a long-lived service:
     exposing ``admit`` / ``release`` / ``query`` / ``report`` /
     ``snapshot`` / ``stats`` ops with request batching, per-op metrics and
     snapshot+journal persistence, on one ``selectors`` loop
-    (:mod:`repro.service.loop`): a broker process imports no asyncio.
+    (:mod:`repro.service.loop`), the gateway's too: no served process
+    imports asyncio.
 
 :mod:`repro.service.protocol` / :mod:`repro.service.client`
     What the wire says, and :class:`BrokerClient`, the one client that

@@ -1,57 +1,73 @@
-"""The event loop of the broker and the fleet worker: one ``selectors``
-loop, no asyncio.
+"""The one event loop of every served process: a ``selectors`` loop, no
+asyncio.
 
-A broker or worker process answers every request in its reader and
-never awaits anything, so it needs an event loop that delivers
-readiness and runs callbacks, not coroutines. Importing asyncio costs a
-served process ~7 MiB of its ~27: asyncio always imports ``ssl``,
-which maps libssl and libcrypto, for a JSON-lines server that never
-speaks TLS.
+The broker, the fleet worker and the gateway answer each request in its
+reader, or in a callback when a worker's answer arrives: none runs a
+coroutine, and importing asyncio would cost each ~7 MiB of its ~27
+(asyncio always imports ``ssl``, which maps libssl and libcrypto, for
+servers that never speak TLS).
 
-:class:`SelectorLoop` is that loop and :class:`_Transport` the
-transport of one accepted socket. The transport makes the calls of a
-:class:`~repro.service.server.Connection` that asyncio's would, under
-asyncio's rules: ``connection_made`` first, ``data_received`` per read,
-``eof_received`` once (reading stops; the connection stays open while
-it returns true), ``pause_writing`` above ``_HIGH_WATER`` buffered bytes
-and ``resume_writing`` at ``_LOW_WATER``, ``close`` flushes what is
-buffered first, ``connection_lost`` last. So the front end is one
-implementation under two loops: this one, and asyncio's under the
-gateway, whose answers are awaited.
+:class:`SelectorLoop` is that loop and :class:`_Transport` the buffered
+transport of one socket, accepted by a listener or connected to a
+worker. It makes the calls of a :class:`~repro.service.server.Connection`
+that asyncio's would, under asyncio's rules: ``connection_made`` first,
+``data_received`` per read, ``eof_received`` once (reading stops; the
+connection stays open while it returns true), ``pause_writing`` above
+``_HIGH_WATER`` buffered bytes and ``resume_writing`` at ``_LOW_WATER``,
+``close`` flushes what is buffered first, ``connection_lost`` last.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
+import math
 import selectors
 import socket
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
-__all__ = ["SelectorLoop"]
+__all__ = ["SelectorLoop", "TimerHandle"]
 
 logger = logging.getLogger(__name__)
 
 #: Bytes one read asks for, into the loop's one buffer: a read
-#: allocates nothing (asyncio allocates 256 KiB per ``recv``, see
-#: :func:`repro.service.server.keep_recv_buffers_on_heap`).
+#: allocates nothing (asyncio's transport allocates 256 KiB per
+#: ``recv``, which a process whose heap has filled ``mmap``s each time).
 _READ_SIZE = 64 * 1024
 #: asyncio's default write-buffer limits.
 _HIGH_WATER = 64 * 1024
 _LOW_WATER = _HIGH_WATER // 4
 #: Most connections a listener accepts per readiness event.
 _ACCEPTS = 100
-#: Seconds between ``idle`` calls while nothing happens.
-_IDLE_PERIOD = 1.0
+
+
+class TimerHandle:
+    """A callback :meth:`SelectorLoop.call_later` runs once, unless
+    cancelled first (``callback`` is ``None`` once it ran or was)."""
+
+    __slots__ = ("when", "callback", "args")
+
+    def __init__(self, when: float, callback: Callable[..., Any],
+                 args: Tuple[Any, ...]):
+        self.when, self.callback, self.args = when, callback, args
+
+    def __lt__(self, other: "TimerHandle") -> bool:
+        return self.when < other.when
+
+    def cancel(self) -> None:
+        self.callback = self.args = None
 
 
 class SelectorLoop:
-    """Readiness callbacks on sockets, and a FIFO of callbacks.
+    """Readiness callbacks on sockets, a FIFO of callbacks, and timers.
 
-    ``call_soon`` is the one scheduling call a connection makes.
-    :meth:`run` serves until a condition holds; :meth:`wake` is the one
-    method another thread may call, to make it look again.
+    ``call_soon`` is the one scheduling call a connection makes;
+    ``call_later`` bounds a wait (a forwarded run's timeout) or repeats
+    a check (a worker's orphan check). :meth:`run` serves until a
+    condition holds; :meth:`wake` is the one method another thread may
+    call, to make it look again.
     """
 
     def __init__(self) -> None:
@@ -59,6 +75,11 @@ class SelectorLoop:
         self._ready: Deque[Tuple[Callable[..., Any], Tuple[Any, ...]]] = (
             deque()
         )
+        #: A heap of timers by due time, cancelled ones included until
+        #: it doubles (a forward's timer is cancelled when its answer
+        #: arrives, long before it is due).
+        self._timers: List[TimerHandle] = []
+        self._compact_at = 64
         self._read_buffer = bytearray(_READ_SIZE)
         self._read_view = memoryview(self._read_buffer)
         self._transports: set = set()
@@ -72,11 +93,13 @@ class SelectorLoop:
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> None:
         self._ready.append((callback, args))
 
-    @property
-    def connections(self) -> int:
-        """Accepted sockets not closed yet (a closing one flushes
-        first)."""
-        return len(self._transports)
+    def call_later(self, delay: float, callback: Callable[..., Any],
+                   *args: Any) -> TimerHandle:
+        """Run ``callback(*args)`` once ``delay`` seconds have passed,
+        unless the handle is cancelled first."""
+        timer = TimerHandle(time.monotonic() + delay, callback, args)
+        heapq.heappush(self._timers, timer)
+        return timer
 
     def listen(self, sock: socket.socket,
                protocol_factory: Callable[[], Any]) -> None:
@@ -115,29 +138,30 @@ class SelectorLoop:
             pass
 
     def run(self, done: Callable[[], bool], *,
-            timeout: Optional[float] = None,
-            idle: Optional[Callable[[], None]] = None) -> bool:
+            timeout: Optional[float] = None) -> bool:
         """Serve until ``done()`` holds, checked after each round of
-        events and callbacks; false if ``timeout`` seconds passed
-        first. ``idle()`` runs after each ``_IDLE_PERIOD`` without an
-        event."""
+        events, due timers and callbacks; false if ``timeout`` seconds
+        passed first."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        ready, select = self._ready, self._selector.select
+        ready, timers, select = self._ready, self._timers, self._selector.select
         while not done():
-            wait = 0.0 if ready else _IDLE_PERIOD if idle else None
-            if deadline is not None:
-                left = deadline - time.monotonic()
-                if left <= 0:
+            wait = 0.0 if ready else None
+            if deadline is not None or timers:
+                now = time.monotonic()
+                if deadline is not None and deadline <= now:
                     return False
-                wait = left if wait is None else min(wait, left)
+                if wait is None:
+                    wait = max(0.0, min(deadline or math.inf,
+                                        timers[0].when if timers else math.inf)
+                               - now)
             events = select(wait)
             for key, mask in events:
                 try:
                     key.data(mask)
                 except Exception:   # one connection's fault is its own
                     logger.exception("socket callback failed")
-            if not events and wait and idle is not None:
-                idle()
+            if timers:
+                self._due_timers()
             for _ in range(len(ready)):
                 callback, args = ready.popleft()
                 try:
@@ -145,6 +169,19 @@ class SelectorLoop:
                 except Exception:
                     logger.exception("callback failed")
         return True
+
+    def _due_timers(self) -> None:
+        """Queue the timers that are due; drop the cancelled ones."""
+        timers = self._timers
+        if len(timers) > self._compact_at:
+            timers[:] = [t for t in timers if t.callback is not None]
+            heapq.heapify(timers)
+            self._compact_at = 2 * len(timers) + 64
+        now = time.monotonic()
+        while timers and timers[0].when <= now:
+            timer = heapq.heappop(timers)
+            if timer.callback is not None:
+                self._ready.append((timer.callback, timer.args))
 
     def stop_listening(self) -> None:
         """Close every listener: accept no more connections."""
@@ -154,20 +191,23 @@ class SelectorLoop:
         self._listeners.clear()
 
     def close(self) -> None:
-        """Close every listener and every connection, unflushed."""
+        """Close every listener and every connection, unflushed, and
+        drop what is scheduled."""
         self.stop_listening()
         for transport in list(self._transports):
             transport.abort()
         self._ready.clear()
+        self._timers.clear()
         self._selector.close()
         self._waker.close()
         self._wakee.close()
 
 
 class _Transport:
-    """One accepted socket, driven by a :class:`SelectorLoop`: the
-    transport calls a :class:`~repro.service.server.Connection` makes
-    (``write``, ``pause_reading``, ``resume_reading``, ``close``)."""
+    """One socket, accepted or connected, driven by a
+    :class:`SelectorLoop`: the transport calls a
+    :class:`~repro.service.server.Connection` makes (``write``,
+    ``pause_reading``, ``resume_reading``, ``close``, ``abort``)."""
 
     def __init__(self, loop: SelectorLoop, sock: socket.socket,
                  protocol: Any):

@@ -1,5 +1,6 @@
-"""The service front end: connections, their two framings, and the
-broker server (``repro serve``).
+"""The service front end: connections, their two framings, the one
+serve-drain-close of every server, and the broker server (``repro
+serve``).
 
 Every listener that serves many clients — the broker's unix/TCP socket,
 its ``--metrics-port``, a fleet worker's socket and the fleet's HTTP
@@ -7,9 +8,12 @@ gateway (:mod:`repro.fleet.gateway`) — is the same :class:`Connection`,
 answered in its reader: the bytes a read delivers run one pass that
 cuts whole requests off the buffer, has the server answer them
 (``server._serve(batch, conn)``) in request order, and sends the answer
-with one write. A task runs only where the server must await an answer
-(the gateway's worker-pool runs): a serial client costs no task wake-up
-(a handler task cost one per request, ~3 us of a 17 us round trip).
+with one write. Where the answer comes later (the gateway's
+worker-pool runs, answered on its links to the workers), ``_serve``
+returns nothing and the server hands the bytes to
+:meth:`Connection.deliver` once they are known: a callback, not a task,
+so a serial client costs no task wake-up (a handler task cost one per
+request, ~3 us of a 17 us round trip).
 
 Listeners differ by a **framing**, how one request is cut off the byte
 stream — :class:`LineConnection` (the broker protocol: one JSON object
@@ -20,12 +24,10 @@ CPU-bound engine on the event-loop thread, one request at a time, so
 every decision is linearisable without locks; ``GatewayServer`` in the
 fleet.
 
-One front end, two loops: a connection is driven by the transports of
-a :class:`~repro.service.loop.SelectorLoop` — the broker's and the fleet
-worker's, which never await, and whose processes therefore import no
-asyncio (nor the ``ssl`` it drags in) — or by asyncio's, under the
-gateway, whose answers are awaited. :meth:`BrokerServer.run` and
-:func:`close_connections` are the same drain on each.
+One front end, one loop: every connection is driven by the transports
+of a :class:`~repro.service.loop.SelectorLoop`, so no served process
+imports asyncio (nor the ``ssl`` it drags in). :class:`LoopServer` is
+the one serve-drain-close, of the broker and of the gateway alike.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ import stat
 from collections import deque
 from pathlib import Path
 from typing import (
-    Any, Awaitable, Callable, Deque, Dict, List, NamedTuple, Optional, Set,
-    Tuple, Union,
+    Any, Callable, Deque, Dict, List, NamedTuple, Optional, Set, Tuple, Union,
 )
 from urllib.parse import urlsplit
 
@@ -53,9 +54,8 @@ __all__ = [
     "Connection",
     "HttpConnection",
     "LineConnection",
+    "LoopServer",
     "clear_stale_socket",
-    "close_connections",
-    "keep_recv_buffers_on_heap",
     "unix_listener",
 ]
 
@@ -74,28 +74,6 @@ _READAHEAD = 32
 #: constant, not an option: it only binds above the depth clients
 #: pipeline at, and no deployment has a reason to choose differently.
 _BATCH_MAX = 16
-
-
-def keep_recv_buffers_on_heap() -> None:
-    """Stop every socket read of an asyncio server from costing an
-    ``mmap``/``munmap`` pair; call once before serving.
-
-    asyncio's selector transport allocates a fresh 256 KiB ``bytes`` for
-    each ``recv`` and shrinks it to what arrived. glibc serves blocks
-    above its mmap threshold — 128 KiB in a fresh process — with
-    ``mmap``, so every request pays an ``mmap``, two page faults, an
-    ``mremap`` and a ``munmap``: 45 us of a 140 us broker read on the
-    bench host (2 minor faults per request in ``/proc/<pid>/stat``). The
-    shrunk block is freed below the threshold, so malloc never learns.
-    The threshold is dynamic, though (``mallopt(3)``): freeing one
-    mmapped block raises it to that block's size, and the trim threshold
-    to twice that — from then on the buffers are carved from the heap
-    and returned to it without a system call. Importing ``networkx``
-    used to do this by accident in every service interpreter; this does
-    it on purpose. One untouched (``calloc``) megabyte, freed at once;
-    a no-op under allocators without the rule.
-    """
-    bytes(1 << 20)
 
 
 def clear_stale_socket(sock_path: Path) -> None:
@@ -167,23 +145,23 @@ class Connection:
 
     Unless the connection is busy, bytes that arrive run one *pass*: up
     to ``_BATCH_MAX`` whole requests are cut off ``_buf``, answered by
-    ``server._serve(batch, conn)`` — ``bytes``, or an awaitable of them
-    that a task awaits — and sent with one write. It is busy while that
-    task runs, while its next pass is scheduled (one batch per pass) and
-    while writes are stalled; what arrives meanwhile is parsed into
-    ``ahead``, and at ``_READAHEAD`` requests reading stops. After the
-    last word — the client is done sending, the connection is gone, a
-    request asked to close, or what follows cannot be framed — what was
-    parsed before it is answered, then the connection closes.
+    ``server._serve(batch, conn)`` — ``bytes``, or ``None`` when the
+    server hands them to :meth:`deliver` later — and sent with one
+    write. It is busy while that answer is pending, while its next pass
+    is scheduled (one batch per pass) and while writes are stalled; what
+    arrives meanwhile is parsed into ``ahead``, and at ``_READAHEAD``
+    requests reading stops. After the last word — the client is done
+    sending, the connection is gone, a request asked to close, or what
+    follows cannot be framed — what was parsed before it is answered,
+    then the connection closes.
 
-    ``loop`` is the loop that drives the connection — asyncio's, or a
-    :class:`~repro.service.loop.SelectorLoop` — reached only to
-    schedule a pass (``call_soon``) and to start the task that awaits
-    an answer (asyncio's alone: the selectors loop runs no task).
-    ``server`` also counts ``readahead_full`` and keeps its open
-    ``connections`` (a set). A framing is a subclass with :meth:`_next`
-    and :meth:`_leftover`; a ``bytes`` request is the answer to one it
-    had to refuse.
+    ``loop`` is the :class:`~repro.service.loop.SelectorLoop` that
+    drives the connection, reached only to schedule a pass
+    (``call_soon``). ``server`` also counts ``readahead_full`` and keeps
+    the ``connections`` (a set) not yet closed, or whose answer is still
+    pending. A framing is a subclass with :meth:`_next` and
+    :meth:`_leftover`; a ``bytes`` request is the answer to one it had
+    to refuse.
     """
 
     _transport: Any
@@ -196,12 +174,12 @@ class Connection:
         self._buf = bytearray()   # received, not yet cut or parsed
         self._ended = False       # past the last word nothing is parsed
         self._writable = True     # the transport's write buffer has room
-        #: A pass is scheduled, or an answer awaited.
+        #: A pass is scheduled, or its answer pending.
         self._busy = False
-        #: The task awaiting an answer.
-        self._task: Any = None
-        #: Set by :func:`close_connections`, resolved on close.
-        self._closed: Any = None
+        #: ``_serve`` returned ``None``: :meth:`deliver` comes later.
+        self._pending = False
+        #: The transport is closed (``connection_lost`` ran).
+        self._gone = False
 
     def _next(self) -> Any:
         """Cut one request off ``_buf`` (calling :meth:`_end` after the
@@ -232,11 +210,13 @@ class Connection:
         return True     # half-closed: what is parsed still gets answered
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        # Nothing more is answered; an answer being awaited still runs
-        # to its end (its ops commit: a lost ack).
+        # Nothing more is answered; a pending answer still runs to its
+        # end (its ops commit: a lost ack), and the server counts the
+        # connection until it has.
+        self._gone = True
         self.finish()
-        if self._task is None:
-            self._close()
+        if not self._pending:
+            self.server.connections.discard(self)
 
     def pause_writing(self) -> None:
         self._writable = False
@@ -253,22 +233,19 @@ class Connection:
             return      # resume_writing kicks
         batch = self._cut()
         answer = self.server._serve(batch, self) if batch else b""
-        if not isinstance(answer, bytes):
-            self._busy = True
-            self._task = self._loop.create_task(self._awaited(answer))
+        if answer is None:
+            self._busy = self._pending = True
         else:
             self._done(answer)
 
-    async def _awaited(self, answer: Awaitable[bytes]) -> None:
-        """The end of a pass whose answer is awaited, in its task."""
-        try:
-            data = await answer
-        except BaseException:   # cancelled by close_connections, or failed
-            self._busy, self._task = False, None
-            self._close()
-            raise
-        self._busy, self._task = False, None
-        self._done(data)
+    def deliver(self, answer: bytes) -> None:
+        """The answer of the pass whose ``_serve`` returned ``None``:
+        the server calls this exactly once, on the loop's thread."""
+        self._busy = self._pending = False
+        if self._gone:
+            self.server.connections.discard(self)
+        else:
+            self._done(answer)
 
     def _done(self, answer: bytes) -> None:
         """Send a pass's answer (a lost transport drops it); schedule the
@@ -277,7 +254,7 @@ class Connection:
         if self.ahead:
             self._kick()
         elif self._ended:
-            self._close()
+            self._transport.close()     # once what is written is sent
         if self._writable and not self._ended and len(self.ahead) < _READAHEAD:
             self._transport.resume_reading()
 
@@ -333,47 +310,6 @@ class Connection:
         self._transport.pause_reading()
         self._end()
         self._kick()
-
-    def abort(self) -> None:
-        """Give up on a drain: cancel the awaited answer (its task
-        closes the connection), or close now."""
-        if self._task is not None:
-            self._task.cancel()
-        else:
-            self._close()
-
-    def _close(self) -> None:
-        self.finish()
-        self.server.connections.discard(self)
-        self._transport.close()
-        if self._closed is not None and not self._closed.done():
-            self._closed.set_result(None)
-
-
-async def close_connections(
-    connections: Set[Connection], timeout: float = 10.0
-) -> None:
-    """Shut ``connections`` down on asyncio's loop without dropping an
-    answer: stop every reader, answer what is parsed — a committed op is
-    never left unacknowledged — and cancel what is still awaited after
-    ``timeout`` seconds. (:meth:`BrokerServer.run` is the same drain on
-    a :class:`~repro.service.loop.SelectorLoop`.)"""
-    import asyncio     # the gateway's loop; a broker never loads it
-
-    if not connections:
-        return
-    for conn in list(connections):
-        conn._closed = asyncio.get_running_loop().create_future()
-        conn.drain()
-    _, pending = await asyncio.wait(
-        [conn._closed for conn in connections], timeout=timeout
-    )
-    if pending:
-        logger.warning("%d connection(s) did not drain within %gs; "
-                       "cancelling their answers", len(pending), timeout)
-        for conn in list(connections):
-            conn.abort()
-        await asyncio.wait(pending)
 
 
 # ---------------------------------------------------------------------- #
@@ -562,36 +498,114 @@ class HttpConnection(Connection):
         return None
 
 
-# ---------------------------------------------------------------------- #
-# The broker: an EngineHost with listeners
-# ---------------------------------------------------------------------- #
-
 #: Seconds a shutdown waits for the connections to answer what they
 #: parsed before it closes them.
 _DRAIN_TIMEOUT = 10.0
 
 
-class BrokerServer(EngineHost):
+class LoopServer:
+    """Listeners on one :class:`~repro.service.loop.SelectorLoop`, served
+    until a shutdown, drained, closed: the broker's life and the
+    gateway's. A subclass binds with :meth:`_listen`, answers a batch
+    with ``_serve`` and releases what it holds in ``close``;
+    :meth:`serve_forever` is :meth:`run` for a caller on an asyncio loop.
+    """
+
+    def __init__(self) -> None:
+        #: Made by the first bind: a server that never listens holds no
+        #: socket.
+        self._loop: Optional[SelectorLoop] = None
+        self._unix_path: Optional[Path] = None
+        self._stopping = False
+        self.connections: Set[Connection] = set()
+
+    def _listen(self, sock: socket_module.socket,
+                protocol: Callable[[SelectorLoop], Connection]) -> None:
+        if self._loop is None:
+            self._loop = SelectorLoop()
+        loop = self._loop
+        loop.listen(sock, lambda: protocol(loop))
+
+    def _listen_tcp(self, host: str, port: int,
+                    protocol: Callable[[SelectorLoop], Connection]) -> int:
+        """Listen on a TCP address; returns the bound port (``port`` 0
+        binds an ephemeral one)."""
+        sock = _tcp_listener(host, port)
+        self._listen(sock, protocol)
+        return sock.getsockname()[1]
+
+    def run(self) -> None:
+        """Serve until :meth:`request_shutdown` (a ``shutdown`` op), then
+        stop listening, drain the connections and ``close``. Parsed
+        requests are answered before any connection is closed, so a
+        committed op is never left unacknowledged — the shutdown's own
+        acknowledgement included — unless the drain outlasts
+        ``_DRAIN_TIMEOUT``."""
+        if self._loop is None:
+            raise ReproError("server not started")
+        loop = self._loop
+        try:
+            loop.run(lambda: self._stopping)
+            loop.stop_listening()
+            if self._unix_path is not None:
+                # Clean shutdown leaves no stale socket file behind.
+                self._unix_path.unlink(missing_ok=True)
+                self._unix_path = None
+            for conn in list(self.connections):
+                conn.drain()
+            # Until every answer is sent: a connection leaves the set
+            # once closed, and not while its answer is pending.
+            if not loop.run(lambda: not self.connections,
+                            timeout=_DRAIN_TIMEOUT):
+                logger.warning("%d connection(s) did not drain within "
+                               "%gs; closing them", len(self.connections),
+                               _DRAIN_TIMEOUT)
+        finally:
+            # A pending answer that arrives now is dropped: its server
+            # sees no loop.
+            self._loop = None
+            loop.close()
+            self.close()
+
+    def request_shutdown(self) -> None:
+        """Ask :meth:`run` to stop; safe from any thread."""
+        self._stopping = True
+        loop = self._loop
+        if loop is not None:
+            loop.wake()
+
+    async def serve_forever(self) -> None:
+        """:meth:`run` on a thread, for a caller on an asyncio loop (the
+        bench spine's); a cancelled wait shuts it down."""
+        import asyncio     # only a caller that already runs asyncio
+
+        try:
+            await asyncio.to_thread(self.run)
+        finally:
+            self.request_shutdown()
+
+
+# ---------------------------------------------------------------------- #
+# The broker: an EngineHost with listeners
+# ---------------------------------------------------------------------- #
+
+
+class BrokerServer(LoopServer, EngineHost):
     """The channel broker: an :class:`EngineHost` with listeners, all on
     one :class:`~repro.service.loop.SelectorLoop`.
 
     Takes the host's arguments (``topology_spec``, ``state_dir``,
     ``analysis``, ``fault_plane``) and passes them through untouched.
     ``bind_*`` opens a listener, :meth:`run` serves them until a
-    ``shutdown`` op or :meth:`request_shutdown`, then drains and closes.
-    :meth:`start_unix` / :meth:`serve_forever` are the same calls for a
-    caller on an asyncio loop, serving on a thread.
+    ``shutdown`` op or :meth:`request_shutdown`, then drains and closes
+    (:class:`LoopServer`). :meth:`start_unix` / :meth:`serve_forever`
+    are the same calls for a caller on an asyncio loop.
     """
 
     def __init__(self, topology_spec: Dict[str, Any], **host_kwargs: Any):
-        #: Made by the first ``bind_*``: a host that never listens
-        #: holds no socket.
-        self._loop: Optional[SelectorLoop] = None
-        self._unix_path: Optional[Path] = None
-        self._stopping = False
-        self.connections: Set[Connection] = set()
+        LoopServer.__init__(self)
         self.front = FrontEndMetrics()
-        super().__init__(topology_spec, **host_kwargs)
+        EngineHost.__init__(self, topology_spec, **host_kwargs)
 
     @property
     def readahead_full(self) -> int:
@@ -606,13 +620,6 @@ class BrokerServer(EngineHost):
         stats = super().stats_answer()
         stats["service"].update(self.front.to_dict())
         return stats
-
-    def _listen(self, sock: socket_module.socket,
-                protocol: Callable[[SelectorLoop], Connection]) -> None:
-        if self._loop is None:
-            self._loop = SelectorLoop()
-        loop = self._loop
-        loop.listen(sock, lambda: protocol(loop))
 
     def _client(self, loop: SelectorLoop) -> LineConnection:
         self.front.connections += 1
@@ -632,11 +639,8 @@ class BrokerServer(EngineHost):
         self._unix_path = sock_path
 
     def bind_tcp(self, host: str, port: int) -> int:
-        """Listen on a TCP address; returns the bound port (``port`` 0
-        binds an ephemeral one)."""
-        sock = _tcp_listener(host, port)
-        self._listen(sock, self._client)
-        return sock.getsockname()[1]
+        """Listen on a TCP address; returns the bound port."""
+        return self._listen_tcp(host, port, self._client)
 
     def bind_metrics_http(self, host: str, port: int) -> int:
         """Serve ``GET /metrics`` (Prometheus text) over HTTP; returns
@@ -646,59 +650,13 @@ class BrokerServer(EngineHost):
         reads engine state between passes, so scrapes observe
         consistent counters.
         """
-        sock = _tcp_listener(host, port)
-        self._listen(sock, lambda loop: HttpConnection(self, loop))
-        return sock.getsockname()[1]
-
-    def run(self) -> None:
-        """Serve until a ``shutdown`` op (or :meth:`request_shutdown`),
-        then close the listeners, drain the connections and flush
-        persistence. Parsed requests are answered before any
-        connection is closed, so a committed op is never left
-        unacknowledged — the shutdown's own acknowledgement included."""
-        if self._loop is None:
-            raise ReproError("server not started")
-        loop = self._loop
-        try:
-            loop.run(lambda: self._stopping)
-            loop.stop_listening()
-            if self._unix_path is not None:
-                # Clean shutdown leaves no stale socket file behind.
-                self._unix_path.unlink(missing_ok=True)
-                self._unix_path = None
-            for conn in list(self.connections):
-                conn.drain()
-            # Until every answer is sent: a connection closes after it.
-            if not loop.run(lambda: not loop.connections,
-                            timeout=_DRAIN_TIMEOUT):
-                logger.warning("%d connection(s) did not drain within "
-                               "%gs; closing them", loop.connections,
-                               _DRAIN_TIMEOUT)
-        finally:
-            self._loop = None
-            loop.close()
-            self.close()
-
-    def request_shutdown(self) -> None:
-        """Ask :meth:`run` to stop; safe from any thread."""
-        self._stopping = True
-        loop = self._loop
-        if loop is not None:
-            loop.wake()
-
-    # -- the same calls from an asyncio loop (the bench spine's) --------
+        return self._listen_tcp(host, port,
+                                lambda loop: HttpConnection(self, loop))
 
     async def start_unix(self, path: Union[str, Path]) -> None:
+        """:meth:`bind_unix`, for the asyncio caller of
+        :meth:`serve_forever`."""
         self.bind_unix(path)
-
-    async def serve_forever(self) -> None:
-        """:meth:`run` on a thread; a cancelled wait shuts it down."""
-        import asyncio     # only a caller that already runs asyncio
-
-        try:
-            await asyncio.to_thread(self.run)
-        finally:
-            self.request_shutdown()
 
     def _serve(self, batch: List[Any], conn: Connection) -> bytes:
         """Answer ``batch`` in request order, as the bytes of one

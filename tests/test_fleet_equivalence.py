@@ -15,12 +15,10 @@ end an independent reading of the tenant's journal (the tailing oracle,
 fingerprint.
 """
 
-import asyncio
 import hashlib
 import json
 import random
 import shutil
-import socket
 import threading
 import time
 
@@ -319,62 +317,34 @@ SERVER_KEYS = {
 }
 
 
-def _serve_on_thread(start):
-    """Run ``server = await start()`` and its ``serve_forever`` on a
-    background event loop; returns ``(server, thread)`` once it
-    listens. A ``shutdown`` op ends it."""
-    ready = threading.Event()
-    box = {}
-
-    async def main():
-        try:
-            box["server"] = server = await start()
-        finally:
-            ready.set()
-        await asyncio.wait_for(server.serve_forever(), timeout=120)
-
-    thread = threading.Thread(target=lambda: asyncio.run(main()))
+def _serve_on_thread(server):
+    """Run the bound ``server``'s ``run`` on a thread, which a
+    ``shutdown`` op ends; returns the thread."""
+    thread = threading.Thread(target=server.run)
     thread.start()
-    assert ready.wait(timeout=60) and "server" in box, "did not start"
-    return box["server"], thread
-
-
-def _free_port():
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+    return thread
 
 
 def _open_surface(surface, tmp_path):
     """``(client, thread)`` speaking to a fresh, empty server."""
     if surface in ("unix", "tcp"):
-        port = _free_port()
-
-        async def start():
-            server = BrokerServer(TOPO, state_dir=tmp_path / "broker")
-            if surface == "unix":
-                await server.start_unix(tmp_path / "b.sock")
-            else:
-                server.bind_tcp("127.0.0.1", port)
-            return server
-
-        _, thread = _serve_on_thread(start)
+        server = BrokerServer(TOPO, state_dir=tmp_path / "broker")
         if surface == "unix":
-            return BrokerClient(socket_path=tmp_path / "b.sock"), thread
-        return BrokerClient(host="127.0.0.1", port=port), thread
-    workers = 1 if surface == "gateway-workers" else 0
-
-    async def start():
-        fleet = Fleet(
-            [TenantSpec("t", "key", TOPO)], workers=workers,
-            state_dir=tmp_path / "fleet",
-        )
-        gateway = GatewayServer(fleet)
-        await gateway.start("127.0.0.1", 0)
-        return gateway
-
-    gateway, thread = _serve_on_thread(start)
-    return GatewayClient(f"127.0.0.1:{gateway.port}", api_key="key"), thread
+            server.bind_unix(tmp_path / "b.sock")
+            client = BrokerClient(socket_path=tmp_path / "b.sock")
+        else:
+            client = BrokerClient(host="127.0.0.1",
+                                  port=server.bind_tcp("127.0.0.1", 0))
+        return client, _serve_on_thread(server)
+    fleet = Fleet(
+        [TenantSpec("t", "key", TOPO)],
+        workers=1 if surface == "gateway-workers" else 0,
+        state_dir=tmp_path / "fleet",
+    )
+    gateway = GatewayServer(fleet)
+    port = gateway.bind_tcp("127.0.0.1", 0)
+    return (GatewayClient(f"127.0.0.1:{port}", api_key="key"),
+            _serve_on_thread(gateway))
 
 
 @pytest.mark.parametrize(

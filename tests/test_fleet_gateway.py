@@ -1,6 +1,6 @@
 """HTTP gateway tests: auth, the /v1 API, health, metrics, admin kill
-and failover (recovery) — round-tripped through the real asyncio server
-on a loopback TCP port, driven by :class:`GatewayClient` (and its
+and failover (recovery) — round-tripped through the real server on a
+loopback TCP port, driven by :class:`GatewayClient` (and its
 admin-capable subclass in ``tests/gateway_admin.py``) from a worker
 thread (the same harness shape as
 ``test_service_server.TestAsyncFrontEnd``)."""
@@ -32,20 +32,18 @@ def run_gateway(client_fn, tmp_path=None, *, tenants=None, workers=0):
     thread, and return its result dict (plus the server under "gw")."""
     tenants = tenants or [TenantSpec("acme", "secret", TOPO)]
     result = {}
-
-    async def main():
-        fleet = Fleet(tenants, state_dir=tmp_path, workers=workers)
-        gw = GatewayServer(fleet)
-        await gw.start("127.0.0.1", 0)
-        thread = threading.Thread(
-            target=lambda: result.update(client_fn(gw.port))
-        )
-        thread.start()
-        await asyncio.wait_for(gw.serve_forever(), timeout=60)
-        thread.join(timeout=10)
-        result["gw"] = gw
-
-    asyncio.run(main())
+    gw = GatewayServer(Fleet(tenants, state_dir=tmp_path, workers=workers))
+    port = gw.bind_tcp("127.0.0.1", 0)
+    thread = threading.Thread(target=lambda: result.update(client_fn(port)))
+    thread.start()
+    timer = threading.Timer(60, gw.request_shutdown)
+    timer.start()
+    try:
+        gw.run()
+    finally:
+        timer.cancel()
+    thread.join(timeout=10)
+    result["gw"] = gw
     return result
 
 

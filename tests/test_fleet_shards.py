@@ -447,6 +447,10 @@ class TestLegacyFold:
         def crash_after(*args, **kwargs):
             out = real(*args, **kwargs)
             if next(calls) == nth:
+                if isinstance(out, EngineHost) and out.state._journal_fh:
+                    # The process dies: the OS releases the journal's
+                    # descriptor, and what Python buffered is dropped.
+                    out.state._journal_fh.raw.close()
                 raise InjectedCrash(f"after {name} #{nth}")
             return out
 

@@ -11,7 +11,6 @@ supervised convergence, /admin/kill + /admin/failover, one forward per
 tenant run, and a wedged worker that stalls only its own tenants.
 """
 
-import asyncio
 import gc
 import io
 import json
@@ -45,6 +44,7 @@ from repro.fleet.workers import (
 )
 from repro.obs import trace
 from repro.service.host import EngineHost
+from repro.service.loop import SelectorLoop
 from repro.service.protocol import fingerprint, outcome
 from tests.gateway_admin import AdminClient
 
@@ -222,25 +222,33 @@ def run_gateway(client_fn, tmp_path, *, workers=2, tenants=("t",)):
     """test_fleet_gateway harness, worker-pool edition (tenant ``t``'s
     key is ``key``, any other's ``key-<name>``)."""
     result = {}
-
-    async def main():
-        fleet = Fleet(
-            [TenantSpec(t, "key" if t == "t" else f"key-{t}", TOPO)
-             for t in tenants],
-            state_dir=tmp_path, workers=workers,
-        )
-        gw = GatewayServer(fleet)
-        await gw.start("127.0.0.1", 0)
-        thread = threading.Thread(
-            target=lambda: result.update(client_fn(gw.port))
-        )
-        thread.start()
-        await asyncio.wait_for(gw.serve_forever(), timeout=120)
-        thread.join(timeout=10)
-        result["gw"] = gw
-
-    asyncio.run(main())
+    gw = GatewayServer(Fleet(
+        [TenantSpec(t, "key" if t == "t" else f"key-{t}", TOPO)
+         for t in tenants],
+        state_dir=tmp_path, workers=workers,
+    ))
+    port = gw.bind_tcp("127.0.0.1", 0)
+    thread = threading.Thread(target=lambda: result.update(client_fn(port)))
+    thread.start()
+    timer = threading.Timer(120, gw.request_shutdown)
+    timer.start()
+    try:
+        gw.run()
+    finally:
+        timer.cancel()
+    thread.join(timeout=10)
+    result["gw"] = gw
     return result
+
+
+def answered(loop, *asks):
+    """Start every ``ask(done)`` at once on ``loop``; what each one's
+    ``done`` was handed, once all were (within 30 s)."""
+    got = {}
+    for i, ask in enumerate(asks):
+        ask(lambda value, i=i: got.__setitem__(i, value))
+    assert loop.run(lambda: len(got) == len(asks), timeout=30)
+    return [got[i] for i in range(len(asks))]
 
 
 class TestGatewayWorkers:
@@ -441,12 +449,14 @@ class TestGatewayWorkers:
         they come, or both sides block until the RPC timeout."""
         monkeypatch.setattr(workers_module, "RPC_TIMEOUT", 10.0)
         fleet = make_fleet(tmp_path)
+        loop = SelectorLoop()
         try:
             # An answer echoes its request's id: 4 x 512 KiB each way.
             run = [{"op": "ping", "id": f"{i}" + "x" * (512 << 10)}
                    for i in range(4)]
             started = time.monotonic()
-            lines = asyncio.run(fleet.supervisor.forward("t", run))
+            [lines] = answered(loop, lambda done: fleet.supervisor.forward(
+                loop, "t", run, done))
             elapsed = time.monotonic() - started
             answers = [json.loads(line) for line in lines]
             assert [a.get("ok") for a in answers] == [True] * 4, [
@@ -454,7 +464,82 @@ class TestGatewayWorkers:
             assert [a["id"] for a in answers] == [r["id"] for r in run]
             assert elapsed < 5.0, elapsed
         finally:
+            loop.close()
             fleet.close()
+
+
+def wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+class TestGatewayLife:
+    """The gateway's synchronous life (bind, ``run``, a thread-safe
+    ``request_shutdown``) with its worker monitor, and the asyncio
+    adapters the bench spine embeds it with."""
+
+    def test_served_from_asyncio_and_stopped_from_its_loop(self, tmp_path):
+        """``benchmarks/spine/ladder.py``'s ``OnOwnLoop``: ``start`` and
+        ``serve_forever`` under ``asyncio.run`` on a thread, stopped
+        with ``call_soon_threadsafe(server.request_shutdown)``."""
+        import asyncio
+
+        fleet = make_fleet(tmp_path, workers=2)
+        server = GatewayServer(fleet)
+        box = {}
+        ready = threading.Event()
+
+        async def main():
+            box["loop"] = asyncio.get_running_loop()
+            await server.start("127.0.0.1", 0)
+            ready.set()
+            await asyncio.wait_for(server.serve_forever(), timeout=60)
+
+        thread = threading.Thread(target=lambda: asyncio.run(main()))
+        thread.start()
+        assert ready.wait(timeout=30)
+        with GatewayClient(f"127.0.0.1:{server.port}", api_key="key") as c:
+            assert c.check("admit", streams=[spec()])["admitted"]
+            assert c.get("/healthz")["ok"]
+            box["loop"].call_soon_threadsafe(server.request_shutdown)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not any(wp.alive for wp in fleet.supervisor.workers)
+
+    def test_a_failed_respawn_sweep_does_not_end_the_monitor(
+        self, tmp_path, monkeypatch
+    ):
+        """A sweep whose ``fork`` is refused (EAGAIN) is logged, and the
+        next sweep respawns the dead worker; shutdown still stops every
+        worker."""
+        fleet = make_fleet(tmp_path, workers=2)
+        sup = fleet.supervisor
+        sweeps = []
+        ensure_all = sup.ensure_all
+
+        def flaky():
+            sweeps.append(len(sweeps))
+            if len(sweeps) == 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return ensure_all()
+
+        monkeypatch.setattr(sup, "ensure_all", flaky)
+        gateway = GatewayServer(fleet)
+        gateway.bind_tcp("127.0.0.1", 0)
+        thread = threading.Thread(target=gateway.run)
+        thread.start()
+        try:
+            wait_until(lambda: sweeps)
+            os.kill(sup.workers[0].pid, signal.SIGKILL)
+            wait_until(lambda: sup.workers[0].restarts == 1
+                       and sup.workers[0].alive)
+        finally:
+            gateway.request_shutdown()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not any(wp.alive for wp in sup.workers)
 
 
 class TestSupervisorGuards:
@@ -470,7 +555,6 @@ class TestSupervisorGuards:
         """Every RPC to a dead worker connects to a socket path nobody
         listens on; each refused attempt must close what it opened."""
         client = WorkerClient(tmp_path / "not-bound-yet.sock")
-        gc.collect()    # finalise what earlier tests left outside the check
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             for _ in range(3):
@@ -635,16 +719,16 @@ def kill_after_write(monkeypatch):
     (and clears the event); the pids killed are ``event.killed``."""
     armed = threading.Event()
     armed.killed = []
-    real_send = workers_module._Link.send
+    real_send = workers_module._AnswerLines.send
 
     def send(link, data, run):
         real_send(link, data, run)
         if armed.is_set():
             armed.clear()
-            armed.killed.append(peer_pid(link.sock))
+            armed.killed.append(peer_pid(link.transport._sock))
             os.kill(armed.killed[-1], signal.SIGKILL)
 
-    monkeypatch.setattr(workers_module._Link, "send", send)
+    monkeypatch.setattr(workers_module._AnswerLines, "send", send)
     return armed
 
 
@@ -725,50 +809,29 @@ class TestForwardedLink:
         sup = fleet.supervisor
         client, pid = sup.workers[0].client, sup.workers[0].pid
         run = [{"op": "query", "stream": 0}, {"op": "ping"}]
+        loop = SelectorLoop()
 
-        async def wedge():
-            await sup.forward("t", [{"op": "ping"}])
+        def forward(requests):
+            return lambda done: sup.forward(loop, "t", requests, done)
+
+        try:
+            answered(loop, forward([{"op": "ping"}]))
             link = client._link
             os.kill(pid, signal.SIGSTOP)
             try:
-                runs = await asyncio.wait_for(asyncio.gather(
-                    *(sup.forward("t", run) for _ in range(3))), 10)
+                runs = answered(loop, *[forward(run)] * 3)
                 dropped = link.failed and client._link is link
             finally:
                 os.kill(pid, signal.SIGCONT)
-            [after] = await sup.forward("t", [{"op": "ping"}])
-            return link, runs, dropped, json.loads(after)
-
-        try:
-            link, runs, dropped, after = asyncio.run(wedge())
+            [[after]] = answered(loop, forward([{"op": "ping"}]))
             answers = [json.loads(line) for lines in runs for line in lines]
             assert [a.get("code") for a in answers] == ["worker"] * 6
             assert all("TimeoutError" in a["error"] for a in answers)
             assert dropped
-            assert after["ok"] and client._link is not link
+            assert json.loads(after)["ok"] and client._link is not link
         finally:
+            loop.close()
             fleet.close()
-
-    def test_a_link_is_never_reused_under_another_loop(self, tmp_path):
-        fleet = make_fleet(tmp_path)
-        client = fleet.supervisor.workers[0].client
-
-        async def ping():
-            [line] = await fleet.supervisor.forward("t", [{"op": "ping"}])
-            return client._link, json.loads(line)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ResourceWarning)
-            try:
-                first, a = asyncio.run(ping())
-                second, b = asyncio.run(ping())
-            finally:
-                fleet.close()
-            gc.collect()   # a leaked socket would be finalised here
-        assert a["ok"] and b["ok"]
-        assert second is not first and first.failed and second.failed
-        assert not [w for w in caught
-                    if issubclass(w.category, ResourceWarning)]
 
 
 # ---------------------------------------------------------------------- #

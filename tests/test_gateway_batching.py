@@ -18,7 +18,6 @@ The rest of the line framing's battery, whose helpers have another
 shape, is ``tests/test_service_server.py::TestAsyncFrontEnd``.
 """
 
-import asyncio
 import contextlib
 import json
 import socket
@@ -43,27 +42,17 @@ def spec(src=0, dst=2, priority=5, period=300, length=4):
 
 
 @contextlib.contextmanager
-def on_thread(start, shutdown):
-    """Run ``server = await start()`` and its ``serve_forever`` on a
-    background event loop; yields the server and ends it with
-    ``shutdown(server)`` if the body has not already."""
-    ready = threading.Event()
-    box = {}
-
-    async def main():
-        box["server"] = server = await start()
-        ready.set()
-        await asyncio.wait_for(server.serve_forever(), timeout=120)
-
-    thread = threading.Thread(target=lambda: asyncio.run(main()))
+def on_thread(server, shutdown):
+    """Serve the bound ``server`` (its ``run``) on a thread; yields it
+    and ends it with ``shutdown(server)`` if the body has not already."""
+    thread = threading.Thread(target=server.run)
     thread.start()
-    assert ready.wait(timeout=60), "server did not start"
     try:
-        yield box["server"]
+        yield server
     finally:
         if thread.is_alive():
             with contextlib.suppress(OSError):
-                shutdown(box["server"])
+                shutdown(server)
         thread.join(timeout=60)
         assert not thread.is_alive(), "server did not stop"
 
@@ -72,22 +61,22 @@ def on_thread(start, shutdown):
 def serving(state_dir, workers):
     """A gateway on a loopback port; yields ``(port, gateway)`` and
     shuts it down over HTTP."""
-    async def start():
-        fleet = Fleet(
-            [TenantSpec(name, key, TOPO) for name, key in TENANTS],
-            state_dir=state_dir if workers else None, workers=workers,
-        )
-        gw = GatewayServer(fleet)
-        await gw.start("127.0.0.1", 0)
-        return gw
+    fleet = Fleet(
+        [TenantSpec(name, key, TOPO) for name, key in TENANTS],
+        state_dir=state_dir if workers else None, workers=workers,
+    )
+    gw = GatewayServer(fleet)
+    port = gw.bind_tcp("127.0.0.1", 0)
 
     def shutdown(gw):
-        stopper = Pipe(gw.port)
-        stopper.send(http("/v1/shutdown")).read(1)
-        stopper.close()
+        stopper = Pipe(port)
+        try:
+            stopper.send(http("/v1/shutdown")).read(1)
+        finally:
+            stopper.close()
 
-    with on_thread(start, shutdown) as gw:
-        yield gw.port, gw
+    with on_thread(gw, shutdown):
+        yield port, gw
 
 
 def http(path="/v1/op", body=None, *, key="k-acme", method="POST",
@@ -178,20 +167,18 @@ def gateway_workers(tmp_path_factory):
 @pytest.fixture(scope="module")
 def broker():
     """``repro serve`` on a loopback port: ``(port, server)``."""
-    bound = {}
-
-    async def start():
-        server = BrokerServer(TOPO)
-        bound["port"] = server.bind_tcp("127.0.0.1", 0)
-        return server
+    server = BrokerServer(TOPO)
+    port = server.bind_tcp("127.0.0.1", 0)
 
     def shutdown(server):
-        stopper = LinePipe(bound["port"])
-        stopper.send(line_op("shutdown")).bodies(1)
-        stopper.close()
+        stopper = LinePipe(port)
+        try:
+            stopper.send(line_op("shutdown")).bodies(1)
+        finally:
+            stopper.close()
 
-    with on_thread(start, shutdown) as server:
-        yield bound["port"], server
+    with on_thread(server, shutdown):
+        yield port, server
 
 
 @pytest.fixture(scope="module", params=["inprocess", "workers"])

@@ -1,6 +1,7 @@
 """Start-up cost pin: service interpreters import neither ``networkx``
 nor ``numpy``, nor the offline-only modules the package inits re-export,
-and a broker (``repro serve``) imports neither asyncio nor ``hashlib``.
+and no served process — a broker (``repro serve``), the gateway, its
+workers, a chaos campaign — imports asyncio or ``hashlib``.
 
 Every ``repro serve``, gateway and worker process imports the
 topology and core packages; ``networkx`` is only needed by the graph
@@ -11,12 +12,13 @@ need it. This pins both halves:
 the service modules load without it, and the functions that need it
 still work — and a third thing the import used to buy by accident: a
 lean server must not pay an ``mmap``/``munmap`` pair per socket read
-(:func:`repro.service.server.keep_recv_buffers_on_heap`).
+(the selectors loop reads into one buffer it allocated once).
 """
 
 import json
 import os
 import platform
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -146,9 +148,83 @@ def test_graph_helpers_still_work():
     assert bdg.nodes[0]["mode"] == "INDIRECT"
 
 
-RECV_PROBE = """
-import resource, socket
-from repro.service.server import keep_recv_buffers_on_heap
+#: Everything ``repro gateway --workers 2`` runs in one interpreter —
+#: the fork of its workers, an admit forwarded to one, ``/healthz``
+#: and ``/metrics`` asked of both, the shutdown and the drain — then
+#: what it loaded.
+GATEWAY_PROBE = """
+import json, socket, sys, threading, time
+from repro.cli import main
+from repro.fleet.client import GatewayClient
+
+port, state = int(sys.argv[1]), sys.argv[2]
+answers = []
+
+def client():
+    for _ in range(3000):
+        try:
+            c = GatewayClient(f"127.0.0.1:{port}", api_key="k")
+            c.get("/healthz")
+            break
+        except OSError:
+            time.sleep(0.01)
+    with c:
+        answers.append(c.check("admit", streams=[{
+            "src": 0, "dst": 1, "priority": 1, "period": 100, "length": 4,
+            "deadline": 100}])["ok"])
+        answers.append(c.get("/healthz")["ok"])
+        answers.append("repro_gateway_batches_total" in c.get("/metrics"))
+        answers.append(c.request("shutdown")["ok"])
+
+thread = threading.Thread(target=client)
+thread.start()
+main(["gateway", "--host", "127.0.0.1", "--port", str(port), "--mesh", "4x4",
+      "--tenant", "acme=k", "--tenant", "beta=j", "--workers", "2",
+      "--state-dir", state])
+thread.join(timeout=30)
+assert answers == [True] * 4, answers
+print(json.dumps([m for m in ("asyncio", "ssl", "_ssl", "hashlib",
+                               "_hashlib") if m in sys.modules]))
+"""
+
+LIBCRYPTO = ["asyncio", "ssl", "_ssl", "hashlib", "_hashlib"]
+
+
+def test_a_served_gateway_and_its_workers_load_neither(tmp_path):
+    """``repro gateway`` and the workers it forks serve HTTP and JSON
+    lines without TLS, like the broker: one loop, no asyncio."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    done = subprocess.run(
+        [sys.executable, "-c", GATEWAY_PROBE, str(port),
+         str(tmp_path / "state")],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("module", ["repro.fleet", "repro.faults.campaign"])
+def test_the_fleet_modules_load_neither(module):
+    """What ``repro chaos --fleet`` and every fleet import loads."""
+    code = (f"import sys, json, {module}\n"
+            f"print(json.dumps([m for m in {LIBCRYPTO!r} "
+            "if m in sys.modules]))")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+#: A gateway's serial round trips, counted in minor faults, after the
+#: interpreter's heap is so full that a read of asyncio's size (256 KiB)
+#: is served with ``mmap``: two faults each.
+READ_PROBE = """
+import resource, socket, threading
+from repro.fleet import Fleet, GatewayServer, TenantSpec
 
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -163,30 +239,57 @@ def recvs(count):
     return faults() - before
 
 # A server's live set grows until the heap has no free 256 KiB left;
-# from then on every recv needs new memory. Get there directly.
+# from then on every such recv needs new memory. Get there directly.
 held = []
 while recvs(20) < 20 and len(held) < 4000:
     held.extend(bytearray(50_000) for _ in range(10))
-unprimed = recvs(300)
-keep_recv_buffers_on_heap()
-recvs(20)
-print(unprimed, recvs(300))
+asyncio_sized = recvs(300)
+
+gateway = GatewayServer(Fleet([TenantSpec(
+    "acme", "k", {"type": "mesh", "width": 4, "height": 4})]))
+port = gateway.bind_tcp("127.0.0.1", 0)
+request = (b"POST /v1/ping HTTP/1.1\\r\\nX-API-Key: k\\r\\n"
+           b"Content-Length: 0\\r\\n\\r\\n")
+counted = []
+
+def client():
+    buf = bytearray(65536)
+    with socket.create_connection(("127.0.0.1", port)) as sock:
+        def round_trip():
+            sock.sendall(request)
+            got = sock.recv_into(buf)
+            while buf.find(b"}", 0, got) < 0:  # the JSON body's end
+                got += sock.recv_into(memoryview(buf)[got:])
+
+        for _ in range(100):
+            round_trip()
+        before = faults()
+        for _ in range(300):
+            round_trip()
+        counted.append(faults() - before)
+    gateway.request_shutdown()
+
+thread = threading.Thread(target=client)
+thread.start()
+gateway.run()
+thread.join(timeout=30)
+print(asyncio_sized, counted[0])
 """
 
 
 @pytest.mark.skipif(platform.system() != "Linux", reason="counts page faults")
-def test_priming_takes_the_page_faults_out_of_socket_reads():
+def test_a_gateway_read_costs_no_page_fault():
     """Once its heap is full, an interpreter serves every asyncio-sized
     ``recv`` with ``mmap`` — two minor faults each — and keeps doing so;
-    after the priming call it does not. Importing ``networkx`` used to
-    hide this in every service process; an allocator without the rule
-    never shows it, and then there is nothing to pin."""
+    the gateway, whose loop reads into one buffer it allocated once,
+    serves 300 round trips in that state without. An allocator without
+    the rule never shows it, and then there is nothing to pin."""
     done = subprocess.run(
-        [sys.executable, "-c", RECV_PROBE], env=child_env(),
+        [sys.executable, "-c", READ_PROBE], env=child_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    unprimed, primed = map(int, done.stdout.split())
-    if unprimed < 300:
-        pytest.skip(f"this allocator does not mmap per recv ({unprimed})")
-    assert primed < 30, f"{primed} minor faults over 300 reads after priming"
+    asyncio_sized, gateway = map(int, done.stdout.split())
+    if asyncio_sized < 300:
+        pytest.skip(f"this allocator does not mmap per recv ({asyncio_sized})")
+    assert gateway < 30, f"{gateway} minor faults over 300 round trips"

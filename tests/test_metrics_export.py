@@ -250,6 +250,8 @@ class TestBrokerPrometheus:
         # from a non-zero count rather than resetting to an empty engine.
         (ops_line,) = families["repro_engine_ops_total"]["samples"]
         assert float(ops_line.rsplit(" ", 1)[1]) > 0
+        server.close()
+        recovered.close()
 
     def test_journal_size_and_compactions_exported(self, tmp_path):
         """What a restart would replay and how often the journal was

@@ -179,6 +179,7 @@ class TestPersistenceFaults:
         assert retry["ok"] and retry["admitted"] and retry["ids"] == [0]
         assert "duplicate" not in retry  # first attempt never committed
         assert "repro_broker_degraded 0" in server.prometheus_text()
+        server.close()
 
     def test_torn_write_crash_is_recoverable(self, tmp_path):
         server, plane = _armed_server(tmp_path, "torn_write")
@@ -196,6 +197,7 @@ class TestPersistenceFaults:
         retry = recovered.handle_request(
             {"op": "admit", "rid": "r1", "streams": [spec()]})
         assert retry["ok"] and retry["admitted"] and retry["ids"] == [0]
+        recovered.close()
 
     def test_crash_after_append_deduplicates_retry(self, tmp_path):
         server, plane = _armed_server(tmp_path, "crash_after_append")
@@ -212,6 +214,7 @@ class TestPersistenceFaults:
         assert retry["ok"] and retry["duplicate"] and retry["ids"] == [0]
         assert recovered.engine.admitted.ids() == (0,)
         assert recovered.metrics.duplicates == 1
+        recovered.close()
 
     def test_torn_cut_point_is_seeded(self, tmp_path):
         def torn_journal(seed):
@@ -247,6 +250,7 @@ class TestTornTailRepair:
         second.state.close()
         third = BrokerServer(MESH, state_dir=state)
         assert third.engine.admitted.ids() == (0, 1)
+        third.close()
 
     def test_torn_tail_truncated_even_without_snapshot(self, tmp_path):
         state = tmp_path / "state"
@@ -284,6 +288,7 @@ class TestIdempotency:
         # Only the first commit reached the journal.
         journal = (tmp_path / "s" / "journal.jsonl").read_text()
         assert journal.count('"op":"admit"') == 1
+        server.close()
 
     def test_duplicate_release_not_reapplied(self, tmp_path):
         server = BrokerServer(MESH, state_dir=tmp_path / "s")
@@ -294,6 +299,7 @@ class TestIdempotency:
             {"op": "release", "rid": "r", "ids": [0]})
         assert first["ok"] and dup["ok"] and dup["duplicate"]
         assert dup["released"] == [0]
+        server.close()
 
     def test_rejected_admit_records_nothing(self):
         server = BrokerServer(MESH)
@@ -319,6 +325,7 @@ class TestIdempotency:
         dup = recovered.handle_request(
             {"op": "admit", "rid": "k", "streams": [spec()]})
         assert dup["duplicate"] and dup["ids"] == first["ids"]
+        recovered.close()
 
     def test_rid_survives_compaction_and_restart(self, tmp_path):
         server = BrokerServer(MESH, state_dir=tmp_path / "s")
@@ -332,6 +339,7 @@ class TestIdempotency:
         dup = recovered.handle_request(
             {"op": "admit", "rid": "k", "streams": [spec()]})
         assert dup["duplicate"] and dup["ids"] == [0]
+        recovered.close()
 
     def test_rid_table_is_fifo_capped(self):
         server = BrokerServer(MESH)
@@ -521,8 +529,16 @@ class Mirrored:
 
     def kill(self):
         """The process dies: nothing is flushed or cleaned up (every
-        acked record is already fsynced)."""
+        acked record is already fsynced). The OS releases the journal's
+        descriptor; what Python buffered for it is dropped."""
+        journal = self.live.state._journal_fh
+        if journal is not None:
+            journal.raw.close()
         self.live = None
+
+    def close(self):
+        """The end of a run: the live host shuts down cleanly."""
+        self.live.close()
 
     def records(self):
         """What a restart replays."""
@@ -618,6 +634,7 @@ def check_crash_point(tmp_path, monkeypatch, seed, trigger, step, fault):
         run.kill()
     run.restart()
     run.assert_recovered()
+    run.close()
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -679,6 +696,7 @@ def host_long_run(tmp_path, monkeypatch, seed, crash_step):
     run.kill()
     run.restart()
     run.assert_recovered()
+    run.close()
 
 
 def fleet_long_run(tmp_path, monkeypatch, seed, crash_step):
@@ -724,6 +742,7 @@ def fleet_long_run(tmp_path, monkeypatch, seed, crash_step):
     while run.records() < later:
         run.step()
     restart()
+    run.close()
 
 
 def test_a_host_journal_stays_bounded_across_kills(tmp_path, monkeypatch):

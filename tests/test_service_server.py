@@ -1,6 +1,6 @@
 """Tests for the broker server: protocol, ops, metrics, persistence,
-and the front end over a unix socket, on the broker's selectors loop
-(and, for the shutdown every listener shares, on asyncio's)."""
+the front end over a unix socket on the broker's selectors loop, and
+the serve-drain-close every server shares."""
 
 import asyncio
 import json
@@ -28,11 +28,7 @@ from repro.service.protocol import (
     error_response,
 )
 from repro.service import server as server_module
-from repro.service.server import (
-    BrokerServer,
-    LineConnection,
-    close_connections,
-)
+from repro.service.server import BrokerServer, LineConnection
 
 MESH = {"type": "mesh", "width": 6, "height": 6}
 
@@ -254,6 +250,8 @@ class TestPersistence:
         assert (state / "journal.jsonl").read_text() == ""
         again = BrokerServer(MESH, state_dir=state)
         assert again.engine.admitted.ids() == (1,)
+        for host in (server, recovered, again):
+            host.close()
 
     def test_snapshot_op_compacts(self, tmp_path):
         server = BrokerServer(MESH, state_dir=tmp_path / "s")
@@ -261,6 +259,7 @@ class TestPersistence:
         resp = server.handle_request({"op": "snapshot"})
         assert resp["ok"] and resp["streams"] == 1
         assert (tmp_path / "s" / "journal.jsonl").read_text() == ""
+        server.close()
 
     def test_recovered_ids_stay_monotonic(self, tmp_path):
         state = tmp_path / "state"
@@ -270,6 +269,8 @@ class TestPersistence:
         resp = recovered.handle_request(
             {"op": "admit", "streams": [spec(src=6, dst=9)]})
         assert resp["ids"] == [1]
+        server.close()
+        recovered.close()
 
     def test_released_id_not_reissued_after_restart(self, tmp_path):
         state = tmp_path / "state"
@@ -287,6 +288,8 @@ class TestPersistence:
         resp = recovered.handle_request(
             {"op": "admit", "streams": [spec(src=12, dst=15)]})
         assert resp["ids"] == [2]
+        server.close()
+        recovered.close()
 
     def test_topology_mismatch_refused(self, tmp_path):
         state = tmp_path / "state"
@@ -296,6 +299,7 @@ class TestPersistence:
         with pytest.raises(ReproError, match="topology"):
             BrokerServer({"type": "mesh", "width": 8, "height": 8},
                          state_dir=state)
+        server.close()
 
     def test_torn_journal_tail_tolerated(self, tmp_path):
         state = tmp_path / "state"
@@ -306,6 +310,7 @@ class TestPersistence:
             fh.write('{"op": "admit", "streams": [{"tr')  # torn tail
         recovered = BrokerServer(MESH, state_dir=state)
         assert recovered.engine.admitted.ids() == (0,)
+        recovered.close()
 
     def test_corrupt_journal_interior_rejected(self, tmp_path):
         state = tmp_path / "state"
@@ -683,6 +688,7 @@ class TestAsyncFrontEnd:
         # The committed churn is recoverable.
         recovered = BrokerServer(MESH, state_dir=tmp_path / "state")
         assert len(recovered.engine.admitted) == summary.live_at_end
+        recovered.close()
 
     def test_pipelined_load_generator(self, tmp_path):
         # Eight requests in flight: the workload must stay well-formed
@@ -734,30 +740,47 @@ class TestAsyncAdapters:
 
 
 class TestCloseConnections:
-    """The one shutdown every listener uses, against a stub server."""
+    """The one serve-drain-close every server runs
+    (:meth:`LoopServer.run`), against a stub server."""
 
-    def test_queued_answered_idle_closed_blocked_cancelled(self):
-        class Stub:
-            """Answers a batch with its ids: as bytes, or — given a
-            ``gate`` — with an awaitable that waits for it to open."""
+    def test_queued_answered_idle_closed_blocked_cancelled(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "_DRAIN_TIMEOUT", 0.5)
+
+        class Stub(server_module.LoopServer):
+            """Answers a batch with its ids, at once — or, for a batch
+            whose first request names a ``hold``, later: ``"busy"`` once
+            the drain has begun and ``release`` is set, ``"stuck"``
+            never, like a wedged worker's answer."""
+
             readahead_full = 0
 
-            def __init__(self, connections, gate=None):
-                self.connections = connections
-                self.gate = gate
-                self.serving = 0
+            def __init__(self):
+                super().__init__()
+                self.held = {}
+                self.release = threading.Event()
+                self.closed = False
 
             def _serve(self, batch, conn):
                 answer = json.dumps([item["id"] for item in batch]).encode()
-                if self.gate is None:
+                hold = batch[0].get("hold")
+                if hold is None:
                     return answer + b"\n"
+                self.held[hold] = conn
+                if hold == "busy":
+                    self._deliver_when_released(conn, answer + b"\n")
+                return None
 
-                async def gated():
-                    await self.gate.wait()
-                    return answer + b"\n"
+            def _deliver_when_released(self, conn, answer):
+                if self._stopping and self.release.is_set():
+                    conn.deliver(answer)
+                else:
+                    self._loop.call_later(
+                        0.01, self._deliver_when_released, conn, answer)
 
-                self.serving += 1
-                return gated()
+            def close(self):
+                self.closed = True
 
         def drain(sock):
             """Everything the server wrote before it closed."""
@@ -772,51 +795,54 @@ class TestCloseConnections:
                         return data
                     data += chunk
 
-        async def connect(loop, server):
-            """A connected pair: (client socket, server-side Connection)."""
-            ours, theirs = socket.socketpair()
-            ours.settimeout(10)
-            _, conn = await loop.connect_accepted_socket(
-                lambda: LineConnection(server, loop), sock=theirs
-            )
-            return ours, conn
+        path = tmp_path / "stub.sock"
+        server = Stub()
+        server._listen(server_module.unix_listener(path),
+                       lambda loop: LineConnection(server, loop))
+        thread = threading.Thread(target=server.run)
+        thread.start()
 
-        async def main():
-            loop = asyncio.get_running_loop()
-            connections = set()
-            instant = Stub(connections)
-            opens = Stub(connections, asyncio.Event())
-            never = Stub(connections, asyncio.Event())
-            idle, _ = await connect(loop, instant)
-            idle.sendall(b'{"op": "ping", "id": 5}\n')
-            assert await asyncio.to_thread(idle.recv, 100) == b"[5]\n"
-            busy, busy_conn = await connect(loop, opens)
-            stuck, stuck_conn = await connect(loop, never)
-            for sock, conn in ((busy, busy_conn), (stuck, stuck_conn)):
-                # One request whose answer is awaited (held on the
-                # gate), two more parsed ahead behind it.
-                sock.sendall(b'{"op": "ping", "id": 0}\n')
-                while not conn.server.serving:
-                    await asyncio.sleep(0.01)
-                sock.sendall(b'{"op": "ping", "id": 1}\n'
-                             b'{"op": "ping", "id": 2}\n')
-                while len(conn.ahead) < 2:
-                    await asyncio.sleep(0.01)
-            blocked = stuck_conn._task
-            assert len(connections) == 3
-            closing = asyncio.create_task(
-                close_connections(connections, timeout=0.5)
-            )
-            await asyncio.sleep(0.05)
-            busy.sendall(b'{"op": "ping", "id": 99}\n')   # not read any more
-            opens.gate.set()
-            await asyncio.wait_for(closing, timeout=10)
-            assert not connections
-            assert blocked.cancelled()
-            return [await asyncio.to_thread(drain, sock)
-                    for sock in (busy, idle, stuck)]
+        def connect():
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(10)
+            sock.connect(str(path))
+            return sock
 
-        answered, idle, stuck = asyncio.run(main())
+        def wait_until(predicate):
+            deadline = time.monotonic() + 10
+            while not predicate():
+                assert time.monotonic() < deadline, "timed out"
+                time.sleep(0.01)
+
+        idle = connect()
+        idle.sendall(b'{"op": "ping", "id": 5}\n')
+        assert idle.recv(100) == b"[5]\n"
+        busy, stuck = connect(), connect()
+        for sock, hold in ((busy, "busy"), (stuck, "stuck")):
+            # One request whose answer is pending, two more parsed
+            # ahead behind it.
+            sock.sendall(b'{"op": "ping", "id": 0, "hold": "%s"}\n'
+                         % hold.encode())
+            wait_until(lambda: hold in server.held)
+            sock.sendall(b'{"op": "ping", "id": 1}\n'
+                         b'{"op": "ping", "id": 2}\n')
+            wait_until(lambda: len(server.held[hold].ahead) == 2)
+        assert len(server.connections) == 3
+        started = time.monotonic()
+        server.request_shutdown()
+
+        def refused():     # listening stopped: the drain began
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+                return probe.connect_ex(str(path)) != 0
+
+        wait_until(refused)
+        busy.sendall(b'{"op": "ping", "id": 99}\n')   # not read any more
+        server.release.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert 0.5 <= time.monotonic() - started < 5
+        assert server.closed and server._loop is None
+        answered, idle, stuck = (drain(sock) for sock in (busy, idle, stuck))
         assert [json.loads(line) for line in answered.splitlines()] == \
             [[0], [1, 2]]
         assert idle == b"" and stuck == b""
@@ -901,6 +927,7 @@ class TestAnalysisSelection:
         assert ops[0]["analysis"] == "tighter"
         # The engine default is resolved at admit time, not replay time.
         assert ops[1]["analysis"] == "kim98"
+        server.close()
 
     def test_backends_survive_journal_replay(self, tmp_path):
         state = tmp_path / "state"
@@ -917,6 +944,8 @@ class TestAnalysisSelection:
         assert recovered.engine.analysis_of(1) == "buffered"
         q = recovered.handle_request({"op": "query", "stream": 0})
         assert q["analysis"] == "tighter"
+        server.close()
+        recovered.close()
 
     def test_backends_survive_snapshot_restart(self, tmp_path, monkeypatch):
         from repro.core import backends
@@ -942,6 +971,8 @@ class TestAnalysisSelection:
         report = recovered.handle_request({"op": "report"})["report"]
         assert report["streams"]["0"]["analysis"] == "tighter"
         assert report["streams"]["1"]["analysis"] == "kim98"
+        server.close()
+        recovered.close()
 
     def test_server_analysis_default_applies_to_plain_admits(self):
         server = BrokerServer(MESH, analysis="tighter")
