@@ -56,6 +56,8 @@ Commands
     stats ops (one request per line, up to 8 MiB), with optional
     snapshot+journal persistence (``--state-dir``). ``--metrics-port
     PORT`` additionally serves Prometheus metrics on ``GET /metrics``.
+    SIGTERM or SIGINT stops it as a ``shutdown`` op does: drained, its
+    socket unlinked.
 ``load``
     Replay seeded admit/release churn against a running broker and print
     a JSON summary (throughput, acceptance rate, server stats). Used by
@@ -70,7 +72,9 @@ Commands
     ``GET /healthz``, a Prometheus ``GET /metrics`` rollup, the JSON
     admission API under ``/v1/`` and kill/failover admin ops under
     ``/admin/`` (a failover replays the tenant's journal, as a restart
-    does). ``--shards`` is accepted (at least 1) and ignored.
+    does). ``--shards`` is accepted (at least 1) and ignored. SIGTERM
+    or SIGINT stops it as a ``shutdown`` op does; its worker processes
+    (``--workers``) are SIGTERMed, drain and are reaped.
 ``chaos``
     Run a seeded fault-injection campaign (see
     :mod:`repro.faults.campaign`): a fault-free oracle executes an op
@@ -587,6 +591,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
         analysis=args.analysis,
     )
+    server.stop_on_signals()
     if args.socket is not None:
         server.bind_unix(args.socket)
         where = args.socket
@@ -599,10 +604,7 @@ def _run_serve(args: argparse.Namespace) -> int:
               flush=True)
     print(f"repro-broker listening on {where} "
           f"({len(server.engine.admitted)} recovered)", flush=True)
-    try:
-        server.run()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
+    server.run()
     return 0
 
 
@@ -621,6 +623,7 @@ def _run_gateway(args: argparse.Namespace) -> int:
         specs.append(TenantSpec(name, key, topo))
     fleet = Fleet(specs, state_dir=args.state_dir, workers=args.workers)
     gateway = GatewayServer(fleet)
+    gateway.stop_on_signals()
     recovered = sum(
         answer.get("admitted") or 0 for answer in fleet.stats().values()
     )
@@ -631,10 +634,7 @@ def _run_gateway(args: argparse.Namespace) -> int:
         f"{args.workers or 'no'} worker process(es))",
         flush=True,
     )
-    try:
-        gateway.run()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
+    gateway.run()
     return 0
 
 

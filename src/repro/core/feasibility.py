@@ -80,9 +80,6 @@ class FeasibilityReport:
 
     verdicts: Mapping[int, StreamVerdict]
     success: bool
-    #: Per-stream bound provenance (see :mod:`repro.obs.provenance`);
-    #: only populated by ``determine_feasibility(explain=True)``.
-    explanations: Optional[Mapping[int, object]] = None
 
     @classmethod
     def trivial(cls) -> "FeasibilityReport":
@@ -470,34 +467,20 @@ class FeasibilityAnalyzer:
     # Whole-set test (Determine-Feasibility)
     # ------------------------------------------------------------------ #
 
-    def determine_feasibility(
-        self, *, explain: bool = False
-    ) -> FeasibilityReport:
+    def determine_feasibility(self) -> FeasibilityReport:
         """Run the paper's ``Determine-Feasibility`` over all streams.
 
         Streams are processed from the highest priority level downwards
         (the ``GList`` loop); the report is a success iff every stream's
-        bound exists within its deadline. With ``explain=True`` the report
-        additionally carries full per-stream bound provenance (see
-        :mod:`repro.obs.provenance`) — an offline/debug path that roughly
-        doubles the analysis cost.
+        bound exists within its deadline.
         """
-        with _span(
-            "determine_feasibility", "analysis", n=len(self.streams),
-            explain=explain,
-        ):
+        with _span("determine_feasibility", "analysis", n=len(self.streams)):
             verdicts: Dict[int, StreamVerdict] = {}
             for stream in self.streams.sorted_by_priority():
                 verdicts[stream.stream_id] = self.cal_u(stream.stream_id)
-            success = all(v.feasible for v in verdicts.values())
-            explanations = None
-            if explain:
-                # Local import: provenance depends on this module.
-                from ..obs.provenance import explain_report
-
-                explanations = explain_report(self)
         return FeasibilityReport(
-            verdicts=verdicts, success=success, explanations=explanations
+            verdicts=verdicts,
+            success=all(v.feasible for v in verdicts.values()),
         )
 
     def all_upper_bounds(

@@ -537,57 +537,6 @@ class _BrokerTarget(_Target):
             final.state.close()
 
 
-class _ServerThread:
-    """A persistent broker serving a unix socket from a daemon thread."""
-
-    def __init__(
-        self,
-        topology_spec: Dict[str, Any],
-        socket_path: Union[str, Path],
-        state_dir: Path,
-    ):
-        self._topology_spec = topology_spec
-        self._socket_path = Path(socket_path)
-        self._state_dir = state_dir
-        self._ready = threading.Event()
-        self._exc: Optional[BaseException] = None
-        self.server: Optional[BrokerServer] = None
-        self._thread = threading.Thread(
-            target=self._run, name="chaos-broker", daemon=True
-        )
-
-    def _run(self) -> None:
-        try:
-            self.server = BrokerServer(
-                self._topology_spec, state_dir=self._state_dir
-            )
-            self.server.bind_unix(self._socket_path)
-            self._ready.set()
-            self.server.run()
-        except BaseException as exc:  # pragma: no cover - surfaced in stop
-            self._exc = exc
-        finally:
-            self._ready.set()
-
-    def start(self) -> "_ServerThread":
-        self._socket_path.unlink(missing_ok=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=30):  # pragma: no cover
-            raise ReproError("chaos broker thread did not come up")
-        if self._exc is not None:
-            raise ReproError(f"chaos broker thread died: {self._exc!r}")
-        return self
-
-    def stop(self) -> None:
-        if self.server is not None:
-            self.server.request_shutdown()
-        self._thread.join(timeout=30)
-        if self._thread.is_alive():  # pragma: no cover - defensive
-            raise ReproError("chaos broker thread did not stop")
-        if self._exc is not None:  # pragma: no cover - defensive
-            raise ReproError(f"chaos broker thread died: {self._exc!r}")
-
-
 def _half_open_probe(socket_path: Path) -> None:
     """Pipeline two requests, half-close the write side, demand both
     responses (then EOF) — the server must flush before closing."""
@@ -638,14 +587,18 @@ class _SocketTarget(_BrokerTarget):
     def open(self) -> None:
         self.socket_path = self.state_dir / "broker.sock"
         self.backoff_rng = random.Random(self.cfg.seed + 3)  # jitter only
-        self.thread = _ServerThread(
-            self.cfg.topology_spec(), self.socket_path, self.state_dir
-        ).start()
-        self.client = BrokerClient.wait_for_unix(self.socket_path, timeout=10)
+        self.server = BrokerServer(self.cfg.topology_spec(),
+                                   state_dir=self.state_dir)
+        self.server.bind_unix(self.socket_path)
+        self.thread = threading.Thread(target=self.server.run,
+                                       name="chaos-broker")
+        self.thread.start()
+        self.client = BrokerClient(socket_path=self.socket_path, timeout=10)
 
     def close(self) -> None:
         self.client.close()
-        self.thread.stop()
+        self.server.request_shutdown()
+        self.thread.join()
 
     def place_faults(self, entry: ScheduledOp) -> None:
         if self.rng.random() < self.cfg.restart_rate:

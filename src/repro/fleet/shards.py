@@ -10,9 +10,10 @@ in-process and the worker-process fleet.
 
 A :class:`Fleet` routes API keys to tenants. Its tenants live in this
 process (``tenants``) or, with ``workers``, each in the supervised
-worker it was placed on (:mod:`repro.fleet.workers`), whose death takes
-the tenant down with it — the crash a restart recovers from the
-tenant's journal.
+worker it was placed on (:mod:`repro.fleet.workers`), which a blocking
+:meth:`Fleet.handle_request` reaches on a link as the gateway does and
+whose death takes the tenant down — the crash a restart recovers from
+the tenant's journal.
 
 State dirs
 ----------

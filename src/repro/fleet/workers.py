@@ -10,22 +10,23 @@ Child side (a fork of the supervisor, :func:`_child`)
     constructor and recovery an in-process fleet runs —, binds a
     per-worker unix socket with the broker's
     stale-socket hygiene, says so with one byte on a private pipe and
-    serves the broker's JSON-lines protocol until stopped or orphaned.
-    It always ends in ``os._exit``.
+    serves the broker's JSON-lines protocol, as a broker's
+    :class:`~repro.service.server.LoopServer`, until a SIGTERM or its
+    orphaning drains it. It always ends in ``os._exit``.
 
 Parent side
     :class:`WorkerSupervisor` forks and monitors the children, restarts
-    them on exit, and owns one :class:`WorkerClient` per worker: a
-    blocking round trip for synchronous callers, and the gateway's one
-    persistent link to the worker, on which runs of requests are
-    pipelined FIFO and answered with the worker's encoded lines, which
-    the gateway sends on as HTTP bodies unchanged. A timeout or a lost
-    connection fails the link: every run waiting on it gets the
-    retryable ``code: "worker"`` error.
+    them on exit, and owns one :class:`WorkerClient` per worker, the one
+    way to reach it: runs of requests pipelined FIFO on a persistent
+    link, answered with the worker's encoded lines — the gateway's runs
+    on its loop (sent on as HTTP bodies unchanged), a blocking caller's
+    request as a run of one on the client's own. A timeout or a lost
+    connection fails a link: every run waiting on it gets the retryable
+    ``code: "worker"`` error.
 
 A request is a broker op plus a ``tenant`` key naming one of the
 worker's tenants, and its answer is that tenant's ``handle_request``;
-a request without one is a ``protocol`` error. SIGTERM stops a worker.
+a request without one is a ``protocol`` error.
 
 Single-writer discipline: a tenant's journal is only ever open in one
 process, its worker, which serves its tenants single-threaded. A tenant
@@ -58,11 +59,10 @@ import time
 from collections import deque
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..obs import trace
-from ..service.client import BrokerClient
 from ..service.loop import SelectorLoop, TimerHandle, _Transport
 from ..service.protocol import (
     KNOWN_OPS,
@@ -70,12 +70,11 @@ from ..service.protocol import (
     error_response,
     parse_line,
 )
-from ..service.server import LineConnection, unix_listener
+from ..service.server import LineConnection, LoopServer, unix_listener
 from .shards import TenantHost
 
 __all__ = [
     "WorkerClient",
-    "WorkerDied",
     "WorkerProcess",
     "WorkerSupervisor",
 ]
@@ -99,12 +98,6 @@ PROBE_TIMEOUT = 2.0
 _SOCKET_PATH_BUDGET = 90
 
 
-class WorkerDied(ReproError):
-    """The worker's process or IPC connection went away mid-request:
-    the op's fate is unknown (retry with the same rid once the worker
-    is restarted), unlike an error response, which says it failed."""
-
-
 # --------------------------------------------------------------------- #
 # Child side
 # --------------------------------------------------------------------- #
@@ -120,12 +113,13 @@ class _TenantLines(LineConnection):
     max_line = sys.maxsize
 
 
-class _WorkerServer:
+class _WorkerServer(LoopServer):
     """The child's server: its tenants' hosts behind one unix socket,
-    on the broker's loop and front end."""
+    served, drained and closed as the broker is; SIGTERM, SIGINT and
+    the orphan check ask for that shutdown."""
 
     def __init__(self, wp: "WorkerProcess", supervisor: int):
-        self.sock_path = wp.socket_path
+        super().__init__()
         self.supervisor = supervisor
         self.tenants: Dict[str, TenantHost] = {}
         for name in sorted(wp.assigned):
@@ -137,31 +131,23 @@ class _WorkerServer:
                 "worker %d recovered tenant %s (%d streams)",
                 os.getpid(), name, host.admitted_count(),
             )
-        self.loop = SelectorLoop()
-        self.connections: Set[LineConnection] = set()
         self.readahead_full = 0
-        self._bound = False
-        self._orphaned = False
 
-    def bind(self) -> None:
-        """Apply socket hygiene and bind."""
-        self.loop.listen(unix_listener(self.sock_path),
-                         lambda: _TenantLines(self, self.loop))
-        self._bound = True
-
-    def serve(self) -> None:
-        """Serve until orphaned (or SIGTERMed: ``SystemExit``)."""
+    def bind(self, path: Path) -> None:
+        """Apply socket hygiene and bind; from here a signal drains."""
+        self._listen(unix_listener(path), lambda loop: _TenantLines(self, loop))
+        self._unix_path = path
+        self.stop_on_signals()
         self._check_supervisor()
-        self.loop.run(lambda: self._orphaned)
 
     def _check_supervisor(self) -> None:
         """Once a second: a restarted gateway must find the socket free,
         not served by a process it does not supervise."""
         if os.getppid() != self.supervisor:
             logger.warning("supervisor %d is gone", self.supervisor)
-            self._orphaned = True
+            self.request_shutdown()
         else:
-            self.loop.call_later(1.0, self._check_supervisor)
+            self._loop.call_later(1.0, self._check_supervisor)
 
     def _serve(self, batch: List[Any], conn: LineConnection) -> bytes:
         return b"".join(
@@ -179,11 +165,6 @@ class _WorkerServer:
         return self.tenants[tenant].handle_request(request)
 
     def close(self) -> None:
-        self.loop.close()
-        if self._bound:
-            # Clean shutdown unlinks the socket; only unclean exits
-            # (SIGKILL) leave one behind for hygiene to reclaim.
-            self.sock_path.unlink(missing_ok=True)
         for host in self.tenants.values():
             host.close()
 
@@ -204,7 +185,6 @@ def _child(wp: "WorkerProcess", supervisor: int, ready: int) -> int:
         if callable(signal.getsignal(sig)):
             signal.signal(sig, signal.default_int_handler
                           if sig == signal.SIGINT else signal.SIG_DFL)
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     null = os.open(os.devnull, os.O_RDONLY)
     log = os.open(wp.log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     for fd, target in ((0, null), (1, log), (2, log)):
@@ -233,14 +213,13 @@ def _child(wp: "WorkerProcess", supervisor: int, ready: int) -> int:
     try:
         server = _WorkerServer(wp, supervisor)
         try:
-            server.bind()
+            server.bind(wp.socket_path)
             os.write(ready, b".")
             os.close(ready)
-            server.serve()
-        finally:
+        except BaseException:
             server.close()
-    except SystemExit:  # SIGTERM: a clean stop
-        pass
+            raise
+        server.run()
     except Exception:
         logger.exception("worker %d failed", os.getpid())
         return 1
@@ -262,10 +241,10 @@ _Waiting = Tuple[int, List[bytes], Callable[[Optional[BaseException]], None]]
 
 
 class _AnswerLines:
-    """The gateway's persistent link to one worker: the protocol of a
-    connected :class:`~repro.service.loop._Transport` on the gateway's
-    loop. A run costs one write; each answer line read goes to the
-    oldest run waiting, and a lost connection ends every waiting run."""
+    """A persistent link to one worker: the protocol of a connected
+    :class:`~repro.service.loop._Transport` on one loop. A run costs one
+    write; each answer line read goes to the oldest run waiting, and a
+    lost connection ends every waiting run."""
 
     def __init__(self, loop: SelectorLoop, path: str):
         sock = socket.socket(socket.AF_UNIX)
@@ -277,6 +256,8 @@ class _AnswerLines:
             raise
         self.waiting: Deque[_Waiting] = deque()
         self.failed = False
+        #: The worker was killed or respawned: replace at the next run.
+        self.stale = False
         self._buf = b""
         self._why: Optional[BaseException] = None
         self.transport = _Transport(loop, sock, self)
@@ -325,22 +306,22 @@ class _AnswerLines:
 
 
 class WorkerClient:
-    """JSON-lines RPC to one worker's unix socket, on two connections:
-    :meth:`call`, one blocking round trip under a lock, and the
-    gateway's :meth:`forward`: one persistent link (an
-    :class:`_AnswerLines` on the gateway's loop), runs pipelined on it
-    FIFO, answered with the worker's encoded lines (sent on unchanged).
-    A timeout fails the link: every run waiting on it gets the retryable
+    """JSON-lines RPC to one worker's unix socket: runs of requests
+    pipelined FIFO on a persistent link (an :class:`_AnswerLines`) per
+    loop, answered with the worker's encoded lines (sent on unchanged).
+    :meth:`forward` is the gateway's, on its loop; :meth:`call` is a
+    run of one on a loop of the client's own, for blocking callers. A
+    timeout fails the link: every run waiting on it gets the retryable
     ``code: "worker"`` error. :meth:`close` (the worker was killed or
-    respawned) drops the call's connection and marks the link stale,
-    from any thread; the next forward reconnects."""
+    respawned) marks every link stale, from any thread; the next run on
+    a loop reconnects."""
 
     def __init__(self, path: Path):
         self.path = str(path)
         self._lock = threading.Lock()
-        self._conn: Optional[BrokerClient] = None
-        self._link: Optional[_AnswerLines] = None
-        self._stale = False  # the link goes on the next forward
+        #: The blocking callers' loop, made by the first :meth:`call`.
+        self._loop: Optional[SelectorLoop] = None
+        self._links: Dict[SelectorLoop, _AnswerLines] = {}
         #: op -> round trips attempted (a forwarded run counts once,
         #: under its first op). Ops outside the op table count as
         #: ``"other"``: a client names them, so the key set stays closed.
@@ -350,51 +331,39 @@ class WorkerClient:
         op = op if op in KNOWN_OPS else "other"
         self.calls[op] = self.calls.get(op, 0) + 1
 
-    def _drop_locked(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-        self._conn = None
-
     def close(self) -> None:
-        with self._lock:
-            self._drop_locked()
-            self._stale = True
+        """Mark every link stale (safe from any thread)."""
+        for link in list(self._links.values()):
+            link.stale = True
 
     def call(
         self, payload: Dict[str, Any], *, kill_pid: Optional[int] = None
     ) -> Dict[str, Any]:
         """One round trip, the request as it is (no client ``id``, so
-        the answer is an in-process fleet's); :class:`WorkerDied` if the
-        transport fails. ``kill_pid`` is the chaos in-flight fault:
-        SIGKILL that pid once the request is written, before the answer
-        is read, so a mid-op death's commit/no-commit race is exercised
-        (either way the caller retries with the same rid)."""
+        the answer is an in-process fleet's): :meth:`forward` on this
+        client's loop, run until the answer is in. ``kill_pid`` is the
+        chaos in-flight fault (see :meth:`forward`)."""
         with self._lock:
-            self._count(payload.get("op"))
-            try:
-                if self._conn is None:
-                    self._conn = BrokerClient(
-                        socket_path=self.path, timeout=RPC_TIMEOUT
-                    )
-                conn = self._conn
-                conn.send_bytes(encode(payload))
-                conn.flush()
-                if kill_pid is not None:
-                    os.kill(kill_pid, signal.SIGKILL)
-                return conn.recv()
-            except (OSError, ValueError, ReproError) as exc:
-                # ReproError: EOF, or a response that is not an object.
-                self._drop_locked()
-                raise WorkerDied(f"worker IPC failed: {exc}") from None
+            if self._loop is None:
+                self._loop = SelectorLoop()
+            loop, answer = self._loop, []
+            self.forward(loop, [payload], RPC_TIMEOUT, answer.extend,
+                         kill_pid=kill_pid)
+            loop.run(lambda: answer)
+        return parse_line(answer[0])
 
     def forward(self, loop: SelectorLoop, payloads: List[Dict[str, Any]],
-                timeout: float, done: Answered) -> None:
-        """Write every payload at once on the link; ``done`` gets their
-        answer lines in order, on ``loop``, after this returns — within
-        ``timeout`` seconds, after which the link fails. One the worker
-        did not answer — it died or is wedged — gets the retryable
-        ``code: "worker"`` error: its fate is unknown, so its client
-        retries it with the same rid."""
+                timeout: float, done: Answered, *,
+                kill_pid: Optional[int] = None) -> None:
+        """Write every payload at once on ``loop``'s link; ``done`` gets
+        their answer lines in order, on ``loop``, after this returns —
+        within ``timeout`` seconds, after which the link fails. One the
+        worker did not answer — it died or is wedged — gets the
+        retryable ``code: "worker"`` error: its fate is unknown, so its
+        client retries it with the same rid. ``kill_pid`` is the chaos
+        in-flight fault: SIGKILL that pid once the run is written,
+        before its answer is read, so a mid-op death's commit/no-commit
+        race is exercised (either way the caller retries)."""
         self._count(payloads[0].get("op"))
         answers: List[bytes] = []
         timer: List[TimerHandle] = []
@@ -409,23 +378,35 @@ class WorkerClient:
             done(answers)
 
         try:
-            link = self._link
-            if self._stale or link is None or link.failed:
-                self.close_forward()
-                link = self._link = _AnswerLines(loop, self.path)
+            link = self._links.get(loop)
+            if link is None or link.failed or link.stale:
+                self._drop(loop)
+                link = self._links[loop] = _AnswerLines(loop, self.path)
             link.send(b"".join(map(encode, payloads)),
                       (len(payloads), answers, end))
         except OSError as exc:  # refused: nothing was sent
-            self.close_forward()
+            self._drop(loop)
             loop.call_soon(end, exc)
         else:
+            if kill_pid is not None:
+                os.kill(kill_pid, signal.SIGKILL)
             timer.append(loop.call_later(timeout, link.fail, TimeoutError()))
 
+    def _drop(self, loop: SelectorLoop) -> None:
+        """Fail ``loop``'s link (on that loop's thread, or once it closed)."""
+        link = self._links.pop(loop, None)
+        if link is not None:
+            link.fail(ReproError("the link was closed"))
+
     def close_forward(self) -> None:
-        """Fail the link (on its loop's thread, or once that closed)."""
-        if self._link is not None:
-            self._link.fail(ReproError("the link was closed"))
-        self._link, self._stale = None, False
+        """Fail every link and close the blocking callers' loop (once no
+        loop that holds a link still runs)."""
+        with self._lock:
+            for loop in list(self._links):
+                self._drop(loop)
+            if self._loop is not None:
+                self._loop.close()
+                self._loop = None
 
 
 class _Forked:
@@ -532,10 +513,10 @@ class WorkerProcess:
         poller.register(ready, select.POLLIN)
         try:
             if not poller.poll(SPAWN_TIMEOUT * 1e3):
-                raise WorkerDied(f"not ready within {SPAWN_TIMEOUT:.0f}s")
+                raise ReproError(f"not ready within {SPAWN_TIMEOUT:.0f}s")
             if not os.read(ready, 1):  # EOF: it died before it bound
-                raise WorkerDied(f"exit code {self.proc.wait(timeout=10)}")
-        except (WorkerDied, TimeoutError) as exc:
+                raise ReproError(f"exit code {self.proc.wait(timeout=10)}")
+        except (ReproError, TimeoutError) as exc:
             self.kill()
             raise ReproError(
                 f"worker {self.index} failed to start ({exc}); log tail:\n"
@@ -684,7 +665,7 @@ class WorkerSupervisor:
     def arm_inflight_kill(self) -> None:
         """One-shot chaos fault: SIGKILL the target of the *next*
         :meth:`call` after the request bytes are on the wire (see
-        :meth:`WorkerClient.call`)."""
+        :meth:`WorkerClient.forward`)."""
         self._inflight_kill = True
 
     def disarm_inflight_kill(self) -> None:
@@ -694,34 +675,32 @@ class WorkerSupervisor:
     # ------------------------------ requests + status ----------------- #
 
     def call(self, tenant: str, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Answer one of ``tenant``'s requests in its worker, blocking.
+        """Answer one of ``tenant``'s requests in its worker, blocking
+        (:meth:`WorkerClient.call`).
 
-        A worker that dies mid-request is respawned before this returns
-        the retryable ``code: "worker"`` error: the op's fate is
-        unknown, which is exactly what at-least-once clients with
-        request ids are built for.
+        A worker that did not answer is respawned if it is dead before
+        this returns the retryable ``code: "worker"`` error: the op's
+        fate is unknown, which is exactly what at-least-once clients
+        with request ids are built for.
         """
         wp = self.worker_for(tenant)
         kill_pid = None
         if self._inflight_kill and wp.alive:
             self._inflight_kill = False
             kill_pid = wp.pid
-        try:
-            return wp.client.call(
-                {**request, "tenant": tenant}, kill_pid=kill_pid
-            )
-        except WorkerDied as exc:
+        answer = wp.client.call({**request, "tenant": tenant},
+                                kill_pid=kill_pid)
+        if kill_pid is not None:
+            # Reaped first: a SIGKILLed child still accepts on its socket
+            # until it is gone, and would pass for a live one.
+            wp.kill()
+        if answer.get("code") == "worker":
             try:
                 self.ensure_worker(wp)
-                then = ("the supervisor restarted it with journal recovery "
-                        "— retry the request (same rid) for the committed "
-                        "outcome")
-            except ReproError as restart_exc:
-                then = f"it could not be restarted: {restart_exc}"
-            return error_response(
-                request, f"worker {wp.index} serving tenant {tenant!r} "
-                f"died mid-op ({exc}); {then}", code="worker",
-            )
+            except ReproError as exc:
+                logger.warning("worker %d could not be restarted: %s",
+                               wp.index, exc)
+        return answer
 
     def forward(self, loop: SelectorLoop, tenant: str,
                 requests: List[Dict[str, Any]], done: Answered) -> None:

@@ -178,13 +178,8 @@ def streams_to_spec(streams: StreamSet) -> list:
 
 
 def report_to_spec(report: FeasibilityReport) -> Dict[str, Any]:
-    """Serialise a feasibility report (bounds, verdicts, success).
-
-    When the report carries provenance (``determine_feasibility(
-    explain=True)``), an ``"explanations"`` key maps stream ids to the
-    per-stream breakdown (see :mod:`repro.obs.provenance`).
-    """
-    spec: Dict[str, Any] = {
+    """Serialise a feasibility report (bounds, verdicts, success)."""
+    return {
         "success": report.success,
         "streams": {
             str(sid): {
@@ -197,9 +192,3 @@ def report_to_spec(report: FeasibilityReport) -> Dict[str, Any]:
             for sid, v in sorted(report.verdicts.items())
         },
     }
-    if report.explanations is not None:
-        spec["explanations"] = {
-            str(sid): exp.to_spec()
-            for sid, exp in sorted(report.explanations.items())
-        }
-    return spec

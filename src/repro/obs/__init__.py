@@ -64,7 +64,6 @@ __all__ = [
     "HPContribution",
     "ReleasedInstance",
     "explain_stream",
-    "explain_report",
     "render_explanation",
 ]
 
@@ -76,7 +75,6 @@ __getattr__ = lazy_exports(__name__, {
         "HPContribution",
         "ReleasedInstance",
         "explain_stream",
-        "explain_report",
         "render_explanation",
     )},
 })

@@ -19,8 +19,8 @@ identity; the test suite pins it on the paper's worked example and on
 fuzzed problems.
 
 Everything here is derived from a fresh :meth:`FeasibilityAnalyzer.diagram_for`
-call — provenance is an offline/debug path and stays out of the hot
-analysis loop (see ``FeasibilityAnalyzer.determine_feasibility(explain=True)``).
+call — provenance is an offline/debug path (``repro explain``) and stays
+out of the hot analysis loop.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "ReleasedInstance",
     "StreamExplanation",
     "explain_stream",
-    "explain_report",
     "render_explanation",
 ]
 
@@ -228,16 +227,6 @@ def explain_stream(
         released=tuple(released),
         busy_timeline=_intervals(busy_slots),
     )
-
-
-def explain_report(
-    analyzer: FeasibilityAnalyzer,
-) -> Dict[int, StreamExplanation]:
-    """Explanations for every stream, keyed by id."""
-    return {
-        s.stream_id: explain_stream(analyzer, s.stream_id)
-        for s in analyzer.streams.sorted_by_priority()
-    }
 
 
 def _format_intervals(intervals: Tuple[Tuple[int, int], ...]) -> str:

@@ -143,7 +143,7 @@ class SelectorLoop:
         events, due timers and callbacks; false if ``timeout`` seconds
         passed first."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        ready, timers, select = self._ready, self._timers, self._selector.select
+        ready, timers = self._ready, self._timers
         while not done():
             wait = 0.0 if ready else None
             if deadline is not None or timers:
@@ -154,21 +154,26 @@ class SelectorLoop:
                     wait = max(0.0, min(deadline or math.inf,
                                         timers[0].when if timers else math.inf)
                                - now)
-            events = select(wait)
-            for key, mask in events:
-                try:
-                    key.data(mask)
-                except Exception:   # one connection's fault is its own
-                    logger.exception("socket callback failed")
-            if timers:
-                self._due_timers()
-            for _ in range(len(ready)):
-                callback, args = ready.popleft()
-                try:
-                    callback(*args)
-                except Exception:
-                    logger.exception("callback failed")
+            self.poll(wait)
         return True
+
+    def poll(self, wait: Optional[float] = 0.0) -> None:
+        """One round: the events of at most ``wait`` seconds (``None``:
+        until one), the due timers, the callbacks queued before it."""
+        for key, mask in self._selector.select(wait):
+            try:
+                key.data(mask)
+            except Exception:   # one connection's fault is its own
+                logger.exception("socket callback failed")
+        if self._timers:
+            self._due_timers()
+        ready = self._ready
+        for _ in range(len(ready)):
+            callback, args = ready.popleft()
+            try:
+                callback(*args)
+            except Exception:
+                logger.exception("callback failed")
 
     def _due_timers(self) -> None:
         """Queue the timers that are due; drop the cancelled ones."""

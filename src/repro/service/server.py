@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import re
+import signal
 import socket as socket_module
 import stat
 from collections import deque
@@ -535,10 +536,11 @@ class LoopServer:
         return sock.getsockname()[1]
 
     def run(self) -> None:
-        """Serve until :meth:`request_shutdown` (a ``shutdown`` op), then
-        stop listening, drain the connections and ``close``. Parsed
-        requests are answered before any connection is closed, so a
-        committed op is never left unacknowledged — the shutdown's own
+        """Serve until :meth:`request_shutdown` (a ``shutdown`` op, or a
+        signal: :meth:`stop_on_signals`), then stop listening, read what
+        has arrived, drain the connections and ``close``. Requests read
+        are answered before any connection is closed, so a committed op
+        is never left unacknowledged — the shutdown's own
         acknowledgement included — unless the drain outlasts
         ``_DRAIN_TIMEOUT``."""
         if self._loop is None:
@@ -547,6 +549,10 @@ class LoopServer:
         try:
             loop.run(lambda: self._stopping)
             loop.stop_listening()
+            # What has arrived is read: a stop that came between two
+            # rounds (a signal) would otherwise cut off requests sent
+            # before it.
+            loop.poll()
             if self._unix_path is not None:
                 # Clean shutdown leaves no stale socket file behind.
                 self._unix_path.unlink(missing_ok=True)
@@ -573,6 +579,16 @@ class LoopServer:
         loop = self._loop
         if loop is not None:
             loop.wake()
+
+    def stop_on_signals(self) -> None:
+        """Make SIGTERM and SIGINT a :meth:`request_shutdown`: the
+        process drains and closes as after a ``shutdown`` op. Off the
+        main thread, which no signal handler runs on, a no-op."""
+        try:
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                signal.signal(sig, lambda *_: self.request_shutdown())
+        except ValueError:  # not the main thread: the embedder stops it
+            pass
 
     async def serve_forever(self) -> None:
         """:meth:`run` on a thread, for a caller on an asyncio loop (the

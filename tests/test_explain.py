@@ -18,13 +18,7 @@ from repro.core.backends import KIM98
 from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.streams import MessageStream, StreamSet
 from repro.fuzz.generator import GeneratorConfig, generate_case
-from repro.io import report_to_spec
-from repro.obs.provenance import (
-    StreamExplanation,
-    explain_report,
-    explain_stream,
-    render_explanation,
-)
+from repro.obs.provenance import explain_stream, render_explanation
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 PAPER_PROBLEM = GOLDEN_DIR / "paper_problem.json"
@@ -40,9 +34,15 @@ def paper_analyzer(paper_streams, xy10):
     return FeasibilityAnalyzer(paper_streams, xy10)
 
 
+def explain_all(analyzer):
+    """``explain_stream`` of every stream, by id."""
+    return {s.stream_id: explain_stream(analyzer, s.stream_id)
+            for s in analyzer.streams}
+
+
 class TestAccountingIdentity:
     def test_slots_sum_to_interference_on_paper_example(self, paper_analyzer):
-        for sid, exp in explain_report(paper_analyzer).items():
+        for sid, exp in explain_all(paper_analyzer).items():
             assert exp.upper_bound == COMPUTED_U[sid]
             assert sum(c.busy_slots for c in exp.contributions) == \
                 exp.interference
@@ -54,7 +54,7 @@ class TestAccountingIdentity:
         an = FeasibilityAnalyzer(
             paper_streams, xy10, hp_override=paper_hp_override
         )
-        for sid, exp in explain_report(an).items():
+        for sid, exp in explain_all(an).items():
             assert exp.upper_bound == PAPER_EXAMPLE_U[sid]
             assert sum(c.busy_slots for c in exp.contributions) == \
                 exp.interference == exp.upper_bound - exp.latency
@@ -65,7 +65,7 @@ class TestAccountingIdentity:
         _, routing, streams = case.build()
         an = FeasibilityAnalyzer(streams, routing, backend=replace(
             KIM98, residency_margin=case.residency_margin))
-        for exp in explain_report(an).values():
+        for exp in explain_all(an).values():
             assert sum(c.busy_slots for c in exp.contributions) == \
                 exp.interference
             if exp.upper_bound > 0:
@@ -121,26 +121,6 @@ class TestExplanationContent:
         assert sum(c["busy_slots"] for c in spec["contributions"]) == 27
         assert spec["contributions"][0]["intervals"] == [[13, 15], [20, 20],
                                                          [23, 27]]
-
-    def test_report_explanations_via_determine_feasibility(
-        self, paper_analyzer
-    ):
-        report = paper_analyzer.determine_feasibility(explain=True)
-        assert report.explanations is not None
-        assert set(report.explanations) == set(range(5))
-        assert all(isinstance(e, StreamExplanation)
-                   for e in report.explanations.values())
-        spec = report_to_spec(report)
-        assert set(spec["explanations"]) == {str(i) for i in range(5)}
-        # Explanations agree with the verdicts they annotate.
-        for sid, verdict in report.verdicts.items():
-            assert report.explanations[sid].upper_bound == \
-                verdict.upper_bound
-
-    def test_plain_report_has_no_explanations(self, paper_analyzer):
-        report = paper_analyzer.determine_feasibility()
-        assert report.explanations is None
-        assert "explanations" not in report_to_spec(report)
 
     def test_render_without_analyzer_skips_diagram(self, paper_analyzer):
         exp = explain_stream(paper_analyzer, 4)

@@ -39,7 +39,6 @@ from repro.fleet.workers import (
     PROBE_TIMEOUT,
     SPAWN_TIMEOUT,
     WorkerClient,
-    WorkerDied,
     WorkerSupervisor,
 )
 from repro.obs import trace
@@ -553,14 +552,16 @@ class TestSupervisorGuards:
 
     def test_failed_connect_closes_its_socket(self, tmp_path):
         """Every RPC to a dead worker connects to a socket path nobody
-        listens on; each refused attempt must close what it opened."""
+        listens on: each refused attempt answers the retryable
+        ``code: "worker"`` and closes what it opened."""
         client = WorkerClient(tmp_path / "not-bound-yet.sock")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             for _ in range(3):
-                with pytest.raises(WorkerDied):
-                    client.call({"op": "hello"})
+                answer = client.call({"op": "hello"})
+                assert answer["code"] == "worker", answer
             gc.collect()   # a leaked socket would be finalised here
+            client.close_forward()
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
 
@@ -816,11 +817,11 @@ class TestForwardedLink:
 
         try:
             answered(loop, forward([{"op": "ping"}]))
-            link = client._link
+            link = client._links[loop]
             os.kill(pid, signal.SIGSTOP)
             try:
                 runs = answered(loop, *[forward(run)] * 3)
-                dropped = link.failed and client._link is link
+                dropped = link.failed and client._links[loop] is link
             finally:
                 os.kill(pid, signal.SIGCONT)
             [[after]] = answered(loop, forward([{"op": "ping"}]))
@@ -828,9 +829,99 @@ class TestForwardedLink:
             assert [a.get("code") for a in answers] == ["worker"] * 6
             assert all("TimeoutError" in a["error"] for a in answers)
             assert dropped
-            assert json.loads(after)["ok"] and client._link is not link
+            assert json.loads(after)["ok"] and client._links[loop] is not link
         finally:
             loop.close()
+            fleet.close()
+
+
+@pytest.fixture()
+def link_writes(monkeypatch):
+    """Every run written on a worker link while the test runs, and every
+    signal sent meanwhile, in order: ``("send", [op, ...])`` and
+    ``("kill", signal)``."""
+    events = []
+    real_send, real_kill = workers_module._AnswerLines.send, os.kill
+
+    def send(link, data, run):
+        real_send(link, data, run)
+        events.append(("send", [json.loads(line)["op"]
+                                for line in data.splitlines()]))
+
+    def kill(pid, sig):
+        events.append(("kill", sig))
+        real_kill(pid, sig)
+
+    monkeypatch.setattr(workers_module._AnswerLines, "send", send)
+    monkeypatch.setattr(os, "kill", kill)
+    return events
+
+
+class TestOneWayToAWorker:
+    """A blocking caller (``Fleet.handle_request``, the chaos campaign, the
+    gateway's start-up count) rides a link as the gateway's forward
+    does, and a worker stops by draining, as the broker does."""
+
+    def test_a_blocking_request_is_written_on_a_link(self, tmp_path,
+                                                      link_writes):
+        fleet = make_fleet(tmp_path)
+        try:
+            assert fleet.handle_request("t", {"op": "ping"})["ok"]
+        finally:
+            fleet.close()
+        assert ("send", ["ping"]) in link_writes
+
+    def test_an_armed_kill_fires_after_the_write_and_converges(
+        self, tmp_path, link_writes
+    ):
+        """The in-flight SIGKILL follows the admit's write on the link;
+        one retry (the dead worker reaped and respawned) finds the
+        committed outcome, and the admit is applied once."""
+        fleet = make_fleet(tmp_path)
+        request = {"op": "admit", "rid": "once", "streams": [spec()]}
+        try:
+            fleet.supervisor.arm_inflight_kill()
+            answers = [fleet.handle_request("t", dict(request))]
+            if answers[0].get("code") == "worker":
+                answers.append(fleet.handle_request("t", dict(request)))
+            report = fleet.handle_request("t", {"op": "report"})
+            restarts = fleet.supervisor.workers[0].restarts
+        finally:
+            fleet.close()
+        first_kill = link_writes.index(("kill", signal.SIGKILL))
+        assert link_writes[first_kill - 1] == ("send", ["admit"])
+        assert answers[-1]["ok"] and answers[-1]["ids"] == [0], answers
+        assert report["admitted"] == 1, "mid-RPC kill double-applied"
+        assert restarts == 1
+
+    def test_sigterm_answers_what_a_stopped_worker_was_sent(self, tmp_path):
+        """SIGSTOP a worker, send it an admit, SIGTERM and SIGCONT it:
+        it answers the admit, exits 0 and unlinks its socket, and the
+        admit is in its journal."""
+        fleet = make_fleet(tmp_path)
+        wp = fleet.supervisor.workers[0]
+        try:
+            with socket.socket(socket.AF_UNIX) as sock:
+                sock.settimeout(30)
+                sock.connect(str(wp.socket_path))
+                lines = sock.makefile("rb")
+                sock.sendall(b'{"op": "ping", "tenant": "t"}\n')
+                assert json.loads(lines.readline())["ok"]   # accepted
+                os.kill(wp.pid, signal.SIGSTOP)
+                sock.sendall(json.dumps({
+                    "op": "admit", "rid": "drained", "tenant": "t",
+                    "streams": [spec()]}).encode() + b"\n")
+                os.kill(wp.pid, signal.SIGTERM)
+                os.kill(wp.pid, signal.SIGCONT)
+                answer = json.loads(lines.readline())
+                assert lines.readline() == b""
+                lines.close()
+            assert wp.proc.wait(timeout=30) == 0
+            assert not wp.socket_path.exists()
+            assert answer["ok"] and answer["ids"] == [0], answer
+            assert fleet.supervisor.ensure_worker(wp)
+            assert fleet.handle_request("t", {"op": "report"})["admitted"] == 1
+        finally:
             fleet.close()
 
 

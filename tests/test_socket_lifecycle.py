@@ -1,5 +1,6 @@
 """Unix-socket lifecycle: stale-socket reclaim, live-socket refusal,
-and unlink-on-clean-shutdown (``repro serve --socket``).
+and unlink-on-clean-shutdown (``repro serve --socket``), a SIGTERM
+included.
 
 A crashed broker leaves its socket file behind; ``bind`` then fails
 with ``EADDRINUSE`` even though nothing is listening. The server now
@@ -8,8 +9,15 @@ connect-accepted means a live broker owns it (refuse with a clear
 error), and a non-socket file is never deleted.
 """
 
+import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +184,65 @@ class TestWorkerSocketLifecycle:
             sup.start()
             sup.stop()
             assert not sup.workers[0].socket_path.exists()
+
+
+def repro(*argv):
+    """``repro argv`` in a child process, once it printed its listening
+    line: ``(process, that line)``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv], env=env,
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True,
+    )
+    return proc, proc.stdout.readline()
+
+
+def gone(pid):
+    """No such process, or only its zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestSigterm:
+    """SIGTERM stops a served process as a ``shutdown`` op does: it
+    drains, unlinks its socket and exits 0."""
+
+    def test_sigterm_stops_serve_and_unlinks_its_socket(self, tmp_path):
+        sock = tmp_path / "b.sock"
+        proc, line = repro("serve", "--socket", str(sock), "--mesh", "4x4")
+        try:
+            assert line.startswith("repro-broker listening on"), line
+            with BrokerClient(socket_path=str(sock)) as c:
+                assert c.check("ping")["ok"]
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert not sock.exists()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+    def test_sigterm_stops_a_gateway_and_reaps_its_workers(self, tmp_path):
+        state = tmp_path / "state"
+        proc, line = repro("gateway", "--port", "0", "--mesh", "4x4",
+                           "--workers", "2", "--tenant", "a=ka",
+                           "--tenant", "b=kb", "--state-dir", str(state))
+        try:
+            url = line.split()[3]
+            with urllib.request.urlopen(f"{url}/healthz", timeout=30) as r:
+                pids = [w["pid"] for w in json.load(r)["workers"]]
+            assert len(pids) == 2 and not any(map(gone, pids))
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert all(map(gone, pids)), pids
+            assert list((state / "workers").glob("w*.sock")) == []
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()

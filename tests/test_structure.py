@@ -69,10 +69,10 @@ INDEX_NAMES = frozenset({
 
 #: Lines of ``src/repro/fleet``: the count, ratcheted (a smaller count
 #: fails until this is lowered to it).
-FLEET_LINE_CEILING = 1920
+FLEET_LINE_CEILING = 1900
 
 #: Lines of ``src/repro``: the count, ratcheted like the fleet's.
-SRC_LINE_CEILING = 19598
+SRC_LINE_CEILING = 19511
 
 #: The bound rules a :class:`repro.core.backends.BoundBackend` declares,
 #: plus the retired names that once carried them past the declaration.
@@ -333,6 +333,22 @@ def test_one_recovery_path():
     assert _modules_matching(imports) == []
     _assert_line_count(SRC / "fleet", FLEET_LINE_CEILING,
                        "FLEET_LINE_CEILING")
+
+
+def test_one_way_to_reach_a_worker():
+    """A worker is spoken to on links only — no second client under
+    ``fleet`` beside the gateway's own HTTP client, which subclasses the
+    broker's and talks to the gateway — and is served by the one
+    serve-drain-close, with no loop of its own."""
+    named = _lines_matching(re.compile(r"\bBrokerClient\b"), "fleet")
+    assert set(named) == {"fleet/client.py"}
+    assert _modules_matching(re.compile(r"\bWorkerDied\b")) == []
+    tree = ast.parse((SRC / "fleet" / "workers.py").read_text())
+    [server] = [node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+                and node.name == "_WorkerServer"]
+    assert [ast.unparse(base) for base in server.bases] == ["LoopServer"]
+    assert "SelectorLoop" not in ast.unparse(server)
 
 
 def test_a_worker_serves_whole_tenants():
