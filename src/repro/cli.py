@@ -627,6 +627,9 @@ def _run_gateway(args: argparse.Namespace) -> int:
     recovered = sum(
         answer.get("admitted") or 0 for answer in fleet.stats().values()
     )
+    if fleet.supervisor is not None:  # the count's loops would only idle
+        for wp in fleet.supervisor.workers:
+            wp.client.close_forward()
     port = gateway.bind_tcp(args.host, args.port)
     print(
         f"repro-gateway listening on http://{args.host}:{port} "

@@ -28,7 +28,8 @@ This engine maintains, between requests:
   set and shared-channel count, so the key is complete without the HP
   set, a hit builds none, and an entry holds one pointer per member plus
   the verdict. Churn that re-creates a previously seen configuration
-  skips the HP set and the diagram entirely.
+  skips the HP set and the diagram entirely. Ids are not reused, so
+  each time the memo doubles, keys naming a released id are dropped.
 
 A verdict that misses the memo shares one more cache, which lives for a
 single refresh: the diagram rows its analyzers fill, keyed by the path
@@ -118,11 +119,6 @@ __all__ = [
     "AdmissionDecision", "EngineStats", "IncrementalAdmissionEngine",
     "RoutingDelta",
 ]
-
-#: Verdict-memo capacity (entries). FIFO eviction: the memo exists for
-#: churn (release/re-admit of recurring configurations), where recency is
-#: a good-enough proxy and bookkeeping must stay off the hot path.
-_MEMO_CAP = 8192
 
 #: Resolves each stream's ``L`` over its route (the paper's model).
 _LATENCY = NoLoadLatency()
@@ -273,6 +269,8 @@ class IncrementalAdmissionEngine:
         self._index = BlockingIndex(timing_sink=self.stats)
         self._verdicts: Dict[int, StreamVerdict] = {}
         self._verdict_memo: Dict[tuple, StreamVerdict] = {}
+        #: Memo size the last sweep left (see ``_refresh``).
+        self._memo_swept = 0
         #: Diagram rows filled or hit by the last two refreshes that ran
         #: ``Cal_U``, shared by every diagram of the next.
         self._rows = RowMemo()
@@ -726,8 +724,15 @@ class IncrementalAdmissionEngine:
                     self._verdicts[j] = v
                     memo[pending[j]] = v
             self._rows.age()
-            while len(memo) > _MEMO_CAP:
-                memo.pop(next(iter(memo)))
+            if len(memo) > 2 * self._memo_swept:
+                # A key naming an id no longer admitted cannot hit again
+                # (ids are not reused); sweeping at doubling amortises.
+                live = self._analysis   # keyed by every admitted id
+                self._verdict_memo = {
+                    key: v for key, v in memo.items()
+                    if key[2].stream_id in live
+                    and all(m.stream_id in live for m in key[3])}
+                self._memo_swept = len(self._verdict_memo)
         stats.verdict_seconds += time.perf_counter() - t0
         stats.verdicts_recomputed += len(pending)
         stats.verdicts_reused += len(self._verdicts) - len(dirty)

@@ -12,14 +12,16 @@ EXPERIMENTS.md, "PR 20").
 
 :func:`shared_route_table` keys a process-wide table on
 ``(routing class name, topology.signature())`` so every engine bound to
-an equivalent network shares one lazily-filled all-pairs map. The table
-*survives* ``invalidate_caches`` storms by recompute-on-demand: clearing
-it is always safe (entries are derived data, never a source of truth)
-and the next lookup repopulates from the routing function.
+an equivalent network shares one lazily-filled all-pairs map — while
+an engine routes on it or a verdict-memo key names it: the registry is
+weak, so the network of a restored link fault goes with its last user.
+Clearing a table (an ``invalidate_caches`` storm) is always safe:
+entries are derived data, recomputed on the next lookup.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, FrozenSet, Tuple
 
 from .base import Channel
@@ -37,7 +39,7 @@ class RouteTable:
     being warm.
     """
 
-    __slots__ = ("routing", "_channels")
+    __slots__ = ("routing", "_channels", "__weakref__")
 
     def __init__(self, routing: RoutingAlgorithm):
         self.routing = routing
@@ -67,7 +69,7 @@ class RouteTable:
         return len(self._channels)
 
 
-_SHARED: Dict[Tuple, RouteTable] = {}
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def shared_route_table(routing: RoutingAlgorithm) -> RouteTable:
@@ -84,6 +86,5 @@ def shared_route_table(routing: RoutingAlgorithm) -> RouteTable:
     key = (routing.signature(), routing.topology.signature())
     table = _SHARED.get(key)
     if table is None:
-        table = RouteTable(routing)
-        _SHARED[key] = table
+        table = _SHARED[key] = RouteTable(routing)
     return table

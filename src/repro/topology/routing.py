@@ -456,7 +456,6 @@ class FaultAwareRouting(RoutingAlgorithm):
         self.base = base
         self.detour = UpDownRouting(degraded)
         self.num_vc_classes = base.num_vc_classes + 1
-        self._uses_base_cache: Dict[Tuple[int, int], bool] = {}
 
     @property
     def failed_links(self) -> frozenset:
@@ -464,20 +463,12 @@ class FaultAwareRouting(RoutingAlgorithm):
 
     def uses_base(self, src: int, dst: int) -> bool:
         """``True`` iff the pair keeps its base route (no dead links)."""
-        key = (src, dst)
-        cached = self._uses_base_cache.get(key)
-        if cached is None:
-            try:
-                path = self.base.route(src, dst)
-            except RoutingError:
-                cached = False
-            else:
-                alive = self.topology.link_alive  # type: ignore
-                cached = all(
-                    alive(u, v) for u, v in zip(path[:-1], path[1:])
-                )
-            self._uses_base_cache[key] = cached
-        return cached
+        try:
+            path = self.base.route(src, dst)
+        except RoutingError:
+            return False
+        alive = self.topology.link_alive  # type: ignore
+        return all(alive(u, v) for u, v in zip(path[:-1], path[1:]))
 
     def _compute_route(self, src: int, dst: int) -> Tuple[int, ...]:
         if src == dst:

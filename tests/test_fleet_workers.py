@@ -1127,37 +1127,65 @@ def running(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+def start_gateway(tmp_path, port, *, tenants=("t",)):
+    """``repro gateway --workers`` (one worker per tenant, a tenant's
+    api key is its name) as a child process on ``tmp_path / "state"``;
+    returns it and a client of the first tenant once it answers."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    with open(tmp_path / "gateway.log", "ab") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "gateway", "--port",
+             str(port), "--mesh", "4x4", "--workers", str(len(tenants)),
+             *[f"--tenant={t}={t}" for t in tenants],
+             "--state-dir", str(tmp_path / "state")],
+            env=env, stdin=subprocess.DEVNULL, stdout=log,
+            stderr=subprocess.STDOUT,
+        )
+    deadline = time.monotonic() + 60
+    while True:
+        try:
+            return proc, GatewayClient(f"127.0.0.1:{port}",
+                                       api_key=tenants[0])
+        except OSError:
+            assert proc.poll() is None and time.monotonic() < deadline, (
+                (tmp_path / "gateway.log").read_text())
+            time.sleep(0.05)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="needs /proc")
+def test_a_gateway_keeps_no_blocking_link_to_its_workers(tmp_path):
+    """``repro gateway`` counts the streams its workers recovered with
+    blocking calls, before it binds; from then on it forwards on its own
+    loop only. No selector, wake-up pair or link of that count stays
+    open: one selector in the process, and one link, the one the
+    forwarded request opened."""
+    proc, c = start_gateway(tmp_path, free_port(), tenants=("t", "u"))
+    try:
+        assert c.check("report")["admitted"] == 0
+        kinds = [target.split(":", 1)[0]
+                 for target in fd_table(proc.pid).values()]
+        assert kinds.count("anon_inode") == 1, fd_table(proc.pid)
+        # The loop's wake-up pair, the listener, the client's
+        # connection and the link to t's worker.
+        assert kinds.count("socket") == 5, fd_table(proc.pid)
+        c.request("shutdown")
+        c.close()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:  # pragma: no cover - cleanup
+            proc.kill()
+            proc.wait(timeout=30)
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_orphaned_worker_exits_and_a_restarted_gateway_stays_quiet(tmp_path):
     """SIGKILL the gateway alone: its worker must go within 3 s, so a
     gateway restarted on the same state dir supervises what it serves
     through instead of respawning into an orphan's socket forever."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     port, poll = free_port(), 0.2     # the gateway's monitor period
-
-    def gateway():
-        with open(tmp_path / "gateway.log", "ab") as log:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "gateway", "--port",
-                 str(port), "--mesh", "4x4",
-                 "--workers", "1", "--tenant", "t=key", "--state-dir",
-                 str(tmp_path / "state")],
-                env=env, stdin=subprocess.DEVNULL, stdout=log,
-                stderr=subprocess.STDOUT,
-            )
-        deadline = time.monotonic() + 60
-        while True:
-            try:
-                return proc, GatewayClient(f"127.0.0.1:{port}",
-                                           api_key="key")
-            except OSError:
-                assert proc.poll() is None and time.monotonic() < deadline, (
-                    (tmp_path / "gateway.log").read_text())
-                time.sleep(0.05)
-
-    proc, c = gateway()
+    proc, c = start_gateway(tmp_path, port)
     try:
         for i in range(3):
             c.check("admit", rid=f"o{i}", streams=[spec(src=i, dst=i + 4)])
@@ -1170,7 +1198,7 @@ def test_orphaned_worker_exits_and_a_restarted_gateway_stays_quiet(tmp_path):
             time.sleep(0.05)
         assert not running(worker), "the orphaned worker kept serving"
 
-        proc, c = gateway()
+        proc, c = start_gateway(tmp_path, port)
         time.sleep(3 * poll)
         health = c.get("/healthz")
         assert health["ok"], health
