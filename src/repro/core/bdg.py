@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Mapping, Tuple
 
 from ..errors import AnalysisError
-from ..obs.trace import active as _trace_active
-from .hpset import HPSet
+from .backends import KIM98
+from .hpset import HPSet, VerdictPlan
 from .streams import StreamSet
 
 if TYPE_CHECKING:
@@ -52,29 +52,17 @@ def build_bdg(
     import networkx as nx
 
     j = hp.owner_id
-    members = {e.stream_id for e in hp if e.stream_id != j}
-    # Hot path (once per Cal_U with indirect members): guard the span
-    # explicitly so the disabled cost is one call and a None test.
-    tr = _trace_active()
-    if tr is not None:
-        tr.begin("build_bdg", "analysis", owner=j, members=len(members))
-    try:
-        g = nx.DiGraph()
-        g.add_node(j, mode="owner")
-        for e in hp:
-            if e.stream_id == j:
-                continue
+    g = nx.DiGraph()
+    g.add_node(j, mode="owner")
+    for e in hp:
+        if e.stream_id != j:
             g.add_node(e.stream_id, mode=e.mode.value)
-        node_set = members | {j}
-        for u in node_set:
-            if u not in blockers:
-                raise AnalysisError(f"no blocking info for stream {u}")
-            for v in blockers[u]:
-                if v in node_set and v != u:
-                    g.add_edge(u, v)
-    finally:
-        if tr is not None:
-            tr.end("build_bdg", "analysis")
+    for u in g.nodes:
+        if u not in blockers:
+            raise AnalysisError(f"no blocking info for stream {u}")
+        for v in blockers[u]:
+            if v in g and v != u:
+                g.add_edge(u, v)
     return g
 
 
@@ -111,39 +99,8 @@ def indirect_processing_order(
     blockers: Mapping[int, Tuple[int, ...]],
     streams: StreamSet,
 ) -> Tuple[int, ...]:
-    """Return the order in which ``Modify_Diagram`` handles indirect elements.
-
-    Elements are processed by increasing BFS distance from the owner
-    (nearest chains first), ties broken by descending priority then id —
-    mirroring the paper's BFS walk with in-degree counting, which guarantees
-    an element is reached only via already-examined chains.
-    """
-    indirect = set(hp.indirect_ids())
-    if not indirect:
-        return ()
-    # Hot path (once per Cal_U with indirect members): the BFS only needs
-    # the blocked-by edges restricted to the closure — walk `blockers`
-    # directly instead of materialising the DiGraph of :func:`build_bdg`.
-    j = hp.owner_id
-    node_set = {e.stream_id for e in hp}
-    node_set.add(j)
-    if not blockers.keys() >= node_set:
-        u = min(node_set - blockers.keys())
-        raise AnalysisError(f"no blocking info for stream {u}")
-    order: List[int] = []
-    seen = {j}
-    frontier = {j}
-    while frontier:
-        frontier = {
-            v
-            for u in frontier
-            for v in blockers[u]
-            if v in node_set and v not in seen
-        }
-        seen |= frontier
-        order += sorted(frontier & indirect,
-                        key=lambda i: (-streams[i].priority, i))
-    missing = indirect - seen
-    if missing:  # pragma: no cover - defensive
-        order += sorted(missing, key=lambda i: (-streams[i].priority, i))
-    return tuple(order)
+    """Return the ids of ``hp``'s indirect elements in the order
+    ``Modify_Diagram`` handles them (:meth:`VerdictPlan.link`)."""
+    plan = VerdictPlan.of_hp_set(streams[hp.owner_id], hp, streams,
+                                 blockers, {}, {}, KIM98)
+    return tuple(plan.rows[r].stream_id for r, _ in plan.release)

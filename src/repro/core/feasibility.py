@@ -17,8 +17,10 @@ Pipeline per stream (section 4):
    no-load network latency ``L_i``.
 
 A computed ``U_i`` of ``-1`` means the bound exceeded the analysis horizon.
-``Cal_U`` is computed one way, whether or not a tracer is installed: one
-horizon search (:meth:`FeasibilityAnalyzer._search`) starts from the
+``Cal_U`` is computed one way, whether or not a tracer is installed, and
+by one core that both the offline analyzer and the admission engine
+call: :func:`verdict_of` over a :class:`~repro.core.hpset.VerdictPlan`,
+whose one horizon search (:func:`search_bound`) starts from the
 busy-window estimate and doubles up to a limit — the stream's deadline
 for :meth:`FeasibilityAnalyzer.cal_u`, a larger ``max_horizon`` for
 :meth:`FeasibilityAnalyzer.upper_bound`, which the evaluation harness
@@ -28,7 +30,6 @@ uses because the paper's simulation study compares ``U`` against
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
@@ -38,13 +39,14 @@ from ..obs.trace import active as _trace_active, span as _span
 from ..topology.base import Channel
 from ..topology.routing import RoutingAlgorithm
 from .backends import KIM98, BoundBackend
-from .hpset import HPSet, index_hp_sets, stream_channels
+from .hpset import BlockingIndex, HPSet, VerdictPlan, stream_channels
 from .latency import LatencyModel, NoLoadLatency
-from .modify import modify_diagram
+from .modify import release_sweep
 from .streams import MessageStream, StreamSet
-from .timing_diagram import TimingDiagram, generate_init_diagram
+from .timing_diagram import RowMemo, TimingDiagram, generate_init_diagram
 
-__all__ = ["StreamVerdict", "FeasibilityReport", "FeasibilityAnalyzer"]
+__all__ = ["StreamVerdict", "FeasibilityReport", "FeasibilityAnalyzer",
+           "verdict_of"]
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,93 @@ class FeasibilityReport:
         )
 
 
+def plan_diagram(
+    plan: VerdictPlan, dtime: int, row_memo: Optional[RowMemo] = None,
+) -> Tuple[TimingDiagram, Dict[int, Set[int]]]:
+    """The final timing diagram of ``plan`` over ``dtime`` slots and the
+    instances it removed (FCFS-cap seeds included)."""
+    removed = plan.seeds(dtime) or {}
+    if plan.release:
+        return release_sweep(plan, dtime, removed,
+                             row_memo=row_memo), removed
+    return generate_init_diagram(plan.owner.stream_id, plan.rows, dtime,
+                                 removed=removed, row_memo=row_memo), removed
+
+
+def search_bound(
+    plan: VerdictPlan, limit: int, *, exact: bool = False,
+    row_memo: Optional[RowMemo] = None, timing_sink=None,
+) -> Tuple[int, Dict[int, Set[int]]]:
+    """Return ``(U, removed instances)`` as the diagram over ``limit``
+    slots gives them, evaluating the smallest safe prefix.
+
+    The diagram is prefix-stable: the greedy fill claims slots left to
+    right against a busy-from-above mask that only depends on the
+    prefix, so the cells in ``[1, h]`` are the same for every horizon
+    ``>= h``, and a bound found at a shorter horizon is the ``limit``
+    one once ``plan.guard`` slots past ``U`` fit in it (every window
+    that can still disturb slots ``<= U`` closes there). The search
+    starts where ``L`` free slots must exist — within ``t`` slots the
+    members interfere at most ``t * util + demand``, so at ``(L +
+    demand) / (1 - util)`` when ``util < 1`` — plus the guard, rounded
+    up to a power of two, and doubles up to ``limit``; with ``exact``,
+    ``limit`` alone is evaluated. ``removed`` covers the evaluated
+    prefix. ``timing_sink``, any object with a mutable
+    ``diagram_seconds`` (the engine's ``EngineStats``), accumulates the
+    time spent building diagrams.
+    """
+    stream = plan.owner
+    sid, latency, guard = stream.stream_id, stream.latency, plan.guard
+    h = limit
+    if not exact and plan.util < 0.999:
+        est = int((latency + plan.demand) / (1.0 - plan.util)) + guard + 1
+        h = min(limit, 1 << (max(latency, est, 1) - 1).bit_length())
+    # Called once per stream per bound: guard the span with an explicit
+    # active() check so the disabled path costs one call and None tests
+    # instead of a nullcontext enter/exit.
+    tr = _trace_active()
+    if tr is not None:
+        tr.begin("cal_u", "analysis", stream=sid, horizon=limit)
+    try:
+        while True:
+            if timing_sink is not None:
+                t0 = time.perf_counter()
+            diagram, removed = plan_diagram(plan, h, row_memo)
+            if timing_sink is not None:
+                timing_sink.diagram_seconds += time.perf_counter() - t0
+            u = diagram.upper_bound(latency)
+            if h >= limit or (u > 0 and u + guard <= h):
+                break
+            h = min(h * 2, limit)
+        if tr is not None:
+            tr.instant("cal_u.result", "analysis", stream=sid, u=u)
+    finally:
+        if tr is not None:
+            tr.end("cal_u", "analysis")
+    return u, removed
+
+
+def verdict_of(
+    plan: VerdictPlan, horizon: Optional[int] = None, *,
+    row_memo: Optional[RowMemo] = None, timing_sink=None,
+) -> StreamVerdict:
+    """``Cal_U`` of ``plan``'s owner (``upper_bound == -1`` past the
+    horizon): over its deadline, by :func:`search_bound` on the smallest
+    safe prefix, or over exactly ``horizon`` when one is given."""
+    stream = plan.owner
+    dtime = stream.deadline if horizon is None else int(horizon)
+    u, removed = search_bound(plan, dtime, exact=horizon is not None,
+                              row_memo=row_memo, timing_sink=timing_sink)
+    return StreamVerdict(
+        stream=stream,
+        upper_bound=u,
+        horizon=dtime,
+        feasible=0 < u <= stream.deadline,
+        removed_instances={k: frozenset(v) for k, v in removed.items()},
+        backend=plan.backend.name,
+    )
+
+
 class FeasibilityAnalyzer:
     """Delay-upper-bound analysis for a stream set on a routed network.
 
@@ -121,20 +210,16 @@ class FeasibilityAnalyzer:
         granularity, margins, the FCFS cap); its name is stamped into
         every :class:`StreamVerdict`. Defaults to the paper's ``kim98``
         whatever ``REPRO_ANALYSIS_BACKEND`` says.
+
+    Each stream's verdict runs on its :class:`~repro.core.hpset.VerdictPlan`,
+    built on first use from the blocking index (or from its override HP
+    set) exactly as the admission engine builds it.
     """
 
-    #: Optional per-phase timing sink (any object with a mutable
-    #: ``diagram_seconds`` attribute, e.g. the admission engine's
-    #: :class:`~repro.service.engine.EngineStats`): when set,
-    #: :meth:`cal_u` accumulates the wall time spent building timing
-    #: diagrams into it. Class-level default keeps the hot path to a
-    #: single attribute test when unused.
-    timing_sink = None
     #: Optional shared :class:`~repro.core.timing_diagram.RowMemo` (see
-    #: :func:`~repro.core.timing_diagram.generate_init_diagram`): the
-    #: admission engine hands its memo to the analyzers of each refresh,
-    #: so their diagrams fill each distinct row once. ``None`` gives every
-    #: diagram a private memo, i.e. fills every row.
+    #: :func:`~repro.core.timing_diagram.generate_init_diagram`) for the
+    #: diagrams of this analyzer: ``None`` gives every diagram a private
+    #: memo, i.e. fills every row.
     row_memo = None
 
     def __init__(
@@ -156,21 +241,16 @@ class FeasibilityAnalyzer:
                 resolved.add(s.with_latency(latency_model.latency(s, hops)))
             else:
                 resolved.add(s)
-        index, hp_sets = index_hp_sets(resolved, channels)
-        if hp_override is not None:
-            unknown = set(hp_override) - set(resolved.ids())
-            if unknown:
-                raise AnalysisError(
-                    f"hp_override names unknown streams {sorted(unknown)}"
-                )
-            hp_sets.update(
-                {i: hp.without_self() for i, hp in hp_override.items()}
+        index = BlockingIndex.of(resolved, channels)
+        hp_override = hp_override or {}
+        unknown = set(hp_override) - set(resolved.ids())
+        if unknown:
+            raise AnalysisError(
+                f"hp_override names unknown streams {sorted(unknown)}"
             )
-        self._adopt(resolved, channels, index.blockers, hp_sets, backend)
-
-    # ------------------------------------------------------------------ #
-    # Cache-friendly construction (incremental admission engine)
-    # ------------------------------------------------------------------ #
+        self._adopt(resolved, channels, index.blockers, {
+            i: hp.without_self() for i, hp in hp_override.items()}, backend)
+        self._index = index
 
     @classmethod
     def from_prepared(
@@ -182,28 +262,13 @@ class FeasibilityAnalyzer:
         *,
         backend: BoundBackend = KIM98,
     ) -> "FeasibilityAnalyzer":
-        """Build an analyzer from precomputed per-stream structures.
-
-        The normal constructor derives routes, the direct-blocking relation
-        and every HP set from scratch — O(n^2) work that an *incremental*
-        caller (the channel-broker engine in :mod:`repro.service.engine`)
-        already maintains between requests. This entry point adopts those
-        structures verbatim so the only remaining cost of a verdict is
-        :meth:`cal_u` itself, and is guaranteed to produce bit-identical
-        results to the normal constructor given equal inputs.
-
-        ``streams`` must already carry resolved latencies (every
-        ``MessageStream.latency`` set); ``channels`` and ``blockers`` must
-        cover exactly the ids in ``streams``. ``hp_sets`` only needs the
-        ids whose bound will be asked for: ``Cal_U(j)`` reads ``HP_j``
-        alone, so a caller that re-analyses a few streams builds only
-        their HP sets.
-        """
+        """Build an analyzer from the resolved ``streams`` (latencies
+        set), their ``channels`` and ``blockers`` and the HP sets of the
+        ids whose bound will be asked for: each verdict runs on a plan
+        of its given HP set. The section 4.1 oracle
+        (``tests/reference/hpset.py``) analyses through this."""
         ids = set(streams.ids())
-        for name, mapping in (
-            ("channels", channels),
-            ("blockers", blockers),
-        ):
+        for name, mapping in (("channels", channels), ("blockers", blockers)):
             missing = ids - set(mapping)
             if missing:
                 raise AnalysisError(
@@ -217,19 +282,52 @@ class FeasibilityAnalyzer:
                 "latency"
             )
         self = cls.__new__(cls)
-        self._adopt(streams, channels, blockers, hp_sets, backend)
+        self._adopt(streams, channels, blockers, dict(hp_sets), backend)
+        self._index = None
         return self
 
-    def _adopt(self, streams, channels, blockers, hp_sets, backend) -> None:
-        """Take the resolved structures and the (already validated)
-        declaration: both constructors end here."""
+    def _adopt(self, streams, channels, blockers, given, backend) -> None:
+        """Take the resolved structures, the given HP sets and the
+        (already validated) declaration: both constructors end here."""
         if len(streams) == 0:
             raise AnalysisError("cannot analyse an empty stream set")
         self.streams = streams
         self.channels: Dict[int, FrozenSet[Channel]] = dict(channels)
         self.blockers: Dict[int, Tuple[int, ...]] = dict(blockers)
-        self.hp_sets: Dict[int, HPSet] = dict(hp_sets)
         self.backend = backend
+        self._given = given
+        self._plans: Dict[int, VerdictPlan] = {}
+        self._hp_sets: Optional[Dict[int, HPSet]] = None
+
+    @property
+    def hp_sets(self) -> Dict[int, HPSet]:
+        """Every stream's HP set (the paper's view of its plan), built on
+        first access."""
+        if self._hp_sets is None:
+            index = self._index
+            self._hp_sets = {} if index is None else {
+                s.stream_id: index.hp_set(s.stream_id) for s in self.streams}
+            self._hp_sets.update(self._given)
+        return self._hp_sets
+
+    def plan(self, stream_id: int) -> VerdictPlan:
+        """The plan of one stream's verdict (built once)."""
+        plan = self._plans.get(stream_id)
+        if plan is None:
+            streams, hp = self.streams, self._given.get(stream_id)
+            if hp is None and self._index is None:
+                raise AnalysisError(f"no HP set given for stream {stream_id}")
+            if hp is None:
+                plan = self._index.plan(streams[stream_id], [
+                    streams[i] for i in sorted(self._index.reach[stream_id])
+                ], self.backend)
+            else:
+                plan = VerdictPlan.of_hp_set(
+                    streams[stream_id], hp, streams, self.blockers,
+                    self.channels, {s.stream_id: s.priority for s in streams},
+                    self.backend)
+            self._plans[stream_id] = plan
+        return plan
 
     # ------------------------------------------------------------------ #
     # Per-stream bound (Cal_U)
@@ -242,136 +340,17 @@ class FeasibilityAnalyzer:
 
         ``horizon`` defaults to the stream's deadline.
         """
-        stream = self.streams[stream_id]
-        dtime = int(horizon) if horizon is not None else stream.deadline
-        hp = self.hp_sets[stream_id]
-        effective = self._effective_streams(stream)
-        seeds = self._cap_seeds(stream, dtime)
-        if self.backend.use_modify and hp.indirect_ids():
-            return modify_diagram(
-                stream,
-                hp,
-                effective,
-                self.blockers,
-                dtime,
-                fixpoint=self.backend.modify_fixpoint,
-                granularity=self.backend.modify_granularity,
-                initial_removed=seeds,
-                row_memo=self.row_memo,
-            )
-        rows = tuple(
-            sorted(
-                (effective[e.stream_id] for e in hp
-                 if e.stream_id != stream_id),
-                key=lambda s: (-s.priority, s.stream_id),
-            )
-        )
-        return (
-            generate_init_diagram(stream_id, rows, dtime, removed=seeds,
-                                  row_memo=self.row_memo),
-            {k: set(v) for k, v in seeds.items()} if seeds else {},
-        )
-
-    def _effective_streams(self, owner: MessageStream) -> StreamSet:
-        """Return the stream set the owner's diagram is built from.
-
-        With a positive ``residency_margin``, equal-priority members have
-        their length raised by the margin — charging the extra VC-residency
-        slot(s) a same-priority worm costs beyond its channel occupancy.
-        A positive ``interference_margin`` (the ``buffered`` backend)
-        additionally raises **every** member's length, charging the
-        buffering/backpressure residency on contested channels; the two
-        margins stack for equal-priority members.
-        """
-        residency = self.backend.residency_margin
-        interference = self.backend.interference_margin
-        if residency == 0 and interference == 0:
-            return self.streams
-        hp = self.hp_sets[owner.stream_id]
-        inflate: Dict[int, int] = {}
-        for e in hp:
-            if e.stream_id == owner.stream_id:
-                continue
-            margin = interference
-            if (residency
-                    and self.streams[e.stream_id].priority == owner.priority):
-                margin += residency
-            if margin:
-                inflate[e.stream_id] = margin
-        if not inflate:
-            return self.streams
-        effective = StreamSet()
-        for s in self.streams:
-            margin = inflate.get(s.stream_id)
-            if margin:
-                effective.add(
-                    dataclasses.replace(s, length=s.length + margin)
-                )
-            else:
-                effective.add(s)
-        return effective
-
-    def _cap_seeds(
-        self, owner: MessageStream, dtime: int
-    ) -> Optional[Dict[int, Set[int]]]:
-        """Window instances discharged by the FCFS equal-priority cap.
-
-        For each *qualified* direct equal-priority member (no third stream
-        at the owner's priority shares any of its channels), every window
-        instance beyond one per shared channel is discharged: FCFS
-        arbitration on release time means a later-released equal-priority
-        instance cannot overtake the owner's waiting header, and closure
-        feasibility rules out backlog, so at most one instance can hold
-        each shared channel when the header arrives there.
-        """
-        if not self.backend.eqp_instance_cap:
-            return None
-        sid = owner.stream_id
-        hp = self.hp_sets[sid]
-        own_channels = self.channels[sid]
-        seeds: Dict[int, Set[int]] = {}
-        for e in hp:
-            b = e.stream_id
-            if b == sid or not e.is_direct:
-                continue
-            member = self.streams[b]
-            if member.priority != owner.priority:
-                continue
-            if any(
-                k != sid and self.streams[k].priority == owner.priority
-                for k in self.blockers[b]
-            ):
-                continue  # an equal-priority convoy defeats the argument
-            cap = len(own_channels & self.channels[b])
-            n_windows = -(-dtime // member.period)  # ceil
-            if cap < n_windows:
-                seeds[b] = set(range(cap, n_windows))
-        return seeds or None
+        dtime = (int(horizon) if horizon is not None
+                 else self.streams[stream_id].deadline)
+        return plan_diagram(self.plan(stream_id), dtime, self.row_memo)
 
     def cal_u(
         self, stream_id: int, horizon: Optional[int] = None
     ) -> StreamVerdict:
-        """Compute ``U`` for one stream (the paper's ``Cal_U``). Returns a
-        verdict with ``upper_bound == -1`` when the bound exceeds the
-        horizon.
-
-        Without a ``horizon`` the verdict is the deadline-horizon one,
-        found by :meth:`_search` over the smallest safe prefix; with one,
-        exactly that horizon is evaluated.
-        """
-        stream = self.streams[stream_id]
-        dtime = stream.deadline if horizon is None else int(horizon)
-        u, removed = self._search(stream, dtime, exact=horizon is not None)
-        return StreamVerdict(
-            stream=stream,
-            upper_bound=u,
-            horizon=dtime,
-            feasible=0 < u <= stream.deadline,
-            removed_instances={
-                k: frozenset(v) for k, v in removed.items()
-            },
-            backend=self.backend.name,
-        )
+        """Compute ``U`` for one stream (the paper's ``Cal_U``): see
+        :func:`verdict_of`."""
+        return verdict_of(self.plan(stream_id), horizon,
+                          row_memo=self.row_memo)
 
     def upper_bound(
         self,
@@ -384,84 +363,8 @@ class FeasibilityAnalyzer:
         Returns ``-1`` if no bound is found within ``max_horizon`` slots
         (interference from the HP set saturates the path indefinitely).
         """
-        return self._search(self.streams[stream_id], max_horizon)[0]
-
-    def _search(
-        self,
-        stream: MessageStream,
-        limit: int,
-        *,
-        exact: bool = False,
-    ) -> Tuple[int, Dict[int, Set[int]]]:
-        """Return ``(U, removed instances)`` as the diagram over ``limit``
-        slots gives them, evaluating the smallest safe prefix.
-
-        The diagram construction is prefix-stable: truncating the horizon
-        truncates period windows on the right, and the greedy fill claims
-        slots left to right against a busy-from-above mask that itself
-        only depends on the prefix — so the cells in ``[1, h]`` are
-        identical for every horizon ``>= h``. A bound found at a shorter
-        horizon therefore equals the ``limit``-horizon bound provided
-        every window that can still disturb slots ``<= U`` closes within
-        the horizon: trivially true for direct-only diagrams (guard 0),
-        and within the largest member period when ``Modify_Diagram``
-        release decisions run. The search starts from the busy-window
-        estimate — the HP set's interference within ``t`` slots is at
-        most ``t * util + sum(C_k)``, so ``t = (L + sum C) / (1 - util)``
-        slots contain ``L`` free ones when ``util < 1`` — rounded up to a
-        power of two, and doubles up to ``limit``. ``removed`` covers the
-        evaluated prefix only (no release decision past ``U + guard`` can
-        exist within it). With ``exact``, ``limit`` alone is evaluated.
-        """
-        sid = stream.stream_id
-        assert stream.latency is not None
-        hp = self.hp_sets[sid]
-        guard = 0
-        if self.backend.use_modify and hp.indirect_ids():
-            guard = max(
-                (self.streams[e.stream_id].period for e in hp
-                 if e.stream_id != sid),
-                default=0,
-            )
-        h = limit
-        if not exact:
-            effective = self._effective_streams(stream)
-            members = [effective[e.stream_id] for e in hp
-                       if e.stream_id != sid]
-            util = sum(m.length / m.period for m in members)
-            if util < 0.999:
-                total_c = sum(m.length for m in members)
-                est = int(
-                    (stream.latency + total_c) / (1.0 - util)
-                ) + guard + 1
-                est = max(stream.latency, est, 1)
-                # Round up to a power of two: the slack past the estimate
-                # spares most searches a second pass at a doubled horizon.
-                h = min(limit, 1 << (est - 1).bit_length())
-        # Called once per stream per bound: guard the span with an
-        # explicit active() check so the disabled path costs one call and
-        # None tests instead of a nullcontext enter/exit.
-        tr = _trace_active()
-        if tr is not None:
-            tr.begin("cal_u", "analysis", stream=sid, horizon=limit)
-        try:
-            sink = self.timing_sink
-            while True:
-                if sink is not None:
-                    t0 = time.perf_counter()
-                diagram, removed = self.diagram_for(sid, h)
-                if sink is not None:
-                    sink.diagram_seconds += time.perf_counter() - t0
-                u = diagram.upper_bound(stream.latency)
-                if h >= limit or (u > 0 and u + guard <= h):
-                    break
-                h = min(h * 2, limit)
-            if tr is not None:
-                tr.instant("cal_u.result", "analysis", stream=sid, u=u)
-        finally:
-            if tr is not None:
-                tr.end("cal_u", "analysis")
-        return u, removed
+        return search_bound(self.plan(stream_id), max_horizon,
+                            row_memo=self.row_memo)[0]
 
     # ------------------------------------------------------------------ #
     # Whole-set test (Determine-Feasibility)

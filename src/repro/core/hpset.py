@@ -24,42 +24,38 @@ example of section 4.4 — see DESIGN.md):
   to ``Cal_U``; the sets built here never contain the owner.
 
 One structure derives every HP set: :class:`BlockingIndex`, which the
-admission engine keeps by delta and :func:`index_hp_sets` fills for a
-whole set, for :func:`build_all_hp_sets` and every offline analyzer.
+admission engine keeps by delta and :meth:`BlockingIndex.of` fills for
+a whole set, for :func:`build_all_hp_sets` and every offline analyzer.
+What a verdict reads of it is one :class:`VerdictPlan` on row indices;
+an :class:`HPSet` is the paper's view of the same closure.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from typing import (
-    AbstractSet,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
+    AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional,
+    Sequence, Set, Tuple,
 )
 
 from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active, span as _span
 from ..topology.base import Channel
 from ..topology.routing import RoutingAlgorithm
-from .streams import StreamSet
+from .backends import BoundBackend
+from .streams import MessageStream, StreamSet
 
 __all__ = [
     "BlockingMode",
     "HPEntry",
     "HPSet",
     "BlockingIndex",
+    "VerdictPlan",
     "stream_channels",
     "build_all_hp_sets",
-    "hp_set_from_reach",
-    "index_hp_sets",
 ]
 
 
@@ -73,9 +69,11 @@ class BlockingMode(Enum):
         return self.value
 
 
-# Enum member lookups cost more than globals, and every verdict the
-# engine recomputes builds an HP set of entries.
 _DIRECT, _INDIRECT = BlockingMode.DIRECT, BlockingMode.INDIRECT
+
+#: Diagram order is non-increasing priority, ties by ascending id: a
+#: stable descending sort of an id-ordered list.
+_PRIORITY = attrgetter("priority")
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,13 +116,11 @@ class HPEntry:
 
 
 class HPSet:
-    """The HP set of one analysed stream: id-keyed, deterministic order."""
+    """The HP set of one analysed stream: id-keyed, iterated in id order."""
 
     def __init__(self, owner_id: int, entries: Iterable[HPEntry] = ()):
         self.owner_id = owner_id
         self._entries: Dict[int, HPEntry] = {}
-        self._ordered: Optional[Tuple[HPEntry, ...]] = None
-        self._indirect: Optional[Tuple[int, ...]] = None
         for e in entries:
             self.add(e)
 
@@ -135,7 +131,6 @@ class HPSet:
                 f"stream {entry.stream_id}"
             )
         self._entries[entry.stream_id] = entry
-        self._ordered = self._indirect = None
 
     def __contains__(self, stream_id: object) -> bool:
         return stream_id in self._entries
@@ -150,13 +145,7 @@ class HPSet:
             ) from None
 
     def __iter__(self):
-        # The analysis iterates each HP set many times per Cal_U with no
-        # mutation in between — cache the sorted view until the next add.
-        if self._ordered is None:
-            self._ordered = tuple(
-                sorted(self._entries.values(), key=lambda e: e.stream_id)
-            )
-        return iter(self._ordered)
+        return iter([self._entries[i] for i in sorted(self._entries)])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -170,12 +159,8 @@ class HPSet:
         return tuple(e.stream_id for e in self if e.is_direct)
 
     def indirect_ids(self) -> Tuple[int, ...]:
-        """Return the ids of INDIRECT elements, ascending (cached until
-        the next add: every ``Cal_U`` asks several times)."""
-        if self._indirect is None:
-            self._indirect = tuple(e.stream_id for e in self
-                                   if e.is_indirect)
-        return self._indirect
+        """Return the ids of INDIRECT elements, ascending."""
+        return tuple(e.stream_id for e in self if e.is_indirect)
 
     def without_self(self) -> "HPSet":
         """Return a copy with the owner's own entry removed (``Cal_U`` line 1)."""
@@ -253,11 +238,26 @@ class BlockingIndex:
         streams: StreamSet,
         channels: Mapping[int, FrozenSet[Channel]],
     ) -> "BlockingIndex":
-        """Index a whole stream set whose routes are ``channels``."""
-        index = cls()
-        for s in streams:
-            index._link(s.stream_id, s.priority, channels[s.stream_id])
-        index.recompute_reach(set(index.blockers))
+        """Index a whole stream set whose routes are ``channels``: one
+        ``build_hp_sets`` trace span with an ``hp_set`` instant per
+        stream (its direct and indirect counts), in set order."""
+        # Hoist the active() check out of the per-stream loop so the
+        # disabled path pays one call for the whole build.
+        tr = _trace_active()
+        with _span("build_hp_sets", "analysis", n=len(streams)):
+            index = cls()
+            for s in streams:
+                index._link(s.stream_id, s.priority, channels[s.stream_id])
+            index.recompute_reach(set(index.blockers))
+            blockers, reach = index.blockers, index.reach
+            for s in streams:
+                if tr is not None:
+                    tr.instant(
+                        "hp_set", "analysis", stream=s.stream_id,
+                        direct=len(blockers[s.stream_id]),
+                        indirect=len(reach[s.stream_id])
+                        - len(blockers[s.stream_id]),
+                    )
         return index
 
     def _link(
@@ -396,73 +396,178 @@ class BlockingIndex:
             out.discard(j)
             reach[j] = out
 
+    def intermediates(
+        self, j: int, label: Optional[Mapping[int, int]] = None,
+    ) -> Dict[int, List[int]]:
+        """The INDIRECT elements of ``HP_j`` (``reach[j]`` minus the
+        direct ``blockers[j]``), each with its intermediates — named by
+        ``label`` (a diagram row) when given — from the closed reach sets
+        alone. The intermediates of ``k`` are the members ``r`` with ``k
+        in reach[r]``: reachable from ``j`` and reaching ``k``, the
+        interior of some blocking chain; one pass over the members hands
+        each ``r`` to every indirect element it reaches, and each gets at
+        least one. The pair-by-pair derivation, one traversal per
+        stream, is the oracle in ``tests/reference/hpset.py``.
+        """
+        reach = self.reach
+        members = reach[j]
+        indirect = members.difference(self.blockers[j])
+        ins: Dict[int, List[int]] = {k: [] for k in indirect}
+        if indirect:
+            for r in members:
+                name = r if label is None else label[r]
+                for k in indirect.intersection(reach[r]):
+                    ins[k].append(name)
+        return ins
+
     def hp_set(self, j: int) -> HPSet:
         """``HP_j`` from the maintained closures, no graph walk."""
-        return hp_set_from_reach(j, self.blockers[j], self.reach[j],
-                                 self.reach)
+        hp = HPSet(j, map(HPEntry.direct, self.blockers[j]))
+        ins = self.intermediates(j)
+        for k in sorted(ins):
+            hp.add(HPEntry.indirect(k, ins[k]))
+        return hp
+
+    def plan(self, owner: MessageStream, members: Sequence[MessageStream],
+             backend: BoundBackend) -> "VerdictPlan":
+        """The plan of ``owner``'s verdict: ``members`` are the streams
+        of ``reach[j]`` in id order, latencies resolved."""
+        j = owner.stream_id
+        plan = VerdictPlan(owner, members, backend)
+        if backend.use_modify and len(members) > len(self.blockers[j]):
+            row_of = plan.row_of()
+            plan.link(row_of, self.intermediates(j, row_of), self.blockers)
+        if backend.eqp_instance_cap:
+            plan.cap(self.blockers[j], self.blockers, self.channels,
+                     self.priority)
+        return plan
 
 
-def hp_set_from_reach(
-    owner_id: int,
-    direct: Tuple[int, ...],
-    reach: AbstractSet[int],
-    reach_map: Mapping[int, AbstractSet[int]],
-) -> HPSet:
-    """Construct ``HP_j`` from ``direct`` (``blockers[j]``, ascending)
-    and the closed reach sets (owner excluded) of ``j`` and of every
-    stream in ``reach_map``, without any graph walk:
+class VerdictPlan:
+    """Everything ``Cal_U`` reads about one verdict, on row indices,
+    built once per computed verdict by :meth:`BlockingIndex.plan` (or
+    :meth:`of_hp_set`); it keeps nothing of the index.
 
-    * the DIRECT elements are exactly ``blockers[j]``;
-    * the INDIRECT elements are ``reach[j]`` minus the direct ones
-      (``j`` itself never appears: the closure excludes the owner);
-    * the intermediates of an indirect ``k`` are the members ``r`` of
-      ``reach[j]`` with ``k in reach[r]`` — reachable from ``j`` and
-      reaching ``k``, i.e. the interior of some blocking chain. One pass
-      over the members hands each ``r`` to every indirect element in
-      ``reach[r]`` (``r`` itself never is: closures exclude their
-      owner). Every indirect element has at least one (the direct
-      blocker its chain passes through), so the :class:`HPEntry`
-      invariant holds by construction.
-
-    The pair-by-pair derivation of the same sets, one traversal per
-    stream, is the test oracle in ``tests/reference/hpset.py``.
+    * ``rows``: the HP members in diagram order (non-increasing
+      priority, ties by id), lengths raised by the backend's margins —
+      every member by ``interference_margin``, an equal-priority one
+      also by ``residency_margin``;
+    * ``util``, ``demand``: the members' utilisation (summed in id
+      order) and total length, where the horizon search starts;
+    * ``release``: ``Modify_Diagram``'s work list, one ``(row,
+      intermediate rows)`` per INDIRECT member in BFS order (empty when
+      the backend skips it or nothing is indirect), and ``guard``, the
+      slots past ``U`` a release decision can still reach (the largest
+      member period, or 0 with no work list);
+    * ``caps``: ``(member id, period, instances charged)`` per direct
+      member the FCFS cap (``eqp_instance_cap``) applies to.
     """
-    hp = HPSet(owner_id)
-    for k in direct:
-        hp.add(HPEntry.direct(k))
-    indirect = reach.difference(direct)
-    ins: Dict[int, List[int]] = {k: [] for k in indirect}
-    for r in reach:
-        for k in indirect.intersection(reach_map[r]):
-            ins[k].append(r)
-    for k in sorted(indirect):
-        hp.add(HPEntry.indirect(k, ins[k]))
-    return hp
 
+    __slots__ = ("owner", "rows", "util", "demand", "release", "guard",
+                 "caps", "backend")
 
-def index_hp_sets(
-    streams: StreamSet,
-    channels: Mapping[int, FrozenSet[Channel]],
-) -> Tuple[BlockingIndex, Dict[int, HPSet]]:
-    """Index ``streams`` and build every HP set from the index: one
-    ``build_hp_sets`` trace span with an ``hp_set`` instant per stream,
-    in set order."""
-    # Hoist the active() check out of the per-stream loop so the disabled
-    # path pays one call for the whole build, not one per hp_set instant.
-    tr = _trace_active()
-    with _span("build_hp_sets", "analysis", n=len(streams)):
-        index = BlockingIndex.of(streams, channels)
-        out = {}
-        for s in streams:
-            hp = index.hp_set(s.stream_id)
-            if tr is not None:
-                tr.instant(
-                    "hp_set", "analysis", stream=s.stream_id,
-                    direct=len(hp.direct_ids()),
-                    indirect=len(hp.indirect_ids()),
-                )
-            out[s.stream_id] = hp
-    return index, out
+    def __init__(self, owner: MessageStream,
+                 members: Sequence[MessageStream], backend: BoundBackend):
+        residency = backend.residency_margin
+        interference = backend.interference_margin
+        if residency or interference:
+            p = owner.priority
+            members = [
+                replace(m, length=m.length + interference
+                        + (residency if m.priority == p else 0))
+                if interference or m.priority == p else m
+                for m in members
+            ]
+        self.owner, self.backend = owner, backend
+        # Summed in id order, as every bound on file was computed.
+        self.util = sum(m.length / m.period for m in members)
+        self.demand = sum(m.length for m in members)
+        self.rows = sorted(members, key=_PRIORITY, reverse=True)
+        self.release: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
+        self.guard = 0
+        self.caps: Tuple[Tuple[int, int, int], ...] = ()
+
+    def row_of(self) -> Dict[int, int]:
+        """Member id -> diagram row."""
+        return {m.stream_id: r for r, m in enumerate(self.rows)}
+
+    def link(self, row_of: Mapping[int, int],
+             intermediates: Mapping[int, Sequence[int]],
+             blockers: Mapping[int, Tuple[int, ...]]) -> None:
+        """Set the work list from each indirect member's intermediate
+        rows, by increasing BFS distance from the owner over the
+        blocked-by edges inside the closure (the paper's in-degree
+        counted walk reaches an element only via chains already
+        examined), ties by row; one no chain reaches (an HP set given
+        by hand) last."""
+        if not intermediates:
+            return
+        order: List[int] = []
+        seen = {self.owner.stream_id}
+        frontier = seen
+        while frontier:
+            frontier = {v for u in frontier for v in blockers[u]
+                        if v in row_of and v not in seen}
+            seen |= frontier
+            order += sorted(row_of[v] for v in frontier if v in intermediates)
+        order += sorted(row_of[k] for k in intermediates if k not in seen)
+        rows = self.rows
+        self.release = tuple((r, tuple(intermediates[rows[r].stream_id]))
+                             for r in order)
+        self.guard = max(m.period for m in rows)
+
+    def cap(self, direct: Iterable[int],
+            blockers: Mapping[int, Tuple[int, ...]],
+            channels: Mapping[int, FrozenSet[Channel]],
+            priority: Mapping[int, int]) -> None:
+        """Charge each direct equal-priority member that no third stream
+        at the owner's priority shares a channel with (a convoy defeats
+        the argument) one instance per shared channel: under FCFS a
+        later-released instance cannot overtake the waiting header, and
+        closure feasibility rules out backlog."""
+        j, p = self.owner.stream_id, self.owner.priority
+        period = {m.stream_id: m.period for m in self.rows}
+        self.caps = tuple(
+            (b, period[b], len(channels[j] & channels[b])) for b in direct
+            if priority[b] == p
+            and not any(k != j and priority[k] == p for k in blockers[b]))
+
+    def seeds(self, dtime: int) -> Optional[Dict[int, Set[int]]]:
+        """The windows the caps discharge over ``dtime`` slots."""
+        seeds = {}
+        for b, period, cap in self.caps:
+            windows = -(-dtime // period)  # ceil
+            if cap < windows:
+                seeds[b] = set(range(cap, windows))
+        return seeds or None
+
+    @classmethod
+    def of_hp_set(cls, owner: MessageStream, hp: HPSet, streams: StreamSet,
+                  blockers: Mapping[int, Tuple[int, ...]],
+                  channels: Mapping[int, FrozenSet[Channel]],
+                  priority: Mapping[int, int],
+                  backend: BoundBackend) -> "VerdictPlan":
+        """The plan of a given HP set over ``streams`` (the owner's own
+        entry ignored)."""
+        j = owner.stream_id
+        entries = [e for e in hp if e.stream_id != j]
+        plan = cls(owner, [streams[e.stream_id] for e in entries], backend)
+        if backend.use_modify and any(e.is_indirect for e in entries):
+            row_of = plan.row_of()
+            if unknown := {j, *row_of} - blockers.keys():
+                raise AnalysisError(f"no blocking info for stream "
+                                    f"{min(unknown)}")
+            try:  # link walks blockers only inside {j, *row_of}
+                plan.link(row_of, {
+                    e.stream_id: [row_of[r] for r in e.intermediates]
+                    for e in entries if e.is_indirect}, blockers)
+            except KeyError as missing:
+                raise AnalysisError(f"stream {missing} has no row in the "
+                                    f"diagram of stream {j}") from None
+        if backend.eqp_instance_cap:
+            plan.cap([e.stream_id for e in entries if e.is_direct],
+                     blockers, channels, priority)
+        return plan
 
 
 def build_all_hp_sets(
@@ -485,4 +590,5 @@ def build_all_hp_sets(
     missing = [s.stream_id for s in streams if s.stream_id not in channels]
     if missing:
         raise AnalysisError(f"no channel set for stream ids {missing}")
-    return index_hp_sets(streams, channels)[1]
+    index = BlockingIndex.of(streams, channels)
+    return {s.stream_id: index.hp_set(s.stream_id) for s in streams}

@@ -47,16 +47,22 @@ instance goes when its window of the indirect row is occupied and
 disjoint from them, and the releasable slots are ``own & ~requested``.
 The re-generation after a release is ``refill_rows``, which refills
 only the rows the release can reach.
+
+The sweep runs on a :class:`~repro.core.hpset.VerdictPlan`, whose work
+list names everything by diagram row; :func:`modify_diagram` and
+:func:`releasable_instances` take HP sets and ids to the same core.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Mapping, Optional, Set, Tuple
+from dataclasses import replace
+from typing import (AbstractSet, Dict, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active
-from .bdg import indirect_processing_order
-from .hpset import HPSet
+from .backends import KIM98
+from .hpset import HPSet, VerdictPlan
 from .streams import MessageStream, StreamSet
 from .timing_diagram import (
     RowMemo,
@@ -67,48 +73,37 @@ from .timing_diagram import (
     windows,
 )
 
-__all__ = ["modify_diagram", "releasable_instances"]
+__all__ = ["modify_diagram", "releasable_instances", "release_sweep"]
 
 
-def _requested(diagram: TimingDiagram, indirect_id: int,
-               intermediates: AbstractSet[int], occupied: int) -> int:
-    """The slots the intermediates request (ALLOCATED or WAITING), ORed
-    one intermediate at a time until they cover ``occupied``."""
+def _requested(diagram: TimingDiagram, row: int,
+               intermediates: Sequence[int], occupied: int) -> int:
+    """The slots the intermediate rows request (ALLOCATED or WAITING),
+    ORed one intermediate at a time until they cover ``occupied``."""
     if not intermediates:
         raise AnalysisError(
-            f"indirect stream {indirect_id} has no intermediates"
+            f"indirect stream {diagram.row_streams[row].stream_id} has no "
+            "intermediates"
         )
     alloc, wait = diagram.alloc_bits, diagram.wait_bits
     requested = 0
     for r in intermediates:
-        r = diagram.row_of(r)
         requested |= alloc[r] | wait[r]
         if not occupied & ~requested:
             break
     return requested
 
 
-def releasable_instances(
-    diagram: TimingDiagram,
-    indirect_id: int,
-    intermediates: AbstractSet[int],
-) -> Tuple[int, ...]:
-    """Return indices of the indirect stream's instances that can be removed.
-
-    An instance is releasable when every slot it occupies (ALLOCATED or
-    WAITING) is requested by **no** intermediate stream. Instance
-    indices are period-window indices, so this tests each window of the
-    indirect row: it occupies something (``occ``) and nothing it
-    occupies is requested (``occ & requested == 0``) — the per-record
-    check, without materialising any instance records. Most tests
-    release nothing, so the requests are ORed one intermediate at a time
-    and the test returns as soon as they cover the row.
-    """
-    row = diagram.row_of(indirect_id)
+def _free_windows(diagram: TimingDiagram, row: int,
+                  intermediates: Sequence[int]) -> List[int]:
+    """The window indices of ``row`` that occupy something and nothing
+    the intermediate rows request: the per-instance check, on whole
+    windows of the row bits, with no instance record made. Most tests
+    release nothing, and return once the requests cover the row."""
     occupied = diagram.request_bits(row)
-    requested = _requested(diagram, indirect_id, intermediates, occupied)
+    requested = _requested(diagram, row, intermediates, occupied)
     if not occupied & ~requested:
-        return ()
+        return []
     occ_bytes = occupied.to_bytes(diagram.nbytes, "little")
     req_bytes = requested.to_bytes(diagram.nbytes, "little")
     out = []
@@ -117,23 +112,104 @@ def releasable_instances(
         occ = int.from_bytes(occ_bytes[i:j], "little") & m
         if occ and not occ & int.from_bytes(req_bytes[i:j], "little"):
             out.append(index)
-    return tuple(out)
+    return out
+
+
+def _free_slots(diagram: TimingDiagram, row: int,
+                intermediates: Sequence[int]) -> List[int]:
+    """The slots of ``row`` no intermediate row requests: the
+    slot-granular variant of :func:`_free_windows`."""
+    own = diagram.request_bits(row)
+    return slot_indices(own & ~_requested(diagram, row, intermediates, own))
+
+
+def releasable_instances(
+    diagram: TimingDiagram, indirect_id: int,
+    intermediates: AbstractSet[int],
+) -> Tuple[int, ...]:
+    """Return indices of the indirect stream's instances that can be
+    removed: those every slot of which (ALLOCATED or WAITING) **no**
+    intermediate stream requests (:func:`_free_windows` over ids)."""
+    return tuple(_free_windows(
+        diagram, diagram.row_of(indirect_id),
+        [diagram.row_of(r) for r in intermediates],
+    ))
 
 
 def releasable_slots(
-    diagram: TimingDiagram,
-    indirect_id: int,
+    diagram: TimingDiagram, indirect_id: int,
     intermediates: AbstractSet[int],
 ) -> Tuple[int, ...]:
-    """Return the slots of the indirect stream that can be erased.
+    """Return the slots of the indirect stream no intermediate requests
+    (:func:`_free_slots` over stream ids)."""
+    return tuple(_free_slots(
+        diagram, diagram.row_of(indirect_id),
+        [diagram.row_of(r) for r in intermediates],
+    ))
 
-    Slot-granular variant of :func:`releasable_instances`: a slot the
-    indirect stream occupies (ALLOCATED or WAITING) is releasable when no
-    intermediate requests it.
-    """
-    own = diagram.request_bits(diagram.row_of(indirect_id))
-    requested = _requested(diagram, indirect_id, intermediates, own)
-    return tuple(slot_indices(own & ~requested))
+
+def release_sweep(
+    plan: VerdictPlan, dtime: int, removed: Dict[int, Set[int]], *,
+    max_passes: int = 16, row_memo: Optional[RowMemo] = None,
+) -> TimingDiagram:
+    """``Modify_Diagram`` over ``plan``: the initial diagram, then the
+    release sweep in the plan's BFS order, once or (``modify_fixpoint``)
+    until nothing more is released, at the backend's granularity.
+    ``removed`` holds the instances excluded before any release
+    decision and receives every release (instance indices, or slots at
+    slot granularity)."""
+    owner_id = plan.owner.stream_id
+    granularity = plan.backend.modify_granularity
+    instance = granularity == "instance"
+    free = _free_windows if instance else _free_slots
+    rows = plan.rows
+    # Hot path (once per Cal_U): guard the span explicitly so the
+    # disabled cost is one call and a None test.
+    tr = _trace_active()
+    if tr is not None:
+        tr.begin(
+            "modify_diagram", "analysis",
+            owner=owner_id, dtime=int(dtime), granularity=granularity,
+        )
+    try:
+        diagram = generate_init_diagram(owner_id, rows, dtime,
+                                        removed=removed, row_memo=row_memo)
+        for _ in range(max_passes if plan.backend.modify_fixpoint else 1):
+            changed = False
+            for row, intermediates in plan.release:
+                new = free(diagram, row, intermediates)
+                if not new:
+                    continue
+                k = rows[row].stream_id
+                done = removed.get(k)
+                fresh = [x for x in new if x not in done] if done else new
+                if not fresh:
+                    continue
+                if done is None:
+                    removed[k] = set(fresh)
+                else:
+                    done.update(fresh)
+                if tr is not None:
+                    tr.instant(
+                        "modify.release", "analysis",
+                        owner=owner_id, stream=k,
+                        released=sorted(int(x) for x in fresh),
+                        granularity=granularity,
+                    )
+                # Releasing demand of k only changes k's row and the
+                # rows below it; the prefix above is untouched.
+                if instance:
+                    refill_rows(diagram, removed, start_row=row)
+                else:
+                    refill_rows(diagram, {}, erased_slots=removed,
+                                start_row=row)
+                changed = True
+            if not changed:
+                break
+    finally:
+        if tr is not None:
+            tr.end("modify_diagram", "analysis")
+    return diagram
 
 
 def modify_diagram(
@@ -149,45 +225,22 @@ def modify_diagram(
     initial_removed: Optional[Mapping[int, AbstractSet[int]]] = None,
     row_memo: Optional[RowMemo] = None,
 ) -> Tuple[TimingDiagram, Dict[int, Set[int]]]:
-    """Run ``Modify_Diagram``: release indirect interference and re-compact.
+    """Run ``Modify_Diagram`` for ``owner`` with the HP set ``hp`` over
+    the global ``streams`` and direct-blocking relation: release
+    indirect interference and re-compact, on ``dtime`` slots.
 
-    Parameters
-    ----------
-    owner:
-        The analysed stream ``M_j``.
-    hp:
-        Its HP set (without the self entry).
-    streams, blockers:
-        The global stream set and direct-blocking relation (for the BDG).
-    dtime:
-        Diagram horizon.
-    fixpoint:
-        The paper walks each indirect element once (BFS order); with
-        ``fixpoint=True`` the BFS sweep repeats until no further instance is
-        released, which can only tighten the bound further (released slots
-        may idle an intermediate that previously requested slots). Used by
-        the E-AB1 ablation benchmark.
-    granularity:
-        ``"instance"`` (default, matches the worked example) or ``"slot"``
-        (the paper's literal prose) — see the module docstring.
-    max_passes:
-        Safety cap on fixpoint sweeps.
-    initial_removed:
-        Instances excluded from the diagram *before* any release decision
-        (``stream_id -> instance indices``). Backends that discharge part
-        of a member's demand analytically (e.g. the FCFS equal-priority
-        instance cap of the ``tighter`` backend) seed the exclusion here;
-        the returned map includes these seeds alongside genuine releases.
-    row_memo:
-        Filled rows the initial diagram may share with other diagrams
-        (see :func:`~repro.core.timing_diagram.generate_init_diagram`).
+    The paper walks each indirect element once, in BFS order; with
+    ``fixpoint=True`` the sweep repeats (up to ``max_passes``) until
+    nothing more is released, which can only tighten the bound (the
+    E-AB1 ablation). ``granularity`` is ``"instance"`` or ``"slot"``
+    (see the module docstring). ``initial_removed`` excludes instances
+    (``stream_id -> instance indices``) before any release decision, as
+    the ``tighter`` backend's FCFS cap does; ``row_memo`` shares filled
+    rows with other diagrams (see
+    :func:`~repro.core.timing_diagram.generate_init_diagram`).
 
-    Returns
-    -------
-    (diagram, removed):
-        The final diagram and the map ``stream_id -> released instance
-        indices`` (instance granularity) or ``stream_id -> released
-        slots`` (slot granularity).
+    Returns the final diagram and ``stream_id -> released instance
+    indices`` (slots, at slot granularity), the seeds included.
     """
     if granularity not in ("instance", "slot"):
         raise AnalysisError(
@@ -198,69 +251,11 @@ def modify_diagram(
             "initial_removed requires instance granularity (the seeds are "
             "instance indices, not slots)"
         )
-    row_streams = tuple(
-        sorted(
-            (streams[e.stream_id] for e in hp if e.stream_id != owner.stream_id),
-            key=lambda s: (-s.priority, s.stream_id),
-        )
-    )
-    removed: Dict[int, Set[int]] = {}
-    if initial_removed:
-        for sid, idxs in initial_removed.items():
-            if idxs:
-                removed[sid] = set(idxs)
-    # Hot path (once per Cal_U): guard the span explicitly so the
-    # disabled cost is one call and a None test.
-    tr = _trace_active()
-    if tr is not None:
-        tr.begin(
-            "modify_diagram", "analysis",
-            owner=owner.stream_id, dtime=int(dtime), granularity=granularity,
-        )
-    try:
-        diagram = generate_init_diagram(
-            owner.stream_id, row_streams, dtime, removed=removed,
-            row_memo=row_memo,
-        )
-        order = indirect_processing_order(hp, blockers, streams)
-        if not order:
-            return diagram, removed
-
-        passes = max_passes if fixpoint else 1
-        for _ in range(passes):
-            changed = False
-            for k in order:
-                entry = hp[k]
-                if granularity == "instance":
-                    new = set(
-                        releasable_instances(diagram, k, entry.intermediates)
-                    )
-                else:
-                    new = set(
-                        releasable_slots(diagram, k, entry.intermediates)
-                    )
-                fresh = new - removed.get(k, set())
-                if fresh:
-                    removed.setdefault(k, set()).update(fresh)
-                    if tr is not None:
-                        tr.instant(
-                            "modify.release", "analysis",
-                            owner=owner.stream_id, stream=k,
-                            released=sorted(int(x) for x in fresh),
-                            granularity=granularity,
-                        )
-                    # Releasing demand of k only changes k's row and the
-                    # rows below it; the prefix above is untouched.
-                    if granularity == "instance":
-                        refill_rows(diagram, removed,
-                                    start_row=diagram.row_of(k))
-                    else:
-                        refill_rows(diagram, {}, erased_slots=removed,
-                                    start_row=diagram.row_of(k))
-                    changed = True
-            if not changed:
-                break
-    finally:
-        if tr is not None:
-            tr.end("modify_diagram", "analysis")
+    plan = VerdictPlan.of_hp_set(owner, hp, streams, blockers, {}, {},
+                                 replace(KIM98, modify_fixpoint=fixpoint,
+                                         modify_granularity=granularity))
+    removed = {sid: set(idxs) for sid, idxs in (initial_removed or {}).items()
+               if idxs}
+    diagram = release_sweep(plan, dtime, removed, max_passes=max_passes,
+                            row_memo=row_memo)
     return diagram, removed

@@ -208,6 +208,10 @@ class TimingDiagram:
         #: Requests bits *before* slot erasure, for rows that had slots
         #: erased (see refill_rows).
         self._pre_erasure: Dict[int, int] = {}
+        #: The shared memo the rows came from and the key ids of the
+        #: leading rows whose paths it knows.
+        self._memo: Optional[RowMemo] = None
+        self._paths: List[int] = []
 
     # ------------------------------------------------------------------ #
     # Row access
@@ -377,6 +381,32 @@ class RowMemo:
         """Start a generation, dropping rows the last two did not use."""
         self.earlier, self.last, self.rows = self.last, self.rows, {}
 
+    def fill(self, diagram: "TimingDiagram", row: int, parent: int,
+             busy: int, skip: FrozenSet[int]) -> int:
+        """Fill ``row`` below the row of key id ``parent`` (``-1``: the
+        top row) from the memo, or by a fill it then keeps (see
+        :func:`generate_init_diagram`); return the row's key id."""
+        stream = diagram.row_streams[row]
+        key = (parent, stream.period, stream.length, skip)
+        # [key id, horizon, alloc bits, wait bits]
+        entry = self.rows.get(key)
+        if entry is None:
+            entry = self.rows[key] = (self.last.get(key)
+                                      or self.earlier.get(key)
+                                      or [next(self.ids), 0, 0, 0])
+        dtime, alloc = diagram.dtime, diagram.alloc_bits
+        wait = diagram.wait_bits
+        if entry[1] >= dtime:
+            keep = (2 << dtime) - 1
+            alloc[row] = entry[2] & keep
+            wait[row] = entry[3] & keep
+            diagram._row_skip[row] = skip
+            diagram._records.pop(stream.stream_id, None)
+        else:
+            _fill_row(diagram, row, busy, skip)
+            entry[1:] = dtime, alloc[row], wait[row]
+        return entry[0]
+
 
 def generate_init_diagram(
     owner_id: int,
@@ -418,7 +448,6 @@ def generate_init_diagram(
     """
     removed = removed or {}
     memo = RowMemo() if row_memo is None else row_memo
-    rows, last, earlier, ids = memo.rows, memo.last, memo.earlier, memo.ids
     # Hot path (re-run on every Cal_U / Modify_Diagram pass): guard the
     # span explicitly so the disabled cost is one call and a None test.
     tr = _trace_active()
@@ -439,29 +468,16 @@ def generate_init_diagram(
                     "diagram rows must be sorted by non-increasing priority "
                     f"(ties by id): {prev.stream_id} before {cur.stream_id}"
                 )
-        dtime = diagram.dtime
-        keep = (2 << dtime) - 1
-        alloc_bits, wait_bits = diagram.alloc_bits, diagram.wait_bits
+        alloc_bits, paths = diagram.alloc_bits, diagram._paths
         busy = 0
         path = -1
         for row, stream in enumerate(diagram.row_streams):
             skip = removed.get(stream.stream_id)
-            skip = frozenset(skip) if skip else _NO_SKIP
-            key = (path, stream.period, stream.length, skip)
-            # [key id, horizon, alloc bits, wait bits]
-            entry = rows.get(key)
-            if entry is None:
-                entry = rows[key] = (last.get(key) or earlier.get(key)
-                                     or [next(ids), 0, 0, 0])
-            if entry[1] >= dtime:
-                alloc_bits[row] = entry[2] & keep
-                wait_bits[row] = entry[3] & keep
-                diagram._row_skip[row] = skip
-            else:
-                _fill_row(diagram, row, busy, skip)
-                entry[1:] = dtime, alloc_bits[row], wait_bits[row]
-            path = entry[0]
+            path = memo.fill(diagram, row, path, busy,
+                             frozenset(skip) if skip else _NO_SKIP)
+            paths.append(path)
             busy |= alloc_bits[row]
+        diagram._memo = row_memo
     finally:
         if tr is not None:
             tr.end("generate_init_diagram", "analysis")
@@ -574,13 +590,22 @@ def refill_rows(
     replaces ``changed`` by the slots where what the next row sees
     moved. Once nothing differs, every row below is up to date.
 
+    A diagram drawn from a shared memo refills through it: a refilled
+    row is looked up under its new path key first. A row the change
+    does not reach sits on a new path unknown to the memo, so the rows
+    from it down fill plainly, as erased rows (slot granularity) do.
+
     Every row must have been filled before: ``generate_init_diagram``
     fills them all, and only ``Modify_Diagram`` refills.
     """
     if not 0 <= start_row <= diagram.num_rows:
         raise AnalysisError(f"start_row {start_row} out of range")
-    erased_slots = erased_slots or {}
     allocated, waiting = diagram.alloc_bits, diagram.wait_bits
+    row_streams, paths = diagram.row_streams, diagram._paths
+    memo = (None if erased_slots or len(paths) < start_row
+            else diagram._memo)
+    del paths[start_row:]
+    erased_slots = erased_slots or {}
     pre_erasure = diagram._pre_erasure
     busy = 0
     for alloc in allocated[:start_row]:
@@ -595,15 +620,18 @@ def refill_rows(
                 inspected = allocated[row] | waiting[row]
             if not changed & inspected:
                 busy |= allocated[row]
+                memo = None
                 continue
         # What the next row saw before: (busy xor changed) | old row.
         changed = (busy ^ changed) | allocated[row]
-        sid = diagram.row_streams[row].stream_id
-        skip = removed.get(sid)
-        _fill_row(
-            diagram, row, busy,
-            frozenset(skip) if skip else _NO_SKIP,
-            erased_slots.get(sid),
-        )
+        stream = row_streams[row]
+        skip = removed.get(stream.stream_id)
+        skip = frozenset(skip) if skip else _NO_SKIP
+        if memo is None:
+            _fill_row(diagram, row, busy, skip,
+                      erased_slots.get(stream.stream_id))
+        else:
+            paths.append(memo.fill(diagram, row, paths[-1] if row else -1,
+                                   busy, skip))
         busy |= allocated[row]
         changed ^= busy

@@ -27,6 +27,10 @@ For a :class:`~repro.fuzz.generator.FuzzCase` the oracle checks:
     transitive HP closure (finding F-7) — is stated once, with its
     reasons, in :func:`repro.analysis.observe.admitted_scope`; the
     comparison is :meth:`repro.analysis.observe.Observation.excesses`.
+``release-monotonicity``
+    A served release re-checks nothing, so removing any one stream from
+    a set a backend admits whole must neither raise another's bound nor
+    leave it unbounded (the engine counts ``release_raised_bound``).
 ``sim-error``
     The simulator must not raise (deadlock watchdog, internal invariant)
     on any generated workload; X-Y routing is deadlock-free, so any raise
@@ -49,6 +53,7 @@ from typing import Dict, Optional, Tuple
 from ..analysis.observe import admitted_scope, observe
 from ..core import backends as _backends
 from ..core.feasibility import FeasibilityAnalyzer
+from ..core.streams import StreamSet
 from ..errors import ReproError
 from .generator import FuzzCase
 
@@ -65,6 +70,7 @@ class FuzzViolation:
     """One invariant violation observed while running a case."""
 
     # "soundness" | "nondeterminism" | "sim-error" | "monotonicity"
+    # | "release-monotonicity"
     kind: str
     detail: str
     stream_id: Optional[int] = None
@@ -145,6 +151,34 @@ def _analysis_bounds(
     return bounds, hp_ids
 
 
+def _release_raises(case: FuzzCase, backend: str, bounds: Dict[int, int],
+                    hp_ids: Dict[int, Tuple[int, ...]]) -> list:
+    """Release each stream of a set ``backend`` admits whole, in turn:
+    a violation per remaining bound that rose or became ``-1``."""
+    _, routing, streams = case.build()
+    if len(streams) < 2 or not all(0 < bounds[s.stream_id] <= s.deadline
+                                   for s in streams):
+        return []
+    declared = replace(_backends.get(backend),
+                       residency_margin=case.residency_margin)
+    out = []
+    for x in sorted(bounds):
+        hit = [sid for sid in sorted(bounds) if x in hp_ids[sid]]
+        if not hit:
+            continue
+        analyzer = FeasibilityAnalyzer(
+            StreamSet(s for s in streams if s.stream_id != x), routing,
+            backend=declared)
+        for sid in hit:
+            u = analyzer.cal_u(sid).upper_bound
+            if u < 0 or u > bounds[sid]:
+                out.append(FuzzViolation(
+                    "release-monotonicity", f"[{backend}] releasing stream "
+                    f"{x} moved the bound of stream {sid} from "
+                    f"{bounds[sid]} to {u}", sid, None, u, backend))
+    return out
+
+
 def run_case(
     case: FuzzCase,
     *,
@@ -223,6 +257,10 @@ def run_case(
                 ),
                 backend=name,
             ))
+
+    for name in names:
+        violations += _release_raises(case, name, backend_bounds[name],
+                                      hp_ids)
 
     # --- simulation, then soundness: admitted bounds dominate it ------- #
     _, routing, streams = case.build()

@@ -1,111 +1,83 @@
 """Incremental admission engine: feasibility with per-stream caches.
 
-The full :class:`~repro.core.feasibility.FeasibilityAnalyzer` rebuilds
-routes, the direct-blocking relation, every HP set and every delay bound
-from scratch — O(n) ``Cal_U`` runs per request, each over a timing diagram
-of the whole HP closure. An online broker doing that for every admit and
-release wastes nearly all of it: a request only perturbs the analysis of
-streams whose transitive HP closure reaches a changed stream.
+A from-scratch :class:`~repro.core.feasibility.FeasibilityAnalyzer`
+rebuilds routes, the blocked-by relation and every delay bound — O(n)
+``Cal_U`` runs per request. An online broker doing that for every
+admit and release wastes nearly all of it: a request only perturbs
+streams whose transitive HP closure reaches a changed stream. Between
+requests this engine keeps:
 
-This engine maintains, between requests:
-
-* a process-wide **route table** shared across engines on the same
-  topology/routing (:func:`~repro.topology.route_table.shared_route_table`)
-  — routes are a pure function of ``(src, dst)``, so one memoized lookup
-  serves every engine, analyzer rebuild and replay;
-* a :class:`~repro.core.hpset.BlockingIndex`: per-stream channel sets,
-  a channel -> users index, the direct-blocking relation and its reverse
-  adjacency, and per-stream **reachability closures** over the
-  blocked-by relation, updated by delta on attach/detach, from which the
-  HP set of a verdict to compute is produced without any graph traversal
-  and then dropped (the same index builds every offline analyzer's HP
-  sets, for the whole set at once);
+* a process-wide **route table** per topology and routing
+  (:func:`~repro.topology.route_table.shared_route_table`);
+* a :class:`~repro.core.hpset.BlockingIndex`: channel sets, a channel
+  -> users map, the direct-blocking relation and its reverse, and each
+  stream's **reach closure**, all updated by delta on attach/detach;
 * per-stream :class:`~repro.core.feasibility.StreamVerdict`\\ s, plus a
   **verdict memo** keyed by the full analytic input of ``Cal_U``:
-  ``(backend, route table in effect, resolved owner, resolved members of
-  the closure in id order)``. With the routes fixed by the table, the
-  members' routes and priorities determine every HP mode, intermediate
-  set and shared-channel count, so the key is complete without the HP
-  set, a hit builds none, and an entry holds one pointer per member plus
-  the verdict. Churn that re-creates a previously seen configuration
-  skips the HP set and the diagram entirely. Ids are not reused, so
-  each time the memo doubles, keys naming a released id are dropped.
+  ``(backend, route table, resolved owner, resolved closure members in
+  id order)``. With the routes fixed by the table, the members' routes
+  and priorities determine every HP mode, intermediate set and channel
+  overlap, so a hit builds nothing. Ids are not reused, so each time
+  the memo doubles, keys naming a released id are dropped.
 
-A verdict that misses the memo shares one more cache, which lives for a
-single refresh: the diagram rows its analyzers fill, keyed by the path
-of rows above (see :func:`~repro.core.timing_diagram.generate_init_diagram`).
+A verdict that misses the memo is computed from one
+:class:`~repro.core.hpset.VerdictPlan` — its closure on diagram rows:
+members in priority order, the BFS release order, each indirect
+member's intermediates, guard, utilisation, margins and FCFS caps —
+built straight from the index, and run by the one ``Cal_U`` core
+(:func:`~repro.core.feasibility.verdict_of`) that offline analyzers
+run too. Its diagrams share rows with every other diagram of the last
+two refreshes, keyed by the path of rows above
+(:class:`~repro.core.timing_diagram.RowMemo`), refills included.
 
-**Invalidation rule (link-overlap / closure reachability).** A verdict for
-stream ``j`` depends only on ``j`` itself, ``HP_j``, the parameters of the
-HP members, and the direct-blocking relation restricted to that closure
-(the BDG of :mod:`repro.core.bdg` filters edges to the closure's nodes).
-Every one of those inputs is a function of the blocked-by graph reachable
-from ``j``; a change at stream ``k`` can therefore affect ``j`` iff ``k``
-is reachable from ``j``. So the *dirty set* of an op is the reverse
-reachability of the changed ids:
+**Invalidation rule.** A verdict for ``j`` depends only on ``j``, its
+closure's members and the blocked-by edges among them, so a change at
+``k`` can affect ``j`` iff ``j`` reaches ``k``. The *dirty set* of an
+op is the reverse reachability of the changed ids: in the **new**
+graph for an admit (every new edge touches the new stream), in the
+**old** one for a release. Every other verdict is bit-identical to a
+fresh analyzer's because ``Cal_U`` is pure; the from-scratch engine
+(``tests/reference/engine.py``) is the oracle the fuzzed equivalence
+suites hold this one to, op by op.
 
-* admit ``k``: every ``j`` that reaches ``k`` in the **new** graph
-  (new edges are all incident to ``k``, so any changed closure contains it);
-* release ``k``: every ``j`` that reached ``k`` in the **old** graph.
-
-Everything else keeps its cached verdict, which is bit-identical to what a
-fresh analyzer would compute because ``Cal_U`` is a pure function of the
-inputs listed above. A dirty frontier that covers the whole set (the
-first admit, a recovery, a cache storm) takes the same memo and reach
-sets as any other. The from-scratch engine that re-analyses everything
-on every op is the test oracle (``tests/reference/engine.py``) the
-fuzzed equivalence suites hold this one to, op by op.
-
-**Settle rule (replay applies, reads settle).** The rule above says
-*which* verdicts an op invalidates, not *when* they must be recomputed.
-The structural mutators :meth:`~IncrementalAdmissionEngine.adopt` and
-:meth:`~IncrementalAdmissionEngine.retire` maintain every index and
-reach closure eagerly but only *mark* the dirty ids in a stale set;
-``_settle()`` recomputes the marked verdicts in one go. It runs
-whenever someone reads a verdict (``verdict``, ``current_report``; a
-``closure`` is the reach set, never stale) and on entry to
-``try_admit`` and ``apply_routing``
-(a trial and the eviction fixpoint both decide on fresh verdicts), so
-no caller ever observes a stale answer. This is sound because ``Cal_U``
-is pure: a verdict depends on the final closure, not on the order or
-the moment the ops that shaped it were applied, and marks compose — an
-id no op marked since its last computation has an unchanged closure.
-The live mutators decide at once (``try_admit`` computes its trial,
-``release`` is ``retire`` + ``_settle``); the deferred pair exists for
-consumers of the journal — restart recovery, and a tenant's failover,
-which is the same recovery — whose every record the live engine
-already decided.
-
-Dirty-set ``Cal_U`` runs that miss the memo are computed in-process, in
-sorted-id order: copying a prepared analyzer to another process costs
-more than the handful of verdicts a dirty frontier holds (measured in
-DESIGN.md section 10).
+**Settle rule (replay applies, reads settle).** The structural mutators
+:meth:`~IncrementalAdmissionEngine.adopt` and
+:meth:`~IncrementalAdmissionEngine.retire` keep every index and closure
+current but only *mark* the dirty ids stale; ``_settle()`` recomputes
+them in one go whenever a verdict is read (``verdict``,
+``current_report``) and on entry to ``try_admit`` and
+``apply_routing``, so no caller observes a stale answer. Marks
+compose because a verdict depends on the final closure, not on the
+order of the ops that shaped it. The live mutators decide at once
+(``try_admit`` computes its trial, ``release`` is ``retire`` +
+``_settle`` and counts any bound the settle raises); the deferred pair
+serves journal consumers — restart recovery and a tenant's failover —
+whose every record the live engine already decided. Verdicts are
+computed in-process, in sorted-id order per backend: copying
+structures to another process costs more than a dirty frontier's
+handful of verdicts (DESIGN.md section 10).
 
 **Analyses by name.** Each admitted stream names a registered
 :class:`~repro.core.backends.BoundBackend`, which declares every bound
-rule its verdicts apply, margins included. The engine holds no rule of
-its own, so a served margin comes only from a registered backend.
+rule its verdicts apply, margins included; the engine holds none.
 
-**Closure-scoped guarantees (finding F-7).** A stream's bound is only a
-guarantee while its transitive HP closure is itself admitted (the bound
-conditions on those streams' behaviour). Inside the broker the closure is
-admitted by construction — HP members come from the admitted set — and
-:meth:`IncrementalAdmissionEngine.closure` reports the exact id set each
-guarantee is scoped to, so clients can propagate the condition.
+**Closure-scoped guarantees (finding F-7).** A bound is a guarantee only
+while the stream's closure is itself admitted, which holds inside the
+broker by construction; :meth:`IncrementalAdmissionEngine.closure`
+reports the id set each guarantee is scoped to.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
 )
 
 from ..core import backends as _backends
-from ..core.feasibility import (
-    FeasibilityAnalyzer, FeasibilityReport, StreamVerdict,
-)
+from ..core.feasibility import FeasibilityReport, StreamVerdict, verdict_of
 from ..core.hpset import BlockingIndex
 from ..core.latency import NoLoadLatency
 from ..core.streams import MessageStream, StreamSet
@@ -135,13 +107,17 @@ class EngineStats:
     verdicts_recomputed: int = 0
     verdicts_reused: int = 0
     verdict_memo_hits: int = 0
-    #: HP sets built, one per verdict computed (a memo hit builds none).
+    #: Verdict plans built, one per verdict computed (a memo hit builds
+    #: none).
     hp_rebuilt: int = 0
     forced_invalidations: int = 0
     #: Routing swaps applied (link failures/restores) and the streams
     #: they evicted (disconnected + deadline-missers after reroute).
     reroutes: int = 0
     reroute_evictions: int = 0
+    #: Verdicts a release's settle left with a higher bound, or none
+    #: where there was one (removing a stream should do neither).
+    release_raised_bound: int = 0
     route_cache_hits: int = 0
     route_cache_misses: int = 0
     #: Dirty-frontier sizes of the ops (last / running max / sum).
@@ -173,7 +149,7 @@ class EngineStats:
             "ops", "admits", "rejects", "releases",
             "verdicts_recomputed", "verdicts_reused", "verdict_memo_hits",
             "hp_rebuilt", "forced_invalidations",
-            "reroutes", "reroute_evictions",
+            "reroutes", "reroute_evictions", "release_raised_bound",
             "route_cache_hits", "route_cache_misses",
             "dirty_last", "dirty_max", "dirty_total",
         )}
@@ -465,10 +441,18 @@ class IncrementalAdmissionEngine:
         verdicts whose HP closure reached a removed stream.
 
         Validated up front: unknown ids raise :class:`StreamError` naming
-        them and nothing is removed.
+        them and nothing is removed. Each verdict the release marks whose
+        bound rose, or became ``-1``, counts in ``release_raised_bound``.
         """
+        earlier = set(self._stale)  # marks a replayed op left pending
         self.retire(stream_ids)
+        verdicts = self._verdicts
+        before = [(j, verdicts[j].upper_bound)
+                  for j in self._stale - earlier if j in verdicts]
         self._settle()
+        self.stats.release_raised_bound += sum(
+            old > 0 and not 0 < verdicts[j].upper_bound <= old
+            for j, old in before)
 
     def retire(self, stream_ids: int | Iterable[int]) -> None:
         """Remove streams without recomputing: :meth:`release` minus its
@@ -681,15 +665,15 @@ class IncrementalAdmissionEngine:
         return AdmissionDecision(False, report, report.infeasible_ids())
 
     def _refresh(self, dirty: Set[int]) -> None:
-        """Recompute the dirty verdicts: only a memo miss builds its HP
-        set and runs ``Cal_U``."""
+        """Recompute the dirty verdicts: only a memo miss builds its
+        plan and runs ``Cal_U``."""
         stats = self.stats
         if not dirty:
             stats.verdicts_reused += len(self._verdicts)
             return
         t0 = time.perf_counter()
         memo = self._verdict_memo
-        pending: Dict[int, tuple] = {}
+        pending: List[tuple] = []
         for j in sorted(dirty):
             key = self._memo_key(j)
             hit = memo.get(key)
@@ -697,32 +681,20 @@ class IncrementalAdmissionEngine:
                 self._verdicts[j] = hit
                 stats.verdict_memo_hits += 1
             else:
-                pending[j] = key
+                pending.append(key)
         if pending:
             t1 = time.perf_counter()
-            index = self._index
-            hp_sets = {j: index.hp_set(j) for j in pending}
-            stats.hp_rebuilt += len(pending)
+            # One backend at a time, ascending ids within each.
+            pending.sort(key=itemgetter(0))
+            plans = [self._index.plan(key[2], key[3], _backends.get(key[0]))
+                     for key in pending]
+            stats.hp_rebuilt += len(plans)
             hp_time = time.perf_counter() - t1
             stats.hp_seconds += hp_time
-            t0 += hp_time  # the verdict phase excludes the HP build
-            by_backend: Dict[str, List[int]] = {}
-            for j in pending:
-                by_backend.setdefault(self._analysis[j], []).append(j)
-            for name in sorted(by_backend):
-                analyzer = FeasibilityAnalyzer.from_prepared(
-                    self._resolved,
-                    index.channels,
-                    index.blockers,
-                    hp_sets,
-                    backend=_backends.get(name),
-                )
-                analyzer.timing_sink = stats
-                analyzer.row_memo = self._rows
-                for j in by_backend[name]:
-                    v = analyzer.cal_u(j)
-                    self._verdicts[j] = v
-                    memo[pending[j]] = v
+            t0 += hp_time  # the verdict phase excludes the plan build
+            for key, plan in zip(pending, plans):
+                self._verdicts[plan.owner.stream_id] = memo[key] = verdict_of(
+                    plan, row_memo=self._rows, timing_sink=stats)
             self._rows.age()
             if len(memo) > 2 * self._memo_swept:
                 # A key naming an id no longer admitted cannot hit again
@@ -738,13 +710,10 @@ class IncrementalAdmissionEngine:
         stats.verdicts_reused += len(self._verdicts) - len(dirty)
 
     def _memo_key(self, j: int) -> tuple:
-        """The full analytic input of ``Cal_U(j)`` as a hashable key:
-        backend, route table, resolved owner, resolved ``reach[j]`` in
-        id order. The table fixes every route (a link fault switches
-        tables), and the routes and priorities of ``{j} | reach[j]`` (a
-        closed set) then fix every HP mode, intermediate set and channel
-        overlap, so a hit needs no HP set. An entry costs one pointer
-        per member plus the verdict."""
+        """The full analytic input of ``Cal_U(j)`` (see the module
+        docstring): backend name, route table, resolved owner, resolved
+        ``reach[j]`` in id order — the owner and members its plan is
+        built from."""
         resolved = self._resolved
         return (
             self._analysis[j],

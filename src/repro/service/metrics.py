@@ -213,14 +213,17 @@ _SCALARS = (
         "verdicts_reused": "Per-stream verdicts served from cache.",
         "verdict_memo_hits": "Verdicts served from the input-keyed memo "
                              "without recomputation.",
-        "hp_rebuilt": "HP sets built from the maintained reach closures, "
-                      "one per recomputed verdict (a memo hit builds none).",
+        "hp_rebuilt": "Verdict plans built from the maintained reach "
+                      "closures, one per recomputed verdict (a memo hit "
+                      "builds none).",
         "forced_invalidations": "Forced cache invalidations (chaos "
                                 "cache_storm hook).",
         "reroutes": "Routing swaps applied (link failures and restores).",
         "reroute_evictions": "Streams the routing swaps evicted "
                              "(disconnected, or past their deadline after "
                              "a reroute).",
+        "release_raised_bound": "Verdicts a release raised the bound "
+                                "of, or left unbounded (expected 0).",
         "route_cache_hits": "Route cache hits.",
         "route_cache_misses": "Route cache misses.",
     }.items()

@@ -12,7 +12,7 @@ built by the normal constructor are two independent derivations.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from repro.core import backends
 from repro.core.feasibility import FeasibilityAnalyzer
@@ -124,12 +124,13 @@ def oracle_analyzer(
     streams: StreamSet,
     routing: RoutingAlgorithm,
     *,
-    backend: str = "kim98",
+    backend: Union[str, backends.BoundBackend] = "kim98",
     latency_model: Optional[LatencyModel] = None,
 ) -> FeasibilityAnalyzer:
-    """An analyzer of ``backend`` whose routes, latencies, blockers and
-    HP sets all come from this module: what the normal constructor
-    derives, derived again without the index."""
+    """An analyzer of ``backend`` (a registered name or a declaration)
+    whose routes, latencies, blockers and HP sets all come from this
+    module: what the normal constructor derives, derived again without
+    the index. Its verdicts run on plans built from those HP sets."""
     latency_model = latency_model or NoLoadLatency()
     channels = stream_channels(streams, routing)
     resolved = StreamSet(
@@ -140,5 +141,7 @@ def oracle_analyzer(
     )
     return FeasibilityAnalyzer.from_prepared(
         resolved, channels, direct_blockers(resolved, channels),
-        oracle_hp_sets(resolved, channels), backend=backends.get(backend),
+        oracle_hp_sets(resolved, channels),
+        backend=backends.get(backend) if isinstance(backend, str)
+        else backend,
     )

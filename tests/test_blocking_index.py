@@ -9,12 +9,16 @@ pair by pair, over random sets on 3x3..6x6 meshes under X-Y and
 up*/down* routing, with one to four priority levels and gaps in the ids:
 the bulk fill, an analyzer's ``blockers`` and ``hp_sets`` (with and
 without ``hp_override``), and an index driven through adds, removes and
-rolled-back trials. The sweep runs every backend's analyzer beside the
-one the oracle prepares and compares verdicts too; the nightly job runs
-it over 2 000 sets on meshes up to 8x8 (``-m slow``).
+rolled-back trials. The sweep runs every backend's analyzer at
+instance granularity in one sweep, at slot granularity and with the
+fixpoint sweep, beside the one the oracle prepares: the verdict plan
+each builds from the index is the one built from the oracle's HP set,
+and the verdicts are equal. The nightly job runs it over 2 000 sets on
+meshes up to 8x8 (``-m slow``).
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -169,21 +173,43 @@ class TestIndexMatchesOracle:
                 oracle_hp_sets(live, live_channels)
 
 
+def declarations(name):
+    """A registered backend and its twins at the three ``Modify_Diagram``
+    settings: instance granularity in one sweep, slot granularity (which
+    drops the FCFS cap: its windows are instances) and the fixpoint."""
+    declared = backends.get(name)
+    return (replace(declared, modify_fixpoint=False),
+            replace(declared, modify_fixpoint=False, eqp_instance_cap=False,
+                    modify_granularity="slot"),
+            replace(declared, modify_fixpoint=True))
+
+
+def plan_fields(plan):
+    """A plan as comparable values (intermediates in any order)."""
+    return (plan.owner, plan.rows, plan.util, plan.demand, plan.guard,
+            plan.caps, plan.backend,
+            [(row, sorted(ins)) for row, ins in plan.release])
+
+
 def oracle_sweep(seed, sets, *, max_width, max_streams):
     """Every backend's analyzer against the oracle-prepared one over
-    ``sets`` random sets: same blockers, HP sets and verdicts."""
+    ``sets`` random sets: same blockers, HP sets, plans and verdicts."""
     rng = random.Random(f"oracle-sweep-{seed}")
     for _ in range(sets):
         streams, routing = random_case(rng, max_width=max_width,
                                        max_streams=max_streams)
         for name in backends.names():
-            analyzer = FeasibilityAnalyzer(streams, routing,
-                                           backend=backends.get(name))
-            oracle = oracle_analyzer(streams, routing, backend=name)
-            assert analyzer.blockers == oracle.blockers
-            assert analyzer.hp_sets == oracle.hp_sets
-            assert analyzer.determine_feasibility().verdicts == \
-                oracle.determine_feasibility().verdicts
+            for declared in declarations(name):
+                analyzer = FeasibilityAnalyzer(streams, routing,
+                                               backend=declared)
+                oracle = oracle_analyzer(streams, routing, backend=declared)
+                assert analyzer.blockers == oracle.blockers
+                assert analyzer.hp_sets == oracle.hp_sets
+                for sid in streams.ids():
+                    assert plan_fields(analyzer.plan(sid)) == \
+                        plan_fields(oracle.plan(sid))
+                assert analyzer.determine_feasibility().verdicts == \
+                    oracle.determine_feasibility().verdicts
 
 
 def test_oracle_sweep():

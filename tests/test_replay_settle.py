@@ -259,7 +259,8 @@ def test_live_path_does_the_same_work_as_before(dense_state):
 
 def test_a_memo_hit_builds_no_hp_set(dense_state):
     """The memo is keyed by the closure's members, not by its HP set:
-    only a verdict that is computed builds one (from the reach sets)."""
+    only a verdict that is computed builds its plan (from the reach
+    sets), and ``hp_rebuilt`` counts plans."""
     _, host = dense_state
     stats = host.engine_stats()
     assert stats["verdict_memo_hits"] > 0

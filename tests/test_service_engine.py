@@ -304,6 +304,10 @@ class TestPreparedAnalyzer:
                 unresolved, normal.channels, normal.blockers,
                 normal.hp_sets,
             )
+        partial = FeasibilityAnalyzer.from_prepared(
+            normal.streams, normal.channels, normal.blockers, {})
+        with pytest.raises(AnalysisError, match="no HP set given"):
+            partial.cal_u(0)
 
 
 class TestFuzzedEquivalence:

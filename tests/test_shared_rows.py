@@ -4,22 +4,24 @@ Four shortcuts ride a verdict the engine's memo misses:
 
 * filled diagram rows are shared between diagrams
   (``generate_init_diagram(row_memo=...)``), keyed by the path of rows
-  above and copied truncated to a shorter horizon; the engine's memo
-  keeps the rows of its last two refreshes (``RowMemo.age``);
+  above and copied truncated to a shorter horizon, and a refill looks a
+  row up under its new path before it fills it; the engine's memo keeps
+  the rows of its last two refreshes (``RowMemo.age``);
 * ``releasable_instances`` stops ORing intermediates' requests as soon
   as they cover the indirect row;
-* an ``HPSet`` caches its indirect ids, and ``hp_set_from_reach`` hands
-  each member to the indirect elements it reaches in one pass;
+* a verdict runs on one ``VerdictPlan`` built from the blocking index,
+  on row indices, with no HP set, HP entry or analyzer made;
 * a ``MessageStream`` hashes its fields once, when it is made (the
   verdict-memo key hashes every member of a closure).
 
 These tests hold each to the plain computation: one memo over a sequence
 of diagrams (growing and shrinking horizons, skipped instances, inflated
-lengths, aged between batches) against fresh fills, the release test
-against the full window scan, and whole engine verdicts
+lengths, refills, aged between batches) against fresh fills, the release
+test against the full window scan, and whole engine verdicts
 (``removed_instances`` included) against analyzers that share nothing,
 for every backend under X-Y and up*/down*, and a rolled-back id
-admitting a new spec against a fresh analyzer.
+admitting a new spec against a fresh analyzer. A dense lap pins its
+fill count and builds no HP set, entry or analyzer.
 The churn sweep runs 2 000 schedules nightly (``-m slow``).
 """
 
@@ -39,9 +41,13 @@ from repro.core.feasibility import FeasibilityAnalyzer
 from repro.core.hpset import HPEntry, HPSet
 from repro.core.modify import releasable_instances
 from repro.core.streams import MessageStream, StreamSet
-from repro.core.timing_diagram import RowMemo, generate_init_diagram
+from repro.core.timing_diagram import (
+    RowMemo, generate_init_diagram, refill_rows,
+)
 from repro.errors import RoutingError
 from repro.service.engine import IncrementalAdmissionEngine
+from repro.service.host import EngineHost
+from repro.service.loadgen import churn_spec
 from tests.reference import ShadowedEngine
 from tests.reference.diagram import releasable_windows_scan
 from tests.test_admission_fastpath import row
@@ -127,6 +133,25 @@ class TestRowMemo:
                                         row_memo=memo)
             assert_same_rows(
                 got, generate_init_diagram(99, rows, dtime, removed=removed))
+
+    @given(calls=memo_sequences(), data=st.data())
+    @PROPERTY
+    def test_refills_through_the_memo_equal_fresh_fills(self, calls, data):
+        """Releasing instances one row at a time, as ``Modify_Diagram``
+        does, and refilling through the memo leaves every diagram equal
+        to a fresh fill of what it now excludes."""
+        memo = RowMemo()
+        for rows, dtime, removed in calls:
+            got = generate_init_diagram(99, rows, dtime, removed=removed,
+                                        row_memo=memo)
+            removed = {sid: set(idxs) for sid, idxs in removed.items()}
+            for _ in range(data.draw(st.integers(0, 4)) if rows else 0):
+                r = data.draw(st.integers(0, len(rows) - 1))
+                removed.setdefault(rows[r].stream_id, set()).add(
+                    data.draw(st.integers(0, 4)))
+                refill_rows(got, removed, start_row=r)
+                assert_same_rows(got, generate_init_diagram(
+                    99, rows, dtime, removed=removed))
 
     @given(batches=batch_sequences())
     @PROPERTY
@@ -221,6 +246,62 @@ class TestReleaseEarlyExit:
         diagram, k, inter = case
         assert releasable_instances(diagram, k, inter) == \
             releasable_windows_scan(diagram, k, inter)
+
+
+def dense_lap(host, rng, *, live=80, ops=60):
+    """Churn around ``live`` streams of the bench spine's
+    ``broker_dense`` shape (8x8, four priority levels), through the
+    host's request path."""
+    def admit():
+        host.handle_request({"op": "admit", "analysis": "kim98",
+                             "streams": [churn_spec(rng, 64,
+                                                    priority_levels=4)]})
+
+    for _ in range(ops):
+        ids = host.admitted_ids()
+        if len(ids) < live or rng.random() < 0.5:
+            admit()
+        else:
+            host.handle_request({"op": "release",
+                                 "ids": [rng.choice(ids)]})
+
+
+@pytest.fixture()
+def dense_host():
+    """A host preloaded to 80 live streams of the dense lap's shape."""
+    host = EngineHost({"type": "mesh", "width": 8, "height": 8,
+                       "routing": "default"})
+    rng = random.Random("dense-fills")
+    while host.admitted_count() < 80:
+        dense_lap(host, rng, ops=1)
+    return host, rng
+
+
+def test_a_dense_lap_fills_a_pinned_count(dense_host, monkeypatch):
+    """A refilled row found in the memo under its new path is copied,
+    not filled: 3 855 fills on this lap with the plain refill."""
+    host, rng = dense_host
+    fills = counting_fills(monkeypatch)
+    dense_lap(host, rng)
+    assert host.engine_stats()["verdicts_recomputed"] > 1000
+    assert len(fills) == 3656
+
+
+def test_a_dense_lap_builds_no_hp_set_entry_or_analyzer(dense_host,
+                                                        monkeypatch):
+    """A served verdict runs on its plan alone."""
+    host, rng = dense_host
+    made = []
+    for cls, name in ((HPSet, "__init__"), (HPEntry, "__post_init__"),
+                      (FeasibilityAnalyzer, "_adopt")):
+        def count(*args, _cls=cls, _method=getattr(cls, name), **kwargs):
+            made.append(_cls.__name__)
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, count)
+    before = host.engine_stats()["hp_rebuilt"]
+    dense_lap(host, rng)
+    assert host.engine_stats()["hp_rebuilt"] > before
+    assert made == []
 
 
 def test_indirect_ids_follow_adds():

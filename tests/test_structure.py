@@ -61,10 +61,7 @@ SCOPE_PATTERNS = (
 
 
 #: What builds or reads the blocking index of ``core/hpset.py``.
-INDEX_NAMES = frozenset({
-    "BlockingIndex", "index_hp_sets", "build_all_hp_sets",
-    "hp_set_from_reach",
-})
+INDEX_NAMES = frozenset({"BlockingIndex", "build_all_hp_sets"})
 
 
 #: Lines of ``src/repro/fleet``: the count, ratcheted (a smaller count
@@ -72,7 +69,7 @@ INDEX_NAMES = frozenset({
 FLEET_LINE_CEILING = 1900
 
 #: Lines of ``src/repro``: the count, ratcheted like the fleet's.
-SRC_LINE_CEILING = 19511
+SRC_LINE_CEILING = 19510
 
 #: The bound rules a :class:`repro.core.backends.BoundBackend` declares,
 #: plus the retired names that once carried them past the declaration.
@@ -95,6 +92,12 @@ KEPT_FOR_TESTS = {
     "free_vc_indices": "the rescan oracle allocates VCs with it",
     "no_load_latency": "the contention-free delay the simulator tests "
                        "compare measured delays against",
+    "from_prepared": "the section 4.1 oracle (tests/reference/hpset.py) "
+                     "analyses its own HP sets through it",
+    "releasable_instances": "the release test over stream ids, the "
+                            "paper's view of the row-index core",
+    "releasable_slots": "the slot-granular release test over stream "
+                        "ids, likewise",
 }
 
 #: Called by the transport that drives a connection — the selectors
