@@ -7,18 +7,21 @@ admit and release wastes nearly all of it: a request only perturbs
 streams whose transitive HP closure reaches a changed stream. Between
 requests this engine keeps:
 
-* a process-wide **route table** per topology and routing
-  (:func:`~repro.topology.route_table.shared_route_table`);
+* the routing's own **path memo**
+  (:attr:`~repro.topology.routing.RoutingAlgorithm.route_memo`);
 * a :class:`~repro.core.hpset.BlockingIndex`: channel sets, a channel
   -> users map, the direct-blocking relation and its reverse, and each
   stream's **reach closure**, all updated by delta on attach/detach;
 * per-stream :class:`~repro.core.feasibility.StreamVerdict`\\ s, plus a
   **verdict memo** keyed by the full analytic input of ``Cal_U``:
-  ``(backend, route table, resolved owner, resolved closure members in
-  id order)``. With the routes fixed by the table, the members' routes
-  and priorities determine every HP mode, intermediate set and channel
-  overlap, so a hit builds nothing. Ids are not reused, so each time
-  the memo doubles, keys naming a released id are dropped.
+  ``(backend, routing, resolved owner, resolved closure members in id
+  order)``. The routing is named by value, ``(routing.signature(),
+  routing.topology.signature())``, so a key holds no network and a
+  restored link hits the keys made before the fault. With the routes
+  fixed by the routing, the members' routes and priorities determine
+  every HP mode, intermediate set and channel overlap, so a hit builds
+  nothing. Ids are not reused, so each time the memo doubles, keys
+  naming a released id are dropped.
 
 A verdict that misses the memo is computed from one
 :class:`~repro.core.hpset.VerdictPlan` — its closure on diagram rows:
@@ -84,7 +87,6 @@ from ..core.streams import MessageStream, StreamSet
 from ..core.timing_diagram import RowMemo
 from ..errors import AnalysisError, RoutingError, StreamError
 from ..topology.base import Channel
-from ..topology.route_table import shared_route_table
 from ..topology.routing import RoutingAlgorithm
 
 __all__ = [
@@ -240,8 +242,9 @@ class IncrementalAdmissionEngine:
         self._admitted = StreamSet()   # streams as requested (raw latency)
         self._resolved = StreamSet()   # latencies resolved over the route
         self._next_id = 0
+        #: The routing as the verdict memo names it (see ``_memo_key``).
+        self._routing_key = (routing.signature(), routing.topology.signature())
         # Derived state, rebuilt by invalidate_caches.
-        self._route_table = shared_route_table(routing)
         self._index = BlockingIndex(timing_sink=self.stats)
         self._verdicts: Dict[int, StreamVerdict] = {}
         self._verdict_memo: Dict[tuple, StreamVerdict] = {}
@@ -310,7 +313,7 @@ class IncrementalAdmissionEngine:
 
         The chaos campaign's engine-layer fault (``cache_storm``): every
         index, reach closure and verdict, the verdict and row memos and
-        the shared route table are cleared, the admitted streams are
+        the routing's path memo are cleared, the admitted streams are
         re-attached with their backends, and the settle that follows
         must come back bit-identical — the caches are an optimisation,
         never a source of truth.
@@ -324,7 +327,7 @@ class IncrementalAdmissionEngine:
         for cache in (self._verdicts, self._verdict_memo, self._analysis,
                       self._stale):
             cache.clear()
-        self._route_table.clear()
+        self.routing.route_memo.clear()
         self._rows = RowMemo()
         for s, name in streams:
             self._analysis[s.stream_id] = name
@@ -523,7 +526,7 @@ class IncrementalAdmissionEngine:
         # A pair the failed links disconnect raises RoutingError here,
         # not halfway through attaching the batch.
         for r in requests:
-            self._route(r.src, r.dst)
+            self._path(r.src, r.dst)
         return requests, backend_name
 
     def _settle(self) -> None:
@@ -559,13 +562,13 @@ class IncrementalAdmissionEngine:
         self._settle()
         self.stats.ops += 1
         self.stats.reroutes += 1
-        new_table = shared_route_table(new_routing)
         changed: List[int] = []
         disconnected: List[int] = []
         for sid in sorted(self._admitted.ids()):
             stream = self._admitted[sid]
             try:
-                chans = new_table.channels(stream.src, stream.dst)
+                chans = frozenset(
+                    new_routing.route_channels(stream.src, stream.dst))
             except RoutingError:
                 disconnected.append(sid)
                 continue
@@ -587,7 +590,8 @@ class IncrementalAdmissionEngine:
         for sid in changed + disconnected:
             self._detach(sid)
         self.routing = new_routing
-        self._route_table = new_table
+        self._routing_key = (new_routing.signature(),
+                             new_routing.topology.signature())
         for stream, name in moved:
             self._analysis[stream.stream_id] = name
             dirty |= self._attach(stream)
@@ -711,13 +715,13 @@ class IncrementalAdmissionEngine:
 
     def _memo_key(self, j: int) -> tuple:
         """The full analytic input of ``Cal_U(j)`` (see the module
-        docstring): backend name, route table, resolved owner, resolved
-        ``reach[j]`` in id order — the owner and members its plan is
-        built from."""
+        docstring): backend name, the routing by value, resolved owner,
+        resolved ``reach[j]`` in id order — the owner and members its
+        plan is built from."""
         resolved = self._resolved
         return (
             self._analysis[j],
-            self._route_table,
+            self._routing_key,
             resolved[j],
             tuple(resolved[r] for r in sorted(self._index.reach[j])),
         )
@@ -734,16 +738,19 @@ class IncrementalAdmissionEngine:
     # Structure maintenance
     # ------------------------------------------------------------------ #
 
-    def _route(self, src: int, dst: int) -> FrozenSet[Channel]:
+    def _path(self, src: int, dst: int) -> Tuple[int, ...]:
+        """The pair's node path, counted as a route-cache hit when the
+        routing had memoised it."""
         t0 = time.perf_counter()
-        chans, was_cached = self._route_table.lookup(src, dst)
+        path = self.routing.route_memo.get((src, dst))
         stats = self.stats
-        if was_cached:
-            stats.route_cache_hits += 1
-        else:
+        if path is None:
+            path = self.routing.route(src, dst)
             stats.route_cache_misses += 1
+        else:
+            stats.route_cache_hits += 1
         stats.route_seconds += time.perf_counter() - t0
-        return chans
+        return path
 
     def _attach(
         self,
@@ -754,7 +761,8 @@ class IncrementalAdmissionEngine:
         """Admit and index one stream; return the ids whose closures
         changed (:meth:`~repro.core.hpset.BlockingIndex.add`)."""
         self._admitted.add(stream)
-        chans = self._route(stream.src, stream.dst)
+        path = self._path(stream.src, stream.dst)
+        chans: FrozenSet[Channel] = frozenset(zip(path[:-1], path[1:]))
         if stream.latency is None:
             resolved = stream.with_latency(
                 _LATENCY.latency(stream, len(chans))

@@ -21,15 +21,9 @@ from .routing import (
     channel_dependency_graph,
     is_deadlock_free,
 )
-from .route_table import (
-    RouteTable,
-    shared_route_table,
-)
 from .torus import Torus
 
 __all__ = [
-    "RouteTable",
-    "shared_route_table",
     "Channel",
     "Topology",
     "DegradedTopology",

@@ -62,12 +62,12 @@ class Topology(ABC):
         Two topologies with equal signatures have identical node sets,
         channel sets and coordinate systems, so any deterministic routing
         function of the same class produces identical routes on them —
-        the key the shared route table of
-        :mod:`repro.topology.route_table` memoises under. The default
-        ``(class name, num_nodes)`` is sufficient for topologies fully
-        determined by their node count (e.g. hypercubes); subclasses
-        with extra shape parameters must override (meshes key on their
-        dimension extents).
+        which is why the admission engine's verdict memo names a routing
+        by its signature *and* its topology's. The default ``(class
+        name, num_nodes)`` is sufficient for topologies fully determined
+        by their node count (e.g. hypercubes); subclasses with extra
+        shape parameters must override (meshes key on their dimension
+        extents).
         """
         return (type(self).__name__, self.num_nodes)
 

@@ -10,10 +10,11 @@ network through the ordinary :class:`~repro.topology.base.Topology`
 interface without the base object changing underneath it.
 
 The view is immutable: failing or restoring another link builds a *new*
-``DegradedTopology``. That keeps route caches and shared route tables
-honest (they key on :meth:`signature`, which covers the failed-link
-set) and makes the reroute-and-readmit path in the service layer a pure
-function of (base network, failed links).
+``DegradedTopology``. That keeps each routing's path memo honest, lets
+the engine's verdict memo name a degraded network by value (its
+:meth:`signature` covers the failed-link set) and makes the
+reroute-and-readmit path in the service layer a pure function of (base
+network, failed links).
 """
 
 from __future__ import annotations

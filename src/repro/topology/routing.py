@@ -89,7 +89,9 @@ class RoutingAlgorithm(ABC):
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        self._route_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        #: The path memo, ``(src, dst) -> path``, filled by :meth:`route`.
+        #: Derived data: clearing it is always safe.
+        self.route_memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -104,14 +106,14 @@ class RoutingAlgorithm(ABC):
         ``src == dst`` it is the single-node path ``(src,)``.
         """
         key = (src, dst)
-        cached = self._route_cache.get(key)
+        cached = self.route_memo.get(key)
         if cached is not None:
             return cached
         self.topology.validate_node(src)
         self.topology.validate_node(dst)
         path = self._compute_route(src, dst)
         self._validate_path(src, dst, path)
-        self._route_cache[key] = path
+        self.route_memo[key] = path
         return path
 
     def route_channels(self, src: int, dst: int) -> Tuple[Channel, ...]:
@@ -137,8 +139,8 @@ class RoutingAlgorithm(ABC):
 
         Two routing instances with equal signatures bound to topologies
         with equal signatures produce identical routes and VC classes
-        for every pair — the contract the shared route table of
-        :mod:`repro.topology.route_table` memoises under. The default
+        for every pair — so the admission engine's verdict memo names a
+        routing by ``(signature(), topology.signature())``. The default
         (the class name) is correct for parameter-free algorithms;
         parameterised routings (a chosen up/down root, a loaded table, a
         failed-link set) must fold their parameters in.

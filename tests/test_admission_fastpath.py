@@ -1,6 +1,6 @@
 """The PR 6 admission fast path: every shortcut must be invisible.
 
-Four optimisation layers ride the admission path — shared route tables,
+Four optimisation layers ride the admission path — the routing's path memo,
 reach-delta HP maintenance, the dependency-sparse row refill of
 ``Modify_Diagram`` and the adaptive-horizon bitset diagram. These tests
 pin the only contract any of them is allowed to have: the observed
@@ -34,8 +34,6 @@ from repro.core.timing_diagram import (
 from repro.io import report_to_spec
 from repro.service.engine import IncrementalAdmissionEngine
 from repro.topology.mesh import Mesh2D
-from repro.topology.route_table import shared_route_table
-from tests.conftest import clear_shared_route_tables
 from repro.topology.routing import XYRouting
 from tests.reference import ReferenceEngine, fill_masks_scan
 from tests.reference.diagram import erased_init_diagram
@@ -96,7 +94,6 @@ def replay_digest(engine, trace):
 
 
 def fresh_engine(cls=IncrementalAdmissionEngine):
-    clear_shared_route_tables()
     return cls(XYRouting(Mesh2D(MESH_W, MESH_H)))
 
 
@@ -290,13 +287,17 @@ class TestCacheStorm:
             elif payload in engine.admitted:
                 engine.release(payload)
         before = report_to_spec(engine.current_report())
-        table = shared_route_table(engine.routing)
-        assert len(table) > 0
+        memo = engine.routing.route_memo
+        live = {(s.src, s.dst) for s in engine.admitted}
+        assert live <= memo.keys()
         for _ in range(3):
+            misses = engine.stats.route_cache_misses
             engine.invalidate_caches()
             assert report_to_spec(engine.current_report()) == before
-        # The storm rebuilt routes through the cleared table.
-        assert len(table) > 0
+            # The storm emptied the routing's memo and the settle
+            # refilled it with exactly the live pairs, each a miss.
+            assert memo.keys() == live
+            assert engine.stats.route_cache_misses - misses == len(live)
         assert engine.stats.forced_invalidations == 3
 
 

@@ -69,7 +69,7 @@ INDEX_NAMES = frozenset({"BlockingIndex", "build_all_hp_sets"})
 FLEET_LINE_CEILING = 1900
 
 #: Lines of ``src/repro``: the count, ratcheted like the fleet's.
-SRC_LINE_CEILING = 19510
+SRC_LINE_CEILING = 19468
 
 #: The bound rules a :class:`repro.core.backends.BoundBackend` declares,
 #: plus the retired names that once carried them past the declaration.
@@ -203,6 +203,24 @@ def test_one_blocking_index():
                 names = {getattr(node, "id", None),
                          getattr(node, "attr", None)}
             assert not names & INDEX_NAMES, f"{path.name}:{node.lineno}"
+
+
+def test_one_route_memo():
+    # A route is memoised once, by the routing that computes it: no
+    # process-wide registry, weak or not, and no channel-set table on a
+    # served path (the benchmark ladder alone builds a RouteTable).
+    assert _modules_matching(re.compile(r"Weak(Value|Key)Dictionary")) == []
+    assert _modules_matching(re.compile(r"\bRouteTable\(")) == []
+    assert _modules_matching(
+        re.compile(r"\.route_memo\b[^=\n]*=[^=]")) == ["topology/routing.py"]
+    module_maps = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "topology").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, (ast.Dict, ast.Call))
+    ]
+    assert module_maps == []
 
 
 def test_second_campaign_runner_is_gone():
